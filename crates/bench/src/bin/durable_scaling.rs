@@ -1,22 +1,18 @@
 //! Durable delivery sweep: does persistence still scale with the
 //! partitioned broker?
 //!
-//! Three arms over the same Crowdtap-shaped keyed trace and the same
+//! Two arms over the same Crowdtap-shaped keyed trace and the same
 //! work-stealing consumer pool as `scaling_sweep`:
 //!
-//! * `durable/group_<W>w` — WAL on, Interval fsync, group commit on: the
-//!   leader/follower protocol this PR adds, one lock round trip and one
-//!   fsync amortized over every concurrently staged append.
-//! * `durable/perwrite_<W>w` — WAL on, Interval fsync, `group_commit
-//!   (false)`: the historical path, one `Mutex<WalInner>` acquisition and
-//!   one write syscall per record, publishers and ackers convoying on the
-//!   log.
+//! * `durable/group_<W>w` — WAL on, Interval fsync: the leader/follower
+//!   group-commit protocol, one lock round trip and one fsync amortized
+//!   over every concurrently staged append.
 //! * `durable/memory_<W>w` — no WAL at all: the scale-out plane's ceiling.
 //!
 //! Prints one `durable/<arm>_<W>w <value> msgs_per_sec` line per run,
 //! consumed by `scripts/bench.sh` into `BENCH_durable_scaling.json`, whose
-//! acceptance gates are group ≥ 4× per-write at 64 workers and group
-//! within 2.5× of memory-only. Tunables: `DURABLE_MESSAGES` (per run;
+//! acceptance gate is group within 2.5× of memory-only at 64 workers.
+//! Tunables: `DURABLE_MESSAGES` (per run;
 //! default 24 000), `DURABLE_WORKERS` (comma list; default `4,16,64`).
 //!
 //! `--smoke` is the tier-1 durable-mode liveness gate: a tiny trace per
@@ -37,16 +33,19 @@ const BATCH: usize = 32;
 /// Payloads per publish call — the paper's a-few-per-request write stream.
 const PUB_BATCH: usize = 8;
 /// Concurrent publisher threads (the paper's many request handlers all
-/// publishing writes). Shared by all three arms; the group arm turns the
-/// concurrency into deeper commit groups, the per-write arm convoys it
-/// on the WAL lock.
+/// publishing writes). Shared by both arms; the group arm turns the
+/// concurrency into deeper commit groups.
 const PUBLISHERS: usize = 8;
 
+/// The smoke trace is long enough (~70 ms of durable delivery) that one
+/// expiry of the workers' 50 ms idle park — a worker that scans dry just
+/// as the last ack sets `stop` sleeps the park out before it exits —
+/// does not dwarf the run it is timed with.
 fn message_count(smoke: bool) -> usize {
     std::env::var("DURABLE_MESSAGES")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 2_000 } else { 24_000 })
+        .unwrap_or(if smoke { 16_000 } else { 24_000 })
 }
 
 fn worker_counts(smoke: bool) -> Vec<usize> {
@@ -215,13 +214,11 @@ fn run(broker: Arc<Broker>, trace: Arc<Vec<(SharedStr, u64, u64)>>, workers: usi
     }
 }
 
-/// Fsync policy for both durable arms: `DURABLE_FSYNC=off|every|<n>`
+/// Fsync policy for the durable arm: `DURABLE_FSYNC=off|every|<n>`
 /// (default `Interval(8)`), for isolating fsync cost from lock/write
 /// cost when reading the sweep. The default is deliberately tight: the
-/// group arm counts the interval in committed *groups* (one fsync per
-/// ~8 publish batches), the per-write arm in appends — the same knob
-/// value, and the amortisation gap between the two regimes is exactly
-/// what the bench exists to show.
+/// interval counts committed *groups*, so this is one fsync per ~8
+/// publish batches.
 fn fsync_policy() -> FsyncPolicy {
     match std::env::var("DURABLE_FSYNC").ok().as_deref() {
         Some("off") => FsyncPolicy::Off,
@@ -231,26 +228,10 @@ fn fsync_policy() -> FsyncPolicy {
     }
 }
 
-/// Leader linger before writing a shallow group:
-/// `DURABLE_GROUP_WAIT_US=<micros>` (default 0 — write immediately).
-/// Only the group arm reads it; the per-write arm has no leader to hold.
-fn group_max_wait() -> Duration {
-    std::env::var("DURABLE_GROUP_WAIT_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map_or(Duration::ZERO, Duration::from_micros)
-}
-
-fn durable_broker(dir: &std::path::Path, group_commit: bool) -> Broker {
+fn durable_broker(dir: &std::path::Path) -> Broker {
     let cfg = WalConfig::new(dir)
         .segment_max_bytes(4 << 20)
-        .fsync(fsync_policy())
-        .group_max_wait(if group_commit {
-            group_max_wait()
-        } else {
-            Duration::ZERO
-        })
-        .group_commit(group_commit);
+        .fsync(fsync_policy());
     let (broker, report) = Broker::open_durable(cfg).expect("open durable broker");
     assert_eq!(report.replayed_entries, 0, "bench dirs start fresh");
     broker
@@ -364,50 +345,44 @@ fn main() {
     let workers = worker_counts(smoke);
 
     let trace = Arc::new(trace(messages));
-    let mut rates: Vec<(usize, f64, f64, f64)> = Vec::new();
     for &w in &workers {
-        let dir = temp_dir(&format!("group-{w}w"));
-        let broker = Arc::new(durable_broker(&dir, true));
-        let group = run(Arc::clone(&broker), Arc::clone(&trace), w);
-        report_wal_stats("group", w, &broker);
-        drop(broker);
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_drained("group", w, messages, &group);
+        // Smoke collapse guard (the pinned full-trace ratio is group ≈
+        // 0.5x memory): the durable path must not run an order of
+        // magnitude below the memory-only plane. On a trace this short
+        // one disk or scheduler hiccup moves the ratio several-fold
+        // (measured: median 1.6x, p99 8.9x, past 10x once in 300 runs),
+        // while a collapse repeats — so the guard trips only when three
+        // attempts in a row land below the floor.
+        let mut attempts = 3;
+        let (group, memory) = loop {
+            let dir = temp_dir(&format!("group-{w}w"));
+            let broker = Arc::new(durable_broker(&dir));
+            let group = run(Arc::clone(&broker), Arc::clone(&trace), w);
+            report_wal_stats("group", w, &broker);
+            drop(broker);
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_drained("group", w, messages, &group);
 
-        let dir = temp_dir(&format!("perwrite-{w}w"));
-        let broker = Arc::new(durable_broker(&dir, false));
-        let perwrite = run(Arc::clone(&broker), Arc::clone(&trace), w);
-        report_wal_stats("perwrite", w, &broker);
-        drop(broker);
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_drained("perwrite", w, messages, &perwrite);
+            let memory = run(Arc::new(Broker::new()), Arc::clone(&trace), w);
+            assert_drained("memory", w, messages, &memory);
 
-        let memory = run(Arc::new(Broker::new()), Arc::clone(&trace), w);
-        assert_drained("memory", w, messages, &memory);
-
-        println!("durable/group_{w}w {:.0} msgs_per_sec", group.rate);
-        println!("durable/perwrite_{w}w {:.0} msgs_per_sec", perwrite.rate);
-        println!("durable/memory_{w}w {:.0} msgs_per_sec", memory.rate);
-        rates.push((w, group.rate, perwrite.rate, memory.rate));
-    }
-    for (w, group, perwrite, memory) in &rates {
-        eprintln!(
-            "# {w} workers: group {:.2}x per-write, memory {:.2}x group",
-            group / perwrite,
-            memory / group
-        );
+            attempts -= 1;
+            if group.rate >= memory.rate * 0.1 || !smoke {
+                break (group.rate, memory.rate);
+            }
+            assert!(
+                attempts > 0,
+                "smoke: group commit collapsed at {w} workers ({:.0} vs memory {:.0} msgs/s)",
+                group.rate,
+                memory.rate
+            );
+        };
+        println!("durable/group_{w}w {group:.0} msgs_per_sec");
+        println!("durable/memory_{w}w {memory:.0} msgs_per_sec");
+        eprintln!("# {w} workers: memory {:.2}x group", memory / group);
     }
     if smoke {
-        // Collapse guard on the tiny trace (the ≥4x gate lives on the
-        // recorded full-trace artifact): durable group commit must not
-        // run far below the per-write path it replaces.
-        for (w, group, perwrite, _) in &rates {
-            assert!(
-                group >= &(perwrite * 0.3),
-                "smoke: group commit collapsed at {w} workers ({group:.0} vs {perwrite:.0} msgs/s)"
-            );
-        }
         crash_recover_round_trip();
-        println!("durable scaling smoke ok: {messages} msgs drained with zero loss in all arms");
+        println!("durable scaling smoke ok: {messages} msgs drained with zero loss in both arms");
     }
 }

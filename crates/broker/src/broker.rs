@@ -472,23 +472,13 @@ impl Broker {
         exchange: &str,
         payload: impl Into<SharedStr>,
     ) -> Result<(), PublishError> {
-        self.publish_stamped(exchange, payload, 0)
+        self.publish_routed(exchange, payload, 0, 0)
     }
 
     /// [`Broker::publish`] carrying the publisher's monotonic origin stamp
-    /// (nanoseconds since the process telemetry epoch). The stamp rides the
-    /// delivery envelope so subscribers can compute end-to-end visibility
-    /// latency; 0 means unstamped.
-    pub fn publish_stamped(
-        &self,
-        exchange: &str,
-        payload: impl Into<SharedStr>,
-        origin_nanos: u64,
-    ) -> Result<(), PublishError> {
-        self.publish_routed(exchange, payload, origin_nanos, 0)
-    }
-
-    /// [`Broker::publish_stamped`] carrying a partition routing key
+    /// (nanoseconds since the process telemetry epoch; rides the delivery
+    /// envelope so subscribers can compute end-to-end visibility latency;
+    /// 0 means unstamped) and a partition routing key
     /// (typically the written object's dependency key). The key's low
     /// byte is folded into the delivery tag and picks the destination
     /// partition in every bound queue, so one object's messages stay in
@@ -526,9 +516,10 @@ impl Broker {
         Ok(())
     }
 
-    /// Publishes a batch of payloads on `exchange` in order, resolving the
-    /// routing once and taking each bound queue's lock once for the whole
-    /// batch. Returns the number of messages accepted.
+    /// Publishes a batch of payloads on `exchange` in order (unstamped,
+    /// unkeyed: everything routes to partition 0), resolving the routing
+    /// once and taking each bound queue's lock once for the whole batch.
+    /// Returns the number of messages accepted.
     ///
     /// An armed publish fault rejects the entire batch (the connection blip
     /// happened before anything was written) and consumes one injected
@@ -538,47 +529,15 @@ impl Broker {
         I: IntoIterator,
         I::Item: Into<SharedStr>,
     {
-        self.publish_batch_stamped(
+        self.publish_batch_routed(
             exchange,
-            payloads.into_iter().map(|p| (p.into(), 0)).collect(),
+            payloads.into_iter().map(|p| (p.into(), 0, 0)).collect(),
         )
     }
 
-    /// [`Broker::publish_batch`] with a per-payload origin stamp (see
-    /// [`Broker::publish_stamped`]).
-    pub fn publish_batch_stamped(
-        &self,
-        exchange: &str,
-        payloads: Vec<(SharedStr, u64)>,
-    ) -> Result<u64, PublishError> {
-        if payloads.is_empty() {
-            return Ok(0);
-        }
-        if self.consume_armed_fault() || self.wal_is_poisoned() {
-            return Err(PublishError {
-                exchange: exchange.to_owned(),
-            });
-        }
-        let routes = self.inner.routes.read();
-        if let Some((shared_exchange, targets)) = routes.resolved.get(exchange) {
-            for queue in targets {
-                queue.enqueue_batch(shared_exchange, &payloads);
-            }
-        }
-        drop(routes);
-        // See publish_stamped: a mid-batch WAL death fails the batch.
-        if self.wal_is_poisoned() {
-            return Err(PublishError {
-                exchange: exchange.to_owned(),
-            });
-        }
-        let accepted = payloads.len() as u64;
-        self.inner.published.fetch_add(accepted, Ordering::Relaxed);
-        Ok(accepted)
-    }
-
-    /// [`Broker::publish_batch_stamped`] with a per-payload partition
-    /// routing key: `(payload, origin_nanos, key)`. Each bound queue
+    /// [`Broker::publish_batch`] with a per-payload origin stamp and
+    /// partition routing key: `(payload, origin_nanos, key)` (see
+    /// [`Broker::publish_routed`]). Each bound queue
     /// groups the batch by destination partition and takes one lock per
     /// *touched* partition, so concurrent batches to disjoint partitions
     /// never contend. Relative payload order is preserved within each
@@ -603,6 +562,7 @@ impl Broker {
             }
         }
         drop(routes);
+        // See publish_routed: a mid-batch WAL death fails the batch.
         if self.wal_is_poisoned() {
             return Err(PublishError {
                 exchange: exchange.to_owned(),
@@ -943,9 +903,10 @@ impl Consumer {
     }
 
     /// Blocking pop: waits up to `timeout` for a delivery. Returns `None`
-    /// on timeout or if the queue was decommissioned.
+    /// on timeout, decommission, or [`Broker::wake_queue`] — a
+    /// [`Consumer::pop_batch`] of one.
     pub fn pop(&self, timeout: Duration) -> Option<Delivery> {
-        self.queue.pop(timeout)
+        self.queue.pop_batch(1, timeout).pop()
     }
 
     /// Blocking batch pop: parks on the queue's condvar until a delivery

@@ -29,6 +29,4 @@ pub use broker::{
 };
 pub use message::{Delivery, SharedStr};
 pub use queue::{tag_hint, tag_seq, QueueConfig, QueueState, PARTITION_HINT_SPAN};
-pub use wal::{
-    AckDurability, FsyncPolicy, LogPos, ReplaySummary, Wal, WalConfig, WalRecord, WalStats,
-};
+pub use wal::{FsyncPolicy, LogPos, ReplaySummary, Wal, WalConfig, WalRecord, WalStats};

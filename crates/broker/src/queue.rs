@@ -100,11 +100,11 @@ pub(crate) struct WalBinding {
 impl WalBinding {
     /// Best-effort append for post-change records; errors are swallowed
     /// (the in-memory state is already authoritative for this process,
-    /// and replay-side conservatism covers the loss). Routed through the
-    /// configured ack-durability lane: relaxed records stage into the
-    /// next group commit instead of stalling the hot path.
+    /// and replay-side conservatism covers the loss). Rides the relaxed
+    /// lane: the record stages into the next group commit instead of
+    /// stalling the hot path.
     fn append_best_effort(&self, record: &WalRecord) {
-        let _ = self.wal.append_lifecycle(record);
+        let _ = self.wal.append_relaxed(record);
     }
 }
 
@@ -580,32 +580,35 @@ impl Queue {
         })
     }
 
-    /// Second half of admission: commits the staged frames (one
-    /// group-commit wait for the whole run) and pushes the admitted
-    /// deliveries — still under the partition lock. Commit-before-push
-    /// is the durability contract (an enqueue is on the log before it is
-    /// visible), and holding the lock across the commit keeps
+    /// Second half of admission, in two steps taken while the run's
+    /// partition locks are still held. Commit-before-push is the
+    /// durability contract (an enqueue is on the log before it is
+    /// visible), and holding the locks across the commit keeps
     /// same-partition FIFO: a later tag can never commit and push ahead
-    /// of an earlier one. Returns how many deliveries were enqueued; a
-    /// commit failure refuses the entire run (nothing reached the log,
-    /// nothing becomes visible).
-    fn commit_staged_locked(
+    /// of an earlier one. First, one group-commit wait for the whole
+    /// run's staged frames; `false` means nothing reached the log.
+    fn commit_staged(&self, wal_buf: &[u8], frames: u32) -> bool {
+        match &self.wal {
+            Some(binding) if frames > 0 => binding.wal.commit_frames(wal_buf, frames).is_ok(),
+            _ => true,
+        }
+    }
+
+    /// Then each partition's admitted deliveries are pushed — or, after
+    /// a failed commit, refused: nothing becomes visible. Returns how
+    /// many deliveries were enqueued.
+    fn push_staged_locked(
         &self,
         part: &Partition,
         inner: &mut PartitionInner,
-        wal_buf: &[u8],
-        frames: u32,
         staged: Vec<Delivery>,
+        committed: bool,
     ) -> usize {
-        if let Some(binding) = &self.wal {
-            if frames > 0 && binding.wal.commit_frames(wal_buf, frames).is_err() {
-                self.counters
-                    .refused
-                    .fetch_add(staged.len() as u64, Ordering::Relaxed);
-                return 0;
-            }
-        }
         let n = staged.len();
+        if !committed {
+            self.counters.refused.fetch_add(n as u64, Ordering::Relaxed);
+            return 0;
+        }
         if n == 0 {
             return 0;
         }
@@ -746,7 +749,8 @@ impl Queue {
                     &mut frames,
                 )
                 .map_or_else(Vec::new, |d| vec![d]);
-            self.commit_staged_locked(p, &mut inner, &buf, frames, staged)
+            let committed = self.commit_staged(&buf, frames);
+            self.push_staged_locked(p, &mut inner, staged, committed)
         });
         self.finish_enqueue(&parts, added);
     }
@@ -822,71 +826,16 @@ impl Queue {
                 }
                 locked.push((pi, inner, staged));
             }
-            let commit_ok = match &self.wal {
-                Some(binding) if frames > 0 => binding.wal.commit_frames(&buf, frames).is_ok(),
-                _ => true,
-            };
-            let mut added = 0usize;
-            for (pi, mut inner, staged) in locked {
-                if !commit_ok {
-                    // Nothing reached the log: the whole batch is
-                    // refused, nothing becomes visible.
-                    self.counters
-                        .refused
-                        .fetch_add(staged.len() as u64, Ordering::Relaxed);
-                    continue;
-                }
-                let n = staged.len();
-                if n == 0 {
-                    continue;
-                }
-                for d in staged {
-                    inner.ready.push_back(d);
-                }
-                parts[pi as usize].len.fetch_add(n, Ordering::Relaxed);
-                self.ready_total.fetch_add(n, Ordering::SeqCst);
-                self.counters
-                    .enqueued
-                    .fetch_add(n as u64, Ordering::Relaxed);
-                added += n;
-            }
-            added
+            let committed = self.commit_staged(&buf, frames);
+            locked
+                .into_iter()
+                .map(|(pi, mut inner, staged)| {
+                    self.push_staged_locked(&parts[pi as usize], &mut inner, staged, committed)
+                })
+                .sum()
         });
         self.finish_enqueue(&parts, added);
         added
-    }
-
-    /// Legacy unkeyed batch enqueue (everything routes to partition 0,
-    /// one lock acquisition for the whole batch).
-    pub(crate) fn enqueue_batch(&self, exchange: &SharedStr, payloads: &[(SharedStr, u64)]) {
-        if payloads.is_empty() {
-            return;
-        }
-        let parts = self.partitions.read();
-        let p = &parts[0];
-        let added = STAGE_BUF.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            buf.clear();
-            let mut frames = 0u32;
-            let mut staged: Vec<Delivery> = Vec::new();
-            let mut inner = p.inner.lock();
-            for (payload, origin) in payloads {
-                if let Some(d) = self.stage_locked(
-                    exchange,
-                    payload,
-                    *origin,
-                    0,
-                    staged.len(),
-                    false,
-                    &mut buf,
-                    &mut frames,
-                ) {
-                    staged.push(d);
-                }
-            }
-            self.commit_staged_locked(p, &mut inner, &buf, frames, staged)
-        });
-        self.finish_enqueue(&parts, added);
     }
 
     /// Takes up to `max` deliveries off one locked partition, moving them
@@ -917,39 +866,6 @@ impl Queue {
         }
         self.ready_total.fetch_sub(n, Ordering::SeqCst);
         self.unacked_total.fetch_add(n, Ordering::SeqCst);
-    }
-
-    /// Blocking pop with deadline; moves the delivery to the unacked set.
-    pub(crate) fn pop(&self, timeout: Duration) -> Option<Delivery> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let parts = self.partitions.read();
-                for p in parts.iter() {
-                    if p.len.load(Ordering::Relaxed) == 0 {
-                        continue;
-                    }
-                    let mut inner = p.inner.lock();
-                    if let Some(delivery) = inner.ready.pop_front() {
-                        inner.unacked.insert(delivery.tag, delivery.clone());
-                        p.len.fetch_sub(1, Ordering::Relaxed);
-                        if is_marker(&delivery) {
-                            self.marker_ready.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        self.ready_total.fetch_sub(1, Ordering::SeqCst);
-                        self.unacked_total.fetch_add(1, Ordering::SeqCst);
-                        return Some(delivery);
-                    }
-                }
-            }
-            if self.is_decommissioned() {
-                return None;
-            }
-            let epoch = self.wake_epoch.load(Ordering::SeqCst);
-            if !self.park_until(deadline, epoch) {
-                return None;
-            }
-        }
     }
 
     /// Blocking batch pop: parks until at least one delivery is ready,
@@ -1168,10 +1084,8 @@ impl Queue {
                 enqueued_nanos: mono_nanos(),
             });
         }
-        if let Some(binding) = &self.wal {
-            if frames > 0 && binding.wal.commit_frames(&buf, frames).is_err() {
-                return 0;
-            }
+        if !self.commit_staged(&buf, frames) {
+            return 0;
         }
         let added = staged.len();
         for (i, d) in staged.into_iter().enumerate() {

@@ -30,7 +30,7 @@
 //! # Fsync policy
 //!
 //! [`FsyncPolicy`] controls when appends are flushed to stable storage:
-//! never (`Off`), every `n` appends (`Interval`), or before every append
+//! never (`Off`), every `n` committed groups (`Interval`), or before every append
 //! returns (`EveryWrite`). The distinction only matters across a *power
 //! failure*; a mere process crash loses nothing that reached the OS. The
 //! fault plane models power failure with
@@ -42,22 +42,23 @@
 //!
 //! # Group commit
 //!
-//! With `group_commit` on (the default), appenders frame records into
-//! thread-local buffers *outside* every WAL lock and stage them into a
-//! shared batch under a short-lived staging lock. The first stager
+//! Appenders frame records into thread-local buffers *outside* every
+//! WAL lock and stage them into a shared batch under a short-lived
+//! staging lock. This is the only append path. The first stager
 //! becomes the *leader*: it takes the whole staged batch, releases the
 //! staging lock (so the next epoch keeps filling), writes the batch with
 //! one syscall and at most one policy fsync under the IO lock, then
 //! publishes the batch's *commit epoch* and wakes the followers parked
 //! on it. One lock hand-off and one fsync thereby amortize over every
-//! record staged while the previous commit was in flight. Ack,
-//! dead-letter, and lifecycle records ride a configurable non-blocking
-//! lane ([`AckDurability::Relaxed`], the default): they are staged and
-//! the call returns as soon as a leader is responsible for their epoch,
+//! record staged while the previous commit was in flight. A leader
+//! never lingers for co-committers: depth comes from what stages while
+//! the previous write is in flight. Enqueues block until their epoch
+//! commits — a publish confirmed upward is on the log. Ack,
+//! dead-letter, and lifecycle records ride the non-blocking lane
+//! ([`Wal::append_relaxed`]): they are staged and the call returns
 //! without waiting out the write or fsync — losing that staged tail in
 //! a crash merely redelivers, which the at-least-once envelope already
-//! allows. Setting `group_commit` to `false` restores the historical
-//! one-lock per-record append path (kept as the bench baseline arm).
+//! allows.
 //!
 //! # Checkpoints and GC
 //!
@@ -79,7 +80,6 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
 use synapse_telemetry::{mono_nanos, Histogram, HistogramSnapshot};
 
 /// Magic bytes opening every segment file.
@@ -103,10 +103,10 @@ const PREALLOC_MAX_BYTES: u64 = 64 << 20;
 pub enum FsyncPolicy {
     /// Never fsync (fastest; a power failure may lose the whole tail).
     Off,
-    /// Fsync every `n` appends (and on segment roll). Under group
-    /// commit the unit of append is the committed *group*, so the
-    /// interval counts groups there — the loss window is `n` groups,
-    /// bounded in bytes by `n * group_max_bytes`.
+    /// Fsync every `n` committed groups (and on segment roll). The
+    /// group is the unit of append, so a 64-frame group costs the same
+    /// share of an fsync as a 1-frame one; the loss window is `n`
+    /// groups, bounded in bytes by `n * GROUP_MAX_BYTES`.
     Interval(u32),
     /// Fsync before every append returns (a confirmed append is durable).
     EveryWrite,
@@ -118,20 +118,6 @@ impl Default for FsyncPolicy {
     }
 }
 
-/// Durability class of ack/dead-letter/lifecycle records (enqueues are
-/// always blocking: a publish confirmed upward must be on the log).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AckDurability {
-    /// Stage the record into the next group commit and return without
-    /// waiting for the write or fsync (default). Losing the staged tail
-    /// in a crash merely redelivers — at-least-once is preserved,
-    /// exactly-once was never promised.
-    #[default]
-    Relaxed,
-    /// Wait out the group commit (and its policy fsync) like an enqueue.
-    Strict,
-}
-
 /// Configuration of a [`Wal`].
 #[derive(Debug, Clone)]
 pub struct WalConfig {
@@ -141,34 +127,16 @@ pub struct WalConfig {
     pub segment_max_bytes: u64,
     /// Fsync policy for appends.
     pub fsync: FsyncPolicy,
-    /// Amortize appends through the leader/follower group-commit
-    /// protocol. `false` restores the historical one-lock per-record
-    /// append path (the bench baseline arm).
-    pub group_commit: bool,
-    /// Soft cap on staged-but-unwritten group-commit bytes: blocking
-    /// appenders wait for the in-flight commit to drain before staging
-    /// past it (the relaxed lane stages regardless).
-    pub group_max_bytes: u64,
-    /// How long a leader lingers over a batch of at most one frame,
-    /// waiting for co-committers, before paying the write + fsync.
-    /// Zero (the default) disables the linger.
-    pub group_max_wait: Duration,
-    /// Durability class of ack/dead-letter/lifecycle records.
-    pub ack_durability: AckDurability,
 }
 
 impl WalConfig {
-    /// A config with the default segment size (256 KiB), fsync policy,
-    /// and group commit on with a 4 MiB staging cap and no linger.
+    /// A config with the default segment size (256 KiB) and fsync
+    /// policy.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         WalConfig {
             dir: dir.into(),
             segment_max_bytes: 256 << 10,
             fsync: FsyncPolicy::default(),
-            group_commit: true,
-            group_max_bytes: 4 << 20,
-            group_max_wait: Duration::ZERO,
-            ack_durability: AckDurability::default(),
         }
     }
 
@@ -181,30 +149,6 @@ impl WalConfig {
     /// Sets the fsync policy.
     pub fn fsync(mut self, policy: FsyncPolicy) -> Self {
         self.fsync = policy;
-        self
-    }
-
-    /// Enables or disables the group-commit protocol.
-    pub fn group_commit(mut self, enabled: bool) -> Self {
-        self.group_commit = enabled;
-        self
-    }
-
-    /// Sets the staged-bytes soft cap for group commit.
-    pub fn group_max_bytes(mut self, bytes: u64) -> Self {
-        self.group_max_bytes = bytes.max(1);
-        self
-    }
-
-    /// Sets the leader linger for near-empty batches.
-    pub fn group_max_wait(mut self, wait: Duration) -> Self {
-        self.group_max_wait = wait;
-        self
-    }
-
-    /// Sets the ack/dead-letter/lifecycle durability class.
-    pub fn ack_durability(mut self, mode: AckDurability) -> Self {
-        self.ack_durability = mode;
         self
     }
 }
@@ -642,7 +586,7 @@ pub struct WalStats {
     pub torn_entries_dropped: u64,
     /// Fsyncs swallowed by the armed dropped-fsync fault.
     pub fsyncs_dropped: u64,
-    /// Group commits led (batches written; 0 with `group_commit` off).
+    /// Group commits led (batches written).
     pub group_commits: u64,
 }
 
@@ -667,16 +611,8 @@ struct WalInner {
     offset: u64,
     /// Offset known durable (advanced by fsync; reset on roll).
     synced_offset: u64,
-    /// Appends since the last fsync (for `FsyncPolicy::Interval` on the
-    /// legacy per-record write path).
-    unsynced_appends: u32,
     /// Committed groups since the last fsync was *initiated* (for
-    /// `FsyncPolicy::Interval` under group commit). The group is the
-    /// unit of append in that mode, so the interval counts groups —
-    /// this is exactly the amortisation group commit exists to buy: a
-    /// 64-frame epoch costs the same share of an fsync as a 1-frame
-    /// one. The loss window becomes `n` groups (bounded in bytes by
-    /// `n * group_max_bytes`) rather than `n` frames.
+    /// `FsyncPolicy::Interval`, which counts groups, not frames).
     unsynced_groups: u32,
 }
 
@@ -725,21 +661,21 @@ thread_local! {
 const FOLLOWER_SPIN_NANOS: u64 = 30_000;
 
 /// Staged bytes past which a relaxed-lane append self-elects as leader
-/// instead of waiting for the next strict writer (clamped to
-/// `group_max_bytes` for tiny configs).
+/// instead of waiting for the next blocking writer.
 const RELAXED_LEAD_BYTES: u64 = 16 << 10;
 
-/// A group already this deep skips the configured linger — the write is
-/// worth paying for without waiting on more stagers.
-const GROUP_LINGER_FRAMES: u32 = 64;
+/// Soft cap on staged-but-unwritten bytes: blocking appenders wait for
+/// the in-flight commit to drain before staging past it (the relaxed
+/// lane stages regardless).
+const GROUP_MAX_BYTES: u64 = 4 << 20;
 
 /// The segmented write-ahead log. Internally locked; share via `Arc`.
 #[derive(Debug)]
 pub struct Wal {
     shared: Arc<WalShared>,
     /// Due interval syncs are handed to the background flusher through
-    /// here; `None` when no flusher is running (non-group-commit
-    /// configs, and policies whose syncs complete in the caller).
+    /// here; `None` when no flusher is running (policies whose syncs
+    /// complete in the caller).
     sync_tx: Mutex<Option<mpsc::Sender<PendingSync>>>,
     /// The flusher itself, joined on drop so a closing log never
     /// abandons an fsync it already initiated.
@@ -949,7 +885,6 @@ impl Wal {
                 offset,
                 // Everything read back from disk is treated as durable.
                 synced_offset: offset,
-                unsynced_appends: 0,
                 unsynced_groups: 0,
             }),
             group: Mutex::new(GroupInner {
@@ -979,30 +914,29 @@ impl Wal {
             group_size: Histogram::new(),
             commit_wait: Histogram::new(),
         });
-        // Interval-policy group commit gets a background flusher: the
+        // The interval policy gets a background flusher: the
         // leader that trips the interval hands the fsync here and
         // returns to its caller — typically a publisher still holding
         // queue locks upstream, which would otherwise serialise every
         // conflicting publisher behind the sync for its full duration.
-        let (sync_tx, flusher) =
-            if shared.cfg.group_commit && matches!(shared.cfg.fsync, FsyncPolicy::Interval(_)) {
-                let (tx, rx) = mpsc::channel::<PendingSync>();
-                let for_thread = Arc::clone(&shared);
-                match std::thread::Builder::new()
-                    .name("synapse-wal-flusher".into())
-                    // Errors poison the log; the next append fails fast.
-                    .spawn(move || {
-                        while let Ok(sync) = rx.recv() {
-                            let _ = for_thread.finish_sync(sync);
-                        }
-                    }) {
-                    Ok(handle) => (Some(tx), Some(handle)),
-                    // No thread to be had: syncs complete in the leader.
-                    Err(_) => (None, None),
-                }
-            } else {
-                (None, None)
-            };
+        let (sync_tx, flusher) = if matches!(shared.cfg.fsync, FsyncPolicy::Interval(_)) {
+            let (tx, rx) = mpsc::channel::<PendingSync>();
+            let for_thread = Arc::clone(&shared);
+            match std::thread::Builder::new()
+                .name("synapse-wal-flusher".into())
+                // Errors poison the log; the next append fails fast.
+                .spawn(move || {
+                    while let Ok(sync) = rx.recv() {
+                        let _ = for_thread.finish_sync(sync);
+                    }
+                }) {
+                Ok(handle) => (Some(tx), Some(handle)),
+                // No thread to be had: syncs complete in the leader.
+                Err(_) => (None, None),
+            }
+        } else {
+            (None, None)
+        };
         let wal = Wal {
             shared,
             sync_tx: Mutex::new(sync_tx),
@@ -1019,8 +953,7 @@ impl Wal {
     /// Appends one record, blocking until it is written — and, per
     /// policy, fsynced. The record is framed in a thread-local buffer
     /// outside every WAL lock, then committed through the group-commit
-    /// protocol (or the legacy per-record path when `group_commit` is
-    /// off).
+    /// protocol.
     pub fn append(&self, record: &WalRecord) -> io::Result<()> {
         FRAME_BUF.with(|cell| {
             let mut buf = cell.borrow_mut();
@@ -1033,25 +966,22 @@ impl Wal {
     /// Appends one record on the non-blocking lane: the frame is staged
     /// into the next group commit and the call returns immediately,
     /// without waiting out the write or fsync. Used for
-    /// ack/dead-letter/lifecycle records under
-    /// [`AckDurability::Relaxed`]. Falls back to the blocking path when
-    /// group commit is disabled.
+    /// ack/dead-letter/lifecycle records: losing the staged tail in a
+    /// crash merely redelivers — at-least-once is preserved,
+    /// exactly-once was never promised.
     ///
     /// When no leader is active the frame *stays staged* rather than
-    /// electing this thread: the next strict append, sync, checkpoint,
+    /// electing this thread: the next blocking append, sync, checkpoint,
     /// or close carries it (a relaxed record has no per-call durability
     /// promise — under power failure the staged frame and a
     /// written-but-unsynced one are equally lost). Leading here for
     /// every ack would turn a 64-worker ack storm into a stream of
     /// single-frame epochs, which is exactly the per-record regime
     /// group commit exists to avoid. The backstop is a byte threshold:
-    /// once enough relaxed traffic accumulates with no strict writer in
+    /// once enough relaxed traffic accumulates with no blocking writer in
     /// sight, the staging thread leads a flush itself, bounding staged
     /// memory and ack-record staleness.
     pub fn append_relaxed(&self, record: &WalRecord) -> io::Result<()> {
-        if !self.cfg.group_commit {
-            return self.append(record);
-        }
         if self.poisoned.load(Ordering::Acquire) {
             return Err(poisoned_err());
         }
@@ -1067,23 +997,12 @@ impl Wal {
                 // before it releases leadership; nothing to wait for.
                 return Ok(());
             }
-            let lead_at = self.cfg.group_max_bytes.min(RELAXED_LEAD_BYTES);
-            if (g.buf.len() as u64) < lead_at {
+            if (g.buf.len() as u64) < RELAXED_LEAD_BYTES {
                 return Ok(());
             }
             let target = g.staging_epoch;
             self.lead_until(g, target)
         })
-    }
-
-    /// Routes a record by the configured ack-durability mode: blocking
-    /// under [`AckDurability::Strict`], staged-and-return under
-    /// [`AckDurability::Relaxed`].
-    pub fn append_lifecycle(&self, record: &WalRecord) -> io::Result<()> {
-        match self.cfg.ack_durability {
-            AckDurability::Strict => self.append(record),
-            AckDurability::Relaxed => self.append_relaxed(record),
-        }
     }
 
     /// Commits `frames` complete pre-framed frames as one staged append:
@@ -1097,27 +1016,10 @@ impl Wal {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(poisoned_err());
         }
-        if !self.cfg.group_commit {
-            // Legacy path: one write + policy-fsync check per frame
-            // under the IO lock — exactly the pre-group-commit
-            // behaviour, kept as the bench baseline arm.
-            let mut inner = self.inner.lock();
-            let mut pos = 0usize;
-            while pos < bytes.len() {
-                let len =
-                    u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("framed by caller"))
-                        as usize;
-                let end = pos + FRAME_HEADER_LEN as usize + len;
-                self.write_batch_locked(&mut inner, &bytes[pos..end], 1)?;
-                pos = end;
-            }
-            return Ok(());
-        }
-
         let mut g = self.group.lock();
         // Soft backpressure: don't stage past the cap while a commit is
         // in flight (the leader drains the backlog epoch by epoch).
-        while g.buf.len() as u64 >= self.cfg.group_max_bytes && g.leader_active {
+        while g.buf.len() as u64 >= GROUP_MAX_BYTES && g.leader_active {
             if self.poisoned.load(Ordering::Acquire) {
                 return Err(poisoned_err());
             }
@@ -1199,16 +1101,6 @@ impl Wal {
         'lead: loop {
             g.leader_active = true;
             loop {
-                if !self.cfg.group_max_wait.is_zero() && g.frames < GROUP_LINGER_FRAMES {
-                    // Linger: give concurrent appenders a beat to stage
-                    // into this batch before paying a write (and its
-                    // share of an fsync) for a shallow one. Stagers
-                    // don't signal the condvar, so this is a plain
-                    // bounded sleep; the commit the stagers wait on is
-                    // the price of the deeper group.
-                    let deadline = std::time::Instant::now() + self.cfg.group_max_wait;
-                    self.group_cv.wait_until(&mut g, deadline);
-                }
                 let spare = std::mem::take(&mut g.spare);
                 let mut batch = std::mem::replace(&mut g.buf, spare);
                 let frames = std::mem::replace(&mut g.frames, 0);
@@ -1298,8 +1190,17 @@ impl Wal {
     /// the held IO lock: segment roll, the armed partial-append fault
     /// (which tears the *batch* at an arbitrary byte — complete prefix
     /// frames survive as if their appends had happened), and counters.
-    /// No fsync — policy handling is the caller's.
-    fn write_batch_raw(&self, inner: &mut WalInner, batch: &[u8], frames: u32) -> io::Result<()> {
+    /// Instead of syncing inline it returns the [`PendingSync`] the
+    /// policy now owes (if any), to be carried out after the IO lock is
+    /// released. The interval counts *groups* and resets at sync
+    /// *initiation*, so every window of `n` groups starts a sync even
+    /// while the previous one is still in flight.
+    fn write_batch_group_locked(
+        &self,
+        inner: &mut WalInner,
+        batch: &[u8],
+        frames: u32,
+    ) -> io::Result<Option<PendingSync>> {
         if inner.offset >= self.cfg.segment_max_bytes.max(SEGMENT_HEADER_LEN + 1) {
             self.roll_locked(inner)?;
         }
@@ -1319,48 +1220,9 @@ impl Wal {
             return Err(e);
         }
         inner.offset += batch.len() as u64;
-        inner.unsynced_appends += frames;
         self.appends.fetch_add(u64::from(frames), Ordering::Relaxed);
         self.bytes_appended
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// The legacy write path: one batch written and policy-fsynced with
-    /// the sync *held under the IO lock* — the pre-group-commit
-    /// behaviour, and the bench's per-write baseline arm.
-    fn write_batch_locked(
-        &self,
-        inner: &mut WalInner,
-        batch: &[u8],
-        frames: u32,
-    ) -> io::Result<()> {
-        self.write_batch_raw(inner, batch, frames)?;
-        match self.cfg.fsync {
-            FsyncPolicy::Off => {}
-            FsyncPolicy::EveryWrite => self.sync_locked(inner)?,
-            FsyncPolicy::Interval(n) => {
-                if inner.unsynced_appends >= n.max(1) {
-                    self.sync_locked(inner)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The group-commit write path: writes the batch and, instead of
-    /// syncing inline, returns the [`PendingSync`] the policy now owes
-    /// (if any), to be carried out after the IO lock is released. The
-    /// interval counts *groups* (see [`WalInner::unsynced_groups`]) and
-    /// resets at sync *initiation*, so every window of `n` groups
-    /// starts a sync even while the previous one is still in flight.
-    fn write_batch_group_locked(
-        &self,
-        inner: &mut WalInner,
-        batch: &[u8],
-        frames: u32,
-    ) -> io::Result<Option<PendingSync>> {
-        self.write_batch_raw(inner, batch, frames)?;
         inner.unsynced_groups += 1;
         let due = match self.cfg.fsync {
             FsyncPolicy::Off => false,
@@ -1376,7 +1238,6 @@ impl Wal {
             // initiates as soon as the running sync clears the flag.
             return Ok(None);
         }
-        inner.unsynced_appends = 0;
         inner.unsynced_groups = 0;
         match inner.file.try_clone() {
             Ok(file) => Ok(Some(PendingSync {
@@ -1468,12 +1329,8 @@ impl Wal {
     }
 
     /// Waits until everything staged at call time is written, leading
-    /// the commit if no leader is active. No-op when the group is idle
-    /// or group commit is disabled.
+    /// the commit if no leader is active. No-op when the group is idle.
     fn flush_staged(&self) -> io::Result<()> {
-        if !self.cfg.group_commit {
-            return Ok(());
-        }
         let mut g = self.group.lock();
         let target = if !g.buf.is_empty() {
             g.staging_epoch
@@ -1519,7 +1376,6 @@ impl Wal {
 
     fn sync_locked(&self, inner: &mut WalInner) -> io::Result<()> {
         if self.consume_dropped_fsync() {
-            inner.unsynced_appends = 0;
             inner.unsynced_groups = 0;
             return Ok(());
         }
@@ -1527,7 +1383,6 @@ impl Wal {
         // fdatasync.
         inner.file.sync_data()?;
         inner.synced_offset = inner.offset;
-        inner.unsynced_appends = 0;
         inner.unsynced_groups = 0;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -1549,7 +1404,6 @@ impl Wal {
         inner.segment = next;
         inner.offset = SEGMENT_HEADER_LEN;
         inner.synced_offset = SEGMENT_HEADER_LEN;
-        inner.unsynced_appends = 0;
         inner.unsynced_groups = 0;
         self.segments_rolled.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -2054,26 +1908,6 @@ pub(crate) mod tests {
         let (_, replayed, _) = Wal::open(cfg).unwrap();
         assert_eq!(replayed.len(), 2);
         assert!(matches!(replayed[1], WalRecord::Ack { .. }));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// `group_commit(false)` restores the per-record path bit-for-bit:
-    /// same replay, zero group commits counted.
-    #[test]
-    fn legacy_per_record_path_still_replays() {
-        let dir = temp_dir("legacy");
-        let cfg = WalConfig::new(&dir)
-            .fsync(FsyncPolicy::EveryWrite)
-            .group_commit(false);
-        let (wal, _, _) = Wal::open(cfg.clone()).unwrap();
-        for i in 0..12u64 {
-            wal.append(&enqueue("q", i, "solo")).unwrap();
-        }
-        assert_eq!(wal.stats().group_commits, 0);
-        assert_eq!(wal.stats().fsyncs, 12);
-        drop(wal);
-        let (_, replayed, _) = Wal::open(cfg).unwrap();
-        assert_eq!(replayed.len(), 12);
         let _ = fs::remove_dir_all(&dir);
     }
 

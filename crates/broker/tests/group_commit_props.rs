@@ -1,16 +1,15 @@
-//! Property test for the group-commit WAL: equivalence with per-record
-//! appends.
+//! Property test for the group-commit WAL: the log replays to the right
+//! queue state.
 //!
-//! The group-commit protocol changes *how* frames reach the disk (staged
+//! The group-commit protocol decides *how* frames reach the disk (staged
 //! batches, one fsync per leader round, multi-frame writes that never
-//! split across a segment roll) but must never change *what* the log
-//! means. The property: for any single-threaded operation sequence, a
-//! broker logging through group commit and a broker logging through the
-//! legacy per-record path recover to identical queue states — same
-//! partition depths, same per-partition payload order, same dead-letter
-//! store. Segment boundaries are allowed to differ (a staged batch rolls
-//! once, its per-record twin may roll mid-batch); the replayed state is
-//! not.
+//! split across a segment roll, a relaxed lane for acks) but must never
+//! change *what* the log means. The property: for any single-threaded
+//! operation sequence, a durable broker that is closed and recovered
+//! from its log holds exactly the queue state of the memory-only
+//! `Broker::new()` driven by the same sequence — same partition depths,
+//! same per-partition payload order, same dead-letter store. The oracle
+//! shares no codec, staging, or replay code with the log under test.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -38,8 +37,7 @@ fn temp_dir(label: &str) -> PathBuf {
 enum Op {
     /// `publish_routed` with this routing key.
     Publish { key: u64 },
-    /// `publish_batch_routed`: one staged multi-frame append on the
-    /// group-commit side, N separate appends on the legacy side.
+    /// `publish_batch_routed`: one staged multi-frame append.
     PublishBatch { keys: Vec<u64> },
     /// Pop up to `n` from partition `part`, ack them all.
     PopAck { part: usize, n: usize },
@@ -63,27 +61,20 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Drives `ops` against a fresh durable broker, drops it (flushing any
-/// staged tail), reopens, and returns the observable queue state:
-/// partition depths, per-partition drained payloads in pop order, and the
-/// dead-letter payload set.
-fn drive_and_recover(
-    dir: &std::path::Path,
-    group_commit: bool,
-    ops: &[Op],
-) -> (Vec<usize>, Vec<Vec<String>>, Vec<String>) {
-    let cfg = || {
-        WalConfig::new(dir)
-            .segment_max_bytes(2048)
-            .fsync(FsyncPolicy::Interval(4))
-            .group_commit(group_commit)
-    };
-    let qcfg = QueueConfig {
+/// The observable queue state: partition depths, per-partition drained
+/// payloads in pop order, and the dead-letter payload set.
+type QueueImage = (Vec<usize>, Vec<Vec<String>>, Vec<String>);
+
+fn queue_config() -> QueueConfig {
+    QueueConfig {
         max_len: None,
         partitions: PARTS,
-    };
-    let (broker, _) = Broker::open_durable(cfg()).expect("fresh open");
-    broker.declare_queue("q", qcfg.clone());
+    }
+}
+
+/// Declares the queue on `broker` and drives `ops` against it.
+fn drive(broker: &Broker, ops: &[Op]) {
+    broker.declare_queue("q", queue_config());
     broker.bind("x", "q");
     let consumer = broker.consumer("q").expect("queue declared");
 
@@ -126,15 +117,10 @@ fn drive_and_recover(
             }
         }
     }
-    drop(consumer);
-    drop(broker);
+}
 
-    let (broker, report) = Broker::open_durable(cfg()).expect("reopen");
-    assert_eq!(
-        report.torn_entries_dropped, 0,
-        "clean close leaves no torn tail"
-    );
-    broker.declare_queue("q", qcfg);
+/// Reads `broker`'s queue image, draining it.
+fn observe(broker: &Broker) -> QueueImage {
     let consumer = broker.consumer("q").expect("queue declared");
     let depths = broker.partition_depths("q").expect("partitioned queue");
     let mut drained: Vec<Vec<String>> = vec![Vec::new(); PARTS];
@@ -154,30 +140,54 @@ fn drive_and_recover(
         .map(|d| d.payload.as_str().to_owned())
         .collect();
     dead.sort();
-    let _ = std::fs::remove_dir_all(dir);
     (depths, drained, dead)
+}
+
+/// Drives `ops` against a fresh durable broker, drops it (flushing any
+/// staged tail), reopens, and returns the recovered queue image.
+fn drive_and_recover(dir: &std::path::Path, ops: &[Op]) -> QueueImage {
+    let cfg = || {
+        WalConfig::new(dir)
+            .segment_max_bytes(2048)
+            .fsync(FsyncPolicy::Interval(4))
+    };
+    let (broker, _) = Broker::open_durable(cfg()).expect("fresh open");
+    drive(&broker, ops);
+    drop(broker);
+
+    let (broker, report) = Broker::open_durable(cfg()).expect("reopen");
+    assert_eq!(
+        report.torn_entries_dropped, 0,
+        "clean close leaves no torn tail"
+    );
+    broker.declare_queue("q", queue_config());
+    let image = observe(&broker);
+    let _ = std::fs::remove_dir_all(dir);
+    image
 }
 
 proptest! {
     // The vendored runner's default 64 cases, each a sequence of up to 40
     // ops, sweep publishes, staged batches, acks, dead letters, and
-    // checkpoints through both log shapes.
+    // checkpoints through the log and the memory oracle.
     #[test]
-    fn group_commit_replays_like_per_record_appends(
+    fn group_commit_log_replays_to_the_memory_broker_state(
         ops in prop::collection::vec(op_strategy(), 1..40)
     ) {
-        let grouped = drive_and_recover(&temp_dir("grouped"), true, &ops);
-        let legacy = drive_and_recover(&temp_dir("legacy"), false, &ops);
+        let recovered = drive_and_recover(&temp_dir("grouped"), &ops);
+        let memory = Broker::new();
+        drive(&memory, &ops);
+        let oracle = observe(&memory);
         prop_assert_eq!(
-            &grouped.0, &legacy.0,
-            "partition depths diverge between group-commit and per-record logs"
+            &recovered.0, &oracle.0,
+            "partition depths diverge between the recovered log and the memory broker"
         );
         prop_assert_eq!(
-            &grouped.1, &legacy.1,
+            &recovered.1, &oracle.1,
             "per-partition replay order diverges"
         );
         prop_assert_eq!(
-            &grouped.2, &legacy.2,
+            &recovered.2, &oracle.2,
             "dead-letter stores diverge"
         );
     }

@@ -6,7 +6,7 @@ use crate::semantics::DeliveryMode;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use synapse_broker::{AckDurability, FsyncPolicy};
+use synapse_broker::FsyncPolicy;
 
 /// The node's durability plane: where (and whether) the broker WAL and
 /// version-store snapshots live.
@@ -28,20 +28,6 @@ pub struct DurabilityConfig {
     /// messages (driver-clocked, so runs are deterministic under a pinned
     /// seed; see DESIGN.md). `None` = only explicit snapshots.
     pub snapshot_every: Option<u64>,
-    /// Group-commit the broker WAL: concurrent appends stage into a shared
-    /// batch and one leader writes + fsyncs for everyone. Off = the legacy
-    /// per-record append path (one lock round trip per record).
-    pub group_commit: bool,
-    /// Backpressure threshold on the staged group-commit batch: appenders
-    /// block once this many bytes are staged and a leader is in flight.
-    pub group_max_bytes: u64,
-    /// How long a group-commit leader lingers for followers before writing
-    /// a batch of one. Zero (the default) = never wait; latency-optimal.
-    pub group_max_wait: Duration,
-    /// Durability lane for ack/dead-letter/requeue records: `Relaxed`
-    /// (default) rides the next group commit without waiting, `Strict`
-    /// blocks until the record is on disk.
-    pub ack_durability: AckDurability,
 }
 
 impl Default for DurabilityConfig {
@@ -51,10 +37,6 @@ impl Default for DurabilityConfig {
             fsync: FsyncPolicy::Interval(64),
             segment_max_bytes: 256 << 10,
             snapshot_every: Some(256),
-            group_commit: true,
-            group_max_bytes: 4 << 20,
-            group_max_wait: Duration::ZERO,
-            ack_durability: AckDurability::Relaxed,
         }
     }
 }
@@ -63,17 +45,21 @@ impl DurabilityConfig {
     /// Maps this plane's broker-WAL knobs onto a [`synapse_broker::WalConfig`]
     /// rooted at `<dir>/wal`, or `None` when durability is off. This is the
     /// single translation point between the node-level config surface and
-    /// the broker's own; keep the two in lockstep when adding knobs.
+    /// the broker's own; the exhaustive destructure makes a field added
+    /// here and not mapped (or explicitly ignored) a build error.
     pub fn wal_config(&self) -> Option<synapse_broker::WalConfig> {
-        let root = self.dir.as_ref()?;
+        let DurabilityConfig {
+            dir,
+            fsync,
+            segment_max_bytes,
+            // Snapshot cadence is the node's, not the broker WAL's.
+            snapshot_every: _,
+        } = self;
+        let root = dir.as_ref()?;
         Some(
             synapse_broker::WalConfig::new(root.join("wal"))
-                .fsync(self.fsync)
-                .segment_max_bytes(self.segment_max_bytes)
-                .group_commit(self.group_commit)
-                .group_max_bytes(self.group_max_bytes)
-                .group_max_wait(self.group_max_wait)
-                .ack_durability(self.ack_durability),
+                .fsync(*fsync)
+                .segment_max_bytes(*segment_max_bytes),
         )
     }
 }
@@ -169,10 +155,6 @@ pub struct SynapseConfig {
     /// written object's dependency key so one object's messages stay in one
     /// partition. `0` = the broker's default partition count.
     pub queue_partitions: usize,
-    /// Whether idle subscriber workers steal ready runs from partitions
-    /// they don't own. On by default; off pins each worker strictly to its
-    /// home partitions (useful for isolating partition-ordering tests).
-    pub work_stealing: bool,
     /// Retry/backoff policy for transient failures (broker publishes,
     /// subscriber processing); exhaustion dead-letters or journals.
     pub retry: RetryPolicy,
@@ -212,7 +194,6 @@ impl SynapseConfig {
             subscriber_workers: 2,
             queue_max_len: None,
             queue_partitions: 0,
-            work_stealing: true,
             retry: RetryPolicy::default(),
             bootstrap_chunk_size: 64,
             bootstrap_window_timeout: Duration::from_millis(500),
@@ -277,12 +258,6 @@ impl SynapseConfig {
         self
     }
 
-    /// Enables or disables work stealing between subscriber workers.
-    pub fn work_stealing(mut self, on: bool) -> Self {
-        self.work_stealing = on;
-        self
-    }
-
     /// Sets the retry/backoff policy.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
@@ -327,32 +302,6 @@ impl SynapseConfig {
         self
     }
 
-    /// Enables or disables WAL group commit (on by default; off = the
-    /// legacy per-record append path).
-    pub fn group_commit(mut self, enabled: bool) -> Self {
-        self.durability.group_commit = enabled;
-        self
-    }
-
-    /// Sets the group-commit staging backpressure threshold in bytes.
-    pub fn group_max_bytes(mut self, bytes: u64) -> Self {
-        self.durability.group_max_bytes = bytes;
-        self
-    }
-
-    /// Sets how long a group-commit leader lingers for followers before
-    /// writing a batch of one (zero = never wait).
-    pub fn group_max_wait(mut self, wait: Duration) -> Self {
-        self.durability.group_max_wait = wait;
-        self
-    }
-
-    /// Sets the durability lane for ack/dead-letter/requeue records.
-    pub fn ack_durability(mut self, mode: AckDurability) -> Self {
-        self.durability.ack_durability = mode;
-        self
-    }
-
     /// Registers a conflict resolver for `model` (multi-writer replication
     /// only; models without one resolve last-writer-wins).
     pub fn resolver(mut self, model: impl Into<String>, r: Arc<dyn ConflictResolver>) -> Self {
@@ -383,17 +332,12 @@ mod tests {
         assert_eq!(c.subscriber_mode, DeliveryMode::Causal);
         assert!(c.queue_max_len.is_none());
         assert_eq!(c.queue_partitions, 0, "0 defers to the broker default");
-        assert!(c.work_stealing);
         assert!(c.telemetry_enabled);
         assert_eq!(c.bootstrap_chunk_size, 64);
         assert_eq!(c.bootstrap_window_timeout, Duration::from_millis(500));
         assert!(c.durability.dir.is_none(), "durability is off by default");
         assert_eq!(c.durability.fsync, FsyncPolicy::Interval(64));
         assert_eq!(c.durability.snapshot_every, Some(256));
-        assert!(c.durability.group_commit, "group commit is on by default");
-        assert_eq!(c.durability.group_max_bytes, 4 << 20);
-        assert_eq!(c.durability.group_max_wait, Duration::ZERO);
-        assert_eq!(c.durability.ack_durability, AckDurability::Relaxed);
         assert!(
             c.durability.wal_config().is_none(),
             "no WAL config while durability is off"
@@ -437,18 +381,13 @@ mod tests {
             .workers(8)
             .queue_cap(1000)
             .queue_partitions(16)
-            .work_stealing(false)
             .wait_timeout(None)
             .bootstrap_chunk(16)
             .bootstrap_window_timeout(Duration::from_millis(250))
             .telemetry(false)
             .durable("/tmp/analytics-durability")
             .fsync(FsyncPolicy::EveryWrite)
-            .snapshot_every(Some(32))
-            .group_commit(false)
-            .group_max_bytes(1 << 16)
-            .group_max_wait(Duration::from_micros(50))
-            .ack_durability(AckDurability::Strict);
+            .snapshot_every(Some(32));
         assert!(!c.telemetry_enabled);
         assert_eq!(
             c.durability.dir.as_deref(),
@@ -456,23 +395,17 @@ mod tests {
         );
         assert_eq!(c.durability.fsync, FsyncPolicy::EveryWrite);
         assert_eq!(c.durability.snapshot_every, Some(32));
-        assert!(!c.durability.group_commit);
-        assert_eq!(c.durability.group_max_bytes, 1 << 16);
-        assert_eq!(c.durability.group_max_wait, Duration::from_micros(50));
-        assert_eq!(c.durability.ack_durability, AckDurability::Strict);
         let wal = c.durability.wal_config().expect("durable dir is set");
         assert_eq!(
             wal.dir,
             std::path::Path::new("/tmp/analytics-durability/wal")
         );
         assert_eq!(wal.fsync, FsyncPolicy::EveryWrite);
-        assert!(!wal.group_commit);
-        assert_eq!(wal.ack_durability, AckDurability::Strict);
+        assert_eq!(wal.segment_max_bytes, c.durability.segment_max_bytes);
         assert_eq!(c.subscriber_mode, DeliveryMode::Weak);
         assert_eq!(c.subscriber_workers, 8);
         assert_eq!(c.queue_max_len, Some(1000));
         assert_eq!(c.queue_partitions, 16);
-        assert!(!c.work_stealing);
         assert!(c.dep_wait_timeout.is_none());
         assert_eq!(c.bootstrap_chunk_size, 16);
         assert_eq!(c.bootstrap_window_timeout, Duration::from_millis(250));

@@ -28,13 +28,11 @@ use synapse_broker::LogPos;
 use synapse_versionstore::DumpEntry;
 
 // SYNSNAP3: entries carry the full per-writer version vector plus the LWW
-// winner stamp, so multi-writer conflict state survives restarts.
-// SYNSNAP2 files (scalar versions, explicit-write flag in the version's
-// low bit) still load: their scalars decode onto the legacy vector
-// component. SYNSNAP1 snapshots fail the magic check and recovery falls
-// back to full WAL replay + bootstrap, which is always safe.
+// winner stamp, so multi-writer conflict state survives restarts. A file
+// with any other magic (an older format included) fails the magic check
+// and recovery falls back to an older snapshot or to full WAL replay +
+// bootstrap, which is always safe.
 const SNAPSHOT_MAGIC: &[u8; 8] = b"SYNSNAP3";
-const SNAPSHOT_MAGIC_V2: &[u8; 8] = b"SYNSNAP2";
 
 /// A point-in-time image of one node's version state.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -104,31 +102,6 @@ fn take_entries(r: &mut ByteReader<'_>, cap: usize) -> Option<Vec<DumpEntry>> {
     Some(out)
 }
 
-fn put_entries_v2(out: &mut Vec<u8>, entries: &[DumpEntry]) {
-    put_u32(out, entries.len() as u32);
-    for entry in entries {
-        let version = entry.vector.iter().map(|(_, c)| *c).max().unwrap_or(0);
-        put_u64(out, entry.key);
-        put_u64(out, entry.ops);
-        put_u64(out, (version << 1) | u64::from(entry.versioned));
-    }
-}
-
-fn take_entries_v2(r: &mut ByteReader<'_>, cap: usize) -> Option<Vec<DumpEntry>> {
-    let n = r.take_u32()? as usize;
-    if n > cap {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = r.take_u64()?;
-        let ops = r.take_u64()?;
-        let tagged = r.take_u64()?;
-        out.push(DumpEntry::scalar(key, ops, tagged >> 1, tagged & 1 == 1));
-    }
-    Some(out)
-}
-
 impl NodeSnapshot {
     fn encode(&self) -> Vec<u8> {
         let mut body =
@@ -145,30 +118,8 @@ impl NodeSnapshot {
         out
     }
 
-    /// Encodes in the scalar-era SYNSNAP2 format, flattening each vector
-    /// to its largest component. Retained so compatibility tests (and a
-    /// downgrade escape hatch) can produce files an old binary — and the
-    /// current loader's compat path — both read.
-    pub fn encode_legacy(&self) -> Vec<u8> {
-        let mut body =
-            Vec::with_capacity(32 + 24 * (self.pub_entries.len() + self.sub_entries.len()));
-        put_u64(&mut body, self.seq);
-        put_u64(&mut body, self.wal_pos.segment);
-        put_u64(&mut body, self.wal_pos.offset);
-        put_entries_v2(&mut body, &self.pub_entries);
-        put_entries_v2(&mut body, &self.sub_entries);
-        let mut out = Vec::with_capacity(body.len() + 12);
-        out.extend_from_slice(SNAPSHOT_MAGIC_V2);
-        put_u32(&mut out, crc32(&body));
-        out.extend_from_slice(&body);
-        out
-    }
-
     fn decode(bytes: &[u8]) -> Option<NodeSnapshot> {
-        let (body, legacy) = match bytes.strip_prefix(SNAPSHOT_MAGIC) {
-            Some(body) => (body, false),
-            None => (bytes.strip_prefix(SNAPSHOT_MAGIC_V2)?, true),
-        };
+        let body = bytes.strip_prefix(SNAPSHOT_MAGIC)?;
         let mut r = ByteReader::new(body);
         let crc = r.take_u32()?;
         if crc32(&body[4..]) != crc {
@@ -180,16 +131,11 @@ impl NodeSnapshot {
             offset: r.take_u64()?,
         };
         let cap = bytes.len() / 24 + 1;
-        let (pub_entries, sub_entries) = if legacy {
-            (take_entries_v2(&mut r, cap)?, take_entries_v2(&mut r, cap)?)
-        } else {
-            (take_entries(&mut r, cap)?, take_entries(&mut r, cap)?)
-        };
         let snapshot = NodeSnapshot {
             seq,
             wal_pos,
-            pub_entries,
-            sub_entries,
+            pub_entries: take_entries(&mut r, cap)?,
+            sub_entries: take_entries(&mut r, cap)?,
         };
         if r.remaining() != 0 {
             return None;
@@ -452,34 +398,27 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Pre-vector SYNSNAP2 files still load: scalar versions land on the
-    /// legacy vector component with the explicit-write flag intact, and a
-    /// current-format snapshot written afterwards supersedes them.
+    /// A CRC-valid file under any magic but the current one (here the
+    /// retired SYNSNAP2) is rejected, not trusted: counted as skipped,
+    /// an older current-format snapshot is preferred, and with none the
+    /// load reports no snapshot (recovery then replays the WAL).
     #[test]
-    fn legacy_snapshot_files_load_into_vector_entries() {
-        let dir = temp_dir("legacy");
+    fn unknown_snapshot_magic_is_rejected_not_trusted() {
+        let dir = temp_dir("magic");
         let store = SnapshotStore::open(&dir).unwrap();
-        let mut old = sample();
-        old.seq = 1;
-        fs::write(dir.join("state-1.snap"), old.encode_legacy()).unwrap();
+        let mut foreign = sample().encode();
+        foreign[..8].copy_from_slice(b"SYNSNAP2");
+        fs::write(dir.join("state-9.snap"), &foreign).unwrap();
+        assert_eq!(store.load_latest().unwrap(), None);
+        assert_eq!(store.stats().skipped_corrupt, 1);
 
-        let reopened = SnapshotStore::open(&dir).unwrap();
-        let loaded = reopened.load_latest().unwrap().unwrap();
-        assert_eq!(loaded.seq, 1);
-        assert_eq!(loaded.pub_entries[0], DumpEntry::scalar(1, 10, 10, true));
-        // The multi-writer entry flattens to its max counter in v2 form,
-        // but keeps key/ops/versioned — enough for scalar-era recovery.
-        let flat = &loaded.sub_entries[1];
-        assert_eq!((flat.key, flat.ops, flat.versioned), (77, 4, true));
-        assert_eq!(flat.vector, vec![(0, 4)], "scalar rides the legacy writer");
-        drop(store);
-
-        // A new-format persist on the same directory supersedes the old
-        // file and round-trips full vectors.
-        let seq = reopened.persist(&sample()).unwrap();
-        let latest = reopened.load_latest().unwrap().unwrap();
-        assert_eq!(latest.seq, seq);
-        assert_eq!(latest.sub_entries[1].vector, vec![(11, 3), (22, 4)]);
+        // The store opened on an empty directory, so this persist takes a
+        // sequence below the foreign file's and does not prune it.
+        let seq = store.persist(&sample()).unwrap();
+        assert!(seq < 9);
+        let loaded = store.load_latest().unwrap().unwrap();
+        assert_eq!(loaded.seq, seq, "the older SYNSNAP3 file is preferred");
+        assert_eq!(store.stats().skipped_corrupt, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

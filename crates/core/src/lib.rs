@@ -62,5 +62,4 @@ pub use resolve::{
 pub use semantics::DeliveryMode;
 pub use stats::ControllerStats;
 pub use subscriber::{CopyOutcome, ProcessError};
-pub use synapse_broker::AckDurability;
 pub use synapse_telemetry::{ModeSlice, Stage, Telemetry, TelemetrySnapshot};

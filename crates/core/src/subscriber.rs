@@ -256,8 +256,6 @@ pub struct Subscriber {
     gen_barrier: RwLock<()>,
     stop: Arc<AtomicBool>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Whether idle workers steal from partitions outside their home set.
-    work_stealing: bool,
     counters: Counters,
     /// Conflict counters (handles into the telemetry registry).
     conflicts: ConflictCounters,
@@ -314,7 +312,6 @@ impl Subscriber {
             gen_barrier: RwLock::new(()),
             stop: Arc::new(AtomicBool::new(false)),
             workers: Mutex::new(Vec::new()),
-            work_stealing: config.work_stealing,
             counters: Counters::default(),
             conflicts: ConflictCounters::new(&telemetry),
             resolvers: config.resolvers.clone(),
@@ -463,30 +460,23 @@ impl Subscriber {
         }
         // Steal scan: every other partition, origin rotated by worker
         // index so concurrent thieves start on different victims.
-        if self.work_stealing {
-            for i in 0..parts {
-                let p = (worker + 1 + i) % parts;
-                if p % total == worker {
-                    continue;
-                }
-                let batch = consumer.steal_batch(p, BATCH_MAX);
-                if !batch.is_empty() {
-                    self.counters.steals.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .messages_stolen
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    return batch;
-                }
+        for i in 0..parts {
+            let p = (worker + 1 + i) % parts;
+            if p % total == worker {
+                continue;
+            }
+            let batch = consumer.steal_batch(p, BATCH_MAX);
+            if !batch.is_empty() {
+                self.counters.steals.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .messages_stolen
+                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                return batch;
             }
         }
         // Queue-wide dry: park until a publish (or shutdown wake) arrives,
         // then let the caller re-scan.
-        if consumer.wait_ready(IDLE_PARK) && !self.work_stealing {
-            // Ready work exists but may be homed to another worker; with
-            // stealing off this worker cannot take it, so back off instead
-            // of re-scanning in a hot loop.
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        consumer.wait_ready(IDLE_PARK);
         Vec::new()
     }
 

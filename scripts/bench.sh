@@ -17,8 +17,7 @@
 #                                    baseline at 4/16/64/256 workers
 #                                    (scaling bin, PR 7)
 #   BENCH_durable_scaling.json     — durable delivery worker sweep: group-commit
-#                                    WAL vs the single-lock per-write append
-#                                    path vs memory-only at 4/16/64 workers
+#                                    WAL vs memory-only at 4/16/64 workers
 #                                    (durable_scaling bin, PR 8)
 #   BENCH_bootstrap_stall.json     — live delivery throughput with vs without
 #                                    a concurrent watermark-interleaved
@@ -222,10 +221,9 @@ write_scaling_json() {
 
 write_durable_scaling_json() {
   # The bin prints one "durable/<arm>_<W>w <rate> msgs_per_sec" line per
-  # arm and worker count. The two ISSUE 8 acceptance numbers at 64
-  # workers — group-commit speedup over the per-write append path, and
-  # how far durable delivery sits from memory-only — are computed here
-  # per worker count from those lines.
+  # arm and worker count. The acceptance number — how far durable
+  # delivery sits from memory-only — is computed here per worker count
+  # from those lines.
   cargo run --quiet --release -p synapse-bench --bin durable_scaling | tee "$DUR_LOG"
   {
     echo "{"
@@ -235,20 +233,6 @@ write_durable_scaling_json() {
     echo "  \"utc\": \"$UTC\","
     echo "  \"durable_msgs_per_sec\": {"
     rates_json "$DUR_LOG"
-    echo "  },"
-    echo "  \"group_speedup_vs_perwrite\": {"
-    awk '
-      /^durable\/group_/    { w=$1; sub(/^durable\/group_/, "", w); order[++n]=w; grp[w]=$2+0 }
-      /^durable\/perwrite_/ { w=$1; sub(/^durable\/perwrite_/, "", w); per[w]=$2+0 }
-      END {
-        for (i = 1; i <= n; i++) {
-          w = order[i]
-          if (per[w] > 0 && w in grp) {
-            printf "%s    \"%s\": %.2f", sep, w, grp[w]/per[w]; sep=",\n"
-          }
-        }
-        print ""
-      }' "$DUR_LOG"
     echo "  },"
     echo "  \"memory_over_group\": {"
     awk '

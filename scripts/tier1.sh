@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the repo must build in release and pass the root test
-# suite, then the seeded fault soak must reproduce under the pinned
-# seed of record (same seed => identical outcome counters; see
-# EXPERIMENTS.md "§6.5 — seeded fault-injection soak").
+# Tier-1 gate: the repo must build in release and pass every
+# first-party crate's tests (the workspace default members: the root
+# package and `crates/*`; `vendor/*` stays out), then the seeded fault
+# soak must reproduce under the pinned seed of record (same seed =>
+# identical outcome counters; see EXPERIMENTS.md "§6.5 — seeded
+# fault-injection soak").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,8 +69,8 @@ cargo run --quiet --release -p synapse-bench --bin scaling_sweep -- --smoke
 
 # Durable-mode liveness gate (gating for liveness, not perf): the
 # group-commit WAL must drain a tiny durable trace with zero acked-loss
-# at every worker count, must not collapse below the per-write append
-# baseline, and a publish→deliver→crash→recover round trip under
+# at every worker count, must not collapse below a tenth of the
+# memory-only plane, and a publish→deliver→crash→recover round trip under
 # Interval fsync must come back with exactly published-minus-acked.
 cargo run --quiet --release -p synapse-bench --bin durable_scaling -- --smoke
 

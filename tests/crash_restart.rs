@@ -754,15 +754,16 @@ fn latest_snapshot_magic(dir: &std::path::Path) -> [u8; 8] {
     bytes[..8].try_into().expect("snapshot has a magic header")
 }
 
-/// Mixed-format reopen: a node whose snapshot directory holds a
-/// scalar-era SYNSNAP2 file (as left behind by a pre-vector binary) must
-/// recover from it — entries land on the legacy vector component, replicated
-/// state survives, and freshness still discards stale redeliveries. The
-/// next persist upgrades the directory to the current SYNSNAP3 format,
-/// which the store then prefers on a further reopen.
+/// Unknown snapshot magic is rejected, not trusted: a node whose only
+/// snapshot file carries a retired magic (SYNSNAP2, CRC-valid) must skip
+/// it — counted in `recovery.snapshots_skipped_corrupt`, nothing loaded,
+/// no load error, no panic — and still recover every row: the backlog the
+/// first incarnation left unconsumed comes back through broker WAL
+/// replay, and a bootstrap closes whatever the lost version state leaves
+/// open.
 #[test]
-fn legacy_format_snapshot_recovers_and_upgrades_on_next_persist() {
-    let root = temp_dir("legacy-snap");
+fn unknown_magic_snapshot_is_skipped_and_node_recovers_by_replay_and_bootstrap() {
+    let root = temp_dir("foreign-snap");
     let wal_dir = root.join("wal");
     let sub_dir = root.join("sub");
     let pub_adapter = Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off()));
@@ -795,24 +796,24 @@ fn legacy_format_snapshot_recovers_and_upgrades_on_next_persist() {
             .unwrap();
         (publisher, subscriber)
     };
+    let create = |publisher: &SynapseNode, label: &str, i: i64| {
+        publisher
+            .orm()
+            .create(
+                "Post",
+                vmap! { "body" => format!("{label}-{i}"), "version" => i },
+            )
+            .unwrap()
+            .id
+    };
 
-    // --- Incarnation 1: replicate some rows, persist a snapshot. ---
+    // --- Incarnation 1: replicate, snapshot, then leave a backlog. ---
     let (eco, _) = Ecosystem::new_durable(wal_cfg()).expect("durable ecosystem");
     let (publisher, subscriber) = build(&eco);
     eco.connect();
     eco.start_all();
-    let mut ids = Vec::new();
-    for i in 0..12 {
-        let row = publisher
-            .orm()
-            .create(
-                "Post",
-                vmap! { "body" => format!("v2-era-{i}"), "version" => i as i64 },
-            )
-            .unwrap();
-        ids.push(row.id);
-    }
-    let last = *ids.last().unwrap();
+    let applied: Vec<_> = (0..12).map(|i| create(&publisher, "applied", i)).collect();
+    let last = *applied.last().unwrap();
     assert!(eventually(Duration::from_secs(5), || {
         subscriber.orm().find("Post", last).unwrap().is_some()
     }));
@@ -820,29 +821,25 @@ fn legacy_format_snapshot_recovers_and_upgrades_on_next_persist() {
     let store = subscriber.snapshot_store().expect("durability plane is on");
     let snap_dir = store.dir().to_path_buf();
     assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP3");
+    // Workers down: these writes stay queued, on the broker WAL only.
+    subscriber.stop();
+    let queued: Vec<_> = (12..18).map(|i| create(&publisher, "queued", i)).collect();
     eco.stop_all();
     drop((subscriber, publisher, eco));
 
-    // Downgrade the on-disk file to the scalar-era format in place — the
-    // directory now looks exactly as a pre-vector binary left it.
-    let offline = synapse_repro::core::SnapshotStore::open(&snap_dir).expect("reopen offline");
-    let current = offline
-        .load_latest()
-        .expect("readable")
-        .expect("a snapshot was persisted");
-    assert!(
-        !current.sub_entries.is_empty(),
-        "the snapshot carried subscriber version entries"
-    );
-    std::fs::write(
-        snap_dir.join(format!("state-{}.snap", current.seq)),
-        current.encode_legacy(),
-    )
-    .expect("rewrite as legacy");
-    drop(offline);
+    // Re-label the snapshot in place. The CRC covers the body only, so
+    // the file stays CRC-valid: the magic check alone must reject it.
+    let path = std::fs::read_dir(&snap_dir)
+        .expect("snapshot dir")
+        .filter_map(|e| Some(e.ok()?.path()))
+        .find(|p| p.extension().is_some_and(|e| e == "snap"))
+        .expect("the persisted snapshot file");
+    let mut bytes = std::fs::read(&path).expect("read snapshot");
+    bytes[..8].copy_from_slice(b"SYNSNAP2");
+    std::fs::write(&path, bytes).expect("rewrite magic");
     assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP2");
 
-    // --- Incarnation 2: rebuild from the legacy file. ---
+    // --- Incarnation 2: the foreign file is skipped, recovery goes on. ---
     let (eco, report) = Ecosystem::new_durable(wal_cfg()).expect("durable reopen");
     assert!(
         report.replayed_entries > 0,
@@ -852,46 +849,47 @@ fn legacy_format_snapshot_recovers_and_upgrades_on_next_persist() {
     let snap = subscriber.telemetry_snapshot();
     assert_eq!(
         counter(&snap, "recovery.snapshots_loaded"),
-        1,
-        "the SYNSNAP2 file loaded through the compat path"
+        0,
+        "a retired magic is never loaded"
     );
-    assert!(counter(&snap, "recovery.snapshot_entries") > 0);
+    assert_eq!(counter(&snap, "recovery.snapshots_skipped_corrupt"), 1);
+    assert_eq!(counter(&snap, "recovery.snapshot_entries"), 0);
     assert_eq!(counter(&snap, "recovery.snapshot_load_errors"), 0);
     eco.connect();
     eco.start_all();
 
-    // Replicated state survived the format downgrade.
-    for &id in &ids {
-        assert!(
-            subscriber.orm().find("Post", id).unwrap().is_some(),
-            "row {id} recovered from the legacy snapshot"
-        );
-    }
-    // The recovered scalar freshness marks still gate redelivery: versions
-    // restored from the v2 entries make a fresh update apply normally.
-    let next_id = synapse_repro::model::Id(ids.iter().map(|i| i.0).max().unwrap() + 1);
-    publisher
-        .orm()
-        .create_with_id(
-            "Post",
-            next_id,
-            vmap! { "body" => "post-downgrade", "version" => 99 },
-        )
-        .unwrap();
-    assert!(eventually(Duration::from_secs(5), || {
-        subscriber.orm().find("Post", next_id).unwrap().is_some()
-    }));
-
-    // The next persist writes the current format and supersedes the
-    // legacy file; a further reopen prefers it.
-    subscriber.persist_snapshot().expect("upgrade persist");
-    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP3");
-    let reopened = synapse_repro::core::SnapshotStore::open(&snap_dir).expect("reopen upgraded");
-    let upgraded = reopened.load_latest().expect("readable").expect("present");
+    // WAL replay: the queued backlog is delivered to the rebuilt node.
+    let last_queued = *queued.last().unwrap();
     assert!(
-        upgraded.seq > current.seq,
-        "the upgraded snapshot is newest"
+        eventually(Duration::from_secs(5), || {
+            subscriber
+                .orm()
+                .find("Post", last_queued)
+                .unwrap()
+                .is_some()
+        }),
+        "the replayed backlog applies without the snapshot"
     );
+    // Bootstrap closes the rest; convergence is exact.
+    subscriber
+        .bootstrap_from(&publisher)
+        .expect("bootstrap without a snapshot converges");
+    let pub_rows = publisher.orm().all("Post").unwrap();
+    assert_eq!(pub_rows.len(), applied.len() + queued.len());
+    assert_eq!(subscriber.orm().all("Post").unwrap().len(), pub_rows.len());
+    for row in &pub_rows {
+        let replica = subscriber
+            .orm()
+            .find("Post", row.id)
+            .unwrap()
+            .unwrap_or_else(|| panic!("row {} lost", row.id));
+        assert_eq!(replica.get("body"), row.get("body"), "row {}", row.id);
+    }
+
+    // The next persist writes the current format above the foreign file
+    // and prunes it.
+    subscriber.persist_snapshot().expect("fresh persist");
+    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP3");
     eco.stop_all();
     let _ = std::fs::remove_dir_all(&root);
 }
