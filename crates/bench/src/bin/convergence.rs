@@ -30,13 +30,15 @@
 //! not collapse below 0.2x the plain arm (a collapse means vector
 //! stamping serialized the write path).
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use synapse_core::{
-    DeliveryMode, Ecosystem, Publication, Resolution, Subscription, SynapseConfig, SynapseNode,
+    mesh_object, DeliveryMode, Ecosystem, Publication, Resolution, Subscription, SynapseConfig,
+    SynapseNode,
 };
 use synapse_db::LatencyModel;
-use synapse_model::{vmap, Id, ModelSchema};
+use synapse_model::{vmap, Id, ModelSchema, Value};
 use synapse_orm::adapters::MongoidAdapter;
 
 fn env_count(var: &str, default: u64) -> u64 {
@@ -121,6 +123,62 @@ struct MeshResult {
     rate: f64,
     /// Conflicts the two classifiers detected, summed over both nodes.
     conflicts: u64,
+}
+
+fn body_of(node: &SynapseNode, id: Id) -> Option<Value> {
+    let row = node.orm().find("Post", id).unwrap();
+    row.map(|r| r.get("body").clone())
+}
+
+/// What a mesh arm that missed its deadline looked like at its last poll:
+/// which of the three convergence conditions were unmet and, for every row
+/// the replicas disagree on, each side's `body`, stored version vector and
+/// LWW winner stamp (the state that decides who should have won).
+fn divergence_report(nodes: [&SynapseNode; 2], ids: &[Id], drained: bool, steady: bool) -> String {
+    let differing: Vec<Id> = ids
+        .iter()
+        .copied()
+        .filter(|&id| body_of(nodes[0], id) != body_of(nodes[1], id))
+        .collect();
+    let mut out = format!(
+        "journals drained: {drained}, rows equal: {}, counters stable: {steady}",
+        differing.is_empty()
+    );
+    for node in nodes {
+        let stats = node.subscriber_stats();
+        let _ = write!(
+            out,
+            "\n  {}: journal={} processed={} applied={} conflicts={}",
+            node.app(),
+            node.publisher().journal_len(),
+            stats.messages_processed,
+            stats.ops_applied,
+            stats.conflicts_detected,
+        );
+    }
+    let dumps = nodes.map(|node| node.sub_store().dump().unwrap_or_default());
+    for id in differing {
+        for (node, dump) in nodes.iter().zip(&dumps) {
+            let mesh = node.config().dep_space.key(&mesh_object("Post", id));
+            let _ = write!(
+                out,
+                "\n  Post {id} @ {}: body={:?}",
+                node.app(),
+                body_of(node, id)
+            );
+            match dump.iter().find(|e| e.key == mesh) {
+                Some(e) => {
+                    let _ = write!(
+                        out,
+                        " vector={:?} winner=({}, {})",
+                        e.vector, e.winner_sum, e.winner_writer
+                    );
+                }
+                None => out.push_str(" (no stored vector)"),
+            }
+        }
+    }
+    out
 }
 
 /// Two-writer arm: both nodes update rows drawn from a shared pool of
@@ -228,25 +286,19 @@ fn mesh_rate(pool: u64, ops: u64, merge: bool) -> MeshResult {
     let deadline = Instant::now() + Duration::from_secs(120);
     let mut stable = 0;
     let mut marks = (progress(&a), progress(&b));
+    let (mut drained, mut steady) = (false, false);
     while stable < 5 {
         assert!(
             Instant::now() < deadline,
-            "mesh never converged (pool={pool})"
+            "mesh never converged (pool={pool}): {}",
+            divergence_report([&a, &b], &ids, drained, steady)
         );
         std::thread::sleep(Duration::from_millis(5));
         let now = (progress(&a), progress(&b));
-        let drained = now.0 .2 == 0 && now.1 .2 == 0;
-        let equal = ids.iter().all(|&id| {
-            a.orm()
-                .find("Post", id)
-                .unwrap()
-                .map(|r| r.get("body").clone())
-                == b.orm()
-                    .find("Post", id)
-                    .unwrap()
-                    .map(|r| r.get("body").clone())
-        });
-        if drained && equal && now == marks {
+        drained = now.0 .2 == 0 && now.1 .2 == 0;
+        steady = now == marks;
+        let equal = ids.iter().all(|&id| body_of(&a, id) == body_of(&b, id));
+        if drained && equal && steady {
             stable += 1;
         } else {
             stable = 0;

@@ -61,5 +61,5 @@ pub use resolve::{
 };
 pub use semantics::DeliveryMode;
 pub use stats::ControllerStats;
-pub use subscriber::{CopyOutcome, ProcessError};
+pub use subscriber::ProcessError;
 pub use synapse_telemetry::{ModeSlice, Stage, Telemetry, TelemetrySnapshot};

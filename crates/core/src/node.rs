@@ -140,8 +140,8 @@ pub struct BootstrapStats {
     /// watermark-window pre-filter or refused by version-store admission.
     pub records_reconciled: u64,
     /// Chunk copies merged into the partitioned delivery queue (the
-    /// pause-free path; the synchronous no-worker fallback applies
-    /// directly and leaves this at zero).
+    /// pause-free path; a node without workers hands its copies to the
+    /// subscriber directly and leaves this at zero).
     pub copies_merged: u64,
     /// Watermark windows that timed out before both markers were observed
     /// (the copy proceeded on version-store admission alone).
@@ -830,11 +830,16 @@ impl SynapseNode {
     /// partitioned delivery queue behind the live traffic. There is no
     /// drain phase — delivery never pauses. Also used for *partial*
     /// bootstrap after a decommission or subscriber version-store loss —
-    /// the queue is reinstated and the store revived first. Workers must
-    /// already be running (or use
-    /// [`SynapseNode::start_and_bootstrap_from`]); without workers the
-    /// copier falls back to applying chunks synchronously, since nothing
-    /// would consume the merged queue.
+    /// the queue is reinstated and the store revived first.
+    ///
+    /// Workers should already be running (or use
+    /// [`SynapseNode::start_and_bootstrap_from`]). On a node without
+    /// workers nothing would consume the queue, so the copier publishes no
+    /// markers, opens no reconciliation window and merges nothing
+    /// (`copies_merged` stays 0): it hands each copy message to
+    /// [`Subscriber::process`](crate::subscriber::Subscriber::process)
+    /// itself, under the same version-store admission and chunk
+    /// watermarks; live messages queued meanwhile apply once workers start.
     ///
     /// Fault posture:
     /// - The ORM bootstrap flag is held by an RAII guard, so every exit
@@ -850,7 +855,7 @@ impl SynapseNode {
     ///   lineage shows the live stream stayed gap-free in between.
     /// - Concurrent writes are reconciled twice: the watermark window
     ///   pre-filters rows the live stream touched mid-chunk, and
-    ///   version-store admission ([`VersionStore::admit_copy`]) refuses
+    ///   version-store admission ([`VersionStore::admit_copy_vector`]) refuses
     ///   any copy whose marker does not strictly beat the locally known
     ///   version — including destroy tombstones, so a row deleted
     ///   mid-chunk cannot be resurrected by its in-flight copy.
@@ -970,7 +975,7 @@ impl SynapseNode {
     /// Step 2 driver: copies every non-ephemeral pair in
     /// watermark-interleaved chunks, resuming each model from any
     /// surviving watermark. Returns how many copies were merged into the
-    /// delivery queue (zero on the synchronous no-worker path).
+    /// delivery queue (zero on a node without workers).
     fn copy_models(
         &self,
         publisher: &SynapseNode,
@@ -1086,7 +1091,7 @@ impl SynapseNode {
     /// is therefore never newer than the copied data: a concurrent write
     /// lands with a strictly higher version and overwrites the copy, while
     /// a copy racing behind the live stream loses version-store admission
-    /// (ties included — see [`VersionStore::admit_copy`]) and is
+    /// (ties included — see [`VersionStore::admit_copy_vector`]) and is
     /// discarded. Capturing the marker after reading the row would allow
     /// the fatal inverse: stale data carrying a marker that beats a newer
     /// live write, regressing the replica permanently.
@@ -1200,7 +1205,6 @@ impl SynapseNode {
                     .marshal_for_bootstrap(&publisher.orm, publication, &fresh);
             batch.push((key, marker, vector, marshalled));
         }
-        let mut merged = 0u64;
         if interleave {
             self.broker
                 .publish_watermark(self.app(), session, window, true);
@@ -1220,31 +1224,37 @@ impl SynapseNode {
                     .records_reconciled
                     .fetch_add((before - batch.len()) as u64, Ordering::Relaxed);
             }
-            if !batch.is_empty() {
-                let origin = mono_nanos();
-                let mut payloads = Vec::with_capacity(batch.len());
-                for (key, marker, vector, record) in &batch {
-                    let op = Operation::from_record("create", record);
-                    let mut dependencies = BTreeMap::new();
-                    dependencies.insert(*key, *marker);
-                    let mut vectors = BTreeMap::new();
-                    if let Some(v) = vector {
-                        let mesh = publisher
-                            .config
-                            .dep_space
-                            .key(&crate::deps::mesh_object(model, record.id));
-                        vectors.insert(mesh, v.clone());
-                    }
-                    let msg = WriteMessage {
-                        app: publisher.app().to_owned(),
-                        operations: vec![op],
-                        dependencies,
-                        published_at: 0,
-                        generation: 1,
-                        vectors,
-                    };
-                    payloads.push((SharedStr::from(msg.encode().as_str()), origin, *key));
+        }
+        // Every survivor becomes a real write message: its object
+        // dependency carries the marker, and a bidirectional model's
+        // vector rides under the mesh key. Only queue-merged copies are
+        // stamped for the visibility histograms.
+        let origin = if interleave { mono_nanos() } else { 0 };
+        let payloads: Vec<(SharedStr, u64, DepKey)> = batch
+            .iter()
+            .map(|(key, marker, vector, record)| {
+                let mut vectors = BTreeMap::new();
+                if let Some(v) = vector {
+                    let mesh = publisher
+                        .config
+                        .dep_space
+                        .key(&crate::deps::mesh_object(model, record.id));
+                    vectors.insert(mesh, v.clone());
                 }
+                let msg = WriteMessage {
+                    app: publisher.app().to_owned(),
+                    operations: vec![Operation::from_record("create", record)],
+                    dependencies: BTreeMap::from([(*key, *marker)]),
+                    published_at: 0,
+                    generation: 1,
+                    vectors,
+                };
+                (SharedStr::from(msg.encode().as_str()), origin, *key)
+            })
+            .collect();
+        let mut merged = 0u64;
+        if interleave {
+            if !payloads.is_empty() {
                 let want = payloads.len();
                 let sent = self
                     .broker
@@ -1266,25 +1276,33 @@ impl SynapseNode {
                     .fetch_add(merged, Ordering::Relaxed);
             }
         } else {
-            // Synchronous fallback: no workers, so apply each survivor
-            // directly through the subscriber's copy-admission path.
-            for (_, marker, vector, record) in &batch {
-                let applied = self
-                    .subscriber
-                    .apply_copy_record(publisher.app(), record, *marker, vector.clone())
-                    .map_err(|e| match e {
+            // No workers: nothing would drain the queue, so hand each copy
+            // straight to the subscriber's message path. A refusal is
+            // counted by the subscriber's `copies_reconciled`
+            // (bootstrap_stats folds it in), so only admissions — even
+            // those before a copy that fails the chunk — are tallied here.
+            let applied_before = self.subscriber.stats().copies_applied;
+            let result = payloads
+                .into_iter()
+                .try_for_each(|(payload, origin_nanos, _)| {
+                    let delivery = Delivery {
+                        tag: 0,
+                        exchange: BOOTSTRAP_EXCHANGE.into(),
+                        payload,
+                        redelivered: false,
+                        origin_nanos,
+                        enqueued_nanos: 0,
+                    };
+                    self.subscriber.process_one(&delivery).map_err(|e| match e {
                         ProcessError::Transient(_) => OrmError::Db(DbError::Unavailable),
                         ProcessError::Poison(msg) => OrmError::Restriction(msg),
-                    })?;
-                // A refusal is counted by the subscriber's
-                // `copies_reconciled` (bootstrap_stats folds it in), so
-                // only admissions are tallied here.
-                if applied {
-                    self.bootstrap
-                        .records_copied
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
+                    })
+                });
+            self.bootstrap.records_copied.fetch_add(
+                self.subscriber.stats().copies_applied - applied_before,
+                Ordering::Relaxed,
+            );
+            result?;
         }
         self.sub_store
             .load_watermark(wm_key, last)
@@ -1315,11 +1333,6 @@ impl SynapseNode {
         Ok(())
     }
 
-    /// Runs one bootstrap step, retrying transient failures (dead store,
-    /// unavailable engine) under the node's [`RetryPolicy`] with its
-    /// deterministic backoff; deterministic errors fail immediately.
-    ///
-    /// [`RetryPolicy`]: crate::config::RetryPolicy
     /// The subset of the queue's cumulative counters whose movement means
     /// real live-stream loss: `(discarded, dropped)`. Refused publishes
     /// are excluded — the publisher journal republishes them.
@@ -1329,6 +1342,11 @@ impl SynapseNode {
             .map(|(discarded, _refused, dropped)| (discarded, dropped))
     }
 
+    /// Runs one bootstrap step, retrying transient failures (dead store,
+    /// unavailable engine) under the node's [`RetryPolicy`] with its
+    /// deterministic backoff; deterministic errors fail immediately.
+    ///
+    /// [`RetryPolicy`]: crate::config::RetryPolicy
     fn retry_transient<T>(
         &self,
         mut step: impl FnMut() -> Result<T, OrmError>,

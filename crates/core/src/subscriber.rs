@@ -59,9 +59,9 @@ use synapse_db::DbError;
 use synapse_model::{Record, Value};
 use synapse_orm::{CallbackPoint, Orm, OrmError};
 use synapse_telemetry::{mono_nanos, Counter, Telemetry};
-use synapse_versionstore::DepKey;
 use synapse_versionstore::{
-    DepWaitSet, StoreError, VectorAdmit, VersionStore, WaitOutcome, WatermarkGate,
+    DepKey, DepWaitSet, StoreError, VectorAdmit, VersionStore, VersionVector, WaitOutcome,
+    WatermarkGate, LEGACY_WRITER,
 };
 
 /// Why one processing attempt failed — the classification that decides
@@ -149,7 +149,36 @@ const IDLE_PARK: Duration = Duration::from_millis(250);
 /// Stripes of the per-object apply lock (see [`Subscriber::apply_op`]).
 const APPLY_SLOTS: usize = 256;
 
-/// Outcome of running one delivery through the batched state machine.
+/// What a delivery is, read from its exchange: bootstrap control traffic
+/// rides the live queue on two reserved exchanges, everything else is a
+/// publisher's live write. This is the only thing the message sequence
+/// ([`Subscriber::handle_delivery`]) is parameterised by, besides the
+/// caller's [`Lane`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// A publisher's write message.
+    Live,
+    /// A bootstrap chunk-copy row, merged into the queue behind the live
+    /// traffic for its object.
+    Copy,
+    /// A lo/hi watermark marker of the bootstrap copier (not a
+    /// [`WriteMessage`]).
+    Marker,
+}
+
+impl Kind {
+    fn of(delivery: &Delivery) -> Kind {
+        if delivery.exchange == WATERMARK_EXCHANGE {
+            Kind::Marker
+        } else if delivery.exchange == BOOTSTRAP_EXCHANGE {
+            Kind::Copy
+        } else {
+            Kind::Live
+        }
+    }
+}
+
+/// Outcome of running one decoded delivery up to its ORM apply.
 enum Processed {
     /// Applied; stage marks ready for the telemetry commit.
     Applied(DeliveryMode, StageMarks),
@@ -170,27 +199,45 @@ struct StageMarks {
     apply_nanos: u64,
 }
 
-/// Outcome of the batched path's dependency wait.
-enum DepWait {
-    /// Dependencies satisfied (or given up per the timeout policy).
-    Ready,
-    /// Stalled while other partitions hold ready work — hand the delivery
-    /// back and drain them first.
-    Yield,
-}
-
-/// Deliveries whose ORM apply succeeded but whose version-store apply and
-/// ack are deferred to the batch flush point, so each touched shard is
-/// locked (and notified) once per batch instead of once per message.
-#[derive(Default)]
-struct PendingBatch {
+/// What the caller of [`Subscriber::handle_delivery`] supplies: where
+/// applied deliveries settle, and what a blocking point does first.
+///
+/// A worker's lane stages deliveries whose ORM apply succeeded and defers
+/// their version-store apply and ack to the flush point, so each touched
+/// shard is locked (and notified) once per batch instead of once per
+/// message; before blocking it lands that batch and steps outside the
+/// generation barrier, and it yields a stalled dependency wait to ready
+/// work elsewhere. [`Subscriber::process`] runs a lane with no consumer: a
+/// batch of one, flushed as soon as it is staged, that is never acked,
+/// nacked or yielded.
+struct Lane<'a> {
+    /// The worker's queue handle (`None` under [`Subscriber::process`]).
+    consumer: Option<&'a Consumer>,
+    /// Partition count of the app's queue (maps a tag to its partition).
+    partitions: usize,
+    /// Staged deliveries and the dependency keys their flush applies.
     tags: Vec<u64>,
     dep_keys: Vec<DepKey>,
+    /// In-flight marker: the generation barrier (and drain) must never
+    /// observe the gap between a message's ORM apply and its deferred
+    /// version-store apply + ack, so the read guard spans processing
+    /// *and* the flush.
+    in_flight: Option<RwLockReadGuard<'a, ()>>,
 }
 
-impl PendingBatch {
-    fn is_empty(&self) -> bool {
-        self.tags.is_empty()
+impl<'a> Lane<'a> {
+    fn new(consumer: Option<&'a Consumer>, partitions: usize) -> Self {
+        Lane {
+            consumer,
+            partitions: partitions.max(1),
+            tags: Vec::new(),
+            dep_keys: Vec::new(),
+            in_flight: None,
+        }
+    }
+
+    fn partition_of(&self, tag: u64) -> usize {
+        tag_hint(tag) as usize % self.partitions
     }
 }
 
@@ -270,11 +317,16 @@ pub struct Subscriber {
     /// visibility latency are committed here on successful applies.
     telemetry: Arc<Telemetry>,
     /// Striped per-object apply locks: [`Subscriber::apply_op`] holds the
-    /// object's slot across the `advance_latest` freshness check *and* the
-    /// ORM apply, so a bootstrap copier and a live worker racing on the
-    /// same object can never interleave check and write (stale content
-    /// landing last).
-    apply_slots: Vec<Mutex<()>>,
+    /// object's slot across the version-store admission check *and* the
+    /// ORM apply, so a chunk copy and a live write racing on the same
+    /// object can never interleave check and write (stale content landing
+    /// last). Each slot also remembers its *unlanded copies*: the version
+    /// store marks a version before the ORM write, so a chunk copy whose
+    /// write then fails would, on redelivery, tie with its own mark and be
+    /// refused as if the live stream had matched it — the row lost for
+    /// good. The note (admission key → the copy's vector) lets exactly that
+    /// retry through, and any other admitted apply on the key clears it.
+    apply_slots: Vec<Mutex<HashMap<DepKey, VersionVector>>>,
     /// Test hook: when cleared, `apply_op` skips the apply slot and
     /// re-exposes the historical check-then-write race for the regression
     /// test. Always set in production paths.
@@ -318,7 +370,7 @@ impl Subscriber {
             retry: config.retry,
             attempts: Mutex::new(HashMap::new()),
             telemetry,
-            apply_slots: (0..APPLY_SLOTS).map(|_| Mutex::new(())).collect(),
+            apply_slots: (0..APPLY_SLOTS).map(|_| Mutex::default()).collect(),
             serialize_applies: AtomicBool::new(true),
             gate: Arc::new(WatermarkGate::new()),
         }
@@ -330,15 +382,15 @@ impl Subscriber {
     }
 
     /// Whether any worker threads are currently running. The bootstrap
-    /// copier checks this to decide between the queue-merged path (workers
-    /// consume markers and copies) and the synchronous fallback (no one
-    /// would ever drain the queue).
+    /// copier checks this to decide between merging markers and copies
+    /// into the queue (workers consume them) and handing each copy to
+    /// [`Subscriber::process`] itself (no one would ever drain the queue).
     pub fn workers_running(&self) -> bool {
         !self.workers.lock().is_empty()
     }
 
     /// Test hook: disabling re-exposes the historical copier-vs-worker
-    /// apply race (the `advance_latest`/ORM-write pair running without the
+    /// apply race (the admission-check/ORM-write pair running without the
     /// per-object slot). Only the regression test should ever clear this.
     pub fn serialize_applies(&self, on: bool) {
         self.serialize_applies.store(on, Ordering::SeqCst);
@@ -481,7 +533,7 @@ impl Subscriber {
     }
 
     fn worker_loop(&self, consumer: Consumer, worker: usize, total: usize) {
-        let mut pending = PendingBatch::default();
+        let mut lane = Lane::new(Some(&consumer), consumer.partition_count());
         let mut cursor = 0usize;
         while !self.stop.load(Ordering::SeqCst) {
             let batch = self.next_batch(&consumer, worker, total.max(1), &mut cursor);
@@ -495,194 +547,190 @@ impl Subscriber {
                 }
                 continue;
             }
-            // In-flight marker for the whole batch: the generation barrier
-            // (and drain) must never observe the gap between a message's
-            // ORM apply and its deferred version-store apply + ack, so the
-            // read guard spans processing *and* the flush.
-            let mut in_flight = Some(self.gen_barrier.read());
+            lane.in_flight = Some(self.gen_barrier.read());
             for (i, delivery) in batch.iter().enumerate() {
-                if self.stop.load(Ordering::SeqCst) {
-                    // Shutting down: land finished work, requeue the rest
+                // A failed delivery is already settled when it comes back,
+                // so the only outcome that interrupts the batch is a
+                // yielded wait.
+                let interrupted = self.stop.load(Ordering::SeqCst)
+                    || matches!(
+                        self.handle_delivery(delivery, popped_nanos, &mut lane),
+                        Ok(false)
+                    );
+                if interrupted {
+                    // Shutting down, or the dependency wait yielded: land
+                    // finished work and hand the unprocessed tail back
                     // without charging attempts (reverse nack restores the
-                    // partition's original front order).
-                    self.flush_pending(&consumer, &mut pending);
-                    for rest in batch[i..].iter().rev() {
-                        consumer.nack(rest.tag);
-                    }
-                    return;
-                }
-                if !self.handle_delivery(
-                    &consumer,
-                    delivery,
-                    popped_nanos,
-                    &mut pending,
-                    &mut in_flight,
-                ) {
-                    // Dependency wait yielded: land finished work, hand the
-                    // unprocessed tail back (reverse nack keeps partition
-                    // order), and rescan — ready work elsewhere may be the
-                    // very messages this tail is waiting on.
-                    self.flush_pending(&consumer, &mut pending);
+                    // partition's original front order). After a yield the
+                    // rescan matters — ready work elsewhere may be the very
+                    // messages this tail is waiting on.
+                    self.flush_pending(&mut lane);
                     for rest in batch[i..].iter().rev() {
                         consumer.nack(rest.tag);
                     }
                     break;
                 }
             }
-            self.flush_pending(&consumer, &mut pending);
+            self.flush_pending(&mut lane);
+            lane.in_flight = None;
         }
     }
 
-    /// Processes one delivery of a batch: decode once, run the message
-    /// machine, and either stage it on the pending batch (success) or take
-    /// the dead-letter/backoff exits of the single-message path. Returns
-    /// `false` when the delivery yielded its dependency wait — the caller
-    /// must hand the rest of the batch back and rescan.
+    /// Processes one delivery outside the worker pool — a batch of one
+    /// through the workers' own sequence ([`Subscriber::handle_delivery`]),
+    /// on a lane with no consumer: the dependency wait never yields, the
+    /// version-store apply happens immediately, and nothing is acked —
+    /// a failure is handed back for the caller to retry or drop.
+    pub fn process(&self, delivery: &Delivery) -> Result<(), String> {
+        self.process_one(delivery).map_err(|e| e.to_string())
+    }
+
+    /// [`Subscriber::process`] with the failure still classified, for the
+    /// bootstrap copier on a node without workers.
+    pub(crate) fn process_one(&self, delivery: &Delivery) -> Result<(), ProcessError> {
+        let partitions = self.broker.queue_partitions(&self.app).unwrap_or(1);
+        let mut lane = Lane::new(None, partitions);
+        lane.in_flight = Some(self.gen_barrier.read());
+        self.handle_delivery(delivery, mono_nanos(), &mut lane)?;
+        if self.flush_pending(&mut lane) {
+            Ok(())
+        } else {
+            Err(ProcessError::Transient(StoreError::Dead.to_string()))
+        }
+    }
+
+    /// The one message sequence — decode, generation gate, dependency
+    /// wait, admission + ORM apply, settle — that every delivery takes,
+    /// whatever its [`Kind`] and whoever's [`Lane`] it runs on. Success
+    /// stages the delivery on the lane. A failure is returned classified;
+    /// on a worker lane it has by then been settled against the queue
+    /// ([`Subscriber::fail`]), on a consumer-less lane the caller owns it.
+    /// `Ok(false)` means the dependency wait yielded — the caller must
+    /// hand the rest of the batch back and rescan.
     fn handle_delivery<'a>(
         &'a self,
-        consumer: &Consumer,
         delivery: &Delivery,
         popped_nanos: u64,
-        pending: &mut PendingBatch,
-        in_flight: &mut Option<RwLockReadGuard<'a, ()>>,
-    ) -> bool {
+        lane: &mut Lane<'a>,
+    ) -> Result<bool, ProcessError> {
         if delivery.redelivered {
             self.counters.redeliveries.fetch_add(1, Ordering::Relaxed);
         }
-        // Bootstrap control traffic rides the live queue on reserved
-        // exchanges — branch before decoding, they are not WriteMessages
-        // (markers) or take a different apply path (chunk copies).
-        if delivery.exchange == WATERMARK_EXCHANGE {
-            self.note_watermark(consumer, delivery);
-            return true;
-        }
-        if delivery.exchange == BOOTSTRAP_EXCHANGE {
-            self.handle_copy(consumer, delivery, popped_nanos, pending, in_flight);
-            return true;
+        let kind = Kind::of(delivery);
+        if kind == Kind::Marker {
+            // Report the marker to the gate (which ignores markers of
+            // stale sessions/chunks, e.g. crash redeliveries of an
+            // abandoned attempt) and ack. Markers carry no dependencies
+            // and no origin stamp, so they bypass the staged batch and the
+            // latency histograms entirely.
+            if let Some((session, chunk, high)) = parse_watermark(&delivery.payload) {
+                self.gate
+                    .note_marker(session, chunk, lane.partition_of(delivery.tag), high);
+                self.counters
+                    .watermarks_noted
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            if let Some(consumer) = lane.consumer {
+                consumer.ack(delivery.tag);
+            }
+            return Ok(true);
         }
         let handle_nanos = mono_nanos();
         let decoded = WriteMessage::decode(&delivery.payload)
             .map_err(|e| ProcessError::Poison(format!("undecodable payload: {e}")));
-        let outcome = match &decoded {
-            Ok(msg) => self.process_decoded(msg, delivery.tag, consumer, pending, in_flight),
-            Err(e) => Err(e.clone()),
-        };
+        let outcome = decoded.as_ref().map_err(Clone::clone).and_then(|msg| {
+            self.process_decoded(msg, kind, delivery.tag, lane)
+                .map(|processed| (processed, msg))
+        });
         match outcome {
-            Ok(Processed::Yielded) => return false,
-            Ok(Processed::Applied(mode, marks)) => {
-                if let Ok(msg) = &decoded {
-                    pending.tags.push(delivery.tag);
-                    pending.dep_keys.extend(msg.dep_keys());
-                    self.note_live_apply(consumer.partition_count(), delivery.tag, msg);
-                    self.record_visible(delivery, mode, popped_nanos, handle_nanos, marks);
+            Ok((Processed::Yielded, _)) => Ok(false),
+            Ok((Processed::Applied(mode, marks), msg)) => {
+                lane.tags.push(delivery.tag);
+                if kind == Kind::Live {
+                    // Copies settle with *no* dependency keys: they do not
+                    // correspond to publisher bump operations (step 1's
+                    // version snapshot already carried their `ops`), so
+                    // landing them must not advance the subscriber's
+                    // dependency counters — nor are they live writes for
+                    // the copier's window to defer to.
+                    lane.dep_keys.extend(msg.dep_keys());
+                    self.note_live_apply(lane.partition_of(delivery.tag), msg);
                 }
+                self.record_visible(delivery, mode, popped_nanos, handle_nanos, marks);
+                Ok(true)
             }
-            Err(ProcessError::Poison(_)) => {
-                // Deterministic failure: redelivering would wedge the
-                // queue (§6.5) — dead-letter now.
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .poison_messages
-                    .fetch_add(1, Ordering::Relaxed);
-                self.dead_letter(consumer, delivery.tag, decoded.ok().as_ref());
-            }
-            Err(ProcessError::Transient(_)) => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                if self.stop.load(Ordering::SeqCst) {
-                    // Shutting down: requeue without charging an attempt,
-                    // so restarts never push an innocent message toward
-                    // the dead-letter store.
-                    consumer.nack(delivery.tag);
-                    return true;
+            Err(e) => {
+                if let Some(consumer) = lane.consumer {
+                    self.fail(consumer, delivery, kind, &e, decoded.as_ref().ok(), lane);
                 }
-                let attempts = {
-                    let mut map = self.attempts.lock();
-                    let entry = map.entry(delivery.tag).or_insert(0);
-                    *entry += 1;
-                    *entry
-                };
-                if self.retry.exhausted(attempts) {
-                    self.counters
-                        .retries_exhausted
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.dead_letter(consumer, delivery.tag, decoded.ok().as_ref());
-                } else {
-                    self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    // Land finished work and release the in-flight marker
-                    // before sleeping: a backoff must not hold up a
-                    // generation barrier or drain.
-                    self.flush_pending(consumer, pending);
-                    *in_flight = None;
-                    std::thread::sleep(self.retry.backoff(attempts));
-                    consumer.nack(delivery.tag);
-                    *in_flight = Some(self.gen_barrier.read());
-                }
+                Err(e)
             }
         }
-        true
     }
 
-    /// The per-message state machine of the batched path. Identical to
-    /// [`Subscriber::process_classified`] except that the version-store
-    /// apply and ack are deferred to the pending batch, and blocking points
-    /// (generation barrier, dependency wait) first land the pending batch —
-    /// messages earlier in the batch may be exactly what a dependency wait
-    /// needs, and the barrier must see them fully applied.
+    /// One decoded delivery up to its ORM apply. Blocking points
+    /// (generation barrier, dependency wait) first land the lane's staged
+    /// batch — messages earlier in the batch may be exactly what a
+    /// dependency wait needs, and the barrier must see them fully applied.
     fn process_decoded<'a>(
         &'a self,
         msg: &WriteMessage,
+        kind: Kind,
         tag: u64,
-        consumer: &Consumer,
-        pending: &mut PendingBatch,
-        in_flight: &mut Option<RwLockReadGuard<'a, ()>>,
+        lane: &mut Lane<'a>,
     ) -> Result<Processed, ProcessError> {
         let mut marks = StageMarks::default();
+        // (A copy carries generation 1 and so never trips the gate.)
         if self.generation_pending(msg) {
             // The gate write-waits on in-flight readers: land our own
-            // pending work and step outside the barrier before taking it.
-            self.flush_pending(consumer, pending);
-            *in_flight = None;
+            // staged work and step outside the barrier before taking it.
+            self.flush_pending(lane);
+            lane.in_flight = None;
             let gate = self.generation_gate(msg);
-            *in_flight = Some(self.gen_barrier.read());
+            lane.in_flight = Some(self.gen_barrier.read());
             gate.map_err(ProcessError::Transient)?;
         }
-        let mode = self.effective_mode(&msg.app);
+        let mode = match kind {
+            // A copy's dependency map holds its admission marker, not
+            // publisher bumps to wait for: it runs as a weak delivery.
+            Kind::Copy => DeliveryMode::Weak,
+            _ => self.effective_mode(&msg.app),
+        };
         if matches!(mode, DeliveryMode::Causal | DeliveryMode::Global) {
             let deps = self.filtered_wait_set(msg, mode);
-            if !pending.is_empty() && !matches!(self.store.satisfied_prepared(&deps), Ok(true)) {
-                self.flush_pending(consumer, pending);
+            if !lane.tags.is_empty() && !matches!(self.store.satisfied_prepared(&deps), Ok(true)) {
+                self.flush_pending(lane);
             }
             let wait_start = mono_nanos();
-            match self.wait_deps_batched(consumer, &deps, tag) {
-                Ok(DepWait::Ready) => {}
-                Ok(DepWait::Yield) => return Ok(Processed::Yielded),
-                Err(e) => return Err(ProcessError::Transient(e)),
+            let ready = self.wait_deps(&deps, tag, lane);
+            if !ready.map_err(ProcessError::Transient)? {
+                return Ok(Processed::Yielded);
             }
             marks.dep_wait_nanos = mono_nanos().saturating_sub(wait_start);
         }
         let apply_start = mono_nanos();
-        self.apply_message(msg, mode)?;
+        self.apply_message(msg, kind, mode)?;
         marks.apply_nanos = mono_nanos().saturating_sub(apply_start);
         Ok(Processed::Applied(mode, marks))
     }
 
-    /// The batched path's dependency wait. Unlike [`Subscriber::wait_deps`]
-    /// (the single-message path, which blocks until satisfied, stopped, or
-    /// deadline), this wait yields whenever a short slice times out while
+    /// Waits for a prepared dependency set on the version store, in short
+    /// slices so the stop flag stays responsive; an overall deadline
+    /// implements the configurable give-up of §6.5 (`None` = the paper's
+    /// strict causal mode: wait forever).
+    ///
+    /// On a worker lane the wait yields whenever a slice times out while
     /// *other partitions* hold ready deliveries: with a partitioned queue,
     /// the message that satisfies this dependency may be sitting ready in
     /// a partition nobody has reached yet, and blocking every worker on
     /// such inversions is a livelock (the pre-partitioning queue never had
     /// this case — its single FIFO popped intra-app dependencies before
-    /// their dependents). When nothing is ready elsewhere the wait degrades
-    /// to the classic blocking loop, preserving wait-forever semantics for
-    /// genuinely lost dependencies (`dep_wait_timeout: None`, §6.5).
-    fn wait_deps_batched(
-        &self,
-        consumer: &Consumer,
-        deps: &DepWaitSet,
-        tag: u64,
-    ) -> Result<DepWait, String> {
+    /// their dependents). When nothing is ready elsewhere — and always on
+    /// a consumer-less lane — the wait is the classic blocking loop,
+    /// preserving wait-forever semantics for genuinely lost dependencies
+    /// (`dep_wait_timeout: None`, §6.5). `Ok(true)`: satisfied, or given up
+    /// per the timeout policy; `Ok(false)`: yielded.
+    fn wait_deps(&self, deps: &DepWaitSet, tag: u64, lane: &Lane<'_>) -> Result<bool, String> {
         let deadline = self.dep_wait_timeout.map(|t| std::time::Instant::now() + t);
         // The first slice is short: if the dependency is mid-apply on
         // another worker the store wakes us in microseconds either way,
@@ -692,7 +740,7 @@ impl Subscriber {
         let mut slice = Duration::from_millis(1);
         loop {
             match self.store.wait_prepared(deps, slice) {
-                Ok(WaitOutcome::Ready) => return Ok(DepWait::Ready),
+                Ok(WaitOutcome::Ready) => return Ok(true),
                 Ok(WaitOutcome::TimedOut) => {
                     if self.stop.load(Ordering::SeqCst) {
                         return Err("stopped while waiting for dependencies".into());
@@ -700,11 +748,11 @@ impl Subscriber {
                     if let Some(d) = deadline {
                         if std::time::Instant::now() >= d {
                             self.counters.dep_timeouts.fetch_add(1, Ordering::Relaxed);
-                            return Ok(DepWait::Ready); // give up and process (§6.5)
+                            return Ok(true); // give up and process (§6.5)
                         }
                     }
-                    if consumer.ready_elsewhere(tag) {
-                        return Ok(DepWait::Yield);
+                    if lane.consumer.is_some_and(|c| c.ready_elsewhere(tag)) {
+                        return Ok(false);
                     }
                     // Nothing ready anywhere else: settle into the classic
                     // blocking cadence (wait-forever semantics, §6.5).
@@ -744,38 +792,116 @@ impl Subscriber {
         );
     }
 
-    /// Lands the pending batch: one grouped version-store apply (each
-    /// touched shard locked and notified once for the whole batch), then
-    /// one batched ack. `messages_processed` counts only live acks — a
-    /// broker restart between pop and flush requeues the tag and voids the
-    /// ack, and that copy is counted when its redelivery's ack lands — so
-    /// the counter never double-counts a delivery.
-    fn flush_pending(&self, consumer: &Consumer, pending: &mut PendingBatch) {
-        if pending.tags.is_empty() {
-            return;
+    /// Lands the lane's staged batch: one grouped version-store apply
+    /// (each touched shard locked and notified once for the whole batch),
+    /// then one batched ack. Returns whether the apply landed. The version
+    /// store advances only here, after successful application: a transient
+    /// failure must leave versions untouched so the redelivery reprocesses
+    /// from scratch (applies are idempotent upserts); dep release for
+    /// dead-lettered messages happens exactly once, in
+    /// [`Subscriber::dead_letter`]. `messages_processed` counts only live
+    /// acks — a broker restart between pop and flush requeues the tag and
+    /// voids the ack, and that copy is counted when its redelivery's ack
+    /// lands — so the counter never double-counts a delivery.
+    fn flush_pending(&self, lane: &mut Lane<'_>) -> bool {
+        if lane.tags.is_empty() {
+            return true;
         }
-        match self.store.apply(&pending.dep_keys) {
-            Ok(()) => {
-                let acked = consumer.ack_batch(&pending.tags);
+        let landed = self.store.apply(&lane.dep_keys).is_ok();
+        if let Some(consumer) = lane.consumer {
+            if landed {
+                let acked = consumer.ack_batch(&lane.tags);
                 self.counters
                     .messages_processed
                     .fetch_add(acked, Ordering::Relaxed);
                 let mut attempts = self.attempts.lock();
-                for tag in &pending.tags {
+                for tag in &lane.tags {
                     attempts.remove(tag);
                 }
-            }
-            Err(StoreError::Dead) => {
+            } else {
                 // Transient store failure: requeue the whole batch without
                 // charging attempts — ORM applies are idempotent upserts,
                 // so redelivery reprocesses safely once the store heals.
-                for tag in &pending.tags {
+                for tag in &lane.tags {
                     consumer.nack(*tag);
                 }
             }
         }
-        pending.tags.clear();
-        pending.dep_keys.clear();
+        lane.tags.clear();
+        lane.dep_keys.clear();
+        landed
+    }
+
+    /// The one failure exit. *Poison* failures dead-letter at once:
+    /// redelivering them would wedge the queue (§6.5). *Transient*
+    /// failures charge an attempt, back off and nack; a live message that
+    /// exhausts the retry policy is dead-lettered with its dependencies
+    /// released, while a chunk copy never is — see the branch. (A lane with
+    /// no consumer has no queue to settle against and never gets here: its
+    /// error goes back to the caller of [`Subscriber::process`] untouched.)
+    fn fail<'a>(
+        &'a self,
+        consumer: &Consumer,
+        delivery: &Delivery,
+        kind: Kind,
+        error: &ProcessError,
+        msg: Option<&WriteMessage>,
+        lane: &mut Lane<'a>,
+    ) {
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        // Only a live message's dependency keys are publisher bumps to
+        // release; a copy's hold its admission marker.
+        let release = msg.filter(|_| kind == Kind::Live);
+        if matches!(error, ProcessError::Poison(_)) {
+            self.counters
+                .poison_messages
+                .fetch_add(1, Ordering::Relaxed);
+            self.dead_letter(consumer, delivery.tag, release);
+            return;
+        }
+        if self.stop.load(Ordering::SeqCst) {
+            // Shutting down: requeue without charging an attempt, so
+            // restarts never push an innocent message toward the
+            // dead-letter store.
+            consumer.nack(delivery.tag);
+            return;
+        }
+        let attempts = {
+            let mut map = self.attempts.lock();
+            let entry = map.entry(delivery.tag).or_insert(0);
+            *entry += 1;
+            *entry
+        };
+        if !self.retry.exhausted(attempts) {
+            self.counters.retries.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.counters
+                .retries_exhausted
+                .fetch_add(1, Ordering::Relaxed);
+            if kind == Kind::Live {
+                self.dead_letter(consumer, delivery.tag, release);
+                return;
+            }
+            // A transiently-failing chunk copy never dead-letters: it is
+            // an idempotent, admission-guarded upsert whose silent loss
+            // would break the coverage contract of the copy watermark it
+            // rode behind (resume assumes every merged copy eventually
+            // lands or is refused). Reset the budget and keep redelivering
+            // — the loop ends when the store or engine heals, typically at
+            // the next bootstrap attempt's revive; admission re-checks on
+            // every redelivery, so a copy that lost to the live stream in
+            // the meantime is discarded, not re-applied. Undecodable
+            // copies still dead-letter through the poison arm above.
+            self.attempts.lock().remove(&delivery.tag);
+        }
+        // Land finished work and release the in-flight marker before
+        // sleeping: a backoff must not hold up a generation barrier or
+        // drain.
+        self.flush_pending(lane);
+        lane.in_flight = None;
+        std::thread::sleep(self.retry.backoff(attempts));
+        consumer.nack(delivery.tag);
+        lane.in_flight = Some(self.gen_barrier.read());
     }
 
     /// Routes one delivery to the dead-letter store, releasing its
@@ -798,33 +924,15 @@ impl Subscriber {
         self.counters.dead_lettered.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Consumes a watermark marker: report it to the gate (which ignores
-    /// markers of stale sessions/chunks, e.g. crash redeliveries of an
-    /// abandoned attempt) and ack. Markers carry no dependencies and no
-    /// origin stamp, so they bypass the pending batch and the latency
-    /// histograms entirely.
-    fn note_watermark(&self, consumer: &Consumer, delivery: &Delivery) {
-        if let Some((session, chunk, high)) = parse_watermark(&delivery.payload) {
-            let parts = consumer.partition_count().max(1);
-            let partition = tag_hint(delivery.tag) as usize % parts;
-            self.gate.note_marker(session, chunk, partition, high);
-            self.counters
-                .watermarks_noted
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        consumer.ack(delivery.tag);
-    }
-
     /// Reports a live message's written-object keys to the watermark gate
     /// when a reconciliation window is open on this delivery's partition.
     /// Only *written* objects count: the copier drops chunk rows for
     /// touched keys in favor of the live write's payload, so a key that
     /// was merely read must not suppress its copy.
-    fn note_live_apply(&self, partitions: usize, tag: u64, msg: &WriteMessage) {
+    fn note_live_apply(&self, partition: usize, msg: &WriteMessage) {
         if !self.gate.is_active() {
             return;
         }
-        let partition = tag_hint(tag) as usize % partitions.max(1);
         let keys: Vec<DepKey> = msg
             .operations
             .iter()
@@ -836,286 +944,6 @@ impl Subscriber {
         self.gate.note_applied(partition, &keys);
     }
 
-    /// Processes one bootstrap chunk-copy delivery. Copies ack with *no*
-    /// dependency keys: they do not correspond to publisher bump
-    /// operations (step 1's version snapshot already carried their `ops`),
-    /// so landing them must not advance the subscriber's dependency
-    /// counters. Transient failures nack with the live path's backoff and
-    /// dead-letter budget — `admit_copy` re-checks on redelivery, so a
-    /// redelivered copy that lost to the live stream in the meantime is
-    /// discarded, not re-applied.
-    fn handle_copy<'a>(
-        &'a self,
-        consumer: &Consumer,
-        delivery: &Delivery,
-        popped_nanos: u64,
-        pending: &mut PendingBatch,
-        in_flight: &mut Option<RwLockReadGuard<'a, ()>>,
-    ) {
-        let handle_nanos = mono_nanos();
-        let decoded = WriteMessage::decode(&delivery.payload)
-            .map_err(|e| ProcessError::Poison(format!("undecodable copy payload: {e}")));
-        let outcome = match &decoded {
-            Ok(msg) => {
-                let apply_start = mono_nanos();
-                self.apply_copy_message(msg).map(|_| StageMarks {
-                    dep_wait_nanos: 0,
-                    apply_nanos: mono_nanos().saturating_sub(apply_start),
-                })
-            }
-            Err(e) => Err(e.clone()),
-        };
-        match outcome {
-            Ok(marks) => {
-                pending.tags.push(delivery.tag);
-                self.record_visible(
-                    delivery,
-                    DeliveryMode::Weak,
-                    popped_nanos,
-                    handle_nanos,
-                    marks,
-                );
-            }
-            Err(ProcessError::Poison(_)) => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .poison_messages
-                    .fetch_add(1, Ordering::Relaxed);
-                if consumer.dead_letter(delivery.tag) {
-                    self.attempts.lock().remove(&delivery.tag);
-                    self.counters.dead_lettered.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(ProcessError::Transient(_)) => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                if self.stop.load(Ordering::SeqCst) {
-                    consumer.nack(delivery.tag);
-                    return;
-                }
-                let attempts = {
-                    let mut map = self.attempts.lock();
-                    let entry = map.entry(delivery.tag).or_insert(0);
-                    *entry += 1;
-                    *entry
-                };
-                if self.retry.exhausted(attempts) {
-                    // A transiently-failing chunk copy never dead-letters:
-                    // it is an idempotent, admission-guarded upsert whose
-                    // silent loss would break the coverage contract of the
-                    // copy watermark it rode behind (resume assumes every
-                    // merged copy eventually lands or is refused). Reset
-                    // the budget and keep redelivering — the loop ends
-                    // when the store or engine heals, typically at the
-                    // next bootstrap attempt's revive. Undecodable copies
-                    // still dead-letter through the poison arm above.
-                    self.counters
-                        .retries_exhausted
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.attempts.lock().remove(&delivery.tag);
-                } else {
-                    self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                }
-                // As in the live path: land finished work and release
-                // the in-flight marker before sleeping.
-                self.flush_pending(consumer, pending);
-                *in_flight = None;
-                std::thread::sleep(self.retry.backoff(attempts));
-                consumer.nack(delivery.tag);
-                *in_flight = Some(self.gen_barrier.read());
-            }
-        }
-    }
-
-    /// Applies one decoded chunk-copy message: every operation is admitted
-    /// through the version store's strict copy check and persisted as a
-    /// replicated upsert. Returns how many records were applied vs.
-    /// discarded by admission.
-    fn apply_copy_message(&self, msg: &WriteMessage) -> Result<CopyOutcome, ProcessError> {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            context::with_scope(|| {
-                context::with_replication_flag(|| {
-                    let mut load = CopyOutcome::default();
-                    for op in &msg.operations {
-                        if self.apply_copy_op(msg, op)? {
-                            load.applied += 1;
-                        } else {
-                            load.reconciled += 1;
-                        }
-                    }
-                    Ok::<CopyOutcome, OrmError>(load)
-                })
-            })
-            .0
-        }));
-        match outcome {
-            Ok(Ok(load)) => Ok(load),
-            Ok(Err(e)) => Err(classify_apply_error(e)),
-            Err(panic) => Err(ProcessError::Poison(format!(
-                "bootstrap copy callback panicked: {}",
-                panic_message(panic.as_ref())
-            ))),
-        }
-    }
-
-    /// Applies one chunk-copy operation: strict version admission (ties
-    /// lose to the live stream — see [`VersionStore::admit_copy`] for why
-    /// re-upserting a tying copy can resurrect a deleted row), then the
-    /// normal subscription apply under the object's apply slot.
-    fn apply_copy_op(&self, msg: &WriteMessage, op: &Operation) -> Result<bool, OrmError> {
-        let matching: Vec<Subscription> = {
-            let subs = self.subscriptions.read();
-            subs.iter()
-                .filter(|s| s.from == msg.app && op.types.iter().any(|t| t == &s.model))
-                .cloned()
-                .collect()
-        };
-        if matching.is_empty() {
-            return Ok(true);
-        }
-        let key = self
-            .dep_space
-            .key(&DepName::object(&msg.app, op.model(), op.id));
-        let marker = msg.dependencies.get(&key).copied().unwrap_or(0);
-        // Copies of bidirectional models carry the publisher's full
-        // version vector under the writer-independent mesh key and are
-        // admitted by strict vector dominance; single-writer copies keep
-        // the scalar marker rule. The slot stripes by the same key the
-        // admission runs against.
-        let mesh_key = matching.iter().any(|s| s.bidirectional).then(|| {
-            self.dep_space
-                .key(&crate::deps::mesh_object(op.model(), op.id))
-        });
-        let mesh_vector = mesh_key.and_then(|mk| msg.vectors.get(&mk).map(|v| (mk, v)));
-        let slot_key = mesh_vector.map(|(mk, _)| mk).unwrap_or(key);
-        let _slot = self
-            .serialize_applies
-            .load(Ordering::SeqCst)
-            .then(|| self.apply_slots[(slot_key % APPLY_SLOTS as u64) as usize].lock());
-        let admitted = match mesh_vector {
-            Some((mk, vector)) => self
-                .store
-                .admit_copy_vector(mk, vector, writer_id(&msg.app)),
-            None => self.store.admit_copy(key, marker),
-        };
-        match admitted {
-            Ok(true) => {}
-            Ok(false) => {
-                self.counters
-                    .copies_reconciled
-                    .fetch_add(1, Ordering::Relaxed);
-                return Ok(false);
-            }
-            Err(_) => return Err(OrmError::Db(DbError::Unavailable)),
-        }
-        for sub in matching {
-            self.apply_subscription(&sub, op)?;
-        }
-        self.counters.copies_applied.fetch_add(1, Ordering::Relaxed);
-        Ok(true)
-    }
-
-    /// Synchronous chunk-copy apply — the bootstrap copier's fallback when
-    /// no worker pool is running to drain the queue-merged path. Returns
-    /// `Ok(true)` if the record was applied, `Ok(false)` if version
-    /// admission discarded it in favor of the live stream.
-    pub fn apply_copy_record(
-        &self,
-        pub_app: &str,
-        record: &Record,
-        marker: u64,
-        vector: Option<synapse_versionstore::VersionVector>,
-    ) -> Result<bool, ProcessError> {
-        let op = Operation::from_record("create", record);
-        let key = self
-            .dep_space
-            .key(&DepName::object(pub_app, op.model(), op.id));
-        let mut dependencies = BTreeMap::new();
-        dependencies.insert(key, marker);
-        let mut vectors = BTreeMap::new();
-        if let Some(v) = vector {
-            // A vector-carrying copy is a bidirectional model's: its
-            // history lives under the mesh key.
-            let mesh = self
-                .dep_space
-                .key(&crate::deps::mesh_object(op.model(), op.id));
-            vectors.insert(mesh, v);
-        }
-        let msg = WriteMessage {
-            app: pub_app.to_owned(),
-            operations: vec![op],
-            dependencies,
-            published_at: 0,
-            generation: 1,
-            vectors,
-        };
-        self.apply_copy_message(&msg).map(|load| load.applied > 0)
-    }
-
-    /// Processes one delivery end to end (untyped error; see
-    /// [`Subscriber::process_classified`] for the retry/dead-letter
-    /// classification the worker loop uses).
-    pub fn process(&self, delivery: &Delivery) -> Result<(), String> {
-        self.process_classified(delivery).map_err(|e| e.to_string())
-    }
-
-    /// Processes one delivery end to end, classifying failures as
-    /// transient (retryable) or poison (dead-letter). Unlike the batched
-    /// worker path, the version-store apply happens immediately.
-    pub fn process_classified(&self, delivery: &Delivery) -> Result<(), ProcessError> {
-        let popped_nanos = mono_nanos();
-        let mut marks = StageMarks::default();
-        if delivery.exchange == WATERMARK_EXCHANGE {
-            if let Some((session, chunk, high)) = parse_watermark(&delivery.payload) {
-                let parts = self.broker.queue_partitions(&self.app).unwrap_or(1).max(1);
-                self.gate.note_marker(
-                    session,
-                    chunk,
-                    tag_hint(delivery.tag) as usize % parts,
-                    high,
-                );
-                self.counters
-                    .watermarks_noted
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            return Ok(());
-        }
-        if delivery.exchange == BOOTSTRAP_EXCHANGE {
-            let msg = WriteMessage::decode(&delivery.payload)
-                .map_err(|e| ProcessError::Poison(format!("undecodable copy payload: {e}")))?;
-            return self.apply_copy_message(&msg).map(|_| ());
-        }
-        let msg = WriteMessage::decode(&delivery.payload)
-            .map_err(|e| ProcessError::Poison(format!("undecodable payload: {e}")))?;
-        self.generation_gate(&msg)
-            .map_err(ProcessError::Transient)?;
-        let _in_flight = self.gen_barrier.read();
-        let mode = self.effective_mode(&msg.app);
-        match mode {
-            DeliveryMode::Causal | DeliveryMode::Global => {
-                let wait_start = mono_nanos();
-                self.wait_deps(&self.filtered_wait_set(&msg, mode))
-                    .map_err(ProcessError::Transient)?;
-                marks.dep_wait_nanos = mono_nanos().saturating_sub(wait_start);
-            }
-            DeliveryMode::Weak => {}
-        }
-        let apply_start = mono_nanos();
-        self.apply_message(&msg, mode)?;
-        marks.apply_nanos = mono_nanos().saturating_sub(apply_start);
-        let parts = self.broker.queue_partitions(&self.app).unwrap_or(1);
-        self.note_live_apply(parts, delivery.tag, &msg);
-        // Advance the version store only after successful application: a
-        // transient failure must leave versions untouched so the redelivery
-        // reprocesses from scratch (applies are idempotent upserts). Dep
-        // release for dead-lettered messages happens exactly once, in
-        // [`Subscriber::dead_letter`].
-        self.store
-            .apply(&msg.dep_keys())
-            .map_err(|e| ProcessError::Transient(e.to_string()))?;
-        self.record_visible(delivery, mode, popped_nanos, popped_nanos, marks);
-        Ok(())
-    }
-
     /// Applies a decoded message's operations through the local ORM.
     ///
     /// Application runs inside its own causal scope (like a background
@@ -1123,12 +951,17 @@ impl Subscriber {
     /// external dependencies of anything those callbacks publish. A
     /// panicking subscription callback is caught and treated as poison:
     /// it would panic identically on every redelivery.
-    fn apply_message(&self, msg: &WriteMessage, mode: DeliveryMode) -> Result<(), ProcessError> {
+    fn apply_message(
+        &self,
+        msg: &WriteMessage,
+        kind: Kind,
+        mode: DeliveryMode,
+    ) -> Result<(), ProcessError> {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             context::with_scope(|| {
                 context::with_replication_flag(|| {
                     for op in &msg.operations {
-                        self.apply_op(msg, op, mode)?;
+                        self.apply_op(msg, op, kind, mode)?;
                     }
                     Ok::<(), OrmError>(())
                 })
@@ -1157,7 +990,8 @@ impl Subscriber {
     }
 
     /// Whether `msg` carries a generation newer than the last one seen
-    /// from its app (the pre-check before taking the write barrier).
+    /// from its app (the caller's check before it steps outside the barrier
+    /// for [`Subscriber::generation_gate`]).
     fn generation_pending(&self, msg: &WriteMessage) -> bool {
         let gens = self.generations.lock();
         msg.generation > gens.get(&msg.app).copied().unwrap_or(1)
@@ -1166,9 +1000,6 @@ impl Subscriber {
     /// §4.4's generation barrier: when a message carries a newer generation,
     /// wait for in-flight messages, flush the version store, advance.
     fn generation_gate(&self, msg: &WriteMessage) -> Result<(), String> {
-        if !self.generation_pending(msg) {
-            return Ok(());
-        }
         let _drain = self.gen_barrier.write();
         let mut gens = self.generations.lock();
         let current = gens.entry(msg.app.clone()).or_insert(1);
@@ -1197,42 +1028,17 @@ impl Subscriber {
         set
     }
 
-    /// Waits for a prepared dependency set on the version store.
-    fn wait_deps(&self, deps: &DepWaitSet) -> Result<(), String> {
-        // Wait in short slices so the stop flag stays responsive; an
-        // overall deadline implements the configurable give-up of §6.5
-        // (`None` = the paper's strict causal mode: wait forever).
-        let deadline = self.dep_wait_timeout.map(|t| std::time::Instant::now() + t);
-        loop {
-            match self.store.wait_prepared(deps, Duration::from_millis(100)) {
-                Ok(WaitOutcome::Ready) => return Ok(()),
-                Ok(WaitOutcome::TimedOut) => {
-                    if self.stop.load(Ordering::SeqCst) {
-                        return Err("stopped while waiting for dependencies".into());
-                    }
-                    if let Some(d) = deadline {
-                        if std::time::Instant::now() >= d {
-                            self.counters.dep_timeouts.fetch_add(1, Ordering::Relaxed);
-                            return Ok(()); // give up and process (§6.5)
-                        }
-                    }
-                }
-                Err(StoreError::Dead) => {
-                    return Err("subscriber version store died".into());
-                }
-            }
-        }
-    }
-
-    /// Applies one operation through the local ORM. Returns `Ok(true)` if
-    /// the operation was applied and `Ok(false)` if it was discarded as
-    /// stale by the freshness check.
+    /// Applies one operation through the local ORM, unless version
+    /// admission discards it: a live write that is stale (counted in
+    /// `ops_stale`), or a chunk copy the live stream already matched or
+    /// beat (`copies_reconciled`).
     fn apply_op(
         &self,
         msg: &WriteMessage,
         op: &Operation,
+        kind: Kind,
         mode: DeliveryMode,
-    ) -> Result<bool, OrmError> {
+    ) -> Result<(), OrmError> {
         let matching: Vec<Subscription> = {
             let subs = self.subscriptions.read();
             subs.iter()
@@ -1241,7 +1047,7 @@ impl Subscriber {
                 .collect()
         };
         if matching.is_empty() {
-            return Ok(true);
+            return Ok(());
         }
         // Freshness: update objects only to their latest version (§4.2),
         // discarding out-of-order intermediate updates. Weak mode depends
@@ -1264,72 +1070,111 @@ impl Subscriber {
             self.dep_space
                 .key(&crate::deps::mesh_object(op.model(), op.id))
         });
-        // Hold this object's apply slot across the freshness check *and*
+        // Hold this object's apply slot across the admission check *and*
         // the ORM writes below. Without it, a copier thread and a worker
-        // can interleave advance_latest/apply so that the thread carrying
-        // the *older* version writes the row last (both pass the check
-        // before either applies). One striped mutex per object serializes
-        // exactly the racing pair; unrelated objects map to other slots.
+        // can interleave check/apply so that the thread carrying the
+        // *older* version writes the row last (both pass the check before
+        // either applies). One striped mutex per object serializes exactly
+        // the racing pair; unrelated objects map to other slots.
         // `serialize_applies(false)` is a test hook that re-exposes the
         // race for the regression test.
         let slot_key = mesh_key.unwrap_or(key);
-        let _slot = self
+        let mut slot = self
             .serialize_applies
             .load(Ordering::SeqCst)
             .then(|| self.apply_slots[(slot_key % APPLY_SLOTS as u64) as usize].lock());
-        // Multi-writer classification by version-vector dominance:
-        // dominating histories apply, dominated ones are discarded, and
-        // concurrent forks go to the model's conflict resolver. In weak
-        // mode this runs at raw apply time; in causal/global mode the dep
-        // wait has already completed, so the local row is causally
-        // complete when the resolver sees the pair. A bidirectional
-        // subscription fed by a pre-vector publisher (no vector on the
-        // wire) falls through to the scalar freshness rule below.
-        let mut classified = false;
-        if let Some(mesh) = mesh_key {
-            let writer = writer_id(&msg.app);
-            if let Some(vector) = msg.vector_for(mesh, writer) {
-                classified = true;
-                match self.store.advance_vector(mesh, &vector, writer) {
-                    Ok(VectorAdmit::Fresh) => {}
-                    Ok(VectorAdmit::Stale) => {
-                        self.counters.ops_stale.fetch_add(1, Ordering::Relaxed);
-                        self.conflicts.discarded_dominated.bump();
-                        return Ok(false);
-                    }
-                    Ok(VectorAdmit::Concurrent { lww_wins }) => {
-                        return self.resolve_conflict(op, &matching, &vector, writer, lww_wins);
-                    }
-                    Err(_) => return Err(OrmError::Db(DbError::Unavailable)),
-                }
-            }
-        }
-        if !classified {
-            let version = match mode {
+        // The version this operation carries and the store entry it is
+        // judged against. A multi-writer write (or copy — it carries the
+        // publisher's full vector, since a scalar marker on the legacy
+        // floor could wrongly dominate a remote writer's component) is
+        // classified by version-vector dominance under the mesh key. In
+        // weak mode this runs at raw apply time; in causal/global mode the
+        // dep wait has already completed, so the local row is causally
+        // complete when the resolver sees the pair. Everything else — a
+        // bidirectional subscription fed by a pre-vector publisher (no
+        // vector on the wire) included — carries the scalar of its object
+        // dependency, which rides the vector's legacy component.
+        let writer = writer_id(&msg.app);
+        let mesh_vector = mesh_key.and_then(|mesh| Some((mesh, msg.vector_for(mesh, writer)?)));
+        let multi_writer = mesh_vector.is_some();
+        let carried = match mesh_vector {
+            Some((mesh, vector)) => Some((mesh, vector, writer)),
+            None => match mode {
                 DeliveryMode::Weak => Some(msg.dependencies.get(&key).copied().unwrap_or(0)),
                 // Ordered modes only check when the message actually carries
                 // the object's dependency (a mismatched dep space on the
                 // publisher must not silently drop writes).
                 DeliveryMode::Causal | DeliveryMode::Global => msg.dependencies.get(&key).copied(),
-            };
-            if let Some(version) = version {
-                match self.store.advance_latest(key, version) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        self.counters.ops_stale.fetch_add(1, Ordering::Relaxed);
-                        return Ok(false);
-                    }
-                    // A dead store is transient (revival or bootstrap heals
-                    // it); surface it as the transient db error class.
-                    Err(_) => return Err(OrmError::Db(DbError::Unavailable)),
+            }
+            .map(|version| (key, VersionVector::scalar(version), LEGACY_WRITER)),
+        };
+        let (applied, discarded) = match kind {
+            Kind::Copy => (
+                &self.counters.copies_applied,
+                &self.counters.copies_reconciled,
+            ),
+            _ => (&self.counters.ops_applied, &self.counters.ops_stale),
+        };
+        if let Some((at, vector, writer)) = &carried {
+            let verdict = match kind {
+                // A copy is admitted only where it *strictly* beats what is
+                // stored: ties and forks lose to the live stream, which
+                // holds the authoritative payload (re-upserting a tying
+                // copy could resurrect a deleted row).
+                Kind::Copy => self
+                    .store
+                    .admit_copy_vector(*at, vector, *writer)
+                    .map(|admit| match admit {
+                        true => VectorAdmit::Fresh,
+                        false => VectorAdmit::Stale,
+                    }),
+                // Dominating (or equal: a redelivery) histories apply,
+                // dominated ones are discarded, and concurrent forks go to
+                // the model's conflict resolver.
+                _ => self.store.advance_vector(*at, vector, *writer),
+            }
+            // A dead store is transient (revival or bootstrap heals it);
+            // surface it as the transient db error class.
+            .map_err(|_| OrmError::Db(DbError::Unavailable))?;
+            let admitted = match verdict {
+                VectorAdmit::Fresh => true,
+                // ...unless the copy ties with its own mark, left by an
+                // attempt whose ORM write failed: nothing else was admitted
+                // on the key since (that clears the note), so the row is
+                // still owed.
+                VectorAdmit::Stale => {
+                    kind == Kind::Copy
+                        && slot
+                            .as_deref()
+                            .is_some_and(|unlanded| unlanded.get(at) == Some(vector))
                 }
+                VectorAdmit::Concurrent { .. } => multi_writer,
+            };
+            if !admitted {
+                discarded.fetch_add(1, Ordering::Relaxed);
+                if multi_writer && kind == Kind::Live {
+                    self.conflicts.discarded_dominated.bump();
+                }
+                return Ok(());
+            }
+            if let Some(unlanded) = slot.as_deref_mut().filter(|u| !u.is_empty()) {
+                unlanded.remove(at);
+            }
+            if let VectorAdmit::Concurrent { lww_wins } = verdict {
+                return self.resolve_conflict(op, &matching, vector, *writer, lww_wins);
             }
         }
-        for sub in matching {
-            self.apply_subscription(&sub, op)?;
+        let landed = matching
+            .iter()
+            .try_for_each(|sub| self.apply_subscription(sub, op));
+        if landed.is_ok() {
+            applied.fetch_add(1, Ordering::Relaxed);
+        } else if let (Kind::Copy, Some((at, vector, _)), Some(unlanded)) =
+            (kind, &carried, slot.as_deref_mut())
+        {
+            unlanded.insert(*at, vector.clone());
         }
-        self.counters.ops_applied.fetch_add(1, Ordering::Relaxed);
-        Ok(true)
+        landed
     }
 
     /// Resolves one concurrent incoming write (still under the object's
@@ -1341,10 +1186,10 @@ impl Subscriber {
         &self,
         op: &Operation,
         matching: &[Subscription],
-        vector: &synapse_versionstore::VersionVector,
+        vector: &VersionVector,
         writer: u64,
         lww_wins: bool,
-    ) -> Result<bool, OrmError> {
+    ) -> Result<(), OrmError> {
         self.conflicts.detected.bump();
         let start = mono_nanos();
         let mut applied = false;
@@ -1402,7 +1247,7 @@ impl Subscriber {
         if applied {
             self.counters.ops_applied.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Upserts a resolver's merged attributes as the conflicted row's new
@@ -1511,17 +1356,6 @@ impl Subscriber {
             .load_snapshot(snapshot)
             .map_err(|e| e.to_string())
     }
-}
-
-/// Outcome of applying one bootstrap chunk-copy message.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CopyOutcome {
-    /// Records admitted and persisted.
-    pub applied: u64,
-    /// Records discarded because the live stream had already applied an
-    /// equal-or-newer write for the object (ties included — re-upserting a
-    /// tying copy could resurrect a deleted row).
-    pub reconciled: u64,
 }
 
 /// Classifies an application-layer failure: a briefly unavailable engine

@@ -586,9 +586,11 @@ impl VersionStore {
         Ok(())
     }
 
-    /// Vector freshness check — the multi-writer generalization of the
-    /// scalar `advance_latest`. Classifies `incoming` (the write's version
-    /// vector, authored by `writer`) against the stored vector:
+    /// Freshness check. Classifies `incoming` (the write's version vector,
+    /// authored by `writer`) against the stored vector. A single-writer
+    /// write presents its scalar version as [`VersionVector::scalar`] under
+    /// [`LEGACY_WRITER`]: the legacy component's floor semantics make the
+    /// rules below read as `version >= stored` applies, older is stale:
     ///
     /// * **dominates or equal** → [`VectorAdmit::Fresh`]: the stored
     ///   vector advances to the join and the write must be applied. Equal
@@ -632,19 +634,6 @@ impl VersionStore {
         }
     }
 
-    /// Scalar freshness check: records `version` as the latest seen for
-    /// `key` and returns `true`, or `false` if a strictly newer version was
-    /// already recorded. Equal versions re-apply (redelivery). This is the
-    /// single-writer view of [`VersionStore::advance_vector`] — the scalar
-    /// rides the legacy vector component, whose floor semantics reproduce
-    /// the old `version >= stored` comparison exactly.
-    pub fn advance_latest(&self, key: DepKey, version: u64) -> Result<bool, StoreError> {
-        Ok(matches!(
-            self.advance_vector(key, &VersionVector::scalar(version), LEGACY_WRITER)?,
-            VectorAdmit::Fresh
-        ))
-    }
-
     /// Bootstrap-copy admission check against a full vector: admits the
     /// copy iff the key was never explicitly versioned or the copy's
     /// vector *strictly dominates* the stored one. Unlike
@@ -653,7 +642,13 @@ impl VersionStore {
     /// operation observed twice, and the live apply already holds the
     /// authoritative payload — and so are concurrent ones: ties (and
     /// races) lose to the live stream, which resolves conflicts with full
-    /// context while a copy is just a point-in-time row image.
+    /// context while a copy is just a point-in-time row image. A
+    /// single-writer copy presents its marker as [`VersionVector::scalar`]:
+    /// a never-versioned key admits any marker (including 0: rows created
+    /// before the copy started carry marker 0 and no live write has
+    /// touched them); otherwise the marker must be strictly newer than the
+    /// recorded version — re-upserting a tying copy could resurrect a row
+    /// whose destroy the live stream already applied.
     pub fn admit_copy_vector(
         &self,
         key: DepKey,
@@ -671,15 +666,6 @@ impl VersionStore {
             entry.note_stamp(incoming.lww_stamp(writer));
         }
         Ok(admit)
-    }
-
-    /// Scalar bootstrap-copy admission: a never-versioned key admits any
-    /// marker (including 0: rows created before the copy started carry
-    /// marker 0 and no live write has touched them); otherwise the marker
-    /// must be strictly newer than the recorded version — ties lose to
-    /// the live stream (the deleted-row-resurrection rule).
-    pub fn admit_copy(&self, key: DepKey, marker: u64) -> Result<bool, StoreError> {
-        self.admit_copy_vector(key, &VersionVector::scalar(marker), LEGACY_WRITER)
     }
 
     /// Reads a key's recorded latest version as a scalar — the largest
@@ -878,6 +864,23 @@ mod tests {
     use super::*;
     use std::thread;
 
+    /// A single-writer live write as the subscriber presents it: its
+    /// scalar version rides the vector's legacy component, whose floor
+    /// semantics reproduce the `version >= stored` comparison exactly.
+    fn advance_scalar(store: &VersionStore, key: DepKey, version: u64) -> bool {
+        let incoming = VersionVector::scalar(version);
+        store.advance_vector(key, &incoming, LEGACY_WRITER).unwrap() == VectorAdmit::Fresh
+    }
+
+    /// A single-writer chunk copy: a never-versioned key admits any marker
+    /// (0 included), otherwise the marker must be strictly newer.
+    fn admit_scalar_copy(store: &VersionStore, key: DepKey, marker: u64) -> bool {
+        let incoming = VersionVector::scalar(marker);
+        store
+            .admit_copy_vector(key, &incoming, LEGACY_WRITER)
+            .unwrap()
+    }
+
     /// Replays Fig. 8's four writes and checks every counter and message
     /// dependency value against the figure.
     #[test]
@@ -1068,12 +1071,12 @@ mod tests {
     }
 
     #[test]
-    fn advance_latest_discards_stale_versions() {
+    fn advance_vector_discards_stale_scalar_versions() {
         let store = VersionStore::single();
-        assert!(store.advance_latest(1, 0).unwrap());
-        assert!(store.advance_latest(1, 3).unwrap());
-        assert!(!store.advance_latest(1, 2).unwrap(), "stale version");
-        assert!(store.advance_latest(1, 4).unwrap());
+        assert!(advance_scalar(&store, 1, 0));
+        assert!(advance_scalar(&store, 1, 3));
+        assert!(!advance_scalar(&store, 1, 2), "stale version");
+        assert!(advance_scalar(&store, 1, 4));
         assert_eq!(store.latest_version(1).unwrap(), 4);
     }
 
@@ -1081,11 +1084,11 @@ mod tests {
     /// redelivery of the same version (after a transient apply failure)
     /// must pass the check and re-apply rather than be dropped.
     #[test]
-    fn advance_latest_readmits_equal_versions() {
+    fn advance_vector_readmits_equal_scalar_versions() {
         let store = VersionStore::single();
-        assert!(store.advance_latest(1, 5).unwrap());
-        assert!(store.advance_latest(1, 5).unwrap(), "redelivery re-applies");
-        assert!(!store.advance_latest(1, 4).unwrap(), "older stays stale");
+        assert!(advance_scalar(&store, 1, 5));
+        assert!(advance_scalar(&store, 1, 5), "redelivery re-applies");
+        assert!(!advance_scalar(&store, 1, 4), "older stays stale");
     }
 
     #[test]
@@ -1142,7 +1145,7 @@ mod tests {
         let store = VersionStore::single();
         store.apply(&[1]).unwrap();
         store.apply(&[1]).unwrap();
-        store.advance_latest(1, 7).unwrap();
+        advance_scalar(&store, 1, 7);
         // Stale dump: neither field regresses.
         store
             .load_dump(&[DumpEntry::scalar(1, 1, 3, false)])
@@ -1168,23 +1171,23 @@ mod tests {
         // Entry exists from ops bookkeeping (snapshot load) but was never
         // explicitly versioned: a marker-0 copy must be admitted.
         store.load_snapshot(&[(1, 1)]).unwrap();
-        assert!(store.admit_copy(1, 0).unwrap(), "unversioned key admits");
+        assert!(admit_scalar_copy(&store, 1, 0), "unversioned key admits");
         assert!(
-            !store.admit_copy(1, 0).unwrap(),
+            !admit_scalar_copy(&store, 1, 0),
             "second identical copy ties"
         );
 
         // An applied destroy records version 0 explicitly; a stale copy of
         // the pre-delete row (marker 0) must now be discarded.
-        assert!(store.advance_latest(2, 0).unwrap());
-        assert!(!store.admit_copy(2, 0).unwrap(), "tombstone wins over copy");
+        assert!(advance_scalar(&store, 2, 0));
+        assert!(!admit_scalar_copy(&store, 2, 0), "tombstone wins over copy");
 
         // A copy strictly newer than the applied version is admitted; the
         // live stream's own `>=` readmit still re-applies its version.
-        assert!(store.advance_latest(3, 4).unwrap());
-        assert!(!store.admit_copy(3, 4).unwrap(), "tie goes to live stream");
-        assert!(store.admit_copy(3, 5).unwrap(), "strictly newer copy lands");
-        assert!(store.advance_latest(3, 5).unwrap(), "live readmits equal");
+        assert!(advance_scalar(&store, 3, 4));
+        assert!(!admit_scalar_copy(&store, 3, 4), "tie goes to live stream");
+        assert!(admit_scalar_copy(&store, 3, 5), "strictly newer copy lands");
+        assert!(advance_scalar(&store, 3, 5), "live readmits equal");
     }
 
     /// The explicit-write flag must survive a dump/load round trip:
@@ -1195,13 +1198,13 @@ mod tests {
     fn dump_preserves_versioned_flag() {
         let store = VersionStore::new(2);
         store.load_snapshot(&[(1, 3)]).unwrap(); // never versioned
-        store.advance_latest(2, 0).unwrap(); // tombstone
+        advance_scalar(&store, 2, 0); // tombstone
         let dump = store.dump().unwrap();
 
         let restored = VersionStore::single();
         restored.load_dump(&dump).unwrap();
-        assert!(restored.admit_copy(1, 0).unwrap(), "still unversioned");
-        assert!(!restored.admit_copy(2, 0).unwrap(), "tombstone survived");
+        assert!(admit_scalar_copy(&restored, 1, 0), "still unversioned");
+        assert!(!admit_scalar_copy(&restored, 2, 0), "tombstone survived");
     }
 
     #[test]

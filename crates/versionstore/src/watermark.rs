@@ -15,7 +15,7 @@
 //! drain phase.
 //!
 //! The gate is an optimization, not a correctness gate: admission into the
-//! replica is decided by [`crate::VersionStore::admit_copy`] against
+//! replica is decided by [`crate::VersionStore::admit_copy_vector`] against
 //! explicitly-recorded versions, so a window that times out (slow worker,
 //! injected fault) merely forgoes the pre-filter and lets the version
 //! check discard the same rows one by one. `await_window` therefore

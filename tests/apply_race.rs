@@ -1,6 +1,6 @@
 //! Regression test for the copier-vs-worker apply race (ROADMAP's
-//! subscriber gap): `advance_latest` and the ORM apply used to be two
-//! separate steps, so two threads carrying different versions of the same
+//! subscriber gap): the version-store freshness check and the ORM apply
+//! used to be two separate steps, so two threads carrying different versions of the same
 //! object could *both* pass the freshness check before either applied —
 //! and the thread carrying the **older** version could write the row last,
 //! leaving the database stale while the version store says fresh.

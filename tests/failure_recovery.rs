@@ -3,14 +3,18 @@
 //! version-store death + generation bump, subscriber store death, broker
 //! restarts, and publish-crash journal recovery.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use synapse_repro::broker::{Delivery, BOOTSTRAP_EXCHANGE};
+use synapse_repro::core::testing::emulate_delivery;
 use synapse_repro::core::{
-    DeliveryMode, Ecosystem, Publication, Subscription, SynapseConfig, SynapseNode,
+    DeliveryMode, DepName, Ecosystem, Operation, Publication, RetryPolicy, Subscription,
+    SynapseConfig, SynapseNode, WriteMessage,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::model::ModelSchema;
-use synapse_repro::model::{vmap, Id};
+use synapse_repro::model::{vmap, Id, Record, Value};
 use synapse_repro::orm::adapters::MongoidAdapter;
 
 fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -418,4 +422,143 @@ fn subscriber_store_death_recovers_via_bootstrap() {
     }));
     let _ = Id(0);
     eco.stop_all();
+}
+
+/// One `pub` Post operation carrying `version` as its object dependency —
+/// what a publisher stamps on a live write and the copier on a chunk copy.
+fn post_message(node: &SynapseNode, operation: &str, id: Id, version: u64) -> WriteMessage {
+    let key = node
+        .config()
+        .dep_space
+        .key(&DepName::object("pub", "Post", id));
+    let attrs = BTreeMap::from([("body".to_owned(), Value::from("copied"))]);
+    let record = Record::with_attrs("Post", id, attrs);
+    WriteMessage {
+        app: "pub".to_owned(),
+        operations: vec![Operation::from_record(operation, &record)],
+        dependencies: BTreeMap::from([(key, version)]),
+        published_at: 0,
+        generation: 1,
+        vectors: BTreeMap::new(),
+    }
+}
+
+/// The retry budget's two exhaustion exits. A *live* message whose apply
+/// keeps failing transiently is dead-lettered exactly once, with its
+/// dependencies released — under strict causal mode (no wait timeout) the
+/// dependent update applies only because of that release. A *bootstrap
+/// copy* under the same fault is never dead-lettered: its budget resets,
+/// it keeps being redelivered, and it lands once the engine heals.
+#[test]
+fn exhausted_live_message_dead_letters_but_exhausted_copy_keeps_retrying() {
+    let retry = RetryPolicy {
+        max_attempts: 3,
+        ..RetryPolicy::default()
+    };
+    let eco = Ecosystem::new();
+    let publisher = publishing_node(&eco, "pub");
+    let subscriber = subscribing_node(
+        &eco,
+        SynapseConfig::new("sub").wait_timeout(None).retry(retry),
+        "pub",
+    );
+    eco.connect();
+    eco.start_all();
+    let faults = subscriber.orm().db_faults();
+
+    // Live exit: every write fails until disarmed.
+    faults.inject_write_errors(u64::MAX / 2);
+    let post = publisher
+        .orm()
+        .create("Post", vmap! { "body" => "lost", "version" => 1 })
+        .unwrap();
+    assert!(eventually(Duration::from_secs(10), || {
+        subscriber.subscriber_stats().dead_lettered == 1
+    }));
+    faults.disarm();
+    let stats = subscriber.subscriber_stats();
+    assert_eq!(stats.retries_exhausted, 1);
+    assert_eq!(stats.retries, u64::from(retry.max_attempts) - 1);
+    assert_eq!(stats.poison_messages, 0);
+    assert_eq!(eco.broker().dead_letter_len("sub"), Some(1));
+    assert!(subscriber.orm().find("Post", post.id).unwrap().is_none());
+    // The update depends on the dead-lettered create's version.
+    publisher
+        .orm()
+        .update("Post", post.id, vmap! { "version" => 2 })
+        .unwrap();
+    assert!(eventually(Duration::from_secs(10), || {
+        subscriber
+            .orm()
+            .find("Post", post.id)
+            .unwrap()
+            .is_some_and(|p| p.get("version").as_int() == Some(2))
+    }));
+    assert_eq!(subscriber.subscriber_stats().dead_lettered, 1);
+
+    // Copy exit: the same fault, a chunk copy of a row the replica lacks.
+    faults.inject_write_errors(u64::MAX / 2);
+    let copied = Id(9_000);
+    let copy = post_message(&subscriber, "create", copied, 0);
+    let payloads = vec![(copy.encode().into(), 0, 0)];
+    assert_eq!(
+        eco.broker()
+            .publish_to_queue("sub", BOOTSTRAP_EXCHANGE, payloads),
+        1
+    );
+    // Past its budget twice over and still in the queue, not the DLQ.
+    assert!(eventually(Duration::from_secs(10), || {
+        subscriber.subscriber_stats().retries_exhausted >= 3
+    }));
+    let stats = subscriber.subscriber_stats();
+    assert_eq!(stats.dead_lettered, 1, "a copy is never dead-lettered");
+    assert_eq!(stats.copies_applied, 0);
+    assert!(subscriber.orm().find("Post", copied).unwrap().is_none());
+    faults.disarm();
+    assert!(eventually(Duration::from_secs(10), || {
+        subscriber.subscriber_stats().copies_applied == 1
+    }));
+    assert!(subscriber.orm().find("Post", copied).unwrap().is_some());
+    assert!(subscriber.subscriber().drain(Duration::from_secs(5)));
+    let stats = subscriber.subscriber_stats();
+    assert_eq!(
+        (
+            stats.copies_applied,
+            stats.copies_reconciled,
+            stats.dead_lettered
+        ),
+        (1, 0, 1),
+        "the retried copy must not be refused by its own version mark"
+    );
+    assert_eq!(eco.broker().dead_letter_len("sub"), Some(1));
+    eco.stop_all();
+}
+
+/// A chunk copy whose ORM write failed is owed its row only until the
+/// live stream is admitted on the same object: a live destroy that ties
+/// with the copy's version in between wins, and the retried copy must not
+/// resurrect the row.
+#[test]
+fn live_write_between_copy_attempts_supersedes_the_failed_copy() {
+    let eco = Ecosystem::new();
+    let subscriber = subscribing_node(
+        &eco,
+        SynapseConfig::new("sub").subscriber_mode(DeliveryMode::Weak),
+        "pub",
+    );
+    let post = Id(5);
+    let delivery = |exchange: &str, operation: &str| Delivery {
+        exchange: exchange.into(),
+        ..emulate_delivery(&post_message(&subscriber, operation, post, 3))
+    };
+    let sub = subscriber.subscriber();
+    subscriber.orm().db_faults().inject_write_errors(1);
+    let failed = sub.process(&delivery(BOOTSTRAP_EXCHANGE, "create"));
+    assert!(failed.unwrap_err().starts_with("transient"));
+    sub.process(&delivery("pub", "destroy")).unwrap();
+    sub.process(&delivery(BOOTSTRAP_EXCHANGE, "create"))
+        .unwrap();
+    let stats = subscriber.subscriber_stats();
+    assert_eq!((stats.copies_applied, stats.copies_reconciled), (0, 1));
+    assert!(subscriber.orm().find("Post", post).unwrap().is_none());
 }

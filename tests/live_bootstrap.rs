@@ -56,6 +56,7 @@ use synapse_repro::faults::{
 use synapse_repro::model::{vmap, ModelSchema};
 use synapse_repro::orm::adapters::MongoidAdapter;
 use synapse_repro::orm::CallbackPoint;
+use synapse_repro::versionstore::{VersionVector, LEGACY_WRITER};
 
 /// Seed of record: `SYNAPSE_SEED=<n>` reproduces a specific schedule.
 fn seed_of_record() -> u64 {
@@ -375,7 +376,11 @@ fn run_live_bootstrap(seed: u64) {
         .key(&DepName::object("pub", "Post", first_seed));
     subscriber
         .sub_store()
-        .advance_latest(raced_key, u64::MAX / 2)
+        .advance_vector(
+            raced_key,
+            &VersionVector::scalar(u64::MAX / 2),
+            LEGACY_WRITER,
+        )
         .unwrap();
     let pre_reconciled = subscriber.bootstrap_stats().records_reconciled;
     {

@@ -2,11 +2,19 @@
 //! emulation on subscribers, and bootstrap-aware callbacks (Fig. 2).
 
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+use synapse_repro::broker::{
+    parse_watermark, watermark_payload, Delivery, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE,
+};
 use synapse_repro::core::testing::{emulate_delivery, emulate_message, FactorySet};
-use synapse_repro::core::{Ecosystem, Publication, Subscription, SynapseConfig};
+use synapse_repro::core::{
+    DeliveryMode, DepName, Ecosystem, Operation, Publication, Subscription, SynapseConfig,
+    SynapseNode, WriteMessage,
+};
 use synapse_repro::db::LatencyModel;
-use synapse_repro::model::{vmap, ModelSchema};
+use synapse_repro::model::{vmap, Id, ModelSchema, Record, Value};
 use synapse_repro::orm::adapters::MongoidAdapter;
 use synapse_repro::orm::CallbackPoint;
 
@@ -136,4 +144,136 @@ fn factories_generate_distinct_sequenced_samples() {
     assert_ne!(a.id, b.id);
     assert_ne!(a.get("body"), b.get("body"));
     assert!(factories.build("Unknown", 1).is_none());
+}
+
+/// A weak-mode replica of `pub`'s `Post`, with one worker over a
+/// one-partition queue so a pool drains emulated traffic in publish order.
+fn post_replica(eco: &Ecosystem) -> Arc<SynapseNode> {
+    let node = eco.add_node(
+        SynapseConfig::new("sub")
+            .subscriber_mode(DeliveryMode::Weak)
+            .workers(1)
+            .queue_partitions(1),
+        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
+    );
+    node.orm().define_model(ModelSchema::open("Post")).unwrap();
+    node.subscribe(Subscription::model("Post", "pub").fields(&["body"]))
+        .unwrap();
+    node
+}
+
+/// `Subscriber::process` is the worker pool's own message sequence on a
+/// batch of one: the same emulated traffic — live writes, bootstrap
+/// copies on the bootstrap exchange, watermark markers — leaves the same
+/// rows and the same counters whichever way it is driven.
+#[test]
+fn process_and_worker_pool_agree_on_every_delivery_kind() {
+    const POST: Id = Id(7);
+    let (eco_single, eco_pool) = (Ecosystem::new(), Ecosystem::new());
+    let single = post_replica(&eco_single);
+    let pool = post_replica(&eco_pool);
+    let key = single
+        .config()
+        .dep_space
+        .key(&DepName::object("pub", "Post", POST));
+    // (exchange, payload): one object's history, version carried as the
+    // object dependency exactly as a publisher (or the copier) stamps it.
+    let write = |operation: &str, version: u64, body: &str| {
+        let attrs = BTreeMap::from([("body".to_owned(), Value::from(body))]);
+        WriteMessage {
+            app: "pub".to_owned(),
+            operations: vec![Operation::from_record(
+                operation,
+                &Record::with_attrs("Post", POST, attrs),
+            )],
+            dependencies: BTreeMap::from([(key, version)]),
+            published_at: 0,
+            generation: 1,
+            vectors: BTreeMap::new(),
+        }
+        .encode()
+    };
+    let sequence: Vec<(&str, String)> = vec![
+        ("pub", write("create", 1, "v1")),
+        ("pub", write("update", 0, "stale")),
+        ("pub", write("update", 2, "v2")),
+        ("pub", write("destroy", 3, "v2")),
+        // Ties with the applied destroy: must not resurrect the row.
+        (BOOTSTRAP_EXCHANGE, write("create", 3, "copy-tie")),
+        (BOOTSTRAP_EXCHANGE, write("create", 4, "copy-win")),
+        (WATERMARK_EXCHANGE, watermark_payload(1, 0, false)),
+        (WATERMARK_EXCHANGE, watermark_payload(1, 0, true)),
+    ];
+
+    for (exchange, payload) in &sequence {
+        let delivery = Delivery {
+            tag: 0,
+            exchange: (*exchange).into(),
+            payload: payload.as_str().into(),
+            redelivered: false,
+            origin_nanos: 0,
+            enqueued_nanos: 0,
+        };
+        single.subscriber().process(&delivery).unwrap();
+    }
+
+    pool.start();
+    let broker = eco_pool.broker();
+    for (exchange, payload) in &sequence {
+        match *exchange {
+            WATERMARK_EXCHANGE => {
+                let (session, chunk, high) = parse_watermark(payload).unwrap();
+                assert_eq!(broker.publish_watermark("sub", session, chunk, high), 1);
+            }
+            BOOTSTRAP_EXCHANGE => {
+                let copies = vec![(payload.as_str().into(), 0, 0)];
+                assert_eq!(
+                    broker.publish_to_queue("sub", BOOTSTRAP_EXCHANGE, copies),
+                    1
+                );
+            }
+            live => broker.publish(live, payload.as_str()).unwrap(),
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while pool.subscriber_stats().watermarks_noted < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    pool.stop();
+
+    let body = |node: &SynapseNode| {
+        let row = node.orm().find("Post", POST).unwrap();
+        row.map(|r| r.get("body").as_str().map(str::to_owned))
+    };
+    assert_eq!(body(&single), Some(Some("copy-win".to_owned())));
+    assert_eq!(body(&pool), body(&single));
+    let (s, p) = (single.subscriber_stats(), pool.subscriber_stats());
+    assert_eq!(
+        (
+            s.ops_applied,
+            s.ops_stale,
+            s.copies_applied,
+            s.copies_reconciled,
+            s.watermarks_noted
+        ),
+        (3, 1, 1, 1, 2)
+    );
+    assert_eq!(
+        (
+            p.ops_applied,
+            p.ops_stale,
+            p.copies_applied,
+            p.copies_reconciled,
+            p.watermarks_noted
+        ),
+        (
+            s.ops_applied,
+            s.ops_stale,
+            s.copies_applied,
+            s.copies_reconciled,
+            s.watermarks_noted
+        )
+    );
+    assert_eq!(p.messages_processed, 6, "markers ack outside the batch");
+    assert_eq!((p.errors, s.errors), (0, 0));
 }
