@@ -13,8 +13,7 @@
 //!
 //! `workers` is either a maximum (sweeps powers of two up to it, the
 //! figure's classic x-axis) or an explicit comma list such as `4,16,64`
-//! to drive the same counts as the delivery-plane scaling sweep
-//! (`scaling_sweep`) through the full ORM→broker→apply pipeline.
+//! to drive worker counts past the queue's partition count.
 
 use std::time::Duration;
 use synapse_apps::stress::{self, StressConfig};

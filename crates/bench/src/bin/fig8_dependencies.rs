@@ -59,9 +59,12 @@ fn main() {
 
     let messages: Arc<Mutex<Vec<WriteMessage>>> = Arc::new(Mutex::new(Vec::new()));
     // A second raw queue captures payloads without stealing them from the
-    // tap node's own queue.
-    eco.broker()
-        .declare_queue("fig8_raw", synapse_broker::QueueConfig::default());
+    // tap node's own queue — one partition, so they pop in publish order.
+    let raw = synapse_broker::QueueConfig {
+        partitions: 1,
+        ..Default::default()
+    };
+    eco.broker().declare_queue("fig8_raw", raw);
     eco.broker().bind("pub", "fig8_raw");
     let consumer = eco.broker().consumer("fig8_raw").unwrap();
 

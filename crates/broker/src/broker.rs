@@ -656,10 +656,10 @@ impl Broker {
     /// Returns a consumer handle for `queue`, or `None` if undeclared.
     pub fn consumer(&self, queue: &str) -> Option<Consumer> {
         let routes = self.inner.routes.read();
-        routes.queues.get(queue).map(|q| Consumer {
-            queue: q.clone(),
-            name: queue.to_owned(),
-        })
+        routes
+            .queues
+            .get(queue)
+            .map(|q| Consumer { queue: q.clone() })
     }
 
     /// Current state of a queue.
@@ -777,11 +777,6 @@ impl Broker {
         self.inner.wal.as_ref().is_some_and(|wal| wal.is_poisoned())
     }
 
-    /// Whether this broker has a durability plane.
-    pub fn is_durable(&self) -> bool {
-        self.inner.wal.is_some()
-    }
-
     /// The underlying WAL handle (fault injection and tests). `None` for
     /// memory-only brokers.
     pub fn wal(&self) -> Option<Arc<Wal>> {
@@ -893,15 +888,9 @@ impl Default for Broker {
 #[derive(Clone)]
 pub struct Consumer {
     queue: Arc<Queue>,
-    name: String,
 }
 
 impl Consumer {
-    /// Queue name this consumer reads from.
-    pub fn queue_name(&self) -> &str {
-        &self.name
-    }
-
     /// Blocking pop: waits up to `timeout` for a delivery. Returns `None`
     /// on timeout, decommission, or [`Broker::wake_queue`] — a
     /// [`Consumer::pop_batch`] of one.
@@ -1411,53 +1400,97 @@ mod tests {
         assert_eq!(r2.payload, "c");
     }
 
+    /// Publish, settle part of the backlog, crash (drop every handle, no
+    /// checkpoint), reopen: exactly the unsettled deliveries come back,
+    /// once each, in order. Two inputs: six unrouted publishes under
+    /// `EveryWrite`, and one routed 400-message batch spread over 97 keys
+    /// under `Interval(64)`, where the crash leaves the acks on the
+    /// relaxed lane's staged tail for `Drop` to flush and replay to fold.
     #[test]
     fn durable_broker_recovers_unacked_and_skips_acked() {
-        let dir = crate::wal::tests::temp_dir("broker-recover");
-        let cfg = WalConfig::new(&dir).fsync(crate::wal::FsyncPolicy::EveryWrite);
-        let (b, report) = Broker::open_durable(cfg.clone()).unwrap();
-        assert_eq!(
-            report,
-            RecoveryReport::default(),
-            "fresh log, empty recovery"
-        );
-        b.declare_queue("q", QueueConfig::default());
-        b.bind("pub", "q");
-        for i in 0..6 {
-            b.publish("pub", format!("m{i}")).unwrap();
-        }
-        let c = b.consumer("q").unwrap();
-        // Ack m0/m1, dead-letter m2, leave m3 unacked-in-flight, m4/m5 ready.
-        for _ in 0..2 {
-            let d = c.pop(Duration::from_millis(50)).unwrap();
-            c.ack(d.tag);
-        }
-        let d = c.pop(Duration::from_millis(50)).unwrap();
-        c.dead_letter(d.tag);
-        let _in_flight = c.pop(Duration::from_millis(50)).unwrap();
+        use crate::wal::FsyncPolicy;
+        for (label, fsync, routed, msgs, acks) in [
+            ("broker-recover", FsyncPolicy::EveryWrite, false, 6, 2),
+            ("broker-routed", FsyncPolicy::Interval(64), true, 400, 200),
+        ] {
+            let dir = crate::wal::tests::temp_dir(label);
+            let cfg = WalConfig::new(&dir).fsync(fsync);
+            let (b, report) = Broker::open_durable(cfg.clone()).unwrap();
+            assert_eq!(
+                report,
+                RecoveryReport::default(),
+                "fresh log, empty recovery"
+            );
+            b.declare_queue("q", QueueConfig::default());
+            b.bind("pub", "q");
+            if routed {
+                let batch = (0..msgs).map(|i| (format!("m{i}").into(), 0, 1 + i % 97));
+                b.publish_batch_routed("pub", batch.collect()).unwrap();
+            } else {
+                for i in 0..msgs {
+                    b.publish("pub", format!("m{i}")).unwrap();
+                }
+            }
+            let c = b.consumer("q").unwrap();
+            // Ack the first `acks`, dead-letter the next, leave one more
+            // unacked-in-flight and the rest ready.
+            let mut settled = std::collections::BTreeSet::new();
+            for _ in 0..acks {
+                let d = c.pop(Duration::from_millis(50)).unwrap();
+                assert!(c.ack(d.tag));
+                settled.insert(d.payload.as_str().to_owned());
+            }
+            let dead = c.pop(Duration::from_millis(50)).unwrap();
+            c.dead_letter(dead.tag);
+            settled.insert(dead.payload.as_str().to_owned());
+            let _in_flight = c.pop(Duration::from_millis(50)).unwrap();
 
-        // Crash: drop every handle; only the log survives.
-        drop((c, b));
-        let (b2, report) = Broker::open_durable(cfg).unwrap();
-        assert_eq!(report.queues_recovered, 1);
-        assert_eq!(report.acked_skipped, 2, "acked deliveries stay consumed");
-        assert_eq!(report.messages_recovered, 3, "m3 (in flight), m4, m5");
-        assert_eq!(report.dead_recovered, 1);
-        b2.declare_queue("q", QueueConfig::default());
-        b2.bind("pub", "q");
-        let c2 = b2.consumer("q").unwrap();
-        for expected in ["m3", "m4", "m5"] {
+            // Crash: drop every handle; only the log survives.
+            drop((c, b));
+            let (b2, report) = Broker::open_durable(cfg).unwrap();
+            assert!(report.replayed_entries > 0, "the log had traffic to replay");
+            assert_eq!(report.queues_recovered, 1);
+            assert_eq!(report.acked_skipped, acks, "acked deliveries stay consumed");
+            assert_eq!(
+                report.messages_recovered,
+                msgs - acks - 1,
+                "the in-flight delivery and everything still ready"
+            );
+            assert_eq!(report.dead_recovered, 1);
+            b2.declare_queue("q", QueueConfig::default());
+            b2.bind("pub", "q");
+            let c2 = b2.consumer("q").unwrap();
+            let (mut recovered, mut highest) = (Vec::new(), 0);
+            while let Some(d) = c2.pop(Duration::ZERO) {
+                assert!(d.redelivered, "recovered deliveries are flagged");
+                assert!(c2.ack(d.tag));
+                recovered.push(d.payload.as_str().to_owned());
+                highest = highest.max(d.tag);
+            }
+            let mut expected: Vec<String> = (0..msgs)
+                .map(|i| format!("m{i}"))
+                .filter(|m| !settled.contains(m))
+                .collect();
+            if routed {
+                // Pop order interleaves partitions; FIFO holds per key.
+                expected.sort();
+                recovered.sort();
+            }
+            assert_eq!(
+                recovered, expected,
+                "published minus settled, no duplicate, no resurrected ack"
+            );
+            assert_eq!(b2.dead_letters("q").unwrap()[0].payload, dead.payload);
+            // Tags keep advancing past the recovered counter.
+            b2.publish("pub", "fresh").unwrap();
             let d = c2.pop(Duration::from_millis(50)).unwrap();
-            assert_eq!(d.payload, expected);
-            assert!(d.redelivered, "recovered deliveries are flagged");
-            c2.ack(d.tag);
+            assert!(
+                d.tag > highest,
+                "tag counter survives recovery, got {}",
+                d.tag
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        assert_eq!(b2.dead_letters("q").unwrap()[0].payload, "m2");
-        // Tags keep advancing past the recovered counter.
-        b2.publish("pub", "fresh").unwrap();
-        let d = c2.pop(Duration::from_millis(50)).unwrap();
-        assert!(d.tag >= 7, "tag counter survives recovery, got {}", d.tag);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

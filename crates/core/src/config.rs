@@ -22,8 +22,6 @@ pub struct DurabilityConfig {
     pub dir: Option<PathBuf>,
     /// Broker WAL fsync policy.
     pub fsync: FsyncPolicy,
-    /// Broker WAL segment roll threshold.
-    pub segment_max_bytes: u64,
     /// Snapshot the version stores after this many subscriber-processed
     /// messages (driver-clocked, so runs are deterministic under a pinned
     /// seed; see DESIGN.md). `None` = only explicit snapshots.
@@ -35,7 +33,6 @@ impl Default for DurabilityConfig {
         DurabilityConfig {
             dir: None,
             fsync: FsyncPolicy::Interval(64),
-            segment_max_bytes: 256 << 10,
             snapshot_every: Some(256),
         }
     }
@@ -51,16 +48,11 @@ impl DurabilityConfig {
         let DurabilityConfig {
             dir,
             fsync,
-            segment_max_bytes,
             // Snapshot cadence is the node's, not the broker WAL's.
             snapshot_every: _,
         } = self;
         let root = dir.as_ref()?;
-        Some(
-            synapse_broker::WalConfig::new(root.join("wal"))
-                .fsync(*fsync)
-                .segment_max_bytes(*segment_max_bytes),
-        )
+        Some(synapse_broker::WalConfig::new(root.join("wal")).fsync(*fsync))
     }
 }
 
@@ -124,6 +116,9 @@ fn splitmix64(seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Shards in each node's two version stores.
+pub const VERSION_STORE_SHARDS: usize = 4;
+
 /// Configuration of one service's Synapse runtime.
 #[derive(Debug, Clone)]
 pub struct SynapseConfig {
@@ -137,8 +132,6 @@ pub struct SynapseConfig {
     pub subscriber_mode: DeliveryMode,
     /// Effective dependency space (§4.2's O(1)-memory hashing).
     pub dep_space: DepSpace,
-    /// Shards in each version store.
-    pub version_store_shards: usize,
     /// How long a subscriber worker waits for a causal dependency before
     /// giving up and processing anyway. The paper's §6.5 recommendation:
     /// "weak and causal modes are achieved with the timeout set to 0 s and
@@ -189,7 +182,6 @@ impl SynapseConfig {
             publisher_mode: DeliveryMode::Causal,
             subscriber_mode: DeliveryMode::Causal,
             dep_space: DepSpace::new(1 << 20),
-            version_store_shards: 4,
             dep_wait_timeout: Some(Duration::from_secs(10)),
             subscriber_workers: 2,
             queue_max_len: None,
@@ -401,7 +393,6 @@ mod tests {
             std::path::Path::new("/tmp/analytics-durability/wal")
         );
         assert_eq!(wal.fsync, FsyncPolicy::EveryWrite);
-        assert_eq!(wal.segment_max_bytes, c.durability.segment_max_bytes);
         assert_eq!(c.subscriber_mode, DeliveryMode::Weak);
         assert_eq!(c.subscriber_workers, 8);
         assert_eq!(c.queue_max_len, Some(1000));

@@ -135,11 +135,6 @@ impl DepName {
     pub fn as_str(&self) -> &str {
         &self.name
     }
-
-    /// The cached full-width stable hash of the name.
-    pub fn stable_hash(&self) -> u64 {
-        self.hash
-    }
 }
 
 impl PartialEq for DepName {

@@ -47,7 +47,7 @@ pub mod subscriber;
 pub mod testing;
 
 pub use api::{Publication, Subscription};
-pub use config::{DurabilityConfig, RetryPolicy, SynapseConfig};
+pub use config::{DurabilityConfig, RetryPolicy, SynapseConfig, VERSION_STORE_SHARDS};
 pub use context::{add_read_deps, add_write_deps, in_scope, with_scope, with_user_scope};
 pub use deps::{
     mesh_object, normalize_dep_sets, writer_id, DepInterner, DepName, DepSpace, MESH_NAMESPACE,

@@ -1,7 +1,7 @@
 //! One service's Synapse runtime and the ecosystem wiring harness.
 
 use crate::api::{Publication, Subscription};
-use crate::config::SynapseConfig;
+use crate::config::{SynapseConfig, VERSION_STORE_SHARDS};
 use crate::context::{self, TxBuffer};
 use crate::deps::DepName;
 use crate::durability::{NodeSnapshot, SnapshotStore};
@@ -286,8 +286,8 @@ impl SynapseNode {
     /// query observer on the ORM.
     pub fn new(config: SynapseConfig, adapter: Arc<dyn Adapter>, broker: Broker) -> Arc<Self> {
         let orm = Arc::new(Orm::new(config.app.clone(), adapter));
-        let pub_store = Arc::new(VersionStore::new(config.version_store_shards));
-        let sub_store = Arc::new(VersionStore::new(config.version_store_shards));
+        let pub_store = Arc::new(VersionStore::new(VERSION_STORE_SHARDS));
+        let sub_store = Arc::new(VersionStore::new(VERSION_STORE_SHARDS));
         let generations = GenerationStore::new();
         let publications = Arc::new(RwLock::new(BTreeMap::new()));
         let subscriptions = Arc::new(RwLock::new(Vec::new()));
@@ -773,11 +773,6 @@ impl SynapseNode {
             windows_timed_out: self.subscriber.watermark_gate().windows_timed_out(),
             cleanup_deferred: self.bootstrap.cleanup_deferred.load(Ordering::Relaxed),
         }
-    }
-
-    /// The current bootstrap state (rich variant, with model/chunk).
-    pub fn bootstrap_state(&self) -> BootstrapState {
-        self.bootstrap.state.read().clone()
     }
 
     /// Installs a probe called on every bootstrap state transition — the

@@ -92,14 +92,4 @@ impl CallbackRegistry {
         }
         Ok(())
     }
-
-    /// Number of callbacks registered for a model across all points.
-    pub fn count_for(&self, model: &str) -> usize {
-        self.hooks
-            .read()
-            .iter()
-            .filter(|((m, _), _)| m == model)
-            .map(|(_, v)| v.len())
-            .sum()
-    }
 }

@@ -80,11 +80,4 @@ impl VirtualRegistry {
             .get(&(model.to_owned(), field.to_owned()))
             .and_then(|a| a.setter.clone())
     }
-
-    /// Whether `model.field` is declared virtual (getter or setter).
-    pub fn is_virtual(&self, model: &str, field: &str) -> bool {
-        self.attrs
-            .read()
-            .contains_key(&(model.to_owned(), field.to_owned()))
-    }
 }

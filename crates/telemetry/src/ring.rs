@@ -47,11 +47,6 @@ impl EventRing {
         }
     }
 
-    /// Whether pushes are recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Records one event (overwriting the oldest once full). No-op when
     /// disabled.
     #[inline]

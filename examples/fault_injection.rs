@@ -8,7 +8,9 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use synapse_repro::core::{Ecosystem, Publication, RetryPolicy, Subscription, SynapseConfig};
+use synapse_repro::core::{
+    Ecosystem, Publication, RetryPolicy, Subscription, SynapseConfig, VERSION_STORE_SHARDS,
+};
 use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::{
     FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, Side,
@@ -87,7 +89,7 @@ fn main() {
     let spec = FaultSpec {
         horizon: OPS,
         events: 10,
-        shards: subscriber.config().version_store_shards,
+        shards: VERSION_STORE_SHARDS,
         max_burst: 2,
         spike_micros: 100,
     };

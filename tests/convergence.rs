@@ -6,11 +6,13 @@
 //! The deterministic tests force the interesting interleavings directly
 //! (publish-failure windows as partitions; hand-built version vectors
 //! through the delivery emulator); the seeded property tests drive random
-//! interleaved publish/partition/heal schedules through the full stack.
+//! interleaved publish/partition/heal schedules through the full stack;
+//! the free-running test lets two writer threads race with no schedule.
 
 use proptest::prelude::*;
 use proptest::test_runner::{Config, TestRunner};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use synapse_repro::core::testing::emulate_delivery;
@@ -19,6 +21,7 @@ use synapse_repro::core::{
     Subscription, SynapseConfig, SynapseNode, WriteMessage,
 };
 use synapse_repro::db::LatencyModel;
+use synapse_repro::faults::SeededRng;
 use synapse_repro::model::{vmap, Id, ModelSchema, Record, Value};
 use synapse_repro::orm::adapters::{ActiveRecordAdapter, MongoidAdapter};
 use synapse_repro::versionstore::VersionVector;
@@ -363,31 +366,33 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// Registers the lexicographic-max merge on `User.name` when `use_merge`:
+/// deterministic and commutative, so any resolution order converges.
+fn lexicographic_max_if(use_merge: bool, config: SynapseConfig) -> SynapseConfig {
+    if !use_merge {
+        return config;
+    }
+    config.merge_resolver("User", |ctx| {
+        let incoming = ctx.incoming.get("name").and_then(|v| v.as_str());
+        let local = ctx
+            .local
+            .and_then(|attrs| attrs.get("name"))
+            .and_then(|v| v.as_str());
+        match (incoming, local) {
+            (Some(i), Some(l)) if l >= i => Resolution::KeepLocal,
+            (Some(_), _) => Resolution::TakeIncoming,
+            (None, _) => Resolution::KeepLocal,
+        }
+    })
+}
+
 /// Drives one random schedule through a live mesh and asserts both
 /// replicas converge to the identical row once healed and quiescent.
 fn run_schedule(schedule: &[Step], use_merge: bool) {
     let eco = Ecosystem::new();
-    let configure = move |config: SynapseConfig| {
-        if use_merge {
-            // Lexicographic-max merge: deterministic and commutative, so
-            // any resolution order converges.
-            config.merge_resolver("User", |ctx| {
-                let incoming = ctx.incoming.get("name").and_then(|v| v.as_str());
-                let local = ctx
-                    .local
-                    .and_then(|attrs| attrs.get("name"))
-                    .and_then(|v| v.as_str());
-                match (incoming, local) {
-                    (Some(i), Some(l)) if l >= i => Resolution::KeepLocal,
-                    (Some(_), _) => Resolution::TakeIncoming,
-                    (None, _) => Resolution::KeepLocal,
-                }
-            })
-        } else {
-            config
-        }
-    };
-    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"], configure);
+    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"], |config| {
+        lexicographic_max_if(use_merge, config)
+    });
     let nodes = [&a, &b];
 
     let user = a.orm().create("User", vmap! { "name" => "seed" }).unwrap();
@@ -457,4 +462,151 @@ fn seeded_schedules_converge_under_lww() {
 #[test]
 fn seeded_schedules_converge_under_merge() {
     run_seeded_cases(true);
+}
+
+/// What a mesh that missed its deadline looked like at its last poll:
+/// which of the three convergence conditions were unmet and, for every row
+/// the replicas disagree on, each side's `name`, stored version vector and
+/// LWW winner stamp (the state that decides who should have won).
+fn divergence_report(nodes: [&SynapseNode; 2], ids: &[Id], drained: bool, steady: bool) -> String {
+    let differing: Vec<Id> = ids
+        .iter()
+        .copied()
+        .filter(|&id| field_of(nodes[0], id, "name") != field_of(nodes[1], id, "name"))
+        .collect();
+    let mut out = format!(
+        "journals drained: {drained}, rows equal: {}, counters stable: {steady}",
+        differing.is_empty()
+    );
+    for node in nodes {
+        let stats = node.subscriber_stats();
+        let _ = write!(
+            out,
+            "\n  {}: journal={} processed={} applied={} conflicts={}",
+            node.app(),
+            node.publisher().journal_len(),
+            stats.messages_processed,
+            stats.ops_applied,
+            stats.conflicts_detected,
+        );
+    }
+    let dumps = nodes.map(|node| node.sub_store().dump().unwrap_or_default());
+    for id in differing {
+        for (node, dump) in nodes.iter().zip(&dumps) {
+            let mesh = node.config().dep_space.key(&mesh_object("User", id));
+            let name = field_of(node, id, "name");
+            let _ = write!(out, "\n  User {id} @ {}: name={name:?}", node.app());
+            match dump.iter().find(|e| e.key == mesh) {
+                Some(e) => {
+                    let _ = write!(
+                        out,
+                        " vector={:?} winner=({}, {})",
+                        e.vector, e.winner_sum, e.winner_writer
+                    );
+                }
+                None => out.push_str(" (no stored vector)"),
+            }
+        }
+    }
+    out
+}
+
+/// Two writer threads, one per node, update rows drawn from a shared pool
+/// with nothing ordering them; the mesh must then converge: journals
+/// drained, every row identical on both sides, and the apply counters
+/// steady across five consecutive polls (a transient match with messages
+/// still in flight does not count).
+fn free_running_arm(pool: u64, use_merge: bool) {
+    const OPS: u64 = 150;
+    let eco = Ecosystem::new();
+    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"], |config| {
+        lexicographic_max_if(use_merge, config)
+    });
+
+    // The pool originates on one writer and replicates before the storm,
+    // so both sides race over the same logical rows. This is also the
+    // single-writer drain of a bidirectional pair, under a deadline.
+    let ids: Vec<Id> = (0..pool)
+        .map(|i| {
+            let row = a
+                .orm()
+                .create("User", vmap! { "name" => format!("seed-{i}") });
+            row.unwrap().id
+        })
+        .collect();
+    assert!(
+        eventually(Duration::from_secs(60), || ids.iter().all(|&id| b
+            .orm()
+            .find("User", id)
+            .unwrap()
+            .is_some())),
+        "pool never replicated"
+    );
+
+    std::thread::scope(|scope| {
+        for (region, node) in [&a, &b].into_iter().enumerate() {
+            let ids = &ids;
+            scope.spawn(move || {
+                let mut rng = SeededRng::new(0x9E37 + region as u64);
+                for i in 0..OPS {
+                    let id = ids[rng.gen_below(pool) as usize];
+                    node.orm()
+                        .update("User", id, vmap! { "name" => format!("r{region}-{i}") })
+                        .unwrap();
+                    std::thread::yield_now();
+                }
+            });
+        }
+    });
+
+    let progress = |node: &SynapseNode| {
+        let stats = node.subscriber_stats();
+        (
+            stats.messages_processed,
+            stats.ops_applied,
+            node.publisher().journal_len(),
+        )
+    };
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut stable = 0;
+    let mut marks = (progress(&a), progress(&b));
+    let (mut drained, mut steady) = (false, false);
+    while stable < 5 {
+        assert!(
+            Instant::now() < deadline,
+            "mesh never converged (pool={pool}, merge={use_merge}): {}",
+            divergence_report([&a, &b], &ids, drained, steady)
+        );
+        std::thread::sleep(Duration::from_millis(5));
+        let now = (progress(&a), progress(&b));
+        drained = now.0 .2 == 0 && now.1 .2 == 0;
+        steady = now == marks;
+        let equal = ids
+            .iter()
+            .all(|&id| field_of(&a, id, "name") == field_of(&b, id, "name"));
+        if drained && equal && steady {
+            stable += 1;
+        } else {
+            stable = 0;
+            marks = now;
+        }
+    }
+    eco.stop_all();
+}
+
+/// A hot pool of 4 rows and a cooler one of 64 under LWW, then the hot
+/// pool again under the merge resolver.
+///
+/// Ignored in the plain `cargo test` line because it exposes an open
+/// defect — 5 of 100 runs as a debug build on two cores, 11 of 450 as a
+/// release build with three copies sharing two cores, never in 300 runs
+/// pinned to one core: both replicas end with the same version vector
+/// and winner stamp for a row but each holds the *other* writer's value.
+/// `scripts/tier1.sh` runs it, as a release build on its own.
+#[test]
+#[ignore = "open multi-writer defect, ROADMAP: schedule exploration"]
+fn free_running_writers_converge() {
+    free_running_arm(4, false);
+    free_running_arm(64, false);
+    free_running_arm(4, true);
 }

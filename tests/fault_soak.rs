@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use synapse_repro::core::{
     Ecosystem, Publication, RetryPolicy, Subscription, SynapseConfig, SynapseNode,
+    VERSION_STORE_SHARDS,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::{
@@ -225,7 +226,7 @@ fn run_soak(seed: u64) -> SoakOutcome {
     let spec = FaultSpec {
         horizon: OPS,
         events: 12,
-        shards: subscriber.config().version_store_shards,
+        shards: VERSION_STORE_SHARDS,
         max_burst: 2,
         spike_micros: 100,
     };

@@ -47,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use synapse_repro::core::{
     BootstrapPhase, BootstrapState, DepName, Ecosystem, ModeSlice, Publication, RetryPolicy, Stage,
-    Subscription, SynapseConfig, SynapseNode,
+    Subscription, SynapseConfig, SynapseNode, VERSION_STORE_SHARDS,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::{
@@ -186,7 +186,7 @@ fn run_live_bootstrap(seed: u64) {
     let spec = FaultSpec {
         horizon: OPS,
         events: 10,
-        shards: subscriber.config().version_store_shards,
+        shards: VERSION_STORE_SHARDS,
         max_burst: 2,
         spike_micros: 100,
     };
@@ -365,7 +365,7 @@ fn run_live_bootstrap(seed: u64) {
             .dep_space
             .key(&DepName::bootstrap_watermark("pub", "Post")),
     );
-    let victim = (wm_shard + 1) % subscriber.config().version_store_shards;
+    let victim = (wm_shard + 1) % VERSION_STORE_SHARDS;
     // Plant the version-store state a live racer leaves behind: the live
     // stream has moved `first_seed` far past anything the copier can pin,
     // so the recovery's re-copy of that row must be discarded as stale
