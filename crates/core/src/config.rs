@@ -155,12 +155,6 @@ pub struct SynapseConfig {
     /// Each chunk commits a watermark, so smaller chunks lose less work to
     /// a mid-copy fault at the cost of more paged reads.
     pub bootstrap_chunk_size: usize,
-    /// How long the bootstrap copier waits for every queue partition to
-    /// consume a chunk's high watermark before proceeding without the
-    /// reconciliation pre-filter. Correctness never depends on the wait
-    /// (per-row version admission discards the same stale copies), so
-    /// this bounds latency, not safety.
-    pub bootstrap_window_timeout: Duration,
     /// Whether the structured telemetry event ring records span-style stage
     /// traces. Counters and latency histograms are always live (they are
     /// plain atomic bumps); this flag only gates the ring, turning each
@@ -188,7 +182,6 @@ impl SynapseConfig {
             queue_partitions: 0,
             retry: RetryPolicy::default(),
             bootstrap_chunk_size: 64,
-            bootstrap_window_timeout: Duration::from_millis(500),
             telemetry_enabled: true,
             durability: DurabilityConfig::default(),
             resolvers: ResolverRegistry::new(),
@@ -262,12 +255,6 @@ impl SynapseConfig {
         self
     }
 
-    /// Sets the bootstrap watermark-window timeout.
-    pub fn bootstrap_window_timeout(mut self, t: Duration) -> Self {
-        self.bootstrap_window_timeout = t;
-        self
-    }
-
     /// Enables or disables the structured telemetry event ring.
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.telemetry_enabled = enabled;
@@ -326,7 +313,6 @@ mod tests {
         assert_eq!(c.queue_partitions, 0, "0 defers to the broker default");
         assert!(c.telemetry_enabled);
         assert_eq!(c.bootstrap_chunk_size, 64);
-        assert_eq!(c.bootstrap_window_timeout, Duration::from_millis(500));
         assert!(c.durability.dir.is_none(), "durability is off by default");
         assert_eq!(c.durability.fsync, FsyncPolicy::Interval(64));
         assert_eq!(c.durability.snapshot_every, Some(256));
@@ -375,7 +361,6 @@ mod tests {
             .queue_partitions(16)
             .wait_timeout(None)
             .bootstrap_chunk(16)
-            .bootstrap_window_timeout(Duration::from_millis(250))
             .telemetry(false)
             .durable("/tmp/analytics-durability")
             .fsync(FsyncPolicy::EveryWrite)
@@ -399,6 +384,5 @@ mod tests {
         assert_eq!(c.queue_partitions, 16);
         assert!(c.dep_wait_timeout.is_none());
         assert_eq!(c.bootstrap_chunk_size, 16);
-        assert_eq!(c.bootstrap_window_timeout, Duration::from_millis(250));
     }
 }

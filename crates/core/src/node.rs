@@ -34,6 +34,13 @@ use synapse_versionstore::{DepKey, GenerationStore, VersionStore, VersionVector}
 /// regression.
 const FINALIZE_SETTLE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// How long the bootstrap copier waits for every queue partition to
+/// consume a chunk's high watermark before proceeding without the
+/// reconciliation pre-filter. Correctness never depends on the wait
+/// (per-row version admission discards the same stale copies), so this
+/// bounds latency, not safety.
+const BOOTSTRAP_WINDOW_TIMEOUT: Duration = Duration::from_millis(500);
+
 /// Outcome of one committed chunk copy.
 struct ChunkCopy {
     /// Last id selected (the new watermark, already committed).
@@ -1210,7 +1217,7 @@ impl SynapseNode {
             // The window wait is an optimization, not a correctness gate:
             // on timeout the un-filtered copies still face version-store
             // admission, which refuses anything the live stream beat.
-            let _ = gate.await_window(session, window, self.config.bootstrap_window_timeout);
+            let _ = gate.await_window(session, window, BOOTSTRAP_WINDOW_TIMEOUT);
             let touched = gate.take_touched();
             if !touched.is_empty() {
                 let before = batch.len();

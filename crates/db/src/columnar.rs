@@ -18,10 +18,10 @@ use crate::engine::{Capabilities, Engine, EngineStats};
 use crate::error::DbError;
 use crate::faults::DbFaults;
 use crate::latency::LatencyModel;
-use crate::query::{Filter as Query_Filter, Query, QueryResult, Row};
-use crate::relational::sort_rows;
+use crate::query::{Filter, Query, QueryResult, Row};
+use crate::table::{sort_rows, Keys, OpMeter};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use synapse_model::{Id, Value};
 
@@ -157,13 +157,18 @@ impl ColumnFamily {
         }
     }
 
-    fn live_ids(&self) -> Vec<Id> {
-        let mut ids: std::collections::BTreeSet<Id> = std::collections::BTreeSet::new();
+    /// The live rows `filter` matches, in key order. The shared key rule
+    /// narrows each run (CQL requires the partition key on writes, so a
+    /// point lookup is also what the real engine would do); the merged
+    /// image of every candidate is then checked against the filter.
+    fn matching(&self, filter: &Filter) -> Vec<(Id, Row)> {
+        let mut ids: BTreeSet<Id> = BTreeSet::new();
         for run in self.sstables.iter().chain(std::iter::once(&self.memtable)) {
-            ids.extend(run.keys().copied());
+            ids.extend(Keys::of(filter).over(run).map(|(id, _)| id));
         }
         ids.into_iter()
-            .filter(|id| self.read_row(*id).is_some())
+            .filter_map(|id| self.read_row(id).map(|row| (id, row)))
+            .filter(|(id, row)| filter.matches(*id, row))
             .collect()
     }
 }
@@ -171,15 +176,13 @@ impl ColumnFamily {
 /// The columnar/LSM engine. See the module docs.
 pub struct ColumnarDb {
     caps: Capabilities,
-    latency: LatencyModel,
+    meter: OpMeter,
     families: Mutex<HashMap<String, ColumnFamily>>,
     clock: AtomicU64,
     /// Fault panel: compaction stalls queue the write path behind a
     /// simulated background compaction (the LSM failure class where
     /// compaction saturates the disk and foreground writes back up).
     faults: DbFaults,
-    reads: AtomicU64,
-    writes: AtomicU64,
 }
 
 impl ColumnarDb {
@@ -187,12 +190,10 @@ impl ColumnarDb {
     pub fn new(caps: Capabilities, latency: LatencyModel) -> Self {
         ColumnarDb {
             caps,
-            latency,
+            meter: OpMeter::new(latency),
             families: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(1),
             faults: DbFaults::new(),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
         }
     }
 
@@ -216,25 +217,6 @@ impl ColumnarDb {
 
     fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Ids that can possibly match `filter`: point lookups avoid the
-    /// full-partition scan (CQL requires the partition key on writes, so
-    /// this is also what the real engine would do).
-    fn candidates(fam: &ColumnFamily, filter: &Query_Filter) -> Vec<Id> {
-        match filter {
-            Query_Filter::ById(id) => vec![*id],
-            Query_Filter::IdIn(ids) => ids.clone(),
-            Query_Filter::And(fs) => fs
-                .iter()
-                .find_map(|f| match f {
-                    Query_Filter::ById(id) => Some(vec![*id]),
-                    Query_Filter::IdIn(ids) => Some(ids.clone()),
-                    _ => None,
-                })
-                .unwrap_or_else(|| fam.live_ids()),
-            _ => fam.live_ids(),
-        }
     }
 
     fn run_locked(
@@ -277,14 +259,7 @@ impl ColumnarDb {
                 unset,
             } => {
                 let fam = fams.entry(table.clone()).or_default();
-                let ids: Vec<Id> = Self::candidates(fam, filter)
-                    .into_iter()
-                    .filter(|id| {
-                        fam.read_row(*id)
-                            .map(|row| filter.matches(*id, &row))
-                            .unwrap_or(false)
-                    })
-                    .collect();
+                let ids: Vec<Id> = fam.matching(filter).into_iter().map(|(id, _)| id).collect();
                 let ts = self.tick();
                 for id in &ids {
                     fam.write_cells(
@@ -300,14 +275,7 @@ impl ColumnarDb {
             }
             Query::Delete { table, filter } => {
                 let fam = fams.entry(table.clone()).or_default();
-                let ids: Vec<Id> = Self::candidates(fam, filter)
-                    .into_iter()
-                    .filter(|id| {
-                        fam.read_row(*id)
-                            .map(|row| filter.matches(*id, &row))
-                            .unwrap_or(false)
-                    })
-                    .collect();
+                let ids: Vec<Id> = fam.matching(filter).into_iter().map(|(id, _)| id).collect();
                 let ts = self.tick();
                 for id in &ids {
                     fam.write_cells(*id, ts, [(ROW_TOMBSTONE.to_owned(), None)]);
@@ -321,32 +289,16 @@ impl ColumnarDb {
                 order,
                 limit,
             } => {
-                let fam = match fams.get(table) {
-                    Some(f) => f,
-                    None => return Ok(QueryResult::Rows(Vec::new())),
-                };
-                let mut rows: Vec<(Id, Row)> = Self::candidates(fam, filter)
-                    .into_iter()
-                    .filter_map(|id| fam.read_row(id).map(|row| (id, row)))
-                    .filter(|(id, row)| filter.matches(*id, row))
-                    .collect();
-                sort_rows(&mut rows, order);
-                if let Some(n) = limit {
-                    rows.truncate(*n);
-                }
+                let mut rows = fams
+                    .get(table)
+                    .map_or_else(Vec::new, |fam| fam.matching(filter));
+                sort_rows(&mut rows, order, *limit);
                 Ok(QueryResult::Rows(rows))
             }
-            Query::Count { table, filter } => {
-                let n = match fams.get(table) {
-                    Some(fam) => Self::candidates(fam, filter)
-                        .into_iter()
-                        .filter_map(|id| fam.read_row(id).map(|row| (id, row)))
-                        .filter(|(id, row)| filter.matches(*id, row))
-                        .count(),
-                    None => 0,
-                };
-                Ok(QueryResult::Count(n as u64))
-            }
+            Query::Count { table, filter } => Ok(QueryResult::Count(
+                fams.get(table)
+                    .map_or(0, |fam| fam.matching(filter).len() as u64),
+            )),
             Query::Batch(queries) => {
                 // Logged batch: applied atomically under the engine lock;
                 // nested batches are rejected as in CQL.
@@ -378,16 +330,12 @@ impl Engine for ColumnarDb {
     }
 
     fn execute(&self, q: &Query) -> Result<QueryResult, DbError> {
+        self.meter.charge(q);
         if q.is_write() {
-            self.writes.fetch_add(1, Ordering::Relaxed);
-            self.latency.charge_write();
             // Stall behind the simulated compaction *before* taking the
             // engine lock, as a real write queues behind compaction I/O,
             // not behind other clients.
             self.faults.gate_compaction();
-        } else if q.is_read() {
-            self.reads.fetch_add(1, Ordering::Relaxed);
-            self.latency.charge_read();
         }
         let mut fams = self.families.lock();
         self.run_locked(&mut fams, q)
@@ -395,26 +343,8 @@ impl Engine for ColumnarDb {
 
     fn stats(&self) -> EngineStats {
         let fams = self.families.lock();
-        let mut rows = 0u64;
-        let mut bytes = 0u64;
-        for fam in fams.values() {
-            let ids = fam.live_ids();
-            rows += ids.len() as u64;
-            for id in ids {
-                if let Some(r) = fam.read_row(id) {
-                    bytes += r
-                        .iter()
-                        .map(|(k, v)| k.len() + v.approx_size())
-                        .sum::<usize>() as u64;
-                }
-            }
-        }
-        EngineStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            rows,
-            bytes,
-        }
+        let live = fams.values().flat_map(|fam| fam.matching(&Filter::All));
+        self.meter.stats(live.map(|(_, row)| row))
     }
 }
 

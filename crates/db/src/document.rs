@@ -10,29 +10,20 @@ use crate::engine::{Capabilities, Engine, EngineStats};
 use crate::error::DbError;
 use crate::faults::DbFaults;
 use crate::latency::LatencyModel;
-use crate::query::{Query, QueryResult, Row};
-use crate::relational::sort_rows;
+use crate::query::{Query, QueryResult};
+use crate::table::{apply_changes, OpMeter, RowTable};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use synapse_model::Id;
-
-#[derive(Debug, Default)]
-struct Collection {
-    docs: HashMap<Id, Row>,
-}
 
 /// The document engine. See the module docs.
 pub struct DocumentDb {
     caps: Capabilities,
-    latency: LatencyModel,
-    collections: Mutex<HashMap<String, Collection>>,
+    meter: OpMeter,
+    collections: Mutex<HashMap<String, RowTable>>,
     /// Fault panel: a write-concern downgrade acks inserts/updates
     /// without applying them (the MongoDB w=0 fire-and-forget posture,
     /// where a success reply only means "the server took the message").
     faults: DbFaults,
-    reads: AtomicU64,
-    writes: AtomicU64,
 }
 
 impl DocumentDb {
@@ -40,11 +31,9 @@ impl DocumentDb {
     pub fn new(caps: Capabilities, latency: LatencyModel) -> Self {
         DocumentDb {
             caps,
-            latency,
+            meter: OpMeter::new(latency),
             collections: Mutex::new(HashMap::new()),
             faults: DbFaults::new(),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
         }
     }
 
@@ -60,13 +49,7 @@ impl Engine for DocumentDb {
     }
 
     fn execute(&self, q: &Query) -> Result<QueryResult, DbError> {
-        if q.is_write() {
-            self.writes.fetch_add(1, Ordering::Relaxed);
-            self.latency.charge_write();
-        } else if q.is_read() {
-            self.reads.fetch_add(1, Ordering::Relaxed);
-            self.latency.charge_read();
-        }
+        self.meter.charge(q);
         let mut colls = self.collections.lock();
         match q {
             Query::CreateTable { table } => {
@@ -81,18 +64,11 @@ impl Engine for DocumentDb {
                 // Write-concern downgrade: ack the insert without
                 // applying it — with w=0 the reply carries no duplicate
                 // check either, the client just hears "ok".
-                if self.faults.gate_write_concern() {
-                    return Ok(QueryResult::Rows(vec![(*id, row.clone())]));
+                if !self.faults.gate_write_concern() {
+                    // Document stores auto-create collections on first write.
+                    let coll = colls.entry(table.clone()).or_default();
+                    coll.insert(table, *id, row.clone())?;
                 }
-                // Document stores auto-create collections on first write.
-                let coll = colls.entry(table.clone()).or_default();
-                if coll.docs.contains_key(id) {
-                    return Err(DbError::DuplicateKey {
-                        table: table.clone(),
-                        key: id.to_string(),
-                    });
-                }
-                coll.docs.insert(*id, row.clone());
                 Ok(QueryResult::Rows(vec![(*id, row.clone())]))
             }
             Query::Update {
@@ -104,84 +80,38 @@ impl Engine for DocumentDb {
                 let coll = colls.entry(table.clone()).or_default();
                 // Write-concern downgrade: echo what the update *would*
                 // have written without persisting any of it.
-                let downgraded = self.faults.gate_write_concern();
-                let mut written = Vec::new();
-                let ids: Vec<Id> = coll
-                    .docs
-                    .iter()
-                    .filter(|(id, doc)| filter.matches(**id, doc))
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in ids {
-                    let doc = coll.docs.get_mut(&id).expect("id just matched");
-                    let mut image = doc.clone();
-                    for (k, v) in set {
-                        image.insert(k.clone(), v.clone());
-                    }
-                    for k in unset {
-                        image.remove(k);
-                    }
-                    if !downgraded {
-                        *doc = image.clone();
-                    }
-                    written.push((id, image));
-                }
-                written.sort_by_key(|(id, _)| *id);
+                let written = if self.faults.gate_write_concern() {
+                    let would_write = coll.matching(filter).map(|(id, doc)| {
+                        let mut image = doc.clone();
+                        apply_changes(&mut image, set, unset);
+                        (id, image)
+                    });
+                    would_write.collect()
+                } else {
+                    let written = coll.update(&coll.ids(filter), set, unset);
+                    written.into_iter().map(|(id, _, new)| (id, new)).collect()
+                };
                 Ok(QueryResult::Rows(written))
             }
             Query::Delete { table, filter } => {
                 let coll = colls.entry(table.clone()).or_default();
-                let ids: Vec<Id> = coll
-                    .docs
-                    .iter()
-                    .filter(|(id, doc)| filter.matches(**id, doc))
-                    .map(|(id, _)| *id)
-                    .collect();
-                let mut removed = Vec::new();
-                for id in ids {
-                    if let Some(doc) = coll.docs.remove(&id) {
-                        removed.push((id, doc));
-                    }
-                }
-                removed.sort_by_key(|(id, _)| *id);
-                Ok(QueryResult::Rows(removed))
+                Ok(QueryResult::Rows(coll.delete(&coll.ids(filter))))
             }
+            // Reading a collection that never existed returns empty, as
+            // MongoDB does.
             Query::Select {
                 table,
                 filter,
                 order,
                 limit,
-            } => {
-                let coll = match colls.get(table) {
-                    Some(c) => c,
-                    // Reading a collection that never existed returns empty,
-                    // as MongoDB does.
-                    None => return Ok(QueryResult::Rows(Vec::new())),
-                };
-                let mut rows: Vec<(Id, Row)> = coll
-                    .docs
-                    .iter()
-                    .filter(|(id, doc)| filter.matches(**id, doc))
-                    .map(|(id, doc)| (*id, doc.clone()))
-                    .collect();
-                sort_rows(&mut rows, order);
-                if let Some(n) = limit {
-                    rows.truncate(*n);
-                }
-                Ok(QueryResult::Rows(rows))
-            }
-            Query::Count { table, filter } => {
-                let n = colls
+            } => Ok(QueryResult::Rows(
+                colls
                     .get(table)
-                    .map(|c| {
-                        c.docs
-                            .iter()
-                            .filter(|(id, doc)| filter.matches(**id, doc))
-                            .count()
-                    })
-                    .unwrap_or(0);
-                Ok(QueryResult::Count(n as u64))
-            }
+                    .map_or_else(Vec::new, |coll| coll.select(filter, order, *limit)),
+            )),
+            Query::Count { table, filter } => Ok(QueryResult::Count(
+                colls.get(table).map_or(0, |coll| coll.count(filter)),
+            )),
             Query::Batch(_) => Err(DbError::Unsupported("batches on document engine")),
             Query::Search { .. } | Query::Aggregate { .. } => {
                 Err(DbError::Unsupported("full-text search on document engine"))
@@ -194,23 +124,7 @@ impl Engine for DocumentDb {
 
     fn stats(&self) -> EngineStats {
         let colls = self.collections.lock();
-        let mut rows = 0u64;
-        let mut bytes = 0u64;
-        for c in colls.values() {
-            rows += c.docs.len() as u64;
-            for d in c.docs.values() {
-                bytes += d
-                    .iter()
-                    .map(|(k, v)| k.len() + v.approx_size())
-                    .sum::<usize>() as u64;
-            }
-        }
-        EngineStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            rows,
-            bytes,
-        }
+        self.meter.stats(colls.values().flat_map(RowTable::rows))
     }
 }
 
@@ -218,8 +132,8 @@ impl Engine for DocumentDb {
 mod tests {
     use super::*;
     use crate::profiles;
-    use crate::query::Filter;
-    use synapse_model::{varray, Value};
+    use crate::query::{Filter, Row};
+    use synapse_model::{varray, Id, Value};
 
     fn db() -> DocumentDb {
         profiles::mongodb(LatencyModel::off())

@@ -7,35 +7,25 @@
 //! query, stores nothing, and echoes written rows back so the publishing
 //! pipeline sees the same shapes as with a real store.
 
-use crate::engine::{Capabilities, Engine, EngineKind, EngineStats};
+use crate::engine::{Capabilities, Engine, EngineStats};
 use crate::error::DbError;
-use crate::latency::LatencyModel;
-use crate::query::{Query, QueryResult};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::profiles;
+use crate::query::{Query, QueryResult, Row};
+use crate::table::OpMeter;
 
 /// The no-op engine. See the module docs.
 pub struct EphemeralDb {
     caps: Capabilities,
-    latency: LatencyModel,
-    reads: AtomicU64,
-    writes: AtomicU64,
+    meter: OpMeter,
 }
 
 impl EphemeralDb {
     /// Creates the engine (there is nothing to configure).
     pub fn new() -> Self {
+        let (caps, latency) = profiles::profile("ephemeral");
         EphemeralDb {
-            caps: Capabilities {
-                kind: EngineKind::Ephemeral,
-                vendor: "ephemeral",
-                returning: true,
-                transactions: false,
-                atomic_batch: false,
-                schemaless: true,
-            },
-            latency: LatencyModel::off(),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
+            caps,
+            meter: OpMeter::new(latency),
         }
     }
 }
@@ -52,13 +42,7 @@ impl Engine for EphemeralDb {
     }
 
     fn execute(&self, q: &Query) -> Result<QueryResult, DbError> {
-        if q.is_write() {
-            self.writes.fetch_add(1, Ordering::Relaxed);
-            self.latency.charge_write();
-        } else if q.is_read() {
-            self.reads.fetch_add(1, Ordering::Relaxed);
-            self.latency.charge_read();
-        }
+        self.meter.charge(q);
         match q {
             Query::Insert { id, row, .. } => Ok(QueryResult::Rows(vec![(*id, row.clone())])),
             // Nothing is stored, so updates/deletes affect nothing and all
@@ -72,19 +56,14 @@ impl Engine for EphemeralDb {
     }
 
     fn stats(&self) -> EngineStats {
-        EngineStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            rows: 0,
-            bytes: 0,
-        }
+        self.meter.stats(None::<&Row>)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{Filter, Row};
+    use crate::query::Filter;
     use synapse_model::{Id, Value};
 
     #[test]

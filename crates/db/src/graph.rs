@@ -11,17 +11,16 @@ use crate::engine::{Capabilities, Engine, EngineStats};
 use crate::error::DbError;
 use crate::faults::DbFaults;
 use crate::latency::LatencyModel;
-use crate::query::{Query, QueryResult, Row};
-use crate::relational::sort_rows;
+use crate::query::{Query, QueryResult};
+use crate::table::{OpMeter, RowTable};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use synapse_model::Id;
 
 #[derive(Debug, Default)]
 struct GraphStore {
     /// Node properties by label: label → id → props.
-    nodes: HashMap<String, HashMap<Id, Row>>,
+    nodes: HashMap<String, RowTable>,
     /// Undirected adjacency by edge label: label → node → neighbours.
     /// (Neo4j's `has_many :both` — friendship graphs are symmetric.)
     edges: HashMap<String, HashMap<Id, BTreeSet<Id>>>,
@@ -61,14 +60,12 @@ impl GraphStore {
 /// The graph engine. See the module docs.
 pub struct GraphDb {
     caps: Capabilities,
-    latency: LatencyModel,
+    meter: OpMeter,
     store: Mutex<GraphStore>,
     /// Fault panel: traversal timeouts fail [`Query::Traverse`] with a
     /// transient error (the graph failure class where a deep walk blows
     /// its time budget).
     faults: DbFaults,
-    reads: AtomicU64,
-    writes: AtomicU64,
 }
 
 impl GraphDb {
@@ -76,11 +73,9 @@ impl GraphDb {
     pub fn new(caps: Capabilities, latency: LatencyModel) -> Self {
         GraphDb {
             caps,
-            latency,
+            meter: OpMeter::new(latency),
             store: Mutex::new(GraphStore::default()),
             faults: DbFaults::new(),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
         }
     }
 
@@ -108,13 +103,7 @@ impl Engine for GraphDb {
     }
 
     fn execute(&self, q: &Query) -> Result<QueryResult, DbError> {
-        if q.is_write() {
-            self.writes.fetch_add(1, Ordering::Relaxed);
-            self.latency.charge_write();
-        } else if q.is_read() {
-            self.reads.fetch_add(1, Ordering::Relaxed);
-            self.latency.charge_read();
-        }
+        self.meter.charge(q);
         let mut store = self.store.lock();
         match q {
             Query::CreateTable { table } => {
@@ -127,13 +116,7 @@ impl Engine for GraphDb {
             }
             Query::Insert { table, id, row } => {
                 let label = store.nodes.entry(table.clone()).or_default();
-                if label.contains_key(id) {
-                    return Err(DbError::DuplicateKey {
-                        table: table.clone(),
-                        key: id.to_string(),
-                    });
-                }
-                label.insert(*id, row.clone());
+                label.insert(table, *id, row.clone())?;
                 Ok(QueryResult::Rows(vec![(*id, row.clone())]))
             }
             Query::Update {
@@ -143,45 +126,17 @@ impl Engine for GraphDb {
                 unset,
             } => {
                 let label = store.nodes.entry(table.clone()).or_default();
-                let ids: Vec<Id> = label
-                    .iter()
-                    .filter(|(id, props)| filter.matches(**id, props))
-                    .map(|(id, _)| *id)
-                    .collect();
-                let mut written = Vec::new();
-                for id in ids {
-                    let props = label.get_mut(&id).expect("id just matched");
-                    for (k, v) in set {
-                        props.insert(k.clone(), v.clone());
-                    }
-                    for k in unset {
-                        props.remove(k);
-                    }
-                    written.push((id, props.clone()));
-                }
-                written.sort_by_key(|(id, _)| *id);
-                Ok(QueryResult::Rows(written))
+                let written = label.update(&label.ids(filter), set, unset);
+                Ok(QueryResult::Rows(
+                    written.into_iter().map(|(id, _, new)| (id, new)).collect(),
+                ))
             }
             Query::Delete { table, filter } => {
-                let ids: Vec<Id> = store
-                    .nodes
-                    .entry(table.clone())
-                    .or_default()
-                    .iter()
-                    .filter(|(id, props)| filter.matches(**id, props))
-                    .map(|(id, _)| *id)
-                    .collect();
-                let mut removed = Vec::new();
-                for id in &ids {
-                    if let Some(props) = store
-                        .nodes
-                        .get_mut(table)
-                        .and_then(|label| label.remove(id))
-                    {
-                        removed.push((*id, props));
-                    }
-                    // Deleting a node detaches all its edges (Neo4j's
-                    // DETACH DELETE).
+                let label = store.nodes.entry(table.clone()).or_default();
+                let removed = label.delete(&label.ids(filter));
+                // Deleting a node detaches all its edges (Neo4j's
+                // DETACH DELETE).
+                for (id, _) in &removed {
                     for adj in store.edges.values_mut() {
                         if let Some(peers) = adj.remove(id) {
                             for peer in peers {
@@ -192,7 +147,6 @@ impl Engine for GraphDb {
                         }
                     }
                 }
-                removed.sort_by_key(|(id, _)| *id);
                 Ok(QueryResult::Rows(removed))
             }
             Query::Select {
@@ -200,37 +154,18 @@ impl Engine for GraphDb {
                 filter,
                 order,
                 limit,
-            } => {
-                let rows = match store.nodes.get(table) {
-                    Some(label) => {
-                        let mut rows: Vec<(Id, Row)> = label
-                            .iter()
-                            .filter(|(id, props)| filter.matches(**id, props))
-                            .map(|(id, props)| (*id, props.clone()))
-                            .collect();
-                        sort_rows(&mut rows, order);
-                        if let Some(n) = limit {
-                            rows.truncate(*n);
-                        }
-                        rows
-                    }
-                    None => Vec::new(),
-                };
-                Ok(QueryResult::Rows(rows))
-            }
-            Query::Count { table, filter } => {
-                let n = store
+            } => Ok(QueryResult::Rows(
+                store
                     .nodes
                     .get(table)
-                    .map(|label| {
-                        label
-                            .iter()
-                            .filter(|(id, props)| filter.matches(**id, props))
-                            .count()
-                    })
-                    .unwrap_or(0);
-                Ok(QueryResult::Count(n as u64))
-            }
+                    .map_or_else(Vec::new, |label| label.select(filter, order, *limit)),
+            )),
+            Query::Count { table, filter } => Ok(QueryResult::Count(
+                store
+                    .nodes
+                    .get(table)
+                    .map_or(0, |label| label.count(filter)),
+            )),
             Query::AddEdge { label, from, to } => {
                 let adj = store.edges.entry(label.clone()).or_default();
                 adj.entry(*from).or_default().insert(*to);
@@ -265,23 +200,8 @@ impl Engine for GraphDb {
 
     fn stats(&self) -> EngineStats {
         let store = self.store.lock();
-        let mut rows = 0u64;
-        let mut bytes = 0u64;
-        for label in store.nodes.values() {
-            rows += label.len() as u64;
-            for props in label.values() {
-                bytes += props
-                    .iter()
-                    .map(|(k, v)| k.len() + v.approx_size())
-                    .sum::<usize>() as u64;
-            }
-        }
-        EngineStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            rows,
-            bytes,
-        }
+        self.meter
+            .stats(store.nodes.values().flat_map(RowTable::rows))
     }
 }
 
@@ -289,7 +209,7 @@ impl Engine for GraphDb {
 mod tests {
     use super::*;
     use crate::profiles;
-    use crate::query::Filter;
+    use crate::query::{Filter, Row};
     use synapse_model::Value;
 
     fn db() -> GraphDb {

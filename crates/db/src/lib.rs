@@ -38,6 +38,7 @@ pub mod profiles;
 pub mod query;
 pub mod relational;
 pub mod search;
+mod table;
 
 pub use engine::{Capabilities, Engine, EngineKind, EngineStats, TxnId};
 pub use error::DbError;

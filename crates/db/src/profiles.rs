@@ -12,7 +12,8 @@
 
 use crate::columnar::ColumnarDb;
 use crate::document::DocumentDb;
-use crate::engine::{Capabilities, Engine, EngineKind};
+use crate::engine::EngineKind::{self, Columnar, Document, Ephemeral, Graph, Relational, Search};
+use crate::engine::{Capabilities, Engine};
 use crate::ephemeral::EphemeralDb;
 use crate::graph::GraphDb;
 use crate::latency::LatencyModel;
@@ -21,19 +22,76 @@ use crate::search::SearchDb;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// All vendor names accepted by [`by_name`], in Table 3 order.
-pub const VENDORS: &[&str] = &[
-    "postgresql",
-    "mysql",
-    "oracle",
-    "mongodb",
-    "tokumx",
-    "cassandra",
-    "elasticsearch",
-    "neo4j",
-    "rethinkdb",
-    "ephemeral",
+/// One vendor: `(vendor, kind, returning, transactions, atomic_batch,
+/// schemaless, read_us, write_us)` — the [`Capabilities`] flags, then the
+/// calibrated per-operation latency in microseconds.
+type Profile = (&'static str, EngineKind, bool, bool, bool, bool, u64, u64);
+
+/// Every vendor, in Table 3 order. `returning` is `false` where the
+/// interceptor must read written rows back (§4.1): MySQL and Cassandra.
+const PROFILES: [Profile; 10] = [
+    // 1 / 83 µs ≈ 12 k writes/s, the paper's PostgreSQL saturation.
+    ("postgresql", Relational, true, true, false, false, 30, 83),
+    ("mysql", Relational, false, true, false, false, 25, 70),
+    ("oracle", Relational, true, true, false, false, 30, 75),
+    // Single-document atomicity, written documents echoed back
+    // (findAndModify-style).
+    ("mongodb", Document, true, false, false, true, 15, 40),
+    // TokuMX's fractal-tree indexes make it strictly faster on writes
+    // than MongoDB — the reason Crowdtap migrated (§6.5).
+    ("tokumx", Document, true, false, false, true, 15, 30),
+    // Write-optimized (Table 1: "write-intensive"), logged atomic batches.
+    ("cassandra", Columnar, false, false, true, true, 20, 25),
+    // 1 / 50 µs ≈ 20 k writes/s, the paper's Elasticsearch saturation.
+    ("elasticsearch", Search, true, false, false, true, 40, 50),
+    ("neo4j", Graph, true, false, false, true, 25, 90),
+    ("rethinkdb", Document, true, false, false, true, 20, 55),
+    // Stores nothing, so it charges nothing.
+    ("ephemeral", Ephemeral, true, false, false, true, 0, 0),
 ];
+
+const fn vendor_names() -> [&'static str; PROFILES.len()] {
+    let mut names = [""; PROFILES.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = PROFILES[i].0;
+        i += 1;
+    }
+    names
+}
+
+/// All vendor names accepted by [`by_name`], in Table 3 order.
+pub const VENDORS: &[&str] = &vendor_names();
+
+/// A vendor's capability flags and calibrated latency.
+///
+/// # Panics
+///
+/// Panics on an unknown vendor name; use [`VENDORS`] to enumerate.
+pub(crate) fn profile(vendor: &str) -> (Capabilities, LatencyModel) {
+    let Some(&(vendor, kind, returning, transactions, atomic_batch, schemaless, read_us, write_us)) =
+        PROFILES.iter().find(|p| p.0 == vendor)
+    else {
+        panic!("unknown vendor {vendor}");
+    };
+    let caps = Capabilities {
+        kind,
+        vendor,
+        returning,
+        transactions,
+        atomic_batch,
+        schemaless,
+    };
+    let latency = if write_us == 0 {
+        LatencyModel::off()
+    } else {
+        LatencyModel::new(
+            Duration::from_micros(read_us),
+            Duration::from_micros(write_us),
+        )
+    };
+    (caps, latency)
+}
 
 /// Returns the calibrated latency model for a vendor (see module docs).
 ///
@@ -41,169 +99,54 @@ pub const VENDORS: &[&str] = &[
 ///
 /// Panics on an unknown vendor name; use [`VENDORS`] to enumerate.
 pub fn calibrated_latency(vendor: &str) -> LatencyModel {
-    let (read_us, write_us) = match vendor {
-        // 1 / 83 µs ≈ 12 k writes/s, the paper's PostgreSQL saturation.
-        "postgresql" => (30, 83),
-        "mysql" => (25, 70),
-        "oracle" => (30, 75),
-        "mongodb" => (15, 40),
-        // TokuMX's fractal-tree indexes make it strictly faster on writes
-        // than MongoDB — the reason Crowdtap migrated (§6.5).
-        "tokumx" => (15, 30),
-        "rethinkdb" => (20, 55),
-        // Cassandra is write-optimized (Table 1: "write-intensive").
-        "cassandra" => (20, 25),
-        // 1 / 50 µs ≈ 20 k writes/s, the paper's Elasticsearch saturation.
-        "elasticsearch" => (40, 50),
-        "neo4j" => (25, 90),
-        "ephemeral" => (0, 0),
-        other => panic!("unknown vendor {other}"),
-    };
-    if write_us == 0 {
-        LatencyModel::off()
-    } else {
-        LatencyModel::new(
-            Duration::from_micros(read_us),
-            Duration::from_micros(write_us),
-        )
-    }
+    profile(vendor).1
 }
 
 /// PostgreSQL: relational, `RETURNING *`, transactions.
 pub fn postgresql(latency: LatencyModel) -> RelationalDb {
-    RelationalDb::new(
-        Capabilities {
-            kind: EngineKind::Relational,
-            vendor: "postgresql",
-            returning: true,
-            transactions: true,
-            atomic_batch: false,
-            schemaless: false,
-        },
-        latency,
-    )
+    RelationalDb::new(profile("postgresql").0, latency)
 }
 
 /// MySQL: relational, **no** `RETURNING *` (the interceptor must read
 /// written rows back, §4.1), transactions.
 pub fn mysql(latency: LatencyModel) -> RelationalDb {
-    RelationalDb::new(
-        Capabilities {
-            kind: EngineKind::Relational,
-            vendor: "mysql",
-            returning: false,
-            transactions: true,
-            atomic_batch: false,
-            schemaless: false,
-        },
-        latency,
-    )
+    RelationalDb::new(profile("mysql").0, latency)
 }
 
 /// Oracle: relational, `RETURNING *`, transactions.
 pub fn oracle(latency: LatencyModel) -> RelationalDb {
-    RelationalDb::new(
-        Capabilities {
-            kind: EngineKind::Relational,
-            vendor: "oracle",
-            returning: true,
-            transactions: true,
-            atomic_batch: false,
-            schemaless: false,
-        },
-        latency,
-    )
+    RelationalDb::new(profile("oracle").0, latency)
 }
 
 /// MongoDB: document, schemaless, single-document atomicity, written rows
 /// echoed back (findAndModify-style).
 pub fn mongodb(latency: LatencyModel) -> DocumentDb {
-    DocumentDb::new(
-        Capabilities {
-            kind: EngineKind::Document,
-            vendor: "mongodb",
-            returning: true,
-            transactions: false,
-            atomic_batch: false,
-            schemaless: true,
-        },
-        latency,
-    )
+    DocumentDb::new(profile("mongodb").0, latency)
 }
 
 /// TokuMX: MongoDB-compatible document store with write-optimized indexes.
 pub fn tokumx(latency: LatencyModel) -> DocumentDb {
-    DocumentDb::new(
-        Capabilities {
-            kind: EngineKind::Document,
-            vendor: "tokumx",
-            returning: true,
-            transactions: false,
-            atomic_batch: false,
-            schemaless: true,
-        },
-        latency,
-    )
+    DocumentDb::new(profile("tokumx").0, latency)
 }
 
 /// RethinkDB: document store (subscriber-only in Table 3).
 pub fn rethinkdb(latency: LatencyModel) -> DocumentDb {
-    DocumentDb::new(
-        Capabilities {
-            kind: EngineKind::Document,
-            vendor: "rethinkdb",
-            returning: true,
-            transactions: false,
-            atomic_batch: false,
-            schemaless: true,
-        },
-        latency,
-    )
+    DocumentDb::new(profile("rethinkdb").0, latency)
 }
 
 /// Cassandra: columnar/LSM, **no** `RETURNING`, logged atomic batches.
 pub fn cassandra(latency: LatencyModel) -> ColumnarDb {
-    ColumnarDb::new(
-        Capabilities {
-            kind: EngineKind::Columnar,
-            vendor: "cassandra",
-            returning: false,
-            transactions: false,
-            atomic_batch: true,
-            schemaless: true,
-        },
-        latency,
-    )
+    ColumnarDb::new(profile("cassandra").0, latency)
 }
 
 /// Elasticsearch: inverted-index search store (subscriber-only in Table 3).
 pub fn elasticsearch(latency: LatencyModel) -> SearchDb {
-    SearchDb::new(
-        Capabilities {
-            kind: EngineKind::Search,
-            vendor: "elasticsearch",
-            returning: true,
-            transactions: false,
-            atomic_batch: false,
-            schemaless: true,
-        },
-        latency,
-    )
+    SearchDb::new(profile("elasticsearch").0, latency)
 }
 
 /// Neo4j: property graph (subscriber-only in Table 3).
 pub fn neo4j(latency: LatencyModel) -> GraphDb {
-    GraphDb::new(
-        Capabilities {
-            kind: EngineKind::Graph,
-            vendor: "neo4j",
-            returning: true,
-            transactions: false,
-            atomic_batch: false,
-            schemaless: true,
-        },
-        latency,
-    )
+    GraphDb::new(profile("neo4j").0, latency)
 }
 
 /// The DB-less engine backing ephemerals and observers (§3.1).
@@ -217,18 +160,14 @@ pub fn ephemeral() -> EphemeralDb {
 ///
 /// Panics on an unknown vendor name; use [`VENDORS`] to enumerate.
 pub fn by_name(vendor: &str, latency: LatencyModel) -> Arc<dyn Engine> {
-    match vendor {
-        "postgresql" => Arc::new(postgresql(latency)),
-        "mysql" => Arc::new(mysql(latency)),
-        "oracle" => Arc::new(oracle(latency)),
-        "mongodb" => Arc::new(mongodb(latency)),
-        "tokumx" => Arc::new(tokumx(latency)),
-        "rethinkdb" => Arc::new(rethinkdb(latency)),
-        "cassandra" => Arc::new(cassandra(latency)),
-        "elasticsearch" => Arc::new(elasticsearch(latency)),
-        "neo4j" => Arc::new(neo4j(latency)),
-        "ephemeral" => Arc::new(ephemeral()),
-        other => panic!("unknown vendor {other}"),
+    let caps = profile(vendor).0;
+    match caps.kind {
+        Relational => Arc::new(RelationalDb::new(caps, latency)),
+        Document => Arc::new(DocumentDb::new(caps, latency)),
+        Columnar => Arc::new(ColumnarDb::new(caps, latency)),
+        Search => Arc::new(SearchDb::new(caps, latency)),
+        Graph => Arc::new(GraphDb::new(caps, latency)),
+        Ephemeral => Arc::new(ephemeral()),
     }
 }
 

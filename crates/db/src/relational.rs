@@ -19,10 +19,10 @@
 use crate::engine::{Capabilities, Engine, EngineStats, TxnId, TxnIdGen};
 use crate::error::DbError;
 use crate::latency::LatencyModel;
-use crate::query::{Filter, OrderBy, Query, QueryResult, Row};
+use crate::query::{Filter, Query, QueryResult, Row};
+use crate::table::{apply_changes, select, sort_rows, Keys, OpMeter, RowTable};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use synapse_model::{Id, Value};
 
@@ -32,7 +32,7 @@ const DEFAULT_LOCK_TIMEOUT: Duration = Duration::from_secs(5);
 #[derive(Debug, Default)]
 struct Table {
     /// Primary B-tree: id → row.
-    rows: BTreeMap<Id, Row>,
+    rows: RowTable,
     /// Declared columns; `None` until a schema is installed, in which case
     /// anything goes (tests and schemaless callers).
     columns: Option<BTreeSet<String>>,
@@ -75,46 +75,34 @@ impl Table {
         }
     }
 
-    /// Candidate ids for a filter, using a secondary index when one covers
-    /// the predicate, otherwise the full key range.
-    fn candidates(&self, filter: &Filter) -> Vec<Id> {
-        match filter {
-            Filter::ById(id) => vec![*id],
-            Filter::IdIn(ids) => ids.clone(),
-            Filter::IdAfter(after) => self
-                .rows
-                .range((
-                    std::ops::Bound::Excluded(*after),
-                    std::ops::Bound::Unbounded,
-                ))
-                .map(|(id, _)| *id)
-                .collect(),
-            Filter::Eq(field, value) => {
-                if let Some(index) = self.indexes.get(field) {
-                    return index
-                        .get(value)
-                        .map(|ids| ids.iter().copied().collect())
-                        .unwrap_or_default();
-                }
-                self.rows.keys().copied().collect()
-            }
-            Filter::And(fs) => {
-                for f in fs {
-                    if let Filter::ById(_) | Filter::IdIn(_) = f {
-                        return self.candidates(f);
-                    }
-                }
-                for f in fs {
-                    if let Filter::Eq(field, _) = f {
-                        if self.indexes.contains_key(field) {
-                            return self.candidates(f);
-                        }
-                    }
-                }
-                self.rows.keys().copied().collect()
-            }
-            Filter::All => self.rows.keys().copied().collect(),
+    /// Where to look for a filter's rows: the keys it pins when it pins
+    /// any, else a secondary index covering one of its equality terms, else
+    /// whatever range the key rule leaves.
+    fn candidates(&self, filter: &Filter) -> Keys {
+        let keys = Keys::of(filter);
+        if matches!(keys, Keys::Ids(_)) {
+            return keys;
         }
+        let terms = match filter {
+            Filter::And(terms) => terms.as_slice(),
+            term => std::slice::from_ref(term),
+        };
+        let indexed = terms.iter().find_map(|term| match term {
+            Filter::Eq(field, value) => self
+                .indexes
+                .get(field)
+                .map(|index| Keys::ids(index.get(value).into_iter().flatten().copied())),
+            _ => None,
+        });
+        indexed.unwrap_or(keys)
+    }
+
+    /// Committed rows `filter` matches, in key order.
+    fn matching<'a>(
+        &'a self,
+        filter: &'a Filter,
+    ) -> impl DoubleEndedIterator<Item = (Id, &'a Row)> + 'a {
+        self.rows.among(self.candidates(filter), filter)
     }
 }
 
@@ -149,16 +137,28 @@ struct Inner {
     txns: HashMap<TxnId, Txn>,
 }
 
+impl Inner {
+    fn table(&self, name: &str) -> Result<&Table, DbError> {
+        self.tables
+            .get(name)
+            .ok_or_else(|| DbError::NoSuchTable(name.to_owned()))
+    }
+
+    fn table_mut(&mut self, name: &str) -> Result<&mut Table, DbError> {
+        self.tables
+            .get_mut(name)
+            .ok_or_else(|| DbError::NoSuchTable(name.to_owned()))
+    }
+}
+
 /// The relational engine. See the module docs.
 pub struct RelationalDb {
     caps: Capabilities,
-    latency: LatencyModel,
+    meter: OpMeter,
     inner: Mutex<Inner>,
     lock_released: Condvar,
     txn_gen: TxnIdGen,
     lock_timeout: Duration,
-    reads: AtomicU64,
-    writes: AtomicU64,
 }
 
 impl RelationalDb {
@@ -166,13 +166,11 @@ impl RelationalDb {
     pub fn new(caps: Capabilities, latency: LatencyModel) -> Self {
         RelationalDb {
             caps,
-            latency,
+            meter: OpMeter::new(latency),
             inner: Mutex::new(Inner::default()),
             lock_released: Condvar::new(),
             txn_gen: TxnIdGen::default(),
             lock_timeout: DEFAULT_LOCK_TIMEOUT,
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
         }
     }
 
@@ -194,23 +192,11 @@ impl RelationalDb {
         let mut inner = self.inner.lock();
         let t = inner.tables.entry(table.to_owned()).or_default();
         let mut index: BTreeMap<Value, BTreeSet<Id>> = BTreeMap::new();
-        for (id, row) in &t.rows {
+        for (id, row) in t.rows.matching(&Filter::All) {
             let v = row.get(field).cloned().unwrap_or(Value::Null);
-            index.entry(v).or_default().insert(*id);
+            index.entry(v).or_default().insert(id);
         }
         t.indexes.insert(field.to_owned(), index);
-    }
-
-    /// Runs a closure with the table, or fails with [`DbError::NoSuchTable`].
-    fn with_table<R>(
-        inner: &mut Inner,
-        table: &str,
-        f: impl FnOnce(&mut Table) -> Result<R, DbError>,
-    ) -> Result<R, DbError> {
-        match inner.tables.get_mut(table) {
-            Some(t) => f(t),
-            None => Err(DbError::NoSuchTable(table.to_owned())),
-        }
     }
 
     /// Acquires row locks for `txn`, blocking until free or timing out.
@@ -225,10 +211,7 @@ impl RelationalDb {
         for id in ids {
             loop {
                 let inner = &mut **guard;
-                let t = inner
-                    .tables
-                    .get_mut(table)
-                    .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
+                let t = inner.table_mut(table)?;
                 match t.locks.get(id) {
                     None => {
                         t.locks.insert(*id, txn);
@@ -262,28 +245,30 @@ impl RelationalDb {
                 }
             }
         }
-        inner.tables.get(table)?.rows.get(&id).cloned()
+        inner.tables.get(table)?.rows.get(id).cloned()
     }
 
+    /// Ids of the rows `filter` matches as `txn` sees them, ascending. With
+    /// no transaction open there is no overlay to merge: the table answers.
     fn visible_ids(inner: &Inner, txn: Option<TxnId>, table: &str, filter: &Filter) -> Vec<Id> {
-        let mut ids: BTreeSet<Id> = match inner.tables.get(table) {
-            Some(t) => t.candidates(filter).into_iter().collect(),
-            None => BTreeSet::new(),
+        let Some(t) = inner.tables.get(table) else {
+            return Vec::new();
+        };
+        let committed = t.matching(filter).map(|(id, _)| id);
+        let Some(tx) = txn.and_then(|txn| inner.txns.get(&txn)) else {
+            return committed.collect();
         };
         // Rows created (or deleted) inside the transaction override the
         // committed candidates.
-        if let Some(txn) = txn {
-            if let Some(tx) = inner.txns.get(&txn) {
-                for ((t, id), staged) in &tx.overlay {
-                    if t == table {
-                        match staged {
-                            Some(_) => {
-                                ids.insert(*id);
-                            }
-                            None => {
-                                ids.remove(id);
-                            }
-                        }
+        let mut ids: BTreeSet<Id> = committed.collect();
+        for ((t, id), staged) in &tx.overlay {
+            if t == table {
+                match staged {
+                    Some(_) => {
+                        ids.insert(*id);
+                    }
+                    None => {
+                        ids.remove(id);
                     }
                 }
             }
@@ -291,20 +276,13 @@ impl RelationalDb {
         ids.into_iter()
             .filter(|id| {
                 Self::visible_row(inner, txn, table, *id)
-                    .map(|row| filter.matches(*id, &row))
-                    .unwrap_or(false)
+                    .is_some_and(|row| filter.matches(*id, &row))
             })
             .collect()
     }
 
     fn run(&self, txn: Option<TxnId>, q: &Query) -> Result<QueryResult, DbError> {
-        if q.is_write() {
-            self.writes.fetch_add(1, Ordering::Relaxed);
-            self.latency.charge_write();
-        } else if q.is_read() {
-            self.reads.fetch_add(1, Ordering::Relaxed);
-            self.latency.charge_read();
-        }
+        self.meter.charge(q);
         let mut inner = self.inner.lock();
         if let Some(t) = txn {
             let tx = inner.txns.get(&t).ok_or(DbError::NoSuchTxn(t.0))?;
@@ -326,29 +304,26 @@ impl RelationalDb {
                 Ok(QueryResult::Unit)
             }
             Query::Insert { table, id, row } => {
-                if !inner.tables.contains_key(table) {
-                    return Err(DbError::NoSuchTable(table.clone()));
-                }
-                inner.tables[table].check_row(table, row)?;
-                if Self::visible_row(&inner, txn, table, *id).is_some() {
-                    return Err(DbError::DuplicateKey {
-                        table: table.clone(),
-                        key: id.to_string(),
-                    });
-                }
+                inner.table(table)?.check_row(table, row)?;
                 match txn {
                     Some(t) => {
+                        if Self::visible_row(&inner, txn, table, *id).is_some() {
+                            return Err(DbError::DuplicateKey {
+                                table: table.clone(),
+                                key: id.to_string(),
+                            });
+                        }
                         self.lock_rows(&mut inner, t, table, &[*id])?;
                         let tx = inner.txns.get_mut(&t).expect("txn checked above");
                         tx.overlay.insert((table.clone(), *id), Some(row.clone()));
                     }
                     None => {
-                        self.wait_unlocked(&mut inner, table, &[*id])?;
-                        Self::with_table(&mut inner, table, |t| {
-                            t.rows.insert(*id, row.clone());
-                            t.index_insert(*id, row);
-                            Ok(())
-                        })?;
+                        // The duplicate check comes after the wait: the
+                        // lock's owner may have committed this very key.
+                        self.resolve_unlocked(&mut inner, table, |_| vec![*id])?;
+                        let t = inner.table_mut(table)?;
+                        t.rows.insert(table, *id, row.clone())?;
+                        t.index_insert(*id, row);
                     }
                 }
                 self.returning_or_ids(vec![(*id, row.clone())])
@@ -359,18 +334,20 @@ impl RelationalDb {
                 set,
                 unset,
             } => {
-                if !inner.tables.contains_key(table) {
-                    return Err(DbError::NoSuchTable(table.clone()));
-                }
-                inner.tables[table].check_row(table, set)?;
-                let ids = Self::visible_ids(&inner, txn, table, filter);
-                let mut written = Vec::with_capacity(ids.len());
+                inner.table(table)?.check_row(table, set)?;
+                let mut written = Vec::new();
                 match txn {
                     Some(t) => {
+                        let ids = Self::visible_ids(&inner, txn, table, filter);
                         self.lock_rows(&mut inner, t, table, &ids)?;
                         for id in ids {
-                            let mut row = Self::visible_row(&inner, txn, table, id)
-                                .expect("visible id has a row");
+                            // A lock wait releases the engine mutex too: act
+                            // on the row as the lock's last owner left it.
+                            let Some(mut row) = Self::visible_row(&inner, txn, table, id)
+                                .filter(|row| filter.matches(id, row))
+                            else {
+                                continue;
+                            };
                             apply_changes(&mut row, set, unset);
                             written.push((id, row.clone()));
                             let tx = inner.txns.get_mut(&t).expect("txn checked above");
@@ -378,50 +355,45 @@ impl RelationalDb {
                         }
                     }
                     None => {
-                        self.wait_unlocked(&mut inner, table, &ids)?;
-                        for id in ids {
-                            Self::with_table(&mut inner, table, |t| {
-                                let old = t.rows.get(&id).cloned().expect("candidate exists");
-                                t.index_remove(id, &old);
-                                let mut row = old;
-                                apply_changes(&mut row, set, unset);
-                                t.rows.insert(id, row.clone());
-                                t.index_insert(id, &row);
-                                written.push((id, row));
-                                Ok(())
-                            })?;
+                        let ids = self.resolve_unlocked(&mut inner, table, |inner| {
+                            Self::visible_ids(inner, None, table, filter)
+                        })?;
+                        let t = inner.table_mut(table)?;
+                        for (id, old, row) in t.rows.update(&ids, set, unset) {
+                            t.index_remove(id, &old);
+                            t.index_insert(id, &row);
+                            written.push((id, row));
                         }
                     }
                 }
                 self.returning_or_ids(written)
             }
             Query::Delete { table, filter } => {
-                if !inner.tables.contains_key(table) {
-                    return Err(DbError::NoSuchTable(table.clone()));
-                }
-                let ids = Self::visible_ids(&inner, txn, table, filter);
-                let mut removed = Vec::with_capacity(ids.len());
+                inner.table(table)?;
+                let mut removed = Vec::new();
                 match txn {
                     Some(t) => {
+                        let ids = Self::visible_ids(&inner, txn, table, filter);
                         self.lock_rows(&mut inner, t, table, &ids)?;
                         for id in ids {
-                            let row = Self::visible_row(&inner, txn, table, id)
-                                .expect("visible id has a row");
+                            let Some(row) = Self::visible_row(&inner, txn, table, id)
+                                .filter(|row| filter.matches(id, row))
+                            else {
+                                continue;
+                            };
                             removed.push((id, row));
                             let tx = inner.txns.get_mut(&t).expect("txn checked above");
                             tx.overlay.insert((table.clone(), id), None);
                         }
                     }
                     None => {
-                        self.wait_unlocked(&mut inner, table, &ids)?;
-                        for id in ids {
-                            Self::with_table(&mut inner, table, |t| {
-                                if let Some(row) = t.rows.remove(&id) {
-                                    t.index_remove(id, &row);
-                                    removed.push((id, row));
-                                }
-                                Ok(())
-                            })?;
+                        let ids = self.resolve_unlocked(&mut inner, table, |inner| {
+                            Self::visible_ids(inner, None, table, filter)
+                        })?;
+                        let t = inner.table_mut(table)?;
+                        removed = t.rows.delete(&ids);
+                        for (id, row) in &removed {
+                            t.index_remove(*id, row);
                         }
                     }
                 }
@@ -433,27 +405,29 @@ impl RelationalDb {
                 order,
                 limit,
             } => {
-                if !inner.tables.contains_key(table) {
-                    return Err(DbError::NoSuchTable(table.clone()));
-                }
-                let ids = Self::visible_ids(&inner, txn, table, filter);
-                let mut rows: Vec<(Id, Row)> = ids
-                    .into_iter()
-                    .map(|id| {
-                        let row = Self::visible_row(&inner, txn, table, id).expect("visible row");
-                        (id, row)
-                    })
-                    .collect();
-                sort_rows(&mut rows, order);
-                if let Some(n) = limit {
-                    rows.truncate(*n);
-                }
+                let t = inner.table(table)?;
+                let rows = match txn {
+                    // No overlay to merge: the table reads in key order
+                    // and a limit stops the read.
+                    None => select(t.matching(filter), order, *limit),
+                    Some(_) => {
+                        let mut rows: Vec<(Id, Row)> =
+                            Self::visible_ids(&inner, txn, table, filter)
+                                .into_iter()
+                                .map(|id| {
+                                    let row = Self::visible_row(&inner, txn, table, id)
+                                        .expect("visible row");
+                                    (id, row)
+                                })
+                                .collect();
+                        sort_rows(&mut rows, order, *limit);
+                        rows
+                    }
+                };
                 Ok(QueryResult::Rows(rows))
             }
             Query::Count { table, filter } => {
-                if !inner.tables.contains_key(table) {
-                    return Err(DbError::NoSuchTable(table.clone()));
-                }
+                inner.table(table)?;
                 let n = Self::visible_ids(&inner, txn, table, filter).len();
                 Ok(QueryResult::Count(n as u64))
             }
@@ -467,34 +441,35 @@ impl RelationalDb {
         }
     }
 
-    /// In auto-commit mode, waits for any transaction locks on `ids`.
-    fn wait_unlocked(
+    /// In auto-commit mode, resolves the ids a write acts on and waits for
+    /// any transaction locks on them. A wait releases the engine mutex, so
+    /// what was resolved before it is stale — the lock's owner may have
+    /// deleted, changed or inserted those very rows — and `resolve` runs
+    /// again until one pass finds every id free.
+    fn resolve_unlocked(
         &self,
         guard: &mut parking_lot::MutexGuard<'_, Inner>,
         table: &str,
-        ids: &[Id],
-    ) -> Result<(), DbError> {
+        resolve: impl Fn(&Inner) -> Vec<Id>,
+    ) -> Result<Vec<Id>, DbError> {
         let deadline = Instant::now() + self.lock_timeout;
-        for id in ids {
-            loop {
-                let locked = guard
-                    .tables
-                    .get(table)
-                    .map(|t| t.locks.contains_key(id))
-                    .unwrap_or(false);
-                if !locked {
-                    break;
-                }
-                let waited = self.lock_released.wait_until(guard, deadline);
-                if waited.timed_out() {
-                    return Err(DbError::LockTimeout {
-                        table: table.to_owned(),
-                        key: id.to_string(),
-                    });
-                }
+        loop {
+            let ids = resolve(guard);
+            let locks = guard.tables.get(table).map(|t| &t.locks);
+            let Some(locked) = ids
+                .iter()
+                .find(|id| locks.is_some_and(|locks| locks.contains_key(id)))
+            else {
+                return Ok(ids);
+            };
+            let key = locked.to_string();
+            if self.lock_released.wait_until(guard, deadline).timed_out() {
+                return Err(DbError::LockTimeout {
+                    table: table.to_owned(),
+                    key,
+                });
             }
         }
-        Ok(())
     }
 
     fn returning_or_ids(&self, rows: Vec<(Id, Row)>) -> Result<QueryResult, DbError> {
@@ -513,12 +488,14 @@ impl RelationalDb {
         if apply {
             for ((table, id), staged) in tx.overlay {
                 if let Some(t) = inner.tables.get_mut(&table) {
-                    if let Some(old) = t.rows.remove(&id) {
+                    for (id, old) in t.rows.delete(&[id]) {
                         t.index_remove(id, &old);
                     }
                     if let Some(row) = staged {
                         t.index_insert(id, &row);
-                        t.rows.insert(id, row);
+                        t.rows
+                            .insert(&table, id, row)
+                            .expect("the key was vacated just above");
                     }
                 }
             }
@@ -531,36 +508,6 @@ impl RelationalDb {
         drop(inner);
         self.lock_released.notify_all();
         Ok(())
-    }
-}
-
-/// Applies an update's `set`/`unset` to a row image.
-fn apply_changes(row: &mut Row, set: &Row, unset: &[String]) {
-    for (k, v) in set {
-        row.insert(k.clone(), v.clone());
-    }
-    for k in unset {
-        row.remove(k);
-    }
-}
-
-/// Sorts rows per `order` (default: primary-key order).
-pub(crate) fn sort_rows(rows: &mut [(Id, Row)], order: &Option<OrderBy>) {
-    if let Some(o) = order {
-        if o.field == "id" {
-            rows.sort_by_key(|(id, _)| *id);
-        } else {
-            rows.sort_by(|(_, a), (_, b)| {
-                let av = a.get(&o.field).cloned().unwrap_or(Value::Null);
-                let bv = b.get(&o.field).cloned().unwrap_or(Value::Null);
-                av.cmp(&bv)
-            });
-        }
-        if !o.ascending {
-            rows.reverse();
-        }
-    } else {
-        rows.sort_by_key(|(id, _)| *id);
     }
 }
 
@@ -616,23 +563,8 @@ impl Engine for RelationalDb {
 
     fn stats(&self) -> EngineStats {
         let inner = self.inner.lock();
-        let mut rows = 0u64;
-        let mut bytes = 0u64;
-        for t in inner.tables.values() {
-            rows += t.rows.len() as u64;
-            for r in t.rows.values() {
-                bytes += r
-                    .iter()
-                    .map(|(k, v)| k.len() + v.approx_size())
-                    .sum::<usize>() as u64;
-            }
-        }
-        EngineStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            rows,
-            bytes,
-        }
+        self.meter
+            .stats(inner.tables.values().flat_map(|t| t.rows.rows()))
     }
 }
 
@@ -640,6 +572,7 @@ impl Engine for RelationalDb {
 mod tests {
     use super::*;
     use crate::profiles;
+    use crate::query::OrderBy;
     use std::sync::Arc;
 
     fn db() -> RelationalDb {
@@ -1085,6 +1018,94 @@ mod tests {
             .into_rows()
             .unwrap();
         assert_eq!(rows[0].1["a"], Value::Int(3));
+    }
+
+    /// A lock wait releases the engine mutex, so the row a waiting writer
+    /// resolved may be gone when it wakes — in auto-commit and in a
+    /// transaction alike.
+    #[test]
+    fn waiting_writer_survives_committed_delete() {
+        for in_txn in [false, true] {
+            let db = Arc::new(db());
+            db.execute(&Query::CreateTable { table: "t".into() })
+                .unwrap();
+            insert(&db, "t", 1, row(&[("a", 1.into())]));
+            let t1 = db.begin().unwrap();
+            db.execute_in(
+                t1,
+                &Query::Delete {
+                    table: "t".into(),
+                    filter: Filter::ById(Id(1)),
+                },
+            )
+            .unwrap();
+            let db2 = db.clone();
+            let h = std::thread::spawn(move || {
+                let update = Query::Update {
+                    table: "t".into(),
+                    filter: Filter::ById(Id(1)),
+                    set: row(&[("a", 3.into())]),
+                    unset: vec![],
+                };
+                if in_txn {
+                    let t2 = db2.begin().unwrap();
+                    let res = db2.execute_in(t2, &update);
+                    db2.commit(t2).unwrap();
+                    res
+                } else {
+                    db2.execute(&update)
+                }
+            });
+            std::thread::sleep(Duration::from_millis(30));
+            db.prepare(t1).unwrap();
+            db.commit(t1).unwrap();
+            let res = h.join().unwrap().unwrap();
+            assert_eq!(res.affected_ids(), Vec::<Id>::new(), "in_txn={in_txn}");
+            assert_eq!(db.stats().rows, 0);
+        }
+    }
+
+    #[test]
+    fn waiting_insert_sees_committed_duplicate() {
+        let db = Arc::new(db());
+        db.execute(&Query::CreateTable { table: "t".into() })
+            .unwrap();
+        db.create_index("t", "a");
+        let t1 = db.begin().unwrap();
+        db.execute_in(
+            t1,
+            &Query::Insert {
+                table: "t".into(),
+                id: Id(1),
+                row: row(&[("a", 1.into())]),
+            },
+        )
+        .unwrap();
+        let db2 = db.clone();
+        let h = std::thread::spawn(move || {
+            db2.execute(&Query::Insert {
+                table: "t".into(),
+                id: Id(1),
+                row: row(&[("a", 2.into())]),
+            })
+        });
+        std::thread::sleep(Duration::from_millis(30));
+        db.prepare(t1).unwrap();
+        db.commit(t1).unwrap();
+        let err = h.join().unwrap().unwrap_err();
+        assert!(matches!(err, DbError::DuplicateKey { .. }), "{err:?}");
+        let by_a = |a: i64| {
+            db.execute(&Query::Select {
+                table: "t".into(),
+                filter: Filter::Eq("a".into(), Value::Int(a)),
+                order: None,
+                limit: None,
+            })
+            .unwrap()
+            .affected_ids()
+        };
+        assert_eq!(by_a(1), vec![Id(1)], "the committed row stands, indexed");
+        assert_eq!(by_a(2), Vec::<Id>::new());
     }
 
     #[test]

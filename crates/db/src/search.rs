@@ -12,10 +12,9 @@ use crate::error::DbError;
 use crate::faults::DbFaults;
 use crate::latency::LatencyModel;
 use crate::query::{Query, QueryResult, Row};
-use crate::relational::sort_rows;
+use crate::table::{OpMeter, RowTable};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use synapse_model::{Id, Value};
 
 /// Tokenization strategy for an analyzed field.
@@ -60,7 +59,7 @@ fn split_alnum(text: &str) -> Vec<String> {
 
 #[derive(Debug, Default, Clone)]
 struct SearchIndex {
-    docs: HashMap<Id, Row>,
+    docs: RowTable,
     /// Per-field inverted index: field → term → (doc id → term frequency).
     inverted: HashMap<String, HashMap<String, HashMap<Id, u32>>>,
     /// Analyzer overrides by field (default: [`Analyzer::Simple`]).
@@ -123,7 +122,7 @@ impl SearchIndex {
     /// Terms aggregation over a stored field.
     fn aggregate(&self, field: &str) -> Vec<(Value, u64)> {
         let mut buckets: BTreeMap<Value, u64> = BTreeMap::new();
-        for doc in self.docs.values() {
+        for doc in self.docs.rows() {
             match doc.get(field) {
                 Some(Value::Array(items)) => {
                     for item in items {
@@ -145,7 +144,7 @@ impl SearchIndex {
 /// The search engine. See the module docs.
 pub struct SearchDb {
     caps: Capabilities,
-    latency: LatencyModel,
+    meter: OpMeter,
     indices: Mutex<HashMap<String, SearchIndex>>,
     /// Snapshot captured by [`SearchDb::inject_refresh_lag`]; reads are
     /// answered from it while the fault panel's refresh-lag window is
@@ -154,8 +153,6 @@ pub struct SearchDb {
     /// next refresh.
     stale: Mutex<Option<HashMap<String, SearchIndex>>>,
     faults: DbFaults,
-    reads: AtomicU64,
-    writes: AtomicU64,
 }
 
 impl SearchDb {
@@ -163,12 +160,10 @@ impl SearchDb {
     pub fn new(caps: Capabilities, latency: LatencyModel) -> Self {
         SearchDb {
             caps,
-            latency,
+            meter: OpMeter::new(latency),
             indices: Mutex::new(HashMap::new()),
             stale: Mutex::new(None),
             faults: DbFaults::new(),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
         }
     }
 
@@ -201,35 +196,14 @@ impl SearchDb {
                 filter,
                 order,
                 limit,
-            } => {
-                let index = match indices.get(table) {
-                    Some(i) => i,
-                    None => return Ok(QueryResult::Rows(Vec::new())),
-                };
-                let mut rows: Vec<(Id, Row)> = index
-                    .docs
-                    .iter()
-                    .filter(|(id, doc)| filter.matches(**id, doc))
-                    .map(|(id, doc)| (*id, doc.clone()))
-                    .collect();
-                sort_rows(&mut rows, order);
-                if let Some(n) = limit {
-                    rows.truncate(*n);
-                }
-                Ok(QueryResult::Rows(rows))
-            }
-            Query::Count { table, filter } => {
-                let n = indices
+            } => Ok(QueryResult::Rows(
+                indices
                     .get(table)
-                    .map(|i| {
-                        i.docs
-                            .iter()
-                            .filter(|(id, doc)| filter.matches(**id, doc))
-                            .count()
-                    })
-                    .unwrap_or(0);
-                Ok(QueryResult::Count(n as u64))
-            }
+                    .map_or_else(Vec::new, |i| i.docs.select(filter, order, *limit)),
+            )),
+            Query::Count { table, filter } => Ok(QueryResult::Count(
+                indices.get(table).map_or(0, |i| i.docs.count(filter)),
+            )),
             Query::Search {
                 table,
                 field,
@@ -271,13 +245,7 @@ impl Engine for SearchDb {
     }
 
     fn execute(&self, q: &Query) -> Result<QueryResult, DbError> {
-        if q.is_write() {
-            self.writes.fetch_add(1, Ordering::Relaxed);
-            self.latency.charge_write();
-        } else if q.is_read() {
-            self.reads.fetch_add(1, Ordering::Relaxed);
-            self.latency.charge_read();
-        }
+        self.meter.charge(q);
         if matches!(
             q,
             Query::Select { .. }
@@ -308,13 +276,7 @@ impl Engine for SearchDb {
             }
             Query::Insert { table, id, row } => {
                 let index = indices.entry(table.clone()).or_default();
-                if index.docs.contains_key(id) {
-                    return Err(DbError::DuplicateKey {
-                        table: table.clone(),
-                        key: id.to_string(),
-                    });
-                }
-                index.docs.insert(*id, row.clone());
+                index.docs.insert(table, *id, row.clone())?;
                 index.index_doc(*id, row);
                 Ok(QueryResult::Rows(vec![(*id, row.clone())]))
             }
@@ -325,45 +287,20 @@ impl Engine for SearchDb {
                 unset,
             } => {
                 let index = indices.entry(table.clone()).or_default();
-                let ids: Vec<Id> = index
-                    .docs
-                    .iter()
-                    .filter(|(id, doc)| filter.matches(**id, doc))
-                    .map(|(id, _)| *id)
-                    .collect();
                 let mut written = Vec::new();
-                for id in ids {
+                for (id, _, doc) in index.docs.update(&index.docs.ids(filter), set, unset) {
                     index.unindex_doc(id);
-                    let doc = index.docs.get_mut(&id).expect("id just matched");
-                    for (k, v) in set {
-                        doc.insert(k.clone(), v.clone());
-                    }
-                    for k in unset {
-                        doc.remove(k);
-                    }
-                    let doc = doc.clone();
                     index.index_doc(id, &doc);
                     written.push((id, doc));
                 }
-                written.sort_by_key(|(id, _)| *id);
                 Ok(QueryResult::Rows(written))
             }
             Query::Delete { table, filter } => {
                 let index = indices.entry(table.clone()).or_default();
-                let ids: Vec<Id> = index
-                    .docs
-                    .iter()
-                    .filter(|(id, doc)| filter.matches(**id, doc))
-                    .map(|(id, _)| *id)
-                    .collect();
-                let mut removed = Vec::new();
-                for id in ids {
-                    index.unindex_doc(id);
-                    if let Some(doc) = index.docs.remove(&id) {
-                        removed.push((id, doc));
-                    }
+                let removed = index.docs.delete(&index.docs.ids(filter));
+                for (id, _) in &removed {
+                    index.unindex_doc(*id);
                 }
-                removed.sort_by_key(|(id, _)| *id);
                 Ok(QueryResult::Rows(removed))
             }
             Query::Select { .. }
@@ -381,23 +318,8 @@ impl Engine for SearchDb {
 
     fn stats(&self) -> EngineStats {
         let indices = self.indices.lock();
-        let mut rows = 0u64;
-        let mut bytes = 0u64;
-        for i in indices.values() {
-            rows += i.docs.len() as u64;
-            for d in i.docs.values() {
-                bytes += d
-                    .iter()
-                    .map(|(k, v)| k.len() + v.approx_size())
-                    .sum::<usize>() as u64;
-            }
-        }
-        EngineStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            rows,
-            bytes,
-        }
+        self.meter
+            .stats(indices.values().flat_map(|i| i.docs.rows()))
     }
 }
 

@@ -112,8 +112,7 @@ fn run_live_bootstrap(seed: u64) {
                 base_backoff: Duration::from_micros(200),
                 jitter_seed: seed,
             })
-            .bootstrap_chunk(16)
-            .bootstrap_window_timeout(Duration::from_millis(250)),
+            .bootstrap_chunk(16),
     );
     subscriber
         .subscribe(Subscription::model("Post", "pub").fields(&["body", "version"]))
@@ -519,8 +518,7 @@ fn bootstrap_interleaves_without_stalling_live_delivery() {
         SynapseConfig::new("sub")
             .wait_timeout(Some(Duration::from_millis(50)))
             .workers(2)
-            .bootstrap_chunk(16)
-            .bootstrap_window_timeout(Duration::from_millis(250)),
+            .bootstrap_chunk(16),
     );
     subscriber
         .subscribe(Subscription::model("Post", "pub").fields(&["body", "version"]))

@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use synapse_repro::core::{normalize_dep_sets, DepName, Operation, WriteMessage};
+use synapse_repro::db::query::OrderBy;
 use synapse_repro::db::{profiles, Filter, LatencyModel, Query, QueryResult, Row};
 use synapse_repro::model::{wire, Id, Value};
 use synapse_repro::versionstore::{BumpScratch, VersionStore};
@@ -233,69 +234,126 @@ proptest! {
     }
 
     /// Engine coherence: for every engine family, a random sequence of
-    /// upserts/deletes ends with exactly the surviving documents readable.
+    /// upserts/deletes ends with exactly the surviving documents readable —
+    /// through every filter shape, order and limit, not only `Filter::All`
+    /// — and filtered writes report what they touched in key order.
     #[test]
     fn engines_agree_on_surviving_rows(
         ops in prop::collection::vec((1u64..12, any::<bool>(), 0i64..100), 1..32),
     ) {
+        let row_of = |n: i64| -> Row { [("n".to_owned(), Value::from(n))].into() };
+        let by = |field: &str, ascending: bool| {
+            Some(OrderBy { field: field.into(), ascending })
+        };
         for vendor in ["postgresql", "mysql", "mongodb", "cassandra", "elasticsearch", "neo4j"] {
             let engine = profiles::by_name(vendor, LatencyModel::off());
             engine.execute(&Query::CreateTable { table: "t".into() }).unwrap();
-            if vendor == "postgresql" || vendor == "mysql" {
-                // Strict SQL column set.
-            }
+            let table = || "t".to_owned();
+            let select = |filter: &Filter, order: Option<OrderBy>, limit: Option<usize>| {
+                let q = Query::Select { table: table(), filter: filter.clone(), order, limit };
+                match engine.execute(&q).unwrap() {
+                    QueryResult::Rows(rows) => rows
+                        .into_iter()
+                        .map(|(id, row)| (id.raw(), row["n"].as_int().unwrap()))
+                        .collect::<Vec<(u64, i64)>>(),
+                    other => panic!("unexpected {other:?}"),
+                }
+            };
+            let insert = |id: u64, n: i64| {
+                engine.execute(&Query::Insert { table: table(), id: Id(id), row: row_of(n) }).unwrap()
+            };
+            let update = |filter: Filter, n: i64| {
+                let q = Query::Update { table: table(), filter, set: row_of(n), unset: vec![] };
+                engine.execute(&q).unwrap().affected_ids()
+            };
+            let delete = |filter: Filter| {
+                engine.execute(&Query::Delete { table: table(), filter }).unwrap().affected_ids()
+            };
+            // The reference: `Filter::matches` over the model, in key order.
+            let expect = |model: &BTreeMap<u64, i64>, filter: &Filter| -> Vec<(u64, i64)> {
+                let hit = |id: u64, n: i64| filter.matches(Id(id), &row_of(n));
+                model.iter().map(|(id, n)| (*id, *n)).filter(|(id, n)| hit(*id, *n)).collect()
+            };
+            let ids = |rows: &[(u64, i64)]| rows.iter().map(|(id, _)| Id(*id)).collect::<Vec<Id>>();
+
             let mut model: BTreeMap<u64, i64> = BTreeMap::new();
-            for (id, delete, n) in &ops {
-                if *delete {
-                    engine
-                        .execute(&Query::Delete {
-                            table: "t".into(),
-                            filter: Filter::ById(Id(*id)),
-                        })
-                        .unwrap();
+            for (id, is_delete, n) in &ops {
+                if *is_delete {
+                    delete(Filter::ById(Id(*id)));
                     model.remove(id);
                 } else if model.contains_key(id) {
-                    let mut set = Row::new();
-                    set.insert("n".into(), Value::from(*n));
-                    engine
-                        .execute(&Query::Update {
-                            table: "t".into(),
-                            filter: Filter::ById(Id(*id)),
-                            set,
-                            unset: vec![],
-                        })
-                        .unwrap();
+                    update(Filter::ById(Id(*id)), *n);
                     model.insert(*id, *n);
                 } else {
-                    let mut row = Row::new();
-                    row.insert("n".into(), Value::from(*n));
-                    engine
-                        .execute(&Query::Insert {
-                            table: "t".into(),
-                            id: Id(*id),
-                            row,
-                        })
-                        .unwrap();
+                    insert(*id, *n);
                     model.insert(*id, *n);
                 }
             }
-            let rows = match engine
-                .execute(&Query::Select {
-                    table: "t".into(),
-                    filter: Filter::All,
-                    order: None,
-                    limit: None,
-                })
-                .unwrap()
-            {
-                QueryResult::Rows(rows) => rows,
-                other => panic!("unexpected {other:?}"),
-            };
-            let got: BTreeMap<u64, i64> = rows
-                .into_iter()
-                .map(|(id, row)| (id.raw(), row["n"].as_int().unwrap()))
-                .collect();
-            prop_assert_eq!(got, model.clone(), "vendor {}", vendor);
+            prop_assert_eq!(select(&Filter::All, None, None), expect(&model, &Filter::All), "vendor {}", vendor);
+
+            // Keyset paging as bootstrap does it, with a delete and an
+            // insert between two pages: every row that survives is seen
+            // exactly once, in key order.
+            let page = |after: u64| select(&Filter::IdAfter(Id(after)), by("id", true), Some(3));
+            let mut seen = page(0);
+            let mut want: Vec<(u64, i64)> = model.iter().map(|(id, n)| (*id, *n)).take(3).collect();
+            let mut cursor = seen.last().map_or(0, |(id, _)| *id);
+            if let Some(last) = model.keys().next_back().copied().filter(|id| *id > cursor) {
+                prop_assert_eq!(delete(Filter::ById(Id(last))), vec![Id(last)]);
+                model.remove(&last);
+            }
+            insert(50, 5);
+            model.insert(50, 5);
+            want.extend(expect(&model, &Filter::IdAfter(Id(cursor))));
+            loop {
+                let next = page(cursor);
+                let Some((id, _)) = next.last() else { break };
+                cursor = *id;
+                seen.extend(next);
+            }
+            prop_assert_eq!(seen, want, "vendor {} paging", vendor);
+
+            // Every filter shape, read in every order the engines offer.
+            let (p, vp) = model.iter().next().map(|(id, n)| (*id, *n)).expect("row 50 is there");
+            let id_in = Filter::IdIn(vec![Id(50), Id(p), Id(99), Id(p)]);
+            let shapes = [
+                Filter::All,
+                Filter::ById(Id(p)),
+                Filter::ById(Id(99)),
+                id_in.clone(),
+                Filter::IdAfter(Id(p)),
+                Filter::Eq("n".into(), Value::from(vp)),
+                Filter::And(vec![Filter::ById(Id(p)), Filter::Eq("n".into(), Value::from(vp))]),
+                Filter::And(vec![Filter::ById(Id(p)), Filter::Eq("n".into(), Value::from(vp + 1))]),
+                Filter::And(vec![Filter::Eq("n".into(), Value::from(5)), Filter::IdAfter(Id(p))]),
+            ];
+            for filter in &shapes {
+                let rows = expect(&model, filter);
+                prop_assert_eq!(select(filter, None, None), rows.clone(), "vendor {} {:?}", vendor, filter);
+                let count = engine.execute(&Query::Count { table: table(), filter: filter.clone() });
+                prop_assert_eq!(count.unwrap(), QueryResult::Count(rows.len() as u64), "vendor {} {:?}", vendor, filter);
+                let newest: Vec<(u64, i64)> = rows.iter().rev().take(2).copied().collect();
+                prop_assert_eq!(select(filter, by("id", false), Some(2)), newest, "vendor {} {:?}", vendor, filter);
+                let mut by_n = rows;
+                by_n.sort_by_key(|(id, n)| (*n, *id));
+                by_n.truncate(3);
+                prop_assert_eq!(select(filter, by("n", true), Some(3)), by_n, "vendor {} {:?}", vendor, filter);
+            }
+
+            // Filtered writes report the rows they touched, in key order.
+            prop_assert_eq!(update(id_in.clone(), 7), ids(&expect(&model, &id_in)), "vendor {}", vendor);
+            model.insert(p, 7);
+            model.insert(50, 7);
+            let sevens = Filter::Eq("n".into(), Value::from(7));
+            prop_assert_eq!(update(sevens.clone(), 8), ids(&expect(&model, &sevens)), "vendor {}", vendor);
+            model.values_mut().filter(|n| **n == 7).for_each(|n| *n = 8);
+            prop_assert_eq!(delete(id_in.clone()), ids(&expect(&model, &id_in)), "vendor {}", vendor);
+            model.remove(&p);
+            model.remove(&50);
+            let eights = Filter::Eq("n".into(), Value::from(8));
+            prop_assert_eq!(delete(eights.clone()), ids(&expect(&model, &eights)), "vendor {}", vendor);
+            model.retain(|_, n| *n != 8);
+            prop_assert_eq!(select(&Filter::All, None, None), expect(&model, &Filter::All), "vendor {}", vendor);
         }
     }
 
