@@ -857,8 +857,8 @@ impl SynapseNode {
     ///   lineage shows the live stream stayed gap-free in between.
     /// - Concurrent writes are reconciled twice: the watermark window
     ///   pre-filters rows the live stream touched mid-chunk, and
-    ///   version-store admission ([`VersionStore::admit_copy_vector`]) refuses
-    ///   any copy whose marker does not strictly beat the locally known
+    ///   version-store admission ([`synapse_versionstore::AdmitRule::Copy`]) refuses any copy
+    ///   whose marker does not strictly beat the locally committed
     ///   version — including destroy tombstones, so a row deleted
     ///   mid-chunk cannot be resurrected by its in-flight copy.
     pub fn bootstrap_from(&self, publisher: &SynapseNode) -> Result<(), OrmError> {
@@ -1093,7 +1093,7 @@ impl SynapseNode {
     /// is therefore never newer than the copied data: a concurrent write
     /// lands with a strictly higher version and overwrites the copy, while
     /// a copy racing behind the live stream loses version-store admission
-    /// (ties included — see [`VersionStore::admit_copy_vector`]) and is
+    /// (ties included — see [`synapse_versionstore::AdmitRule::Copy`]) and is
     /// discarded. Capturing the marker after reading the row would allow
     /// the fatal inverse: stale data carrying a marker that beats a newer
     /// live write, regressing the replica permanently.

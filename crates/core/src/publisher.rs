@@ -469,22 +469,6 @@ impl Publisher {
         Ok(deps)
     }
 
-    /// Stamps a bidirectional write's version vector: everything this node
-    /// has seen for the object — all writers' components, tracked in the
-    /// subscriber-side store — plus one increment of its own component.
-    /// The stamped vector is recorded back into the sub store so later
-    /// local writes extend it and concurrent incoming writes classify
-    /// against it. Returns `None` when the sub store is dead (the message
-    /// then falls back to its scalar dependency at the subscriber).
-    fn stamp_vector(&self, object_key: DepKey) -> Option<VersionVector> {
-        let mut vector = self.sub_store.latest_vector(object_key).ok()?;
-        vector.set(self.writer, vector.get(self.writer) + 1);
-        self.sub_store
-            .advance_vector(object_key, &vector, self.writer)
-            .ok()?;
-        Some(vector)
-    }
-
     /// Publishes (or buffers) one operation with its dependency map and,
     /// for bidirectional models, the object's stamped version vector.
     fn emit(
@@ -712,15 +696,21 @@ impl QueryObserver for Publisher {
         let op = Operation::from_record(intent.kind.wire_name(), &marshalled);
         // Bidirectional models stamp the object's version vector while the
         // object lock is held, so local writes of one object extend a
-        // single per-writer history. The vector lives under the
+        // single per-writer history: everything this node has seen for the
+        // object — all writers' components, tracked in the subscriber-side
+        // store — plus one increment of its own, read, bumped and recorded
+        // back as one store script. The vector lives under the
         // writer-independent *mesh* key — every writer of the object
         // stamps and classifies against the same entry, which is what
-        // lets concurrent remote writes meet this one for comparison.
+        // lets concurrent remote writes meet this one for comparison. With
+        // the sub store dead the message goes out unstamped and falls back
+        // to its scalar dependency at the subscriber.
         let stamp = if publication.bidirectional {
             let mesh_key = self
                 .dep_space
                 .key(&crate::deps::mesh_object(&intent.model, record.id));
-            self.stamp_vector(mesh_key).map(|v| (mesh_key, v))
+            let stamped = self.sub_store.stamp(mesh_key, self.writer).ok();
+            stamped.map(|v| (mesh_key, v))
         } else {
             None
         };

@@ -9,7 +9,7 @@
 //!
 //! # Resolver semantics per delivery mode
 //!
-//! Resolution always runs under the subscriber's per-object apply slot,
+//! Resolution always runs under the object's version-store reservation,
 //! but *what the resolver can assume about the local row* depends on the
 //! delivery mode:
 //!

@@ -60,8 +60,8 @@ use synapse_model::{Record, Value};
 use synapse_orm::{CallbackPoint, Orm, OrmError};
 use synapse_telemetry::{mono_nanos, Counter, Telemetry};
 use synapse_versionstore::{
-    DepKey, DepWaitSet, StoreError, VectorAdmit, VersionStore, VersionVector, WaitOutcome,
-    WatermarkGate, LEGACY_WRITER,
+    AdmitRule, DepKey, DepWaitSet, StoreError, VectorAdmit, VersionStore, VersionVector,
+    WaitOutcome, WatermarkGate, LEGACY_WRITER,
 };
 
 /// Why one processing attempt failed — the classification that decides
@@ -145,9 +145,6 @@ const BATCH_MAX: usize = 32;
 /// its stop flag. Shutdown does not wait this out: [`Subscriber::stop`]
 /// wakes the queue explicitly.
 const IDLE_PARK: Duration = Duration::from_millis(250);
-
-/// Stripes of the per-object apply lock (see [`Subscriber::apply_op`]).
-const APPLY_SLOTS: usize = 256;
 
 /// What a delivery is, read from its exchange: bootstrap control traffic
 /// rides the live queue on two reserved exchanges, everything else is a
@@ -316,21 +313,6 @@ pub struct Subscriber {
     /// The node's telemetry plane; subscriber-side stages and end-to-end
     /// visibility latency are committed here on successful applies.
     telemetry: Arc<Telemetry>,
-    /// Striped per-object apply locks: [`Subscriber::apply_op`] holds the
-    /// object's slot across the version-store admission check *and* the
-    /// ORM apply, so a chunk copy and a live write racing on the same
-    /// object can never interleave check and write (stale content landing
-    /// last). Each slot also remembers its *unlanded copies*: the version
-    /// store marks a version before the ORM write, so a chunk copy whose
-    /// write then fails would, on redelivery, tie with its own mark and be
-    /// refused as if the live stream had matched it — the row lost for
-    /// good. The note (admission key → the copy's vector) lets exactly that
-    /// retry through, and any other admitted apply on the key clears it.
-    apply_slots: Vec<Mutex<HashMap<DepKey, VersionVector>>>,
-    /// Test hook: when cleared, `apply_op` skips the apply slot and
-    /// re-exposes the historical check-then-write race for the regression
-    /// test. Always set in production paths.
-    serialize_applies: AtomicBool,
     /// The DBLog-style reconciliation window shared with the bootstrap
     /// copier: workers report consumed watermark markers and in-window
     /// applies here; the copier pre-filters chunk rows against the keys
@@ -370,8 +352,6 @@ impl Subscriber {
             retry: config.retry,
             attempts: Mutex::new(HashMap::new()),
             telemetry,
-            apply_slots: (0..APPLY_SLOTS).map(|_| Mutex::default()).collect(),
-            serialize_applies: AtomicBool::new(true),
             gate: Arc::new(WatermarkGate::new()),
         }
     }
@@ -387,13 +367,6 @@ impl Subscriber {
     /// [`Subscriber::process`] itself (no one would ever drain the queue).
     pub fn workers_running(&self) -> bool {
         !self.workers.lock().is_empty()
-    }
-
-    /// Test hook: disabling re-exposes the historical copier-vs-worker
-    /// apply race (the admission-check/ORM-write pair running without the
-    /// per-object slot). Only the regression test should ever clear this.
-    pub fn serialize_applies(&self, on: bool) {
-        self.serialize_applies.store(on, Ordering::SeqCst);
     }
 
     /// Current counters.
@@ -1063,26 +1036,11 @@ impl Subscriber {
             .key(&DepName::object(&msg.app, op.model(), op.id));
         // Multi-writer models track their version vectors under the
         // writer-independent mesh key, so every writer's history of the
-        // object lands on one entry; the slot is striped by the same key
-        // so concurrent applies of one logical object serialize even when
-        // they arrive from different publishers.
+        // object lands on one entry.
         let mesh_key = matching.iter().any(|s| s.bidirectional).then(|| {
             self.dep_space
                 .key(&crate::deps::mesh_object(op.model(), op.id))
         });
-        // Hold this object's apply slot across the admission check *and*
-        // the ORM writes below. Without it, a copier thread and a worker
-        // can interleave check/apply so that the thread carrying the
-        // *older* version writes the row last (both pass the check before
-        // either applies). One striped mutex per object serializes exactly
-        // the racing pair; unrelated objects map to other slots.
-        // `serialize_applies(false)` is a test hook that re-exposes the
-        // race for the regression test.
-        let slot_key = mesh_key.unwrap_or(key);
-        let mut slot = self
-            .serialize_applies
-            .load(Ordering::SeqCst)
-            .then(|| self.apply_slots[(slot_key % APPLY_SLOTS as u64) as usize].lock());
         // The version this operation carries and the store entry it is
         // judged against. A multi-writer write (or copy — it carries the
         // publisher's full vector, since a scalar marker on the legacy
@@ -1097,91 +1055,79 @@ impl Subscriber {
         let writer = writer_id(&msg.app);
         let mesh_vector = mesh_key.and_then(|mesh| Some((mesh, msg.vector_for(mesh, writer)?)));
         let multi_writer = mesh_vector.is_some();
-        let carried = match mesh_vector {
-            Some((mesh, vector)) => Some((mesh, vector, writer)),
-            None => match mode {
-                DeliveryMode::Weak => Some(msg.dependencies.get(&key).copied().unwrap_or(0)),
-                // Ordered modes only check when the message actually carries
-                // the object's dependency (a mismatched dep space on the
-                // publisher must not silently drop writes).
-                DeliveryMode::Causal | DeliveryMode::Global => msg.dependencies.get(&key).copied(),
-            }
-            .map(|version| (key, VersionVector::scalar(version), LEGACY_WRITER)),
+        let (at, carried) = match mesh_vector {
+            Some((mesh, vector)) => (mesh, Some((vector, writer))),
+            None => (
+                key,
+                match mode {
+                    DeliveryMode::Weak => Some(msg.dependencies.get(&key).copied().unwrap_or(0)),
+                    // Ordered modes only check when the message actually
+                    // carries the object's dependency (a mismatched dep
+                    // space on the publisher must not silently drop writes).
+                    DeliveryMode::Causal | DeliveryMode::Global => {
+                        msg.dependencies.get(&key).copied()
+                    }
+                }
+                .map(|version| (VersionVector::scalar(version), LEGACY_WRITER)),
+            ),
         };
-        let (applied, discarded) = match kind {
+        let (rule, applied, discarded) = match kind {
             Kind::Copy => (
+                AdmitRule::Copy,
                 &self.counters.copies_applied,
                 &self.counters.copies_reconciled,
             ),
-            _ => (&self.counters.ops_applied, &self.counters.ops_stale),
+            _ => (
+                AdmitRule::Live,
+                &self.counters.ops_applied,
+                &self.counters.ops_stale,
+            ),
         };
-        if let Some((at, vector, writer)) = &carried {
-            let verdict = match kind {
-                // A copy is admitted only where it *strictly* beats what is
-                // stored: ties and forks lose to the live stream, which
-                // holds the authoritative payload (re-upserting a tying
-                // copy could resurrect a deleted row).
-                Kind::Copy => self
-                    .store
-                    .admit_copy_vector(*at, vector, *writer)
-                    .map(|admit| match admit {
-                        true => VectorAdmit::Fresh,
-                        false => VectorAdmit::Stale,
-                    }),
-                // Dominating (or equal: a redelivery) histories apply,
-                // dominated ones are discarded, and concurrent forks go to
-                // the model's conflict resolver.
-                _ => self.store.advance_vector(*at, vector, *writer),
+        let write = || {
+            matching
+                .iter()
+                .try_for_each(|sub| self.apply_subscription(sub, op))?;
+            applied.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        };
+        // A dead store is transient (revival or bootstrap heals it);
+        // surface it as the transient db error class.
+        let dead = |_| OrmError::Db(DbError::Unavailable);
+        // Reserve the object for the verdict *and* the ORM writes. Without
+        // it, a copier thread and a worker (or a thief and the home worker)
+        // can interleave check/apply so that the thread carrying the
+        // *older* version writes the row last: both pass the check before
+        // either applies. The reservation serializes exactly the racing
+        // pair; the version counts as stored only at `commit`, so a write
+        // that fails below leaves nothing behind and its redelivery is
+        // judged afresh.
+        let admission = self.store.reserve(at);
+        let Some((vector, writer)) = &carried else {
+            return write();
+        };
+        match admission.classify(vector, *writer, rule).map_err(dead)? {
+            VectorAdmit::Fresh => write()?,
+            VectorAdmit::Concurrent { lww_wins } if multi_writer => {
+                self.resolve_conflict(op, &matching, vector, *writer, lww_wins)?
             }
-            // A dead store is transient (revival or bootstrap heals it);
-            // surface it as the transient db error class.
-            .map_err(|_| OrmError::Db(DbError::Unavailable))?;
-            let admitted = match verdict {
-                VectorAdmit::Fresh => true,
-                // ...unless the copy ties with its own mark, left by an
-                // attempt whose ORM write failed: nothing else was admitted
-                // on the key since (that clears the note), so the row is
-                // still owed.
-                VectorAdmit::Stale => {
-                    kind == Kind::Copy
-                        && slot
-                            .as_deref()
-                            .is_some_and(|unlanded| unlanded.get(at) == Some(vector))
-                }
-                VectorAdmit::Concurrent { .. } => multi_writer,
-            };
-            if !admitted {
+            _ => {
                 discarded.fetch_add(1, Ordering::Relaxed);
                 if multi_writer && kind == Kind::Live {
                     self.conflicts.discarded_dominated.bump();
                 }
                 return Ok(());
             }
-            if let Some(unlanded) = slot.as_deref_mut().filter(|u| !u.is_empty()) {
-                unlanded.remove(at);
-            }
-            if let VectorAdmit::Concurrent { lww_wins } = verdict {
-                return self.resolve_conflict(op, &matching, vector, *writer, lww_wins);
-            }
         }
-        let landed = matching
-            .iter()
-            .try_for_each(|sub| self.apply_subscription(sub, op));
-        if landed.is_ok() {
-            applied.fetch_add(1, Ordering::Relaxed);
-        } else if let (Kind::Copy, Some((at, vector, _)), Some(unlanded)) =
-            (kind, &carried, slot.as_deref_mut())
-        {
-            unlanded.insert(*at, vector.clone());
-        }
-        landed
+        admission.commit(vector, *writer).map_err(dead)
     }
 
     /// Resolves one concurrent incoming write (still under the object's
-    /// apply slot, so the read-modify-write of a merge cannot interleave
+    /// reservation, so the read-modify-write of a merge cannot interleave
     /// with another apply of the same object). Each matching subscription
     /// consults its model's registered resolver; the operation counts as
-    /// applied when any resolution wrote the row.
+    /// applied when any resolution wrote the row, and the conflict counts
+    /// once, when every resolution has landed — a failed attempt's
+    /// redelivery is the same conflict, not a second one.
     fn resolve_conflict(
         &self,
         op: &Operation,
@@ -1190,7 +1136,6 @@ impl Subscriber {
         writer: u64,
         lww_wins: bool,
     ) -> Result<(), OrmError> {
-        self.conflicts.detected.bump();
         let start = mono_nanos();
         let mut applied = false;
         let (mut used_lww, mut used_merge) = (false, false);
@@ -1238,6 +1183,7 @@ impl Subscriber {
         }
         self.telemetry
             .record_resolution(mono_nanos().saturating_sub(start));
+        self.conflicts.detected.bump();
         if used_lww {
             self.conflicts.resolved_lww.bump();
         }

@@ -15,6 +15,12 @@
 //!   avoid deadlocks on subscribers");
 //! * publisher script [`VersionStore::publish_bump`] and subscriber scripts
 //!   [`VersionStore::wait_for`] / [`VersionStore::apply`];
+//! * the per-object admission script [`VersionStore::reserve`] →
+//!   [`Admission::classify`] → the caller's write → [`Admission::commit`]
+//!   (§4.2's "discards any messages with a version lower than what is
+//!   stored", where a version counts as stored only once its write has
+//!   landed), and [`VersionStore::stamp`] for a multi-writer object's local
+//!   writes;
 //! * bulk operations for the three-step bootstrap (§4.4);
 //! * [`VersionStore::kill`] failure injection, which loses all contents —
 //!   the event that forces a generation bump at the publisher or a partial
@@ -31,8 +37,8 @@ pub mod watermark;
 pub use generation::GenerationStore;
 pub use ring::HashRing;
 pub use store::{
-    BumpScratch, DepKey, DepWaitSet, DumpEntry, StoreError, StoreTimingSnapshot, VectorAdmit,
-    VersionStore, WaitOutcome,
+    Admission, AdmitRule, BumpScratch, DepKey, DepWaitSet, DumpEntry, StoreError,
+    StoreTimingSnapshot, VectorAdmit, VersionStore, WaitOutcome,
 };
 pub use vector::{Dominance, VersionVector, INLINE_COMPONENTS, LEGACY_WRITER};
 pub use watermark::WatermarkGate;

@@ -18,6 +18,9 @@ pub type DepKey = u64;
 /// consumes around 100 bytes of memory").
 const BYTES_PER_ENTRY: usize = 100;
 
+/// Stripes of the per-object admission lock ([`VersionStore::reserve`]).
+const ADMISSION_STRIPES: usize = 256;
+
 /// Errors from version store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
@@ -45,24 +48,39 @@ pub enum WaitOutcome {
     TimedOut,
 }
 
-/// Outcome of a vector freshness check ([`VersionStore::advance_vector`]):
-/// the dominance classification of an incoming write against the stored
-/// per-object vector, with the store's LWW verdict attached when the two
-/// are concurrent.
+/// Which comparison admits a carried version ([`Admission::classify`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdmitRule {
+    /// A live write: a vector that dominates *or equals* the stored one
+    /// applies (an equal vector is a redelivery, and applies are idempotent
+    /// upserts), a dominated one is stale, a fork is a conflict.
+    Live,
+    /// A bootstrap chunk copy: admitted only against a key that was never
+    /// explicitly versioned (marker 0 included — rows created before the
+    /// copy started) or by *strict* dominance. Ties and forks lose to the
+    /// live stream, which holds the authoritative payload — a tying copy is
+    /// the same publisher operation observed twice, and re-upserting it
+    /// could resurrect a row whose destroy the live stream already applied.
+    Copy,
+}
+
+/// Verdict of [`Admission::classify`]: the dominance classification of a
+/// carried vector against the stored per-object vector, with the store's
+/// LWW verdict attached when the two are concurrent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VectorAdmit {
-    /// The incoming write dominates (or equals) everything applied so far:
-    /// apply it. Equal vectors re-apply, preserving the scalar-era
-    /// redelivery semantics.
+    /// The carried version is admitted under the rule: apply it.
     Fresh,
-    /// The stored vector dominates the incoming write: it is stale,
-    /// discard it.
+    /// The stored vector already covers the carried one: discard it (§4.2:
+    /// "the subscriber also discards any messages with a version lower
+    /// than what is stored").
     Stale,
     /// Neither history contains the other — a genuine multi-writer
-    /// conflict. `lww_wins` is the store's default verdict: whether the
-    /// incoming version's LWW stamp (history length, then writer id)
-    /// beats the stamp of the content currently stored. The resolver
-    /// plane may honor it (LWW) or ignore it (merge callbacks).
+    /// conflict ([`AdmitRule::Live`] only). `lww_wins` is the store's
+    /// default verdict: whether the incoming version's LWW stamp (history
+    /// length, then writer id) beats the stamp of the content currently
+    /// stored. The resolver plane may honor it (LWW) or ignore it (merge
+    /// callbacks).
     Concurrent {
         /// Whether the incoming version wins last-writer-wins.
         lww_wins: bool,
@@ -138,9 +156,9 @@ pub struct StoreTimingSnapshot {
 /// per-writer vector for the freshness/dominance check.
 ///
 /// `versioned` records whether the vector was ever *explicitly* written
-/// for this key (by a live apply's freshness mark or an admitted bootstrap
-/// copy) — an entry created as a side effect of `ops` bookkeeping has an
-/// empty vector without meaning "version 0 was observed". Bootstrap
+/// for this key (by a committed admission or a local stamp) — an entry
+/// created as a side effect of `ops` bookkeeping has an empty vector
+/// without meaning "version 0 was observed". Bootstrap
 /// reconciliation needs the distinction: a copy with marker 0 must be
 /// admitted against a never-versioned key (a row created before any
 /// subscriber existed) but discarded against a key whose version 0 was
@@ -148,7 +166,7 @@ pub struct StoreTimingSnapshot {
 ///
 /// `winner_sum`/`winner_writer` are the LWW stamp of the content the
 /// replica currently holds for the key: the stamp of the last version that
-/// won admission (fresh apply or concurrent LWW win). Stamps only ever
+/// was committed (fresh apply or concurrent LWW win). Stamps only ever
 /// increase — a dominating version's history is strictly longer than what
 /// it dominates — so "keep the max stamp" is order-independent and two
 /// replicas that see the same writes converge on the same winner.
@@ -234,6 +252,8 @@ pub struct VersionStore {
     shards: Vec<Arc<Shard>>,
     ring: HashRing,
     timing: StoreTiming,
+    /// Per-object exclusion for [`VersionStore::reserve`], striped by key.
+    stripes: Vec<Mutex<()>>,
 }
 
 impl VersionStore {
@@ -244,6 +264,7 @@ impl VersionStore {
             shards: (0..shards).map(|_| Arc::new(Shard::default())).collect(),
             ring,
             timing: StoreTiming::default(),
+            stripes: (0..ADMISSION_STRIPES).map(|_| Mutex::new(())).collect(),
         }
     }
 
@@ -282,6 +303,18 @@ impl VersionStore {
             }
         }
         Ok(())
+    }
+
+    /// Locks the shard `key` routes to, unless it is dead.
+    fn entries_of(
+        &self,
+        key: DepKey,
+    ) -> Result<MutexGuard<'_, HashMap<DepKey, Entry>>, StoreError> {
+        let shard = &self.shards[self.ring.route(key)];
+        if shard.dead.load(Ordering::SeqCst) {
+            return Err(StoreError::Dead);
+        }
+        Ok(shard.entries.lock())
     }
 
     /// Kills one shard: its contents are lost and every operation routed to
@@ -586,110 +619,52 @@ impl VersionStore {
         Ok(())
     }
 
-    /// Freshness check. Classifies `incoming` (the write's version vector,
-    /// authored by `writer`) against the stored vector. A single-writer
-    /// write presents its scalar version as [`VersionVector::scalar`] under
-    /// [`LEGACY_WRITER`]: the legacy component's floor semantics make the
-    /// rules below read as `version >= stored` applies, older is stale:
-    ///
-    /// * **dominates or equal** → [`VectorAdmit::Fresh`]: the stored
-    ///   vector advances to the join and the write must be applied. Equal
-    ///   vectors re-apply — the freshness mark is written before the
-    ///   engine apply, so a redelivery after a transient apply failure
-    ///   must pass rather than be dropped (applies are idempotent
-    ///   upserts).
-    /// * **dominated** → [`VectorAdmit::Stale`]: discard (§4.2: "the
-    ///   subscriber also discards any messages with a version lower than
-    ///   what is stored").
-    /// * **concurrent** → [`VectorAdmit::Concurrent`]: the stored vector
-    ///   still advances to the join (both histories are now known here)
-    ///   and the LWW verdict is returned for the resolver plane. The
-    ///   winner stamp is folded in either way, so replicas converge on
-    ///   the max-stamp version no matter the delivery order.
-    pub fn advance_vector(
-        &self,
-        key: DepKey,
-        incoming: &VersionVector,
-        writer: u64,
-    ) -> Result<VectorAdmit, StoreError> {
-        self.check_shards_alive(&[key])?;
-        let shard = &self.shards[self.ring.route(key)];
-        let mut entries = shard.entries.lock();
-        let entry = entries.entry(key).or_default();
-        let stamp = incoming.lww_stamp(writer);
-        match incoming.compare(&entry.vector) {
-            Dominance::Dominates | Dominance::Equal => {
-                entry.vector.join(incoming);
-                entry.versioned = true;
-                entry.note_stamp(stamp);
-                Ok(VectorAdmit::Fresh)
-            }
-            Dominance::Dominated => Ok(VectorAdmit::Stale),
-            Dominance::Concurrent => {
-                entry.vector.join(incoming);
-                entry.versioned = true;
-                let lww_wins = entry.note_stamp(stamp);
-                Ok(VectorAdmit::Concurrent { lww_wins })
-            }
+    /// Opens the admission script for one object: reserve → classify →
+    /// write → commit. The returned guard holds the key's stripe — and no
+    /// shard lock — until it is committed or dropped, so two applies of one
+    /// object can never interleave verdict and write (the stale one landing
+    /// last), while the caller's ORM write blocks nobody else's store
+    /// traffic. An operation that carries no version still reserves its
+    /// key, for the exclusion alone.
+    pub fn reserve(&self, key: DepKey) -> Admission<'_> {
+        Admission {
+            store: self,
+            key,
+            _stripe: self.stripes[(key % ADMISSION_STRIPES as u64) as usize].lock(),
         }
     }
 
-    /// Bootstrap-copy admission check against a full vector: admits the
-    /// copy iff the key was never explicitly versioned or the copy's
-    /// vector *strictly dominates* the stored one. Unlike
-    /// [`VersionStore::advance_vector`], equal vectors are *discarded* —
-    /// a copy that ties with an applied live write is the same publisher
-    /// operation observed twice, and the live apply already holds the
-    /// authoritative payload — and so are concurrent ones: ties (and
-    /// races) lose to the live stream, which resolves conflicts with full
-    /// context while a copy is just a point-in-time row image. A
-    /// single-writer copy presents its marker as [`VersionVector::scalar`]:
-    /// a never-versioned key admits any marker (including 0: rows created
-    /// before the copy started carry marker 0 and no live write has
-    /// touched them); otherwise the marker must be strictly newer than the
-    /// recorded version — re-upserting a tying copy could resurrect a row
-    /// whose destroy the live stream already applied.
-    pub fn admit_copy_vector(
-        &self,
-        key: DepKey,
-        incoming: &VersionVector,
-        writer: u64,
-    ) -> Result<bool, StoreError> {
-        self.check_shards_alive(&[key])?;
-        let shard = &self.shards[self.ring.route(key)];
-        let mut entries = shard.entries.lock();
+    /// The publisher's vector stamp for a local write of a multi-writer
+    /// object, as one script: read everything this node has recorded for
+    /// the object, bump `writer`'s component, record the result (and its
+    /// LWW stamp) and return it — so the write advertises exactly the
+    /// history it follows, and an incoming commit can land before or after
+    /// the stamp but never inside it.
+    pub fn stamp(&self, key: DepKey, writer: u64) -> Result<VersionVector, StoreError> {
+        let mut entries = self.entries_of(key)?;
         let entry = entries.entry(key).or_default();
-        let admit = !entry.versioned || incoming.compare(&entry.vector) == Dominance::Dominates;
-        if admit {
-            entry.vector.join(incoming);
-            entry.versioned = true;
-            entry.note_stamp(incoming.lww_stamp(writer));
-        }
-        Ok(admit)
+        entry.vector.set(writer, entry.vector.get(writer) + 1);
+        entry.versioned = true;
+        entry.note_stamp(entry.vector.lww_stamp(writer));
+        Ok(entry.vector.clone())
     }
 
     /// Reads a key's recorded latest version as a scalar — the largest
-    /// vector component (0 when absent). Used by the bootstrap copier to
-    /// capture each record's publisher-side version and to read back chunk
-    /// watermarks (which only ever carry the legacy component).
+    /// vector component (0 when absent). The bootstrap copier reads its
+    /// chunk watermarks back with this (they only ever carry the legacy
+    /// component); a copy's marker comes from [`VersionStore::ops`].
     pub fn latest_version(&self, key: DepKey) -> Result<u64, StoreError> {
-        self.check_shards_alive(&[key])?;
-        let shard = &self.shards[self.ring.route(key)];
-        let entries = shard.entries.lock();
+        let entries = self.entries_of(key)?;
         Ok(entries
             .get(&key)
             .map(|e| e.vector.max_counter())
             .unwrap_or(0))
     }
 
-    /// Reads a key's full recorded version vector (empty when absent).
-    /// The publisher stamps outgoing writes of bidirectional models with
-    /// this (joined with its own bumped component), so a write advertises
-    /// every foreign write it causally follows.
+    /// Reads a key's full recorded version vector (empty when absent) —
+    /// what the bootstrap copier sends as a bidirectional row's version.
     pub fn latest_vector(&self, key: DepKey) -> Result<VersionVector, StoreError> {
-        self.check_shards_alive(&[key])?;
-        let shard = &self.shards[self.ring.route(key)];
-        let entries = shard.entries.lock();
+        let entries = self.entries_of(key)?;
         Ok(entries
             .get(&key)
             .map(|e| e.vector.clone())
@@ -702,9 +677,7 @@ impl VersionStore {
     /// Watermarks live on the legacy vector component — they are plain
     /// resume cursors, not multi-writer histories.
     pub fn load_watermark(&self, key: DepKey, value: u64) -> Result<u64, StoreError> {
-        self.check_shards_alive(&[key])?;
-        let shard = &self.shards[self.ring.route(key)];
-        let mut entries = shard.entries.lock();
+        let mut entries = self.entries_of(key)?;
         let entry = entries.entry(key).or_default();
         let stored = entry.vector.get(LEGACY_WRITER).max(value);
         entry.vector.set(LEGACY_WRITER, stored);
@@ -716,9 +689,7 @@ impl VersionStore {
     /// bootstrap re-copies every record instead of resuming past rows that
     /// may have changed since.
     pub fn clear_watermark(&self, key: DepKey) -> Result<(), StoreError> {
-        self.check_shards_alive(&[key])?;
-        let shard = &self.shards[self.ring.route(key)];
-        let mut entries = shard.entries.lock();
+        let mut entries = self.entries_of(key)?;
         if let Some(entry) = entries.get_mut(&key) {
             entry.vector.set(LEGACY_WRITER, 0);
         }
@@ -727,9 +698,7 @@ impl VersionStore {
 
     /// Reads a key's `ops` counter (0 when absent).
     pub fn ops(&self, key: DepKey) -> Result<u64, StoreError> {
-        self.check_shards_alive(&[key])?;
-        let shard = &self.shards[self.ring.route(key)];
-        let entries = shard.entries.lock();
+        let entries = self.entries_of(key)?;
         Ok(entries.get(&key).map(|e| e.ops).unwrap_or(0))
     }
 
@@ -859,26 +828,112 @@ impl VersionStore {
     }
 }
 
+/// One object's reserved admission ([`VersionStore::reserve`]). Nothing is
+/// recorded until [`Admission::commit`]: a guard dropped because the write
+/// failed leaves the store exactly as it found it, so the redelivery is
+/// classified from scratch against what actually landed.
+pub struct Admission<'a> {
+    store: &'a VersionStore,
+    key: DepKey,
+    _stripe: MutexGuard<'a, ()>,
+}
+
+impl Admission<'_> {
+    /// Classifies `incoming` (the write's version vector, authored by
+    /// `writer`) against the stored vector under `rule`, changing nothing.
+    /// A single-writer write presents its scalar version as
+    /// [`VersionVector::scalar`] under [`LEGACY_WRITER`]: the legacy
+    /// component's floor semantics make [`AdmitRule::Live`] read as
+    /// `version >= stored` applies, older is stale.
+    pub fn classify(
+        &self,
+        incoming: &VersionVector,
+        writer: u64,
+        rule: AdmitRule,
+    ) -> Result<VectorAdmit, StoreError> {
+        let entries = self.store.entries_of(self.key)?;
+        let Some(entry) = entries.get(&self.key) else {
+            return Ok(VectorAdmit::Fresh);
+        };
+        Ok(match (rule, incoming.compare(&entry.vector)) {
+            (AdmitRule::Copy, _) if !entry.versioned => VectorAdmit::Fresh,
+            (_, Dominance::Dominates) | (AdmitRule::Live, Dominance::Equal) => VectorAdmit::Fresh,
+            (AdmitRule::Live, Dominance::Concurrent) => VectorAdmit::Concurrent {
+                lww_wins: incoming.lww_stamp(writer) > (entry.winner_sum, entry.winner_writer),
+            },
+            _ => VectorAdmit::Stale,
+        })
+    }
+
+    /// Records `incoming` as stored — the vector advances to the join, the
+    /// key counts as explicitly versioned, and the LWW stamp is folded in,
+    /// so replicas converge on the max-stamp version no matter the delivery
+    /// order — and releases the key. Called once the write, or a
+    /// resolution that keeps the local row, has finished.
+    pub fn commit(self, incoming: &VersionVector, writer: u64) -> Result<(), StoreError> {
+        let mut entries = self.store.entries_of(self.key)?;
+        let entry = entries.entry(self.key).or_default();
+        entry.vector.join(incoming);
+        entry.versioned = true;
+        entry.note_stamp(incoming.lww_stamp(writer));
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::thread;
+
+    /// The admission script as the subscriber runs it, with a write that
+    /// always lands: reserve, classify, and commit whatever was not
+    /// discarded (a concurrent version is committed whichever side the
+    /// resolver keeps).
+    fn admit(
+        store: &VersionStore,
+        key: DepKey,
+        incoming: &VersionVector,
+        writer: u64,
+        rule: AdmitRule,
+    ) -> VectorAdmit {
+        let admission = store.reserve(key);
+        let verdict = admission.classify(incoming, writer, rule).unwrap();
+        if verdict != VectorAdmit::Stale {
+            admission.commit(incoming, writer).unwrap();
+        }
+        verdict
+    }
+
+    fn admit_live(
+        store: &VersionStore,
+        key: DepKey,
+        incoming: &VersionVector,
+        writer: u64,
+    ) -> VectorAdmit {
+        admit(store, key, incoming, writer, AdmitRule::Live)
+    }
+
+    fn admit_copy(
+        store: &VersionStore,
+        key: DepKey,
+        incoming: &VersionVector,
+        writer: u64,
+    ) -> bool {
+        admit(store, key, incoming, writer, AdmitRule::Copy) == VectorAdmit::Fresh
+    }
 
     /// A single-writer live write as the subscriber presents it: its
     /// scalar version rides the vector's legacy component, whose floor
     /// semantics reproduce the `version >= stored` comparison exactly.
     fn advance_scalar(store: &VersionStore, key: DepKey, version: u64) -> bool {
         let incoming = VersionVector::scalar(version);
-        store.advance_vector(key, &incoming, LEGACY_WRITER).unwrap() == VectorAdmit::Fresh
+        admit_live(store, key, &incoming, LEGACY_WRITER) == VectorAdmit::Fresh
     }
 
     /// A single-writer chunk copy: a never-versioned key admits any marker
     /// (0 included), otherwise the marker must be strictly newer.
     fn admit_scalar_copy(store: &VersionStore, key: DepKey, marker: u64) -> bool {
-        let incoming = VersionVector::scalar(marker);
-        store
-            .admit_copy_vector(key, &incoming, LEGACY_WRITER)
-            .unwrap()
+        admit_copy(store, key, &VersionVector::scalar(marker), LEGACY_WRITER)
     }
 
     /// Replays Fig. 8's four writes and checks every counter and message
@@ -1071,7 +1126,7 @@ mod tests {
     }
 
     #[test]
-    fn advance_vector_discards_stale_scalar_versions() {
+    fn live_rule_discards_stale_scalar_versions() {
         let store = VersionStore::single();
         assert!(advance_scalar(&store, 1, 0));
         assert!(advance_scalar(&store, 1, 3));
@@ -1080,15 +1135,104 @@ mod tests {
         assert_eq!(store.latest_version(1).unwrap(), 4);
     }
 
-    /// The freshness mark is written before the engine apply, so a
-    /// redelivery of the same version (after a transient apply failure)
-    /// must pass the check and re-apply rather than be dropped.
+    /// A redelivery of the committed version (the ack was lost, or a later
+    /// operation of the same message failed) must pass the check and
+    /// re-apply rather than be dropped.
     #[test]
-    fn advance_vector_readmits_equal_scalar_versions() {
+    fn live_rule_readmits_equal_scalar_versions() {
         let store = VersionStore::single();
         assert!(advance_scalar(&store, 1, 5));
         assert!(advance_scalar(&store, 1, 5), "redelivery re-applies");
         assert!(!advance_scalar(&store, 1, 4), "older stays stale");
+    }
+
+    /// An admission abandoned before `commit` — the caller's write failed —
+    /// leaves no trace, so the retry is classified exactly as the first
+    /// attempt was, under either rule.
+    #[test]
+    fn abandoned_admission_leaves_the_store_untouched() {
+        let store = VersionStore::new(2);
+        store.load_snapshot(&[(1, 3)]).unwrap();
+        advance_scalar(&store, 2, 4);
+        admit_live(&store, 4, &VersionVector::component(11, 1), 11);
+        let before = store.dump().unwrap();
+        for (key, version) in [(1, 0), (2, 5), (3, 7)] {
+            for rule in [AdmitRule::Live, AdmitRule::Copy] {
+                let admission = store.reserve(key);
+                let incoming = VersionVector::scalar(version);
+                assert_eq!(
+                    admission.classify(&incoming, LEGACY_WRITER, rule).unwrap(),
+                    VectorAdmit::Fresh
+                );
+                drop(admission);
+                assert_eq!(store.dump().unwrap(), before);
+            }
+        }
+        let fork = VersionVector::component(22, 1);
+        let admission = store.reserve(4);
+        assert_eq!(
+            admission.classify(&fork, 22, AdmitRule::Live).unwrap(),
+            VectorAdmit::Concurrent { lww_wins: true }
+        );
+        drop(admission);
+        assert_eq!(store.dump().unwrap(), before);
+    }
+
+    /// `stamp` is one script: four writers stamping one key while a fifth
+    /// thread commits foreign components each see their own component go up
+    /// by exactly one, and every stamp contains every earlier one — the
+    /// returned vectors form a chain, which a read followed by a separate
+    /// write-back cannot guarantee.
+    #[test]
+    fn stamp_is_atomic_under_concurrent_stamps_and_commits() {
+        const STAMPS: u64 = 200;
+        let store = Arc::new(VersionStore::new(4));
+        let writers = [11u64, 22, 33, 44];
+        let start = Arc::new(std::sync::Barrier::new(writers.len() + 1));
+        let foreign = {
+            let (store, start) = (store.clone(), start.clone());
+            thread::spawn(move || {
+                start.wait();
+                for i in 1..=STAMPS {
+                    let incoming = VersionVector::component(99, i);
+                    store.reserve(1).commit(&incoming, 99).unwrap();
+                }
+            })
+        };
+        let stampers: Vec<_> = writers
+            .iter()
+            .map(|&writer| {
+                let (store, start) = (store.clone(), start.clone());
+                thread::spawn(move || {
+                    start.wait();
+                    let stamped: Vec<VersionVector> = (0..STAMPS)
+                        .map(|_| store.stamp(1, writer).unwrap())
+                        .collect();
+                    for (i, vector) in stamped.iter().enumerate() {
+                        assert_eq!(vector.get(writer), i as u64 + 1, "previous + 1");
+                    }
+                    stamped
+                })
+            })
+            .collect();
+        let mut stamped: Vec<VersionVector> = stampers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        foreign.join().unwrap();
+        stamped.sort_by_key(VersionVector::sum);
+        for pair in stamped.windows(2) {
+            assert_eq!(
+                pair[0].compare(&pair[1]),
+                Dominance::Dominated,
+                "{pair:?}: a stamp missed an earlier one"
+            );
+        }
+        let last = store.latest_vector(1).unwrap();
+        for writer in writers {
+            assert_eq!(last.get(writer), STAMPS);
+        }
+        assert_eq!(last.get(99), STAMPS);
     }
 
     #[test]
@@ -1225,34 +1369,25 @@ mod tests {
     /// concurrent; the join is recorded so a causally-later write from
     /// either side dominates afterwards.
     #[test]
-    fn advance_vector_classifies_concurrent_writers() {
+    fn live_rule_classifies_concurrent_writers() {
         let store = VersionStore::single();
         let (a, b) = (11u64, 22u64);
         assert_eq!(
-            store
-                .advance_vector(1, &VersionVector::component(a, 1), a)
-                .unwrap(),
+            admit_live(&store, 1, &VersionVector::component(a, 1), a),
             VectorAdmit::Fresh
         );
         // Writer B never saw A's write: concurrent. B's stamp (1, 22)
         // beats A's (1, 11) on the writer tie-break.
         assert_eq!(
-            store
-                .advance_vector(1, &VersionVector::component(b, 1), b)
-                .unwrap(),
+            admit_live(&store, 1, &VersionVector::component(b, 1), b),
             VectorAdmit::Concurrent { lww_wins: true }
         );
         // A write that has seen both components dominates the join.
         let merged = VersionVector::from_components(&[(a, 2), (b, 1)]);
-        assert_eq!(
-            store.advance_vector(1, &merged, a).unwrap(),
-            VectorAdmit::Fresh
-        );
+        assert_eq!(admit_live(&store, 1, &merged, a), VectorAdmit::Fresh);
         // Anything older than the join is stale.
         assert_eq!(
-            store
-                .advance_vector(1, &VersionVector::component(a, 1), a)
-                .unwrap(),
+            admit_live(&store, 1, &VersionVector::component(a, 1), a),
             VectorAdmit::Stale
         );
     }
@@ -1267,12 +1402,12 @@ mod tests {
         let vb = VersionVector::component(b, 1);
 
         let first = VersionStore::single();
-        first.advance_vector(1, &va, a).unwrap();
-        let verdict_ab = first.advance_vector(1, &vb, b).unwrap();
+        admit_live(&first, 1, &va, a);
+        let verdict_ab = admit_live(&first, 1, &vb, b);
 
         let second = VersionStore::single();
-        second.advance_vector(1, &vb, b).unwrap();
-        let verdict_ba = second.advance_vector(1, &va, a).unwrap();
+        admit_live(&second, 1, &vb, b);
+        let verdict_ba = admit_live(&second, 1, &va, a);
 
         // B has the higher writer id, so B's version wins on both sides:
         // delivered second it wins, delivered first it holds.
@@ -1283,27 +1418,21 @@ mod tests {
     /// Concurrent copies lose to the live stream: only strict vector
     /// dominance admits a bootstrap row against a versioned key.
     #[test]
-    fn admit_copy_vector_requires_strict_dominance() {
+    fn copy_rule_requires_strict_dominance() {
         let store = VersionStore::single();
         let (a, b) = (11u64, 22u64);
-        store
-            .advance_vector(1, &VersionVector::component(a, 2), a)
-            .unwrap();
+        admit_live(&store, 1, &VersionVector::component(a, 2), a);
         assert!(
-            !store
-                .admit_copy_vector(1, &VersionVector::component(b, 9), b)
-                .unwrap(),
+            !admit_copy(&store, 1, &VersionVector::component(b, 9), b),
             "concurrent copy loses to live"
         );
         assert!(
-            !store
-                .admit_copy_vector(1, &VersionVector::component(a, 2), a)
-                .unwrap(),
+            !admit_copy(&store, 1, &VersionVector::component(a, 2), a),
             "tie loses to live"
         );
         let newer = VersionVector::from_components(&[(a, 3), (b, 9)]);
         assert!(
-            store.admit_copy_vector(1, &newer, a).unwrap(),
+            admit_copy(&store, 1, &newer, a),
             "strictly dominating copy lands"
         );
     }
@@ -1315,12 +1444,8 @@ mod tests {
     fn dump_roundtrips_vector_entries() {
         let store = VersionStore::new(2);
         let (a, b) = (11u64, 22u64);
-        store
-            .advance_vector(1, &VersionVector::component(a, 1), a)
-            .unwrap();
-        store
-            .advance_vector(1, &VersionVector::component(b, 2), b)
-            .unwrap();
+        admit_live(&store, 1, &VersionVector::component(a, 1), a);
+        admit_live(&store, 1, &VersionVector::component(b, 2), b);
         let dump = store.dump().unwrap();
         let entry = dump.iter().find(|e| e.key == 1).unwrap();
         assert_eq!(entry.vector, vec![(a, 1), (b, 2)]);
@@ -1333,9 +1458,7 @@ mod tests {
         // The restored stamp still outranks A's version 1: a redelivery
         // of the loser stays a loser after recovery.
         assert_eq!(
-            restored
-                .advance_vector(1, &VersionVector::component(a, 1), a)
-                .unwrap(),
+            admit_live(&restored, 1, &VersionVector::component(a, 1), a),
             VectorAdmit::Stale
         );
     }

@@ -15,11 +15,11 @@
 //! drain phase.
 //!
 //! The gate is an optimization, not a correctness gate: admission into the
-//! replica is decided by [`crate::VersionStore::admit_copy_vector`] against
-//! explicitly-recorded versions, so a window that times out (slow worker,
-//! injected fault) merely forgoes the pre-filter and lets the version
-//! check discard the same rows one by one. `await_window` therefore
-//! proceeds on timeout and reports it, rather than stalling the copier.
+//! replica is decided by [`crate::AdmitRule::Copy`] against committed
+//! versions, so a window that times out (slow worker, injected fault)
+//! merely forgoes the pre-filter and lets the version check discard the
+//! same rows one by one. `await_window` therefore proceeds on timeout and
+//! reports it, rather than stalling the copier.
 
 use crate::store::DepKey;
 use parking_lot::{Condvar, Mutex};

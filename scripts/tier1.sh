@@ -54,7 +54,9 @@ cargo test -q --release --test convergence -- --ignored
 
 # Docs check: every repo path README.md, DESIGN.md or EXPERIMENTS.md
 # names in backticks must exist, so the docs cannot cite a file, script
-# or test that a later PR deleted or never committed.
+# or test that a later PR deleted or never committed; and every
+# backticked `Type::item` (with or without an argument list) must name a
+# fn or field `item`, or a variant or const `Item`, declared under crates/.
 stale=0
 while IFS=: read -r doc path; do
   [[ -e "$path" ]] && continue
@@ -62,6 +64,17 @@ while IFS=: read -r doc path; do
   stale=1
 done < <(grep -oHE '`((crates|tests|scripts|examples|benchmark|vendor)/[A-Za-z0-9_./-]+|[A-Za-z0-9_.-]+\.(json|sh|txt|toml))`' \
   README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sort -u)
+while IFS=: read -r doc ident; do
+  item="${ident##*::}"
+  case "$item" in
+    [A-Z]*) decl="^\s*${item}(,|\(| \{| =|$)|const ${item}\b" ;;
+    *) decl="fn ${item}\b|^\s*(pub(\([a-z]+\))? )?${item}:" ;;
+  esac
+  grep -rqE --include='*.rs' "$decl" crates && continue
+  echo "tier1: $doc names \`$ident\`, but crates/ declares no \`$item\`" >&2
+  stale=1
+done < <(grep -oHE '`[A-Z][A-Za-z0-9]*::[A-Za-z_][A-Za-z0-9_]*(\([^`]*\))?`' \
+  README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sed 's/(.*//' | sort -u)
 [[ "$stale" == 0 ]]
 
 echo "tier1: OK"

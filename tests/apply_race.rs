@@ -5,11 +5,14 @@
 //! and the thread carrying the **older** version could write the row last,
 //! leaving the database stale while the version store says fresh.
 //!
-//! The fix holds a per-object apply slot across the freshness check and
-//! the ORM writes. `Subscriber::serialize_applies(false)` is a test hook
-//! that bypasses the slot, re-exposing the original interleaving so this
-//! test can prove it reproduces the bug (stale value lands last) and that
-//! the default path fixes it (fresh value survives).
+//! The exclusion is the version store's admission script: `apply_op`
+//! reserves the object (`VersionStore::reserve`, one of 256 stripes) before
+//! it classifies the carried version and holds the reservation across the
+//! ORM writes until `commit`. This test forces the original interleaving —
+//! the stale apply parked between its verdict and its write — and requires
+//! the fresh value to survive it. There is no way to run without the
+//! reservation, so the schedule's other half (stale value lands last) is
+//! no longer reproducible, by construction.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,10 +52,10 @@ fn object_msg(operation: &str, key: u64, version: u64, name: &str) -> WriteMessa
 /// callback recognizes B's payload, signals the main thread, and parks —
 /// B is now past the freshness check but before its ORM write. The main
 /// thread then processes the *fresh* update (version 2) end to end and
-/// releases B. Without per-object serialization B's stale write lands
-/// last; with it, the main thread blocks on the apply slot until B
-/// finishes, so the fresh write always wins.
-fn race_once(serialize: bool) -> String {
+/// releases B. Without per-object exclusion B's stale write would land
+/// last; with it, the main thread blocks on the object's reservation until
+/// B finishes, so the fresh write always wins.
+fn race_once() -> String {
     let eco = Ecosystem::new();
     let pub1 = eco.add_node(
         SynapseConfig::new("pub1").mode(DeliveryMode::Weak),
@@ -72,7 +75,6 @@ fn race_once(serialize: bool) -> String {
     sub.subscribe(Subscription::model("User", "pub1").field("name"))
         .unwrap();
     sub.set_publisher_mode("pub1", DeliveryMode::Weak);
-    sub.subscriber().serialize_applies(serialize);
 
     let key = sub
         .config()
@@ -98,9 +100,9 @@ fn race_once(serialize: bool) -> String {
                     let (lock, cvar) = &*b_inside;
                     *lock.lock().unwrap() = true;
                     cvar.notify_all();
-                    // Bounded wait: under the fix the fresh apply *cannot*
-                    // proceed while we hold the slot, so this times out and B
-                    // simply applies first.
+                    // Bounded wait: the fresh apply *cannot* proceed while we
+                    // hold the reservation, so this times out and B simply
+                    // applies first.
                     let deadline = std::time::Instant::now() + Duration::from_millis(400);
                     while !fresh_done.load(Ordering::SeqCst) && std::time::Instant::now() < deadline
                     {
@@ -142,18 +144,9 @@ fn race_once(serialize: bool) -> String {
         .to_owned()
 }
 
-/// With per-object serialization bypassed, the historical interleaving
-/// lands the stale value last — this is the bug the fix closes. If this
-/// assertion ever starts failing, the forced schedule no longer exercises
-/// the race and the test needs a new trigger.
+/// The reservation spans the freshness check and the ORM write: the fresh
+/// value survives the forced schedule.
 #[test]
-fn bypassing_apply_slots_reproduces_the_stale_write() {
-    assert_eq!(race_once(false), "v1");
-}
-
-/// The default path holds the apply slot across the freshness check and
-/// the ORM write: the fresh value survives the same forced schedule.
-#[test]
-fn apply_slots_serialize_the_racing_pair() {
-    assert_eq!(race_once(true), "v2");
+fn reservation_serializes_the_racing_pair() {
+    assert_eq!(race_once(), "v2");
 }

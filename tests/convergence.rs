@@ -251,14 +251,9 @@ fn partitioned_writers_merge_with_custom_resolver() {
     eco.stop_all();
 }
 
-/// Deterministic classification through hand-built vectors: one node
-/// subscribed bidirectionally to two remote writers receives a fresh
-/// write, a concurrent fork (→ resolver, LWW tiebreak by writer id), a
-/// dominated straggler (→ discarded), and a dominating follow-up.
-#[test]
-fn forced_concurrent_vectors_classify_and_resolve() {
-    const OBJECT: Id = Id(11);
-    let eco = Ecosystem::new();
+/// A weak-mode node subscribed bidirectionally to two remote writers, `wa`
+/// and `wb`, that exist only as hand-built messages.
+fn observer_of_two_writers(eco: &Ecosystem) -> Arc<SynapseNode> {
     let node = eco.add_node(
         SynapseConfig::new("observer").mode(DeliveryMode::Weak),
         Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
@@ -275,20 +270,44 @@ fn forced_concurrent_vectors_classify_and_resolve() {
         .unwrap();
         node.set_publisher_mode(from, DeliveryMode::Weak);
     }
+    node
+}
 
-    let mesh_key = node.config().dep_space.key(&mesh_object("User", OBJECT));
+/// One write of `User` `id` from `app`, carrying `vector` under the
+/// object's mesh key and no scalar dependencies.
+fn vector_msg(
+    node: &SynapseNode,
+    id: Id,
+    app: &str,
+    operation: &str,
+    name: &str,
+    vector: VersionVector,
+) -> WriteMessage {
+    let mesh_key = node.config().dep_space.key(&mesh_object("User", id));
+    let mut attrs = BTreeMap::new();
+    attrs.insert("name".to_owned(), Value::from(name));
+    let record = Record::with_attrs("User", id, attrs);
+    WriteMessage {
+        app: app.to_owned(),
+        operations: vec![Operation::from_record(operation, &record)],
+        dependencies: BTreeMap::new(),
+        published_at: 0,
+        generation: 1,
+        vectors: [(mesh_key, vector)].into_iter().collect(),
+    }
+}
+
+/// Deterministic classification through hand-built vectors: one node
+/// subscribed bidirectionally to two remote writers receives a fresh
+/// write, a concurrent fork (→ resolver, LWW tiebreak by writer id), a
+/// dominated straggler (→ discarded), and a dominating follow-up.
+#[test]
+fn forced_concurrent_vectors_classify_and_resolve() {
+    const OBJECT: Id = Id(11);
+    let eco = Ecosystem::new();
+    let node = observer_of_two_writers(&eco);
     let msg = |app: &str, operation: &str, name: &str, vector: VersionVector| {
-        let mut attrs = BTreeMap::new();
-        attrs.insert("name".to_owned(), Value::from(name));
-        let record = Record::with_attrs("User", OBJECT, attrs);
-        WriteMessage {
-            app: app.to_owned(),
-            operations: vec![Operation::from_record(operation, &record)],
-            dependencies: BTreeMap::new(),
-            published_at: 0,
-            generation: 1,
-            vectors: [(mesh_key, vector)].into_iter().collect(),
-        }
+        vector_msg(&node, OBJECT, app, operation, name, vector)
     };
     let (wa, wb) = (writer_id("wa"), writer_id("wb"));
 
@@ -342,6 +361,51 @@ fn forced_concurrent_vectors_classify_and_resolve() {
         .unwrap();
     assert_eq!(field_of(&node, OBJECT, "name").as_str(), Some("settled"));
     assert_eq!(node.subscriber_stats().conflicts_detected, 1);
+}
+
+/// A version counts as stored only once its write has landed: an incoming
+/// write whose ORM write fails transiently leaves the version store
+/// untouched, so its redelivery is judged exactly as the first attempt was
+/// — a fresh create applies, and a concurrent fork that wins LWW still
+/// wins (joined into the stored vector by the failed attempt, it would
+/// come back dominated and be dropped for good, the row keeping the loser).
+#[test]
+fn concurrent_write_survives_transient_apply_failure() {
+    let eco = Ecosystem::new();
+    let node = observer_of_two_writers(&eco);
+    let (wa, wb) = (writer_id("wa"), writer_id("wb"));
+    let twice = |msg: WriteMessage| {
+        let delivery = emulate_delivery(&msg);
+        node.orm().db_faults().inject_write_errors(1);
+        let failed = node.subscriber().process(&delivery).unwrap_err();
+        assert!(failed.starts_with("transient"), "{failed}");
+        node.subscriber().process(&delivery).unwrap();
+    };
+
+    // Fresh: a single create, failed once, applies on the second attempt.
+    let lone = Id(12);
+    let create = VersionVector::component(wa, 1);
+    twice(vector_msg(&node, lone, "wa", "create", "from_a", create));
+    assert_eq!(field_of(&node, lone, "name").as_str(), Some("from_a"));
+    assert_eq!(node.subscriber_stats().ops_applied, 1);
+
+    // Concurrent: {wb:2} forks from the applied {wa:1} and out-stamps it
+    // (history length 2 against 1), whichever writer id is greater.
+    let forked = Id(11);
+    let create = VersionVector::component(wa, 1);
+    node.subscriber()
+        .process(&emulate_delivery(&vector_msg(
+            &node, forked, "wa", "create", "from_a", create,
+        )))
+        .unwrap();
+    let fork = VersionVector::component(wb, 2);
+    twice(vector_msg(&node, forked, "wb", "update", "from_b", fork));
+    assert_eq!(field_of(&node, forked, "name").as_str(), Some("from_b"));
+    let stats = node.subscriber_stats();
+    assert_eq!(stats.conflicts_detected, 1);
+    assert_eq!(stats.conflicts_resolved_lww, 1);
+    assert_eq!(stats.conflicts_discarded_dominated, 0);
+    assert_eq!(stats.ops_applied, 3);
 }
 
 /// One step of a seeded schedule.

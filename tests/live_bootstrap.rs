@@ -375,11 +375,8 @@ fn run_live_bootstrap(seed: u64) {
         .key(&DepName::object("pub", "Post", first_seed));
     subscriber
         .sub_store()
-        .advance_vector(
-            raced_key,
-            &VersionVector::scalar(u64::MAX / 2),
-            LEGACY_WRITER,
-        )
+        .reserve(raced_key)
+        .commit(&VersionVector::scalar(u64::MAX / 2), LEGACY_WRITER)
         .unwrap();
     let pre_reconciled = subscriber.bootstrap_stats().records_reconciled;
     {

@@ -5,13 +5,15 @@
 //!
 //! Companion to `apply_race.rs`: same rendezvous technique (a
 //! `BeforeUpdate` callback parks the home worker inside the race
-//! window, `serialize_applies(false)` re-exposes the historical
-//! schedule), but the two deliveries here traverse a *real* partitioned
+//! window), but the two deliveries here traverse a *real* partitioned
 //! broker queue — keyed `publish_routed` puts both messages for the
 //! object in one partition in order, the home worker takes the first
 //! via `pop_batch_from`, and the thief takes the second via
 //! `steal_batch` from the same partition, exactly the pool's steal
-//! path. The per-object apply slot is what makes the steal safe.
+//! path. What makes the steal safe is the version store's per-object
+//! reservation (`VersionStore::reserve`), held from the verdict through
+//! the ORM write to `commit`; nothing can switch it off, so only the safe
+//! outcome of the schedule is left to assert.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,12 +50,12 @@ fn object_msg(operation: &str, key: u64, version: u64, name: &str) -> WriteMessa
 /// The home worker pops the *earlier* update (v1) from the object's
 /// partition and parks mid-apply; the thief then steals the *later*
 /// update (v2) from the same partition and applies it on this thread.
-/// Without per-object serialization the thief's fresh write lands first
-/// and the resuming home worker overwrites it with the stale value;
-/// with the apply slot held across the freshness check and the ORM
+/// Without per-object exclusion the thief's fresh write would land first
+/// and the resuming home worker overwrite it with the stale value;
+/// with the reservation held across the freshness check and the ORM
 /// write, the thief blocks until the home worker finishes, so the
 /// fresh value always survives.
-fn steal_race_once(serialize: bool) -> String {
+fn steal_race_once() -> String {
     let eco = Ecosystem::new();
     let pub1 = eco.add_node(
         SynapseConfig::new("pub1").mode(DeliveryMode::Weak),
@@ -73,7 +75,6 @@ fn steal_race_once(serialize: bool) -> String {
     sub.subscribe(Subscription::model("User", "pub1").field("name"))
         .unwrap();
     sub.set_publisher_mode("pub1", DeliveryMode::Weak);
-    sub.subscriber().serialize_applies(serialize);
 
     let key = sub
         .config()
@@ -133,9 +134,9 @@ fn steal_race_once(serialize: bool) -> String {
                     let (lock, cvar) = &*home_inside;
                     *lock.lock().unwrap() = true;
                     cvar.notify_all();
-                    // Bounded wait: under the fix the thief *cannot* apply
-                    // while we hold the slot, so this times out and the home
-                    // worker simply applies first.
+                    // Bounded wait: the thief *cannot* apply while we hold the
+                    // reservation, so this times out and the home worker
+                    // simply applies first.
                     let deadline = std::time::Instant::now() + Duration::from_millis(400);
                     while !thief_done.load(Ordering::SeqCst) && std::time::Instant::now() < deadline
                     {
@@ -198,20 +199,9 @@ fn steal_race_once(serialize: bool) -> String {
         .to_owned()
 }
 
-/// With per-object serialization bypassed, the forced steal schedule
-/// lands the stale home-worker write last — the reordering stealing
-/// would introduce if the apply slot did not exist. If this assertion
-/// ever starts failing, the schedule no longer exercises the race and
-/// the test needs a new trigger.
+/// The per-object reservation spans the freshness check and the ORM
+/// write: the stolen (later) update survives the forced schedule.
 #[test]
-fn bypassing_apply_slots_lets_a_steal_reorder_the_object() {
-    assert_eq!(steal_race_once(false), "v1");
-}
-
-/// The default path holds the per-object apply slot across the
-/// freshness check and the ORM write: the stolen (later) update
-/// survives the same forced schedule.
-#[test]
-fn apply_slots_make_stealing_order_safe() {
-    assert_eq!(steal_race_once(true), "v2");
+fn reservation_makes_stealing_order_safe() {
+    assert_eq!(steal_race_once(), "v2");
 }
