@@ -6,7 +6,9 @@
 //! model that is never persisted locally; an *observer* is a subscribed
 //! model that is never persisted locally (§3.1).
 
+use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Declares which attributes of a model this service publishes.
 ///
@@ -161,6 +163,16 @@ impl Subscription {
         self.fields.iter().map(|f| self.local_field(f)).collect()
     }
 }
+
+/// A node's publications by model, shared by the node and its publisher.
+/// Entries are `Arc`s: the write path copies a pointer out and drops the
+/// lock before any ORM callback runs, instead of deep-cloning the entry.
+pub type PublicationRegistry = Arc<RwLock<BTreeMap<String, Arc<Publication>>>>;
+
+/// A node's subscriptions in declaration order, shared by the node, its
+/// publisher and its subscriber; `Arc` entries as in
+/// [`PublicationRegistry`].
+pub type SubscriptionRegistry = Arc<RwLock<Vec<Arc<Subscription>>>>;
 
 #[cfg(test)]
 mod tests {

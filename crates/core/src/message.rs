@@ -7,6 +7,7 @@
 //! and a publication timestamp. It is encoded as canonical JSON through
 //! [`synapse_model::wire`], the same format the figure shows.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use synapse_model::{wire, Id, ModelError, Record, Value};
 use synapse_versionstore::{DepKey, VersionVector};
@@ -174,8 +175,287 @@ impl WriteMessage {
         out.push('}');
     }
 
-    /// Decodes from JSON.
+    /// Decodes from JSON, reading the text straight into the message over
+    /// [`wire::Reader`] — no [`Value`] tree in between; only attribute
+    /// values are built as `Value`s. Every field slot holds what
+    /// `get(key).as_*()` answers on the parsed tree: nothing for a key that
+    /// is missing or of another type, the last occurrence of a repeated
+    /// key. Malformed JSON fails where it is met; a field the message
+    /// cannot do without fails once the whole text has been read, since a
+    /// later repeat of its key may still replace it.
     pub fn decode(text: &str) -> Result<WriteMessage, ModelError> {
+        let mut r = wire::Reader::new(text);
+        let (mut app, mut operations) = (None, None);
+        let (mut dependencies, mut vectors) = (None, None);
+        let (mut published_at, mut generation) = (None, None);
+        r.object(|r, key| {
+            match &*key {
+                "app" => app = into_string(r.value()?),
+                "operations" => {
+                    let mut ops = Ok(Vec::new());
+                    let is_array = r.array(|r| {
+                        let op = read_operation(r)?;
+                        if let Ok(list) = &mut ops {
+                            match op {
+                                Ok(op) => list.push(op),
+                                Err(e) => ops = Err(e),
+                            }
+                        }
+                        Ok(())
+                    })?;
+                    operations = is_array.then_some(ops);
+                }
+                "dependencies" => dependencies = read_by_key(r, |r| Ok(r.value()?.as_int()))?,
+                "vectors" => {
+                    vectors = read_by_key(r, |r| read_by_key(r, |r| Ok(r.value()?.as_int())))?
+                }
+                "published_at" => published_at = r.value()?.as_int(),
+                "generation" => generation = r.value()?.as_int(),
+                _ => drop(r.value()?),
+            }
+            Ok(())
+        })?;
+        r.finish()?;
+
+        let app = app.ok_or_else(|| malformed("missing app"))?;
+        let operations = operations.ok_or_else(|| malformed("missing operations"))??;
+        let mut msg = WriteMessage {
+            app,
+            operations,
+            published_at: published_at.unwrap_or(0) as u64,
+            generation: generation.unwrap_or(1) as u64,
+            ..WriteMessage::default()
+        };
+        for (k, version) in dependencies.unwrap_or_default() {
+            let key: DepKey = k
+                .parse()
+                .map_err(|_| malformed(&format!("bad dependency key {k}")))?;
+            let version = version.ok_or_else(|| malformed("bad dependency version"))?;
+            msg.dependencies.insert(key, version as u64);
+        }
+        for (k, components) in vectors.unwrap_or_default() {
+            let key: DepKey = k
+                .parse()
+                .map_err(|_| malformed(&format!("bad vector key {k}")))?;
+            let mut vector = VersionVector::new();
+            for (writer, counter) in components.ok_or_else(|| malformed("bad vector entry"))? {
+                let writer: u64 = writer
+                    .parse()
+                    .map_err(|_| malformed(&format!("bad writer id {writer}")))?;
+                let counter = counter.ok_or_else(|| malformed("bad vector counter"))?;
+                vector.set(writer, counter as u64);
+            }
+            msg.vectors.insert(key, vector);
+        }
+        Ok(msg)
+    }
+
+    /// Dependency list in `(key, required_version)` form for the version
+    /// store wait.
+    pub fn dep_list(&self) -> Vec<(DepKey, u64)> {
+        self.dependencies.iter().map(|(k, v)| (*k, *v)).collect()
+    }
+
+    /// Dependency keys only (for the subscriber's post-processing apply).
+    pub fn dep_keys(&self) -> Vec<DepKey> {
+        self.dependencies.keys().copied().collect()
+    }
+
+    /// The version vector an incoming write carries for `key`, given the
+    /// writer id of the publishing app. Multi-writer messages carry it
+    /// explicitly in `vectors`; single-writer (and scalar-era) messages
+    /// derive it from the scalar dependency value as a single component
+    /// owned by the message's writer.
+    pub fn vector_for(&self, key: DepKey, writer: u64) -> Option<VersionVector> {
+        if let Some(vector) = self.vectors.get(&key) {
+            return Some(vector.clone());
+        }
+        self.dependencies
+            .get(&key)
+            .map(|version| VersionVector::component(writer, *version))
+    }
+}
+
+fn malformed(what: &str) -> ModelError {
+    ModelError::Malformed(what.to_owned())
+}
+
+fn into_string(value: Value) -> Option<String> {
+    match value {
+        Value::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// Reads one element of `operations`. The outer error is malformed JSON;
+/// the inner one a well-formed element that is not an operation, which
+/// fails the message only if this `operations` array is the one kept.
+fn read_operation(r: &mut wire::Reader<'_>) -> Result<Result<Operation, ModelError>, ModelError> {
+    let (mut operation, mut types) = (None, None);
+    let (mut id, mut attributes) = (None, None);
+    r.object(|r, key| {
+        match &*key {
+            "operation" => operation = into_string(r.value()?),
+            "types" => {
+                let mut chain = Vec::new();
+                let is_array = r.array(|r| {
+                    chain.extend(into_string(r.value()?));
+                    Ok(())
+                })?;
+                types = is_array.then_some(chain);
+            }
+            "id" => id = r.value()?.as_int(),
+            "attributes" => {
+                attributes = match r.value()? {
+                    Value::Map(map) => Some(map),
+                    _ => None,
+                }
+            }
+            _ => drop(r.value()?),
+        }
+        Ok(())
+    })?;
+    Ok(match (operation, types, id) {
+        (None, ..) => Err(malformed("missing operation kind")),
+        (_, None, _) => Err(malformed("missing types")),
+        (_, Some(types), _) if types.is_empty() => Err(malformed("empty type chain")),
+        (.., None) => Err(malformed("missing id")),
+        (Some(operation), Some(types), Some(id)) => Ok(Operation {
+            operation,
+            types,
+            id: Id(id as u64),
+            attributes: attributes.unwrap_or_default(),
+        }),
+    })
+}
+
+/// Reads an object into its entries by *string* key, as a parsed tree
+/// holds them: the last of a repeated key, in string order — so that
+/// `"07"` and `"7"` stay two entries until the caller parses them, and the
+/// later one in this order wins there. `None` if the value is no object.
+fn read_by_key<'a, T>(
+    r: &mut wire::Reader<'a>,
+    mut read: impl FnMut(&mut wire::Reader<'a>) -> Result<T, ModelError>,
+) -> Result<Option<BTreeMap<Cow<'a, str>, T>>, ModelError> {
+    let mut entries = BTreeMap::new();
+    let is_object = r.object(|r, key| {
+        entries.insert(key, read(r)?);
+        Ok(())
+    })?;
+    Ok(is_object.then_some(entries))
+}
+
+/// Writes `v`'s decimal digits into `buf` and returns them — used to sort
+/// dependency keys in their historical string order without allocating.
+fn dec_digits(buf: &mut [u8; 20], v: u64) -> &[u8] {
+    let mut pos = buf.len();
+    let mut rest = v;
+    loop {
+        pos -= 1;
+        buf[pos] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    &buf[pos..]
+}
+
+/// Current wall-clock in microseconds since the Unix epoch.
+pub fn now_micros() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_micros() as u64)
+        .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use synapse_model::{varray, vmap};
+
+    fn fig6b_message() -> WriteMessage {
+        // The Fig. 6(b) sample: pub3 updates User#100's interests.
+        let mut attributes = BTreeMap::new();
+        attributes.insert("interests".to_owned(), varray!["cats", "dogs"]);
+        let mut dependencies = BTreeMap::new();
+        dependencies.insert(77_u64, 42_u64); // hash("pub3/users/id/100") → 42
+        WriteMessage {
+            app: "pub3".into(),
+            operations: vec![Operation {
+                operation: "update".into(),
+                types: vec!["User".into()],
+                id: Id(100),
+                attributes,
+            }],
+            dependencies,
+            published_at: 1_413_014_340_000_000,
+            generation: 1,
+            vectors: BTreeMap::new(),
+        }
+    }
+
+    #[test]
+    fn roundtrip_preserves_every_field() {
+        let msg = fig6b_message();
+        let decoded = WriteMessage::decode(&msg.encode()).unwrap();
+        assert_eq!(decoded, msg);
+    }
+
+    #[test]
+    fn encoding_contains_fig6b_fields() {
+        let text = fig6b_message().encode();
+        for needle in [
+            r#""app":"pub3""#,
+            r#""operation":"update""#,
+            r#""types":["User"]"#,
+            r#""id":100"#,
+            r#""interests":["cats","dogs"]"#,
+            r#""dependencies":{"77":42}"#,
+            r#""generation":1"#,
+        ] {
+            assert!(text.contains(needle), "{text} should contain {needle}");
+        }
+    }
+
+    #[test]
+    fn destroy_operations_carry_the_pre_image() {
+        // Required by Fig. 5's observer `after_destroy` callbacks, which
+        // read the destroyed object's attributes.
+        let mut r = Record::new("User", Id(5));
+        r.set("name", "x");
+        let op = Operation::from_record("destroy", &r);
+        assert_eq!(op.attributes.get("name"), Some(&Value::from("x")));
+        assert_eq!(op.id, Id(5));
+    }
+
+    #[test]
+    fn polymorphic_type_chains_roundtrip() {
+        let mut msg = fig6b_message();
+        msg.operations[0].types = vec!["AdminUser".into(), "User".into()];
+        let decoded = WriteMessage::decode(&msg.encode()).unwrap();
+        assert_eq!(decoded.operations[0].model(), "AdminUser");
+        assert_eq!(decoded.operations[0].types.len(), 2);
+    }
+
+    #[test]
+    fn decode_rejects_malformed_messages() {
+        for bad in [
+            "{}",
+            r#"{"app":"a"}"#,
+            r#"{"app":"a","operations":[{"operation":"create"}]}"#,
+            r#"{"app":"a","operations":[{"operation":"create","types":[],"id":1}]}"#,
+            "not json",
+        ] {
+            assert!(WriteMessage::decode(bad).is_err(), "should reject {bad}");
+        }
+    }
+
+    /// The historical decoder: parse the whole text into a `Value` tree,
+    /// then clone the message out of it. The direct reader must accept and
+    /// reject exactly what this does, with the same result.
+    fn reference_decode(text: &str) -> Result<WriteMessage, ModelError> {
         let v = wire::decode(text)?;
         let app = v
             .get("app")
@@ -259,138 +539,6 @@ impl WriteMessage {
             generation,
             vectors,
         })
-    }
-
-    /// Dependency list in `(key, required_version)` form for the version
-    /// store wait.
-    pub fn dep_list(&self) -> Vec<(DepKey, u64)> {
-        self.dependencies.iter().map(|(k, v)| (*k, *v)).collect()
-    }
-
-    /// Dependency keys only (for the subscriber's post-processing apply).
-    pub fn dep_keys(&self) -> Vec<DepKey> {
-        self.dependencies.keys().copied().collect()
-    }
-
-    /// The version vector an incoming write carries for `key`, given the
-    /// writer id of the publishing app. Multi-writer messages carry it
-    /// explicitly in `vectors`; single-writer (and scalar-era) messages
-    /// derive it from the scalar dependency value as a single component
-    /// owned by the message's writer.
-    pub fn vector_for(&self, key: DepKey, writer: u64) -> Option<VersionVector> {
-        if let Some(vector) = self.vectors.get(&key) {
-            return Some(vector.clone());
-        }
-        self.dependencies
-            .get(&key)
-            .map(|version| VersionVector::component(writer, *version))
-    }
-}
-
-/// Writes `v`'s decimal digits into `buf` and returns them — used to sort
-/// dependency keys in their historical string order without allocating.
-fn dec_digits(buf: &mut [u8; 20], v: u64) -> &[u8] {
-    let mut pos = buf.len();
-    let mut rest = v;
-    loop {
-        pos -= 1;
-        buf[pos] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    &buf[pos..]
-}
-
-/// Current wall-clock in microseconds since the Unix epoch.
-pub fn now_micros() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use synapse_model::{varray, vmap};
-
-    fn fig6b_message() -> WriteMessage {
-        // The Fig. 6(b) sample: pub3 updates User#100's interests.
-        let mut attributes = BTreeMap::new();
-        attributes.insert("interests".to_owned(), varray!["cats", "dogs"]);
-        let mut dependencies = BTreeMap::new();
-        dependencies.insert(77_u64, 42_u64); // hash("pub3/users/id/100") → 42
-        WriteMessage {
-            app: "pub3".into(),
-            operations: vec![Operation {
-                operation: "update".into(),
-                types: vec!["User".into()],
-                id: Id(100),
-                attributes,
-            }],
-            dependencies,
-            published_at: 1_413_014_340_000_000,
-            generation: 1,
-            vectors: BTreeMap::new(),
-        }
-    }
-
-    #[test]
-    fn roundtrip_preserves_every_field() {
-        let msg = fig6b_message();
-        let decoded = WriteMessage::decode(&msg.encode()).unwrap();
-        assert_eq!(decoded, msg);
-    }
-
-    #[test]
-    fn encoding_contains_fig6b_fields() {
-        let text = fig6b_message().encode();
-        for needle in [
-            r#""app":"pub3""#,
-            r#""operation":"update""#,
-            r#""types":["User"]"#,
-            r#""id":100"#,
-            r#""interests":["cats","dogs"]"#,
-            r#""dependencies":{"77":42}"#,
-            r#""generation":1"#,
-        ] {
-            assert!(text.contains(needle), "{text} should contain {needle}");
-        }
-    }
-
-    #[test]
-    fn destroy_operations_carry_the_pre_image() {
-        // Required by Fig. 5's observer `after_destroy` callbacks, which
-        // read the destroyed object's attributes.
-        let mut r = Record::new("User", Id(5));
-        r.set("name", "x");
-        let op = Operation::from_record("destroy", &r);
-        assert_eq!(op.attributes.get("name"), Some(&Value::from("x")));
-        assert_eq!(op.id, Id(5));
-    }
-
-    #[test]
-    fn polymorphic_type_chains_roundtrip() {
-        let mut msg = fig6b_message();
-        msg.operations[0].types = vec!["AdminUser".into(), "User".into()];
-        let decoded = WriteMessage::decode(&msg.encode()).unwrap();
-        assert_eq!(decoded.operations[0].model(), "AdminUser");
-        assert_eq!(decoded.operations[0].types.len(), 2);
-    }
-
-    #[test]
-    fn decode_rejects_malformed_messages() {
-        for bad in [
-            "{}",
-            r#"{"app":"a"}"#,
-            r#"{"app":"a","operations":[{"operation":"create"}]}"#,
-            r#"{"app":"a","operations":[{"operation":"create","types":[],"id":1}]}"#,
-            "not json",
-        ] {
-            assert!(WriteMessage::decode(bad).is_err(), "should reject {bad}");
-        }
     }
 
     /// The historical encoder: build the full `Value` tree (dependency keys
@@ -505,5 +653,244 @@ mod tests {
             .insert(77, VersionVector::from_components(&[(9, 2), (10, 5)]));
         let explicit = multi.vector_for(77, 9).unwrap();
         assert_eq!(explicit.components(), &[(9, 2), (10, 5)]);
+    }
+
+    /// `decode` against the tree decoder it replaced: the same verdict on
+    /// every text and, where that is `Ok`, the same message.
+    fn assert_decodes_like_reference(text: &str) {
+        let (direct, reference) = (WriteMessage::decode(text), reference_decode(text));
+        match (&direct, &reference) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "decoders disagree on the value of {text}"),
+            (Err(_), Err(_)) => {}
+            _ => panic!("decoders disagree on {text}: {direct:?} vs {reference:?}"),
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_on_hand_cases() {
+        let op =
+            r#"{"attributes":{"a":[1,2.5,{"b":null}]},"id":7,"operation":"create","types":["T"]}"#;
+        let whole = |fields: &str| format!(r#"{{"app":"a","operations":[{op}]{fields}}}"#);
+        let one_op = |op: &str| format!(r#"{{"app":"a","operations":[{op}]}}"#);
+        let cases = [
+            whole(""),
+            // Unknown keys and whitespace anywhere the grammar allows it.
+            whole(r#","extra":{"deep":[1,{"x":"y"}]},"zzz":null"#),
+            format!(" {{ \"app\" :\t\"a\" ,\n\"operations\" : [ {op} ] \r}} "),
+            format!("{} x", whole("")),
+            // Repeated keys: the last one counts, whatever came before it.
+            whole(r#","app":"b""#),
+            whole(r#","app":5"#),
+            format!(r#"{{"app":5,"app":"a","operations":[{op}]}}"#),
+            whole(r#","operations":[]"#),
+            whole(r#","operations":"none""#),
+            format!(r#"{{"app":"a","operations":[{{}}],"operations":[{op}]}}"#),
+            format!(r#"{{"app":"a","operations":[{op}],"operations":[{{}}]}}"#),
+            whole(r#","dependencies":{"x":1},"dependencies":{"1":2}"#),
+            whole(r#","dependencies":{"1":2},"dependencies":{"x":1}"#),
+            whole(r#","generation":3,"generation":"x""#),
+            // Keys compare after unescaping.
+            whole(r#","\u0061pp":"escaped""#),
+            // Fields of the wrong shape.
+            r#"{"app":"a","operations":{"0":1}}"#.to_owned(),
+            r#"{"app":"a","operations":[1,"x",null]}"#.to_owned(),
+            r#"[{"app":"a","operations":[]}]"#.to_owned(),
+            r#""app""#.to_owned(),
+            whole(r#","dependencies":[1,2]"#),
+            whole(r#","vectors":7"#),
+            whole(r#","published_at":1.5,"generation":null"#),
+            whole(r#","published_at":-1,"generation":-1"#),
+            whole(r#","published_at":92233720368547758080"#),
+            // Operations.
+            one_op(r#"{"id":1.0,"operation":"create","types":["T"]}"#),
+            one_op(r#"{"id":1e3,"operation":"create","types":["T"]}"#),
+            one_op(r#"{"id":92233720368547758080,"operation":"create","types":["T"]}"#),
+            one_op(r#"{"id":-1,"operation":"create","types":["T"]}"#),
+            one_op(r#"{"id":1,"operation":"create"}"#),
+            one_op(r#"{"id":1,"operation":"create","types":"T"}"#),
+            one_op(r#"{"id":1,"operation":"create","types":[]}"#),
+            one_op(r#"{"id":1,"operation":"create","types":[1,null]}"#),
+            one_op(r#"{"id":1,"operation":"create","types":[1,"T",["U"],"V"]}"#),
+            one_op(r#"{"id":1,"operation":7,"types":["T"]}"#),
+            one_op(r#"{"operation":"create","types":["T"]}"#),
+            one_op(r#"{"id":1,"operation":"create","types":["T"],"attributes":[1]}"#),
+            one_op(r#"{"id":1,"operation":"create","types":["T"],"attributes":{"a":1,"a":2}}"#),
+            one_op(r#"{"id":1,"id":2,"operation":"x","operation":"y","types":[],"types":["T"]}"#),
+            one_op(r#"{"id":1,"operation":"create","types":["T"],"more":[{"id":2}]}"#),
+            // Dependency and vector keys are parsed from their *strings*.
+            whole(r#","dependencies":{"7":1,"07":2,"+7":3}"#),
+            whole(r#","dependencies":{"07":2,"7":1}"#),
+            whole(r#","dependencies":{"0":1,"00":2}"#),
+            whole(r#","dependencies":{"7":"x","7":1}"#),
+            whole(r#","dependencies":{"7":1,"7":"x"}"#),
+            whole(r#","dependencies":{"7":1.0}"#),
+            whole(r#","dependencies":{"":1}"#),
+            whole(r#","dependencies":{"-1":1}"#),
+            whole(r#","dependencies":{"18446744073709551616":1}"#),
+            whole(r#","dependencies":{"18446744073709551615":-1}"#),
+            whole(r#","dependencies":{"\u0037":1,"7":2}"#),
+            whole(r#","vectors":{"7":{"1":2,"01":3,"+1":4}}"#),
+            whole(r#","vectors":{"7":{"1":2},"07":{"3":4}}"#),
+            whole(r#","vectors":{"7":[1]}"#),
+            whole(r#","vectors":{"7":{"x":1}}"#),
+            whole(r#","vectors":{"7":{"1":null}}"#),
+            whole(r#","vectors":{"x":{}}"#),
+            whole(r#","vectors":{"7":{}},"vectors":{}"#),
+            // Malformed JSON past a point that already decided the verdict.
+            whole(r#","app":5"#) + "]",
+            r#"{"app":"a","operations":[{}],"x":tru}"#.to_owned(),
+            r#"{"app":"a","operations":[{"id":"\ud800"}]}"#.to_owned(),
+            r#"{"app":"a\q","operations":[]}"#.to_owned(),
+            "{\"app\":\"a\u{1}\",\"operations\":[]}".to_owned(),
+            String::new(),
+            "{".to_owned(),
+            r#"{"app""#.to_owned(),
+            r#"{"app":"a","operations":[],}"#.to_owned(),
+        ];
+        for text in &cases {
+            assert_decodes_like_reference(text);
+        }
+        // The list is not all rejections, nor all acceptances.
+        let accepted = cases
+            .iter()
+            .filter(|t| WriteMessage::decode(t).is_ok())
+            .count();
+        assert!(
+            accepted >= 20 && cases.len() - accepted >= 20,
+            "{accepted} of {}",
+            cases.len()
+        );
+        // And the string-keyed corner: "07" sorts before "7", so "7" is
+        // read last and its value stands.
+        let msg = WriteMessage::decode(&whole(r#","dependencies":{"7":1,"07":2}"#)).unwrap();
+        assert_eq!(msg.dep_list(), vec![(7, 1)]);
+    }
+
+    fn arb_value() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<i64>().prop_map(Value::Int),
+            any::<f64>()
+                .prop_filter("finite", |f| f.is_finite())
+                .prop_map(Value::Float),
+            arb_text().prop_map(Value::from),
+        ];
+        leaf.prop_recursive(3, 24, 6, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+                prop::collection::btree_map(arb_text(), inner, 0..4).prop_map(Value::Map),
+            ]
+        })
+    }
+
+    /// Text that exercises every escape the encoder writes (quote,
+    /// backslash, `\n`/`\t`, `\u00XX`) beside multi-byte characters.
+    fn arb_text() -> impl Strategy<Value = String> {
+        "[a-zA-Z0-9 _äö❤😀\\\\\"\n\t\u{1}\u{1f}]{0,10}"
+    }
+
+    fn arb_key() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..12, any::<u64>(), Just(u64::MAX)]
+    }
+
+    fn arb_message() -> impl Strategy<Value = WriteMessage> {
+        let op = (
+            prop_oneof![Just("create"), Just("update"), Just("destroy")],
+            prop::collection::vec("[A-Z][a-z]{0,6}", 1..3),
+            arb_key(),
+            prop::collection::btree_map(arb_text(), arb_value(), 0..4),
+        )
+            .prop_map(|(operation, types, id, attributes)| Operation {
+                operation: operation.to_owned(),
+                types,
+                id: Id(id),
+                attributes,
+            });
+        let vector = prop::collection::vec((arb_key(), 1u64..50), 0..3)
+            .prop_map(|components| VersionVector::from_components(&components));
+        (
+            arb_text(),
+            prop::collection::vec(op, 0..4),
+            prop::collection::btree_map(arb_key(), arb_key(), 0..4),
+            any::<u64>(),
+            any::<u64>(),
+            prop::collection::btree_map(arb_key(), vector, 0..3),
+        )
+            .prop_map(
+                |(app, operations, dependencies, published_at, generation, vectors)| WriteMessage {
+                    app,
+                    operations,
+                    dependencies,
+                    published_at,
+                    generation,
+                    vectors,
+                },
+            )
+    }
+
+    /// One random edit of an encoding: cut it short, drop, overwrite or
+    /// insert a character that means something to the grammar, repeat a
+    /// slice of it (repeated keys), or rename one field to another
+    /// (missing, repeated and wrongly typed fields).
+    fn mutate(text: &str, rng: &mut proptest::TestRng) -> String {
+        const ALPHABET: &[char] = &[
+            '{', '}', '[', ']', '"', ':', ',', '\\', ' ', '\n', '0', '7', '9', '-', '+', '.', 'e',
+            'n', 't', 'f', 'u', 'x', 'é', '\u{1}',
+        ];
+        const KEYS: &[&str] = &[
+            "app",
+            "operations",
+            "dependencies",
+            "vectors",
+            "generation",
+            "published_at",
+            "operation",
+            "types",
+            "id",
+            "attributes",
+        ];
+        let mut chars: Vec<char> = text.chars().collect();
+        let at = rng.below(chars.len() as u64 + 1) as usize;
+        let pick = ALPHABET[rng.below(ALPHABET.len() as u64) as usize];
+        match rng.below(6) {
+            0 => chars.truncate(at),
+            1 if at < chars.len() => drop(chars.remove(at)),
+            2 if at < chars.len() => chars[at] = pick,
+            3 => chars.insert(at, pick),
+            4 => {
+                let end = (at + rng.below(40) as usize).min(chars.len());
+                let slice = chars[at..end].to_vec();
+                chars.splice(at..at, slice);
+            }
+            _ => {
+                let from = KEYS[rng.below(KEYS.len() as u64) as usize];
+                let to = KEYS[rng.below(KEYS.len() as u64) as usize];
+                return text.replacen(&format!("\"{from}\""), &format!("\"{to}\""), 1);
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    proptest! {
+        /// Generated messages, and a few hundred edits of each one's
+        /// encoding, decode alike; the untouched encoding round-trips.
+        #[test]
+        fn decode_matches_reference_on_generated_and_mutated_encodings(
+            msg in arb_message(),
+            seed in any::<u64>(),
+        ) {
+            let text = msg.encode();
+            assert_decodes_like_reference(&text);
+            prop_assert_eq!(WriteMessage::decode(&text).expect("own encoding"), msg);
+            let mut rng = proptest::TestRng::new(seed);
+            for _ in 0..200 {
+                let mut edited = mutate(&text, &mut rng);
+                assert_decodes_like_reference(&edited);
+                // A second edit on top reaches texts one edit cannot.
+                edited = mutate(&edited, &mut rng);
+                assert_decodes_like_reference(&edited);
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! One service's Synapse runtime and the ecosystem wiring harness.
 
-use crate::api::{Publication, Subscription};
+use crate::api::{Publication, PublicationRegistry, Subscription, SubscriptionRegistry};
 use crate::config::{SynapseConfig, VERSION_STORE_SHARDS};
 use crate::context::{self, TxBuffer};
 use crate::deps::DepName;
@@ -248,8 +248,8 @@ pub struct SynapseNode {
     pub_store: Arc<VersionStore>,
     sub_store: Arc<VersionStore>,
     generations: GenerationStore,
-    publications: Arc<RwLock<BTreeMap<String, Publication>>>,
-    subscriptions: Arc<RwLock<Vec<Subscription>>>,
+    publications: PublicationRegistry,
+    subscriptions: SubscriptionRegistry,
     publisher: Arc<Publisher>,
     subscriber: Arc<Subscriber>,
     publisher_modes: Arc<RwLock<HashMap<String, DeliveryMode>>>,
@@ -472,7 +472,7 @@ impl SynapseNode {
         drop(subs);
         self.publications
             .write()
-            .insert(publication.model.clone(), publication);
+            .insert(publication.model.clone(), Arc::new(publication));
         Ok(())
     }
 
@@ -503,7 +503,7 @@ impl SynapseNode {
             .write()
             .entry(subscription.from.clone())
             .or_insert(DeliveryMode::Causal);
-        self.subscriptions.write().push(subscription);
+        self.subscriptions.write().push(Arc::new(subscription));
         Ok(())
     }
 
@@ -517,12 +517,14 @@ impl SynapseNode {
 
     /// All declared publications.
     pub fn publications(&self) -> Vec<Publication> {
-        self.publications.read().values().cloned().collect()
+        let pubs = self.publications.read();
+        pubs.values().map(|p| Publication::clone(p)).collect()
     }
 
     /// All declared subscriptions.
     pub fn subscriptions(&self) -> Vec<Subscription> {
-        self.subscriptions.read().clone()
+        let subs = self.subscriptions.read();
+        subs.iter().map(|s| Subscription::clone(s)).collect()
     }
 
     /// Starts the subscriber worker pool.
@@ -921,7 +923,7 @@ impl SynapseNode {
         // published objects. The subscription/publication locks are held
         // only long enough to collect the matching pairs — not across the
         // paged reads and marshalling.
-        let pairs: Vec<(String, Publication)> = {
+        let pairs: Vec<(String, Arc<Publication>)> = {
             let subs = self.subscriptions.read();
             let pubs = publisher.publications.read();
             subs.iter()
@@ -981,7 +983,7 @@ impl SynapseNode {
     fn copy_models(
         &self,
         publisher: &SynapseNode,
-        pairs: &[(String, Publication)],
+        pairs: &[(String, Arc<Publication>)],
         session: u64,
         workers_live: bool,
     ) -> Result<u64, OrmError> {

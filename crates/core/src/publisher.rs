@@ -24,13 +24,13 @@
 //! delete instances of models it merely subscribes to, and cannot update
 //! imported attributes (decorations remain writable).
 
-use crate::api::{Publication, Subscription};
+use crate::api::{Publication, PublicationRegistry, Subscription, SubscriptionRegistry};
 use crate::config::RetryPolicy;
 use crate::context::{self, TxBuffer};
 use crate::deps::{normalize_dep_sets_with, writer_id, DepInterner, DepName, DepSpace};
 use crate::message::{now_micros, Operation, WriteMessage};
 use crate::semantics::DeliveryMode;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -164,8 +164,8 @@ pub struct Publisher {
     sub_store: Arc<VersionStore>,
     broker: Broker,
     generations: GenerationStore,
-    publications: Arc<RwLock<BTreeMap<String, Publication>>>,
-    subscriptions: Arc<RwLock<Vec<Subscription>>>,
+    publications: PublicationRegistry,
+    subscriptions: SubscriptionRegistry,
     locks: LockManager,
     /// Publish journal: payloads not yet confirmed at the broker, each with
     /// its monotonic origin stamp (so recovery republishes with the
@@ -202,8 +202,8 @@ impl Publisher {
         sub_store: Arc<VersionStore>,
         broker: Broker,
         generations: GenerationStore,
-        publications: Arc<RwLock<BTreeMap<String, Publication>>>,
-        subscriptions: Arc<RwLock<Vec<Subscription>>>,
+        publications: PublicationRegistry,
+        subscriptions: SubscriptionRegistry,
         retry: RetryPolicy,
         telemetry: Arc<Telemetry>,
     ) -> Self {
@@ -304,7 +304,7 @@ impl Publisher {
         false
     }
 
-    fn subscription_for(&self, model: &str) -> Option<Subscription> {
+    fn subscription_for(&self, model: &str) -> Option<Arc<Subscription>> {
         self.subscriptions
             .read()
             .iter()

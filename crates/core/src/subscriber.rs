@@ -38,7 +38,7 @@
 //! up on waiting for late (or lost) messages, with a configurable
 //! timeout"). Weak mode behaves as timeout 0.
 
-use crate::api::Subscription;
+use crate::api::{Subscription, SubscriptionRegistry};
 use crate::config::{RetryPolicy, SynapseConfig};
 use crate::context;
 use crate::deps::{writer_id, DepName, DepSpace};
@@ -281,6 +281,19 @@ impl ConflictCounters {
     }
 }
 
+/// `w<i>-` and the tail of the app's name, within the 15 bytes Linux keeps
+/// of a thread name — so `/proc/<pid>/task/*/comm` beside `schedstat`,
+/// `top -H` and a panic message say which subscriber a thread serves.
+fn worker_thread_name(app: &str, i: usize) -> String {
+    let mut name = format!("w{i}-");
+    let mut tail = app.len().saturating_sub(15usize.saturating_sub(name.len()));
+    while !app.is_char_boundary(tail) {
+        tail += 1;
+    }
+    name.push_str(&app[tail..]);
+    name
+}
+
 /// The subscriber runtime for one service. See the module docs.
 pub struct Subscriber {
     app: String,
@@ -289,7 +302,7 @@ pub struct Subscriber {
     dep_space: DepSpace,
     subscriber_mode: DeliveryMode,
     dep_wait_timeout: Option<Duration>,
-    subscriptions: Arc<RwLock<Vec<Subscription>>>,
+    subscriptions: SubscriptionRegistry,
     /// Publisher app → the delivery mode that publisher supports.
     publisher_modes: Arc<RwLock<HashMap<String, DeliveryMode>>>,
     broker: Broker,
@@ -327,7 +340,7 @@ impl Subscriber {
         config: &SynapseConfig,
         orm: Arc<Orm>,
         store: Arc<VersionStore>,
-        subscriptions: Arc<RwLock<Vec<Subscription>>>,
+        subscriptions: SubscriptionRegistry,
         publisher_modes: Arc<RwLock<HashMap<String, DeliveryMode>>>,
         broker: Broker,
         telemetry: Arc<Telemetry>,
@@ -405,7 +418,12 @@ impl Subscriber {
         for i in 0..n {
             let sub = Arc::clone(self);
             let consumer = consumer.clone();
-            workers.push(std::thread::spawn(move || sub.worker_loop(consumer, i, n)));
+            workers.push(
+                std::thread::Builder::new()
+                    .name(worker_thread_name(&self.app, i))
+                    .spawn(move || sub.worker_loop(consumer, i, n))
+                    .expect("spawn subscriber worker"),
+            );
         }
     }
 
@@ -1012,7 +1030,7 @@ impl Subscriber {
         kind: Kind,
         mode: DeliveryMode,
     ) -> Result<(), OrmError> {
-        let matching: Vec<Subscription> = {
+        let matching: Vec<Arc<Subscription>> = {
             let subs = self.subscriptions.read();
             subs.iter()
                 .filter(|s| s.from == msg.app && op.types.iter().any(|t| t == &s.model))
@@ -1131,7 +1149,7 @@ impl Subscriber {
     fn resolve_conflict(
         &self,
         op: &Operation,
-        matching: &[Subscription],
+        matching: &[Arc<Subscription>],
         vector: &VersionVector,
         writer: u64,
         lww_wins: bool,
@@ -1331,5 +1349,29 @@ fn callback_points(operation: &str) -> (CallbackPoint, CallbackPoint) {
         "create" => (CallbackPoint::BeforeCreate, CallbackPoint::AfterCreate),
         "destroy" => (CallbackPoint::BeforeDestroy, CallbackPoint::AfterDestroy),
         _ => (CallbackPoint::BeforeUpdate, CallbackPoint::AfterUpdate),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::worker_thread_name;
+
+    #[test]
+    fn worker_thread_names_fit_the_kernels_fifteen_bytes() {
+        assert_eq!(worker_thread_name("sub", 0), "w0-sub");
+        assert_eq!(
+            worker_thread_name("elasticsearch_sub", 3),
+            "w3-icsearch_sub"
+        );
+        assert_eq!(
+            worker_thread_name("elasticsearch_sub", 12),
+            "w12-csearch_sub"
+        );
+        // A cut never lands inside a character.
+        assert_eq!(worker_thread_name("ééééééé", 0), "w0-éééééé");
+        assert_eq!(worker_thread_name("aééééééé", 0), "w0-éééééé");
+        for name in ["", "x", "a-very-long-application-name", "ééééééééééé"] {
+            assert!(worker_thread_name(name, 7).len() <= 15);
+        }
     }
 }

@@ -11,9 +11,10 @@ use crate::engine::{Capabilities, Engine, EngineStats};
 use crate::error::DbError;
 use crate::faults::DbFaults;
 use crate::latency::LatencyModel;
-use crate::query::{Query, QueryResult, Row};
+use crate::query::{Filter, Query, QueryResult, Row};
 use crate::table::{OpMeter, RowTable};
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use synapse_model::{Id, Value};
 
@@ -61,9 +62,26 @@ fn split_alnum(text: &str) -> Vec<String> {
 struct SearchIndex {
     docs: RowTable,
     /// Per-field inverted index: field → term → (doc id → term frequency).
+    /// Always exactly the index of `docs` under `analyzers` — no empty
+    /// posting list, no empty field — which is what lets an update or a
+    /// delete take a document out by the terms of its old image.
     inverted: HashMap<String, HashMap<String, HashMap<Id, u32>>>,
     /// Analyzer overrides by field (default: [`Analyzer::Simple`]).
     analyzers: HashMap<String, Analyzer>,
+    /// Posting lists looked up by index maintenance, for the test that
+    /// pins its cost to the document's own terms.
+    #[cfg(test)]
+    posting_visits: usize,
+}
+
+/// The strings of a field value that get tokenized: the value itself, or
+/// the elements of an array.
+fn texts(value: &Value) -> impl Iterator<Item = &str> {
+    let items = match value {
+        Value::Array(items) => items.as_slice(),
+        scalar => std::slice::from_ref(scalar),
+    };
+    items.iter().filter_map(Value::as_str)
 }
 
 impl SearchIndex {
@@ -73,28 +91,77 @@ impl SearchIndex {
 
     fn index_doc(&mut self, id: Id, doc: &Row) {
         for (field, value) in doc {
-            let texts: Vec<&str> = match value {
-                Value::Str(s) => vec![s.as_str()],
-                Value::Array(items) => items.iter().filter_map(Value::as_str).collect(),
-                _ => continue,
-            };
-            let analyzer = self.analyzer_for(field);
-            let per_field = self.inverted.entry(field.clone()).or_default();
-            for text in texts {
-                for term in analyzer.tokenize(text) {
-                    *per_field.entry(term).or_default().entry(id).or_insert(0) += 1;
-                }
-            }
+            self.index_field(id, field, value);
         }
     }
 
-    fn unindex_doc(&mut self, id: Id) {
-        for per_field in self.inverted.values_mut() {
-            per_field.retain(|_, postings| {
-                postings.remove(&id);
-                !postings.is_empty()
-            });
+    /// Takes `id` out of the postings its stored image `old` put it in.
+    fn unindex_doc(&mut self, id: Id, old: &Row) {
+        for (field, value) in old {
+            self.unindex_field(id, field, value);
         }
+    }
+
+    fn index_field(&mut self, id: Id, field: &str, value: &Value) {
+        let analyzer = self.analyzer_for(field);
+        let mut terms = texts(value)
+            .flat_map(|text| analyzer.tokenize(text))
+            .peekable();
+        if terms.peek().is_none() {
+            return;
+        }
+        if !self.inverted.contains_key(field) {
+            self.inverted.insert(field.to_owned(), HashMap::new());
+        }
+        let per_field = self
+            .inverted
+            .get_mut(field)
+            .expect("field map ensured above");
+        for term in terms {
+            #[cfg(test)]
+            {
+                self.posting_visits += 1;
+            }
+            *per_field.entry(term).or_default().entry(id).or_insert(0) += 1;
+        }
+    }
+
+    fn unindex_field(&mut self, id: Id, field: &str, value: &Value) {
+        let analyzer = self.analyzer_for(field);
+        let Some(per_field) = self.inverted.get_mut(field) else {
+            return;
+        };
+        for term in texts(value).flat_map(|text| analyzer.tokenize(text)) {
+            #[cfg(test)]
+            {
+                self.posting_visits += 1;
+            }
+            if let Entry::Occupied(mut postings) = per_field.entry(term) {
+                postings.get_mut().remove(&id);
+                if postings.get().is_empty() {
+                    postings.remove();
+                }
+            }
+        }
+        if per_field.is_empty() {
+            self.inverted.remove(field);
+        }
+    }
+
+    /// Changes `field`'s analyzer and re-tokenizes the field's stored
+    /// values with it, so the index stays the index of `docs`.
+    fn set_analyzer(&mut self, field: &str, analyzer: Analyzer) {
+        self.analyzers.insert(field.to_owned(), analyzer);
+        self.inverted.remove(field);
+        // The documents step aside so they can be read while the index
+        // is written.
+        let docs = std::mem::take(&mut self.docs);
+        for (id, doc) in docs.matching(&Filter::All) {
+            if let Some(value) = doc.get(field) {
+                self.index_field(id, field, value);
+            }
+        }
+        self.docs = docs;
     }
 
     /// Scores docs for `text` on `field` with tf-idf.
@@ -234,8 +301,7 @@ impl SearchDb {
         indices
             .entry(table.to_owned())
             .or_default()
-            .analyzers
-            .insert(field.to_owned(), analyzer);
+            .set_analyzer(field, analyzer);
     }
 }
 
@@ -288,8 +354,8 @@ impl Engine for SearchDb {
             } => {
                 let index = indices.entry(table.clone()).or_default();
                 let mut written = Vec::new();
-                for (id, _, doc) in index.docs.update(&index.docs.ids(filter), set, unset) {
-                    index.unindex_doc(id);
+                for (id, old, doc) in index.docs.update(&index.docs.ids(filter), set, unset) {
+                    index.unindex_doc(id, &old);
                     index.index_doc(id, &doc);
                     written.push((id, doc));
                 }
@@ -298,8 +364,8 @@ impl Engine for SearchDb {
             Query::Delete { table, filter } => {
                 let index = indices.entry(table.clone()).or_default();
                 let removed = index.docs.delete(&index.docs.ids(filter));
-                for (id, _) in &removed {
-                    index.unindex_doc(*id);
+                for (id, old) in &removed {
+                    index.unindex_doc(*id, old);
                 }
                 Ok(QueryResult::Rows(removed))
             }
@@ -327,7 +393,7 @@ impl Engine for SearchDb {
 mod tests {
     use super::*;
     use crate::profiles;
-    use crate::query::Filter;
+    use proptest::prelude::*;
     use synapse_model::varray;
 
     fn db() -> SearchDb {
@@ -536,6 +602,240 @@ mod tests {
         {
             QueryResult::Count(n) => assert_eq!(n, 2, "window closed after one read"),
             other => panic!("unexpected result {other:?}"),
+        }
+    }
+
+    fn update(db: &SearchDb, filter: Filter, set: &[(&str, Value)], unset: &[&str]) {
+        db.execute(&Query::Update {
+            table: "posts".into(),
+            filter,
+            set: set
+                .iter()
+                .map(|(k, v)| ((*k).to_owned(), v.clone()))
+                .collect(),
+            unset: unset.iter().map(|k| (*k).to_owned()).collect(),
+        })
+        .unwrap();
+    }
+
+    /// The live index of `posts` against one built from scratch over its
+    /// documents and analyzers: the same postings, the same search hits.
+    fn assert_index_is_rebuild(db: &SearchDb) {
+        let live = db.indices.lock().get("posts").cloned().unwrap_or_default();
+        let mut rebuilt = SearchIndex {
+            docs: live.docs.clone(),
+            analyzers: live.analyzers.clone(),
+            ..SearchIndex::default()
+        };
+        for (id, doc) in live.docs.matching(&Filter::All) {
+            rebuilt.index_doc(id, doc);
+        }
+        assert_eq!(live.inverted, rebuilt.inverted);
+        for field in ["body", "tags"] {
+            for text in ["cats", "New York", "the dogs and cats", "7"] {
+                let hits = db
+                    .execute(&Query::Search {
+                        table: "posts".into(),
+                        field: field.into(),
+                        text: text.into(),
+                        limit: 100,
+                    })
+                    .unwrap();
+                assert_eq!(
+                    hits,
+                    QueryResult::SearchHits(rebuilt.search(field, text, 100))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn changing_an_analyzer_reindexes_the_stored_documents() {
+        let db = db();
+        put(&db, 1, "body", "New York");
+        let mut row = Row::new();
+        row.insert("tags".to_owned(), varray!["Los Angeles", 7, "New York"]);
+        db.execute(&Query::Insert {
+            table: "posts".into(),
+            id: Id(2),
+            row,
+        })
+        .unwrap();
+        assert_eq!(search(&db, "new"), vec![Id(1)]);
+
+        // The old tokenization must stop matching, the new one start.
+        db.set_analyzer("posts", "body", Analyzer::Keyword);
+        db.set_analyzer("posts", "tags", Analyzer::Keyword);
+        assert!(search(&db, "new").is_empty());
+        assert_eq!(search(&db, "New York"), vec![Id(1)]);
+        assert_index_is_rebuild(&db);
+        let tags = |text: &str| {
+            db.indices.lock()["posts"]
+                .search("tags", text, 10)
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(tags("los angeles"), vec![Id(2)]);
+        assert!(tags("angeles").is_empty());
+
+        // And the document leaves by the tokens it is indexed under now:
+        // nothing of "new york" may outlive the update.
+        update(&db, Filter::ById(Id(1)), &[("body", "Boston".into())], &[]);
+        assert!(search(&db, "New York").is_empty());
+        assert_eq!(search(&db, "boston"), vec![Id(1)]);
+        assert_index_is_rebuild(&db);
+
+        // Back again, over an array field too.
+        db.set_analyzer("posts", "tags", Analyzer::Simple);
+        assert_eq!(tags("angeles"), vec![Id(2)]);
+        assert_index_is_rebuild(&db);
+    }
+
+    #[test]
+    fn a_field_that_stops_being_text_leaves_the_index() {
+        let db = db();
+        put(&db, 1, "body", "cats");
+        put(&db, 2, "body", "cats and dogs");
+        // Str → Int.
+        update(&db, Filter::ById(Id(1)), &[("body", Value::Int(5))], &[]);
+        assert_eq!(search(&db, "cats"), vec![Id(2)]);
+        assert_index_is_rebuild(&db);
+        // Unset.
+        update(&db, Filter::ById(Id(2)), &[], &["body"]);
+        assert!(search(&db, "cats").is_empty());
+        assert!(db.indices.lock()["posts"].inverted.is_empty());
+        // Int → Array of strings.
+        update(&db, Filter::All, &[("body", varray!["cats", "cats"])], &[]);
+        assert_eq!(search(&db, "cats"), vec![Id(1), Id(2)]);
+        assert_index_is_rebuild(&db);
+    }
+
+    /// An update costs the document's own terms, old and new, however
+    /// large the table's vocabulary: a sweep over every term of the field
+    /// would look at 5 000 posting lists here.
+    #[test]
+    fn an_update_visits_only_the_documents_own_posting_lists() {
+        let db = db();
+        for id in 0..5_000u64 {
+            put(&db, id, "name", &format!("user{id}"));
+        }
+        db.indices.lock().get_mut("posts").unwrap().posting_visits = 0;
+        update(
+            &db,
+            Filter::ById(Id(2_500)),
+            &[("name", "three new terms".into())],
+            &[],
+        );
+        let index = db.indices.lock()["posts"].clone();
+        assert!(
+            index.posting_visits <= 1 + 3,
+            "visited {} posting lists",
+            index.posting_visits
+        );
+        assert_eq!(index.inverted["name"].len(), 4_999 + 3);
+        db.indices.lock().get_mut("posts").unwrap().posting_visits = 0;
+        db.execute(&Query::Delete {
+            table: "posts".into(),
+            filter: Filter::ById(Id(2_500)),
+        })
+        .unwrap();
+        assert_eq!(db.indices.lock()["posts"].posting_visits, 3);
+        assert_eq!(db.indices.lock()["posts"].inverted["name"].len(), 4_999);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Insert(u64, Row),
+        Update(Filter, Row, Vec<String>),
+        Delete(Filter),
+        Analyze(&'static str, Analyzer),
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let field = || prop_oneof![Just("body"), Just("tags"), Just("n")];
+        let word = || {
+            prop_oneof![
+                Just("cats"),
+                Just("dogs"),
+                Just("New York"),
+                Just("the"),
+                Just("and"),
+                Just("7"),
+                Just("é")
+            ]
+        };
+        let text = move || prop::collection::vec(word(), 0..4).prop_map(|words| words.join(" "));
+        let value = prop_oneof![
+            text().prop_map(Value::from),
+            prop::collection::vec(
+                prop_oneof![text().prop_map(Value::from), (0i64..9).prop_map(Value::Int)],
+                0..3
+            )
+            .prop_map(Value::Array),
+            (0i64..9).prop_map(Value::Int),
+            Just(Value::Null),
+        ]
+        .boxed();
+        let row = move || {
+            prop::collection::vec((field(), value.clone()), 0..3).prop_map(|fields| {
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_owned(), v))
+                    .collect::<Row>()
+            })
+        };
+        let filter = || {
+            prop_oneof![
+                (0u64..6).prop_map(|id| Filter::ById(Id(id))),
+                (0u64..6).prop_map(|id| Filter::IdAfter(Id(id))),
+                Just(Filter::All),
+                (0i64..9).prop_map(|n| Filter::Eq("n".into(), Value::Int(n))),
+            ]
+        };
+        let unset = prop::collection::vec(field().prop_map(str::to_owned), 0..2);
+        prop_oneof![
+            ((0u64..6), row()).prop_map(|(id, row)| Step::Insert(id, row)),
+            ((0u64..6), row()).prop_map(|(id, row)| Step::Insert(id, row)),
+            (filter(), row(), unset).prop_map(|(f, set, unset)| Step::Update(f, set, unset)),
+            filter().prop_map(Step::Delete),
+            (
+                field(),
+                prop_oneof![
+                    Just(Analyzer::Simple),
+                    Just(Analyzer::Standard),
+                    Just(Analyzer::Keyword)
+                ]
+            )
+                .prop_map(|(field, analyzer)| Step::Analyze(field, analyzer)),
+        ]
+    }
+
+    proptest! {
+        /// After every step of a random history the inverted index is the
+        /// index of the stored documents, however each got there.
+        #[test]
+        fn index_equals_rebuild_after_every_step(
+            steps in prop::collection::vec(arb_step(), 1..40),
+        ) {
+            let db = db();
+            for step in steps {
+                let table = "posts".to_owned();
+                match step {
+                    Step::Insert(id, row) => {
+                        // A taken id is refused and must change nothing.
+                        let _ = db.execute(&Query::Insert { table, id: Id(id), row });
+                    }
+                    Step::Update(filter, set, unset) => {
+                        db.execute(&Query::Update { table, filter, set, unset }).unwrap();
+                    }
+                    Step::Delete(filter) => {
+                        db.execute(&Query::Delete { table, filter }).unwrap();
+                    }
+                    Step::Analyze(field, analyzer) => db.set_analyzer(&table, field, analyzer),
+                }
+                assert_index_is_rebuild(&db);
+            }
         }
     }
 }

@@ -9,6 +9,7 @@
 use crate::error::ModelError;
 use crate::value::Value;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Runtime type expected for a field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,10 +242,12 @@ impl ModelSchema {
     }
 }
 
-/// A set of model schemas forming one service's data model.
+/// A set of model schemas forming one service's data model. Schemas are
+/// held by `Arc`: a caller that needs one beyond the set's borrow (the ORM,
+/// on every call) copies the pointer, not the schema.
 #[derive(Debug, Clone, Default)]
 pub struct SchemaSet {
-    models: BTreeMap<String, ModelSchema>,
+    models: BTreeMap<String, Arc<ModelSchema>>,
 }
 
 impl SchemaSet {
@@ -255,12 +258,12 @@ impl SchemaSet {
 
     /// Adds or replaces a model schema.
     pub fn define(&mut self, schema: ModelSchema) -> &mut Self {
-        self.models.insert(schema.name.clone(), schema);
+        self.models.insert(schema.name.clone(), Arc::new(schema));
         self
     }
 
     /// Looks up a model schema.
-    pub fn get(&self, model: &str) -> Result<&ModelSchema, ModelError> {
+    pub fn get(&self, model: &str) -> Result<&Arc<ModelSchema>, ModelError> {
         self.models
             .get(model)
             .ok_or_else(|| ModelError::UnknownModel(model.to_owned()))
@@ -273,7 +276,7 @@ impl SchemaSet {
 
     /// Iterates over all model schemas in name order.
     pub fn iter(&self) -> impl Iterator<Item = &ModelSchema> {
-        self.models.values()
+        self.models.values().map(|schema| &**schema)
     }
 
     /// Names of all defined models.

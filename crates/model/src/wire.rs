@@ -11,6 +11,7 @@
 
 use crate::error::ModelError;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Encodes a [`Value`] to canonical JSON.
@@ -196,25 +197,149 @@ fn encode_string(s: &str, out: &mut String) {
 /// assert_eq!(v.get("interests").as_array().unwrap().len(), 2);
 /// ```
 pub fn decode(text: &str) -> Result<Value, ModelError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after value"));
-    }
+    let mut r = Reader::new(text);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over one JSON text: the parser behind [`decode`], open to
+/// a caller that knows its message's shape and wants the fields in its own
+/// types instead of a [`Value`] tree (`WriteMessage::decode`, once per
+/// delivery). [`Reader::array`] and [`Reader::object`] walk a container
+/// and hand each element's position to the caller, who consumes exactly
+/// one value there with any of the three reads. A container read that
+/// finds some other type parses it as [`Reader::value`] would, drops it
+/// and returns `false` — what `Value::as_array`/`as_map` answer on a
+/// parsed tree, so the grammar accepted is [`decode`]'s, byte for byte.
+///
+/// # Examples
+///
+/// ```
+/// use synapse_model::wire::Reader;
+///
+/// let mut r = Reader::new(r#"{"id":7,"tags":["a","b"]}"#);
+/// let (mut id, mut tags) = (None, 0);
+/// r.object(|r, key| {
+///     match &*key {
+///         "id" => id = r.value()?.as_int(),
+///         _ => {
+///             r.array(|r| r.value().map(|_| tags += 1))?;
+///         }
+///     }
+///     Ok(())
+/// })
+/// .unwrap();
+/// r.finish().unwrap();
+/// assert_eq!((id, tags), (Some(7), 2));
+/// ```
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// Opens `text`, positioned at its first value.
+    pub fn new(text: &'a str) -> Self {
+        let mut r = Reader { text, pos: 0 };
+        r.skip_ws();
+        r
+    }
+
+    /// Closes the text: only whitespace may follow the value read.
+    pub fn finish(mut self) -> Result<(), ModelError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after value"));
+        }
+        Ok(())
+    }
+
+    /// Reads the next value, whatever it is.
+    pub fn value(&mut self) -> Result<Value, ModelError> {
+        match self.peek() {
+            Some(b'n') => self.parse_literal("null", Value::Null),
+            Some(b't') => self.parse_literal("true", Value::Bool(true)),
+            Some(b'f') => self.parse_literal("false", Value::Bool(false)),
+            Some(b'"') => Ok(Value::Str(self.parse_string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| r.value().map(|v| items.push(v)))?;
+                Ok(Value::Array(items))
+            }
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.object(|r, key| {
+                    let value = r.value()?;
+                    map.insert(key.into_owned(), value);
+                    Ok(())
+                })?;
+                Ok(Value::Map(map))
+            }
+            Some(b'-' | b'0'..=b'9') => self.parse_number(),
+            Some(_) => Err(self.err("unexpected character")),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// Reads the next value as an array, calling `item` at each element.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), ModelError>,
+    ) -> Result<bool, ModelError> {
+        if self.peek() != Some(b'[') {
+            return self.value().map(|_| false);
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        loop {
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b']') => return Ok(true),
+                _ => return Err(self.err("expected ',' or ']' in array")),
+            }
+        }
+    }
+
+    /// Reads the next value as an object, calling `entry` with each key at
+    /// that key's value. Keys come in text order, repeats included — a
+    /// tree keeps the last.
+    pub fn object(
+        &mut self,
+        mut entry: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ModelError>,
+    ) -> Result<bool, ModelError> {
+        if self.peek() != Some(b'{') {
+            return self.value().map(|_| false);
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            entry(self, key)?;
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b'}') => return Ok(true),
+                _ => return Err(self.err("expected ',' or '}' in object")),
+            }
+        }
+    }
+
     fn err(&self, message: &str) -> ModelError {
         ModelError::Parse {
             offset: self.pos,
@@ -223,7 +348,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -247,22 +372,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, ModelError> {
-        match self.peek() {
-            Some(b'n') => self.parse_literal("null", Value::Null),
-            Some(b't') => self.parse_literal("true", Value::Bool(true)),
-            Some(b'f') => self.parse_literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_map(),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
     fn parse_literal(&mut self, lit: &str, value: Value) -> Result<Value, ModelError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -270,103 +381,71 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_array(&mut self) -> Result<Value, ModelError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Array(items)),
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn parse_map(&mut self) -> Result<Value, ModelError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Map(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Map(map)),
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, ModelError> {
+    /// Reads a string literal: borrowed from the text when it holds no
+    /// escape (every key and most values), built only past the first one.
+    fn parse_string(&mut self) -> Result<Cow<'a, str>, ModelError> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        let text = self.text;
+        let mut run = self.pos;
+        let mut owned: Option<String> = None;
         loop {
+            // `"`, `\` and control bytes are ASCII, so a run of anything
+            // else always ends on a character boundary.
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(s),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'/') => s.push('/'),
-                    Some(b'n') => s.push('\n'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'b') => s.push('\u{0008}'),
-                    Some(b'f') => s.push('\u{000c}'),
-                    Some(b'u') => {
-                        let cp = self.parse_hex4()?;
-                        let ch = if (0xd800..0xdc00).contains(&cp) {
-                            // Surrogate pair: require a low surrogate next.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.err("expected low surrogate"));
-                            }
-                            let low = self.parse_hex4()?;
-                            if !(0xdc00..0xe000).contains(&low) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let c = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
-                            char::from_u32(c).ok_or_else(|| self.err("invalid code point"))?
-                        } else {
-                            char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?
-                        };
-                        s.push(ch);
-                    }
-                    _ => return Err(self.err("invalid escape sequence")),
-                },
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(b) => {
-                    // Re-assemble UTF-8 multibyte sequences from raw bytes.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b).ok_or_else(|| self.err("invalid UTF-8"))?;
-                    let end = start + len;
-                    if end > self.bytes.len() {
-                        return Err(self.err("truncated UTF-8 sequence"));
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    s.push_str(chunk);
-                    self.pos = end;
+                Some(b'"') => {
+                    let tail = &text[run..self.pos - 1];
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
+                Some(b'\\') => {
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(&text[run..self.pos - 1]);
+                    s.push(self.parse_escape()?);
+                    run = self.pos;
+                }
+                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
+                Some(_) => {}
             }
         }
+    }
+
+    /// The character a backslash escape stands for (the backslash is
+    /// already consumed).
+    fn parse_escape(&mut self) -> Result<char, ModelError> {
+        Ok(match self.bump() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000c}',
+            Some(b'u') => {
+                let cp = self.parse_hex4()?;
+                let cp = if (0xd800..0xdc00).contains(&cp) {
+                    // Surrogate pair: require a low surrogate next.
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return Err(self.err("expected low surrogate"));
+                    }
+                    let low = self.parse_hex4()?;
+                    if !(0xdc00..0xe000).contains(&low) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00)
+                } else {
+                    cp
+                };
+                char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?
+            }
+            _ => return Err(self.err("invalid escape sequence")),
+        })
     }
 
     fn parse_hex4(&mut self) -> Result<u32, ModelError> {
@@ -409,7 +488,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = &self.text[start..self.pos];
         if text.is_empty() || text == "-" {
             return Err(self.err("invalid number"));
         }
@@ -421,16 +500,6 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(Value::Float)
             .map_err(|_| self.err("invalid number"))
-    }
-}
-
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0x00..=0x7f => Some(1),
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
-        _ => None,
     }
 }
 
@@ -587,5 +656,64 @@ mod tests {
     fn huge_integers_fall_back_to_float() {
         let v = decode("92233720368547758080").unwrap();
         assert!(matches!(v, Value::Float(_)));
+    }
+
+    /// The reader's container walks see what `decode` sees: every key in
+    /// text order (repeats included), borrowed unless it holds an escape,
+    /// and a value of another type is consumed and reported as such.
+    #[test]
+    fn reader_walks_containers_in_text_order() {
+        let text = r#" {"b":1,"a\n":[true,"x\u00e9y"],"b":{"c":null}} "#;
+        let mut r = Reader::new(text);
+        let mut seen = Vec::new();
+        let is_object = r
+            .object(|r, key| {
+                let borrowed = matches!(key, Cow::Borrowed(_));
+                let mut items = 0;
+                let is_array = r.array(|r| r.value().map(|_| items += 1))?;
+                seen.push((key.into_owned(), borrowed, is_array, items));
+                Ok(())
+            })
+            .unwrap();
+        r.finish().unwrap();
+        assert!(is_object);
+        assert_eq!(
+            seen,
+            vec![
+                ("b".to_owned(), true, false, 0),
+                ("a\n".to_owned(), false, true, 2),
+                ("b".to_owned(), true, false, 0),
+            ]
+        );
+
+        let mut r = Reader::new("[1,2] x");
+        assert!(!r.object(|_, _| unreachable!("not an object")).unwrap());
+        assert!(r.finish().is_err(), "trailing characters");
+        assert!(Reader::new(r#"{"a":1,}"#)
+            .object(|r, _| r.value().map(drop))
+            .is_err());
+    }
+
+    /// A string is the same whether it is borrowed from the text or built
+    /// around its escapes, wherever the first escape falls.
+    #[test]
+    fn strings_with_and_without_escapes_agree() {
+        for s in [
+            "",
+            "plain",
+            "héllo ❤ wörld",
+            "\"lead",
+            "trail\\",
+            "mid\ndle ❤\ttab",
+            "\u{1}",
+        ] {
+            let v = Value::from(s);
+            assert_eq!(roundtrip(&v), v);
+        }
+        assert_eq!(
+            decode(r#""a\/b\u0041❤\b\f""#).unwrap(),
+            Value::from("a/bA❤\u{8}\u{c}")
+        );
+        assert!(decode("\"a\u{1}b\"").is_err(), "raw control character");
     }
 }

@@ -107,9 +107,15 @@ impl Orm {
         Ok(())
     }
 
-    /// Looks up a model's schema.
+    /// Looks up a model's schema, as a copy the caller owns.
     pub fn schema(&self, model: &str) -> Result<ModelSchema, OrmError> {
-        Ok(self.schemas.read().get(model)?.clone())
+        Ok(ModelSchema::clone(&*self.shared_schema(model)?))
+    }
+
+    /// The schema every call of this ORM works from: the registry's own,
+    /// by pointer — the lock is released before any callback runs.
+    fn shared_schema(&self, model: &str) -> Result<Arc<ModelSchema>, OrmError> {
+        Ok(Arc::clone(self.schemas.read().get(model)?))
     }
 
     /// Names of all defined models.
@@ -242,7 +248,7 @@ impl Orm {
 
     /// Creates a new object with an explicit id (replication, fixtures).
     pub fn create_with_id(&self, model: &str, id: Id, attrs: Value) -> Result<Record, OrmError> {
-        let schema = self.schema(model)?;
+        let schema = self.shared_schema(model)?;
         self.idgen(model).observe(id);
         let attrs = match attrs {
             Value::Map(m) => m,
@@ -273,7 +279,7 @@ impl Orm {
 
     /// Applies attribute changes to an existing object.
     pub fn update(&self, model: &str, id: Id, changes: Value) -> Result<Record, OrmError> {
-        let schema = self.schema(model)?;
+        let schema = self.shared_schema(model)?;
         let changes = match changes {
             Value::Map(m) => m,
             other => {
@@ -316,7 +322,7 @@ impl Orm {
 
     /// Destroys an object, returning its final image.
     pub fn destroy(&self, model: &str, id: Id) -> Result<Record, OrmError> {
-        let schema = self.schema(model)?;
+        let schema = self.shared_schema(model)?;
         let mut pre = self
             .adapter
             .find(&schema, id)?
@@ -346,7 +352,7 @@ impl Orm {
     /// Fetches one object, notifying observers of the read (the implicit
     /// read-dependency discovery of §4.2).
     pub fn find(&self, model: &str, id: Id) -> Result<Option<Record>, OrmError> {
-        let schema = self.schema(model)?;
+        let schema = self.shared_schema(model)?;
         let found = self.adapter.find(&schema, id)?;
         if let Some(r) = &found {
             self.notify_read(std::slice::from_ref(r));
@@ -361,7 +367,7 @@ impl Orm {
         field: &str,
         value: impl Into<Value>,
     ) -> Result<Vec<Record>, OrmError> {
-        let schema = self.schema(model)?;
+        let schema = self.shared_schema(model)?;
         let records = self.adapter.select(
             &schema,
             Filter::Eq(field.to_owned(), value.into()),
@@ -374,7 +380,7 @@ impl Orm {
 
     /// Fetches all objects of a model in id order.
     pub fn all(&self, model: &str) -> Result<Vec<Record>, OrmError> {
-        let schema = self.schema(model)?;
+        let schema = self.shared_schema(model)?;
         let records = self.adapter.select(
             &schema,
             Filter::All,
@@ -393,7 +399,7 @@ impl Orm {
     /// read behind bootstrap's chunked object copy: each chunk picks up
     /// where the previous watermark left off.
     pub fn all_after(&self, model: &str, after: Id, limit: usize) -> Result<Vec<Record>, OrmError> {
-        let schema = self.schema(model)?;
+        let schema = self.shared_schema(model)?;
         let records = self.adapter.select(
             &schema,
             Filter::IdAfter(after),
@@ -410,7 +416,7 @@ impl Orm {
     /// Counts objects of a model. Counts are aggregations, not true
     /// dependencies (§4.2), so observers are *not* notified.
     pub fn count(&self, model: &str) -> Result<u64, OrmError> {
-        let schema = self.schema(model)?;
+        let schema = self.shared_schema(model)?;
         self.adapter.count(&schema, Filter::All)
     }
 
@@ -421,7 +427,7 @@ impl Orm {
     ///   conventional foreign key (`<model>_id`, lowercased) equals this
     ///   record's id.
     pub fn related(&self, record: &Record, assoc_name: &str) -> Result<Vec<Record>, OrmError> {
-        let schema = self.schema(&record.model)?;
+        let schema = self.shared_schema(&record.model)?;
         let assoc = schema
             .associations
             .get(assoc_name)

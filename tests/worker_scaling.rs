@@ -151,3 +151,42 @@ fn every_worker_count_drains_with_zero_loss() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Each worker thread carries its index and the tail of its app's name,
+/// inside the 15 bytes the kernel keeps, so per-thread CPU
+/// (`/proc/<pid>/task/*/schedstat`) can be read per subscriber.
+#[cfg(target_os = "linux")]
+#[test]
+fn worker_threads_are_named_after_their_app() {
+    let eco = Ecosystem::new();
+    let publisher = post_node(&eco, SynapseConfig::new("pub"), None);
+    publisher
+        .publish(Publication::model("Post").field("body"))
+        .unwrap();
+    let config = SynapseConfig::new("search_replica_elastic").workers(2);
+    let subscriber = post_node(&eco, config, None);
+    subscriber
+        .subscribe(Subscription::model("Post", "pub").field("body"))
+        .unwrap();
+    eco.connect();
+    subscriber.start();
+    // A thread names itself as it starts, so look until both have.
+    let started = Instant::now();
+    loop {
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .expect("this process's threads")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim_end().to_owned())
+            .collect();
+        let named = |expected: &str| names.iter().any(|n| n == expected);
+        if named("w0-lica_elastic") && named("w1-lica_elastic") {
+            break;
+        }
+        assert!(
+            started.elapsed() < DEADLINE,
+            "worker names not in {names:?}"
+        );
+        std::thread::yield_now();
+    }
+    eco.stop_all();
+}
