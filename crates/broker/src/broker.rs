@@ -69,39 +69,6 @@ impl std::fmt::Display for PublishError {
 
 impl std::error::Error for PublishError {}
 
-/// Reserved exchange name carried by bootstrap watermark markers. Not a
-/// real exchange: markers are injected per-queue by
-/// [`Broker::publish_watermark`], never routed through bindings, and a
-/// subscriber recognizes them by this name on the delivery envelope.
-pub const WATERMARK_EXCHANGE: &str = "__synapse.watermark__";
-
-/// Reserved exchange name carried by bootstrap chunk-copy deliveries
-/// merged into a subscriber's own queue by
-/// [`Broker::publish_to_queue`]. Distinguishes copies (strict
-/// version-admission, no dependency wait) from live traffic.
-pub const BOOTSTRAP_EXCHANGE: &str = "__synapse.bootstrap__";
-
-/// Encodes a watermark marker payload: `wm:<lo|hi>:<session>:<chunk>`.
-/// Human-readable on purpose — markers show up in WAL dumps and
-/// dead-letter inspections during debugging.
-pub fn watermark_payload(session: u64, chunk: u64, high: bool) -> String {
-    format!("wm:{}:{session}:{chunk}", if high { "hi" } else { "lo" })
-}
-
-/// Decodes a watermark marker payload into `(session, chunk, high)`;
-/// `None` for anything that is not a well-formed marker.
-pub fn parse_watermark(payload: &str) -> Option<(u64, u64, bool)> {
-    let rest = payload.strip_prefix("wm:")?;
-    let (bound, rest) = rest.split_once(':')?;
-    let high = match bound {
-        "hi" => true,
-        "lo" => false,
-        _ => return None,
-    };
-    let (session, chunk) = rest.split_once(':')?;
-    Some((session.parse().ok()?, chunk.parse().ok()?, high))
-}
-
 /// Topology: declared queues, exchange bindings, and the routing table
 /// resolved from them. Mutated only by declare/bind (rare); the publish hot
 /// path takes a read lock and walks `resolved`.
@@ -212,28 +179,6 @@ impl RecoveredQueue {
                     self.dead.push((tag, exchange, payload, origin));
                 }
             }
-            WalRecord::Watermark {
-                tag,
-                session,
-                chunk,
-                high,
-                ..
-            } => {
-                // An unconsumed marker must survive a crash: the subscriber's
-                // reconciliation window for that chunk is still open, so
-                // replay resynthesizes the marker delivery in its original
-                // position. The payload is self-describing, so checkpointed
-                // markers round-trip through `Checkpoint.pending` for free.
-                self.pending.insert(
-                    tag,
-                    (
-                        WATERMARK_EXCHANGE.to_owned(),
-                        watermark_payload(session, chunk, high),
-                        0,
-                    ),
-                );
-                self.next_seq = self.next_seq.max(tag_seq(tag) + 1);
-            }
             WalRecord::QueueKilled { .. } => {
                 self.pending.clear();
                 self.decommissioned = true;
@@ -339,7 +284,6 @@ impl Broker {
                 WalRecord::Enqueue { queue, .. }
                 | WalRecord::Ack { queue, .. }
                 | WalRecord::DeadLetter { queue, .. }
-                | WalRecord::Watermark { queue, .. }
                 | WalRecord::QueueKilled { queue }
                 | WalRecord::QueueReinstated { queue }
                 | WalRecord::Checkpoint { queue, .. } => queue.clone(),
@@ -573,40 +517,23 @@ impl Broker {
         Ok(accepted)
     }
 
-    /// Injects a bootstrap watermark marker into every partition of
-    /// `queue` (DBLog-style lo/hi watermark, one marker per partition so
-    /// each worker observes its own lane's boundary). Markers bypass
-    /// bindings, backlog caps, and armed publish/drop faults — they are
-    /// control traffic from the node's own bootstrap, not publisher data —
-    /// but are WAL-framed atomically so an unconsumed marker survives a
-    /// crash in its original stream position.
-    ///
-    /// Returns the number of markers enqueued: 0 if the queue is unknown,
-    /// decommissioned, or the WAL refused the frame; otherwise the
-    /// partition count.
-    pub fn publish_watermark(&self, queue: &str, session: u64, chunk: u64, high: bool) -> usize {
-        if self.wal_is_poisoned() {
-            return 0;
-        }
-        let routes = self.inner.routes.read();
-        let Some(q) = routes.queues.get(queue) else {
-            return 0;
-        };
-        let exchange = SharedStr::from(WATERMARK_EXCHANGE);
-        let payload = SharedStr::from(watermark_payload(session, chunk, high).as_str());
-        q.enqueue_watermark(&exchange, &payload, session, chunk, high)
-    }
-
-    /// Enqueues payloads directly into one named queue, bypassing exchange
-    /// bindings (and armed publish faults — this is the node's own
-    /// bootstrap merging chunk copies into its subscriber's queue, not a
-    /// publisher on the wire). Payloads are `(payload, origin_nanos,
-    /// route_key)` exactly as in [`Broker::publish_batch_routed`], so
-    /// copies land in the same partition as live traffic for their key.
+    /// Enqueues payloads directly into one named queue under a caller-
+    /// chosen `exchange` label, bypassing exchange bindings — the second
+    /// way in, for the queue owner's own traffic rather than a publisher
+    /// on the wire. Direct-to-queue traffic is exempt from the wire's
+    /// faults and limits: armed publish faults, armed drops and the
+    /// backlog-cap kill (it is flow-controlled by its sender, and a kill
+    /// would sweep the live backlog behind it). It does count toward the
+    /// backlog a later *live* publish is capped against. Payloads are
+    /// `(payload, origin_nanos, route_key)` exactly as in
+    /// [`Broker::publish_batch_routed`]: each lands behind the live
+    /// traffic already queued for its key, every touched partition is
+    /// locked (ascending) across one WAL commit, and route key `p` below
+    /// the partition count names partition `p`.
     ///
     /// Returns the number accepted; short counts (queue unknown,
     /// decommissioned, or WAL commit failure) mean the remainder was NOT
-    /// enqueued and the caller should retry the chunk.
+    /// enqueued.
     pub fn publish_to_queue(
         &self,
         queue: &str,
@@ -624,9 +551,6 @@ impl Broker {
             return 0;
         };
         let shared_exchange = SharedStr::from(exchange);
-        // Bootstrap merges are cap-exempt: the copier is flow-controlled
-        // by its chunk windows, and a cap kill here would sweep the live
-        // backlog the resume watermarks depend on.
         let added = q.enqueue_batch_routed(&shared_exchange, &payloads, true);
         drop(routes);
         if self.wal_is_poisoned() {
@@ -638,13 +562,13 @@ impl Broker {
         added
     }
 
-    /// Lineage signals for bootstrap-resume decisions: cumulative
-    /// `(discarded, refused, dropped)` counts for `queue`. Movement in the
-    /// loss counters (discarded — backlog swept by a decommission — or
-    /// dropped) between two bootstrap attempts means live-stream coverage
-    /// was broken, so committed copy watermarks can no longer be trusted
-    /// to resume from. Refused publishes are reported too but are not a
-    /// loss signal: the publisher journal republishes them.
+    /// Loss signals for a sender of direct-to-queue traffic that resumes
+    /// across attempts: cumulative `(discarded, refused, dropped)` counts
+    /// for `queue`. Movement in the loss counters (discarded — backlog
+    /// swept by a decommission — or dropped) between two reads means the
+    /// live stream lost coverage in between. Refused publishes are
+    /// reported too but are not a loss signal: the publisher journal
+    /// republishes them.
     pub fn queue_discard_stats(&self, queue: &str) -> Option<(u64, u64, u64)> {
         let routes = self.inner.routes.read();
         routes.queues.get(queue).map(|q| {
@@ -714,7 +638,7 @@ impl Broker {
     }
 
     /// Resets a decommissioned queue to active/empty (the subscriber is
-    /// rejoining via partial bootstrap, §4.4). Idempotent: returns `true`
+    /// rejoining after its §4.4 recovery). Idempotent: returns `true`
     /// only when the queue actually transitioned from decommissioned to
     /// active; an already-active queue (e.g. a reinstate racing a broker
     /// restart that already happened) is left untouched.
@@ -1828,6 +1752,132 @@ mod tests {
             "the unacked suffix of key 2, in order"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The second way in, [`Broker::publish_to_queue`]: a batch with one
+    /// payload per route key `0..partitions` lands exactly one delivery
+    /// in each partition, behind what was already queued there, tags
+    /// rising in partition order, under a single WAL commit — and, being
+    /// plain `Enqueue` frames, every one comes back in its partition at
+    /// its position after a crash, before and after a checkpoint.
+    #[test]
+    fn direct_batch_lands_one_per_partition_and_survives_reopen() {
+        const PARTS: usize = 4;
+        let dir = crate::wal::tests::temp_dir("broker-direct");
+        let cfg = WalConfig::new(&dir).fsync(crate::wal::FsyncPolicy::EveryWrite);
+        let config = QueueConfig {
+            max_len: None,
+            partitions: PARTS,
+        };
+        let (b, _) = Broker::open_durable(cfg.clone()).unwrap();
+        b.declare_queue("q", config.clone());
+        b.bind("pub", "q");
+        b.publish_routed("pub", "live-1", 0, 1).unwrap();
+        b.publish_routed("pub", "live-3", 0, 3).unwrap();
+        let commits = b.wal_stats().unwrap().group_commits;
+        let own = (0..PARTS as u64).map(|p| (format!("own-{p}").into(), 0, p));
+        assert_eq!(b.publish_to_queue("q", "own", own.collect()), PARTS);
+        assert_eq!(
+            b.wal_stats().unwrap().group_commits,
+            commits + 1,
+            "the whole batch is one WAL commit"
+        );
+        assert_eq!(b.stats().published, 2 + PARTS as u64);
+
+        // Pops every partition; nothing is acked, so a reopen redelivers.
+        let layout = |b: &Broker, recovered: bool| {
+            let c = b.consumer("q").unwrap();
+            let mut own_tags = Vec::new();
+            for p in 0..PARTS {
+                let got = c.pop_batch_from(p, 8, Duration::ZERO);
+                let payloads: Vec<&str> = got.iter().map(|d| d.payload.as_str()).collect();
+                let own = format!("own-{p}");
+                let live = format!("live-{p}");
+                if p % 2 == 1 {
+                    assert_eq!(
+                        payloads,
+                        [live.as_str(), own.as_str()],
+                        "behind live traffic"
+                    );
+                } else {
+                    assert_eq!(payloads, [own.as_str()]);
+                }
+                let last = got.last().unwrap();
+                assert_eq!(last.exchange, "own");
+                assert_eq!(last.redelivered, recovered);
+                own_tags.push(last.tag);
+            }
+            assert!(
+                own_tags.windows(2).all(|w| w[0] < w[1]),
+                "tags rise in partition order: {own_tags:?}"
+            );
+            own_tags
+        };
+        let tags = layout(&b, false);
+        drop(b);
+
+        let (b2, report) = Broker::open_durable(cfg.clone()).unwrap();
+        assert_eq!(report.messages_recovered, 2 + PARTS as u64);
+        b2.declare_queue("q", config.clone());
+        assert_eq!(
+            layout(&b2, true),
+            tags,
+            "replayed from plain enqueue frames"
+        );
+        b2.checkpoint().unwrap();
+        drop(b2);
+
+        let (b3, _) = Broker::open_durable(cfg).unwrap();
+        b3.declare_queue("q", config);
+        assert_eq!(
+            layout(&b3, true),
+            tags,
+            "and from the checkpoint's pending list"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Direct-to-queue traffic is the queue owner's own, not on the wire:
+    /// a queue already at its cap admits it without being killed, and an
+    /// armed drop is not spent on it. What it adds still counts toward
+    /// the backlog the next *live* publish is capped against.
+    #[test]
+    fn direct_to_queue_is_exempt_from_the_cap_and_armed_drops() {
+        let b = Broker::new();
+        b.declare_queue(
+            "q",
+            QueueConfig {
+                max_len: Some(2),
+                ..QueueConfig::default()
+            },
+        );
+        b.bind("pub", "q");
+        b.publish("pub", "live-0").unwrap();
+        b.publish("pub", "live-1").unwrap();
+        b.inject_drop_next("q", 1);
+        let own = (0..3u64).map(|p| (format!("own-{p}").into(), 0, p));
+        assert_eq!(b.publish_to_queue("q", "own", own.collect()), 3);
+        assert_eq!(b.queue_state("q"), Some(QueueState::Active));
+        assert_eq!(b.queue_len("q"), Some(5));
+        assert_eq!(b.stats().dropped, 0, "the armed drop is still armed");
+
+        let c = b.consumer("q").unwrap();
+        for d in c.pop_batch(8, Duration::ZERO) {
+            c.ack(d.tag);
+        }
+        b.publish("pub", "lost").unwrap();
+        assert_eq!(b.stats().dropped, 1, "spent on the next live publish");
+        assert_eq!(b.queue_len("q"), Some(0));
+
+        // Two of its own at the cap, then a live publish: killed.
+        let own = (0..2u64).map(|p| (format!("own-{p}").into(), 0, p));
+        assert_eq!(b.publish_to_queue("q", "own", own.collect()), 2);
+        b.publish("pub", "one too many").unwrap();
+        assert_eq!(b.queue_state("q"), Some(QueueState::Decommissioned));
+        assert_eq!(
+            b.publish_to_queue("q", "own", vec![("late".into(), 0, 0)]),
+            0
+        );
     }
 
     #[test]

@@ -23,10 +23,7 @@ pub mod message;
 pub mod queue;
 pub mod wal;
 
-pub use broker::{
-    parse_watermark, watermark_payload, Broker, BrokerStats, Consumer, PublishError,
-    RecoveryReport, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE,
-};
+pub use broker::{Broker, BrokerStats, Consumer, PublishError, RecoveryReport};
 pub use message::{Delivery, SharedStr};
 pub use queue::{tag_hint, tag_seq, QueueConfig, QueueState, PARTITION_HINT_SPAN};
 pub use wal::{FsyncPolicy, LogPos, ReplaySummary, Wal, WalConfig, WalRecord, WalStats};

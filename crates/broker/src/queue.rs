@@ -36,15 +36,8 @@
 //! never be missed: either the enqueuer sees the sleeper, or the sleeper
 //! sees the message.
 
-use crate::broker::WATERMARK_EXCHANGE;
 use crate::message::{Delivery, SharedStr};
 use crate::wal::{frame_enqueue_into, frame_record_into, Wal, WalRecord};
-
-/// True when a delivery is a watermark control marker rather than
-/// application backlog (markers are exempt from the backlog cap).
-fn is_marker(d: &Delivery) -> bool {
-    d.exchange == WATERMARK_EXCHANGE
-}
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -144,7 +137,7 @@ pub enum QueueState {
     /// Accepting and delivering messages.
     Active,
     /// Killed after exceeding its backlog cap; contents were discarded and
-    /// the subscriber must partially bootstrap to rejoin (§4.4).
+    /// the subscriber must recover its data to rejoin (§4.4).
     Decommissioned,
 }
 
@@ -244,12 +237,6 @@ pub(crate) struct Queue {
     /// Ready deliveries across all partitions (the lock-free depth gauge
     /// and the enqueue/park handshake word).
     ready_total: AtomicUsize,
-    /// How many of `ready_total` are watermark control markers. Markers
-    /// are transient protocol traffic bounded by `2 × partitions` per
-    /// bootstrap chunk, not application backlog, so the cap check
-    /// subtracts them — otherwise a trailing chunk's unconsumed markers
-    /// could trip a small cap and kill a healthy queue under live load.
-    marker_ready: AtomicUsize,
     /// In-flight (popped, unacked) deliveries across all partitions.
     unacked_total: AtomicUsize,
     /// Dead-letter store: deliveries a consumer gave up on. Out of the
@@ -280,7 +267,6 @@ impl Queue {
             max_len: AtomicUsize::new(config.encoded_max_len()),
             drop_next: AtomicU64::new(0),
             ready_total: AtomicUsize::new(0),
-            marker_ready: AtomicUsize::new(0),
             unacked_total: AtomicUsize::new(0),
             dead: Mutex::new(Vec::new()),
             dead_len: AtomicUsize::new(0),
@@ -320,9 +306,6 @@ impl Queue {
                     origin_nanos,
                     enqueued_nanos: now,
                 };
-                if is_marker(&delivery) {
-                    queue.marker_ready.fetch_add(1, Ordering::SeqCst);
-                }
                 inner.ready.push_back(delivery);
                 p.len.fetch_add(1, Ordering::Relaxed);
                 queue.ready_total.fetch_add(1, Ordering::SeqCst);
@@ -502,12 +485,13 @@ impl Queue {
     /// staged enqueues, and refuses the triggering copy; the caller
     /// sweeps the surviving backlog once its own lock is released.
     ///
-    /// `exempt_cap` skips the cap kill (not the decommission check): the
-    /// backlog cap is slow-consumer protection against unbounded *live*
-    /// backlog (§4.4), while the node's own bootstrap merges are
-    /// flow-controlled by the chunk/window protocol — letting a chunk
-    /// merge trip the kill would sweep the live backlog and break the
-    /// very lineage the resume watermarks depend on.
+    /// `direct` marks direct-to-queue traffic — the node's own, not on
+    /// the wire — and is the one rule for it: it skips the armed drop (a
+    /// fault of the wire) and the cap kill, not the decommission check.
+    /// The backlog cap is slow-consumer protection against unbounded
+    /// *live* backlog (§4.4); direct-to-queue traffic is flow-controlled
+    /// by its sender, and letting it trip the kill would sweep the live
+    /// backlog its sender relies on.
     #[allow(clippy::too_many_arguments)]
     fn stage_locked(
         &self,
@@ -516,7 +500,7 @@ impl Queue {
         origin_nanos: u64,
         hint: u8,
         staged_so_far: usize,
-        exempt_cap: bool,
+        direct: bool,
         wal_buf: &mut Vec<u8>,
         frames: &mut u32,
     ) -> Option<Delivery> {
@@ -524,7 +508,7 @@ impl Queue {
             self.counters.refused.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        if self.consume_armed_drop() {
+        if !direct && self.consume_armed_drop() {
             // Injected silent drop: the copy vanishes before reaching the
             // log, exactly as a lost network frame would.
             self.counters.dropped.fetch_add(1, Ordering::Relaxed);
@@ -534,13 +518,8 @@ impl Queue {
         // `staged_so_far` counts this run's admitted-but-uncommitted
         // copies, which `ready_total` doesn't yet include — the cap
         // trips at exactly the copy N individual publishes would.
-        // Watermark markers are subtracted: they are bounded control
-        // traffic, not the unbounded backlog the cap protects against.
-        let backlog = self
-            .ready_total
-            .load(Ordering::SeqCst)
-            .saturating_sub(self.marker_ready.load(Ordering::SeqCst));
-        if !exempt_cap && max != usize::MAX && backlog + staged_so_far >= max {
+        let backlog = self.ready_total.load(Ordering::SeqCst);
+        if !direct && max != usize::MAX && backlog + staged_so_far >= max {
             // Kill the queue: stop accepting and refuse the triggering
             // copy. The kill record rides the same staged batch, after
             // the enqueues admitted before it.
@@ -643,8 +622,6 @@ impl Queue {
             inner.ready.clear();
             inner.unacked.clear();
         }
-        // Every ready delivery is gone, markers included.
-        self.marker_ready.store(0, Ordering::SeqCst);
         self.maybe_notify_quiet();
     }
 
@@ -762,14 +739,13 @@ impl Queue {
     /// remainder, exactly as N individual publishes would). Within each
     /// partition the batch's relative payload order is preserved.
     /// Returns how many copies were admitted (refused/dropped copies are
-    /// counted but not enqueued). `exempt_cap` marks the node's own
-    /// bootstrap merges, which must not trip the backlog-cap kill (see
-    /// [`Queue::stage_locked`]).
+    /// counted but not enqueued). `direct` marks direct-to-queue traffic
+    /// (see [`Queue::stage_locked`]).
     pub(crate) fn enqueue_batch_routed(
         &self,
         exchange: &SharedStr,
         payloads: &[(SharedStr, u64, u64)],
-        exempt_cap: bool,
+        direct: bool,
     ) -> usize {
         if payloads.is_empty() {
             return 0;
@@ -815,7 +791,7 @@ impl Queue {
                         *origin,
                         hint_of_key(*key),
                         total_staged,
-                        exempt_cap,
+                        direct,
                         &mut buf,
                         &mut frames,
                     ) {
@@ -851,19 +827,12 @@ impl Queue {
         if n == 0 {
             return;
         }
-        let mut markers = 0usize;
         for _ in 0..n {
             let delivery = inner.ready.pop_front().expect("len checked");
-            if is_marker(&delivery) {
-                markers += 1;
-            }
             inner.unacked.insert(delivery.tag, delivery.clone());
             out.push(delivery);
         }
         part.len.fetch_sub(n, Ordering::Relaxed);
-        if markers > 0 {
-            self.marker_ready.fetch_sub(markers, Ordering::SeqCst);
-        }
         self.ready_total.fetch_sub(n, Ordering::SeqCst);
         self.unacked_total.fetch_add(n, Ordering::SeqCst);
     }
@@ -1030,78 +999,6 @@ impl Queue {
         }
     }
 
-    /// Injects one bootstrap watermark marker into *every* partition of
-    /// the live stream (DBLog chunk interleaving). Each marker is a real
-    /// delivery — tag hint = partition index, so replay and acks route it
-    /// home — logged as a [`WalRecord::Watermark`] so an unconsumed
-    /// marker survives a crash. Markers bypass the cap and armed-drop
-    /// faults (they are control flow, two per chunk per partition, and a
-    /// silently dropped marker would wedge the copier's window wait).
-    /// Returns how many partitions were marked: the full count on
-    /// success, 0 when the queue is decommissioned or the WAL refuses
-    /// the commit.
-    pub(crate) fn enqueue_watermark(
-        &self,
-        exchange: &SharedStr,
-        payload: &SharedStr,
-        session: u64,
-        chunk: u64,
-        high: bool,
-    ) -> usize {
-        let parts = self.partitions.read();
-        if self.is_decommissioned() {
-            return 0;
-        }
-        // All partition locks in index order (the checkpoint's lock
-        // discipline), so the markers commit as one atomic group and no
-        // same-chunk copy can interleave ahead of its own high marker.
-        let mut guards: Vec<_> = parts.iter().map(|p| p.inner.lock()).collect();
-        let mut staged: Vec<Delivery> = Vec::with_capacity(parts.len());
-        let mut buf = Vec::with_capacity(64 * parts.len());
-        let mut frames = 0u32;
-        for i in 0..parts.len() {
-            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-            let tag = (seq << 8) | i as u64;
-            if let Some(binding) = &self.wal {
-                frame_record_into(
-                    &mut buf,
-                    &WalRecord::Watermark {
-                        queue: binding.queue.clone(),
-                        tag,
-                        session,
-                        chunk,
-                        high,
-                    },
-                );
-                frames += 1;
-            }
-            staged.push(Delivery {
-                tag,
-                exchange: exchange.clone(),
-                payload: payload.clone(),
-                redelivered: false,
-                origin_nanos: 0,
-                enqueued_nanos: mono_nanos(),
-            });
-        }
-        if !self.commit_staged(&buf, frames) {
-            return 0;
-        }
-        let added = staged.len();
-        for (i, d) in staged.into_iter().enumerate() {
-            guards[i].ready.push_back(d);
-            parts[i].len.fetch_add(1, Ordering::Relaxed);
-        }
-        self.marker_ready.fetch_add(added, Ordering::SeqCst);
-        self.ready_total.fetch_add(added, Ordering::SeqCst);
-        self.counters
-            .enqueued
-            .fetch_add(added as u64, Ordering::Relaxed);
-        drop(guards);
-        self.finish_enqueue(&parts, added);
-        added
-    }
-
     pub(crate) fn ack(&self, tag: u64) -> bool {
         let parts = self.partitions.read();
         let p = &parts[partition_of(tag, parts.len())];
@@ -1192,16 +1089,12 @@ impl Queue {
         let mut inner = p.inner.lock();
         if let Some(mut delivery) = inner.unacked.remove(&tag) {
             delivery.redelivered = true;
-            let marker = is_marker(&delivery);
             let pos = inner.ready.partition_point(|d| d.tag < tag);
             inner.ready.insert(pos, delivery);
             p.len.fetch_add(1, Ordering::Relaxed);
             drop(inner);
             drop(parts);
             self.unacked_total.fetch_sub(1, Ordering::SeqCst);
-            if marker {
-                self.marker_ready.fetch_add(1, Ordering::SeqCst);
-            }
             self.ready_total.fetch_add(1, Ordering::SeqCst);
             self.counters.redelivered.fetch_add(1, Ordering::Relaxed);
             self.wake_ready(1);
@@ -1255,7 +1148,6 @@ impl Queue {
             let mut unacked: Vec<Delivery> = inner.unacked.drain().map(|(_, d)| d).collect();
             unacked.sort_by_key(|d| d.tag);
             let n = unacked.len();
-            let markers = unacked.iter().filter(|d| is_marker(d)).count();
             for mut d in unacked {
                 d.redelivered = true;
                 // Tag-ordered insert, same as `nack`: a previously nacked
@@ -1265,9 +1157,6 @@ impl Queue {
                 inner.ready.insert(pos, d);
             }
             p.len.fetch_add(n, Ordering::Relaxed);
-            if markers > 0 {
-                self.marker_ready.fetch_add(markers, Ordering::SeqCst);
-            }
             self.ready_total.fetch_add(n, Ordering::SeqCst);
             self.unacked_total.fetch_sub(n, Ordering::SeqCst);
             self.counters
@@ -1280,7 +1169,7 @@ impl Queue {
     }
 
     /// Resets a decommissioned queue to empty active state (the subscriber
-    /// rejoining after a partial bootstrap). The dead-letter store survives:
+    /// rejoining after its §4.4 recovery). The dead-letter store survives:
     /// it is an audit log, not backlog. Idempotent: an already-active queue
     /// is left untouched (its backlog is live traffic, not stale state) and
     /// `false` is returned. Armed `drop_next` faults belong to the

@@ -204,24 +204,6 @@ pub enum WalRecord {
         /// The reinstated queue.
         queue: String,
     },
-    /// A bootstrap watermark marker injected into one partition of
-    /// `queue`'s live stream (DBLog-style chunk interleaving). Replay
-    /// resynthesizes the marker delivery — an unconsumed marker must
-    /// survive a crash so a resumed bootstrap never mistakes a stale
-    /// window for a closed one.
-    Watermark {
-        /// Queue the marker was admitted to.
-        queue: String,
-        /// Per-queue monotonic delivery tag (hint byte = partition).
-        tag: u64,
-        /// Bootstrap attempt the marker belongs to.
-        session: u64,
-        /// Chunk index within the attempt.
-        chunk: u64,
-        /// `false` = low watermark (window opens), `true` = high
-        /// watermark (window closes).
-        high: bool,
-    },
     /// Point-in-time state of one queue; replay *replaces* the queue's
     /// pending/dead state with it (older entries are absorbed).
     Checkpoint {
@@ -245,7 +227,7 @@ const TAG_DEAD_LETTER: u8 = 3;
 const TAG_QUEUE_KILLED: u8 = 4;
 const TAG_QUEUE_REINSTATED: u8 = 5;
 const TAG_CHECKPOINT: u8 = 6;
-const TAG_WATERMARK: u8 = 7;
+// 7 is retired: an earlier log format used it, so it is never reassigned.
 
 impl WalRecord {
     /// Appends the record's wire encoding to `out`.
@@ -285,20 +267,6 @@ impl WalRecord {
             WalRecord::QueueReinstated { queue } => {
                 out.push(TAG_QUEUE_REINSTATED);
                 put_str(out, queue);
-            }
-            WalRecord::Watermark {
-                queue,
-                tag,
-                session,
-                chunk,
-                high,
-            } => {
-                out.push(TAG_WATERMARK);
-                put_str(out, queue);
-                put_u64(out, *tag);
-                put_u64(out, *session);
-                put_u64(out, *chunk);
-                out.push(u8::from(*high));
             }
             WalRecord::Checkpoint {
                 queue,
@@ -372,13 +340,6 @@ impl WalRecord {
             },
             TAG_QUEUE_REINSTATED => WalRecord::QueueReinstated {
                 queue: r.take_str()?,
-            },
-            TAG_WATERMARK => WalRecord::Watermark {
-                queue: r.take_str()?,
-                tag: r.take_u64()?,
-                session: r.take_u64()?,
-                chunk: r.take_u64()?,
-                high: r.take_u8()? != 0,
             },
             TAG_CHECKPOINT => {
                 let queue = r.take_str()?;

@@ -50,20 +50,6 @@ fn record_strategy() -> impl Strategy<Value = WalRecord> {
         queue.prop_map(|queue| WalRecord::QueueReinstated { queue }),
         (
             queue,
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<bool>()
-        )
-            .prop_map(|(queue, tag, session, chunk, high)| WalRecord::Watermark {
-                queue,
-                tag,
-                session,
-                chunk,
-                high,
-            }),
-        (
-            queue,
             any::<bool>(),
             any::<u64>(),
             prop::collection::vec(

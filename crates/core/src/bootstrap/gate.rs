@@ -2,8 +2,8 @@
 //! window a bootstrap copier opens around each chunk select.
 //!
 //! Protocol (per chunk): the copier calls [`WatermarkGate::begin_chunk`],
-//! the node injects a *low* watermark marker into every partition of the
-//! subscriber's queue, selects the chunk, injects a *high* watermark, and
+//! publishes a *low* watermark marker into every partition of the
+//! subscriber's queue, selects the chunk, publishes a *high* watermark, and
 //! calls [`WatermarkGate::await_window`]. Subscriber workers report the
 //! markers they consume ([`WatermarkGate::note_marker`]) and, while a
 //! partition sits between its lo and hi marker, every dependency key they
@@ -15,17 +15,17 @@
 //! drain phase.
 //!
 //! The gate is an optimization, not a correctness gate: admission into the
-//! replica is decided by [`crate::AdmitRule::Copy`] against committed
-//! versions, so a window that times out (slow worker, injected fault)
-//! merely forgoes the pre-filter and lets the version check discard the
-//! same rows one by one. `await_window` therefore proceeds on timeout and
-//! reports it, rather than stalling the copier.
+//! replica is decided by [`synapse_versionstore::AdmitRule::Copy`] against
+//! committed versions, so a window that times out (slow worker, injected
+//! fault) merely forgoes the pre-filter and lets the version check discard
+//! the same rows one by one. `await_window` therefore proceeds on timeout
+//! and reports it, rather than stalling the copier.
 
-use crate::store::DepKey;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
+use synapse_versionstore::DepKey;
 
 #[derive(Default)]
 struct GateInner {

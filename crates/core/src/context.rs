@@ -79,6 +79,18 @@ pub struct ScopeStats {
     pub deps_published: u64,
 }
 
+/// What the Fig. 12 controller table records of a scope
+/// ([`ControllerStats::record`](synapse_telemetry::ControllerStats::record)).
+impl From<ScopeStats> for synapse_telemetry::ScopeSample {
+    fn from(s: ScopeStats) -> Self {
+        synapse_telemetry::ScopeSample {
+            synapse_nanos: s.synapse_nanos,
+            messages: s.messages,
+            deps_published: s.deps_published,
+        }
+    }
+}
+
 thread_local! {
     static SCOPE: RefCell<Option<Scope>> = const { RefCell::new(None) };
 }
@@ -170,6 +182,24 @@ mod tests {
         });
         assert!(!in_scope());
         assert_eq!(stats, ScopeStats::default());
+    }
+
+    #[test]
+    fn scope_stats_record_as_a_controller_sample() {
+        let stats = synapse_telemetry::ControllerStats::new();
+        stats.record(
+            "actions/update",
+            std::time::Duration::from_millis(100),
+            ScopeStats {
+                synapse_nanos: 10_000_000,
+                messages: 2,
+                deps_published: 6,
+            },
+        );
+        let row = stats.row("actions/update").unwrap();
+        assert_eq!(row.calls, 1);
+        assert!((row.mean_messages - 2.0).abs() < 1e-9);
+        assert!((row.overhead - 0.1).abs() < 0.01);
     }
 
     #[test]

@@ -24,14 +24,15 @@
 //! * [`context`] — causal scopes: controller executions and background
 //!   jobs, including the per-user-session serialization rule.
 //! * [`node`] — [`node::SynapseNode`], one service's runtime, and
-//!   [`node::Ecosystem`], the wiring harness (broker + bootstrap plumbing).
+//!   [`node::Ecosystem`], the wiring harness.
+//! * [`bootstrap`] — the §4.4 recovery path: the pause-free chunk copier
+//!   behind [`node::SynapseNode::bootstrap_from`], its reconciliation
+//!   window ([`bootstrap::WatermarkGate`]) and the marker wire format.
 //! * [`testing`] — the testing framework of §4.5: factories, static
 //!   publish/subscribe checks, payload emulation.
-//! * [`stats`] — publisher-overhead instrumentation behind Fig. 12
-//!   (re-exported from `synapse-telemetry`, where the whole telemetry
-//!   plane — staged latency histograms, counters, event ring — now lives).
 
 pub mod api;
+pub mod bootstrap;
 pub mod config;
 pub mod context;
 pub mod deps;
@@ -42,11 +43,13 @@ pub mod node;
 pub mod publisher;
 pub mod resolve;
 pub mod semantics;
-pub mod stats;
 pub mod subscriber;
 pub mod testing;
 
 pub use api::{Publication, Subscription};
+pub use bootstrap::{
+    parse_watermark, watermark_payload, WatermarkGate, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE,
+};
 pub use config::{DurabilityConfig, RetryPolicy, SynapseConfig, VERSION_STORE_SHARDS};
 pub use context::{add_read_deps, add_write_deps, in_scope, with_scope, with_user_scope};
 pub use deps::{
@@ -60,6 +63,5 @@ pub use resolve::{
     ConflictCtx, ConflictResolver, LwwResolver, MergeFn, Resolution, ResolverRegistry,
 };
 pub use semantics::DeliveryMode;
-pub use stats::ControllerStats;
 pub use subscriber::ProcessError;
-pub use synapse_telemetry::{ModeSlice, Stage, Telemetry, TelemetrySnapshot};
+pub use synapse_telemetry::{ControllerStats, ModeSlice, Stage, Telemetry, TelemetrySnapshot};

@@ -39,6 +39,7 @@
 //! timeout"). Weak mode behaves as timeout 0.
 
 use crate::api::{Subscription, SubscriptionRegistry};
+use crate::bootstrap::{parse_watermark, WatermarkGate, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
 use crate::config::{RetryPolicy, SynapseConfig};
 use crate::context;
 use crate::deps::{writer_id, DepName, DepSpace};
@@ -52,16 +53,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use synapse_broker::{
-    parse_watermark, tag_hint, Broker, Consumer, Delivery, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE,
-};
+use synapse_broker::{tag_hint, Broker, Consumer, Delivery};
 use synapse_db::DbError;
 use synapse_model::{Record, Value};
 use synapse_orm::{CallbackPoint, Orm, OrmError};
 use synapse_telemetry::{mono_nanos, Counter, Telemetry};
 use synapse_versionstore::{
     AdmitRule, DepKey, DepWaitSet, StoreError, VectorAdmit, VersionStore, VersionVector,
-    WaitOutcome, WatermarkGate, LEGACY_WRITER,
+    WaitOutcome, LEGACY_WRITER,
 };
 
 /// Why one processing attempt failed — the classification that decides
@@ -609,20 +608,21 @@ impl Subscriber {
         }
         let kind = Kind::of(delivery);
         if kind == Kind::Marker {
-            // Report the marker to the gate (which ignores markers of
-            // stale sessions/chunks, e.g. crash redeliveries of an
-            // abandoned attempt) and ack. Markers carry no dependencies
-            // and no origin stamp, so they bypass the staged batch and the
-            // latency histograms entirely.
+            // Ack, then report the marker to the gate (which ignores
+            // markers of stale sessions/chunks, e.g. crash redeliveries of
+            // an abandoned attempt) — in that order, so a window the
+            // copier sees closed has no marker of its own still in flight.
+            // Markers carry no dependencies and no origin stamp, so they
+            // bypass the staged batch and the latency histograms entirely.
+            if let Some(consumer) = lane.consumer {
+                consumer.ack(delivery.tag);
+            }
             if let Some((session, chunk, high)) = parse_watermark(&delivery.payload) {
                 self.gate
                     .note_marker(session, chunk, lane.partition_of(delivery.tag), high);
                 self.counters
                     .watermarks_noted
                     .fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some(consumer) = lane.consumer {
-                consumer.ack(delivery.tag);
             }
             return Ok(true);
         }
@@ -1312,13 +1312,6 @@ impl Subscriber {
             }
         }
         Ok(())
-    }
-
-    /// Bootstrap step 1: bulk-load the publisher's version snapshot (§4.4).
-    pub fn load_version_snapshot(&self, snapshot: &[(u64, u64)]) -> Result<(), String> {
-        self.store
-            .load_snapshot(snapshot)
-            .map_err(|e| e.to_string())
     }
 }
 

@@ -22,8 +22,8 @@
 //!   load when off).
 //! * [`controller`] — the per-controller overhead instrumentation behind
 //!   Fig. 12, relocated from `synapse-core`.
-//! * [`snapshot`] — [`TelemetrySnapshot`], the exported view: JSON and text
-//!   renderings plus a line-oriented wire format that round-trips.
+//! * [`snapshot`] — [`TelemetrySnapshot`], the exported view, with its
+//!   own consistency check.
 //!
 //! Hot-path cost: every recording is a monotonic clock read plus a handful
 //! of relaxed atomic bumps; nothing allocates after construction.

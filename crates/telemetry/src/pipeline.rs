@@ -59,7 +59,7 @@ impl Stage {
         self as usize
     }
 
-    /// Stable snake_case name used in snapshots and JSON.
+    /// Stable snake_case name used in snapshots and reports.
     pub fn name(self) -> &'static str {
         match self {
             Stage::Intercept => "intercept",
@@ -72,11 +72,6 @@ impl Stage {
             Stage::Apply => "apply",
             Stage::EndToEnd => "end_to_end",
         }
-    }
-
-    /// Parses a stable stage name back to the stage.
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::all().into_iter().find(|s| s.name() == name)
     }
 
     /// True for the stages recorded on the subscriber side as disjoint
@@ -119,18 +114,13 @@ impl ModeSlice {
         self as usize
     }
 
-    /// Stable name used in snapshots and JSON.
+    /// Stable name used in snapshots and reports.
     pub fn name(self) -> &'static str {
         match self {
             ModeSlice::Weak => "weak",
             ModeSlice::Causal => "causal",
             ModeSlice::Global => "global",
         }
-    }
-
-    /// Parses a stable mode name back to the slice.
-    pub fn from_name(name: &str) -> Option<ModeSlice> {
-        ModeSlice::all().into_iter().find(|m| m.name() == name)
     }
 }
 
@@ -174,17 +164,6 @@ impl PipelineTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stage_names_round_trip() {
-        for stage in Stage::all() {
-            assert_eq!(Stage::from_name(stage.name()), Some(stage));
-        }
-        for mode in ModeSlice::all() {
-            assert_eq!(ModeSlice::from_name(mode.name()), Some(mode));
-        }
-        assert_eq!(Stage::from_name("nope"), None);
-    }
 
     #[test]
     fn records_land_in_their_slice() {

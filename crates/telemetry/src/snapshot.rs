@@ -3,9 +3,7 @@
 //! [`TelemetrySnapshot`] is the point-in-time summary a node surfaces on
 //! its API and the bench/soak harnesses assert against: per-(mode, stage)
 //! count/sum/p50/p99, the named counters, per-mode delivered counts, and
-//! the event-ring occupancy. It renders to JSON (for the BENCH files) and
-//! text (for humans), and round-trips through a line-oriented wire format
-//! (no serde in the workspace).
+//! the event-ring occupancy.
 
 use crate::histogram::HistogramSnapshot;
 use crate::pipeline::{ModeSlice, Stage, MODES, STAGES};
@@ -153,175 +151,6 @@ impl TelemetrySnapshot {
         }
         Ok(())
     }
-
-    /// Renders the snapshot as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"synapse-telemetry/v1\",\n  \"modes\": {");
-        for (mi, mode) in ModeSlice::all().into_iter().enumerate() {
-            if mi > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    \"{}\": {{\n      \"delivered\": {},\n      \"stages\": {{",
-                mode.name(),
-                self.delivered[mode.index()]
-            ));
-            for (si, stage) in Stage::all().into_iter().enumerate() {
-                if si > 0 {
-                    out.push(',');
-                }
-                let s = self.stage(mode, stage);
-                out.push_str(&format!(
-                    "\n        \"{}\": {{\"count\": {}, \"sum_nanos\": {}, \"p50_nanos\": {}, \"p99_nanos\": {}}}",
-                    stage.name(),
-                    s.count,
-                    s.sum_nanos,
-                    s.p50_nanos,
-                    s.p99_nanos
-                ));
-            }
-            out.push_str("\n      }\n    }");
-        }
-        out.push_str("\n  },\n  \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {}", json_escape(name), value));
-        }
-        out.push_str(&format!(
-            "\n  }},\n  \"events\": {},\n  \"events_dropped\": {}\n}}\n",
-            self.events, self.events_dropped
-        ));
-        out
-    }
-
-    /// Renders a compact human-readable table (non-empty stages only).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("telemetry snapshot\n");
-        for mode in ModeSlice::all() {
-            if self.delivered[mode.index()] == 0
-                && Stage::all()
-                    .into_iter()
-                    .all(|s| self.stage(mode, s).count == 0)
-            {
-                continue;
-            }
-            out.push_str(&format!(
-                "  [{}] delivered={}\n",
-                mode.name(),
-                self.delivered[mode.index()]
-            ));
-            for stage in Stage::all() {
-                let s = self.stage(mode, stage);
-                if s.count == 0 {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "    {:<15} count={:<8} p50={:>10}ns p99={:>10}ns\n",
-                    stage.name(),
-                    s.count,
-                    s.p50_nanos,
-                    s.p99_nanos
-                ));
-            }
-        }
-        for (name, value) in &self.counters {
-            out.push_str(&format!("  counter {name}={value}\n"));
-        }
-        out.push_str(&format!(
-            "  events={} dropped={}\n",
-            self.events, self.events_dropped
-        ));
-        out
-    }
-
-    /// Serializes to the line-oriented wire format ([`Self::from_wire`]
-    /// parses it back; the pair round-trips exactly).
-    pub fn to_wire(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("telemetry/v1\n");
-        for mode in ModeSlice::all() {
-            out.push_str(&format!(
-                "delivered {} {}\n",
-                mode.name(),
-                self.delivered[mode.index()]
-            ));
-        }
-        for mode in ModeSlice::all() {
-            for stage in Stage::all() {
-                let s = self.stage(mode, stage);
-                out.push_str(&format!(
-                    "stage {} {} {} {} {} {}\n",
-                    mode.name(),
-                    stage.name(),
-                    s.count,
-                    s.sum_nanos,
-                    s.p50_nanos,
-                    s.p99_nanos
-                ));
-            }
-        }
-        for (name, value) in &self.counters {
-            out.push_str(&format!("counter {name} {value}\n"));
-        }
-        out.push_str(&format!("events {} {}\n", self.events, self.events_dropped));
-        out
-    }
-
-    /// Parses the wire format produced by [`Self::to_wire`].
-    pub fn from_wire(wire: &str) -> Result<TelemetrySnapshot, String> {
-        let mut lines = wire.lines();
-        match lines.next() {
-            Some("telemetry/v1") => {}
-            other => return Err(format!("bad header: {other:?}")),
-        }
-        let mut snap = TelemetrySnapshot::default();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(' ').collect();
-            let parse = |s: &str| -> Result<u64, String> {
-                s.parse::<u64>()
-                    .map_err(|e| format!("bad number {s:?}: {e}"))
-            };
-            match fields.as_slice() {
-                ["delivered", mode, n] => {
-                    let mode = ModeSlice::from_name(mode)
-                        .ok_or_else(|| format!("unknown mode {mode:?}"))?;
-                    snap.delivered[mode.index()] = parse(n)?;
-                }
-                ["stage", mode, stage, count, sum, p50, p99] => {
-                    let mode = ModeSlice::from_name(mode)
-                        .ok_or_else(|| format!("unknown mode {mode:?}"))?;
-                    let stage = Stage::from_name(stage)
-                        .ok_or_else(|| format!("unknown stage {stage:?}"))?;
-                    snap.stages[mode.index()][stage.index()] = StageSummary {
-                        count: parse(count)?,
-                        sum_nanos: parse(sum)?,
-                        p50_nanos: parse(p50)?,
-                        p99_nanos: parse(p99)?,
-                    };
-                }
-                ["counter", name, value] => {
-                    snap.counters.push((name.to_string(), parse(value)?));
-                }
-                ["events", held, dropped] => {
-                    snap.events = parse(held)?;
-                    snap.events_dropped = parse(dropped)?;
-                }
-                _ => return Err(format!("unparseable line {line:?}")),
-            }
-        }
-        Ok(snap)
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -338,20 +167,6 @@ mod tests {
         t.counters().add("publisher.messages", 2);
         t.counters().add("subscriber.acks", 2);
         t.snapshot()
-    }
-
-    #[test]
-    fn wire_round_trips_exactly() {
-        let snap = populated();
-        let parsed = TelemetrySnapshot::from_wire(&snap.to_wire()).unwrap();
-        assert_eq!(parsed, snap);
-    }
-
-    #[test]
-    fn from_wire_rejects_garbage() {
-        assert!(TelemetrySnapshot::from_wire("nope/v0\n").is_err());
-        assert!(TelemetrySnapshot::from_wire("telemetry/v1\nstage bad").is_err());
-        assert!(TelemetrySnapshot::from_wire("telemetry/v1\ndelivered sideways 3\n").is_err());
     }
 
     #[test]
@@ -374,19 +189,5 @@ mod tests {
         let mut snap = populated();
         snap.stages[ModeSlice::Causal.index()][Stage::Apply.index()].sum_nanos = u64::MAX;
         assert!(snap.check_consistency().is_err());
-    }
-
-    #[test]
-    fn json_contains_all_modes_and_stages() {
-        let json = populated().to_json();
-        for mode in ModeSlice::all() {
-            assert!(json.contains(&format!("\"{}\"", mode.name())));
-        }
-        for stage in Stage::all() {
-            assert!(json.contains(&format!("\"{}\"", stage.name())));
-        }
-        assert!(json.contains("\"publisher.messages\": 2"));
-        let text = populated().to_text();
-        assert!(text.contains("end_to_end"));
     }
 }

@@ -32,7 +32,6 @@ pub mod generation;
 pub mod ring;
 pub mod store;
 pub mod vector;
-pub mod watermark;
 
 pub use generation::GenerationStore;
 pub use ring::HashRing;
@@ -41,4 +40,3 @@ pub use store::{
     StoreTimingSnapshot, VectorAdmit, VersionStore, WaitOutcome,
 };
 pub use vector::{Dominance, VersionVector, INLINE_COMPONENTS, LEGACY_WRITER};
-pub use watermark::WatermarkGate;

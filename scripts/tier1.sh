@@ -4,7 +4,9 @@
 # package and `crates/*`; `vendor/*` stays out), then the seeded fault
 # soak must reproduce under the pinned seed of record (same seed =>
 # identical outcome counters; see EXPERIMENTS.md "§6.5 — seeded
-# fault-injection soak"), and the docs must name only paths that exist.
+# fault-injection soak"), the benchmark crate must build against the
+# tree and pass its smoke run, and the docs must name only paths that
+# exist.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,6 +53,15 @@ SYNAPSE_SEED="${SYNAPSE_SEED:-24210775}" \
 # as the retired convergence bench gate was — release, on its own (0 of
 # 100) — so the coverage stays. The panic prints each diverged row.
 cargo test -q --release --test convergence -- --ignored
+
+# The benchmark crate is a package of its own that sees the system only
+# through public items, and the driver's gate builds it from the tree:
+# build it here too and run its shortest listed workload (three
+# bootstraps per set-up; exit 0 only on a correct verdict), so moving or
+# renaming a public item it imports fails tier-1, not the gate.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml \
+  --target-dir "${CARGO_TARGET_DIR:-benchmark/target}"
+benchmark/run.sh --smoke --workload fanout_weak_hetero
 
 # Docs check: every repo path README.md, DESIGN.md or EXPERIMENTS.md
 # names in backticks must exist, so the docs cannot cite a file, script

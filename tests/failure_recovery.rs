@@ -6,11 +6,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use synapse_repro::broker::{Delivery, BOOTSTRAP_EXCHANGE};
+use synapse_repro::broker::Delivery;
 use synapse_repro::core::testing::emulate_delivery;
 use synapse_repro::core::{
     DeliveryMode, DepName, Ecosystem, Operation, Publication, RetryPolicy, Subscription,
-    SynapseConfig, SynapseNode, WriteMessage,
+    SynapseConfig, SynapseNode, WriteMessage, BOOTSTRAP_EXCHANGE,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::model::ModelSchema;

@@ -729,3 +729,67 @@ fn delete_mid_chunk_is_not_resurrected_by_its_in_flight_copy() {
     assert!(subscriber.dead_letters().is_empty());
     eco.stop_all();
 }
+
+/// The copier awaits every window it opens — the closing one of a model's
+/// final, empty chunk included — so no marker outlives `bootstrap_from`.
+/// Markers are ordinary deliveries and count toward the backlog cap; with
+/// a cap no larger than the partition count, one window's worth left in
+/// the queue would decommission it on the next live publish.
+///
+/// One worker, and the empty model copied last: its window opens only
+/// after the worker has reported (and so flushed the batch holding) the
+/// last copies of the model before it, and a marker is acked before it is
+/// reported, so at return nothing is in flight either.
+#[test]
+fn bootstrap_leaves_no_marker_behind() {
+    for round in 0..50 {
+        let eco = Ecosystem::new();
+        let publisher = mongo_node(&eco, SynapseConfig::new("pub"));
+        let subscriber = mongo_node(
+            &eco,
+            SynapseConfig::new("sub")
+                .queue_partitions(8)
+                .queue_cap(8)
+                .workers(1),
+        );
+        for node in [&publisher, &subscriber] {
+            node.orm().define_model(ModelSchema::open("Draft")).unwrap();
+        }
+        for model in ["Post", "Draft"] {
+            publisher
+                .publish(Publication::model(model).fields(&["body"]))
+                .unwrap();
+            subscriber
+                .subscribe(Subscription::model(model, "pub").fields(&["body"]))
+                .unwrap();
+        }
+        for i in 0..130 {
+            publisher
+                .orm()
+                .create("Post", vmap! { "body" => format!("seed-{i}") })
+                .unwrap();
+        }
+        eco.connect();
+        subscriber.start();
+
+        subscriber.bootstrap_from(&publisher).unwrap();
+        let broker = eco.broker();
+        assert_eq!(broker.queue_len("sub"), Some(0), "round {round}");
+        assert_eq!(broker.queue_unacked_len("sub"), Some(0), "round {round}");
+        assert_eq!(subscriber.orm().count("Post").unwrap(), 130);
+        assert_eq!(subscriber.bootstrap_stats().windows_timed_out, 0);
+
+        let fresh = publisher
+            .orm()
+            .create("Post", vmap! { "body" => "fresh" })
+            .unwrap();
+        assert!(
+            eventually(Duration::from_secs(5), || {
+                subscriber.orm().find("Post", fresh.id).unwrap().is_some()
+            }),
+            "round {round}: a live write straight after the bootstrap must replicate"
+        );
+        assert!(!subscriber.is_decommissioned(), "round {round}");
+        eco.stop_all();
+    }
+}

@@ -5,13 +5,11 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use synapse_repro::broker::{
-    parse_watermark, watermark_payload, Delivery, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE,
-};
+use synapse_repro::broker::Delivery;
 use synapse_repro::core::testing::{emulate_delivery, emulate_message, FactorySet};
 use synapse_repro::core::{
-    DeliveryMode, DepName, Ecosystem, Operation, Publication, Subscription, SynapseConfig,
-    SynapseNode, WriteMessage,
+    watermark_payload, DeliveryMode, DepName, Ecosystem, Operation, Publication, Subscription,
+    SynapseConfig, SynapseNode, WriteMessage, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::model::{vmap, Id, ModelSchema, Record, Value};
@@ -221,16 +219,11 @@ fn process_and_worker_pool_agree_on_every_delivery_kind() {
     let broker = eco_pool.broker();
     for (exchange, payload) in &sequence {
         match *exchange {
-            WATERMARK_EXCHANGE => {
-                let (session, chunk, high) = parse_watermark(payload).unwrap();
-                assert_eq!(broker.publish_watermark("sub", session, chunk, high), 1);
-            }
-            BOOTSTRAP_EXCHANGE => {
-                let copies = vec![(payload.as_str().into(), 0, 0)];
-                assert_eq!(
-                    broker.publish_to_queue("sub", BOOTSTRAP_EXCHANGE, copies),
-                    1
-                );
+            // The copier's own traffic, markers and copies alike, goes
+            // direct to the queue.
+            WATERMARK_EXCHANGE | BOOTSTRAP_EXCHANGE => {
+                let own = vec![(payload.as_str().into(), 0, 0)];
+                assert_eq!(broker.publish_to_queue("sub", exchange, own), 1);
             }
             live => broker.publish(live, payload.as_str()).unwrap(),
         }
