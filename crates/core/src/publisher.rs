@@ -363,8 +363,9 @@ impl Publisher {
     fn marshal(&self, orm: &Orm, publication: &Publication, record: &Record) -> Record {
         let mut out = Record::new(record.model.clone(), record.id);
         out.types = record.types.clone();
+        let virtuals = orm.virtuals().model(&record.model);
         for field in &publication.fields {
-            let value = match orm.virtuals().get_getter(&record.model, field) {
+            let value = match virtuals.as_ref().and_then(|v| v.getter(field)) {
                 Some(getter) => getter(orm, record),
                 None => record.get(field).clone(),
             };

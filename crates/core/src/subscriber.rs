@@ -55,7 +55,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use synapse_broker::{tag_hint, Broker, Consumer, Delivery};
 use synapse_db::DbError;
-use synapse_model::{Record, Value};
+use synapse_model::{Id, Record, Value};
 use synapse_orm::{CallbackPoint, Orm, OrmError};
 use synapse_telemetry::{mono_nanos, Counter, Telemetry};
 use synapse_versionstore::{
@@ -1225,36 +1225,54 @@ impl Subscriber {
         if sub.observer {
             return Ok(());
         }
-        match self.orm.find(&sub.model, op.id)? {
-            Some(_) => self
+        let existing = self.orm.find(&sub.model, op.id)?;
+        self.upsert(sub, op.id, existing, attrs).map(|_| ())
+    }
+
+    /// Writes `attrs` over the object `existing` is the stored image of, or
+    /// creates it when the read found nothing. Create and update share
+    /// upsert semantics: redeliveries and weak-mode reordering make either
+    /// arrive first.
+    fn upsert(
+        &self,
+        sub: &Subscription,
+        id: Id,
+        existing: Option<Record>,
+        attrs: BTreeMap<String, Value>,
+    ) -> Result<Record, OrmError> {
+        let Some(current) = existing else {
+            return match self
                 .orm
-                .update(&sub.model, op.id, Value::Map(attrs))
-                .map(|_| ()),
-            None => match self
-                .orm
-                .create_with_id(&sub.model, op.id, Value::Map(attrs.clone()))
+                .create_with_id(&sub.model, id, Value::Map(attrs.clone()))
             {
-                Err(OrmError::Db(DbError::DuplicateKey { .. })) => self
-                    .orm
-                    .update(&sub.model, op.id, Value::Map(attrs))
-                    .map(|_| ()),
-                other => other.map(|_| ()),
-            },
-        }
+                // Lost a create/create race between the find and the
+                // insert — a live worker and the bootstrap copier can apply
+                // the same row concurrently. The row exists now, so finish
+                // as the update path would have instead of poisoning the
+                // delivery (or failing the bootstrap attempt).
+                Err(OrmError::Db(DbError::DuplicateKey { .. })) => {
+                    self.orm.update(&sub.model, id, Value::Map(attrs))
+                }
+                other => other,
+            };
+        };
+        self.orm.update_record(current, Value::Map(attrs))
     }
 
     fn apply_subscription(&self, sub: &Subscription, op: &Operation) -> Result<(), OrmError> {
         // Project the incoming attributes to this subscription, splitting
         // plain fields from virtual-attribute setters.
+        let virtuals = self.orm.virtuals().model(&sub.model);
         let mut plain: BTreeMap<String, Value> = BTreeMap::new();
-        let mut virtuals: Vec<(String, Value)> = Vec::new();
+        let mut set_after = Vec::new();
         for field in &sub.fields {
             if let Some(value) = op.attributes.get(field) {
                 let local = sub.local_field(field);
-                if self.orm.virtuals().get_setter(&sub.model, local).is_some() {
-                    virtuals.push((local.to_owned(), value.clone()));
-                } else {
-                    plain.insert(local.to_owned(), value.clone());
+                match virtuals.as_ref().and_then(|v| v.setter(local)) {
+                    Some(setter) => set_after.push((setter, value.clone())),
+                    None => {
+                        plain.insert(local.to_owned(), value.clone());
+                    }
                 }
             }
         }
@@ -1271,45 +1289,15 @@ impl Subscriber {
         }
 
         let existing = self.orm.find(&sub.model, op.id)?;
-        let mut stored: Option<Record> = None;
-        match op.operation.as_str() {
-            "destroy" => {
-                if existing.is_some() {
-                    self.orm.destroy(&sub.model, op.id)?;
-                }
+        if op.operation == "destroy" {
+            if let Some(pre) = existing {
+                self.orm.destroy_record(pre)?;
             }
-            // Create and update share upsert semantics: redeliveries and
-            // weak-mode reordering make either arrive first.
-            _ => {
-                let record = match existing {
-                    Some(_) => self.orm.update(&sub.model, op.id, Value::Map(plain))?,
-                    None => {
-                        match self
-                            .orm
-                            .create_with_id(&sub.model, op.id, Value::Map(plain.clone()))
-                        {
-                            // Lost a create/create race between the find and
-                            // the insert — a live worker and the bootstrap
-                            // copier can apply the same row concurrently. The
-                            // row exists now, so finish as the update path
-                            // would have instead of poisoning the delivery
-                            // (or failing the bootstrap attempt).
-                            Err(OrmError::Db(DbError::DuplicateKey { .. })) => {
-                                self.orm.update(&sub.model, op.id, Value::Map(plain))?
-                            }
-                            other => other?,
-                        }
-                    }
-                };
-                stored = Some(record);
-            }
+            return Ok(());
         }
-        if let Some(mut record) = stored {
-            for (local, value) in virtuals {
-                if let Some(setter) = self.orm.virtuals().get_setter(&sub.model, &local) {
-                    setter(&self.orm, &mut record, value)?;
-                }
-            }
+        let mut record = self.upsert(sub, op.id, existing, plain)?;
+        for (setter, value) in set_after {
+            setter(&self.orm, &mut record, value)?;
         }
         Ok(())
     }

@@ -21,7 +21,9 @@ use crate::latency::LatencyModel;
 use crate::query::{Filter, Query, QueryResult, Row};
 use crate::table::{sort_rows, Keys, OpMeter};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::btree_map::{self, BTreeMap};
+use std::collections::HashMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use synapse_model::{Id, Value};
 
@@ -31,6 +33,7 @@ const MEMTABLE_FLUSH_CELLS: usize = 4096;
 const COMPACTION_FANIN: usize = 4;
 
 /// One cell: a column value (or tombstone) with its write timestamp.
+/// Timestamps start at 1, so 0 reads as "never written".
 #[derive(Debug, Clone)]
 struct Cell {
     ts: u64,
@@ -38,9 +41,12 @@ struct Cell {
     value: Option<Value>,
 }
 
+/// One run's cells for one partition: column → cell.
+type Cols = BTreeMap<String, Cell>;
+
 /// A sorted immutable run, or the mutable memtable: partition id → column →
 /// cell.
-type Run = BTreeMap<Id, BTreeMap<String, Cell>>;
+type Run = BTreeMap<Id, Cols>;
 
 /// A whole-row tombstone marker column. Row deletes write this with the
 /// deletion timestamp; reads drop any cell older than it.
@@ -49,6 +55,68 @@ const ROW_TOMBSTONE: &str = "\u{0}row_tombstone";
 /// A row-liveness marker written by every insert (as CQL INSERTs do), so a
 /// row with no regular columns is still visible until deleted.
 const ROW_MARKER: &str = "\u{1}row_marker";
+
+/// Decides from timestamps alone whether the row these per-run column maps
+/// describe is live: its newest insert marker must be newer than its newest
+/// row tombstone (updates only ever reach live rows, so no other cell can
+/// say otherwise). A live row answers the tombstone's timestamp, at or
+/// below which its cells are dead (0 when it was never deleted).
+fn live_floor<'a>(versions: impl IntoIterator<Item = &'a Cols>) -> Option<u64> {
+    let (mut tombstone, mut marker) = (0, 0);
+    for cols in versions {
+        tombstone = tombstone.max(cols.get(ROW_TOMBSTONE).map_or(0, |c| c.ts));
+        marker = marker.max(cols.get(ROW_MARKER).map_or(0, |c| c.ts));
+    }
+    (marker > tombstone).then_some(tombstone)
+}
+
+/// Merges one partition's column maps into its live row image: the newest
+/// cell per column is chosen by reference and only the winners are copied.
+fn merge_row(versions: &[&Cols]) -> Option<Row> {
+    #[cfg(test)]
+    tests::ROWS_MERGED.with(|n| n.set(n.get() + 1));
+    let floor = live_floor(versions.iter().copied())?;
+    let mut cells: Vec<(&String, &Cell)> = versions
+        .iter()
+        .flat_map(|cols| cols.iter())
+        .filter(|(col, cell)| cell.ts > floor && col.as_str() != ROW_MARKER)
+        .collect();
+    cells.sort_unstable_by(|(a, x), (b, y)| a.cmp(b).then(y.ts.cmp(&x.ts)));
+    cells.dedup_by_key(|(col, _)| *col);
+    Some(
+        cells
+            .into_iter()
+            .filter_map(|(col, cell)| Some((col.clone(), cell.value.clone()?)))
+            .collect(),
+    )
+}
+
+/// One run's part of a key-ordered scan: the entry the merge looks at next
+/// and the rest of the run's key range behind it.
+struct Cursor<'a> {
+    head: Option<(&'a Id, &'a Cols)>,
+    rest: btree_map::Range<'a, Id, Cols>,
+}
+
+impl Cursor<'_> {
+    fn advance(&mut self, descending: bool) {
+        self.head = if descending {
+            self.rest.next_back()
+        } else {
+            self.rest.next()
+        };
+    }
+}
+
+/// The ids a scan has still to look at, in scan order.
+enum Candidates<'a> {
+    /// The ids the filter pins (CQL requires the partition key on writes,
+    /// so a point lookup is also what the real engine would do).
+    Exact(std::vec::IntoIter<Id>),
+    /// A key range: one cursor per run, merged k ways as the scan goes, so
+    /// a scan that stops early never visits the keys behind its last row.
+    Merged(Vec<Cursor<'a>>),
+}
 
 #[derive(Debug, Default)]
 struct ColumnFamily {
@@ -73,20 +141,22 @@ impl ColumnFamily {
         }
     }
 
-    fn maybe_flush(&mut self) {
-        if self.memtable_cells >= MEMTABLE_FLUSH_CELLS {
+    fn maybe_flush(&mut self, (flush_cells, fanin): (usize, usize)) {
+        if self.memtable_cells >= flush_cells {
             let run = std::mem::take(&mut self.memtable);
             self.memtable_cells = 0;
             self.sstables.push(run);
             self.flushes += 1;
-            if self.sstables.len() >= COMPACTION_FANIN {
+            if self.sstables.len() >= fanin {
                 self.compact();
             }
         }
     }
 
-    /// Merges all runs into one, newest timestamp winning per cell, and
-    /// drops data shadowed by row tombstones.
+    /// Merges all runs into one, newest timestamp winning per cell. Every
+    /// run goes into the merge and the memtable only holds newer cells, so
+    /// a row tombstone has nothing older left to shadow: a dead row goes
+    /// whole, and a live one sheds its tombstone with the cells it killed.
     fn compact(&mut self) {
         let mut merged: Run = BTreeMap::new();
         for run in self.sstables.drain(..) {
@@ -102,74 +172,95 @@ impl ColumnFamily {
                 }
             }
         }
-        // Garbage-collect cells older than their row tombstone.
-        for cols in merged.values_mut() {
-            if let Some(tomb) = cols.get(ROW_TOMBSTONE).map(|c| c.ts) {
-                cols.retain(|name, cell| name == ROW_TOMBSTONE || cell.ts > tomb);
+        merged.retain(|_, cols| match live_floor([&*cols]) {
+            Some(floor) => {
+                cols.retain(|_, cell| cell.ts > floor);
+                true
             }
-        }
+            None => false,
+        });
         self.sstables.push(merged);
         self.compactions += 1;
     }
 
-    /// Reconstructs the live row image for `id` across memtable + runs.
-    fn read_row(&self, id: Id) -> Option<Row> {
-        let mut cells: BTreeMap<String, Cell> = BTreeMap::new();
-        for run in self.sstables.iter().chain(std::iter::once(&self.memtable)) {
-            if let Some(cols) = run.get(&id) {
-                for (col, cell) in cols {
-                    match cells.get(col) {
-                        Some(existing) if existing.ts >= cell.ts => {}
-                        _ => {
-                            cells.insert(col.clone(), cell.clone());
-                        }
-                    }
-                }
-            }
-        }
-        if cells.is_empty() {
-            return None;
-        }
-        let tombstone_ts = cells.get(ROW_TOMBSTONE).map(|c| c.ts);
-        let mut row = Row::new();
-        let mut live = false;
-        for (col, cell) in cells {
-            if col == ROW_TOMBSTONE {
-                continue;
-            }
-            if let Some(tomb) = tombstone_ts {
-                if cell.ts <= tomb {
-                    continue;
-                }
-            }
-            live = true;
-            if col == ROW_MARKER {
-                continue;
-            }
-            if let Some(v) = cell.value {
-                row.insert(col, v);
-            }
-        }
-        if live {
-            Some(row)
-        } else {
-            None
-        }
+    /// Every run, oldest first, the memtable last.
+    fn runs(&self) -> impl Iterator<Item = &Run> {
+        self.sstables.iter().chain([&self.memtable])
     }
 
-    /// The live rows `filter` matches, in key order. The shared key rule
-    /// narrows each run (CQL requires the partition key on writes, so a
-    /// point lookup is also what the real engine would do); the merged
-    /// image of every candidate is then checked against the filter.
-    fn matching(&self, filter: &Filter) -> Vec<(Id, Row)> {
-        let mut ids: BTreeSet<Id> = BTreeSet::new();
-        for run in self.sstables.iter().chain(std::iter::once(&self.memtable)) {
-            ids.extend(Keys::of(filter).over(run).map(|(id, _)| id));
+    /// The column maps the runs hold for `id`.
+    fn versions(&self, id: Id) -> impl Iterator<Item = &Cols> {
+        self.runs().filter_map(move |run| run.get(&id))
+    }
+
+    fn is_live(&self, id: Id) -> bool {
+        live_floor(self.versions(id)).is_some()
+    }
+
+    /// The live rows `filter` matches, in key order (from the far end when
+    /// `descending`), built one at a time as the caller pulls them.
+    fn scan<'a>(
+        &'a self,
+        filter: &'a Filter,
+        descending: bool,
+    ) -> impl Iterator<Item = (Id, Row)> + 'a {
+        let mut candidates = match Keys::of(filter) {
+            Keys::Ids(mut ids) => {
+                if descending {
+                    ids.reverse();
+                }
+                Candidates::Exact(ids.into_iter())
+            }
+            keys => {
+                let from = match keys {
+                    Keys::After(after) => Bound::Excluded(after),
+                    _ => Bound::Unbounded,
+                };
+                let cursor = |run: &'a Run| {
+                    let mut cursor = Cursor {
+                        head: None,
+                        rest: run.range((from, Bound::Unbounded)),
+                    };
+                    cursor.advance(descending);
+                    cursor
+                };
+                Candidates::Merged(self.runs().map(cursor).collect())
+            }
+        };
+        let mut versions: Vec<&Cols> = Vec::new();
+        std::iter::from_fn(move || loop {
+            versions.clear();
+            let id = match &mut candidates {
+                Candidates::Exact(ids) => {
+                    let id = ids.next()?;
+                    versions.extend(self.versions(id));
+                    id
+                }
+                Candidates::Merged(cursors) => {
+                    let heads = cursors.iter().filter_map(|c| c.head.map(|(id, _)| *id));
+                    let id = if descending { heads.max() } else { heads.min() }?;
+                    for cursor in cursors.iter_mut() {
+                        if let Some((_, cols)) = cursor.head.filter(|(head, _)| **head == id) {
+                            versions.push(cols);
+                            cursor.advance(descending);
+                        }
+                    }
+                    id
+                }
+            };
+            if let Some(row) = merge_row(&versions).filter(|row| filter.matches(id, row)) {
+                return Some((id, row));
+            }
+        })
+    }
+
+    /// Ids of the live rows `filter` matches, ascending. A write by primary
+    /// key needs the row's liveness, not its image.
+    fn matching_ids(&self, filter: &Filter) -> Vec<Id> {
+        match filter {
+            Filter::ById(id) => Vec::from_iter(self.is_live(*id).then_some(*id)),
+            _ => self.scan(filter, false).map(|(id, _)| id).collect(),
         }
-        ids.into_iter()
-            .filter_map(|id| self.read_row(id).map(|row| (id, row)))
-            .filter(|(id, row)| filter.matches(*id, row))
-            .collect()
     }
 }
 
@@ -179,10 +270,21 @@ pub struct ColumnarDb {
     meter: OpMeter,
     families: Mutex<HashMap<String, ColumnFamily>>,
     clock: AtomicU64,
+    /// `(MEMTABLE_FLUSH_CELLS, COMPACTION_FANIN)` everywhere but in tests
+    /// that need an LSM with many runs out of few writes.
+    thresholds: (usize, usize),
     /// Fault panel: compaction stalls queue the write path behind a
     /// simulated background compaction (the LSM failure class where
     /// compaction saturates the disk and foreground writes back up).
     faults: DbFaults,
+}
+
+/// The family behind `table`, created on first use.
+fn family<'a>(fams: &'a mut HashMap<String, ColumnFamily>, table: &str) -> &'a mut ColumnFamily {
+    if !fams.contains_key(table) {
+        fams.insert(table.to_owned(), ColumnFamily::default());
+    }
+    fams.get_mut(table).expect("present or just inserted")
 }
 
 impl ColumnarDb {
@@ -193,6 +295,7 @@ impl ColumnarDb {
             meter: OpMeter::new(latency),
             families: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(1),
+            thresholds: (MEMTABLE_FLUSH_CELLS, COMPACTION_FANIN),
             faults: DbFaults::new(),
         }
     }
@@ -226,7 +329,7 @@ impl ColumnarDb {
     ) -> Result<QueryResult, DbError> {
         match q {
             Query::CreateTable { table } => {
-                fams.entry(table.clone()).or_default();
+                family(fams, table);
                 Ok(QueryResult::Unit)
             }
             Query::DropTable { table } => {
@@ -234,8 +337,8 @@ impl ColumnarDb {
                 Ok(QueryResult::Unit)
             }
             Query::Insert { table, id, row } => {
-                let fam = fams.entry(table.clone()).or_default();
-                if fam.read_row(*id).is_some() {
+                let fam = family(fams, table);
+                if fam.is_live(*id) {
                     return Err(DbError::DuplicateKey {
                         table: table.clone(),
                         key: id.to_string(),
@@ -249,7 +352,7 @@ impl ColumnarDb {
                         .map(|(k, v)| (k.clone(), Some(v.clone())))
                         .chain([(ROW_MARKER.to_owned(), None)]),
                 );
-                fam.maybe_flush();
+                fam.maybe_flush(self.thresholds);
                 Ok(QueryResult::AffectedIds(vec![*id]))
             }
             Query::Update {
@@ -258,8 +361,8 @@ impl ColumnarDb {
                 set,
                 unset,
             } => {
-                let fam = fams.entry(table.clone()).or_default();
-                let ids: Vec<Id> = fam.matching(filter).into_iter().map(|(id, _)| id).collect();
+                let fam = family(fams, table);
+                let ids = fam.matching_ids(filter);
                 let ts = self.tick();
                 for id in &ids {
                     fam.write_cells(
@@ -270,17 +373,17 @@ impl ColumnarDb {
                             .chain(unset.iter().map(|k| (k.clone(), None))),
                     );
                 }
-                fam.maybe_flush();
+                fam.maybe_flush(self.thresholds);
                 Ok(QueryResult::AffectedIds(ids))
             }
             Query::Delete { table, filter } => {
-                let fam = fams.entry(table.clone()).or_default();
-                let ids: Vec<Id> = fam.matching(filter).into_iter().map(|(id, _)| id).collect();
+                let fam = family(fams, table);
+                let ids = fam.matching_ids(filter);
                 let ts = self.tick();
                 for id in &ids {
                     fam.write_cells(*id, ts, [(ROW_TOMBSTONE.to_owned(), None)]);
                 }
-                fam.maybe_flush();
+                fam.maybe_flush(self.thresholds);
                 Ok(QueryResult::AffectedIds(ids))
             }
             Query::Select {
@@ -289,15 +392,26 @@ impl ColumnarDb {
                 order,
                 limit,
             } => {
-                let mut rows = fams
-                    .get(table)
-                    .map_or_else(Vec::new, |fam| fam.matching(filter));
-                sort_rows(&mut rows, order, *limit);
+                let Some(fam) = fams.get(table) else {
+                    return Ok(QueryResult::Rows(Vec::new()));
+                };
+                // The default and `id` orders are the scan's own, so a limit
+                // stops it; any other field needs every row.
+                let n = limit.unwrap_or(usize::MAX);
+                let rows = match order {
+                    Some(o) if o.field != "id" => {
+                        let mut rows: Vec<(Id, Row)> = fam.scan(filter, false).collect();
+                        sort_rows(&mut rows, order, *limit);
+                        rows
+                    }
+                    Some(o) => fam.scan(filter, !o.ascending).take(n).collect(),
+                    None => fam.scan(filter, false).take(n).collect(),
+                };
                 Ok(QueryResult::Rows(rows))
             }
             Query::Count { table, filter } => Ok(QueryResult::Count(
                 fams.get(table)
-                    .map_or(0, |fam| fam.matching(filter).len() as u64),
+                    .map_or(0, |fam| fam.scan(filter, false).count() as u64),
             )),
             Query::Batch(queries) => {
                 // Logged batch: applied atomically under the engine lock;
@@ -343,7 +457,7 @@ impl Engine for ColumnarDb {
 
     fn stats(&self) -> EngineStats {
         let fams = self.families.lock();
-        let live = fams.values().flat_map(|fam| fam.matching(&Filter::All));
+        let live = fams.values().flat_map(|fam| fam.scan(&Filter::All, false));
         self.meter.stats(live.map(|(_, row)| row))
     }
 }
@@ -353,9 +467,52 @@ mod tests {
     use super::*;
     use crate::profiles;
     use crate::query::Filter;
+    use proptest::prelude::*;
+
+    thread_local! {
+        /// Rows `merge_row` was asked to build on this thread, for the test
+        /// that pins what a page costs.
+        pub(super) static ROWS_MERGED: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
 
     fn db() -> ColumnarDb {
         profiles::cassandra(LatencyModel::off())
+    }
+
+    /// An engine that flushes and compacts after few writes.
+    fn db_with_thresholds(flush_cells: usize, fanin: usize) -> ColumnarDb {
+        ColumnarDb {
+            thresholds: (flush_cells, fanin),
+            ..db()
+        }
+    }
+
+    fn insert(db: &ColumnarDb, id: u64, pairs: &[(&str, Value)]) {
+        db.execute(&Query::Insert {
+            table: "t".into(),
+            id: Id(id),
+            row: row(pairs),
+        })
+        .unwrap();
+    }
+
+    fn delete(db: &ColumnarDb, id: u64) {
+        db.execute(&Query::Delete {
+            table: "t".into(),
+            filter: Filter::ById(Id(id)),
+        })
+        .unwrap();
+    }
+
+    /// Flushes the memtable and compacts, whatever the thresholds say.
+    fn force_compaction(db: &ColumnarDb) {
+        let mut fams = db.families.lock();
+        let fam = fams.get_mut("t").unwrap();
+        let run = std::mem::take(&mut fam.memtable);
+        fam.memtable_cells = 0;
+        fam.sstables.push(run);
+        fam.compact();
     }
 
     fn row(pairs: &[(&str, Value)]) -> Row {
@@ -473,30 +630,222 @@ mod tests {
     #[test]
     fn compaction_gc_drops_tombstoned_cells() {
         let db = db();
-        db.execute(&Query::Insert {
-            table: "t".into(),
-            id: Id(1),
-            row: row(&[("a", 1.into())]),
-        })
-        .unwrap();
-        db.execute(&Query::Delete {
-            table: "t".into(),
-            filter: Filter::ById(Id(1)),
-        })
-        .unwrap();
+        insert(&db, 1, &[("a", 1.into())]);
+        delete(&db, 1);
+        insert(&db, 2, &[("a", 1.into())]);
+        delete(&db, 2);
+        insert(&db, 2, &[("b", 2.into())]);
+        force_compaction(&db);
         {
-            let mut fams = db.families.lock();
-            let fam = fams.get_mut("t").unwrap();
-            // Force flush + compaction regardless of thresholds.
-            let run = std::mem::take(&mut fam.memtable);
-            fam.sstables.push(run);
-            fam.compact();
-            let compacted = fam.sstables.last().unwrap();
-            let cols = compacted.get(&Id(1)).unwrap();
-            assert!(cols.contains_key(ROW_TOMBSTONE));
+            let fams = db.families.lock();
+            let compacted = fams["t"].sstables.last().unwrap();
+            assert!(
+                !compacted.contains_key(&Id(1)),
+                "a row whose newest cell is its tombstone goes whole"
+            );
+            let cols = &compacted[&Id(2)];
             assert!(!cols.contains_key("a"), "shadowed cell must be GC'd");
+            assert!(
+                !cols.contains_key(ROW_TOMBSTONE),
+                "with every run merged the tombstone shadows nothing"
+            );
+            assert!(cols.contains_key("b") && cols.contains_key(ROW_MARKER));
         }
-        assert!(select_all(&db, "t").is_empty());
+        let rows = select_all(&db, "t");
+        assert_eq!(rows, vec![(Id(2), row(&[("b", 2.into())]))]);
+    }
+
+    #[test]
+    fn a_compacted_delete_leaves_nothing_for_a_reinsert_to_inherit() {
+        let db = db();
+        for id in 1..=20 {
+            insert(&db, id, &[("a", 1.into()), ("b", 1.into())]);
+        }
+        for id in 1..=15 {
+            delete(&db, id);
+        }
+        force_compaction(&db);
+        assert_eq!(
+            db.families.lock()["t"].sstables.last().unwrap().len(),
+            5,
+            "the merged run holds the live rows and nothing else"
+        );
+        assert_eq!(db.stats().rows, 5);
+        insert(&db, 7, &[("b", 2.into())]);
+        let rows = db
+            .execute(&Query::Select {
+                table: "t".into(),
+                filter: Filter::ById(Id(7)),
+                order: None,
+                limit: None,
+            })
+            .unwrap()
+            .into_rows()
+            .unwrap();
+        assert_eq!(rows, vec![(Id(7), row(&[("b", 2.into())]))]);
+        force_compaction(&db);
+        assert_eq!(db.families.lock()["t"].sstables.last().unwrap().len(), 6);
+    }
+
+    #[test]
+    fn a_page_in_key_order_builds_its_own_rows_only() {
+        // 10 000 rows, neighbouring ids in different runs: three flushed
+        // runs of 2 600 rows (two cells each) and 2 200 in the memtable.
+        let db = db_with_thresholds(5_200, 8);
+        for lane in 0..4 {
+            for id in (1..=10_000u64).filter(|id| id % 4 == lane) {
+                insert(&db, id, &[("v", Value::Int(id as i64))]);
+            }
+        }
+        assert_eq!(db.lsm_counters(), (3, 0));
+        let dead = [5_003, 5_010, 5_011, 5_040, 9_990];
+        for id in dead {
+            delete(&db, id);
+        }
+        let page = |filter: Filter, ascending: bool| {
+            ROWS_MERGED.with(|n| n.set(0));
+            let rows = db
+                .execute(&Query::Select {
+                    table: "t".into(),
+                    filter,
+                    order: Some(crate::query::OrderBy {
+                        field: "id".into(),
+                        ascending,
+                    }),
+                    limit: Some(64),
+                })
+                .unwrap()
+                .into_rows()
+                .unwrap();
+            let ids: Vec<u64> = rows.iter().map(|(id, _)| id.raw()).collect();
+            (ids, ROWS_MERGED.with(|n| n.get()))
+        };
+        let (ids, merged) = page(Filter::IdAfter(Id(5_000)), true);
+        let expected: Vec<u64> = (5_001..).filter(|id| !dead.contains(id)).take(64).collect();
+        assert_eq!(ids, expected);
+        assert_eq!(
+            merged,
+            64 + 4,
+            "the page's rows and the tombstoned ids passed"
+        );
+        let (ids, merged) = page(Filter::All, false);
+        let expected: Vec<u64> = (1..=10_000)
+            .rev()
+            .filter(|id| !dead.contains(id))
+            .take(64)
+            .collect();
+        assert_eq!(ids, expected);
+        assert_eq!(merged, 64 + 1);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Insert(u64, Row),
+        Update(Filter, Row, Vec<String>),
+        Delete(Filter),
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let field = || prop_oneof![Just("a"), Just("b"), Just("n")];
+        let value = || {
+            prop_oneof![
+                (0i64..4).prop_map(Value::Int),
+                Just(Value::from("x")),
+                Just(Value::Null)
+            ]
+        };
+        let row = move || {
+            prop::collection::vec((field(), value()), 0..3).prop_map(|fields| {
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_owned(), v))
+                    .collect::<Row>()
+            })
+        };
+        let id = || (0u64..8).prop_map(Id);
+        let filter = move || {
+            prop_oneof![
+                id().prop_map(Filter::ById),
+                id().prop_map(Filter::ById),
+                prop::collection::vec(id(), 0..4).prop_map(Filter::IdIn),
+                id().prop_map(Filter::IdAfter),
+                (0i64..4).prop_map(|n| Filter::Eq("n".into(), Value::Int(n))),
+                (id(), 0i64..4).prop_map(|(after, n)| Filter::And(vec![
+                    Filter::Eq("n".into(), Value::Int(n)),
+                    Filter::IdAfter(after)
+                ])),
+                Just(Filter::All),
+            ]
+        };
+        let unset = prop::collection::vec(field().prop_map(str::to_owned), 0..2);
+        prop_oneof![
+            ((0u64..8), row()).prop_map(|(id, row)| Step::Insert(id, row)),
+            ((0u64..8), row()).prop_map(|(id, row)| Step::Insert(id, row)),
+            (filter(), row(), unset).prop_map(|(f, set, unset)| Step::Update(f, set, unset)),
+            (filter(), row(), Just(Vec::new()))
+                .prop_map(|(f, set, unset)| Step::Update(f, set, unset)),
+            filter().prop_map(Step::Delete),
+        ]
+    }
+
+    proptest! {
+        /// The LSM answers every query as a plain row table would, after
+        /// every step of a history that crosses flushes and compactions.
+        #[test]
+        fn the_lsm_agrees_with_a_row_table_after_every_step(
+            steps in prop::collection::vec(arb_step(), 120..160),
+        ) {
+            let lsm = db_with_thresholds(6, 3);
+            let reference = profiles::mongodb(LatencyModel::off());
+            let both = |q: Query| {
+                let (ours, theirs) = (lsm.execute(&q), reference.execute(&q));
+                match (&ours, &theirs) {
+                    (Ok(ours), Ok(theirs)) if q.is_write() => {
+                        assert_eq!(ours.affected_ids(), theirs.affected_ids(), "{q:?}");
+                    }
+                    (Ok(ours), Ok(theirs)) => assert_eq!(ours, theirs, "{q:?}"),
+                    (Err(DbError::DuplicateKey { .. }), Err(DbError::DuplicateKey { .. })) => {}
+                    _ => panic!("{q:?}: {ours:?} against {theirs:?}"),
+                }
+            };
+            let table = || "t".to_owned();
+            for step in steps {
+                both(match step {
+                    Step::Insert(id, row) => Query::Insert { table: table(), id: Id(id), row },
+                    Step::Update(filter, set, unset) => {
+                        Query::Update { table: table(), filter, set, unset }
+                    }
+                    Step::Delete(filter) => Query::Delete { table: table(), filter },
+                });
+                let by_id = (0..8).map(|id| Filter::ById(Id(id)));
+                let reads = by_id.chain([
+                    Filter::All,
+                    Filter::IdIn(vec![Id(6), Id(1), Id(6), Id(3)]),
+                    Filter::IdAfter(Id(2)),
+                    Filter::Eq("n".into(), Value::Int(1)),
+                ]);
+                for filter in reads {
+                    both(Query::Count { table: table(), filter: filter.clone() });
+                    both(Query::Select {
+                        table: table(),
+                        filter: filter.clone(),
+                        order: None,
+                        limit: None,
+                    });
+                    for ascending in [true, false] {
+                        let order = Some(crate::query::OrderBy { field: "id".into(), ascending });
+                        both(Query::Select {
+                            table: table(),
+                            filter: filter.clone(),
+                            order,
+                            limit: Some(3),
+                        });
+                    }
+                }
+            }
+            let (flushes, compactions) = lsm.lsm_counters();
+            assert!(flushes >= 6 && compactions >= 2, "{flushes} flushes, {compactions} compactions");
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ struct Table {
     /// anything goes (tests and schemaless callers).
     columns: Option<BTreeSet<String>>,
     /// Secondary indexes: field → value → ids.
-    indexes: HashMap<String, BTreeMap<Value, BTreeSet<Id>>>,
+    indexes: HashMap<String, Index>,
     /// Row write locks: id → owning transaction.
     locks: HashMap<Id, TxnId>,
 }
@@ -58,19 +58,23 @@ impl Table {
 
     fn index_insert(&mut self, id: Id, row: &Row) {
         for (field, index) in &mut self.indexes {
-            let v = row.get(field).cloned().unwrap_or(Value::Null);
-            index.entry(v).or_default().insert(id);
+            post(index, id, row.get(field));
         }
     }
 
     fn index_remove(&mut self, id: Id, row: &Row) {
         for (field, index) in &mut self.indexes {
-            let v = row.get(field).cloned().unwrap_or(Value::Null);
-            if let Some(ids) = index.get_mut(&v) {
-                ids.remove(&id);
-                if ids.is_empty() {
-                    index.remove(&v);
-                }
+            unpost(index, id, row.get(field));
+        }
+    }
+
+    /// Re-keys `id` in the indexes whose column the update moved.
+    fn index_update(&mut self, id: Id, old: &Row, new: &Row) {
+        for (field, index) in &mut self.indexes {
+            let (was, is) = (old.get(field), new.get(field));
+            if was != is {
+                unpost(index, id, was);
+                post(index, id, is);
             }
         }
     }
@@ -103,6 +107,24 @@ impl Table {
         filter: &'a Filter,
     ) -> impl DoubleEndedIterator<Item = (Id, &'a Row)> + 'a {
         self.rows.among(self.candidates(filter), filter)
+    }
+}
+
+/// A secondary index: value → ids; a row without the column is under `Null`.
+type Index = BTreeMap<Value, BTreeSet<Id>>;
+
+fn post(index: &mut Index, id: Id, value: Option<&Value>) {
+    let v = value.cloned().unwrap_or(Value::Null);
+    index.entry(v).or_default().insert(id);
+}
+
+fn unpost(index: &mut Index, id: Id, value: Option<&Value>) {
+    let v = value.unwrap_or(&Value::Null);
+    if let Some(ids) = index.get_mut(v) {
+        ids.remove(&id);
+        if ids.is_empty() {
+            index.remove(v);
+        }
     }
 }
 
@@ -191,10 +213,9 @@ impl RelationalDb {
     pub fn create_index(&self, table: &str, field: &str) {
         let mut inner = self.inner.lock();
         let t = inner.tables.entry(table.to_owned()).or_default();
-        let mut index: BTreeMap<Value, BTreeSet<Id>> = BTreeMap::new();
+        let mut index = Index::new();
         for (id, row) in t.rows.matching(&Filter::All) {
-            let v = row.get(field).cloned().unwrap_or(Value::Null);
-            index.entry(v).or_default().insert(id);
+            post(&mut index, id, row.get(field));
         }
         t.indexes.insert(field.to_owned(), index);
     }
@@ -360,8 +381,7 @@ impl RelationalDb {
                         })?;
                         let t = inner.table_mut(table)?;
                         for (id, old, row) in t.rows.update(&ids, set, unset) {
-                            t.index_remove(id, &old);
-                            t.index_insert(id, &row);
+                            t.index_update(id, &old, &row);
                             written.push((id, row));
                         }
                     }

@@ -64,7 +64,8 @@ pub trait Adapter: Send + Sync {
         self.written_image(schema, &table, record.id, res)
     }
 
-    /// Applies attribute changes to one object, returning the post-image.
+    /// Writes `changes` over one object's stored attributes, returning the
+    /// post-image.
     fn update(
         &self,
         schema: &ModelSchema,
@@ -88,29 +89,22 @@ pub trait Adapter: Send + Sync {
         self.written_image(schema, &table, id, res)
     }
 
-    /// Deletes one object, returning its pre-image when it existed.
-    fn delete(&self, schema: &ModelSchema, id: Id) -> Result<Option<Record>, OrmError> {
-        let table = self.table_for(&schema.name);
-        // Engines without RETURNING cannot echo the deleted row, and reading
-        // back after deletion is impossible — so pre-read (§4.1's "additional
-        // query", issued before the write for deletes).
-        let pre = if self.engine().capabilities().returning {
-            None
-        } else {
-            self.find(schema, id)?
-        };
+    /// Deletes the object `pre` is the stored image of, returning its final
+    /// image. Engines without RETURNING cannot echo the deleted row, and
+    /// reading back after deletion is impossible — §4.1's "additional
+    /// query" is issued before the write for deletes, and it is the read
+    /// that found `pre`.
+    fn delete(&self, schema: &ModelSchema, pre: &Record) -> Result<Record, OrmError> {
         let res = self.engine().execute(&Query::Delete {
-            table,
-            filter: Filter::ById(id),
+            table: self.table_for(&schema.name),
+            filter: Filter::ById(pre.id),
         })?;
         match res {
-            QueryResult::Rows(mut rows) => Ok(if rows.is_empty() {
-                None
-            } else {
+            QueryResult::Rows(mut rows) if !rows.is_empty() => {
                 let (rid, row) = rows.swap_remove(0);
-                Some(self.decode_row(schema, rid, row))
-            }),
-            QueryResult::AffectedIds(ids) => Ok(if ids.is_empty() { None } else { pre }),
+                Ok(self.decode_row(schema, rid, row))
+            }
+            QueryResult::Rows(_) | QueryResult::AffectedIds(_) => Ok(pre.clone()),
             _ => Err(OrmError::Db(DbError::Unsupported("delete result shape"))),
         }
     }

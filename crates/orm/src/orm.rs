@@ -277,8 +277,25 @@ impl Orm {
         Ok(stored)
     }
 
+    /// The stored image of an object a write is about to change.
+    fn pre_image(&self, model: &str, id: Id) -> Result<Record, OrmError> {
+        self.adapter
+            .find(&*self.shared_schema(model)?, id)?
+            .ok_or_else(|| OrmError::RecordNotFound {
+                model: model.to_owned(),
+                id: id.to_string(),
+            })
+    }
+
     /// Applies attribute changes to an existing object.
     pub fn update(&self, model: &str, id: Id, changes: Value) -> Result<Record, OrmError> {
+        self.update_record(self.pre_image(model, id)?, changes)
+    }
+
+    /// [`Orm::update`] for a caller that has just read the object:
+    /// `current` is its stored image, so it is not read again.
+    pub fn update_record(&self, current: Record, changes: Value) -> Result<Record, OrmError> {
+        let (model, id) = (current.model.as_str(), current.id);
         let schema = self.shared_schema(model)?;
         let changes = match changes {
             Value::Map(m) => m,
@@ -288,19 +305,20 @@ impl Orm {
                 )))
             }
         };
-        let current = self
-            .adapter
-            .find(&schema, id)?
-            .ok_or_else(|| OrmError::RecordNotFound {
-                model: model.to_owned(),
-                id: id.to_string(),
-            })?;
         let mut merged = current.clone();
         for (k, v) in &changes {
             merged.attrs.insert(k.clone(), v.clone());
         }
         self.run_callbacks(model, CallbackPoint::BeforeUpdate, &mut merged)?;
         schema.check_attrs(merged.attrs.iter())?;
+        // The engine is asked to write what differs between the stored
+        // image and the merged, callback-adjusted one — not every attribute
+        // the caller named again.
+        let set: Changes = merged
+            .attrs
+            .into_iter()
+            .filter(|(k, v)| current.attrs.get(k) != Some(v))
+            .collect();
         // The intent carries the *caller's* changes (not the merged image):
         // Synapse's restriction checks need to know which attributes the
         // application actually touched (§3.1: subscribers may only update
@@ -312,40 +330,31 @@ impl Orm {
             changes,
         };
         let adapter = self.adapter.clone();
-        let attrs_ref = &merged.attrs;
-        let schema_ref = &schema;
-        let mut stored =
-            self.run_write(&intent, &mut || adapter.update(schema_ref, id, attrs_ref))?;
+        let mut stored = self.run_write(&intent, &mut || adapter.update(&schema, id, &set))?;
         self.run_callbacks(model, CallbackPoint::AfterUpdate, &mut stored)?;
         Ok(stored)
     }
 
     /// Destroys an object, returning its final image.
     pub fn destroy(&self, model: &str, id: Id) -> Result<Record, OrmError> {
-        let schema = self.shared_schema(model)?;
-        let mut pre = self
-            .adapter
-            .find(&schema, id)?
-            .ok_or_else(|| OrmError::RecordNotFound {
-                model: model.to_owned(),
-                id: id.to_string(),
-            })?;
-        self.run_callbacks(model, CallbackPoint::BeforeDestroy, &mut pre)?;
+        self.destroy_record(self.pre_image(model, id)?)
+    }
+
+    /// [`Orm::destroy`] for a caller that has just read the object: `pre`
+    /// is its stored image, so it is not read again.
+    pub fn destroy_record(&self, mut pre: Record) -> Result<Record, OrmError> {
+        let schema = self.shared_schema(&pre.model)?;
+        let model = pre.model.clone();
+        self.run_callbacks(&model, CallbackPoint::BeforeDestroy, &mut pre)?;
         let intent = WriteIntent {
             kind: WriteKind::Delete,
-            model: model.to_owned(),
-            id,
+            model,
+            id: pre.id,
             changes: BTreeMap::new(),
         };
         let adapter = self.adapter.clone();
-        let schema_ref = &schema;
-        let pre_ref = &pre;
-        let mut removed = self.run_write(&intent, &mut || {
-            Ok(adapter
-                .delete(schema_ref, id)?
-                .unwrap_or_else(|| pre_ref.clone()))
-        })?;
-        self.run_callbacks(model, CallbackPoint::AfterDestroy, &mut removed)?;
+        let mut removed = self.run_write(&intent, &mut || adapter.delete(&schema, &pre))?;
+        self.run_callbacks(&intent.model, CallbackPoint::AfterDestroy, &mut removed)?;
         Ok(removed)
     }
 
@@ -526,6 +535,103 @@ mod tests {
         let u2 = orm.update("User", u.id, vmap! { "likes" => 5 }).unwrap();
         assert_eq!(u2.get("likes").as_int(), Some(5));
         assert_eq!(u2.get("name").as_str(), Some("a"), "untouched field kept");
+    }
+
+    /// A document engine that keeps the `set` of every update it runs.
+    struct SpyEngine {
+        inner: synapse_db::document::DocumentDb,
+        sets: PMutex<Vec<synapse_db::Row>>,
+    }
+
+    impl synapse_db::Engine for SpyEngine {
+        fn capabilities(&self) -> &synapse_db::Capabilities {
+            self.inner.capabilities()
+        }
+
+        fn execute(
+            &self,
+            q: &synapse_db::Query,
+        ) -> Result<synapse_db::QueryResult, synapse_db::DbError> {
+            if let synapse_db::Query::Update { set, .. } = q {
+                self.sets.lock().push(set.clone());
+            }
+            self.inner.execute(q)
+        }
+
+        fn stats(&self) -> EngineStats {
+            self.inner.stats()
+        }
+    }
+
+    impl Adapter for SpyEngine {
+        fn orm_name(&self) -> &'static str {
+            "Spy"
+        }
+
+        fn engine(&self) -> &dyn synapse_db::Engine {
+            self
+        }
+    }
+
+    struct Intents(PMutex<Vec<Changes>>);
+
+    impl QueryObserver for Intents {
+        fn on_read(&self, _orm: &Orm, _records: &[Record]) {}
+
+        fn around_write(
+            &self,
+            _orm: &Orm,
+            intent: &WriteIntent,
+            exec: &mut WriteExec<'_>,
+        ) -> Result<Record, OrmError> {
+            self.0.lock().push(intent.changes.clone());
+            exec()
+        }
+    }
+
+    #[test]
+    fn update_hands_the_engine_what_differs_and_observers_what_was_asked() {
+        let spy = Arc::new(SpyEngine {
+            inner: synapse_db::profiles::mongodb(LatencyModel::off()),
+            sets: PMutex::new(Vec::new()),
+        });
+        let orm = Orm::new("test_app", spy.clone());
+        orm.define_model(ModelSchema::open("User")).unwrap();
+        let five = vmap! { "a" => 1, "b" => 1, "c" => 1, "d" => 1, "e" => 1 };
+        let u = orm.create("User", five).unwrap();
+        let intents = Arc::new(Intents(PMutex::new(Vec::new())));
+        orm.observe(intents.clone());
+
+        let asked = vmap! { "a" => 1, "b" => 1, "c" => 2, "d" => 1, "e" => 1 };
+        let stored = orm.update("User", u.id, asked.clone()).unwrap();
+        assert_eq!(stored.get("c").as_int(), Some(2));
+        assert_eq!(stored.attrs.len(), 5, "the post-image is the whole row");
+        assert_eq!(
+            spy.sets.lock().pop(),
+            Some(BTreeMap::from([("c".to_owned(), Value::Int(2))])),
+            "one of five attributes moved: one entry reaches the engine"
+        );
+        assert_eq!(
+            Value::Map(intents.0.lock().pop().unwrap()),
+            asked,
+            "the intent carries the caller's changes, moved or not"
+        );
+
+        // A callback's own edits are part of the merged image.
+        orm.on("User", CallbackPoint::BeforeUpdate, |_, r| {
+            r.set("touched", true);
+            Ok(())
+        });
+        let stored = orm.update("User", u.id, vmap! { "c" => 2 }).unwrap();
+        assert_eq!(stored.get("touched").as_bool(), Some(true));
+        assert_eq!(
+            spy.sets.lock().pop(),
+            Some(BTreeMap::from([("touched".to_owned(), Value::Bool(true))]))
+        );
+        assert_eq!(
+            Value::Map(intents.0.lock().pop().unwrap()),
+            vmap! { "c" => 2 }
+        );
     }
 
     #[test]

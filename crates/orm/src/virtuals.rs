@@ -29,10 +29,30 @@ pub struct VirtualAttr {
     pub setter: Option<VirtualSetter>,
 }
 
+/// One model's virtual attributes, by field.
+#[derive(Clone, Default)]
+pub struct ModelVirtuals {
+    attrs: HashMap<String, VirtualAttr>,
+}
+
+impl ModelVirtuals {
+    /// The getter registered for `field`.
+    pub fn getter(&self, field: &str) -> Option<&VirtualGetter> {
+        self.attrs.get(field)?.getter.as_ref()
+    }
+
+    /// The setter registered for `field`.
+    pub fn setter(&self, field: &str) -> Option<&VirtualSetter> {
+        self.attrs.get(field)?.setter.as_ref()
+    }
+}
+
 /// Per-model registry of virtual attributes.
 #[derive(Default)]
 pub struct VirtualRegistry {
-    attrs: RwLock<HashMap<(String, String), VirtualAttr>>,
+    /// A model's attributes are handed out by pointer, so no lock is held
+    /// while a getter or setter runs (a setter may write through the ORM).
+    models: RwLock<HashMap<String, Arc<ModelVirtuals>>>,
 }
 
 impl VirtualRegistry {
@@ -41,16 +61,18 @@ impl VirtualRegistry {
         Self::default()
     }
 
+    fn register(&self, model: &str, field: &str, set: impl FnOnce(&mut VirtualAttr)) {
+        let mut models = self.models.write();
+        let virtuals = Arc::make_mut(models.entry(model.to_owned()).or_default());
+        set(virtuals.attrs.entry(field.to_owned()).or_default());
+    }
+
     /// Registers a getter for `model.field`.
     pub fn getter<F>(&self, model: &str, field: &str, f: F)
     where
         F: Fn(&Orm, &Record) -> Value + Send + Sync + 'static,
     {
-        let mut attrs = self.attrs.write();
-        attrs
-            .entry((model.to_owned(), field.to_owned()))
-            .or_default()
-            .getter = Some(Arc::new(f));
+        self.register(model, field, |attr| attr.getter = Some(Arc::new(f)));
     }
 
     /// Registers a setter for `model.field`.
@@ -58,26 +80,22 @@ impl VirtualRegistry {
     where
         F: Fn(&Orm, &mut Record, Value) -> Result<(), OrmError> + Send + Sync + 'static,
     {
-        let mut attrs = self.attrs.write();
-        attrs
-            .entry((model.to_owned(), field.to_owned()))
-            .or_default()
-            .setter = Some(Arc::new(f));
+        self.register(model, field, |attr| attr.setter = Some(Arc::new(f)));
+    }
+
+    /// The virtual attributes of `model`, `None` when it has none: the one
+    /// lookup a record costs, whatever its field count.
+    pub fn model(&self, model: &str) -> Option<Arc<ModelVirtuals>> {
+        self.models.read().get(model).cloned()
     }
 
     /// Looks up the getter for `model.field`.
     pub fn get_getter(&self, model: &str, field: &str) -> Option<VirtualGetter> {
-        self.attrs
-            .read()
-            .get(&(model.to_owned(), field.to_owned()))
-            .and_then(|a| a.getter.clone())
+        self.model(model)?.getter(field).cloned()
     }
 
     /// Looks up the setter for `model.field`.
     pub fn get_setter(&self, model: &str, field: &str) -> Option<VirtualSetter> {
-        self.attrs
-            .read()
-            .get(&(model.to_owned(), field.to_owned()))
-            .and_then(|a| a.setter.clone())
+        self.model(model)?.setter(field).cloned()
     }
 }
