@@ -182,13 +182,6 @@ pub struct LoadReport {
     pub elapsed: Duration,
 }
 
-impl LoadReport {
-    /// Publisher-side operation throughput.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.operations as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
 /// Seeds the user population and drives the post/comment mix from
 /// `config.publisher_threads` threads until `config.duration` elapses.
 pub fn run_load(pair: &StressPair, config: &StressConfig) -> LoadReport {

@@ -7,12 +7,13 @@
 //! Publishes carry a routing key (the written object's dependency key);
 //! the key's low byte becomes the delivery-tag *hint* and
 //! `hint % partitions` picks the sub-queue, so one object's messages
-//! always land in one partition in publish order. A batch publish groups
-//! its payloads by partition and takes exactly one lock per *touched*
-//! partition — concurrent publishers to different partitions never
-//! contend. Unkeyed (legacy) publishes use key 0 and therefore all share
-//! partition 0, which preserves the strict global FIFO order the
-//! pre-partitioned queue promised.
+//! always land in one partition in publish order, and concurrent
+//! publishers to different partitions never contend. The queue owner's
+//! direct batch groups its payloads by partition and takes exactly one
+//! lock per *touched* partition across one WAL commit (`enqueue`; pops,
+//! steals and settles are in `deliver`). Unkeyed (legacy) publishes use
+//! key 0 and therefore all share partition 0, which preserves the strict
+//! global FIFO order the pre-partitioned queue promised.
 //!
 //! # Tag encoding
 //!
@@ -36,10 +37,12 @@
 //! never be missed: either the enqueuer sees the sleeper, or the sleeper
 //! sees the message.
 
+mod deliver;
+mod enqueue;
+
 use crate::message::{Delivery, SharedStr};
-use crate::wal::{frame_enqueue_into, frame_record_into, Wal, WalRecord};
+use crate::wal::{frame_record_into, Wal, WalRecord};
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -99,12 +102,6 @@ impl WalBinding {
     fn append_best_effort(&self, record: &WalRecord) {
         let _ = self.wal.append_relaxed(record);
     }
-}
-
-thread_local! {
-    /// Per-thread staging buffer for WAL frames built under partition
-    /// locks — record encoding happens here, outside every WAL lock.
-    static STAGE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Queue configuration.
@@ -457,151 +454,6 @@ impl Queue {
         }
     }
 
-    /// Consumes one armed silent-drop fault, if any.
-    fn consume_armed_drop(&self) -> bool {
-        let armed = &self.drop_next;
-        let mut current = armed.load(Ordering::Acquire);
-        while current > 0 {
-            match armed.compare_exchange_weak(
-                current,
-                current - 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => current = observed,
-            }
-        }
-        false
-    }
-
-    /// First half of admission, under the held partition lock: policy
-    /// checks (decommission, armed drop, cap kill), tag allocation, and
-    /// — when durable — framing the enqueue record straight into
-    /// `wal_buf` (outside every WAL lock). Returns the delivery to push
-    /// once the staged frames commit; `None` means refused, dropped, or
-    /// cap-killed with nothing of this copy staged. A cap kill sets the
-    /// decommissioned state, stages the kill record behind the already
-    /// staged enqueues, and refuses the triggering copy; the caller
-    /// sweeps the surviving backlog once its own lock is released.
-    ///
-    /// `direct` marks direct-to-queue traffic — the node's own, not on
-    /// the wire — and is the one rule for it: it skips the armed drop (a
-    /// fault of the wire) and the cap kill, not the decommission check.
-    /// The backlog cap is slow-consumer protection against unbounded
-    /// *live* backlog (§4.4); direct-to-queue traffic is flow-controlled
-    /// by its sender, and letting it trip the kill would sweep the live
-    /// backlog its sender relies on.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_locked(
-        &self,
-        exchange: &SharedStr,
-        payload: &SharedStr,
-        origin_nanos: u64,
-        hint: u8,
-        staged_so_far: usize,
-        direct: bool,
-        wal_buf: &mut Vec<u8>,
-        frames: &mut u32,
-    ) -> Option<Delivery> {
-        if self.is_decommissioned() {
-            self.counters.refused.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        if !direct && self.consume_armed_drop() {
-            // Injected silent drop: the copy vanishes before reaching the
-            // log, exactly as a lost network frame would.
-            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let max = self.max_len.load(Ordering::Relaxed);
-        // `staged_so_far` counts this run's admitted-but-uncommitted
-        // copies, which `ready_total` doesn't yet include — the cap
-        // trips at exactly the copy N individual publishes would.
-        let backlog = self.ready_total.load(Ordering::SeqCst);
-        if !direct && max != usize::MAX && backlog + staged_so_far >= max {
-            // Kill the queue: stop accepting and refuse the triggering
-            // copy. The kill record rides the same staged batch, after
-            // the enqueues admitted before it.
-            self.counters.refused.fetch_add(1, Ordering::Relaxed);
-            self.state.store(STATE_DECOMMISSIONED, Ordering::SeqCst);
-            if let Some(binding) = &self.wal {
-                frame_record_into(
-                    wal_buf,
-                    &WalRecord::QueueKilled {
-                        queue: binding.queue.clone(),
-                    },
-                );
-                *frames += 1;
-            }
-            return None;
-        }
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let tag = (seq << 8) | u64::from(hint);
-        if let Some(binding) = &self.wal {
-            frame_enqueue_into(
-                wal_buf,
-                &binding.queue,
-                tag,
-                exchange.as_str(),
-                payload.as_str(),
-                origin_nanos,
-            );
-            *frames += 1;
-        }
-        Some(Delivery {
-            tag,
-            exchange: exchange.clone(),
-            payload: payload.clone(),
-            redelivered: false,
-            origin_nanos,
-            enqueued_nanos: mono_nanos(),
-        })
-    }
-
-    /// Second half of admission, in two steps taken while the run's
-    /// partition locks are still held. Commit-before-push is the
-    /// durability contract (an enqueue is on the log before it is
-    /// visible), and holding the locks across the commit keeps
-    /// same-partition FIFO: a later tag can never commit and push ahead
-    /// of an earlier one. First, one group-commit wait for the whole
-    /// run's staged frames; `false` means nothing reached the log.
-    fn commit_staged(&self, wal_buf: &[u8], frames: u32) -> bool {
-        match &self.wal {
-            Some(binding) if frames > 0 => binding.wal.commit_frames(wal_buf, frames).is_ok(),
-            _ => true,
-        }
-    }
-
-    /// Then each partition's admitted deliveries are pushed — or, after
-    /// a failed commit, refused: nothing becomes visible. Returns how
-    /// many deliveries were enqueued.
-    fn push_staged_locked(
-        &self,
-        part: &Partition,
-        inner: &mut PartitionInner,
-        staged: Vec<Delivery>,
-        committed: bool,
-    ) -> usize {
-        let n = staged.len();
-        if !committed {
-            self.counters.refused.fetch_add(n as u64, Ordering::Relaxed);
-            return 0;
-        }
-        if n == 0 {
-            return 0;
-        }
-        for d in staged {
-            inner.ready.push_back(d);
-        }
-        part.len.fetch_add(n, Ordering::Relaxed);
-        self.ready_total.fetch_add(n, Ordering::SeqCst);
-        self.counters
-            .enqueued
-            .fetch_add(n as u64, Ordering::Relaxed);
-        n
-    }
-
     /// Discards ready + unacked backlog from every partition, counting it.
     /// Called with no partition lock held (takes each in turn).
     fn sweep_discard(&self, parts: &[Partition]) {
@@ -623,19 +475,6 @@ impl Queue {
             inner.unacked.clear();
         }
         self.maybe_notify_quiet();
-    }
-
-    /// Post-enqueue epilogue: completes a cap kill (sweep + wake everyone
-    /// so parked consumers observe the decommission) or issues counted
-    /// wakeups sized to the number of messages actually added.
-    fn finish_enqueue(&self, parts: &[Partition], added: usize) {
-        if self.is_decommissioned() {
-            self.sweep_discard(parts);
-            let _guard = self.idle.lock();
-            self.idle_cv.notify_all();
-        } else {
-            self.wake_ready(added);
-        }
     }
 
     /// Counted wakeups: wake `min(added, sleepers)` parked consumers with
@@ -695,265 +534,6 @@ impl Queue {
         rescan
     }
 
-    /// Enqueues a payload routed by `key`; enforces the decommission
-    /// policy. The payload is shared, not copied. Key 0 (unkeyed/legacy
-    /// publishes) routes to partition 0, preserving global FIFO order for
-    /// key-less traffic.
-    pub(crate) fn enqueue_routed(
-        &self,
-        exchange: &SharedStr,
-        payload: &SharedStr,
-        origin_nanos: u64,
-        key: u64,
-    ) {
-        let parts = self.partitions.read();
-        let hint = hint_of_key(key);
-        let p = &parts[hint as usize % parts.len()];
-        let added = STAGE_BUF.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            buf.clear();
-            let mut frames = 0u32;
-            let mut inner = p.inner.lock();
-            let staged = self
-                .stage_locked(
-                    exchange,
-                    payload,
-                    origin_nanos,
-                    hint,
-                    0,
-                    false,
-                    &mut buf,
-                    &mut frames,
-                )
-                .map_or_else(Vec::new, |d| vec![d]);
-            let committed = self.commit_staged(&buf, frames);
-            self.push_staged_locked(p, &mut inner, staged, committed)
-        });
-        self.finish_enqueue(&parts, added);
-    }
-
-    /// Enqueues a keyed batch, grouping payloads by destination partition
-    /// so each touched partition's lock is taken exactly once, and
-    /// applying the same per-copy admission policy as
-    /// [`Queue::enqueue_routed`] (a mid-batch cap kill refuses the
-    /// remainder, exactly as N individual publishes would). Within each
-    /// partition the batch's relative payload order is preserved.
-    /// Returns how many copies were admitted (refused/dropped copies are
-    /// counted but not enqueued). `direct` marks direct-to-queue traffic
-    /// (see [`Queue::stage_locked`]).
-    pub(crate) fn enqueue_batch_routed(
-        &self,
-        exchange: &SharedStr,
-        payloads: &[(SharedStr, u64, u64)],
-        direct: bool,
-    ) -> usize {
-        if payloads.is_empty() {
-            return 0;
-        }
-        let parts = self.partitions.read();
-        let count = parts.len();
-        // (partition, original index), stable-sorted by partition: one
-        // contiguous locked run per touched partition, original relative
-        // order intact within each.
-        let mut order: Vec<(u32, u32)> = payloads
-            .iter()
-            .enumerate()
-            .map(|(i, (_, _, key))| ((hint_of_key(*key) as usize % count) as u32, i as u32))
-            .collect();
-        order.sort_by_key(|(p, _)| *p);
-        let added = STAGE_BUF.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            buf.clear();
-            let mut frames = 0u32;
-            // Stage every partition run while *holding* its lock —
-            // ascending partition order, the checkpoint's lock
-            // discipline, so multi-lock holders can never deadlock each
-            // other — then commit the entire batch's frames with ONE
-            // group-commit wait. Committing per run would pay one
-            // strict commit latency per touched partition, serially;
-            // one wait per publish call is the point of the staged
-            // batch. Holding the locks across the commit keeps
-            // commit-before-push and same-partition FIFO, exactly as
-            // the per-run path did.
-            let mut locked: Vec<(u32, _, Vec<Delivery>)> = Vec::new();
-            let mut total_staged = 0usize;
-            let mut i = 0usize;
-            while i < order.len() {
-                let pi = order[i].0;
-                let p = &parts[pi as usize];
-                let mut staged: Vec<Delivery> = Vec::new();
-                let inner = p.inner.lock();
-                while i < order.len() && order[i].0 == pi {
-                    let (payload, origin, key) = &payloads[order[i].1 as usize];
-                    if let Some(d) = self.stage_locked(
-                        exchange,
-                        payload,
-                        *origin,
-                        hint_of_key(*key),
-                        total_staged,
-                        direct,
-                        &mut buf,
-                        &mut frames,
-                    ) {
-                        staged.push(d);
-                        total_staged += 1;
-                    }
-                    i += 1;
-                }
-                locked.push((pi, inner, staged));
-            }
-            let committed = self.commit_staged(&buf, frames);
-            locked
-                .into_iter()
-                .map(|(pi, mut inner, staged)| {
-                    self.push_staged_locked(&parts[pi as usize], &mut inner, staged, committed)
-                })
-                .sum()
-        });
-        self.finish_enqueue(&parts, added);
-        added
-    }
-
-    /// Takes up to `max` deliveries off one locked partition, moving them
-    /// to its unacked set and maintaining the gauges.
-    fn take_locked(
-        &self,
-        part: &Partition,
-        inner: &mut PartitionInner,
-        max: usize,
-        out: &mut Vec<Delivery>,
-    ) {
-        let n = inner.ready.len().min(max);
-        if n == 0 {
-            return;
-        }
-        for _ in 0..n {
-            let delivery = inner.ready.pop_front().expect("len checked");
-            inner.unacked.insert(delivery.tag, delivery.clone());
-            out.push(delivery);
-        }
-        part.len.fetch_sub(n, Ordering::Relaxed);
-        self.ready_total.fetch_sub(n, Ordering::SeqCst);
-        self.unacked_total.fetch_add(n, Ordering::SeqCst);
-    }
-
-    /// Blocking batch pop: parks until at least one delivery is ready,
-    /// then drains up to `max` across partitions in index order (each
-    /// partition's run stays FIFO; unkeyed traffic lives wholly in
-    /// partition 0, so its global order is preserved). Returns empty on
-    /// timeout, decommission, or a [`Queue::wake_all`] issued after the
-    /// call began (shutdown).
-    pub(crate) fn pop_batch(&self, max: usize, timeout: Duration) -> Vec<Delivery> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let deadline = Instant::now() + timeout;
-        let entry_epoch = self.wake_epoch.load(Ordering::SeqCst);
-        loop {
-            {
-                let parts = self.partitions.read();
-                let mut out = Vec::new();
-                for p in parts.iter() {
-                    if out.len() >= max {
-                        break;
-                    }
-                    if p.len.load(Ordering::Relaxed) == 0 {
-                        continue;
-                    }
-                    let mut inner = p.inner.lock();
-                    self.take_locked(p, &mut inner, max - out.len(), &mut out);
-                }
-                if !out.is_empty() {
-                    return out;
-                }
-            }
-            if self.is_decommissioned() || self.wake_epoch.load(Ordering::SeqCst) != entry_epoch {
-                return Vec::new();
-            }
-            if !self.park_until(deadline, entry_epoch) {
-                return Vec::new();
-            }
-        }
-    }
-
-    /// Drains up to `max` deliveries from one partition. With a zero
-    /// timeout this is a non-blocking poll (the work-stealing workers'
-    /// home-partition scan); otherwise it parks on the queue condvar and
-    /// re-polls its partition on every wake until the deadline.
-    pub(crate) fn pop_batch_from(
-        &self,
-        partition: usize,
-        max: usize,
-        timeout: Duration,
-    ) -> Vec<Delivery> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let deadline = Instant::now() + timeout;
-        let entry_epoch = self.wake_epoch.load(Ordering::SeqCst);
-        loop {
-            {
-                let parts = self.partitions.read();
-                let p = &parts[partition % parts.len()];
-                if p.len.load(Ordering::Relaxed) > 0 {
-                    let mut out = Vec::new();
-                    let mut inner = p.inner.lock();
-                    self.take_locked(p, &mut inner, max, &mut out);
-                    if !out.is_empty() {
-                        return out;
-                    }
-                }
-            }
-            if timeout.is_zero()
-                || self.is_decommissioned()
-                || self.wake_epoch.load(Ordering::SeqCst) != entry_epoch
-                || !self.park_until(deadline, entry_epoch)
-            {
-                return Vec::new();
-            }
-        }
-    }
-
-    /// Steals up to `min(max, ceil(ready/2))` deliveries from the *front*
-    /// of one partition's ready run (so a lone message can always be
-    /// stolen and the oldest work migrates first). Stolen deliveries move
-    /// to the victim partition's unacked set — their tags still name that
-    /// partition, so acks route correctly no matter which worker applies
-    /// them. Non-blocking.
-    pub(crate) fn steal_batch(&self, partition: usize, max: usize) -> Vec<Delivery> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let parts = self.partitions.read();
-        let p = &parts[partition % parts.len()];
-        if p.len.load(Ordering::Relaxed) == 0 {
-            return Vec::new();
-        }
-        let mut inner = p.inner.lock();
-        let half = inner.ready.len().div_ceil(2);
-        let mut out = Vec::new();
-        self.take_locked(p, &mut inner, max.min(half), &mut out);
-        if !out.is_empty() {
-            self.counters.steals.fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .stolen
-                .fetch_add(out.len() as u64, Ordering::Relaxed);
-        }
-        out
-    }
-
-    /// Parks until the queue has ready deliveries, is decommissioned, or
-    /// is woken/shut down — or until `timeout` passes. Returns `true`
-    /// unless it timed out, i.e. `true` means "rescan now".
-    pub(crate) fn wait_ready(&self, timeout: Duration) -> bool {
-        if self.ready_total.load(Ordering::SeqCst) > 0 || self.is_decommissioned() {
-            return true;
-        }
-        let deadline = Instant::now() + timeout;
-        let entry_epoch = self.wake_epoch.load(Ordering::SeqCst);
-        self.park_until(deadline, entry_epoch)
-    }
-
     /// Wakes every parked consumer; batch pops in progress return empty.
     /// Used by subscriber shutdown so workers notice the stop flag without
     /// waiting out their park timeout.
@@ -997,175 +577,6 @@ impl Queue {
                 return self.is_quiescent();
             }
         }
-    }
-
-    pub(crate) fn ack(&self, tag: u64) -> bool {
-        let parts = self.partitions.read();
-        let p = &parts[partition_of(tag, parts.len())];
-        let hit = p.inner.lock().unacked.remove(&tag).is_some();
-        drop(parts);
-        if hit {
-            self.unacked_total.fetch_sub(1, Ordering::SeqCst);
-            self.counters.acked.fetch_add(1, Ordering::Relaxed);
-            self.maybe_notify_quiet();
-            if let Some(binding) = &self.wal {
-                binding.append_best_effort(&WalRecord::Ack {
-                    queue: binding.queue.clone(),
-                    tags: vec![tag],
-                });
-            }
-        } else {
-            self.counters.spurious_acks.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// Acks a batch of tags, grouped so each touched partition's lock is
-    /// taken once. Returns how many were live (spurious acks are counted,
-    /// exactly as [`Queue::ack`]). Live tags land in one WAL record.
-    pub(crate) fn ack_batch(&self, tags: &[u64]) -> u64 {
-        if tags.is_empty() {
-            return 0;
-        }
-        let parts = self.partitions.read();
-        let count = parts.len();
-        let mut order: Vec<(u32, u64)> = tags
-            .iter()
-            .map(|&tag| (partition_of(tag, count) as u32, tag))
-            .collect();
-        order.sort_by_key(|(p, _)| *p);
-        let mut hits = 0u64;
-        let mut live: Vec<u64> = Vec::new();
-        let mut i = 0usize;
-        while i < order.len() {
-            let pi = order[i].0;
-            let mut inner = parts[pi as usize].inner.lock();
-            let mut removed = 0usize;
-            while i < order.len() && order[i].0 == pi {
-                let tag = order[i].1;
-                if inner.unacked.remove(&tag).is_some() {
-                    hits += 1;
-                    removed += 1;
-                    if self.wal.is_some() {
-                        live.push(tag);
-                    }
-                } else {
-                    self.counters.spurious_acks.fetch_add(1, Ordering::Relaxed);
-                }
-                i += 1;
-            }
-            drop(inner);
-            if removed > 0 {
-                self.counters
-                    .acked
-                    .fetch_add(removed as u64, Ordering::Relaxed);
-                self.unacked_total.fetch_sub(removed, Ordering::SeqCst);
-            }
-        }
-        drop(parts);
-        self.maybe_notify_quiet();
-        if let (Some(binding), false) = (&self.wal, live.is_empty()) {
-            binding.append_best_effort(&WalRecord::Ack {
-                queue: binding.queue.clone(),
-                tags: live,
-            });
-        }
-        hits
-    }
-
-    /// Returns the delivery to its partition, marked redelivered, at its
-    /// tag-ordered position (usually the front). A blind `push_front`
-    /// here is not enough: two workers reverse-nacking their batch tails
-    /// into the *same* partition can interleave, scrambling the
-    /// partition's FIFO order — and once an older message sits behind a
-    /// newer one, causally-chained traffic (all of one user's writes
-    /// share a partition) can deadlock in a circular dependency wait.
-    /// Inserting by tag keeps the ready run sorted under any
-    /// interleaving, so the oldest outstanding message is always the
-    /// next one popped.
-    pub(crate) fn nack(&self, tag: u64) -> bool {
-        let parts = self.partitions.read();
-        let p = &parts[partition_of(tag, parts.len())];
-        let mut inner = p.inner.lock();
-        if let Some(mut delivery) = inner.unacked.remove(&tag) {
-            delivery.redelivered = true;
-            let pos = inner.ready.partition_point(|d| d.tag < tag);
-            inner.ready.insert(pos, delivery);
-            p.len.fetch_add(1, Ordering::Relaxed);
-            drop(inner);
-            drop(parts);
-            self.unacked_total.fetch_sub(1, Ordering::SeqCst);
-            self.ready_total.fetch_add(1, Ordering::SeqCst);
-            self.counters.redelivered.fetch_add(1, Ordering::Relaxed);
-            self.wake_ready(1);
-            true
-        } else {
-            self.counters.spurious_nacks.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    }
-
-    /// Moves an unacked delivery to the dead-letter store. The message
-    /// leaves the delivery path but stays inspectable; the caller is
-    /// expected to account for it (it is consumed, like an ack).
-    pub(crate) fn dead_letter(&self, tag: u64) -> bool {
-        let parts = self.partitions.read();
-        let p = &parts[partition_of(tag, parts.len())];
-        let removed = p.inner.lock().unacked.remove(&tag);
-        drop(parts);
-        if let Some(delivery) = removed {
-            self.unacked_total.fetch_sub(1, Ordering::SeqCst);
-            self.maybe_notify_quiet();
-            self.dead.lock().push(delivery);
-            self.dead_len.fetch_add(1, Ordering::Relaxed);
-            self.counters.dead_lettered.fetch_add(1, Ordering::Relaxed);
-            if let Some(binding) = &self.wal {
-                binding.append_best_effort(&WalRecord::DeadLetter {
-                    queue: binding.queue.clone(),
-                    tag,
-                });
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Snapshot of the dead-letter store.
-    pub(crate) fn dead_letters(&self) -> Vec<Delivery> {
-        self.dead.lock().clone()
-    }
-
-    /// Requeues all unacked deliveries (broker restart semantics), each
-    /// to the front of its own partition in tag order.
-    pub(crate) fn recover(&self) {
-        let parts = self.partitions.read();
-        for p in parts.iter() {
-            let mut inner = p.inner.lock();
-            if inner.unacked.is_empty() {
-                continue;
-            }
-            let mut unacked: Vec<Delivery> = inner.unacked.drain().map(|(_, d)| d).collect();
-            unacked.sort_by_key(|d| d.tag);
-            let n = unacked.len();
-            for mut d in unacked {
-                d.redelivered = true;
-                // Tag-ordered insert, same as `nack`: a previously nacked
-                // delivery may already sit in `ready` with an older tag
-                // than some of these.
-                let pos = inner.ready.partition_point(|r| r.tag < d.tag);
-                inner.ready.insert(pos, d);
-            }
-            p.len.fetch_add(n, Ordering::Relaxed);
-            self.ready_total.fetch_add(n, Ordering::SeqCst);
-            self.unacked_total.fetch_sub(n, Ordering::SeqCst);
-            self.counters
-                .redelivered
-                .fetch_add(n as u64, Ordering::Relaxed);
-        }
-        drop(parts);
-        let _guard = self.idle.lock();
-        self.idle_cv.notify_all();
     }
 
     /// Resets a decommissioned queue to empty active state (the subscriber

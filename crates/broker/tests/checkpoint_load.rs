@@ -114,9 +114,11 @@ fn checkpoint_compaction_survives_concurrent_group_commits() {
                             (SharedStr::from(format!("t{t}-b{b}-i{i}")), 0, key)
                         })
                         .collect();
-                    broker
-                        .publish_batch_routed("x", batch)
-                        .expect("publish under checkpoint load");
+                    assert_eq!(
+                        broker.publish_to_queue("q", "x", batch),
+                        BATCH,
+                        "publish under checkpoint load"
+                    );
                 }
             })
         })

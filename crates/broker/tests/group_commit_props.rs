@@ -14,7 +14,6 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
 use synapse_broker::{Broker, FsyncPolicy, QueueConfig, SharedStr, WalConfig};
 
 const PARTS: usize = 4;
@@ -37,7 +36,7 @@ fn temp_dir(label: &str) -> PathBuf {
 enum Op {
     /// `publish_routed` with this routing key.
     Publish { key: u64 },
-    /// `publish_batch_routed`: one staged multi-frame append.
+    /// `publish_to_queue`: one staged multi-frame append.
     PublishBatch { keys: Vec<u64> },
     /// Pop up to `n` from partition `part`, ack them all.
     PopAck { part: usize, n: usize },
@@ -95,17 +94,16 @@ fn drive(broker: &Broker, ops: &[Op]) {
                         (SharedStr::from(p), 0, *key)
                     })
                     .collect();
-                broker
-                    .publish_batch_routed("x", batch)
-                    .expect("batch publish");
+                let staged = batch.len();
+                assert_eq!(broker.publish_to_queue("q", "x", batch), staged);
             }
             Op::PopAck { part, n } => {
-                for d in consumer.pop_batch_from(*part, *n, Duration::ZERO) {
+                for d in consumer.pop_batch_from(*part, *n) {
                     assert!(consumer.ack(d.tag), "ack of a live delivery");
                 }
             }
             Op::PopDead { part, n } => {
-                for d in consumer.pop_batch_from(*part, *n, Duration::ZERO) {
+                for d in consumer.pop_batch_from(*part, *n) {
                     assert!(
                         consumer.dead_letter(d.tag),
                         "dead-letter of a live delivery"
@@ -126,7 +124,7 @@ fn observe(broker: &Broker) -> QueueImage {
     let mut drained: Vec<Vec<String>> = vec![Vec::new(); PARTS];
     for (part, out) in drained.iter_mut().enumerate() {
         loop {
-            let batch = consumer.pop_batch_from(part, 16, Duration::ZERO);
+            let batch = consumer.pop_batch_from(part, 16);
             if batch.is_empty() {
                 break;
             }

@@ -18,7 +18,7 @@ use synapse_db::DbError;
 use synapse_model::{Id, Record};
 use synapse_orm::OrmError;
 use synapse_telemetry::mono_nanos;
-use synapse_versionstore::{DepKey, VersionVector};
+use synapse_versionstore::{DepKey, DumpEntry, VersionVector};
 
 /// How long [`SynapseNode::bootstrap_from`]'s finalize step waits for the
 /// subscriber to account for the merged chunk copies before going Live
@@ -216,17 +216,31 @@ impl SynapseNode {
                 .store(false, Ordering::SeqCst);
         }
 
-        // Step 1: bulk-load the publisher's current versions.
+        // Step 1: bulk-load the publisher's current dependency counters —
+        // its dump projected to `(key, ops)`. The publisher's own version
+        // marks stay behind: loaded, they would read as versions this
+        // subscriber had applied, and `AdmitRule::Copy` would refuse the
+        // rows step 2 is about to copy.
         self.bootstrap.transition(BootstrapState::Snapshot);
-        let snapshot = self.retry_transient(|| {
+        let mut snapshot = self.retry_transient(|| {
             publisher
                 .pub_store
-                .snapshot()
+                .dump()
                 .map_err(|_| OrmError::Db(DbError::Unavailable))
         })?;
+        for entry in &mut snapshot {
+            *entry = DumpEntry {
+                key: entry.key,
+                ops: entry.ops,
+                versioned: false,
+                winner_sum: 0,
+                winner_writer: 0,
+                vector: Vec::new(),
+            };
+        }
         self.retry_transient(|| {
             self.sub_store
-                .load_snapshot(&snapshot)
+                .load_dump(&snapshot)
                 .map_err(|_| OrmError::Db(DbError::Unavailable))
         })?;
 
@@ -607,7 +621,7 @@ impl SynapseNode {
                         origin_nanos,
                         enqueued_nanos: 0,
                     };
-                    self.subscriber.process_one(&delivery).map_err(|e| match e {
+                    self.subscriber.process(&delivery).map_err(|e| match e {
                         ProcessError::Transient(_) => OrmError::Db(DbError::Unavailable),
                         ProcessError::Poison(msg) => OrmError::Restriction(msg),
                     })

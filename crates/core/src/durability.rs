@@ -310,6 +310,21 @@ mod tests {
         dir
     }
 
+    /// A single-writer entry: its version rides the legacy component.
+    fn scalar(key: u64, ops: u64, version: u64, versioned: bool) -> DumpEntry {
+        DumpEntry {
+            key,
+            ops,
+            versioned,
+            winner_sum: version,
+            winner_writer: synapse_versionstore::LEGACY_WRITER,
+            vector: match version {
+                0 => Vec::new(),
+                v => vec![(synapse_versionstore::LEGACY_WRITER, v)],
+            },
+        }
+    }
+
     fn sample() -> NodeSnapshot {
         NodeSnapshot {
             seq: 0,
@@ -317,12 +332,9 @@ mod tests {
                 segment: 3,
                 offset: 911,
             },
-            pub_entries: vec![
-                DumpEntry::scalar(1, 10, 10, true),
-                DumpEntry::scalar(2, 5, 0, false),
-            ],
+            pub_entries: vec![scalar(1, 10, 10, true), scalar(2, 5, 0, false)],
             sub_entries: vec![
-                DumpEntry::scalar(1, 9, 0, true),
+                scalar(1, 9, 0, true),
                 DumpEntry {
                     key: 77,
                     ops: 4,
@@ -358,7 +370,7 @@ mod tests {
         assert_eq!(store.load_latest().unwrap(), None);
         let seq1 = store.persist(&sample()).unwrap();
         let mut newer = sample();
-        newer.pub_entries.push(DumpEntry::scalar(99, 1, 1, true));
+        newer.pub_entries.push(scalar(99, 1, 1, true));
         let seq2 = store.persist(&newer).unwrap();
         assert!(seq2 > seq1);
         let loaded = store.load_latest().unwrap().unwrap();

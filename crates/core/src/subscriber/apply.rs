@@ -1,0 +1,311 @@
+//! Applying one operation: version admission, conflict resolution, and the
+//! upsert through the local ORM.
+
+use super::path::Kind;
+use super::Subscriber;
+use crate::api::Subscription;
+use crate::deps::{writer_id, DepName};
+use crate::message::{Operation, WriteMessage};
+use crate::resolve::{ConflictCtx, Resolution};
+use crate::semantics::DeliveryMode;
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use synapse_db::DbError;
+use synapse_model::{Id, Record, Value};
+use synapse_orm::{CallbackPoint, OrmError};
+use synapse_telemetry::mono_nanos;
+use synapse_versionstore::{AdmitRule, VectorAdmit, VersionVector, LEGACY_WRITER};
+
+impl Subscriber {
+    /// Applies one operation through the local ORM, unless version
+    /// admission discards it: a live write that is stale (counted in
+    /// `ops_stale`), or a chunk copy the live stream already matched or
+    /// beat (`copies_reconciled`).
+    pub(super) fn apply_op(
+        &self,
+        msg: &WriteMessage,
+        op: &Operation,
+        kind: Kind,
+        mode: DeliveryMode,
+    ) -> Result<(), OrmError> {
+        let matching: Vec<Arc<Subscription>> = {
+            let subs = self.subscriptions.read();
+            subs.iter()
+                .filter(|s| s.from == msg.app && op.types.iter().any(|t| t == &s.model))
+                .cloned()
+                .collect()
+        };
+        if matching.is_empty() {
+            return Ok(());
+        }
+        // Freshness: update objects only to their latest version (§4.2),
+        // discarding out-of-order intermediate updates. Weak mode depends
+        // on this for correctness; causal and global modes record versions
+        // too so that bootstrap's chunked copy — which reconciles against
+        // the live stream by version comparison — can never regress a row
+        // a live message already moved past the chunk's snapshot. In the
+        // ordered modes the dependency wait already serializes live
+        // applies, so the check only ever discards a copy/redelivery that
+        // lost the race.
+        let key = self
+            .dep_space
+            .key(&DepName::object(&msg.app, op.model(), op.id));
+        // Multi-writer models track their version vectors under the
+        // writer-independent mesh key, so every writer's history of the
+        // object lands on one entry.
+        let mesh_key = matching.iter().any(|s| s.bidirectional).then(|| {
+            self.dep_space
+                .key(&crate::deps::mesh_object(op.model(), op.id))
+        });
+        // The version this operation carries and the store entry it is
+        // judged against. A multi-writer write (or copy — it carries the
+        // publisher's full vector, since a scalar marker on the legacy
+        // floor could wrongly dominate a remote writer's component) is
+        // classified by version-vector dominance under the mesh key. In
+        // weak mode this runs at raw apply time; in causal/global mode the
+        // dep wait has already completed, so the local row is causally
+        // complete when the resolver sees the pair. Everything else — a
+        // bidirectional subscription fed by a pre-vector publisher (no
+        // vector on the wire) included — carries the scalar of its object
+        // dependency, which rides the vector's legacy component.
+        let writer = writer_id(&msg.app);
+        let mesh_vector = mesh_key.and_then(|mesh| Some((mesh, msg.vector_for(mesh, writer)?)));
+        let multi_writer = mesh_vector.is_some();
+        let (at, carried) = match mesh_vector {
+            Some((mesh, vector)) => (mesh, Some((vector, writer))),
+            None => (
+                key,
+                match mode {
+                    DeliveryMode::Weak => Some(msg.dependencies.get(&key).copied().unwrap_or(0)),
+                    // Ordered modes only check when the message actually
+                    // carries the object's dependency (a mismatched dep
+                    // space on the publisher must not silently drop writes).
+                    DeliveryMode::Causal | DeliveryMode::Global => {
+                        msg.dependencies.get(&key).copied()
+                    }
+                }
+                .map(|version| (VersionVector::scalar(version), LEGACY_WRITER)),
+            ),
+        };
+        let (rule, applied, discarded) = match kind {
+            Kind::Copy => (
+                AdmitRule::Copy,
+                &self.counters.copies_applied,
+                &self.counters.copies_reconciled,
+            ),
+            _ => (
+                AdmitRule::Live,
+                &self.counters.ops_applied,
+                &self.counters.ops_stale,
+            ),
+        };
+        let write = || {
+            matching
+                .iter()
+                .try_for_each(|sub| self.apply_subscription(sub, op))?;
+            applied.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        };
+        // A dead store is transient (revival or bootstrap heals it);
+        // surface it as the transient db error class.
+        let dead = |_| OrmError::Db(DbError::Unavailable);
+        // Reserve the object for the verdict *and* the ORM writes. Without
+        // it, a copier thread and a worker (or a thief and the home worker)
+        // can interleave check/apply so that the thread carrying the
+        // *older* version writes the row last: both pass the check before
+        // either applies. The reservation serializes exactly the racing
+        // pair; the version counts as stored only at `commit`, so a write
+        // that fails below leaves nothing behind and its redelivery is
+        // judged afresh.
+        let admission = self.store.reserve(at);
+        let Some((vector, writer)) = &carried else {
+            return write();
+        };
+        match admission.classify(vector, *writer, rule).map_err(dead)? {
+            VectorAdmit::Fresh => write()?,
+            VectorAdmit::Concurrent { lww_wins } if multi_writer => {
+                self.resolve_conflict(op, &matching, vector, *writer, lww_wins)?
+            }
+            _ => {
+                discarded.fetch_add(1, Ordering::Relaxed);
+                if multi_writer && kind == Kind::Live {
+                    self.conflicts.discarded_dominated.bump();
+                }
+                return Ok(());
+            }
+        }
+        admission.commit(vector, *writer).map_err(dead)
+    }
+
+    /// Resolves one concurrent incoming write (still under the object's
+    /// reservation, so the read-modify-write of a merge cannot interleave
+    /// with another apply of the same object). Each matching subscription
+    /// consults its model's registered resolver; the operation counts as
+    /// applied when any resolution wrote the row, and the conflict counts
+    /// once, when every resolution has landed — a failed attempt's
+    /// redelivery is the same conflict, not a second one.
+    fn resolve_conflict(
+        &self,
+        op: &Operation,
+        matching: &[Arc<Subscription>],
+        vector: &VersionVector,
+        writer: u64,
+        lww_wins: bool,
+    ) -> Result<(), OrmError> {
+        let start = mono_nanos();
+        let mut applied = false;
+        let (mut used_lww, mut used_merge) = (false, false);
+        for sub in matching {
+            let resolver = Arc::clone(self.resolvers.get(&sub.model));
+            // Project the incoming attributes to local names — the map the
+            // apply path would upsert if the incoming side wins.
+            let incoming: BTreeMap<String, Value> = sub
+                .fields
+                .iter()
+                .filter_map(|f| {
+                    op.attributes
+                        .get(f)
+                        .map(|v| (sub.local_field(f).to_owned(), v.clone()))
+                })
+                .collect();
+            let local = self.orm.find(&sub.model, op.id)?;
+            let ctx = ConflictCtx {
+                model: &sub.model,
+                id: op.id,
+                operation: &op.operation,
+                incoming: &incoming,
+                local: local.as_ref().map(|r| &r.attrs),
+                incoming_vector: vector,
+                incoming_writer: writer,
+                lww_wins,
+            };
+            let resolution = resolver.resolve(&ctx);
+            if resolver.name() == "lww" {
+                used_lww = true;
+            } else {
+                used_merge = true;
+            }
+            match resolution {
+                Resolution::KeepLocal => {}
+                Resolution::TakeIncoming => {
+                    self.apply_subscription(sub, op)?;
+                    applied = true;
+                }
+                Resolution::Merge(attrs) => {
+                    self.upsert_resolved(sub, op, attrs)?;
+                    applied = true;
+                }
+            }
+        }
+        self.telemetry
+            .record_resolution(mono_nanos().saturating_sub(start));
+        self.conflicts.detected.bump();
+        if used_lww {
+            self.conflicts.resolved_lww.bump();
+        }
+        if used_merge {
+            self.conflicts.resolved_merge.bump();
+        }
+        if applied {
+            self.counters.ops_applied.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// Upserts a resolver's merged attributes as the conflicted row's new
+    /// content (a replicated write: nothing republishes).
+    fn upsert_resolved(
+        &self,
+        sub: &Subscription,
+        op: &Operation,
+        attrs: BTreeMap<String, Value>,
+    ) -> Result<(), OrmError> {
+        if sub.observer {
+            return Ok(());
+        }
+        let existing = self.orm.find(&sub.model, op.id)?;
+        self.upsert(sub, op.id, existing, attrs).map(|_| ())
+    }
+
+    /// Writes `attrs` over the object `existing` is the stored image of, or
+    /// creates it when the read found nothing. Create and update share
+    /// upsert semantics: redeliveries and weak-mode reordering make either
+    /// arrive first.
+    fn upsert(
+        &self,
+        sub: &Subscription,
+        id: Id,
+        existing: Option<Record>,
+        attrs: BTreeMap<String, Value>,
+    ) -> Result<Record, OrmError> {
+        let Some(current) = existing else {
+            return match self
+                .orm
+                .create_with_id(&sub.model, id, Value::Map(attrs.clone()))
+            {
+                // Lost a create/create race between the find and the
+                // insert — a live worker and the bootstrap copier can apply
+                // the same row concurrently. The row exists now, so finish
+                // as the update path would have instead of poisoning the
+                // delivery (or failing the bootstrap attempt).
+                Err(OrmError::Db(DbError::DuplicateKey { .. })) => {
+                    self.orm.update(&sub.model, id, Value::Map(attrs))
+                }
+                other => other,
+            };
+        };
+        self.orm.update_record(current, Value::Map(attrs))
+    }
+
+    fn apply_subscription(&self, sub: &Subscription, op: &Operation) -> Result<(), OrmError> {
+        // Project the incoming attributes to this subscription, splitting
+        // plain fields from virtual-attribute setters.
+        let virtuals = self.orm.virtuals().model(&sub.model);
+        let mut plain: BTreeMap<String, Value> = BTreeMap::new();
+        let mut set_after = Vec::new();
+        for field in &sub.fields {
+            if let Some(value) = op.attributes.get(field) {
+                let local = sub.local_field(field);
+                match virtuals.as_ref().and_then(|v| v.setter(local)) {
+                    Some(setter) => set_after.push((setter, value.clone())),
+                    None => {
+                        plain.insert(local.to_owned(), value.clone());
+                    }
+                }
+            }
+        }
+
+        if sub.observer {
+            // Observers run callbacks without persisting (§3.1).
+            let mut record = Record::with_attrs(sub.model.clone(), op.id, plain);
+            let (before, after) = callback_points(&op.operation);
+            self.orm
+                .run_model_callbacks(&sub.model, before, &mut record)?;
+            self.orm
+                .run_model_callbacks(&sub.model, after, &mut record)?;
+            return Ok(());
+        }
+
+        let existing = self.orm.find(&sub.model, op.id)?;
+        if op.operation == "destroy" {
+            if let Some(pre) = existing {
+                self.orm.destroy_record(pre)?;
+            }
+            return Ok(());
+        }
+        let mut record = self.upsert(sub, op.id, existing, plain)?;
+        for (setter, value) in set_after {
+            setter(&self.orm, &mut record, value)?;
+        }
+        Ok(())
+    }
+}
+
+fn callback_points(operation: &str) -> (CallbackPoint, CallbackPoint) {
+    match operation {
+        "create" => (CallbackPoint::BeforeCreate, CallbackPoint::AfterCreate),
+        "destroy" => (CallbackPoint::BeforeDestroy, CallbackPoint::AfterDestroy),
+        _ => (CallbackPoint::BeforeUpdate, CallbackPoint::AfterUpdate),
+    }
+}

@@ -1,0 +1,544 @@
+//! The subscriber: worker pools, delivery-semantics enforcement, and
+//! replicated persistence.
+//!
+//! Each subscriber app owns one broker queue; its messages are "processed
+//! in parallel by multiple subscriber workers" (§4). The queue is
+//! partitioned (see the broker crate), and the workers form a
+//! work-stealing pool over it: worker `i` of `N` owns the home partitions
+//! `{p : p % N == i}` and drains them round-robin with non-blocking
+//! `pop_batch_from` polls; when every home partition is empty it steals
+//! half a victim partition's ready run (`steal_batch`, scan origin rotated
+//! by worker index so concurrent thieves fan out), and only when the whole
+//! queue is dry does it park on the queue's wake signal. Version-store
+//! dependency updates and acks for each batch are grouped and flushed
+//! together, so each touched version-store shard is locked once per batch
+//! instead of once per key and only touched shards are notified. Stealing
+//! never weakens delivery semantics: it is the same concurrency the pool
+//! always had (two workers holding messages of one partition in flight),
+//! and per-object ordering is enforced at apply time by the dependency
+//! waits (causal/global) and the striped freshness check (weak). Per
+//! message, a worker:
+//!
+//! 1. checks the publisher generation, running the global barrier of §4.4
+//!    when it increases (drain in-flight messages, flush the version store);
+//! 2. enforces the *effective* delivery mode — the weaker of the
+//!    publisher's and the subscriber's (§3.2): causal/global wait on the
+//!    version store until every dependency is satisfied; weak skips waiting
+//!    and instead discards stale per-object versions;
+//! 3. unmarshals each operation and persists it through the local ORM
+//!    (running active-model callbacks), honouring renames, virtual-attribute
+//!    setters, and observer (non-persisted) models;
+//! 4. increments the version store for every dependency in the message and
+//!    acks.
+//!
+//! The dependency wait honours `dep_wait_timeout`: `None` reproduces the
+//! paper's strict causal mode (wait forever — the behaviour that deadlocked
+//! Crowdtap's subscribers when messages were lost, §6.5); a finite value
+//! implements the paper's recommended middle ground ("a mechanism to give
+//! up on waiting for late (or lost) messages, with a configurable
+//! timeout"). Weak mode behaves as timeout 0.
+
+mod apply;
+mod path;
+#[cfg(test)]
+mod tests;
+
+use crate::api::SubscriptionRegistry;
+use crate::bootstrap::WatermarkGate;
+use crate::config::{RetryPolicy, SynapseConfig};
+use crate::deps::DepSpace;
+use crate::resolve::ResolverRegistry;
+use crate::semantics::DeliveryMode;
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
+use synapse_broker::{tag_hint, Broker, Consumer, Delivery};
+use synapse_orm::Orm;
+use synapse_telemetry::{mono_nanos, Counter, Telemetry};
+use synapse_versionstore::{DepKey, StoreError, VersionStore};
+
+/// Why one processing attempt failed — the classification that decides
+/// between redelivery and the dead-letter store.
+///
+/// *Transient* failures (dead version store, db briefly unavailable,
+/// worker stopping) are expected to succeed on a later attempt, so the
+/// delivery is nacked back to the queue with backoff. *Poison* failures
+/// (undecodable payload, schema violation, panicking callback) will fail
+/// identically forever; redelivering them is the §6.5 wedge, so they go
+/// to the dead-letter store after releasing their version-store deps.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProcessError {
+    /// Retryable: nack with backoff, bounded by the retry policy.
+    Transient(String),
+    /// Deterministic: dead-letter immediately.
+    Poison(String),
+}
+
+impl std::fmt::Display for ProcessError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProcessError::Transient(m) => write!(f, "transient: {m}"),
+            ProcessError::Poison(m) => write!(f, "poison: {m}"),
+        }
+    }
+}
+
+/// Subscriber counters.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SubscriberStats {
+    /// Messages fully processed and acked.
+    pub messages_processed: u64,
+    /// Operations applied to the local DB.
+    pub ops_applied: u64,
+    /// Operations discarded as stale (weak mode).
+    pub ops_stale: u64,
+    /// Dependency waits that timed out (processing proceeded anyway).
+    pub dep_timeouts: u64,
+    /// Messages that failed to decode or apply (transient or poison).
+    pub errors: u64,
+    /// Generation barriers executed.
+    pub generation_flushes: u64,
+    /// Transient failures that led to a backoff + nack.
+    pub retries: u64,
+    /// Deliveries popped with the broker's redelivered flag set.
+    pub redeliveries: u64,
+    /// Deliveries routed to the dead-letter store (poison + exhausted).
+    pub dead_lettered: u64,
+    /// Poison failures (undecodable, deterministic apply error, panic).
+    pub poison_messages: u64,
+    /// Transient failures that exhausted the retry policy.
+    pub retries_exhausted: u64,
+    /// Successful steals (an idle worker took a victim partition's run).
+    pub steals: u64,
+    /// Messages acquired through stealing.
+    pub messages_stolen: u64,
+    /// Bootstrap chunk-copy records admitted and persisted.
+    pub copies_applied: u64,
+    /// Bootstrap chunk-copy records discarded by version admission (the
+    /// live stream had already applied an equal-or-newer write).
+    pub copies_reconciled: u64,
+    /// Watermark markers consumed and reported to the gate.
+    pub watermarks_noted: u64,
+    /// Concurrent (conflicting) incoming writes detected on bidirectional
+    /// models.
+    pub conflicts_detected: u64,
+    /// Conflicts resolved by the default last-writer-wins policy.
+    pub conflicts_resolved_lww: u64,
+    /// Conflicts resolved by a registered merge resolver.
+    pub conflicts_resolved_merge: u64,
+    /// Incoming writes discarded because the local history dominated them.
+    pub conflicts_discarded_dominated: u64,
+}
+
+/// Max deliveries a worker drains per condvar wakeup. Bounds the latency
+/// cost of deferring acks while amortizing per-batch lock traffic.
+const BATCH_MAX: usize = 32;
+
+/// How long an idle worker parks on the queue condvar before re-checking
+/// its stop flag. Shutdown does not wait this out: [`Subscriber::stop`]
+/// wakes the queue explicitly.
+const IDLE_PARK: Duration = Duration::from_millis(250);
+
+/// What the caller of [`Subscriber::handle_delivery`] supplies: where
+/// applied deliveries settle, and what a blocking point does first.
+///
+/// A worker's lane stages deliveries whose ORM apply succeeded and defers
+/// their version-store apply and ack to the flush point, so each touched
+/// shard is locked (and notified) once per batch instead of once per
+/// message; before blocking it lands that batch and steps outside the
+/// generation barrier, and it yields a stalled dependency wait to ready
+/// work elsewhere. [`Subscriber::process`] runs a lane with no consumer: a
+/// batch of one, flushed as soon as it is staged, that is never acked,
+/// nacked or yielded.
+struct Lane<'a> {
+    /// The worker's queue handle (`None` under [`Subscriber::process`]).
+    consumer: Option<&'a Consumer>,
+    /// Partition count of the app's queue (maps a tag to its partition).
+    partitions: usize,
+    /// Staged deliveries and the dependency keys their flush applies.
+    tags: Vec<u64>,
+    dep_keys: Vec<DepKey>,
+    /// In-flight marker: the generation barrier (and drain) must never
+    /// observe the gap between a message's ORM apply and its deferred
+    /// version-store apply + ack, so the read guard spans processing
+    /// *and* the flush.
+    in_flight: Option<RwLockReadGuard<'a, ()>>,
+}
+
+impl<'a> Lane<'a> {
+    fn new(consumer: Option<&'a Consumer>, partitions: usize) -> Self {
+        Lane {
+            consumer,
+            partitions: partitions.max(1),
+            tags: Vec::new(),
+            dep_keys: Vec::new(),
+            in_flight: None,
+        }
+    }
+
+    fn partition_of(&self, tag: u64) -> usize {
+        tag_hint(tag) as usize % self.partitions
+    }
+}
+
+#[derive(Default)]
+struct Counters {
+    messages_processed: AtomicU64,
+    ops_applied: AtomicU64,
+    ops_stale: AtomicU64,
+    dep_timeouts: AtomicU64,
+    errors: AtomicU64,
+    generation_flushes: AtomicU64,
+    retries: AtomicU64,
+    redeliveries: AtomicU64,
+    dead_lettered: AtomicU64,
+    poison_messages: AtomicU64,
+    retries_exhausted: AtomicU64,
+    steals: AtomicU64,
+    messages_stolen: AtomicU64,
+    copies_applied: AtomicU64,
+    copies_reconciled: AtomicU64,
+    watermarks_noted: AtomicU64,
+}
+
+/// Conflict counters of the multi-writer plane. These live in the node's
+/// telemetry [`CounterRegistry`](synapse_telemetry::CounterRegistry) (so
+/// they fold into `telemetry_snapshot()` like every other named counter);
+/// the handles here are the subscriber's lock-free bump path.
+struct ConflictCounters {
+    detected: Counter,
+    resolved_lww: Counter,
+    resolved_merge: Counter,
+    discarded_dominated: Counter,
+}
+
+impl ConflictCounters {
+    fn new(telemetry: &Telemetry) -> Self {
+        let counters = telemetry.counters();
+        ConflictCounters {
+            detected: counters.counter("conflicts.detected"),
+            resolved_lww: counters.counter("conflicts.resolved_lww"),
+            resolved_merge: counters.counter("conflicts.resolved_merge"),
+            discarded_dominated: counters.counter("conflicts.discarded_dominated"),
+        }
+    }
+}
+
+/// `w<i>-` and the tail of the app's name, within the 15 bytes Linux keeps
+/// of a thread name — so `/proc/<pid>/task/*/comm` beside `schedstat`,
+/// `top -H` and a panic message say which subscriber a thread serves.
+fn worker_thread_name(app: &str, i: usize) -> String {
+    let mut name = format!("w{i}-");
+    let mut tail = app.len().saturating_sub(15usize.saturating_sub(name.len()));
+    while !app.is_char_boundary(tail) {
+        tail += 1;
+    }
+    name.push_str(&app[tail..]);
+    name
+}
+
+/// The subscriber runtime for one service. See the module docs.
+pub struct Subscriber {
+    app: String,
+    orm: Arc<Orm>,
+    store: Arc<VersionStore>,
+    dep_space: DepSpace,
+    subscriber_mode: DeliveryMode,
+    dep_wait_timeout: Option<Duration>,
+    subscriptions: SubscriptionRegistry,
+    /// Publisher app → the delivery mode that publisher supports.
+    publisher_modes: Arc<RwLock<HashMap<String, DeliveryMode>>>,
+    broker: Broker,
+    /// Last seen generation per publisher app.
+    generations: Mutex<HashMap<String, u64>>,
+    /// Readers = in-flight messages; the generation barrier takes the
+    /// write side to drain them (§4.4).
+    gen_barrier: RwLock<()>,
+    stop: Arc<AtomicBool>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
+    counters: Counters,
+    /// Conflict counters (handles into the telemetry registry).
+    conflicts: ConflictCounters,
+    /// Per-model conflict resolvers for bidirectional subscriptions.
+    resolvers: ResolverRegistry,
+    retry: RetryPolicy,
+    /// Transient-failure attempts per in-flight delivery tag; cleared on
+    /// ack or dead-letter. Redeliveries keep their tag, so this survives
+    /// nack round-trips.
+    attempts: Mutex<HashMap<u64, u32>>,
+    /// The node's telemetry plane; subscriber-side stages and end-to-end
+    /// visibility latency are committed here on successful applies.
+    telemetry: Arc<Telemetry>,
+    /// The DBLog-style reconciliation window shared with the bootstrap
+    /// copier: workers report consumed watermark markers and in-window
+    /// applies here; the copier pre-filters chunk rows against the keys
+    /// collected. Inactive (one relaxed load per delivery) outside
+    /// bootstrap sessions.
+    gate: Arc<WatermarkGate>,
+}
+
+impl Subscriber {
+    /// Creates a subscriber runtime (workers start separately).
+    pub fn new(
+        config: &SynapseConfig,
+        orm: Arc<Orm>,
+        store: Arc<VersionStore>,
+        subscriptions: SubscriptionRegistry,
+        publisher_modes: Arc<RwLock<HashMap<String, DeliveryMode>>>,
+        broker: Broker,
+        telemetry: Arc<Telemetry>,
+    ) -> Self {
+        Subscriber {
+            app: config.app.clone(),
+            orm,
+            store,
+            dep_space: config.dep_space,
+            subscriber_mode: config.subscriber_mode,
+            dep_wait_timeout: config.dep_wait_timeout,
+            subscriptions,
+            publisher_modes,
+            broker,
+            generations: Mutex::new(HashMap::new()),
+            gen_barrier: RwLock::new(()),
+            stop: Arc::new(AtomicBool::new(false)),
+            workers: Mutex::new(Vec::new()),
+            counters: Counters::default(),
+            conflicts: ConflictCounters::new(&telemetry),
+            resolvers: config.resolvers.clone(),
+            retry: config.retry,
+            attempts: Mutex::new(HashMap::new()),
+            telemetry,
+            gate: Arc::new(WatermarkGate::new()),
+        }
+    }
+
+    /// The watermark gate shared with the node's bootstrap copier.
+    pub fn watermark_gate(&self) -> &Arc<WatermarkGate> {
+        &self.gate
+    }
+
+    /// Whether any worker threads are currently running. The bootstrap
+    /// copier checks this to decide between merging markers and copies
+    /// into the queue (workers consume them) and handing each copy to
+    /// [`Subscriber::process`] itself (no one would ever drain the queue).
+    pub fn workers_running(&self) -> bool {
+        !self.workers.lock().is_empty()
+    }
+
+    /// Current counters.
+    pub fn stats(&self) -> SubscriberStats {
+        SubscriberStats {
+            messages_processed: self.counters.messages_processed.load(Ordering::Relaxed),
+            ops_applied: self.counters.ops_applied.load(Ordering::Relaxed),
+            ops_stale: self.counters.ops_stale.load(Ordering::Relaxed),
+            dep_timeouts: self.counters.dep_timeouts.load(Ordering::Relaxed),
+            errors: self.counters.errors.load(Ordering::Relaxed),
+            generation_flushes: self.counters.generation_flushes.load(Ordering::Relaxed),
+            retries: self.counters.retries.load(Ordering::Relaxed),
+            redeliveries: self.counters.redeliveries.load(Ordering::Relaxed),
+            dead_lettered: self.counters.dead_lettered.load(Ordering::Relaxed),
+            poison_messages: self.counters.poison_messages.load(Ordering::Relaxed),
+            retries_exhausted: self.counters.retries_exhausted.load(Ordering::Relaxed),
+            steals: self.counters.steals.load(Ordering::Relaxed),
+            messages_stolen: self.counters.messages_stolen.load(Ordering::Relaxed),
+            copies_applied: self.counters.copies_applied.load(Ordering::Relaxed),
+            copies_reconciled: self.counters.copies_reconciled.load(Ordering::Relaxed),
+            watermarks_noted: self.counters.watermarks_noted.load(Ordering::Relaxed),
+            conflicts_detected: self.conflicts.detected.get(),
+            conflicts_resolved_lww: self.conflicts.resolved_lww.get(),
+            conflicts_resolved_merge: self.conflicts.resolved_merge.get(),
+            conflicts_discarded_dominated: self.conflicts.discarded_dominated.get(),
+        }
+    }
+
+    /// Spawns `n` worker threads consuming the app's queue.
+    pub fn start(self: &Arc<Self>, n: usize) {
+        let consumer = match self.broker.consumer(&self.app) {
+            Some(c) => c,
+            None => return,
+        };
+        let mut workers = self.workers.lock();
+        for i in 0..n {
+            let sub = Arc::clone(self);
+            let consumer = consumer.clone();
+            workers.push(
+                std::thread::Builder::new()
+                    .name(worker_thread_name(&self.app, i))
+                    .spawn(move || sub.worker_loop(consumer, i, n))
+                    .expect("spawn subscriber worker"),
+            );
+        }
+    }
+
+    /// Signals workers to stop and joins them.
+    pub fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // Unpark workers waiting in `pop_batch` so they observe the flag
+        // immediately instead of waiting out their park timeout.
+        self.broker.wake_queue(&self.app);
+        let mut workers = self.workers.lock();
+        for w in workers.drain(..) {
+            let _ = w.join();
+        }
+        self.stop.store(false, Ordering::SeqCst);
+    }
+
+    /// Blocks until the queue is fully settled (a test/ops helper, *not* a
+    /// bootstrap phase — the watermark-interleaved bootstrap never stops
+    /// live delivery): no ready backlog, no popped-but-unacked deliveries,
+    /// and no in-flight batch (the write side of the barrier is free only
+    /// when every popped delivery has been flushed). Event-driven: parks
+    /// on the queue's quiescence condvar, which acks and dead-letters
+    /// notify, instead of polling.
+    pub fn drain(&self, timeout: Duration) -> bool {
+        let deadline = std::time::Instant::now() + timeout;
+        let Some(consumer) = self.broker.consumer(&self.app) else {
+            return false;
+        };
+        loop {
+            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+            if !consumer.wait_quiescent(remaining) {
+                return false;
+            }
+            // Quiescent queue + free write barrier = every popped delivery
+            // is flushed. Re-check quiescence under the barrier: a worker
+            // may have popped new work between the wait and the lock.
+            let _barrier = self.gen_barrier.write();
+            if self.queue_quiescent() {
+                return true;
+            }
+            if std::time::Instant::now() >= deadline {
+                return false;
+            }
+        }
+    }
+
+    /// No backlog and nothing popped-but-unresolved.
+    fn queue_quiescent(&self) -> bool {
+        self.broker.queue_len(&self.app) == Some(0)
+            && self.broker.queue_unacked_len(&self.app) == Some(0)
+    }
+
+    /// Acquires the next batch for worker `worker` of `total`: drain home
+    /// partitions round-robin (non-blocking), then steal from a victim
+    /// partition, then park on the queue's wake signal. `cursor` rotates
+    /// the home scan origin across calls so one hot home partition cannot
+    /// starve its siblings between wakeups.
+    fn next_batch(
+        &self,
+        consumer: &Consumer,
+        worker: usize,
+        total: usize,
+        cursor: &mut usize,
+    ) -> Vec<Delivery> {
+        let parts = consumer.partition_count();
+        // Home scan: partitions {p : p % total == worker}.
+        let home: Vec<usize> = (0..parts).filter(|p| p % total == worker).collect();
+        if !home.is_empty() {
+            for i in 0..home.len() {
+                let p = home[(*cursor + i) % home.len()];
+                let batch = consumer.pop_batch_from(p, BATCH_MAX);
+                if !batch.is_empty() {
+                    *cursor = (*cursor + i + 1) % home.len();
+                    return batch;
+                }
+            }
+        }
+        // Steal scan: every other partition, origin rotated by worker
+        // index so concurrent thieves start on different victims.
+        for i in 0..parts {
+            let p = (worker + 1 + i) % parts;
+            if p % total == worker {
+                continue;
+            }
+            let batch = consumer.steal_batch(p, BATCH_MAX);
+            if !batch.is_empty() {
+                self.counters.steals.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .messages_stolen
+                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                return batch;
+            }
+        }
+        // Queue-wide dry: park until a publish (or shutdown wake) arrives,
+        // then let the caller re-scan.
+        consumer.wait_ready(IDLE_PARK);
+        Vec::new()
+    }
+
+    fn worker_loop(&self, consumer: Consumer, worker: usize, total: usize) {
+        let mut lane = Lane::new(Some(&consumer), consumer.partition_count());
+        let mut cursor = 0usize;
+        while !self.stop.load(Ordering::SeqCst) {
+            let batch = self.next_batch(&consumer, worker, total.max(1), &mut cursor);
+            let popped_nanos = mono_nanos();
+            if batch.is_empty() {
+                // Timed out, woken for shutdown, or decommissioned. A
+                // decommissioned queue stays quiet until the node performs
+                // a partial bootstrap and reinstates it.
+                if consumer.is_decommissioned() {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                continue;
+            }
+            lane.in_flight = Some(self.gen_barrier.read());
+            for (i, delivery) in batch.iter().enumerate() {
+                // A failed delivery is already settled when it comes back,
+                // so the only outcome that interrupts the batch is a
+                // yielded wait.
+                let interrupted = self.stop.load(Ordering::SeqCst)
+                    || matches!(
+                        self.handle_delivery(delivery, popped_nanos, &mut lane),
+                        Ok(false)
+                    );
+                if interrupted {
+                    // Shutting down, or the dependency wait yielded: land
+                    // finished work and hand the unprocessed tail back
+                    // without charging attempts (reverse nack restores the
+                    // partition's original front order). After a yield the
+                    // rescan matters — ready work elsewhere may be the very
+                    // messages this tail is waiting on.
+                    self.flush_pending(&mut lane);
+                    for rest in batch[i..].iter().rev() {
+                        consumer.nack(rest.tag);
+                    }
+                    break;
+                }
+            }
+            self.flush_pending(&mut lane);
+            lane.in_flight = None;
+        }
+    }
+
+    /// Processes one delivery outside the worker pool — a batch of one
+    /// through the workers' own sequence ([`Subscriber::handle_delivery`]),
+    /// on a lane with no consumer: the dependency wait never yields, the
+    /// version-store apply happens immediately, and nothing is acked —
+    /// a failure is handed back, classified, for the caller to retry or
+    /// drop.
+    pub fn process(&self, delivery: &Delivery) -> Result<(), ProcessError> {
+        let partitions = self.broker.queue_partitions(&self.app).unwrap_or(1);
+        let mut lane = Lane::new(None, partitions);
+        lane.in_flight = Some(self.gen_barrier.read());
+        self.handle_delivery(delivery, mono_nanos(), &mut lane)?;
+        if self.flush_pending(&mut lane) {
+            Ok(())
+        } else {
+            Err(ProcessError::Transient(StoreError::Dead.to_string()))
+        }
+    }
+
+    /// The effective delivery mode for messages from `pub_app` (§3.2).
+    pub fn effective_mode(&self, pub_app: &str) -> DeliveryMode {
+        let publisher = self
+            .publisher_modes
+            .read()
+            .get(pub_app)
+            .copied()
+            .unwrap_or(DeliveryMode::Causal);
+        DeliveryMode::effective(publisher, self.subscriber_mode)
+    }
+}

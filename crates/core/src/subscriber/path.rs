@@ -1,0 +1,510 @@
+//! The one message path: decode → generation gate → dependency wait →
+//! apply → settle on the caller's lane, with one failure exit.
+
+use super::{Lane, ProcessError, Subscriber};
+use crate::bootstrap::{parse_watermark, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
+use crate::context;
+use crate::deps::DepName;
+use crate::message::WriteMessage;
+use crate::semantics::DeliveryMode;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::time::Duration;
+use synapse_broker::{Consumer, Delivery};
+use synapse_db::DbError;
+use synapse_orm::OrmError;
+use synapse_telemetry::mono_nanos;
+use synapse_versionstore::{DepKey, DepWaitSet, StoreError, WaitOutcome};
+
+/// What a delivery is, read from its exchange: bootstrap control traffic
+/// rides the live queue on two reserved exchanges, everything else is a
+/// publisher's live write. This is the only thing the message sequence
+/// ([`Subscriber::handle_delivery`]) is parameterised by, besides the
+/// caller's [`Lane`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Kind {
+    /// A publisher's write message.
+    Live,
+    /// A bootstrap chunk-copy row, merged into the queue behind the live
+    /// traffic for its object.
+    Copy,
+    /// A lo/hi watermark marker of the bootstrap copier (not a
+    /// [`WriteMessage`]).
+    Marker,
+}
+
+impl Kind {
+    fn of(delivery: &Delivery) -> Kind {
+        if delivery.exchange == WATERMARK_EXCHANGE {
+            Kind::Marker
+        } else if delivery.exchange == BOOTSTRAP_EXCHANGE {
+            Kind::Copy
+        } else {
+            Kind::Live
+        }
+    }
+}
+
+/// Outcome of running one decoded delivery up to its ORM apply.
+enum Processed {
+    /// Applied; stage marks ready for the telemetry commit.
+    Applied(DeliveryMode, StageMarks),
+    /// Dependency wait stalled while other partitions hold ready work —
+    /// the worker should hand the delivery back and drain them instead
+    /// (the liveness the single-FIFO queue used to provide by ordering:
+    /// an intra-app dependency was always popped before its dependent).
+    Yielded,
+}
+
+/// Subscriber-side stage durations for one successfully applied message,
+/// committed to the telemetry plane together with the end-to-end latency
+/// only once the apply succeeded (failed attempts record nothing, so per
+/// mode the stage counts always equal the delivered count).
+#[derive(Debug, Default, Clone, Copy)]
+struct StageMarks {
+    dep_wait_nanos: u64,
+    apply_nanos: u64,
+}
+
+impl Subscriber {
+    /// The one message sequence — decode, generation gate, dependency
+    /// wait, admission + ORM apply, settle — that every delivery takes,
+    /// whatever its [`Kind`] and whoever's [`Lane`] it runs on. Success
+    /// stages the delivery on the lane. A failure is returned classified;
+    /// on a worker lane it has by then been settled against the queue
+    /// ([`Subscriber::fail`]), on a consumer-less lane the caller owns it.
+    /// `Ok(false)` means the dependency wait yielded — the caller must
+    /// hand the rest of the batch back and rescan.
+    pub(super) fn handle_delivery<'a>(
+        &'a self,
+        delivery: &Delivery,
+        popped_nanos: u64,
+        lane: &mut Lane<'a>,
+    ) -> Result<bool, ProcessError> {
+        if delivery.redelivered {
+            self.counters.redeliveries.fetch_add(1, Ordering::Relaxed);
+        }
+        let kind = Kind::of(delivery);
+        if kind == Kind::Marker {
+            // Ack, then report the marker to the gate (which ignores
+            // markers of stale sessions/chunks, e.g. crash redeliveries of
+            // an abandoned attempt) — in that order, so a window the
+            // copier sees closed has no marker of its own still in flight.
+            // Markers carry no dependencies and no origin stamp, so they
+            // bypass the staged batch and the latency histograms entirely.
+            if let Some(consumer) = lane.consumer {
+                consumer.ack(delivery.tag);
+            }
+            if let Some((session, chunk, high)) = parse_watermark(&delivery.payload) {
+                self.gate
+                    .note_marker(session, chunk, lane.partition_of(delivery.tag), high);
+                self.counters
+                    .watermarks_noted
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            return Ok(true);
+        }
+        let handle_nanos = mono_nanos();
+        let decoded = WriteMessage::decode(&delivery.payload)
+            .map_err(|e| ProcessError::Poison(format!("undecodable payload: {e}")));
+        let outcome = decoded.as_ref().map_err(Clone::clone).and_then(|msg| {
+            self.process_decoded(msg, kind, delivery.tag, lane)
+                .map(|processed| (processed, msg))
+        });
+        match outcome {
+            Ok((Processed::Yielded, _)) => Ok(false),
+            Ok((Processed::Applied(mode, marks), msg)) => {
+                lane.tags.push(delivery.tag);
+                if kind == Kind::Live {
+                    // Copies settle with *no* dependency keys: they do not
+                    // correspond to publisher bump operations (step 1's
+                    // version snapshot already carried their `ops`), so
+                    // landing them must not advance the subscriber's
+                    // dependency counters — nor are they live writes for
+                    // the copier's window to defer to.
+                    lane.dep_keys.extend(msg.dep_keys());
+                    self.note_live_apply(lane.partition_of(delivery.tag), msg);
+                }
+                self.record_visible(delivery, mode, popped_nanos, handle_nanos, marks);
+                Ok(true)
+            }
+            Err(e) => {
+                if let Some(consumer) = lane.consumer {
+                    self.fail(consumer, delivery, kind, &e, decoded.as_ref().ok(), lane);
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// One decoded delivery up to its ORM apply. Blocking points
+    /// (generation barrier, dependency wait) first land the lane's staged
+    /// batch — messages earlier in the batch may be exactly what a
+    /// dependency wait needs, and the barrier must see them fully applied.
+    fn process_decoded<'a>(
+        &'a self,
+        msg: &WriteMessage,
+        kind: Kind,
+        tag: u64,
+        lane: &mut Lane<'a>,
+    ) -> Result<Processed, ProcessError> {
+        let mut marks = StageMarks::default();
+        // (A copy carries generation 1 and so never trips the gate.)
+        if self.generation_pending(msg) {
+            // The gate write-waits on in-flight readers: land our own
+            // staged work and step outside the barrier before taking it.
+            self.flush_pending(lane);
+            lane.in_flight = None;
+            let gate = self.generation_gate(msg);
+            lane.in_flight = Some(self.gen_barrier.read());
+            gate.map_err(ProcessError::Transient)?;
+        }
+        let mode = match kind {
+            // A copy's dependency map holds its admission marker, not
+            // publisher bumps to wait for: it runs as a weak delivery.
+            Kind::Copy => DeliveryMode::Weak,
+            _ => self.effective_mode(&msg.app),
+        };
+        if matches!(mode, DeliveryMode::Causal | DeliveryMode::Global) {
+            let deps = self.filtered_wait_set(msg, mode);
+            if !lane.tags.is_empty() && !matches!(self.store.satisfied_prepared(&deps), Ok(true)) {
+                self.flush_pending(lane);
+            }
+            let wait_start = mono_nanos();
+            let ready = self.wait_deps(&deps, tag, lane);
+            if !ready.map_err(ProcessError::Transient)? {
+                return Ok(Processed::Yielded);
+            }
+            marks.dep_wait_nanos = mono_nanos().saturating_sub(wait_start);
+        }
+        let apply_start = mono_nanos();
+        self.apply_message(msg, kind, mode)?;
+        marks.apply_nanos = mono_nanos().saturating_sub(apply_start);
+        Ok(Processed::Applied(mode, marks))
+    }
+
+    /// Waits for a prepared dependency set on the version store, in short
+    /// slices so the stop flag stays responsive; an overall deadline
+    /// implements the configurable give-up of §6.5 (`None` = the paper's
+    /// strict causal mode: wait forever).
+    ///
+    /// On a worker lane the wait yields whenever a slice times out while
+    /// *other partitions* hold ready deliveries: with a partitioned queue,
+    /// the message that satisfies this dependency may be sitting ready in
+    /// a partition nobody has reached yet, and blocking every worker on
+    /// such inversions is a livelock (the pre-partitioning queue never had
+    /// this case — its single FIFO popped intra-app dependencies before
+    /// their dependents). When nothing is ready elsewhere — and always on
+    /// a consumer-less lane — the wait is the classic blocking loop,
+    /// preserving wait-forever semantics for genuinely lost dependencies
+    /// (`dep_wait_timeout: None`, §6.5). `Ok(true)`: satisfied, or given up
+    /// per the timeout policy; `Ok(false)`: yielded.
+    fn wait_deps(&self, deps: &DepWaitSet, tag: u64, lane: &Lane<'_>) -> Result<bool, String> {
+        let deadline = self.dep_wait_timeout.map(|t| std::time::Instant::now() + t);
+        // The first slice is short: if the dependency is mid-apply on
+        // another worker the store wakes us in microseconds either way,
+        // but if it is sitting unpopped in another partition, every
+        // millisecond spent here is pure added visibility latency before
+        // the yield below lets a worker go find it.
+        let mut slice = Duration::from_millis(1);
+        loop {
+            match self.store.wait_prepared(deps, slice) {
+                Ok(WaitOutcome::Ready) => return Ok(true),
+                Ok(WaitOutcome::TimedOut) => {
+                    if self.stop.load(Ordering::SeqCst) {
+                        return Err("stopped while waiting for dependencies".into());
+                    }
+                    if let Some(d) = deadline {
+                        if std::time::Instant::now() >= d {
+                            self.counters.dep_timeouts.fetch_add(1, Ordering::Relaxed);
+                            return Ok(true); // give up and process (§6.5)
+                        }
+                    }
+                    if lane.consumer.is_some_and(|c| c.ready_elsewhere(tag)) {
+                        return Ok(false);
+                    }
+                    // Nothing ready anywhere else: settle into the classic
+                    // blocking cadence (wait-forever semantics, §6.5).
+                    slice = Duration::from_millis(10);
+                }
+                Err(StoreError::Dead) => {
+                    return Err("subscriber version store died".into());
+                }
+            }
+        }
+    }
+
+    /// Commits the staged breakdown and end-to-end visibility latency for
+    /// one successfully applied delivery. Unstamped deliveries (payload
+    /// emulation, bootstrap copies) carry `origin_nanos == 0` and are
+    /// skipped, so the histograms only ever hold real publish→visible
+    /// windows.
+    fn record_visible(
+        &self,
+        delivery: &Delivery,
+        mode: DeliveryMode,
+        popped_nanos: u64,
+        handle_nanos: u64,
+        marks: StageMarks,
+    ) {
+        if delivery.origin_nanos == 0 {
+            return;
+        }
+        let visible = mono_nanos();
+        self.telemetry.record_visible(
+            mode.slice(),
+            popped_nanos.saturating_sub(delivery.enqueued_nanos),
+            handle_nanos.saturating_sub(popped_nanos),
+            marks.dep_wait_nanos,
+            marks.apply_nanos,
+            visible.saturating_sub(delivery.origin_nanos),
+        );
+    }
+
+    /// Lands the lane's staged batch: one grouped version-store apply
+    /// (each touched shard locked and notified once for the whole batch),
+    /// then one batched ack. Returns whether the apply landed. The version
+    /// store advances only here, after successful application: a transient
+    /// failure must leave versions untouched so the redelivery reprocesses
+    /// from scratch (applies are idempotent upserts); dep release for
+    /// dead-lettered messages happens exactly once, in
+    /// [`Subscriber::dead_letter`]. `messages_processed` counts only live
+    /// acks — a broker restart between pop and flush requeues the tag and
+    /// voids the ack, and that copy is counted when its redelivery's ack
+    /// lands — so the counter never double-counts a delivery.
+    pub(super) fn flush_pending(&self, lane: &mut Lane<'_>) -> bool {
+        if lane.tags.is_empty() {
+            return true;
+        }
+        let landed = self.store.apply(&lane.dep_keys).is_ok();
+        if let Some(consumer) = lane.consumer {
+            if landed {
+                let acked = consumer.ack_batch(&lane.tags);
+                self.counters
+                    .messages_processed
+                    .fetch_add(acked, Ordering::Relaxed);
+                let mut attempts = self.attempts.lock();
+                for tag in &lane.tags {
+                    attempts.remove(tag);
+                }
+            } else {
+                // Transient store failure: requeue the whole batch without
+                // charging attempts — ORM applies are idempotent upserts,
+                // so redelivery reprocesses safely once the store heals.
+                for tag in &lane.tags {
+                    consumer.nack(*tag);
+                }
+            }
+        }
+        lane.tags.clear();
+        lane.dep_keys.clear();
+        landed
+    }
+
+    /// The one failure exit. *Poison* failures dead-letter at once:
+    /// redelivering them would wedge the queue (§6.5). *Transient*
+    /// failures charge an attempt, back off and nack; a live message that
+    /// exhausts the retry policy is dead-lettered with its dependencies
+    /// released, while a chunk copy never is — see the branch. (A lane with
+    /// no consumer has no queue to settle against and never gets here: its
+    /// error goes back to the caller of [`Subscriber::process`] untouched.)
+    fn fail<'a>(
+        &'a self,
+        consumer: &Consumer,
+        delivery: &Delivery,
+        kind: Kind,
+        error: &ProcessError,
+        msg: Option<&WriteMessage>,
+        lane: &mut Lane<'a>,
+    ) {
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        // Only a live message's dependency keys are publisher bumps to
+        // release; a copy's hold its admission marker.
+        let release = msg.filter(|_| kind == Kind::Live);
+        if matches!(error, ProcessError::Poison(_)) {
+            self.counters
+                .poison_messages
+                .fetch_add(1, Ordering::Relaxed);
+            self.dead_letter(consumer, delivery.tag, release);
+            return;
+        }
+        if self.stop.load(Ordering::SeqCst) {
+            // Shutting down: requeue without charging an attempt, so
+            // restarts never push an innocent message toward the
+            // dead-letter store.
+            consumer.nack(delivery.tag);
+            return;
+        }
+        let attempts = {
+            let mut map = self.attempts.lock();
+            let entry = map.entry(delivery.tag).or_insert(0);
+            *entry += 1;
+            *entry
+        };
+        if !self.retry.exhausted(attempts) {
+            self.counters.retries.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.counters
+                .retries_exhausted
+                .fetch_add(1, Ordering::Relaxed);
+            if kind == Kind::Live {
+                self.dead_letter(consumer, delivery.tag, release);
+                return;
+            }
+            // A transiently-failing chunk copy never dead-letters: it is
+            // an idempotent, admission-guarded upsert whose silent loss
+            // would break the coverage contract of the copy watermark it
+            // rode behind (resume assumes every merged copy eventually
+            // lands or is refused). Reset the budget and keep redelivering
+            // — the loop ends when the store or engine heals, typically at
+            // the next bootstrap attempt's revive; admission re-checks on
+            // every redelivery, so a copy that lost to the live stream in
+            // the meantime is discarded, not re-applied. Undecodable
+            // copies still dead-letter through the poison arm above.
+            self.attempts.lock().remove(&delivery.tag);
+        }
+        // Land finished work and release the in-flight marker before
+        // sleeping: a backoff must not hold up a generation barrier or
+        // drain.
+        self.flush_pending(lane);
+        lane.in_flight = None;
+        std::thread::sleep(self.retry.backoff(attempts));
+        consumer.nack(delivery.tag);
+        lane.in_flight = Some(self.gen_barrier.read());
+    }
+
+    /// Routes one delivery to the dead-letter store, releasing its
+    /// version-store dependencies first so downstream messages don't
+    /// deadlock on a message that will never be applied. Undecodable
+    /// payloads cannot release anything — under strict causal mode that
+    /// residue is exactly the paper's §6.5 wedge, and the way out remains
+    /// decommission + partial bootstrap.
+    fn dead_letter(&self, consumer: &Consumer, tag: u64, msg: Option<&WriteMessage>) {
+        // A broker restart between pop and this call requeues the tag; the
+        // dead-letter is then void and the redelivery takes the full path
+        // again, so only a live dead-letter releases deps and counts.
+        if !consumer.dead_letter(tag) {
+            return;
+        }
+        if let Some(msg) = msg {
+            let _ = self.store.apply(&msg.dep_keys());
+        }
+        self.attempts.lock().remove(&tag);
+        self.counters.dead_lettered.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Reports a live message's written-object keys to the watermark gate
+    /// when a reconciliation window is open on this delivery's partition.
+    /// Only *written* objects count: the copier drops chunk rows for
+    /// touched keys in favor of the live write's payload, so a key that
+    /// was merely read must not suppress its copy.
+    fn note_live_apply(&self, partition: usize, msg: &WriteMessage) {
+        if !self.gate.is_active() {
+            return;
+        }
+        let keys: Vec<DepKey> = msg
+            .operations
+            .iter()
+            .map(|op| {
+                self.dep_space
+                    .key(&DepName::object(&msg.app, op.model(), op.id))
+            })
+            .collect();
+        self.gate.note_applied(partition, &keys);
+    }
+
+    /// Applies a decoded message's operations through the local ORM.
+    ///
+    /// Application runs inside its own causal scope (like a background
+    /// job, §4.2) so that reads made by decorator callbacks become
+    /// external dependencies of anything those callbacks publish. A
+    /// panicking subscription callback is caught and treated as poison:
+    /// it would panic identically on every redelivery.
+    fn apply_message(
+        &self,
+        msg: &WriteMessage,
+        kind: Kind,
+        mode: DeliveryMode,
+    ) -> Result<(), ProcessError> {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            context::with_scope(|| {
+                context::with_replication_flag(|| {
+                    for op in &msg.operations {
+                        self.apply_op(msg, op, kind, mode)?;
+                    }
+                    Ok::<(), OrmError>(())
+                })
+            })
+            .0
+        }));
+        match outcome {
+            Ok(Ok(())) => Ok(()),
+            Ok(Err(e)) => Err(classify_apply_error(e)),
+            Err(panic) => Err(ProcessError::Poison(format!(
+                "subscription callback panicked: {}",
+                panic_message(panic.as_ref())
+            ))),
+        }
+    }
+
+    /// Whether `msg` carries a generation newer than the last one seen
+    /// from its app (the caller's check before it steps outside the barrier
+    /// for [`Subscriber::generation_gate`]).
+    fn generation_pending(&self, msg: &WriteMessage) -> bool {
+        let gens = self.generations.lock();
+        msg.generation > gens.get(&msg.app).copied().unwrap_or(1)
+    }
+
+    /// §4.4's generation barrier: when a message carries a newer generation,
+    /// wait for in-flight messages, flush the version store, advance.
+    fn generation_gate(&self, msg: &WriteMessage) -> Result<(), String> {
+        let _drain = self.gen_barrier.write();
+        let mut gens = self.generations.lock();
+        let current = gens.entry(msg.app.clone()).or_insert(1);
+        if msg.generation > *current {
+            *current = msg.generation;
+            self.store.flush().map_err(|e| e.to_string())?;
+            self.counters
+                .generation_flushes
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// The message's dependencies, filtered per the effective mode (a
+    /// causal subscriber of a global publisher ignores the global
+    /// dependency, §4.2) and routed once into a shard-grouped wait set —
+    /// every re-check during the wait loop reuses the routing.
+    fn filtered_wait_set(&self, msg: &WriteMessage, mode: DeliveryMode) -> DepWaitSet {
+        let mut deps = msg.dep_list();
+        if mode == DeliveryMode::Causal {
+            let global_key = self.dep_space.key(&DepName::global(&msg.app));
+            deps.retain(|(k, _)| *k != global_key);
+        }
+        let mut set = DepWaitSet::default();
+        self.store.prepare_wait(&deps, &mut set);
+        set
+    }
+}
+
+/// Classifies an application-layer failure: a briefly unavailable engine
+/// (injected fault, dead store) is transient; everything else — schema
+/// violations, callback aborts, ownership restrictions — is deterministic
+/// and poisons the delivery.
+fn classify_apply_error(e: OrmError) -> ProcessError {
+    match e {
+        OrmError::Db(DbError::Unavailable) => ProcessError::Transient(e.to_string()),
+        other => ProcessError::Poison(other.to_string()),
+    }
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = panic.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_owned()
+    }
+}

@@ -60,13 +60,6 @@ impl IdGenerator {
         }
     }
 
-    /// Creates a generator whose first id is `first`.
-    pub fn starting_at(first: u64) -> Self {
-        IdGenerator {
-            next: AtomicU64::new(first),
-        }
-    }
-
     /// Allocates the next id.
     pub fn next_id(&self) -> Id {
         Id(self.next.fetch_add(1, Ordering::Relaxed))

@@ -119,11 +119,6 @@ impl App {
         self.stats.record(controller, start.elapsed(), scope_stats);
         result
     }
-
-    /// Controller names registered on this app.
-    pub fn controller_names(&self) -> Vec<String> {
-        self.controllers.read().keys().cloned().collect()
-    }
 }
 
 #[cfg(test)]

@@ -88,14 +88,4 @@ impl VirtualRegistry {
     pub fn model(&self, model: &str) -> Option<Arc<ModelVirtuals>> {
         self.models.read().get(model).cloned()
     }
-
-    /// Looks up the getter for `model.field`.
-    pub fn get_getter(&self, model: &str, field: &str) -> Option<VirtualGetter> {
-        self.model(model)?.getter(field).cloned()
-    }
-
-    /// Looks up the setter for `model.field`.
-    pub fn get_setter(&self, model: &str, field: &str) -> Option<VirtualSetter> {
-        self.model(model)?.setter(field).cloned()
-    }
 }

@@ -13,15 +13,17 @@
 //!   over all the keys it touches (shard locks are taken in index order so
 //!   cross-shard scripts cannot deadlock, mirroring §4.2's "mechanisms to
 //!   avoid deadlocks on subscribers");
-//! * publisher script [`VersionStore::publish_bump`] and subscriber scripts
-//!   [`VersionStore::wait_for`] / [`VersionStore::apply`];
+//! * publisher script [`VersionStore::publish_bump_into`] and subscriber
+//!   scripts [`VersionStore::prepare_wait`] → [`VersionStore::wait_prepared`]
+//!   / [`VersionStore::apply`];
 //! * the per-object admission script [`VersionStore::reserve`] →
 //!   [`Admission::classify`] → the caller's write → [`Admission::commit`]
 //!   (§4.2's "discards any messages with a version lower than what is
 //!   stored", where a version counts as stored only once its write has
 //!   landed), and [`VersionStore::stamp`] for a multi-writer object's local
 //!   writes;
-//! * bulk operations for the three-step bootstrap (§4.4);
+//! * bulk [`VersionStore::dump`] / [`VersionStore::load_dump`] for the
+//!   three-step bootstrap (§4.4) and the durability plane's snapshots;
 //! * [`VersionStore::kill`] failure injection, which loses all contents —
 //!   the event that forces a generation bump at the publisher or a partial
 //!   bootstrap at a subscriber;

@@ -1,0 +1,589 @@
+//! The sharded version store and its atomic scripts: the publisher's
+//! bump, the subscriber's wait and apply, and the scalar reads here; the
+//! per-object admission script in `admission`; whole-entry dump and load
+//! in `dump`.
+
+mod admission;
+mod dump;
+#[cfg(test)]
+mod tests;
+
+pub use admission::{Admission, AdmitRule, VectorAdmit};
+pub use dump::DumpEntry;
+
+use crate::ring::HashRing;
+use crate::vector::{VersionVector, LEGACY_WRITER};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// An effective dependency key — a dependency name already hashed into the
+/// fixed dependency space (§4.2: "Synapse hashes dependency names with a
+/// stable hash function at the publisher ... all version stores consume
+/// O(1) memory").
+pub type DepKey = u64;
+
+/// Stripes of the per-object admission lock ([`VersionStore::reserve`]).
+const ADMISSION_STRIPES: usize = 256;
+
+/// Errors from version store operations.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StoreError {
+    /// The store was killed by failure injection and has not been revived.
+    Dead,
+}
+
+impl std::fmt::Display for StoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StoreError::Dead => write!(f, "version store is dead"),
+        }
+    }
+}
+
+impl std::error::Error for StoreError {}
+
+/// Outcome of a blocking dependency wait.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WaitOutcome {
+    /// All dependencies were satisfied.
+    Ready,
+    /// The deadline passed with at least one dependency unsatisfied —
+    /// the situation behind the §6.5 production deadlock.
+    TimedOut,
+}
+
+/// Caller-owned scratch buffers for [`VersionStore::publish_bump_into`].
+/// The publisher keeps one per thread so the bump script's route and
+/// touched-shard working sets are allocated once, not per message.
+#[derive(Debug, Default)]
+pub struct BumpScratch {
+    routes: Vec<usize>,
+    touched: Vec<bool>,
+}
+
+/// A wait set prepared once per message by [`VersionStore::prepare_wait`]:
+/// every `(key, required)` pair routed to its shard up front and grouped so
+/// the blocking wait and the satisfied-fast-path take **one lock per
+/// touched shard** instead of one per key — and re-checking after a wakeup
+/// re-routes nothing.
+#[derive(Debug, Default, Clone)]
+pub struct DepWaitSet {
+    /// `(shard, key, required)` sorted by shard (stable, so per-shard key
+    /// order follows the message).
+    entries: Vec<(u32, DepKey, u64)>,
+}
+
+impl DepWaitSet {
+    /// Number of dependencies in the set.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the set holds no dependencies.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Drops all entries, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
+/// Store-side timing: how many apply scripts and blocking waits this store
+/// ran, and the wall time they consumed. Plain relaxed atomics — cheap
+/// enough to stay unconditionally live; the node surfaces them as
+/// telemetry counters so store time is attributable without the store
+/// depending on the telemetry crate.
+#[derive(Debug, Default)]
+struct StoreTiming {
+    applies: AtomicU64,
+    apply_nanos: AtomicU64,
+    waits: AtomicU64,
+    wait_nanos: AtomicU64,
+}
+
+/// Snapshot of [`VersionStore::timing`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StoreTimingSnapshot {
+    /// Completed apply scripts (one per message batch).
+    pub applies: u64,
+    /// Total wall time inside apply scripts.
+    pub apply_nanos: u64,
+    /// Completed blocking dependency waits.
+    pub waits: u64,
+    /// Total wall time inside blocking waits (parked time included).
+    pub wait_nanos: u64,
+}
+
+/// Per-dependency counters. On the publisher `ops` and the (legacy
+/// component of the) vector are used; on a subscriber `ops` plus the full
+/// per-writer vector for the freshness/dominance check.
+///
+/// `versioned` records whether the vector was ever *explicitly* written
+/// for this key (by a committed admission or a local stamp) — an entry
+/// created as a side effect of `ops` bookkeeping has an empty vector
+/// without meaning "version 0 was observed". Bootstrap
+/// reconciliation needs the distinction: a copy with marker 0 must be
+/// admitted against a never-versioned key (a row created before any
+/// subscriber existed) but discarded against a key whose version 0 was
+/// recorded by an applied destroy (the deleted-row-resurrection bug).
+///
+/// `winner_sum`/`winner_writer` are the LWW stamp of the content the
+/// replica currently holds for the key: the stamp of the last version that
+/// was committed (fresh apply or concurrent LWW win). Stamps only ever
+/// increase — a dominating version's history is strictly longer than what
+/// it dominates — so "keep the max stamp" is order-independent and two
+/// replicas that see the same writes converge on the same winner.
+#[derive(Debug, Default, Clone)]
+struct Entry {
+    ops: u64,
+    vector: VersionVector,
+    winner_sum: u64,
+    winner_writer: u64,
+    versioned: bool,
+}
+
+impl Entry {
+    /// Folds `stamp` into the winner stamp, returning whether it won.
+    fn note_stamp(&mut self, stamp: (u64, u64)) -> bool {
+        if stamp > (self.winner_sum, self.winner_writer) {
+            self.winner_sum = stamp.0;
+            self.winner_writer = stamp.1;
+            true
+        } else {
+            false
+        }
+    }
+}
+
+#[derive(Default)]
+struct Shard {
+    entries: Mutex<HashMap<DepKey, Entry>>,
+    changed: Condvar,
+    /// Per-shard kill switch (fault injection): a dead shard loses its
+    /// contents and fails every operation routed to it.
+    dead: AtomicBool,
+}
+
+/// The sharded dependency version store. See the crate docs.
+///
+/// Failure injection operates at shard granularity: [`VersionStore::kill_shard`]
+/// kills one shard (operations touching other shards keep working), while
+/// [`VersionStore::kill`] / [`VersionStore::revive`] retain the historical
+/// whole-store semantics by fanning out over every shard.
+pub struct VersionStore {
+    shards: Vec<Arc<Shard>>,
+    ring: HashRing,
+    timing: StoreTiming,
+    /// Per-object exclusion for [`VersionStore::reserve`], striped by key.
+    stripes: Vec<Mutex<()>>,
+}
+
+impl VersionStore {
+    /// Creates a store with `shards` shards (16 virtual nodes each).
+    pub fn new(shards: usize) -> Self {
+        let ring = HashRing::new(shards, 16);
+        VersionStore {
+            shards: (0..shards).map(|_| Arc::new(Shard::default())).collect(),
+            ring,
+            timing: StoreTiming::default(),
+            stripes: (0..ADMISSION_STRIPES).map(|_| Mutex::new(())).collect(),
+        }
+    }
+
+    /// Apply/wait call counts and wall time since construction.
+    pub fn timing(&self) -> StoreTimingSnapshot {
+        StoreTimingSnapshot {
+            applies: self.timing.applies.load(Ordering::Relaxed),
+            apply_nanos: self.timing.apply_nanos.load(Ordering::Relaxed),
+            waits: self.timing.waits.load(Ordering::Relaxed),
+            wait_nanos: self.timing.wait_nanos.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Whole-store operations fail while *any* shard is dead.
+    fn check_alive(&self) -> Result<(), StoreError> {
+        if self.is_dead() {
+            Err(StoreError::Dead)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Key-routed operations fail only when one of *their* shards is dead.
+    fn check_shards_alive(&self, keys: &[DepKey]) -> Result<(), StoreError> {
+        for key in keys {
+            if self.shards[self.ring.route(*key)]
+                .dead
+                .load(Ordering::SeqCst)
+            {
+                return Err(StoreError::Dead);
+            }
+        }
+        Ok(())
+    }
+
+    /// Locks the shard `key` routes to, unless it is dead.
+    fn entries_of(
+        &self,
+        key: DepKey,
+    ) -> Result<MutexGuard<'_, HashMap<DepKey, Entry>>, StoreError> {
+        let shard = &self.shards[self.ring.route(key)];
+        if shard.dead.load(Ordering::SeqCst) {
+            return Err(StoreError::Dead);
+        }
+        Ok(shard.entries.lock())
+    }
+
+    /// Kills one shard: its contents are lost and every operation routed to
+    /// it fails until [`VersionStore::revive_shard`]. Out-of-range indexes
+    /// are ignored.
+    pub fn kill_shard(&self, index: usize) {
+        if let Some(shard) = self.shards.get(index) {
+            shard.dead.store(true, Ordering::SeqCst);
+            shard.entries.lock().clear();
+            // Wake all waiters so they observe death instead of hanging.
+            shard.changed.notify_all();
+        }
+    }
+
+    /// Revives a killed shard, empty. Out-of-range indexes are ignored.
+    pub fn revive_shard(&self, index: usize) {
+        if let Some(shard) = self.shards.get(index) {
+            shard.dead.store(false, Ordering::SeqCst);
+            shard.changed.notify_all();
+        }
+    }
+
+    /// Whether one shard is currently dead.
+    pub fn shard_is_dead(&self, index: usize) -> bool {
+        self.shards
+            .get(index)
+            .map(|s| s.dead.load(Ordering::SeqCst))
+            .unwrap_or(false)
+    }
+
+    /// Shard index a key routes to (for targeted fault injection).
+    pub fn shard_for(&self, key: DepKey) -> usize {
+        self.ring.route(key)
+    }
+
+    /// Kills the whole store (every shard): contents are lost and every
+    /// operation fails until [`VersionStore::revive`].
+    pub fn kill(&self) {
+        for index in 0..self.shards.len() {
+            self.kill_shard(index);
+        }
+    }
+
+    /// Revives every killed shard, empty.
+    pub fn revive(&self) {
+        for index in 0..self.shards.len() {
+            self.revive_shard(index);
+        }
+    }
+
+    /// Returns `true` while any shard is dead. A partially-dead store is
+    /// reported dead because the bump protocol cannot guarantee a complete
+    /// dependency picture (§4.2), and recovery (generation bump + flush or
+    /// bootstrap) is whole-store.
+    pub fn is_dead(&self) -> bool {
+        self.shards.iter().any(|s| s.dead.load(Ordering::SeqCst))
+    }
+
+    /// Locks every shard named in `routes` in index order (cross-shard
+    /// atomicity without deadlocks). The result is indexed by shard number —
+    /// `guards[i]` is `Some` iff shard `i` is routed — so per-key guard
+    /// lookup is O(1) instead of a linear scan of the locked set.
+    fn lock_routed(&self, routes: &[usize]) -> Vec<Option<MutexGuard<'_, HashMap<DepKey, Entry>>>> {
+        let mut touched = vec![false; self.shards.len()];
+        for r in routes {
+            touched[*r] = true;
+        }
+        touched
+            .into_iter()
+            .enumerate()
+            .map(|(i, hit)| hit.then(|| self.shards[i].entries.lock()))
+            .collect()
+    }
+
+    /// The publisher's atomic script (§4.2): for each dependency, increment
+    /// `ops`; for write dependencies, set `version = ops`. `out` receives
+    /// the dependency values to embed in the message — `version` for read
+    /// dependencies, `version - 1` for write dependencies — cleared first
+    /// and filled in `deps` order.
+    ///
+    /// `deps` pairs each key with `is_write`. The route table and
+    /// touched-shard map live in the caller's `scratch`, so they and `out`
+    /// reuse their allocations across messages.
+    pub fn publish_bump_into(
+        &self,
+        deps: &[(DepKey, bool)],
+        scratch: &mut BumpScratch,
+        out: &mut Vec<(DepKey, u64)>,
+    ) -> Result<(), StoreError> {
+        out.clear();
+        scratch.routes.clear();
+        scratch.touched.clear();
+        scratch.touched.resize(self.shards.len(), false);
+        // Route each key once, failing before any lock if a routed shard is
+        // dead (same all-or-nothing semantics as `check_shards_alive`).
+        for (key, _) in deps {
+            let route = self.ring.route(*key);
+            if self.shards[route].dead.load(Ordering::SeqCst) {
+                return Err(StoreError::Dead);
+            }
+            scratch.touched[route] = true;
+            scratch.routes.push(route);
+        }
+        // Lock touched shards in index order (cross-shard atomicity without
+        // deadlocks). The guard vector itself is per-call — guards borrow
+        // `self` — but it is the only allocation left on this path.
+        let mut guards: Vec<Option<MutexGuard<'_, HashMap<DepKey, Entry>>>> = scratch
+            .touched
+            .iter()
+            .enumerate()
+            .map(|(i, hit)| hit.then(|| self.shards[i].entries.lock()))
+            .collect();
+        for ((key, is_write), shard_idx) in deps.iter().zip(&scratch.routes) {
+            let guard = guards[*shard_idx].as_mut().expect("routed shard locked");
+            let entry = guard.entry(*key).or_default();
+            entry.ops += 1;
+            let value = if *is_write {
+                // The publisher's own version mark rides the legacy
+                // component: a pub-store entry has exactly one writer —
+                // this store's owner — so the unattributed slot is its
+                // natural home and dumps stay readable as scalars.
+                entry.vector.set(LEGACY_WRITER, entry.ops);
+                entry.ops - 1
+            } else {
+                entry.vector.max_counter()
+            };
+            out.push((*key, value));
+        }
+        Ok(())
+    }
+
+    /// Routes every `(key, required)` pair and groups the set by shard into
+    /// `set`, reusing its allocation. Prepare once per message, then call
+    /// [`VersionStore::wait_prepared`] / [`VersionStore::satisfied_prepared`]
+    /// any number of times without re-routing.
+    pub fn prepare_wait(&self, deps: &[(DepKey, u64)], set: &mut DepWaitSet) {
+        set.entries.clear();
+        set.entries.extend(
+            deps.iter()
+                .map(|(k, req)| (self.ring.route(*k) as u32, *k, *req)),
+        );
+        set.entries.sort_by_key(|(shard, _, _)| *shard);
+    }
+
+    /// Blocks until every `(key, required)` pair of a prepared set satisfies
+    /// `ops(key) >= required`, or the deadline passes (§4.2: the subscriber
+    /// "waits until all specified dependencies' versions in its version
+    /// store are greater than or equal to those in the message"). One lock
+    /// per touched shard, with all of a shard's keys re-checked under that
+    /// single lock after each wakeup.
+    pub fn wait_prepared(
+        &self,
+        set: &DepWaitSet,
+        timeout: Duration,
+    ) -> Result<WaitOutcome, StoreError> {
+        let begun = Instant::now();
+        let outcome = self.wait_prepared_inner(set, begun + timeout);
+        self.timing.waits.fetch_add(1, Ordering::Relaxed);
+        self.timing
+            .wait_nanos
+            .fetch_add(begun.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        outcome
+    }
+
+    fn wait_prepared_inner(
+        &self,
+        set: &DepWaitSet,
+        deadline: Instant,
+    ) -> Result<WaitOutcome, StoreError> {
+        let mut start = 0;
+        while start < set.entries.len() {
+            let shard_idx = set.entries[start].0 as usize;
+            let mut end = start + 1;
+            while end < set.entries.len() && set.entries[end].0 as usize == shard_idx {
+                end += 1;
+            }
+            let shard = &self.shards[shard_idx];
+            let mut entries = shard.entries.lock();
+            // `done` only advances: ops counters are monotonic while the
+            // shard lock is dropped during a wait.
+            let mut done = start;
+            loop {
+                if shard.dead.load(Ordering::SeqCst) {
+                    return Err(StoreError::Dead);
+                }
+                while done < end {
+                    let (_, key, required) = set.entries[done];
+                    if entries.get(&key).map(|e| e.ops).unwrap_or(0) >= required {
+                        done += 1;
+                    } else {
+                        break;
+                    }
+                }
+                if done == end {
+                    break;
+                }
+                if shard.changed.wait_until(&mut entries, deadline).timed_out() {
+                    return Ok(WaitOutcome::TimedOut);
+                }
+            }
+            start = end;
+        }
+        Ok(WaitOutcome::Ready)
+    }
+
+    /// Non-blocking check over a prepared set: one lock per touched shard.
+    /// Fails with [`StoreError::Dead`] if *any* routed shard is dead, even
+    /// when an earlier key is already unsatisfied: liveness is checked up
+    /// front, before any counter is read.
+    pub fn satisfied_prepared(&self, set: &DepWaitSet) -> Result<bool, StoreError> {
+        let mut previous = usize::MAX;
+        for (shard, _, _) in &set.entries {
+            let shard_idx = *shard as usize;
+            if shard_idx != previous {
+                if self.shards[shard_idx].dead.load(Ordering::SeqCst) {
+                    return Err(StoreError::Dead);
+                }
+                previous = shard_idx;
+            }
+        }
+        let mut start = 0;
+        while start < set.entries.len() {
+            let shard_idx = set.entries[start].0 as usize;
+            let mut end = start + 1;
+            while end < set.entries.len() && set.entries[end].0 as usize == shard_idx {
+                end += 1;
+            }
+            let entries = self.shards[shard_idx].entries.lock();
+            for (_, key, required) in &set.entries[start..end] {
+                if entries.get(key).map(|e| e.ops).unwrap_or(0) < *required {
+                    return Ok(false);
+                }
+            }
+            start = end;
+        }
+        Ok(true)
+    }
+
+    /// The subscriber's post-processing script: increment `ops` for every
+    /// dependency in the message, waking any waiters.
+    ///
+    /// Accepts the concatenated key lists of a whole message batch: each
+    /// touched shard is locked once for the entire call, and only the shards
+    /// actually touched are notified — causal waiters parked on unrelated
+    /// shards are not spuriously woken.
+    pub fn apply(&self, keys: &[DepKey]) -> Result<(), StoreError> {
+        let begun = Instant::now();
+        self.check_shards_alive(keys)?;
+        let routes: Vec<usize> = keys.iter().map(|k| self.ring.route(*k)).collect();
+        let mut guards = self.lock_routed(&routes);
+        for (key, shard_idx) in keys.iter().zip(&routes) {
+            guards[*shard_idx]
+                .as_mut()
+                .expect("routed shard locked")
+                .entry(*key)
+                .or_default()
+                .ops += 1;
+        }
+        for (i, guard) in guards.into_iter().enumerate() {
+            if let Some(guard) = guard {
+                drop(guard);
+                self.shards[i].changed.notify_all();
+            }
+        }
+        self.timing.applies.fetch_add(1, Ordering::Relaxed);
+        self.timing
+            .apply_nanos
+            .fetch_add(begun.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Reads a key's recorded latest version as a scalar — the largest
+    /// vector component (0 when absent). The bootstrap copier reads its
+    /// chunk watermarks back with this (they only ever carry the legacy
+    /// component); a copy's marker comes from [`VersionStore::ops`].
+    pub fn latest_version(&self, key: DepKey) -> Result<u64, StoreError> {
+        let entries = self.entries_of(key)?;
+        Ok(entries
+            .get(&key)
+            .map(|e| e.vector.max_counter())
+            .unwrap_or(0))
+    }
+
+    /// Reads a key's full recorded version vector (empty when absent) —
+    /// what the bootstrap copier sends as a bidirectional row's version.
+    pub fn latest_vector(&self, key: DepKey) -> Result<VersionVector, StoreError> {
+        let entries = self.entries_of(key)?;
+        Ok(entries
+            .get(&key)
+            .map(|e| e.vector.clone())
+            .unwrap_or_default())
+    }
+
+    /// Bootstrap watermark compare-and-load: keeps the max of `value` and
+    /// the stored version for `key`, returning whatever ends up stored.
+    /// Monotone, so a retried chunk can never move a watermark backwards.
+    /// Watermarks live on the legacy vector component — they are plain
+    /// resume cursors, not multi-writer histories.
+    pub fn load_watermark(&self, key: DepKey, value: u64) -> Result<u64, StoreError> {
+        let mut entries = self.entries_of(key)?;
+        let entry = entries.entry(key).or_default();
+        let stored = entry.vector.get(LEGACY_WRITER).max(value);
+        entry.vector.set(LEGACY_WRITER, stored);
+        Ok(stored)
+    }
+
+    /// Drops a bootstrap watermark (resets the key's version to 0). Called
+    /// when a bootstrap completes — or restarts from scratch — so a later
+    /// bootstrap re-copies every record instead of resuming past rows that
+    /// may have changed since.
+    pub fn clear_watermark(&self, key: DepKey) -> Result<(), StoreError> {
+        let mut entries = self.entries_of(key)?;
+        if let Some(entry) = entries.get_mut(&key) {
+            entry.vector.set(LEGACY_WRITER, 0);
+        }
+        Ok(())
+    }
+
+    /// Reads a key's `ops` counter (0 when absent).
+    pub fn ops(&self, key: DepKey) -> Result<u64, StoreError> {
+        let entries = self.entries_of(key)?;
+        Ok(entries.get(&key).map(|e| e.ops).unwrap_or(0))
+    }
+
+    /// Clears every counter (generation change, §4.4: subscribers "flush
+    /// their version store").
+    pub fn flush(&self) -> Result<(), StoreError> {
+        self.check_alive()?;
+        for shard in &self.shards {
+            shard.entries.lock().clear();
+            shard.changed.notify_all();
+        }
+        Ok(())
+    }
+
+    /// Number of entries across all shards.
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.entries.lock().len()).sum()
+    }
+
+    /// Returns `true` if the store holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of shards backing the store.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+}

@@ -1,0 +1,747 @@
+use super::*;
+use crate::vector::Dominance;
+use std::thread;
+
+/// One bump script on fresh scratch buffers, returning the dependency
+/// values it embeds in the message.
+fn bump(store: &VersionStore, deps: &[(DepKey, bool)]) -> Vec<(DepKey, u64)> {
+    let mut out = Vec::new();
+    store
+        .publish_bump_into(deps, &mut BumpScratch::default(), &mut out)
+        .unwrap();
+    out
+}
+
+fn prepared(store: &VersionStore, deps: &[(DepKey, u64)]) -> DepWaitSet {
+    let mut set = DepWaitSet::default();
+    store.prepare_wait(deps, &mut set);
+    set
+}
+
+/// Prepare-then-wait, as the subscriber does once per message.
+fn wait(
+    store: &VersionStore,
+    deps: &[(DepKey, u64)],
+    timeout: Duration,
+) -> Result<WaitOutcome, StoreError> {
+    store.wait_prepared(&prepared(store, deps), timeout)
+}
+
+fn satisfied(store: &VersionStore, deps: &[(DepKey, u64)]) -> bool {
+    store.satisfied_prepared(&prepared(store, deps)).unwrap()
+}
+
+/// A single-writer entry in dump form: its version rides the legacy
+/// component, as a publisher's own marks and the watermarks do.
+fn scalar_entry(key: DepKey, ops: u64, version: u64, versioned: bool) -> DumpEntry {
+    DumpEntry {
+        key,
+        ops,
+        versioned,
+        winner_sum: version,
+        winner_writer: LEGACY_WRITER,
+        vector: if version > 0 {
+            vec![(LEGACY_WRITER, version)]
+        } else {
+            Vec::new()
+        },
+    }
+}
+
+/// `(key, ops)` pairs as bootstrap step 1 loads them: every other field at
+/// its zero, which the max-merge reads as "nothing to add".
+fn load_ops(store: &VersionStore, pairs: &[(DepKey, u64)]) {
+    let projected: Vec<DumpEntry> = pairs
+        .iter()
+        .map(|&(key, ops)| scalar_entry(key, ops, 0, false))
+        .collect();
+    store.load_dump(&projected).unwrap();
+}
+
+/// The admission script as the subscriber runs it, with a write that
+/// always lands: reserve, classify, and commit whatever was not
+/// discarded (a concurrent version is committed whichever side the
+/// resolver keeps).
+fn admit(
+    store: &VersionStore,
+    key: DepKey,
+    incoming: &VersionVector,
+    writer: u64,
+    rule: AdmitRule,
+) -> VectorAdmit {
+    let admission = store.reserve(key);
+    let verdict = admission.classify(incoming, writer, rule).unwrap();
+    if verdict != VectorAdmit::Stale {
+        admission.commit(incoming, writer).unwrap();
+    }
+    verdict
+}
+
+fn admit_live(
+    store: &VersionStore,
+    key: DepKey,
+    incoming: &VersionVector,
+    writer: u64,
+) -> VectorAdmit {
+    admit(store, key, incoming, writer, AdmitRule::Live)
+}
+
+fn admit_copy(store: &VersionStore, key: DepKey, incoming: &VersionVector, writer: u64) -> bool {
+    admit(store, key, incoming, writer, AdmitRule::Copy) == VectorAdmit::Fresh
+}
+
+/// A single-writer live write as the subscriber presents it: its
+/// scalar version rides the vector's legacy component, whose floor
+/// semantics reproduce the `version >= stored` comparison exactly.
+fn advance_scalar(store: &VersionStore, key: DepKey, version: u64) -> bool {
+    let incoming = VersionVector::scalar(version);
+    admit_live(store, key, &incoming, LEGACY_WRITER) == VectorAdmit::Fresh
+}
+
+/// A single-writer chunk copy: a never-versioned key admits any marker
+/// (0 included), otherwise the marker must be strictly newer.
+fn admit_scalar_copy(store: &VersionStore, key: DepKey, marker: u64) -> bool {
+    admit_copy(store, key, &VersionVector::scalar(marker), LEGACY_WRITER)
+}
+
+/// Replays Fig. 8's four writes and checks every counter and message
+/// dependency value against the figure.
+#[test]
+fn fig8_publisher_counter_evolution() {
+    let store = VersionStore::new(1);
+    let (u1, u2, p1, c1, c2) = (1u64, 2, 3, 4, 5);
+
+    // W1: write_deps [user1, post1].
+    let m1 = bump(&store, &[(u1, true), (p1, true)]);
+    assert_eq!(m1, vec![(u1, 0), (p1, 0)]);
+
+    // W2: read_deps [post1], write_deps [user2, comment1].
+    let m2 = bump(&store, &[(u2, true), (c1, true), (p1, false)]);
+    assert_eq!(m2, vec![(u2, 0), (c1, 0), (p1, 1)]);
+
+    // W3: read_deps [post1], write_deps [user1, comment2].
+    let m3 = bump(&store, &[(u1, true), (c2, true), (p1, false)]);
+    assert_eq!(m3, vec![(u1, 1), (c2, 0), (p1, 1)]);
+
+    // W4: write_deps [user1, post1].
+    let m4 = bump(&store, &[(u1, true), (p1, true)]);
+    assert_eq!(m4, vec![(u1, 2), (p1, 3)]);
+}
+
+/// The subscriber side of Fig. 8: M2/M3 need M1; M4 needs all three.
+#[test]
+fn fig8_subscriber_dependency_graph() {
+    let store = VersionStore::new(1);
+    let (u1, u2, p1, c1, c2) = (1u64, 2, 3, 4, 5);
+    let m1 = [(u1, 0), (p1, 0)];
+    let m2 = [(u2, 0), (c1, 0), (p1, 1)];
+    let m3 = [(u1, 1), (c2, 0), (p1, 1)];
+    let m4 = [(u1, 2), (p1, 3)];
+
+    assert!(satisfied(&store, &m1));
+    assert!(!satisfied(&store, &m2));
+    assert!(!satisfied(&store, &m3));
+
+    store.apply(&[u1, p1]).unwrap(); // process M1
+    assert!(satisfied(&store, &m2));
+    assert!(satisfied(&store, &m3));
+    assert!(!satisfied(&store, &m4));
+
+    store.apply(&[u2, c1, p1]).unwrap(); // process M2
+    assert!(!satisfied(&store, &m4));
+    store.apply(&[u1, c2, p1]).unwrap(); // process M3
+    assert!(satisfied(&store, &m4));
+}
+
+#[test]
+fn wait_for_blocks_until_apply() {
+    let store = Arc::new(VersionStore::new(4));
+    let waiter = {
+        let store = store.clone();
+        thread::spawn(move || wait(&store, &[(7, 1)], Duration::from_secs(5)).unwrap())
+    };
+    thread::sleep(Duration::from_millis(30));
+    store.apply(&[7]).unwrap();
+    assert_eq!(waiter.join().unwrap(), WaitOutcome::Ready);
+}
+
+#[test]
+fn wait_for_times_out_on_missing_dependency() {
+    let store = VersionStore::new(1);
+    let out = wait(&store, &[(9, 3)], Duration::from_millis(30)).unwrap();
+    assert_eq!(out, WaitOutcome::TimedOut);
+}
+
+#[test]
+fn cross_shard_bump_is_consistent() {
+    let store = VersionStore::new(8);
+    let deps: Vec<(DepKey, bool)> = (0..64).map(|k| (k, true)).collect();
+    let out = bump(&store, &deps);
+    assert!(out.iter().all(|(_, v)| *v == 0));
+    let out = bump(&store, &deps);
+    assert!(out.iter().all(|(_, v)| *v == 1));
+}
+
+#[test]
+fn concurrent_bumps_never_lose_increments() {
+    let store = Arc::new(VersionStore::new(4));
+    let mut handles = Vec::new();
+    for _ in 0..8 {
+        let store = store.clone();
+        handles.push(thread::spawn(move || {
+            for _ in 0..500 {
+                bump(&store, &[(1, true), (2, false)]);
+            }
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert_eq!(store.ops(1).unwrap(), 4000);
+    assert_eq!(store.ops(2).unwrap(), 4000);
+}
+
+#[test]
+fn kill_fails_operations_and_wakes_waiters() {
+    let store = Arc::new(VersionStore::new(2));
+    store.apply(&[1]).unwrap();
+    let waiter = {
+        let store = store.clone();
+        thread::spawn(move || wait(&store, &[(5, 1)], Duration::from_secs(5)))
+    };
+    thread::sleep(Duration::from_millis(30));
+    store.kill();
+    assert_eq!(waiter.join().unwrap(), Err(StoreError::Dead));
+    assert_eq!(store.ops(1), Err(StoreError::Dead));
+    store.revive();
+    assert_eq!(store.ops(1).unwrap(), 0, "contents were lost");
+}
+
+#[test]
+fn shard_kill_is_partial() {
+    let store = VersionStore::new(4);
+    // Find two keys on different shards.
+    let key_a = 1u64;
+    let shard_a = store.shard_for(key_a);
+    let key_b = (2..1000)
+        .find(|k| store.shard_for(*k) != shard_a)
+        .expect("some key routes elsewhere");
+    store.apply(&[key_a, key_b]).unwrap();
+
+    store.kill_shard(shard_a);
+    assert!(store.is_dead(), "any dead shard marks the store dead");
+    assert!(store.shard_is_dead(shard_a));
+    assert!(!store.shard_is_dead(store.shard_for(key_b)));
+    assert_eq!(store.ops(key_a), Err(StoreError::Dead));
+    // The other shard keeps serving.
+    assert_eq!(store.ops(key_b).unwrap(), 1);
+    store.apply(&[key_b]).unwrap();
+    assert_eq!(store.ops(key_b).unwrap(), 2);
+    // Ops spanning the dead shard fail atomically (nothing applied).
+    assert_eq!(store.apply(&[key_a, key_b]), Err(StoreError::Dead));
+    assert_eq!(store.ops(key_b).unwrap(), 2);
+    // Whole-store operations refuse to run on a partially-dead store.
+    assert_eq!(store.dump(), Err(StoreError::Dead));
+    assert_eq!(store.flush(), Err(StoreError::Dead));
+
+    store.revive_shard(shard_a);
+    assert!(!store.is_dead());
+    assert_eq!(store.ops(key_a).unwrap(), 0, "shard contents were lost");
+    assert_eq!(store.ops(key_b).unwrap(), 2, "other shard kept its data");
+}
+
+#[test]
+fn shard_kill_wakes_waiters_on_that_shard() {
+    let store = Arc::new(VersionStore::new(4));
+    let key = 5u64;
+    let target = store.shard_for(key);
+    let waiter = {
+        let store = store.clone();
+        thread::spawn(move || wait(&store, &[(key, 1)], Duration::from_secs(5)))
+    };
+    thread::sleep(Duration::from_millis(30));
+    store.kill_shard(target);
+    assert_eq!(waiter.join().unwrap(), Err(StoreError::Dead));
+}
+
+#[test]
+fn snapshot_roundtrips_through_load() {
+    let publisher = VersionStore::new(4);
+    bump(&publisher, &[(1, true), (2, true), (3, false)]);
+    bump(&publisher, &[(1, true)]);
+    let dump = publisher.dump().unwrap();
+    let snap: Vec<(DepKey, u64)> = dump.iter().map(|e| (e.key, e.ops)).collect();
+    let subscriber = VersionStore::new(2);
+    load_ops(&subscriber, &snap);
+    assert_eq!(subscriber.ops(1).unwrap(), 2);
+    assert_eq!(subscriber.ops(2).unwrap(), 1);
+    assert_eq!(subscriber.ops(3).unwrap(), 1);
+    // The publisher's own version marks stay behind: the keys arrive
+    // never-versioned, so a chunk copy of them is still admitted.
+    assert_eq!(publisher.latest_version(1).unwrap(), 2);
+    assert_eq!(subscriber.latest_version(1).unwrap(), 0);
+    assert!(admit_scalar_copy(&subscriber, 1, 0));
+}
+
+#[test]
+fn load_snapshot_keeps_newer_local_counters() {
+    let store = VersionStore::new(1);
+    store.apply(&[1]).unwrap();
+    store.apply(&[1]).unwrap();
+    load_ops(&store, &[(1, 1)]);
+    assert_eq!(store.ops(1).unwrap(), 2);
+}
+
+#[test]
+fn live_rule_discards_stale_scalar_versions() {
+    let store = VersionStore::new(1);
+    assert!(advance_scalar(&store, 1, 0));
+    assert!(advance_scalar(&store, 1, 3));
+    assert!(!advance_scalar(&store, 1, 2), "stale version");
+    assert!(advance_scalar(&store, 1, 4));
+    assert_eq!(store.latest_version(1).unwrap(), 4);
+}
+
+/// A redelivery of the committed version (the ack was lost, or a later
+/// operation of the same message failed) must pass the check and
+/// re-apply rather than be dropped.
+#[test]
+fn live_rule_readmits_equal_scalar_versions() {
+    let store = VersionStore::new(1);
+    assert!(advance_scalar(&store, 1, 5));
+    assert!(advance_scalar(&store, 1, 5), "redelivery re-applies");
+    assert!(!advance_scalar(&store, 1, 4), "older stays stale");
+}
+
+/// An admission abandoned before `commit` — the caller's write failed —
+/// leaves no trace, so the retry is classified exactly as the first
+/// attempt was, under either rule.
+#[test]
+fn abandoned_admission_leaves_the_store_untouched() {
+    let store = VersionStore::new(2);
+    load_ops(&store, &[(1, 3)]);
+    advance_scalar(&store, 2, 4);
+    admit_live(&store, 4, &VersionVector::component(11, 1), 11);
+    let before = store.dump().unwrap();
+    for (key, version) in [(1, 0), (2, 5), (3, 7)] {
+        for rule in [AdmitRule::Live, AdmitRule::Copy] {
+            let admission = store.reserve(key);
+            let incoming = VersionVector::scalar(version);
+            assert_eq!(
+                admission.classify(&incoming, LEGACY_WRITER, rule).unwrap(),
+                VectorAdmit::Fresh
+            );
+            drop(admission);
+            assert_eq!(store.dump().unwrap(), before);
+        }
+    }
+    let fork = VersionVector::component(22, 1);
+    let admission = store.reserve(4);
+    assert_eq!(
+        admission.classify(&fork, 22, AdmitRule::Live).unwrap(),
+        VectorAdmit::Concurrent { lww_wins: true }
+    );
+    drop(admission);
+    assert_eq!(store.dump().unwrap(), before);
+}
+
+/// `stamp` is one script: four writers stamping one key while a fifth
+/// thread commits foreign components each see their own component go up
+/// by exactly one, and every stamp contains every earlier one — the
+/// returned vectors form a chain, which a read followed by a separate
+/// write-back cannot guarantee.
+#[test]
+fn stamp_is_atomic_under_concurrent_stamps_and_commits() {
+    const STAMPS: u64 = 200;
+    let store = Arc::new(VersionStore::new(4));
+    let writers = [11u64, 22, 33, 44];
+    let start = Arc::new(std::sync::Barrier::new(writers.len() + 1));
+    let foreign = {
+        let (store, start) = (store.clone(), start.clone());
+        thread::spawn(move || {
+            start.wait();
+            for i in 1..=STAMPS {
+                let incoming = VersionVector::component(99, i);
+                store.reserve(1).commit(&incoming, 99).unwrap();
+            }
+        })
+    };
+    let stampers: Vec<_> = writers
+        .iter()
+        .map(|&writer| {
+            let (store, start) = (store.clone(), start.clone());
+            thread::spawn(move || {
+                start.wait();
+                let stamped: Vec<VersionVector> = (0..STAMPS)
+                    .map(|_| store.stamp(1, writer).unwrap())
+                    .collect();
+                for (i, vector) in stamped.iter().enumerate() {
+                    assert_eq!(vector.get(writer), i as u64 + 1, "previous + 1");
+                }
+                stamped
+            })
+        })
+        .collect();
+    let mut stamped: Vec<VersionVector> = stampers
+        .into_iter()
+        .flat_map(|h| h.join().unwrap())
+        .collect();
+    foreign.join().unwrap();
+    stamped.sort_by_key(VersionVector::sum);
+    for pair in stamped.windows(2) {
+        assert_eq!(
+            pair[0].compare(&pair[1]),
+            Dominance::Dominated,
+            "{pair:?}: a stamp missed an earlier one"
+        );
+    }
+    let last = store.latest_vector(1).unwrap();
+    for writer in writers {
+        assert_eq!(last.get(writer), STAMPS);
+    }
+    assert_eq!(last.get(99), STAMPS);
+}
+
+#[test]
+fn watermarks_are_monotone_and_clearable() {
+    let store = VersionStore::new(2);
+    assert_eq!(store.latest_version(7).unwrap(), 0, "absent key reads 0");
+    assert_eq!(store.load_watermark(7, 16).unwrap(), 16);
+    assert_eq!(store.load_watermark(7, 12).unwrap(), 16, "never regresses");
+    assert_eq!(store.load_watermark(7, 48).unwrap(), 48);
+    assert_eq!(store.latest_version(7).unwrap(), 48);
+    store.clear_watermark(7).unwrap();
+    assert_eq!(store.latest_version(7).unwrap(), 0);
+}
+
+#[test]
+fn watermark_calls_fail_when_the_owning_shard_is_dead() {
+    let store = VersionStore::new(2);
+    store.load_watermark(3, 9).unwrap();
+    store.kill_shard(store.shard_for(3));
+    assert!(store.load_watermark(3, 10).is_err());
+    assert!(store.latest_version(3).is_err());
+    store.revive_shard(store.shard_for(3));
+    // Shard contents were lost with the kill: the watermark is gone and
+    // the caller must restart its copy from scratch.
+    assert_eq!(store.latest_version(3).unwrap(), 0);
+}
+
+#[test]
+fn dump_roundtrips_ops_and_versions() {
+    let store = VersionStore::new(4);
+    bump(&store, &[(1, true), (2, false)]);
+    bump(&store, &[(1, true)]);
+    store.load_watermark(9, 42).unwrap();
+    let dump = store.dump().unwrap();
+    assert!(
+        dump.windows(2).all(|w| w[0].key < w[1].key),
+        "sorted by key"
+    );
+
+    let restored = VersionStore::new(2);
+    restored.load_dump(&dump).unwrap();
+    assert_eq!(restored.ops(1).unwrap(), 2);
+    assert_eq!(restored.latest_version(1).unwrap(), 2, "versions survive");
+    assert_eq!(restored.ops(2).unwrap(), 1);
+    assert_eq!(
+        restored.latest_version(9).unwrap(),
+        42,
+        "watermarks (stored as versions) survive the round trip"
+    );
+}
+
+#[test]
+fn load_dump_max_merges_both_fields() {
+    let store = VersionStore::new(1);
+    store.apply(&[1]).unwrap();
+    store.apply(&[1]).unwrap();
+    advance_scalar(&store, 1, 7);
+    // Stale dump: neither field regresses.
+    store.load_dump(&[scalar_entry(1, 1, 3, false)]).unwrap();
+    assert_eq!(store.ops(1).unwrap(), 2);
+    assert_eq!(store.latest_version(1).unwrap(), 7);
+    // Newer dump: both fields advance.
+    store.load_dump(&[scalar_entry(1, 10, 12, true)]).unwrap();
+    assert_eq!(store.ops(1).unwrap(), 10);
+    assert_eq!(store.latest_version(1).unwrap(), 12);
+}
+
+/// A copy admitted against a never-versioned key (marker 0 included:
+/// rows created before the bootstrap started) must land; a copy tying
+/// with or older than an explicitly-recorded version must be
+/// discarded — including the version-0 tombstone an applied destroy
+/// leaves behind (the deleted-row-resurrection bug).
+#[test]
+fn admit_copy_distinguishes_tombstones_from_unversioned_keys() {
+    let store = VersionStore::new(2);
+    // Entry exists from ops bookkeeping (snapshot load) but was never
+    // explicitly versioned: a marker-0 copy must be admitted.
+    load_ops(&store, &[(1, 1)]);
+    assert!(admit_scalar_copy(&store, 1, 0), "unversioned key admits");
+    assert!(
+        !admit_scalar_copy(&store, 1, 0),
+        "second identical copy ties"
+    );
+
+    // An applied destroy records version 0 explicitly; a stale copy of
+    // the pre-delete row (marker 0) must now be discarded.
+    assert!(advance_scalar(&store, 2, 0));
+    assert!(!admit_scalar_copy(&store, 2, 0), "tombstone wins over copy");
+
+    // A copy strictly newer than the applied version is admitted; the
+    // live stream's own `>=` readmit still re-applies its version.
+    assert!(advance_scalar(&store, 3, 4));
+    assert!(!admit_scalar_copy(&store, 3, 4), "tie goes to live stream");
+    assert!(admit_scalar_copy(&store, 3, 5), "strictly newer copy lands");
+    assert!(advance_scalar(&store, 3, 5), "live readmits equal");
+}
+
+/// The explicit-write flag must survive a dump/load round trip:
+/// restoring a snapshot must not turn tombstones back into
+/// unversioned keys (which would re-admit stale copies after a
+/// crash-restart).
+#[test]
+fn dump_preserves_versioned_flag() {
+    let store = VersionStore::new(2);
+    load_ops(&store, &[(1, 3)]); // never versioned
+    advance_scalar(&store, 2, 0); // tombstone
+    let dump = store.dump().unwrap();
+
+    let restored = VersionStore::new(1);
+    restored.load_dump(&dump).unwrap();
+    assert!(admit_scalar_copy(&restored, 1, 0), "still unversioned");
+    assert!(!admit_scalar_copy(&restored, 2, 0), "tombstone survived");
+}
+
+#[test]
+fn load_dump_wakes_waiters() {
+    let store = Arc::new(VersionStore::new(2));
+    let waiter = {
+        let store = store.clone();
+        thread::spawn(move || wait(&store, &[(5, 3)], Duration::from_secs(5)).unwrap())
+    };
+    thread::sleep(Duration::from_millis(30));
+    store.load_dump(&[scalar_entry(5, 3, 3, false)]).unwrap();
+    assert_eq!(waiter.join().unwrap(), WaitOutcome::Ready);
+}
+
+/// Two writers advancing disjoint components are classified as
+/// concurrent; the join is recorded so a causally-later write from
+/// either side dominates afterwards.
+#[test]
+fn live_rule_classifies_concurrent_writers() {
+    let store = VersionStore::new(1);
+    let (a, b) = (11u64, 22u64);
+    assert_eq!(
+        admit_live(&store, 1, &VersionVector::component(a, 1), a),
+        VectorAdmit::Fresh
+    );
+    // Writer B never saw A's write: concurrent. B's stamp (1, 22)
+    // beats A's (1, 11) on the writer tie-break.
+    assert_eq!(
+        admit_live(&store, 1, &VersionVector::component(b, 1), b),
+        VectorAdmit::Concurrent { lww_wins: true }
+    );
+    // A write that has seen both components dominates the join.
+    let merged = VersionVector::from_components(&[(a, 2), (b, 1)]);
+    assert_eq!(admit_live(&store, 1, &merged, a), VectorAdmit::Fresh);
+    // Anything older than the join is stale.
+    assert_eq!(
+        admit_live(&store, 1, &VersionVector::component(a, 1), a),
+        VectorAdmit::Stale
+    );
+}
+
+/// The LWW verdict is order-independent: whichever of two concurrent
+/// versions arrives second, the max-stamp version ends up the winner
+/// on every replica.
+#[test]
+fn lww_verdict_converges_across_delivery_orders() {
+    let (a, b) = (11u64, 22u64);
+    let va = VersionVector::component(a, 1);
+    let vb = VersionVector::component(b, 1);
+
+    let first = VersionStore::new(1);
+    admit_live(&first, 1, &va, a);
+    let verdict_ab = admit_live(&first, 1, &vb, b);
+
+    let second = VersionStore::new(1);
+    admit_live(&second, 1, &vb, b);
+    let verdict_ba = admit_live(&second, 1, &va, a);
+
+    // B has the higher writer id, so B's version wins on both sides:
+    // delivered second it wins, delivered first it holds.
+    assert_eq!(verdict_ab, VectorAdmit::Concurrent { lww_wins: true });
+    assert_eq!(verdict_ba, VectorAdmit::Concurrent { lww_wins: false });
+}
+
+/// Concurrent copies lose to the live stream: only strict vector
+/// dominance admits a bootstrap row against a versioned key.
+#[test]
+fn copy_rule_requires_strict_dominance() {
+    let store = VersionStore::new(1);
+    let (a, b) = (11u64, 22u64);
+    admit_live(&store, 1, &VersionVector::component(a, 2), a);
+    assert!(
+        !admit_copy(&store, 1, &VersionVector::component(b, 9), b),
+        "concurrent copy loses to live"
+    );
+    assert!(
+        !admit_copy(&store, 1, &VersionVector::component(a, 2), a),
+        "tie loses to live"
+    );
+    let newer = VersionVector::from_components(&[(a, 3), (b, 9)]);
+    assert!(
+        admit_copy(&store, 1, &newer, a),
+        "strictly dominating copy lands"
+    );
+}
+
+/// Vector entries round-trip through dump/load: components, the
+/// explicit-write flag, and the winner stamp all survive, and the
+/// merge keeps the max of each.
+#[test]
+fn dump_roundtrips_vector_entries() {
+    let store = VersionStore::new(2);
+    let (a, b) = (11u64, 22u64);
+    admit_live(&store, 1, &VersionVector::component(a, 1), a);
+    admit_live(&store, 1, &VersionVector::component(b, 2), b);
+    let dump = store.dump().unwrap();
+    let entry = dump.iter().find(|e| e.key == 1).unwrap();
+    assert_eq!(entry.vector, vec![(a, 1), (b, 2)]);
+    assert_eq!((entry.winner_sum, entry.winner_writer), (2, b));
+
+    let restored = VersionStore::new(1);
+    restored.load_dump(&dump).unwrap();
+    let vec_back = restored.latest_vector(1).unwrap();
+    assert_eq!(vec_back.components(), &[(a, 1), (b, 2)]);
+    // The restored stamp still outranks A's version 1: a redelivery
+    // of the loser stays a loser after recovery.
+    assert_eq!(
+        admit_live(&restored, 1, &VersionVector::component(a, 1), a),
+        VectorAdmit::Stale
+    );
+}
+
+#[test]
+fn flush_clears_counters() {
+    let store = VersionStore::new(2);
+    store.apply(&[1, 2, 3]).unwrap();
+    assert_eq!(store.len(), 3);
+    store.flush().unwrap();
+    assert!(store.is_empty());
+}
+
+/// A batched apply (concatenated key lists of several messages) must
+/// increment duplicated keys once per occurrence, exactly as separate
+/// applies would.
+#[test]
+fn batched_apply_counts_duplicate_keys_per_occurrence() {
+    let batched = VersionStore::new(4);
+    batched.apply(&[1, 2, 1, 3, 1]).unwrap();
+    let sequential = VersionStore::new(4);
+    for keys in [[1u64, 2].as_slice(), &[1, 3], &[1]] {
+        sequential.apply(keys).unwrap();
+    }
+    for key in [1u64, 2, 3] {
+        assert_eq!(batched.ops(key).unwrap(), sequential.ops(key).unwrap());
+    }
+    assert_eq!(batched.ops(1).unwrap(), 3);
+}
+
+/// Applying keys routed to one shard must still wake waiters parked on
+/// that shard (the targeted notification can narrow, never skip).
+#[test]
+fn targeted_notify_still_wakes_routed_waiters() {
+    let store = Arc::new(VersionStore::new(8));
+    let keys: Vec<DepKey> = (0..32).collect();
+    let deps: Vec<(DepKey, u64)> = keys.iter().map(|k| (*k, 1)).collect();
+    let waiter = {
+        let store = store.clone();
+        thread::spawn(move || wait(&store, &deps, Duration::from_secs(5)).unwrap())
+    };
+    thread::sleep(Duration::from_millis(30));
+    store.apply(&keys).unwrap();
+    assert_eq!(waiter.join().unwrap(), WaitOutcome::Ready);
+}
+
+/// A bump on scratch buffers reused message after message must produce
+/// exactly the dependency values of one on fresh buffers.
+#[test]
+fn publish_bump_into_matches_publish_bump() {
+    let reference = VersionStore::new(4);
+    let reused = VersionStore::new(4);
+    let mut scratch = BumpScratch::default();
+    let mut out = Vec::new();
+    for round in 0..20u64 {
+        let deps: Vec<(DepKey, bool)> = (0..30)
+            .map(|k| (k * 7 % 13, (k + round).is_multiple_of(3)))
+            .collect();
+        let expected = bump(&reference, &deps);
+        reused
+            .publish_bump_into(&deps, &mut scratch, &mut out)
+            .unwrap();
+        assert_eq!(out, expected);
+    }
+}
+
+/// A prepared wait set can be re-checked and re-waited without
+/// re-routing.
+#[test]
+fn prepared_wait_set_matches_unprepared_api() {
+    let store = Arc::new(VersionStore::new(4));
+    let deps: Vec<(DepKey, u64)> = (0..16).map(|k| (k, 1)).collect();
+    let mut set = DepWaitSet::default();
+    store.prepare_wait(&deps, &mut set);
+    assert_eq!(set.len(), deps.len());
+    assert!(!store.satisfied_prepared(&set).unwrap());
+    assert_eq!(
+        store
+            .wait_prepared(&set, Duration::from_millis(20))
+            .unwrap(),
+        WaitOutcome::TimedOut
+    );
+
+    let waiter = {
+        let store = store.clone();
+        let set = set.clone();
+        thread::spawn(move || store.wait_prepared(&set, Duration::from_secs(5)).unwrap())
+    };
+    thread::sleep(Duration::from_millis(30));
+    let keys: Vec<DepKey> = deps.iter().map(|(k, _)| *k).collect();
+    store.apply(&keys).unwrap();
+    assert_eq!(waiter.join().unwrap(), WaitOutcome::Ready);
+    assert!(store.satisfied_prepared(&set).unwrap());
+}
+
+/// A dead routed shard fails the prepared check even when an earlier
+/// key is already unsatisfied — liveness is checked before
+/// satisfaction.
+#[test]
+fn prepared_satisfied_reports_death_before_unsatisfied_keys() {
+    let store = VersionStore::new(4);
+    let key_a = 1u64;
+    let shard_a = store.shard_for(key_a);
+    let key_b = (2..1000)
+        .find(|k| store.shard_for(*k) != shard_a)
+        .expect("some key routes elsewhere");
+    let mut set = DepWaitSet::default();
+    store.prepare_wait(&[(key_a, 5), (key_b, 5)], &mut set);
+    store.kill_shard(store.shard_for(key_b));
+    assert_eq!(store.satisfied_prepared(&set), Err(StoreError::Dead));
+}
+
+/// The paper's estimate is per dependency ("each dependency consumes
+/// around 100 bytes"), so memory follows the dependency space and not the
+/// traffic: one entry per key, however many operations referenced it.
+#[test]
+fn memory_accounting_matches_paper_estimate() {
+    let store = VersionStore::new(4);
+    let keys: Vec<DepKey> = (0..1000).collect();
+    for _ in 0..3 {
+        store.apply(&keys).unwrap();
+    }
+    bump(&store, &[(7, true), (8, false)]);
+    assert_eq!(store.len(), 1000);
+}

@@ -1,5 +1,5 @@
-//! Multi-threaded stress test for the batched publish→deliver hot path:
-//! concurrent batched publishers fanning out to several queues, batched
+//! Multi-threaded stress test for the publish→deliver hot path:
+//! concurrent publishers fanning out to several queues, batched
 //! consumers that nack and dead-letter along the way, and a broker
 //! restart in the middle. The test asserts the zero-silent-loss identity
 //! the fault soak relies on: once the pipeline drains, every enqueued
@@ -15,7 +15,6 @@ use synapse_repro::broker::{Broker, QueueConfig};
 const QUEUES: usize = 4;
 const PUBLISHERS: usize = 2;
 const PER_PUBLISHER: usize = 1_500;
-const CHUNK: usize = 25;
 /// Every `DL_EVERY`-th payload of a publisher is marked for
 /// dead-lettering by the consumers.
 const DL_EVERY: usize = 50;
@@ -85,13 +84,8 @@ fn concurrent_batched_fanout_loses_nothing() {
         .map(|p| {
             let broker = broker.clone();
             std::thread::spawn(move || {
-                let mut sent = 0;
-                while sent < PER_PUBLISHER {
-                    let n = CHUNK.min(PER_PUBLISHER - sent);
-                    let chunk: Vec<String> =
-                        (sent..sent + n).map(|seq| payload_for(p, seq)).collect();
-                    broker.publish_batch("pub", chunk).unwrap();
-                    sent += n;
+                for seq in 0..PER_PUBLISHER {
+                    broker.publish("pub", payload_for(p, seq)).unwrap();
                 }
             })
         })

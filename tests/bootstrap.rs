@@ -8,26 +8,18 @@
 //! reinstates racing a broker restart.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use synapse_repro::core::{
-    BootstrapPhase, BootstrapState, Ecosystem, Publication, Subscription, SynapseConfig,
+    BootstrapPhase, BootstrapState, DepName, Ecosystem, Publication, Subscription, SynapseConfig,
     SynapseNode,
 };
 use synapse_repro::db::LatencyModel;
-use synapse_repro::model::{vmap, ModelSchema};
+use synapse_repro::model::{vmap, Id, ModelSchema};
 use synapse_repro::orm::adapters::{EphemeralAdapter, MongoidAdapter};
 
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
+mod common;
+use common::eventually;
 
 fn publisher_with_users(eco: &Ecosystem, n: usize) -> Arc<SynapseNode> {
     let node = eco.add_node(
@@ -76,6 +68,72 @@ fn late_subscriber_bootstraps_projected_history() {
         sample.get("secret").is_null(),
         "bulk copy must project to published attributes, like live updates"
     );
+    eco.stop_all();
+}
+
+/// Step 1 alone: when the first chunk is about to be copied, the
+/// subscriber holds the publisher's dependency counters and none of its
+/// version marks. A publisher marks its own writes on the legacy vector
+/// component; loaded into the subscriber's vector they would read as
+/// versions already applied there, and `AdmitRule::Copy` would refuse the
+/// very rows step 2 copies.
+#[test]
+fn step_one_loads_counters_without_the_publishers_version_marks() {
+    let eco = Ecosystem::new();
+    let publisher = publisher_with_users(&eco, 3);
+    let user = Id(1);
+    publisher
+        .orm()
+        .update("User", user, vmap! { "name" => "renamed" })
+        .unwrap();
+    let subscriber = eco.add_node(
+        SynapseConfig::new("late"),
+        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
+    );
+    subscriber
+        .orm()
+        .define_model(ModelSchema::open("User"))
+        .unwrap();
+    subscriber
+        .subscribe(Subscription::model("User", "pub").fields(&["name"]))
+        .unwrap();
+    eco.connect();
+
+    let key = subscriber
+        .config()
+        .dep_space
+        .key(&DepName::object("pub", "User", user));
+    let published = publisher.pub_store().ops(key).unwrap();
+    assert_eq!(published, 2, "create and update");
+    assert_eq!(publisher.pub_store().latest_version(key).unwrap(), 2);
+
+    // (ops, latest version, rows) as the first chunk is about to start.
+    let after_step_one = Arc::new(Mutex::new(None));
+    {
+        let (seen, node) = (after_step_one.clone(), Arc::downgrade(&subscriber));
+        subscriber.set_bootstrap_probe(move |state| {
+            if !matches!(state, BootstrapState::Copying { chunk: 0, .. }) {
+                return;
+            }
+            let node = node.upgrade().expect("node outlives its bootstrap");
+            let store = node.sub_store();
+            seen.lock().unwrap().get_or_insert((
+                store.ops(key).unwrap(),
+                store.latest_version(key).unwrap(),
+                node.orm().count("User").unwrap(),
+            ));
+        });
+    }
+    subscriber.bootstrap_from(&publisher).unwrap();
+    subscriber.clear_bootstrap_probe();
+    assert_eq!(
+        *after_step_one.lock().unwrap(),
+        Some((published, 0, 0)),
+        "counters loaded, key still never-versioned, nothing copied yet"
+    );
+    assert_eq!(subscriber.bootstrap_stats().records_reconciled, 0);
+    let copied = subscriber.orm().find("User", user).unwrap().unwrap();
+    assert_eq!(copied.get("name").as_str(), Some("renamed"));
     eco.stop_all();
 }
 

@@ -5,7 +5,7 @@
 
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use synapse_repro::core::{
     with_user_scope, DeliveryMode, DepName, Ecosystem, Publication, Subscription, SynapseConfig,
     SynapseNode,
@@ -15,16 +15,8 @@ use synapse_repro::model::{vmap, Id, ModelSchema};
 use synapse_repro::orm::adapters::MongoidAdapter;
 use synapse_repro::orm::CallbackPoint;
 
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
+mod common;
+use common::eventually;
 
 fn wired_pair(
     mode: DeliveryMode,

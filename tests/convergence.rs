@@ -17,8 +17,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use synapse_repro::core::testing::emulate_delivery;
 use synapse_repro::core::{
-    mesh_object, writer_id, DeliveryMode, Ecosystem, Operation, Publication, Resolution,
-    Subscription, SynapseConfig, SynapseNode, WriteMessage,
+    mesh_object, writer_id, DeliveryMode, Ecosystem, Operation, ProcessError, Publication,
+    Resolution, Subscription, SynapseConfig, SynapseNode, WriteMessage,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::SeededRng;
@@ -26,16 +26,8 @@ use synapse_repro::model::{vmap, Id, ModelSchema, Record, Value};
 use synapse_repro::orm::adapters::{ActiveRecordAdapter, MongoidAdapter};
 use synapse_repro::versionstore::VersionVector;
 
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
+mod common;
+use common::eventually;
 
 /// Builds a two-writer mesh: both nodes publish *and* subscribe the same
 /// `User` fields bidirectionally. `configure` lets a test register
@@ -378,7 +370,7 @@ fn concurrent_write_survives_transient_apply_failure() {
         let delivery = emulate_delivery(&msg);
         node.orm().db_faults().inject_write_errors(1);
         let failed = node.subscriber().process(&delivery).unwrap_err();
-        assert!(failed.starts_with("transient"), "{failed}");
+        assert!(matches!(failed, ProcessError::Transient(_)), "{failed}");
         node.subscriber().process(&delivery).unwrap();
     };
 

@@ -32,9 +32,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use synapse_repro::broker::{Broker, FsyncPolicy, QueueConfig, SharedStr, WalConfig};
 use synapse_repro::core::{Ecosystem, Publication, Subscription, SynapseConfig, SynapseNode};
 use synapse_repro::db::LatencyModel;
@@ -42,36 +42,15 @@ use synapse_repro::faults::{CrashPlan, CrashPoint, SeededRng};
 use synapse_repro::model::{vmap, ModelSchema};
 use synapse_repro::orm::adapters::MongoidAdapter;
 
+mod common;
+use common::{eventually, temp_dir};
+
 /// Seed of record: `SYNAPSE_SEED=<n>` reproduces a specific schedule.
 fn seed_of_record() -> u64 {
     std::env::var("SYNAPSE_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0x5EED_CAFE)
-}
-
-/// Fresh unique directory under the system temp dir (no external tempfile
-/// crate in this workspace).
-fn temp_dir(label: &str) -> PathBuf {
-    static SEQ: AtomicU32 = AtomicU32::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "synapse-crash-restart-{label}-{}-{n}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
 }
 
 /// The highest-numbered WAL segment file in `dir` — the active tail the
@@ -271,8 +250,9 @@ fn run_crash_soak(seed: u64) {
                     staged.push(p.clone());
                     batch.push((SharedStr::from(p), 0, 1 + i));
                 }
-                assert!(
-                    broker.publish_batch_routed("x", batch).is_err(),
+                assert_eq!(
+                    broker.publish_to_queue("q", "x", batch),
+                    0,
                     "a batch whose group commit died mid-write must fail"
                 );
                 // The publisher saw Err, so none of these are promised.
@@ -398,10 +378,10 @@ fn partition_layout_survives_reopen() {
     // Crash with a mixed ledger: a few in-flight (popped, never acked —
     // these must come back), a few durably acked (must not), the rest
     // never popped.
-    let inflight = consumer.pop_batch_from(home(3), 3, Duration::ZERO);
+    let inflight = consumer.pop_batch_from(home(3), 3);
     assert_eq!(inflight.len(), 3, "partition for key 3 had a backlog");
     let mut acked: BTreeMap<u64, u64> = BTreeMap::new();
-    for d in consumer.pop_batch_from(home(5), 2, Duration::ZERO) {
+    for d in consumer.pop_batch_from(home(5), 2) {
         assert!(consumer.ack(d.tag));
         let key = tag_hint(d.tag) as u64; // keys 1..=12 < 256: the hint is the key
         *acked.entry(key).or_default() += 1;
@@ -437,7 +417,7 @@ fn partition_layout_survives_reopen() {
     let mut seen: BTreeMap<u64, u64> = BTreeMap::new();
     for p in 0..PARTS {
         loop {
-            let batch = consumer.pop_batch_from(p, 16, Duration::ZERO);
+            let batch = consumer.pop_batch_from(p, 16);
             if batch.is_empty() {
                 break;
             }

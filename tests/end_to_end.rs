@@ -3,7 +3,7 @@
 //! heterogeneous subscriber databases.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use synapse_repro::core::{
     DeliveryMode, Ecosystem, ModeSlice, Publication, Stage, Subscription, SynapseConfig,
     SynapseNode,
@@ -15,17 +15,8 @@ use synapse_repro::orm::adapters::{
 };
 use synapse_repro::orm::CallbackPoint;
 
-/// Polls until `cond` holds or the deadline passes.
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
+mod common;
+use common::eventually;
 
 fn wait_replicated(node: &SynapseNode, model: &str, id: Id) -> bool {
     eventually(Duration::from_secs(5), || {

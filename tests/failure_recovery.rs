@@ -5,37 +5,17 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use synapse_repro::broker::Delivery;
 use synapse_repro::core::testing::emulate_delivery;
 use synapse_repro::core::{
-    DeliveryMode, DepName, Ecosystem, Operation, Publication, RetryPolicy, Subscription,
-    SynapseConfig, SynapseNode, WriteMessage, BOOTSTRAP_EXCHANGE,
+    DeliveryMode, DepName, Ecosystem, Operation, ProcessError, Publication, RetryPolicy,
+    Subscription, SynapseConfig, SynapseNode, WriteMessage, BOOTSTRAP_EXCHANGE,
 };
-use synapse_repro::db::LatencyModel;
-use synapse_repro::model::ModelSchema;
 use synapse_repro::model::{vmap, Id, Record, Value};
-use synapse_repro::orm::adapters::MongoidAdapter;
 
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
-
-fn mongo_node(eco: &Ecosystem, config: SynapseConfig) -> Arc<SynapseNode> {
-    let node = eco.add_node(
-        config,
-        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
-    );
-    node.orm().define_model(ModelSchema::open("Post")).unwrap();
-    node
-}
+mod common;
+use common::{eventually, mongo_node};
 
 fn publishing_node(eco: &Ecosystem, app: &str) -> Arc<SynapseNode> {
     let node = mongo_node(eco, SynapseConfig::new(app));
@@ -554,7 +534,7 @@ fn live_write_between_copy_attempts_supersedes_the_failed_copy() {
     let sub = subscriber.subscriber();
     subscriber.orm().db_faults().inject_write_errors(1);
     let failed = sub.process(&delivery(BOOTSTRAP_EXCHANGE, "create"));
-    assert!(failed.unwrap_err().starts_with("transient"));
+    assert!(matches!(failed, Err(ProcessError::Transient(_))));
     sub.process(&delivery("pub", "destroy")).unwrap();
     sub.process(&delivery(BOOTSTRAP_EXCHANGE, "create"))
         .unwrap();

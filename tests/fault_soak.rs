@@ -22,19 +22,20 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use synapse_repro::core::{
     Ecosystem, Publication, RetryPolicy, Subscription, SynapseConfig, SynapseNode,
     VERSION_STORE_SHARDS,
 };
-use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::{
     FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, InjectorStats, SeededRng,
     Side,
 };
-use synapse_repro::model::{vmap, ModelSchema};
-use synapse_repro::orm::adapters::MongoidAdapter;
+use synapse_repro::model::vmap;
 use synapse_repro::orm::CallbackPoint;
+
+mod common;
+use common::{eventually, mongo_node};
 
 /// Seed of record: `SYNAPSE_SEED=<n>` reproduces a specific schedule.
 fn seed_of_record() -> u64 {
@@ -42,26 +43,6 @@ fn seed_of_record() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0x5EED_CAFE)
-}
-
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
-
-fn mongo_node(eco: &Ecosystem, config: SynapseConfig) -> Arc<SynapseNode> {
-    let node = eco.add_node(
-        config,
-        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
-    );
-    node.orm().define_model(ModelSchema::open("Post")).unwrap();
-    node
 }
 
 fn publishing_node(eco: &Ecosystem) -> Arc<SynapseNode> {

@@ -47,16 +47,17 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use synapse_repro::core::{
     BootstrapPhase, BootstrapState, DepName, Ecosystem, ModeSlice, Publication, RetryPolicy, Stage,
-    Subscription, SynapseConfig, SynapseNode, VERSION_STORE_SHARDS,
+    Subscription, SynapseConfig, VERSION_STORE_SHARDS,
 };
-use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::{
     FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, PhaseHook, SeededRng, Side,
 };
 use synapse_repro::model::{vmap, ModelSchema};
-use synapse_repro::orm::adapters::MongoidAdapter;
 use synapse_repro::orm::CallbackPoint;
 use synapse_repro::versionstore::{VersionVector, LEGACY_WRITER};
+
+mod common;
+use common::{eventually, mongo_node};
 
 /// Seed of record: `SYNAPSE_SEED=<n>` reproduces a specific schedule.
 fn seed_of_record() -> u64 {
@@ -64,26 +65,6 @@ fn seed_of_record() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0x5EED_CAFE)
-}
-
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
-
-fn mongo_node(eco: &Ecosystem, config: SynapseConfig) -> Arc<SynapseNode> {
-    let node = eco.add_node(
-        config,
-        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
-    );
-    node.orm().define_model(ModelSchema::open("Post")).unwrap();
-    node
 }
 
 /// Ops the writer thread attempts while the bootstrap runs.

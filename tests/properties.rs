@@ -8,7 +8,17 @@ use synapse_repro::core::{normalize_dep_sets, DepName, Operation, WriteMessage};
 use synapse_repro::db::query::OrderBy;
 use synapse_repro::db::{profiles, Filter, LatencyModel, Query, QueryResult, Row};
 use synapse_repro::model::{wire, Id, Value};
-use synapse_repro::versionstore::{BumpScratch, VersionStore};
+use synapse_repro::versionstore::{BumpScratch, DepWaitSet, VersionStore};
+
+/// The bump script on fresh scratch buffers — the reference side of the
+/// scratch-reuse properties.
+fn bump_fresh(store: &VersionStore, deps: &[(u64, bool)]) -> Vec<(u64, u64)> {
+    let mut out = Vec::new();
+    store
+        .publish_bump_into(deps, &mut BumpScratch::default(), &mut out)
+        .unwrap();
+    out
+}
 
 /// Strategy for arbitrary dynamic values (bounded depth).
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -111,9 +121,10 @@ proptest! {
         prop_assert_eq!(new_reads, old_reads);
     }
 
-    /// `publish_bump_into` is observationally identical to `publish_bump`:
-    /// replaying any script through both yields the same dependency values
-    /// at every step (scratch reuse must leak nothing between calls).
+    /// `publish_bump_into` on reused scratch buffers is observationally
+    /// identical to one on fresh buffers: replaying any script through both
+    /// yields the same dependency values at every step (scratch reuse must
+    /// leak nothing between calls).
     #[test]
     fn bump_into_replays_identically_to_bump(
         script in prop::collection::vec(
@@ -126,14 +137,14 @@ proptest! {
         let mut scratch = BumpScratch::default();
         let mut out = Vec::new();
         for deps in &script {
-            let expected = reference.publish_bump(deps).unwrap();
+            let expected = bump_fresh(&reference, deps);
             reused.publish_bump_into(deps, &mut scratch, &mut out).unwrap();
             prop_assert_eq!(&out, &expected);
         }
     }
 
-    /// Concurrent publishers mixing both bump APIs never lose or duplicate
-    /// an increment: final `ops` counters equal each key's total occurrence
+    /// Concurrent publishers mixing reused and fresh scratch buffers never
+    /// lose or duplicate an increment: final `ops` counters equal each key's total occurrence
     /// count, and every call returns values for exactly its keys in order.
     #[test]
     fn concurrent_mixed_bump_apis_count_every_increment(
@@ -161,7 +172,7 @@ proptest! {
                                 .publish_bump_into(&deps, &mut scratch, &mut out)
                                 .unwrap();
                         } else {
-                            out = store.publish_bump(&deps).unwrap();
+                            out = bump_fresh(&store, &deps);
                         }
                         let keys: Vec<u64> = out.iter().map(|(k, _)| *k).collect();
                         let expected: Vec<u64> = deps.iter().map(|(k, _)| *k).collect();
@@ -197,7 +208,7 @@ proptest! {
         let mut expected_ops: BTreeMap<u64, u64> = BTreeMap::new();
         let mut last_write_value: BTreeMap<u64, u64> = BTreeMap::new();
         for (key, is_write) in &script {
-            let out = store.publish_bump(&[(*key, *is_write)]).unwrap();
+            let out = bump_fresh(&store, &[(*key, *is_write)]);
             let (_, value) = out[0];
             *expected_ops.entry(*key).or_default() += 1;
             if *is_write {
@@ -230,7 +241,9 @@ proptest! {
         let expected = required
             .iter()
             .all(|(k, v)| counts.get(k).copied().unwrap_or(0) >= *v);
-        prop_assert_eq!(store.satisfied(&deps).unwrap(), expected);
+        let mut set = DepWaitSet::default();
+        store.prepare_wait(&deps, &mut set);
+        prop_assert_eq!(store.satisfied_prepared(&set).unwrap(), expected);
     }
 
     /// Engine coherence: for every engine family, a random sequence of
@@ -438,14 +451,15 @@ proptest! {
     }
 
     /// Batched FIFO: with no redelivery in play, any interleaving of
-    /// `publish_batch` and `pop_batch` yields every payload exactly once,
+    /// `publish_to_queue` batches and `pop_batch` yields every payload
+    /// exactly once,
     /// in exact publish order — batching must not reorder a queue.
     #[test]
     fn publish_batch_pop_batch_preserve_fifo(
         script in prop::collection::vec((0u8..2, 1usize..9), 1..48),
     ) {
         use std::time::Duration;
-        use synapse_repro::broker::{Broker, QueueConfig};
+        use synapse_repro::broker::{Broker, QueueConfig, SharedStr};
 
         let broker = Broker::new();
         broker.declare_queue("q", QueueConfig::default());
@@ -457,9 +471,10 @@ proptest! {
         for (action, n) in &script {
             match action {
                 0 => {
-                    let payloads: Vec<String> =
-                        (0..*n).map(|_| { let p = format!("m{next}"); next += 1; p }).collect();
-                    broker.publish_batch("x", payloads).unwrap();
+                    let batch: Vec<(SharedStr, u64, u64)> = (0..*n)
+                        .map(|_| { let p = format!("m{next}"); next += 1; (p.into(), 0, 0) })
+                        .collect();
+                    prop_assert_eq!(broker.publish_to_queue("q", "x", batch), *n);
                 }
                 _ => {
                     for d in consumer.pop_batch(*n, Duration::ZERO) {
@@ -486,8 +501,8 @@ proptest! {
     }
 
     /// The batched ops obey the same at-least-once algebra as the
-    /// single-message ops: across interleavings of `publish_batch`,
-    /// `pop_batch`, `ack_batch`, nack, and broker restart, an acked
+    /// single-message ops: across interleavings of `publish_to_queue`
+    /// batches, `pop_batch`, `ack_batch`, nack, and broker restart, an acked
     /// payload never reappears and every unacked payload stays
     /// deliverable.
     #[test]
@@ -496,7 +511,7 @@ proptest! {
     ) {
         use std::collections::{BTreeSet, VecDeque};
         use std::time::Duration;
-        use synapse_repro::broker::{Broker, Delivery, QueueConfig};
+        use synapse_repro::broker::{Broker, Delivery, QueueConfig, SharedStr};
 
         let broker = Broker::new();
         broker.declare_queue("q", QueueConfig::default());
@@ -510,12 +525,15 @@ proptest! {
         for (action, n) in &script {
             match action {
                 0 => {
-                    let payloads: Vec<String> =
-                        (0..*n).map(|_| { let p = format!("m{next}"); next += 1; p }).collect();
-                    for p in &payloads {
-                        outstanding.insert(p.clone());
-                    }
-                    broker.publish_batch("x", payloads).unwrap();
+                    let batch: Vec<(SharedStr, u64, u64)> = (0..*n)
+                        .map(|_| {
+                            let p = format!("m{next}");
+                            next += 1;
+                            outstanding.insert(p.clone());
+                            (p.into(), 0, 0)
+                        })
+                        .collect();
+                    prop_assert_eq!(broker.publish_to_queue("q", "x", batch), *n);
                 }
                 1 => {
                     for d in consumer.pop_batch(*n, Duration::ZERO) {
@@ -582,7 +600,7 @@ proptest! {
         }
     }
     /// Partitioned delivery FIFO: with keyed routing, any interleaving of
-    /// `publish_batch_routed`, targeted `pop_batch_from`, and
+    /// keyed `publish_to_queue` batches, targeted `pop_batch_from`, and
     /// `steal_batch` (with immediate acks, so no redelivery) yields every
     /// key's payloads in exact publish order — a key lives in one
     /// partition, and pops and steals both take from the front of that
@@ -593,8 +611,8 @@ proptest! {
         partitions in 1usize..9,
     ) {
         use std::collections::BTreeMap;
-        use std::time::Duration;
-        use synapse_repro::broker::{Broker, Delivery, QueueConfig};
+
+        use synapse_repro::broker::{Broker, Delivery, QueueConfig, SharedStr};
 
         let broker = Broker::new();
         broker.declare_queue("q", QueueConfig { max_len: None, partitions });
@@ -622,7 +640,7 @@ proptest! {
                 0 => {
                     // Batch of `n` messages over a rotating window of the
                     // five keys; payloads carry (key, per-key sequence).
-                    let batch: Vec<(synapse_repro::broker::SharedStr, u64, u64)> = (0..*n)
+                    let batch: Vec<(SharedStr, u64, u64)> = (0..*n)
                         .map(|i| {
                             let key = 1 + ((*sel + i) % 5) as u64;
                             let seq = published.entry(key).or_default();
@@ -631,10 +649,11 @@ proptest! {
                             (payload.into(), 0, key)
                         })
                         .collect();
-                    broker.publish_batch_routed("x", batch).unwrap();
+                    let staged = batch.len();
+                    prop_assert_eq!(broker.publish_to_queue("q", "x", batch), staged);
                 }
                 1 => {
-                    for d in consumer.pop_batch_from(*sel % parts, *n, Duration::ZERO) {
+                    for d in consumer.pop_batch_from(*sel % parts, *n) {
                         check(&d)?;
                         consumer.ack(d.tag);
                     }
@@ -651,7 +670,7 @@ proptest! {
         // to the last message, and nothing may be left behind.
         for p in 0..parts {
             loop {
-                let batch = consumer.pop_batch_from(p, 16, Duration::ZERO);
+                let batch = consumer.pop_batch_from(p, 16);
                 if batch.is_empty() { break; }
                 for d in batch {
                     check(&d)?;
@@ -674,7 +693,7 @@ proptest! {
     ) {
         use std::collections::{BTreeSet, VecDeque};
         use std::time::Duration;
-        use synapse_repro::broker::{Broker, Delivery, QueueConfig};
+        use synapse_repro::broker::{Broker, Delivery, QueueConfig, SharedStr};
 
         let broker = Broker::new();
         broker.declare_queue("q", QueueConfig { max_len: None, partitions });
@@ -689,7 +708,7 @@ proptest! {
         for (action, n, sel) in &script {
             match action {
                 0 => {
-                    let batch: Vec<(synapse_repro::broker::SharedStr, u64, u64)> = (0..*n)
+                    let batch: Vec<(SharedStr, u64, u64)> = (0..*n)
                         .map(|_| {
                             let payload = format!("m{next}");
                             let key = 1 + next % 7;
@@ -698,10 +717,11 @@ proptest! {
                             (payload.into(), 0, key)
                         })
                         .collect();
-                    broker.publish_batch_routed("x", batch).unwrap();
+                    let staged = batch.len();
+                    prop_assert_eq!(broker.publish_to_queue("q", "x", batch), staged);
                 }
                 1 => {
-                    for d in consumer.pop_batch_from(*sel % parts, *n, Duration::ZERO) {
+                    for d in consumer.pop_batch_from(*sel % parts, *n) {
                         prop_assert!(
                             !acked.contains(d.payload.as_str()),
                             "delivered again after ack: {}", d.payload

@@ -6,33 +6,13 @@
 //! drives two full pressure → decommission → bootstrap → converge rounds
 //! through one deterministic `FaultPlan`.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use synapse_repro::core::{Ecosystem, Publication, Subscription, SynapseConfig, SynapseNode};
-use synapse_repro::db::LatencyModel;
+use std::time::Duration;
+use synapse_repro::core::{Ecosystem, Publication, Subscription, SynapseConfig};
 use synapse_repro::faults::{FaultEvent, FaultKind, FaultPlan, Injector, Side};
-use synapse_repro::model::{vmap, ModelSchema};
-use synapse_repro::orm::adapters::MongoidAdapter;
+use synapse_repro::model::vmap;
 
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
-
-fn mongo_node(eco: &Ecosystem, config: SynapseConfig) -> Arc<SynapseNode> {
-    let node = eco.add_node(
-        config,
-        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
-    );
-    node.orm().define_model(ModelSchema::open("Post")).unwrap();
-    node
-}
+mod common;
+use common::{eventually, mongo_node};
 
 #[test]
 fn queue_pressure_decommissions_under_load_and_bootstrap_cycles_converge() {

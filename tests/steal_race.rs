@@ -113,10 +113,7 @@ fn steal_race_once() -> String {
         .position(|d| *d == 3)
         .expect("one partition holds the key");
 
-    let seed = consumer
-        .pop_batch_from(partition, 1, Duration::ZERO)
-        .pop()
-        .unwrap();
+    let seed = consumer.pop_batch_from(partition, 1).pop().unwrap();
     sub.subscriber().process(&seed).unwrap();
     consumer.ack(seed.tag);
 
@@ -148,10 +145,7 @@ fn steal_race_once() -> String {
     }
 
     // Home worker: pop the earlier update from its partition and apply.
-    let stale = consumer
-        .pop_batch_from(partition, 1, Duration::ZERO)
-        .pop()
-        .unwrap();
+    let stale = consumer.pop_batch_from(partition, 1).pop().unwrap();
     let stale_tag = stale.tag;
     let subscriber = sub.subscriber().clone();
     let home = std::thread::spawn(move || subscriber.process(&stale));

@@ -6,6 +6,9 @@ use synapse_repro::core::{DeliveryMode, Ecosystem};
 use synapse_repro::db::LatencyModel;
 use synapse_repro::model::{vmap, Id};
 
+mod common;
+use common::eventually;
+
 const PUBLISHERS: &[&str] = &[
     "postgresql",
     "mysql",
@@ -26,17 +29,6 @@ const SUBSCRIBERS: &[&str] = &[
     "neo4j",
     "rethinkdb",
 ];
-
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = std::time::Instant::now() + timeout;
-    while std::time::Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
 
 #[test]
 fn every_vendor_pair_replicates() {

@@ -7,7 +7,7 @@
 //! of the writes spread over 500 rows, three quarters pile onto a hot
 //! set of 20, so a few partitions run deep while the rest run dry.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use synapse_repro::broker::{FsyncPolicy, WalConfig};
@@ -19,21 +19,15 @@ use synapse_repro::faults::SeededRng;
 use synapse_repro::model::{vmap, Id, ModelSchema};
 use synapse_repro::orm::adapters::MongoidAdapter;
 
+mod common;
+use common::temp_dir;
+
 const COLD_ROWS: u64 = 500;
 const HOT_ROWS: u64 = 20;
 const UPDATES: u64 = 3_000;
 /// Generous on purpose: the whole arm takes well under a second; a pool
 /// that livelocks or serializes its steal path misses this by any margin.
 const DEADLINE: Duration = Duration::from_secs(60);
-
-fn temp_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "synapse-worker-scaling-{label}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn post_node(eco: &Ecosystem, config: SynapseConfig, durable: Option<&Path>) -> Arc<SynapseNode> {
     let config = config.mode(DeliveryMode::Weak);
