@@ -528,10 +528,9 @@ impl SynapseNode {
             };
             // Marshal through the publisher so only published (and
             // virtual) attributes cross, exactly as live updates do.
-            let marshalled =
-                publisher
-                    .publisher
-                    .marshal_for_bootstrap(&publisher.orm, publication, &fresh);
+            let marshalled = publisher
+                .publisher
+                .marshal(&publisher.orm, publication, &fresh);
             batch.push((key, marker, vector, marshalled));
         }
         if interleave {

@@ -19,7 +19,7 @@ use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64};
 
 /// Coarse phase of the bootstrap state machine — `Copy`-cheap so it can
-/// ride in [`NodeStats`].
+/// ride in [`NodeStats`](crate::NodeStats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BootstrapPhase {
     /// No bootstrap running (and none has completed since the last reset).
@@ -43,7 +43,8 @@ pub enum BootstrapPhase {
 /// The bootstrap state machine: Idle → Snapshot → (Copying{model, chunk} →
 /// Reconciling{model, chunk})* → Finalizing → Live, falling back to Idle
 /// when an attempt fails. The rich variants carry which model/chunk the
-/// copier is on; tests hook [`SynapseNode::set_bootstrap_probe`] on
+/// copier is on; tests hook
+/// [`SynapseNode::set_bootstrap_probe`](crate::SynapseNode::set_bootstrap_probe) on
 /// transitions to inject faults at exact phases. There is no drain state:
 /// chunk copies merge into the partitioned delivery queue behind the live
 /// stream, so delivery never pauses.
@@ -92,14 +93,14 @@ impl BootstrapState {
 }
 
 /// Bootstrap attempt/retry/resume accounting, surfaced through
-/// [`NodeStats`].
+/// [`NodeStats`](crate::NodeStats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BootstrapStats {
     /// Current coarse phase.
     pub phase: BootstrapPhase,
     /// `bootstrap_from` invocations (completed or not).
     pub attempts: u64,
-    /// Completed bootstraps (same counter as [`NodeStats::bootstraps`]).
+    /// Completed bootstraps — the recovery counter of §4.4.
     pub completions: u64,
     /// Transient step failures absorbed by the retry policy (chunk copies,
     /// snapshot transfers) rather than failing the attempt.

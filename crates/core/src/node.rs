@@ -60,9 +60,8 @@ pub struct NodeStats {
     pub journaled: usize,
     /// Deliveries in this node's dead-letter store.
     pub dead_lettered: usize,
-    /// Completed (re-)bootstraps.
-    pub bootstraps: u64,
-    /// Bootstrap state-machine phase and attempt/retry/resume counters.
+    /// Bootstrap state-machine phase, completions and attempt/retry/resume
+    /// counters.
     pub bootstrap: BootstrapStats,
 }
 
@@ -527,14 +526,12 @@ impl SynapseNode {
 
     /// Aggregated pipeline counters for fault accounting.
     pub fn stats(&self) -> NodeStats {
-        let bootstrap = self.bootstrap_stats();
         NodeStats {
             publisher: self.publisher.stats(),
             subscriber: self.subscriber.stats(),
             journaled: self.publisher.journal_len(),
             dead_lettered: self.broker.dead_letter_len(self.app()).unwrap_or(0),
-            bootstraps: bootstrap.completions,
-            bootstrap,
+            bootstrap: self.bootstrap_stats(),
         }
     }
 

@@ -1,8 +1,10 @@
 //! The publisher: query interception, dependency tracking, the version
 //! bump protocol, marshalling, and reliable publication.
 //!
-//! The publisher is a [`QueryObserver`] installed on the service's ORM. For
-//! every intercepted write of a published model it (§4.2):
+//! The publisher is the [`QueryObserver`] a node installs as its ORM's one
+//! interceptor ([`Orm::observe`]). Every write passes its `around_write`
+//! between the ORM's before- and after-callbacks; for a local write of a
+//! published model it (§4.2):
 //!
 //! 1. computes the operation's dependencies from the delivery mode and the
 //!    current causal scope (object write dep; user-session write dep;
@@ -12,10 +14,11 @@
 //! 3. executes the underlying query and reads back the written object;
 //! 4. runs the version-store bump script and collects the dependency
 //!    versions for the message;
-//! 5. marshals the published attributes (including virtual getters) and
-//!    either publishes the message or appends it to the open transaction
-//!    buffer ("all writes within a single transaction are combined into a
-//!    single message");
+//! 5. marshals the published attributes, taking virtual getters from the
+//!    model's one hook table ([`Orm::hooks`]) — the bootstrap copier
+//!    marshals chunk rows the same way — and either publishes the message
+//!    or appends it to the open transaction buffer ("all writes within a
+//!    single transaction are combined into a single message");
 //! 6. journals the payload before handing it to the broker — the
 //!    2PC-flavoured guarantee that a crash between version bump and
 //!    publication can be recovered by [`Publisher::recover`].
@@ -324,7 +327,7 @@ impl Publisher {
         if context::is_replicating() {
             return Ok(());
         }
-        if let Some(sub) = self.subscription_for(&intent.model) {
+        if let Some(sub) = self.subscription_for(intent.model) {
             if sub.bidirectional {
                 return Ok(());
             }
@@ -359,13 +362,14 @@ impl Publisher {
     }
 
     /// Marshals the record's published attributes (§4.1), evaluating
-    /// virtual-attribute getters.
-    fn marshal(&self, orm: &Orm, publication: &Publication, record: &Record) -> Record {
+    /// virtual-attribute getters — for a live write and, identically, for a
+    /// bootstrap chunk copy.
+    pub(crate) fn marshal(&self, orm: &Orm, publication: &Publication, record: &Record) -> Record {
         let mut out = Record::new(record.model.clone(), record.id);
         out.types = record.types.clone();
-        let virtuals = orm.virtuals().model(&record.model);
+        let hooks = orm.hooks(&record.model);
         for field in &publication.fields {
-            let value = match virtuals.as_ref().and_then(|v| v.getter(field)) {
+            let value = match hooks.as_ref().and_then(|h| h.getter(field)) {
                 Some(getter) => getter(orm, record),
                 None => record.get(field).clone(),
             };
@@ -376,18 +380,6 @@ impl Publisher {
             }
         }
         out
-    }
-
-    /// Marshals a record for the bulk transfer of bootstrap step 2 — the
-    /// same projection (published attributes + virtual getters) live
-    /// updates get.
-    pub fn marshal_for_bootstrap(
-        &self,
-        orm: &Orm,
-        publication: &Publication,
-        record: &Record,
-    ) -> Record {
-        self.marshal(orm, publication, record)
     }
 
     /// Computes `(write_deps, read_deps)` for an operation under the
@@ -404,7 +396,7 @@ impl Publisher {
         } = scratch;
         write_deps.clear();
         read_deps.clear();
-        write_deps.push(self.interner.object(&self.app, &intent.model, intent.id));
+        write_deps.push(self.interner.object(&self.app, intent.model, intent.id));
         match self.mode {
             DeliveryMode::Weak => {}
             DeliveryMode::Global => {
@@ -642,7 +634,7 @@ impl QueryObserver for Publisher {
     ) -> Result<Record, OrmError> {
         let start = Instant::now();
         self.check_ownership(intent)?;
-        let publication = self.publications.read().get(&intent.model).cloned();
+        let publication = self.publications.read().get(intent.model).cloned();
         let publication = match publication {
             Some(p) => p,
             None => return exec(),
@@ -709,7 +701,7 @@ impl QueryObserver for Publisher {
         let stamp = if publication.bidirectional {
             let mesh_key = self
                 .dep_space
-                .key(&crate::deps::mesh_object(&intent.model, record.id));
+                .key(&crate::deps::mesh_object(intent.model, record.id));
             let stamped = self.sub_store.stamp(mesh_key, self.writer).ok();
             stamped.map(|v| (mesh_key, v))
         } else {

@@ -261,13 +261,13 @@ impl Subscriber {
     fn apply_subscription(&self, sub: &Subscription, op: &Operation) -> Result<(), OrmError> {
         // Project the incoming attributes to this subscription, splitting
         // plain fields from virtual-attribute setters.
-        let virtuals = self.orm.virtuals().model(&sub.model);
+        let hooks = self.orm.hooks(&sub.model);
         let mut plain: BTreeMap<String, Value> = BTreeMap::new();
         let mut set_after = Vec::new();
         for field in &sub.fields {
             if let Some(value) = op.attributes.get(field) {
                 let local = sub.local_field(field);
-                match virtuals.as_ref().and_then(|v| v.setter(local)) {
+                match hooks.as_ref().and_then(|h| h.setter(local)) {
                     Some(setter) => set_after.push((setter, value.clone())),
                     None => {
                         plain.insert(local.to_owned(), value.clone());
@@ -276,7 +276,7 @@ impl Subscriber {
             }
         }
 
-        if sub.observer {
+        let mut record = if sub.observer {
             // Observers run callbacks without persisting (§3.1).
             let mut record = Record::with_attrs(sub.model.clone(), op.id, plain);
             let (before, after) = callback_points(&op.operation);
@@ -284,17 +284,23 @@ impl Subscriber {
                 .run_model_callbacks(&sub.model, before, &mut record)?;
             self.orm
                 .run_model_callbacks(&sub.model, after, &mut record)?;
-            return Ok(());
-        }
-
-        let existing = self.orm.find(&sub.model, op.id)?;
-        if op.operation == "destroy" {
-            if let Some(pre) = existing {
-                self.orm.destroy_record(pre)?;
+            if op.operation == "destroy" {
+                // As on the persisted path, a destroy feeds no setter.
+                return Ok(());
             }
-            return Ok(());
-        }
-        let mut record = self.upsert(sub, op.id, existing, plain)?;
+            record
+        } else {
+            let existing = self.orm.find(&sub.model, op.id)?;
+            if op.operation == "destroy" {
+                if let Some(pre) = existing {
+                    self.orm.destroy_record(pre)?;
+                }
+                return Ok(());
+            }
+            self.upsert(sub, op.id, existing, plain)?
+        };
+        // Setters consume their values once every callback has run, on the
+        // persisted record or, for an observer, the in-memory one.
         for (setter, value) in set_after {
             setter(&self.orm, &mut record, value)?;
         }

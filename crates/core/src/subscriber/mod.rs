@@ -514,7 +514,7 @@ impl Subscriber {
     }
 
     /// Processes one delivery outside the worker pool — a batch of one
-    /// through the workers' own sequence ([`Subscriber::handle_delivery`]),
+    /// through the workers' own sequence (`Subscriber::handle_delivery`),
     /// on a lane with no consumer: the dependency wait never yields, the
     /// version-store apply happens immediately, and nothing is acked —
     /// a failure is handed back, classified, for the caller to retry or

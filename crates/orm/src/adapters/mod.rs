@@ -9,7 +9,7 @@
 //! | [`Neo4jAdapter`] | Neo4j.rb | Neo4j |
 //! | [`NoBrainerAdapter`] | NoBrainer | RethinkDB |
 //!
-//! Most adapter code is inherited from [`Adapter`](crate::Adapter)'s default
+//! Most adapter code is inherited from [`Adapter`]'s default
 //! methods; the overrides below are each vendor's genuine differences,
 //! mirroring the paper's finding that per-DB support is a few dozen to a few
 //! hundred lines (§4.6). `table1_support_matrix` and `table3_loc` in the

@@ -1,8 +1,8 @@
 //! The query-interception surface.
 //!
 //! Synapse's "Query Intercept" module (Fig. 6(a)) sits between the ORM and
-//! the DB driver. In this reproduction the [`Orm`](crate::Orm) routes every
-//! operation through registered [`QueryObserver`]s:
+//! the DB driver. In this reproduction the [`Orm`] routes every operation
+//! through its one installed [`QueryObserver`] (see [`Orm::observe`]):
 //!
 //! * reads that return objects invoke [`QueryObserver::on_read`] — how the
 //!   publisher discovers *read dependencies* implicitly (§4.2: "Synapse
@@ -16,9 +16,8 @@
 //!   actual query, and sees the written post-images afterwards.
 
 use crate::error::OrmError;
-use crate::orm::Orm;
-use std::collections::BTreeMap;
-use synapse_model::{Id, Record, Value};
+use crate::orm::{Changes, Orm};
+use synapse_model::{Id, Record};
 
 /// Kind of a write operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,17 +45,19 @@ impl WriteKind {
 ///
 /// ORM operations are object-level, so the intent always pins down the
 /// single object being written (the paper unrolls multi-object updates into
-/// single-object updates for the same reason, §4.2).
-#[derive(Debug, Clone)]
-pub struct WriteIntent {
+/// single-object updates for the same reason, §4.2). It borrows from the
+/// write it describes.
+#[derive(Debug, Clone, Copy)]
+pub struct WriteIntent<'a> {
     /// Kind of write.
     pub kind: WriteKind,
     /// Model name.
-    pub model: String,
+    pub model: &'a str,
     /// Primary key of the object being written.
     pub id: Id,
-    /// For updates: the attribute changes; empty otherwise.
-    pub changes: BTreeMap<String, Value>,
+    /// The attributes the caller wrote: a create's whole attribute map, an
+    /// update's changes as asked (moved or not); empty for a destroy.
+    pub changes: &'a Changes,
 }
 
 /// The thunk that performs the underlying engine write and returns the
@@ -64,7 +65,7 @@ pub struct WriteIntent {
 pub type WriteExec<'a> = dyn FnMut() -> Result<Record, OrmError> + 'a;
 
 /// Interception hooks. Synapse's publisher implements this trait; tests use
-/// it to assert on interception behaviour.
+/// it to assert on interception behaviour. An ORM holds one.
 pub trait QueryObserver: Send + Sync {
     /// Called after any read query that returned objects.
     fn on_read(&self, _orm: &Orm, _records: &[Record]) {}

@@ -1,14 +1,13 @@
-//! The ORM facade: dynamic CRUD with callbacks, observers, associations.
+//! The ORM facade: dynamic CRUD with hooks, the interceptor, associations.
 
 use crate::adapter::Adapter;
-use crate::callbacks::{CallbackCtx, CallbackPoint, CallbackRegistry};
 use crate::error::OrmError;
+use crate::hooks::{CallbackPoint, ModelHooks};
 use crate::observer::{QueryObserver, WriteExec, WriteIntent, WriteKind};
-use crate::virtuals::VirtualRegistry;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use synapse_db::query::OrderBy;
 use synapse_db::{DbFaults, EngineStats, Filter};
 use synapse_model::{AssociationKind, Id, IdGenerator, ModelSchema, Record, SchemaSet, Value};
@@ -16,8 +15,9 @@ use synapse_model::{AssociationKind, Id, IdGenerator, ModelSchema, Record, Schem
 /// Attribute changes for an update: field name → new value.
 pub type Changes = BTreeMap<String, Value>;
 
-/// One service's ORM: schemas, CRUD, callbacks, virtual attributes, and the
-/// interception surface Synapse hooks into.
+/// One service's ORM: schemas, CRUD and associations, one hook table per
+/// model (callbacks, virtual attributes), and the one query interceptor
+/// Synapse installs.
 ///
 /// # Examples
 ///
@@ -38,14 +38,16 @@ pub struct Orm {
     app: String,
     adapter: Arc<dyn Adapter>,
     schemas: RwLock<SchemaSet>,
-    callbacks: CallbackRegistry,
-    virtuals: VirtualRegistry,
-    observers: RwLock<Vec<Arc<dyn QueryObserver>>>,
+    /// One hook table per model, by pointer: registration copies the table
+    /// it edits, so a write holds no lock while its hooks run.
+    pub(crate) hooks: RwLock<HashMap<String, Arc<ModelHooks>>>,
+    /// The query interceptor — on a node, its publisher.
+    interceptor: OnceLock<Arc<dyn QueryObserver>>,
     idgens: Mutex<HashMap<String, Arc<IdGenerator>>>,
     bootstrap: AtomicBool,
     faults: DbFaults,
-    /// Writes that entered the observer chain (the ORM-intercept point of
-    /// the telemetry plane) and reads fanned out to observers.
+    /// Writes that reached the interception point (the ORM-intercept stage
+    /// of the telemetry plane) and records of reads reported to it.
     writes_intercepted: AtomicU64,
     reads_observed: AtomicU64,
 }
@@ -57,9 +59,8 @@ impl Orm {
             app: app.into(),
             adapter,
             schemas: RwLock::new(SchemaSet::new()),
-            callbacks: CallbackRegistry::new(),
-            virtuals: VirtualRegistry::new(),
-            observers: RwLock::new(Vec::new()),
+            hooks: RwLock::new(HashMap::new()),
+            interceptor: OnceLock::new(),
             idgens: Mutex::new(HashMap::new()),
             bootstrap: AtomicBool::new(false),
             faults: DbFaults::new(),
@@ -68,12 +69,12 @@ impl Orm {
         }
     }
 
-    /// Writes that entered the observer chain since construction.
+    /// Writes that reached the interception point since construction.
     pub fn writes_intercepted(&self) -> u64 {
         self.writes_intercepted.load(Ordering::Relaxed)
     }
 
-    /// Read results fanned out to observers since construction.
+    /// Read records reported to the interception point since construction.
     pub fn reads_observed(&self) -> u64 {
         self.reads_observed.load(Ordering::Relaxed)
     }
@@ -128,25 +129,17 @@ impl Orm {
             .collect()
     }
 
-    /// Registers an active-model callback.
-    pub fn on<F>(&self, model: &str, point: CallbackPoint, f: F)
-    where
-        F: for<'a> Fn(&mut CallbackCtx<'a>, &mut Record) -> Result<(), OrmError>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.callbacks.register(model, point, f);
-    }
-
-    /// The virtual-attribute registry.
-    pub fn virtuals(&self) -> &VirtualRegistry {
-        &self.virtuals
-    }
-
-    /// Registers a query observer (Synapse's publisher, a test probe, …).
+    /// Installs the ORM's query interceptor (Synapse's publisher, a test
+    /// probe, …).
+    ///
+    /// # Panics
+    ///
+    /// Panics when one is already installed: an ORM has exactly one, and a
+    /// node installs its publisher.
     pub fn observe(&self, observer: Arc<dyn QueryObserver>) {
-        self.observers.write().push(observer);
+        if self.interceptor.set(observer).is_err() {
+            panic!("ORM of {} already has its query interceptor", self.app);
+        }
     }
 
     /// Sets the Synapse bootstrap flag exposed to callbacks (§4.4).
@@ -167,65 +160,21 @@ impl Orm {
             .clone()
     }
 
-    /// Runs a model's callbacks directly, without persistence. Used by
-    /// Synapse for *observer* models (§3.1), which react to replicated
-    /// updates through callbacks but never store the data.
-    pub fn run_model_callbacks(
-        &self,
-        model: &str,
-        point: CallbackPoint,
-        record: &mut Record,
-    ) -> Result<(), OrmError> {
-        self.run_callbacks(model, point, record)
-    }
-
-    fn run_callbacks(
-        &self,
-        model: &str,
-        point: CallbackPoint,
-        record: &mut Record,
-    ) -> Result<(), OrmError> {
-        let mut ctx = CallbackCtx {
-            orm: self,
-            bootstrap: self.is_bootstrap(),
-        };
-        // Callbacks are application code even when triggered by a
-        // replicated apply: run them with the replication flag cleared so
-        // e.g. a decorator's callback publishes its decorations normally.
-        crate::flags::without_replication_flag(|| {
-            self.callbacks.run(model, point, &mut ctx, record)
-        })
-    }
-
-    /// Threads a write through every registered observer's `around_write`,
-    /// innermost performing the actual engine write.
+    /// Runs a write through the interceptor's `around_write`, `exec`
+    /// performing the actual engine write.
     fn run_write(
         &self,
         intent: &WriteIntent,
         exec: &mut WriteExec<'_>,
     ) -> Result<Record, OrmError> {
         // Fault gate first: an injected transient error fails the write
-        // before any observer runs, so no version bump or publication
+        // before the interceptor runs, so no version bump or publication
         // happens for a write the database refused.
         self.faults.gate_write()?;
         self.writes_intercepted.fetch_add(1, Ordering::Relaxed);
-        let observers: Vec<Arc<dyn QueryObserver>> = self.observers.read().clone();
-        self.run_write_chain(&observers, intent, exec)
-    }
-
-    fn run_write_chain(
-        &self,
-        observers: &[Arc<dyn QueryObserver>],
-        intent: &WriteIntent,
-        exec: &mut WriteExec<'_>,
-    ) -> Result<Record, OrmError> {
-        match observers.split_first() {
+        match self.interceptor.get() {
+            Some(interceptor) => interceptor.around_write(self, intent, exec),
             None => exec(),
-            Some((first, rest)) => {
-                let mut inner = |orm: &Orm| orm.run_write_chain(rest, intent, exec);
-                let mut thunk = || inner(self);
-                first.around_write(self, intent, &mut thunk)
-            }
         }
     }
 
@@ -235,8 +184,8 @@ impl Orm {
         }
         self.reads_observed
             .fetch_add(records.len() as u64, Ordering::Relaxed);
-        for observer in self.observers.read().iter() {
-            observer.on_read(self, records);
+        if let Some(interceptor) = self.interceptor.get() {
+            interceptor.on_read(self, records);
         }
     }
 
@@ -261,19 +210,17 @@ impl Orm {
         };
         let mut record = Record::with_attrs(model.to_owned(), id, attrs);
         record.types = schema.type_chain();
-        self.run_callbacks(model, CallbackPoint::BeforeCreate, &mut record)?;
+        let hooks = self.hooks(model);
+        self.run_callbacks(hooks.as_deref(), CallbackPoint::BeforeCreate, &mut record)?;
         schema.check_attrs(record.attrs.iter())?;
         let intent = WriteIntent {
             kind: WriteKind::Create,
-            model: model.to_owned(),
+            model,
             id,
-            changes: record.attrs.clone(),
+            changes: &record.attrs,
         };
-        let adapter = self.adapter.clone();
-        let record_ref = &record;
-        let schema_ref = &schema;
-        let mut stored = self.run_write(&intent, &mut || adapter.insert(schema_ref, record_ref))?;
-        self.run_callbacks(model, CallbackPoint::AfterCreate, &mut stored)?;
+        let mut stored = self.run_write(&intent, &mut || self.adapter.insert(&schema, &record))?;
+        self.run_callbacks(hooks.as_deref(), CallbackPoint::AfterCreate, &mut stored)?;
         Ok(stored)
     }
 
@@ -309,7 +256,8 @@ impl Orm {
         for (k, v) in &changes {
             merged.attrs.insert(k.clone(), v.clone());
         }
-        self.run_callbacks(model, CallbackPoint::BeforeUpdate, &mut merged)?;
+        let hooks = self.hooks(model);
+        self.run_callbacks(hooks.as_deref(), CallbackPoint::BeforeUpdate, &mut merged)?;
         schema.check_attrs(merged.attrs.iter())?;
         // The engine is asked to write what differs between the stored
         // image and the merged, callback-adjusted one — not every attribute
@@ -325,13 +273,12 @@ impl Orm {
         // their own decoration attributes).
         let intent = WriteIntent {
             kind: WriteKind::Update,
-            model: model.to_owned(),
+            model,
             id,
-            changes,
+            changes: &changes,
         };
-        let adapter = self.adapter.clone();
-        let mut stored = self.run_write(&intent, &mut || adapter.update(&schema, id, &set))?;
-        self.run_callbacks(model, CallbackPoint::AfterUpdate, &mut stored)?;
+        let mut stored = self.run_write(&intent, &mut || self.adapter.update(&schema, id, &set))?;
+        self.run_callbacks(hooks.as_deref(), CallbackPoint::AfterUpdate, &mut stored)?;
         Ok(stored)
     }
 
@@ -344,22 +291,21 @@ impl Orm {
     /// is its stored image, so it is not read again.
     pub fn destroy_record(&self, mut pre: Record) -> Result<Record, OrmError> {
         let schema = self.shared_schema(&pre.model)?;
-        let model = pre.model.clone();
-        self.run_callbacks(&model, CallbackPoint::BeforeDestroy, &mut pre)?;
+        let hooks = self.hooks(&pre.model);
+        self.run_callbacks(hooks.as_deref(), CallbackPoint::BeforeDestroy, &mut pre)?;
         let intent = WriteIntent {
             kind: WriteKind::Delete,
-            model,
+            model: &pre.model,
             id: pre.id,
-            changes: BTreeMap::new(),
+            changes: &Changes::new(),
         };
-        let adapter = self.adapter.clone();
-        let mut removed = self.run_write(&intent, &mut || adapter.delete(&schema, &pre))?;
-        self.run_callbacks(&intent.model, CallbackPoint::AfterDestroy, &mut removed)?;
+        let mut removed = self.run_write(&intent, &mut || self.adapter.delete(&schema, &pre))?;
+        self.run_callbacks(hooks.as_deref(), CallbackPoint::AfterDestroy, &mut removed)?;
         Ok(removed)
     }
 
-    /// Fetches one object, notifying observers of the read (the implicit
-    /// read-dependency discovery of §4.2).
+    /// Fetches one object, reporting the read to the interceptor (the
+    /// implicit read-dependency discovery of §4.2).
     pub fn find(&self, model: &str, id: Id) -> Result<Option<Record>, OrmError> {
         let schema = self.shared_schema(model)?;
         let found = self.adapter.find(&schema, id)?;
@@ -423,7 +369,7 @@ impl Orm {
     }
 
     /// Counts objects of a model. Counts are aggregations, not true
-    /// dependencies (§4.2), so observers are *not* notified.
+    /// dependencies (§4.2), so the interceptor is *not* told.
     pub fn count(&self, model: &str) -> Result<u64, OrmError> {
         let schema = self.shared_schema(model)?;
         self.adapter.count(&schema, Filter::All)
@@ -635,6 +581,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "already has its query interceptor")]
+    fn an_orm_takes_one_interceptor() {
+        let orm = mongo_orm();
+        orm.observe(Arc::new(Intents(PMutex::new(Vec::new()))));
+        orm.observe(Arc::new(Intents(PMutex::new(Vec::new()))));
+    }
+
+    #[test]
     fn update_missing_record_errors() {
         let orm = mongo_orm();
         assert!(matches!(
@@ -718,7 +672,7 @@ mod tests {
         ) -> Result<Record, OrmError> {
             self.writes
                 .lock()
-                .push((intent.kind, intent.model.clone(), intent.id));
+                .push((intent.kind, intent.model.to_owned(), intent.id));
             exec()
         }
     }

@@ -90,7 +90,7 @@ impl Admission<'_> {
     /// Classifies `incoming` (the write's version vector, authored by
     /// `writer`) against the stored vector under `rule`, changing nothing.
     /// A single-writer write presents its scalar version as
-    /// [`VersionVector::scalar`] under [`LEGACY_WRITER`]: the legacy
+    /// [`VersionVector::scalar`] under [`LEGACY_WRITER`](crate::LEGACY_WRITER): the legacy
     /// component's floor semantics make [`AdmitRule::Live`] read as
     /// `version >= stored` applies, older is stale.
     pub fn classify(

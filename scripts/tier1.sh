@@ -24,6 +24,9 @@ while read -r manifest; do
 done < <(ls crates/*/Cargo.toml)
 cargo fmt "${FIRST_PARTY[@]}" -- --check
 cargo clippy "${FIRST_PARTY[@]}" --all-targets --quiet -- -D warnings
+# Rustdoc gate: a renamed or deleted item cannot leave a dead intra-doc
+# link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${FIRST_PARTY[@]}"
 # Shape gate: no first-party src file carries more than 900 non-test
 # lines (the tree as staged, so a new file counts before it is committed).
 scripts/loc.sh --max 900 "$(git stash create || true)"

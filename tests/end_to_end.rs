@@ -2,14 +2,14 @@
 //! ORM interception → publisher → broker → subscriber workers →
 //! heterogeneous subscriber databases.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use synapse_repro::core::{
     DeliveryMode, Ecosystem, ModeSlice, Publication, Stage, Subscription, SynapseConfig,
     SynapseNode,
 };
 use synapse_repro::db::LatencyModel;
-use synapse_repro::model::{vmap, Id, ModelSchema};
+use synapse_repro::model::{vmap, Id, ModelSchema, Value};
 use synapse_repro::orm::adapters::{
     ActiveRecordAdapter, MongoidAdapter, Neo4jAdapter, StretcherAdapter,
 };
@@ -425,8 +425,7 @@ fn mongodb_arrays_into_sql_via_virtual_attribute() {
     // The virtual setter: replace the user's Interest rows.
     sub3b
         .orm()
-        .virtuals()
-        .setter("User", "interests_virt", |orm, record, value| {
+        .virtual_setter("User", "interests_virt", |orm, record, value| {
             let existing = orm.where_eq("Interest", "user_id", record.id.raw())?;
             for e in existing {
                 orm.destroy("Interest", e.id)?;
@@ -477,6 +476,116 @@ fn mongodb_arrays_into_sql_via_virtual_attribute() {
             .unwrap_or(false)
     }));
 
+    eco.stop_all();
+}
+
+fn mongo_user_node(eco: &Ecosystem, app: &str) -> Arc<SynapseNode> {
+    let node = eco.add_node(
+        SynapseConfig::new(app),
+        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
+    );
+    node.orm().define_model(ModelSchema::open("User")).unwrap();
+    node
+}
+
+/// §3.1's publisher side of a virtual attribute: what subscribers receive
+/// is the getter's computed value, through a bootstrap chunk copy and
+/// through a live write alike — the two places a record is marshalled.
+#[test]
+fn virtual_getter_values_reach_subscribers_by_copy_and_live() {
+    let eco = Ecosystem::new();
+    let publisher = mongo_user_node(&eco, "pub");
+    publisher.orm().virtual_getter("User", "shout", |_, r| {
+        Value::from(r.get("name").as_str().unwrap_or("").to_uppercase())
+    });
+    publisher
+        .publish(Publication::model("User").fields(&["name", "shout"]))
+        .unwrap();
+    // Written before the subscriber exists: only a chunk copy carries it.
+    let early = publisher
+        .orm()
+        .create("User", vmap! { "name" => "early" })
+        .unwrap();
+
+    let subscriber = mongo_user_node(&eco, "sub");
+    subscriber
+        .subscribe(Subscription::model("User", "pub").fields(&["name", "shout"]))
+        .unwrap();
+    assert!(eco.connect().is_empty());
+    subscriber.start_and_bootstrap_from(&publisher).unwrap();
+    let copied = subscriber.orm().find("User", early.id).unwrap().unwrap();
+    assert_eq!(copied.get("shout").as_str(), Some("EARLY"), "chunk copy");
+
+    let live = publisher
+        .orm()
+        .create("User", vmap! { "name" => "live" })
+        .unwrap();
+    assert!(
+        eventually(Duration::from_secs(5), || {
+            subscriber
+                .orm()
+                .find("User", live.id)
+                .map(|r| r.is_some_and(|r| r.get("shout").as_str() == Some("LIVE")))
+                .unwrap_or(false)
+        }),
+        "live write"
+    );
+    eco.stop_all();
+}
+
+/// An observer model (§3.1) stores nothing, yet its virtual setters still
+/// consume their values: on the in-memory record, after its callbacks, as
+/// the persisted path runs them after the write.
+#[test]
+fn observer_subscriptions_feed_virtual_setters() {
+    let eco = Ecosystem::new();
+    let publisher = mongo_user_node(&eco, "pub");
+    publisher
+        .publish(Publication::model("User").fields(&["name", "tag"]))
+        .unwrap();
+
+    let observer = mongo_user_node(&eco, "tagger");
+    observer
+        .subscribe(
+            Subscription::model("User", "pub")
+                .field("name")
+                .field_as("tag", "tag_virt")
+                .observer(),
+        )
+        .unwrap();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let seen = log.clone();
+    observer
+        .orm()
+        .virtual_setter("User", "tag_virt", move |_, r, value| {
+            let name = r.get("name").as_str().unwrap_or("?");
+            let tag = value.as_str().unwrap_or("?");
+            seen.lock().unwrap().push(format!("set {tag} on {name}"));
+            Ok(())
+        });
+    let seen = log.clone();
+    observer
+        .orm()
+        .on("User", CallbackPoint::AfterCreate, move |_, r| {
+            let name = r.get("name").as_str().unwrap_or("?");
+            seen.lock().unwrap().push(format!("after_create {name}"));
+            Ok(())
+        });
+
+    assert!(eco.connect().is_empty());
+    eco.start_all();
+    publisher
+        .orm()
+        .create("User", vmap! { "name" => "alice", "tag" => "cats" })
+        .unwrap();
+    assert!(eventually(Duration::from_secs(5), || {
+        log.lock().unwrap().len() >= 2
+    }));
+    assert_eq!(
+        *log.lock().unwrap(),
+        ["after_create alice", "set cats on alice"]
+    );
+    assert_eq!(observer.orm().count("User").unwrap(), 0, "nothing stored");
     eco.stop_all();
 }
 

@@ -131,7 +131,7 @@ fn strict_mode_wedge_recovers_via_decommission_and_partial_bootstrap() {
     eco.broker().decommission_queue("sub");
     assert!(subscriber.is_decommissioned());
     subscriber.bootstrap_from(&publisher).unwrap();
-    assert_eq!(subscriber.stats().bootstraps, 1);
+    assert_eq!(subscriber.stats().bootstrap.completions, 1);
     assert!(eventually(Duration::from_secs(5), || {
         subscriber
             .orm()

@@ -107,7 +107,7 @@ fn queue_pressure_decommissions_under_load_and_bootstrap_cycles_converge() {
             published,
             "round {round}: bootstrap must converge to the publisher's rows"
         );
-        assert_eq!(subscriber.stats().bootstraps, round);
+        assert_eq!(subscriber.stats().bootstrap.completions, round);
 
         // Live replication must work again before the next round.
         let fresh = publisher
