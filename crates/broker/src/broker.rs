@@ -572,8 +572,11 @@ impl Broker {
     }
 
     /// Wakes every consumer parked on `queue` (their in-flight batch pops
-    /// return empty). Subscriber shutdown uses this so workers re-check
-    /// their stop flag immediately instead of waiting out the park timeout.
+    /// return empty) by moving its wake epoch; free when none is parked.
+    /// Subscriber shutdown uses this so workers re-check their stop flag
+    /// immediately instead of waiting out the park timeout, and a
+    /// subscriber whose version store advanced uses it to wake workers
+    /// parked on deliveries they hold set aside.
     pub fn wake_queue(&self, queue: &str) {
         let routes = self.inner.routes.read();
         if let Some(q) = routes.queues.get(queue) {
@@ -793,17 +796,35 @@ impl Consumer {
         self.queue.steal_batch(partition, max)
     }
 
-    /// Parks until the queue has ready deliveries, is decommissioned, or
-    /// is woken by [`Broker::wake_queue`] — or until `timeout` passes.
-    /// Returns `false` only on timeout; `true` means "rescan now".
-    pub fn wait_ready(&self, timeout: Duration) -> bool {
-        self.queue.wait_ready(timeout)
+    /// The queue's wake epoch. Sample it *before* the last look for work
+    /// and hand the sample to [`Consumer::wait_ready`] or
+    /// [`Consumer::wait_wake`]: a wake issued after the sample ends the
+    /// park at once, so none falls between the look and the park.
+    pub fn wake_epoch(&self) -> u64 {
+        self.queue.wake_epoch()
     }
 
-    /// Whether ready deliveries exist outside `tag`'s own partition
-    /// (lock-free). See the subscriber's dependency-wait yield protocol.
-    pub fn ready_elsewhere(&self, tag: u64) -> bool {
-        self.queue.ready_elsewhere(tag)
+    /// Parks until the queue has ready deliveries or its wake epoch moves
+    /// past `seen` ([`Broker::wake_queue`], a reinstatement, a
+    /// decommission) — or until `timeout` passes. A decommissioned queue
+    /// parks its consumers until it is reinstated. Returns `false` only on
+    /// timeout; `true` means "rescan now".
+    pub fn wait_ready(&self, seen: u64, timeout: Duration) -> bool {
+        self.queue.wait_ready(seen, timeout)
+    }
+
+    /// Parks until the wake epoch moves past `seen` or `timeout` passes;
+    /// unlike [`Consumer::wait_ready`], ready deliveries do not end the
+    /// wait. Returns `false` only on timeout.
+    pub fn wait_wake(&self, seen: u64, timeout: Duration) -> bool {
+        self.queue.wait_wake(seen, timeout)
+    }
+
+    /// Whether `tag` is still popped and unsettled: `false` once a
+    /// decommission sweep or a broker restart has taken it back, so
+    /// settling it would act on a delivery the queue no longer owes.
+    pub fn holds(&self, tag: u64) -> bool {
+        self.queue.holds(tag)
     }
 
     /// Acknowledges a delivery; returns `false` for unknown tags.

@@ -945,7 +945,7 @@ fn wait_ready_unparks_on_publish_and_counts_one_wakeup() {
     let b = broker_with("q");
     let c = b.consumer("q").unwrap();
     let h = thread::spawn(move || {
-        let woke = c.wait_ready(Duration::from_secs(5));
+        let woke = c.wait_ready(c.wake_epoch(), Duration::from_secs(5));
         (woke, c.pop_batch_from(0, 8).len())
     });
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -958,6 +958,68 @@ fn wait_ready_unparks_on_publish_and_counts_one_wakeup() {
     assert!(woke, "wait_ready returned before its timeout");
     assert_eq!(got, 1, "the unkeyed publish landed in partition 0");
     assert_eq!(b.stats().wakeups, 1);
+}
+
+/// A decommissioned queue parks its consumers instead of returning at
+/// once, and reinstating it wakes them.
+#[test]
+fn wait_ready_parks_on_a_decommissioned_queue_until_reinstated() {
+    let b = broker_with("q");
+    b.decommission_queue("q");
+    let c = b.consumer("q").unwrap();
+    let seen = c.wake_epoch();
+    let h = thread::spawn(move || c.wait_ready(seen, Duration::from_secs(5)));
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while b.queue_sleepers("q") != Some(1) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "consumer never parked"
+        );
+        thread::sleep(Duration::from_millis(2));
+    }
+    assert!(b.reinstate_queue("q"));
+    assert!(h.join().unwrap(), "reinstatement ends the park");
+}
+
+/// Ready deliveries never end `wait_wake`; a wake issued after the epoch
+/// was sampled ends it at once.
+#[test]
+fn wait_wake_ignores_ready_work_but_not_a_wake() {
+    let b = broker_with("q");
+    let c = b.consumer("q").unwrap();
+    b.publish("pub", "ready").unwrap();
+    assert!(!c.wait_wake(c.wake_epoch(), Duration::from_millis(30)));
+    let seen = c.wake_epoch();
+    b.wake_queue("q");
+    assert!(c.wait_wake(seen, Duration::ZERO));
+}
+
+/// A consumer parked on the wake epoch alone never takes the counted
+/// wakeup a publish owes to a consumer parked for work.
+#[test]
+fn a_publish_wakes_the_consumer_waiting_for_work_not_a_watcher() {
+    let b = broker_with("q");
+    let watcher = b.consumer("q").unwrap();
+    let seen = watcher.wake_epoch();
+    let watching = thread::spawn(move || watcher.wait_wake(seen, Duration::from_secs(5)));
+    let worker = b.consumer("q").unwrap();
+    let seen = worker.wake_epoch();
+    let working = thread::spawn(move || worker.wait_ready(seen, Duration::from_secs(5)));
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while b.queue_sleepers("q") != Some(1) {
+        assert!(std::time::Instant::now() < deadline, "worker never parked");
+        thread::sleep(Duration::from_millis(2));
+    }
+    thread::sleep(Duration::from_millis(20));
+    b.publish("pub", "m").unwrap();
+    assert!(working.join().unwrap(), "the publish woke the worker");
+    assert_eq!(b.stats().wakeups, 1);
+    assert!(
+        !watching.is_finished(),
+        "the publish did not wake the watcher"
+    );
+    b.wake_queue("q");
+    assert!(watching.join().unwrap());
 }
 
 #[test]

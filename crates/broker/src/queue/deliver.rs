@@ -42,7 +42,7 @@ impl Queue {
             return Vec::new();
         }
         let deadline = Instant::now() + timeout;
-        let entry_epoch = self.wake_epoch.load(Ordering::SeqCst);
+        let entry_epoch = self.wake_epoch();
         loop {
             {
                 let parts = self.partitions.read();
@@ -61,10 +61,11 @@ impl Queue {
                     return out;
                 }
             }
-            if self.is_decommissioned() || self.wake_epoch.load(Ordering::SeqCst) != entry_epoch {
+            // A decommission moves the epoch, so it ends a park too.
+            if self.is_decommissioned() || self.wake_epoch() != entry_epoch {
                 return Vec::new();
             }
-            if !self.park_until(deadline, entry_epoch) {
+            if !self.park_until(deadline, entry_epoch, true) {
                 return Vec::new();
             }
         }
@@ -111,16 +112,15 @@ impl Queue {
         out
     }
 
-    /// Parks until the queue has ready deliveries, is decommissioned, or
-    /// is woken/shut down — or until `timeout` passes. Returns `true`
-    /// unless it timed out, i.e. `true` means "rescan now".
-    pub(crate) fn wait_ready(&self, timeout: Duration) -> bool {
-        if self.ready_total.load(Ordering::SeqCst) > 0 || self.is_decommissioned() {
+    /// Parks until the queue has ready deliveries or the wake epoch moves
+    /// past `seen` (woken, reinstated, shut down) — or until `timeout`
+    /// passes. A decommissioned queue parks like an empty one. Returns
+    /// `true` unless it timed out, i.e. `true` means "rescan now".
+    pub(crate) fn wait_ready(&self, seen: u64, timeout: Duration) -> bool {
+        if self.ready_total.load(Ordering::SeqCst) > 0 {
             return true;
         }
-        let deadline = Instant::now() + timeout;
-        let entry_epoch = self.wake_epoch.load(Ordering::SeqCst);
-        self.park_until(deadline, entry_epoch)
+        self.park_until(Instant::now() + timeout, seen, true)
     }
 
     pub(crate) fn ack(&self, tag: u64) -> bool {

@@ -172,8 +172,7 @@ impl Queue {
     fn finish_enqueue(&self, parts: &[Partition], added: usize) {
         if self.is_decommissioned() {
             self.sweep_discard(parts);
-            let _guard = self.idle.lock();
-            self.idle_cv.notify_all();
+            self.wake_all();
         } else {
             self.wake_ready(added);
         }

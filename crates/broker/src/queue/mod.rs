@@ -36,6 +36,15 @@
 //! registration (store/load ordering in both directions), so a wakeup can
 //! never be missed: either the enqueuer sees the sleeper, or the sleeper
 //! sees the message.
+//!
+//! Everything else that should end a park moves the queue's *wake epoch*:
+//! shutdown, decommission, reinstatement, and a consumer announcing that
+//! what parked waiters wait for may have changed. A consumer samples the
+//! epoch before its last look for work and parks against that sample, so
+//! a wake issued between the look and the park is never lost. Waiters that
+//! only care about the epoch (not about ready deliveries) park on a
+//! condvar of their own, so the counted `notify_one`s of an enqueue always
+//! reach a consumer that will take the work.
 
 mod deliver;
 mod enqueue;
@@ -219,8 +228,12 @@ pub(crate) struct Queue {
     /// park) on `idle_cv`; pairs with `ready_total` for lost-wakeup-free
     /// counted notification.
     sleepers: AtomicUsize,
-    /// Bumped by [`Queue::wake_all`]; a parked `pop_batch` returns empty
-    /// when it observes a new epoch, so shutdown never waits out a timeout.
+    /// Consumers parked on the wake epoch alone ([`Queue::wait_wake`]),
+    /// and how many there are (the `sleepers` of that condvar).
+    watch_cv: Condvar,
+    watchers: AtomicUsize,
+    /// Bumped by [`Queue::wake_all`]; every park ends when it observes a
+    /// new epoch, so shutdown never waits out a timeout.
     wake_epoch: AtomicU64,
     state: AtomicU8,
     /// Next tag sequence number (the high 56 bits of the next tag).
@@ -258,6 +271,8 @@ impl Queue {
             idle_cv: Condvar::new(),
             quiet_cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
+            watch_cv: Condvar::new(),
+            watchers: AtomicUsize::new(0),
             wake_epoch: AtomicU64::new(0),
             state: AtomicU8::new(STATE_ACTIVE),
             next_seq: AtomicU64::new(1),
@@ -401,19 +416,14 @@ impl Queue {
         self.partitions.read().len()
     }
 
-    /// Whether any partition *other than* `tag`'s own holds ready
-    /// deliveries (lock-free). The subscriber's batched dependency wait
-    /// uses this to decide between yielding the delivery back (the message
-    /// satisfying the dependency may be sitting ready elsewhere) and
-    /// blocking (everything else is drained, so the dependency can only
-    /// arrive from another worker's in-flight batch or a future publish).
-    pub(crate) fn ready_elsewhere(&self, tag: u64) -> bool {
+    /// Whether `tag` is still popped and unsettled — a decommission sweep
+    /// or a broker restart has not taken it back.
+    pub(crate) fn holds(&self, tag: u64) -> bool {
         let parts = self.partitions.read();
-        let own = partition_of(tag, parts.len());
-        parts
-            .iter()
-            .enumerate()
-            .any(|(i, p)| i != own && p.len.load(Ordering::Relaxed) > 0)
+        let p = &parts[partition_of(tag, parts.len())];
+        let held = p.inner.lock().unacked.contains_key(&tag);
+        drop(parts);
+        held
     }
 
     /// Lock-free per-partition ready depths.
@@ -512,35 +522,64 @@ impl Queue {
         }
     }
 
-    /// Parks until a message is ready, the queue is decommissioned, the
-    /// wake epoch moves past `entry_epoch`, or the deadline passes.
-    /// Returns `false` only on timeout (caller gives up), `true` when a
-    /// rescan is warranted.
-    fn park_until(&self, deadline: Instant, entry_epoch: u64) -> bool {
+    /// Parks until a message is ready (when `on_ready`), the wake epoch
+    /// moves past `seen`, or the deadline passes. Returns `false` only on
+    /// timeout (caller gives up), `true` when a rescan is warranted.
+    ///
+    /// A decommissioned queue is no reason to return: it stays quiet until
+    /// it is reinstated, and reinstatement moves the epoch.
+    fn park_until(&self, deadline: Instant, seen: u64, on_ready: bool) -> bool {
+        let (cv, count) = if on_ready {
+            (&self.idle_cv, &self.sleepers)
+        } else {
+            (&self.watch_cv, &self.watchers)
+        };
         let mut guard = self.idle.lock();
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        count.fetch_add(1, Ordering::SeqCst);
         let rescan = loop {
-            if self.ready_total.load(Ordering::SeqCst) > 0
-                || self.is_decommissioned()
-                || self.wake_epoch.load(Ordering::SeqCst) != entry_epoch
+            if (on_ready && self.ready_total.load(Ordering::SeqCst) > 0)
+                || self.wake_epoch.load(Ordering::SeqCst) != seen
             {
                 break true;
             }
-            if self.idle_cv.wait_until(&mut guard, deadline).timed_out() {
+            if cv.wait_until(&mut guard, deadline).timed_out() {
                 break false;
             }
         };
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        count.fetch_sub(1, Ordering::SeqCst);
         rescan
     }
 
-    /// Wakes every parked consumer; batch pops in progress return empty.
-    /// Used by subscriber shutdown so workers notice the stop flag without
-    /// waiting out their park timeout.
+    /// The current wake epoch: sample it before looking for work, then
+    /// park against the sample ([`Queue::wait_ready`], [`Queue::wait_wake`]).
+    pub(crate) fn wake_epoch(&self) -> u64 {
+        self.wake_epoch.load(Ordering::SeqCst)
+    }
+
+    /// Parks until the wake epoch moves past `seen` or `timeout` passes;
+    /// ready deliveries do not end this wait. Returns `false` on timeout.
+    pub(crate) fn wait_wake(&self, seen: u64, timeout: Duration) -> bool {
+        self.park_until(Instant::now() + timeout, seen, false)
+    }
+
+    /// Moves the wake epoch and wakes every parked consumer; batch pops in
+    /// progress return empty. Shutdown uses it so workers notice their stop
+    /// flag without waiting out a park timeout.
+    ///
+    /// Free when nobody is parked. Ordering argument: the epoch increment
+    /// (SeqCst) comes before the sleeper loads (SeqCst); a parking
+    /// consumer registers (SeqCst) before its epoch check. Either this
+    /// call sees the consumer and notifies it under the idle mutex — which
+    /// the consumer holds from registration until `wait` releases it — or
+    /// the consumer sees the new epoch and does not park.
     pub(crate) fn wake_all(&self) {
-        let _guard = self.idle.lock();
         self.wake_epoch.fetch_add(1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) == 0 && self.watchers.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        let _guard = self.idle.lock();
         self.idle_cv.notify_all();
+        self.watch_cv.notify_all();
     }
 
     /// Whether the queue holds no ready and no in-flight deliveries.
@@ -600,6 +639,9 @@ impl Queue {
                 queue: binding.queue.clone(),
             });
         }
+        drop(parts);
+        // Consumers parked on the quiet queue go back to work now.
+        self.wake_all();
         true
     }
 
@@ -615,8 +657,7 @@ impl Queue {
             });
         }
         drop(parts);
-        let _guard = self.idle.lock();
-        self.idle_cv.notify_all();
+        self.wake_all();
     }
 
     /// Appends this queue's checkpoint record to the WAL. Built *and*

@@ -388,6 +388,7 @@ impl SynapseNode {
                 "subscriber.dep_timeouts".into(),
                 stats.subscriber.dep_timeouts,
             ),
+            ("subscriber.set_aside".into(), stats.subscriber.set_aside),
             ("subscriber.retries".into(), stats.subscriber.retries),
             (
                 "subscriber.dead_lettered".into(),

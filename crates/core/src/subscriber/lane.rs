@@ -1,0 +1,227 @@
+//! A worker's lane: what it has staged for the next flush, what it holds
+//! set aside, and the passes that retry the held deliveries.
+//!
+//! A live causal or global delivery whose wait set is not yet satisfied
+//! does not block its worker. The lane *holds* it — decoded, its wait set
+//! prepared, its redelivery counted once — and the worker runs the rest of
+//! its batch, flushes, and retries what it holds, pass after pass while a
+//! pass settles anything. Passes run in tag order, which is enqueue order:
+//! a dependency was enqueued before its dependent, so a pass meets the
+//! dependencies it holds before what waits on them.
+//!
+//! Bootstrap traffic never steps past a held live delivery of its own
+//! partition: a chunk copy or a watermark marker behind one is held too,
+//! and so is everything of that partition behind the copy or marker, until
+//! they can run in order. The DBLog window (see `crate::bootstrap`) counts
+//! a live write as inside a chunk's window by where it sits between that
+//! partition's lo and hi markers, and this keeps every live write on its
+//! side of the markers.
+
+use super::path::Kind;
+use super::{Subscriber, BATCH_MAX};
+use crate::message::WriteMessage;
+use crate::semantics::DeliveryMode;
+use parking_lot::RwLockReadGuard;
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
+use synapse_broker::{tag_hint, Consumer, Delivery};
+use synapse_telemetry::mono_nanos;
+use synapse_versionstore::{DepKey, DepWaitSet};
+
+/// Most deliveries a lane holds set aside. Past it the lane hands its
+/// newest held deliveries back to the queue, so a backlog that cannot
+/// apply stays in the queue, where the §4.4 backlog cap sees it.
+pub(super) const HELD_MAX: usize = 2 * BATCH_MAX;
+
+/// Partition flags of one pass: a held live delivery bars the partition's
+/// bootstrap traffic; a held copy or marker bars everything behind it.
+const LIVE_HELD: u8 = 1;
+const BOOTSTRAP_HELD: u8 = 2;
+
+/// What the caller of [`Subscriber::handle_delivery`] supplies: where
+/// applied deliveries settle, and what happens to a delivery that cannot
+/// apply yet.
+///
+/// A worker's lane stages deliveries whose ORM apply succeeded and defers
+/// their version-store apply and ack to the flush point, so each touched
+/// shard is locked (and notified) once per batch instead of once per
+/// message. A delivery whose dependencies are not yet satisfied steps
+/// aside into `held`. [`Subscriber::process`] runs a lane with no
+/// consumer: a batch of one, flushed as soon as it is staged, whose
+/// dependency wait blocks, and which is never acked or nacked.
+pub(super) struct Lane<'a> {
+    /// The worker's queue handle (`None` under [`Subscriber::process`]).
+    pub(super) consumer: Option<&'a Consumer>,
+    /// Partition count of the app's queue (maps a tag to its partition).
+    pub(super) partitions: usize,
+    /// Staged deliveries and the dependency keys their flush applies.
+    pub(super) tags: Vec<u64>,
+    pub(super) dep_keys: Vec<DepKey>,
+    /// In-flight marker: the generation barrier (and drain) must never
+    /// observe the gap between a message's ORM apply and its deferred
+    /// version-store apply + ack, so the read guard spans processing
+    /// *and* the flush. Held deliveries are outside that gap — nothing of
+    /// them has been applied — so the guard is dropped between runs.
+    pub(super) in_flight: Option<RwLockReadGuard<'a, ()>>,
+    /// Deliveries set aside, in tag order, and a spare buffer for passes.
+    pub(super) held: Vec<Held>,
+    spare: Vec<Held>,
+    /// Per-partition `LIVE_HELD` / `BOOTSTRAP_HELD` flags of a pass.
+    bars: Vec<u8>,
+}
+
+/// One delivery on a lane, with what its first run already did.
+pub(super) struct Held {
+    pub(super) delivery: Delivery,
+    pub(super) popped_nanos: u64,
+    /// Whether an earlier pass kept it (so the queue may have taken it
+    /// back since, see [`Consumer::holds`]).
+    pub(super) carried: bool,
+    /// The decoded message, once the delivery has run.
+    pub(super) prepared: Option<Prepared>,
+}
+
+/// A decoded delivery past its generation gate: what a retry reuses
+/// instead of decoding and preparing again.
+pub(super) struct Prepared {
+    pub(super) msg: WriteMessage,
+    pub(super) mode: DeliveryMode,
+    /// The routed wait set (empty unless the mode is causal or global).
+    pub(super) deps: DepWaitSet,
+    pub(super) handle_nanos: u64,
+    /// When the delivery first stepped aside (the start of its dep_wait
+    /// stage) and its §6.5 give-up deadline.
+    pub(super) aside: Option<(u64, Option<Instant>)>,
+}
+
+impl Held {
+    /// A delivery as it comes off the queue, before its first run.
+    pub(super) fn popped(delivery: Delivery, popped_nanos: u64) -> Self {
+        Held {
+            delivery,
+            popped_nanos,
+            carried: false,
+            prepared: None,
+        }
+    }
+}
+
+impl<'a> Lane<'a> {
+    pub(super) fn new(consumer: Option<&'a Consumer>, partitions: usize) -> Self {
+        let partitions = partitions.max(1);
+        Lane {
+            consumer,
+            partitions,
+            tags: Vec::new(),
+            dep_keys: Vec::new(),
+            in_flight: None,
+            held: Vec::new(),
+            spare: Vec::new(),
+            bars: vec![0; partitions],
+        }
+    }
+
+    pub(super) fn partition_of(&self, tag: u64) -> usize {
+        tag_hint(tag) as usize % self.partitions
+    }
+
+    /// How long a worker holding deliveries may park: until the nearest
+    /// §6.5 deadline among them, and never past `cap`.
+    pub(super) fn park_timeout(&self, cap: Duration) -> Duration {
+        let now = Instant::now();
+        self.held
+            .iter()
+            .filter_map(|h| h.prepared.as_ref()?.aside?.1)
+            .map(|deadline| deadline.saturating_duration_since(now))
+            .fold(cap, Duration::min)
+    }
+}
+
+impl Subscriber {
+    /// Runs a popped batch (possibly empty) together with what the lane
+    /// holds: passes in tag order, each followed by a flush, until a pass
+    /// settles nothing; then hands back what exceeds [`HELD_MAX`]. Returns
+    /// whether anything settled.
+    pub(super) fn run_lane<'a>(&'a self, lane: &mut Lane<'a>, batch: Vec<Delivery>) -> bool {
+        let popped_nanos = mono_nanos();
+        let merge = !lane.held.is_empty();
+        lane.held
+            .extend(batch.into_iter().map(|d| Held::popped(d, popped_nanos)));
+        if merge {
+            lane.held.sort_by_key(|h| h.delivery.tag);
+        }
+        lane.in_flight = Some(self.gen_barrier.read());
+        let mut progressed = false;
+        loop {
+            let settled = self.pass(lane);
+            self.flush_pending(lane);
+            progressed |= settled;
+            if !settled || lane.held.is_empty() || self.stop.load(Ordering::SeqCst) {
+                break;
+            }
+        }
+        lane.in_flight = None;
+        let excess = lane.held.len().saturating_sub(HELD_MAX);
+        if excess > 0 {
+            self.hand_back(lane, excess);
+        }
+        progressed
+    }
+
+    /// One pass over the lane's deliveries in tag order. Each runs unless
+    /// its partition is barred; one that cannot apply yet is kept. Returns
+    /// whether any delivery settled — applied, failed, consumed (a
+    /// marker), or found void.
+    fn pass<'a>(&'a self, lane: &mut Lane<'a>) -> bool {
+        let mut entries = std::mem::replace(&mut lane.held, std::mem::take(&mut lane.spare));
+        lane.bars.fill(0);
+        let mut settled = false;
+        for entry in entries.drain(..) {
+            let partition = lane.partition_of(entry.delivery.tag);
+            let live = Kind::of(&entry.delivery) == Kind::Live;
+            let bars = lane.bars[partition];
+            let barred = bars & BOOTSTRAP_HELD != 0 || (!live && bars & LIVE_HELD != 0);
+            let kept = if barred || self.stop.load(Ordering::SeqCst) {
+                Some(entry)
+            } else if self.void(&entry, lane) {
+                None
+            } else {
+                self.handle_delivery(entry, lane).unwrap_or(None)
+            };
+            match kept {
+                Some(mut entry) => {
+                    entry.carried = true;
+                    lane.bars[partition] |= if live { LIVE_HELD } else { BOOTSTRAP_HELD };
+                    lane.held.push(entry);
+                }
+                None => settled = true,
+            }
+        }
+        lane.spare = entries;
+        settled
+    }
+
+    /// Whether a carried delivery that never ran (it sat behind a barrier)
+    /// was taken back by the queue meanwhile. A held delivery that did run
+    /// is checked once its dependencies are satisfied, in
+    /// [`Subscriber::handle_delivery`].
+    fn void(&self, entry: &Held, lane: &Lane<'_>) -> bool {
+        entry.carried
+            && entry.prepared.is_none()
+            && lane.consumer.is_some_and(|c| !c.holds(entry.delivery.tag))
+    }
+
+    /// Returns the lane's `n` newest held deliveries to the queue without
+    /// charging an attempt. A nack re-inserts by tag, so each partition
+    /// keeps its order; and since a held copy or marker is newer than the
+    /// live delivery that barred it, it never stays while that one goes.
+    pub(super) fn hand_back(&self, lane: &mut Lane<'_>, n: usize) {
+        let Some(consumer) = lane.consumer else {
+            return;
+        };
+        let keep = lane.held.len().saturating_sub(n);
+        for held in lane.held.drain(keep..).rev() {
+            consumer.nack(held.delivery.tag);
+        }
+    }
+}

@@ -22,26 +22,39 @@
 //! 1. checks the publisher generation, running the global barrier of §4.4
 //!    when it increases (drain in-flight messages, flush the version store);
 //! 2. enforces the *effective* delivery mode — the weaker of the
-//!    publisher's and the subscriber's (§3.2): causal/global wait on the
-//!    version store until every dependency is satisfied; weak skips waiting
-//!    and instead discards stale per-object versions;
+//!    publisher's and the subscriber's (§3.2): causal/global apply only
+//!    once every dependency is satisfied in the version store; weak skips
+//!    the check and instead discards stale per-object versions;
 //! 3. unmarshals each operation and persists it through the local ORM
 //!    (running active-model callbacks), honouring renames, virtual-attribute
 //!    setters, and observer (non-persisted) models;
 //! 4. increments the version store for every dependency in the message and
 //!    acks.
 //!
-//! The dependency wait honours `dep_wait_timeout`: `None` reproduces the
-//! paper's strict causal mode (wait forever — the behaviour that deadlocked
-//! Crowdtap's subscribers when messages were lost, §6.5); a finite value
-//! implements the paper's recommended middle ground ("a mechanism to give
-//! up on waiting for late (or lost) messages, with a configurable
-//! timeout"). Weak mode behaves as timeout 0.
+//! A causal or global delivery whose dependencies are not yet satisfied
+//! costs a waiter, not the worker (§4.2's wait, without a thread per
+//! waiter): it steps aside into the worker's lane, the worker goes on with
+//! its batch and later batches, and it retries what it holds after every
+//! flush (see `lane`). A worker holding deliveries on a dry queue parks on
+//! the queue's own wait, and a flush that advances the version store wakes
+//! it. [`Subscriber::process`] keeps the blocking wait.
+//!
+//! The wait honours `dep_wait_timeout`: `None` reproduces the paper's
+//! strict causal mode (wait forever — the behaviour that deadlocked
+//! Crowdtap's subscribers when messages were lost, §6.5; here it stalls
+//! only the lost message's causal descendants); a finite value implements
+//! the paper's recommended middle ground ("a mechanism to give up on
+//! waiting for late (or lost) messages, with a configurable timeout"),
+//! counted from the moment a delivery first steps aside. Weak mode behaves
+//! as timeout 0.
 
 mod apply;
+mod lane;
 mod path;
 #[cfg(test)]
 mod tests;
+
+use lane::{Held, Lane, HELD_MAX};
 
 use crate::api::SubscriptionRegistry;
 use crate::bootstrap::WatermarkGate;
@@ -49,16 +62,16 @@ use crate::config::{RetryPolicy, SynapseConfig};
 use crate::deps::DepSpace;
 use crate::resolve::ResolverRegistry;
 use crate::semantics::DeliveryMode;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use synapse_broker::{tag_hint, Broker, Consumer, Delivery};
+use synapse_broker::{Broker, Consumer, Delivery};
 use synapse_orm::Orm;
 use synapse_telemetry::{mono_nanos, Counter, Telemetry};
-use synapse_versionstore::{DepKey, StoreError, VersionStore};
+use synapse_versionstore::{StoreError, VersionStore};
 
 /// Why one processing attempt failed — the classification that decides
 /// between redelivery and the dead-letter store.
@@ -97,6 +110,10 @@ pub struct SubscriberStats {
     pub ops_stale: u64,
     /// Dependency waits that timed out (processing proceeded anyway).
     pub dep_timeouts: u64,
+    /// Deliveries that stepped aside at least once: their causal or
+    /// global dependencies were not yet satisfied, so a worker held them
+    /// and went on with other work instead of waiting.
+    pub set_aside: u64,
     /// Messages that failed to decode or apply (transient or poison).
     pub errors: u64,
     /// Generation barriers executed.
@@ -137,52 +154,12 @@ pub struct SubscriberStats {
 /// cost of deferring acks while amortizing per-batch lock traffic.
 const BATCH_MAX: usize = 32;
 
-/// How long an idle worker parks on the queue condvar before re-checking
-/// its stop flag. Shutdown does not wait this out: [`Subscriber::stop`]
-/// wakes the queue explicitly.
+/// The longest any park of a worker lasts before it looks again: at the
+/// queue (idle, or holding deliveries set aside) and in the consumer-less
+/// lane's blocking dependency wait. Shutdown does not wait this out:
+/// [`Subscriber::stop`] wakes the queue explicitly, and a worker holding
+/// deliveries parks no longer than their nearest §6.5 deadline.
 const IDLE_PARK: Duration = Duration::from_millis(250);
-
-/// What the caller of [`Subscriber::handle_delivery`] supplies: where
-/// applied deliveries settle, and what a blocking point does first.
-///
-/// A worker's lane stages deliveries whose ORM apply succeeded and defers
-/// their version-store apply and ack to the flush point, so each touched
-/// shard is locked (and notified) once per batch instead of once per
-/// message; before blocking it lands that batch and steps outside the
-/// generation barrier, and it yields a stalled dependency wait to ready
-/// work elsewhere. [`Subscriber::process`] runs a lane with no consumer: a
-/// batch of one, flushed as soon as it is staged, that is never acked,
-/// nacked or yielded.
-struct Lane<'a> {
-    /// The worker's queue handle (`None` under [`Subscriber::process`]).
-    consumer: Option<&'a Consumer>,
-    /// Partition count of the app's queue (maps a tag to its partition).
-    partitions: usize,
-    /// Staged deliveries and the dependency keys their flush applies.
-    tags: Vec<u64>,
-    dep_keys: Vec<DepKey>,
-    /// In-flight marker: the generation barrier (and drain) must never
-    /// observe the gap between a message's ORM apply and its deferred
-    /// version-store apply + ack, so the read guard spans processing
-    /// *and* the flush.
-    in_flight: Option<RwLockReadGuard<'a, ()>>,
-}
-
-impl<'a> Lane<'a> {
-    fn new(consumer: Option<&'a Consumer>, partitions: usize) -> Self {
-        Lane {
-            consumer,
-            partitions: partitions.max(1),
-            tags: Vec::new(),
-            dep_keys: Vec::new(),
-            in_flight: None,
-        }
-    }
-
-    fn partition_of(&self, tag: u64) -> usize {
-        tag_hint(tag) as usize % self.partitions
-    }
-}
 
 #[derive(Default)]
 struct Counters {
@@ -190,6 +167,7 @@ struct Counters {
     ops_applied: AtomicU64,
     ops_stale: AtomicU64,
     dep_timeouts: AtomicU64,
+    set_aside: AtomicU64,
     errors: AtomicU64,
     generation_flushes: AtomicU64,
     retries: AtomicU64,
@@ -227,6 +205,20 @@ impl ConflictCounters {
     }
 }
 
+/// Parks a worker on its queue until ready work or a wake ends the park —
+/// on a wake alone when the lane is `stuck` — or `timeout` passes;
+/// `false` on timeout. It first yields the core once: a publisher sharing
+/// it may fill the queue meanwhile, and then neither the park nor the
+/// publish's wakeup of it is paid for, one delivery at a time.
+fn park(consumer: &Consumer, seen: u64, timeout: Duration, stuck: bool) -> bool {
+    std::thread::yield_now();
+    if stuck {
+        consumer.wait_wake(seen, timeout)
+    } else {
+        consumer.wait_ready(seen, timeout)
+    }
+}
+
 /// `w<i>-` and the tail of the app's name, within the 15 bytes Linux keeps
 /// of a thread name — so `/proc/<pid>/task/*/comm` beside `schedstat`,
 /// `top -H` and a panic message say which subscriber a thread serves.
@@ -259,6 +251,9 @@ pub struct Subscriber {
     gen_barrier: RwLock<()>,
     stop: Arc<AtomicBool>,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Workers parked (or about to park) while holding deliveries set
+    /// aside: a flush that advances the store wakes the queue for them.
+    parked_holders: AtomicUsize,
     counters: Counters,
     /// Conflict counters (handles into the telemetry registry).
     conflicts: ConflictCounters,
@@ -305,6 +300,7 @@ impl Subscriber {
             gen_barrier: RwLock::new(()),
             stop: Arc::new(AtomicBool::new(false)),
             workers: Mutex::new(Vec::new()),
+            parked_holders: AtomicUsize::new(0),
             counters: Counters::default(),
             conflicts: ConflictCounters::new(&telemetry),
             resolvers: config.resolvers.clone(),
@@ -335,6 +331,7 @@ impl Subscriber {
             ops_applied: self.counters.ops_applied.load(Ordering::Relaxed),
             ops_stale: self.counters.ops_stale.load(Ordering::Relaxed),
             dep_timeouts: self.counters.dep_timeouts.load(Ordering::Relaxed),
+            set_aside: self.counters.set_aside.load(Ordering::Relaxed),
             errors: self.counters.errors.load(Ordering::Relaxed),
             generation_flushes: self.counters.generation_flushes.load(Ordering::Relaxed),
             retries: self.counters.retries.load(Ordering::Relaxed),
@@ -422,11 +419,11 @@ impl Subscriber {
             && self.broker.queue_unacked_len(&self.app) == Some(0)
     }
 
-    /// Acquires the next batch for worker `worker` of `total`: drain home
-    /// partitions round-robin (non-blocking), then steal from a victim
-    /// partition, then park on the queue's wake signal. `cursor` rotates
-    /// the home scan origin across calls so one hot home partition cannot
-    /// starve its siblings between wakeups.
+    /// Acquires the next batch for worker `worker` of `total` without
+    /// blocking: drain home partitions round-robin, then steal from a
+    /// victim partition; empty when the whole queue is dry. `cursor`
+    /// rotates the home scan origin across calls so one hot home partition
+    /// cannot starve its siblings between wakeups.
     fn next_batch(
         &self,
         consumer: &Consumer,
@@ -463,59 +460,78 @@ impl Subscriber {
                 return batch;
             }
         }
-        // Queue-wide dry: park until a publish (or shutdown wake) arrives,
-        // then let the caller re-scan.
-        consumer.wait_ready(IDLE_PARK);
         Vec::new()
     }
 
+    /// One worker: take a batch into the lane and run it with what the
+    /// lane holds, while the queue has ready work; on a dry queue, park.
+    ///
+    /// No worker sleeps while a delivery it holds, or one ready in the
+    /// queue, could apply. Tags are issued in enqueue order and a
+    /// dependency is enqueued before its dependent, so the oldest
+    /// unapplied delivery in the pool waits on nothing a lane holds: it is
+    /// either ready at the front of its partition, which some worker's
+    /// scan reaches, or held by a lane whose last look came before the
+    /// flush that satisfied it — and that flush wakes the lane.
+    ///
+    /// A full lane ([`HELD_MAX`]) keeps taking batches and handing its
+    /// newest deliveries back, which reaches every partition front; once a
+    /// full sweep of runs settles nothing (a lost dependency under strict
+    /// mode), it parks until the store advances instead of popping what it
+    /// just handed back.
     fn worker_loop(&self, consumer: Consumer, worker: usize, total: usize) {
         let mut lane = Lane::new(Some(&consumer), consumer.partition_count());
         let mut cursor = 0usize;
+        // Consecutive runs in which a full lane settled nothing.
+        let mut stalled = 0usize;
         while !self.stop.load(Ordering::SeqCst) {
-            let batch = self.next_batch(&consumer, worker, total.max(1), &mut cursor);
-            let popped_nanos = mono_nanos();
-            if batch.is_empty() {
-                // Timed out, woken for shutdown, or decommissioned. A
-                // decommissioned queue stays quiet until the node performs
-                // a partial bootstrap and reinstates it.
-                if consumer.is_decommissioned() {
-                    std::thread::sleep(Duration::from_millis(5));
+            if consumer.is_decommissioned() {
+                // The decommission swept everything popped, so what the
+                // lane holds is void; the queue parks its consumers until
+                // a partial bootstrap reinstates it.
+                lane.held.clear();
+                stalled = 0;
+            }
+            let stuck = stalled >= lane.partitions && lane.held.len() >= HELD_MAX;
+            let seen = consumer.wake_epoch();
+            if !stuck {
+                let batch = self.next_batch(&consumer, worker, total.max(1), &mut cursor);
+                if !batch.is_empty() {
+                    let progressed = self.run_lane(&mut lane, batch);
+                    stalled = if progressed || lane.held.len() < HELD_MAX {
+                        0
+                    } else {
+                        stalled + 1
+                    };
+                    continue;
                 }
+            }
+            if lane.held.is_empty() {
+                park(&consumer, seen, IDLE_PARK, false);
                 continue;
             }
-            lane.in_flight = Some(self.gen_barrier.read());
-            for (i, delivery) in batch.iter().enumerate() {
-                // A failed delivery is already settled when it comes back,
-                // so the only outcome that interrupts the batch is a
-                // yielded wait.
-                let interrupted = self.stop.load(Ordering::SeqCst)
-                    || matches!(
-                        self.handle_delivery(delivery, popped_nanos, &mut lane),
-                        Ok(false)
-                    );
-                if interrupted {
-                    // Shutting down, or the dependency wait yielded: land
-                    // finished work and hand the unprocessed tail back
-                    // without charging attempts (reverse nack restores the
-                    // partition's original front order). After a yield the
-                    // rescan matters — ready work elsewhere may be the very
-                    // messages this tail is waiting on.
-                    self.flush_pending(&mut lane);
-                    for rest in batch[i..].iter().rev() {
-                        consumer.nack(rest.tag);
-                    }
-                    break;
-                }
+            // Announce the park before the last look at what the lane
+            // holds: a flush landing after the look then wakes the queue.
+            self.parked_holders.fetch_add(1, Ordering::SeqCst);
+            let seen = consumer.wake_epoch();
+            if self.run_lane(&mut lane, Vec::new()) {
+                stalled = 0;
+            } else if !park(&consumer, seen, lane.park_timeout(IDLE_PARK), stuck) {
+                // A deadline or the park cap passed: look again, and let a
+                // stuck lane sweep the partitions once more.
+                stalled = 0;
             }
-            self.flush_pending(&mut lane);
-            lane.in_flight = None;
+            self.parked_holders.fetch_sub(1, Ordering::SeqCst);
         }
+        // Shutting down: what the lane still holds goes back to the queue
+        // without charging an attempt.
+        let held = lane.held.len();
+        self.hand_back(&mut lane, held);
     }
 
     /// Processes one delivery outside the worker pool — a batch of one
     /// through the workers' own sequence (`Subscriber::handle_delivery`),
-    /// on a lane with no consumer: the dependency wait never yields, the
+    /// on a lane with no consumer: the dependency wait blocks, the
     /// version-store apply happens immediately, and nothing is acked —
     /// a failure is handed back, classified, for the caller to retry or
     /// drop.
@@ -523,7 +539,7 @@ impl Subscriber {
         let partitions = self.broker.queue_partitions(&self.app).unwrap_or(1);
         let mut lane = Lane::new(None, partitions);
         lane.in_flight = Some(self.gen_barrier.read());
-        self.handle_delivery(delivery, mono_nanos(), &mut lane)?;
+        self.handle_delivery(Held::popped(delivery.clone(), mono_nanos()), &mut lane)?;
         if self.flush_pending(&mut lane) {
             Ok(())
         } else {

@@ -1,20 +1,24 @@
-//! The one message path: decode → generation gate → dependency wait →
+//! The one message path: decode → generation gate → dependency check →
 //! apply → settle on the caller's lane, with one failure exit.
 
-use super::{Lane, ProcessError, Subscriber};
+use super::lane::{Held, Lane, Prepared};
+use super::{ProcessError, Subscriber, IDLE_PARK};
 use crate::bootstrap::{parse_watermark, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
 use crate::context;
 use crate::deps::DepName;
 use crate::message::WriteMessage;
 use crate::semantics::DeliveryMode;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::sync::atomic::{fence, Ordering};
+use std::time::Instant;
 use synapse_broker::{Consumer, Delivery};
 use synapse_db::DbError;
 use synapse_orm::OrmError;
 use synapse_telemetry::mono_nanos;
 use synapse_versionstore::{DepKey, DepWaitSet, StoreError, WaitOutcome};
+
+/// The transient failure a dead subscriber version store causes.
+const STORE_DIED: &str = "subscriber version store died";
 
 /// What a delivery is, read from its exchange: bootstrap control traffic
 /// rides the live queue on two reserved exchanges, everything else is a
@@ -34,7 +38,7 @@ pub(super) enum Kind {
 }
 
 impl Kind {
-    fn of(delivery: &Delivery) -> Kind {
+    pub(super) fn of(delivery: &Delivery) -> Kind {
         if delivery.exchange == WATERMARK_EXCHANGE {
             Kind::Marker
         } else if delivery.exchange == BOOTSTRAP_EXCHANGE {
@@ -48,12 +52,12 @@ impl Kind {
 /// Outcome of running one decoded delivery up to its ORM apply.
 enum Processed {
     /// Applied; stage marks ready for the telemetry commit.
-    Applied(DeliveryMode, StageMarks),
-    /// Dependency wait stalled while other partitions hold ready work —
-    /// the worker should hand the delivery back and drain them instead
-    /// (the liveness the single-FIFO queue used to provide by ordering:
-    /// an intra-app dependency was always popped before its dependent).
-    Yielded,
+    Applied(StageMarks),
+    /// Its dependencies are not yet satisfied: the worker lane holds it.
+    Aside,
+    /// The queue took it back while the lane held it (a decommission
+    /// sweep, a broker restart): nothing is left to settle.
+    Void,
 }
 
 /// Subscriber-side stage durations for one successfully applied message,
@@ -68,53 +72,54 @@ struct StageMarks {
 
 impl Subscriber {
     /// The one message sequence — decode, generation gate, dependency
-    /// wait, admission + ORM apply, settle — that every delivery takes,
+    /// check, admission + ORM apply, settle — that every delivery takes,
     /// whatever its [`Kind`] and whoever's [`Lane`] it runs on. Success
     /// stages the delivery on the lane. A failure is returned classified;
     /// on a worker lane it has by then been settled against the queue
     /// ([`Subscriber::fail`]), on a consumer-less lane the caller owns it.
-    /// `Ok(false)` means the dependency wait yielded — the caller must
-    /// hand the rest of the batch back and rescan.
+    /// `Ok(Some(_))` hands the delivery back to a worker lane to hold: its
+    /// dependencies are not yet satisfied. A held delivery comes back here
+    /// with its first run's work kept — decoded, through its generation
+    /// gate, its wait set prepared and its redelivery counted.
     pub(super) fn handle_delivery<'a>(
         &'a self,
-        delivery: &Delivery,
-        popped_nanos: u64,
+        mut held: Held,
         lane: &mut Lane<'a>,
-    ) -> Result<bool, ProcessError> {
-        if delivery.redelivered {
-            self.counters.redeliveries.fetch_add(1, Ordering::Relaxed);
-        }
-        let kind = Kind::of(delivery);
-        if kind == Kind::Marker {
-            // Ack, then report the marker to the gate (which ignores
-            // markers of stale sessions/chunks, e.g. crash redeliveries of
-            // an abandoned attempt) — in that order, so a window the
-            // copier sees closed has no marker of its own still in flight.
-            // Markers carry no dependencies and no origin stamp, so they
-            // bypass the staged batch and the latency histograms entirely.
-            if let Some(consumer) = lane.consumer {
-                consumer.ack(delivery.tag);
+    ) -> Result<Option<Held>, ProcessError> {
+        let kind = Kind::of(&held.delivery);
+        let first = held.prepared.is_none();
+        if first {
+            if held.delivery.redelivered {
+                self.counters.redeliveries.fetch_add(1, Ordering::Relaxed);
             }
-            if let Some((session, chunk, high)) = parse_watermark(&delivery.payload) {
-                self.gate
-                    .note_marker(session, chunk, lane.partition_of(delivery.tag), high);
-                self.counters
-                    .watermarks_noted
-                    .fetch_add(1, Ordering::Relaxed);
+            if kind == Kind::Marker {
+                self.consume_marker(&held.delivery, lane);
+                return Ok(None);
             }
-            return Ok(true);
+            let handle_nanos = mono_nanos();
+            match WriteMessage::decode(&held.delivery.payload) {
+                Ok(msg) => {
+                    held.prepared = Some(Prepared {
+                        msg,
+                        mode: DeliveryMode::Weak,
+                        deps: DepWaitSet::default(),
+                        handle_nanos,
+                        aside: None,
+                    })
+                }
+                Err(e) => {
+                    let error = ProcessError::Poison(format!("undecodable payload: {e}"));
+                    return Err(self.fail(&held.delivery, kind, error, None, lane));
+                }
+            }
         }
-        let handle_nanos = mono_nanos();
-        let decoded = WriteMessage::decode(&delivery.payload)
-            .map_err(|e| ProcessError::Poison(format!("undecodable payload: {e}")));
-        let outcome = decoded.as_ref().map_err(Clone::clone).and_then(|msg| {
-            self.process_decoded(msg, kind, delivery.tag, lane)
-                .map(|processed| (processed, msg))
-        });
-        match outcome {
-            Ok((Processed::Yielded, _)) => Ok(false),
-            Ok((Processed::Applied(mode, marks), msg)) => {
-                lane.tags.push(delivery.tag);
+        let tag = held.delivery.tag;
+        let prepared = held.prepared.as_mut().expect("decoded on the first run");
+        match self.process_decoded(prepared, first, kind, tag, lane) {
+            Ok(Processed::Aside) => Ok(Some(held)),
+            Ok(Processed::Void) => Ok(None),
+            Ok(Processed::Applied(marks)) => {
+                lane.tags.push(tag);
                 if kind == Kind::Live {
                     // Copies settle with *no* dependency keys: they do not
                     // correspond to publisher bump operations (step 1's
@@ -122,114 +127,160 @@ impl Subscriber {
                     // landing them must not advance the subscriber's
                     // dependency counters — nor are they live writes for
                     // the copier's window to defer to.
-                    lane.dep_keys.extend(msg.dep_keys());
-                    self.note_live_apply(lane.partition_of(delivery.tag), msg);
+                    lane.dep_keys.extend(prepared.msg.dep_keys());
+                    self.note_live_apply(lane.partition_of(tag), &prepared.msg);
                 }
-                self.record_visible(delivery, mode, popped_nanos, handle_nanos, marks);
-                Ok(true)
+                let (mode, handle_nanos) = (prepared.mode, prepared.handle_nanos);
+                self.record_visible(&held.delivery, mode, held.popped_nanos, handle_nanos, marks);
+                Ok(None)
             }
-            Err(e) => {
-                if let Some(consumer) = lane.consumer {
-                    self.fail(consumer, delivery, kind, &e, decoded.as_ref().ok(), lane);
-                }
-                Err(e)
-            }
+            Err(e) => Err(self.fail(&held.delivery, kind, e, Some(&prepared.msg), lane)),
         }
     }
 
-    /// One decoded delivery up to its ORM apply. Blocking points
-    /// (generation barrier, dependency wait) first land the lane's staged
-    /// batch — messages earlier in the batch may be exactly what a
-    /// dependency wait needs, and the barrier must see them fully applied.
+    /// Acks a watermark marker, then reports it to the gate (which ignores
+    /// markers of stale sessions/chunks, e.g. crash redeliveries of an
+    /// abandoned attempt) — in that order, so a window the copier sees
+    /// closed has no marker of its own still in flight. Markers carry no
+    /// dependencies and no origin stamp, so they bypass the staged batch
+    /// and the latency histograms entirely.
+    fn consume_marker(&self, delivery: &Delivery, lane: &Lane<'_>) {
+        if let Some(consumer) = lane.consumer {
+            consumer.ack(delivery.tag);
+        }
+        if let Some((session, chunk, high)) = parse_watermark(&delivery.payload) {
+            self.gate
+                .note_marker(session, chunk, lane.partition_of(delivery.tag), high);
+            self.counters
+                .watermarks_noted
+                .fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// One decoded delivery up to its ORM apply. On its first run it
+    /// passes the generation gate and prepares its wait set; every run
+    /// then checks the wait set and, when it holds, applies.
     fn process_decoded<'a>(
         &'a self,
-        msg: &WriteMessage,
+        prepared: &mut Prepared,
+        first: bool,
         kind: Kind,
         tag: u64,
         lane: &mut Lane<'a>,
     ) -> Result<Processed, ProcessError> {
-        let mut marks = StageMarks::default();
-        // (A copy carries generation 1 and so never trips the gate.)
-        if self.generation_pending(msg) {
-            // The gate write-waits on in-flight readers: land our own
-            // staged work and step outside the barrier before taking it.
-            self.flush_pending(lane);
-            lane.in_flight = None;
-            let gate = self.generation_gate(msg);
-            lane.in_flight = Some(self.gen_barrier.read());
-            gate.map_err(ProcessError::Transient)?;
-        }
-        let mode = match kind {
-            // A copy's dependency map holds its admission marker, not
-            // publisher bumps to wait for: it runs as a weak delivery.
-            Kind::Copy => DeliveryMode::Weak,
-            _ => self.effective_mode(&msg.app),
-        };
-        if matches!(mode, DeliveryMode::Causal | DeliveryMode::Global) {
-            let deps = self.filtered_wait_set(msg, mode);
-            if !lane.tags.is_empty() && !matches!(self.store.satisfied_prepared(&deps), Ok(true)) {
+        if first {
+            // (A copy carries generation 1 and so never trips the gate.)
+            if self.generation_pending(&prepared.msg) {
+                // The gate write-waits on in-flight readers: land our own
+                // staged work and step outside the barrier before taking
+                // it.
                 self.flush_pending(lane);
+                lane.in_flight = None;
+                let gate = self.generation_gate(&prepared.msg);
+                lane.in_flight = Some(self.gen_barrier.read());
+                gate.map_err(ProcessError::Transient)?;
             }
-            let wait_start = mono_nanos();
-            let ready = self.wait_deps(&deps, tag, lane);
-            if !ready.map_err(ProcessError::Transient)? {
-                return Ok(Processed::Yielded);
+            prepared.mode = match kind {
+                // A copy's dependency map holds its admission marker, not
+                // publisher bumps to wait for: it runs as a weak delivery.
+                Kind::Copy => DeliveryMode::Weak,
+                _ => self.effective_mode(&prepared.msg.app),
+            };
+            if prepared.mode != DeliveryMode::Weak {
+                prepared.deps = self.filtered_wait_set(&prepared.msg, prepared.mode);
             }
-            marks.dep_wait_nanos = mono_nanos().saturating_sub(wait_start);
+        }
+        let mut marks = StageMarks::default();
+        if prepared.mode != DeliveryMode::Weak {
+            let checked = mono_nanos();
+            if !self.deps_ready(prepared, lane)? {
+                return Ok(Processed::Aside);
+            }
+            let since = match prepared.aside {
+                // Held since `since`: make sure the queue still owes it.
+                Some((since, _)) => {
+                    if lane.consumer.is_some_and(|c| !c.holds(tag)) {
+                        return Ok(Processed::Void);
+                    }
+                    since
+                }
+                None => checked,
+            };
+            marks.dep_wait_nanos = mono_nanos().saturating_sub(since);
         }
         let apply_start = mono_nanos();
-        self.apply_message(msg, kind, mode)?;
+        self.apply_message(&prepared.msg, kind, prepared.mode)?;
         marks.apply_nanos = mono_nanos().saturating_sub(apply_start);
-        Ok(Processed::Applied(mode, marks))
+        Ok(Processed::Applied(marks))
     }
 
-    /// Waits for a prepared dependency set on the version store, in short
-    /// slices so the stop flag stays responsive; an overall deadline
-    /// implements the configurable give-up of §6.5 (`None` = the paper's
-    /// strict causal mode: wait forever).
-    ///
-    /// On a worker lane the wait yields whenever a slice times out while
-    /// *other partitions* hold ready deliveries: with a partitioned queue,
-    /// the message that satisfies this dependency may be sitting ready in
-    /// a partition nobody has reached yet, and blocking every worker on
-    /// such inversions is a livelock (the pre-partitioning queue never had
-    /// this case — its single FIFO popped intra-app dependencies before
-    /// their dependents). When nothing is ready elsewhere — and always on
-    /// a consumer-less lane — the wait is the classic blocking loop,
-    /// preserving wait-forever semantics for genuinely lost dependencies
-    /// (`dep_wait_timeout: None`, §6.5). `Ok(true)`: satisfied, or given up
-    /// per the timeout policy; `Ok(false)`: yielded.
-    fn wait_deps(&self, deps: &DepWaitSet, tag: u64, lane: &Lane<'_>) -> Result<bool, String> {
-        let deadline = self.dep_wait_timeout.map(|t| std::time::Instant::now() + t);
-        // The first slice is short: if the dependency is mid-apply on
-        // another worker the store wakes us in microseconds either way,
-        // but if it is sitting unpopped in another partition, every
-        // millisecond spent here is pure added visibility latency before
-        // the yield below lets a worker go find it.
-        let mut slice = Duration::from_millis(1);
+    /// Whether a delivery's prepared wait set lets it apply now (§4.2:
+    /// every dependency's version in the store has reached the message's).
+    /// An unsatisfied set first lands the lane's staged batch and looks
+    /// again — messages earlier in the batch may be exactly what it waits
+    /// for. Then a worker lane sets the delivery aside (`false`), and the
+    /// consumer-less lane blocks. `true` also means "given up" under the
+    /// configurable timeout of §6.5 (`None` = the paper's strict causal
+    /// mode: never give up), counted from the first time the delivery
+    /// stepped aside.
+    fn deps_ready(
+        &self,
+        prepared: &mut Prepared,
+        lane: &mut Lane<'_>,
+    ) -> Result<bool, ProcessError> {
+        let satisfied = |deps: &DepWaitSet| {
+            self.store
+                .satisfied_prepared(deps)
+                .map_err(|_| ProcessError::Transient(STORE_DIED.into()))
+        };
+        if satisfied(&prepared.deps)? {
+            return Ok(true);
+        }
+        if !lane.tags.is_empty() {
+            self.flush_pending(lane);
+            if satisfied(&prepared.deps)? {
+                return Ok(true);
+            }
+        }
+        if lane.consumer.is_none() {
+            return self.wait_deps(&prepared.deps);
+        }
+        let now = Instant::now();
+        let (_, deadline) = *prepared.aside.get_or_insert_with(|| {
+            self.counters.set_aside.fetch_add(1, Ordering::Relaxed);
+            (mono_nanos(), self.dep_wait_timeout.map(|t| now + t))
+        });
+        if deadline.is_some_and(|d| now >= d) {
+            self.counters.dep_timeouts.fetch_add(1, Ordering::Relaxed);
+            return Ok(true); // give up and process (§6.5)
+        }
+        Ok(false)
+    }
+
+    /// The consumer-less lane's blocking wait on a prepared set, parked on
+    /// the version store in [`IDLE_PARK`] slices so a stop is noticed, up
+    /// to the §6.5 deadline. `Ok(true)`: satisfied, or given up per the
+    /// timeout policy.
+    fn wait_deps(&self, deps: &DepWaitSet) -> Result<bool, ProcessError> {
+        let deadline = self.dep_wait_timeout.map(|t| Instant::now() + t);
         loop {
+            let slice = deadline.map_or(IDLE_PARK, |d| {
+                d.saturating_duration_since(Instant::now()).min(IDLE_PARK)
+            });
             match self.store.wait_prepared(deps, slice) {
                 Ok(WaitOutcome::Ready) => return Ok(true),
                 Ok(WaitOutcome::TimedOut) => {
                     if self.stop.load(Ordering::SeqCst) {
-                        return Err("stopped while waiting for dependencies".into());
+                        return Err(ProcessError::Transient(
+                            "stopped while waiting for dependencies".into(),
+                        ));
                     }
-                    if let Some(d) = deadline {
-                        if std::time::Instant::now() >= d {
-                            self.counters.dep_timeouts.fetch_add(1, Ordering::Relaxed);
-                            return Ok(true); // give up and process (§6.5)
-                        }
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        self.counters.dep_timeouts.fetch_add(1, Ordering::Relaxed);
+                        return Ok(true); // give up and process (§6.5)
                     }
-                    if lane.consumer.is_some_and(|c| c.ready_elsewhere(tag)) {
-                        return Ok(false);
-                    }
-                    // Nothing ready anywhere else: settle into the classic
-                    // blocking cadence (wait-forever semantics, §6.5).
-                    slice = Duration::from_millis(10);
                 }
-                Err(StoreError::Dead) => {
-                    return Err("subscriber version store died".into());
-                }
+                Err(StoreError::Dead) => return Err(ProcessError::Transient(STORE_DIED.into())),
             }
         }
     }
@@ -277,6 +328,9 @@ impl Subscriber {
             return true;
         }
         let landed = self.store.apply(&lane.dep_keys).is_ok();
+        if landed {
+            self.wake_holders();
+        }
         if let Some(consumer) = lane.consumer {
             if landed {
                 let acked = consumer.ack_batch(&lane.tags);
@@ -301,22 +355,37 @@ impl Subscriber {
         landed
     }
 
-    /// The one failure exit. *Poison* failures dead-letter at once:
-    /// redelivering them would wedge the queue (§6.5). *Transient*
-    /// failures charge an attempt, back off and nack; a live message that
-    /// exhausts the retry policy is dead-lettered with its dependencies
-    /// released, while a chunk copy never is — see the branch. (A lane with
-    /// no consumer has no queue to settle against and never gets here: its
-    /// error goes back to the caller of [`Subscriber::process`] untouched.)
+    /// Wakes workers parked while holding deliveries set aside: the store
+    /// just advanced, so what they wait for may be there. Free when none
+    /// is parked. The fence orders the store write before the load; a
+    /// worker announces its park (`parked_holders`) before its last look
+    /// at the store, so either it sees this advance or this sees it.
+    fn wake_holders(&self) {
+        fence(Ordering::SeqCst);
+        if self.parked_holders.load(Ordering::SeqCst) > 0 {
+            self.broker.wake_queue(&self.app);
+        }
+    }
+
+    /// The one failure exit; returns the error it settled. *Poison*
+    /// failures dead-letter at once: redelivering them would wedge the
+    /// queue (§6.5). *Transient* failures charge an attempt, back off and
+    /// nack; a live message that exhausts the retry policy is
+    /// dead-lettered with its dependencies released, while a chunk copy
+    /// never is — see the branch. A lane with no consumer has no queue to
+    /// settle against: its error goes back to the caller of
+    /// [`Subscriber::process`] untouched.
     fn fail<'a>(
         &'a self,
-        consumer: &Consumer,
         delivery: &Delivery,
         kind: Kind,
-        error: &ProcessError,
+        error: ProcessError,
         msg: Option<&WriteMessage>,
         lane: &mut Lane<'a>,
-    ) {
+    ) -> ProcessError {
+        let Some(consumer) = lane.consumer else {
+            return error;
+        };
         self.counters.errors.fetch_add(1, Ordering::Relaxed);
         // Only a live message's dependency keys are publisher bumps to
         // release; a copy's hold its admission marker.
@@ -326,14 +395,14 @@ impl Subscriber {
                 .poison_messages
                 .fetch_add(1, Ordering::Relaxed);
             self.dead_letter(consumer, delivery.tag, release);
-            return;
+            return error;
         }
         if self.stop.load(Ordering::SeqCst) {
             // Shutting down: requeue without charging an attempt, so
             // restarts never push an innocent message toward the
             // dead-letter store.
             consumer.nack(delivery.tag);
-            return;
+            return error;
         }
         let attempts = {
             let mut map = self.attempts.lock();
@@ -349,7 +418,7 @@ impl Subscriber {
                 .fetch_add(1, Ordering::Relaxed);
             if kind == Kind::Live {
                 self.dead_letter(consumer, delivery.tag, release);
-                return;
+                return error;
             }
             // A transiently-failing chunk copy never dead-letters: it is
             // an idempotent, admission-guarded upsert whose silent loss
@@ -371,6 +440,7 @@ impl Subscriber {
         std::thread::sleep(self.retry.backoff(attempts));
         consumer.nack(delivery.tag);
         lane.in_flight = Some(self.gen_barrier.read());
+        error
     }
 
     /// Routes one delivery to the dead-letter store, releasing its
@@ -387,7 +457,9 @@ impl Subscriber {
             return;
         }
         if let Some(msg) = msg {
-            let _ = self.store.apply(&msg.dep_keys());
+            if self.store.apply(&msg.dep_keys()).is_ok() {
+                self.wake_holders();
+            }
         }
         self.attempts.lock().remove(&tag);
         self.counters.dead_lettered.fetch_add(1, Ordering::Relaxed);

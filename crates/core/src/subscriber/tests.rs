@@ -1,4 +1,18 @@
 use super::worker_thread_name;
+use crate::api::Subscription;
+use crate::bootstrap::{watermark_payload, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
+use crate::config::SynapseConfig;
+use crate::deps::DepName;
+use crate::message::{Operation, WriteMessage};
+use crate::node::SynapseNode;
+use crate::testing::emulate_delivery;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use synapse_broker::{Broker, SharedStr};
+use synapse_db::LatencyModel;
+use synapse_model::{Id, ModelSchema, Record, Value};
+use synapse_orm::adapters::MongoidAdapter;
 
 #[test]
 fn worker_thread_names_fit_the_kernels_fifteen_bytes() {
@@ -17,4 +31,263 @@ fn worker_thread_names_fit_the_kernels_fifteen_bytes() {
     for name in ["", "x", "a-very-long-application-name", "ééééééééééé"] {
         assert!(worker_thread_name(name, 7).len() <= 15);
     }
+}
+
+/// Polls `cond` every 2 ms until it holds or `timeout` passes.
+fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + timeout;
+    loop {
+        if cond() {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A subscriber `sub` of `pub`'s `Post` (field `body`), workers not
+/// started, on its own broker — nothing publishes to it but the test.
+fn subscriber(config: SynapseConfig) -> (Broker, Arc<SynapseNode>) {
+    let broker = Broker::new();
+    let node = SynapseNode::new(
+        config,
+        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
+        broker.clone(),
+    );
+    node.orm().define_model(ModelSchema::open("Post")).unwrap();
+    node.subscribe(Subscription::model("Post", "pub").fields(&["body"]))
+        .unwrap();
+    (broker, node)
+}
+
+/// One `pub` Post write whose dependency map is `deps`, given as
+/// `(post id, required ops)`.
+fn post(node: &SynapseNode, operation: &str, id: u64, deps: &[(u64, u64)]) -> WriteMessage {
+    let key = |id: u64| {
+        node.config()
+            .dep_space
+            .key(&DepName::object("pub", "Post", Id(id)))
+    };
+    let attrs = BTreeMap::from([("body".to_owned(), Value::from(format!("{operation} {id}")))]);
+    WriteMessage {
+        app: "pub".to_owned(),
+        operations: vec![Operation::from_record(
+            operation,
+            &Record::with_attrs("Post", Id(id), attrs),
+        )],
+        dependencies: deps.iter().map(|&(id, ops)| (key(id), ops)).collect(),
+        published_at: 0,
+        generation: 1,
+        vectors: BTreeMap::new(),
+    }
+}
+
+/// Enqueues `(exchange, payload)` pairs into `sub`'s partition 0, in order.
+fn enqueue(broker: &Broker, items: &[(&str, String)]) {
+    for (exchange, payload) in items {
+        let payloads = vec![(SharedStr::from(payload.as_str()), 0, 0)];
+        assert_eq!(broker.publish_to_queue("sub", exchange, payloads), 1);
+    }
+}
+
+fn body(node: &SynapseNode, id: u64) -> Option<String> {
+    let row = node.orm().find("Post", Id(id)).unwrap()?;
+    row.get("body").as_str().map(str::to_owned)
+}
+
+/// A worker pops `[M1, M2]`; M1 depends on M0, which a second consumer
+/// holds unacked. M2 applies without waiting for it; M1 applies once M0's
+/// keys are, with no redelivery.
+#[test]
+fn a_blocked_delivery_steps_aside_for_the_rest_of_its_batch() {
+    let (broker, node) = subscriber(SynapseConfig::new("sub").workers(1));
+    let m0 = post(&node, "create", 1, &[(1, 0)]);
+    let m1 = post(&node, "update", 1, &[(1, 1)]);
+    let m2 = post(&node, "create", 2, &[(2, 0)]);
+    enqueue(
+        &broker,
+        &[
+            ("pub", m0.encode()),
+            ("pub", m1.encode()),
+            ("pub", m2.encode()),
+        ],
+    );
+    let other = broker.consumer("sub").unwrap();
+    let held = other.pop_batch_from(0, 1);
+    assert_eq!(held.len(), 1, "the second consumer holds M0");
+
+    node.start();
+    assert!(
+        eventually(Duration::from_secs(2), || body(&node, 2).is_some()),
+        "M2 applies while M1 waits"
+    );
+    assert_eq!(body(&node, 1), None, "M1 waits for M0");
+
+    node.subscriber().process(&emulate_delivery(&m0)).unwrap();
+    other.ack(held[0].tag);
+    assert!(eventually(Duration::from_secs(2), || {
+        body(&node, 1).as_deref() == Some("update 1")
+    }));
+    assert!(node.subscriber().drain(Duration::from_secs(2)));
+    let stats = node.subscriber_stats();
+    assert_eq!(stats.set_aside, 1);
+    assert_eq!(stats.redeliveries, 0);
+    assert_eq!(broker.stats().redelivered, 0);
+    assert_eq!(stats.dep_timeouts, 0);
+    node.stop();
+}
+
+/// Bootstrap traffic is a barrier: the hi marker and the chunk copy behind
+/// a set-aside live delivery of their partition run only after it, so the
+/// window counts that live write as inside it. A live write ahead of them
+/// still steps past.
+#[test]
+fn bootstrap_traffic_waits_behind_a_set_aside_delivery_of_its_partition() {
+    let (broker, node) = subscriber(SynapseConfig::new("sub").workers(1));
+    let gate = node.subscriber().watermark_gate().clone();
+    gate.activate();
+    gate.begin_chunk(1, 0, broker.queue_partitions("sub").unwrap());
+    let m0 = post(&node, "create", 1, &[(1, 0)]);
+    let l1 = post(&node, "update", 1, &[(1, 1)]);
+    let l2 = post(&node, "create", 2, &[(2, 0)]);
+    let copy = post(&node, "create", 3, &[(3, 0)]);
+    enqueue(
+        &broker,
+        &[
+            ("pub", m0.encode()),
+            (WATERMARK_EXCHANGE, watermark_payload(1, 0, false)),
+            ("pub", l1.encode()),
+            ("pub", l2.encode()),
+            (WATERMARK_EXCHANGE, watermark_payload(1, 0, true)),
+            (BOOTSTRAP_EXCHANGE, copy.encode()),
+        ],
+    );
+    let other = broker.consumer("sub").unwrap();
+    let held = other.pop_batch_from(0, 1);
+
+    node.start();
+    assert!(
+        eventually(Duration::from_secs(2), || body(&node, 2).is_some()),
+        "L2 steps past the held L1"
+    );
+    std::thread::sleep(Duration::from_millis(50));
+    let stats = node.subscriber_stats();
+    assert_eq!(stats.watermarks_noted, 1, "only the lo marker ran");
+    assert_eq!(stats.copies_applied, 0, "the copy waits behind L1");
+    assert_eq!(body(&node, 3), None);
+
+    node.subscriber().process(&emulate_delivery(&m0)).unwrap();
+    other.ack(held[0].tag);
+    assert!(eventually(Duration::from_secs(2), || {
+        node.subscriber_stats().copies_applied == 1
+    }));
+    assert_eq!(node.subscriber_stats().watermarks_noted, 2);
+    assert_eq!(body(&node, 1).as_deref(), Some("update 1"));
+    let key = |id| {
+        node.config()
+            .dep_space
+            .key(&DepName::object("pub", "Post", Id(id)))
+    };
+    let touched = gate.take_touched();
+    assert!(
+        touched.contains(&key(1)),
+        "L1 landed inside the window, before the hi marker"
+    );
+    assert!(touched.contains(&key(2)));
+    gate.deactivate();
+    node.stop();
+}
+
+/// Strict mode (`wait_timeout(None)`): a lost dependency stalls its causal
+/// descendants and nothing else — a later write of an unrelated object,
+/// behind them in the same partition, applies.
+#[test]
+fn a_lost_dependency_stalls_only_its_descendants_in_strict_mode() {
+    let (broker, node) = subscriber(SynapseConfig::new("sub").workers(1).wait_timeout(None));
+    // Post 1's create (ops 0 → 1) was lost on the way.
+    let child = post(&node, "update", 1, &[(1, 1)]);
+    let grandchild = post(&node, "update", 1, &[(1, 2)]);
+    let unrelated = post(&node, "create", 9, &[(9, 0)]);
+    enqueue(
+        &broker,
+        &[
+            ("pub", child.encode()),
+            ("pub", grandchild.encode()),
+            ("pub", unrelated.encode()),
+        ],
+    );
+    node.start();
+    assert!(
+        eventually(Duration::from_secs(2), || body(&node, 9).is_some()),
+        "the unrelated write applies"
+    );
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(body(&node, 1), None);
+    let stats = node.subscriber_stats();
+    assert_eq!(stats.set_aside, 2, "both descendants stepped aside");
+    assert_eq!(stats.dep_timeouts, 0, "strict mode never gives up");
+    assert_eq!(broker.queue_unacked_len("sub"), Some(2));
+    node.stop();
+    assert_eq!(broker.queue_len("sub"), Some(2), "stop hands them back");
+}
+
+/// Workers of a decommissioned queue park on it instead of polling, and
+/// reinstating it puts them straight back to work.
+#[test]
+fn workers_park_on_a_decommissioned_queue_until_it_is_reinstated() {
+    let (broker, node) = subscriber(SynapseConfig::new("sub").workers(2));
+    node.start();
+    broker.decommission_queue("sub");
+    assert!(
+        eventually(Duration::from_secs(2), || broker.queue_sleepers("sub")
+            == Some(2)),
+        "both workers park"
+    );
+    assert!(broker.reinstate_queue("sub"));
+    let started = Instant::now();
+    enqueue(
+        &broker,
+        &[("pub", post(&node, "create", 5, &[(5, 0)]).encode())],
+    );
+    assert!(eventually(Duration::from_millis(100), || body(&node, 5).is_some()));
+    assert!(started.elapsed() < Duration::from_millis(100));
+    node.stop();
+}
+
+/// A lane holds at most `HELD_MAX` deliveries: past that it hands its
+/// newest back, and once a full lane's runs settle nothing it parks until
+/// the store advances instead of re-popping what it handed back. Other
+/// partitions keep flowing meanwhile.
+#[test]
+fn a_full_lane_hands_back_its_newest_and_parks_instead_of_spinning() {
+    let (broker, node) = subscriber(SynapseConfig::new("sub").workers(1).wait_timeout(None));
+    // Post 1's create was lost: a hundred descendants can never apply.
+    let descendants: Vec<(&str, String)> = (1..=100)
+        .map(|n| ("pub", post(&node, "update", 1, &[(1, n)]).encode()))
+        .collect();
+    enqueue(&broker, &descendants);
+    let unrelated = post(&node, "create", 9, &[(9, 0)]).encode();
+    let payloads = vec![(SharedStr::from(unrelated.as_str()), 0, 1)];
+    assert_eq!(broker.publish_to_queue("sub", "pub", payloads), 1);
+
+    node.start();
+    assert!(
+        eventually(Duration::from_secs(2), || body(&node, 9).is_some()),
+        "another partition keeps flowing"
+    );
+    assert!(eventually(Duration::from_secs(2), || {
+        broker.queue_unacked_len("sub") == Some(super::HELD_MAX)
+    }));
+    let before = broker.stats().redelivered;
+    std::thread::sleep(Duration::from_millis(300));
+    let handed_back = broker.stats().redelivered - before;
+    assert!(
+        handed_back < 2_000,
+        "a stuck lane parks: {handed_back} hand-backs in 300 ms"
+    );
+    assert_eq!(broker.queue_unacked_len("sub"), Some(super::HELD_MAX));
+    node.stop();
+    assert_eq!(broker.queue_len("sub"), Some(100));
 }

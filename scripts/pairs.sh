@@ -2,35 +2,42 @@
 # Alternating parent/change benchmark pairs — the comparison every PR that
 # touches a hot path owes (choosing-metrics §8).
 #
-#   scripts/pairs.sh <parent-rev> [workload…] [--pairs N]
+#   scripts/pairs.sh <parent-rev> [workload…] [--pairs N] [--trace]
 #
-# Unpacks <parent-rev> (`git archive`) under $TMPDIR and builds each side's
-# own benchmark/ — the parent's from that copy, the change's from the working
-# tree — into a target directory of its own there. Then runs N (default 10)
-# pairs per workload (default: every workload BENCHMARK.json lists) through
-# each side's own benchmark/run.sh: a fresh seed per pair, the same seed on
-# both sides, the side that goes first alternating. Prints, per end-to-end
-# metric, both medians and inter-quartile ranges, wins/ties/losses of the
-# change, and whether the gap is wider than the parent's own IQR and than the
-# metric's bound. Exit code: non-zero when a run was incorrect or failed an
-# operation, or when the change's median is worse than the parent's by more
-# than the bound.
+# Unpacks <parent-rev> (`git archive`) and a snapshot of the working tree
+# (its tracked and unignored files, taken at start) under $TMPDIR, and builds
+# each side's own benchmark/ there, into a target directory of its own. Then
+# runs N (default 10) pairs per workload (default: every workload
+# BENCHMARK.json lists) through each side's own benchmark/run.sh: a fresh seed
+# per pair, the same seed on both sides, the side that goes first
+# alternating. Prints, per end-to-end metric, both medians and inter-quartile
+# ranges, wins/ties/losses of the change, and whether the gap is wider than
+# the parent's own IQR and than the metric's bound. With --trace it then
+# makes one `--trace 1` run per side per workload on the first pair's seed
+# and prints every per-layer metric side by side with its change/parent
+# ratio — which stage a change moved, in the same command. Nothing is
+# written into the working tree, so it may be edited while this runs.
+# Exit code: non-zero when a run was incorrect or failed an operation, or
+# when the change's median is worse than the parent's by more than the
+# bound.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 pairs=10
+trace=0
 workloads=()
 parent_rev=""
 while (($#)); do
   case "$1" in
     --pairs) pairs="$2"; shift ;;
+    --trace) trace=1 ;;
     -*) echo "scripts/pairs.sh: unknown argument $1" >&2; exit 2 ;;
     *) if [[ -z "$parent_rev" ]]; then parent_rev="$1"; else workloads+=("$1"); fi ;;
   esac
   shift
 done
 if [[ -z "$parent_rev" ]]; then
-  echo "usage: scripts/pairs.sh <parent-rev> [workload…] [--pairs N]" >&2
+  echo "usage: scripts/pairs.sh <parent-rev> [workload…] [--pairs N] [--trace]" >&2
   exit 2
 fi
 if ((${#workloads[@]} == 0)); then
@@ -41,9 +48,12 @@ fi
 
 work="$(mktemp -d "${TMPDIR:-/tmp}/synapse-pairs.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
-mkdir "$work/parent"
+mkdir "$work/parent" "$work/change"
 git archive "$parent_rev" | tar -x -C "$work/parent"
-declare -A root=([parent]="$work/parent" [change]="$PWD")
+git ls-files -co --exclude-standard -z |
+  while IFS= read -r -d '' f; do [[ -e "$f" ]] && printf '%s\0' "$f"; done |
+  tar --null -T - -c | tar -x -C "$work/change"
+declare -A root=([parent]="$work/parent" [change]="$work/change")
 
 for side in parent change; do
   echo "pairs: building $side ($([[ $side == parent ]] && echo "$parent_rev" || echo "working tree"))" >&2
@@ -65,9 +75,17 @@ for workload in "${workloads[@]}"; do
       printf '%s\t%s\t%s\t%s\n' "$workload" "$seed" "$side" "$line" >>"$work/runs.tsv"
     done
   done
+  if ((trace)); then
+    for side in parent change; do
+      echo "pairs: $workload traced seed $base_seed $side" >&2
+      line="$(CARGO_TARGET_DIR="$work/target-$side" bash "${root[$side]}/benchmark/run.sh" \
+        --workload "$workload" --seed "$base_seed" --trace 1 2>/dev/null | tail -n 1)" || status=1
+      printf '%s\t%s\t%s\t%s\n' "$workload" "$base_seed" "$side" "$line" >>"$work/traced.tsv"
+    done
+  fi
 done
 
-python3 - "$work/runs.tsv" BENCHMARK.json <<'PY' || status=1
+python3 - "$work/runs.tsv" BENCHMARK.json "$work/traced.tsv" <<'PY' || status=1
 import json, sys
 from statistics import median, quantiles
 
@@ -118,6 +136,31 @@ for workload, metrics in data.items():
               f" gap {'>' if beyond_iqr else '<='} parent IQR; {'BEYOND' if regressed else 'inside'} the {gated[name]['bound']} bound")
         print(f"    parent runs {' '.join(f'{x:.4g}' for x in parent)}")
         print(f"    change runs {' '.join(f'{x:.4g}' for x in change)}")
+
+# Traced runs (--trace): every per-layer metric, parent beside change.
+traced = {}
+try:
+    lines = open(sys.argv[3]).read().splitlines()
+except OSError:
+    lines = []
+for line in lines:
+    workload, seed, side, out = line.split("\t")
+    try:
+        run = json.loads(out)
+    except ValueError:
+        run = {"correct": False, "failed": None, "metrics": {}}
+    if not run.get("correct") or run.get("failed") != 0:
+        print(f"INCORRECT traced {workload} seed {seed} {side}: correct={run.get('correct')} failed={run.get('failed')}")
+        bad += 1
+    traced.setdefault((workload, seed), {})[side] = run.get("metrics", {})
+for (workload, seed), sides in traced.items():
+    print(f"\n{workload} traced, seed {seed}: per-layer metrics, ratio = change / parent")
+    for m in manifest["per_layer"]:
+        name = m["name"]
+        p, c = (sides.get(s, {}).get(name, {}).get("value") for s in ("parent", "change"))
+        ratio = f"{c / p:.3f}" if p and c is not None else "-"
+        cell = lambda v: "-" if v is None else f"{v:.4g}"
+        print(f"  {name:44} {cell(p):>12} {cell(c):>12}  x{ratio:<7} [{m['unit']}, {m['better']} is better]")
 sys.exit(1 if bad or worse else 0)
 PY
 exit "$status"
