@@ -5,7 +5,7 @@ use super::{
     watermark_payload, BootstrapState, BootstrapStats, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE,
 };
 use crate::api::Publication;
-use crate::deps::DepName;
+use crate::deps::{mesh_object, DepName};
 use crate::message::{Operation, WriteMessage};
 use crate::node::SynapseNode;
 use crate::subscriber::{ProcessError, SubscriberStats};
@@ -18,7 +18,7 @@ use synapse_db::DbError;
 use synapse_model::{Id, Record};
 use synapse_orm::OrmError;
 use synapse_telemetry::mono_nanos;
-use synapse_versionstore::{DepKey, DumpEntry, VersionVector};
+use synapse_versionstore::{DepKey, VersionVector};
 
 /// How long [`SynapseNode::bootstrap_from`]'s finalize step waits for the
 /// subscriber to account for the merged chunk copies before going Live
@@ -216,28 +216,16 @@ impl SynapseNode {
                 .store(false, Ordering::SeqCst);
         }
 
-        // Step 1: bulk-load the publisher's current dependency counters —
-        // its dump projected to `(key, ops)`. The publisher's own version
-        // marks stay behind: loaded, they would read as versions this
-        // subscriber had applied, and `AdmitRule::Copy` would refuse the
-        // rows step 2 is about to copy.
+        // Step 1: bulk-load the publisher's current dependency counters.
+        // Its store holds nothing else: admission state and watermarks
+        // live in subscriber stores.
         self.bootstrap.transition(BootstrapState::Snapshot);
-        let mut snapshot = self.retry_transient(|| {
+        let snapshot = self.retry_transient(|| {
             publisher
                 .pub_store
                 .dump()
                 .map_err(|_| OrmError::Db(DbError::Unavailable))
         })?;
-        for entry in &mut snapshot {
-            *entry = DumpEntry {
-                key: entry.key,
-                ops: entry.ops,
-                versioned: false,
-                winner_sum: 0,
-                winner_writer: 0,
-                vector: Vec::new(),
-            };
-        }
         self.retry_transient(|| {
             self.sub_store
                 .load_dump(&snapshot)
@@ -320,13 +308,10 @@ impl SynapseNode {
             if publication.ephemeral {
                 continue;
             }
-            let wm_key = self
-                .config
-                .dep_space
-                .key(&DepName::bootstrap_watermark(publisher.app(), model));
+            let watermark = DepName::bootstrap_watermark(publisher.app(), model).identity();
             let mut after = self.retry_transient(|| {
                 self.sub_store
-                    .latest_version(wm_key)
+                    .watermark(watermark)
                     .map_err(|_| OrmError::Db(DbError::Unavailable))
             })?;
             if after > 0 {
@@ -343,7 +328,7 @@ impl SynapseNode {
                         publisher,
                         model,
                         publication,
-                        wm_key,
+                        watermark,
                         after,
                         session,
                         window,
@@ -430,7 +415,7 @@ impl SynapseNode {
         publisher: &SynapseNode,
         model: &str,
         publication: &Publication,
-        wm_key: DepKey,
+        watermark: u64,
         after: u64,
         session: u64,
         window: u64,
@@ -484,36 +469,26 @@ impl SynapseNode {
                 return Ok(None);
             }
         };
-        let mut batch: Vec<(DepKey, u64, Option<VersionVector>, Record)> =
+        let space = publisher.config.dep_space;
+        let mut batch: Vec<(DepName, u64, Option<VersionVector>, Record)> =
             Vec::with_capacity(page.len());
         for record in &page {
-            let key =
-                publisher
-                    .config
-                    .dep_space
-                    .key(&DepName::object(publisher.app(), model, record.id));
+            let name = DepName::object(publisher.app(), model, record.id);
             let ops = publisher
                 .pub_store
-                .ops(key)
+                .ops(space.key(&name))
                 .map_err(|_| OrmError::Db(DbError::Unavailable))?;
             let marker = ops.saturating_sub(1);
             // Bidirectional copies carry the publisher's full version
-            // vector (captured before the re-read, like the marker):
-            // scalar markers on the legacy floor could wrongly dominate a
-            // remote writer's component, so admission must compare the
-            // real vector instead. The vector lives under the
-            // writer-independent mesh key in the publisher's sub store —
-            // the entry its own stamps and every remote writer's applied
-            // writes fold into.
+            // vector (captured before the re-read, like the marker), read
+            // under the object's writer-independent mesh identity in the
+            // publisher's sub store — where its own stamps and every remote
+            // writer's applied writes fold in.
             let vector = if publication.bidirectional {
-                let mesh = publisher
-                    .config
-                    .dep_space
-                    .key(&crate::deps::mesh_object(model, record.id));
                 Some(
                     publisher
                         .sub_store
-                        .latest_vector(mesh)
+                        .latest_vector(mesh_object(model, record.id).identity())
                         .map_err(|_| OrmError::Db(DbError::Unavailable))?,
                 )
             } else {
@@ -531,7 +506,7 @@ impl SynapseNode {
             let marshalled = publisher
                 .publisher
                 .marshal(&publisher.orm, publication, &fresh);
-            batch.push((key, marker, vector, marshalled));
+            batch.push((name, marker, vector, marshalled));
         }
         if interleave {
             self.publish_markers(partitions, session, window, true);
@@ -546,7 +521,7 @@ impl SynapseNode {
             let touched = gate.take_touched();
             if !touched.is_empty() {
                 let before = batch.len();
-                batch.retain(|(key, _, _, _)| !touched.contains(key));
+                batch.retain(|(name, _, _, _)| !touched.contains(&name.identity()));
                 self.bootstrap
                     .records_reconciled
                     .fetch_add((before - batch.len()) as u64, Ordering::Relaxed);
@@ -554,29 +529,26 @@ impl SynapseNode {
         }
         // Every survivor becomes a real write message: its object
         // dependency carries the marker, and a bidirectional model's
-        // vector rides under the mesh key. Only queue-merged copies are
-        // stamped for the visibility histograms.
+        // vector rides under the mesh name's key. Only queue-merged copies
+        // are stamped for the visibility histograms.
         let origin = if interleave { mono_nanos() } else { 0 };
         let payloads: Vec<(SharedStr, u64, DepKey)> = batch
-            .iter()
-            .map(|(key, marker, vector, record)| {
-                let mut vectors = BTreeMap::new();
-                if let Some(v) = vector {
-                    let mesh = publisher
-                        .config
-                        .dep_space
-                        .key(&crate::deps::mesh_object(model, record.id));
-                    vectors.insert(mesh, v.clone());
-                }
+            .into_iter()
+            .map(|(name, marker, vector, record)| {
+                let key = space.key(&name);
+                let vectors = vector
+                    .map(|v| (space.key(&mesh_object(model, record.id)), v))
+                    .into_iter()
+                    .collect();
                 let msg = WriteMessage {
                     app: publisher.app().to_owned(),
-                    operations: vec![Operation::from_record("create", record)],
-                    dependencies: BTreeMap::from([(*key, *marker)]),
+                    operations: vec![Operation::from_record("create", &record)],
+                    dependencies: BTreeMap::from([(key, marker)]),
                     published_at: 0,
                     generation: 1,
                     vectors,
                 };
-                (SharedStr::from(msg.encode().as_str()), origin, *key)
+                (SharedStr::from(msg.encode().as_str()), origin, key)
             })
             .collect();
         let mut merged = 0u64;
@@ -632,7 +604,7 @@ impl SynapseNode {
             result?;
         }
         self.sub_store
-            .load_watermark(wm_key, last)
+            .load_watermark(watermark, last)
             .map_err(|_| OrmError::Db(DbError::Unavailable))?;
         Ok(Some(ChunkCopy { last, merged }))
     }
@@ -665,13 +637,10 @@ impl SynapseNode {
             .map(|s| s.model.clone())
             .collect();
         for model in models {
-            let key = self
-                .config
-                .dep_space
-                .key(&DepName::bootstrap_watermark(publisher.app(), &model));
+            let watermark = DepName::bootstrap_watermark(publisher.app(), &model).identity();
             self.retry_transient(|| {
                 self.sub_store
-                    .clear_watermark(key)
+                    .clear_watermark(watermark)
                     .map_err(|_| OrmError::Db(DbError::Unavailable))
             })?;
         }

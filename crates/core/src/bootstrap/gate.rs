@@ -6,13 +6,14 @@
 //! subscriber's queue, selects the chunk, publishes a *high* watermark, and
 //! calls [`WatermarkGate::await_window`]. Subscriber workers report the
 //! markers they consume ([`WatermarkGate::note_marker`]) and, while a
-//! partition sits between its lo and hi marker, every dependency key they
-//! apply ([`WatermarkGate::note_applied`]). When all partitions have seen
+//! partition sits between its lo and hi marker, the identity
+//! ([`DepName::identity`](crate::DepName::identity)) of every object they
+//! write ([`WatermarkGate::note_applied`]). When all partitions have seen
 //! both markers, the window closes and [`WatermarkGate::take_touched`]
-//! yields the keys the live stream touched *during* the select — chunk
-//! rows for those keys are stale by construction and are dropped in favor
-//! of the live stream; everything else merges through the queue with no
-//! drain phase.
+//! yields the objects the live stream touched *during* the select — chunk
+//! rows of those objects are stale by construction and are dropped in
+//! favor of the live stream; everything else merges through the queue with
+//! no drain phase.
 //!
 //! The gate is an optimization, not a correctness gate: admission into the
 //! replica is decided by [`synapse_versionstore::AdmitRule::Copy`] against
@@ -25,7 +26,6 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-use synapse_versionstore::DepKey;
 
 #[derive(Default)]
 struct GateInner {
@@ -38,9 +38,9 @@ struct GateInner {
     open: bool,
     lo_seen: Vec<bool>,
     hi_seen: Vec<bool>,
-    /// Keys applied by live deliveries while their partition was inside
-    /// the window.
-    touched: HashSet<DepKey>,
+    /// Objects written by live deliveries while their partition was
+    /// inside the window.
+    touched: HashSet<u64>,
     /// Windows that closed by timeout instead of marker arrival.
     timed_out: u64,
 }
@@ -125,11 +125,12 @@ impl WatermarkGate {
         }
     }
 
-    /// Records keys applied by a live delivery on `partition`. Only keys
-    /// applied strictly inside the window (lo marker consumed, hi marker
-    /// not yet) matter: anything before lo is older than the chunk select
-    /// began, anything after hi is newer than rows already reconciled.
-    pub fn note_applied(&self, partition: usize, keys: &[DepKey]) {
+    /// Records the objects a live delivery on `partition` wrote. Only
+    /// writes applied strictly inside the window (lo marker consumed, hi
+    /// marker not yet) matter: anything before lo is older than the chunk
+    /// select began, anything after hi is newer than rows already
+    /// reconciled.
+    pub fn note_applied(&self, partition: usize, objects: &[u64]) {
         if !self.is_active() {
             return;
         }
@@ -140,7 +141,7 @@ impl WatermarkGate {
         let in_window = inner.lo_seen.get(partition).copied().unwrap_or(false)
             && !inner.hi_seen.get(partition).copied().unwrap_or(false);
         if in_window {
-            inner.touched.extend(keys.iter().copied());
+            inner.touched.extend(objects.iter().copied());
         }
     }
 
@@ -166,9 +167,9 @@ impl WatermarkGate {
         }
     }
 
-    /// Closes the current window and returns the keys live deliveries
-    /// touched inside it.
-    pub fn take_touched(&self) -> HashSet<DepKey> {
+    /// Closes the current window and returns the objects live deliveries
+    /// wrote inside it.
+    pub fn take_touched(&self) -> HashSet<u64> {
         let mut inner = self.inner.lock();
         inner.open = false;
         std::mem::take(&mut inner.touched)

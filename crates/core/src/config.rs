@@ -1,7 +1,7 @@
 //! Per-service Synapse configuration.
 
 use crate::deps::{writer_id, DepSpace};
-use crate::resolve::{ConflictCtx, ConflictResolver, MergeFn, Resolution, ResolverRegistry};
+use crate::resolve::{ConflictCtx, MergeFn, Resolution, ResolverRegistry};
 use crate::semantics::DeliveryMode;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -189,7 +189,7 @@ impl SynapseConfig {
     }
 
     /// This service's writer id in version vectors: a stable hash of the
-    /// app name (never 0, which is reserved for pre-vector scalar history).
+    /// app name.
     pub fn writer_id(&self) -> u64 {
         writer_id(&self.app)
     }
@@ -281,15 +281,8 @@ impl SynapseConfig {
         self
     }
 
-    /// Registers a conflict resolver for `model` (multi-writer replication
-    /// only; models without one resolve last-writer-wins).
-    pub fn resolver(mut self, model: impl Into<String>, r: Arc<dyn ConflictResolver>) -> Self {
-        self.resolvers.register(model, r);
-        self
-    }
-
-    /// Registers a merge-callback resolver for `model` — the closure form
-    /// of [`SynapseConfig::resolver`].
+    /// Registers a merge-callback resolver for `model` (multi-writer
+    /// replication only; models without one resolve last-writer-wins).
     pub fn merge_resolver(
         mut self,
         model: impl Into<String>,
@@ -327,7 +320,6 @@ mod tests {
         let c = SynapseConfig::new("crowdtap");
         assert!(c.resolvers.is_empty(), "no resolvers by default");
         assert_eq!(c.resolvers.get("User").name(), "lww");
-        assert_ne!(c.writer_id(), 0, "0 is reserved for legacy history");
         assert_eq!(c.writer_id(), SynapseConfig::new("crowdtap").writer_id());
         assert_ne!(c.writer_id(), SynapseConfig::new("spree").writer_id());
 

@@ -15,6 +15,10 @@
 //! [`DepSpace::key`] is a single modulo over the cached pre-hash. One
 //! [`DepInterner`] lives per node so repeated writes to the same objects
 //! reuse the same allocations.
+//!
+//! Only dependency *counters* live in the reduced space. What must never
+//! collide — an object's admission state, a bootstrap watermark — is
+//! keyed by the name's full pre-hash, [`DepName::identity`].
 
 use parking_lot::RwLock;
 use std::borrow::Borrow;
@@ -43,14 +47,9 @@ fn fnv1a(s: &str) -> u64 {
 /// The stable writer id of an application — the version-vector component
 /// key its writes bump. Derived from the app name with the same FNV-1a
 /// hash as dependency names, so every node computes identical ids without
-/// coordination. Id 0 is reserved for scalar-era (unattributed) versions
-/// ([`synapse_versionstore::LEGACY_WRITER`]); the hash of a non-empty app
-/// name is never 0, and an empty name maps to 1.
+/// coordination.
 pub fn writer_id(app: &str) -> u64 {
-    match fnv1a(app) {
-        0 => 1,
-        id => id,
-    }
+    fnv1a(app)
 }
 
 /// The writer-independent namespace version vectors of bidirectional
@@ -112,9 +111,9 @@ impl DepName {
 
     /// The bootstrap-copy watermark of one (publisher, model) pair:
     /// `pub_app/model/__bootstrap__`. The `__bootstrap__` leaf keeps it
-    /// from colliding with any `…/id/<id>` object name, so the watermark
-    /// rides in the subscriber's version store alongside ordinary
-    /// dependencies.
+    /// from colliding with any `…/id/<id>` object name; the subscriber's
+    /// version store keeps it in its watermark map, by
+    /// [`DepName::identity`].
     pub fn bootstrap_watermark(pub_app: &str, model: &str) -> Self {
         NAME_SCRATCH.with(|scratch| {
             let mut buf = scratch.borrow_mut();
@@ -134,6 +133,13 @@ impl DepName {
     /// The name path, e.g. `pub3/user/id/100`.
     pub fn as_str(&self) -> &str {
         &self.name
+    }
+
+    /// The name's full stable 64-bit hash, never reduced into a
+    /// [`DepSpace`]: the identity an object's admission state and a
+    /// bootstrap watermark are keyed by in the version store.
+    pub fn identity(&self) -> u64 {
+        self.hash
     }
 }
 

@@ -2,12 +2,13 @@
 //!
 //! The broker WAL makes queue state recoverable; this module covers the
 //! other half of a node's soft state — its publisher- and subscriber-side
-//! version stores (dependency counters, freshness marks, and the
-//! bootstrap watermarks stored as versions under reserved keys). A
-//! [`NodeSnapshot`] is a full dump of both stores plus the broker WAL
-//! position at capture time, so recovery is: load the latest snapshot,
-//! then let WAL replay and watermark-resumed bootstrap close the gap
-//! between the snapshot and the crash.
+//! version stores, each a [`StoreDump`] of three sections: dependency
+//! counters, object admission state (freshness marks, destroy tombstones,
+//! conflict-resolution state) and bootstrap watermarks. A [`NodeSnapshot`]
+//! is a full dump of both stores plus the broker WAL position at capture
+//! time, so recovery is: load the latest snapshot, then let WAL replay and
+//! watermark-resumed bootstrap close the gap between the snapshot and the
+//! crash.
 //!
 //! # On-disk format
 //!
@@ -25,14 +26,18 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use synapse_broker::wal::{crc32, put_u32, put_u64, ByteReader};
 use synapse_broker::LogPos;
-use synapse_versionstore::DumpEntry;
+use synapse_versionstore::{ObjectVersion, StoreDump, VersionVector};
 
-// SYNSNAP3: entries carry the full per-writer version vector plus the LWW
-// winner stamp, so multi-writer conflict state survives restarts. A file
-// with any other magic (an older format included) fails the magic check
-// and recovery falls back to an older snapshot or to full WAL replay +
-// bootstrap, which is always safe.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"SYNSNAP3";
+// SYNSNAP4: each store is three sections — counters `(key, ops,
+// version)`, objects `(identity, tag, version)` and watermarks
+// `(identity, id)`. A file with any other magic (an older format
+// included) fails the magic check and recovery falls back to an older
+// snapshot or to full WAL replay + bootstrap, which is always safe.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"SYNSNAP4";
+
+/// Object-section tags.
+const SCALAR: u8 = 0;
+const MESH: u8 = 1;
 
 /// A point-in-time image of one node's version state.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -43,74 +48,106 @@ pub struct NodeSnapshot {
     /// from here forward is what recovery still has to replay.
     pub wal_pos: LogPos,
     /// Publisher-store dump.
-    pub pub_entries: Vec<DumpEntry>,
-    /// Subscriber-store dump — includes the bootstrap watermarks (and
-    /// destroy tombstones via the `versioned` flag), which is what lets
-    /// an interrupted bootstrap resume as a delta replay after restart
-    /// without resurrecting deleted rows.
-    pub sub_entries: Vec<DumpEntry>,
+    pub pub_store: StoreDump,
+    /// Subscriber-store dump — its watermarks and destroy tombstones are
+    /// what let an interrupted bootstrap resume as a delta replay after
+    /// restart without resurrecting deleted rows.
+    pub sub_store: StoreDump,
 }
 
-fn put_entries(out: &mut Vec<u8>, entries: &[DumpEntry]) {
-    put_u32(out, entries.len() as u32);
-    for entry in entries {
-        put_u64(out, entry.key);
-        put_u64(out, entry.ops);
-        put_u64(out, entry.winner_writer);
-        // Stamps are history-length sums far below 2^63; the low bit
-        // carries the explicit-write flag.
-        put_u64(out, (entry.winner_sum << 1) | u64::from(entry.versioned));
-        put_u32(out, entry.vector.len() as u32);
-        for (writer, counter) in &entry.vector {
-            put_u64(out, *writer);
-            put_u64(out, *counter);
+fn put_dump(out: &mut Vec<u8>, dump: &StoreDump) {
+    put_u32(out, dump.counters.len() as u32);
+    for &(key, ops, version) in &dump.counters {
+        put_u64(out, key);
+        put_u64(out, ops);
+        put_u64(out, version);
+    }
+    put_u32(out, dump.objects.len() as u32);
+    for (object, version) in &dump.objects {
+        put_u64(out, *object);
+        match version {
+            ObjectVersion::Scalar(v) => {
+                out.push(SCALAR);
+                put_u64(out, *v);
+            }
+            ObjectVersion::Mesh { vector, winner } => {
+                out.push(MESH);
+                put_u64(out, winner.0);
+                put_u64(out, winner.1);
+                put_u32(out, vector.len() as u32);
+                for &(writer, counter) in vector.components() {
+                    put_u64(out, writer);
+                    put_u64(out, counter);
+                }
+            }
         }
     }
+    put_u32(out, dump.watermarks.len() as u32);
+    for &(key, value) in &dump.watermarks {
+        put_u64(out, key);
+        put_u64(out, value);
+    }
 }
 
-fn take_entries(r: &mut ByteReader<'_>, cap: usize) -> Option<Vec<DumpEntry>> {
-    let n = r.take_u32()? as usize;
-    // A corrupt count must not OOM: each entry needs at least 36 bytes.
-    if n > cap {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
+/// Reads one section's count; a corrupt count must not OOM, so it may not
+/// exceed `cap` (every entry takes at least 16 bytes).
+fn take_count(r: &mut ByteReader<'_>, cap: usize) -> Option<usize> {
+    Some(r.take_u32()? as usize).filter(|n| *n <= cap)
+}
+
+fn take_dump(r: &mut ByteReader<'_>, cap: usize) -> Option<StoreDump> {
+    let n = take_count(r, cap)?;
+    let mut counters = Vec::with_capacity(n);
     for _ in 0..n {
-        let key = r.take_u64()?;
-        let ops = r.take_u64()?;
-        let winner_writer = r.take_u64()?;
-        let tagged = r.take_u64()?;
-        let comps = r.take_u32()? as usize;
-        if comps > cap {
-            return None;
-        }
-        let mut vector = Vec::with_capacity(comps);
-        for _ in 0..comps {
-            let writer = r.take_u64()?;
-            let counter = r.take_u64()?;
-            vector.push((writer, counter));
-        }
-        out.push(DumpEntry {
-            key,
-            ops,
-            versioned: tagged & 1 == 1,
-            winner_sum: tagged >> 1,
-            winner_writer,
-            vector,
-        });
+        counters.push((r.take_u64()?, r.take_u64()?, r.take_u64()?));
     }
-    Some(out)
+    let n = take_count(r, cap)?;
+    let mut objects = Vec::with_capacity(n);
+    for _ in 0..n {
+        let object = r.take_u64()?;
+        let version = match r.take_u8()? {
+            SCALAR => ObjectVersion::Scalar(r.take_u64()?),
+            MESH => {
+                let winner = (r.take_u64()?, r.take_u64()?);
+                let mut vector = VersionVector::new();
+                for _ in 0..take_count(r, cap)? {
+                    let (writer, counter) = (r.take_u64()?, r.take_u64()?);
+                    vector.set(writer, counter);
+                }
+                ObjectVersion::Mesh { vector, winner }
+            }
+            _ => return None,
+        };
+        objects.push((object, version));
+    }
+    let n = take_count(r, cap)?;
+    let mut watermarks = Vec::with_capacity(n);
+    for _ in 0..n {
+        watermarks.push((r.take_u64()?, r.take_u64()?));
+    }
+    Some(StoreDump {
+        counters,
+        objects,
+        watermarks,
+    })
 }
 
 impl NodeSnapshot {
+    /// Entries across both stores and all their sections.
+    pub(crate) fn entries(&self) -> usize {
+        [&self.pub_store, &self.sub_store]
+            .iter()
+            .map(|d| d.counters.len() + d.objects.len() + d.watermarks.len())
+            .sum()
+    }
+
     fn encode(&self) -> Vec<u8> {
-        let mut body =
-            Vec::with_capacity(32 + 36 * (self.pub_entries.len() + self.sub_entries.len()));
+        let mut body = Vec::with_capacity(48 + 24 * self.entries());
         put_u64(&mut body, self.seq);
         put_u64(&mut body, self.wal_pos.segment);
         put_u64(&mut body, self.wal_pos.offset);
-        put_entries(&mut body, &self.pub_entries);
-        put_entries(&mut body, &self.sub_entries);
+        put_dump(&mut body, &self.pub_store);
+        put_dump(&mut body, &self.sub_store);
         let mut out = Vec::with_capacity(body.len() + 12);
         out.extend_from_slice(SNAPSHOT_MAGIC);
         put_u32(&mut out, crc32(&body));
@@ -130,12 +167,12 @@ impl NodeSnapshot {
             segment: r.take_u64()?,
             offset: r.take_u64()?,
         };
-        let cap = bytes.len() / 24 + 1;
+        let cap = bytes.len() / 16;
         let snapshot = NodeSnapshot {
             seq,
             wal_pos,
-            pub_entries: take_entries(&mut r, cap)?,
-            sub_entries: take_entries(&mut r, cap)?,
+            pub_store: take_dump(&mut r, cap)?,
+            sub_store: take_dump(&mut r, cap)?,
         };
         if r.remaining() != 0 {
             return None;
@@ -310,21 +347,6 @@ mod tests {
         dir
     }
 
-    /// A single-writer entry: its version rides the legacy component.
-    fn scalar(key: u64, ops: u64, version: u64, versioned: bool) -> DumpEntry {
-        DumpEntry {
-            key,
-            ops,
-            versioned,
-            winner_sum: version,
-            winner_writer: synapse_versionstore::LEGACY_WRITER,
-            vector: match version {
-                0 => Vec::new(),
-                v => vec![(synapse_versionstore::LEGACY_WRITER, v)],
-            },
-        }
-    }
-
     fn sample() -> NodeSnapshot {
         NodeSnapshot {
             seq: 0,
@@ -332,18 +354,24 @@ mod tests {
                 segment: 3,
                 offset: 911,
             },
-            pub_entries: vec![scalar(1, 10, 10, true), scalar(2, 5, 0, false)],
-            sub_entries: vec![
-                scalar(1, 9, 0, true),
-                DumpEntry {
-                    key: 77,
-                    ops: 4,
-                    versioned: true,
-                    winner_sum: 7,
-                    winner_writer: 22,
-                    vector: vec![(11, 3), (22, 4)],
-                },
-            ],
+            pub_store: StoreDump {
+                counters: vec![(1, 10, 10), (2, 5, 0)],
+                ..StoreDump::default()
+            },
+            sub_store: StoreDump {
+                counters: vec![(1, 9, 0)],
+                objects: vec![
+                    (40, ObjectVersion::Scalar(0)),
+                    (
+                        77,
+                        ObjectVersion::Mesh {
+                            vector: VersionVector::from_components(&[(11, 3), (22, 4)]),
+                            winner: (7, 22),
+                        },
+                    ),
+                ],
+                watermarks: vec![(90, 64)],
+            },
         }
     }
 
@@ -370,12 +398,12 @@ mod tests {
         assert_eq!(store.load_latest().unwrap(), None);
         let seq1 = store.persist(&sample()).unwrap();
         let mut newer = sample();
-        newer.pub_entries.push(scalar(99, 1, 1, true));
+        newer.pub_store.counters.push((99, 1, 1));
         let seq2 = store.persist(&newer).unwrap();
         assert!(seq2 > seq1);
         let loaded = store.load_latest().unwrap().unwrap();
         assert_eq!(loaded.seq, seq2);
-        assert_eq!(loaded.pub_entries.len(), 3, "latest snapshot wins");
+        assert_eq!(loaded.pub_store.counters.len(), 3, "latest snapshot wins");
         // The older file was pruned.
         let count = fs::read_dir(&dir).unwrap().count();
         assert_eq!(count, 1);
@@ -393,12 +421,12 @@ mod tests {
         let seq1 = store.persist(&sample()).unwrap();
         store.inject_interrupt_next();
         let mut newer = sample();
-        newer.sub_entries.clear();
+        newer.sub_store = StoreDump::default();
         assert!(store.persist(&newer).is_err(), "interrupted persist fails");
         assert_eq!(store.stats().interrupted, 1);
         let loaded = store.load_latest().unwrap().unwrap();
         assert_eq!(loaded.seq, seq1, "previous snapshot is still latest");
-        assert_eq!(loaded.sub_entries, sample().sub_entries);
+        assert_eq!(loaded.sub_store, sample().sub_store);
         // The torn .tmp is swept on reopen and never loaded.
         let reopened = SnapshotStore::open(&dir).unwrap();
         assert_eq!(reopened.load_latest().unwrap().unwrap().seq, seq1);
@@ -411,7 +439,7 @@ mod tests {
     }
 
     /// A CRC-valid file under any magic but the current one (here the
-    /// retired SYNSNAP2) is rejected, not trusted: counted as skipped,
+    /// retired SYNSNAP3) is rejected, not trusted: counted as skipped,
     /// an older current-format snapshot is preferred, and with none the
     /// load reports no snapshot (recovery then replays the WAL).
     #[test]
@@ -419,7 +447,7 @@ mod tests {
         let dir = temp_dir("magic");
         let store = SnapshotStore::open(&dir).unwrap();
         let mut foreign = sample().encode();
-        foreign[..8].copy_from_slice(b"SYNSNAP2");
+        foreign[..8].copy_from_slice(b"SYNSNAP3");
         fs::write(dir.join("state-9.snap"), &foreign).unwrap();
         assert_eq!(store.load_latest().unwrap(), None);
         assert_eq!(store.stats().skipped_corrupt, 1);
@@ -429,7 +457,7 @@ mod tests {
         let seq = store.persist(&sample()).unwrap();
         assert!(seq < 9);
         let loaded = store.load_latest().unwrap().unwrap();
-        assert_eq!(loaded.seq, seq, "the older SYNSNAP3 file is preferred");
+        assert_eq!(loaded.seq, seq, "the older SYNSNAP4 file is preferred");
         assert_eq!(store.stats().skipped_corrupt, 2);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -260,20 +260,6 @@ impl WriteMessage {
     pub fn dep_keys(&self) -> Vec<DepKey> {
         self.dependencies.keys().copied().collect()
     }
-
-    /// The version vector an incoming write carries for `key`, given the
-    /// writer id of the publishing app. Multi-writer messages carry it
-    /// explicitly in `vectors`; single-writer (and scalar-era) messages
-    /// derive it from the scalar dependency value as a single component
-    /// owned by the message's writer.
-    pub fn vector_for(&self, key: DepKey, writer: u64) -> Option<VersionVector> {
-        if let Some(vector) = self.vectors.get(&key) {
-            return Some(vector.clone());
-        }
-        self.dependencies
-            .get(&key)
-            .map(|version| VersionVector::component(writer, *version))
-    }
 }
 
 fn malformed(what: &str) -> ModelError {
@@ -633,26 +619,6 @@ mod tests {
         );
         let decoded = WriteMessage::decode(&text).unwrap();
         assert_eq!(decoded, msg);
-    }
-
-    /// Scalar-era payloads (no `vectors` field) decode with an empty map
-    /// and fall back to a single-component vector derived from the
-    /// dependency value.
-    #[test]
-    fn vector_for_falls_back_to_scalar_dependency() {
-        let msg = fig6b_message();
-        let decoded = WriteMessage::decode(&msg.encode()).unwrap();
-        assert!(decoded.vectors.is_empty());
-        let derived = decoded.vector_for(77, 9).unwrap();
-        assert_eq!(derived.components(), &[(9, 42)]);
-        assert_eq!(decoded.vector_for(12345, 9), None);
-
-        let mut multi = fig6b_message();
-        multi
-            .vectors
-            .insert(77, VersionVector::from_components(&[(9, 2), (10, 5)]));
-        let explicit = multi.vector_for(77, 9).unwrap();
-        assert_eq!(explicit.components(), &[(9, 2), (10, 5)]);
     }
 
     /// `decode` against the tree decoder it replaced: the same verdict on

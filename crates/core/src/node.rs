@@ -98,9 +98,9 @@ impl SynapseNode {
             };
             match store.load_latest() {
                 Ok(Some(snapshot)) => {
-                    let entries = (snapshot.pub_entries.len() + snapshot.sub_entries.len()) as u64;
-                    let _ = pub_store.load_dump(&snapshot.pub_entries);
-                    let _ = sub_store.load_dump(&snapshot.sub_entries);
+                    let entries = snapshot.entries() as u64;
+                    let _ = pub_store.load_dump(&snapshot.pub_store);
+                    let _ = sub_store.load_dump(&snapshot.sub_store);
                     counters.counter("recovery.snapshots_loaded").bump();
                     counters.counter("recovery.snapshot_entries").add(entries);
                 }
@@ -471,7 +471,7 @@ impl SynapseNode {
     }
 
     /// Persists a [`NodeSnapshot`] of both version stores — including the
-    /// bootstrap watermarks riding in the subscriber store — plus the
+    /// bootstrap watermarks kept in the subscriber store — plus the
     /// broker's current WAL position. Returns the assigned sequence, or
     /// `Ok(0)` as a no-op when durability is off (mirroring
     /// [`Broker::checkpoint`]).
@@ -479,19 +479,19 @@ impl SynapseNode {
         let Some(store) = &self.snapshots else {
             return Ok(0);
         };
-        let pub_entries = self
+        let pub_store = self
             .pub_store
             .dump()
             .map_err(|e| io::Error::other(format!("pub store dump failed: {e:?}")))?;
-        let sub_entries = self
+        let sub_store = self
             .sub_store
             .dump()
             .map_err(|e| io::Error::other(format!("sub store dump failed: {e:?}")))?;
         let snapshot = NodeSnapshot {
             seq: 0, // assigned by the store
             wal_pos: self.broker.wal_position().unwrap_or_default(),
-            pub_entries,
-            sub_entries,
+            pub_store,
+            sub_store,
         };
         store.persist(&snapshot)
     }

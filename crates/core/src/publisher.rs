@@ -693,17 +693,16 @@ impl QueryObserver for Publisher {
         // object — all writers' components, tracked in the subscriber-side
         // store — plus one increment of its own, read, bumped and recorded
         // back as one store script. The vector lives under the
-        // writer-independent *mesh* key — every writer of the object
-        // stamps and classifies against the same entry, which is what
-        // lets concurrent remote writes meet this one for comparison. With
-        // the sub store dead the message goes out unstamped and falls back
-        // to its scalar dependency at the subscriber.
+        // writer-independent *mesh* name — every writer of the object
+        // stamps and classifies against the same identity, which is what
+        // lets concurrent remote writes meet this one for comparison; on
+        // the wire it rides under the name's hashed key. With the sub store
+        // dead the message goes out unstamped and falls back to its scalar
+        // dependency at the subscriber.
         let stamp = if publication.bidirectional {
-            let mesh_key = self
-                .dep_space
-                .key(&crate::deps::mesh_object(intent.model, record.id));
-            let stamped = self.sub_store.stamp(mesh_key, self.writer).ok();
-            stamped.map(|v| (mesh_key, v))
+            let mesh = crate::deps::mesh_object(intent.model, record.id);
+            let stamped = self.sub_store.stamp(mesh.identity(), self.writer).ok();
+            stamped.map(|v| (self.dep_space.key(&mesh), v))
         } else {
             None
         };

@@ -4,7 +4,7 @@
 use super::path::Kind;
 use super::Subscriber;
 use crate::api::Subscription;
-use crate::deps::{writer_id, DepName};
+use crate::deps::{mesh_object, writer_id, DepName};
 use crate::message::{Operation, WriteMessage};
 use crate::resolve::{ConflictCtx, Resolution};
 use crate::semantics::DeliveryMode;
@@ -15,7 +15,7 @@ use synapse_db::DbError;
 use synapse_model::{Id, Record, Value};
 use synapse_orm::{CallbackPoint, OrmError};
 use synapse_telemetry::mono_nanos;
-use synapse_versionstore::{AdmitRule, VectorAdmit, VersionVector, LEGACY_WRITER};
+use synapse_versionstore::{AdmitRule, ObjectVersion, Verdict, VersionVector};
 
 impl Subscriber {
     /// Applies one operation through the local ORM, unless version
@@ -48,45 +48,48 @@ impl Subscriber {
         // ordered modes the dependency wait already serializes live
         // applies, so the check only ever discards a copy/redelivery that
         // lost the race.
-        let key = self
-            .dep_space
-            .key(&DepName::object(&msg.app, op.model(), op.id));
-        // Multi-writer models track their version vectors under the
-        // writer-independent mesh key, so every writer's history of the
-        // object lands on one entry.
-        let mesh_key = matching.iter().any(|s| s.bidirectional).then(|| {
-            self.dep_space
-                .key(&crate::deps::mesh_object(op.model(), op.id))
-        });
-        // The version this operation carries and the store entry it is
-        // judged against. A multi-writer write (or copy — it carries the
-        // publisher's full vector, since a scalar marker on the legacy
-        // floor could wrongly dominate a remote writer's component) is
-        // classified by version-vector dominance under the mesh key. In
-        // weak mode this runs at raw apply time; in causal/global mode the
-        // dep wait has already completed, so the local row is causally
-        // complete when the resolver sees the pair. Everything else — a
-        // bidirectional subscription fed by a pre-vector publisher (no
-        // vector on the wire) included — carries the scalar of its object
-        // dependency, which rides the vector's legacy component.
+        //
+        // The version this operation carries and the object identity it
+        // is judged under. A multi-writer write (or copy, which carries the
+        // publisher's full vector) is classified by version-vector
+        // dominance under the object's writer-independent mesh name, so
+        // every writer's history of the object meets there. In weak mode
+        // this runs at raw apply time; in causal/global mode the dep wait
+        // has already completed, so the local row is causally complete
+        // when the resolver sees the pair. Everything else carries the
+        // scalar of its object dependency, judged under the object's own
+        // name.
         let writer = writer_id(&msg.app);
-        let mesh_vector = mesh_key.and_then(|mesh| Some((mesh, msg.vector_for(mesh, writer)?)));
-        let multi_writer = mesh_vector.is_some();
-        let (at, carried) = match mesh_vector {
-            Some((mesh, vector)) => (mesh, Some((vector, writer))),
-            None => (
-                key,
-                match mode {
-                    DeliveryMode::Weak => Some(msg.dependencies.get(&key).copied().unwrap_or(0)),
+        let mesh = matching
+            .iter()
+            .any(|s| s.bidirectional)
+            .then(|| mesh_object(op.model(), op.id))
+            .and_then(|name| {
+                Some((
+                    name.identity(),
+                    msg.vectors.get(&self.dep_space.key(&name))?,
+                ))
+            });
+        let (object, carried) = match mesh {
+            Some((object, vector)) => (
+                object,
+                Some(ObjectVersion::Mesh {
+                    vector: vector.clone(),
+                    winner: vector.lww_stamp(writer),
+                }),
+            ),
+            None => {
+                let name = DepName::object(&msg.app, op.model(), op.id);
+                let carried = msg.dependencies.get(&self.dep_space.key(&name)).copied();
+                let version = match mode {
+                    DeliveryMode::Weak => Some(carried.unwrap_or(0)),
                     // Ordered modes only check when the message actually
                     // carries the object's dependency (a mismatched dep
                     // space on the publisher must not silently drop writes).
-                    DeliveryMode::Causal | DeliveryMode::Global => {
-                        msg.dependencies.get(&key).copied()
-                    }
-                }
-                .map(|version| (VersionVector::scalar(version), LEGACY_WRITER)),
-            ),
+                    DeliveryMode::Causal | DeliveryMode::Global => carried,
+                };
+                (name.identity(), version.map(ObjectVersion::Scalar))
+            }
         };
         let (rule, applied, discarded) = match kind {
             Kind::Copy => (
@@ -118,24 +121,24 @@ impl Subscriber {
         // pair; the version counts as stored only at `commit`, so a write
         // that fails below leaves nothing behind and its redelivery is
         // judged afresh.
-        let admission = self.store.reserve(at);
-        let Some((vector, writer)) = &carried else {
+        let admission = self.store.reserve(object);
+        let Some(carried) = &carried else {
             return write();
         };
-        match admission.classify(vector, *writer, rule).map_err(dead)? {
-            VectorAdmit::Fresh => write()?,
-            VectorAdmit::Concurrent { lww_wins } if multi_writer => {
-                self.resolve_conflict(op, &matching, vector, *writer, lww_wins)?
+        match (admission.classify(carried, rule).map_err(dead)?, mesh) {
+            (Verdict::Fresh, _) => write()?,
+            (Verdict::Concurrent { lww_wins }, Some((_, vector))) => {
+                self.resolve_conflict(op, &matching, vector, writer, lww_wins)?
             }
             _ => {
                 discarded.fetch_add(1, Ordering::Relaxed);
-                if multi_writer && kind == Kind::Live {
+                if mesh.is_some() && kind == Kind::Live {
                     self.conflicts.discarded_dominated.bump();
                 }
                 return Ok(());
             }
         }
-        admission.commit(vector, *writer).map_err(dead)
+        admission.commit(carried).map_err(dead)
     }
 
     /// Resolves one concurrent incoming write (still under the object's

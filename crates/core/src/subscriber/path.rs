@@ -15,7 +15,7 @@ use synapse_broker::{Consumer, Delivery};
 use synapse_db::DbError;
 use synapse_orm::OrmError;
 use synapse_telemetry::mono_nanos;
-use synapse_versionstore::{DepKey, DepWaitSet, StoreError, WaitOutcome};
+use synapse_versionstore::{DepWaitSet, StoreError, WaitOutcome};
 
 /// The transient failure a dead subscriber version store causes.
 const STORE_DIED: &str = "subscriber version store died";
@@ -465,24 +465,22 @@ impl Subscriber {
         self.counters.dead_lettered.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Reports a live message's written-object keys to the watermark gate
-    /// when a reconciliation window is open on this delivery's partition.
-    /// Only *written* objects count: the copier drops chunk rows for
-    /// touched keys in favor of the live write's payload, so a key that
-    /// was merely read must not suppress its copy.
+    /// Reports the identities of a live message's written objects to the
+    /// watermark gate when a reconciliation window is open on this
+    /// delivery's partition. Only *written* objects count: the copier drops
+    /// chunk rows of touched objects in favor of the live write's payload,
+    /// so an object that was merely read must not suppress its copy — and
+    /// neither may an object that merely shares its hashed dependency key.
     fn note_live_apply(&self, partition: usize, msg: &WriteMessage) {
         if !self.gate.is_active() {
             return;
         }
-        let keys: Vec<DepKey> = msg
+        let objects: Vec<u64> = msg
             .operations
             .iter()
-            .map(|op| {
-                self.dep_space
-                    .key(&DepName::object(&msg.app, op.model(), op.id))
-            })
+            .map(|op| DepName::object(&msg.app, op.model(), op.id).identity())
             .collect();
-        self.gate.note_applied(partition, &keys);
+        self.gate.note_applied(partition, &objects);
     }
 
     /// Applies a decoded message's operations through the local ORM.

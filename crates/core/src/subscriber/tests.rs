@@ -185,17 +185,13 @@ fn bootstrap_traffic_waits_behind_a_set_aside_delivery_of_its_partition() {
     }));
     assert_eq!(node.subscriber_stats().watermarks_noted, 2);
     assert_eq!(body(&node, 1).as_deref(), Some("update 1"));
-    let key = |id| {
-        node.config()
-            .dep_space
-            .key(&DepName::object("pub", "Post", Id(id)))
-    };
+    let object = |id| DepName::object("pub", "Post", Id(id)).identity();
     let touched = gate.take_touched();
     assert!(
-        touched.contains(&key(1)),
+        touched.contains(&object(1)),
         "L1 landed inside the window, before the hi marker"
     );
-    assert!(touched.contains(&key(2)));
+    assert!(touched.contains(&object(2)));
     gate.deactivate();
     node.stop();
 }

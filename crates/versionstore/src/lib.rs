@@ -7,6 +7,24 @@
 //! The original stores these in Redis, runs every multi-key update as an
 //! atomic Lua script, and shards the store over a Dynamo-style hash ring.
 //!
+//! A [`VersionStore`] keeps three maps, one per purpose, each shard
+//! holding its part of all three:
+//!
+//! * **counters** `{ops, version}`, keyed by the hashed [`DepKey`]. Their
+//!   number is bounded by the dependency space — the paper's O(1) memory —
+//!   and a collision there costs only ordering slack;
+//! * **object admission state**, keyed by the object's *identity*: the
+//!   full 64-bit stable hash of its dependency name, never reduced into the
+//!   space. It holds an [`ObjectVersion`] — a single-writer scalar, or a
+//!   multi-writer vector with its LWW winner — and grows with the objects
+//!   replicated, so a counter collision can never decide freshness;
+//! * **bootstrap watermarks**, keyed by the identity of the
+//!   `(publisher, model)` watermark name.
+//!
+//! Killing a shard ([`VersionStore::kill_shard`]) loses that shard's part
+//! of all three maps; [`VersionStore::kill`] and [`VersionStore::flush`]
+//! lose all of them everywhere.
+//!
 //! This crate reproduces that stack:
 //!
 //! * [`VersionStore`] — the sharded store; every public operation is atomic
@@ -22,23 +40,24 @@
 //!   stored", where a version counts as stored only once its write has
 //!   landed), and [`VersionStore::stamp`] for a multi-writer object's local
 //!   writes;
-//! * bulk [`VersionStore::dump`] / [`VersionStore::load_dump`] for the
-//!   three-step bootstrap (§4.4) and the durability plane's snapshots;
-//! * [`VersionStore::kill`] failure injection, which loses all contents —
-//!   the event that forces a generation bump at the publisher or a partial
-//!   bootstrap at a subscriber;
+//! * bulk [`VersionStore::dump`] / [`VersionStore::load_dump`] — a
+//!   [`StoreDump`] with one section per map — for the three-step bootstrap
+//!   (§4.4) and the durability plane's snapshots;
+//! * [`VersionStore::kill`] failure injection — the event that forces a
+//!   generation bump at the publisher or a partial bootstrap at a
+//!   subscriber;
 //! * [`GenerationStore`] — the reliably-stored generation number (the
 //!   paper's Chubby/ZooKeeper stand-in).
 
-pub mod generation;
-pub mod ring;
-pub mod store;
-pub mod vector;
+mod generation;
+mod ring;
+mod store;
+mod vector;
 
 pub use generation::GenerationStore;
 pub use ring::HashRing;
 pub use store::{
-    Admission, AdmitRule, BumpScratch, DepKey, DepWaitSet, DumpEntry, StoreError,
-    StoreTimingSnapshot, VectorAdmit, VersionStore, WaitOutcome,
+    Admission, AdmitRule, BumpScratch, DepKey, DepWaitSet, ObjectVersion, StoreDump, StoreError,
+    StoreTimingSnapshot, Verdict, VersionStore, WaitOutcome,
 };
-pub use vector::{Dominance, VersionVector, INLINE_COMPONENTS, LEGACY_WRITER};
+pub use vector::{Dominance, VersionVector};

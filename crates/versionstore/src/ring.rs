@@ -18,7 +18,6 @@
 pub struct HashRing {
     /// Sorted ring positions and the shard that owns each.
     points: Vec<(u64, usize)>,
-    shards: usize,
 }
 
 impl HashRing {
@@ -39,12 +38,7 @@ impl HashRing {
         }
         points.sort_unstable();
         points.dedup_by_key(|(pos, _)| *pos);
-        HashRing { points, shards }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
+        HashRing { points }
     }
 
     /// Routes a key to its owning shard (first ring point clockwise).

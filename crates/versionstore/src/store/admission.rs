@@ -1,62 +1,107 @@
 //! The per-object admission script — reserve → classify → write → commit —
 //! and the local stamp of a multi-writer object.
 
-use super::{DepKey, StoreError, VersionStore, ADMISSION_STRIPES};
+use super::{Maps, StoreError, VersionStore, ADMISSION_STRIPES};
 use crate::vector::{Dominance, VersionVector};
 use parking_lot::MutexGuard;
 
 /// Which comparison admits a carried version ([`Admission::classify`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitRule {
-    /// A live write: a vector that dominates *or equals* the stored one
-    /// applies (an equal vector is a redelivery, and applies are idempotent
-    /// upserts), a dominated one is stale, a fork is a conflict.
+    /// A live write: a version that dominates *or equals* the stored one
+    /// applies (an equal version is a redelivery, and applies are
+    /// idempotent upserts), a dominated one is stale, a fork is a conflict.
     Live,
-    /// A bootstrap chunk copy: admitted only against a key that was never
-    /// explicitly versioned (marker 0 included — rows created before the
-    /// copy started) or by *strict* dominance. Ties and forks lose to the
-    /// live stream, which holds the authoritative payload — a tying copy is
-    /// the same publisher operation observed twice, and re-upserting it
-    /// could resurrect a row whose destroy the live stream already applied.
+    /// A bootstrap chunk copy: admitted only for an object with no
+    /// admission state (marker 0 included — rows created before the copy
+    /// started) or by *strict* dominance. Ties and forks lose to the live
+    /// stream, which holds the authoritative payload — a tying copy is the
+    /// same publisher operation observed twice, and re-upserting it could
+    /// resurrect a row whose destroy the live stream already applied.
     Copy,
 }
 
-/// Verdict of [`Admission::classify`]: the dominance classification of a
-/// carried vector against the stored per-object vector, with the store's
-/// LWW verdict attached when the two are concurrent.
+/// Verdict of [`Admission::classify`]: how a carried version compares
+/// with the object's stored one, with the store's LWW verdict attached
+/// when the two are concurrent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VectorAdmit {
+pub enum Verdict {
     /// The carried version is admitted under the rule: apply it.
     Fresh,
-    /// The stored vector already covers the carried one: discard it (§4.2:
-    /// "the subscriber also discards any messages with a version lower
-    /// than what is stored").
+    /// The stored version already covers the carried one: discard it
+    /// (§4.2: "the subscriber also discards any messages with a version
+    /// lower than what is stored").
     Stale,
     /// Neither history contains the other — a genuine multi-writer
-    /// conflict ([`AdmitRule::Live`] only). `lww_wins` is the store's
-    /// default verdict: whether the incoming version's LWW stamp (history
-    /// length, then writer id) beats the stamp of the content currently
-    /// stored. The resolver plane may honor it (LWW) or ignore it (merge
-    /// callbacks).
+    /// conflict ([`AdmitRule::Live`] and vectors only). `lww_wins` is the
+    /// store's default verdict: whether the incoming version's LWW stamp
+    /// (history length, then writer id) beats the stamp of the content
+    /// currently stored. The resolver plane may honor it (LWW) or ignore it
+    /// (merge callbacks).
     Concurrent {
         /// Whether the incoming version wins last-writer-wins.
         lww_wins: bool,
     },
 }
 
+/// One object's version — what a write carries and, joined over every
+/// admitted write, what the store keeps for the object.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ObjectVersion {
+    /// A single-writer object: the publisher's `ops` count before the
+    /// write (the value its object dependency carries).
+    Scalar(u64),
+    /// A multi-writer object: its per-writer history, and the LWW stamp
+    /// `(history length, writer)` of the content the version stands for
+    /// ([`VersionVector::lww_stamp`]). Stamps only ever grow along a
+    /// history, so keeping the max is order-independent and two replicas
+    /// that see the same writes converge on the same winner.
+    Mesh {
+        /// The per-writer history.
+        vector: VersionVector,
+        /// The LWW stamp of the held content.
+        winner: (u64, u64),
+    },
+}
+
+impl ObjectVersion {
+    /// Folds `other` in — the max of two scalars; the join of two vectors
+    /// and the max of their stamps — so the result dominates-or-equals
+    /// both. A version of the other kind replaces `self`.
+    pub(super) fn merge(&mut self, other: &ObjectVersion) {
+        use ObjectVersion::{Mesh, Scalar};
+        match (&mut *self, other) {
+            (Scalar(a), Scalar(b)) => *a = (*a).max(*b),
+            (
+                Mesh { vector, winner },
+                Mesh {
+                    vector: v,
+                    winner: w,
+                },
+            ) => {
+                vector.join(v);
+                *winner = (*winner).max(*w);
+            }
+            _ => *self = other.clone(),
+        }
+    }
+}
+
 impl VersionStore {
-    /// Opens the admission script for one object: reserve → classify →
-    /// write → commit. The returned guard holds the key's stripe — and no
-    /// shard lock — until it is committed or dropped, so two applies of one
-    /// object can never interleave verdict and write (the stale one landing
-    /// last), while the caller's ORM write blocks nobody else's store
-    /// traffic. An operation that carries no version still reserves its
-    /// key, for the exclusion alone.
-    pub fn reserve(&self, key: DepKey) -> Admission<'_> {
+    /// Opens the admission script for one object, named by its identity
+    /// (the full 64-bit hash of its dependency name, never reduced into
+    /// the dependency space): reserve → classify → write → commit. The
+    /// returned guard holds the object's stripe — and no shard lock —
+    /// until it is committed or dropped, so two applies of one object can
+    /// never interleave verdict and write (the stale one landing last),
+    /// while the caller's ORM write blocks nobody else's store traffic. An
+    /// operation that carries no version still reserves its object, for
+    /// the exclusion alone.
+    pub fn reserve(&self, object: u64) -> Admission<'_> {
         Admission {
             store: self,
-            key,
-            _stripe: self.stripes[(key % ADMISSION_STRIPES as u64) as usize].lock(),
+            object,
+            _stripe: self.stripes[(object % ADMISSION_STRIPES as u64) as usize].lock(),
         }
     }
 
@@ -66,13 +111,34 @@ impl VersionStore {
     /// LWW stamp) and return it — so the write advertises exactly the
     /// history it follows, and an incoming commit can land before or after
     /// the stamp but never inside it.
-    pub fn stamp(&self, key: DepKey, writer: u64) -> Result<VersionVector, StoreError> {
-        let mut entries = self.entries_of(key)?;
-        let entry = entries.entry(key).or_default();
-        entry.vector.set(writer, entry.vector.get(writer) + 1);
-        entry.versioned = true;
-        entry.note_stamp(entry.vector.lww_stamp(writer));
-        Ok(entry.vector.clone())
+    pub fn stamp(&self, object: u64, writer: u64) -> Result<VersionVector, StoreError> {
+        let mut maps = self.maps_of(object)?;
+        let mut vector = mesh_vector(&maps, object);
+        vector.set(writer, vector.get(writer) + 1);
+        let stamped = ObjectVersion::Mesh {
+            winner: vector.lww_stamp(writer),
+            vector: vector.clone(),
+        };
+        maps.objects
+            .entry(object)
+            .and_modify(|stored| stored.merge(&stamped))
+            .or_insert(stamped);
+        Ok(vector)
+    }
+
+    /// Reads a multi-writer object's recorded version vector (empty when
+    /// it has none) — what the bootstrap copier sends as a bidirectional
+    /// row's version.
+    pub fn latest_vector(&self, object: u64) -> Result<VersionVector, StoreError> {
+        Ok(mesh_vector(&*self.maps_of(object)?, object))
+    }
+}
+
+/// The vector `maps` holds for `object`; empty unless it is a mesh object.
+fn mesh_vector(maps: &Maps, object: u64) -> VersionVector {
+    match maps.objects.get(&object) {
+        Some(ObjectVersion::Mesh { vector, .. }) => vector.clone(),
+        _ => VersionVector::new(),
     }
 }
 
@@ -82,48 +148,54 @@ impl VersionStore {
 /// classified from scratch against what actually landed.
 pub struct Admission<'a> {
     store: &'a VersionStore,
-    key: DepKey,
+    object: u64,
     _stripe: MutexGuard<'a, ()>,
 }
 
 impl Admission<'_> {
-    /// Classifies `incoming` (the write's version vector, authored by
-    /// `writer`) against the stored vector under `rule`, changing nothing.
-    /// A single-writer write presents its scalar version as
-    /// [`VersionVector::scalar`] under [`LEGACY_WRITER`](crate::LEGACY_WRITER): the legacy
-    /// component's floor semantics make [`AdmitRule::Live`] read as
-    /// `version >= stored` applies, older is stale.
+    /// Classifies `incoming` against the object's stored version under
+    /// `rule`, changing nothing. An object with no admission state admits
+    /// anything; so does a stored version of the other kind, which only a
+    /// 64-bit collision between a single-writer and a mesh name can leave.
     pub fn classify(
         &self,
-        incoming: &VersionVector,
-        writer: u64,
+        incoming: &ObjectVersion,
         rule: AdmitRule,
-    ) -> Result<VectorAdmit, StoreError> {
-        let entries = self.store.entries_of(self.key)?;
-        let Some(entry) = entries.get(&self.key) else {
-            return Ok(VectorAdmit::Fresh);
-        };
-        Ok(match (rule, incoming.compare(&entry.vector)) {
-            (AdmitRule::Copy, _) if !entry.versioned => VectorAdmit::Fresh,
-            (_, Dominance::Dominates) | (AdmitRule::Live, Dominance::Equal) => VectorAdmit::Fresh,
-            (AdmitRule::Live, Dominance::Concurrent) => VectorAdmit::Concurrent {
-                lww_wins: incoming.lww_stamp(writer) > (entry.winner_sum, entry.winner_writer),
+    ) -> Result<Verdict, StoreError> {
+        use ObjectVersion::{Mesh, Scalar};
+        let live = rule == AdmitRule::Live;
+        let maps = self.store.maps_of(self.object)?;
+        Ok(match (incoming, maps.objects.get(&self.object)) {
+            (Scalar(a), Some(Scalar(b))) if a < b || (a == b && !live) => Verdict::Stale,
+            (
+                Mesh { vector: a, winner },
+                Some(Mesh {
+                    vector: b,
+                    winner: held,
+                }),
+            ) => match a.compare(b) {
+                Dominance::Dominates => Verdict::Fresh,
+                Dominance::Equal if live => Verdict::Fresh,
+                Dominance::Concurrent if live => Verdict::Concurrent {
+                    lww_wins: winner > held,
+                },
+                _ => Verdict::Stale,
             },
-            _ => VectorAdmit::Stale,
+            _ => Verdict::Fresh,
         })
     }
 
-    /// Records `incoming` as stored — the vector advances to the join, the
-    /// key counts as explicitly versioned, and the LWW stamp is folded in,
-    /// so replicas converge on the max-stamp version no matter the delivery
-    /// order — and releases the key. Called once the write, or a
+    /// Records `incoming` as stored — folded into the object's version, so
+    /// replicas converge on the max-stamp version no matter the delivery
+    /// order — and releases the object. Called once the write, or a
     /// resolution that keeps the local row, has finished.
-    pub fn commit(self, incoming: &VersionVector, writer: u64) -> Result<(), StoreError> {
-        let mut entries = self.store.entries_of(self.key)?;
-        let entry = entries.entry(self.key).or_default();
-        entry.vector.join(incoming);
-        entry.versioned = true;
-        entry.note_stamp(incoming.lww_stamp(writer));
+    pub fn commit(self, incoming: &ObjectVersion) -> Result<(), StoreError> {
+        self.store
+            .maps_of(self.object)?
+            .objects
+            .entry(self.object)
+            .and_modify(|stored| stored.merge(incoming))
+            .or_insert_with(|| incoming.clone());
         Ok(())
     }
 }

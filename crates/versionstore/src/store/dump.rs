@@ -1,82 +1,78 @@
-//! Bulk dump and max-merge load of whole entries: the durability plane's
-//! snapshot form and step 1 of bootstrap.
+//! Bulk dump and max-merge load of a whole store, one section per map:
+//! the durability plane's snapshot form and step 1 of bootstrap.
 
-use super::{DepKey, StoreError, VersionStore};
-use crate::vector::VersionVector;
+use super::{DepKey, ObjectVersion, StoreError, VersionStore};
 
-/// One version-store entry in bulk form: the counter, the full per-writer
-/// vector, the explicit-write flag and the LWW winner stamp, so freshness
-/// marks, destroy tombstones, bootstrap watermarks *and*
-/// conflict-resolution state survive a crash-restart. Every field but
-/// `key` has a zero that [`VersionStore::load_dump`]'s max-merge reads as
-/// "nothing to add" — step 1 of bootstrap sends `(key, ops)` that way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DumpEntry {
-    /// The dependency key.
-    pub key: DepKey,
-    /// The dependency-counter value.
-    pub ops: u64,
-    /// Whether the vector was ever explicitly written (tombstones!).
-    pub versioned: bool,
-    /// LWW stamp of the currently-held content: total history length.
-    pub winner_sum: u64,
-    /// LWW stamp of the currently-held content: tie-break writer id.
-    pub winner_writer: u64,
-    /// Sorted `(writer, counter)` vector components.
-    pub vector: Vec<(u64, u64)>,
+/// A whole store in bulk form, each section sorted by key for a
+/// deterministic on-disk image.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StoreDump {
+    /// `(key, ops, version)` of every dependency counter.
+    pub counters: Vec<(DepKey, u64, u64)>,
+    /// Every object's admission state, by identity — destroy tombstones
+    /// and conflict-resolution state included.
+    pub objects: Vec<(u64, ObjectVersion)>,
+    /// Every bootstrap watermark, `(identity, last copied id)`.
+    pub watermarks: Vec<(u64, u64)>,
 }
 
 impl VersionStore {
-    /// Bulk-dumps all entries as [`DumpEntry`] values, sorted by key for a
-    /// deterministic on-disk image — the durability plane's snapshot, and
-    /// (projected to `(key, ops)`) step one of bootstrap (§4.4: "all
-    /// current publisher versions are sent in bulk").
-    pub fn dump(&self) -> Result<Vec<DumpEntry>, StoreError> {
+    /// Bulk-dumps all three maps — the durability plane's snapshot and,
+    /// from a publisher's store (which holds counters only), step one of
+    /// bootstrap (§4.4: "all current publisher versions are sent in
+    /// bulk").
+    pub fn dump(&self) -> Result<StoreDump, StoreError> {
         self.check_alive()?;
-        let mut out = Vec::new();
+        let mut out = StoreDump::default();
         for shard in &self.shards {
-            let entries = shard.entries.lock();
-            out.extend(entries.iter().map(|(k, e)| DumpEntry {
-                key: *k,
-                ops: e.ops,
-                versioned: e.versioned,
-                winner_sum: e.winner_sum,
-                winner_writer: e.winner_writer,
-                vector: e.vector.components().to_vec(),
-            }));
+            let maps = shard.maps.lock();
+            out.counters
+                .extend(maps.counters.iter().map(|(k, c)| (*k, c.ops, c.version)));
+            out.objects
+                .extend(maps.objects.iter().map(|(k, v)| (*k, v.clone())));
+            out.watermarks
+                .extend(maps.watermarks.iter().map(|(k, v)| (*k, *v)));
         }
-        out.sort_unstable_by_key(|e| e.key);
+        out.counters.sort_unstable_by_key(|c| c.0);
+        out.objects.sort_unstable_by_key(|o| o.0);
+        out.watermarks.sort_unstable();
         Ok(out)
     }
 
-    /// Bulk-loads [`DumpEntry`] values, keeping the max of each counter
-    /// (component-wise for the vector, stamp-wise for the winner, OR for
-    /// the explicit-write flag) against any existing entry, and wakes
-    /// waiters on touched shards. Max-merge makes the load idempotent and
-    /// safe to combine with live traffic racing in after recovery.
-    pub fn load_dump(&self, entries: &[DumpEntry]) -> Result<(), StoreError> {
+    /// Bulk-loads a [`StoreDump`], keeping the max of everything against
+    /// what is already stored — counters field-wise, object versions as
+    /// admission commits them, watermarks as loaded — and wakes waiters on
+    /// touched shards. Max-merge makes the load idempotent and safe to
+    /// combine with live traffic racing in after recovery.
+    pub fn load_dump(&self, dump: &StoreDump) -> Result<(), StoreError> {
         self.check_alive()?;
-        let routes: Vec<usize> = entries.iter().map(|e| self.ring.route(e.key)).collect();
+        let routes: Vec<usize> = (dump.counters.iter().map(|c| c.0))
+            .chain(dump.objects.iter().map(|o| o.0))
+            .chain(dump.watermarks.iter().map(|w| w.0))
+            .map(|key| self.ring.route(key))
+            .collect();
         let mut guards = self.lock_routed(&routes);
-        for (dumped, shard_idx) in entries.iter().zip(&routes) {
-            let entry = guards[*shard_idx]
-                .as_mut()
-                .expect("routed shard locked")
-                .entry(dumped.key)
-                .or_default();
-            entry.ops = entry.ops.max(dumped.ops);
-            entry
-                .vector
-                .join(&VersionVector::from_components(&dumped.vector));
-            entry.versioned |= dumped.versioned;
-            entry.note_stamp((dumped.winner_sum, dumped.winner_writer));
+        let (counter_routes, rest) = routes.split_at(dump.counters.len());
+        let (object_routes, watermark_routes) = rest.split_at(dump.objects.len());
+        for (&(key, ops, version), shard) in dump.counters.iter().zip(counter_routes) {
+            let maps = guards[*shard].as_mut().expect("routed shard locked");
+            let counter = maps.counters.entry(key).or_default();
+            counter.ops = counter.ops.max(ops);
+            counter.version = counter.version.max(version);
         }
-        for (i, guard) in guards.into_iter().enumerate() {
-            if let Some(guard) = guard {
-                drop(guard);
-                self.shards[i].changed.notify_all();
-            }
+        for ((object, version), shard) in dump.objects.iter().zip(object_routes) {
+            let maps = guards[*shard].as_mut().expect("routed shard locked");
+            maps.objects
+                .entry(*object)
+                .and_modify(|stored| stored.merge(version))
+                .or_insert_with(|| version.clone());
         }
+        for (&(key, value), shard) in dump.watermarks.iter().zip(watermark_routes) {
+            let maps = guards[*shard].as_mut().expect("routed shard locked");
+            let stored = maps.watermarks.entry(key).or_default();
+            *stored = (*stored).max(value);
+        }
+        self.release_notify(guards);
         Ok(())
     }
 }

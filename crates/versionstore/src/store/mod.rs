@@ -1,18 +1,17 @@
 //! The sharded version store and its atomic scripts: the publisher's
-//! bump, the subscriber's wait and apply, and the scalar reads here; the
-//! per-object admission script in `admission`; whole-entry dump and load
-//! in `dump`.
+//! bump, the subscriber's wait and apply, the counter reads and the
+//! bootstrap watermarks here; the per-object admission script in
+//! `admission`; the three-section dump and load in `dump`.
 
 mod admission;
 mod dump;
 #[cfg(test)]
 mod tests;
 
-pub use admission::{Admission, AdmitRule, VectorAdmit};
-pub use dump::DumpEntry;
+pub use admission::{Admission, AdmitRule, ObjectVersion, Verdict};
+pub use dump::StoreDump;
 
 use crate::ring::HashRing;
-use crate::vector::{VersionVector, LEGACY_WRITER};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,23 +75,6 @@ pub struct DepWaitSet {
     entries: Vec<(u32, DepKey, u64)>,
 }
 
-impl DepWaitSet {
-    /// Number of dependencies in the set.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the set holds no dependencies.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops all entries, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
 /// Store-side timing: how many apply scripts and blocking waits this store
 /// ran, and the wall time they consumed. Plain relaxed atomics — cheap
 /// enough to stay unconditionally live; the node surfaces them as
@@ -119,50 +101,38 @@ pub struct StoreTimingSnapshot {
     pub wait_nanos: u64,
 }
 
-/// Per-dependency counters. On the publisher `ops` and the (legacy
-/// component of the) vector are used; on a subscriber `ops` plus the full
-/// per-writer vector for the freshness/dominance check.
-///
-/// `versioned` records whether the vector was ever *explicitly* written
-/// for this key (by a committed admission or a local stamp) — an entry
-/// created as a side effect of `ops` bookkeeping has an empty vector
-/// without meaning "version 0 was observed". Bootstrap
-/// reconciliation needs the distinction: a copy with marker 0 must be
-/// admitted against a never-versioned key (a row created before any
-/// subscriber existed) but discarded against a key whose version 0 was
-/// recorded by an applied destroy (the deleted-row-resurrection bug).
-///
-/// `winner_sum`/`winner_writer` are the LWW stamp of the content the
-/// replica currently holds for the key: the stamp of the last version that
-/// was committed (fresh apply or concurrent LWW win). Stamps only ever
-/// increase — a dominating version's history is strictly longer than what
-/// it dominates — so "keep the max stamp" is order-independent and two
-/// replicas that see the same writes converge on the same winner.
-#[derive(Debug, Default, Clone)]
-struct Entry {
+/// One dependency's counters (§4.2): `ops`, the operations that have
+/// referenced it, and `version`, the `ops` value of the last write — the
+/// publisher's version mark, which read dependencies carry. A subscriber
+/// advances `ops` only; its `version` is whatever bootstrap step 1 loaded.
+#[derive(Debug, Default, Clone, Copy)]
+struct Counter {
     ops: u64,
-    vector: VersionVector,
-    winner_sum: u64,
-    winner_writer: u64,
-    versioned: bool,
+    version: u64,
 }
 
-impl Entry {
-    /// Folds `stamp` into the winner stamp, returning whether it won.
-    fn note_stamp(&mut self, stamp: (u64, u64)) -> bool {
-        if stamp > (self.winner_sum, self.winner_writer) {
-            self.winner_sum = stamp.0;
-            self.winner_writer = stamp.1;
-            true
-        } else {
-            false
-        }
+/// One shard's three maps, one per purpose, under one lock.
+#[derive(Default)]
+struct Maps {
+    /// Dependency counters by hashed key: the bounded plane.
+    counters: HashMap<DepKey, Counter>,
+    /// Admission state by object identity. Being here is what makes an
+    /// object *versioned*: a destroy leaves its version behind as a
+    /// tombstone, so a stale copy of the row is refused.
+    objects: HashMap<u64, ObjectVersion>,
+    /// Bootstrap resume watermarks (last copied id) by identity.
+    watermarks: HashMap<u64, u64>,
+}
+
+impl Maps {
+    fn len(&self) -> usize {
+        self.counters.len() + self.objects.len() + self.watermarks.len()
     }
 }
 
 #[derive(Default)]
 struct Shard {
-    entries: Mutex<HashMap<DepKey, Entry>>,
+    maps: Mutex<Maps>,
     changed: Condvar,
     /// Per-shard kill switch (fault injection): a dead shard loses its
     /// contents and fails every operation routed to it.
@@ -179,7 +149,8 @@ pub struct VersionStore {
     shards: Vec<Arc<Shard>>,
     ring: HashRing,
     timing: StoreTiming,
-    /// Per-object exclusion for [`VersionStore::reserve`], striped by key.
+    /// Per-object exclusion for [`VersionStore::reserve`], striped by
+    /// object.
     stripes: Vec<Mutex<()>>,
 }
 
@@ -214,38 +185,23 @@ impl VersionStore {
         }
     }
 
-    /// Key-routed operations fail only when one of *their* shards is dead.
-    fn check_shards_alive(&self, keys: &[DepKey]) -> Result<(), StoreError> {
-        for key in keys {
-            if self.shards[self.ring.route(*key)]
-                .dead
-                .load(Ordering::SeqCst)
-            {
-                return Err(StoreError::Dead);
-            }
-        }
-        Ok(())
-    }
-
-    /// Locks the shard `key` routes to, unless it is dead.
-    fn entries_of(
-        &self,
-        key: DepKey,
-    ) -> Result<MutexGuard<'_, HashMap<DepKey, Entry>>, StoreError> {
+    /// Locks the shard `key` routes to, unless it is dead. Counters route
+    /// by their hashed key, objects and watermarks by their identity.
+    fn maps_of(&self, key: u64) -> Result<MutexGuard<'_, Maps>, StoreError> {
         let shard = &self.shards[self.ring.route(key)];
         if shard.dead.load(Ordering::SeqCst) {
             return Err(StoreError::Dead);
         }
-        Ok(shard.entries.lock())
+        Ok(shard.maps.lock())
     }
 
-    /// Kills one shard: its contents are lost and every operation routed to
-    /// it fails until [`VersionStore::revive_shard`]. Out-of-range indexes
-    /// are ignored.
+    /// Kills one shard: its contents — counters, objects and watermarks
+    /// alike — are lost and every operation routed to it fails until
+    /// [`VersionStore::revive_shard`]. Out-of-range indexes are ignored.
     pub fn kill_shard(&self, index: usize) {
         if let Some(shard) = self.shards.get(index) {
             shard.dead.store(true, Ordering::SeqCst);
-            shard.entries.lock().clear();
+            *shard.maps.lock() = Maps::default();
             // Wake all waiters so they observe death instead of hanging.
             shard.changed.notify_all();
         }
@@ -267,8 +223,9 @@ impl VersionStore {
             .unwrap_or(false)
     }
 
-    /// Shard index a key routes to (for targeted fault injection).
-    pub fn shard_for(&self, key: DepKey) -> usize {
+    /// Shard index a counter key, object or watermark routes to (for
+    /// targeted fault injection).
+    pub fn shard_for(&self, key: u64) -> usize {
         self.ring.route(key)
     }
 
@@ -299,7 +256,7 @@ impl VersionStore {
     /// atomicity without deadlocks). The result is indexed by shard number —
     /// `guards[i]` is `Some` iff shard `i` is routed — so per-key guard
     /// lookup is O(1) instead of a linear scan of the locked set.
-    fn lock_routed(&self, routes: &[usize]) -> Vec<Option<MutexGuard<'_, HashMap<DepKey, Entry>>>> {
+    fn lock_routed(&self, routes: &[usize]) -> Vec<Option<MutexGuard<'_, Maps>>> {
         let mut touched = vec![false; self.shards.len()];
         for r in routes {
             touched[*r] = true;
@@ -307,8 +264,18 @@ impl VersionStore {
         touched
             .into_iter()
             .enumerate()
-            .map(|(i, hit)| hit.then(|| self.shards[i].entries.lock()))
+            .map(|(i, hit)| hit.then(|| self.shards[i].maps.lock()))
             .collect()
+    }
+
+    /// Drops every guard and wakes the waiters of each shard it held.
+    fn release_notify(&self, guards: Vec<Option<MutexGuard<'_, Maps>>>) {
+        for (i, guard) in guards.into_iter().enumerate() {
+            if let Some(guard) = guard {
+                drop(guard);
+                self.shards[i].changed.notify_all();
+            }
+        }
     }
 
     /// The publisher's atomic script (§4.2): for each dependency, increment
@@ -331,7 +298,7 @@ impl VersionStore {
         scratch.touched.clear();
         scratch.touched.resize(self.shards.len(), false);
         // Route each key once, failing before any lock if a routed shard is
-        // dead (same all-or-nothing semantics as `check_shards_alive`).
+        // dead (the same all-or-nothing semantics as `apply`).
         for (key, _) in deps {
             let route = self.ring.route(*key);
             if self.shards[route].dead.load(Ordering::SeqCst) {
@@ -343,25 +310,21 @@ impl VersionStore {
         // Lock touched shards in index order (cross-shard atomicity without
         // deadlocks). The guard vector itself is per-call — guards borrow
         // `self` — but it is the only allocation left on this path.
-        let mut guards: Vec<Option<MutexGuard<'_, HashMap<DepKey, Entry>>>> = scratch
+        let mut guards: Vec<Option<MutexGuard<'_, Maps>>> = scratch
             .touched
             .iter()
             .enumerate()
-            .map(|(i, hit)| hit.then(|| self.shards[i].entries.lock()))
+            .map(|(i, hit)| hit.then(|| self.shards[i].maps.lock()))
             .collect();
         for ((key, is_write), shard_idx) in deps.iter().zip(&scratch.routes) {
             let guard = guards[*shard_idx].as_mut().expect("routed shard locked");
-            let entry = guard.entry(*key).or_default();
-            entry.ops += 1;
+            let counter = guard.counters.entry(*key).or_default();
+            counter.ops += 1;
             let value = if *is_write {
-                // The publisher's own version mark rides the legacy
-                // component: a pub-store entry has exactly one writer —
-                // this store's owner — so the unattributed slot is its
-                // natural home and dumps stay readable as scalars.
-                entry.vector.set(LEGACY_WRITER, entry.ops);
-                entry.ops - 1
+                counter.version = counter.ops;
+                counter.ops - 1
             } else {
-                entry.vector.max_counter()
+                counter.version
             };
             out.push((*key, value));
         }
@@ -414,7 +377,7 @@ impl VersionStore {
                 end += 1;
             }
             let shard = &self.shards[shard_idx];
-            let mut entries = shard.entries.lock();
+            let mut maps = shard.maps.lock();
             // `done` only advances: ops counters are monotonic while the
             // shard lock is dropped during a wait.
             let mut done = start;
@@ -424,7 +387,7 @@ impl VersionStore {
                 }
                 while done < end {
                     let (_, key, required) = set.entries[done];
-                    if entries.get(&key).map(|e| e.ops).unwrap_or(0) >= required {
+                    if maps.counters.get(&key).map_or(0, |c| c.ops) >= required {
                         done += 1;
                     } else {
                         break;
@@ -433,7 +396,7 @@ impl VersionStore {
                 if done == end {
                     break;
                 }
-                if shard.changed.wait_until(&mut entries, deadline).timed_out() {
+                if shard.changed.wait_until(&mut maps, deadline).timed_out() {
                     return Ok(WaitOutcome::TimedOut);
                 }
             }
@@ -464,9 +427,9 @@ impl VersionStore {
             while end < set.entries.len() && set.entries[end].0 as usize == shard_idx {
                 end += 1;
             }
-            let entries = self.shards[shard_idx].entries.lock();
+            let maps = self.shards[shard_idx].maps.lock();
             for (_, key, required) in &set.entries[start..end] {
-                if entries.get(key).map(|e| e.ops).unwrap_or(0) < *required {
+                if maps.counters.get(key).map_or(0, |c| c.ops) < *required {
                     return Ok(false);
                 }
             }
@@ -484,23 +447,25 @@ impl VersionStore {
     /// shards are not spuriously woken.
     pub fn apply(&self, keys: &[DepKey]) -> Result<(), StoreError> {
         let begun = Instant::now();
-        self.check_shards_alive(keys)?;
         let routes: Vec<usize> = keys.iter().map(|k| self.ring.route(*k)).collect();
+        // Key-routed: fails only when one of *its* shards is dead.
+        if routes
+            .iter()
+            .any(|r| self.shards[*r].dead.load(Ordering::SeqCst))
+        {
+            return Err(StoreError::Dead);
+        }
         let mut guards = self.lock_routed(&routes);
         for (key, shard_idx) in keys.iter().zip(&routes) {
             guards[*shard_idx]
                 .as_mut()
                 .expect("routed shard locked")
+                .counters
                 .entry(*key)
                 .or_default()
                 .ops += 1;
         }
-        for (i, guard) in guards.into_iter().enumerate() {
-            if let Some(guard) = guard {
-                drop(guard);
-                self.shards[i].changed.notify_all();
-            }
-        }
+        self.release_notify(guards);
         self.timing.applies.fetch_add(1, Ordering::Relaxed);
         self.timing
             .apply_nanos
@@ -508,73 +473,66 @@ impl VersionStore {
         Ok(())
     }
 
-    /// Reads a key's recorded latest version as a scalar — the largest
-    /// vector component (0 when absent). The bootstrap copier reads its
-    /// chunk watermarks back with this (they only ever carry the legacy
-    /// component); a copy's marker comes from [`VersionStore::ops`].
+    /// Reads a key's `version` mark (0 when absent): on a publisher, the
+    /// `ops` count of the key's last write.
     pub fn latest_version(&self, key: DepKey) -> Result<u64, StoreError> {
-        let entries = self.entries_of(key)?;
-        Ok(entries
-            .get(&key)
-            .map(|e| e.vector.max_counter())
-            .unwrap_or(0))
-    }
-
-    /// Reads a key's full recorded version vector (empty when absent) —
-    /// what the bootstrap copier sends as a bidirectional row's version.
-    pub fn latest_vector(&self, key: DepKey) -> Result<VersionVector, StoreError> {
-        let entries = self.entries_of(key)?;
-        Ok(entries
-            .get(&key)
-            .map(|e| e.vector.clone())
-            .unwrap_or_default())
-    }
-
-    /// Bootstrap watermark compare-and-load: keeps the max of `value` and
-    /// the stored version for `key`, returning whatever ends up stored.
-    /// Monotone, so a retried chunk can never move a watermark backwards.
-    /// Watermarks live on the legacy vector component — they are plain
-    /// resume cursors, not multi-writer histories.
-    pub fn load_watermark(&self, key: DepKey, value: u64) -> Result<u64, StoreError> {
-        let mut entries = self.entries_of(key)?;
-        let entry = entries.entry(key).or_default();
-        let stored = entry.vector.get(LEGACY_WRITER).max(value);
-        entry.vector.set(LEGACY_WRITER, stored);
-        Ok(stored)
-    }
-
-    /// Drops a bootstrap watermark (resets the key's version to 0). Called
-    /// when a bootstrap completes — or restarts from scratch — so a later
-    /// bootstrap re-copies every record instead of resuming past rows that
-    /// may have changed since.
-    pub fn clear_watermark(&self, key: DepKey) -> Result<(), StoreError> {
-        let mut entries = self.entries_of(key)?;
-        if let Some(entry) = entries.get_mut(&key) {
-            entry.vector.set(LEGACY_WRITER, 0);
-        }
-        Ok(())
+        Ok(self.counter(key)?.version)
     }
 
     /// Reads a key's `ops` counter (0 when absent).
     pub fn ops(&self, key: DepKey) -> Result<u64, StoreError> {
-        let entries = self.entries_of(key)?;
-        Ok(entries.get(&key).map(|e| e.ops).unwrap_or(0))
+        Ok(self.counter(key)?.ops)
     }
 
-    /// Clears every counter (generation change, §4.4: subscribers "flush
-    /// their version store").
+    fn counter(&self, key: DepKey) -> Result<Counter, StoreError> {
+        Ok(self
+            .maps_of(key)?
+            .counters
+            .get(&key)
+            .copied()
+            .unwrap_or_default())
+    }
+
+    /// Reads a bootstrap watermark — the last id a copy committed — by
+    /// its identity (0 when absent).
+    pub fn watermark(&self, key: u64) -> Result<u64, StoreError> {
+        Ok(self.maps_of(key)?.watermarks.get(&key).map_or(0, |w| *w))
+    }
+
+    /// Bootstrap watermark compare-and-load: keeps the max of `value` and
+    /// the stored watermark, returning whatever ends up stored. Monotone,
+    /// so a retried chunk can never move a watermark backwards.
+    pub fn load_watermark(&self, key: u64, value: u64) -> Result<u64, StoreError> {
+        let mut maps = self.maps_of(key)?;
+        let stored = maps.watermarks.entry(key).or_default();
+        *stored = (*stored).max(value);
+        Ok(*stored)
+    }
+
+    /// Drops a bootstrap watermark. Called when a bootstrap completes — or
+    /// restarts from scratch — so a later bootstrap re-copies every record
+    /// instead of resuming past rows that may have changed since.
+    pub fn clear_watermark(&self, key: u64) -> Result<(), StoreError> {
+        self.maps_of(key)?.watermarks.remove(&key);
+        Ok(())
+    }
+
+    /// Clears all three maps (generation change, §4.4: subscribers "flush
+    /// their version store"): the publisher restarted its counters, so
+    /// every version recorded against the old ones is void.
     pub fn flush(&self) -> Result<(), StoreError> {
         self.check_alive()?;
         for shard in &self.shards {
-            shard.entries.lock().clear();
+            *shard.maps.lock() = Maps::default();
             shard.changed.notify_all();
         }
         Ok(())
     }
 
-    /// Number of entries across all shards.
+    /// Number of entries across all shards, counting all three maps:
+    /// counters, admitted objects and watermarks.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.lock().len()).sum()
+        self.shards.iter().map(|s| s.maps.lock().len()).sum()
     }
 
     /// Returns `true` if the store holds no entries.

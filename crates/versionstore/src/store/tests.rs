@@ -1,5 +1,5 @@
 use super::*;
-use crate::vector::Dominance;
+use crate::vector::{Dominance, VersionVector};
 use std::thread;
 
 /// One bump script on fresh scratch buffers, returning the dependency
@@ -31,77 +31,68 @@ fn satisfied(store: &VersionStore, deps: &[(DepKey, u64)]) -> bool {
     store.satisfied_prepared(&prepared(store, deps)).unwrap()
 }
 
-/// A single-writer entry in dump form: its version rides the legacy
-/// component, as a publisher's own marks and the watermarks do.
-fn scalar_entry(key: DepKey, ops: u64, version: u64, versioned: bool) -> DumpEntry {
-    DumpEntry {
-        key,
-        ops,
-        versioned,
-        winner_sum: version,
-        winner_writer: LEGACY_WRITER,
-        vector: if version > 0 {
-            vec![(LEGACY_WRITER, version)]
-        } else {
-            Vec::new()
-        },
+/// Counters alone in dump form, as bootstrap step 1 loads a publisher's.
+fn counters(pairs: &[(DepKey, u64, u64)]) -> StoreDump {
+    StoreDump {
+        counters: pairs.to_vec(),
+        ..StoreDump::default()
     }
 }
 
-/// `(key, ops)` pairs as bootstrap step 1 loads them: every other field at
-/// its zero, which the max-merge reads as "nothing to add".
+/// `(key, ops)` pairs loaded as counters with no version mark.
 fn load_ops(store: &VersionStore, pairs: &[(DepKey, u64)]) {
-    let projected: Vec<DumpEntry> = pairs
-        .iter()
-        .map(|&(key, ops)| scalar_entry(key, ops, 0, false))
-        .collect();
-    store.load_dump(&projected).unwrap();
+    let pairs: Vec<_> = pairs.iter().map(|&(key, ops)| (key, ops, 0)).collect();
+    store.load_dump(&counters(&pairs)).unwrap();
+}
+
+/// A multi-writer version: `vector`, as written by `writer`.
+fn mesh(vector: VersionVector, writer: u64) -> ObjectVersion {
+    ObjectVersion::Mesh {
+        winner: vector.lww_stamp(writer),
+        vector,
+    }
 }
 
 /// The admission script as the subscriber runs it, with a write that
 /// always lands: reserve, classify, and commit whatever was not
 /// discarded (a concurrent version is committed whichever side the
 /// resolver keeps).
-fn admit(
-    store: &VersionStore,
-    key: DepKey,
-    incoming: &VersionVector,
-    writer: u64,
-    rule: AdmitRule,
-) -> VectorAdmit {
-    let admission = store.reserve(key);
-    let verdict = admission.classify(incoming, writer, rule).unwrap();
-    if verdict != VectorAdmit::Stale {
-        admission.commit(incoming, writer).unwrap();
+fn admit(store: &VersionStore, object: u64, incoming: &ObjectVersion, rule: AdmitRule) -> Verdict {
+    let admission = store.reserve(object);
+    let verdict = admission.classify(incoming, rule).unwrap();
+    if verdict != Verdict::Stale {
+        admission.commit(incoming).unwrap();
     }
     verdict
 }
 
-fn admit_live(
-    store: &VersionStore,
-    key: DepKey,
-    incoming: &VersionVector,
-    writer: u64,
-) -> VectorAdmit {
-    admit(store, key, incoming, writer, AdmitRule::Live)
+fn admit_live(store: &VersionStore, object: u64, vector: VersionVector, writer: u64) -> Verdict {
+    admit(store, object, &mesh(vector, writer), AdmitRule::Live)
 }
 
-fn admit_copy(store: &VersionStore, key: DepKey, incoming: &VersionVector, writer: u64) -> bool {
-    admit(store, key, incoming, writer, AdmitRule::Copy) == VectorAdmit::Fresh
+fn admit_copy(store: &VersionStore, object: u64, vector: VersionVector, writer: u64) -> bool {
+    admit(store, object, &mesh(vector, writer), AdmitRule::Copy) == Verdict::Fresh
 }
 
-/// A single-writer live write as the subscriber presents it: its
-/// scalar version rides the vector's legacy component, whose floor
-/// semantics reproduce the `version >= stored` comparison exactly.
-fn advance_scalar(store: &VersionStore, key: DepKey, version: u64) -> bool {
-    let incoming = VersionVector::scalar(version);
-    admit_live(store, key, &incoming, LEGACY_WRITER) == VectorAdmit::Fresh
+/// A single-writer live write: `version >= stored` applies.
+fn advance_scalar(store: &VersionStore, object: u64, version: u64) -> bool {
+    admit(
+        store,
+        object,
+        &ObjectVersion::Scalar(version),
+        AdmitRule::Live,
+    ) == Verdict::Fresh
 }
 
-/// A single-writer chunk copy: a never-versioned key admits any marker
-/// (0 included), otherwise the marker must be strictly newer.
-fn admit_scalar_copy(store: &VersionStore, key: DepKey, marker: u64) -> bool {
-    admit_copy(store, key, &VersionVector::scalar(marker), LEGACY_WRITER)
+/// A single-writer chunk copy: an object with no admission state admits
+/// any marker (0 included), otherwise the marker must be strictly newer.
+fn admit_scalar_copy(store: &VersionStore, object: u64, marker: u64) -> bool {
+    admit(
+        store,
+        object,
+        &ObjectVersion::Scalar(marker),
+        AdmitRule::Copy,
+    ) == Verdict::Fresh
 }
 
 /// Replays Fig. 8's four writes and checks every counter and message
@@ -270,16 +261,15 @@ fn snapshot_roundtrips_through_load() {
     bump(&publisher, &[(1, true), (2, true), (3, false)]);
     bump(&publisher, &[(1, true)]);
     let dump = publisher.dump().unwrap();
-    let snap: Vec<(DepKey, u64)> = dump.iter().map(|e| (e.key, e.ops)).collect();
+    assert!(dump.objects.is_empty() && dump.watermarks.is_empty());
     let subscriber = VersionStore::new(2);
-    load_ops(&subscriber, &snap);
+    subscriber.load_dump(&dump).unwrap();
     assert_eq!(subscriber.ops(1).unwrap(), 2);
     assert_eq!(subscriber.ops(2).unwrap(), 1);
     assert_eq!(subscriber.ops(3).unwrap(), 1);
-    // The publisher's own version marks stay behind: the keys arrive
-    // never-versioned, so a chunk copy of them is still admitted.
-    assert_eq!(publisher.latest_version(1).unwrap(), 2);
-    assert_eq!(subscriber.latest_version(1).unwrap(), 0);
+    // The publisher's version marks ride its counters; no object arrives
+    // with admission state, so a chunk copy of any of them is admitted.
+    assert_eq!(subscriber.latest_version(1).unwrap(), 2);
     assert!(admit_scalar_copy(&subscriber, 1, 0));
 }
 
@@ -299,7 +289,10 @@ fn live_rule_discards_stale_scalar_versions() {
     assert!(advance_scalar(&store, 1, 3));
     assert!(!advance_scalar(&store, 1, 2), "stale version");
     assert!(advance_scalar(&store, 1, 4));
-    assert_eq!(store.latest_version(1).unwrap(), 4);
+    assert_eq!(
+        store.dump().unwrap().objects,
+        [(1, ObjectVersion::Scalar(4))]
+    );
 }
 
 /// A redelivery of the committed version (the ack was lost, or a later
@@ -321,25 +314,22 @@ fn abandoned_admission_leaves_the_store_untouched() {
     let store = VersionStore::new(2);
     load_ops(&store, &[(1, 3)]);
     advance_scalar(&store, 2, 4);
-    admit_live(&store, 4, &VersionVector::component(11, 1), 11);
+    admit_live(&store, 4, VersionVector::component(11, 1), 11);
     let before = store.dump().unwrap();
-    for (key, version) in [(1, 0), (2, 5), (3, 7)] {
+    for (object, version) in [(1, 0), (2, 5), (3, 7)] {
         for rule in [AdmitRule::Live, AdmitRule::Copy] {
-            let admission = store.reserve(key);
-            let incoming = VersionVector::scalar(version);
-            assert_eq!(
-                admission.classify(&incoming, LEGACY_WRITER, rule).unwrap(),
-                VectorAdmit::Fresh
-            );
+            let admission = store.reserve(object);
+            let incoming = ObjectVersion::Scalar(version);
+            assert_eq!(admission.classify(&incoming, rule).unwrap(), Verdict::Fresh);
             drop(admission);
             assert_eq!(store.dump().unwrap(), before);
         }
     }
-    let fork = VersionVector::component(22, 1);
+    let fork = mesh(VersionVector::component(22, 1), 22);
     let admission = store.reserve(4);
     assert_eq!(
-        admission.classify(&fork, 22, AdmitRule::Live).unwrap(),
-        VectorAdmit::Concurrent { lww_wins: true }
+        admission.classify(&fork, AdmitRule::Live).unwrap(),
+        Verdict::Concurrent { lww_wins: true }
     );
     drop(admission);
     assert_eq!(store.dump().unwrap(), before);
@@ -361,8 +351,8 @@ fn stamp_is_atomic_under_concurrent_stamps_and_commits() {
         thread::spawn(move || {
             start.wait();
             for i in 1..=STAMPS {
-                let incoming = VersionVector::component(99, i);
-                store.reserve(1).commit(&incoming, 99).unwrap();
+                let incoming = mesh(VersionVector::component(99, i), 99);
+                store.reserve(1).commit(&incoming).unwrap();
             }
         })
     };
@@ -405,13 +395,40 @@ fn stamp_is_atomic_under_concurrent_stamps_and_commits() {
 #[test]
 fn watermarks_are_monotone_and_clearable() {
     let store = VersionStore::new(2);
-    assert_eq!(store.latest_version(7).unwrap(), 0, "absent key reads 0");
+    assert_eq!(store.watermark(7).unwrap(), 0, "absent key reads 0");
     assert_eq!(store.load_watermark(7, 16).unwrap(), 16);
     assert_eq!(store.load_watermark(7, 12).unwrap(), 16, "never regresses");
     assert_eq!(store.load_watermark(7, 48).unwrap(), 48);
-    assert_eq!(store.latest_version(7).unwrap(), 48);
+    assert_eq!(store.watermark(7).unwrap(), 48);
     store.clear_watermark(7).unwrap();
-    assert_eq!(store.latest_version(7).unwrap(), 0);
+    assert_eq!(store.watermark(7).unwrap(), 0);
+    assert!(store.is_empty(), "a cleared watermark leaves no entry");
+}
+
+/// The three maps never meet: a counter, an object and a watermark under
+/// one key each keep their own value, so no object's version can lift a
+/// resume watermark past rows that were never copied, and clearing the
+/// watermark leaves the object's tombstone standing.
+#[test]
+fn counters_objects_and_watermarks_share_no_entry() {
+    let store = VersionStore::new(1);
+    store.apply(&[5]).unwrap();
+    assert!(advance_scalar(&store, 5, 900));
+    store.load_watermark(5, 40).unwrap();
+    assert_eq!(store.ops(5).unwrap(), 1);
+    assert_eq!(store.latest_version(5).unwrap(), 0);
+    assert_eq!(
+        store.watermark(5).unwrap(),
+        40,
+        "the object's version stays out"
+    );
+    assert!(admit_scalar_copy(&store, 6, 0), "object 6 has no state");
+    store.clear_watermark(5).unwrap();
+    assert!(
+        !advance_scalar(&store, 5, 899),
+        "the object's version survives"
+    );
+    assert_eq!(store.len(), 3, "counter 5, objects 5 and 6");
 }
 
 #[test]
@@ -420,11 +437,12 @@ fn watermark_calls_fail_when_the_owning_shard_is_dead() {
     store.load_watermark(3, 9).unwrap();
     store.kill_shard(store.shard_for(3));
     assert!(store.load_watermark(3, 10).is_err());
-    assert!(store.latest_version(3).is_err());
+    assert!(store.watermark(3).is_err());
+    assert!(store.clear_watermark(3).is_err());
     store.revive_shard(store.shard_for(3));
     // Shard contents were lost with the kill: the watermark is gone and
     // the caller must restart its copy from scratch.
-    assert_eq!(store.latest_version(3).unwrap(), 0);
+    assert_eq!(store.watermark(3).unwrap(), 0);
 }
 
 #[test]
@@ -433,10 +451,15 @@ fn dump_roundtrips_ops_and_versions() {
     bump(&store, &[(1, true), (2, false)]);
     bump(&store, &[(1, true)]);
     store.load_watermark(9, 42).unwrap();
+    store.load_watermark(3, 7).unwrap();
+    advance_scalar(&store, 8, 5);
+    advance_scalar(&store, 4, 6);
     let dump = store.dump().unwrap();
-    assert!(
-        dump.windows(2).all(|w| w[0].key < w[1].key),
-        "sorted by key"
+    assert_eq!(dump.counters, [(1, 2, 2), (2, 1, 0)], "sorted by key");
+    assert_eq!(dump.watermarks, [(3, 7), (9, 42)]);
+    assert_eq!(
+        dump.objects,
+        [(4, ObjectVersion::Scalar(6)), (8, ObjectVersion::Scalar(5))]
     );
 
     let restored = VersionStore::new(2);
@@ -444,30 +467,38 @@ fn dump_roundtrips_ops_and_versions() {
     assert_eq!(restored.ops(1).unwrap(), 2);
     assert_eq!(restored.latest_version(1).unwrap(), 2, "versions survive");
     assert_eq!(restored.ops(2).unwrap(), 1);
-    assert_eq!(
-        restored.latest_version(9).unwrap(),
-        42,
-        "watermarks (stored as versions) survive the round trip"
-    );
+    assert_eq!(restored.watermark(9).unwrap(), 42, "watermarks survive");
+    assert_eq!(restored.dump().unwrap(), dump);
 }
 
 #[test]
 fn load_dump_max_merges_both_fields() {
     let store = VersionStore::new(1);
-    store.apply(&[1]).unwrap();
-    store.apply(&[1]).unwrap();
+    bump(&store, &[(1, true), (1, false)]);
     advance_scalar(&store, 1, 7);
-    // Stale dump: neither field regresses.
-    store.load_dump(&[scalar_entry(1, 1, 3, false)]).unwrap();
+    // Stale dump: no field regresses.
+    let stale = StoreDump {
+        counters: vec![(1, 1, 1)],
+        objects: vec![(1, ObjectVersion::Scalar(3))],
+        watermarks: Vec::new(),
+    };
+    store.load_dump(&stale).unwrap();
     assert_eq!(store.ops(1).unwrap(), 2);
-    assert_eq!(store.latest_version(1).unwrap(), 7);
-    // Newer dump: both fields advance.
-    store.load_dump(&[scalar_entry(1, 10, 12, true)]).unwrap();
+    assert_eq!(store.latest_version(1).unwrap(), 1);
+    assert!(!advance_scalar(&store, 1, 6), "the object stays at 7");
+    // Newer dump: every field advances.
+    let newer = StoreDump {
+        counters: vec![(1, 10, 9)],
+        objects: vec![(1, ObjectVersion::Scalar(12))],
+        watermarks: Vec::new(),
+    };
+    store.load_dump(&newer).unwrap();
     assert_eq!(store.ops(1).unwrap(), 10);
-    assert_eq!(store.latest_version(1).unwrap(), 12);
+    assert_eq!(store.latest_version(1).unwrap(), 9);
+    assert!(!advance_scalar(&store, 1, 11), "the object moved to 12");
 }
 
-/// A copy admitted against a never-versioned key (marker 0 included:
+/// A copy admitted against an object with no admission state (marker 0 included:
 /// rows created before the bootstrap started) must land; a copy tying
 /// with or older than an explicitly-recorded version must be
 /// discarded — including the version-0 tombstone an applied destroy
@@ -475,8 +506,8 @@ fn load_dump_max_merges_both_fields() {
 #[test]
 fn admit_copy_distinguishes_tombstones_from_unversioned_keys() {
     let store = VersionStore::new(2);
-    // Entry exists from ops bookkeeping (snapshot load) but was never
-    // explicitly versioned: a marker-0 copy must be admitted.
+    // A counter exists from ops bookkeeping (snapshot load) but the
+    // object has no admission state: a marker-0 copy must be admitted.
     load_ops(&store, &[(1, 1)]);
     assert!(admit_scalar_copy(&store, 1, 0), "unversioned key admits");
     assert!(
@@ -484,7 +515,7 @@ fn admit_copy_distinguishes_tombstones_from_unversioned_keys() {
         "second identical copy ties"
     );
 
-    // An applied destroy records version 0 explicitly; a stale copy of
+    // An applied destroy records version 0; a stale copy of
     // the pre-delete row (marker 0) must now be discarded.
     assert!(advance_scalar(&store, 2, 0));
     assert!(!admit_scalar_copy(&store, 2, 0), "tombstone wins over copy");
@@ -497,14 +528,13 @@ fn admit_copy_distinguishes_tombstones_from_unversioned_keys() {
     assert!(advance_scalar(&store, 3, 5), "live readmits equal");
 }
 
-/// The explicit-write flag must survive a dump/load round trip:
-/// restoring a snapshot must not turn tombstones back into
-/// unversioned keys (which would re-admit stale copies after a
-/// crash-restart).
+/// Admission state must survive a dump/load round trip: restoring a
+/// snapshot must not turn tombstones back into unversioned objects
+/// (which would re-admit stale copies after a crash-restart).
 #[test]
 fn dump_preserves_versioned_flag() {
     let store = VersionStore::new(2);
-    load_ops(&store, &[(1, 3)]); // never versioned
+    load_ops(&store, &[(1, 3)]); // a counter, no object state
     advance_scalar(&store, 2, 0); // tombstone
     let dump = store.dump().unwrap();
 
@@ -522,7 +552,7 @@ fn load_dump_wakes_waiters() {
         thread::spawn(move || wait(&store, &[(5, 3)], Duration::from_secs(5)).unwrap())
     };
     thread::sleep(Duration::from_millis(30));
-    store.load_dump(&[scalar_entry(5, 3, 3, false)]).unwrap();
+    store.load_dump(&counters(&[(5, 3, 3)])).unwrap();
     assert_eq!(waiter.join().unwrap(), WaitOutcome::Ready);
 }
 
@@ -534,22 +564,22 @@ fn live_rule_classifies_concurrent_writers() {
     let store = VersionStore::new(1);
     let (a, b) = (11u64, 22u64);
     assert_eq!(
-        admit_live(&store, 1, &VersionVector::component(a, 1), a),
-        VectorAdmit::Fresh
+        admit_live(&store, 1, VersionVector::component(a, 1), a),
+        Verdict::Fresh
     );
     // Writer B never saw A's write: concurrent. B's stamp (1, 22)
     // beats A's (1, 11) on the writer tie-break.
     assert_eq!(
-        admit_live(&store, 1, &VersionVector::component(b, 1), b),
-        VectorAdmit::Concurrent { lww_wins: true }
+        admit_live(&store, 1, VersionVector::component(b, 1), b),
+        Verdict::Concurrent { lww_wins: true }
     );
     // A write that has seen both components dominates the join.
     let merged = VersionVector::from_components(&[(a, 2), (b, 1)]);
-    assert_eq!(admit_live(&store, 1, &merged, a), VectorAdmit::Fresh);
+    assert_eq!(admit_live(&store, 1, merged, a), Verdict::Fresh);
     // Anything older than the join is stale.
     assert_eq!(
-        admit_live(&store, 1, &VersionVector::component(a, 1), a),
-        VectorAdmit::Stale
+        admit_live(&store, 1, VersionVector::component(a, 1), a),
+        Verdict::Stale
     );
 }
 
@@ -563,17 +593,17 @@ fn lww_verdict_converges_across_delivery_orders() {
     let vb = VersionVector::component(b, 1);
 
     let first = VersionStore::new(1);
-    admit_live(&first, 1, &va, a);
-    let verdict_ab = admit_live(&first, 1, &vb, b);
+    admit_live(&first, 1, va.clone(), a);
+    let verdict_ab = admit_live(&first, 1, vb.clone(), b);
 
     let second = VersionStore::new(1);
-    admit_live(&second, 1, &vb, b);
-    let verdict_ba = admit_live(&second, 1, &va, a);
+    admit_live(&second, 1, vb, b);
+    let verdict_ba = admit_live(&second, 1, va, a);
 
     // B has the higher writer id, so B's version wins on both sides:
     // delivered second it wins, delivered first it holds.
-    assert_eq!(verdict_ab, VectorAdmit::Concurrent { lww_wins: true });
-    assert_eq!(verdict_ba, VectorAdmit::Concurrent { lww_wins: false });
+    assert_eq!(verdict_ab, Verdict::Concurrent { lww_wins: true });
+    assert_eq!(verdict_ba, Verdict::Concurrent { lww_wins: false });
 }
 
 /// Concurrent copies lose to the live stream: only strict vector
@@ -582,35 +612,42 @@ fn lww_verdict_converges_across_delivery_orders() {
 fn copy_rule_requires_strict_dominance() {
     let store = VersionStore::new(1);
     let (a, b) = (11u64, 22u64);
-    admit_live(&store, 1, &VersionVector::component(a, 2), a);
+    admit_live(&store, 1, VersionVector::component(a, 2), a);
     assert!(
-        !admit_copy(&store, 1, &VersionVector::component(b, 9), b),
+        !admit_copy(&store, 1, VersionVector::component(b, 9), b),
         "concurrent copy loses to live"
     );
     assert!(
-        !admit_copy(&store, 1, &VersionVector::component(a, 2), a),
+        !admit_copy(&store, 1, VersionVector::component(a, 2), a),
         "tie loses to live"
     );
     let newer = VersionVector::from_components(&[(a, 3), (b, 9)]);
     assert!(
-        admit_copy(&store, 1, &newer, a),
+        admit_copy(&store, 1, newer, a),
         "strictly dominating copy lands"
     );
 }
 
-/// Vector entries round-trip through dump/load: components, the
-/// explicit-write flag, and the winner stamp all survive, and the
-/// merge keeps the max of each.
+/// Vector entries round-trip through dump/load: components and the
+/// winner stamp both survive, and the merge keeps the max of each.
 #[test]
 fn dump_roundtrips_vector_entries() {
     let store = VersionStore::new(2);
     let (a, b) = (11u64, 22u64);
-    admit_live(&store, 1, &VersionVector::component(a, 1), a);
-    admit_live(&store, 1, &VersionVector::component(b, 2), b);
+    admit_live(&store, 1, VersionVector::component(a, 1), a);
+    admit_live(&store, 1, VersionVector::component(b, 2), b);
     let dump = store.dump().unwrap();
-    let entry = dump.iter().find(|e| e.key == 1).unwrap();
-    assert_eq!(entry.vector, vec![(a, 1), (b, 2)]);
-    assert_eq!((entry.winner_sum, entry.winner_writer), (2, b));
+    let joined = VersionVector::from_components(&[(a, 1), (b, 2)]);
+    assert_eq!(
+        dump.objects,
+        [(
+            1,
+            ObjectVersion::Mesh {
+                vector: joined,
+                winner: (2, b)
+            }
+        )]
+    );
 
     let restored = VersionStore::new(1);
     restored.load_dump(&dump).unwrap();
@@ -619,8 +656,8 @@ fn dump_roundtrips_vector_entries() {
     // The restored stamp still outranks A's version 1: a redelivery
     // of the loser stays a loser after recovery.
     assert_eq!(
-        admit_live(&restored, 1, &VersionVector::component(a, 1), a),
-        VectorAdmit::Stale
+        admit_live(&restored, 1, VersionVector::component(a, 1), a),
+        Verdict::Stale
     );
 }
 
@@ -628,7 +665,9 @@ fn dump_roundtrips_vector_entries() {
 fn flush_clears_counters() {
     let store = VersionStore::new(2);
     store.apply(&[1, 2, 3]).unwrap();
-    assert_eq!(store.len(), 3);
+    advance_scalar(&store, 1, 4);
+    store.load_watermark(1, 9).unwrap();
+    assert_eq!(store.len(), 5, "three counters, one object, one watermark");
     store.flush().unwrap();
     assert!(store.is_empty());
 }
@@ -694,7 +733,7 @@ fn prepared_wait_set_matches_unprepared_api() {
     let deps: Vec<(DepKey, u64)> = (0..16).map(|k| (k, 1)).collect();
     let mut set = DepWaitSet::default();
     store.prepare_wait(&deps, &mut set);
-    assert_eq!(set.len(), deps.len());
+    assert_eq!(set.entries.len(), deps.len());
     assert!(!store.satisfied_prepared(&set).unwrap());
     assert_eq!(
         store

@@ -2,13 +2,10 @@
 //! store's scalar per-object version.
 //!
 //! A [`VersionVector`] maps a *writer id* (the stable hash of the writing
-//! application's name) to that writer's per-object counter. Scalar
-//! versions from the single-writer era live on as component
-//! [`LEGACY_WRITER`] (id 0): a legacy component acts as a *floor* under
-//! every real writer's component when two vectors are compared, because in
-//! the single-writer world each object key had exactly one (unrecorded)
-//! writer — so the unattributed count *is* that writer's count, whichever
-//! writer later claims the key.
+//! application's name) to that writer's per-object counter. Only
+//! multi-writer objects carry one: a single-writer object's version is a
+//! scalar of its own ([`ObjectVersion::Scalar`](crate::ObjectVersion)),
+//! so a vector is only ever compared with another vector.
 //!
 //! Comparison yields a [`Dominance`]: `Dominates`/`Dominated` when one
 //! side's history contains the other's, `Equal` for identical vectors, and
@@ -21,11 +18,8 @@
 //! sorted by writer id so joins and comparisons are linear merges and the
 //! wire encoding is deterministic.
 
-/// Writer id reserved for unattributed (pre-vector, scalar-era) versions.
-pub const LEGACY_WRITER: u64 = 0;
-
 /// Components stored inline before spilling to the heap.
-pub const INLINE_COMPONENTS: usize = 2;
+const INLINE_COMPONENTS: usize = 2;
 
 /// Outcome of comparing two version vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,11 +73,6 @@ impl VersionVector {
         v
     }
 
-    /// A legacy scalar version as a vector (component [`LEGACY_WRITER`]).
-    pub fn scalar(version: u64) -> Self {
-        Self::component(LEGACY_WRITER, version)
-    }
-
     /// Builds a vector from `(writer, counter)` pairs in any order;
     /// duplicate writers keep their max.
     pub fn from_components(components: &[(u64, u64)]) -> Self {
@@ -121,14 +110,6 @@ impl VersionVector {
             Ok(i) => comps[i].1,
             Err(_) => 0,
         }
-    }
-
-    /// The largest counter across all components (0 when empty). This is
-    /// the scalar a legacy reader sees — watermark keys and pub-store
-    /// version marks only ever carry the legacy component, so for them it
-    /// reads back exactly the scalar that was stored.
-    pub fn max_counter(&self) -> u64 {
-        self.components().iter().map(|(_, c)| *c).max().unwrap_or(0)
     }
 
     /// Sum of all counters — the total-history length the LWW stamp
@@ -197,61 +178,35 @@ impl VersionVector {
         }
     }
 
-    /// Whether any component belongs to a real (non-legacy) writer.
-    fn has_real_writers(&self) -> bool {
-        self.components().iter().any(|(w, _)| *w != LEGACY_WRITER)
-    }
-
-    /// Compares the histories of `self` and `other`.
-    ///
-    /// The legacy component (writer 0) floors every real writer's
-    /// component: stored scalar 5 vs incoming `{A: 3}` reads as `A`
-    /// already at 5 — exactly the scalar comparison the single-writer era
-    /// performed, since the unattributed count belonged to the key's one
-    /// writer. When neither side has real writers the legacy components
-    /// compare directly as scalars.
+    /// Compares the histories of `self` and `other`, component by
+    /// component: a writer missing on one side counts 0 there.
     pub fn compare(&self, other: &VersionVector) -> Dominance {
-        let a0 = self.get(LEGACY_WRITER);
-        let b0 = other.get(LEGACY_WRITER);
-        if !self.has_real_writers() && !other.has_real_writers() {
-            return match a0.cmp(&b0) {
-                std::cmp::Ordering::Equal => Dominance::Equal,
-                std::cmp::Ordering::Greater => Dominance::Dominates,
-                std::cmp::Ordering::Less => Dominance::Dominated,
-            };
-        }
-        let (mut ahead, mut behind) = (false, false);
-        let a = self.components();
-        let b = other.components();
+        let (a, b) = (self.components(), other.components());
         let (mut i, mut j) = (0, 0);
-        loop {
-            let wa = a.get(i).map(|(w, _)| *w);
-            let wb = b.get(j).map(|(w, _)| *w);
-            let writer = match (wa, wb) {
-                (None, None) => break,
-                (Some(w), None) => w,
-                (None, Some(w)) => w,
-                (Some(x), Some(y)) => x.min(y),
+        let (mut ahead, mut behind) = (false, false);
+        while i < a.len() || j < b.len() {
+            let (mine, theirs) = match (a.get(i), b.get(j)) {
+                (Some(&(wa, ca)), Some(&(wb, cb))) if wa == wb => {
+                    i += 1;
+                    j += 1;
+                    (ca, cb)
+                }
+                (Some(&(wa, ca)), Some(&(wb, _))) if wa < wb => {
+                    i += 1;
+                    (ca, 0)
+                }
+                (Some(&(_, ca)), None) => {
+                    i += 1;
+                    (ca, 0)
+                }
+                (_, Some(&(_, cb))) => {
+                    j += 1;
+                    (0, cb)
+                }
+                (None, None) => unreachable!("the loop runs while a side has components"),
             };
-            if Some(writer) == wa {
-                i += 1;
-            }
-            if Some(writer) == wb {
-                j += 1;
-            }
-            if writer == LEGACY_WRITER {
-                continue;
-            }
-            let av = self.get(writer).max(a0);
-            let bv = other.get(writer).max(b0);
-            if av > bv {
-                ahead = true;
-            } else if bv > av {
-                behind = true;
-            }
-            if ahead && behind {
-                return Dominance::Concurrent;
-            }
+            ahead |= mine > theirs;
+            behind |= theirs > mine;
         }
         match (ahead, behind) {
             (false, false) => Dominance::Equal,
@@ -295,18 +250,7 @@ mod tests {
         let v = VersionVector::new();
         assert!(v.is_empty());
         assert_eq!(v.compare(&VersionVector::new()), Dominance::Equal);
-        assert_eq!(v.max_counter(), 0);
         assert_eq!(v.sum(), 0);
-    }
-
-    #[test]
-    fn scalar_vectors_compare_like_scalars() {
-        let a = VersionVector::scalar(5);
-        let b = VersionVector::scalar(3);
-        assert_eq!(a.compare(&b), Dominance::Dominates);
-        assert_eq!(b.compare(&a), Dominance::Dominated);
-        assert_eq!(a.compare(&VersionVector::scalar(5)), Dominance::Equal);
-        assert_eq!(a.compare(&VersionVector::new()), Dominance::Dominates);
     }
 
     #[test]
@@ -355,28 +299,6 @@ mod tests {
         assert_eq!(
             a.compare(&VersionVector::component(1, 3)),
             Dominance::Dominates
-        );
-    }
-
-    /// The upgrade path: a stored legacy scalar floors the incoming
-    /// writer's component, reproducing the scalar-era comparison.
-    #[test]
-    fn legacy_component_floors_real_writers() {
-        let stored = VersionVector::scalar(5);
-        assert_eq!(
-            stored.compare(&VersionVector::component(9, 3)),
-            Dominance::Dominates,
-            "legacy 5 vs writer at 3: incoming is stale"
-        );
-        assert_eq!(
-            stored.compare(&VersionVector::component(9, 7)),
-            Dominance::Dominated,
-            "incoming writer moved past the legacy scalar"
-        );
-        assert_eq!(
-            stored.compare(&VersionVector::component(9, 5)),
-            Dominance::Equal,
-            "exact tie readmits, as the scalar >= did"
         );
     }
 

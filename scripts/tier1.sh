@@ -27,9 +27,13 @@ cargo clippy "${FIRST_PARTY[@]}" --all-targets --quiet -- -D warnings
 # Rustdoc gate: a renamed or deleted item cannot leave a dead intra-doc
 # link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${FIRST_PARTY[@]}"
-# Shape gate: no first-party src file carries more than 900 non-test
-# lines (the tree as staged, so a new file counts before it is committed).
-scripts/loc.sh --max 900 "$(git stash create || true)"
+# Shape gates, over the tree as staged (a new file counts before it is
+# committed): no first-party src file carries more than 900 non-test
+# lines, and every crate's public item count equals the committed
+# `scripts/api.txt`, so a change that grows a public surface says so.
+staged="$(git stash create || true)"
+scripts/loc.sh --max 900 "$staged"
+scripts/api.sh --check "$staged"
 
 cargo test -q
 

@@ -72,13 +72,12 @@ fn late_subscriber_bootstraps_projected_history() {
 }
 
 /// Step 1 alone: when the first chunk is about to be copied, the
-/// subscriber holds the publisher's dependency counters and none of its
-/// version marks. A publisher marks its own writes on the legacy vector
-/// component; loaded into the subscriber's vector they would read as
-/// versions already applied there, and `AdmitRule::Copy` would refuse the
-/// very rows step 2 copies.
+/// subscriber holds the publisher's dependency counters and no admission
+/// state for any object. The counters carry the publisher's version marks;
+/// were those read as versions applied here, `AdmitRule::Copy` would refuse
+/// the very rows step 2 copies.
 #[test]
-fn step_one_loads_counters_without_the_publishers_version_marks() {
+fn step_one_loads_counters_and_no_admission_state() {
     let eco = Ecosystem::new();
     let publisher = publisher_with_users(&eco, 3);
     let user = Id(1);
@@ -107,7 +106,8 @@ fn step_one_loads_counters_without_the_publishers_version_marks() {
     assert_eq!(published, 2, "create and update");
     assert_eq!(publisher.pub_store().latest_version(key).unwrap(), 2);
 
-    // (ops, latest version, rows) as the first chunk is about to start.
+    // (ops, objects with admission state, rows) as the first chunk is
+    // about to start.
     let after_step_one = Arc::new(Mutex::new(None));
     {
         let (seen, node) = (after_step_one.clone(), Arc::downgrade(&subscriber));
@@ -119,7 +119,7 @@ fn step_one_loads_counters_without_the_publishers_version_marks() {
             let store = node.sub_store();
             seen.lock().unwrap().get_or_insert((
                 store.ops(key).unwrap(),
-                store.latest_version(key).unwrap(),
+                store.dump().unwrap().objects.len(),
                 node.orm().count("User").unwrap(),
             ));
         });
@@ -129,7 +129,7 @@ fn step_one_loads_counters_without_the_publishers_version_marks() {
     assert_eq!(
         *after_step_one.lock().unwrap(),
         Some((published, 0, 0)),
-        "counters loaded, key still never-versioned, nothing copied yet"
+        "counters loaded, no object admitted, nothing copied yet"
     );
     assert_eq!(subscriber.bootstrap_stats().records_reconciled, 0);
     let copied = subscriber.orm().find("User", user).unwrap().unwrap();
@@ -571,9 +571,7 @@ fn cleanup_failure_defers_and_node_still_goes_live() {
     // exactly there.
     let wm_shard = subscriber
         .sub_store()
-        .shard_for(subscriber.config().dep_space.key(
-            &synapse_repro::core::DepName::bootstrap_watermark("pub", "User"),
-        ));
+        .shard_for(DepName::bootstrap_watermark("pub", "User").identity());
     let killed = Arc::new(AtomicBool::new(false));
     {
         let store = subscriber.sub_store().clone();

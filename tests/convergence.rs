@@ -24,7 +24,7 @@ use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::SeededRng;
 use synapse_repro::model::{vmap, Id, ModelSchema, Record, Value};
 use synapse_repro::orm::adapters::{ActiveRecordAdapter, MongoidAdapter};
-use synapse_repro::versionstore::VersionVector;
+use synapse_repro::versionstore::{ObjectVersion, VersionVector};
 
 mod common;
 use common::eventually;
@@ -548,19 +548,15 @@ fn divergence_report(nodes: [&SynapseNode; 2], ids: &[Id], drained: bool, steady
     }
     let dumps = nodes.map(|node| node.sub_store().dump().unwrap_or_default());
     for id in differing {
+        let mesh = mesh_object("User", id).identity();
         for (node, dump) in nodes.iter().zip(&dumps) {
-            let mesh = node.config().dep_space.key(&mesh_object("User", id));
             let name = field_of(node, id, "name");
             let _ = write!(out, "\n  User {id} @ {}: name={name:?}", node.app());
-            match dump.iter().find(|e| e.key == mesh) {
-                Some(e) => {
-                    let _ = write!(
-                        out,
-                        " vector={:?} winner=({}, {})",
-                        e.vector, e.winner_sum, e.winner_writer
-                    );
+            match dump.objects.iter().find(|(object, _)| *object == mesh) {
+                Some((_, ObjectVersion::Mesh { vector, winner })) => {
+                    let _ = write!(out, " vector={vector} winner={winner:?}");
                 }
-                None => out.push_str(" (no stored vector)"),
+                _ => out.push_str(" (no stored vector)"),
             }
         }
     }

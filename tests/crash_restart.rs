@@ -735,7 +735,7 @@ fn latest_snapshot_magic(dir: &std::path::Path) -> [u8; 8] {
 }
 
 /// Unknown snapshot magic is rejected, not trusted: a node whose only
-/// snapshot file carries a retired magic (SYNSNAP2, CRC-valid) must skip
+/// snapshot file carries a retired magic (SYNSNAP3, CRC-valid) must skip
 /// it — counted in `recovery.snapshots_skipped_corrupt`, nothing loaded,
 /// no load error, no panic — and still recover every row: the backlog the
 /// first incarnation left unconsumed comes back through broker WAL
@@ -800,7 +800,7 @@ fn unknown_magic_snapshot_is_skipped_and_node_recovers_by_replay_and_bootstrap()
     subscriber.persist_snapshot().expect("snapshot persists");
     let store = subscriber.snapshot_store().expect("durability plane is on");
     let snap_dir = store.dir().to_path_buf();
-    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP3");
+    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP4");
     // Workers down: these writes stay queued, on the broker WAL only.
     subscriber.stop();
     let queued: Vec<_> = (12..18).map(|i| create(&publisher, "queued", i)).collect();
@@ -815,9 +815,9 @@ fn unknown_magic_snapshot_is_skipped_and_node_recovers_by_replay_and_bootstrap()
         .find(|p| p.extension().is_some_and(|e| e == "snap"))
         .expect("the persisted snapshot file");
     let mut bytes = std::fs::read(&path).expect("read snapshot");
-    bytes[..8].copy_from_slice(b"SYNSNAP2");
+    bytes[..8].copy_from_slice(b"SYNSNAP3");
     std::fs::write(&path, bytes).expect("rewrite magic");
-    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP2");
+    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP3");
 
     // --- Incarnation 2: the foreign file is skipped, recovery goes on. ---
     let (eco, report) = Ecosystem::new_durable(wal_cfg()).expect("durable reopen");
@@ -869,7 +869,7 @@ fn unknown_magic_snapshot_is_skipped_and_node_recovers_by_replay_and_bootstrap()
     // The next persist writes the current format above the foreign file
     // and prunes it.
     subscriber.persist_snapshot().expect("fresh persist");
-    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP3");
+    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP4");
     eco.stop_all();
     let _ = std::fs::remove_dir_all(&root);
 }

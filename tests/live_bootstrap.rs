@@ -37,24 +37,29 @@
 //! [`bootstrap_interleaves_without_stalling_live_delivery`] (queue
 //! residency and delivery-gap bounds while a copy runs) and
 //! [`delete_mid_chunk_is_not_resurrected_by_its_in_flight_copy`] (the
-//! stale-copy resurrection regression).
+//! stale-copy resurrection regression). Two more run the copy in a reduced
+//! dependency space, where hashed counter keys collide by design
+//! ([`bootstrap_in_a_colliding_space_loses_no_rows`],
+//! [`one_entry_space_replicates_and_bootstraps`]).
 //!
 //! `SYNAPSE_SEED=<n>` pins the schedule; `SYNAPSE_BOOTSTRAP_SWEEP=1`
 //! additionally runs a 10-seed sweep derived from the seed of record.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use synapse_repro::core::{
-    BootstrapPhase, BootstrapState, DepName, Ecosystem, ModeSlice, Publication, RetryPolicy, Stage,
-    Subscription, SynapseConfig, VERSION_STORE_SHARDS,
+    BootstrapPhase, BootstrapState, DeliveryMode, DepName, DepSpace, Ecosystem, ModeSlice,
+    Publication, RetryPolicy, Stage, Subscription, SynapseConfig, SynapseNode,
+    VERSION_STORE_SHARDS,
 };
 use synapse_repro::faults::{
     FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, PhaseHook, SeededRng, Side,
 };
-use synapse_repro::model::{vmap, ModelSchema};
+use synapse_repro::model::{vmap, Id, ModelSchema};
 use synapse_repro::orm::CallbackPoint;
-use synapse_repro::versionstore::{VersionVector, LEGACY_WRITER};
+use synapse_repro::versionstore::ObjectVersion;
 
 mod common;
 use common::{eventually, mongo_node};
@@ -339,25 +344,21 @@ fn run_live_bootstrap(seed: u64) {
     // A phase-aimed kill strikes the third chunk of the next recovery; the
     // attempt fails after retrying the dead shard, a re-entry revives the
     // store, resumes past the aftershock watermark, and reconverges.
-    let wm_shard = subscriber.sub_store().shard_for(
-        subscriber
-            .config()
-            .dep_space
-            .key(&DepName::bootstrap_watermark("pub", "Post")),
-    );
-    let victim = (wm_shard + 1) % VERSION_STORE_SHARDS;
+    let store = subscriber.sub_store();
+    let wm_shard = store.shard_for(DepName::bootstrap_watermark("pub", "Post").identity());
     // Plant the version-store state a live racer leaves behind: the live
     // stream has moved `first_seed` far past anything the copier can pin,
     // so the recovery's re-copy of that row must be discarded as stale
-    // (reconciled) instead of regressing the replica.
-    let raced_key = subscriber
-        .config()
-        .dep_space
-        .key(&DepName::object("pub", "Post", first_seed));
-    subscriber
-        .sub_store()
-        .reserve(raced_key)
-        .commit(&VersionVector::scalar(u64::MAX / 2), LEGACY_WRITER)
+    // (reconciled) instead of regressing the replica. The kill spares the
+    // planted object as it spares the watermark.
+    let raced = DepName::object("pub", "Post", first_seed).identity();
+    let victim = (1..VERSION_STORE_SHARDS)
+        .map(|step| (wm_shard + step) % VERSION_STORE_SHARDS)
+        .find(|shard| *shard != store.shard_for(raced))
+        .expect("some shard holds neither");
+    store
+        .reserve(raced)
+        .commit(&ObjectVersion::Scalar(u64::MAX / 2))
         .unwrap();
     let pre_reconciled = subscriber.bootstrap_stats().records_reconciled;
     {
@@ -773,4 +774,148 @@ fn bootstrap_leaves_no_marker_behind() {
         assert!(!subscriber.is_decommissioned(), "round {round}");
         eco.stop_all();
     }
+}
+
+/// Rows seeded per colliding-space run: 2 000 Posts over a 256-key space
+/// put about eight objects on every counter.
+const COLLIDING_ROWS: usize = 2_000;
+
+/// A seeded writer that keeps updating, destroying and creating Posts and
+/// Notes on `publisher` until `stop` is set.
+fn churn(publisher: &Arc<SynapseNode>, seed: u64, stop: &Arc<AtomicBool>) -> JoinHandle<()> {
+    let (publisher, stop) = (publisher.clone(), stop.clone());
+    std::thread::spawn(move || {
+        let mut rng = SeededRng::new(seed);
+        let orm = publisher.orm();
+        for n in 0u64.. {
+            if stop.load(Ordering::SeqCst) {
+                return;
+            }
+            let model = if rng.gen_ratio(1, 4) { "Note" } else { "Post" };
+            let rows = orm.count(model).unwrap() + 1;
+            let id = Id(rng.gen_range(1, rows + rows / 8 + 1));
+            let attrs = vmap! { "body" => format!("live-{n}"), "version" => n as i64 };
+            // An id past the last row creates one; a missing row is skipped.
+            let _ = match (orm.find(model, id).unwrap(), rng.gen_ratio(1, 6)) {
+                (None, _) if id.raw() >= rows => orm.create(model, attrs),
+                (None, _) => continue,
+                (Some(_), true) => orm.destroy(model, id),
+                (Some(_), false) => orm.update(model, id, attrs),
+            };
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    })
+}
+
+/// The replica must equal the publisher's projection of `model`: every
+/// row present with the same content, no row the publisher lacks.
+fn assert_replica_matches(
+    publisher: &SynapseNode,
+    subscriber: &SynapseNode,
+    model: &str,
+    when: &str,
+) {
+    let rows = publisher.orm().all(model).unwrap();
+    let missing: Vec<u64> = rows
+        .iter()
+        .filter(|row| subscriber.orm().find(model, row.id).unwrap().is_none())
+        .map(|row| row.id.raw())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "{when}: {} of {} {model} rows missing, ids {:?}…",
+        missing.len(),
+        rows.len(),
+        &missing[..missing.len().min(12)]
+    );
+    for row in &rows {
+        let replica = subscriber.orm().find(model, row.id).unwrap().unwrap();
+        assert_eq!(
+            replica.get("body"),
+            row.get("body"),
+            "{when}: {model} {}",
+            row.id
+        );
+    }
+    assert_eq!(
+        subscriber.orm().count(model).unwrap(),
+        rows.len() as u64,
+        "{when}: {model} rows the publisher deleted survive on the replica"
+    );
+}
+
+/// Two bootstraps of one weak-mode subscriber in a reduced dependency
+/// `space`, with the writer running through both. The subscriber first
+/// copies Post; it then subscribes to Note too — whose rows so far only a
+/// copy can bring — and bootstraps again. Before each comparison the
+/// writer pauses and the queue drains.
+fn bootstrap_under_collisions(space: DepSpace, rows: usize) {
+    let eco = Ecosystem::new();
+    let weak = |app: &str| {
+        SynapseConfig::new(app)
+            .mode(DeliveryMode::Weak)
+            .dep_space(space)
+    };
+    let publisher = mongo_node(&eco, weak("pub"));
+    let subscriber = mongo_node(&eco, weak("sub").bootstrap_chunk(32));
+    for node in [&publisher, &subscriber] {
+        node.orm().define_model(ModelSchema::open("Note")).unwrap();
+    }
+    for model in ["Post", "Note"] {
+        publisher
+            .publish(Publication::model(model).fields(&["body", "version"]))
+            .unwrap();
+        for i in 0..rows / (1 + 3 * usize::from(model == "Note")) {
+            let attrs = vmap! { "body" => format!("seed-{i}"), "version" => i as i64 };
+            publisher.orm().create(model, attrs).unwrap();
+        }
+    }
+    subscriber
+        .subscribe(Subscription::model("Post", "pub").fields(&["body", "version"]))
+        .unwrap();
+    eco.connect();
+    subscriber.start();
+
+    let seed = seed_of_record() ^ space.cardinality();
+    for (round, models) in [["Post", "Post"], ["Post", "Note"]].iter().enumerate() {
+        if round == 1 {
+            subscriber
+                .subscribe(Subscription::model("Note", "pub").fields(&["body", "version"]))
+                .unwrap();
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = churn(&publisher, seed.wrapping_add(round as u64), &stop);
+        std::thread::sleep(Duration::from_millis(20));
+        subscriber.bootstrap_from(&publisher).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        stop.store(true, Ordering::SeqCst);
+        writer.join().unwrap();
+        assert!(subscriber.subscriber().drain(Duration::from_secs(30)));
+        let when = format!("bootstrap {}", round + 1);
+        for model in models {
+            assert_replica_matches(&publisher, &subscriber, model, &when);
+        }
+    }
+    assert!(subscriber.dead_letters().is_empty());
+    assert_eq!(subscriber.bootstrap_stats().completions, 2);
+    eco.stop_all();
+}
+
+/// At `1 << 8` every counter key carries several objects and some object
+/// shares its key with a bootstrap watermark. Freshness, the watermark
+/// window and the resume watermark are all judged by object identity, so
+/// neither bootstrap may lose a row: not to a colliding object's version
+/// (a copy refused as stale, a resume watermark lifted past uncopied rows)
+/// nor to a colliding object's live write (a copy dropped from the window).
+#[test]
+fn bootstrap_in_a_colliding_space_loses_no_rows() {
+    bootstrap_under_collisions(DepSpace::new(1 << 8), COLLIDING_ROWS);
+}
+
+/// The paper's one-entry space is global ordering (§4.2): every counter,
+/// object and watermark shares key 0, and replication plus bootstrap still
+/// converge.
+#[test]
+fn one_entry_space_replicates_and_bootstraps() {
+    bootstrap_under_collisions(DepSpace::new(1), 400);
 }
