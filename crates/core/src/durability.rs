@@ -34,6 +34,8 @@ use synapse_versionstore::{ObjectVersion, StoreDump, VersionVector};
 // included) fails the magic check and recovery falls back to an older
 // snapshot or to full WAL replay + bootstrap, which is always safe.
 const SNAPSHOT_MAGIC: &[u8; 8] = b"SYNSNAP4";
+/// The magic and the body CRC that follows it.
+const HEADER_LEN: usize = SNAPSHOT_MAGIC.len() + 4;
 
 /// Object-section tags.
 const SCALAR: u8 = 0;
@@ -141,17 +143,20 @@ impl NodeSnapshot {
             .sum()
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(48 + 24 * self.entries());
-        put_u64(&mut body, self.seq);
-        put_u64(&mut body, self.wal_pos.segment);
-        put_u64(&mut body, self.wal_pos.offset);
-        put_dump(&mut body, &self.pub_store);
-        put_dump(&mut body, &self.sub_store);
-        let mut out = Vec::with_capacity(body.len() + 12);
+    /// Encodes the snapshot under sequence `seq` (the store assigns it, so
+    /// the caller's `self.seq` is not read). One buffer: the magic, a CRC
+    /// slot filled in once the body behind it is written, then the body.
+    fn encode(&self, seq: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + 48 + 24 * self.entries());
         out.extend_from_slice(SNAPSHOT_MAGIC);
-        put_u32(&mut out, crc32(&body));
-        out.extend_from_slice(&body);
+        put_u32(&mut out, 0);
+        put_u64(&mut out, seq);
+        put_u64(&mut out, self.wal_pos.segment);
+        put_u64(&mut out, self.wal_pos.offset);
+        put_dump(&mut out, &self.pub_store);
+        put_dump(&mut out, &self.sub_store);
+        let crc = crc32(&out[HEADER_LEN..]);
+        out[SNAPSHOT_MAGIC.len()..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
         out
     }
 
@@ -186,6 +191,8 @@ impl NodeSnapshot {
 pub struct SnapshotStats {
     /// Snapshots persisted successfully.
     pub persisted: u64,
+    /// Bytes written by those persists, headers included.
+    pub bytes_persisted: u64,
     /// Persists aborted by the armed mid-write fault.
     pub interrupted: u64,
     /// Corrupt or torn snapshot files skipped during load.
@@ -200,6 +207,7 @@ pub struct SnapshotStore {
     /// before the rename — the snapshot never becomes visible.
     interrupt_next: AtomicBool,
     persisted: AtomicU64,
+    bytes_persisted: AtomicU64,
     interrupted: AtomicU64,
     skipped_corrupt: AtomicU64,
 }
@@ -235,6 +243,7 @@ impl SnapshotStore {
             next_seq: AtomicU64::new(max_seq + 1),
             interrupt_next: AtomicBool::new(false),
             persisted: AtomicU64::new(0),
+            bytes_persisted: AtomicU64::new(0),
             interrupted: AtomicU64::new(0),
             skipped_corrupt: AtomicU64::new(0),
         })
@@ -247,13 +256,11 @@ impl SnapshotStore {
 
     /// Persists a snapshot atomically (tmp + fsync + rename) and prunes
     /// every older snapshot file. The store assigns the sequence number;
-    /// the caller's `snapshot.seq` is overwritten. Returns the assigned
+    /// the caller's `snapshot.seq` is ignored. Returns the assigned
     /// sequence.
     pub fn persist(&self, snapshot: &NodeSnapshot) -> io::Result<u64> {
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        let mut snapshot = snapshot.clone();
-        snapshot.seq = seq;
-        let bytes = snapshot.encode();
+        let bytes = snapshot.encode(seq);
         let final_path = self.dir.join(format!("state-{seq}.snap"));
         let tmp_path = self.dir.join(format!("state-{seq}.snap.tmp"));
 
@@ -281,6 +288,8 @@ impl SnapshotStore {
             let _ = dir.sync_all();
         }
         self.persisted.fetch_add(1, Ordering::Relaxed);
+        self.bytes_persisted
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
 
         // Prune: everything older than the snapshot just written.
         for entry in fs::read_dir(&self.dir)? {
@@ -327,6 +336,7 @@ impl SnapshotStore {
     pub fn stats(&self) -> SnapshotStats {
         SnapshotStats {
             persisted: self.persisted.load(Ordering::Relaxed),
+            bytes_persisted: self.bytes_persisted.load(Ordering::Relaxed),
             interrupted: self.interrupted.load(Ordering::Relaxed),
             skipped_corrupt: self.skipped_corrupt.load(Ordering::Relaxed),
         }
@@ -375,10 +385,65 @@ mod tests {
         }
     }
 
+    /// `sample()` under sequence 0, as the `SYNSNAP4` encoder first wrote
+    /// it, field by field. A change here changes the bytes on disk, and
+    /// that needs a new magic.
+    const GOLDEN: &str = concat!(
+        "53594e534e415034", // magic
+        "78d3ca65",         // body CRC
+        "0000000000000000", // seq
+        "0300000000000000", // wal_pos.segment
+        "8f03000000000000", // wal_pos.offset
+        // pub_store: counters (1, 10, 10), (2, 5, 0); no objects or
+        // watermarks
+        "02000000",
+        "0100000000000000",
+        "0a00000000000000",
+        "0a00000000000000",
+        "0200000000000000",
+        "0500000000000000",
+        "0000000000000000",
+        "00000000",
+        "00000000",
+        // sub_store: counter (1, 9, 0)
+        "01000000",
+        "0100000000000000",
+        "0900000000000000",
+        "0000000000000000",
+        // objects: 40 scalar 0; 77 mesh, winner (7, 22), {11: 3, 22: 4}
+        "02000000",
+        "2800000000000000",
+        "00",
+        "0000000000000000",
+        "4d00000000000000",
+        "01",
+        "0700000000000000",
+        "1600000000000000",
+        "02000000",
+        "0b00000000000000",
+        "0300000000000000",
+        "1600000000000000",
+        "0400000000000000",
+        // watermark (90, 64)
+        "01000000",
+        "5a00000000000000",
+        "4000000000000000",
+    );
+
+    #[test]
+    fn snapshot_encoding_matches_the_golden_bytes() {
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(sample().encode(0), golden);
+        assert_eq!(NodeSnapshot::decode(&golden), Some(sample()));
+    }
+
     #[test]
     fn snapshot_encoding_round_trips() {
         let snap = sample();
-        let encoded = snap.encode();
+        let encoded = snap.encode(snap.seq);
         assert_eq!(NodeSnapshot::decode(&encoded), Some(snap));
         // Any truncation is rejected, never a panic.
         for cut in 0..encoded.len() {
@@ -405,8 +470,15 @@ mod tests {
         assert_eq!(loaded.seq, seq2);
         assert_eq!(loaded.pub_store.counters.len(), 3, "latest snapshot wins");
         // The older file was pruned.
-        let count = fs::read_dir(&dir).unwrap().count();
-        assert_eq!(count, 1);
+        let files: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap()).collect();
+        assert_eq!(files.len(), 1);
+        let sizes = [sample().encode(0).len(), newer.encode(0).len()];
+        assert_eq!(
+            store.stats().bytes_persisted,
+            (sizes[0] + sizes[1]) as u64,
+            "both persists counted"
+        );
+        assert_eq!(files[0].metadata().unwrap().len(), sizes[1] as u64);
         // A reopened store resumes the sequence past the survivor.
         let reopened = SnapshotStore::open(&dir).unwrap();
         let seq3 = reopened.persist(&sample()).unwrap();
@@ -446,7 +518,7 @@ mod tests {
     fn unknown_snapshot_magic_is_rejected_not_trusted() {
         let dir = temp_dir("magic");
         let store = SnapshotStore::open(&dir).unwrap();
-        let mut foreign = sample().encode();
+        let mut foreign = sample().encode(0);
         foreign[..8].copy_from_slice(b"SYNSNAP3");
         fs::write(dir.join("state-9.snap"), &foreign).unwrap();
         assert_eq!(store.load_latest().unwrap(), None);

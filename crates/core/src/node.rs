@@ -9,7 +9,7 @@ use crate::durability::{NodeSnapshot, SnapshotStore};
 use crate::publisher::{Publisher, PublisherStats};
 use crate::semantics::DeliveryMode;
 use crate::subscriber::{Subscriber, SubscriberStats};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,6 +41,9 @@ pub struct SynapseNode {
     pub(crate) bootstrap: BootstrapTracker,
     /// Version-store snapshot store, when the durability plane is on.
     snapshots: Option<SnapshotStore>,
+    /// Held across a persist's capture and write, so sequence order is
+    /// capture order: the latest snapshot is never an older capture.
+    persist_lock: Mutex<()>,
     /// Subscriber-processed count at the last persisted snapshot — the
     /// reference point of the driver-clocked snapshot cadence.
     snapshot_marker: AtomicU64,
@@ -180,6 +183,7 @@ impl SynapseNode {
             telemetry,
             bootstrap: BootstrapTracker::default(),
             snapshots,
+            persist_lock: Mutex::new(()),
             snapshot_marker: AtomicU64::new(0),
         })
     }
@@ -457,6 +461,7 @@ impl SynapseNode {
         if let Some(store) = &self.snapshots {
             let s = store.stats();
             extra.push(("durability.snapshots_persisted".into(), s.persisted));
+            extra.push(("durability.snapshot_bytes".into(), s.bytes_persisted));
             extra.push(("durability.snapshots_interrupted".into(), s.interrupted));
         }
         snap.counters.extend(extra);
@@ -474,11 +479,21 @@ impl SynapseNode {
     /// bootstrap watermarks kept in the subscriber store — plus the
     /// broker's current WAL position. Returns the assigned sequence, or
     /// `Ok(0)` as a no-op when durability is off (mirroring
-    /// [`Broker::checkpoint`]).
+    /// [`Broker::checkpoint`]). Concurrent calls run one at a time, so
+    /// the newest snapshot holds the newest capture.
     pub fn persist_snapshot(&self) -> io::Result<u64> {
+        let _persisting = self.persist_lock.lock();
+        self.persist_locked()
+    }
+
+    /// Captures and persists a snapshot; the caller holds `persist_lock`.
+    /// Each success adds its wall time, capture included, to the
+    /// `durability.snapshot_nanos` counter.
+    fn persist_locked(&self) -> io::Result<u64> {
         let Some(store) = &self.snapshots else {
             return Ok(0);
         };
+        let t0 = mono_nanos();
         let pub_store = self
             .pub_store
             .dump()
@@ -493,7 +508,11 @@ impl SynapseNode {
             pub_store,
             sub_store,
         };
-        store.persist(&snapshot)
+        let seq = store.persist(&snapshot)?;
+        self.telemetry
+            .counters()
+            .add("durability.snapshot_nanos", mono_nanos().saturating_sub(t0));
+        Ok(seq)
     }
 
     /// Driver-clocked snapshot cadence: persists a snapshot once the
@@ -502,15 +521,17 @@ impl SynapseNode {
     /// seeded runs snapshot at identical points (see DESIGN.md). Returns
     /// the persisted sequence, if one was taken; persist errors raise a
     /// counter and leave the marker unmoved, so the next call retries.
+    /// A call that finds a persist already running skips.
     pub fn maybe_snapshot(&self) -> Option<u64> {
         let every = self.config.durability.snapshot_every?;
         self.snapshots.as_ref()?;
+        let _persisting = self.persist_lock.try_lock()?;
         let processed = self.subscriber.stats().messages_processed;
         let marker = self.snapshot_marker.load(Ordering::Relaxed);
         if processed.saturating_sub(marker) < every.max(1) {
             return None;
         }
-        match self.persist_snapshot() {
+        match self.persist_locked() {
             Ok(seq) => {
                 self.snapshot_marker.store(processed, Ordering::Relaxed);
                 Some(seq)

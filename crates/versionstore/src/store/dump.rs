@@ -3,8 +3,9 @@
 
 use super::{DepKey, ObjectVersion, StoreError, VersionStore};
 
-/// A whole store in bulk form, each section sorted by key for a
-/// deterministic on-disk image.
+/// A whole store in bulk form. The order of each section is unspecified:
+/// [`VersionStore::load_dump`] max-merges entry by entry, so any order
+/// loads to the same store.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreDump {
     /// `(key, ops, version)` of every dependency counter.
@@ -23,7 +24,20 @@ impl VersionStore {
     /// bulk").
     pub fn dump(&self) -> Result<StoreDump, StoreError> {
         self.check_alive()?;
-        let mut out = StoreDump::default();
+        // Sized from a first pass, so the sections never regrow; entries
+        // that land between the two passes only cost a regrowth.
+        let mut sizes = [0; 3];
+        for shard in &self.shards {
+            let maps = shard.maps.lock();
+            sizes[0] += maps.counters.len();
+            sizes[1] += maps.objects.len();
+            sizes[2] += maps.watermarks.len();
+        }
+        let mut out = StoreDump {
+            counters: Vec::with_capacity(sizes[0]),
+            objects: Vec::with_capacity(sizes[1]),
+            watermarks: Vec::with_capacity(sizes[2]),
+        };
         for shard in &self.shards {
             let maps = shard.maps.lock();
             out.counters
@@ -33,9 +47,6 @@ impl VersionStore {
             out.watermarks
                 .extend(maps.watermarks.iter().map(|(k, v)| (*k, *v)));
         }
-        out.counters.sort_unstable_by_key(|c| c.0);
-        out.objects.sort_unstable_by_key(|o| o.0);
-        out.watermarks.sort_unstable();
         Ok(out)
     }
 
@@ -51,9 +62,25 @@ impl VersionStore {
             .chain(dump.watermarks.iter().map(|w| w.0))
             .map(|key| self.ring.route(key))
             .collect();
-        let mut guards = self.lock_routed(&routes);
         let (counter_routes, rest) = routes.split_at(dump.counters.len());
         let (object_routes, watermark_routes) = rest.split_at(dump.objects.len());
+        // Entries routed to each shard, per section: each map is reserved
+        // for them up front, so a restore never rehashes a growing table.
+        let mut routed = vec![[0usize; 3]; self.shards.len()];
+        for (section, routes) in [counter_routes, object_routes, watermark_routes]
+            .iter()
+            .enumerate()
+        {
+            routes.iter().for_each(|&shard| routed[shard][section] += 1);
+        }
+        let mut guards = self.lock_routed(&routes);
+        for (maps, [counters, objects, watermarks]) in guards.iter_mut().zip(routed) {
+            if let Some(maps) = maps {
+                maps.counters.reserve(counters);
+                maps.objects.reserve(objects);
+                maps.watermarks.reserve(watermarks);
+            }
+        }
         for (&(key, ops, version), shard) in dump.counters.iter().zip(counter_routes) {
             let maps = guards[*shard].as_mut().expect("routed shard locked");
             let counter = maps.counters.entry(key).or_default();

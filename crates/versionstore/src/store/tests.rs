@@ -454,8 +454,8 @@ fn dump_roundtrips_ops_and_versions() {
     store.load_watermark(3, 7).unwrap();
     advance_scalar(&store, 8, 5);
     advance_scalar(&store, 4, 6);
-    let dump = store.dump().unwrap();
-    assert_eq!(dump.counters, [(1, 2, 2), (2, 1, 0)], "sorted by key");
+    let dump = sorted(store.dump().unwrap());
+    assert_eq!(dump.counters, [(1, 2, 2), (2, 1, 0)]);
     assert_eq!(dump.watermarks, [(3, 7), (9, 42)]);
     assert_eq!(
         dump.objects,
@@ -468,7 +468,68 @@ fn dump_roundtrips_ops_and_versions() {
     assert_eq!(restored.latest_version(1).unwrap(), 2, "versions survive");
     assert_eq!(restored.ops(2).unwrap(), 1);
     assert_eq!(restored.watermark(9).unwrap(), 42, "watermarks survive");
-    assert_eq!(restored.dump().unwrap(), dump);
+    assert_eq!(sorted(restored.dump().unwrap()), dump);
+}
+
+/// A dump's sections sorted by key: dump order is unspecified.
+fn sorted(mut dump: StoreDump) -> StoreDump {
+    dump.counters.sort_unstable_by_key(|c| c.0);
+    dump.objects.sort_unstable_by_key(|o| o.0);
+    dump.watermarks.sort_unstable();
+    dump
+}
+
+/// Fisher–Yates driven by a xorshift state.
+fn shuffle<T>(items: &mut [T], state: &mut u64) {
+    for i in (1..items.len()).rev() {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        items.swap(i, (*state % (i as u64 + 1)) as usize);
+    }
+}
+
+/// `load_dump` max-merges entry by entry, so the order of a dump's
+/// sections cannot change what it loads to — even with a key listed a
+/// second time, older, in each section.
+#[test]
+fn load_dump_is_order_free() {
+    let store = VersionStore::new(4);
+    for key in 0..200u64 {
+        bump(&store, &[(key, key % 3 == 0), (key + 1000, true)]);
+        advance_scalar(&store, key * 7, key);
+        if key % 4 == 0 {
+            admit_live(&store, key * 7 + 1, VersionVector::component(key, 2), key);
+        }
+        if key % 5 == 0 {
+            store.load_watermark(key, key * 11).unwrap();
+        }
+    }
+    let mut dump = store.dump().unwrap();
+    dump.counters.push((5, 0, 0));
+    dump.objects.push((21, ObjectVersion::Scalar(1)));
+    dump.watermarks.push((10, 3));
+    let reversed = StoreDump {
+        counters: dump.counters.iter().rev().copied().collect(),
+        objects: dump.objects.iter().rev().cloned().collect(),
+        watermarks: dump.watermarks.iter().rev().copied().collect(),
+    };
+    let mut shuffled = dump.clone();
+    let mut seed = 0x2545_F491_4F6C_DD1D;
+    shuffle(&mut shuffled.counters, &mut seed);
+    shuffle(&mut shuffled.objects, &mut seed);
+    shuffle(&mut shuffled.watermarks, &mut seed);
+    let loaded: Vec<StoreDump> = [&dump, &reversed, &shuffled]
+        .into_iter()
+        .map(|d| {
+            let restored = VersionStore::new(3);
+            restored.load_dump(d).unwrap();
+            sorted(restored.dump().unwrap())
+        })
+        .collect();
+    assert_eq!(loaded[0], sorted(store.dump().unwrap()), "the max wins");
+    assert_eq!(loaded[1], loaded[0]);
+    assert_eq!(loaded[2], loaded[0]);
 }
 
 #[test]

@@ -68,10 +68,14 @@ cargo test -q --release --test convergence -- --ignored
 # through public items, and the driver's gate builds it from the tree:
 # build it here too and run its shortest listed workload (three
 # bootstraps per set-up; exit 0 only on a correct verdict), so moving or
-# renaming a public item it imports fails tier-1, not the gate.
+# renaming a public item it imports fails tier-1, not the gate. The
+# durable workload is the one listed workload whose verdict rests on a
+# version-store snapshot restore, so a broken persist or restore fails
+# here too.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml \
   --target-dir "${CARGO_TARGET_DIR:-benchmark/target}"
 benchmark/run.sh --smoke --workload fanout_weak_hetero
+benchmark/run.sh --smoke --workload stress_weak_durable
 
 # Docs check: every repo path README.md, DESIGN.md or EXPERIMENTS.md
 # names in backticks must exist, so the docs cannot cite a file, script

@@ -4,6 +4,7 @@
 //! restarts, and publish-crash journal recovery.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use synapse_repro::broker::Delivery;
@@ -541,4 +542,78 @@ fn live_write_between_copy_attempts_supersedes_the_failed_copy() {
     let stats = subscriber.subscriber_stats();
     assert_eq!((stats.copies_applied, stats.copies_reconciled), (0, 1));
     assert!(subscriber.orm().find("Post", post).unwrap().is_none());
+}
+
+/// Concurrent persists must leave the newest capture as the latest
+/// snapshot. Each persisting thread reads a counter that a writer keeps
+/// bumping just before its call; whatever `load_latest` returns after a
+/// round must hold at least the largest of those readings, or a restart
+/// would lose bumps that an earlier persist had already captured.
+#[test]
+fn concurrent_persists_leave_the_newest_capture_latest() {
+    const KEY: u64 = 7;
+    const ROUNDS: usize = 24;
+    const PERSISTS: usize = 3;
+    let dir = common::temp_dir("persist-race");
+    let eco = Ecosystem::new();
+    let node = mongo_node(
+        &eco,
+        SynapseConfig::new("snap")
+            .durable(&dir)
+            .snapshot_every(None),
+    );
+    // A large subscriber store widens the gap between capturing the
+    // publisher store and taking a sequence number.
+    let filler: Vec<u64> = (1_000..31_000).collect();
+    node.sub_store().apply(&filler).unwrap();
+    let store = node.snapshot_store().expect("durable node");
+    for round in 0..ROUNDS {
+        let stop = AtomicBool::new(false);
+        let newest_reading = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    node.pub_store().apply(&[KEY]).unwrap();
+                }
+            });
+            let persisters: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut newest = 0;
+                        for _ in 0..PERSISTS {
+                            newest = node.pub_store().ops(KEY).unwrap();
+                            node.persist_snapshot().unwrap();
+                        }
+                        newest
+                    })
+                })
+                .collect();
+            let joined: Vec<_> = persisters.into_iter().map(|h| h.join()).collect();
+            // Stop the writer before a persister's panic can propagate,
+            // or the scope would wait on it forever.
+            stop.store(true, Ordering::Relaxed);
+            joined.into_iter().map(|r| r.unwrap()).max().unwrap()
+        });
+        let latest = store.load_latest().unwrap().expect("a snapshot");
+        let captured = latest
+            .pub_store
+            .counters
+            .iter()
+            .find(|c| c.0 == KEY)
+            .map_or(0, |c| c.1);
+        assert!(
+            captured >= newest_reading,
+            "round {round}: snapshot {} holds ops {captured}, but a persist \
+             began after ops reached {newest_reading}",
+            latest.seq
+        );
+    }
+    let counters = node.telemetry_snapshot().counters;
+    let get = |name: &str| counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    assert_eq!(
+        get("durability.snapshots_persisted"),
+        Some((ROUNDS * 2 * PERSISTS) as u64)
+    );
+    assert!(get("durability.snapshot_bytes").unwrap() > 30_000 * 24);
+    assert!(get("durability.snapshot_nanos").unwrap() > 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
