@@ -159,7 +159,7 @@ impl Subscription {
 
     /// The set of local attribute names this subscription writes — the
     /// attributes a subscriber may *not* update itself (§3.1).
-    pub fn local_fields(&self) -> Vec<&str> {
+    pub(crate) fn local_fields(&self) -> Vec<&str> {
         self.fields.iter().map(|f| self.local_field(f)).collect()
     }
 }
@@ -167,12 +167,12 @@ impl Subscription {
 /// A node's publications by model, shared by the node and its publisher.
 /// Entries are `Arc`s: the write path copies a pointer out and drops the
 /// lock before any ORM callback runs, instead of deep-cloning the entry.
-pub type PublicationRegistry = Arc<RwLock<BTreeMap<String, Arc<Publication>>>>;
+pub(crate) type PublicationRegistry = Arc<RwLock<BTreeMap<String, Arc<Publication>>>>;
 
 /// A node's subscriptions in declaration order, shared by the node, its
 /// publisher and its subscriber; `Arc` entries as in
 /// [`PublicationRegistry`].
-pub type SubscriptionRegistry = Arc<RwLock<Vec<Arc<Subscription>>>>;
+pub(crate) type SubscriptionRegistry = Arc<RwLock<Vec<Arc<Subscription>>>>;
 
 #[cfg(test)]
 mod tests {

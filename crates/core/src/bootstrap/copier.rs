@@ -1,10 +1,10 @@
 //! The copier: [`SynapseNode::bootstrap_from`] and the chunk loop under
 //! it, with the attempt's retry, resume and lineage rules.
 
-use super::{
-    watermark_payload, BootstrapState, BootstrapStats, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE,
-};
+use super::marker::{watermark_payload, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
+use super::{BootstrapState, BootstrapStats};
 use crate::api::Publication;
+use crate::config::{backoff, BOOTSTRAP_CHUNK_ROWS, RETRY_ATTEMPTS};
 use crate::deps::{mesh_object, DepName};
 use crate::message::{Operation, WriteMessage};
 use crate::node::SynapseNode;
@@ -160,11 +160,11 @@ impl SynapseNode {
     /// - The ORM bootstrap flag is held by an RAII guard, so every exit
     ///   path — including transient-fault exhaustion mid-copy — leaves the
     ///   node writable.
-    /// - Step 2 copies in chunks of `config.bootstrap_chunk_size` records,
+    /// - Step 2 copies in chunks of [`BOOTSTRAP_CHUNK_ROWS`] records,
     ///   committing a per-model watermark (last copied id) to the
     ///   subscriber version store after each chunk. A transient engine or
-    ///   store fault retries the *chunk* under `config.retry` instead of
-    ///   aborting the bootstrap; if the attempt still fails, the
+    ///   store fault retries the *chunk*, up to [`RETRY_ATTEMPTS`] times,
+    ///   instead of aborting the bootstrap; if the attempt still fails, the
     ///   watermarks survive and the next `bootstrap_from` resumes after
     ///   the last committed chunk — but only while the queue's discard
     ///   lineage shows the live stream stayed gap-free in between.
@@ -435,12 +435,11 @@ impl SynapseNode {
         // A partially-dead subscriber store can neither admit this chunk's
         // copies nor keep a trustworthy resume watermark (§4.2: a partial
         // store has no complete dependency picture), so fail the chunk
-        // transiently — the retry policy absorbs a racing revive, and a
+        // transiently — the retry budget absorbs a racing revive, and a
         // failed attempt's re-entry revives the store itself.
         if self.sub_store.is_dead() {
             return Err(OrmError::Db(DbError::Unavailable));
         }
-        let chunk_size = self.config.bootstrap_chunk_size.max(1);
         let gate = self.subscriber.watermark_gate();
         // Interleave only while workers consume the queue: markers and
         // merged copies ride the delivery plane, and with no workers
@@ -453,7 +452,9 @@ impl SynapseNode {
             gate.begin_chunk(session, window, partitions);
             interleave = self.publish_markers(partitions, session, window, false);
         }
-        let page = publisher.orm.all_after(model, Id(after), chunk_size)?;
+        let page = publisher
+            .orm
+            .all_after(model, Id(after), BOOTSTRAP_CHUNK_ROWS)?;
         let last = match page.last() {
             Some(record) => record.id.raw(),
             None => {
@@ -657,10 +658,8 @@ impl SynapseNode {
     }
 
     /// Runs one bootstrap step, retrying transient failures (dead store,
-    /// unavailable engine) under the node's [`RetryPolicy`] with its
-    /// deterministic backoff; deterministic errors fail immediately.
-    ///
-    /// [`RetryPolicy`]: crate::config::RetryPolicy
+    /// unavailable engine) up to [`RETRY_ATTEMPTS`] times with exponential
+    /// backoff; deterministic errors fail immediately.
     fn retry_transient<T>(
         &self,
         mut step: impl FnMut() -> Result<T, OrmError>,
@@ -671,11 +670,11 @@ impl SynapseNode {
                 Ok(v) => return Ok(v),
                 Err(e @ OrmError::Db(DbError::Unavailable)) => {
                     failures += 1;
-                    if self.config.retry.exhausted(failures) {
+                    if failures >= RETRY_ATTEMPTS {
                         return Err(e);
                     }
                     self.bootstrap.retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(self.config.retry.backoff(failures));
+                    std::thread::sleep(backoff(failures));
                 }
                 Err(e) => return Err(e),
             }

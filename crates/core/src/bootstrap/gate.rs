@@ -54,7 +54,7 @@ impl GateInner {
 /// Shared between the bootstrap copier (one per node) and the subscriber
 /// workers. See the module docs for the protocol.
 #[derive(Default)]
-pub struct WatermarkGate {
+pub(crate) struct WatermarkGate {
     inner: Mutex<GateInner>,
     closed: Condvar,
     /// Fast-path flag the live apply path checks before taking the lock:
@@ -65,18 +65,18 @@ pub struct WatermarkGate {
 
 impl WatermarkGate {
     /// Creates an inactive gate.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Marks a bootstrap session as running: live appliers start checking
     /// in with [`WatermarkGate::note_applied`].
-    pub fn activate(&self) {
+    pub(crate) fn activate(&self) {
         self.active.store(true, Ordering::Release);
     }
 
     /// Marks the session finished and discards any half-open window.
-    pub fn deactivate(&self) {
+    pub(crate) fn deactivate(&self) {
         let mut inner = self.inner.lock();
         inner.open = false;
         inner.touched.clear();
@@ -86,13 +86,13 @@ impl WatermarkGate {
 
     /// Whether a bootstrap session is running (relaxed fast path for the
     /// live apply loop).
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.active.load(Ordering::Acquire)
     }
 
     /// Opens the reconciliation window for `(session, chunk)` across
     /// `partitions` queue partitions, replacing any previous window.
-    pub fn begin_chunk(&self, session: u64, chunk: u64, partitions: usize) {
+    pub(crate) fn begin_chunk(&self, session: u64, chunk: u64, partitions: usize) {
         let mut inner = self.inner.lock();
         inner.session = session;
         inner.chunk = chunk;
@@ -107,7 +107,7 @@ impl WatermarkGate {
     /// Records a consumed watermark marker. Markers for a stale session or
     /// chunk (crash redelivery of an abandoned window) are ignored — the
     /// payload is self-describing precisely so this check is possible.
-    pub fn note_marker(&self, session: u64, chunk: u64, partition: usize, high: bool) {
+    pub(crate) fn note_marker(&self, session: u64, chunk: u64, partition: usize, high: bool) {
         let mut inner = self.inner.lock();
         if !inner.open || inner.session != session || inner.chunk != chunk {
             return;
@@ -130,7 +130,7 @@ impl WatermarkGate {
     /// marker not yet) matter: anything before lo is older than the chunk
     /// select began, anything after hi is newer than rows already
     /// reconciled.
-    pub fn note_applied(&self, partition: usize, objects: &[u64]) {
+    pub(crate) fn note_applied(&self, partition: usize, objects: &[u64]) {
         if !self.is_active() {
             return;
         }
@@ -150,7 +150,7 @@ impl WatermarkGate {
     /// completed; `false` (timeout, or the gate was deactivated under the
     /// copier) is survivable — the caller skips the pre-filter and lets
     /// per-row version admission do the same work.
-    pub fn await_window(&self, session: u64, chunk: u64, timeout: Duration) -> bool {
+    pub(crate) fn await_window(&self, session: u64, chunk: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut inner = self.inner.lock();
         loop {
@@ -169,7 +169,7 @@ impl WatermarkGate {
 
     /// Closes the current window and returns the objects live deliveries
     /// wrote inside it.
-    pub fn take_touched(&self) -> HashSet<u64> {
+    pub(crate) fn take_touched(&self) -> HashSet<u64> {
         let mut inner = self.inner.lock();
         inner.open = false;
         std::mem::take(&mut inner.touched)
@@ -177,7 +177,7 @@ impl WatermarkGate {
 
     /// Windows that closed by timeout instead of marker arrival since
     /// construction.
-    pub fn windows_timed_out(&self) -> u64 {
+    pub(crate) fn windows_timed_out(&self) -> u64 {
         self.inner.lock().timed_out
     }
 }

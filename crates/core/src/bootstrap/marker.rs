@@ -25,7 +25,7 @@ pub fn watermark_payload(session: u64, chunk: u64, high: bool) -> String {
 
 /// Decodes a watermark marker payload into `(session, chunk, high)`;
 /// `None` for anything that is not a well-formed marker.
-pub fn parse_watermark(payload: &str) -> Option<(u64, u64, bool)> {
+pub(crate) fn parse_watermark(payload: &str) -> Option<(u64, u64, bool)> {
     let rest = payload.strip_prefix("wm:")?;
     let (bound, rest) = rest.split_once(':')?;
     let high = match bound {

@@ -10,10 +10,9 @@
 
 mod copier;
 mod gate;
-mod marker;
+pub(crate) mod marker;
 
-pub use gate::WatermarkGate;
-pub use marker::{parse_watermark, watermark_payload, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
+pub(crate) use gate::WatermarkGate;
 
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64};
@@ -102,7 +101,7 @@ pub struct BootstrapStats {
     pub attempts: u64,
     /// Completed bootstraps — the recovery counter of §4.4.
     pub completions: u64,
-    /// Transient step failures absorbed by the retry policy (chunk copies,
+    /// Transient step failures absorbed by the retry budget (chunk copies,
     /// snapshot transfers) rather than failing the attempt.
     pub retries: u64,
     /// Models whose copy resumed from a surviving watermark instead of

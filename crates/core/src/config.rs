@@ -1,6 +1,6 @@
 //! Per-service Synapse configuration.
 
-use crate::deps::{writer_id, DepSpace};
+use crate::deps::DepSpace;
 use crate::resolve::{ConflictCtx, MergeFn, Resolution, ResolverRegistry};
 use crate::semantics::DeliveryMode;
 use std::path::PathBuf;
@@ -32,7 +32,7 @@ impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
             dir: None,
-            fsync: FsyncPolicy::Interval(64),
+            fsync: FsyncPolicy::default(),
             snapshot_every: Some(256),
         }
     }
@@ -56,65 +56,28 @@ impl DurabilityConfig {
     }
 }
 
-/// Retry/backoff policy for transient failures across the replication
-/// pipeline (broker publishes, subscriber processing).
-///
-/// Backoff is exponential with *deterministic* jitter: the delay for
-/// attempt `k` is a pure function of `(policy, k)`, derived from
-/// `jitter_seed` through splitmix64, so two runs with the same
-/// configuration retry on identical schedules. The §6.5 postmortem is the
-/// motivation for bounding attempts at all: unbounded redelivery of a
-/// poisoned message wedges the queue forever, so after `max_attempts` the
-/// pipeline routes the delivery to the dead-letter store instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Attempts per unit of work, first try included. A subscriber that
-    /// exhausts this dead-letters the delivery; a publisher leaves the
-    /// payload journaled for [`recover`](crate::publisher::Publisher::recover).
-    pub max_attempts: u32,
-    /// Backoff before the second attempt; doubles each further attempt.
-    pub base_backoff: Duration,
-    /// Seed of the deterministic jitter stream.
-    pub jitter_seed: u64,
+/// Attempts per unit of work under transient failure, first try
+/// included: a subscriber that exhausts them dead-letters the delivery, a
+/// publisher leaves the payload journaled for
+/// [`recover`](crate::Publisher::recover), and the bootstrap copier fails
+/// the step (the next attempt resumes from its watermarks). The §6.5
+/// postmortem is the reason attempts are bounded at all: unbounded
+/// redelivery of a poisoned message wedges the queue forever.
+pub const RETRY_ATTEMPTS: u32 = 4;
+
+/// Backoff before the second attempt; it doubles with each further one.
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
+
+/// The backoff after failed attempt `attempt` (1-based):
+/// `RETRY_BACKOFF · 2^(attempt-1)`, capped at 64 · `RETRY_BACKOFF`.
+pub(crate) fn backoff(attempt: u32) -> Duration {
+    RETRY_BACKOFF * (1u32 << attempt.saturating_sub(1).min(6))
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_millis(1),
-            jitter_seed: 0x5EED,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The deterministic backoff before retrying after failed attempt
-    /// `attempt` (1-based): `base · 2^(attempt-1)`, capped at 64·base,
-    /// plus up to 50% seeded jitter.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self
-            .base_backoff
-            .saturating_mul(1u32 << attempt.saturating_sub(1).min(6));
-        let span = (exp.as_micros() as u64 / 2).max(1);
-        let jitter = splitmix64(self.jitter_seed ^ u64::from(attempt)) % span;
-        exp + Duration::from_micros(jitter)
-    }
-
-    /// Whether `attempts` failures exhaust the policy.
-    pub fn exhausted(&self, attempts: u32) -> bool {
-        attempts >= self.max_attempts
-    }
-}
-
-/// splitmix64 — the same mixer the fault plane uses; duplicated here so
-/// the core crate stays independent of the test-support crates.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// Records copied per chunk during bootstrap's step-2 object copy. Each
+/// chunk commits a watermark, so a mid-copy fault loses at most one
+/// chunk's work.
+pub const BOOTSTRAP_CHUNK_ROWS: usize = 64;
 
 /// Shards in each node's two version stores.
 pub const VERSION_STORE_SHARDS: usize = 4;
@@ -148,13 +111,6 @@ pub struct SynapseConfig {
     /// written object's dependency key so one object's messages stay in one
     /// partition. `0` = the broker's default partition count.
     pub queue_partitions: usize,
-    /// Retry/backoff policy for transient failures (broker publishes,
-    /// subscriber processing); exhaustion dead-letters or journals.
-    pub retry: RetryPolicy,
-    /// Records copied per chunk during bootstrap's step-2 object copy.
-    /// Each chunk commits a watermark, so smaller chunks lose less work to
-    /// a mid-copy fault at the cost of more paged reads.
-    pub bootstrap_chunk_size: usize,
     /// Whether the structured telemetry event ring records span-style stage
     /// traces. Counters and latency histograms are always live (they are
     /// plain atomic bumps); this flag only gates the ring, turning each
@@ -180,18 +136,10 @@ impl SynapseConfig {
             subscriber_workers: 2,
             queue_max_len: None,
             queue_partitions: 0,
-            retry: RetryPolicy::default(),
-            bootstrap_chunk_size: 64,
             telemetry_enabled: true,
             durability: DurabilityConfig::default(),
-            resolvers: ResolverRegistry::new(),
+            resolvers: ResolverRegistry::default(),
         }
-    }
-
-    /// This service's writer id in version vectors: a stable hash of the
-    /// app name.
-    pub fn writer_id(&self) -> u64 {
-        writer_id(&self.app)
     }
 
     /// Sets both publisher and subscriber modes.
@@ -243,18 +191,6 @@ impl SynapseConfig {
         self
     }
 
-    /// Sets the retry/backoff policy.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Sets the bootstrap chunk size (clamped to at least 1 at use).
-    pub fn bootstrap_chunk(mut self, records: usize) -> Self {
-        self.bootstrap_chunk_size = records;
-        self
-    }
-
     /// Enables or disables the structured telemetry event ring.
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.telemetry_enabled = enabled;
@@ -296,6 +232,7 @@ impl SynapseConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deps::writer_id;
 
     #[test]
     fn defaults_follow_the_paper() {
@@ -305,7 +242,6 @@ mod tests {
         assert!(c.queue_max_len.is_none());
         assert_eq!(c.queue_partitions, 0, "0 defers to the broker default");
         assert!(c.telemetry_enabled);
-        assert_eq!(c.bootstrap_chunk_size, 64);
         assert!(c.durability.dir.is_none(), "durability is off by default");
         assert_eq!(c.durability.fsync, FsyncPolicy::Interval(64));
         assert_eq!(c.durability.snapshot_every, Some(256));
@@ -318,10 +254,8 @@ mod tests {
     #[test]
     fn resolver_registration_and_writer_id() {
         let c = SynapseConfig::new("crowdtap");
-        assert!(c.resolvers.is_empty(), "no resolvers by default");
-        assert_eq!(c.resolvers.get("User").name(), "lww");
-        assert_eq!(c.writer_id(), SynapseConfig::new("crowdtap").writer_id());
-        assert_ne!(c.writer_id(), SynapseConfig::new("spree").writer_id());
+        assert_eq!(c.resolvers.get("User").name(), "lww", "LWW by default");
+        assert_ne!(writer_id(&c.app), writer_id("spree"));
 
         let c = c.merge_resolver("User", |_| Resolution::KeepLocal);
         assert_eq!(c.resolvers.get("User").name(), "merge");
@@ -329,19 +263,14 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_deterministic_exponential_and_capped() {
-        let policy = RetryPolicy::default();
-        for attempt in 1..10 {
-            assert_eq!(policy.backoff(attempt), policy.backoff(attempt));
+    fn backoff_doubles_and_caps() {
+        for attempt in 1..=7 {
+            assert_eq!(backoff(attempt), RETRY_BACKOFF * (1 << (attempt - 1)));
         }
-        assert!(policy.backoff(2) >= policy.backoff(1));
         // The exponent caps at 64·base even for huge attempt numbers.
-        assert!(policy.backoff(60) < policy.base_backoff * 129);
-        let other = RetryPolicy {
-            jitter_seed: 999,
-            ..RetryPolicy::default()
-        };
-        assert_ne!(policy.backoff(1), other.backoff(1));
+        for attempt in [8, 60, u32::MAX] {
+            assert_eq!(backoff(attempt), RETRY_BACKOFF * 64);
+        }
     }
 
     #[test]
@@ -352,7 +281,6 @@ mod tests {
             .queue_cap(1000)
             .queue_partitions(16)
             .wait_timeout(None)
-            .bootstrap_chunk(16)
             .telemetry(false)
             .durable("/tmp/analytics-durability")
             .fsync(FsyncPolicy::EveryWrite)
@@ -375,6 +303,5 @@ mod tests {
         assert_eq!(c.queue_max_len, Some(1000));
         assert_eq!(c.queue_partitions, 16);
         assert!(c.dep_wait_timeout.is_none());
-        assert_eq!(c.bootstrap_chunk_size, 16);
     }
 }

@@ -27,45 +27,45 @@ use synapse_versionstore::DepKey;
 
 /// Dependency-tracking state of one controller/job execution.
 #[derive(Debug, Default)]
-pub struct Scope {
+pub(crate) struct Scope {
     /// The session's user dependency (per-user-session serialization).
-    pub user_dep: Option<DepName>,
+    pub(crate) user_dep: Option<DepName>,
     /// Objects read so far, in order, deduplicated.
-    pub read_deps: Vec<DepName>,
+    pub(crate) read_deps: Vec<DepName>,
     /// Membership index over `read_deps` (dedup without the O(n) scan).
     read_seen: HashSet<DepName>,
     /// First write dependency of the previous update in this scope.
-    pub last_write_dep: Option<DepName>,
+    pub(crate) last_write_dep: Option<DepName>,
     /// Explicit read dependencies (`add_read_deps`).
-    pub explicit_read: Vec<DepName>,
+    pub(crate) explicit_read: Vec<DepName>,
     /// Explicit write dependencies (`add_write_deps`).
-    pub explicit_write: Vec<DepName>,
+    pub(crate) explicit_write: Vec<DepName>,
     /// `Some` while writes are buffered into one message.
-    pub tx_buffer: Option<TxBuffer>,
+    pub(crate) tx_buffer: Option<TxBuffer>,
     /// Nanoseconds spent in Synapse publishing code within this scope.
-    pub synapse_nanos: u64,
+    pub(crate) synapse_nanos: u64,
     /// Messages published from this scope.
-    pub messages: u64,
+    pub(crate) messages: u64,
     /// Total dependencies across those messages.
-    pub deps_published: u64,
+    pub(crate) deps_published: u64,
 }
 
 /// Buffered operations of an in-scope transaction.
 #[derive(Debug, Default)]
-pub struct TxBuffer {
+pub(crate) struct TxBuffer {
     /// Operations accumulated so far.
-    pub operations: Vec<Operation>,
+    pub(crate) operations: Vec<Operation>,
     /// Merged dependency map (max *rebased* version wins per key).
-    pub dependencies: std::collections::BTreeMap<DepKey, u64>,
+    pub(crate) dependencies: std::collections::BTreeMap<DepKey, u64>,
     /// How many times each key's `ops` counter has been bumped by the
     /// operations already buffered. Later operations' dependency values are
     /// rebased by this amount so the combined message only waits on state
     /// from *before* the transaction — its own operations satisfy the
     /// intra-transaction dependencies atomically.
-    pub bumped: std::collections::BTreeMap<DepKey, u64>,
+    pub(crate) bumped: std::collections::BTreeMap<DepKey, u64>,
     /// Version vectors of buffered bidirectional writes, joined per key
     /// (multi-writer replication).
-    pub vectors: std::collections::BTreeMap<DepKey, synapse_versionstore::VersionVector>,
+    pub(crate) vectors: std::collections::BTreeMap<DepKey, synapse_versionstore::VersionVector>,
 }
 
 /// Per-scope measurement summary returned by [`with_scope`].
@@ -95,7 +95,7 @@ thread_local! {
     static SCOPE: RefCell<Option<Scope>> = const { RefCell::new(None) };
 }
 
-pub use synapse_orm::{is_replicating, with_replication_flag};
+pub(crate) use synapse_orm::{is_replicating, with_replication_flag};
 
 /// Runs `f` inside a fresh anonymous scope (a background job).
 pub fn with_scope<R>(f: impl FnOnce() -> R) -> (R, ScopeStats) {
@@ -137,12 +137,12 @@ pub fn in_scope() -> bool {
 }
 
 /// Mutates the current scope, if any.
-pub fn scope_mut<R>(f: impl FnOnce(&mut Scope) -> R) -> Option<R> {
+pub(crate) fn scope_mut<R>(f: impl FnOnce(&mut Scope) -> R) -> Option<R> {
     SCOPE.with(|s| s.borrow_mut().as_mut().map(f))
 }
 
 /// Records an object read (deduplicated, order preserved).
-pub fn record_read(dep: DepName) {
+pub(crate) fn record_read(dep: DepName) {
     scope_mut(|s| {
         if s.read_seen.insert(dep.clone()) {
             s.read_deps.push(dep);

@@ -60,7 +60,7 @@ pub fn writer_id(app: &str) -> u64 {
 /// never meet for comparison. Mesh names (`~mesh/model/id/N`) give every
 /// writer of an object the *same* key; the `~` prefix keeps them out of
 /// any real app's namespace (app names do not start with `~`).
-pub const MESH_NAMESPACE: &str = "~mesh";
+const MESH_NAMESPACE: &str = "~mesh";
 
 /// The mesh dependency name of one multi-writer object:
 /// `~mesh/model/id/<id>` — identical on every node that publishes or
@@ -94,7 +94,7 @@ impl DepName {
     }
 
     /// The single global dependency used to enforce global ordering.
-    pub fn global(app: &str) -> Self {
+    pub(crate) fn global(app: &str) -> Self {
         NAME_SCRATCH.with(|scratch| {
             let mut buf = scratch.borrow_mut();
             buf.clear();
@@ -206,22 +206,13 @@ const INTERNER_CAP: usize = 65_536;
 /// pre-hash) per distinct name. One interner lives per node; lookups take a
 /// read lock, first-sightings upgrade to a write lock.
 #[derive(Debug, Default)]
-pub struct DepInterner {
+pub(crate) struct DepInterner {
     names: RwLock<HashMap<Arc<str>, u64>>,
 }
 
 impl DepInterner {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of distinct names currently interned.
-    pub fn len(&self) -> usize {
-        self.names.read().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.names.read().is_empty()
     }
 
     fn lookup(&self, name: &str) -> DepName {
@@ -246,17 +237,12 @@ impl DepInterner {
     }
 
     /// Interned equivalent of [`DepName::object`].
-    pub fn object(&self, app: &str, model: &str, id: Id) -> DepName {
+    pub(crate) fn object(&self, app: &str, model: &str, id: Id) -> DepName {
         NAME_SCRATCH.with(|scratch| {
             let mut buf = scratch.borrow_mut();
             format_object_name(&mut buf, app, model, id);
             self.lookup(&buf)
         })
-    }
-
-    /// Interned equivalent of [`DepName::named`].
-    pub fn named(&self, name: &str) -> DepName {
-        self.lookup(name)
     }
 }
 
@@ -279,7 +265,7 @@ pub fn normalize_dep_sets(write_deps: &mut Vec<DepName>, read_deps: &mut Vec<Dep
 
 /// [`normalize_dep_sets`] with a caller-owned scratch set (the publisher
 /// keeps one per thread).
-pub fn normalize_dep_sets_with(
+pub(crate) fn normalize_dep_sets_with(
     seen: &mut HashSet<DepName>,
     write_deps: &mut Vec<DepName>,
     read_deps: &mut Vec<DepName>,
@@ -308,12 +294,6 @@ impl DepSpace {
         DepSpace { cardinality }
     }
 
-    /// The paper's sizing example: a 1 GB version store holds ~10 M
-    /// dependencies at ~100 bytes each.
-    pub fn default_production() -> Self {
-        DepSpace::new(10_000_000)
-    }
-
     /// Number of effective dependencies.
     pub fn cardinality(&self) -> u64 {
         self.cardinality
@@ -322,12 +302,6 @@ impl DepSpace {
     /// Reduces a name's cached stable hash into the space.
     pub fn key(&self, name: &DepName) -> DepKey {
         name.hash % self.cardinality
-    }
-}
-
-impl Default for DepSpace {
-    fn default() -> Self {
-        Self::default_production()
     }
 }
 
@@ -397,9 +371,9 @@ mod tests {
         let b = interner.object("app", "User", Id(9));
         assert!(Arc::ptr_eq(&a.name, &b.name));
         assert_eq!(a, DepName::object("app", "User", Id(9)));
-        assert_eq!(interner.len(), 1);
-        assert_eq!(interner.named("app/x").as_str(), "app/x");
-        assert_eq!(interner.len(), 2);
+        assert_eq!(interner.names.read().len(), 1);
+        interner.object("app", "User", Id(10));
+        assert_eq!(interner.names.read().len(), 2);
     }
 
     #[test]
@@ -409,7 +383,7 @@ mod tests {
             let d = interner.object("app", "User", Id(i));
             assert_eq!(d.as_str(), format!("app/user/id/{i}"));
         }
-        assert!(interner.len() <= INTERNER_CAP);
+        assert!(interner.names.read().len() <= INTERNER_CAP);
     }
 
     #[test]

@@ -258,7 +258,7 @@ impl SnapshotStore {
     /// every older snapshot file. The store assigns the sequence number;
     /// the caller's `snapshot.seq` is ignored. Returns the assigned
     /// sequence.
-    pub fn persist(&self, snapshot: &NodeSnapshot) -> io::Result<u64> {
+    pub(crate) fn persist(&self, snapshot: &NodeSnapshot) -> io::Result<u64> {
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
         let bytes = snapshot.encode(seq);
         let final_path = self.dir.join(format!("state-{seq}.snap"));
@@ -325,7 +325,9 @@ impl SnapshotStore {
         Ok(None)
     }
 
-    /// Crash fault: the next [`SnapshotStore::persist`] writes a partial
+    /// Crash fault: the next persist
+    /// ([`SynapseNode::persist_snapshot`](crate::SynapseNode::persist_snapshot))
+    /// writes a partial
     /// temp file and errors before the rename, leaving the previous
     /// snapshot as the latest.
     pub fn inject_interrupt_next(&self) {

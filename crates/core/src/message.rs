@@ -348,7 +348,7 @@ fn dec_digits(buf: &mut [u8; 20], v: u64) -> &[u8] {
 }
 
 /// Current wall-clock in microseconds since the Unix epoch.
-pub fn now_micros() -> u64 {
+pub(crate) fn now_micros() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_micros() as u64)

@@ -1,8 +1,7 @@
 //! One service's Synapse runtime and the ecosystem wiring harness.
 
 use crate::api::{Publication, PublicationRegistry, Subscription, SubscriptionRegistry};
-use crate::bootstrap::BootstrapTracker;
-pub use crate::bootstrap::{BootstrapPhase, BootstrapState, BootstrapStats};
+use crate::bootstrap::{BootstrapStats, BootstrapTracker};
 use crate::config::{SynapseConfig, VERSION_STORE_SHARDS};
 use crate::context::{self, TxBuffer};
 use crate::durability::{NodeSnapshot, SnapshotStore};
@@ -153,7 +152,6 @@ impl SynapseNode {
             generations.clone(),
             publications.clone(),
             subscriptions.clone(),
-            config.retry,
             telemetry.clone(),
         ));
         orm.observe(publisher.clone());
@@ -594,7 +592,7 @@ impl Ecosystem {
 
     /// Creates an ecosystem around an existing broker (one opened durable
     /// by the caller, or shared with another harness).
-    pub fn with_broker(broker: Broker) -> Ecosystem {
+    fn with_broker(broker: Broker) -> Ecosystem {
         Ecosystem {
             broker,
             nodes: RwLock::new(BTreeMap::new()),

@@ -28,7 +28,7 @@
 //! imported attributes (decorations remain writable).
 
 use crate::api::{Publication, PublicationRegistry, Subscription, SubscriptionRegistry};
-use crate::config::RetryPolicy;
+use crate::config::{backoff, RETRY_ATTEMPTS};
 use crate::context::{self, TxBuffer};
 use crate::deps::{normalize_dep_sets_with, writer_id, DepInterner, DepName, DepSpace};
 use crate::message::{now_micros, Operation, WriteMessage};
@@ -52,14 +52,14 @@ use synapse_versionstore::{
 /// A writer atomically acquires its whole key set or blocks; because there
 /// is no hold-and-wait, writers cannot deadlock.
 #[derive(Default)]
-pub struct LockManager {
+struct LockManager {
     held: Mutex<HashSet<DepKey>>,
     released: Condvar,
 }
 
 impl LockManager {
     /// Acquires every key in `keys`, blocking until all are free.
-    pub fn lock(&self, keys: &[DepKey]) -> LockGuard<'_> {
+    fn lock(&self, keys: &[DepKey]) -> LockGuard<'_> {
         let mut held = self.held.lock();
         loop {
             if keys.iter().all(|k| !held.contains(k)) {
@@ -77,7 +77,7 @@ impl LockManager {
 }
 
 /// Guard releasing dependency locks on drop.
-pub struct LockGuard<'a> {
+struct LockGuard<'a> {
     manager: &'a LockManager,
     keys: Vec<DepKey>,
 }
@@ -104,7 +104,7 @@ pub struct PublisherStats {
     pub generation_bumps: u64,
     /// Individual broker publish attempts that failed transiently.
     pub publish_retries: u64,
-    /// Publishes abandoned after exhausting the retry policy; the payload
+    /// Publishes abandoned after [`RETRY_ATTEMPTS`] attempts; the payload
     /// stays journaled for [`Publisher::recover`].
     pub publish_failures: u64,
 }
@@ -182,7 +182,6 @@ pub struct Publisher {
     /// Failure injection: while set, payloads stay journaled instead of
     /// reaching the broker (a crash between DB commit and publication).
     fail_publish: AtomicBool,
-    retry: RetryPolicy,
     /// The node's telemetry plane; publisher-side stages (intercept, dep
     /// compute, wire encode, broker enqueue) are recorded under this
     /// publisher's delivery-mode slice.
@@ -197,7 +196,7 @@ pub struct Publisher {
 impl Publisher {
     /// Creates a publisher runtime.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         app: String,
         mode: DeliveryMode,
         dep_space: DepSpace,
@@ -207,7 +206,6 @@ impl Publisher {
         generations: GenerationStore,
         publications: PublicationRegistry,
         subscriptions: SubscriptionRegistry,
-        retry: RetryPolicy,
         telemetry: Arc<Telemetry>,
     ) -> Self {
         Publisher {
@@ -228,7 +226,6 @@ impl Publisher {
             journal: Mutex::new(BTreeMap::new()),
             journal_seq: AtomicU64::new(0),
             fail_publish: AtomicBool::new(false),
-            retry,
             telemetry,
             messages_published: AtomicU64::new(0),
             operations: AtomicU64::new(0),
@@ -238,13 +235,8 @@ impl Publisher {
         }
     }
 
-    /// The delivery mode this publisher supports.
-    pub fn mode(&self) -> DeliveryMode {
-        self.mode
-    }
-
     /// Current counters.
-    pub fn stats(&self) -> PublisherStats {
+    pub(crate) fn stats(&self) -> PublisherStats {
         PublisherStats {
             messages_published: self.messages_published.load(Ordering::Relaxed),
             operations: self.operations.load(Ordering::Relaxed),
@@ -267,7 +259,7 @@ impl Publisher {
     }
 
     /// Re-publishes every journaled payload (crash recovery). Payloads the
-    /// broker still refuses after the retry policy stay journaled, so
+    /// broker still refuses after [`RETRY_ATTEMPTS`] attempts stay journaled, so
     /// `recover` can be called again later without losing anything.
     pub fn recover(&self) {
         let pending: Vec<(u64, SharedStr, u64, u64)> = {
@@ -285,11 +277,11 @@ impl Publisher {
         }
     }
 
-    /// Hands one payload to the broker under the retry policy; counts
+    /// Hands one payload to the broker within [`RETRY_ATTEMPTS`]; counts
     /// every transiently failed attempt and the final exhaustion. Returns
     /// whether the broker accepted it.
     fn send_with_retry(&self, payload: &SharedStr, origin_nanos: u64, route_key: u64) -> bool {
-        for attempt in 1..=self.retry.max_attempts.max(1) {
+        for attempt in 1..=RETRY_ATTEMPTS {
             match self
                 .broker
                 .publish_routed(&self.app, payload, origin_nanos, route_key)
@@ -297,8 +289,8 @@ impl Publisher {
                 Ok(()) => return true,
                 Err(_) => {
                     self.publish_retries.fetch_add(1, Ordering::Relaxed);
-                    if !self.retry.exhausted(attempt) {
-                        std::thread::sleep(self.retry.backoff(attempt));
+                    if attempt < RETRY_ATTEMPTS {
+                        std::thread::sleep(backoff(attempt));
                     }
                 }
             }
@@ -386,7 +378,7 @@ impl Publisher {
     /// publisher's delivery mode (§4.2), into the scratch lists. Scope
     /// names are already interned, so extending the lists clones pointers;
     /// normalization is the linear hash-set pass of
-    /// [`crate::deps::normalize_dep_sets`].
+    /// [`crate::normalize_dep_sets`].
     fn compute_deps(&self, intent: &WriteIntent, scratch: &mut PublishScratch) {
         let PublishScratch {
             write_deps,

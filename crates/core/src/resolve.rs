@@ -95,7 +95,7 @@ pub trait ConflictResolver: Send + Sync {
 /// The default policy: last-writer-wins by version-vector stamp (history
 /// length, then writer id) — the store's verdict, honored as-is.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct LwwResolver;
+pub(crate) struct LwwResolver;
 
 impl ConflictResolver for LwwResolver {
     fn resolve(&self, ctx: &ConflictCtx<'_>) -> Resolution {
@@ -112,13 +112,13 @@ impl ConflictResolver for LwwResolver {
 }
 
 /// The merge-callback escape hatch: wraps a user closure as a resolver.
-pub struct MergeFn {
+pub(crate) struct MergeFn {
     f: Arc<dyn Fn(&ConflictCtx<'_>) -> Resolution + Send + Sync>,
 }
 
 impl MergeFn {
     /// Wraps `f` as a [`ConflictResolver`].
-    pub fn new(f: impl Fn(&ConflictCtx<'_>) -> Resolution + Send + Sync + 'static) -> Self {
+    pub(crate) fn new(f: impl Fn(&ConflictCtx<'_>) -> Resolution + Send + Sync + 'static) -> Self {
         MergeFn { f: Arc::new(f) }
     }
 }
@@ -145,34 +145,24 @@ fn default_resolver() -> &'static Arc<dyn ConflictResolver> {
 }
 
 /// Per-model resolver registrations, carried by `SynapseConfig` and read
-/// by the subscriber's apply path. Models without a registration get the
-/// [`LwwResolver`] default.
+/// by the subscriber's apply path. Models without a registration resolve
+/// last-writer-wins by version-vector stamp.
 #[derive(Clone, Default)]
 pub struct ResolverRegistry {
     by_model: HashMap<String, Arc<dyn ConflictResolver>>,
 }
 
 impl ResolverRegistry {
-    /// An empty registry (every model resolves LWW).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Registers `resolver` for `model`, replacing any previous one.
     pub fn register(&mut self, model: impl Into<String>, resolver: Arc<dyn ConflictResolver>) {
         self.by_model.insert(model.into(), resolver);
     }
 
     /// The resolver for `model` (the LWW default when unregistered).
-    pub fn get(&self, model: &str) -> &Arc<dyn ConflictResolver> {
+    pub(crate) fn get(&self, model: &str) -> &Arc<dyn ConflictResolver> {
         self.by_model
             .get(model)
             .unwrap_or_else(|| default_resolver())
-    }
-
-    /// Whether any model has a custom registration.
-    pub fn is_empty(&self) -> bool {
-        self.by_model.is_empty()
     }
 }
 
@@ -223,9 +213,8 @@ mod tests {
 
     #[test]
     fn registry_defaults_to_lww_and_honors_registrations() {
-        let mut registry = ResolverRegistry::new();
+        let mut registry = ResolverRegistry::default();
         assert_eq!(registry.get("User").name(), "lww");
-        assert!(registry.is_empty());
 
         registry.register(
             "User",

@@ -30,12 +30,12 @@ impl DeliveryMode {
     /// A subscriber "can only select delivery semantics that are at most as
     /// strong as the publisher supports" (§3.2): the effective subscriber
     /// mode is the weaker of the two.
-    pub fn effective(publisher: DeliveryMode, subscriber: DeliveryMode) -> DeliveryMode {
+    pub(crate) fn effective(publisher: DeliveryMode, subscriber: DeliveryMode) -> DeliveryMode {
         publisher.min(subscriber)
     }
 
     /// The telemetry slice this mode's latencies are recorded under.
-    pub fn slice(self) -> synapse_telemetry::ModeSlice {
+    pub(crate) fn slice(self) -> synapse_telemetry::ModeSlice {
         match self {
             DeliveryMode::Weak => synapse_telemetry::ModeSlice::Weak,
             DeliveryMode::Causal => synapse_telemetry::ModeSlice::Causal,

@@ -58,7 +58,7 @@ use lane::{Held, Lane, HELD_MAX};
 
 use crate::api::SubscriptionRegistry;
 use crate::bootstrap::WatermarkGate;
-use crate::config::{RetryPolicy, SynapseConfig};
+use crate::config::SynapseConfig;
 use crate::deps::DepSpace;
 use crate::resolve::ResolverRegistry;
 use crate::semantics::DeliveryMode;
@@ -84,7 +84,8 @@ use synapse_versionstore::{StoreError, VersionStore};
 /// to the dead-letter store after releasing their version-store deps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProcessError {
-    /// Retryable: nack with backoff, bounded by the retry policy.
+    /// Retryable: nack with backoff, bounded by
+    /// [`RETRY_ATTEMPTS`](crate::RETRY_ATTEMPTS).
     Transient(String),
     /// Deterministic: dead-letter immediately.
     Poison(String),
@@ -126,7 +127,8 @@ pub struct SubscriberStats {
     pub dead_lettered: u64,
     /// Poison failures (undecodable, deterministic apply error, panic).
     pub poison_messages: u64,
-    /// Transient failures that exhausted the retry policy.
+    /// Transient failures that exhausted
+    /// [`RETRY_ATTEMPTS`](crate::RETRY_ATTEMPTS).
     pub retries_exhausted: u64,
     /// Successful steals (an idle worker took a victim partition's run).
     pub steals: u64,
@@ -259,7 +261,6 @@ pub struct Subscriber {
     conflicts: ConflictCounters,
     /// Per-model conflict resolvers for bidirectional subscriptions.
     resolvers: ResolverRegistry,
-    retry: RetryPolicy,
     /// Transient-failure attempts per in-flight delivery tag; cleared on
     /// ack or dead-letter. Redeliveries keep their tag, so this survives
     /// nack round-trips.
@@ -277,7 +278,7 @@ pub struct Subscriber {
 
 impl Subscriber {
     /// Creates a subscriber runtime (workers start separately).
-    pub fn new(
+    pub(crate) fn new(
         config: &SynapseConfig,
         orm: Arc<Orm>,
         store: Arc<VersionStore>,
@@ -304,7 +305,6 @@ impl Subscriber {
             counters: Counters::default(),
             conflicts: ConflictCounters::new(&telemetry),
             resolvers: config.resolvers.clone(),
-            retry: config.retry,
             attempts: Mutex::new(HashMap::new()),
             telemetry,
             gate: Arc::new(WatermarkGate::new()),
@@ -312,7 +312,7 @@ impl Subscriber {
     }
 
     /// The watermark gate shared with the node's bootstrap copier.
-    pub fn watermark_gate(&self) -> &Arc<WatermarkGate> {
+    pub(crate) fn watermark_gate(&self) -> &Arc<WatermarkGate> {
         &self.gate
     }
 
@@ -320,12 +320,12 @@ impl Subscriber {
     /// copier checks this to decide between merging markers and copies
     /// into the queue (workers consume them) and handing each copy to
     /// [`Subscriber::process`] itself (no one would ever drain the queue).
-    pub fn workers_running(&self) -> bool {
+    pub(crate) fn workers_running(&self) -> bool {
         !self.workers.lock().is_empty()
     }
 
     /// Current counters.
-    pub fn stats(&self) -> SubscriberStats {
+    pub(crate) fn stats(&self) -> SubscriberStats {
         SubscriberStats {
             messages_processed: self.counters.messages_processed.load(Ordering::Relaxed),
             ops_applied: self.counters.ops_applied.load(Ordering::Relaxed),
@@ -352,7 +352,7 @@ impl Subscriber {
     }
 
     /// Spawns `n` worker threads consuming the app's queue.
-    pub fn start(self: &Arc<Self>, n: usize) {
+    pub(crate) fn start(self: &Arc<Self>, n: usize) {
         let consumer = match self.broker.consumer(&self.app) {
             Some(c) => c,
             None => return,
@@ -371,7 +371,7 @@ impl Subscriber {
     }
 
     /// Signals workers to stop and joins them.
-    pub fn stop(&self) {
+    pub(crate) fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unpark workers waiting in `pop_batch` so they observe the flag
         // immediately instead of waiting out their park timeout.

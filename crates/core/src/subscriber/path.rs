@@ -3,7 +3,8 @@
 
 use super::lane::{Held, Lane, Prepared};
 use super::{ProcessError, Subscriber, IDLE_PARK};
-use crate::bootstrap::{parse_watermark, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
+use crate::bootstrap::marker::{parse_watermark, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
+use crate::config::{backoff, RETRY_ATTEMPTS};
 use crate::context;
 use crate::deps::DepName;
 use crate::message::WriteMessage;
@@ -370,7 +371,7 @@ impl Subscriber {
     /// The one failure exit; returns the error it settled. *Poison*
     /// failures dead-letter at once: redelivering them would wedge the
     /// queue (§6.5). *Transient* failures charge an attempt, back off and
-    /// nack; a live message that exhausts the retry policy is
+    /// nack; a live message that exhausts [`RETRY_ATTEMPTS`] is
     /// dead-lettered with its dependencies released, while a chunk copy
     /// never is — see the branch. A lane with no consumer has no queue to
     /// settle against: its error goes back to the caller of
@@ -410,7 +411,7 @@ impl Subscriber {
             *entry += 1;
             *entry
         };
-        if !self.retry.exhausted(attempts) {
+        if attempts < RETRY_ATTEMPTS {
             self.counters.retries.fetch_add(1, Ordering::Relaxed);
         } else {
             self.counters
@@ -437,7 +438,7 @@ impl Subscriber {
         // drain.
         self.flush_pending(lane);
         lane.in_flight = None;
-        std::thread::sleep(self.retry.backoff(attempts));
+        std::thread::sleep(backoff(attempts));
         consumer.nack(delivery.tag);
         lane.in_flight = Some(self.gen_barrier.read());
         error

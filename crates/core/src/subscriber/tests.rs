@@ -1,6 +1,6 @@
 use super::worker_thread_name;
 use crate::api::Subscription;
-use crate::bootstrap::{watermark_payload, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
+use crate::bootstrap::marker::{watermark_payload, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
 use crate::config::SynapseConfig;
 use crate::deps::DepName;
 use crate::message::{Operation, WriteMessage};

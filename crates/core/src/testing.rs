@@ -6,7 +6,7 @@
 //! factory-built objects as if they had arrived from production — Synapse
 //! "will emulate the payloads that would be received by the subscriber in a
 //! production environment." The static publish/subscribe checks live in
-//! [`crate::node::Ecosystem::connect`].
+//! [`crate::Ecosystem::connect`].
 
 use crate::api::Publication;
 use crate::message::{now_micros, Operation, WriteMessage};
@@ -49,11 +49,6 @@ impl FactorySet {
             _ => BTreeMap::new(),
         };
         Some(Record::with_attrs(model.to_owned(), Id(seq), attrs))
-    }
-
-    /// Models with factories defined.
-    pub fn models(&self) -> Vec<String> {
-        self.factories.read().keys().cloned().collect()
     }
 }
 
@@ -106,7 +101,6 @@ mod tests {
         assert_eq!(u.id, Id(3));
         assert_eq!(u.get("name").as_str(), Some("user-3"));
         assert!(factories.build("Ghost", 1).is_none());
-        assert_eq!(factories.models(), vec!["User"]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use synapse_repro::core::{
-    Ecosystem, Publication, RetryPolicy, Subscription, SynapseConfig, VERSION_STORE_SHARDS,
+    Ecosystem, Publication, Subscription, SynapseConfig, RETRY_ATTEMPTS, VERSION_STORE_SHARDS,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::{
@@ -55,12 +55,7 @@ fn main() {
     let subscriber = eco.add_node(
         SynapseConfig::new("sub")
             .wait_timeout(Some(Duration::from_millis(50)))
-            .workers(1)
-            .retry(RetryPolicy {
-                max_attempts: 50,
-                base_backoff: Duration::from_micros(200),
-                jitter_seed: seed,
-            }),
+            .workers(1),
         Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
     );
     subscriber
@@ -93,17 +88,43 @@ fn main() {
         max_burst: 2,
         spike_micros: 100,
     };
-    // Re-aim generated broker drops at the publish path so nothing is lost
-    // (drops are the wedge demo's subject — see `delivery_semantics`).
+    // Shape the generated plan so that only poison dead-letters:
+    // - broker drops are re-aimed at the publish path, so nothing is lost
+    //   (drops are the wedge demo's subject — see `delivery_semantics`);
+    // - subscriber store kills (and their revives) are dropped: a dead
+    //   subscriber store costs each delivery that meets it one attempt per
+    //   look for as long as it stays dead, while a dead publisher store
+    //   costs a generation bump and no attempt;
+    // - subscriber write errors stop short of the retry budget in total,
+    //   so even stacked on one delivery they cannot exhaust it.
+    let mut write_errors_left = u64::from(RETRY_ATTEMPTS) - 1;
     let events: Vec<FaultEvent> = FaultPlan::generate(seed, &spec)
         .events()
         .iter()
         .copied()
-        .map(|mut e| {
-            if let FaultKind::DropMessages { n } = e.kind {
-                e.kind = FaultKind::PublishFailures { n };
+        .filter_map(|mut e| {
+            match &mut e.kind {
+                FaultKind::DropMessages { n } => e.kind = FaultKind::PublishFailures { n: *n },
+                FaultKind::KillShard {
+                    side: Side::Subscriber,
+                    ..
+                }
+                | FaultKind::ReviveShards {
+                    side: Side::Subscriber,
+                } => return None,
+                FaultKind::DbWriteErrors {
+                    side: Side::Subscriber,
+                    n,
+                } => {
+                    *n = (*n).min(write_errors_left);
+                    write_errors_left -= *n;
+                    if *n == 0 {
+                        return None;
+                    }
+                }
+                _ => {}
             }
-            e
+            Some(e)
         })
         .collect();
     println!(

@@ -12,11 +12,18 @@
 # counts equal the committed `scripts/api.txt`: a change that grows (or
 # shrinks) a crate's public surface updates that file in the same change,
 # with `scripts/api.sh "$(git stash create)" > scripts/api.txt`.
+#
+# `scripts/api.sh --list [rev]` prints every counted item instead, one
+# `file:line: text` line each (a `pub use` line once per name it exports,
+# a tuple struct once more per `pub` field), through the same program as
+# the counts — so a package's count is its number of lines, and
+# `diff <(scripts/api.sh --list A | cut -d: -f1,3-) <(… B …)` is the
+# surface a change added or removed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-check=
-if [[ "${1:-}" == --check ]]; then
-  check=1
+mode=count
+if [[ "${1:-}" == --check || "${1:-}" == --list ]]; then
+  mode="${1#--}"
   shift
 fi
 rev="${1:-HEAD}"
@@ -34,29 +41,38 @@ test_only() {
   return 1
 }
 
-count='
+# One src file's public items: their count, or with `-v list=1` one line
+# each, prefixed by `-v file=<path>`.
+items='
+  function item(text) {
+    n++
+    if (list) printf "%s:%d: %s\n", file, FNR, text
+  }
+  function trim(s) { gsub(/^[ \t]+|[ \t]+$/, "", s); return s }
   function names(s,   parts, i, k) {
     gsub(/[{};]/, " ", s)
-    k = 0
-    for (i = split(s, parts, ","); i > 0; i--) if (parts[i] ~ /[A-Za-z_]/) k++
-    return k
+    k = split(s, parts, ",")
+    for (i = 1; i <= k; i++) if (parts[i] ~ /[A-Za-z_]/) item("pub use " trim(parts[i]))
   }
   held { held = 0; if (!/^(pub(\([a-z]+\))? )?mod [a-z_]+;$/) exit }
   /^#\[cfg\(test\)\]/ { held = 1; next }
   /^[ \t]*\/\// { next }
-  in_use { n += names($0); if (/;/) in_use = 0; next }
+  in_use { names($0); if (/;/) in_use = 0; next }
   /^[ \t]*pub use / {
-    if (/\{/) { s = $0; sub(/^[^{]*\{/, "", s); n += names(s); in_use = !/;/ } else n++
+    if (/\{/) { s = $0; sub(/^[^{]*\{/, "", s); names(s); in_use = !/;/ } else item(trim($0))
     next
   }
-  /^[ \t]*pub ((unsafe|async|const|extern "C") )*fn / { n++; next }
+  /^[ \t]*pub ((unsafe|async|const|extern "C") )*fn / { item(trim($0)); next }
   /^[ \t]*pub (struct|enum|trait|type|const|mod) / {
-    n++
-    if (/^[ \t]*pub struct [^({]*\(/) { s = $0; sub(/^[^(]*\(/, "", s); n += gsub(/pub /, "", s) }
+    item(trim($0))
+    if (/^[ \t]*pub struct [^({]*\(/) {
+      s = $0; sub(/^[^(]*\(/, "", s)
+      for (k = gsub(/pub /, "", s); k > 0; k--) item(trim($0) " [field]")
+    }
     next
   }
-  /^[ \t]*pub [a-z_][a-z0-9_]*[ \t]*:/ { n++ }
-  END { print n + 0 }'
+  /^[ \t]*pub [a-z_][a-z0-9_]*[ \t]*:/ { item(trim($0)) }
+  END { if (!list) print n + 0 }'
 
 out=$(
   for dir in "" $(git ls-tree -d --name-only "$rev" crates/ | sed 's|$|/|'); do
@@ -65,12 +81,16 @@ out=$(
     while read -r f; do
       [[ "$f" == *.rs ]] || continue
       [[ "$f" == */tests.rs ]] && test_only "$f" && continue
-      total=$((total + $(git show "$rev:$f" | awk "$count")))
+      if [[ "$mode" == list ]]; then
+        git show "$rev:$f" | awk -v list=1 -v file="$f" "$items"
+      else
+        total=$((total + $(git show "$rev:$f" | awk "$items")))
+      fi
     done < <(git ls-tree -r --name-only "$rev" -- "${dir}src")
-    printf '%s %d\n' "$name" "$total"
+    [[ "$mode" == list ]] || printf '%s %d\n' "$name" "$total"
   done
 )
-if [[ -z "$check" ]]; then
+if [[ "$mode" != check ]]; then
   echo "$out"
   exit 0
 fi

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use synapse_repro::core::{
     BootstrapPhase, BootstrapState, DepName, Ecosystem, Publication, Subscription, SynapseConfig,
-    SynapseNode,
+    SynapseNode, BOOTSTRAP_CHUNK_ROWS as CHUNK, RETRY_ATTEMPTS,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::model::{vmap, Id, ModelSchema};
@@ -367,7 +367,7 @@ fn arm_copy_fault_at_chunk(node: &Arc<SynapseNode>, chunk: u64) -> Arc<AtomicBoo
     let target = node.clone();
     let flag = armed.clone();
     let at = chunk;
-    let budget = node.config().retry.max_attempts as u64;
+    let budget = u64::from(RETRY_ATTEMPTS);
     node.set_bootstrap_probe(move |state| {
         if let BootstrapState::Copying { chunk, .. } = state {
             if *chunk == at && !flag.swap(true, Ordering::SeqCst) {
@@ -378,7 +378,7 @@ fn arm_copy_fault_at_chunk(node: &Arc<SynapseNode>, chunk: u64) -> Arc<AtomicBoo
     armed
 }
 
-/// A mid-copy fault exhausts the retry policy and fails the attempt, but
+/// A mid-copy fault exhausts the retry budget and fails the attempt, but
 /// leaves the committed chunk watermarks in the version store, so the next
 /// attempt resumes past the copied rows instead of redoing the copy — and
 /// still converges. (Runs on the synchronous no-worker path; the live
@@ -386,9 +386,10 @@ fn arm_copy_fault_at_chunk(node: &Arc<SynapseNode>, chunk: u64) -> Arc<AtomicBoo
 #[test]
 fn copy_fault_fails_attempt_then_resume_converges() {
     let eco = Ecosystem::new();
-    let publisher = publisher_with_users(&eco, 30);
+    // Four full chunks and three rows of a fifth, with the live writes.
+    let publisher = publisher_with_users(&eco, 4 * CHUNK - 2);
     let subscriber = eco.add_node(
-        SynapseConfig::new("late").bootstrap_chunk(8),
+        SynapseConfig::new("late"),
         Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
     );
     subscriber
@@ -410,7 +411,7 @@ fn copy_fault_fails_attempt_then_resume_converges() {
             .unwrap();
     }
     // The copier's third chunk (two watermarks committed) hits a burst of
-    // transient faults that exhausts the retry policy.
+    // transient faults that exhausts the retry budget.
     let armed = arm_copy_fault_at_chunk(&subscriber, 2);
     let err = subscriber.bootstrap_from(&publisher);
     assert!(err.is_err(), "the armed chunk fault must fail the attempt");
@@ -425,7 +426,7 @@ fn copy_fault_fails_attempt_then_resume_converges() {
     );
     assert!(stats.retries >= 1, "the chunk retried before exhausting");
     let copied_first = stats.records_copied;
-    assert_eq!(copied_first, 16);
+    assert_eq!(copied_first, 2 * CHUNK as u64);
 
     // Second attempt: the watermark survived, so the copier resumes past
     // everything already copied and covers the rest.
@@ -434,21 +435,28 @@ fn copy_fault_fails_attempt_then_resume_converges() {
     assert_eq!(stats.completions, 1);
     assert!(stats.resumes >= 1, "second attempt resumed from watermark");
     assert_eq!(
-        stats.records_copied, 35,
+        stats.records_copied,
+        4 * CHUNK as u64 + 3,
         "resume must not re-copy records behind the watermark"
     );
     assert_eq!(
         stats.copies_merged, 0,
         "with no workers the copy applies synchronously, not via the queue"
     );
-    assert_eq!(subscriber.orm().count("User").unwrap(), 35);
+    assert_eq!(
+        subscriber.orm().count("User").unwrap(),
+        4 * CHUNK as u64 + 3
+    );
     assert_eq!(stats.phase, BootstrapPhase::Live);
 
     // The queued live messages drain once workers run; applying them over
     // their own copies must not double anything.
     subscriber.start();
     assert!(subscriber.subscriber().drain(Duration::from_secs(10)));
-    assert_eq!(subscriber.orm().count("User").unwrap(), 35);
+    assert_eq!(
+        subscriber.orm().count("User").unwrap(),
+        4 * CHUNK as u64 + 3
+    );
     eco.stop_all();
 }
 
@@ -458,9 +466,9 @@ fn copy_fault_fails_attempt_then_resume_converges() {
 #[test]
 fn reinstate_with_unswept_backlog_keeps_resume_watermarks() {
     let eco = Ecosystem::new();
-    let publisher = publisher_with_users(&eco, 40);
+    let publisher = publisher_with_users(&eco, 5 * CHUNK);
     let subscriber = eco.add_node(
-        SynapseConfig::new("late").bootstrap_chunk(8),
+        SynapseConfig::new("late"),
         Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
     );
     subscriber
@@ -475,7 +483,9 @@ fn reinstate_with_unswept_backlog_keeps_resume_watermarks() {
     let armed = arm_copy_fault_at_chunk(&subscriber, 2);
     assert!(subscriber.bootstrap_from(&publisher).is_err());
     assert!(armed.load(Ordering::SeqCst));
-    assert_eq!(subscriber.bootstrap_stats().records_copied, 16);
+    let stats = subscriber.bootstrap_stats();
+    assert_eq!(stats.chunks_copied, 2, "the fault hit the third chunk");
+    assert_eq!(stats.records_copied, 2 * CHUNK as u64);
 
     // The queue dies with an *empty* backlog: nothing is swept, so the
     // discard lineage does not move and the watermarks stay trustworthy.
@@ -488,10 +498,11 @@ fn reinstate_with_unswept_backlog_keeps_resume_watermarks() {
         "an unswept reinstate must keep the watermarks and resume"
     );
     assert_eq!(
-        stats.records_copied, 40,
+        stats.records_copied,
+        5 * CHUNK as u64,
         "rows behind the watermark were not re-copied"
     );
-    assert_eq!(subscriber.orm().count("User").unwrap(), 40);
+    assert_eq!(subscriber.orm().count("User").unwrap(), 5 * CHUNK as u64);
     assert_eq!(eco.broker().stats().reinstated, 1);
     eco.stop_all();
 }
@@ -504,9 +515,9 @@ fn reinstate_with_unswept_backlog_keeps_resume_watermarks() {
 #[test]
 fn reinstate_after_swept_backlog_clears_resume_watermarks() {
     let eco = Ecosystem::new();
-    let publisher = publisher_with_users(&eco, 40);
+    let publisher = publisher_with_users(&eco, 5 * CHUNK);
     let subscriber = eco.add_node(
-        SynapseConfig::new("late").bootstrap_chunk(8),
+        SynapseConfig::new("late"),
         Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
     );
     subscriber
@@ -528,6 +539,7 @@ fn reinstate_after_swept_backlog_clears_resume_watermarks() {
     let armed = arm_copy_fault_at_chunk(&subscriber, 2);
     assert!(subscriber.bootstrap_from(&publisher).is_err());
     assert!(armed.load(Ordering::SeqCst));
+    assert_eq!(subscriber.bootstrap_stats().chunks_copied, 2);
 
     // The decommission sweeps the three queued messages: real loss, and
     // the discard lineage moves.
@@ -540,7 +552,10 @@ fn reinstate_after_swept_backlog_clears_resume_watermarks() {
         "a swept backlog breaks marker lineage: no resume"
     );
     // The full re-copy covers the swept writes too: exact convergence.
-    assert_eq!(subscriber.orm().count("User").unwrap(), 43);
+    assert_eq!(
+        subscriber.orm().count("User").unwrap(),
+        5 * CHUNK as u64 + 3
+    );
     assert!(eco.broker().stats().discarded >= 3);
     eco.stop_all();
 }
@@ -552,9 +567,11 @@ fn reinstate_after_swept_backlog_clears_resume_watermarks() {
 #[test]
 fn cleanup_failure_defers_and_node_still_goes_live() {
     let eco = Ecosystem::new();
-    let publisher = publisher_with_users(&eco, 20);
+    // Two full chunks and half a third.
+    let rows = 2 * CHUNK + CHUNK / 2;
+    let publisher = publisher_with_users(&eco, rows);
     let subscriber = eco.add_node(
-        SynapseConfig::new("late").bootstrap_chunk(8),
+        SynapseConfig::new("late"),
         Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
     );
     subscriber
@@ -591,13 +608,14 @@ fn cleanup_failure_defers_and_node_still_goes_live() {
     );
     assert_eq!(stats.phase, BootstrapPhase::Live);
     assert_eq!(stats.cleanup_deferred, 1);
+    assert_eq!(stats.chunks_copied, 3);
     assert_eq!(
         subscriber
             .telemetry_snapshot()
             .counter("bootstrap.cleanup_deferred"),
         1
     );
-    assert_eq!(subscriber.orm().count("User").unwrap(), 20);
+    assert_eq!(subscriber.orm().count("User").unwrap(), rows as u64);
 
     // The next attempt revives the store, clears the (dirty) watermark
     // state first, and completes cleanly from scratch.
@@ -607,7 +625,7 @@ fn cleanup_failure_defers_and_node_still_goes_live() {
     assert_eq!(stats.completions, 2);
     assert_eq!(stats.cleanup_deferred, 1, "the deferral happened once");
     assert!(!subscriber.sub_store().is_dead());
-    assert_eq!(subscriber.orm().count("User").unwrap(), 20);
+    assert_eq!(subscriber.orm().count("User").unwrap(), rows as u64);
     eco.stop_all();
 }
 

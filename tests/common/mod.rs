@@ -6,8 +6,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use synapse_repro::core::{Ecosystem, SynapseConfig, SynapseNode};
+use synapse_repro::core::{Ecosystem, SynapseConfig, SynapseNode, RETRY_ATTEMPTS};
 use synapse_repro::db::LatencyModel;
+use synapse_repro::faults::{FaultEvent, FaultKind, Side};
 use synapse_repro::model::ModelSchema;
 use synapse_repro::orm::adapters::MongoidAdapter;
 
@@ -32,6 +33,31 @@ pub fn mongo_node(eco: &Ecosystem, config: SynapseConfig) -> Arc<SynapseNode> {
     );
     node.orm().define_model(ModelSchema::open("Post")).unwrap();
     node
+}
+
+/// Trims a plan's subscriber-side write-error bursts, in firing order, so
+/// that their total stays below [`RETRY_ATTEMPTS`]. The total bounds what
+/// can stack on one delivery, so no live delivery exhausts its budget on
+/// injected write errors alone and only poison is ever dead-lettered.
+pub fn cap_subscriber_write_errors(events: Vec<FaultEvent>) -> Vec<FaultEvent> {
+    let mut left = u64::from(RETRY_ATTEMPTS) - 1;
+    events
+        .into_iter()
+        .filter_map(|mut e| {
+            if let FaultKind::DbWriteErrors {
+                side: Side::Subscriber,
+                n,
+            } = &mut e.kind
+            {
+                *n = (*n).min(left);
+                left -= *n;
+                if *n == 0 {
+                    return None;
+                }
+            }
+            Some(e)
+        })
+        .collect()
 }
 
 /// Fresh unique directory under the system temp dir (not created).

@@ -15,10 +15,11 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use synapse_repro::core::subscriber::ProcessError;
 use synapse_repro::core::testing::emulate_delivery;
 use synapse_repro::core::{
-    mesh_object, writer_id, DeliveryMode, Ecosystem, Operation, ProcessError, Publication,
-    Resolution, Subscription, SynapseConfig, SynapseNode, WriteMessage,
+    mesh_object, writer_id, DeliveryMode, Ecosystem, Operation, Publication, Resolution,
+    Subscription, SynapseConfig, SynapseNode, WriteMessage,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::SeededRng;

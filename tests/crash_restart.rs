@@ -36,7 +36,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use synapse_repro::broker::{Broker, FsyncPolicy, QueueConfig, SharedStr, WalConfig};
-use synapse_repro::core::{Ecosystem, Publication, Subscription, SynapseConfig, SynapseNode};
+use synapse_repro::core::{
+    Ecosystem, Publication, Subscription, SynapseConfig, SynapseNode, BOOTSTRAP_CHUNK_ROWS,
+    RETRY_ATTEMPTS,
+};
 use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::{CrashPlan, CrashPoint, SeededRng};
 use synapse_repro::model::{vmap, ModelSchema};
@@ -458,8 +461,8 @@ fn partition_layout_survives_reopen() {
 // --------------------------------------------------------------------------
 
 /// Rows seeded before the subscriber's queue is bound: history that can
-/// only arrive through the chunked object copy.
-const SEED_ROWS: usize = 48;
+/// only arrive through the chunked object copy, six chunks of it.
+const SEED_ROWS: usize = 6 * BOOTSTRAP_CHUNK_ROWS;
 /// Live rows written after the failed attempt, so the broker WAL carries
 /// real enqueue/ack traffic across the restart.
 const LIVE_ROWS: usize = 6;
@@ -497,7 +500,6 @@ fn node_recovery_resumes_interrupted_bootstrap() {
             SynapseConfig::new("sub")
                 .wait_timeout(Some(Duration::from_millis(50)))
                 .workers(1)
-                .bootstrap_chunk(8)
                 .durable(&sub_dir)
                 .snapshot_every(None),
             sub_adapter.clone(),
@@ -520,12 +522,12 @@ fn node_recovery_resumes_interrupted_bootstrap() {
     // Mid-interleave fault: the first time the copier enters its third
     // chunk — two chunk watermarks committed, their lo/hi markers already
     // written to the broker WAL — a burst of transient copy faults
-    // exhausts the retry policy and kills the attempt.
+    // exhausts the retry budget and kills the attempt.
     let fault_armed = Arc::new(AtomicBool::new(false));
     {
         let fault_armed = fault_armed.clone();
         let target = subscriber.clone();
-        let budget = subscriber.config().retry.max_attempts as u64;
+        let budget = u64::from(RETRY_ATTEMPTS);
         subscriber.set_bootstrap_probe(move |state| {
             if let synapse_repro::core::BootstrapState::Copying { chunk: 2, .. } = state {
                 if !fault_armed.swap(true, Ordering::SeqCst) {
@@ -599,7 +601,10 @@ fn node_recovery_resumes_interrupted_bootstrap() {
     assert_eq!(counter(&snap, "durability.snapshots_persisted"), 1);
     assert_eq!(counter(&snap, "durability.snapshots_interrupted"), 1);
     let copied_before_crash = failed.records_copied;
-    assert!(copied_before_crash >= 16, "two committed chunks of eight");
+    assert!(
+        copied_before_crash >= 2 * BOOTSTRAP_CHUNK_ROWS as u64,
+        "two committed chunks"
+    );
 
     eco.stop_all();
     drop(subscriber);

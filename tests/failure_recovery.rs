@@ -8,10 +8,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use synapse_repro::broker::Delivery;
+use synapse_repro::core::subscriber::ProcessError;
 use synapse_repro::core::testing::emulate_delivery;
 use synapse_repro::core::{
-    DeliveryMode, DepName, Ecosystem, Operation, ProcessError, Publication, RetryPolicy,
-    Subscription, SynapseConfig, SynapseNode, WriteMessage, BOOTSTRAP_EXCHANGE,
+    DeliveryMode, DepName, Ecosystem, Operation, Publication, Subscription, SynapseConfig,
+    SynapseNode, WriteMessage, BOOTSTRAP_EXCHANGE, RETRY_ATTEMPTS,
 };
 use synapse_repro::model::{vmap, Id, Record, Value};
 
@@ -432,17 +433,9 @@ fn post_message(node: &SynapseNode, operation: &str, id: Id, version: u64) -> Wr
 /// it keeps being redelivered, and it lands once the engine heals.
 #[test]
 fn exhausted_live_message_dead_letters_but_exhausted_copy_keeps_retrying() {
-    let retry = RetryPolicy {
-        max_attempts: 3,
-        ..RetryPolicy::default()
-    };
     let eco = Ecosystem::new();
     let publisher = publishing_node(&eco, "pub");
-    let subscriber = subscribing_node(
-        &eco,
-        SynapseConfig::new("sub").wait_timeout(None).retry(retry),
-        "pub",
-    );
+    let subscriber = subscribing_node(&eco, SynapseConfig::new("sub").wait_timeout(None), "pub");
     eco.connect();
     eco.start_all();
     let faults = subscriber.orm().db_faults();
@@ -459,7 +452,7 @@ fn exhausted_live_message_dead_letters_but_exhausted_copy_keeps_retrying() {
     faults.disarm();
     let stats = subscriber.subscriber_stats();
     assert_eq!(stats.retries_exhausted, 1);
-    assert_eq!(stats.retries, u64::from(retry.max_attempts) - 1);
+    assert_eq!(stats.retries, u64::from(RETRY_ATTEMPTS) - 1);
     assert_eq!(stats.poison_messages, 0);
     assert_eq!(eco.broker().dead_letter_len("sub"), Some(1));
     assert!(subscriber.orm().find("Post", post.id).unwrap().is_none());

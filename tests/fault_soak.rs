@@ -24,8 +24,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 use synapse_repro::core::{
-    Ecosystem, Publication, RetryPolicy, Subscription, SynapseConfig, SynapseNode,
-    VERSION_STORE_SHARDS,
+    Ecosystem, Publication, Subscription, SynapseConfig, SynapseNode, VERSION_STORE_SHARDS,
 };
 use synapse_repro::faults::{
     FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, InjectorStats, SeededRng,
@@ -35,7 +34,7 @@ use synapse_repro::model::vmap;
 use synapse_repro::orm::CallbackPoint;
 
 mod common;
-use common::{eventually, mongo_node};
+use common::{cap_subscriber_write_errors, eventually, mongo_node};
 
 /// Seed of record: `SYNAPSE_SEED=<n>` reproduces a specific schedule.
 fn seed_of_record() -> u64 {
@@ -170,17 +169,11 @@ fn run_soak(seed: u64) -> SoakOutcome {
     const OPS: u64 = 160;
     let eco = Ecosystem::new();
     let publisher = publishing_node(&eco);
-    let retry = RetryPolicy {
-        max_attempts: 50,
-        base_backoff: Duration::from_micros(200),
-        jitter_seed: seed,
-    };
     let subscriber = subscribing_node(
         &eco,
         SynapseConfig::new("sub")
             .wait_timeout(Some(Duration::from_millis(50)))
-            .workers(1)
-            .retry(retry),
+            .workers(1),
     );
     // Poison pills: the subscriber's application callback panics on them,
     // every time — the deterministic-failure class that must end in the
@@ -200,10 +193,18 @@ fn run_soak(seed: u64) -> SoakOutcome {
     eco.connect();
     eco.start_all();
 
-    // Seeded plan over the op horizon. Broker drops are exercised by the
-    // wedge test above; here they would make per-row accounting depend on
-    // *which* message was lost, so the generated drops are re-aimed at the
-    // publish path (same transient class, journal-recoverable).
+    // Seeded plan over the op horizon, shaped so that only poison
+    // dead-letters:
+    // - Broker drops are exercised by the wedge test above; here they
+    //   would make per-row accounting depend on *which* message was lost,
+    //   so they are re-aimed at the publish path (same transient class,
+    //   journal-recoverable).
+    // - A dead subscriber store costs each delivery that meets it one
+    //   attempt per look for as long as it stays dead, a span no tick
+    //   schedule bounds, so subscriber shard kills (and their revives)
+    //   are dropped; publisher kills, which cost a generation bump and no
+    //   attempt, fire as generated.
+    // - Subscriber write errors are capped below the retry budget.
     let spec = FaultSpec {
         horizon: OPS,
         events: 12,
@@ -216,14 +217,22 @@ fn run_soak(seed: u64) -> SoakOutcome {
         .events()
         .iter()
         .copied()
-        .map(|mut e| {
-            if let FaultKind::DropMessages { n } = e.kind {
-                e.kind = FaultKind::PublishFailures { n };
+        .filter_map(|mut e| {
+            match e.kind {
+                FaultKind::DropMessages { n } => e.kind = FaultKind::PublishFailures { n },
+                FaultKind::KillShard {
+                    side: Side::Subscriber,
+                    ..
+                }
+                | FaultKind::ReviveShards {
+                    side: Side::Subscriber,
+                } => return None,
+                _ => {}
             }
-            e
+            Some(e)
         })
         .collect();
-    let mut plan = FaultPlan::from_events(events);
+    let mut plan = FaultPlan::from_events(cap_subscriber_write_errors(events));
     let mut injector = Injector::new(eco.broker().clone(), "sub")
         .with_store(Side::Publisher, publisher.pub_store().clone())
         .with_store(Side::Subscriber, subscriber.sub_store().clone())

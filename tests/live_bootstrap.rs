@@ -9,7 +9,7 @@
 //! fault classes strike *inside* the protocol:
 //!
 //! * an armed chunk-copy fault (the transient-engine class) exhausts the
-//!   retry policy on attempt 1's third chunk, after two chunk watermarks
+//!   retry budget on attempt 1's third chunk, after two chunk watermarks
 //!   committed;
 //! * a [`PhaseHook`]-aimed broker restart fires on the fifth `copying`
 //!   entry, i.e. in the middle of the *resumed* copy;
@@ -51,8 +51,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use synapse_repro::core::{
     BootstrapPhase, BootstrapState, DeliveryMode, DepName, DepSpace, Ecosystem, ModeSlice,
-    Publication, RetryPolicy, Stage, Subscription, SynapseConfig, SynapseNode,
-    VERSION_STORE_SHARDS,
+    Publication, Stage, Subscription, SynapseConfig, SynapseNode, BOOTSTRAP_CHUNK_ROWS,
+    RETRY_ATTEMPTS, VERSION_STORE_SHARDS,
 };
 use synapse_repro::faults::{
     FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, PhaseHook, SeededRng, Side,
@@ -62,7 +62,7 @@ use synapse_repro::orm::CallbackPoint;
 use synapse_repro::versionstore::ObjectVersion;
 
 mod common;
-use common::{eventually, mongo_node};
+use common::{cap_subscriber_write_errors, eventually, mongo_node};
 
 /// Seed of record: `SYNAPSE_SEED=<n>` reproduces a specific schedule.
 fn seed_of_record() -> u64 {
@@ -75,8 +75,11 @@ fn seed_of_record() -> u64 {
 /// Ops the writer thread attempts while the bootstrap runs.
 const OPS: u64 = 160;
 /// Rows seeded before the subscriber's queue is even bound: history that
-/// can only arrive through the chunked object copy.
-const SEED_ROWS: usize = 120;
+/// can only arrive through the chunked object copy. Seven and a half
+/// chunks: attempt 1 dies on its third, the phase-aimed restart needs the
+/// resumed copy to reach a second, and the aftershock recovery dies on
+/// its third.
+const SEED_ROWS: usize = 7 * BOOTSTRAP_CHUNK_ROWS + BOOTSTRAP_CHUNK_ROWS / 2;
 
 /// One full soak run. Panics on any violated invariant.
 fn run_live_bootstrap(seed: u64) {
@@ -89,16 +92,7 @@ fn run_live_bootstrap(seed: u64) {
         &eco,
         SynapseConfig::new("sub")
             .wait_timeout(Some(Duration::from_millis(50)))
-            .workers(1)
-            // The retry budget must exceed the worst contiguous burst the
-            // plan can arm: nack requeues at the queue front, so stacked
-            // db-error bursts are consumed consecutively by one delivery.
-            .retry(RetryPolicy {
-                max_attempts: 10,
-                base_backoff: Duration::from_micros(200),
-                jitter_seed: seed,
-            })
-            .bootstrap_chunk(16),
+            .workers(1),
     );
     subscriber
         .subscribe(Subscription::model("Post", "pub").fields(&["body", "version"]))
@@ -136,13 +130,13 @@ fn run_live_bootstrap(seed: u64) {
     // Chunk-copy fault for attempt 1: the first time the copier enters its
     // third chunk (two watermarks already committed), arm exactly one
     // retry budget's worth of transient copy failures — the chunk retries,
-    // exhausts the policy, and the attempt dies mid-step-2.
+    // exhausts the budget, and the attempt dies mid-step-2.
     let copy_fault_armed = Arc::new(AtomicBool::new(false));
     {
         let bridge = bridge.clone();
         let copy_fault_armed = copy_fault_armed.clone();
         let fault_target = subscriber.clone();
-        let budget = subscriber.config().retry.max_attempts as u64;
+        let budget = u64::from(RETRY_ATTEMPTS);
         subscriber.set_bootstrap_probe(move |state| {
             if let BootstrapState::Copying { chunk: 2, .. } = state {
                 if !copy_fault_armed.swap(true, Ordering::SeqCst) {
@@ -166,8 +160,11 @@ fn run_live_bootstrap(seed: u64) {
     // kills would race the deterministic schedule (a publisher write heals
     // its own store via a generation bump, §4.4, and a subscriber revive
     // would mask the aftershock), so both classes are re-aimed at
-    // transient, recoverable faults; the rest of the generated schedule
-    // (publish failures, broker restarts, db errors, latency) fires as-is.
+    // transient, recoverable faults, and subscriber write errors are
+    // capped below the retry budget (nack requeues at the queue front, so
+    // stacked bursts are consumed consecutively by one delivery); the
+    // rest of the generated schedule (publish failures, broker restarts,
+    // latency) fires as-is.
     let spec = FaultSpec {
         horizon: OPS,
         events: 10,
@@ -188,7 +185,7 @@ fn run_live_bootstrap(seed: u64) {
             Some(e)
         })
         .collect();
-    let plan = FaultPlan::from_events(events);
+    let plan = FaultPlan::from_events(cap_subscriber_write_errors(events));
     let plan_injector = Injector::new(eco.broker().clone(), "sub")
         .with_db(Side::Publisher, publisher.orm().db_faults())
         .with_db(Side::Subscriber, subscriber.orm().db_faults());
@@ -496,8 +493,7 @@ fn bootstrap_interleaves_without_stalling_live_delivery() {
         &eco,
         SynapseConfig::new("sub")
             .wait_timeout(Some(Duration::from_millis(50)))
-            .workers(2)
-            .bootstrap_chunk(16),
+            .workers(2),
     );
     subscriber
         .subscribe(Subscription::model("Post", "pub").fields(&["body", "version"]))
@@ -587,7 +583,7 @@ fn bootstrap_interleaves_without_stalling_live_delivery() {
     // factor of the steady baseline (floored to absorb scheduler noise on
     // loaded CI machines). The bootstrap window contributes at least as
     // many live samples as steady state, so a drain-style stall — live
-    // messages parked for the duration of a ~94-chunk copy — cannot hide
+    // messages parked for the duration of a ~24-chunk copy — cannot hide
     // from the combined tail.
     let after = subscriber.telemetry_snapshot();
     let live_after = after.stage(ModeSlice::Causal, Stage::QueueResidency);
@@ -656,15 +652,15 @@ fn delete_mid_chunk_is_not_resurrected_by_its_in_flight_copy() {
         &eco,
         SynapseConfig::new("sub")
             .wait_timeout(Some(Duration::from_millis(50)))
-            .workers(1)
-            .bootstrap_chunk(16),
+            .workers(1),
     );
     subscriber
         .subscribe(Subscription::model("Post", "pub").fields(&["body", "version"]))
         .unwrap();
 
+    // Two full chunks.
     let mut ids = Vec::new();
-    for i in 0..64 {
+    for i in 0..2 * BOOTSTRAP_CHUNK_ROWS {
         let row = publisher
             .orm()
             .create(
@@ -677,8 +673,8 @@ fn delete_mid_chunk_is_not_resurrected_by_its_in_flight_copy() {
     eco.connect();
     subscriber.start();
 
-    // A row in the middle of chunk 1 (rows 17–32 in id order).
-    let victim = ids[20];
+    // A row in the middle of chunk 1.
+    let victim = ids[BOOTSTRAP_CHUNK_ROWS + BOOTSTRAP_CHUNK_ROWS / 4];
     let fired = Arc::new(AtomicBool::new(false));
     {
         let publisher = publisher.clone();
@@ -702,8 +698,12 @@ fn delete_mid_chunk_is_not_resurrected_by_its_in_flight_copy() {
         subscriber.orm().find("Post", victim).unwrap().is_none(),
         "a row deleted mid-chunk must not be resurrected by its in-flight copy"
     );
-    assert_eq!(subscriber.orm().count("Post").unwrap(), 63);
+    assert_eq!(
+        subscriber.orm().count("Post").unwrap(),
+        2 * BOOTSTRAP_CHUNK_ROWS as u64 - 1
+    );
     let stats = subscriber.bootstrap_stats();
+    assert_eq!(stats.chunks_copied, 2);
     assert!(
         stats.records_reconciled >= 1,
         "the raced copy was reconciled away, not silently lost"
@@ -857,7 +857,7 @@ fn bootstrap_under_collisions(space: DepSpace, rows: usize) {
             .dep_space(space)
     };
     let publisher = mongo_node(&eco, weak("pub"));
-    let subscriber = mongo_node(&eco, weak("sub").bootstrap_chunk(32));
+    let subscriber = mongo_node(&eco, weak("sub"));
     for node in [&publisher, &subscriber] {
         node.orm().define_model(ModelSchema::open("Note")).unwrap();
     }
