@@ -543,7 +543,7 @@ impl SynapseNode {
                     .collect();
                 let msg = WriteMessage {
                     app: publisher.app().to_owned(),
-                    operations: vec![Operation::from_record("create", &record)],
+                    operations: vec![Operation::from_record("create", record)],
                     dependencies: BTreeMap::from([(key, marker)]),
                     published_at: 0,
                     generation: 1,

@@ -55,6 +55,8 @@ pub(crate) struct Scope {
 pub(crate) struct TxBuffer {
     /// Operations accumulated so far.
     pub(crate) operations: Vec<Operation>,
+    /// The route key of the first buffered operation, the message's own.
+    pub(crate) route: u64,
     /// Merged dependency map (max *rebased* version wins per key).
     pub(crate) dependencies: std::collections::BTreeMap<DepKey, u64>,
     /// How many times each key's `ops` counter has been bumped by the

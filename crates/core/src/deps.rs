@@ -86,11 +86,7 @@ impl DepName {
 
     /// The dependency of one object: `app/model/id/<id>`.
     pub fn object(app: &str, model: &str, id: Id) -> Self {
-        NAME_SCRATCH.with(|scratch| {
-            let mut buf = scratch.borrow_mut();
-            format_object_name(&mut buf, app, model, id);
-            DepName::from_str_uncached(&buf)
-        })
+        with_object_name(app, model, id, DepName::from_str_uncached)
     }
 
     /// The single global dependency used to enforce global ordering.
@@ -182,19 +178,29 @@ thread_local! {
     static NAME_SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
-/// Formats `app/model/id/<id>` into `buf` without allocating: the model is
-/// lowercased char-by-char instead of via `str::to_lowercase`.
-fn format_object_name(buf: &mut String, app: &str, model: &str, id: Id) {
-    buf.clear();
-    buf.push_str(app);
-    buf.push('/');
-    for c in model.chars() {
-        for lc in c.to_lowercase() {
-            buf.push(lc);
+/// [`DepName::object`]'s identity, without building the name.
+pub(crate) fn object_identity(app: &str, model: &str, id: Id) -> u64 {
+    with_object_name(app, model, id, fnv1a)
+}
+
+/// Calls `f` with `app/model/id/<id>`, formatted into the thread's scratch
+/// buffer without allocating: the model is lowercased char-by-char instead
+/// of via `str::to_lowercase`.
+fn with_object_name<R>(app: &str, model: &str, id: Id, f: impl FnOnce(&str) -> R) -> R {
+    NAME_SCRATCH.with(|scratch| {
+        let mut buf = scratch.borrow_mut();
+        buf.clear();
+        buf.push_str(app);
+        buf.push('/');
+        for c in model.chars() {
+            for lc in c.to_lowercase() {
+                buf.push(lc);
+            }
         }
-    }
-    buf.push_str("/id/");
-    let _ = write!(buf, "{id}");
+        buf.push_str("/id/");
+        let _ = write!(buf, "{id}");
+        f(&buf)
+    })
 }
 
 /// Past this many distinct names the interner stops caching and hands out
@@ -238,11 +244,7 @@ impl DepInterner {
 
     /// Interned equivalent of [`DepName::object`].
     pub(crate) fn object(&self, app: &str, model: &str, id: Id) -> DepName {
-        NAME_SCRATCH.with(|scratch| {
-            let mut buf = scratch.borrow_mut();
-            format_object_name(&mut buf, app, model, id);
-            self.lookup(&buf)
-        })
+        with_object_name(app, model, id, |name| self.lookup(name))
     }
 }
 

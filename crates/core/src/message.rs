@@ -37,13 +37,13 @@ impl Operation {
         self.types.first().map(String::as_str).unwrap_or("")
     }
 
-    /// Builds the operation from a marshalled record.
-    pub fn from_record(operation: &str, record: &Record) -> Self {
+    /// Builds the operation from a marshalled record, which it takes over.
+    pub fn from_record(operation: &str, record: Record) -> Self {
         Operation {
             operation: operation.to_owned(),
-            types: record.types.clone(),
+            types: record.types,
             id: record.id,
-            attributes: record.attrs.clone(),
+            attributes: record.attrs,
         }
     }
 }
@@ -411,7 +411,7 @@ mod tests {
         // read the destroyed object's attributes.
         let mut r = Record::new("User", Id(5));
         r.set("name", "x");
-        let op = Operation::from_record("destroy", &r);
+        let op = Operation::from_record("destroy", r);
         assert_eq!(op.attributes.get("name"), Some(&Value::from("x")));
         assert_eq!(op.id, Id(5));
     }

@@ -59,7 +59,7 @@ struct LockManager {
 
 impl LockManager {
     /// Acquires every key in `keys`, blocking until all are free.
-    fn lock(&self, keys: &[DepKey]) -> LockGuard<'_> {
+    fn lock<'a>(&'a self, keys: &'a [DepKey]) -> LockGuard<'a> {
         let mut held = self.held.lock();
         loop {
             if keys.iter().all(|k| !held.contains(k)) {
@@ -68,7 +68,7 @@ impl LockManager {
                 }
                 return LockGuard {
                     manager: self,
-                    keys: keys.to_vec(),
+                    keys,
                 };
             }
             self.released.wait(&mut held);
@@ -79,13 +79,13 @@ impl LockManager {
 /// Guard releasing dependency locks on drop.
 struct LockGuard<'a> {
     manager: &'a LockManager,
-    keys: Vec<DepKey>,
+    keys: &'a [DepKey],
 }
 
 impl Drop for LockGuard<'_> {
     fn drop(&mut self) {
         let mut held = self.manager.held.lock();
-        for k in &self.keys {
+        for k in self.keys {
             held.remove(k);
         }
         drop(held);
@@ -357,8 +357,7 @@ impl Publisher {
     /// virtual-attribute getters — for a live write and, identically, for a
     /// bootstrap chunk copy.
     pub(crate) fn marshal(&self, orm: &Orm, publication: &Publication, record: &Record) -> Record {
-        let mut out = Record::new(record.model.clone(), record.id);
-        out.types = record.types.clone();
+        let mut out = record.project(&[]);
         let hooks = orm.hooks(&record.model);
         for field in &publication.fields {
             let value = match hooks.as_ref().and_then(|h| h.getter(field)) {
@@ -446,7 +445,8 @@ impl Publisher {
             .extend(scratch.script.iter().map(|(k, _)| *k));
         self.store
             .publish_bump_into(&scratch.script, &mut scratch.bump, &mut scratch.bump_out)?;
-        let mut deps: BTreeMap<DepKey, u64> = scratch.bump_out.iter().copied().collect();
+        let mut deps = BTreeMap::new();
+        deps.extend(scratch.bump_out.iter().copied());
         for key in &scratch.externals {
             let value = self.sub_store.ops(*key).unwrap_or(0);
             deps.entry(*key).or_insert(value);
@@ -454,12 +454,13 @@ impl Publisher {
         Ok(deps)
     }
 
-    /// Publishes (or buffers) one operation with its dependency map and,
-    /// for bidirectional models, the object's stamped version vector.
+    /// Publishes (or buffers) one operation with its dependency map, route
+    /// key and, for bidirectional models, the object's stamped vector.
     fn emit(
         &self,
         op: Operation,
         deps: BTreeMap<DepKey, u64>,
+        route_key: u64,
         bumped: &[DepKey],
         stamp: Option<(DepKey, VersionVector)>,
     ) {
@@ -471,6 +472,9 @@ impl Publisher {
         let mut stamp_slot = stamp;
         let buffered = context::scope_mut(|scope| {
             if let Some(buf) = scope.tx_buffer.as_mut() {
+                if buf.operations.is_empty() {
+                    buf.route = route_key;
+                }
                 buf.operations
                     .push(slot.take().expect("operation emitted once"));
                 for (k, v) in &deps {
@@ -500,7 +504,7 @@ impl Publisher {
         if !buffered {
             let op = slot.take().expect("unbuffered operation retained");
             let vectors = stamp_slot.into_iter().collect();
-            self.publish_message(vec![op], deps, vectors);
+            self.publish_message(vec![op], deps, vectors, route_key);
         }
     }
 
@@ -513,28 +517,10 @@ impl Publisher {
         operations: Vec<Operation>,
         deps: BTreeMap<DepKey, u64>,
         vectors: BTreeMap<DepKey, VersionVector>,
+        route_key: u64,
     ) {
         let origin_nanos = mono_nanos();
         let mode = self.mode.slice();
-        // Partition routing key: the first operation's object dependency —
-        // the same dep that heads `write_deps` in the intercept path — so
-        // all of one object's messages ride one broker partition in publish
-        // order. Combined transaction messages route by their first write.
-        // Global mode publishes a total order (every message depends on its
-        // predecessor), so spreading it across partitions would only make
-        // subscribers hunt for the chain head — it routes on the key-0
-        // legacy lane (partition 0, strict global FIFO) instead.
-        let route_key = if self.mode == DeliveryMode::Global {
-            0
-        } else {
-            operations
-                .first()
-                .map(|op| {
-                    self.dep_space
-                        .key(&self.interner.object(&self.app, op.model(), op.id))
-                })
-                .unwrap_or(0)
-        };
         let msg = WriteMessage {
             app: self.app.clone(),
             operations,
@@ -587,7 +573,12 @@ impl Publisher {
             scope.messages += 1;
             scope.deps_published += dep_count;
         });
-        self.publish_message(buffer.operations, buffer.dependencies, buffer.vectors);
+        self.publish_message(
+            buffer.operations,
+            buffer.dependencies,
+            buffer.vectors,
+            buffer.route,
+        );
     }
 
     /// Handles a dead publisher version store: bump the generation in the
@@ -656,11 +647,14 @@ impl QueryObserver for Publisher {
             pre_nanos.saturating_sub(intercept_nanos),
         );
 
-        let guard = self.locks.lock(&scratch.lock_keys);
+        // The guard borrows the key set out of the scratch.
+        let lock_keys = std::mem::take(&mut scratch.lock_keys);
+        let guard = self.locks.lock(&lock_keys);
         let record = match exec() {
             Ok(r) => r,
             Err(e) => {
                 drop(guard);
+                scratch.lock_keys = lock_keys;
                 put_scratch(scratch);
                 return Err(e);
             }
@@ -678,7 +672,7 @@ impl QueryObserver for Publisher {
             }
         };
         let marshalled = self.marshal(orm, &publication, &record);
-        let op = Operation::from_record(intent.kind.wire_name(), &marshalled);
+        let op = Operation::from_record(intent.kind.wire_name(), marshalled);
         // Bidirectional models stamp the object's version vector while the
         // object lock is held, so local writes of one object extend a
         // single per-writer history: everything this node has seen for the
@@ -698,8 +692,20 @@ impl QueryObserver for Publisher {
         } else {
             None
         };
-        self.emit(op, deps, &scratch.bumped, stamp);
+        // Partition routing key: the object dependency that heads
+        // `write_deps`, so all of one object's messages ride one broker
+        // partition in publish order (a combined transaction message routes
+        // by its first write). Global mode publishes a total order, so
+        // spreading it across partitions would only make subscribers hunt
+        // for the chain head — it routes on the key-0 legacy lane
+        // (partition 0, strict global FIFO) instead.
+        let route_key = match self.mode {
+            DeliveryMode::Global => 0,
+            _ => self.dep_space.key(&scratch.write_deps[0]),
+        };
+        self.emit(op, deps, route_key, &scratch.bumped, stamp);
         drop(guard);
+        scratch.lock_keys = lock_keys;
 
         // Maintain the in-controller causal chain.
         let first_write = scratch.write_deps.first().cloned();

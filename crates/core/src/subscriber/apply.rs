@@ -4,7 +4,7 @@
 use super::path::Kind;
 use super::Subscriber;
 use crate::api::Subscription;
-use crate::deps::{mesh_object, writer_id, DepName};
+use crate::deps::{mesh_object, object_identity, writer_id};
 use crate::message::{Operation, WriteMessage};
 use crate::resolve::{ConflictCtx, Resolution};
 use crate::semantics::DeliveryMode;
@@ -79,8 +79,9 @@ impl Subscriber {
                 }),
             ),
             None => {
-                let name = DepName::object(&msg.app, op.model(), op.id);
-                let carried = msg.dependencies.get(&self.dep_space.key(&name)).copied();
+                let object = object_identity(&msg.app, op.model(), op.id);
+                let key = object % self.dep_space.cardinality();
+                let carried = msg.dependencies.get(&key).copied();
                 let version = match mode {
                     DeliveryMode::Weak => Some(carried.unwrap_or(0)),
                     // Ordered modes only check when the message actually
@@ -88,7 +89,7 @@ impl Subscriber {
                     // space on the publisher must not silently drop writes).
                     DeliveryMode::Causal | DeliveryMode::Global => carried,
                 };
-                (name.identity(), version.map(ObjectVersion::Scalar))
+                (object, version.map(ObjectVersion::Scalar))
             }
         };
         let (rule, applied, discarded) = match kind {
@@ -228,60 +229,61 @@ impl Subscriber {
             return Ok(());
         }
         let existing = self.orm.find(&sub.model, op.id)?;
-        self.upsert(sub, op.id, existing, attrs).map(|_| ())
+        self.upsert(sub, op.id, existing, || attrs.clone())
+            .map(|_| ())
     }
 
-    /// Writes `attrs` over the object `existing` is the stored image of, or
-    /// creates it when the read found nothing. Create and update share
-    /// upsert semantics: redeliveries and weak-mode reordering make either
-    /// arrive first.
+    /// Writes the attributes `attrs` builds over the object `existing` is
+    /// the stored image of, or creates it when the read found nothing.
+    /// Create and update share upsert semantics: redeliveries and weak-mode
+    /// reordering make either arrive first.
     fn upsert(
         &self,
         sub: &Subscription,
         id: Id,
         existing: Option<Record>,
-        attrs: BTreeMap<String, Value>,
+        attrs: impl Fn() -> BTreeMap<String, Value>,
     ) -> Result<Record, OrmError> {
         let Some(current) = existing else {
-            return match self
-                .orm
-                .create_with_id(&sub.model, id, Value::Map(attrs.clone()))
-            {
+            return match self.orm.create_with_id(&sub.model, id, Value::Map(attrs())) {
                 // Lost a create/create race between the find and the
                 // insert — a live worker and the bootstrap copier can apply
                 // the same row concurrently. The row exists now, so finish
                 // as the update path would have instead of poisoning the
-                // delivery (or failing the bootstrap attempt).
+                // delivery (or failing the bootstrap attempt), with the
+                // attributes built again: the create consumed them.
                 Err(OrmError::Db(DbError::DuplicateKey { .. })) => {
-                    self.orm.update(&sub.model, id, Value::Map(attrs))
+                    self.orm.update(&sub.model, id, Value::Map(attrs()))
                 }
                 other => other,
             };
         };
-        self.orm.update_record(current, Value::Map(attrs))
+        self.orm.update_record(current, Value::Map(attrs()))
     }
 
     fn apply_subscription(&self, sub: &Subscription, op: &Operation) -> Result<(), OrmError> {
         // Project the incoming attributes to this subscription, splitting
         // plain fields from virtual-attribute setters.
         let hooks = self.orm.hooks(&sub.model);
-        let mut plain: BTreeMap<String, Value> = BTreeMap::new();
-        let mut set_after = Vec::new();
-        for field in &sub.fields {
-            if let Some(value) = op.attributes.get(field) {
-                let local = sub.local_field(field);
-                match hooks.as_ref().and_then(|h| h.setter(local)) {
-                    Some(setter) => set_after.push((setter, value.clone())),
-                    None => {
-                        plain.insert(local.to_owned(), value.clone());
-                    }
-                }
+        let setter = |local: &str| hooks.as_ref().and_then(|h| h.setter(local));
+        let incoming = || {
+            let fields = sub.fields.iter();
+            fields.filter_map(|f| Some((sub.local_field(f), op.attributes.get(f)?)))
+        };
+        let plain = || {
+            let mut plain = BTreeMap::new();
+            for (local, value) in incoming().filter(|(local, _)| setter(local).is_none()) {
+                plain.insert(local.to_owned(), value.clone());
             }
-        }
+            plain
+        };
+        let set_after: Vec<_> = incoming()
+            .filter_map(|(local, value)| Some((setter(local)?, value.clone())))
+            .collect();
 
         let mut record = if sub.observer {
             // Observers run callbacks without persisting (§3.1).
-            let mut record = Record::with_attrs(sub.model.clone(), op.id, plain);
+            let mut record = Record::with_attrs(sub.model.clone(), op.id, plain());
             let (before, after) = callback_points(&op.operation);
             self.orm
                 .run_model_callbacks(&sub.model, before, &mut record)?;

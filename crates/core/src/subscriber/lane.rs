@@ -117,7 +117,7 @@ impl<'a> Lane<'a> {
             in_flight: None,
             held: Vec::new(),
             spare: Vec::new(),
-            bars: vec![0; partitions],
+            bars: Vec::new(),
         }
     }
 
@@ -174,7 +174,8 @@ impl Subscriber {
     /// marker), or found void.
     fn pass<'a>(&'a self, lane: &mut Lane<'a>) -> bool {
         let mut entries = std::mem::replace(&mut lane.held, std::mem::take(&mut lane.spare));
-        lane.bars.fill(0);
+        lane.bars.clear();
+        lane.bars.resize(lane.partitions, 0);
         let mut settled = false;
         for entry in entries.drain(..) {
             let partition = lane.partition_of(entry.delivery.tag);

@@ -6,7 +6,7 @@ use super::{ProcessError, Subscriber, IDLE_PARK};
 use crate::bootstrap::marker::{parse_watermark, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
 use crate::config::{backoff, RETRY_ATTEMPTS};
 use crate::context;
-use crate::deps::DepName;
+use crate::deps::{object_identity, DepName};
 use crate::message::WriteMessage;
 use crate::semantics::DeliveryMode;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -128,7 +128,7 @@ impl Subscriber {
                     // landing them must not advance the subscriber's
                     // dependency counters — nor are they live writes for
                     // the copier's window to defer to.
-                    lane.dep_keys.extend(prepared.msg.dep_keys());
+                    lane.dep_keys.extend(prepared.msg.dependencies.keys());
                     self.note_live_apply(lane.partition_of(tag), &prepared.msg);
                 }
                 let (mode, handle_nanos) = (prepared.mode, prepared.handle_nanos);
@@ -479,7 +479,7 @@ impl Subscriber {
         let objects: Vec<u64> = msg
             .operations
             .iter()
-            .map(|op| DepName::object(&msg.app, op.model(), op.id).identity())
+            .map(|op| object_identity(&msg.app, op.model(), op.id))
             .collect();
         self.gate.note_applied(partition, &objects);
     }

@@ -75,7 +75,7 @@ fn post(node: &SynapseNode, operation: &str, id: u64, deps: &[(u64, u64)]) -> Wr
         app: "pub".to_owned(),
         operations: vec![Operation::from_record(
             operation,
-            &Record::with_attrs("Post", Id(id), attrs),
+            Record::with_attrs("Post", Id(id), attrs),
         )],
         dependencies: deps.iter().map(|&(id, ops)| (key(id), ops)).collect(),
         published_at: 0,

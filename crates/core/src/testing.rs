@@ -61,11 +61,12 @@ pub fn emulate_message(
     record: &Record,
 ) -> WriteMessage {
     let projected: Vec<&str> = publication.fields.iter().map(String::as_str).collect();
-    let mut marshalled = record.project(&projected);
-    marshalled.types = record.types.clone();
     WriteMessage {
         app: app.to_owned(),
-        operations: vec![Operation::from_record(operation, &marshalled)],
+        operations: vec![Operation::from_record(
+            operation,
+            record.project(&projected),
+        )],
         dependencies: BTreeMap::new(),
         published_at: now_micros(),
         generation: 1,

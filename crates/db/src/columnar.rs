@@ -19,12 +19,14 @@ use crate::error::DbError;
 use crate::faults::DbFaults;
 use crate::latency::LatencyModel;
 use crate::query::{Filter, Query, QueryResult, Row};
-use crate::table::{sort_rows, Keys, OpMeter};
+use crate::table::{namespace, sort_rows, Keys, OpMeter};
 use parking_lot::Mutex;
 use std::collections::btree_map::{self, BTreeMap};
 use std::collections::HashMap;
+use std::iter::Chain;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::{option, vec};
 use synapse_model::{Id, Value};
 
 /// Memtable cell count that triggers a flush to an SSTable run.
@@ -72,23 +74,31 @@ fn live_floor<'a>(versions: impl IntoIterator<Item = &'a Cols>) -> Option<u64> {
 
 /// Merges one partition's column maps into its live row image: the newest
 /// cell per column is chosen by reference and only the winners are copied.
-fn merge_row(versions: &[&Cols]) -> Option<Row> {
+/// A partition that one run holds whole — any row not written since its
+/// last flush — has nothing to merge: its cells are the winners.
+fn merge_row<'a>(versions: impl Iterator<Item = &'a Cols> + Clone) -> Option<Row> {
     #[cfg(test)]
     tests::ROWS_MERGED.with(|n| n.set(n.get() + 1));
-    let floor = live_floor(versions.iter().copied())?;
-    let mut cells: Vec<(&String, &Cell)> = versions
-        .iter()
-        .flat_map(|cols| cols.iter())
-        .filter(|(col, cell)| cell.ts > floor && col.as_str() != ROW_MARKER)
-        .collect();
-    cells.sort_unstable_by(|(a, x), (b, y)| a.cmp(b).then(y.ts.cmp(&x.ts)));
-    cells.dedup_by_key(|(col, _)| *col);
-    Some(
-        cells
-            .into_iter()
-            .filter_map(|(col, cell)| Some((col.clone(), cell.value.clone()?)))
-            .collect(),
-    )
+    let floor = live_floor(versions.clone())?;
+    let live = |(col, cell): &(&String, &Cell)| cell.ts > floor && col.as_str() != ROW_MARKER;
+    let mut row = Row::new();
+    let mut copy = |(col, cell): (&String, &Cell)| {
+        if let Some(value) = &cell.value {
+            row.insert(col.clone(), value.clone());
+        }
+    };
+    let mut rest = versions.clone();
+    match (rest.next(), rest.next()) {
+        (Some(cols), None) => cols.iter().filter(live).for_each(&mut copy),
+        _ => {
+            let mut cells: Vec<(&String, &Cell)> =
+                versions.flat_map(|cols| cols.iter()).filter(live).collect();
+            cells.sort_unstable_by(|(a, x), (b, y)| a.cmp(b).then(y.ts.cmp(&x.ts)));
+            cells.dedup_by_key(|(col, _)| *col);
+            cells.into_iter().for_each(&mut copy);
+        }
+    }
+    Some(row)
 }
 
 /// One run's part of a key-ordered scan: the entry the merge looks at next
@@ -110,9 +120,10 @@ impl Cursor<'_> {
 
 /// The ids a scan has still to look at, in scan order.
 enum Candidates<'a> {
-    /// The ids the filter pins (CQL requires the partition key on writes,
-    /// so a point lookup is also what the real engine would do).
-    Exact(std::vec::IntoIter<Id>),
+    /// The ids the filter pins, taken from the far end when descending
+    /// (CQL requires the partition key on writes, so a point lookup is
+    /// also what the real engine would do).
+    Exact(Chain<option::IntoIter<Id>, vec::IntoIter<Id>>),
     /// A key range: one cursor per run, merged k ways as the scan goes, so
     /// a scan that stops early never visits the keys behind its last row.
     Merged(Vec<Cursor<'a>>),
@@ -184,12 +195,12 @@ impl ColumnFamily {
     }
 
     /// Every run, oldest first, the memtable last.
-    fn runs(&self) -> impl Iterator<Item = &Run> {
+    fn runs(&self) -> impl Iterator<Item = &Run> + Clone {
         self.sstables.iter().chain([&self.memtable])
     }
 
     /// The column maps the runs hold for `id`.
-    fn versions(&self, id: Id) -> impl Iterator<Item = &Cols> {
+    fn versions(&self, id: Id) -> impl Iterator<Item = &Cols> + Clone {
         self.runs().filter_map(move |run| run.get(&id))
     }
 
@@ -205,12 +216,8 @@ impl ColumnFamily {
         descending: bool,
     ) -> impl Iterator<Item = (Id, Row)> + 'a {
         let mut candidates = match Keys::of(filter) {
-            Keys::Ids(mut ids) => {
-                if descending {
-                    ids.reverse();
-                }
-                Candidates::Exact(ids.into_iter())
-            }
+            Keys::One(id) => Candidates::Exact(Some(id).into_iter().chain(Vec::new())),
+            Keys::Ids(ids) => Candidates::Exact(None.into_iter().chain(ids)),
             keys => {
                 let from = match keys {
                     Keys::After(after) => Bound::Excluded(after),
@@ -229,26 +236,29 @@ impl ColumnFamily {
         };
         let mut versions: Vec<&Cols> = Vec::new();
         std::iter::from_fn(move || loop {
-            versions.clear();
-            let id = match &mut candidates {
+            let (id, row) = match &mut candidates {
                 Candidates::Exact(ids) => {
-                    let id = ids.next()?;
-                    versions.extend(self.versions(id));
-                    id
+                    let id = if descending {
+                        ids.next_back()
+                    } else {
+                        ids.next()
+                    }?;
+                    (id, merge_row(self.versions(id)))
                 }
                 Candidates::Merged(cursors) => {
                     let heads = cursors.iter().filter_map(|c| c.head.map(|(id, _)| *id));
                     let id = if descending { heads.max() } else { heads.min() }?;
+                    versions.clear();
                     for cursor in cursors.iter_mut() {
                         if let Some((_, cols)) = cursor.head.filter(|(head, _)| **head == id) {
                             versions.push(cols);
                             cursor.advance(descending);
                         }
                     }
-                    id
+                    (id, merge_row(versions.iter().copied()))
                 }
             };
-            if let Some(row) = merge_row(&versions).filter(|row| filter.matches(id, row)) {
+            if let Some(row) = row.filter(|row| filter.matches(id, row)) {
                 return Some((id, row));
             }
         })
@@ -277,14 +287,6 @@ pub struct ColumnarDb {
     /// simulated background compaction (the LSM failure class where
     /// compaction saturates the disk and foreground writes back up).
     faults: DbFaults,
-}
-
-/// The family behind `table`, created on first use.
-fn family<'a>(fams: &'a mut HashMap<String, ColumnFamily>, table: &str) -> &'a mut ColumnFamily {
-    if !fams.contains_key(table) {
-        fams.insert(table.to_owned(), ColumnFamily::default());
-    }
-    fams.get_mut(table).expect("present or just inserted")
 }
 
 impl ColumnarDb {
@@ -329,7 +331,7 @@ impl ColumnarDb {
     ) -> Result<QueryResult, DbError> {
         match q {
             Query::CreateTable { table } => {
-                family(fams, table);
+                namespace(fams, table);
                 Ok(QueryResult::Unit)
             }
             Query::DropTable { table } => {
@@ -337,7 +339,7 @@ impl ColumnarDb {
                 Ok(QueryResult::Unit)
             }
             Query::Insert { table, id, row } => {
-                let fam = family(fams, table);
+                let fam = namespace(fams, table);
                 if fam.is_live(*id) {
                     return Err(DbError::DuplicateKey {
                         table: table.clone(),
@@ -361,7 +363,7 @@ impl ColumnarDb {
                 set,
                 unset,
             } => {
-                let fam = family(fams, table);
+                let fam = namespace(fams, table);
                 let ids = fam.matching_ids(filter);
                 let ts = self.tick();
                 for id in &ids {
@@ -377,7 +379,7 @@ impl ColumnarDb {
                 Ok(QueryResult::AffectedIds(ids))
             }
             Query::Delete { table, filter } => {
-                let fam = family(fams, table);
+                let fam = namespace(fams, table);
                 let ids = fam.matching_ids(filter);
                 let ts = self.tick();
                 for id in &ids {

@@ -11,7 +11,7 @@ use crate::error::DbError;
 use crate::faults::DbFaults;
 use crate::latency::LatencyModel;
 use crate::query::{Query, QueryResult};
-use crate::table::{apply_changes, OpMeter, RowTable};
+use crate::table::{apply_changes, namespace, OpMeter, RowTable};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -53,7 +53,7 @@ impl Engine for DocumentDb {
         let mut colls = self.collections.lock();
         match q {
             Query::CreateTable { table } => {
-                colls.entry(table.clone()).or_default();
+                namespace(&mut colls, table);
                 Ok(QueryResult::Unit)
             }
             Query::DropTable { table } => {
@@ -66,7 +66,7 @@ impl Engine for DocumentDb {
                 // check either, the client just hears "ok".
                 if !self.faults.gate_write_concern() {
                     // Document stores auto-create collections on first write.
-                    let coll = colls.entry(table.clone()).or_default();
+                    let coll = namespace(&mut colls, table);
                     coll.insert(table, *id, row.clone())?;
                 }
                 Ok(QueryResult::Rows(vec![(*id, row.clone())]))
@@ -77,7 +77,7 @@ impl Engine for DocumentDb {
                 set,
                 unset,
             } => {
-                let coll = colls.entry(table.clone()).or_default();
+                let coll = namespace(&mut colls, table);
                 // Write-concern downgrade: echo what the update *would*
                 // have written without persisting any of it.
                 let written = if self.faults.gate_write_concern() {
@@ -88,13 +88,16 @@ impl Engine for DocumentDb {
                     });
                     would_write.collect()
                 } else {
-                    let written = coll.update(&coll.ids(filter), set, unset);
-                    written.into_iter().map(|(id, _, new)| (id, new)).collect()
+                    let mut written = Vec::new();
+                    coll.update(&coll.ids(filter), set, unset, false, |id, _, new| {
+                        written.push((id, new.clone()))
+                    });
+                    written
                 };
                 Ok(QueryResult::Rows(written))
             }
             Query::Delete { table, filter } => {
-                let coll = colls.entry(table.clone()).or_default();
+                let coll = namespace(&mut colls, table);
                 Ok(QueryResult::Rows(coll.delete(&coll.ids(filter))))
             }
             // Reading a collection that never existed returns empty, as

@@ -12,7 +12,7 @@ use crate::error::DbError;
 use crate::faults::DbFaults;
 use crate::latency::LatencyModel;
 use crate::query::{Query, QueryResult};
-use crate::table::{OpMeter, RowTable};
+use crate::table::{namespace, OpMeter, RowTable};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use synapse_model::Id;
@@ -107,7 +107,7 @@ impl Engine for GraphDb {
         let mut store = self.store.lock();
         match q {
             Query::CreateTable { table } => {
-                store.nodes.entry(table.clone()).or_default();
+                namespace(&mut store.nodes, table);
                 Ok(QueryResult::Unit)
             }
             Query::DropTable { table } => {
@@ -115,7 +115,7 @@ impl Engine for GraphDb {
                 Ok(QueryResult::Unit)
             }
             Query::Insert { table, id, row } => {
-                let label = store.nodes.entry(table.clone()).or_default();
+                let label = namespace(&mut store.nodes, table);
                 label.insert(table, *id, row.clone())?;
                 Ok(QueryResult::Rows(vec![(*id, row.clone())]))
             }
@@ -125,14 +125,15 @@ impl Engine for GraphDb {
                 set,
                 unset,
             } => {
-                let label = store.nodes.entry(table.clone()).or_default();
-                let written = label.update(&label.ids(filter), set, unset);
-                Ok(QueryResult::Rows(
-                    written.into_iter().map(|(id, _, new)| (id, new)).collect(),
-                ))
+                let label = namespace(&mut store.nodes, table);
+                let mut written = Vec::new();
+                label.update(&label.ids(filter), set, unset, false, |id, _, new| {
+                    written.push((id, new.clone()))
+                });
+                Ok(QueryResult::Rows(written))
             }
             Query::Delete { table, filter } => {
-                let label = store.nodes.entry(table.clone()).or_default();
+                let label = namespace(&mut store.nodes, table);
                 let removed = label.delete(&label.ids(filter));
                 // Deleting a node detaches all its edges (Neo4j's
                 // DETACH DELETE).

@@ -68,23 +68,12 @@ impl Table {
         }
     }
 
-    /// Re-keys `id` in the indexes whose column the update moved.
-    fn index_update(&mut self, id: Id, old: &Row, new: &Row) {
-        for (field, index) in &mut self.indexes {
-            let (was, is) = (old.get(field), new.get(field));
-            if was != is {
-                unpost(index, id, was);
-                post(index, id, is);
-            }
-        }
-    }
-
     /// Where to look for a filter's rows: the keys it pins when it pins
     /// any, else a secondary index covering one of its equality terms, else
     /// whatever range the key rule leaves.
     fn candidates(&self, filter: &Filter) -> Keys {
         let keys = Keys::of(filter);
-        if matches!(keys, Keys::Ids(_)) {
+        if matches!(keys, Keys::One(_) | Keys::Ids(_)) {
             return keys;
         }
         let terms = match filter {
@@ -116,6 +105,17 @@ type Index = BTreeMap<Value, BTreeSet<Id>>;
 fn post(index: &mut Index, id: Id, value: Option<&Value>) {
     let v = value.cloned().unwrap_or(Value::Null);
     index.entry(v).or_default().insert(id);
+}
+
+/// Re-keys `id` in the indexes whose column an update moved.
+fn rekey(indexes: &mut HashMap<String, Index>, id: Id, old: &Row, new: &Row) {
+    for (field, index) in indexes {
+        let (was, is) = (old.get(field), new.get(field));
+        if was != is {
+            unpost(index, id, was);
+            post(index, id, is);
+        }
+    }
 }
 
 fn unpost(index: &mut Index, id: Id, value: Option<&Value>) {
@@ -341,13 +341,13 @@ impl RelationalDb {
                     None => {
                         // The duplicate check comes after the wait: the
                         // lock's owner may have committed this very key.
-                        self.resolve_unlocked(&mut inner, table, |_| vec![*id])?;
+                        self.resolve_unlocked(&mut inner, table, |_| [*id])?;
                         let t = inner.table_mut(table)?;
                         t.rows.insert(table, *id, row.clone())?;
                         t.index_insert(*id, row);
                     }
                 }
-                self.returning_or_ids(vec![(*id, row.clone())])
+                self.returning_or_ids(vec![(*id, self.echo(row))])
             }
             Query::Update {
                 table,
@@ -370,7 +370,7 @@ impl RelationalDb {
                                 continue;
                             };
                             apply_changes(&mut row, set, unset);
-                            written.push((id, row.clone()));
+                            written.push((id, self.echo(&row)));
                             let tx = inner.txns.get_mut(&t).expect("txn checked above");
                             tx.overlay.insert((table.clone(), id), Some(row));
                         }
@@ -380,10 +380,13 @@ impl RelationalDb {
                             Self::visible_ids(inner, None, table, filter)
                         })?;
                         let t = inner.table_mut(table)?;
-                        for (id, old, row) in t.rows.update(&ids, set, unset) {
-                            t.index_update(id, &old, &row);
-                            written.push((id, row));
-                        }
+                        let indexed = !t.indexes.is_empty();
+                        t.rows.update(&ids, set, unset, indexed, |id, old, row| {
+                            if let Some(old) = old {
+                                rekey(&mut t.indexes, id, &old, row);
+                            }
+                            written.push((id, self.echo(row)));
+                        });
                     }
                 }
                 self.returning_or_ids(written)
@@ -466,17 +469,18 @@ impl RelationalDb {
     /// what was resolved before it is stale — the lock's owner may have
     /// deleted, changed or inserted those very rows — and `resolve` runs
     /// again until one pass finds every id free.
-    fn resolve_unlocked(
+    fn resolve_unlocked<I: AsRef<[Id]>>(
         &self,
         guard: &mut parking_lot::MutexGuard<'_, Inner>,
         table: &str,
-        resolve: impl Fn(&Inner) -> Vec<Id>,
-    ) -> Result<Vec<Id>, DbError> {
+        resolve: impl Fn(&Inner) -> I,
+    ) -> Result<I, DbError> {
         let deadline = Instant::now() + self.lock_timeout;
         loop {
             let ids = resolve(guard);
             let locks = guard.tables.get(table).map(|t| &t.locks);
             let Some(locked) = ids
+                .as_ref()
                 .iter()
                 .find(|id| locks.is_some_and(|locks| locks.contains_key(id)))
             else {
@@ -499,6 +503,15 @@ impl RelationalDb {
             Ok(QueryResult::AffectedIds(
                 rows.into_iter().map(|(id, _)| id).collect(),
             ))
+        }
+    }
+
+    /// A written row as its result echoes it: none without `RETURNING *`.
+    fn echo(&self, row: &Row) -> Row {
+        if self.caps.returning {
+            row.clone()
+        } else {
+            Row::new()
         }
     }
 

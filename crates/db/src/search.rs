@@ -12,9 +12,8 @@ use crate::error::DbError;
 use crate::faults::DbFaults;
 use crate::latency::LatencyModel;
 use crate::query::{Filter, Query, QueryResult, Row};
-use crate::table::{OpMeter, RowTable};
+use crate::table::{namespace, OpMeter, RowTable};
 use parking_lot::Mutex;
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use synapse_model::{Id, Value};
 
@@ -39,23 +38,25 @@ const STOP_WORDS: &[&str] = &[
 impl Analyzer {
     /// Tokenizes `text` according to the strategy.
     pub fn tokenize(self, text: &str) -> Vec<String> {
-        match self {
-            Analyzer::Keyword => vec![text.to_lowercase()],
-            Analyzer::Simple => split_alnum(text),
-            Analyzer::Standard => split_alnum(text)
-                .into_iter()
-                .filter(|t| !STOP_WORDS.contains(&t.as_str()))
-                .collect(),
+        let mut terms = Vec::new();
+        self.each_term(text, |term| terms.push(term.to_owned()));
+        terms
+    }
+
+    /// Calls `f` with each term of `text`, in order, out of one lowercased
+    /// copy: indexing allocates only for the terms it keeps.
+    fn each_term(self, text: &str, mut f: impl FnMut(&str)) {
+        let lower = text.to_lowercase();
+        if self == Analyzer::Keyword {
+            return f(&lower);
+        }
+        for term in lower.split(|c: char| !c.is_alphanumeric()) {
+            let stop = self == Analyzer::Standard && STOP_WORDS.contains(&term);
+            if !term.is_empty() && !stop {
+                f(term);
+            }
         }
     }
-}
-
-fn split_alnum(text: &str) -> Vec<String> {
-    text.to_lowercase()
-        .split(|c: char| !c.is_alphanumeric())
-        .filter(|t| !t.is_empty())
-        .map(str::to_owned)
-        .collect()
 }
 
 #[derive(Debug, Default, Clone)]
@@ -104,25 +105,15 @@ impl SearchIndex {
 
     fn index_field(&mut self, id: Id, field: &str, value: &Value) {
         let analyzer = self.analyzer_for(field);
-        let mut terms = texts(value)
-            .flat_map(|text| analyzer.tokenize(text))
-            .peekable();
-        if terms.peek().is_none() {
-            return;
-        }
-        if !self.inverted.contains_key(field) {
-            self.inverted.insert(field.to_owned(), HashMap::new());
-        }
-        let per_field = self
-            .inverted
-            .get_mut(field)
-            .expect("field map ensured above");
-        for term in terms {
-            #[cfg(test)]
-            {
-                self.posting_visits += 1;
-            }
-            *per_field.entry(term).or_default().entry(id).or_insert(0) += 1;
+        for text in texts(value) {
+            analyzer.each_term(text, |term| {
+                #[cfg(test)]
+                {
+                    self.posting_visits += 1;
+                }
+                let postings = namespace(namespace(&mut self.inverted, field), term);
+                *postings.entry(id).or_insert(0) += 1;
+            });
         }
     }
 
@@ -131,17 +122,19 @@ impl SearchIndex {
         let Some(per_field) = self.inverted.get_mut(field) else {
             return;
         };
-        for term in texts(value).flat_map(|text| analyzer.tokenize(text)) {
-            #[cfg(test)]
-            {
-                self.posting_visits += 1;
-            }
-            if let Entry::Occupied(mut postings) = per_field.entry(term) {
-                postings.get_mut().remove(&id);
-                if postings.get().is_empty() {
-                    postings.remove();
+        for text in texts(value) {
+            analyzer.each_term(text, |term| {
+                #[cfg(test)]
+                {
+                    self.posting_visits += 1;
                 }
-            }
+                if let Some(postings) = per_field.get_mut(term) {
+                    postings.remove(&id);
+                    if postings.is_empty() {
+                        per_field.remove(term);
+                    }
+                }
+            });
         }
         if per_field.is_empty() {
             self.inverted.remove(field);
@@ -166,19 +159,17 @@ impl SearchIndex {
 
     /// Scores docs for `text` on `field` with tf-idf.
     fn search(&self, field: &str, text: &str, limit: usize) -> Vec<(Id, f64)> {
-        let analyzer = self.analyzer_for(field);
-        let terms = analyzer.tokenize(text);
         let n_docs = self.docs.len().max(1) as f64;
         let mut scores: HashMap<Id, f64> = HashMap::new();
         if let Some(per_field) = self.inverted.get(field) {
-            for term in &terms {
+            self.analyzer_for(field).each_term(text, |term| {
                 if let Some(postings) = per_field.get(term) {
                     let idf = (n_docs / postings.len() as f64).ln() + 1.0;
                     for (id, tf) in postings {
                         *scores.entry(*id).or_default() += (*tf as f64).sqrt() * idf;
                     }
                 }
-            }
+            });
         }
         let mut hits: Vec<(Id, f64)> = scores.into_iter().collect();
         hits.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -333,7 +324,7 @@ impl Engine for SearchDb {
         let mut indices = self.indices.lock();
         match q {
             Query::CreateTable { table } => {
-                indices.entry(table.clone()).or_default();
+                namespace(&mut indices, table);
                 Ok(QueryResult::Unit)
             }
             Query::DropTable { table } => {
@@ -341,7 +332,7 @@ impl Engine for SearchDb {
                 Ok(QueryResult::Unit)
             }
             Query::Insert { table, id, row } => {
-                let index = indices.entry(table.clone()).or_default();
+                let index = namespace(&mut indices, table);
                 index.docs.insert(table, *id, row.clone())?;
                 index.index_doc(*id, row);
                 Ok(QueryResult::Rows(vec![(*id, row.clone())]))
@@ -352,17 +343,25 @@ impl Engine for SearchDb {
                 set,
                 unset,
             } => {
-                let index = indices.entry(table.clone()).or_default();
-                let mut written = Vec::new();
-                for (id, old, doc) in index.docs.update(&index.docs.ids(filter), set, unset) {
-                    index.unindex_doc(id, &old);
-                    index.index_doc(id, &doc);
-                    written.push((id, doc));
+                let index = namespace(&mut indices, table);
+                // The documents step aside so the index can be written
+                // while they are read: out of the postings of the old
+                // image, into those of the new.
+                let mut docs = std::mem::take(&mut index.docs);
+                let ids = docs.ids(filter);
+                for (id, old) in ids.iter().filter_map(|id| Some((*id, docs.get(*id)?))) {
+                    index.unindex_doc(id, old);
                 }
+                let mut written = Vec::new();
+                docs.update(&ids, set, unset, false, |id, _, doc| {
+                    index.index_doc(id, doc);
+                    written.push((id, doc.clone()));
+                });
+                index.docs = docs;
                 Ok(QueryResult::Rows(written))
             }
             Query::Delete { table, filter } => {
-                let index = indices.entry(table.clone()).or_default();
+                let index = namespace(&mut indices, table);
                 let removed = index.docs.delete(&index.docs.ids(filter));
                 for (id, old) in &removed {
                     index.unindex_doc(*id, old);

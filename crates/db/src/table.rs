@@ -16,6 +16,7 @@ use crate::latency::LatencyModel;
 use crate::query::{Filter, OrderBy, Query, Row};
 use std::borrow::Borrow;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use synapse_model::{Id, Value};
@@ -24,6 +25,8 @@ use synapse_model::{Id, Value};
 /// answer: callers still apply `filter.matches` to every candidate.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Keys {
+    /// Exactly this key (a by-id filter: no list to allocate).
+    One(Id),
     /// Exactly these keys, ascending, each once.
     Ids(Vec<Id>),
     /// Every key strictly greater than this one.
@@ -37,16 +40,16 @@ impl Keys {
     /// ids, else the first that bounds the range from below.
     pub(crate) fn of(filter: &Filter) -> Keys {
         match filter {
-            Filter::ById(id) => Keys::Ids(vec![*id]),
+            Filter::ById(id) => Keys::One(*id),
             Filter::IdIn(ids) => Keys::ids(ids.iter().copied()),
             Filter::IdAfter(after) => Keys::After(*after),
             Filter::And(terms) => {
                 let mut bound = Keys::All;
                 for term in terms {
                     match Keys::of(term) {
-                        ids @ Keys::Ids(_) => return ids,
                         after @ Keys::After(_) if bound == Keys::All => bound = after,
-                        _ => {}
+                        Keys::After(_) | Keys::All => {}
+                        pinned => return pinned,
                     }
                 }
                 bound
@@ -67,18 +70,20 @@ impl Keys {
     pub(crate) fn over<'a, V>(
         self,
         map: &'a BTreeMap<Id, V>,
-    ) -> Box<dyn DoubleEndedIterator<Item = (Id, &'a V)> + 'a> {
-        match self {
-            Keys::Ids(ids) => Box::new(
-                ids.into_iter()
-                    .filter_map(move |id| map.get(&id).map(|v| (id, v))),
-            ),
-            Keys::After(after) => Box::new(
-                map.range((Bound::Excluded(after), Bound::Unbounded))
-                    .map(|(id, v)| (*id, v)),
-            ),
-            Keys::All => Box::new(map.iter().map(|(id, v)| (*id, v))),
-        }
+    ) -> impl DoubleEndedIterator<Item = (Id, &'a V)> + 'a {
+        let (one, ids, from) = match self {
+            Keys::One(id) => (Some(id), Vec::new(), None),
+            Keys::Ids(ids) => (None, ids, None),
+            Keys::After(after) => (None, Vec::new(), Some(Bound::Excluded(after))),
+            Keys::All => (None, Vec::new(), Some(Bound::Unbounded)),
+        };
+        let exact = one.into_iter().chain(ids);
+        let range = from
+            .into_iter()
+            .flat_map(|from| map.range((from, Bound::Unbounded)));
+        exact
+            .filter_map(|id| Some((id, map.get(&id)?)))
+            .chain(range.map(|(id, v)| (*id, v)))
     }
 }
 
@@ -153,23 +158,23 @@ impl RowTable {
         }
     }
 
-    /// Applies `set`/`unset` to each row of `ids` still present. Returns
-    /// `(id, old image, new image)` in the order of `ids`.
+    /// Applies `set`/`unset` to each row of `ids` still present, in order,
+    /// handing `each` its id, old image (a copy, when `keep_old`) and new.
     pub(crate) fn update(
         &mut self,
         ids: &[Id],
         set: &Row,
         unset: &[String],
-    ) -> Vec<(Id, Row, Row)> {
-        let mut changed = Vec::with_capacity(ids.len());
+        keep_old: bool,
+        mut each: impl FnMut(Id, Option<Row>, &Row),
+    ) {
         for id in ids {
             if let Some(row) = self.rows.get_mut(id) {
-                let old = row.clone();
+                let old = keep_old.then(|| row.clone());
                 apply_changes(row, set, unset);
-                changed.push((*id, old, row.clone()));
+                each(*id, old, row);
             }
         }
-        changed
     }
 
     /// Removes each row of `ids` still present. Returns the old images in
@@ -179,6 +184,17 @@ impl RowTable {
             .filter_map(|id| self.rows.remove(id).map(|row| (*id, row)))
             .collect()
     }
+}
+
+/// The namespace `name` (table, index, family…), created on first use.
+pub(crate) fn namespace<'a, T: Default>(
+    spaces: &'a mut HashMap<String, T>,
+    name: &str,
+) -> &'a mut T {
+    if !spaces.contains_key(name) {
+        spaces.insert(name.to_owned(), T::default());
+    }
+    spaces.get_mut(name).expect("present or just inserted")
 }
 
 /// Applies an update's `set`/`unset` to a row image.
@@ -307,7 +323,7 @@ mod tests {
         );
         assert_eq!(
             and(&[eq, Filter::And(vec![after(4), Filter::ById(Id(3))])]),
-            Keys::Ids(vec![Id(3)]),
+            Keys::One(Id(3)),
             "a nested conjunction narrows like any other term"
         );
     }

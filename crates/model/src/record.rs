@@ -73,7 +73,7 @@ impl Record {
     /// Used by publishers to marshal only the *published* attributes.
     pub fn project(&self, fields: &[&str]) -> Record {
         let mut out = Record::new(self.model.clone(), self.id);
-        out.types = self.types.clone();
+        out.types.clone_from(&self.types);
         for f in fields {
             if let Some(v) = self.attrs.get(*f) {
                 out.attrs.insert((*f).to_owned(), v.clone());

@@ -25,7 +25,8 @@ pub trait Adapter: Send + Sync {
     /// Table/collection/label name for a model. Default: Rails-style
     /// lowercased plural (`User` → `users`).
     fn table_for(&self, model: &str) -> String {
-        let mut t = model.to_lowercase();
+        let mut t = String::with_capacity(model.len() + 1);
+        t.extend(model.chars().flat_map(char::to_lowercase));
         t.push('s');
         t
     }
@@ -48,20 +49,18 @@ pub trait Adapter: Send + Sync {
     /// Translates a stored row back into a record. Default: verbatim.
     fn decode_row(&self, schema: &ModelSchema, id: Id, row: Row) -> Record {
         let mut record = Record::with_attrs(schema.name.clone(), id, row);
-        record.types = schema.type_chain();
+        record.types.extend(schema.ancestors.iter().cloned());
         record
     }
 
     /// Inserts a record, returning the stored image.
     fn insert(&self, schema: &ModelSchema, record: &Record) -> Result<Record, OrmError> {
-        let table = self.table_for(&schema.name);
-        let row = self.encode_attrs(schema, &record.attrs);
         let res = self.engine().execute(&Query::Insert {
-            table: table.clone(),
+            table: self.table_for(&schema.name),
             id: record.id,
-            row,
+            row: self.encode_attrs(schema, &record.attrs),
         })?;
-        self.written_image(schema, &table, record.id, res)
+        self.written_image(schema, record.id, res)
     }
 
     /// Writes `changes` over one object's stored attributes, returning the
@@ -72,21 +71,21 @@ pub trait Adapter: Send + Sync {
         id: Id,
         changes: &BTreeMap<String, Value>,
     ) -> Result<Record, OrmError> {
-        let table = self.table_for(&schema.name);
-        let set = self.encode_attrs(schema, changes);
         let res = self.engine().execute(&Query::Update {
-            table: table.clone(),
+            table: self.table_for(&schema.name),
             filter: Filter::ById(id),
-            set,
+            set: self.encode_attrs(schema, changes),
             unset: Vec::new(),
         })?;
-        if res.affected_ids().is_empty() {
+        if matches!(&res, QueryResult::Rows(r) if r.is_empty())
+            || matches!(&res, QueryResult::AffectedIds(ids) if ids.is_empty())
+        {
             return Err(OrmError::RecordNotFound {
                 model: schema.name.clone(),
                 id: id.to_string(),
             });
         }
-        self.written_image(schema, &table, id, res)
+        self.written_image(schema, id, res)
     }
 
     /// Deletes the object `pre` is the stored image of, returning its final
@@ -162,7 +161,6 @@ pub trait Adapter: Send + Sync {
     fn written_image(
         &self,
         schema: &ModelSchema,
-        table: &str,
         id: Id,
         res: QueryResult,
     ) -> Result<Record, OrmError> {
@@ -171,24 +169,12 @@ pub trait Adapter: Send + Sync {
                 let (rid, row) = rows.swap_remove(0);
                 Ok(self.decode_row(schema, rid, row))
             }
-            QueryResult::AffectedIds(_) | QueryResult::Rows(_) => {
-                let rows = self
-                    .engine()
-                    .execute(&Query::Select {
-                        table: table.to_owned(),
-                        filter: Filter::ById(id),
-                        order: None,
-                        limit: Some(1),
-                    })?
-                    .into_rows()?;
-                match rows.into_iter().next() {
-                    Some((rid, row)) => Ok(self.decode_row(schema, rid, row)),
-                    None => Err(OrmError::RecordNotFound {
-                        model: schema.name.clone(),
-                        id: id.to_string(),
-                    }),
-                }
-            }
+            QueryResult::AffectedIds(_) | QueryResult::Rows(_) => self
+                .find(schema, id)?
+                .ok_or_else(|| OrmError::RecordNotFound {
+                    model: schema.name.clone(),
+                    id: id.to_string(),
+                }),
             _ => Err(OrmError::Db(DbError::Unsupported("write result shape"))),
         }
     }

@@ -7,16 +7,17 @@
 //!   columns fail as they would in SQL.
 //! * **No array/document types** — array and map attributes are flattened
 //!   to their JSON text on write (the paper's Example 3, Sub3a: "flatten
-//!   the array and store it as text"). Fields declared with
+//!   the array and store it as text"). A field declared with
 //!   [`ActiveRecordAdapter::serialize_field`] (Rails's `serialize
-//!   :interests`) are decoded back into structured values on read.
+//!   :interests`) stores every value as its JSON text, scalars too, and
+//!   reads it back as the value that was written.
 //! * **`RETURNING *`** comes from the engine profile: PostgreSQL and Oracle
 //!   echo written rows; MySQL takes the inherited read-back path.
 
 use crate::adapter::Adapter;
 use crate::error::OrmError;
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use synapse_db::relational::RelationalDb;
 use synapse_db::{profiles, Engine, LatencyModel, Row};
@@ -25,8 +26,8 @@ use synapse_model::{wire, Id, ModelSchema, Record, Value};
 /// The SQL adapter. See the module docs.
 pub struct ActiveRecordAdapter {
     engine: Arc<RelationalDb>,
-    /// `(model, field)` pairs to decode from JSON text on read.
-    serialized: RwLock<HashSet<(String, String)>>,
+    /// Serialized fields by model: stored as JSON text, decoded on read.
+    serialized: RwLock<HashMap<String, HashSet<String>>>,
 }
 
 impl ActiveRecordAdapter {
@@ -50,16 +51,18 @@ impl ActiveRecordAdapter {
     pub fn over(engine: Arc<RelationalDb>) -> Self {
         ActiveRecordAdapter {
             engine,
-            serialized: RwLock::new(HashSet::new()),
+            serialized: RwLock::new(HashMap::new()),
         }
     }
 
-    /// Declares `model.field` as serialized: structured values round-trip
-    /// through their JSON text (Rails's `serialize`).
+    /// Declares `model.field` as serialized: its values round-trip through
+    /// their JSON text (Rails's `serialize`).
     pub fn serialize_field(&self, model: &str, field: &str) {
         self.serialized
             .write()
-            .insert((model.to_owned(), field.to_owned()));
+            .entry(model.to_owned())
+            .or_default()
+            .insert(field.to_owned());
     }
 
     /// Access to the concrete engine (tests, stats).
@@ -89,38 +92,36 @@ impl Adapter for ActiveRecordAdapter {
         Ok(())
     }
 
-    fn encode_attrs(&self, _schema: &ModelSchema, attrs: &BTreeMap<String, Value>) -> Row {
-        attrs
-            .iter()
-            .map(|(k, v)| {
-                let stored = match v {
-                    // SQL has no array/document columns: store JSON text.
-                    Value::Array(_) | Value::Map(_) => Value::Str(wire::encode(v)),
-                    other => other.clone(),
-                };
-                (k.clone(), stored)
-            })
-            .collect()
+    fn encode_attrs(&self, schema: &ModelSchema, attrs: &BTreeMap<String, Value>) -> Row {
+        let serialized = self.serialized.read();
+        let serialized = serialized.get(&schema.name);
+        let mut row = attrs.clone();
+        for (k, v) in row.iter_mut() {
+            // SQL has no array/document columns: a structured value, and
+            // every value of a serialized field, is stored as JSON text.
+            if matches!(v, Value::Array(_) | Value::Map(_))
+                || serialized.is_some_and(|fields| fields.contains(k))
+            {
+                *v = Value::Str(wire::encode(v));
+            }
+        }
+        row
     }
 
-    fn decode_row(&self, schema: &ModelSchema, id: Id, row: Row) -> Record {
-        let serialized = self.serialized.read();
-        let attrs: BTreeMap<String, Value> = row
-            .into_iter()
-            .map(|(k, v)| {
-                let decoded = if serialized.contains(&(schema.name.clone(), k.clone())) {
-                    match &v {
-                        Value::Str(text) => wire::decode(text).unwrap_or(v),
-                        _ => v,
-                    }
-                } else {
-                    v
+    fn decode_row(&self, schema: &ModelSchema, id: Id, mut row: Row) -> Record {
+        if let Some(fields) = self.serialized.read().get(&schema.name) {
+            for (_, v) in row.iter_mut().filter(|(k, _)| fields.contains(*k)) {
+                let decoded = match &*v {
+                    Value::Str(text) => wire::decode(text).ok(),
+                    _ => None,
                 };
-                (k, decoded)
-            })
-            .collect();
-        let mut record = Record::with_attrs(schema.name.clone(), id, attrs);
-        record.types = schema.type_chain();
+                if let Some(decoded) = decoded {
+                    *v = decoded;
+                }
+            }
+        }
+        let mut record = Record::with_attrs(schema.name.clone(), id, row);
+        record.types.extend(schema.ancestors.iter().cloned());
         record
     }
 }

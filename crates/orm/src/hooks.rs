@@ -62,7 +62,7 @@ type Setter = Arc<dyn Fn(&Orm, &mut Record, Value) -> Result<(), OrmError> + Sen
 /// order, and virtual-attribute getters and setters by field.
 #[derive(Clone, Default)]
 pub struct ModelHooks {
-    callbacks: [Vec<Callback>; 6],
+    pub(crate) callbacks: [Vec<Callback>; 6],
     getters: HashMap<String, Getter>,
     setters: HashMap<String, Setter>,
 }

@@ -5,6 +5,7 @@ use crate::error::OrmError;
 use crate::hooks::{CallbackPoint, ModelHooks};
 use crate::observer::{QueryObserver, WriteExec, WriteIntent, WriteKind};
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -153,11 +154,11 @@ impl Orm {
     }
 
     fn idgen(&self, model: &str) -> Arc<IdGenerator> {
-        self.idgens
-            .lock()
-            .entry(model.to_owned())
-            .or_insert_with(|| Arc::new(IdGenerator::new()))
-            .clone()
+        let mut idgens = self.idgens.lock();
+        if !idgens.contains_key(model) {
+            idgens.insert(model.to_owned(), Arc::default());
+        }
+        Arc::clone(&idgens[model])
     }
 
     /// Runs a write through the interceptor's `around_write`, `exec`
@@ -209,7 +210,7 @@ impl Orm {
             }
         };
         let mut record = Record::with_attrs(model.to_owned(), id, attrs);
-        record.types = schema.type_chain();
+        record.types.extend(schema.ancestors.iter().cloned());
         let hooks = self.hooks(model);
         self.run_callbacks(hooks.as_deref(), CallbackPoint::BeforeCreate, &mut record)?;
         schema.check_attrs(record.attrs.iter())?;
@@ -252,21 +253,35 @@ impl Orm {
                 )))
             }
         };
-        let mut merged = current.clone();
-        for (k, v) in &changes {
-            merged.attrs.insert(k.clone(), v.clone());
-        }
         let hooks = self.hooks(model);
-        self.run_callbacks(hooks.as_deref(), CallbackPoint::BeforeUpdate, &mut merged)?;
-        schema.check_attrs(merged.attrs.iter())?;
         // The engine is asked to write what differs between the stored
         // image and the merged, callback-adjusted one — not every attribute
-        // the caller named again.
-        let set: Changes = merged
-            .attrs
-            .into_iter()
-            .filter(|(k, v)| current.attrs.get(k) != Some(v))
-            .collect();
+        // the caller named again. Only a `BeforeUpdate` callback can move
+        // what the caller did not name, so only then is a merge built.
+        let set: Cow<'_, Changes> = if hooks
+            .as_deref()
+            .is_some_and(|h| !h.callbacks[CallbackPoint::BeforeUpdate as usize].is_empty())
+        {
+            let mut merged = current.clone();
+            for (k, v) in &changes {
+                merged.attrs.insert(k.clone(), v.clone());
+            }
+            self.run_callbacks(hooks.as_deref(), CallbackPoint::BeforeUpdate, &mut merged)?;
+            schema.check_attrs(merged.attrs.iter())?;
+            let differs = |(k, v): &(String, Value)| current.attrs.get(k) != Some(v);
+            Cow::Owned(merged.attrs.into_iter().filter(differs).collect())
+        } else {
+            let kept = |(k, _): &(&String, &Value)| !changes.contains_key(*k);
+            schema.check_attrs(current.attrs.iter().filter(kept).chain(&changes))?;
+            let mut set = Cow::Borrowed(&changes);
+            if changes.iter().any(|(k, v)| current.attrs.get(k) == Some(v)) {
+                let moved = changes
+                    .iter()
+                    .filter(|(k, v)| current.attrs.get(*k) != Some(*v));
+                set = Cow::Owned(moved.map(|(k, v)| (k.clone(), v.clone())).collect());
+            }
+            set
+        };
         // The intent carries the *caller's* changes (not the merged image):
         // Synapse's restriction checks need to know which attributes the
         // application actually touched (§3.1: subscribers may only update
@@ -733,6 +748,31 @@ mod tests {
         adapter.serialize_field("User", "interests");
         let found = orm.find("User", u.id).unwrap().unwrap();
         assert_eq!(found.get("interests"), &interests);
+    }
+
+    #[test]
+    fn a_serialized_column_reads_back_the_value_that_was_written() {
+        let (orm, adapter) = sql_orm("postgresql");
+        adapter.serialize_field("User", "interests");
+        let written = [
+            Value::from("42"),
+            Value::from("true"),
+            Value::from("null"),
+            Value::from("[1]"),
+            Value::Int(42),
+            varray!["cats", "dogs"],
+        ];
+        for value in written {
+            let u = orm
+                .create("User", vmap! { "interests" => value.clone() })
+                .unwrap();
+            assert_eq!(u.get("interests"), &value, "the create's echo");
+            let found = orm.find("User", u.id).unwrap().unwrap();
+            assert_eq!(found.get("interests"), &value, "a later find");
+            let changes = vmap! { "interests" => value.clone(), "name" => "b" };
+            let updated = orm.update("User", u.id, changes).unwrap();
+            assert_eq!(updated.get("interests"), &value, "the update's echo");
+        }
     }
 
     #[test]

@@ -36,6 +36,8 @@ scripts/loc.sh --max 900 "$staged"
 scripts/api.sh --check "$staged"
 
 cargo test -q
+# The allocation ceilings again, in the profile the benchmark builds.
+cargo test -q --release --test alloc_budget
 
 # Pinned-seed soak: deterministic replay of the fault schedule.
 SYNAPSE_SEED="${SYNAPSE_SEED:-24210775}" cargo test -q --test fault_soak

@@ -282,7 +282,7 @@ fn vector_msg(
     let record = Record::with_attrs("User", id, attrs);
     WriteMessage {
         app: app.to_owned(),
-        operations: vec![Operation::from_record(operation, &record)],
+        operations: vec![Operation::from_record(operation, record)],
         dependencies: BTreeMap::new(),
         published_at: 0,
         generation: 1,

@@ -417,7 +417,7 @@ fn post_message(node: &SynapseNode, operation: &str, id: Id, version: u64) -> Wr
     let record = Record::with_attrs("Post", id, attrs);
     WriteMessage {
         app: "pub".to_owned(),
-        operations: vec![Operation::from_record(operation, &record)],
+        operations: vec![Operation::from_record(operation, record)],
         dependencies: BTreeMap::from([(key, version)]),
         published_at: 0,
         generation: 1,

@@ -37,7 +37,7 @@ fn object_msg(operation: &str, key: u64, version: u64, name: &str) -> WriteMessa
     let record = Record::with_attrs("User", OBJECT, attrs);
     WriteMessage {
         app: "pub1".to_owned(),
-        operations: vec![Operation::from_record(operation, &record)],
+        operations: vec![Operation::from_record(operation, record)],
         dependencies: [(key, version)].into_iter().collect(),
         published_at: 0,
         generation: 1,

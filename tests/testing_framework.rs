@@ -182,7 +182,7 @@ fn process_and_worker_pool_agree_on_every_delivery_kind() {
             app: "pub".to_owned(),
             operations: vec![Operation::from_record(
                 operation,
-                &Record::with_attrs("Post", POST, attrs),
+                Record::with_attrs("Post", POST, attrs),
             )],
             dependencies: BTreeMap::from([(key, version)]),
             published_at: 0,
