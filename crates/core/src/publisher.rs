@@ -9,11 +9,11 @@
 //! 1. computes the operation's dependencies from the delivery mode and the
 //!    current causal scope (object write dep; user-session write dep;
 //!    controller chain + implicit/explicit read deps; global dep);
-//! 2. acquires locks on the write dependencies (all-or-nothing, so
-//!    concurrent controllers cannot deadlock);
+//! 2. reserves a bidirectional object, then locks the write dependencies
+//!    (all-or-nothing, so concurrent controllers cannot deadlock);
 //! 3. executes the underlying query and reads back the written object;
-//! 4. runs the version-store bump script and collects the dependency
-//!    versions for the message;
+//! 4. commits a bidirectional object's vector stamp, runs the version-store
+//!    bump script and collects the dependency versions for the message;
 //! 5. marshals the published attributes, taking virtual getters from the
 //!    model's one hook table ([`Orm::hooks`]) — the bootstrap copier
 //!    marshals chunk rows the same way — and either publishes the message
@@ -44,7 +44,7 @@ use synapse_model::{Record, Value};
 use synapse_orm::{Orm, OrmError, QueryObserver, WriteExec, WriteIntent, WriteKind};
 use synapse_telemetry::{mono_nanos, Stage, Telemetry};
 use synapse_versionstore::{
-    BumpScratch, DepKey, GenerationStore, StoreError, VersionStore, VersionVector,
+    BumpScratch, DepKey, GenerationStore, ObjectVersion, StoreError, VersionStore, VersionVector,
 };
 
 /// All-or-nothing lock manager over effective dependency keys.
@@ -162,8 +162,8 @@ pub struct Publisher {
     mode: DeliveryMode,
     dep_space: DepSpace,
     store: Arc<VersionStore>,
-    /// The subscriber-side version store, read (never written) to stamp
-    /// *external* dependencies on decorated publications (§4.2).
+    /// The subscriber-side version store: it stamps *external* dependencies
+    /// on decorated publications (§4.2) and bidirectional objects' vectors.
     sub_store: Arc<VersionStore>,
     broker: Broker,
     generations: GenerationStore,
@@ -647,6 +647,14 @@ impl QueryObserver for Publisher {
             pre_nanos.saturating_sub(intercept_nanos),
         );
 
+        // A bidirectional write runs an incoming apply's admission script on
+        // the mesh name every writer stamps and classifies at, reserving
+        // before the dependency locks (DESIGN.md *Admission*).
+        let mesh = publication.bidirectional.then(|| {
+            let name = crate::deps::mesh_object(intent.model, intent.id);
+            let admission = self.sub_store.reserve(name.identity());
+            (self.dep_space.key(&name), name.identity(), admission)
+        });
         // The guard borrows the key set out of the scratch.
         let lock_keys = std::mem::take(&mut scratch.lock_keys);
         let guard = self.locks.lock(&lock_keys);
@@ -661,6 +669,18 @@ impl QueryObserver for Publisher {
         };
 
         let post = Instant::now();
+        // The stamp: all this node recorded for the object plus one of its
+        // own. A dead sub store sends the write out unstamped.
+        let stamp = mesh.and_then(|(key, object, admission)| {
+            let mut vector = self.sub_store.latest_vector(object).ok()?;
+            vector.set(self.writer, vector.get(self.writer) + 1);
+            let version = ObjectVersion::Mesh {
+                winner: vector.lww_stamp(self.writer),
+                vector: vector.clone(),
+            };
+            admission.commit(&version).ok()?;
+            Some((key, vector))
+        });
         let deps = match self.bump_versions(&mut scratch) {
             Ok(d) => d,
             Err(StoreError::Dead) => {
@@ -673,25 +693,6 @@ impl QueryObserver for Publisher {
         };
         let marshalled = self.marshal(orm, &publication, &record);
         let op = Operation::from_record(intent.kind.wire_name(), marshalled);
-        // Bidirectional models stamp the object's version vector while the
-        // object lock is held, so local writes of one object extend a
-        // single per-writer history: everything this node has seen for the
-        // object — all writers' components, tracked in the subscriber-side
-        // store — plus one increment of its own, read, bumped and recorded
-        // back as one store script. The vector lives under the
-        // writer-independent *mesh* name — every writer of the object
-        // stamps and classifies against the same identity, which is what
-        // lets concurrent remote writes meet this one for comparison; on
-        // the wire it rides under the name's hashed key. With the sub store
-        // dead the message goes out unstamped and falls back to its scalar
-        // dependency at the subscriber.
-        let stamp = if publication.bidirectional {
-            let mesh = crate::deps::mesh_object(intent.model, record.id);
-            let stamped = self.sub_store.stamp(mesh.identity(), self.writer).ok();
-            stamped.map(|v| (self.dep_space.key(&mesh), v))
-        } else {
-            None
-        };
         // Partition routing key: the object dependency that heads
         // `write_deps`, so all of one object's messages ride one broker
         // partition in publish order (a combined transaction message routes

@@ -33,7 +33,10 @@
 //! of writes converges on the max-stamp version regardless of delivery
 //! order. Merge callbacks must bring their own convergence: a merge
 //! function that is commutative, associative, and idempotent (set union,
-//! component-wise max, …) converges the same way.
+//! component-wise max, …) converges the same way — except, for now, across
+//! a local write that moves its row down the merge's order: a peer that
+//! had merged the greater value in keeps it against the smaller write
+//! (DESIGN.md, *The resolver plane*).
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;

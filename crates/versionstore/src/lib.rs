@@ -38,8 +38,8 @@
 //!   [`Admission::classify`] → the caller's write → [`Admission::commit`]
 //!   (§4.2's "discards any messages with a version lower than what is
 //!   stored", where a version counts as stored only once its write has
-//!   landed), and [`VersionStore::stamp`] for a multi-writer object's local
-//!   writes;
+//!   landed) — the one script every write of a versioned object runs, an
+//!   incoming apply and a multi-writer object's local write alike;
 //! * bulk [`VersionStore::dump`] / [`VersionStore::load_dump`] — a
 //!   [`StoreDump`] with one section per map — for the three-step bootstrap
 //!   (§4.4) and the durability plane's snapshots;

@@ -1,9 +1,30 @@
 //! The per-object admission script — reserve → classify → write → commit —
-//! and the local stamp of a multi-writer object.
+//! that an incoming apply and a multi-writer object's local write both run.
+//! Its rules (DESIGN.md *Admission*): reserve before the publisher's
+//! dependency locks; a thread re-enters a stripe it holds; a re-entrant
+//! stamp of the held object follows the vector the holder classified (for
+//! an after-callback: the row write overwrites a before-callback's value).
 
-use super::{Maps, StoreError, VersionStore, ADMISSION_STRIPES};
+use super::{StoreError, VersionStore, ADMISSION_STRIPES};
 use crate::vector::{Dominance, VersionVector};
-use parking_lot::MutexGuard;
+use parking_lot::{Mutex, MutexGuard};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The calling thread's token: the address of its `THREAD`, never 0.
+fn thread_token() -> usize {
+    thread_local!(static THREAD: u8 = const { 0 });
+    THREAD.with(|t| t as *const u8 as usize)
+}
+
+/// One stripe: its lock, its holder's thread token (0 while free;
+/// `Relaxed`, as a thread only looks for its own) and what it classified.
+#[derive(Default)]
+pub(super) struct Stripe {
+    lock: Mutex<()>,
+    holder: AtomicUsize,
+    classified: Mutex<Option<(u64, VersionVector)>>,
+}
 
 /// Which comparison admits a carried version ([`Admission::classify`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,49 +117,44 @@ impl VersionStore {
     /// never interleave verdict and write (the stale one landing last),
     /// while the caller's ORM write blocks nobody else's store traffic. An
     /// operation that carries no version still reserves its object, for
-    /// the exclusion alone.
+    /// the exclusion alone. A thread holding the stripe re-enters it.
     pub fn reserve(&self, object: u64) -> Admission<'_> {
+        let stripe = self.stripe(object);
+        let me = thread_token();
+        let lock = (stripe.holder.load(Ordering::Relaxed) != me).then(|| {
+            let lock = stripe.lock.lock();
+            stripe.holder.store(me, Ordering::Relaxed);
+            lock
+        });
         Admission {
             store: self,
             object,
-            _stripe: self.stripes[(object % ADMISSION_STRIPES as u64) as usize].lock(),
+            stripe,
+            lock,
+            classified: Cell::new(false),
         }
     }
 
-    /// The publisher's vector stamp for a local write of a multi-writer
-    /// object, as one script: read everything this node has recorded for
-    /// the object, bump `writer`'s component, record the result (and its
-    /// LWW stamp) and return it — so the write advertises exactly the
-    /// history it follows, and an incoming commit can land before or after
-    /// the stamp but never inside it.
-    pub fn stamp(&self, object: u64, writer: u64) -> Result<VersionVector, StoreError> {
-        let mut maps = self.maps_of(object)?;
-        let mut vector = mesh_vector(&maps, object);
-        vector.set(writer, vector.get(writer) + 1);
-        let stamped = ObjectVersion::Mesh {
-            winner: vector.lww_stamp(writer),
-            vector: vector.clone(),
+    /// Reads a multi-writer object's recorded version vector (empty when
+    /// it has none), as the bootstrap copier sends it; on the thread
+    /// holding the object's reservation, joined with what it classified.
+    pub fn latest_vector(&self, object: u64) -> Result<VersionVector, StoreError> {
+        let mut vector = match self.maps_of(object)?.objects.get(&object) {
+            Some(ObjectVersion::Mesh { vector, .. }) => vector.clone(),
+            _ => VersionVector::new(),
         };
-        maps.objects
-            .entry(object)
-            .and_modify(|stored| stored.merge(&stamped))
-            .or_insert(stamped);
+        let stripe = self.stripe(object);
+        if stripe.holder.load(Ordering::Relaxed) == thread_token() {
+            match &*stripe.classified.lock() {
+                Some((held, classified)) if *held == object => vector.join(classified),
+                _ => {}
+            }
+        }
         Ok(vector)
     }
 
-    /// Reads a multi-writer object's recorded version vector (empty when
-    /// it has none) — what the bootstrap copier sends as a bidirectional
-    /// row's version.
-    pub fn latest_vector(&self, object: u64) -> Result<VersionVector, StoreError> {
-        Ok(mesh_vector(&*self.maps_of(object)?, object))
-    }
-}
-
-/// The vector `maps` holds for `object`; empty unless it is a mesh object.
-fn mesh_vector(maps: &Maps, object: u64) -> VersionVector {
-    match maps.objects.get(&object) {
-        Some(ObjectVersion::Mesh { vector, .. }) => vector.clone(),
-        _ => VersionVector::new(),
+    fn stripe(&self, object: u64) -> &Stripe {
+        &self.stripes[(object % ADMISSION_STRIPES as u64) as usize]
     }
 }
 
@@ -149,7 +165,11 @@ fn mesh_vector(maps: &Maps, object: u64) -> VersionVector {
 pub struct Admission<'a> {
     store: &'a VersionStore,
     object: u64,
-    _stripe: MutexGuard<'a, ()>,
+    stripe: &'a Stripe,
+    /// The stripe's lock; `None` for a re-entry.
+    lock: Option<MutexGuard<'a, ()>>,
+    /// Whether this admission left a vector in the stripe's `classified`.
+    classified: Cell<bool>,
 }
 
 impl Admission<'_> {
@@ -164,6 +184,10 @@ impl Admission<'_> {
     ) -> Result<Verdict, StoreError> {
         use ObjectVersion::{Mesh, Scalar};
         let live = rule == AdmitRule::Live;
+        if let (Mesh { vector, .. }, Some(_)) = (incoming, &self.lock) {
+            *self.stripe.classified.lock() = Some((self.object, vector.clone()));
+            self.classified.set(true);
+        }
         let maps = self.store.maps_of(self.object)?;
         Ok(match (incoming, maps.objects.get(&self.object)) {
             (Scalar(a), Some(Scalar(b))) if a < b || (a == b && !live) => Verdict::Stale,
@@ -197,5 +221,17 @@ impl Admission<'_> {
             .and_modify(|stored| stored.merge(incoming))
             .or_insert_with(|| incoming.clone());
         Ok(())
+    }
+}
+
+impl Drop for Admission<'_> {
+    /// A reservation that locked its stripe clears it before unlocking.
+    fn drop(&mut self) {
+        if self.lock.is_some() {
+            if self.classified.get() {
+                *self.stripe.classified.lock() = None;
+            }
+            self.stripe.holder.store(0, Ordering::Relaxed);
+        }
     }
 }

@@ -151,7 +151,7 @@ pub struct VersionStore {
     timing: StoreTiming,
     /// Per-object exclusion for [`VersionStore::reserve`], striped by
     /// object.
-    stripes: Vec<Mutex<()>>,
+    stripes: Vec<admission::Stripe>,
 }
 
 impl VersionStore {
@@ -162,7 +162,7 @@ impl VersionStore {
             shards: (0..shards).map(|_| Arc::new(Shard::default())).collect(),
             ring,
             timing: StoreTiming::default(),
-            stripes: (0..ADMISSION_STRIPES).map(|_| Mutex::new(())).collect(),
+            stripes: (0..ADMISSION_STRIPES).map(|_| Default::default()).collect(),
         }
     }
 

@@ -335,13 +335,23 @@ fn abandoned_admission_leaves_the_store_untouched() {
     assert_eq!(store.dump().unwrap(), before);
 }
 
-/// `stamp` is one script: four writers stamping one key while a fifth
-/// thread commits foreign components each see their own component go up
-/// by exactly one, and every stamp contains every earlier one — the
-/// returned vectors form a chain, which a read followed by a separate
-/// write-back cannot guarantee.
+/// A local write's stamp, as the publisher runs it: reserve the object,
+/// read its latest vector, bump `writer`'s component, commit.
+fn local_stamp(store: &VersionStore, object: u64, writer: u64) -> VersionVector {
+    let admission = store.reserve(object);
+    let mut vector = store.latest_vector(object).unwrap();
+    vector.set(writer, vector.get(writer) + 1);
+    admission.commit(&mesh(vector.clone(), writer)).unwrap();
+    vector
+}
+
+/// A stamp under a reservation is one script: four writers stamping one
+/// key while a fifth thread commits foreign components each see their own
+/// component go up by exactly one, and every stamp contains every earlier
+/// one — the returned vectors form a chain, which a read followed by a
+/// separate write-back cannot guarantee.
 #[test]
-fn stamp_is_atomic_under_concurrent_stamps_and_commits() {
+fn reserved_stamps_are_atomic_under_concurrent_stamps_and_commits() {
     const STAMPS: u64 = 200;
     let store = Arc::new(VersionStore::new(4));
     let writers = [11u64, 22, 33, 44];
@@ -363,7 +373,7 @@ fn stamp_is_atomic_under_concurrent_stamps_and_commits() {
             thread::spawn(move || {
                 start.wait();
                 let stamped: Vec<VersionVector> = (0..STAMPS)
-                    .map(|_| store.stamp(1, writer).unwrap())
+                    .map(|_| local_stamp(&store, 1, writer))
                     .collect();
                 for (i, vector) in stamped.iter().enumerate() {
                     assert_eq!(vector.get(writer), i as u64 + 1, "previous + 1");
@@ -390,6 +400,56 @@ fn stamp_is_atomic_under_concurrent_stamps_and_commits() {
         assert_eq!(last.get(writer), STAMPS);
     }
     assert_eq!(last.get(99), STAMPS);
+}
+
+/// A thread re-enters a stripe it holds instead of deadlocking on it; its
+/// stamp of the reserved object follows the vector the reservation
+/// classified, a stamp of another object on the stripe does not, and other
+/// threads neither see that vector nor enter the stripe before the outer
+/// reservation ends.
+#[test]
+fn a_held_stripe_is_reentered_and_its_classified_vector_followed() {
+    let store = Arc::new(VersionStore::new(2));
+    let neighbour = 1 + ADMISSION_STRIPES as u64;
+    let incoming = mesh(VersionVector::component(22, 1), 22);
+    let outer = store.reserve(1);
+    assert_eq!(
+        outer.classify(&incoming, AdmitRule::Live).unwrap(),
+        Verdict::Fresh
+    );
+    let elsewhere = store.clone();
+    let seen = thread::spawn(move || elsewhere.latest_vector(1).unwrap());
+    assert_eq!(seen.join().unwrap(), VersionVector::new());
+
+    let followed = VersionVector::from_components(&[(11, 1), (22, 1)]);
+    assert_eq!(local_stamp(&store, 1, 11), followed);
+    assert_eq!(
+        local_stamp(&store, neighbour, 11),
+        VersionVector::component(11, 1)
+    );
+
+    let waiter = {
+        let store = store.clone();
+        thread::spawn(move || drop(store.reserve(1)))
+    };
+    thread::sleep(Duration::from_millis(30));
+    assert!(
+        !waiter.is_finished(),
+        "entered a stripe another thread holds"
+    );
+    outer.commit(&incoming).unwrap();
+    waiter.join().unwrap();
+    assert_eq!(store.latest_vector(1).unwrap(), followed);
+
+    // A reservation dropped uncommitted leaves nothing to follow.
+    let dropped = store.reserve(neighbour);
+    let forked = mesh(VersionVector::component(33, 1), 33);
+    dropped.classify(&forked, AdmitRule::Live).unwrap();
+    drop(dropped);
+    assert_eq!(
+        local_stamp(&store, neighbour, 11),
+        VersionVector::component(11, 2)
+    );
 }
 
 #[test]

@@ -2,15 +2,20 @@
 //! that wants them; every test binary uses its own subset).
 #![allow(dead_code)]
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use synapse_repro::core::{Ecosystem, SynapseConfig, SynapseNode, RETRY_ATTEMPTS};
+use synapse_repro::core::{
+    mesh_object, DeliveryMode, Ecosystem, Operation, Publication, Subscription, SynapseConfig,
+    SynapseNode, WriteMessage, RETRY_ATTEMPTS,
+};
 use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::{FaultEvent, FaultKind, Side};
-use synapse_repro::model::ModelSchema;
-use synapse_repro::orm::adapters::MongoidAdapter;
+use synapse_repro::model::{Id, ModelSchema, Record, Value};
+use synapse_repro::orm::adapters::{ActiveRecordAdapter, MongoidAdapter};
+use synapse_repro::versionstore::VersionVector;
 
 /// Polls `cond` every 5 ms until it holds or `timeout` passes; returns
 /// whether it held.
@@ -33,6 +38,116 @@ pub fn mongo_node(eco: &Ecosystem, config: SynapseConfig) -> Arc<SynapseNode> {
     );
     node.orm().define_model(ModelSchema::open("Post")).unwrap();
     node
+}
+
+/// Builds a started two-writer mesh: both weak-mode nodes publish *and*
+/// subscribe the same `User` fields bidirectionally. `configure` lets a
+/// test register resolvers on each node's config before the node is built.
+pub fn mesh(
+    eco: &Ecosystem,
+    app_a: &str,
+    app_b: &str,
+    fields: &[&str],
+    configure: impl Fn(SynapseConfig) -> SynapseConfig,
+) -> (Arc<SynapseNode>, Arc<SynapseNode>) {
+    let a = eco.add_node(
+        configure(SynapseConfig::new(app_a).mode(DeliveryMode::Weak)),
+        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
+    );
+    let b = eco.add_node(
+        configure(SynapseConfig::new(app_b).mode(DeliveryMode::Weak)),
+        Arc::new(ActiveRecordAdapter::new("postgresql", LatencyModel::off())),
+    );
+    for node in [&a, &b] {
+        let mut schema = ModelSchema::new("User");
+        for f in fields {
+            schema = schema.field(*f);
+        }
+        node.orm().define_model(schema).unwrap();
+        node.publish(Publication::model("User").fields(fields).bidirectional())
+            .unwrap();
+    }
+    a.subscribe(
+        Subscription::model("User", app_b)
+            .fields(fields)
+            .bidirectional(),
+    )
+    .unwrap();
+    b.subscribe(
+        Subscription::model("User", app_a)
+            .fields(fields)
+            .bidirectional(),
+    )
+    .unwrap();
+    let violations = eco.connect();
+    assert!(violations.is_empty(), "{violations:?}");
+    eco.start_all();
+    (a, b)
+}
+
+/// Waits until both nodes stop processing messages (their publisher
+/// journals are empty and subscriber counters stop moving), then returns.
+/// Convergence assertions only make sense on a quiescent mesh.
+pub fn quiesce(a: &SynapseNode, b: &SynapseNode) {
+    let snapshot = |n: &SynapseNode| {
+        let s = n.subscriber_stats();
+        (
+            s.messages_processed,
+            s.ops_applied,
+            n.publisher().journal_len(),
+        )
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut last = (snapshot(a), snapshot(b));
+    let mut calm = 0;
+    while Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(30));
+        let now = (snapshot(a), snapshot(b));
+        let journals_empty = now.0 .2 == 0 && now.1 .2 == 0;
+        if now == last && journals_empty {
+            calm += 1;
+            if calm >= 5 {
+                return;
+            }
+        } else {
+            calm = 0;
+        }
+        last = now;
+    }
+    panic!("mesh never quiesced");
+}
+
+/// A `User` row's `field` on `node`, `Null` when the row is absent.
+pub fn field_of(node: &SynapseNode, id: Id, field: &str) -> Value {
+    node.orm()
+        .find("User", id)
+        .unwrap()
+        .map(|r| r.get(field).clone())
+        .unwrap_or(Value::Null)
+}
+
+/// One write of `User` `id` from `app`, carrying `vector` under the
+/// object's mesh key and no scalar dependencies.
+pub fn vector_msg(
+    node: &SynapseNode,
+    id: Id,
+    app: &str,
+    operation: &str,
+    name: &str,
+    vector: VersionVector,
+) -> WriteMessage {
+    let mesh_key = node.config().dep_space.key(&mesh_object("User", id));
+    let mut attrs = BTreeMap::new();
+    attrs.insert("name".to_owned(), Value::from(name));
+    let record = Record::with_attrs("User", id, attrs);
+    WriteMessage {
+        app: app.to_owned(),
+        operations: vec![Operation::from_record(operation, record)],
+        dependencies: BTreeMap::new(),
+        published_at: 0,
+        generation: 1,
+        vectors: [(mesh_key, vector)].into_iter().collect(),
+    }
 }
 
 /// Trims a plan's subscriber-side write-error bursts, in firing order, so

@@ -14,106 +14,21 @@ use proptest::test_runner::{Config, TestRunner};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use synapse_repro::core::subscriber::ProcessError;
 use synapse_repro::core::testing::emulate_delivery;
 use synapse_repro::core::{
-    mesh_object, writer_id, DeliveryMode, Ecosystem, Operation, Publication, Resolution,
-    Subscription, SynapseConfig, SynapseNode, WriteMessage,
+    mesh_object, writer_id, DeliveryMode, DepName, Ecosystem, Resolution, Subscription,
+    SynapseConfig, SynapseNode, WriteMessage,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::SeededRng;
-use synapse_repro::model::{vmap, Id, ModelSchema, Record, Value};
-use synapse_repro::orm::adapters::{ActiveRecordAdapter, MongoidAdapter};
+use synapse_repro::model::{vmap, Id, ModelSchema, Value};
+use synapse_repro::orm::adapters::MongoidAdapter;
 use synapse_repro::versionstore::{ObjectVersion, VersionVector};
 
 mod common;
-use common::eventually;
-
-/// Builds a two-writer mesh: both nodes publish *and* subscribe the same
-/// `User` fields bidirectionally. `configure` lets a test register
-/// resolvers on each node's config before the node is built.
-fn mesh(
-    eco: &Ecosystem,
-    app_a: &str,
-    app_b: &str,
-    fields: &[&str],
-    configure: impl Fn(SynapseConfig) -> SynapseConfig,
-) -> (Arc<SynapseNode>, Arc<SynapseNode>) {
-    let a = eco.add_node(
-        configure(SynapseConfig::new(app_a).mode(DeliveryMode::Weak)),
-        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
-    );
-    let b = eco.add_node(
-        configure(SynapseConfig::new(app_b).mode(DeliveryMode::Weak)),
-        Arc::new(ActiveRecordAdapter::new("postgresql", LatencyModel::off())),
-    );
-    for node in [&a, &b] {
-        let mut schema = ModelSchema::new("User");
-        for f in fields {
-            schema = schema.field(*f);
-        }
-        node.orm().define_model(schema).unwrap();
-        node.publish(Publication::model("User").fields(fields).bidirectional())
-            .unwrap();
-    }
-    a.subscribe(
-        Subscription::model("User", app_b)
-            .fields(fields)
-            .bidirectional(),
-    )
-    .unwrap();
-    b.subscribe(
-        Subscription::model("User", app_a)
-            .fields(fields)
-            .bidirectional(),
-    )
-    .unwrap();
-    let violations = eco.connect();
-    assert!(violations.is_empty(), "{violations:?}");
-    eco.start_all();
-    (a, b)
-}
-
-/// Waits until both nodes stop processing messages (their publisher
-/// journals are empty and subscriber counters stop moving), then returns.
-/// Convergence assertions only make sense on a quiescent mesh.
-fn quiesce(a: &SynapseNode, b: &SynapseNode) {
-    let snapshot = |n: &SynapseNode| {
-        let s = n.subscriber_stats();
-        (
-            s.messages_processed,
-            s.ops_applied,
-            n.publisher().journal_len(),
-        )
-    };
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let mut last = (snapshot(a), snapshot(b));
-    let mut calm = 0;
-    while Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(30));
-        let now = (snapshot(a), snapshot(b));
-        let journals_empty = now.0 .2 == 0 && now.1 .2 == 0;
-        if now == last && journals_empty {
-            calm += 1;
-            if calm >= 5 {
-                return;
-            }
-        } else {
-            calm = 0;
-        }
-        last = now;
-    }
-    panic!("mesh never quiesced");
-}
-
-fn field_of(node: &SynapseNode, id: Id, field: &str) -> Value {
-    node.orm()
-        .find("User", id)
-        .unwrap()
-        .map(|r| r.get(field).clone())
-        .unwrap_or(Value::Null)
-}
+use common::{eventually, field_of, mesh, quiesce, vector_msg};
 
 /// Partition both writers, apply one concurrent update on each side, heal,
 /// and require convergence to the deterministic LWW winner: the vectors
@@ -266,30 +181,6 @@ fn observer_of_two_writers(eco: &Ecosystem) -> Arc<SynapseNode> {
     node
 }
 
-/// One write of `User` `id` from `app`, carrying `vector` under the
-/// object's mesh key and no scalar dependencies.
-fn vector_msg(
-    node: &SynapseNode,
-    id: Id,
-    app: &str,
-    operation: &str,
-    name: &str,
-    vector: VersionVector,
-) -> WriteMessage {
-    let mesh_key = node.config().dep_space.key(&mesh_object("User", id));
-    let mut attrs = BTreeMap::new();
-    attrs.insert("name".to_owned(), Value::from(name));
-    let record = Record::with_attrs("User", id, attrs);
-    WriteMessage {
-        app: app.to_owned(),
-        operations: vec![Operation::from_record(operation, record)],
-        dependencies: BTreeMap::new(),
-        published_at: 0,
-        generation: 1,
-        vectors: [(mesh_key, vector)].into_iter().collect(),
-    }
-}
-
 /// Deterministic classification through hand-built vectors: one node
 /// subscribed bidirectionally to two remote writers receives a fresh
 /// write, a concurrent fork (→ resolver, LWW tiebreak by writer id), a
@@ -401,6 +292,46 @@ fn concurrent_write_survives_transient_apply_failure() {
     assert_eq!(stats.ops_applied, 3);
 }
 
+/// A bidirectional local write whose sub-store shard is dead still lands:
+/// the row commits, the message goes out with no `vectors`, and the peer
+/// judges it like a single-writer write, by the scalar of its object
+/// dependency under the writer's per-app name (DESIGN.md *Wire
+/// compatibility*) — leaving the object's mesh vector where it was.
+#[test]
+fn dead_sub_store_write_goes_out_unstamped() {
+    let eco = Ecosystem::new();
+    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"], |c| c);
+    let user = a.orm().create("User", vmap! { "name" => "seed" }).unwrap();
+    assert!(eventually(Duration::from_secs(5), || {
+        field_of(&b, user.id, "name").as_str() == Some("seed")
+    }));
+
+    let mesh = mesh_object("User", user.id).identity();
+    a.sub_store().kill_shard(a.sub_store().shard_for(mesh));
+    a.orm()
+        .update("User", user.id, vmap! { "name" => "unstamped" })
+        .unwrap();
+    assert_eq!(field_of(&a, user.id, "name").as_str(), Some("unstamped"));
+    assert!(eventually(Duration::from_secs(5), || {
+        field_of(&b, user.id, "name").as_str() == Some("unstamped")
+    }));
+
+    let scalar = DepName::object("mesh_a", "User", user.id).identity();
+    let objects = b.sub_store().dump().unwrap().objects;
+    assert!(
+        matches!(
+            objects.iter().find(|(object, _)| *object == scalar),
+            Some((_, ObjectVersion::Scalar(_)))
+        ),
+        "judged by its scalar: {objects:?}"
+    );
+    assert_eq!(
+        b.sub_store().latest_vector(mesh).unwrap(),
+        VersionVector::component(writer_id("mesh_a"), 1)
+    );
+    eco.stop_all();
+}
+
 /// One step of a seeded schedule.
 #[derive(Debug, Clone)]
 enum Step {
@@ -424,7 +355,11 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 }
 
 /// Registers the lexicographic-max merge on `User.name` when `use_merge`:
-/// deterministic and commutative, so any resolution order converges.
+/// deterministic and commutative, so any resolution order converges —
+/// except across a local write that moves a row down that order, an open
+/// defect that `merge_survives_a_local_write_down_its_order` pins. Every
+/// user here can meet it: `seeded_schedules_converge_under_merge`'s
+/// writers go `w1-9` → `w1-10`, the free-running ones `r0-9` → `r0-10`.
 fn lexicographic_max_if(use_merge: bool, config: SynapseConfig) -> SynapseConfig {
     if !use_merge {
         return config;
@@ -521,20 +456,54 @@ fn seeded_schedules_converge_under_merge() {
     run_seeded_cases(true);
 }
 
-/// What a mesh that missed its deadline looked like at its last poll:
-/// which of the three convergence conditions were unmet and, for every row
-/// the replicas disagree on, each side's `name`, stored version vector and
-/// LWW winner stamp (the state that decides who should have won).
-fn divergence_report(nodes: [&SynapseNode; 2], ids: &[Id], drained: bool, steady: bool) -> String {
-    let differing: Vec<Id> = ids
-        .iter()
-        .copied()
-        .filter(|&id| field_of(nodes[0], id, "name") != field_of(nodes[1], id, "name"))
-        .collect();
-    let mut out = format!(
-        "journals drained: {drained}, rows equal: {}, counters stable: {steady}",
-        differing.is_empty()
+/// Pins the open merge-order defect (ROADMAP). Writer 0 writes while
+/// partitioned; writer 1 then writes `w1-9` and, once writer 0 has merged
+/// it in, the smaller `w1-10` over it. Writer 0 keeps `w1-9` against
+/// `w1-10`, whose vector is concurrent with its own; writer 1 merges
+/// writer 0's value into `w1-10`. Each replica ends on a different value
+/// under the same vector.
+#[test]
+#[ignore = "open defect: a local write down a merge's order diverges, ROADMAP"]
+fn merge_survives_a_local_write_down_its_order() {
+    let eco = Ecosystem::new();
+    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"], |config| {
+        lexicographic_max_if(true, config)
+    });
+    let user = a.orm().create("User", vmap! { "name" => "seed" }).unwrap();
+    assert!(eventually(Duration::from_secs(5), || {
+        field_of(&b, user.id, "name").as_str() == Some("seed")
+    }));
+
+    a.publisher().inject_publish_failure(true);
+    let write = |node: &SynapseNode, name: &str| {
+        node.orm()
+            .update("User", user.id, vmap! { "name" => name })
+            .unwrap();
+    };
+    write(&a, "w0-1");
+    write(&b, "w1-9");
+    assert!(eventually(Duration::from_secs(5), || {
+        field_of(&a, user.id, "name").as_str() == Some("w1-9")
+    }));
+    write(&b, "w1-10");
+    a.publisher().inject_publish_failure(false);
+    a.publisher().recover();
+    quiesce(&a, &b);
+
+    assert_eq!(
+        field_of(&a, user.id, "name"),
+        field_of(&b, user.id, "name"),
+        "replicas diverged:{}",
+        divergence_report([&a, &b], &[user.id])
     );
+    eco.stop_all();
+}
+
+/// What a diverged mesh looks like: each node's counters and, for every
+/// row the replicas disagree on, each side's `name`, stored version vector
+/// and LWW winner stamp (the state that decides who should have won).
+fn divergence_report(nodes: [&SynapseNode; 2], ids: &[Id]) -> String {
+    let mut out = String::new();
     for node in nodes {
         let stats = node.subscriber_stats();
         let _ = write!(
@@ -548,7 +517,10 @@ fn divergence_report(nodes: [&SynapseNode; 2], ids: &[Id], drained: bool, steady
         );
     }
     let dumps = nodes.map(|node| node.sub_store().dump().unwrap_or_default());
-    for id in differing {
+    let differing = ids
+        .iter()
+        .filter(|&&id| field_of(nodes[0], id, "name") != field_of(nodes[1], id, "name"));
+    for &id in differing {
         let mesh = mesh_object("User", id).identity();
         for (node, dump) in nodes.iter().zip(&dumps) {
             let name = field_of(node, id, "name");
@@ -565,10 +537,8 @@ fn divergence_report(nodes: [&SynapseNode; 2], ids: &[Id], drained: bool, steady
 }
 
 /// Two writer threads, one per node, update rows drawn from a shared pool
-/// with nothing ordering them; the mesh must then converge: journals
-/// drained, every row identical on both sides, and the apply counters
-/// steady across five consecutive polls (a transient match with messages
-/// still in flight does not count).
+/// with nothing ordering them; once the mesh is quiescent every row must
+/// be identical on both sides.
 fn free_running_arm(pool: u64, use_merge: bool) {
     const OPS: u64 = 150;
     let eco = Ecosystem::new();
@@ -612,54 +582,33 @@ fn free_running_arm(pool: u64, use_merge: bool) {
         }
     });
 
-    let progress = |node: &SynapseNode| {
-        let stats = node.subscriber_stats();
-        (
-            stats.messages_processed,
-            stats.ops_applied,
-            node.publisher().journal_len(),
-        )
+    quiesce(&a, &b);
+    let names = |node: &SynapseNode| -> Vec<Value> {
+        ids.iter().map(|&id| field_of(node, id, "name")).collect()
     };
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let mut stable = 0;
-    let mut marks = (progress(&a), progress(&b));
-    let (mut drained, mut steady) = (false, false);
-    while stable < 5 {
-        assert!(
-            Instant::now() < deadline,
-            "mesh never converged (pool={pool}, merge={use_merge}): {}",
-            divergence_report([&a, &b], &ids, drained, steady)
-        );
-        std::thread::sleep(Duration::from_millis(5));
-        let now = (progress(&a), progress(&b));
-        drained = now.0 .2 == 0 && now.1 .2 == 0;
-        steady = now == marks;
-        let equal = ids
-            .iter()
-            .all(|&id| field_of(&a, id, "name") == field_of(&b, id, "name"));
-        if drained && equal && steady {
-            stable += 1;
-        } else {
-            stable = 0;
-            marks = now;
-        }
-    }
+    assert_eq!(
+        names(&a),
+        names(&b),
+        "mesh diverged (pool={pool}, merge={use_merge}):{}",
+        divergence_report([&a, &b], &ids)
+    );
     eco.stop_all();
 }
 
-/// A hot pool of 4 rows and a cooler one of 64 under LWW, then the hot
-/// pool again under the merge resolver.
-///
-/// Ignored in the plain `cargo test` line because it exposes an open
-/// defect — 5 of 100 runs as a debug build on two cores, 11 of 450 as a
-/// release build with three copies sharing two cores, never in 300 runs
-/// pinned to one core: both replicas end with the same version vector
-/// and winner stamp for a row but each holds the *other* writer's value.
-/// `scripts/tier1.sh` runs it, as a release build on its own.
+/// A hot pool of 4 rows and a cooler one of 64 under LWW.
 #[test]
-#[ignore = "open multi-writer defect, ROADMAP: schedule exploration"]
 fn free_running_writers_converge() {
     free_running_arm(4, false);
     free_running_arm(64, false);
+}
+
+/// The hot pool under the merge resolver. Its writers move rows down the
+/// merge's order (`r1-99` → `r1-147`), so it meets the open merge-order
+/// defect that `merge_survives_a_local_write_down_its_order` pins, a few
+/// debug runs in a thousand on two cores: one replica ends on the earlier,
+/// greater value.
+#[test]
+#[ignore = "open defect: a local write down a merge's order diverges, ROADMAP"]
+fn free_running_writers_converge_under_merge() {
     free_running_arm(4, true);
 }
