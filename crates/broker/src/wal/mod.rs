@@ -643,7 +643,9 @@ impl Wal {
         self.poisoned.store(true, Ordering::Release);
         // Wake every group-commit waiter so it observes the poison;
         // frames staged but never written are simply gone, exactly as
-        // power loss would leave them.
+        // power loss would leave them. Taking the group mutex orders the
+        // store before the check any waiter makes under it.
+        drop(self.group.lock());
         self.group_cv.notify_all();
         let path = segment_path(&self.cfg.dir, inner.segment);
         let file = OpenOptions::new().write(true).open(&path)?;

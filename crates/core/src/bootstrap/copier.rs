@@ -6,8 +6,9 @@ use super::{BootstrapState, BootstrapStats};
 use crate::api::Publication;
 use crate::config::{backoff, BOOTSTRAP_CHUNK_ROWS, RETRY_ATTEMPTS};
 use crate::deps::{mesh_object, DepName};
-use crate::message::{Operation, WriteMessage};
+use crate::message::encode_message;
 use crate::node::SynapseNode;
+use crate::publisher::encode_published;
 use crate::subscriber::{ProcessError, SubscriberStats};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -15,10 +16,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use synapse_broker::{Delivery, SharedStr};
 use synapse_db::DbError;
-use synapse_model::{Id, Record};
+use synapse_model::Id;
 use synapse_orm::OrmError;
 use synapse_telemetry::mono_nanos;
-use synapse_versionstore::{DepKey, VersionVector};
+use synapse_versionstore::DepKey;
 
 /// How long [`SynapseNode::bootstrap_from`]'s finalize step waits for the
 /// subscriber to account for the merged chunk copies before going Live
@@ -471,13 +472,17 @@ impl SynapseNode {
             }
         };
         let space = publisher.config.dep_space;
-        let mut batch: Vec<(DepName, u64, Option<VersionVector>, Record)> =
-            Vec::with_capacity(page.len());
+        // Each row becomes a real write message: its object dependency
+        // carries the marker, and a bidirectional model's vector rides
+        // under the mesh name's key.
+        let mut batch: Vec<(DepName, SharedStr)> = Vec::with_capacity(page.len());
+        let mut text = String::new();
         for record in &page {
             let name = DepName::object(publisher.app(), model, record.id);
+            let key = space.key(&name);
             let ops = publisher
                 .pub_store
-                .ops(space.key(&name))
+                .ops(key)
                 .map_err(|_| OrmError::Db(DbError::Unavailable))?;
             let marker = ops.saturating_sub(1);
             // Bidirectional copies carry the publisher's full version
@@ -485,16 +490,15 @@ impl SynapseNode {
             // under the object's writer-independent mesh identity in the
             // publisher's sub store — where its own stamps and every remote
             // writer's applied writes fold in.
-            let vector = if publication.bidirectional {
-                Some(
-                    publisher
-                        .sub_store
-                        .latest_vector(mesh_object(model, record.id).identity())
-                        .map_err(|_| OrmError::Db(DbError::Unavailable))?,
-                )
-            } else {
-                None
-            };
+            let mut vectors = BTreeMap::new();
+            if publication.bidirectional {
+                let mesh = mesh_object(model, record.id);
+                let vector = publisher
+                    .sub_store
+                    .latest_vector(mesh.identity())
+                    .map_err(|_| OrmError::Db(DbError::Unavailable))?;
+                vectors.insert(space.key(&mesh), vector);
+            }
             // Re-read the row now that its marker floor is pinned; a row
             // deleted meanwhile is skipped (its destroy message is in the
             // live stream, and the tombstone it leaves in the version
@@ -502,12 +506,22 @@ impl SynapseNode {
             let Some(fresh) = publisher.orm.find(model, record.id)? else {
                 continue;
             };
-            // Marshal through the publisher so only published (and
+            // Encode through the publisher's encoder so only published (and
             // virtual) attributes cross, exactly as live updates do.
-            let marshalled = publisher
-                .publisher
-                .marshal(&publisher.orm, publication, &fresh);
-            batch.push((name, marker, vector, marshalled));
+            text.clear();
+            let op = |out: &mut String| {
+                encode_published(out, &publisher.orm, publication, "create", &fresh);
+            };
+            encode_message(
+                &mut text,
+                publisher.app(),
+                &mut [(key, marker)],
+                1,
+                op,
+                0,
+                &vectors,
+            );
+            batch.push((name, SharedStr::from(text.as_str())));
         }
         if interleave {
             self.publish_markers(partitions, session, window, true);
@@ -522,35 +536,18 @@ impl SynapseNode {
             let touched = gate.take_touched();
             if !touched.is_empty() {
                 let before = batch.len();
-                batch.retain(|(name, _, _, _)| !touched.contains(&name.identity()));
+                batch.retain(|(name, _)| !touched.contains(&name.identity()));
                 self.bootstrap
                     .records_reconciled
                     .fetch_add((before - batch.len()) as u64, Ordering::Relaxed);
             }
         }
-        // Every survivor becomes a real write message: its object
-        // dependency carries the marker, and a bidirectional model's
-        // vector rides under the mesh name's key. Only queue-merged copies
-        // are stamped for the visibility histograms.
+        // Only queue-merged copies are stamped for the visibility
+        // histograms.
         let origin = if interleave { mono_nanos() } else { 0 };
         let payloads: Vec<(SharedStr, u64, DepKey)> = batch
             .into_iter()
-            .map(|(name, marker, vector, record)| {
-                let key = space.key(&name);
-                let vectors = vector
-                    .map(|v| (space.key(&mesh_object(model, record.id)), v))
-                    .into_iter()
-                    .collect();
-                let msg = WriteMessage {
-                    app: publisher.app().to_owned(),
-                    operations: vec![Operation::from_record("create", record)],
-                    dependencies: BTreeMap::from([(key, marker)]),
-                    published_at: 0,
-                    generation: 1,
-                    vectors,
-                };
-                (SharedStr::from(msg.encode().as_str()), origin, key)
-            })
+            .map(|(name, payload)| (payload, origin, space.key(&name)))
             .collect();
         let mut merged = 0u64;
         if interleave {
@@ -681,3 +678,6 @@ impl SynapseNode {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -20,7 +20,6 @@
 //!   instrumentation).
 
 use crate::deps::DepName;
-use crate::message::Operation;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use synapse_versionstore::DepKey;
@@ -53,8 +52,12 @@ pub(crate) struct Scope {
 /// Buffered operations of an in-scope transaction.
 #[derive(Debug, Default)]
 pub(crate) struct TxBuffer {
-    /// Operations accumulated so far.
-    pub(crate) operations: Vec<Operation>,
+    /// Operations accumulated so far, encoded as the elements of the
+    /// message's `operations` array, comma-separated.
+    pub(crate) operations: String,
+    /// Time spent encoding them, which the combined message's wire-encode
+    /// stage includes.
+    pub(crate) encode_nanos: u64,
     /// The route key of the first buffered operation, the message's own.
     pub(crate) route: u64,
     /// Merged dependency map (max *rebased* version wins per key).

@@ -7,7 +7,7 @@
 //! and a publication timestamp. It is encoded as canonical JSON through
 //! [`synapse_model::wire`], the same format the figure shows.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
 use synapse_model::{wire, Id, ModelError, Record, Value};
 use synapse_versionstore::{DepKey, VersionVector};
@@ -80,99 +80,26 @@ impl WriteMessage {
         out
     }
 
-    /// Encodes to canonical JSON into an existing buffer — the only encode
-    /// path, written directly against [`synapse_model::wire`]'s primitives
-    /// so no intermediate [`Value`] tree (nor its per-field clones) is
-    /// built. The bytes are pinned: identical to encoding the historical
-    /// `vmap!` tree, including the dependency map's key order — keys were
-    /// `BTreeMap<String, _>` entries, so they sort *lexicographically* by
-    /// decimal representation (`"10" < "9"`), not numerically.
+    /// Encodes to canonical JSON into an existing buffer, through the same
+    /// two encoders a live publish writes with (`encode_message`,
+    /// `encode_operation`).
     pub fn encode_into(&self, out: &mut String) {
-        out.push_str("{\"app\":");
-        wire::encode_str(&self.app, out);
-        out.push_str(",\"dependencies\":{");
-        let mut dep_keys: Vec<DepKey> = self.dependencies.keys().copied().collect();
-        dep_keys.sort_unstable_by(|a, b| {
-            let (mut abuf, mut bbuf) = ([0u8; 20], [0u8; 20]);
-            dec_digits(&mut abuf, *a).cmp(dec_digits(&mut bbuf, *b))
-        });
-        for (i, key) in dep_keys.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            wire::encode_u64(*key, out);
-            out.push_str("\":");
-            wire::encode_i64(self.dependencies[key] as i64, out);
-        }
-        out.push_str("},\"generation\":");
-        wire::encode_i64(self.generation as i64, out);
-        out.push_str(",\"operations\":[");
-        for (i, op) in self.operations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"attributes\":{");
-            for (j, (k, v)) in op.attributes.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                wire::encode_str(k, out);
-                out.push(':');
-                wire::encode_into(v, out);
-            }
-            out.push_str("},\"id\":");
-            wire::encode_i64(op.id.raw() as i64, out);
-            out.push_str(",\"operation\":");
-            wire::encode_str(&op.operation, out);
-            out.push_str(",\"types\":[");
-            for (j, t) in op.types.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                wire::encode_str(t, out);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"published_at\":");
-        wire::encode_i64(self.published_at as i64, out);
-        if !self.vectors.is_empty() {
-            // "vectors" sorts after "published_at", so appending it here
-            // keeps the canonical key order — and omitting it when empty
-            // keeps single-writer messages byte-identical to the scalar
-            // format.
-            out.push_str(",\"vectors\":{");
-            let mut vec_keys: Vec<DepKey> = self.vectors.keys().copied().collect();
-            vec_keys.sort_unstable_by(|a, b| {
-                let (mut abuf, mut bbuf) = ([0u8; 20], [0u8; 20]);
-                dec_digits(&mut abuf, *a).cmp(dec_digits(&mut bbuf, *b))
-            });
-            for (i, key) in vec_keys.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                wire::encode_u64(*key, out);
-                out.push_str("\":{");
-                let mut writers: Vec<(u64, u64)> = self.vectors[key].components().to_vec();
-                writers.sort_unstable_by(|(a, _), (b, _)| {
-                    let (mut abuf, mut bbuf) = ([0u8; 20], [0u8; 20]);
-                    dec_digits(&mut abuf, *a).cmp(dec_digits(&mut bbuf, *b))
-                });
-                for (j, (writer, counter)) in writers.iter().enumerate() {
-                    if j > 0 {
+        encode_message(
+            out,
+            &self.app,
+            &mut self.dep_list(),
+            self.generation,
+            |out| {
+                for (i, op) in self.operations.iter().enumerate() {
+                    if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    wire::encode_u64(*writer, out);
-                    out.push_str("\":");
-                    wire::encode_i64(*counter as i64, out);
+                    encode_operation(out, &op.operation, &op.types, op.id, &op.attributes);
                 }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push('}');
+            },
+            self.published_at,
+            &self.vectors,
+        );
     }
 
     /// Decodes from JSON, reading the text straight into the message over
@@ -331,20 +258,113 @@ fn read_by_key<'a, T>(
     Ok(is_object.then_some(entries))
 }
 
-/// Writes `v`'s decimal digits into `buf` and returns them — used to sort
-/// dependency keys in their historical string order without allocating.
-fn dec_digits(buf: &mut [u8; 20], v: u64) -> &[u8] {
-    let mut pos = buf.len();
-    let mut rest = v;
-    loop {
-        pos -= 1;
-        buf[pos] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
+/// Writes one message as canonical JSON (Fig. 6(b)) — the one envelope
+/// encoder, for [`WriteMessage::encode_into`], a live publish, a
+/// transaction and a bootstrap copy. `dependencies` holds each key once, in
+/// any order (sorted here); `operations` writes the array's elements,
+/// comma-separated, each by [`encode_operation`]. The bytes are pinned to
+/// the historical `vmap!` tree's, whose `BTreeMap<String, _>` keys sort by
+/// decimal text (`"10" < "9"`), not numerically.
+pub(crate) fn encode_message(
+    out: &mut String,
+    app: &str,
+    dependencies: &mut [(DepKey, u64)],
+    generation: u64,
+    operations: impl FnOnce(&mut String),
+    published_at: u64,
+    vectors: &BTreeMap<DepKey, VersionVector>,
+) {
+    out.push_str("{\"app\":");
+    wire::encode_str(app, out);
+    out.push_str(",\"dependencies\":{");
+    dependencies.sort_unstable_by_key(|(key, _)| decimal_order(*key));
+    for (i, (key, version)) in dependencies.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        out.push('"');
+        wire::encode_u64(*key, out);
+        out.push_str("\":");
+        wire::encode_i64(*version as i64, out);
     }
-    &buf[pos..]
+    out.push_str("},\"generation\":");
+    wire::encode_i64(generation as i64, out);
+    out.push_str(",\"operations\":[");
+    operations(out);
+    out.push_str("],\"published_at\":");
+    wire::encode_i64(published_at as i64, out);
+    if !vectors.is_empty() {
+        // "vectors" sorts after "published_at", so appending it here
+        // keeps the canonical key order — and omitting it when empty
+        // keeps single-writer messages byte-identical to the scalar
+        // format.
+        out.push_str(",\"vectors\":{");
+        let mut keys: Vec<DepKey> = vectors.keys().copied().collect();
+        keys.sort_unstable_by_key(|key| decimal_order(*key));
+        for (i, key) in keys.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('"');
+            wire::encode_u64(*key, out);
+            out.push_str("\":{");
+            let mut writers: Vec<(u64, u64)> = vectors[key].components().to_vec();
+            writers.sort_unstable_by_key(|(writer, _)| decimal_order(*writer));
+            for (j, (writer, counter)) in writers.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                out.push('"');
+                wire::encode_u64(*writer, out);
+                out.push_str("\":");
+                wire::encode_i64(*counter as i64, out);
+            }
+            out.push('}');
+        }
+        out.push('}');
+    }
+    out.push('}');
+}
+
+/// Writes one element of a message's `operations` array — the one
+/// operation encoder. `attributes` yields each attribute once, in name
+/// order; a publish passes them straight off the written record.
+pub(crate) fn encode_operation<K: AsRef<str>, V: Borrow<Value>>(
+    out: &mut String,
+    operation: &str,
+    types: &[String],
+    id: Id,
+    attributes: impl IntoIterator<Item = (K, V)>,
+) {
+    out.push_str("{\"attributes\":{");
+    for (i, (name, value)) in attributes.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        wire::encode_str(name.as_ref(), out);
+        out.push(':');
+        wire::encode_into(value.borrow(), out);
+    }
+    out.push_str("},\"id\":");
+    wire::encode_i64(id.raw() as i64, out);
+    out.push_str(",\"operation\":");
+    wire::encode_str(operation, out);
+    out.push_str(",\"types\":[");
+    for (i, t) in types.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        wire::encode_str(t, out);
+    }
+    out.push_str("]}");
+}
+
+/// A key under which `v` orders as its decimal text does (`10 < 100 < 9`):
+/// the digits left-aligned in twenty places, then the digit count, which
+/// puts a prefix first (`1 < 10`). Nothing is rendered.
+fn decimal_order(v: u64) -> (u128, u32) {
+    let digits = v.checked_ilog10().unwrap_or(0) + 1;
+    (u128::from(v) * 10u128.pow(20 - digits), digits)
 }
 
 /// Current wall-clock in microseconds since the Unix epoch.
@@ -528,8 +548,8 @@ mod tests {
     }
 
     /// The historical encoder: build the full `Value` tree (dependency keys
-    /// as decimal strings in a `BTreeMap<String, _>`) and encode that. The
-    /// direct writer must reproduce its bytes exactly.
+    /// and vector writers as decimal strings in `BTreeMap<String, _>`s) and
+    /// encode that. The direct writer must reproduce its bytes exactly.
     fn reference_encode(msg: &WriteMessage) -> String {
         let ops: Vec<Value> = msg
             .operations
@@ -550,13 +570,24 @@ mod tests {
             .iter()
             .map(|(k, v)| (k.to_string(), Value::from(*v)))
             .collect();
-        wire::encode(&vmap! {
+        let mut tree = vmap! {
             "app" => msg.app.clone(),
             "operations" => Value::Array(ops),
             "dependencies" => Value::Map(deps),
             "published_at" => msg.published_at,
             "generation" => msg.generation,
-        })
+        };
+        if !msg.vectors.is_empty() {
+            let vectors = msg.vectors.iter().map(|(k, vector)| {
+                let writers = vector.components().iter();
+                let writers = writers.map(|(w, c)| (w.to_string(), Value::from(*c)));
+                (k.to_string(), Value::Map(writers.collect()))
+            });
+            if let Value::Map(fields) = &mut tree {
+                fields.insert("vectors".to_owned(), Value::Map(vectors.collect()));
+            }
+        }
+        wire::encode(&tree)
     }
 
     #[test]
@@ -839,14 +870,16 @@ mod tests {
     }
 
     proptest! {
-        /// Generated messages, and a few hundred edits of each one's
-        /// encoding, decode alike; the untouched encoding round-trips.
+        /// Generated messages encode like the value tree; they, and a few
+        /// hundred edits of each one's encoding, decode alike; the untouched
+        /// encoding round-trips.
         #[test]
         fn decode_matches_reference_on_generated_and_mutated_encodings(
             msg in arb_message(),
             seed in any::<u64>(),
         ) {
             let text = msg.encode();
+            prop_assert_eq!(&text, &reference_encode(&msg));
             assert_decodes_like_reference(&text);
             prop_assert_eq!(WriteMessage::decode(&text).expect("own encoding"), msg);
             let mut rng = proptest::TestRng::new(seed);

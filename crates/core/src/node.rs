@@ -232,7 +232,8 @@ impl SynapseNode {
     /// attributes it subscribes to. Bidirectional models are exempt — a
     /// multi-writer mesh publishes and subscribes the *same* attributes by
     /// design, with concurrent writes handled by conflict resolution.
-    pub fn publish(&self, publication: Publication) -> Result<(), OrmError> {
+    /// Its fields are registered in wire order: sorted, each once.
+    pub fn publish(&self, mut publication: Publication) -> Result<(), OrmError> {
         let subs = self.subscriptions.read();
         if let Some(sub) = subs.iter().find(|s| {
             s.model == publication.model && !(s.bidirectional && publication.bidirectional)
@@ -249,6 +250,8 @@ impl SynapseNode {
             }
         }
         drop(subs);
+        publication.fields.sort_unstable();
+        publication.fields.dedup();
         self.publications
             .write()
             .insert(publication.model.clone(), Arc::new(publication));

@@ -14,11 +14,13 @@
 //! 3. executes the underlying query and reads back the written object;
 //! 4. commits a bidirectional object's vector stamp, runs the version-store
 //!    bump script and collects the dependency versions for the message;
-//! 5. marshals the published attributes, taking virtual getters from the
-//!    model's one hook table ([`Orm::hooks`]) — the bootstrap copier
-//!    marshals chunk rows the same way — and either publishes the message
-//!    or appends it to the open transaction buffer ("all writes within a
-//!    single transaction are combined into a single message");
+//! 5. encodes the operation's published attributes straight from the
+//!    written record into the message text, taking virtual getters from
+//!    the model's one hook table ([`Orm::hooks`]) — the bootstrap copier
+//!    encodes chunk rows the same way — and either publishes the message
+//!    or appends the encoded operation to the open transaction buffer
+//!    ("all writes within a single transaction are combined into a single
+//!    message");
 //! 6. journals the payload before handing it to the broker — the
 //!    2PC-flavoured guarantee that a crash between version bump and
 //!    publication can be recovered by [`Publisher::recover`].
@@ -31,16 +33,16 @@ use crate::api::{Publication, PublicationRegistry, Subscription, SubscriptionReg
 use crate::config::{backoff, RETRY_ATTEMPTS};
 use crate::context::{self, TxBuffer};
 use crate::deps::{normalize_dep_sets_with, writer_id, DepInterner, DepName, DepSpace};
-use crate::message::{now_micros, Operation, WriteMessage};
+use crate::message::{encode_message, encode_operation, now_micros};
 use crate::semantics::DeliveryMode;
 use parking_lot::{Condvar, Mutex};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 use synapse_broker::{Broker, SharedStr};
-use synapse_model::{Record, Value};
+use synapse_model::Record;
 use synapse_orm::{Orm, OrmError, QueryObserver, WriteExec, WriteIntent, WriteKind};
 use synapse_telemetry::{mono_nanos, Stage, Telemetry};
 use synapse_versionstore::{
@@ -123,6 +125,8 @@ struct PublishScratch {
     bumped: Vec<DepKey>,
     bump_out: Vec<(DepKey, u64)>,
     bump: BumpScratch,
+    /// The message's dependency map, one entry per key.
+    deps: Vec<(DepKey, u64)>,
     lock_keys: Vec<DepKey>,
 }
 
@@ -353,26 +357,6 @@ impl Publisher {
         Ok(())
     }
 
-    /// Marshals the record's published attributes (§4.1), evaluating
-    /// virtual-attribute getters — for a live write and, identically, for a
-    /// bootstrap chunk copy.
-    pub(crate) fn marshal(&self, orm: &Orm, publication: &Publication, record: &Record) -> Record {
-        let mut out = record.project(&[]);
-        let hooks = orm.hooks(&record.model);
-        for field in &publication.fields {
-            let value = match hooks.as_ref().and_then(|h| h.getter(field)) {
-                Some(getter) => getter(orm, record),
-                None => record.get(field).clone(),
-            };
-            if !value.is_null() {
-                out.attrs.insert(field.clone(), value);
-            } else if record.attrs.contains_key(field) {
-                out.attrs.insert(field.clone(), Value::Null);
-            }
-        }
-        out
-    }
-
     /// Computes `(write_deps, read_deps)` for an operation under the
     /// publisher's delivery mode (§4.2), into the scratch lists. Scope
     /// names are already interned, so extending the lists clones pointers;
@@ -417,13 +401,10 @@ impl Publisher {
     }
 
     /// Runs the bump protocol over the scratch dependency lists and
-    /// assembles the dependency map. `scratch.bumped` is left holding the
-    /// keys whose `ops` counter was incremented (needed to rebase
-    /// dependencies of later operations in the same transaction).
-    fn bump_versions(
-        &self,
-        scratch: &mut PublishScratch,
-    ) -> Result<BTreeMap<DepKey, u64>, StoreError> {
+    /// assembles the dependency map in `scratch.deps`. `scratch.bumped` is
+    /// left holding the keys whose `ops` counter was incremented (needed to
+    /// rebase dependencies of later operations in the same transaction).
+    fn bump_versions(&self, scratch: &mut PublishScratch) -> Result<(), StoreError> {
         scratch.script.clear();
         scratch.externals.clear();
         scratch.bumped.clear();
@@ -445,39 +426,56 @@ impl Publisher {
             .extend(scratch.script.iter().map(|(k, _)| *k));
         self.store
             .publish_bump_into(&scratch.script, &mut scratch.bump, &mut scratch.bump_out)?;
-        let mut deps = BTreeMap::new();
-        deps.extend(scratch.bump_out.iter().copied());
+        // Two names may share a key: the stable sort keeps each key's
+        // first entry, so the bump's last value for it wins, then the
+        // first external stamp.
+        scratch.deps.clear();
+        scratch.deps.extend(scratch.bump_out.iter().rev().copied());
         for key in &scratch.externals {
-            let value = self.sub_store.ops(*key).unwrap_or(0);
-            deps.entry(*key).or_insert(value);
+            let stamp = self.sub_store.ops(*key).unwrap_or(0);
+            scratch.deps.push((*key, stamp));
         }
-        Ok(deps)
+        scratch.deps.sort_by_key(|(key, _)| *key);
+        scratch.deps.dedup_by_key(|(key, _)| *key);
+        Ok(())
     }
 
     /// Publishes (or buffers) one operation with its dependency map, route
     /// key and, for bidirectional models, the object's stamped vector.
+    /// `encode_op` writes the operation; `began` is the clock read that
+    /// starts its encode. Returns the clock read that ends the publish.
     fn emit(
         &self,
-        op: Operation,
-        deps: BTreeMap<DepKey, u64>,
-        route_key: u64,
+        encode_op: impl Fn(&mut String),
+        deps: &mut [(DepKey, u64)],
         bumped: &[DepKey],
+        route_key: u64,
         stamp: Option<(DepKey, VersionVector)>,
-    ) {
+        began: u64,
+    ) -> u64 {
         self.operations.fetch_add(1, Ordering::Relaxed);
         let dep_count = deps.len() as u64;
-        // The operation is moved into whichever sink takes it; the slot
-        // hands it through the scope closure without a clone.
-        let mut slot = Some(op);
+        // A transaction's operation is encoded on its own, before the scope
+        // is borrowed: a virtual getter runs inside the encode and may
+        // publish too.
+        let in_tx = context::scope_mut(|scope| scope.tx_buffer.is_some()).unwrap_or(false);
+        let (mut fragment, mut encoded) = (String::new(), began);
+        if in_tx {
+            fragment.reserve(128);
+            encode_op(&mut fragment);
+            encoded = mono_nanos();
+        }
         let mut stamp_slot = stamp;
-        let buffered = context::scope_mut(|scope| {
-            if let Some(buf) = scope.tx_buffer.as_mut() {
+        let buffered = context::scope_mut(|scope| match scope.tx_buffer.as_mut() {
+            Some(buf) if in_tx => {
                 if buf.operations.is_empty() {
                     buf.route = route_key;
+                } else {
+                    buf.operations.push(',');
                 }
-                buf.operations
-                    .push(slot.take().expect("operation emitted once"));
-                for (k, v) in &deps {
+                buf.operations.push_str(&fragment);
+                buf.encode_nanos += encoded - began;
+                for (k, v) in deps.iter() {
                     // Rebase by the increments earlier buffered operations
                     // already contributed, so the message only waits on
                     // pre-transaction state.
@@ -494,73 +492,87 @@ impl Publisher {
                     buf.vectors.entry(key).or_default().join(&vector);
                 }
                 true
-            } else {
+            }
+            _ => {
                 scope.messages += 1;
                 scope.deps_published += dep_count;
                 false
             }
         })
         .unwrap_or(false);
-        if !buffered {
-            let op = slot.take().expect("unbuffered operation retained");
-            let vectors = stamp_slot.into_iter().collect();
-            self.publish_message(vec![op], deps, vectors, route_key);
+        if buffered {
+            return encoded;
         }
+        // Outside a transaction — or one a getter closed meanwhile, whose
+        // operation then goes out alone.
+        let vectors = stamp_slot.into_iter().collect();
+        let write_op = |out: &mut String| {
+            if in_tx {
+                out.push_str(&fragment);
+            } else {
+                encode_op(out);
+            }
+        };
+        self.publish_message(deps, &vectors, write_op, route_key, began, encoded - began)
     }
 
-    /// Builds, journals, and publishes a message. The monotonic origin
-    /// stamp taken here anchors the message's end-to-end visibility
-    /// latency; it rides the broker envelope (never the pinned wire
-    /// format) and survives in the journal for recovery republishes.
-    pub(crate) fn publish_message(
+    /// Encodes, journals and publishes a message. `began`, the clock read
+    /// that starts its encode, is the monotonic origin stamp that anchors
+    /// its visibility latency; it rides the broker envelope and the journal,
+    /// never the wire format. `encoded_before` is encode time a
+    /// transaction's operations took. Returns the clock read that ends it.
+    fn publish_message(
         &self,
-        operations: Vec<Operation>,
-        deps: BTreeMap<DepKey, u64>,
-        vectors: BTreeMap<DepKey, VersionVector>,
+        deps: &mut [(DepKey, u64)],
+        vectors: &BTreeMap<DepKey, VersionVector>,
+        operations: impl FnOnce(&mut String),
         route_key: u64,
-    ) {
-        let origin_nanos = mono_nanos();
-        let mode = self.mode.slice();
-        let msg = WriteMessage {
-            app: self.app.clone(),
+        began: u64,
+        encoded_before: u64,
+    ) -> u64 {
+        // The thread's buffer is taken out rather than borrowed, since
+        // `operations` may run a virtual getter that publishes too. One
+        // right-sized Arc allocation is frozen from it for journal + broker.
+        let mut buf = ENCODE_SCRATCH.take();
+        buf.clear();
+        let (app, generation) = (&self.app, self.generations.current());
+        encode_message(
+            &mut buf,
+            app,
+            deps,
+            generation,
             operations,
-            dependencies: deps,
-            published_at: now_micros(),
-            generation: self.generations.current(),
+            now_micros(),
             vectors,
-        };
-        // Encode into the thread's scratch buffer, then freeze one
-        // right-sized Arc allocation for journal + broker.
-        let payload = ENCODE_SCRATCH.with(|buf| {
-            let mut buf = buf.borrow_mut();
-            buf.clear();
-            msg.encode_into(&mut buf);
-            SharedStr::from(buf.as_str())
-        });
-        let encoded_nanos = mono_nanos();
-        self.telemetry
-            .record_stage(mode, Stage::WireEncode, encoded_nanos - origin_nanos);
+        );
+        let payload = SharedStr::from(buf.as_str());
+        ENCODE_SCRATCH.set(buf);
+        let encoded = mono_nanos();
         let seq = self.journal_seq.fetch_add(1, Ordering::Relaxed);
         self.journal
             .lock()
-            .insert(seq, (payload.clone(), origin_nanos, route_key));
-        if self.fail_publish.load(Ordering::SeqCst) {
-            // Simulated crash window: the journal retains the payload.
-            return;
-        }
+            .insert(seq, (payload.clone(), began, route_key));
         // §4.2's 2PC tail: the payload leaves the journal only once the
         // broker confirms it. Exhausted retries leave it journaled — the
         // version bump already happened, so dropping the payload here
-        // would silently lose the write (§6.5's root failure mode).
-        if self.send_with_retry(&payload, origin_nanos, route_key) {
-            self.telemetry.record_stage(
-                mode,
-                Stage::BrokerEnqueue,
-                mono_nanos().saturating_sub(encoded_nanos),
-            );
+        // would silently lose the write (§6.5's root failure mode). While
+        // publish failure is injected (a crash window), the journal alone
+        // retains it.
+        let sent = !self.fail_publish.load(Ordering::SeqCst)
+            && self.send_with_retry(&payload, began, route_key);
+        if sent {
             self.messages_published.fetch_add(1, Ordering::Relaxed);
             self.journal.lock().remove(&seq);
         }
+        let end = mono_nanos();
+        let mode = self.mode.slice();
+        let encode = encoded_before + (encoded - began);
+        self.telemetry.record_stage(mode, Stage::WireEncode, encode);
+        if sent {
+            self.telemetry
+                .record_stage(mode, Stage::BrokerEnqueue, end - encoded);
+        }
+        end
     }
 
     /// Flushes a transaction buffer as a single combined message.
@@ -568,16 +580,20 @@ impl Publisher {
         if buffer.operations.is_empty() {
             return;
         }
+        let began = mono_nanos();
         let dep_count = buffer.dependencies.len() as u64;
         context::scope_mut(|scope| {
             scope.messages += 1;
             scope.deps_published += dep_count;
         });
+        let mut deps: Vec<(DepKey, u64)> = buffer.dependencies.into_iter().collect();
         self.publish_message(
-            buffer.operations,
-            buffer.dependencies,
-            buffer.vectors,
+            &mut deps,
+            &buffer.vectors,
+            |out| out.push_str(&buffer.operations),
             buffer.route,
+            began,
+            buffer.encode_nanos,
         );
     }
 
@@ -615,7 +631,12 @@ impl QueryObserver for Publisher {
         intent: &WriteIntent,
         exec: &mut WriteExec<'_>,
     ) -> Result<Record, OrmError> {
-        let start = Instant::now();
+        // Each stage boundary is one clock read, which also starts the next
+        // stage: intercept | dep_compute (deps, then after `exec` the stamp
+        // and bump) | wire_encode | broker_enqueue. Their sum is the
+        // publisher's time, the scope's `synapse_nanos`; the reservation,
+        // the lock wait and `exec` fall outside it.
+        let start = mono_nanos();
         self.check_ownership(intent)?;
         let publication = self.publications.read().get(intent.model).cloned();
         let publication = match publication {
@@ -629,7 +650,7 @@ impl QueryObserver for Publisher {
         }
 
         let mut scratch = take_scratch();
-        let intercept_nanos = start.elapsed().as_nanos() as u64;
+        let intercepted = mono_nanos();
         self.compute_deps(intent, &mut scratch);
         scratch.lock_keys.clear();
         scratch
@@ -637,15 +658,7 @@ impl QueryObserver for Publisher {
             .extend(scratch.write_deps.iter().map(|d| self.dep_space.key(d)));
         scratch.lock_keys.sort_unstable();
         scratch.lock_keys.dedup();
-        let pre_nanos = start.elapsed().as_nanos() as u64;
-        let mode = self.mode.slice();
-        self.telemetry
-            .record_stage(mode, Stage::Intercept, intercept_nanos);
-        self.telemetry.record_stage(
-            mode,
-            Stage::DepCompute,
-            pre_nanos.saturating_sub(intercept_nanos),
-        );
+        let computed = mono_nanos();
 
         // A bidirectional write runs an incoming apply's admission script on
         // the mesh name every writer stamps and classifies at, reserving
@@ -668,7 +681,7 @@ impl QueryObserver for Publisher {
             }
         };
 
-        let post = Instant::now();
+        let executed = mono_nanos();
         // The stamp: all this node recorded for the object plus one of its
         // own. A dead sub store sends the write out unstamped.
         let stamp = mesh.and_then(|(key, object, admission)| {
@@ -681,18 +694,13 @@ impl QueryObserver for Publisher {
             admission.commit(&version).ok()?;
             Some((key, vector))
         });
-        let deps = match self.bump_versions(&mut scratch) {
-            Ok(d) => d,
-            Err(StoreError::Dead) => {
-                // §4.4: increment the generation and resume with a fresh
-                // store; subscribers flush on seeing the new generation.
-                self.handle_store_death();
-                self.bump_versions(&mut scratch)
-                    .expect("revived store accepts the bump")
-            }
-        };
-        let marshalled = self.marshal(orm, &publication, &record);
-        let op = Operation::from_record(intent.kind.wire_name(), marshalled);
+        if let Err(StoreError::Dead) = self.bump_versions(&mut scratch) {
+            // §4.4: increment the generation and resume with a fresh
+            // store; subscribers flush on seeing the new generation.
+            self.handle_store_death();
+            self.bump_versions(&mut scratch)
+                .expect("revived store accepts the bump");
+        }
         // Partition routing key: the object dependency that heads
         // `write_deps`, so all of one object's messages ride one broker
         // partition in publish order (a combined transaction message routes
@@ -704,17 +712,77 @@ impl QueryObserver for Publisher {
             DeliveryMode::Global => 0,
             _ => self.dep_space.key(&scratch.write_deps[0]),
         };
-        self.emit(op, deps, route_key, &scratch.bumped, stamp);
+        let bumped = mono_nanos();
+        let encode_op = |out: &mut String| {
+            encode_published(out, orm, &publication, intent.kind.wire_name(), &record);
+        };
+        let (deps, keys) = (&mut scratch.deps, &scratch.bumped);
+        let end = self.emit(encode_op, deps, keys, route_key, stamp, bumped);
         drop(guard);
         scratch.lock_keys = lock_keys;
+        let mode = self.mode.slice();
+        self.telemetry
+            .record_stage(mode, Stage::Intercept, intercepted - start);
+        let dep_compute = (computed - intercepted) + (bumped - executed);
+        self.telemetry
+            .record_stage(mode, Stage::DepCompute, dep_compute);
 
         // Maintain the in-controller causal chain.
         let first_write = scratch.write_deps.first().cloned();
         put_scratch(scratch);
         context::scope_mut(|scope| {
             scope.last_write_dep = first_write.clone();
-            scope.synapse_nanos += pre_nanos + post.elapsed().as_nanos() as u64;
+            scope.synapse_nanos += (computed - start) + (end - executed);
         });
         Ok(record)
+    }
+}
+
+/// Encodes `record` as one `operation` of the wire format with its
+/// publication's attributes (§4.1), straight from the record: each
+/// published field in the publication's sorted order, a virtual getter's
+/// value where the model has one, an explicit null kept, an absent field
+/// left out — for a live write and, identically, for a bootstrap copy.
+pub(crate) fn encode_published(
+    out: &mut String,
+    orm: &Orm,
+    publication: &Publication,
+    operation: &str,
+    record: &Record,
+) {
+    let hooks = orm.hooks(&record.model);
+    let attributes = publication.fields.iter().filter_map(|field| {
+        let value = match hooks.as_ref().and_then(|h| h.getter(field)) {
+            Some(getter) => Cow::Owned(getter(orm, record)),
+            None => Cow::Borrowed(record.get(field)),
+        };
+        (!value.is_null() || record.attrs.contains_key(field)).then_some((field, value))
+    });
+    encode_operation(out, operation, &record.types, record.id, attributes);
+}
+
+#[cfg(test)]
+mod tests;
+
+#[cfg(test)]
+impl Publisher {
+    /// The marshalled record the publish path once built (§4.1) — the
+    /// oracle [`encode_published`]'s bytes are checked against. It takes
+    /// the publication's fields as given, repeats and order included.
+    pub(crate) fn marshal(orm: &Orm, publication: &Publication, record: &Record) -> Record {
+        let mut out = record.project(&[]);
+        let hooks = orm.hooks(&record.model);
+        for field in &publication.fields {
+            let value = match hooks.as_ref().and_then(|h| h.getter(field)) {
+                Some(getter) => getter(orm, record),
+                None => record.get(field).clone(),
+            };
+            if !value.is_null() {
+                out.attrs.insert(field.clone(), value);
+            } else if record.attrs.contains_key(field) {
+                out.attrs.insert(field.clone(), synapse_model::Value::Null);
+            }
+        }
+        out
     }
 }

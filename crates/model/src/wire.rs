@@ -39,7 +39,7 @@ pub fn encode_into(value: &Value, out: &mut String) {
         Value::Bool(false) => out.push_str("false"),
         Value::Int(i) => encode_i64(*i, out),
         Value::Float(x) => encode_float(*x, out),
-        Value::Str(s) => encode_string(s, out),
+        Value::Str(s) => encode_str(s, out),
         Value::Array(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -56,7 +56,7 @@ pub fn encode_into(value: &Value, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                encode_string(k, out);
+                encode_str(k, out);
                 out.push(':');
                 encode_into(v, out);
             }
@@ -159,31 +159,35 @@ impl std::fmt::Write for FloatBuf {
 
 /// Appends `s` as a JSON string literal (quoted, minimally escaped) — the
 /// canonical escaping used everywhere a key or string crosses the wire.
+/// Each run of characters that needs no escape is copied whole.
 pub fn encode_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                // c < 0x20, so the escape is always "\u00" + 2 hex digits.
-                const HEX: &[u8; 16] = b"0123456789abcdef";
-                let b = c as u32;
-                out.push_str("\\u00");
-                out.push(HEX[(b >> 4) as usize] as char);
-                out.push(HEX[(b & 0xf) as usize] as char);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // An escaped byte is ASCII, so `i` is a character boundary.
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            // b < 0x20, so the escape is always "\u00" + 2 hex digits.
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
-}
-
-fn encode_string(s: &str, out: &mut String) {
-    encode_str(s, out);
 }
 
 /// Parses JSON text into a [`Value`].
@@ -601,6 +605,42 @@ mod tests {
         let v = Value::from("\u{0001}\u{001f}");
         assert_eq!(encode(&v), "\"\\u0001\\u001f\"");
         assert_eq!(roundtrip(&v), v);
+    }
+
+    /// Copying the runs that need no escape whole writes what escaping
+    /// each character in turn wrote.
+    #[test]
+    fn run_copying_matches_per_character_escaping() {
+        fn reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for s in [
+            "",
+            "plain",
+            "é❤😀",
+            "\"a\\b\"",
+            "x\r\ny\t",
+            &controls,
+            "ä\u{1}ö\u{1f}",
+        ] {
+            let mut out = String::new();
+            encode_str(s, &mut out);
+            assert_eq!(out, reference(s), "{s:?}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 # Alternating parent/change benchmark pairs — the comparison every PR that
 # touches a hot path owes (choosing-metrics §8).
 #
-#   scripts/pairs.sh <parent-rev> [workload…] [--pairs N] [--trace]
+#   scripts/pairs.sh <parent-rev> [workload…] [--pairs N] [--trace [N]]
 #
 # Unpacks <parent-rev> (`git archive`) and a snapshot of the working tree
 # (its tracked and unignored files, taken at start) under $TMPDIR, and builds
@@ -13,10 +13,13 @@
 # alternating. Prints, per end-to-end metric, both medians and inter-quartile
 # ranges, wins/ties/losses of the change, and whether the gap is wider than
 # the parent's own IQR and than the metric's bound. With --trace it then
-# makes one `--trace 1` run per side per workload on the first pair's seed
-# and prints every per-layer metric side by side with its change/parent
-# ratio — which stage a change moved, in the same command. Nothing is
-# written into the working tree, so it may be edited while this runs.
+# makes N (default 3) `--trace 1` runs per side per workload, on N seeds
+# (the first N pairs' seeds), the side that goes first alternating, and
+# prints every per-layer metric's median and IQR per side with the ratio
+# of the medians — which stage a change moved, with its spread, in the
+# same command: one traced run cannot attribute a gain, since stages a
+# change never touched move between runs too. Nothing is written into the
+# working tree, so it may be edited while this runs.
 # Exit code: non-zero when a run was incorrect or failed an operation, or
 # when the change's median is worse than the parent's by more than the
 # bound.
@@ -30,14 +33,16 @@ parent_rev=""
 while (($#)); do
   case "$1" in
     --pairs) pairs="$2"; shift ;;
-    --trace) trace=1 ;;
+    --trace)
+      trace=3
+      if [[ "${2:-}" =~ ^[0-9]+$ ]]; then trace="$2"; shift; fi ;;
     -*) echo "scripts/pairs.sh: unknown argument $1" >&2; exit 2 ;;
     *) if [[ -z "$parent_rev" ]]; then parent_rev="$1"; else workloads+=("$1"); fi ;;
   esac
   shift
 done
 if [[ -z "$parent_rev" ]]; then
-  echo "usage: scripts/pairs.sh <parent-rev> [workload…] [--pairs N] [--trace]" >&2
+  echo "usage: scripts/pairs.sh <parent-rev> [workload…] [--pairs N] [--trace [N]]" >&2
   exit 2
 fi
 if ((${#workloads[@]} == 0)); then
@@ -75,14 +80,17 @@ for workload in "${workloads[@]}"; do
       printf '%s\t%s\t%s\t%s\n' "$workload" "$seed" "$side" "$line" >>"$work/runs.tsv"
     done
   done
-  if ((trace)); then
-    for side in parent change; do
-      echo "pairs: $workload traced seed $base_seed $side" >&2
+  for ((i = 0; i < trace; i++)); do
+    seed=$((base_seed + i))
+    order=(parent change)
+    ((i % 2)) && order=(change parent)
+    for side in "${order[@]}"; do
+      echo "pairs: $workload traced run $((i + 1))/$trace seed $seed $side" >&2
       line="$(CARGO_TARGET_DIR="$work/target-$side" bash "${root[$side]}/benchmark/run.sh" \
-        --workload "$workload" --seed "$base_seed" --trace 1 2>/dev/null | tail -n 1)" || status=1
-      printf '%s\t%s\t%s\t%s\n' "$workload" "$base_seed" "$side" "$line" >>"$work/traced.tsv"
+        --workload "$workload" --seed "$seed" --trace 1 2>/dev/null | tail -n 1)" || status=1
+      printf '%s\t%s\t%s\t%s\n' "$workload" "$seed" "$side" "$line" >>"$work/traced.tsv"
     done
-  fi
+  done
 done
 
 python3 - "$work/runs.tsv" BENCHMARK.json "$work/traced.tsv" <<'PY' || status=1
@@ -137,7 +145,8 @@ for workload, metrics in data.items():
         print(f"    parent runs {' '.join(f'{x:.4g}' for x in parent)}")
         print(f"    change runs {' '.join(f'{x:.4g}' for x in change)}")
 
-# Traced runs (--trace): every per-layer metric, parent beside change.
+# Traced runs (--trace N): every per-layer metric's median and IQR per
+# side, and the ratio of the medians.
 traced = {}
 try:
     lines = open(sys.argv[3]).read().splitlines()
@@ -152,15 +161,26 @@ for line in lines:
     if not run.get("correct") or run.get("failed") != 0:
         print(f"INCORRECT traced {workload} seed {seed} {side}: correct={run.get('correct')} failed={run.get('failed')}")
         bad += 1
-    traced.setdefault((workload, seed), {})[side] = run.get("metrics", {})
-for (workload, seed), sides in traced.items():
-    print(f"\n{workload} traced, seed {seed}: per-layer metrics, ratio = change / parent")
+    traced.setdefault(workload, {}).setdefault(side, {})[seed] = run.get("metrics", {})
+for workload, sides in traced.items():
+    seeds = sorted(set().union(*(s.keys() for s in sides.values())))
+    print(f"\n{workload} traced, seeds {' '.join(seeds)}: per-layer median (IQR) per side, ratio = change / parent median")
     for m in manifest["per_layer"]:
         name = m["name"]
-        p, c = (sides.get(s, {}).get(name, {}).get("value") for s in ("parent", "change"))
+        cells, medians = [], []
+        for side in ("parent", "change"):
+            xs = [v for r in sides.get(side, {}).values()
+                  if (v := r.get(name, {}).get("value")) is not None]
+            if xs:
+                lo, hi = iqr(xs)
+                medians.append(median(xs))
+                cells.append(f"{median(xs):.4g} ({lo:.4g}..{hi:.4g})")
+            else:
+                medians.append(None)
+                cells.append("-")
+        p, c = medians
         ratio = f"{c / p:.3f}" if p and c is not None else "-"
-        cell = lambda v: "-" if v is None else f"{v:.4g}"
-        print(f"  {name:44} {cell(p):>12} {cell(c):>12}  x{ratio:<7} [{m['unit']}, {m['better']} is better]")
+        print(f"  {name:44} {cells[0]:>30} {cells[1]:>30}  x{ratio:<7} [{m['unit']}, {m['better']} is better]")
 sys.exit(1 if bad or worse else 0)
 PY
 exit "$status"

@@ -170,6 +170,26 @@ fn intercepted_publish(mode: DeliveryMode) -> u64 {
     })
 }
 
+/// Allocations of a two-create transaction inside a user scope, which
+/// publishes one combined message.
+fn transaction_publish(mode: DeliveryMode) -> u64 {
+    let (_eco, publisher) = publishing_pair(mode);
+    let orm = publisher.orm();
+    let user = DepName::object("pub1", "User", Id(1));
+    fewest(|i| {
+        let (first, second) = (1 + 2 * i, 2 + 2 * i);
+        let (a, b, user) = (row(first), row(second), user.clone());
+        count(|| {
+            with_user_scope(user, || {
+                publisher.transaction(|| {
+                    orm.create_with_id("Post", Id(first), a).unwrap();
+                    orm.create_with_id("Post", Id(second), b).unwrap()
+                })
+            })
+        })
+    })
+}
+
 /// `(create, update)` allocations of `Subscriber::process` on a
 /// PostgreSQL subscriber in causal mode.
 fn subscriber_process() -> [u64; 2] {
@@ -258,12 +278,17 @@ fn replication_stays_within_its_allocation_ceilings() {
         (
             "publish create, weak".to_owned(),
             intercepted_publish(DeliveryMode::Weak),
-            48,
+            33,
         ),
         (
             "publish create, causal".to_owned(),
             intercepted_publish(DeliveryMode::Causal),
-            48,
+            33,
+        ),
+        (
+            "publish 2-create transaction, causal".to_owned(),
+            transaction_publish(DeliveryMode::Causal),
+            74,
         ),
         ("Subscriber::process create".to_owned(), create, 60),
         ("Subscriber::process update".to_owned(), update, 61),
