@@ -16,7 +16,7 @@
 //! * [`analyzer`] — the keyword extractor standing in for the Textalytics
 //!   service (documented substitution in DESIGN.md);
 //! * [`stress`] — the §6.3 social-network stress workload (25 % posts,
-//!   75 % comments, cross-user dependencies) used by the Fig. 13 benches.
+//!   75 % comments, cross-user dependencies) behind the Fig. 13 tests.
 
 pub mod analyzer;
 pub mod crowdtap;

@@ -19,7 +19,7 @@ use synapse_core::{
     SynapseNode,
 };
 use synapse_db::LatencyModel;
-use synapse_model::{vmap, Id, ModelSchema, Value};
+use synapse_model::{vmap, Id, ModelSchema};
 use synapse_orm::adapters;
 use synapse_orm::CallbackPoint;
 
@@ -273,9 +273,4 @@ pub fn drain_and_throughput(pair: &StressPair, load: &LoadReport, timeout: Durat
     let processed = pair.subscriber.subscriber_stats().messages_processed;
     let total = load.elapsed + start.elapsed();
     processed as f64 / total.as_secs_f64()
-}
-
-/// A [`Value`] helper kept for bench ergonomics.
-pub fn val(v: impl Into<Value>) -> Value {
-    v.into()
 }

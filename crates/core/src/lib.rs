@@ -38,8 +38,6 @@
 //! * `config` — [`SynapseConfig`], what a deployment sets, and the
 //!   constants that are not settable ([`RETRY_ATTEMPTS`],
 //!   [`BOOTSTRAP_CHUNK_ROWS`], [`VERSION_STORE_SHARDS`]).
-//! * `migration` — §4.3's static check of a schema migration against a
-//!   publication ([`check_migration`]).
 //! * [`testing`] — the testing framework of §4.5: factories, static
 //!   publish/subscribe checks, payload emulation.
 
@@ -52,7 +50,6 @@ mod context;
 mod deps;
 mod durability;
 mod message;
-mod migration;
 mod node;
 mod publisher;
 mod resolve;
@@ -72,7 +69,6 @@ pub use context::{
 pub use deps::{mesh_object, normalize_dep_sets, writer_id, DepName, DepSpace};
 pub use durability::{NodeSnapshot, SnapshotStats, SnapshotStore};
 pub use message::{Operation, WriteMessage};
-pub use migration::{check_migration, MigrationStep};
 pub use node::{Ecosystem, NodeStats, SynapseNode};
 pub use publisher::{Publisher, PublisherStats};
 pub use resolve::{ConflictCtx, ConflictResolver, Resolution, ResolverRegistry};

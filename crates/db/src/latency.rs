@@ -5,29 +5,15 @@
 //! Elasticsearch ≈ 20 k writes/s, …). In-process engines would all be far
 //! faster than the real systems and — worse — in the *wrong order*, so each
 //! vendor profile carries a latency model calibrated to the paper's
-//! saturation points. The model busy-spins rather than sleeps: OS sleep
-//! granularity (~50 µs minimum, often 1 ms) would flatten every curve,
-//! whereas spinning burns CPU exactly like a real engine doing real work.
+//! saturation points.
 //!
-//! Unit tests construct engines with the model disabled ([`LatencyModel::off`])
-//! so the suite stays fast; the benchmark harness enables it.
-//!
-//! Charging can either *sleep* (default — the thread yields, modelling a
-//! client waiting on a network-attached database; scaling benches need
-//! this so worker counts matter even on few cores) or *spin* (burning CPU
-//! like an embedded engine doing real work).
+//! A charge sleeps: the thread blocks like a client waiting on a
+//! network-attached database, so worker counts matter even on a machine
+//! with few cores, where busy-waiting workers would only take turns.
+//! Engines are built with the model disabled ([`LatencyModel::off`])
+//! unless a measurement asks for the calibration.
 
-use std::time::{Duration, Instant};
-
-/// How a latency charge occupies the thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LatencyMode {
-    /// Block the thread without consuming CPU (network-attached DB).
-    #[default]
-    Sleep,
-    /// Busy-wait, consuming CPU (in-process engine work).
-    Spin,
-}
+use std::time::Duration;
 
 /// Per-operation synthetic costs for one engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +24,6 @@ pub struct LatencyModel {
     pub write: Duration,
     /// Master switch; `false` makes both charges free.
     pub enabled: bool,
-    /// Sleep or spin while charging.
-    pub mode: LatencyMode,
 }
 
 impl LatencyModel {
@@ -49,35 +33,21 @@ impl LatencyModel {
             read: Duration::ZERO,
             write: Duration::ZERO,
             enabled: false,
-            mode: LatencyMode::Sleep,
         }
     }
 
-    /// A model with the given per-operation costs, enabled, sleeping.
+    /// A model with the given per-operation costs, enabled.
     pub fn new(read: Duration, write: Duration) -> Self {
         LatencyModel {
             read,
             write,
             enabled: true,
-            mode: LatencyMode::Sleep,
-        }
-    }
-
-    /// A busy-waiting variant of [`LatencyModel::new`].
-    pub fn spinning(read: Duration, write: Duration) -> Self {
-        LatencyModel {
-            mode: LatencyMode::Spin,
-            ..Self::new(read, write)
         }
     }
 
     fn charge(&self, d: Duration) {
-        if !self.enabled || d.is_zero() {
-            return;
-        }
-        match self.mode {
-            LatencyMode::Sleep => std::thread::sleep(d),
-            LatencyMode::Spin => spin_for(d),
+        if self.enabled && !d.is_zero() {
+            std::thread::sleep(d);
         }
     }
 
@@ -98,20 +68,10 @@ impl Default for LatencyModel {
     }
 }
 
-/// Busy-waits for `d` with microsecond fidelity.
-fn spin_for(d: Duration) {
-    if d.is_zero() {
-        return;
-    }
-    let deadline = Instant::now() + d;
-    while Instant::now() < deadline {
-        std::hint::spin_loop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn disabled_model_is_free() {

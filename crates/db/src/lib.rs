@@ -43,5 +43,5 @@ mod table;
 pub use engine::{Capabilities, Engine, EngineKind, EngineStats, TxnId};
 pub use error::DbError;
 pub use faults::{DbFaultStats, DbFaults};
-pub use latency::{LatencyMode, LatencyModel};
+pub use latency::LatencyModel;
 pub use query::{Filter, Query, QueryResult, Row};

@@ -7,8 +7,8 @@
 //! writes/s, Elasticsearch ≈ 20 k writes/s) and to the relative ordering
 //! implied by Fig. 13(b)'s "slowest end" annotations (Elasticsearch slower
 //! than Cassandra, RethinkDB slower than MongoDB, PostgreSQL slower than
-//! TokuMX, Neo4j slower than MySQL). Latency is disabled in tests and
-//! enabled by the benchmark harness.
+//! TokuMX, Neo4j slower than MySQL). Engines run with latency disabled
+//! except in the Fig. 13(b) measurement (`tests/figures.rs`).
 
 use crate::columnar::ColumnarDb;
 use crate::document::DocumentDb;

@@ -20,17 +20,19 @@
 //!    determinism: the same seed yields identical outcome counters on a
 //!    second full run. Set `SYNAPSE_SEED` to reproduce a specific run.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
+use synapse_repro::core::testing::emulate_delivery;
 use synapse_repro::core::{
-    Ecosystem, Publication, Subscription, SynapseConfig, SynapseNode, VERSION_STORE_SHARDS,
+    DepName, Ecosystem, Operation, Publication, Subscription, SynapseConfig, SynapseNode,
+    WriteMessage, VERSION_STORE_SHARDS,
 };
 use synapse_repro::faults::{
     FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, InjectorStats, SeededRng,
     Side,
 };
-use synapse_repro::model::vmap;
+use synapse_repro::model::{vmap, Id, Record, Value};
 use synapse_repro::orm::CallbackPoint;
 
 mod common;
@@ -434,4 +436,96 @@ fn seeded_soak_converges_deterministically_with_zero_silent_loss() {
         !first.dead_letter_ids.is_empty(),
         "poison pills must reach the dead-letter store"
     );
+}
+
+/// §4.4, pinned from seed 7's row 11: after a publisher store death the
+/// subscriber has moved to generation 3 when a generation-2 update of the
+/// row, judged before the bump, arrives behind generation 3's update of
+/// it. The late write passes its dependency wait on the newer
+/// generation's bump (its scalar 1 beats the flushed store's 0) and
+/// overwrites the newer value.
+#[test]
+#[ignore = "§4.4 defect, unfixed: an older generation's late write overwrites a newer one (ROADMAP)"]
+fn an_older_generation_write_arriving_late_loses_to_a_newer_one() {
+    let eco = Ecosystem::new();
+    let _publisher = publishing_node(&eco);
+    let subscriber = subscribing_node(&eco, SynapseConfig::new("sub"));
+    eco.connect();
+    let key = |id| {
+        let dep = DepName::object("pub", "Post", Id(id));
+        subscriber.config().dep_space.key(&dep)
+    };
+    let write = |generation, op: &str, id, dep: u64, version: i64| {
+        let attrs = [
+            ("body", Value::from("b")),
+            ("version", Value::from(version)),
+        ];
+        let attrs = attrs.map(|(k, v)| (k.to_owned(), v)).into_iter().collect();
+        WriteMessage {
+            app: "pub".to_owned(),
+            operations: vec![Operation::from_record(
+                op,
+                Record::with_attrs("Post", Id(id), attrs),
+            )],
+            dependencies: BTreeMap::from([(key(id), dep)]),
+            published_at: 0,
+            generation,
+            vectors: BTreeMap::new(),
+        }
+    };
+    for msg in [
+        write(3, "create", 1, 0, 1),
+        write(3, "update", 11, 0, 1154),
+        write(2, "update", 11, 1, 1056),
+    ] {
+        let _ = subscriber.subscriber().process(&emulate_delivery(&msg));
+    }
+    let row = subscriber.orm().find("Post", Id(11)).unwrap();
+    let version = row.map(|r| r.get("version").clone());
+    assert_eq!(
+        version,
+        Some(Value::from(1154)),
+        "ops_stale {}",
+        subscriber.subscriber_stats().ops_stale
+    );
+}
+
+/// §4.4 under strict causal mode: a publisher shard kill bumps the
+/// generation and revives only the dead shard, so keys on the live shards
+/// carry their counters into the new generation while the subscriber
+/// flushed its own; their next updates wait forever.
+#[test]
+#[ignore = "§4.4 defect, unfixed: updates after a publisher shard kill wedge a strict subscriber (ROADMAP)"]
+fn a_strict_subscriber_survives_a_publisher_shard_kill() {
+    let eco = Ecosystem::new();
+    let publisher = publishing_node(&eco);
+    let config = SynapseConfig::new("sub").wait_timeout(None).workers(1);
+    let subscriber = subscribing_node(&eco, config);
+    eco.connect();
+    eco.start_all();
+    let orm = publisher.orm();
+    let ids: Vec<Id> = (0..20)
+        .map(|i| orm.create("Post", vmap! { "body" => format!("b{i}"), "version" => 0 }))
+        .map(|r| r.unwrap().id)
+        .collect();
+    let lagging = |version: i64| {
+        let replica = |id| subscriber.orm().find("Post", id).unwrap();
+        let at = |id| replica(id).map(|r| r.get("version").as_int() == Some(version));
+        ids.iter().filter(|id| at(**id) != Some(true)).count()
+    };
+    for &id in &ids {
+        orm.update("Post", id, vmap! { "version" => 1 }).unwrap();
+    }
+    assert!(eventually(Duration::from_secs(5), || lagging(1) == 0));
+    publisher.pub_store().kill_shard(0);
+    for &id in &ids {
+        orm.update("Post", id, vmap! { "version" => 2 }).unwrap();
+    }
+    let settled = eventually(Duration::from_secs(5), || lagging(2) == 0);
+    assert!(
+        settled,
+        "{} of 20 rows never show the second update",
+        lagging(2)
+    );
+    eco.stop_all();
 }

@@ -1,0 +1,989 @@
+//! The paper's evaluation (§5–§6) as asserted tests. Each figure's
+//! measurement is a function that returns its table; one test per claim
+//! asserts the shape the paper reports and prints the table.
+//!
+//! ```text
+//! cargo test --release --test figures -- --nocapture --test-threads=1
+//! ```
+//!
+//! regenerates every table in EXPERIMENTS.md. Every test holds one lock
+//! ([`exclusive`]), so no timed measurement shares the machine with another
+//! test's load even when the harness runs tests on parallel threads.
+//! Scaled parameters (threads for EC2 instances, shorter callbacks and
+//! traces) are listed per figure in EXPERIMENTS.md. Table 1's 63-pair
+//! matrix is `tests/support_matrix.rs`.
+
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
+use synapse_repro::apps::stress::{self, StressConfig, StressPair};
+use synapse_repro::apps::{crowdtap, social};
+use synapse_repro::broker::QueueConfig;
+use synapse_repro::core::{
+    add_read_deps, with_user_scope, ControllerStats, DeliveryMode, DepName, Ecosystem, Publication,
+    SynapseConfig, WriteMessage,
+};
+use synapse_repro::db::{profiles, LatencyModel};
+use synapse_repro::faults::SeededRng;
+use synapse_repro::model::{vmap, Id, ModelSchema};
+use synapse_repro::mvc::Request;
+use synapse_repro::orm::adapters::{self, MongoidAdapter};
+use synapse_repro::orm::CallbackPoint;
+
+mod common;
+use common::eventually;
+
+/// Serializes the tests of this file: every test holds the guard for its
+/// whole run.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Prints `rows` under `title`, the first column left-aligned.
+fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
+    println!("\n{title}");
+    let line = |cells: &[String]| {
+        let (first, rest) = cells.split_first().expect("a row has a label");
+        let rest: String = rest.iter().map(|c| format!(" {c:>9}")).collect();
+        println!("{first:<26}{rest}");
+    };
+    line(header);
+    rows.iter().for_each(|r| line(r));
+}
+
+/// `label` followed by each value formatted with `fmt`.
+fn row<T>(label: impl Into<String>, values: &[T], fmt: impl Fn(&T) -> String) -> Vec<String> {
+    std::iter::once(label.into())
+        .chain(values.iter().map(fmt))
+        .collect()
+}
+
+fn header<T: std::fmt::Display>(label: &str, columns: &[T]) -> Vec<String> {
+    row(label, columns, |c| c.to_string())
+}
+
+// ---------------------------------------------------------------------
+// Fig. 13(c): subscriber throughput vs. workers, per delivery mode.
+
+const MODES: [DeliveryMode; 3] = [
+    DeliveryMode::Global,
+    DeliveryMode::Causal,
+    DeliveryMode::Weak,
+];
+const MODE_WORKERS: [usize; 5] = [1, 2, 4, 8, 16];
+/// The paper's 100 ms "heavy processing" callback, scaled down.
+const CALLBACK: Duration = Duration::from_millis(4);
+const BACKLOG_USERS: u64 = 32;
+const BACKLOG_OPS: u64 = 128;
+
+/// Drain rate (msg/s) of one published §6.3 backlog: one row per mode of
+/// [`MODES`], one column per count of [`MODE_WORKERS`]. Measured once per
+/// test binary.
+fn fig13c_delivery_modes() -> &'static [Vec<f64>] {
+    static TABLE: OnceLock<Vec<Vec<f64>>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        drain_rate(DeliveryMode::Weak, 16); // warm-up
+        let table: Vec<Vec<f64>> = MODES
+            .iter()
+            .map(|&mode| MODE_WORKERS.iter().map(|&w| drain_rate(mode, w)).collect())
+            .collect();
+        let rows: Vec<_> = MODES
+            .iter()
+            .zip(&table)
+            .map(|(mode, rates)| row(mode.name(), rates, |r| format!("{r:.0}")))
+            .collect();
+        print_table(
+            "Fig. 13(c): drain rate (msg/s) vs. workers, 4 ms callback",
+            &header("mode", &MODE_WORKERS),
+            &rows,
+        );
+        table
+    })
+}
+
+/// Publishes the whole backlog into a stopped subscriber's queue, then
+/// starts `workers` workers and times the drain, as the figure does.
+fn drain_rate(mode: DeliveryMode, workers: usize) -> f64 {
+    let eco = Ecosystem::new();
+    let pair = stress::build_pair(
+        &eco,
+        "mongodb",
+        "mongodb",
+        mode,
+        workers,
+        LatencyModel::off(),
+    );
+    stress::install_callback_delay(&pair.subscriber, CALLBACK);
+    assert!(eco.connect().is_empty());
+    publish_backlog(&pair);
+    let started = Instant::now();
+    pair.subscriber.start();
+    assert!(pair.subscriber.subscriber().drain(Duration::from_secs(60)));
+    let processed = pair.subscriber.subscriber_stats().messages_processed;
+    let rate = processed as f64 / started.elapsed().as_secs_f64();
+    eco.stop_all();
+    rate
+}
+
+/// The §6.3 mix from one thread, a fixed count: a quarter of the writes
+/// are posts, the rest comment on a random earlier post, each inside its
+/// author's scope.
+fn publish_backlog(pair: &StressPair) {
+    let (orm, app) = (pair.publisher.orm(), pair.publisher.app());
+    for u in 1..=BACKLOG_USERS {
+        orm.create_with_id("User", Id(u), vmap! { "name" => format!("user-{u}") })
+            .unwrap();
+    }
+    let mut rng = SeededRng::new(0x13c);
+    let mut posts = Vec::new();
+    for _ in 0..BACKLOG_OPS {
+        let user = 1 + rng.gen_below(BACKLOG_USERS);
+        with_user_scope(DepName::object(app, "User", Id(user)), || {
+            if posts.is_empty() || rng.gen_ratio(1, 4) {
+                let post = vmap! { "author_id" => user, "body" => "helo" };
+                posts.push(orm.create("Post", post).unwrap().id);
+            } else {
+                let post = posts[rng.gen_below(posts.len() as u64) as usize];
+                orm.find("Post", post).unwrap();
+                let comment =
+                    vmap! { "post_id" => post.raw(), "author_id" => user, "body" => "typo" };
+                orm.create("Comment", comment).unwrap();
+            }
+        });
+    }
+}
+
+#[test]
+fn fig13c_global_is_flat_across_worker_counts() {
+    let _guard = exclusive();
+    let global = &fig13c_delivery_modes()[0];
+    for (rate, workers) in global.iter().zip(MODE_WORKERS) {
+        let flat = rate / global[0];
+        assert!(
+            (0.85..=1.15).contains(&flat),
+            "global at {workers} workers is {flat:.2}× its 1-worker rate"
+        );
+    }
+}
+
+#[test]
+#[ignore = "not met: a worker pops up to 32 deliveries of its home partition at once, \
+            so a backlog this size keeps workers past the 8 partitions idle (ROADMAP)"]
+fn fig13c_weak_is_near_linear_to_16_workers() {
+    let _guard = exclusive();
+    let weak = &fig13c_delivery_modes()[2];
+    for (rate, workers) in weak.iter().zip(MODE_WORKERS) {
+        let linear = rate / (weak[0] * workers as f64);
+        assert!(
+            linear >= 0.8,
+            "weak at {workers} workers is {linear:.2}× linear"
+        );
+    }
+}
+
+#[test]
+fn fig13c_causal_lies_between_global_and_weak() {
+    let _guard = exclusive();
+    let [global, causal, weak] = [0, 1, 2].map(|m| &fig13c_delivery_modes()[m]);
+    for (i, workers) in MODE_WORKERS.iter().enumerate() {
+        // The margin is for one worker, where all three drain one serial
+        // chain and meet within ~15 % run to run (EXPERIMENTS.md).
+        assert!(
+            causal[i] >= 0.8 * global[i] && causal[i] <= 1.2 * weak[i],
+            "causal {:.0} msg/s at {workers} workers is outside [global {:.0}, weak {:.0}]",
+            causal[i],
+            global[i],
+            weak[i]
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fig. 13(b): end-to-end throughput vs. workers, per database pair.
+
+/// The figure's pairs, each with the per-write latency (µs) of its slower
+/// engine; the DB-less pair first.
+const PAIRS: [(&str, &str, u64); 5] = [
+    ("ephemeral", "ephemeral", 0),
+    ("cassandra", "elasticsearch", 50),
+    ("mongodb", "rethinkdb", 55),
+    ("postgresql", "tokumx", 83),
+    ("mysql", "neo4j", 90),
+];
+const PAIR_WORKERS: [usize; 5] = [1, 2, 4, 8, 16];
+/// Sleep granularity (50–100 µs) would blur calibrated costs of 25–90
+/// µs, so every latency is scaled up by this factor.
+const LATENCY_SCALE: u32 = 4;
+const LOAD_STEP: Duration = Duration::from_millis(150);
+
+/// Messages per second, load plus drain: one row per pair of [`PAIRS`],
+/// one column per count of [`PAIR_WORKERS`] (N publisher threads against
+/// N subscriber workers). Measured once per test binary.
+fn fig13b_throughput() -> &'static [Vec<f64>] {
+    static TABLE: OnceLock<Vec<Vec<f64>>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let table: Vec<Vec<f64>> = PAIRS.iter().map(|&(p, s, _)| pair_row(p, s)).collect();
+        let rows: Vec<_> = PAIRS
+            .iter()
+            .zip(&table)
+            .map(|((p, s, _), rates)| row(format!("{p} → {s}"), rates, |r| format!("{r:.0}")))
+            .collect();
+        print_table(
+            "Fig. 13(b): throughput (msg/s) vs. workers, latency ×4",
+            &header("pair", &PAIR_WORKERS),
+            &rows,
+        );
+        table
+    })
+}
+
+/// One pair's sweep. The DB-less pair's rates spread more than its trend,
+/// so its row is the per-count median of three sweeps.
+fn pair_row(pub_vendor: &str, sub_vendor: &str) -> Vec<f64> {
+    let sweep = || -> Vec<f64> {
+        let rate = |&w| pair_run(pub_vendor, sub_vendor, w);
+        PAIR_WORKERS.iter().map(rate).collect()
+    };
+    if pub_vendor != "ephemeral" {
+        return sweep();
+    }
+    let sweeps = [(); 3].map(|_| sweep());
+    let median = |i: usize| {
+        let mut runs = sweeps.each_ref().map(|s| s[i]);
+        runs.sort_by(f64::total_cmp);
+        runs[1]
+    };
+    (0..PAIR_WORKERS.len()).map(median).collect()
+}
+
+fn pair_run(pub_vendor: &str, sub_vendor: &str, workers: usize) -> f64 {
+    let latency = |vendor| {
+        let base = profiles::calibrated_latency(vendor);
+        match base.enabled {
+            true => LatencyModel::new(base.read * LATENCY_SCALE, base.write * LATENCY_SCALE),
+            false => base,
+        }
+    };
+    let eco = Ecosystem::new();
+    let pair = stress::build_pair_with_latencies(
+        &eco,
+        pub_vendor,
+        sub_vendor,
+        DeliveryMode::Causal,
+        workers,
+        latency(pub_vendor),
+        latency(sub_vendor),
+    );
+    assert!(eco.connect().is_empty());
+    eco.start_all();
+    let config = StressConfig {
+        users: 50,
+        post_percent: 25,
+        publisher_threads: workers,
+        duration: LOAD_STEP,
+    };
+    let load = stress::run_load(&pair, &config);
+    let rate = stress::drain_and_throughput(&pair, &load, Duration::from_secs(30));
+    eco.stop_all();
+    rate
+}
+
+#[test]
+fn fig13b_the_db_less_pair_does_not_gain_from_workers() {
+    let _guard = exclusive();
+    let db_less = &fig13b_throughput()[0];
+    // In a debug build one and two workers run within a quarter of each
+    // other, either way round (EXPERIMENTS.md): a gain is more than that.
+    for (rate, workers) in db_less.iter().zip(PAIR_WORKERS) {
+        assert!(
+            *rate <= 1.25 * db_less[0],
+            "the DB-less pair gains at {workers} workers: {rate:.0} against {:.0} msg/s",
+            db_less[0]
+        );
+    }
+    assert!(db_less[PAIR_WORKERS.len() - 1] < db_less[0], "{db_less:?}");
+}
+
+#[test]
+fn fig13b_each_db_pair_rises_with_workers() {
+    let _guard = exclusive();
+    for (rates, (p, s, _)) in fig13b_throughput()[1..].iter().zip(&PAIRS[1..]) {
+        let best = rates.iter().copied().fold(0.0, f64::max);
+        assert!(
+            best >= 2.0 * rates[0],
+            "{p} → {s} peaks at {best:.0} msg/s, {:.2}× its 1-worker rate",
+            best / rates[0]
+        );
+    }
+}
+
+#[test]
+#[ignore = "not met on two cores: from 8 to 16 workers some pairs keep rising and others fall, \
+            and their order is not their slower engine's (ROADMAP)"]
+fn fig13b_each_db_pair_saturates_at_its_slower_engine() {
+    let _guard = exclusive();
+    let table = fig13b_throughput();
+    let last = PAIR_WORKERS.len() - 1;
+    for (rates, (p, s, _)) in table[1..].iter().zip(&PAIRS[1..]) {
+        let gain = rates[last] / rates[last - 1];
+        assert!(
+            (0.85..=1.15).contains(&gain),
+            "{p} → {s} has not plateaued: {gain:.2}× from 8 to 16 workers"
+        );
+    }
+    // A slower engine saturates lower.
+    for i in 2..PAIRS.len() {
+        assert!(
+            table[i][last] <= table[i - 1][last],
+            "{} → {} (slower engine {} µs) outruns {} → {} ({} µs)",
+            PAIRS[i].0,
+            PAIRS[i].1,
+            PAIRS[i].2,
+            PAIRS[i - 1].0,
+            PAIRS[i - 1].1,
+            PAIRS[i - 1].2
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fig. 13(a): publisher overhead vs. number of dependencies.
+
+const VENDORS: [&str; 6] = [
+    "mysql",
+    "postgresql",
+    "tokumx",
+    "mongodb",
+    "cassandra",
+    "ephemeral",
+];
+const DEP_COUNTS: [usize; 10] = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000];
+const DEP_ROUNDS: usize = 9;
+
+/// Median publisher time (µs) of a controller that reads d − 1 objects and
+/// updates one: one row per count of [`DEP_COUNTS`], one column per vendor
+/// of [`VENDORS`]. The time is the scope's own `synapse_nanos` (Fig. 12's
+/// instrumentation), not a subtraction from the engine's.
+fn fig13a_dependencies() -> Vec<Vec<f64>> {
+    let columns: Vec<Vec<f64>> = VENDORS.iter().map(|v| overhead_by_deps(v)).collect();
+    let table: Vec<Vec<f64>> = (0..DEP_COUNTS.len())
+        .map(|i| columns.iter().map(|c| c[i]).collect())
+        .collect();
+    let rows: Vec<_> = DEP_COUNTS
+        .iter()
+        .zip(&table)
+        .map(|(d, us)| row(d.to_string(), us, |u| format!("{u:.1}")))
+        .collect();
+    print_table(
+        "Fig. 13(a): publisher overhead (µs, median) vs. dependencies",
+        &header("deps", &VENDORS),
+        &rows,
+    );
+    table
+}
+
+fn overhead_by_deps(vendor: &str) -> Vec<f64> {
+    let eco = Ecosystem::new();
+    let node = eco.add_node(
+        SynapseConfig::new(format!("deps_{vendor}")),
+        adapters::for_vendor(vendor, LatencyModel::off()),
+    );
+    let schema = match vendor {
+        "mysql" | "postgresql" => ModelSchema::new("Post").field("body").field("n"),
+        _ => ModelSchema::open("Post"),
+    };
+    node.orm().define_model(schema).unwrap();
+    node.publish(Publication::model("Post").fields(&["body", "n"]))
+        .unwrap();
+    let max = DEP_COUNTS[DEP_COUNTS.len() - 1] as u64;
+    for i in 1..=max {
+        let post = vmap! { "body" => "x", "n" => 0 };
+        node.orm().create_with_id("Post", Id(i), post).unwrap();
+    }
+    let user = DepName::object(node.app(), "User", Id(1));
+    let reads: Vec<String> = (1..max).map(|i| format!("dep/{i}")).collect();
+    let reads: Vec<&str> = reads.iter().map(String::as_str).collect();
+    let mut fresh = max;
+    // Rounds visit every count in turn, so a drift in the machine's speed
+    // lands on all counts alike. A scope right after a larger one runs
+    // slower, so a round goes from the largest count down, and each count
+    // runs twice with the second run as the sample.
+    let mut samples = vec![Vec::new(); DEP_COUNTS.len()];
+    for round in 0..DEP_ROUNDS {
+        for (deps, column) in DEP_COUNTS.iter().zip(&mut samples).rev() {
+            let n = round as i64;
+            let mut scope = || {
+                if vendor == "ephemeral" {
+                    // Ephemerals keep nothing to read: the reads are
+                    // explicit and each write is a fresh create.
+                    add_read_deps(&reads[..deps - 1]);
+                    fresh += 1;
+                    let post = vmap! { "body" => "x", "n" => n };
+                    node.orm().create_with_id("Post", Id(fresh), post).unwrap();
+                } else {
+                    for i in 1..*deps as u64 {
+                        node.orm().find("Post", Id(i)).unwrap();
+                    }
+                    let id = Id(*deps as u64);
+                    node.orm().update("Post", id, vmap! { "n" => n }).unwrap();
+                }
+            };
+            with_user_scope(user.clone(), &mut scope);
+            column.push(with_user_scope(user.clone(), scope).1.synapse_nanos);
+        }
+    }
+    let median = |mut column: Vec<u64>| {
+        column.sort_unstable();
+        column[column.len() / 2] as f64 / 1e3
+    };
+    eco.stop_all();
+    samples.into_iter().map(median).collect()
+}
+
+/// Run to run, a median moves up to ~10 % (EXPERIMENTS.md), so a step may
+/// fall by this share before it counts as a fall.
+const DEP_NOISE: f64 = 0.15;
+
+#[test]
+fn fig13a_publisher_overhead_is_monotone_in_dependencies() {
+    let _guard = exclusive();
+    let table = fig13a_dependencies();
+    let last = DEP_COUNTS.len() - 1;
+    for (v, vendor) in VENDORS.iter().enumerate() {
+        for i in 1..DEP_COUNTS.len() {
+            assert!(
+                table[i][v] >= (1.0 - DEP_NOISE) * table[i - 1][v],
+                "{vendor}: {:.1} µs at {} dependencies, {:.1} µs at {}",
+                table[i][v],
+                DEP_COUNTS[i],
+                table[i - 1][v],
+                DEP_COUNTS[i - 1]
+            );
+        }
+        assert!(
+            table[last][v] >= 10.0 * table[0][v],
+            "{vendor}: 1000 dependencies cost only {:.1}× one",
+            table[last][v] / table[0][v]
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fig. 12: publisher overheads in real applications.
+
+/// The Fig. 12(a) mix: (controller, weight, business-logic µs). The last
+/// column is the paper's mean controller time ÷ 50, the Rails work the
+/// in-process stack does not have; it makes overhead percentages
+/// comparable in shape.
+const MIX: [(&str, u64, i64); 5] = [
+    ("awards/index", 170, 1130),
+    ("brands/show", 160, 1950),
+    ("actions/index", 150, 3630),
+    ("me/show", 120, 290),
+    ("actions/update", 115, 6120),
+];
+const TRACE_CALLS: usize = 600;
+const SOCIAL_ROUNDS: usize = 40;
+
+/// Per-controller statistics by app: a Crowdtap trace over [`MIX`]
+/// (12(a)), and three Diaspora and three Discourse controllers (12(b)).
+fn fig12_overheads() -> Vec<(&'static str, Arc<ControllerStats>)> {
+    let (diaspora, discourse) = social_rounds();
+    let apps = vec![
+        ("Crowdtap", crowdtap_trace()),
+        ("Diaspora", diaspora),
+        ("Discourse", discourse),
+    ];
+    for (app, stats) in &apps {
+        let rows: Vec<_> = stats
+            .controllers()
+            .iter()
+            .map(|c| {
+                let r = stats.row(c).unwrap();
+                let cells = [
+                    r.calls as f64,
+                    r.mean_messages,
+                    r.mean_deps_per_message,
+                    r.mean_total.as_secs_f64() * 1e3,
+                    r.mean_synapse.as_secs_f64() * 1e3,
+                    100.0 * r.overhead,
+                ];
+                row(c.as_str(), &cells, |x| format!("{x:.2}"))
+            })
+            .collect();
+        let columns = [
+            "calls", "msg/call", "deps/msg", "ctrl ms", "syn ms", "syn %",
+        ];
+        print_table(
+            &format!("Fig. 12: {app}"),
+            &header("controller", &columns),
+            &rows,
+        );
+    }
+    apps
+}
+
+fn crowdtap_trace() -> Arc<ControllerStats> {
+    let eco = Ecosystem::new();
+    let apps = crowdtap::build(&eco, LatencyModel::off());
+    assert!(eco.connect().is_empty());
+    eco.start_all();
+    let users = crowdtap::seed(&apps.main, 40, 8);
+    // 15 actions per user, the paper's ~17.8 dependencies per message on
+    // actions/index.
+    for _ in 0..14 {
+        for (i, u) in users.iter().enumerate() {
+            let action = vmap! {
+                "user_id" => u.raw(),
+                "brand_id" => (i % 8 + 1) as u64,
+                "kind" => "poll",
+                "status" => "pending",
+            };
+            apps.main.orm().create("Action", action).unwrap();
+        }
+    }
+    let total: u64 = MIX.iter().map(|m| m.1).sum();
+    let mut rng = SeededRng::new(42);
+    for _ in 0..TRACE_CALLS {
+        let mut pick = rng.gen_below(total);
+        let &(controller, _, work) = MIX
+            .iter()
+            .find(|m| {
+                pick < m.1 || {
+                    pick -= m.1;
+                    false
+                }
+            })
+            .unwrap();
+        let user = users[rng.gen_below(users.len() as u64) as usize];
+        let req = Request::as_user(user).param("app_work_us", work);
+        // The paper's messages per call: 3 % of brand views bump a
+        // counter, 67 % of action listings touch an action, and an action
+        // update writes three rows plus a brand bump 46 % of the time.
+        let req = match controller {
+            "brands/show" => req
+                .param("brand_id", 1 + rng.gen_below(8) as i64)
+                .param("bump_views", rng.gen_ratio(3, 100)),
+            "actions/index" => req.param("touch", rng.gen_ratio(67, 100)),
+            "actions/update" => req
+                .param("action_id", 1 + rng.gen_below(40) as i64)
+                .param("bump_brand", rng.gen_ratio(46, 100)),
+            _ => req,
+        };
+        apps.main.dispatch(controller, &req).unwrap();
+    }
+    eco.stop_all();
+    apps.main.stats().clone()
+}
+
+/// Diaspora's and Discourse's controllers, each with the paper's Fig. 12(b)
+/// controller time ÷ 50 as its business logic.
+fn social_rounds() -> (Arc<ControllerStats>, Arc<ControllerStats>) {
+    let eco = Ecosystem::new();
+    let apps = social::build(&eco, LatencyModel::off());
+    assert!(eco.connect().is_empty());
+    eco.start_all();
+    let users = social::seed_users(&apps.diaspora, &[("alice", "a@x.com"), ("bob", "b@x.com")]);
+    for i in 0..SOCIAL_ROUNDS {
+        let user = users[i % 2];
+        let req = |work: i64| Request::as_user(user).param("app_work_us", work);
+        let calls = [
+            (&apps.diaspora, "stream/index", req(2122)),
+            (
+                &apps.diaspora,
+                "friends/create",
+                req(1226).param("user_id", users[(i + 1) % 2].raw()),
+            ),
+            (
+                &apps.diaspora,
+                "posts/create",
+                req(1796).param("body", format!("post {i} on topic-{}", i % 5)),
+            ),
+            (&apps.discourse, "topics/index", req(940)),
+            (
+                &apps.discourse,
+                "topics/create",
+                req(2380).param("title", format!("topic {i}")),
+            ),
+            (
+                &apps.discourse,
+                "posts/create",
+                req(2060).param("topic_id", 1_i64).param("body", "reply"),
+            ),
+        ];
+        for (app, controller, req) in calls {
+            app.dispatch(controller, &req).unwrap();
+        }
+    }
+    eco.stop_all();
+    (
+        apps.diaspora.stats().clone(),
+        apps.discourse.stats().clone(),
+    )
+}
+
+#[test]
+fn fig12_overhead_follows_messages_per_call() {
+    let _guard = exclusive();
+    for (app, stats) in fig12_overheads() {
+        let rows: Vec<_> = stats
+            .controllers()
+            .iter()
+            .map(|c| stats.row(c).unwrap())
+            .collect();
+        let (reads, writes): (Vec<_>, Vec<_>) = rows.iter().partition(|r| r.mean_messages == 0.0);
+        assert!(!reads.is_empty() && !writes.is_empty(), "{app}");
+        for r in &reads {
+            assert!(
+                r.overhead < 0.001,
+                "{app} {}: read-only costs {:.2} %",
+                r.controller,
+                100.0 * r.overhead
+            );
+        }
+        let dearest_read = reads.iter().map(|r| r.overhead).fold(0.0, f64::max);
+        for w in &writes {
+            assert!(
+                w.overhead > dearest_read,
+                "{app} {} costs no more than a read",
+                w.controller
+            );
+        }
+        if app == "Crowdtap" {
+            let mut by_messages: Vec<_> = rows.iter().collect();
+            by_messages.sort_by(|a, b| a.mean_messages.total_cmp(&b.mean_messages));
+            for pair in by_messages.windows(2) {
+                assert!(
+                    pair[1].mean_synapse >= pair[0].mean_synapse,
+                    "{} ({:.2} msg/call) costs {:?} a call, {} ({:.2} msg/call) {:?}",
+                    pair[1].controller,
+                    pair[1].mean_messages,
+                    pair[1].mean_synapse,
+                    pair[0].controller,
+                    pair[0].mean_messages,
+                    pair[0].mean_synapse
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fig. 9: execution timelines in the social ecosystem.
+
+type Timeline = Arc<Mutex<Vec<(Duration, String)>>>;
+
+fn note(timeline: &Timeline, start: Instant, label: impl Into<String>) {
+    timeline
+        .lock()
+        .unwrap()
+        .push((start.elapsed(), label.into()));
+}
+
+fn print_timeline(title: &str, timeline: &Timeline) -> Vec<(Duration, String)> {
+    let mut events = timeline.lock().unwrap().clone();
+    events.sort();
+    println!("\n{title}");
+    for (at, label) in &events {
+        println!("  {:>8.2} ms  {label}", at.as_secs_f64() * 1e3);
+    }
+    events
+}
+
+/// Fig. 9(a): one Diaspora post flows to the mailer and the analyzer, and
+/// the analyzer's decorated User flows on to Spree.
+fn fig9a_timeline() -> Vec<(Duration, String)> {
+    let eco = Ecosystem::new();
+    let apps = social::build(&eco, LatencyModel::off());
+    assert!(eco.connect().is_empty());
+    let (timeline, start): (Timeline, _) = (Timeline::default(), Instant::now());
+    for (app, label) in [(&apps.mailer, "mailer"), (&apps.analyzer, "analyzer")] {
+        let t = timeline.clone();
+        app.orm()
+            .on("Post", CallbackPoint::BeforeCreate, move |_, _| {
+                note(&t, start, label);
+                Ok(())
+            });
+    }
+    let t = timeline.clone();
+    apps.spree
+        .orm()
+        .on("User", CallbackPoint::BeforeUpdate, move |_, user| {
+            if !user.get("interests").is_null() {
+                note(&t, start, "spree");
+            }
+            Ok(())
+        });
+    eco.start_all();
+    let users = social::seed_users(&apps.diaspora, &[("alice", "a@x.com")]);
+    note(&timeline, start, "diaspora");
+    let post = Request::as_user(users[0]).param("body", "hiking hiking hiking");
+    apps.diaspora.dispatch("posts/create", &post).unwrap();
+    let noted = || timeline.lock().unwrap().len();
+    assert!(eventually(Duration::from_secs(10), || noted() >= 4));
+    eco.stop_all();
+    print_timeline("Fig. 9(a): one post through the ecosystem", &timeline)
+}
+
+/// Fig. 9(b): two users post twice each while the mailer is offline; the
+/// mailer comes online and catches up. Each processed post is noted as
+/// `start <body>` and `end <body>` around a 30 ms notification.
+fn fig9b_timeline() -> Vec<(Duration, String)> {
+    let eco = Ecosystem::new();
+    let apps = social::build(&eco, LatencyModel::off());
+    assert!(eco.connect().is_empty());
+    let (timeline, start): (Timeline, _) = (Timeline::default(), Instant::now());
+    let t = timeline.clone();
+    apps.mailer
+        .orm()
+        .on("Post", CallbackPoint::AfterCreate, move |_, post| {
+            let body = post.get("body").as_str().unwrap_or("?").to_owned();
+            note(&t, start, format!("start {body}"));
+            std::thread::sleep(Duration::from_millis(30));
+            note(&t, start, format!("end {body}"));
+            Ok(())
+        });
+    for app in ["diaspora", "discourse", "analyzer", "spree"] {
+        eco.node(app).unwrap().start();
+    }
+    let users = social::seed_users(&apps.diaspora, &[("alice", "a@x.com"), ("bob", "b@x.com")]);
+    for round in 1..=2 {
+        for (user, name) in users.iter().zip(["alice", "bob"]) {
+            let post = Request::as_user(*user).param("body", format!("{name}-{round}"));
+            apps.diaspora.dispatch("posts/create", &post).unwrap();
+        }
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    note(&timeline, start, "online");
+    apps.mailer.node().start();
+    let noted = || timeline.lock().unwrap().len();
+    assert!(eventually(Duration::from_secs(10), || noted() >= 9));
+    eco.stop_all();
+    print_timeline("Fig. 9(b): the mailer offline, then catching up", &timeline)
+}
+
+/// When `label` happened in `events`.
+fn at(events: &[(Duration, String)], label: &str) -> Duration {
+    let found = events.iter().find(|(_, l)| l == label);
+    found
+        .unwrap_or_else(|| panic!("no {label} in {events:?}"))
+        .0
+}
+
+#[test]
+#[ignore = "a race: the mailer's worker and the analyzer → Spree chain run in parallel, \
+            and in 5 runs of 20 Spree is first (ROADMAP)"]
+fn fig9a_spree_receives_the_decorated_user_after_the_mailer_saw_the_post() {
+    let _guard = exclusive();
+    let a = fig9a_timeline();
+    assert!(at(&a, "spree") > at(&a, "mailer"), "{a:?}");
+}
+
+#[test]
+fn fig9_event_orders() {
+    let _guard = exclusive();
+    let a = fig9a_timeline();
+    assert!(at(&a, "spree") > at(&a, "analyzer"), "{a:?}");
+
+    let b = fig9b_timeline();
+    let online = at(&b, "online");
+    assert!(
+        b.iter().all(|(t, l)| l == "online" || *t >= online),
+        "{b:?}"
+    );
+    for name in ["alice", "bob"] {
+        let first_done = at(&b, &format!("end {name}-1"));
+        assert!(first_done <= at(&b, &format!("start {name}-2")), "{b:?}");
+    }
+    // The two users' backlogs run in parallel: a post of each is in
+    // flight at once.
+    let span = |post: &str| at(&b, &format!("start {post}"))..at(&b, &format!("end {post}"));
+    let overlap = ["alice-1", "alice-2"].iter().any(|a| {
+        ["bob-1", "bob-2"].iter().any(|b| {
+            let (a, b) = (span(a), span(b));
+            a.start < b.end && b.start < a.end
+        })
+    });
+    assert!(overlap, "the users' posts never interleave: {b:?}");
+}
+
+// ---------------------------------------------------------------------
+// Fig. 8: dependency tracking and message generation.
+
+/// The dependencies of the figure's four messages, each as sorted
+/// `name:version` strings with the figure's names (u1, u2, p1, c1, c2).
+fn fig8_dependencies() -> Vec<Vec<String>> {
+    let eco = Ecosystem::new();
+    let publisher = eco.add_node(
+        SynapseConfig::new("pub"),
+        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
+    );
+    let orm = publisher.orm();
+    for m in ["User", "Post", "Comment"] {
+        orm.define_model(ModelSchema::open(m)).unwrap();
+    }
+    // Users are not published: the walk-through tracks them only as
+    // session dependencies.
+    publisher
+        .publish(Publication::model("Post").fields(&["author_id", "body"]))
+        .unwrap();
+    publisher
+        .publish(Publication::model("Comment").fields(&["post_id", "author_id", "body"]))
+        .unwrap();
+    eco.connect();
+    // One partition, so the messages pop in publish order.
+    let raw = QueueConfig {
+        partitions: 1,
+        ..Default::default()
+    };
+    eco.broker().declare_queue("fig8", raw);
+    eco.broker().bind("pub", "fig8");
+
+    let u1 = orm.create("User", vmap! { "name" => "User1" }).unwrap().id;
+    let u2 = orm.create("User", vmap! { "name" => "User2" }).unwrap().id;
+    let user = |id| DepName::object("pub", "User", id);
+    let comment = |author: Id, post: Id, body: &str| {
+        orm.find("Post", post).unwrap().unwrap();
+        let c = vmap! { "post_id" => post.raw(), "author_id" => author.raw(), "body" => body };
+        orm.create("Comment", c).unwrap();
+    };
+    // W1: User1 posts; W2: User2 comments; W3: User1 comments back;
+    // W4: User1 fixes the post.
+    let (post, _) = with_user_scope(user(u1), || {
+        let p = vmap! { "author_id" => u1.raw(), "body" => "helo" };
+        orm.create("Post", p).unwrap().id
+    });
+    with_user_scope(user(u2), || comment(u2, post, "you have a typo"));
+    with_user_scope(user(u1), || comment(u1, post, "thanks for noticing"));
+    with_user_scope(user(u1), || {
+        orm.update("Post", post, vmap! { "body" => "hello" })
+            .unwrap();
+    });
+
+    let space = &publisher.config().dep_space;
+    let names: BTreeMap<u64, &str> = [
+        ("u1", user(u1)),
+        ("u2", user(u2)),
+        ("p1", DepName::object("pub", "Post", post)),
+        ("c1", DepName::object("pub", "Comment", Id(1))),
+        ("c2", DepName::object("pub", "Comment", Id(2))),
+    ]
+    .into_iter()
+    .map(|(name, dep)| (space.key(&dep), name))
+    .collect();
+    let consumer = eco.broker().consumer("fig8").unwrap();
+    let mut messages = Vec::new();
+    while let Some(d) = consumer.pop(Duration::from_millis(200)) {
+        let msg = WriteMessage::decode(&d.payload).unwrap();
+        let mut deps: Vec<String> = msg
+            .dependencies
+            .iter()
+            .map(|(k, v)| format!("{}:{v}", names.get(k).copied().unwrap_or("?")))
+            .collect();
+        deps.sort();
+        println!(
+            "M{}: {} {} {}",
+            messages.len() + 1,
+            msg.operations[0].operation,
+            msg.operations[0].model(),
+            deps.join(" ")
+        );
+        messages.push(deps);
+        consumer.ack(d.tag);
+    }
+    eco.stop_all();
+    messages
+}
+
+#[test]
+fn fig8_message_dependencies_are_the_figures() {
+    let _guard = exclusive();
+    println!("\nFig. 8: messages and their dependencies");
+    let figure = ["p1:0 u1:0", "c1:0 p1:1 u2:0", "c2:0 p1:1 u1:1", "p1:3 u1:2"];
+    let figure: Vec<Vec<String>> = figure
+        .iter()
+        .map(|m| m.split(' ').map(str::to_owned).collect())
+        .collect();
+    assert_eq!(fig8_dependencies(), figure);
+}
+
+// ---------------------------------------------------------------------
+// Table 3: the effort to support each database, in adapter lines.
+
+/// `(database, ORM, adapter source)`: a vendor whose ORM an earlier row
+/// already brought adds no source.
+const TABLE3: [(&str, &str, &str); 9] = [
+    (
+        "postgresql",
+        "ActiveRecord",
+        include_str!("../crates/orm/src/adapters/active_record.rs"),
+    ),
+    ("mysql", "ActiveRecord", ""),
+    ("oracle", "ActiveRecord", ""),
+    (
+        "mongodb",
+        "Mongoid",
+        include_str!("../crates/orm/src/adapters/mongoid.rs"),
+    ),
+    ("tokumx", "Mongoid", ""),
+    (
+        "cassandra",
+        "Cequel",
+        include_str!("../crates/orm/src/adapters/cequel.rs"),
+    ),
+    (
+        "elasticsearch",
+        "Stretcher",
+        include_str!("../crates/orm/src/adapters/stretcher.rs"),
+    ),
+    (
+        "neo4j",
+        "Neo4j",
+        include_str!("../crates/orm/src/adapters/neo4j.rs"),
+    ),
+    (
+        "rethinkdb",
+        "NoBrainer",
+        include_str!("../crates/orm/src/adapters/nobrainer.rs"),
+    ),
+];
+const SHARED_DEFAULTS: &str = include_str!("../crates/orm/src/adapter.rs");
+
+/// Non-blank lines that are not comments.
+fn loc(src: &str) -> usize {
+    src.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
+        .count()
+}
+
+#[test]
+fn table3_vendors_share_their_orms_adapter() {
+    let _guard = exclusive();
+    let rows: Vec<_> = TABLE3
+        .iter()
+        .map(|(db, orm, src)| vec![db.to_string(), orm.to_string(), loc(src).to_string()])
+        .collect();
+    let shared = vec![
+        "(shared defaults)".into(),
+        "every ORM".into(),
+        loc(SHARED_DEFAULTS).to_string(),
+    ];
+    print_table(
+        "Table 3: adapter lines per database",
+        &header("database", &["ORM", "LoC"]),
+        &[rows, vec![shared]].concat(),
+    );
+    for (db, orm, src) in TABLE3 {
+        assert_eq!(
+            adapters::for_vendor(db, LatencyModel::off()).orm_name(),
+            orm,
+            "{db}"
+        );
+        assert!(
+            loc(src) < loc(SHARED_DEFAULTS),
+            "{db}'s adapter outgrows the shared defaults"
+        );
+    }
+}
