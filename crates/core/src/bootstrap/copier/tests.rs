@@ -1,13 +1,10 @@
-use crate::api::{Publication, Subscription};
-use crate::bootstrap::marker::BOOTSTRAP_EXCHANGE;
+use crate::api::Publication;
 use crate::config::SynapseConfig;
-use crate::deps::DepName;
 use crate::message::{Operation, WriteMessage};
 use crate::node::Ecosystem;
 use crate::publisher::Publisher;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 use synapse_db::LatencyModel;
 use synapse_model::{Id, ModelSchema, Value};
 use synapse_orm::adapters::MongoidAdapter;
@@ -20,12 +17,10 @@ use synapse_orm::adapters::MongoidAdapter;
 fn a_chunk_copy_encodes_like_the_marshalled_record() {
     for bidirectional in [false, true] {
         let eco = Ecosystem::new();
-        let adapter = || Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off()));
-        let publisher = eco.add_node(SynapseConfig::new("pub"), adapter());
-        let subscriber = eco.add_node(SynapseConfig::new("sub"), adapter());
+        let adapter = Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off()));
+        let publisher = eco.add_node(SynapseConfig::new("pub"), adapter);
         let schema = ModelSchema::open("Leaf").inherits(&["Root"]);
-        publisher.orm().define_model(schema.clone()).unwrap();
-        subscriber.orm().define_model(schema).unwrap();
+        publisher.orm().define_model(schema).unwrap();
         publisher
             .orm()
             .virtual_getter("Leaf", "shout", |_, r| match r.get("name") {
@@ -38,9 +33,6 @@ fn a_chunk_copy_encodes_like_the_marshalled_record() {
         }
         let raw_publication = publication.clone();
         publisher.publish(publication).unwrap();
-        subscriber
-            .subscribe(Subscription::model("Leaf", "pub").fields(&["name", "tags", "shout"]))
-            .unwrap();
         let rows = [
             (
                 7,
@@ -64,20 +56,14 @@ fn a_chunk_copy_encodes_like_the_marshalled_record() {
         }
 
         let registered = publisher.publications.read()["Leaf"].clone();
-        let watermark = DepName::bootstrap_watermark("pub", "Leaf").identity();
-        subscriber
-            .copy_chunk(&publisher, "Leaf", &registered, watermark, 0, 1, 0, 0, true)
+        let chunk = publisher
+            .chunk_copies("Leaf", &registered, 0)
             .unwrap()
-            .expect("a chunk was copied");
-
-        let queue = subscriber.broker.consumer("sub").unwrap();
-        let mut copies = 0;
-        while let Some(d) = queue.pop(Duration::from_millis(100)) {
-            if &*d.exchange != BOOTSTRAP_EXCHANGE {
-                continue;
-            }
-            copies += 1;
-            let sent = WriteMessage::decode(&d.payload).unwrap();
+            .expect("a chunk was selected");
+        assert_eq!(chunk.last, 1234);
+        assert_eq!(chunk.copies.len(), 3);
+        for copy in &chunk.copies {
+            let sent = WriteMessage::decode(copy).unwrap();
             let id = sent.operations[0].id;
             let row = publisher.orm().find("Leaf", id).unwrap().unwrap();
             let marshalled = Publisher::marshal(publisher.orm(), &raw_publication, &row);
@@ -90,8 +76,7 @@ fn a_chunk_copy_encodes_like_the_marshalled_record() {
                 vectors: sent.vectors,
             };
             assert_eq!(oracle.vectors.is_empty(), !bidirectional);
-            assert_eq!(*d.payload, oracle.encode());
+            assert_eq!(**copy, oracle.encode());
         }
-        assert_eq!(copies, 3);
     }
 }

@@ -1,21 +1,24 @@
 //! The §4.4 bootstrap, in one place: the pause-free chunk copier
 //! ([`SynapseNode::bootstrap_from`](crate::SynapseNode::bootstrap_from)),
-//! the subscriber-side reconciliation window it opens around each chunk
-//! ([`WatermarkGate`]), and the wire format of the markers and copies it
-//! sends through the subscriber's own queue ([`watermark_payload`],
-//! [`WATERMARK_EXCHANGE`], [`BOOTSTRAP_EXCHANGE`]). The broker carries that
-//! traffic as ordinary direct-to-queue deliveries and knows nothing of the
-//! protocol; the subscriber's message path tells a marker or a copy from a
-//! live write by the exchange name and reports to the gate.
+//! its state machine and its counters. The copier applies each chunk
+//! itself, through the subscriber's own message path
+//! ([`Subscriber::process`](crate::subscriber::Subscriber::process)), while
+//! the workers keep applying the live stream. Version admission is the one
+//! reconciliation between the two: a copy lands only over an unversioned
+//! object or one strictly older than the copy
+//! ([`synapse_versionstore::AdmitRule::Copy`]), and a destroy's tombstone
+//! refuses any later copy of its row.
 
 mod copier;
-mod gate;
-pub(crate) mod marker;
-
-pub(crate) use gate::WatermarkGate;
 
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64};
+
+/// Reserved exchange name carried by chunk-copy deliveries. Not a real
+/// exchange: nothing binds to it, and the subscriber's message path tells
+/// a copy (strict version admission, no dependency wait) from a live write
+/// by this name on the delivery envelope.
+pub const BOOTSTRAP_EXCHANGE: &str = "__synapse.bootstrap__";
 
 /// Coarse phase of the bootstrap state machine — `Copy`-cheap so it can
 /// ride in [`NodeStats`](crate::NodeStats).
@@ -26,14 +29,11 @@ pub enum BootstrapPhase {
     Idle,
     /// Step 1: bulk version-snapshot transfer.
     Snapshot,
-    /// Step 2a: selecting a chunk between its lo/hi watermarks.
+    /// Step 2a: selecting and encoding a chunk.
     Copying,
-    /// Step 2b: reconciling a selected chunk against the live writes
-    /// observed inside its watermark window, then merging the survivors
-    /// into the delivery queue.
+    /// Step 2b: applying a chunk's copies under version admission.
     Reconciling,
-    /// All chunks merged; waiting (without pausing delivery) for the
-    /// subscriber to account for them, then clearing resume watermarks.
+    /// All chunks applied; clearing resume watermarks.
     Finalizing,
     /// Bootstrap completed; the node serves live traffic.
     Live,
@@ -45,8 +45,8 @@ pub enum BootstrapPhase {
 /// copier is on; tests hook
 /// [`SynapseNode::set_bootstrap_probe`](crate::SynapseNode::set_bootstrap_probe) on
 /// transitions to inject faults at exact phases. There is no drain state:
-/// chunk copies merge into the partitioned delivery queue behind the live
-/// stream, so delivery never pauses.
+/// the copier applies its chunks beside the workers, so delivery never
+/// pauses.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum BootstrapState {
     /// No bootstrap running.
@@ -54,24 +54,24 @@ pub enum BootstrapState {
     Idle,
     /// Step 1: bulk version-snapshot transfer.
     Snapshot,
-    /// Step 2a: selecting chunk `chunk` (0-based) of `model` between its
-    /// lo and hi watermark markers.
+    /// Step 2a: selecting chunk `chunk` (0-based) of `model`, pinning each
+    /// row's version floor and encoding the rows as copies.
     Copying {
         /// Model being copied.
         model: String,
         /// 0-based chunk index within this attempt.
         chunk: u64,
     },
-    /// Step 2b: reconciling chunk `chunk` of `model` against the live
-    /// writes its watermark window observed, then merging the survivors.
+    /// Step 2b: applying chunk `chunk` of `model` under version admission,
+    /// then committing its watermark.
     Reconciling {
         /// Model being reconciled.
         model: String,
         /// 0-based chunk index within this attempt.
         chunk: u64,
     },
-    /// All chunks merged; settling the merged copies and clearing resume
-    /// watermarks. Live delivery continues throughout.
+    /// All chunks applied; clearing resume watermarks. Live delivery
+    /// continues throughout.
     Finalizing,
     /// Bootstrap completed.
     Live,
@@ -111,17 +111,12 @@ pub struct BootstrapStats {
     pub chunks_copied: u64,
     /// Records persisted by the copier.
     pub records_copied: u64,
-    /// Copied records discarded because the live stream had already
-    /// delivered an equal-or-newer version — either dropped by the
-    /// watermark-window pre-filter or refused by version-store admission.
+    /// Copied records refused by version admission because the live
+    /// stream had already delivered an equal-or-newer version.
     pub records_reconciled: u64,
-    /// Chunk copies merged into the partitioned delivery queue (the
-    /// pause-free path; a node without workers hands its copies to the
-    /// subscriber directly and leaves this at zero).
+    /// Always 0: the copier applies its copies itself and merges none into
+    /// the delivery queue. Kept so readers of these stats still build.
     pub copies_merged: u64,
-    /// Watermark windows that timed out before both markers were observed
-    /// (the copy proceeded on version-store admission alone).
-    pub windows_timed_out: u64,
     /// Post-convergence watermark cleanups that failed and were deferred
     /// to the next attempt instead of failing an otherwise-complete
     /// bootstrap.
@@ -144,8 +139,6 @@ pub(crate) struct BootstrapTracker {
     resumes: AtomicU64,
     chunks_copied: AtomicU64,
     records_copied: AtomicU64,
-    records_reconciled: AtomicU64,
-    copies_merged: AtomicU64,
     cleanup_deferred: AtomicU64,
     /// Set when a post-convergence watermark cleanup failed: the next
     /// attempt must clear the stale watermarks *before* trusting any

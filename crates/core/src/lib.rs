@@ -33,8 +33,8 @@
 //! * `node` — [`SynapseNode`], one service's runtime, and [`Ecosystem`],
 //!   the wiring harness.
 //! * `bootstrap` — the §4.4 recovery path: the pause-free chunk copier
-//!   behind [`SynapseNode::bootstrap_from`], its reconciliation window and
-//!   the marker wire format.
+//!   behind [`SynapseNode::bootstrap_from`] and the reserved exchange its
+//!   copies carry ([`BOOTSTRAP_EXCHANGE`]).
 //! * `config` — [`SynapseConfig`], what a deployment sets, and the
 //!   constants that are not settable ([`RETRY_ATTEMPTS`],
 //!   [`BOOTSTRAP_CHUNK_ROWS`], [`VERSION_STORE_SHARDS`]).
@@ -58,8 +58,7 @@ pub mod subscriber;
 pub mod testing;
 
 pub use api::{Publication, Subscription};
-pub use bootstrap::marker::{watermark_payload, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
-pub use bootstrap::{BootstrapPhase, BootstrapState, BootstrapStats};
+pub use bootstrap::{BootstrapPhase, BootstrapState, BootstrapStats, BOOTSTRAP_EXCHANGE};
 pub use config::{
     DurabilityConfig, SynapseConfig, BOOTSTRAP_CHUNK_ROWS, RETRY_ATTEMPTS, VERSION_STORE_SHARDS,
 };

@@ -8,23 +8,14 @@
 //! pass settles anything. Passes run in tag order, which is enqueue order:
 //! a dependency was enqueued before its dependent, so a pass meets the
 //! dependencies it holds before what waits on them.
-//!
-//! Bootstrap traffic never steps past a held live delivery of its own
-//! partition: a chunk copy or a watermark marker behind one is held too,
-//! and so is everything of that partition behind the copy or marker, until
-//! they can run in order. The DBLog window (see `crate::bootstrap`) counts
-//! a live write as inside a chunk's window by where it sits between that
-//! partition's lo and hi markers, and this keeps every live write on its
-//! side of the markers.
 
-use super::path::Kind;
 use super::{Subscriber, BATCH_MAX};
 use crate::message::WriteMessage;
 use crate::semantics::DeliveryMode;
 use parking_lot::RwLockReadGuard;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-use synapse_broker::{tag_hint, Consumer, Delivery};
+use synapse_broker::{Consumer, Delivery};
 use synapse_telemetry::mono_nanos;
 use synapse_versionstore::{DepKey, DepWaitSet};
 
@@ -32,11 +23,6 @@ use synapse_versionstore::{DepKey, DepWaitSet};
 /// newest held deliveries back to the queue, so a backlog that cannot
 /// apply stays in the queue, where the §4.4 backlog cap sees it.
 pub(super) const HELD_MAX: usize = 2 * BATCH_MAX;
-
-/// Partition flags of one pass: a held live delivery bars the partition's
-/// bootstrap traffic; a held copy or marker bars everything behind it.
-const LIVE_HELD: u8 = 1;
-const BOOTSTRAP_HELD: u8 = 2;
 
 /// What the caller of [`Subscriber::handle_delivery`] supplies: where
 /// applied deliveries settle, and what happens to a delivery that cannot
@@ -52,8 +38,6 @@ const BOOTSTRAP_HELD: u8 = 2;
 pub(super) struct Lane<'a> {
     /// The worker's queue handle (`None` under [`Subscriber::process`]).
     pub(super) consumer: Option<&'a Consumer>,
-    /// Partition count of the app's queue (maps a tag to its partition).
-    pub(super) partitions: usize,
     /// Staged deliveries and the dependency keys their flush applies.
     pub(super) tags: Vec<u64>,
     pub(super) dep_keys: Vec<DepKey>,
@@ -66,17 +50,12 @@ pub(super) struct Lane<'a> {
     /// Deliveries set aside, in tag order, and a spare buffer for passes.
     pub(super) held: Vec<Held>,
     spare: Vec<Held>,
-    /// Per-partition `LIVE_HELD` / `BOOTSTRAP_HELD` flags of a pass.
-    bars: Vec<u8>,
 }
 
 /// One delivery on a lane, with what its first run already did.
 pub(super) struct Held {
     pub(super) delivery: Delivery,
     pub(super) popped_nanos: u64,
-    /// Whether an earlier pass kept it (so the queue may have taken it
-    /// back since, see [`Consumer::holds`]).
-    pub(super) carried: bool,
     /// The decoded message, once the delivery has run.
     pub(super) prepared: Option<Prepared>,
 }
@@ -100,29 +79,21 @@ impl Held {
         Held {
             delivery,
             popped_nanos,
-            carried: false,
             prepared: None,
         }
     }
 }
 
 impl<'a> Lane<'a> {
-    pub(super) fn new(consumer: Option<&'a Consumer>, partitions: usize) -> Self {
-        let partitions = partitions.max(1);
+    pub(super) fn new(consumer: Option<&'a Consumer>) -> Self {
         Lane {
             consumer,
-            partitions,
             tags: Vec::new(),
             dep_keys: Vec::new(),
             in_flight: None,
             held: Vec::new(),
             spare: Vec::new(),
-            bars: Vec::new(),
         }
-    }
-
-    pub(super) fn partition_of(&self, tag: u64) -> usize {
-        tag_hint(tag) as usize % self.partitions
     }
 
     /// How long a worker holding deliveries may park: until the nearest
@@ -168,33 +139,20 @@ impl Subscriber {
         progressed
     }
 
-    /// One pass over the lane's deliveries in tag order. Each runs unless
-    /// its partition is barred; one that cannot apply yet is kept. Returns
-    /// whether any delivery settled — applied, failed, consumed (a
-    /// marker), or found void.
+    /// One pass over the lane's deliveries in tag order; one that cannot
+    /// apply yet is kept. Returns whether any delivery settled — applied,
+    /// failed, or found void.
     fn pass<'a>(&'a self, lane: &mut Lane<'a>) -> bool {
         let mut entries = std::mem::replace(&mut lane.held, std::mem::take(&mut lane.spare));
-        lane.bars.clear();
-        lane.bars.resize(lane.partitions, 0);
         let mut settled = false;
         for entry in entries.drain(..) {
-            let partition = lane.partition_of(entry.delivery.tag);
-            let live = Kind::of(&entry.delivery) == Kind::Live;
-            let bars = lane.bars[partition];
-            let barred = bars & BOOTSTRAP_HELD != 0 || (!live && bars & LIVE_HELD != 0);
-            let kept = if barred || self.stop.load(Ordering::SeqCst) {
+            let kept = if self.stop.load(Ordering::SeqCst) {
                 Some(entry)
-            } else if self.void(&entry, lane) {
-                None
             } else {
                 self.handle_delivery(entry, lane).unwrap_or(None)
             };
             match kept {
-                Some(mut entry) => {
-                    entry.carried = true;
-                    lane.bars[partition] |= if live { LIVE_HELD } else { BOOTSTRAP_HELD };
-                    lane.held.push(entry);
-                }
+                Some(entry) => lane.held.push(entry),
                 None => settled = true,
             }
         }
@@ -202,20 +160,9 @@ impl Subscriber {
         settled
     }
 
-    /// Whether a carried delivery that never ran (it sat behind a barrier)
-    /// was taken back by the queue meanwhile. A held delivery that did run
-    /// is checked once its dependencies are satisfied, in
-    /// [`Subscriber::handle_delivery`].
-    fn void(&self, entry: &Held, lane: &Lane<'_>) -> bool {
-        entry.carried
-            && entry.prepared.is_none()
-            && lane.consumer.is_some_and(|c| !c.holds(entry.delivery.tag))
-    }
-
     /// Returns the lane's `n` newest held deliveries to the queue without
     /// charging an attempt. A nack re-inserts by tag, so each partition
-    /// keeps its order; and since a held copy or marker is newer than the
-    /// live delivery that barred it, it never stays while that one goes.
+    /// keeps its order.
     pub(super) fn hand_back(&self, lane: &mut Lane<'_>, n: usize) {
         let Some(consumer) = lane.consumer else {
             return;

@@ -57,7 +57,6 @@ mod tests;
 use lane::{Held, Lane, HELD_MAX};
 
 use crate::api::SubscriptionRegistry;
-use crate::bootstrap::WatermarkGate;
 use crate::config::SynapseConfig;
 use crate::deps::DepSpace;
 use crate::resolve::ResolverRegistry;
@@ -139,8 +138,6 @@ pub struct SubscriberStats {
     /// Bootstrap chunk-copy records discarded by version admission (the
     /// live stream had already applied an equal-or-newer write).
     pub copies_reconciled: u64,
-    /// Watermark markers consumed and reported to the gate.
-    pub watermarks_noted: u64,
     /// Concurrent (conflicting) incoming writes detected on bidirectional
     /// models.
     pub conflicts_detected: u64,
@@ -181,7 +178,6 @@ struct Counters {
     messages_stolen: AtomicU64,
     copies_applied: AtomicU64,
     copies_reconciled: AtomicU64,
-    watermarks_noted: AtomicU64,
 }
 
 /// Conflict counters of the multi-writer plane. These live in the node's
@@ -268,12 +264,6 @@ pub struct Subscriber {
     /// The node's telemetry plane; subscriber-side stages and end-to-end
     /// visibility latency are committed here on successful applies.
     telemetry: Arc<Telemetry>,
-    /// The DBLog-style reconciliation window shared with the bootstrap
-    /// copier: workers report consumed watermark markers and in-window
-    /// applies here; the copier pre-filters chunk rows against the keys
-    /// collected. Inactive (one relaxed load per delivery) outside
-    /// bootstrap sessions.
-    gate: Arc<WatermarkGate>,
 }
 
 impl Subscriber {
@@ -307,21 +297,7 @@ impl Subscriber {
             resolvers: config.resolvers.clone(),
             attempts: Mutex::new(HashMap::new()),
             telemetry,
-            gate: Arc::new(WatermarkGate::new()),
         }
-    }
-
-    /// The watermark gate shared with the node's bootstrap copier.
-    pub(crate) fn watermark_gate(&self) -> &Arc<WatermarkGate> {
-        &self.gate
-    }
-
-    /// Whether any worker threads are currently running. The bootstrap
-    /// copier checks this to decide between merging markers and copies
-    /// into the queue (workers consume them) and handing each copy to
-    /// [`Subscriber::process`] itself (no one would ever drain the queue).
-    pub(crate) fn workers_running(&self) -> bool {
-        !self.workers.lock().is_empty()
     }
 
     /// Current counters.
@@ -343,7 +319,6 @@ impl Subscriber {
             messages_stolen: self.counters.messages_stolen.load(Ordering::Relaxed),
             copies_applied: self.counters.copies_applied.load(Ordering::Relaxed),
             copies_reconciled: self.counters.copies_reconciled.load(Ordering::Relaxed),
-            watermarks_noted: self.counters.watermarks_noted.load(Ordering::Relaxed),
             conflicts_detected: self.conflicts.detected.get(),
             conflicts_resolved_lww: self.conflicts.resolved_lww.get(),
             conflicts_resolved_merge: self.conflicts.resolved_merge.get(),
@@ -384,8 +359,8 @@ impl Subscriber {
     }
 
     /// Blocks until the queue is fully settled (a test/ops helper, *not* a
-    /// bootstrap phase — the watermark-interleaved bootstrap never stops
-    /// live delivery): no ready backlog, no popped-but-unacked deliveries,
+    /// bootstrap phase — the bootstrap copier never stops live delivery):
+    /// no ready backlog, no popped-but-unacked deliveries,
     /// and no in-flight batch (the write side of the barrier is free only
     /// when every popped delivery has been flushed). Event-driven: parks
     /// on the queue's quiescence condvar, which acks and dead-letters
@@ -480,7 +455,8 @@ impl Subscriber {
     /// mode), it parks until the store advances instead of popping what it
     /// just handed back.
     fn worker_loop(&self, consumer: Consumer, worker: usize, total: usize) {
-        let mut lane = Lane::new(Some(&consumer), consumer.partition_count());
+        let mut lane = Lane::new(Some(&consumer));
+        let partitions = consumer.partition_count().max(1);
         let mut cursor = 0usize;
         // Consecutive runs in which a full lane settled nothing.
         let mut stalled = 0usize;
@@ -492,7 +468,7 @@ impl Subscriber {
                 lane.held.clear();
                 stalled = 0;
             }
-            let stuck = stalled >= lane.partitions && lane.held.len() >= HELD_MAX;
+            let stuck = stalled >= partitions && lane.held.len() >= HELD_MAX;
             let seen = consumer.wake_epoch();
             if !stuck {
                 let batch = self.next_batch(&consumer, worker, total.max(1), &mut cursor);
@@ -536,8 +512,7 @@ impl Subscriber {
     /// a failure is handed back, classified, for the caller to retry or
     /// drop.
     pub fn process(&self, delivery: &Delivery) -> Result<(), ProcessError> {
-        let partitions = self.broker.queue_partitions(&self.app).unwrap_or(1);
-        let mut lane = Lane::new(None, partitions);
+        let mut lane = Lane::new(None);
         lane.in_flight = Some(self.gen_barrier.read());
         self.handle_delivery(Held::popped(delivery.clone(), mono_nanos()), &mut lane)?;
         if self.flush_pending(&mut lane) {

@@ -3,10 +3,10 @@
 
 use super::lane::{Held, Lane, Prepared};
 use super::{ProcessError, Subscriber, IDLE_PARK};
-use crate::bootstrap::marker::{parse_watermark, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
+use crate::bootstrap::BOOTSTRAP_EXCHANGE;
 use crate::config::{backoff, RETRY_ATTEMPTS};
 use crate::context;
-use crate::deps::{object_identity, DepName};
+use crate::deps::DepName;
 use crate::message::WriteMessage;
 use crate::semantics::DeliveryMode;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,8 +21,8 @@ use synapse_versionstore::{DepWaitSet, StoreError, WaitOutcome};
 /// The transient failure a dead subscriber version store causes.
 const STORE_DIED: &str = "subscriber version store died";
 
-/// What a delivery is, read from its exchange: bootstrap control traffic
-/// rides the live queue on two reserved exchanges, everything else is a
+/// What a delivery is, read from its exchange: a bootstrap chunk copy
+/// carries the reserved [`BOOTSTRAP_EXCHANGE`], everything else is a
 /// publisher's live write. This is the only thing the message sequence
 /// ([`Subscriber::handle_delivery`]) is parameterised by, besides the
 /// caller's [`Lane`].
@@ -30,19 +30,13 @@ const STORE_DIED: &str = "subscriber version store died";
 pub(super) enum Kind {
     /// A publisher's write message.
     Live,
-    /// A bootstrap chunk-copy row, merged into the queue behind the live
-    /// traffic for its object.
+    /// A bootstrap chunk-copy row, handed over by the copier.
     Copy,
-    /// A lo/hi watermark marker of the bootstrap copier (not a
-    /// [`WriteMessage`]).
-    Marker,
 }
 
 impl Kind {
     pub(super) fn of(delivery: &Delivery) -> Kind {
-        if delivery.exchange == WATERMARK_EXCHANGE {
-            Kind::Marker
-        } else if delivery.exchange == BOOTSTRAP_EXCHANGE {
+        if delivery.exchange == BOOTSTRAP_EXCHANGE {
             Kind::Copy
         } else {
             Kind::Live
@@ -93,10 +87,6 @@ impl Subscriber {
             if held.delivery.redelivered {
                 self.counters.redeliveries.fetch_add(1, Ordering::Relaxed);
             }
-            if kind == Kind::Marker {
-                self.consume_marker(&held.delivery, lane);
-                return Ok(None);
-            }
             let handle_nanos = mono_nanos();
             match WriteMessage::decode(&held.delivery.payload) {
                 Ok(msg) => {
@@ -126,35 +116,14 @@ impl Subscriber {
                     // correspond to publisher bump operations (step 1's
                     // version snapshot already carried their `ops`), so
                     // landing them must not advance the subscriber's
-                    // dependency counters — nor are they live writes for
-                    // the copier's window to defer to.
+                    // dependency counters.
                     lane.dep_keys.extend(prepared.msg.dependencies.keys());
-                    self.note_live_apply(lane.partition_of(tag), &prepared.msg);
                 }
                 let (mode, handle_nanos) = (prepared.mode, prepared.handle_nanos);
                 self.record_visible(&held.delivery, mode, held.popped_nanos, handle_nanos, marks);
                 Ok(None)
             }
             Err(e) => Err(self.fail(&held.delivery, kind, e, Some(&prepared.msg), lane)),
-        }
-    }
-
-    /// Acks a watermark marker, then reports it to the gate (which ignores
-    /// markers of stale sessions/chunks, e.g. crash redeliveries of an
-    /// abandoned attempt) — in that order, so a window the copier sees
-    /// closed has no marker of its own still in flight. Markers carry no
-    /// dependencies and no origin stamp, so they bypass the staged batch
-    /// and the latency histograms entirely.
-    fn consume_marker(&self, delivery: &Delivery, lane: &Lane<'_>) {
-        if let Some(consumer) = lane.consumer {
-            consumer.ack(delivery.tag);
-        }
-        if let Some((session, chunk, high)) = parse_watermark(&delivery.payload) {
-            self.gate
-                .note_marker(session, chunk, lane.partition_of(delivery.tag), high);
-            self.counters
-                .watermarks_noted
-                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -371,11 +340,10 @@ impl Subscriber {
     /// The one failure exit; returns the error it settled. *Poison*
     /// failures dead-letter at once: redelivering them would wedge the
     /// queue (§6.5). *Transient* failures charge an attempt, back off and
-    /// nack; a live message that exhausts [`RETRY_ATTEMPTS`] is
-    /// dead-lettered with its dependencies released, while a chunk copy
-    /// never is — see the branch. A lane with no consumer has no queue to
-    /// settle against: its error goes back to the caller of
-    /// [`Subscriber::process`] untouched.
+    /// nack; one that exhausts [`RETRY_ATTEMPTS`] is dead-lettered, a live
+    /// message with its dependencies released. A lane with no consumer has
+    /// no queue to settle against: its error goes back to the caller of
+    /// [`Subscriber::process`] untouched — the copier's lane among them.
     fn fail<'a>(
         &'a self,
         delivery: &Delivery,
@@ -411,28 +379,14 @@ impl Subscriber {
             *entry += 1;
             *entry
         };
-        if attempts < RETRY_ATTEMPTS {
-            self.counters.retries.fetch_add(1, Ordering::Relaxed);
-        } else {
+        if attempts >= RETRY_ATTEMPTS {
             self.counters
                 .retries_exhausted
                 .fetch_add(1, Ordering::Relaxed);
-            if kind == Kind::Live {
-                self.dead_letter(consumer, delivery.tag, release);
-                return error;
-            }
-            // A transiently-failing chunk copy never dead-letters: it is
-            // an idempotent, admission-guarded upsert whose silent loss
-            // would break the coverage contract of the copy watermark it
-            // rode behind (resume assumes every merged copy eventually
-            // lands or is refused). Reset the budget and keep redelivering
-            // — the loop ends when the store or engine heals, typically at
-            // the next bootstrap attempt's revive; admission re-checks on
-            // every redelivery, so a copy that lost to the live stream in
-            // the meantime is discarded, not re-applied. Undecodable
-            // copies still dead-letter through the poison arm above.
-            self.attempts.lock().remove(&delivery.tag);
+            self.dead_letter(consumer, delivery.tag, release);
+            return error;
         }
+        self.counters.retries.fetch_add(1, Ordering::Relaxed);
         // Land finished work and release the in-flight marker before
         // sleeping: a backoff must not hold up a generation barrier or
         // drain.
@@ -464,24 +418,6 @@ impl Subscriber {
         }
         self.attempts.lock().remove(&tag);
         self.counters.dead_lettered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reports the identities of a live message's written objects to the
-    /// watermark gate when a reconciliation window is open on this
-    /// delivery's partition. Only *written* objects count: the copier drops
-    /// chunk rows of touched objects in favor of the live write's payload,
-    /// so an object that was merely read must not suppress its copy — and
-    /// neither may an object that merely shares its hashed dependency key.
-    fn note_live_apply(&self, partition: usize, msg: &WriteMessage) {
-        if !self.gate.is_active() {
-            return;
-        }
-        let objects: Vec<u64> = msg
-            .operations
-            .iter()
-            .map(|op| object_identity(&msg.app, op.model(), op.id))
-            .collect();
-        self.gate.note_applied(partition, &objects);
     }
 
     /// Applies a decoded message's operations through the local ORM.

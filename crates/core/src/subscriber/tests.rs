@@ -1,6 +1,5 @@
 use super::worker_thread_name;
 use crate::api::Subscription;
-use crate::bootstrap::marker::{watermark_payload, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE};
 use crate::config::SynapseConfig;
 use crate::deps::DepName;
 use crate::message::{Operation, WriteMessage};
@@ -9,7 +8,7 @@ use crate::testing::emulate_delivery;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use synapse_broker::{Broker, SharedStr};
+use synapse_broker::Broker;
 use synapse_db::LatencyModel;
 use synapse_model::{Id, ModelSchema, Record, Value};
 use synapse_orm::adapters::MongoidAdapter;
@@ -84,11 +83,13 @@ fn post(node: &SynapseNode, operation: &str, id: u64, deps: &[(u64, u64)]) -> Wr
     }
 }
 
-/// Enqueues `(exchange, payload)` pairs into `sub`'s partition 0, in order.
-fn enqueue(broker: &Broker, items: &[(&str, String)]) {
-    for (exchange, payload) in items {
-        let payloads = vec![(SharedStr::from(payload.as_str()), 0, 0)];
-        assert_eq!(broker.publish_to_queue("sub", exchange, payloads), 1);
+/// Publishes `messages` on `pub`'s exchange with route key `partition`,
+/// so they land in `sub`'s queue partition `partition`, in order.
+fn enqueue(broker: &Broker, partition: u64, messages: &[WriteMessage]) {
+    for message in messages {
+        broker
+            .publish_routed("pub", message.encode(), 0, partition)
+            .unwrap();
     }
 }
 
@@ -106,14 +107,7 @@ fn a_blocked_delivery_steps_aside_for_the_rest_of_its_batch() {
     let m0 = post(&node, "create", 1, &[(1, 0)]);
     let m1 = post(&node, "update", 1, &[(1, 1)]);
     let m2 = post(&node, "create", 2, &[(2, 0)]);
-    enqueue(
-        &broker,
-        &[
-            ("pub", m0.encode()),
-            ("pub", m1.encode()),
-            ("pub", m2.encode()),
-        ],
-    );
+    enqueue(&broker, 0, &[m0.clone(), m1, m2]);
     let other = broker.consumer("sub").unwrap();
     let held = other.pop_batch_from(0, 1);
     assert_eq!(held.len(), 1, "the second consumer holds M0");
@@ -139,63 +133,6 @@ fn a_blocked_delivery_steps_aside_for_the_rest_of_its_batch() {
     node.stop();
 }
 
-/// Bootstrap traffic is a barrier: the hi marker and the chunk copy behind
-/// a set-aside live delivery of their partition run only after it, so the
-/// window counts that live write as inside it. A live write ahead of them
-/// still steps past.
-#[test]
-fn bootstrap_traffic_waits_behind_a_set_aside_delivery_of_its_partition() {
-    let (broker, node) = subscriber(SynapseConfig::new("sub").workers(1));
-    let gate = node.subscriber().watermark_gate().clone();
-    gate.activate();
-    gate.begin_chunk(1, 0, broker.queue_partitions("sub").unwrap());
-    let m0 = post(&node, "create", 1, &[(1, 0)]);
-    let l1 = post(&node, "update", 1, &[(1, 1)]);
-    let l2 = post(&node, "create", 2, &[(2, 0)]);
-    let copy = post(&node, "create", 3, &[(3, 0)]);
-    enqueue(
-        &broker,
-        &[
-            ("pub", m0.encode()),
-            (WATERMARK_EXCHANGE, watermark_payload(1, 0, false)),
-            ("pub", l1.encode()),
-            ("pub", l2.encode()),
-            (WATERMARK_EXCHANGE, watermark_payload(1, 0, true)),
-            (BOOTSTRAP_EXCHANGE, copy.encode()),
-        ],
-    );
-    let other = broker.consumer("sub").unwrap();
-    let held = other.pop_batch_from(0, 1);
-
-    node.start();
-    assert!(
-        eventually(Duration::from_secs(2), || body(&node, 2).is_some()),
-        "L2 steps past the held L1"
-    );
-    std::thread::sleep(Duration::from_millis(50));
-    let stats = node.subscriber_stats();
-    assert_eq!(stats.watermarks_noted, 1, "only the lo marker ran");
-    assert_eq!(stats.copies_applied, 0, "the copy waits behind L1");
-    assert_eq!(body(&node, 3), None);
-
-    node.subscriber().process(&emulate_delivery(&m0)).unwrap();
-    other.ack(held[0].tag);
-    assert!(eventually(Duration::from_secs(2), || {
-        node.subscriber_stats().copies_applied == 1
-    }));
-    assert_eq!(node.subscriber_stats().watermarks_noted, 2);
-    assert_eq!(body(&node, 1).as_deref(), Some("update 1"));
-    let object = |id| DepName::object("pub", "Post", Id(id)).identity();
-    let touched = gate.take_touched();
-    assert!(
-        touched.contains(&object(1)),
-        "L1 landed inside the window, before the hi marker"
-    );
-    assert!(touched.contains(&object(2)));
-    gate.deactivate();
-    node.stop();
-}
-
 /// Strict mode (`wait_timeout(None)`): a lost dependency stalls its causal
 /// descendants and nothing else — a later write of an unrelated object,
 /// behind them in the same partition, applies.
@@ -206,14 +143,7 @@ fn a_lost_dependency_stalls_only_its_descendants_in_strict_mode() {
     let child = post(&node, "update", 1, &[(1, 1)]);
     let grandchild = post(&node, "update", 1, &[(1, 2)]);
     let unrelated = post(&node, "create", 9, &[(9, 0)]);
-    enqueue(
-        &broker,
-        &[
-            ("pub", child.encode()),
-            ("pub", grandchild.encode()),
-            ("pub", unrelated.encode()),
-        ],
-    );
+    enqueue(&broker, 0, &[child, grandchild, unrelated]);
     node.start();
     assert!(
         eventually(Duration::from_secs(2), || body(&node, 9).is_some()),
@@ -243,10 +173,7 @@ fn workers_park_on_a_decommissioned_queue_until_it_is_reinstated() {
     );
     assert!(broker.reinstate_queue("sub"));
     let started = Instant::now();
-    enqueue(
-        &broker,
-        &[("pub", post(&node, "create", 5, &[(5, 0)]).encode())],
-    );
+    enqueue(&broker, 0, &[post(&node, "create", 5, &[(5, 0)])]);
     assert!(eventually(Duration::from_millis(100), || body(&node, 5).is_some()));
     assert!(started.elapsed() < Duration::from_millis(100));
     node.stop();
@@ -260,13 +187,11 @@ fn workers_park_on_a_decommissioned_queue_until_it_is_reinstated() {
 fn a_full_lane_hands_back_its_newest_and_parks_instead_of_spinning() {
     let (broker, node) = subscriber(SynapseConfig::new("sub").workers(1).wait_timeout(None));
     // Post 1's create was lost: a hundred descendants can never apply.
-    let descendants: Vec<(&str, String)> = (1..=100)
-        .map(|n| ("pub", post(&node, "update", 1, &[(1, n)]).encode()))
+    let descendants: Vec<WriteMessage> = (1..=100)
+        .map(|n| post(&node, "update", 1, &[(1, n)]))
         .collect();
-    enqueue(&broker, &descendants);
-    let unrelated = post(&node, "create", 9, &[(9, 0)]).encode();
-    let payloads = vec![(SharedStr::from(unrelated.as_str()), 0, 1)];
-    assert_eq!(broker.publish_to_queue("sub", "pub", payloads), 1);
+    enqueue(&broker, 0, &descendants);
+    enqueue(&broker, 1, &[post(&node, "create", 9, &[(9, 0)])]);
 
     node.start();
     assert!(

@@ -40,19 +40,19 @@ cargo test -q --release --test alloc_budget
 SYNAPSE_SEED="${SYNAPSE_SEED:-24210775}" cargo test -q --test fault_soak
 
 # Live-bootstrap soak: chunked recovery under the same seed of record
-# (see EXPERIMENTS.md "§4.4 — live-bootstrap soak"). Set
-# SYNAPSE_BOOTSTRAP_SWEEP=1 to additionally run the 10-seed sweep.
+# (see EXPERIMENTS.md "§4.4 — live-bootstrap soak"), plus the 10-seed
+# sweep derived from it (SYNAPSE_BOOTSTRAP_SWEEP=0 skips the sweep).
 SYNAPSE_SEED="${SYNAPSE_SEED:-24210775}" \
-  SYNAPSE_BOOTSTRAP_SWEEP="${SYNAPSE_BOOTSTRAP_SWEEP:-0}" \
+  SYNAPSE_BOOTSTRAP_SWEEP="${SYNAPSE_BOOTSTRAP_SWEEP:-1}" \
   cargo test -q --test live_bootstrap
 
 # Crash-restart soak: the durability plane under the seeded kill
 # schedule (see EXPERIMENTS.md "crash-restart soak"). Zero acked-message
 # loss across every crash point, and a restart resumes an interrupted
-# bootstrap from its snapshot-carried watermark. Set
-# SYNAPSE_CRASH_SWEEP=1 to additionally run the 10-seed sweep.
+# bootstrap from its snapshot-carried watermark. The 10-seed sweep runs
+# too (SYNAPSE_CRASH_SWEEP=0 skips it).
 SYNAPSE_SEED="${SYNAPSE_SEED:-24210775}" \
-  SYNAPSE_CRASH_SWEEP="${SYNAPSE_CRASH_SWEEP:-0}" \
+  SYNAPSE_CRASH_SWEEP="${SYNAPSE_CRASH_SWEEP:-1}" \
   cargo test -q --test crash_restart
 
 # The benchmark crate is a package of its own that sees the system only

@@ -1,11 +1,11 @@
 //! The three-step bootstrap protocol (§4.4) in detail: version snapshots
 //! before data, projection during bulk copy, live traffic during the copy,
 //! ephemeral exclusion, decorator chains bootstrapping in stages, and the
-//! failure paths of the watermark-interleaved recovery rebuild — flag
-//! hygiene on failed attempts, watermark resume after a mid-copy fault,
-//! watermark lineage across decommission/reinstate, deferred watermark
-//! cleanup, dead publisher stores, ephemeral-only publications, and
-//! reinstates racing a broker restart.
+//! failure paths of the chunked, resumable recovery rebuild — flag
+//! hygiene on failed attempts, watermark resume after a mid-copy fault or
+//! a panicking copy, watermark lineage across decommission/reinstate,
+//! deferred watermark cleanup, dead publisher stores, ephemeral-only
+//! publications, and reinstates racing a broker restart.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -17,6 +17,7 @@ use synapse_repro::core::{
 use synapse_repro::db::LatencyModel;
 use synapse_repro::model::{vmap, Id, ModelSchema};
 use synapse_repro::orm::adapters::{EphemeralAdapter, MongoidAdapter};
+use synapse_repro::orm::CallbackPoint;
 
 mod common;
 use common::eventually;
@@ -460,6 +461,81 @@ fn copy_fault_fails_attempt_then_resume_converges() {
     eco.stop_all();
 }
 
+/// A copy whose subscriber callback panics fails the bootstrap attempt at
+/// its chunk, on a node whose worker pool runs: the copier applies every
+/// chunk itself, so the copy is neither dead-lettered nor lost behind a
+/// reported success. The chunks before it keep their watermarks, the node
+/// stays writable, and once the callback stops panicking the next attempt
+/// resumes and converges.
+#[test]
+fn a_panicking_copy_fails_the_attempt_and_the_next_resumes() {
+    let eco = Ecosystem::new();
+    let publisher = publisher_with_users(&eco, 3 * CHUNK);
+    let subscriber = eco.add_node(
+        SynapseConfig::new("late").workers(2),
+        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
+    );
+    for model in ["User", "Note"] {
+        subscriber
+            .orm()
+            .define_model(ModelSchema::open(model))
+            .unwrap();
+    }
+    subscriber
+        .subscribe(Subscription::model("User", "pub").fields(&["name"]))
+        .unwrap();
+    // A row of the third chunk.
+    let poison = format!("u{}", 2 * CHUNK + 5);
+    let poisoned = Arc::new(AtomicBool::new(true));
+    {
+        let poisoned = poisoned.clone();
+        subscriber
+            .orm()
+            .on("User", CallbackPoint::BeforeCreate, move |_ctx, record| {
+                if poisoned.load(Ordering::SeqCst)
+                    && record.get("name").as_str() == Some(poison.as_str())
+                {
+                    panic!("poisoned copy");
+                }
+                Ok(())
+            });
+    }
+    eco.connect();
+    subscriber.start();
+
+    assert!(subscriber.bootstrap_from(&publisher).is_err());
+    assert!(!subscriber.orm().is_bootstrap());
+    subscriber
+        .orm()
+        .create("Note", vmap! { "body" => "still writable" })
+        .unwrap();
+    let stats = subscriber.bootstrap_stats();
+    assert_eq!(stats.completions, 0);
+    assert_eq!(stats.phase, BootstrapPhase::Idle);
+    assert_eq!(
+        stats.chunks_copied, 2,
+        "the chunks before the poisoned row committed watermarks"
+    );
+    assert_eq!(stats.records_copied, 2 * CHUNK as u64 + 5);
+    assert!(subscriber.subscriber().drain(Duration::from_secs(10)));
+    assert_eq!(subscriber.subscriber_stats().dead_lettered, 0);
+    assert!(subscriber.dead_letters().is_empty());
+
+    poisoned.store(false, Ordering::SeqCst);
+    subscriber.bootstrap_from(&publisher).unwrap();
+    let stats = subscriber.bootstrap_stats();
+    assert_eq!(stats.completions, 1);
+    assert_eq!(stats.resumes, 1, "the second attempt resumed");
+    assert_eq!(
+        stats.records_copied,
+        3 * CHUNK as u64,
+        "rows behind the watermark were not re-copied"
+    );
+    assert_eq!(subscriber.orm().count("User").unwrap(), 3 * CHUNK as u64);
+    assert!(subscriber.dead_letters().is_empty());
+    eco.stop_all();
+}
+
 /// Watermark lineage across decommission/reinstate, the keep path: a
 /// decommission that swept nothing leaves live-stream coverage intact, so
 /// a reinstating bootstrap must keep its committed watermarks and resume.
@@ -549,7 +625,7 @@ fn reinstate_after_swept_backlog_clears_resume_watermarks() {
     assert_eq!(stats.completions, 1);
     assert_eq!(
         stats.resumes, 0,
-        "a swept backlog breaks marker lineage: no resume"
+        "a swept backlog breaks lineage: no resume"
     );
     // The full re-copy covers the swept writes too: exact convergence.
     assert_eq!(

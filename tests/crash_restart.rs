@@ -16,13 +16,12 @@
 //!   no acked message redelivered, no phantom payloads.
 //! * **Node layer** (`node_recovery_resumes_interrupted_bootstrap`): a
 //!   subscriber with the durability plane on dies mid-bootstrap (an armed
-//!   chunk-copy fault kills the interleaved copy after two watermarks
-//!   committed — their lo/hi marker records already in the broker WAL),
+//!   chunk-copy fault kills the copy after two watermarks committed),
 //!   persists a version-store snapshot, and is rebuilt from disk after a
 //!   torn-tail corruption of the active segment. Recovery must truncate
 //!   the tear, load the snapshot *before traffic* (asserted through the
-//!   `recovery.*` telemetry counters), replay the broker WAL — watermark
-//!   markers included — and the next `bootstrap_from` must resume from
+//!   `recovery.*` telemetry counters), replay the broker WAL, and the
+//!   next `bootstrap_from` must resume from
 //!   the snapshot-carried watermark as a delta copy (`resumes >= 1`,
 //!   `records_copied` strictly below a full re-copy) rather than
 //!   restarting from row zero.
@@ -519,9 +518,8 @@ fn node_recovery_resumes_interrupted_bootstrap() {
     assert_eq!(report.replayed_entries, 0, "fresh log, empty recovery");
     let (publisher, subscriber) = build(&eco);
 
-    // Mid-interleave fault: the first time the copier enters its third
-    // chunk — two chunk watermarks committed, their lo/hi markers already
-    // written to the broker WAL — a burst of transient copy faults
+    // Mid-copy fault: the first time the copier enters its third chunk —
+    // two chunk watermarks committed — a burst of transient copy faults
     // exhausts the retry budget and kills the attempt.
     let fault_armed = Arc::new(AtomicBool::new(false));
     {
@@ -600,9 +598,11 @@ fn node_recovery_resumes_interrupted_bootstrap() {
     let snap = subscriber.telemetry_snapshot();
     assert_eq!(counter(&snap, "durability.snapshots_persisted"), 1);
     assert_eq!(counter(&snap, "durability.snapshots_interrupted"), 1);
-    let copied_before_crash = failed.records_copied;
+    // Copies race the live workers, so a committed chunk's row counts as
+    // copied or as reconciled.
+    let covered_before_crash = failed.records_copied + failed.records_reconciled;
     assert!(
-        copied_before_crash >= 2 * BOOTSTRAP_CHUNK_ROWS as u64,
+        covered_before_crash >= 2 * BOOTSTRAP_CHUNK_ROWS as u64,
         "two committed chunks"
     );
 
@@ -612,14 +612,12 @@ fn node_recovery_resumes_interrupted_bootstrap() {
     drop(eco);
 
     // The crash leaves a torn tail on the active segment — garbage bytes
-    // after the last good frame, as if the process died mid-append while
-    // the interleaved copy's watermark markers were being logged.
+    // after the last good frame, as if the process died mid-append.
     tear_tail(&wal_dir, 37);
 
     // --- Incarnation 2: rebuild from disk; recovery precedes traffic. ---
-    // The log it replays carries the first incarnation's watermark-marker
-    // records (lo/hi for the two committed chunks) alongside the enqueue/
-    // ack traffic; replay must fold both and truncate the torn tail.
+    // The log it replays carries the first incarnation's enqueue/ack
+    // traffic; replay must fold it and truncate the torn tail.
     let (eco, report) = Ecosystem::new_durable(wal_cfg()).expect("durable reopen");
     assert!(
         report.replayed_entries > 0,
@@ -875,6 +873,82 @@ fn unknown_magic_snapshot_is_skipped_and_node_recovers_by_replay_and_bootstrap()
     // and prunes it.
     subscriber.persist_snapshot().expect("fresh persist");
     assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP4");
+    eco.stop_all();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A restarted durable publisher restores its store from a snapshot taken
+/// before its last updates, so a row's counter restarts below the version
+/// its subscriber recorded; and since every node build starts at
+/// generation 1, no generation barrier tells the subscriber so. Its next
+/// update must still replicate, not be judged stale by live admission.
+#[test]
+#[ignore = "§4.4 defect, unfixed: a restarted publisher's next update is discarded as stale (ROADMAP)"]
+fn a_restarted_durable_publisher_s_next_update_is_not_discarded() {
+    let root = temp_dir("pub-restart");
+    let pub_adapter = Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off()));
+    let sub_adapter = Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off()));
+    let build = |eco: &Ecosystem| -> (Arc<SynapseNode>, Arc<SynapseNode>) {
+        let durable = |app: &str| {
+            SynapseConfig::new(app)
+                .durable(root.join(app))
+                .snapshot_every(None)
+        };
+        let publisher = eco.add_node(durable("pub"), pub_adapter.clone());
+        let subscriber = eco.add_node(durable("sub").workers(1), sub_adapter.clone());
+        for node in [&publisher, &subscriber] {
+            node.orm().define_model(ModelSchema::open("Post")).unwrap();
+        }
+        publisher
+            .publish(Publication::model("Post").fields(&["version"]))
+            .unwrap();
+        subscriber
+            .subscribe(Subscription::model("Post", "pub").fields(&["version"]))
+            .unwrap();
+        eco.connect();
+        eco.start_all();
+        (publisher, subscriber)
+    };
+    let shows = |subscriber: &SynapseNode, id, version: i64| {
+        let row = subscriber.orm().find("Post", id).unwrap();
+        row.is_some_and(|r| r.get("version").as_int() == Some(version))
+    };
+
+    let eco = Ecosystem::new();
+    let (publisher, subscriber) = build(&eco);
+    let id = publisher
+        .orm()
+        .create("Post", vmap! { "version" => 1 })
+        .unwrap()
+        .id;
+    publisher.persist_snapshot().expect("publisher snapshot");
+    for version in [2, 3] {
+        publisher
+            .orm()
+            .update("Post", id, vmap! { "version" => version })
+            .unwrap();
+    }
+    assert!(eventually(Duration::from_secs(5), || shows(
+        &subscriber,
+        id,
+        3
+    )));
+    assert!(subscriber.subscriber().drain(Duration::from_secs(5)));
+    subscriber.persist_snapshot().expect("subscriber snapshot");
+    eco.stop_all();
+    drop((subscriber, publisher, eco));
+
+    let eco = Ecosystem::new();
+    let (publisher, subscriber) = build(&eco);
+    publisher
+        .orm()
+        .update("Post", id, vmap! { "version" => 4 })
+        .unwrap();
+    assert!(
+        eventually(Duration::from_secs(5), || shows(&subscriber, id, 4)),
+        "the update after the restart never applied (ops_stale {})",
+        subscriber.subscriber_stats().ops_stale
+    );
     eco.stop_all();
     let _ = std::fs::remove_dir_all(&root);
 }

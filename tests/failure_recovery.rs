@@ -425,14 +425,12 @@ fn post_message(node: &SynapseNode, operation: &str, id: Id, version: u64) -> Wr
     }
 }
 
-/// The retry budget's two exhaustion exits. A *live* message whose apply
-/// keeps failing transiently is dead-lettered exactly once, with its
+/// The retry budget's exhaustion exit: a live message whose apply keeps
+/// failing transiently is dead-lettered exactly once, with its
 /// dependencies released — under strict causal mode (no wait timeout) the
-/// dependent update applies only because of that release. A *bootstrap
-/// copy* under the same fault is never dead-lettered: its budget resets,
-/// it keeps being redelivered, and it lands once the engine heals.
+/// dependent update applies only because of that release.
 #[test]
-fn exhausted_live_message_dead_letters_but_exhausted_copy_keeps_retrying() {
+fn exhausted_live_message_dead_letters_and_releases_its_dependencies() {
     let eco = Ecosystem::new();
     let publisher = publishing_node(&eco, "pub");
     let subscriber = subscribing_node(&eco, SynapseConfig::new("sub").wait_timeout(None), "pub");
@@ -470,41 +468,6 @@ fn exhausted_live_message_dead_letters_but_exhausted_copy_keeps_retrying() {
     }));
     assert_eq!(subscriber.subscriber_stats().dead_lettered, 1);
 
-    // Copy exit: the same fault, a chunk copy of a row the replica lacks.
-    faults.inject_write_errors(u64::MAX / 2);
-    let copied = Id(9_000);
-    let copy = post_message(&subscriber, "create", copied, 0);
-    let payloads = vec![(copy.encode().into(), 0, 0)];
-    assert_eq!(
-        eco.broker()
-            .publish_to_queue("sub", BOOTSTRAP_EXCHANGE, payloads),
-        1
-    );
-    // Past its budget twice over and still in the queue, not the DLQ.
-    assert!(eventually(Duration::from_secs(10), || {
-        subscriber.subscriber_stats().retries_exhausted >= 3
-    }));
-    let stats = subscriber.subscriber_stats();
-    assert_eq!(stats.dead_lettered, 1, "a copy is never dead-lettered");
-    assert_eq!(stats.copies_applied, 0);
-    assert!(subscriber.orm().find("Post", copied).unwrap().is_none());
-    faults.disarm();
-    assert!(eventually(Duration::from_secs(10), || {
-        subscriber.subscriber_stats().copies_applied == 1
-    }));
-    assert!(subscriber.orm().find("Post", copied).unwrap().is_some());
-    assert!(subscriber.subscriber().drain(Duration::from_secs(5)));
-    let stats = subscriber.subscriber_stats();
-    assert_eq!(
-        (
-            stats.copies_applied,
-            stats.copies_reconciled,
-            stats.dead_lettered
-        ),
-        (1, 0, 1),
-        "the retried copy must not be refused by its own version mark"
-    );
-    assert_eq!(eco.broker().dead_letter_len("sub"), Some(1));
     eco.stop_all();
 }
 

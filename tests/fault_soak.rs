@@ -32,7 +32,7 @@ use synapse_repro::faults::{
     FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, InjectorStats, SeededRng,
     Side,
 };
-use synapse_repro::model::{vmap, Id, Record, Value};
+use synapse_repro::model::{vmap, Id, ModelSchema, Record, Value};
 use synapse_repro::orm::CallbackPoint;
 
 mod common;
@@ -526,6 +526,65 @@ fn a_strict_subscriber_survives_a_publisher_shard_kill() {
         settled,
         "{} of 20 rows never show the second update",
         lagging(2)
+    );
+    eco.stop_all();
+}
+
+/// §4.4 across publishers: `pa`'s generation bump flushes the subscriber's
+/// whole version store, `pb`'s counters with it, so under strict causal
+/// mode `pb`'s next update waits on a count the subscriber no longer has.
+#[test]
+#[ignore = "§4.4 defect, unfixed: one publisher's generation bump wedges another's stream (ROADMAP)"]
+fn a_generation_bump_of_one_publisher_leaves_another_publishers_stream_alone() {
+    let eco = Ecosystem::new();
+    let pa = mongo_node(&eco, SynapseConfig::new("pa"));
+    pa.publish(Publication::model("Post").fields(&["body"]))
+        .unwrap();
+    let pb = mongo_node(&eco, SynapseConfig::new("pb"));
+    let sub = mongo_node(
+        &eco,
+        SynapseConfig::new("sub").wait_timeout(None).workers(1),
+    );
+    for node in [&pb, &sub] {
+        node.orm().define_model(ModelSchema::open("Note")).unwrap();
+    }
+    pb.publish(Publication::model("Note").fields(&["body"]))
+        .unwrap();
+    sub.subscribe(Subscription::model("Post", "pa").fields(&["body"]))
+        .unwrap();
+    sub.subscribe(Subscription::model("Note", "pb").fields(&["body"]))
+        .unwrap();
+    eco.connect();
+    eco.start_all();
+    let shows = |model: &str, id, body: &str| {
+        let row = sub.orm().find(model, id).unwrap();
+        row.is_some_and(|r| r.get("body").as_str() == Some(body))
+    };
+
+    let note = pb.orm().create("Note", vmap! { "body" => "n1" }).unwrap();
+    pb.orm()
+        .update("Note", note.id, vmap! { "body" => "n2" })
+        .unwrap();
+    let post = pa.orm().create("Post", vmap! { "body" => "p1" }).unwrap();
+    assert!(eventually(Duration::from_secs(5), || {
+        shows("Note", note.id, "n2") && shows("Post", post.id, "p1")
+    }));
+
+    pa.pub_store().kill();
+    pa.orm()
+        .update("Post", post.id, vmap! { "body" => "p2" })
+        .unwrap();
+    assert!(eventually(Duration::from_secs(5), || shows(
+        "Post", post.id, "p2"
+    )));
+    assert_eq!(sub.subscriber_stats().generation_flushes, 1);
+
+    pb.orm()
+        .update("Note", note.id, vmap! { "body" => "n3" })
+        .unwrap();
+    assert!(
+        eventually(Duration::from_secs(5), || shows("Note", note.id, "n3")),
+        "pb's update never applied after pa's generation bump"
     );
     eco.stop_all();
 }

@@ -6,10 +6,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use synapse_repro::broker::Delivery;
+use synapse_repro::core::subscriber::SubscriberStats;
 use synapse_repro::core::testing::{emulate_delivery, emulate_message, FactorySet};
 use synapse_repro::core::{
-    watermark_payload, DeliveryMode, DepName, Ecosystem, Operation, Publication, Subscription,
-    SynapseConfig, SynapseNode, WriteMessage, BOOTSTRAP_EXCHANGE, WATERMARK_EXCHANGE,
+    DeliveryMode, DepName, Ecosystem, Operation, Publication, Subscription, SynapseConfig,
+    SynapseNode, WriteMessage, BOOTSTRAP_EXCHANGE,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::model::{vmap, Id, ModelSchema, Record, Value};
@@ -161,9 +162,9 @@ fn post_replica(eco: &Ecosystem) -> Arc<SynapseNode> {
 }
 
 /// `Subscriber::process` is the worker pool's own message sequence on a
-/// batch of one: the same emulated traffic — live writes, bootstrap
-/// copies on the bootstrap exchange, watermark markers — leaves the same
-/// rows and the same counters whichever way it is driven.
+/// batch of one: the same emulated traffic — live writes and bootstrap
+/// copies on the bootstrap exchange — leaves the same rows and the same
+/// counters whichever way it is driven.
 #[test]
 fn process_and_worker_pool_agree_on_every_delivery_kind() {
     const POST: Id = Id(7);
@@ -199,8 +200,6 @@ fn process_and_worker_pool_agree_on_every_delivery_kind() {
         // Ties with the applied destroy: must not resurrect the row.
         (BOOTSTRAP_EXCHANGE, write("create", 3, "copy-tie")),
         (BOOTSTRAP_EXCHANGE, write("create", 4, "copy-win")),
-        (WATERMARK_EXCHANGE, watermark_payload(1, 0, false)),
-        (WATERMARK_EXCHANGE, watermark_payload(1, 0, true)),
     ];
 
     for (exchange, payload) in &sequence {
@@ -216,20 +215,15 @@ fn process_and_worker_pool_agree_on_every_delivery_kind() {
     }
 
     pool.start();
+    // Nothing publishes on the bootstrap exchange in a running system; the
+    // test binds it so copies reach the pool's queue in sequence order.
     let broker = eco_pool.broker();
+    broker.bind(BOOTSTRAP_EXCHANGE, "sub");
     for (exchange, payload) in &sequence {
-        match *exchange {
-            // The copier's own traffic, markers and copies alike, goes
-            // direct to the queue.
-            WATERMARK_EXCHANGE | BOOTSTRAP_EXCHANGE => {
-                let own = vec![(payload.as_str().into(), 0, 0)];
-                assert_eq!(broker.publish_to_queue("sub", exchange, own), 1);
-            }
-            live => broker.publish(live, payload.as_str()).unwrap(),
-        }
+        broker.publish(exchange, payload.as_str()).unwrap();
     }
     let deadline = Instant::now() + Duration::from_secs(10);
-    while pool.subscriber_stats().watermarks_noted < 2 && Instant::now() < deadline {
+    while pool.subscriber_stats().messages_processed < 6 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
     pool.stop();
@@ -241,32 +235,16 @@ fn process_and_worker_pool_agree_on_every_delivery_kind() {
     assert_eq!(body(&single), Some(Some("copy-win".to_owned())));
     assert_eq!(body(&pool), body(&single));
     let (s, p) = (single.subscriber_stats(), pool.subscriber_stats());
-    assert_eq!(
+    let counts = |s: SubscriberStats| {
         (
             s.ops_applied,
             s.ops_stale,
             s.copies_applied,
             s.copies_reconciled,
-            s.watermarks_noted
-        ),
-        (3, 1, 1, 1, 2)
-    );
-    assert_eq!(
-        (
-            p.ops_applied,
-            p.ops_stale,
-            p.copies_applied,
-            p.copies_reconciled,
-            p.watermarks_noted
-        ),
-        (
-            s.ops_applied,
-            s.ops_stale,
-            s.copies_applied,
-            s.copies_reconciled,
-            s.watermarks_noted
         )
-    );
-    assert_eq!(p.messages_processed, 6, "markers ack outside the batch");
+    };
+    assert_eq!(counts(s), (3, 1, 1, 1));
+    assert_eq!(counts(p), counts(s));
+    assert_eq!(p.messages_processed, 6);
     assert_eq!((p.errors, s.errors), (0, 0));
 }
