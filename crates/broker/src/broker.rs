@@ -460,67 +460,6 @@ impl Broker {
         Ok(())
     }
 
-    /// Enqueues payloads directly into one named queue under a caller-
-    /// chosen `exchange` label, bypassing exchange bindings — the second
-    /// way in, for the queue owner's own traffic rather than a publisher
-    /// on the wire. Direct-to-queue traffic is exempt from the wire's
-    /// faults and limits: armed publish faults, armed drops and the
-    /// backlog-cap kill (it is flow-controlled by its sender, and a kill
-    /// would sweep the live backlog behind it). It does count toward the
-    /// backlog a later *live* publish is capped against. Payloads are
-    /// `(payload, origin_nanos, route_key)`, stamp and key as in
-    /// [`Broker::publish_routed`]: each lands behind the live traffic
-    /// already queued for its key, relative order kept within each
-    /// partition (and therefore per routing key), every touched partition
-    /// is locked (ascending) across one WAL commit, and route key `p`
-    /// below the partition count names partition `p`.
-    ///
-    /// Returns the number accepted; short counts (queue unknown,
-    /// decommissioned, or WAL commit failure) mean the remainder was NOT
-    /// enqueued.
-    pub fn publish_to_queue(
-        &self,
-        queue: &str,
-        exchange: &str,
-        payloads: Vec<(SharedStr, u64, u64)>,
-    ) -> usize {
-        if payloads.is_empty() {
-            return 0;
-        }
-        if self.wal_is_poisoned() {
-            return 0;
-        }
-        let routes = self.inner.routes.read();
-        let Some(q) = routes.queues.get(queue) else {
-            return 0;
-        };
-        let shared_exchange = SharedStr::from(exchange);
-        let added = q.enqueue_direct(&shared_exchange, &payloads);
-        drop(routes);
-        if self.wal_is_poisoned() {
-            return 0;
-        }
-        self.inner
-            .published
-            .fetch_add(added as u64, Ordering::Relaxed);
-        added
-    }
-
-    /// Loss signals for a sender of direct-to-queue traffic that resumes
-    /// across attempts: cumulative `(discarded, refused, dropped)` counts
-    /// for `queue`. Movement in the loss counters (discarded — backlog
-    /// swept by a decommission — or dropped) between two reads means the
-    /// live stream lost coverage in between. Refused publishes are
-    /// reported too but are not a loss signal: the publisher journal
-    /// republishes them.
-    pub fn queue_discard_stats(&self, queue: &str) -> Option<(u64, u64, u64)> {
-        let routes = self.inner.routes.read();
-        routes.queues.get(queue).map(|q| {
-            let c = q.counters();
-            (c.discarded, c.refused, c.dropped)
-        })
-    }
-
     /// Returns a consumer handle for `queue`, or `None` if undeclared.
     pub fn consumer(&self, queue: &str) -> Option<Consumer> {
         let routes = self.inner.routes.read();

@@ -83,16 +83,12 @@ fn fifo_order_is_preserved() {
     }
 }
 
-/// The queue owner's batch, the one batch way in.
-fn own_batch(payloads: &[&str]) -> Vec<(SharedStr, u64, u64)> {
-    payloads.iter().map(|p| ((*p).into(), 0, 0)).collect()
-}
-
 #[test]
 fn publish_batch_preserves_fifo_and_counts() {
     let b = broker_with("q");
-    let accepted = b.publish_to_queue("q", "pub", own_batch(&["a", "b", "c"]));
-    assert_eq!(accepted, 3);
+    for payload in ["a", "b", "c"] {
+        b.publish_routed("pub", payload, 0, 0).unwrap();
+    }
     let c = b.consumer("q").unwrap();
     for expected in ["a", "b", "c"] {
         let d = c.pop(Duration::from_millis(50)).unwrap();
@@ -612,7 +608,7 @@ fn single_publish_wakes_exactly_one_parked_worker() {
     assert_eq!(b.stats().wakeups, 1, "one message, one counted notify_one");
 }
 
-/// A batch of N messages into a pool of M sleepers issues at most
+/// N messages published into a pool of M sleepers issue at most
 /// min(N, M) wakeups, never a notify_all storm.
 #[test]
 fn batch_wakeups_are_counted_not_broadcast() {
@@ -629,7 +625,9 @@ fn batch_wakeups_are_counted_not_broadcast() {
         assert!(std::time::Instant::now() < deadline, "workers never parked");
         thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(b.publish_to_queue("q", "pub", own_batch(&["a", "b"])), 2);
+    for payload in ["a", "b"] {
+        b.publish_routed("pub", payload, 0, 0).unwrap();
+    }
     let got: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
     assert_eq!(got, 2, "both messages delivered");
     assert_eq!(
@@ -812,132 +810,6 @@ fn partitioned_backlog_recovers_deterministically() {
         "the unacked suffix of key 2, in order"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The second way in, [`Broker::publish_to_queue`]: a batch with one
-/// payload per route key `0..partitions` lands exactly one delivery
-/// in each partition, behind what was already queued there, tags
-/// rising in partition order, under a single WAL commit — and, being
-/// plain `Enqueue` frames, every one comes back in its partition at
-/// its position after a crash, before and after a checkpoint.
-#[test]
-fn direct_batch_lands_one_per_partition_and_survives_reopen() {
-    const PARTS: usize = 4;
-    let dir = crate::wal::tests::temp_dir("broker-direct");
-    let cfg = WalConfig::new(&dir).fsync(crate::wal::FsyncPolicy::EveryWrite);
-    let config = QueueConfig {
-        max_len: None,
-        partitions: PARTS,
-    };
-    let (b, _) = Broker::open_durable(cfg.clone()).unwrap();
-    b.declare_queue("q", config.clone());
-    b.bind("pub", "q");
-    b.publish_routed("pub", "live-1", 0, 1).unwrap();
-    b.publish_routed("pub", "live-3", 0, 3).unwrap();
-    let commits = b.wal_stats().unwrap().group_commits;
-    let own = (0..PARTS as u64).map(|p| (format!("own-{p}").into(), 0, p));
-    assert_eq!(b.publish_to_queue("q", "own", own.collect()), PARTS);
-    assert_eq!(
-        b.wal_stats().unwrap().group_commits,
-        commits + 1,
-        "the whole batch is one WAL commit"
-    );
-    assert_eq!(b.stats().published, 2 + PARTS as u64);
-
-    // Pops every partition; nothing is acked, so a reopen redelivers.
-    let layout = |b: &Broker, recovered: bool| {
-        let c = b.consumer("q").unwrap();
-        let mut own_tags = Vec::new();
-        for p in 0..PARTS {
-            let got = c.pop_batch_from(p, 8);
-            let payloads: Vec<&str> = got.iter().map(|d| d.payload.as_str()).collect();
-            let own = format!("own-{p}");
-            let live = format!("live-{p}");
-            if p % 2 == 1 {
-                assert_eq!(
-                    payloads,
-                    [live.as_str(), own.as_str()],
-                    "behind live traffic"
-                );
-            } else {
-                assert_eq!(payloads, [own.as_str()]);
-            }
-            let last = got.last().unwrap();
-            assert_eq!(last.exchange, "own");
-            assert_eq!(last.redelivered, recovered);
-            own_tags.push(last.tag);
-        }
-        assert!(
-            own_tags.windows(2).all(|w| w[0] < w[1]),
-            "tags rise in partition order: {own_tags:?}"
-        );
-        own_tags
-    };
-    let tags = layout(&b, false);
-    drop(b);
-
-    let (b2, report) = Broker::open_durable(cfg.clone()).unwrap();
-    assert_eq!(report.messages_recovered, 2 + PARTS as u64);
-    b2.declare_queue("q", config.clone());
-    assert_eq!(
-        layout(&b2, true),
-        tags,
-        "replayed from plain enqueue frames"
-    );
-    b2.checkpoint().unwrap();
-    drop(b2);
-
-    let (b3, _) = Broker::open_durable(cfg).unwrap();
-    b3.declare_queue("q", config);
-    assert_eq!(
-        layout(&b3, true),
-        tags,
-        "and from the checkpoint's pending list"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Direct-to-queue traffic is the queue owner's own, not on the wire:
-/// a queue already at its cap admits it without being killed, and an
-/// armed drop is not spent on it. What it adds still counts toward
-/// the backlog the next *live* publish is capped against.
-#[test]
-fn direct_to_queue_is_exempt_from_the_cap_and_armed_drops() {
-    let b = Broker::new();
-    b.declare_queue(
-        "q",
-        QueueConfig {
-            max_len: Some(2),
-            ..QueueConfig::default()
-        },
-    );
-    b.bind("pub", "q");
-    b.publish("pub", "live-0").unwrap();
-    b.publish("pub", "live-1").unwrap();
-    b.inject_drop_next("q", 1);
-    let own = (0..3u64).map(|p| (format!("own-{p}").into(), 0, p));
-    assert_eq!(b.publish_to_queue("q", "own", own.collect()), 3);
-    assert_eq!(b.queue_state("q"), Some(QueueState::Active));
-    assert_eq!(b.queue_len("q"), Some(5));
-    assert_eq!(b.stats().dropped, 0, "the armed drop is still armed");
-
-    let c = b.consumer("q").unwrap();
-    for d in c.pop_batch(8, Duration::ZERO) {
-        c.ack(d.tag);
-    }
-    b.publish("pub", "lost").unwrap();
-    assert_eq!(b.stats().dropped, 1, "spent on the next live publish");
-    assert_eq!(b.queue_len("q"), Some(0));
-
-    // Two of its own at the cap, then a live publish: killed.
-    let own = (0..2u64).map(|p| (format!("own-{p}").into(), 0, p));
-    assert_eq!(b.publish_to_queue("q", "own", own.collect()), 2);
-    b.publish("pub", "one too many").unwrap();
-    assert_eq!(b.queue_state("q"), Some(QueueState::Decommissioned));
-    assert_eq!(
-        b.publish_to_queue("q", "own", vec![("late".into(), 0, 0)]),
-        0
-    );
 }
 
 #[test]

@@ -8,10 +8,9 @@
 //! the key's low byte becomes the delivery-tag *hint* and
 //! `hint % partitions` picks the sub-queue, so one object's messages
 //! always land in one partition in publish order, and concurrent
-//! publishers to different partitions never contend. The queue owner's
-//! direct batch groups its payloads by partition and takes exactly one
-//! lock per *touched* partition across one WAL commit (`enqueue`; pops,
-//! steals and settles are in `deliver`). Unkeyed (legacy) publishes use
+//! publishers to different partitions never contend. A publish holds its
+//! partition's lock across its WAL commit (`enqueue`; pops, steals and
+//! settles are in `deliver`). Unkeyed (legacy) publishes use
 //! key 0 and therefore all share partition 0, which preserves the strict
 //! global FIFO order the pre-partitioned queue promised.
 //!

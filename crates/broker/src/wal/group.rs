@@ -136,8 +136,8 @@ impl Wal {
 
     /// Commits `frames` complete pre-framed frames as one staged append:
     /// all-or-nothing admission to the log, one group-commit wait for
-    /// the whole run. An enqueue frames every admitted copy under its
-    /// partition lock and lands them here in a single call.
+    /// the whole run. An enqueue frames its copy under its partition lock
+    /// and lands it here.
     pub fn commit_frames(&self, bytes: &[u8], frames: u32) -> io::Result<()> {
         if frames == 0 {
             return Ok(());

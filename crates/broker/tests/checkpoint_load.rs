@@ -9,7 +9,7 @@
 //! takes only the WAL staging and IO locks, never a partition lock, and
 //! finishes each epoch in bounded time — so a checkpoint's commit always
 //! drains. This test is the regression: checkpoints loop concurrently
-//! with keyed batch publishes and acking consumers, and the run must both
+//! with keyed publishes and acking consumers, and the run must both
 //! terminate and recover to exactly published-minus-acked.
 
 use std::collections::BTreeSet;
@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use synapse_broker::{Broker, FsyncPolicy, QueueConfig, SharedStr, WalConfig};
+use synapse_broker::{Broker, FsyncPolicy, QueueConfig, WalConfig};
 
 const PARTS: usize = 8;
 const PUBLISHERS: usize = 4;
@@ -108,17 +108,12 @@ fn checkpoint_compaction_survives_concurrent_group_commits() {
             let broker = broker.clone();
             std::thread::spawn(move || {
                 for b in 0..BATCHES_PER_PUBLISHER {
-                    let batch: Vec<(SharedStr, u64, u64)> = (0..BATCH)
-                        .map(|i| {
-                            let key = 1 + ((t * 31 + b * 7 + i) as u64 % 200);
-                            (SharedStr::from(format!("t{t}-b{b}-i{i}")), 0, key)
-                        })
-                        .collect();
-                    assert_eq!(
-                        broker.publish_to_queue("q", "x", batch),
-                        BATCH,
-                        "publish under checkpoint load"
-                    );
+                    for i in 0..BATCH {
+                        let key = 1 + ((t * 31 + b * 7 + i) as u64 % 200);
+                        broker
+                            .publish_routed("x", format!("t{t}-b{b}-i{i}"), 0, key)
+                            .expect("publish under checkpoint load");
+                    }
                 }
             })
         })

@@ -3,7 +3,8 @@
 //!
 //! The group-commit protocol decides *how* frames reach the disk (staged
 //! batches, one fsync per leader round, multi-frame writes that never
-//! split across a segment roll, a relaxed lane for acks) but must never
+//! split across a segment roll, a relaxed lane for acks that rides the
+//! next publish's write) but must never
 //! change *what* the log means. The property: for any single-threaded
 //! operation sequence, a durable broker that is closed and recovered
 //! from its log holds exactly the queue state of the memory-only
@@ -14,7 +15,7 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use synapse_broker::{Broker, FsyncPolicy, QueueConfig, SharedStr, WalConfig};
+use synapse_broker::{Broker, FsyncPolicy, QueueConfig, WalConfig};
 
 const PARTS: usize = 4;
 
@@ -36,8 +37,8 @@ fn temp_dir(label: &str) -> PathBuf {
 enum Op {
     /// `publish_routed` with this routing key.
     Publish { key: u64 },
-    /// `publish_to_queue`: one staged multi-frame append.
-    PublishBatch { keys: Vec<u64> },
+    /// A run of `publish_routed` calls, one per key.
+    PublishRun { keys: Vec<u64> },
     /// Pop up to `n` from partition `part`, ack them all.
     PopAck { part: usize, n: usize },
     /// Pop up to `n` from partition `part`, dead-letter them all.
@@ -52,8 +53,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (1u64..200).prop_map(|key| Op::Publish { key }),
         (1u64..200).prop_map(|key| Op::Publish { key }),
-        prop::collection::vec(1u64..200, 1..6).prop_map(|keys| Op::PublishBatch { keys }),
-        prop::collection::vec(1u64..200, 1..6).prop_map(|keys| Op::PublishBatch { keys }),
+        prop::collection::vec(1u64..200, 1..6).prop_map(|keys| Op::PublishRun { keys }),
+        prop::collection::vec(1u64..200, 1..6).prop_map(|keys| Op::PublishRun { keys }),
         (0usize..PARTS, 1usize..5).prop_map(|(part, n)| Op::PopAck { part, n }),
         (0usize..PARTS, 1usize..4).prop_map(|(part, n)| Op::PopDead { part, n }),
         Just(Op::Checkpoint),
@@ -85,17 +86,12 @@ fn drive(broker: &Broker, ops: &[Op]) {
                 seq += 1;
                 broker.publish_routed("x", p, 0, *key).expect("publish");
             }
-            Op::PublishBatch { keys } => {
-                let batch: Vec<(SharedStr, u64, u64)> = keys
-                    .iter()
-                    .map(|key| {
-                        let p = format!("m{seq}-k{key}");
-                        seq += 1;
-                        (SharedStr::from(p), 0, *key)
-                    })
-                    .collect();
-                let staged = batch.len();
-                assert_eq!(broker.publish_to_queue("q", "x", batch), staged);
+            Op::PublishRun { keys } => {
+                for key in keys {
+                    let p = format!("m{seq}-k{key}");
+                    seq += 1;
+                    broker.publish_routed("x", p, 0, *key).expect("publish");
+                }
             }
             Op::PopAck { part, n } => {
                 for d in consumer.pop_batch_from(*part, *n) {
@@ -166,7 +162,7 @@ fn drive_and_recover(dir: &std::path::Path, ops: &[Op]) -> QueueImage {
 
 proptest! {
     // The vendored runner's default 64 cases, each a sequence of up to 40
-    // ops, sweep publishes, staged batches, acks, dead letters, and
+    // ops, sweep publishes, publish runs, acks, dead letters, and
     // checkpoints through the log and the memory oracle.
     #[test]
     fn group_commit_log_replays_to_the_memory_broker_state(

@@ -1,5 +1,5 @@
 //! The copier: [`SynapseNode::bootstrap_from`] and the chunk loop under
-//! it, with the attempt's retry, resume and lineage rules.
+//! it, with the attempt's retry rule.
 
 use super::{BootstrapState, BootstrapStats, BOOTSTRAP_EXCHANGE};
 use crate::api::Publication;
@@ -20,7 +20,7 @@ use synapse_orm::OrmError;
 /// One selected chunk of a model, encoded as the publisher's write
 /// messages.
 struct ChunkCopies {
-    /// Last id selected: the watermark the chunk commits once applied.
+    /// Last id selected: where the next chunk starts.
     last: u64,
     /// One encoded copy per row still present at its re-read.
     copies: Vec<SharedStr>,
@@ -70,12 +70,10 @@ impl SynapseNode {
             attempts: self.bootstrap.attempts.load(Ordering::Relaxed),
             completions: self.bootstrap.completions.load(Ordering::Relaxed),
             retries: self.bootstrap.retries.load(Ordering::Relaxed),
-            resumes: self.bootstrap.resumes.load(Ordering::Relaxed),
             chunks_copied: self.bootstrap.chunks_copied.load(Ordering::Relaxed),
             records_copied: self.bootstrap.records_copied.load(Ordering::Relaxed),
             records_reconciled: self.subscriber.stats().copies_reconciled,
             copies_merged: 0,
-            cleanup_deferred: self.bootstrap.cleanup_deferred.load(Ordering::Relaxed),
         }
     }
 
@@ -93,7 +91,7 @@ impl SynapseNode {
 
     /// Arms the copy-failure fault hook: the next `n` chunk copies fail
     /// with a transient error before doing any work, exercising the
-    /// copier's retry/resume path exactly as a flaky engine or store
+    /// copier's retry path exactly as a flaky engine or store
     /// would (the chunk-level analogue of
     /// `Broker::inject_publish_failures`).
     pub fn inject_copy_failures(&self, n: u64) {
@@ -123,16 +121,14 @@ impl SynapseNode {
     /// - The ORM bootstrap flag is held by an RAII guard, so every exit
     ///   path — including transient-fault exhaustion mid-copy — leaves the
     ///   node writable.
-    /// - Step 2 copies in chunks of [`BOOTSTRAP_CHUNK_ROWS`] records,
-    ///   committing a per-model watermark (last copied id) to the
-    ///   subscriber version store after each chunk. A transient engine or
-    ///   store fault retries the *chunk*, up to [`RETRY_ATTEMPTS`] times,
-    ///   instead of aborting the bootstrap; if the attempt still fails, the
-    ///   watermarks survive and the next `bootstrap_from` resumes after
-    ///   the last committed chunk — but only while the queue's discard
-    ///   lineage shows the live stream stayed gap-free in between. A copy
-    ///   whose apply fails deterministically (a panicking callback) fails
-    ///   the attempt at its chunk.
+    /// - Step 2 copies in chunks of [`BOOTSTRAP_CHUNK_ROWS`] records. A
+    ///   transient engine or store fault retries the *chunk*, up to
+    ///   [`RETRY_ATTEMPTS`] times, instead of aborting the bootstrap. A
+    ///   copy whose apply fails deterministically (a panicking callback)
+    ///   fails the attempt at its chunk.
+    /// - Every attempt copies from the first row. Admission refuses each
+    ///   row an earlier attempt already copied, so a failed attempt's work
+    ///   is re-read but never re-written.
     /// - Concurrent writes are reconciled by version admission alone
     ///   ([`synapse_versionstore::AdmitRule::Copy`]): a copy lands only if
     ///   its marker strictly beats the locally committed version —
@@ -142,45 +138,16 @@ impl SynapseNode {
     pub fn bootstrap_from(&self, publisher: &SynapseNode) -> Result<(), OrmError> {
         let guard = BootstrapGuard::new(self);
         self.bootstrap.attempts.fetch_add(1, Ordering::Relaxed);
-        let reinstated = if self.is_decommissioned() {
-            self.broker.reinstate_queue(self.app())
-        } else {
-            false
-        };
+        if self.is_decommissioned() {
+            self.broker.reinstate_queue(self.app());
+        }
         if self.sub_store.is_dead() {
             self.sub_store.revive();
         }
-        // Committed copy watermarks are resume state, but only while the
-        // live stream stayed gap-free since they were written: every
-        // copied chunk relies on later live messages to carry the writes
-        // it raced with. Any movement in the queue's cumulative loss
-        // counters since the last attempt — a decommission sweeping the
-        // backlog, injected drops — breaks that lineage and forces the
-        // copy to restart. Refused publishes do NOT break lineage: they
-        // stay in the publisher's journal and are republished. A
-        // reinstate with no recorded floor (fresh process) is
-        // conservatively treated as broken; a reinstate whose
-        // decommission swept nothing keeps its watermarks.
-        let lineage_now = self.lineage_signal();
-        let lineage_broken = {
-            let mut floor = self.bootstrap.lineage.lock();
-            let broken = match (floor.as_ref(), lineage_now.as_ref()) {
-                (Some(prev), Some(now)) => prev != now,
-                _ => reinstated,
-            };
-            *floor = lineage_now;
-            broken
-        };
-        if lineage_broken || self.bootstrap.watermarks_dirty.load(Ordering::SeqCst) {
-            self.clear_bootstrap_watermarks(publisher)?;
-            self.bootstrap
-                .watermarks_dirty
-                .store(false, Ordering::SeqCst);
-        }
 
         // Step 1: bulk-load the publisher's current dependency counters.
-        // Its store holds nothing else: admission state and watermarks
-        // live in subscriber stores.
+        // Its store holds nothing else: admission state lives in
+        // subscriber stores.
         self.bootstrap.transition(BootstrapState::Snapshot);
         let snapshot = self.retry_transient(|| {
             publisher
@@ -207,35 +174,14 @@ impl SynapseNode {
                 .collect()
         };
         self.copy_models(publisher, &pairs)?;
-
-        // Watermarks are resume state for *failed* attempts only: a future
-        // bootstrap must re-copy from the start (rows copied this time may
-        // change again before then). A cleanup failure here must not fail
-        // an otherwise-complete bootstrap — defer it: mark the watermarks
-        // dirty so the next attempt clears them before trusting any
-        // resume state, and go Live.
-        self.bootstrap.transition(BootstrapState::Finalizing);
-        if self.clear_bootstrap_watermarks(publisher).is_err() {
-            self.bootstrap
-                .cleanup_deferred
-                .fetch_add(1, Ordering::Relaxed);
-            self.bootstrap
-                .watermarks_dirty
-                .store(true, Ordering::SeqCst);
-            self.telemetry
-                .counters()
-                .counter("bootstrap.cleanup_deferred")
-                .bump();
-        }
-        *self.bootstrap.lineage.lock() = self.lineage_signal();
         guard.complete();
         self.bootstrap.transition(BootstrapState::Live);
         self.bootstrap.completions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Step 2: copies every non-ephemeral pair chunk by chunk,
-    /// resuming each model from any surviving watermark.
+    /// Step 2: copies every non-ephemeral pair chunk by chunk, each from
+    /// its first row.
     fn copy_models(
         &self,
         publisher: &SynapseNode,
@@ -245,15 +191,7 @@ impl SynapseNode {
             if publication.ephemeral {
                 continue;
             }
-            let watermark = DepName::bootstrap_watermark(publisher.app(), model).identity();
-            let mut after = self.retry_transient(|| {
-                self.sub_store
-                    .watermark(watermark)
-                    .map_err(|_| OrmError::Db(DbError::Unavailable))
-            })?;
-            if after > 0 {
-                self.bootstrap.resumes.fetch_add(1, Ordering::Relaxed);
-            }
+            let mut after = 0;
             let mut chunk = 0u64;
             loop {
                 self.bootstrap.transition(BootstrapState::Copying {
@@ -261,7 +199,7 @@ impl SynapseNode {
                     chunk,
                 });
                 let copied = self.retry_transient(|| {
-                    self.copy_chunk(publisher, model, publication, watermark, after, chunk)
+                    self.copy_chunk(publisher, model, publication, after, chunk)
                 })?;
                 let Some(last) = copied else {
                     break;
@@ -277,16 +215,15 @@ impl SynapseNode {
     /// Copies the next chunk of `model` after id `after`: selects and
     /// encodes it ([`SynapseNode::chunk_copies`], on the publisher), moves
     /// to [`BootstrapState::Reconciling`], applies each copy through the
-    /// subscriber's message path under version admission, and commits the
-    /// chunk watermark. Returns that watermark, or `None` when the table
-    /// is exhausted. A copy the live stream beat is refused by admission
-    /// and counted by the subscriber's `copies_reconciled`.
+    /// subscriber's message path under version admission. Returns the
+    /// chunk's last id, or `None` when the table is exhausted. A copy the
+    /// live stream or an earlier attempt beat is refused by admission and
+    /// counted by the subscriber's `copies_reconciled`.
     fn copy_chunk(
         &self,
         publisher: &SynapseNode,
         model: &str,
         publication: &Publication,
-        watermark: u64,
         after: u64,
         chunk: u64,
     ) -> Result<Option<u64>, OrmError> {
@@ -300,10 +237,9 @@ impl SynapseNode {
         {
             return Err(OrmError::Db(DbError::Unavailable));
         }
-        // A partially-dead subscriber store can neither admit this chunk's
-        // copies nor keep a trustworthy resume watermark (§4.2: a partial
-        // store has no complete dependency picture), so fail the chunk
-        // transiently — the retry budget absorbs a racing revive, and a
+        // A partially-dead subscriber store cannot admit this chunk's
+        // copies (§4.2: a partial store has no complete dependency
+        // picture), so fail the chunk transiently — the retry budget absorbs a racing revive, and a
         // failed attempt's re-entry revives the store itself.
         if self.sub_store.is_dead() {
             return Err(OrmError::Db(DbError::Unavailable));
@@ -340,9 +276,6 @@ impl SynapseNode {
             Ordering::Relaxed,
         );
         applied?;
-        self.sub_store
-            .load_watermark(watermark, last)
-            .map_err(|_| OrmError::Db(DbError::Unavailable))?;
         Ok(Some(last))
     }
 
@@ -421,35 +354,6 @@ impl SynapseNode {
             copies.push(SharedStr::from(text.as_str()));
         }
         Ok(Some(ChunkCopies { last, copies }))
-    }
-
-    /// Drops the per-model bootstrap watermarks for `publisher`'s models.
-    fn clear_bootstrap_watermarks(&self, publisher: &SynapseNode) -> Result<(), OrmError> {
-        let models: Vec<String> = self
-            .subscriptions
-            .read()
-            .iter()
-            .filter(|s| s.from == publisher.app())
-            .map(|s| s.model.clone())
-            .collect();
-        for model in models {
-            let watermark = DepName::bootstrap_watermark(publisher.app(), &model).identity();
-            self.retry_transient(|| {
-                self.sub_store
-                    .clear_watermark(watermark)
-                    .map_err(|_| OrmError::Db(DbError::Unavailable))
-            })?;
-        }
-        Ok(())
-    }
-
-    /// The subset of the queue's cumulative counters whose movement means
-    /// real live-stream loss: `(discarded, dropped)`. Refused publishes
-    /// are excluded — the publisher journal republishes them.
-    fn lineage_signal(&self) -> Option<(u64, u64)> {
-        self.broker
-            .queue_discard_stats(self.app())
-            .map(|(discarded, _refused, dropped)| (discarded, dropped))
     }
 
     /// Runs one bootstrap step, retrying transient failures (dead store,

@@ -7,12 +7,14 @@
 //! reconciliation between the two: a copy lands only over an unversioned
 //! object or one strictly older than the copy
 //! ([`synapse_versionstore::AdmitRule::Copy`]), and a destroy's tombstone
-//! refuses any later copy of its row.
+//! refuses any later copy of its row. It is also what makes a retry cheap
+//! to reason about: every attempt copies from the first row, and admission
+//! refuses each row an earlier attempt already copied.
 
 mod copier;
 
-use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64};
+use parking_lot::RwLock;
+use std::sync::atomic::AtomicU64;
 
 /// Reserved exchange name carried by chunk-copy deliveries. Not a real
 /// exchange: nothing binds to it, and the subscriber's message path tells
@@ -33,14 +35,12 @@ pub enum BootstrapPhase {
     Copying,
     /// Step 2b: applying a chunk's copies under version admission.
     Reconciling,
-    /// All chunks applied; clearing resume watermarks.
-    Finalizing,
     /// Bootstrap completed; the node serves live traffic.
     Live,
 }
 
 /// The bootstrap state machine: Idle → Snapshot → (Copying{model, chunk} →
-/// Reconciling{model, chunk})* → Finalizing → Live, falling back to Idle
+/// Reconciling{model, chunk})* → Live, falling back to Idle
 /// when an attempt fails. The rich variants carry which model/chunk the
 /// copier is on; tests hook
 /// [`SynapseNode::set_bootstrap_probe`](crate::SynapseNode::set_bootstrap_probe) on
@@ -62,17 +62,13 @@ pub enum BootstrapState {
         /// 0-based chunk index within this attempt.
         chunk: u64,
     },
-    /// Step 2b: applying chunk `chunk` of `model` under version admission,
-    /// then committing its watermark.
+    /// Step 2b: applying chunk `chunk` of `model` under version admission.
     Reconciling {
         /// Model being reconciled.
         model: String,
         /// 0-based chunk index within this attempt.
         chunk: u64,
     },
-    /// All chunks applied; clearing resume watermarks. Live delivery
-    /// continues throughout.
-    Finalizing,
     /// Bootstrap completed.
     Live,
 }
@@ -85,13 +81,12 @@ impl BootstrapState {
             BootstrapState::Snapshot => BootstrapPhase::Snapshot,
             BootstrapState::Copying { .. } => BootstrapPhase::Copying,
             BootstrapState::Reconciling { .. } => BootstrapPhase::Reconciling,
-            BootstrapState::Finalizing => BootstrapPhase::Finalizing,
             BootstrapState::Live => BootstrapPhase::Live,
         }
     }
 }
 
-/// Bootstrap attempt/retry/resume accounting, surfaced through
+/// Bootstrap attempt/retry/copy accounting, surfaced through
 /// [`NodeStats`](crate::NodeStats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BootstrapStats {
@@ -104,30 +99,24 @@ pub struct BootstrapStats {
     /// Transient step failures absorbed by the retry budget (chunk copies,
     /// snapshot transfers) rather than failing the attempt.
     pub retries: u64,
-    /// Models whose copy resumed from a surviving watermark instead of
-    /// starting over.
-    pub resumes: u64,
-    /// Chunks committed (watermark advanced) across all attempts.
+    /// Chunks applied across all attempts.
     pub chunks_copied: u64,
-    /// Records persisted by the copier.
+    /// Copies admitted and written by the copier.
     pub records_copied: u64,
-    /// Copied records refused by version admission because the live
-    /// stream had already delivered an equal-or-newer version.
+    /// Copies refused by version admission because an equal-or-newer
+    /// version was already admitted: by the live stream, or by an earlier
+    /// attempt that copied the row before it failed.
     pub records_reconciled: u64,
     /// Always 0: the copier applies its copies itself and merges none into
     /// the delivery queue. Kept so readers of these stats still build.
     pub copies_merged: u64,
-    /// Post-convergence watermark cleanups that failed and were deferred
-    /// to the next attempt instead of failing an otherwise-complete
-    /// bootstrap.
-    pub cleanup_deferred: u64,
 }
 
 /// Observer of bootstrap state transitions (fault-injection hook).
 type BootstrapProbe = Box<dyn Fn(&BootstrapState) + Send + Sync>;
 
 /// Shared bootstrap bookkeeping: the state machine, its transition probe,
-/// and the attempt/retry/resume counters.
+/// and the attempt/retry/copy counters.
 #[derive(Default)]
 pub(crate) struct BootstrapTracker {
     state: RwLock<BootstrapState>,
@@ -136,21 +125,8 @@ pub(crate) struct BootstrapTracker {
     /// Completed (re-)bootstraps — the recovery counter of §4.4.
     completions: AtomicU64,
     retries: AtomicU64,
-    resumes: AtomicU64,
     chunks_copied: AtomicU64,
     records_copied: AtomicU64,
-    cleanup_deferred: AtomicU64,
-    /// Set when a post-convergence watermark cleanup failed: the next
-    /// attempt must clear the stale watermarks *before* trusting any
-    /// resume state.
-    watermarks_dirty: AtomicBool,
-    /// Lineage floor: the queue's cumulative `(discarded, dropped)` pair
-    /// as of the last bootstrap attempt. Movement between attempts means
-    /// the live stream lost coverage, so committed copy watermarks can no
-    /// longer be resumed from. (Queue-refused publishes are deliberately
-    /// not part of the signal: a refused message stays in the publisher's
-    /// journal and is republished, so coverage is delayed, not broken.)
-    lineage: Mutex<Option<(u64, u64)>>,
     /// Armed chunk-copy failures (fault hook): the next N `copy_chunk`
     /// invocations fail transiently before doing any work.
     copy_fail_next: AtomicU64,

@@ -60,7 +60,7 @@ impl DurabilityConfig {
 /// included: a subscriber that exhausts them dead-letters the delivery, a
 /// publisher leaves the payload journaled for
 /// [`recover`](crate::Publisher::recover), and the bootstrap copier fails
-/// the step (the next attempt resumes from its watermarks). The §6.5
+/// the attempt (the next attempt starts again at the first row). The §6.5
 /// postmortem is the reason attempts are bounded at all: unbounded
 /// redelivery of a poisoned message wedges the queue forever.
 pub const RETRY_ATTEMPTS: u32 = 4;
@@ -74,9 +74,9 @@ pub(crate) fn backoff(attempt: u32) -> Duration {
     RETRY_BACKOFF * (1u32 << attempt.saturating_sub(1).min(6))
 }
 
-/// Records copied per chunk during bootstrap's step-2 object copy. Each
-/// chunk commits a watermark, so a mid-copy fault loses at most one
-/// chunk's work.
+/// Records copied per chunk during bootstrap's step-2 object copy: the
+/// unit a transient fault retries. A failed attempt's rows are re-read by
+/// the next attempt and refused by version admission, not re-written.
 pub const BOOTSTRAP_CHUNK_ROWS: usize = 64;
 
 /// Shards in each node's two version stores.

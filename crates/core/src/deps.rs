@@ -17,8 +17,8 @@
 //! reuse the same allocations.
 //!
 //! Only dependency *counters* live in the reduced space. What must never
-//! collide — an object's admission state, a bootstrap watermark — is
-//! keyed by the name's full pre-hash, [`DepName::identity`].
+//! collide — an object's admission state — is keyed by the name's full
+//! pre-hash, [`DepName::identity`].
 
 use parking_lot::RwLock;
 use std::borrow::Borrow;
@@ -105,35 +105,14 @@ impl DepName {
         DepName::from_str_uncached(name)
     }
 
-    /// The bootstrap-copy watermark of one (publisher, model) pair:
-    /// `pub_app/model/__bootstrap__`. The `__bootstrap__` leaf keeps it
-    /// from colliding with any `…/id/<id>` object name; the subscriber's
-    /// version store keeps it in its watermark map, by
-    /// [`DepName::identity`].
-    pub fn bootstrap_watermark(pub_app: &str, model: &str) -> Self {
-        NAME_SCRATCH.with(|scratch| {
-            let mut buf = scratch.borrow_mut();
-            buf.clear();
-            buf.push_str(pub_app);
-            buf.push('/');
-            for c in model.chars() {
-                for lc in c.to_lowercase() {
-                    buf.push(lc);
-                }
-            }
-            buf.push_str("/__bootstrap__");
-            DepName::from_str_uncached(&buf)
-        })
-    }
-
     /// The name path, e.g. `pub3/user/id/100`.
     pub fn as_str(&self) -> &str {
         &self.name
     }
 
     /// The name's full stable 64-bit hash, never reduced into a
-    /// [`DepSpace`]: the identity an object's admission state and a
-    /// bootstrap watermark are keyed by in the version store.
+    /// [`DepSpace`]: the identity an object's admission state is keyed by
+    /// in the version store.
     pub fn identity(&self) -> u64 {
         self.hash
     }
@@ -315,14 +294,6 @@ mod tests {
     fn object_names_match_fig6b_shape() {
         let d = DepName::object("pub3", "User", Id(100));
         assert_eq!(d.as_str(), "pub3/user/id/100");
-    }
-
-    #[test]
-    fn bootstrap_watermark_names_cannot_collide_with_objects() {
-        let wm = DepName::bootstrap_watermark("pub3", "User");
-        assert_eq!(wm.as_str(), "pub3/user/__bootstrap__");
-        assert_ne!(wm, DepName::object("pub3", "User", Id(1)));
-        assert_ne!(wm, DepName::bootstrap_watermark("pub3", "Comment"));
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! The broker WAL makes queue state recoverable; this module covers the
 //! other half of a node's soft state — its publisher- and subscriber-side
-//! version stores, each a [`StoreDump`] of three sections: dependency
-//! counters, object admission state (freshness marks, destroy tombstones,
-//! conflict-resolution state) and bootstrap watermarks. A [`NodeSnapshot`]
-//! is a full dump of both stores plus the broker WAL position at capture
-//! time, so recovery is: load the latest snapshot, then let WAL replay and
-//! watermark-resumed bootstrap close the gap between the snapshot and the
-//! crash.
+//! version stores, each a [`StoreDump`] of two sections: dependency
+//! counters and object admission state (freshness marks, destroy
+//! tombstones, conflict-resolution state). A [`NodeSnapshot`] is a full
+//! dump of both stores plus the broker WAL position at capture time, so
+//! recovery is: load the latest snapshot, then let WAL replay and a
+//! bootstrap close the gap between the snapshot and the crash. The
+//! bootstrap starts at the first row, and the snapshot's admission state
+//! refuses every copy a row already had.
 //!
 //! # On-disk format
 //!
@@ -28,12 +29,12 @@ use synapse_broker::wal::{crc32, put_u32, put_u64, ByteReader};
 use synapse_broker::LogPos;
 use synapse_versionstore::{ObjectVersion, StoreDump, VersionVector};
 
-// SYNSNAP4: each store is three sections — counters `(key, ops,
-// version)`, objects `(identity, tag, version)` and watermarks
-// `(identity, id)`. A file with any other magic (an older format
-// included) fails the magic check and recovery falls back to an older
-// snapshot or to full WAL replay + bootstrap, which is always safe.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"SYNSNAP4";
+// SYNSNAP5: each store is two sections — counters `(key, ops, version)`
+// and objects `(identity, tag, version)`. A file with any other magic (an
+// older format included) fails the magic check and recovery falls back to
+// an older snapshot or to full WAL replay + bootstrap, which is always
+// safe.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"SYNSNAP5";
 /// The magic and the body CRC that follows it.
 const HEADER_LEN: usize = SNAPSHOT_MAGIC.len() + 4;
 
@@ -51,9 +52,10 @@ pub struct NodeSnapshot {
     pub wal_pos: LogPos,
     /// Publisher-store dump.
     pub pub_store: StoreDump,
-    /// Subscriber-store dump — its watermarks and destroy tombstones are
-    /// what let an interrupted bootstrap resume as a delta replay after
-    /// restart without resurrecting deleted rows.
+    /// Subscriber-store dump — its object admission state, destroy
+    /// tombstones included, is what lets the bootstrap after a restart
+    /// refuse every row it already copied without resurrecting deleted
+    /// rows.
     pub sub_store: StoreDump,
 }
 
@@ -83,11 +85,6 @@ fn put_dump(out: &mut Vec<u8>, dump: &StoreDump) {
                 }
             }
         }
-    }
-    put_u32(out, dump.watermarks.len() as u32);
-    for &(key, value) in &dump.watermarks {
-        put_u64(out, key);
-        put_u64(out, value);
     }
 }
 
@@ -122,16 +119,7 @@ fn take_dump(r: &mut ByteReader<'_>, cap: usize) -> Option<StoreDump> {
         };
         objects.push((object, version));
     }
-    let n = take_count(r, cap)?;
-    let mut watermarks = Vec::with_capacity(n);
-    for _ in 0..n {
-        watermarks.push((r.take_u64()?, r.take_u64()?));
-    }
-    Some(StoreDump {
-        counters,
-        objects,
-        watermarks,
-    })
+    Some(StoreDump { counters, objects })
 }
 
 impl NodeSnapshot {
@@ -139,7 +127,7 @@ impl NodeSnapshot {
     pub(crate) fn entries(&self) -> usize {
         [&self.pub_store, &self.sub_store]
             .iter()
-            .map(|d| d.counters.len() + d.objects.len() + d.watermarks.len())
+            .map(|d| d.counters.len() + d.objects.len())
             .sum()
     }
 
@@ -221,8 +209,8 @@ fn parse_seq(name: &str) -> Option<u64> {
 
 impl SnapshotStore {
     /// Opens (or creates) the snapshot directory. Stale `.tmp` files from
-    /// interrupted persists are removed; the next sequence number resumes
-    /// past the highest existing snapshot.
+    /// interrupted persists are removed; the next sequence number follows
+    /// the highest existing snapshot.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<SnapshotStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
@@ -382,22 +370,20 @@ mod tests {
                         },
                     ),
                 ],
-                watermarks: vec![(90, 64)],
             },
         }
     }
 
-    /// `sample()` under sequence 0, as the `SYNSNAP4` encoder first wrote
+    /// `sample()` under sequence 0, as the `SYNSNAP5` encoder first wrote
     /// it, field by field. A change here changes the bytes on disk, and
     /// that needs a new magic.
     const GOLDEN: &str = concat!(
-        "53594e534e415034", // magic
-        "78d3ca65",         // body CRC
+        "53594e534e415035", // magic
+        "d563cc13",         // body CRC
         "0000000000000000", // seq
         "0300000000000000", // wal_pos.segment
         "8f03000000000000", // wal_pos.offset
-        // pub_store: counters (1, 10, 10), (2, 5, 0); no objects or
-        // watermarks
+        // pub_store: counters (1, 10, 10), (2, 5, 0); no objects
         "02000000",
         "0100000000000000",
         "0a00000000000000",
@@ -405,7 +391,6 @@ mod tests {
         "0200000000000000",
         "0500000000000000",
         "0000000000000000",
-        "00000000",
         "00000000",
         // sub_store: counter (1, 9, 0)
         "01000000",
@@ -426,10 +411,6 @@ mod tests {
         "0300000000000000",
         "1600000000000000",
         "0400000000000000",
-        // watermark (90, 64)
-        "01000000",
-        "5a00000000000000",
-        "4000000000000000",
     );
 
     #[test]
@@ -481,7 +462,7 @@ mod tests {
             "both persists counted"
         );
         assert_eq!(files[0].metadata().unwrap().len(), sizes[1] as u64);
-        // A reopened store resumes the sequence past the survivor.
+        // A reopened store continues the sequence past the survivor.
         let reopened = SnapshotStore::open(&dir).unwrap();
         let seq3 = reopened.persist(&sample()).unwrap();
         assert!(seq3 > seq2);

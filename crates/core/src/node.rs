@@ -83,7 +83,7 @@ impl SynapseNode {
 
         // Recover version state *before* any traffic: with the durability
         // plane on, load the latest snapshot into both stores so causal
-        // waits and bootstrap watermarks see pre-crash state. The broker
+        // waits and version admission see pre-crash state. The broker
         // has already replayed its WAL by this point (Broker::open_durable
         // runs before nodes are built), so this pass completes the node's
         // half of recovery. Store errors degrade to a memory-only node
@@ -477,7 +477,7 @@ impl SynapseNode {
     }
 
     /// Persists a [`NodeSnapshot`] of both version stores — including the
-    /// bootstrap watermarks kept in the subscriber store — plus the
+    /// object admission state kept in the subscriber store — plus the
     /// broker's current WAL position. Returns the assigned sequence, or
     /// `Ok(0)` as a no-op when durability is off (mirroring
     /// [`Broker::checkpoint`]). Concurrent calls run one at a time, so

@@ -20,8 +20,8 @@ use synapse_versionstore::{AdmitRule, ObjectVersion, Verdict, VersionVector};
 impl Subscriber {
     /// Applies one operation through the local ORM, unless version
     /// admission discards it: a live write that is stale (counted in
-    /// `ops_stale`), or a chunk copy the live stream already matched or
-    /// beat (`copies_reconciled`).
+    /// `ops_stale`), or a chunk copy that the live stream or an earlier
+    /// bootstrap attempt already matched or beat (`copies_reconciled`).
     pub(super) fn apply_op(
         &self,
         msg: &WriteMessage,

@@ -135,8 +135,9 @@ pub struct SubscriberStats {
     pub messages_stolen: u64,
     /// Bootstrap chunk-copy records admitted and persisted.
     pub copies_applied: u64,
-    /// Bootstrap chunk-copy records discarded by version admission (the
-    /// live stream had already applied an equal-or-newer write).
+    /// Bootstrap chunk-copy records discarded by version admission: the
+    /// live stream, or an earlier bootstrap attempt that copied the row
+    /// before it failed, had already admitted an equal-or-newer version.
     pub copies_reconciled: u64,
     /// Concurrent (conflicting) incoming writes detected on bidirectional
     /// models.

@@ -5,9 +5,8 @@
 //! inside a recovery protocol ("kill a shard while the copier is on its
 //! second chunk"). A [`PhaseHook`] closes that gap: tests register faults
 //! against named protocol phases (the labels are chosen by the test — for
-//! bootstrap they are typically `"snapshot"`, `"copying"`, `"reconciling"`,
-//! `"finalizing"`),
-//! and the system under test reports each phase entry through
+//! bootstrap they are typically `"snapshot"`, `"copying"` and
+//! `"reconciling"`), and the system under test reports each phase entry through
 //! [`PhaseHook::enter`], which fires every registration due at that entry
 //! through the [`Injector`].
 //!

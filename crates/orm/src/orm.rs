@@ -367,7 +367,7 @@ impl Orm {
     /// Fetches up to `limit` objects of a model whose id is strictly
     /// greater than `after`, ordered by id ascending. This is the paged
     /// read behind bootstrap's chunked object copy: each chunk picks up
-    /// where the previous watermark left off.
+    /// after the last id of the one before.
     pub fn all_after(&self, model: &str, after: Id, limit: usize) -> Result<Vec<Record>, OrmError> {
         let schema = self.shared_schema(model)?;
         let records = self.adapter.select(

@@ -7,8 +7,8 @@
 //! The original stores these in Redis, runs every multi-key update as an
 //! atomic Lua script, and shards the store over a Dynamo-style hash ring.
 //!
-//! A [`VersionStore`] keeps three maps, one per purpose, each shard
-//! holding its part of all three:
+//! A [`VersionStore`] keeps two maps, one per purpose, each shard holding
+//! its part of both:
 //!
 //! * **counters** `{ops, version}`, keyed by the hashed [`DepKey`]. Their
 //!   number is bounded by the dependency space — the paper's O(1) memory —
@@ -17,13 +17,11 @@
 //!   full 64-bit stable hash of its dependency name, never reduced into the
 //!   space. It holds an [`ObjectVersion`] — a single-writer scalar, or a
 //!   multi-writer vector with its LWW winner — and grows with the objects
-//!   replicated, so a counter collision can never decide freshness;
-//! * **bootstrap watermarks**, keyed by the identity of the
-//!   `(publisher, model)` watermark name.
+//!   replicated, so a counter collision can never decide freshness.
 //!
 //! Killing a shard ([`VersionStore::kill_shard`]) loses that shard's part
-//! of all three maps; [`VersionStore::kill`] and [`VersionStore::flush`]
-//! lose all of them everywhere.
+//! of both maps; [`VersionStore::kill`] and [`VersionStore::flush`] lose
+//! both everywhere.
 //!
 //! This crate reproduces that stack:
 //!

@@ -13,12 +13,10 @@ pub struct StoreDump {
     /// Every object's admission state, by identity — destroy tombstones
     /// and conflict-resolution state included.
     pub objects: Vec<(u64, ObjectVersion)>,
-    /// Every bootstrap watermark, `(identity, last copied id)`.
-    pub watermarks: Vec<(u64, u64)>,
 }
 
 impl VersionStore {
-    /// Bulk-dumps all three maps — the durability plane's snapshot and,
+    /// Bulk-dumps both maps — the durability plane's snapshot and,
     /// from a publisher's store (which holds counters only), step one of
     /// bootstrap (§4.4: "all current publisher versions are sent in
     /// bulk").
@@ -26,17 +24,15 @@ impl VersionStore {
         self.check_alive()?;
         // Sized from a first pass, so the sections never regrow; entries
         // that land between the two passes only cost a regrowth.
-        let mut sizes = [0; 3];
+        let mut sizes = [0; 2];
         for shard in &self.shards {
             let maps = shard.maps.lock();
             sizes[0] += maps.counters.len();
             sizes[1] += maps.objects.len();
-            sizes[2] += maps.watermarks.len();
         }
         let mut out = StoreDump {
             counters: Vec::with_capacity(sizes[0]),
             objects: Vec::with_capacity(sizes[1]),
-            watermarks: Vec::with_capacity(sizes[2]),
         };
         for shard in &self.shards {
             let maps = shard.maps.lock();
@@ -44,41 +40,32 @@ impl VersionStore {
                 .extend(maps.counters.iter().map(|(k, c)| (*k, c.ops, c.version)));
             out.objects
                 .extend(maps.objects.iter().map(|(k, v)| (*k, v.clone())));
-            out.watermarks
-                .extend(maps.watermarks.iter().map(|(k, v)| (*k, *v)));
         }
         Ok(out)
     }
 
     /// Bulk-loads a [`StoreDump`], keeping the max of everything against
     /// what is already stored — counters field-wise, object versions as
-    /// admission commits them, watermarks as loaded — and wakes waiters on
-    /// touched shards. Max-merge makes the load idempotent and safe to
+    /// admission commits them — and wakes waiters on touched shards. Max-merge makes the load idempotent and safe to
     /// combine with live traffic racing in after recovery.
     pub fn load_dump(&self, dump: &StoreDump) -> Result<(), StoreError> {
         self.check_alive()?;
         let routes: Vec<usize> = (dump.counters.iter().map(|c| c.0))
             .chain(dump.objects.iter().map(|o| o.0))
-            .chain(dump.watermarks.iter().map(|w| w.0))
             .map(|key| self.ring.route(key))
             .collect();
-        let (counter_routes, rest) = routes.split_at(dump.counters.len());
-        let (object_routes, watermark_routes) = rest.split_at(dump.objects.len());
+        let (counter_routes, object_routes) = routes.split_at(dump.counters.len());
         // Entries routed to each shard, per section: each map is reserved
         // for them up front, so a restore never rehashes a growing table.
-        let mut routed = vec![[0usize; 3]; self.shards.len()];
-        for (section, routes) in [counter_routes, object_routes, watermark_routes]
-            .iter()
-            .enumerate()
-        {
+        let mut routed = vec![[0usize; 2]; self.shards.len()];
+        for (section, routes) in [counter_routes, object_routes].iter().enumerate() {
             routes.iter().for_each(|&shard| routed[shard][section] += 1);
         }
         let mut guards = self.lock_routed(&routes);
-        for (maps, [counters, objects, watermarks]) in guards.iter_mut().zip(routed) {
+        for (maps, [counters, objects]) in guards.iter_mut().zip(routed) {
             if let Some(maps) = maps {
                 maps.counters.reserve(counters);
                 maps.objects.reserve(objects);
-                maps.watermarks.reserve(watermarks);
             }
         }
         for (&(key, ops, version), shard) in dump.counters.iter().zip(counter_routes) {
@@ -93,11 +80,6 @@ impl VersionStore {
                 .entry(*object)
                 .and_modify(|stored| stored.merge(version))
                 .or_insert_with(|| version.clone());
-        }
-        for (&(key, value), shard) in dump.watermarks.iter().zip(watermark_routes) {
-            let maps = guards[*shard].as_mut().expect("routed shard locked");
-            let stored = maps.watermarks.entry(key).or_default();
-            *stored = (*stored).max(value);
         }
         self.release_notify(guards);
         Ok(())

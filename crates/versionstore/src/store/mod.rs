@@ -1,7 +1,7 @@
 //! The sharded version store and its atomic scripts: the publisher's
-//! bump, the subscriber's wait and apply, the counter reads and the
-//! bootstrap watermarks here; the per-object admission script in
-//! `admission`; the three-section dump and load in `dump`.
+//! bump, the subscriber's wait and apply and the counter reads here; the
+//! per-object admission script in `admission`; the two-section dump and
+//! load in `dump`.
 
 mod admission;
 mod dump;
@@ -111,7 +111,7 @@ struct Counter {
     version: u64,
 }
 
-/// One shard's three maps, one per purpose, under one lock.
+/// One shard's two maps, one per purpose, under one lock.
 #[derive(Default)]
 struct Maps {
     /// Dependency counters by hashed key: the bounded plane.
@@ -120,13 +120,11 @@ struct Maps {
     /// object *versioned*: a destroy leaves its version behind as a
     /// tombstone, so a stale copy of the row is refused.
     objects: HashMap<u64, ObjectVersion>,
-    /// Bootstrap resume watermarks (last copied id) by identity.
-    watermarks: HashMap<u64, u64>,
 }
 
 impl Maps {
     fn len(&self) -> usize {
-        self.counters.len() + self.objects.len() + self.watermarks.len()
+        self.counters.len() + self.objects.len()
     }
 }
 
@@ -186,7 +184,7 @@ impl VersionStore {
     }
 
     /// Locks the shard `key` routes to, unless it is dead. Counters route
-    /// by their hashed key, objects and watermarks by their identity.
+    /// by their hashed key, objects by their identity.
     fn maps_of(&self, key: u64) -> Result<MutexGuard<'_, Maps>, StoreError> {
         let shard = &self.shards[self.ring.route(key)];
         if shard.dead.load(Ordering::SeqCst) {
@@ -195,8 +193,8 @@ impl VersionStore {
         Ok(shard.maps.lock())
     }
 
-    /// Kills one shard: its contents — counters, objects and watermarks
-    /// alike — are lost and every operation routed to it fails until
+    /// Kills one shard: its contents — counters and objects alike — are
+    /// lost and every operation routed to it fails until
     /// [`VersionStore::revive_shard`]. Out-of-range indexes are ignored.
     pub fn kill_shard(&self, index: usize) {
         if let Some(shard) = self.shards.get(index) {
@@ -223,7 +221,7 @@ impl VersionStore {
             .unwrap_or(false)
     }
 
-    /// Shard index a counter key, object or watermark routes to (for
+    /// Shard index a counter key or object routes to (for
     /// targeted fault injection).
     pub fn shard_for(&self, key: u64) -> usize {
         self.ring.route(key)
@@ -493,31 +491,7 @@ impl VersionStore {
             .unwrap_or_default())
     }
 
-    /// Reads a bootstrap watermark — the last id a copy committed — by
-    /// its identity (0 when absent).
-    pub fn watermark(&self, key: u64) -> Result<u64, StoreError> {
-        Ok(self.maps_of(key)?.watermarks.get(&key).map_or(0, |w| *w))
-    }
-
-    /// Bootstrap watermark compare-and-load: keeps the max of `value` and
-    /// the stored watermark, returning whatever ends up stored. Monotone,
-    /// so a retried chunk can never move a watermark backwards.
-    pub fn load_watermark(&self, key: u64, value: u64) -> Result<u64, StoreError> {
-        let mut maps = self.maps_of(key)?;
-        let stored = maps.watermarks.entry(key).or_default();
-        *stored = (*stored).max(value);
-        Ok(*stored)
-    }
-
-    /// Drops a bootstrap watermark. Called when a bootstrap completes — or
-    /// restarts from scratch — so a later bootstrap re-copies every record
-    /// instead of resuming past rows that may have changed since.
-    pub fn clear_watermark(&self, key: u64) -> Result<(), StoreError> {
-        self.maps_of(key)?.watermarks.remove(&key);
-        Ok(())
-    }
-
-    /// Clears all three maps (generation change, §4.4: subscribers "flush
+    /// Clears both maps (generation change, §4.4: subscribers "flush
     /// their version store"): the publisher restarted its counters, so
     /// every version recorded against the old ones is void.
     pub fn flush(&self) -> Result<(), StoreError> {
@@ -529,8 +503,8 @@ impl VersionStore {
         Ok(())
     }
 
-    /// Number of entries across all shards, counting all three maps:
-    /// counters, admitted objects and watermarks.
+    /// Number of entries across all shards, counting both maps: counters
+    /// and admitted objects.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.maps.lock().len()).sum()
     }

@@ -261,7 +261,7 @@ fn snapshot_roundtrips_through_load() {
     bump(&publisher, &[(1, true), (2, true), (3, false)]);
     bump(&publisher, &[(1, true)]);
     let dump = publisher.dump().unwrap();
-    assert!(dump.objects.is_empty() && dump.watermarks.is_empty());
+    assert!(dump.objects.is_empty());
     let subscriber = VersionStore::new(2);
     subscriber.load_dump(&dump).unwrap();
     assert_eq!(subscriber.ops(1).unwrap(), 2);
@@ -452,57 +452,21 @@ fn a_held_stripe_is_reentered_and_its_classified_vector_followed() {
     );
 }
 
+/// The two maps never meet: a counter and an object under one key each
+/// keep their own value.
 #[test]
-fn watermarks_are_monotone_and_clearable() {
-    let store = VersionStore::new(2);
-    assert_eq!(store.watermark(7).unwrap(), 0, "absent key reads 0");
-    assert_eq!(store.load_watermark(7, 16).unwrap(), 16);
-    assert_eq!(store.load_watermark(7, 12).unwrap(), 16, "never regresses");
-    assert_eq!(store.load_watermark(7, 48).unwrap(), 48);
-    assert_eq!(store.watermark(7).unwrap(), 48);
-    store.clear_watermark(7).unwrap();
-    assert_eq!(store.watermark(7).unwrap(), 0);
-    assert!(store.is_empty(), "a cleared watermark leaves no entry");
-}
-
-/// The three maps never meet: a counter, an object and a watermark under
-/// one key each keep their own value, so no object's version can lift a
-/// resume watermark past rows that were never copied, and clearing the
-/// watermark leaves the object's tombstone standing.
-#[test]
-fn counters_objects_and_watermarks_share_no_entry() {
+fn counters_and_objects_share_no_entry() {
     let store = VersionStore::new(1);
     store.apply(&[5]).unwrap();
     assert!(advance_scalar(&store, 5, 900));
-    store.load_watermark(5, 40).unwrap();
     assert_eq!(store.ops(5).unwrap(), 1);
-    assert_eq!(store.latest_version(5).unwrap(), 0);
-    assert_eq!(
-        store.watermark(5).unwrap(),
-        40,
-        "the object's version stays out"
-    );
+    assert_eq!(store.latest_version(5).unwrap(), 0, "the object stays out");
     assert!(admit_scalar_copy(&store, 6, 0), "object 6 has no state");
-    store.clear_watermark(5).unwrap();
     assert!(
         !advance_scalar(&store, 5, 899),
-        "the object's version survives"
+        "the object's version is its own"
     );
     assert_eq!(store.len(), 3, "counter 5, objects 5 and 6");
-}
-
-#[test]
-fn watermark_calls_fail_when_the_owning_shard_is_dead() {
-    let store = VersionStore::new(2);
-    store.load_watermark(3, 9).unwrap();
-    store.kill_shard(store.shard_for(3));
-    assert!(store.load_watermark(3, 10).is_err());
-    assert!(store.watermark(3).is_err());
-    assert!(store.clear_watermark(3).is_err());
-    store.revive_shard(store.shard_for(3));
-    // Shard contents were lost with the kill: the watermark is gone and
-    // the caller must restart its copy from scratch.
-    assert_eq!(store.watermark(3).unwrap(), 0);
 }
 
 #[test]
@@ -510,13 +474,10 @@ fn dump_roundtrips_ops_and_versions() {
     let store = VersionStore::new(4);
     bump(&store, &[(1, true), (2, false)]);
     bump(&store, &[(1, true)]);
-    store.load_watermark(9, 42).unwrap();
-    store.load_watermark(3, 7).unwrap();
     advance_scalar(&store, 8, 5);
     advance_scalar(&store, 4, 6);
     let dump = sorted(store.dump().unwrap());
     assert_eq!(dump.counters, [(1, 2, 2), (2, 1, 0)]);
-    assert_eq!(dump.watermarks, [(3, 7), (9, 42)]);
     assert_eq!(
         dump.objects,
         [(4, ObjectVersion::Scalar(6)), (8, ObjectVersion::Scalar(5))]
@@ -527,7 +488,6 @@ fn dump_roundtrips_ops_and_versions() {
     assert_eq!(restored.ops(1).unwrap(), 2);
     assert_eq!(restored.latest_version(1).unwrap(), 2, "versions survive");
     assert_eq!(restored.ops(2).unwrap(), 1);
-    assert_eq!(restored.watermark(9).unwrap(), 42, "watermarks survive");
     assert_eq!(sorted(restored.dump().unwrap()), dump);
 }
 
@@ -535,7 +495,6 @@ fn dump_roundtrips_ops_and_versions() {
 fn sorted(mut dump: StoreDump) -> StoreDump {
     dump.counters.sort_unstable_by_key(|c| c.0);
     dump.objects.sort_unstable_by_key(|o| o.0);
-    dump.watermarks.sort_unstable();
     dump
 }
 
@@ -561,24 +520,18 @@ fn load_dump_is_order_free() {
         if key % 4 == 0 {
             admit_live(&store, key * 7 + 1, VersionVector::component(key, 2), key);
         }
-        if key % 5 == 0 {
-            store.load_watermark(key, key * 11).unwrap();
-        }
     }
     let mut dump = store.dump().unwrap();
     dump.counters.push((5, 0, 0));
     dump.objects.push((21, ObjectVersion::Scalar(1)));
-    dump.watermarks.push((10, 3));
     let reversed = StoreDump {
         counters: dump.counters.iter().rev().copied().collect(),
         objects: dump.objects.iter().rev().cloned().collect(),
-        watermarks: dump.watermarks.iter().rev().copied().collect(),
     };
     let mut shuffled = dump.clone();
     let mut seed = 0x2545_F491_4F6C_DD1D;
     shuffle(&mut shuffled.counters, &mut seed);
     shuffle(&mut shuffled.objects, &mut seed);
-    shuffle(&mut shuffled.watermarks, &mut seed);
     let loaded: Vec<StoreDump> = [&dump, &reversed, &shuffled]
         .into_iter()
         .map(|d| {
@@ -601,7 +554,6 @@ fn load_dump_max_merges_both_fields() {
     let stale = StoreDump {
         counters: vec![(1, 1, 1)],
         objects: vec![(1, ObjectVersion::Scalar(3))],
-        watermarks: Vec::new(),
     };
     store.load_dump(&stale).unwrap();
     assert_eq!(store.ops(1).unwrap(), 2);
@@ -611,7 +563,6 @@ fn load_dump_max_merges_both_fields() {
     let newer = StoreDump {
         counters: vec![(1, 10, 9)],
         objects: vec![(1, ObjectVersion::Scalar(12))],
-        watermarks: Vec::new(),
     };
     store.load_dump(&newer).unwrap();
     assert_eq!(store.ops(1).unwrap(), 10);
@@ -787,8 +738,7 @@ fn flush_clears_counters() {
     let store = VersionStore::new(2);
     store.apply(&[1, 2, 3]).unwrap();
     advance_scalar(&store, 1, 4);
-    store.load_watermark(1, 9).unwrap();
-    assert_eq!(store.len(), 5, "three counters, one object, one watermark");
+    assert_eq!(store.len(), 4, "three counters, one object");
     store.flush().unwrap();
     assert!(store.is_empty());
 }

@@ -13,7 +13,7 @@
 //!      with messages still in flight.
 //!   3. A new incarnation opens the same directory: the WAL replay and
 //!      snapshot load are visible in the recovery report and telemetry,
-//!      the in-flight messages are redelivered, and replication resumes.
+//!      the in-flight messages are redelivered, and replication carries on.
 //!
 //! Run with: `cargo run --example durable_recovery`
 

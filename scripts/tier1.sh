@@ -48,9 +48,9 @@ SYNAPSE_SEED="${SYNAPSE_SEED:-24210775}" \
 
 # Crash-restart soak: the durability plane under the seeded kill
 # schedule (see EXPERIMENTS.md "crash-restart soak"). Zero acked-message
-# loss across every crash point, and a restart resumes an interrupted
-# bootstrap from its snapshot-carried watermark. The 10-seed sweep runs
-# too (SYNAPSE_CRASH_SWEEP=0 skips it).
+# loss across every crash point, and the bootstrap after a restart has its
+# snapshot-carried admission state refuse every row it already copied.
+# The 10-seed sweep runs too (SYNAPSE_CRASH_SWEEP=0 skips it).
 SYNAPSE_SEED="${SYNAPSE_SEED:-24210775}" \
   SYNAPSE_CRASH_SWEEP="${SYNAPSE_CRASH_SWEEP:-1}" \
   cargo test -q --test crash_restart

@@ -278,17 +278,17 @@ fn replication_stays_within_its_allocation_ceilings() {
         (
             "publish create, weak".to_owned(),
             intercepted_publish(DeliveryMode::Weak),
-            33,
+            32,
         ),
         (
             "publish create, causal".to_owned(),
             intercepted_publish(DeliveryMode::Causal),
-            33,
+            32,
         ),
         (
             "publish 2-create transaction, causal".to_owned(),
             transaction_publish(DeliveryMode::Causal),
-            74,
+            73,
         ),
         ("Subscriber::process create".to_owned(), create, 60),
         ("Subscriber::process update".to_owned(), update, 61),

@@ -1,15 +1,16 @@
 //! The three-step bootstrap protocol (§4.4) in detail: version snapshots
 //! before data, projection during bulk copy, live traffic during the copy,
 //! ephemeral exclusion, decorator chains bootstrapping in stages, and the
-//! failure paths of the chunked, resumable recovery rebuild — flag
-//! hygiene on failed attempts, watermark resume after a mid-copy fault or
-//! a panicking copy, watermark lineage across decommission/reinstate,
-//! deferred watermark cleanup, dead publisher stores, ephemeral-only
-//! publications, and reinstates racing a broker restart.
+//! failure paths of the chunked recovery rebuild — flag hygiene on failed
+//! attempts, the restart after a mid-copy fault or a panicking copy (the
+//! next attempt copies from the first row, and admission refuses what the
+//! failed one copied), a reinstate after a swept backlog, dead publisher
+//! stores, ephemeral-only publications, and reinstates racing a broker
+//! restart.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use synapse_repro::core::{
     BootstrapPhase, BootstrapState, DepName, Ecosystem, Publication, Subscription, SynapseConfig,
     SynapseNode, BOOTSTRAP_CHUNK_ROWS as CHUNK, RETRY_ATTEMPTS,
@@ -379,13 +380,13 @@ fn arm_copy_fault_at_chunk(node: &Arc<SynapseNode>, chunk: u64) -> Arc<AtomicBoo
     armed
 }
 
-/// A mid-copy fault exhausts the retry budget and fails the attempt, but
-/// leaves the committed chunk watermarks in the version store, so the next
-/// attempt resumes past the copied rows instead of redoing the copy — and
-/// still converges. (Runs on the synchronous no-worker path; the live
-/// backlog drains once workers start.)
+/// A mid-copy fault exhausts the retry budget and fails the attempt. The
+/// next attempt copies from the first row again: version admission
+/// refuses every row the failed attempt copied, so nothing is written
+/// twice, and the copy still converges. (Runs on the synchronous
+/// no-worker path; the live backlog drains once workers start.)
 #[test]
-fn copy_fault_fails_attempt_then_resume_converges() {
+fn copy_fault_fails_attempt_then_restart_converges() {
     let eco = Ecosystem::new();
     // Four full chunks and three rows of a fifth, with the live writes.
     let publisher = publisher_with_users(&eco, 4 * CHUNK - 2);
@@ -411,7 +412,7 @@ fn copy_fault_fails_attempt_then_resume_converges() {
             .create("User", vmap! { "name" => format!("live-{i}") })
             .unwrap();
     }
-    // The copier's third chunk (two watermarks committed) hits a burst of
+    // The copier's third chunk (two chunks applied) hits a burst of
     // transient faults that exhausts the retry budget.
     let armed = arm_copy_fault_at_chunk(&subscriber, 2);
     let err = subscriber.bootstrap_from(&publisher);
@@ -420,25 +421,35 @@ fn copy_fault_fails_attempt_then_resume_converges() {
     assert!(!subscriber.orm().is_bootstrap());
     let stats = subscriber.bootstrap_stats();
     assert_eq!(stats.attempts, 1);
-    assert_eq!(stats.resumes, 0, "first attempt starts from scratch");
     assert_eq!(
         stats.chunks_copied, 2,
-        "the chunks before the faulted one committed watermarks"
+        "the chunks before the faulted one were applied"
     );
     assert!(stats.retries >= 1, "the chunk retried before exhausting");
-    let copied_first = stats.records_copied;
-    assert_eq!(copied_first, 2 * CHUNK as u64);
+    assert_eq!(stats.records_copied, 2 * CHUNK as u64);
+    assert_eq!(stats.records_reconciled, 0);
 
-    // Second attempt: the watermark survived, so the copier resumes past
-    // everything already copied and covers the rest.
+    // Second attempt: it re-reads the rows the first one copied, and
+    // admission refuses each of them before any engine write.
+    let started = Instant::now();
     subscriber.bootstrap_from(&publisher).unwrap();
+    let elapsed = started.elapsed();
     let stats = subscriber.bootstrap_stats();
     assert_eq!(stats.completions, 1);
-    assert!(stats.resumes >= 1, "second attempt resumed from watermark");
+    assert_eq!(
+        stats.records_reconciled,
+        2 * CHUNK as u64,
+        "the restart re-read what the failed attempt copied, and admission refused it"
+    );
     assert_eq!(
         stats.records_copied,
         4 * CHUNK as u64 + 3,
-        "resume must not re-copy records behind the watermark"
+        "admission must not let a copied row be written twice"
+    );
+    eprintln!(
+        "restarted attempt: {elapsed:?} for {} rows, {} of them refused",
+        4 * CHUNK + 3,
+        stats.records_reconciled
     );
     assert_eq!(
         stats.copies_merged, 0,
@@ -464,11 +475,11 @@ fn copy_fault_fails_attempt_then_resume_converges() {
 /// A copy whose subscriber callback panics fails the bootstrap attempt at
 /// its chunk, on a node whose worker pool runs: the copier applies every
 /// chunk itself, so the copy is neither dead-lettered nor lost behind a
-/// reported success. The chunks before it keep their watermarks, the node
-/// stays writable, and once the callback stops panicking the next attempt
-/// resumes and converges.
+/// reported success. The node stays writable, and once the callback stops
+/// panicking the next attempt copies from the first row again, has every
+/// row the failed attempt copied refused by admission, and converges.
 #[test]
-fn a_panicking_copy_fails_the_attempt_and_the_next_resumes() {
+fn a_panicking_copy_fails_the_attempt_and_the_next_restarts() {
     let eco = Ecosystem::new();
     let publisher = publisher_with_users(&eco, 3 * CHUNK);
     let subscriber = eco.add_node(
@@ -514,9 +525,10 @@ fn a_panicking_copy_fails_the_attempt_and_the_next_resumes() {
     assert_eq!(stats.phase, BootstrapPhase::Idle);
     assert_eq!(
         stats.chunks_copied, 2,
-        "the chunks before the poisoned row committed watermarks"
+        "the chunks before the poisoned row were applied"
     );
     assert_eq!(stats.records_copied, 2 * CHUNK as u64 + 5);
+    assert_eq!(stats.records_reconciled, 0);
     assert!(subscriber.subscriber().drain(Duration::from_secs(10)));
     assert_eq!(subscriber.subscriber_stats().dead_lettered, 0);
     assert!(subscriber.dead_letters().is_empty());
@@ -525,71 +537,26 @@ fn a_panicking_copy_fails_the_attempt_and_the_next_resumes() {
     subscriber.bootstrap_from(&publisher).unwrap();
     let stats = subscriber.bootstrap_stats();
     assert_eq!(stats.completions, 1);
-    assert_eq!(stats.resumes, 1, "the second attempt resumed");
+    assert_eq!(
+        stats.records_reconciled,
+        2 * CHUNK as u64 + 5,
+        "the restart re-read what the failed attempt copied, and admission refused it"
+    );
     assert_eq!(
         stats.records_copied,
         3 * CHUNK as u64,
-        "rows behind the watermark were not re-copied"
+        "admission must not let a copied row be written twice"
     );
     assert_eq!(subscriber.orm().count("User").unwrap(), 3 * CHUNK as u64);
     assert!(subscriber.dead_letters().is_empty());
     eco.stop_all();
 }
 
-/// Watermark lineage across decommission/reinstate, the keep path: a
-/// decommission that swept nothing leaves live-stream coverage intact, so
-/// a reinstating bootstrap must keep its committed watermarks and resume.
+/// A decommission that swept queued messages lost the writes they carried.
+/// The reinstating bootstrap copies from the first row, so it covers the
+/// swept rows too and converges exactly.
 #[test]
-fn reinstate_with_unswept_backlog_keeps_resume_watermarks() {
-    let eco = Ecosystem::new();
-    let publisher = publisher_with_users(&eco, 5 * CHUNK);
-    let subscriber = eco.add_node(
-        SynapseConfig::new("late"),
-        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
-    );
-    subscriber
-        .orm()
-        .define_model(ModelSchema::open("User"))
-        .unwrap();
-    subscriber
-        .subscribe(Subscription::model("User", "pub").fields(&["name"]))
-        .unwrap();
-    eco.connect();
-
-    let armed = arm_copy_fault_at_chunk(&subscriber, 2);
-    assert!(subscriber.bootstrap_from(&publisher).is_err());
-    assert!(armed.load(Ordering::SeqCst));
-    let stats = subscriber.bootstrap_stats();
-    assert_eq!(stats.chunks_copied, 2, "the fault hit the third chunk");
-    assert_eq!(stats.records_copied, 2 * CHUNK as u64);
-
-    // The queue dies with an *empty* backlog: nothing is swept, so the
-    // discard lineage does not move and the watermarks stay trustworthy.
-    eco.broker().decommission_queue("late");
-    subscriber.bootstrap_from(&publisher).unwrap();
-    let stats = subscriber.bootstrap_stats();
-    assert_eq!(stats.completions, 1);
-    assert!(
-        stats.resumes >= 1,
-        "an unswept reinstate must keep the watermarks and resume"
-    );
-    assert_eq!(
-        stats.records_copied,
-        5 * CHUNK as u64,
-        "rows behind the watermark were not re-copied"
-    );
-    assert_eq!(subscriber.orm().count("User").unwrap(), 5 * CHUNK as u64);
-    assert_eq!(eco.broker().stats().reinstated, 1);
-    eco.stop_all();
-}
-
-/// Watermark lineage across decommission/reinstate, the clear path: a
-/// decommission that swept queued messages broke live-stream coverage —
-/// the copied chunks relied on those messages to carry the writes they
-/// raced with — so a reinstating bootstrap must clear its watermarks and
-/// restart the copy from scratch, which also re-covers the swept rows.
-#[test]
-fn reinstate_after_swept_backlog_clears_resume_watermarks() {
+fn reinstate_after_swept_backlog_recopies_and_converges() {
     let eco = Ecosystem::new();
     let publisher = publisher_with_users(&eco, 5 * CHUNK);
     let subscriber = eco.add_node(
@@ -617,91 +584,17 @@ fn reinstate_after_swept_backlog_clears_resume_watermarks() {
     assert!(armed.load(Ordering::SeqCst));
     assert_eq!(subscriber.bootstrap_stats().chunks_copied, 2);
 
-    // The decommission sweeps the three queued messages: real loss, and
-    // the discard lineage moves.
+    // The decommission sweeps the three queued messages: real loss.
     eco.broker().decommission_queue("late");
     subscriber.bootstrap_from(&publisher).unwrap();
     let stats = subscriber.bootstrap_stats();
     assert_eq!(stats.completions, 1);
-    assert_eq!(
-        stats.resumes, 0,
-        "a swept backlog breaks lineage: no resume"
-    );
     // The full re-copy covers the swept writes too: exact convergence.
     assert_eq!(
         subscriber.orm().count("User").unwrap(),
         5 * CHUNK as u64 + 3
     );
     assert!(eco.broker().stats().discarded >= 3);
-    eco.stop_all();
-}
-
-/// A watermark-cleanup failure after convergence must not fail the
-/// attempt: the node still transitions to Live, the deferral is counted,
-/// and the *next* attempt clears the stale resume state before trusting
-/// any watermark.
-#[test]
-fn cleanup_failure_defers_and_node_still_goes_live() {
-    let eco = Ecosystem::new();
-    // Two full chunks and half a third.
-    let rows = 2 * CHUNK + CHUNK / 2;
-    let publisher = publisher_with_users(&eco, rows);
-    let subscriber = eco.add_node(
-        SynapseConfig::new("late"),
-        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
-    );
-    subscriber
-        .orm()
-        .define_model(ModelSchema::open("User"))
-        .unwrap();
-    subscriber
-        .subscribe(Subscription::model("User", "pub").fields(&["name"]))
-        .unwrap();
-    eco.connect();
-
-    // Kill the watermark's home shard between the last chunk and the
-    // cleanup: the probe fires on the Finalizing transition, which sits
-    // exactly there.
-    let wm_shard = subscriber
-        .sub_store()
-        .shard_for(DepName::bootstrap_watermark("pub", "User").identity());
-    let killed = Arc::new(AtomicBool::new(false));
-    {
-        let store = subscriber.sub_store().clone();
-        let killed = killed.clone();
-        subscriber.set_bootstrap_probe(move |state| {
-            if matches!(state, BootstrapState::Finalizing) && !killed.swap(true, Ordering::SeqCst) {
-                store.kill_shard(wm_shard);
-            }
-        });
-    }
-    subscriber.bootstrap_from(&publisher).unwrap();
-    assert!(killed.load(Ordering::SeqCst));
-    let stats = subscriber.bootstrap_stats();
-    assert_eq!(
-        stats.completions, 1,
-        "cleanup failure must not fail the attempt"
-    );
-    assert_eq!(stats.phase, BootstrapPhase::Live);
-    assert_eq!(stats.cleanup_deferred, 1);
-    assert_eq!(stats.chunks_copied, 3);
-    assert_eq!(
-        subscriber
-            .telemetry_snapshot()
-            .counter("bootstrap.cleanup_deferred"),
-        1
-    );
-    assert_eq!(subscriber.orm().count("User").unwrap(), rows as u64);
-
-    // The next attempt revives the store, clears the (dirty) watermark
-    // state first, and completes cleanly from scratch.
-    subscriber.clear_bootstrap_probe();
-    subscriber.bootstrap_from(&publisher).unwrap();
-    let stats = subscriber.bootstrap_stats();
-    assert_eq!(stats.completions, 2);
-    assert_eq!(stats.cleanup_deferred, 1, "the deferral happened once");
-    assert!(!subscriber.sub_store().is_dead());
-    assert_eq!(subscriber.orm().count("User").unwrap(), rows as u64);
     eco.stop_all();
 }
 

@@ -10,21 +10,21 @@
 //!   frame poisons the log), torn tail (garbage bytes after the last good
 //!   frame), dropped fsyncs followed by power failure (the disk lied),
 //!   a crash right after a checkpoint compaction, and mid-group-commit
-//!   (a leader's multi-frame staged batch reaches disk only as a strict
-//!   prefix). Every reopen must replay
-//!   a consistent prefix: all durably-confirmed unacked messages present,
-//!   no acked message redelivered, no phantom payloads.
-//! * **Node layer** (`node_recovery_resumes_interrupted_bootstrap`): a
+//!   (a publish leading a group with staged relaxed-lane acks reaches
+//!   disk only as a strict prefix of that multi-frame write). Every
+//!   reopen must replay a consistent prefix: all durably-confirmed
+//!   unacked messages present, no acked message redelivered, no phantom
+//!   payloads.
+//! * **Node layer** (`node_recovery_restarts_an_interrupted_bootstrap`): a
 //!   subscriber with the durability plane on dies mid-bootstrap (an armed
-//!   chunk-copy fault kills the copy after two watermarks committed),
+//!   chunk-copy fault kills the copy after two chunks were applied),
 //!   persists a version-store snapshot, and is rebuilt from disk after a
 //!   torn-tail corruption of the active segment. Recovery must truncate
 //!   the tear, load the snapshot *before traffic* (asserted through the
 //!   `recovery.*` telemetry counters), replay the broker WAL, and the
-//!   next `bootstrap_from` must resume from
-//!   the snapshot-carried watermark as a delta copy (`resumes >= 1`,
-//!   `records_copied` strictly below a full re-copy) rather than
-//!   restarting from row zero.
+//!   next `bootstrap_from` copies from the first row while the
+//!   snapshot-carried admission state refuses every row already copied
+//!   (`records_copied` strictly below a full re-copy).
 //!
 //! `SYNAPSE_SEED=<n>` pins the schedule; `SYNAPSE_CRASH_SWEEP=1` runs a
 //! ten-seed sweep of the broker soak on top of the seed of record.
@@ -34,7 +34,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use synapse_repro::broker::{Broker, FsyncPolicy, QueueConfig, SharedStr, WalConfig};
+use synapse_repro::broker::{Broker, FsyncPolicy, QueueConfig, WalConfig};
 use synapse_repro::core::{
     Ecosystem, Publication, Subscription, SynapseConfig, SynapseNode, BOOTSTRAP_CHUNK_ROWS,
     RETRY_ATTEMPTS,
@@ -239,29 +239,44 @@ fn run_crash_soak(seed: u64) {
             CrashPoint::MidGroupCommit => {
                 points_fired.insert("mid-group-commit");
                 let wal = broker.wal().expect("durable broker has a wal");
-                // The cut lands somewhere inside a four-frame staged batch
-                // (write_batch always clamps to a strict prefix): complete
-                // prefix frames reach disk and replay as live, the cut
-                // frame is torn-tail truncated on reopen.
-                wal.inject_partial_append(20 + event.cut_back * 3);
-                let mut batch: Vec<(SharedStr, u64, u64)> = Vec::new();
+                // Acks ride the relaxed lane: staged, not written, until
+                // the next blocking append carries them in its group. Ack
+                // up to three of this round's publishes, then tear the
+                // publish that leads their group: the cut lands somewhere
+                // inside the multi-frame write (write_batch always clamps
+                // to a strict prefix), complete prefix frames reach disk
+                // and replay, and the cut frame is torn-tail truncated on
+                // reopen.
+                let commits = wal.stats().group_commits;
                 let mut staged: Vec<String> = Vec::new();
-                for i in 0..4u64 {
-                    let p = format!("r{round}-gc-{seq}");
-                    seq += 1;
-                    staged.push(p.clone());
-                    batch.push((SharedStr::from(p), 0, 1 + i));
+                while staged.len() < 3 {
+                    let Some(d) = consumer.pop(Duration::ZERO) else {
+                        break;
+                    };
+                    assert!(consumer.ack(d.tag), "ack of this round's publish");
+                    staged.push(d.payload.as_str().to_owned());
                 }
+                assert!(!staged.is_empty(), "the round published at least once");
                 assert_eq!(
-                    broker.publish_to_queue("q", "x", batch),
-                    0,
-                    "a batch whose group commit died mid-write must fail"
+                    wal.stats().group_commits,
+                    commits,
+                    "the acks stay staged for the publish's group"
                 );
-                // The publisher saw Err, so none of these are promised.
-                // Complete prefix frames may still replay as live —
-                // at-least-once allows their presence but forbids
-                // requiring them, exactly the `suspect` contract.
+                wal.inject_partial_append(20 + event.cut_back * 3);
+                let p = format!("r{round}-gc-{seq}");
+                seq += 1;
+                assert!(
+                    broker.publish("x", p.as_str()).is_err(),
+                    "a publish whose group commit died mid-write must fail"
+                );
+                // An ack may or may not have reached the disk, and the
+                // publisher saw Err: none of these is promised either way,
+                // exactly the `suspect` contract.
+                for acked_early in &staged {
+                    confirmed.remove(acked_early);
+                }
                 suspect.extend(staged);
+                suspect.insert(p);
                 assert!(
                     broker.publish("x", "post-batch-poison").is_err(),
                     "a poisoned log must refuse all further publishes"
@@ -456,7 +471,7 @@ fn partition_layout_survives_reopen() {
 }
 
 // --------------------------------------------------------------------------
-// Node layer: snapshot + WAL recovery resumes an interrupted bootstrap.
+// Node layer: snapshot + WAL recovery restarts an interrupted bootstrap.
 // --------------------------------------------------------------------------
 
 /// Rows seeded before the subscriber's queue is bound: history that can
@@ -475,7 +490,7 @@ fn counter(snap: &synapse_repro::core::TelemetrySnapshot, name: &str) -> u64 {
 }
 
 #[test]
-fn node_recovery_resumes_interrupted_bootstrap() {
+fn node_recovery_restarts_an_interrupted_bootstrap() {
     let seed = seed_of_record();
     let root = temp_dir("node");
     let wal_dir = root.join("wal");
@@ -519,7 +534,7 @@ fn node_recovery_resumes_interrupted_bootstrap() {
     let (publisher, subscriber) = build(&eco);
 
     // Mid-copy fault: the first time the copier enters its third chunk —
-    // two chunk watermarks committed — a burst of transient copy faults
+    // two chunks applied — a burst of transient copy faults
     // exhausts the retry budget and kills the attempt.
     let fault_armed = Arc::new(AtomicBool::new(false));
     {
@@ -558,7 +573,7 @@ fn node_recovery_resumes_interrupted_bootstrap() {
     assert_eq!(failed.completions, 0);
     assert!(
         failed.chunks_copied >= 2,
-        "chunks before the poisoned one committed watermarks"
+        "chunks before the poisoned one were applied"
     );
 
     // Live traffic after the failure: the broker WAL picks up real
@@ -582,7 +597,7 @@ fn node_recovery_resumes_interrupted_bootstrap() {
         "live replication applies even while bootstrap is incomplete"
     );
 
-    // Persist the version-store snapshot — watermarks included. The first
+    // Persist the version-store snapshot — admission state included. The first
     // attempt is interrupted by an injected fault; the store must keep the
     // previous-latest intact and the retry must land.
     let store = subscriber.snapshot_store().expect("durability plane is on");
@@ -635,7 +650,7 @@ fn node_recovery_resumes_interrupted_bootstrap() {
     assert_eq!(counter(&snap, "recovery.snapshots_loaded"), 1);
     assert!(
         counter(&snap, "recovery.snapshot_entries") > 0,
-        "the loaded snapshot carried version entries (incl. watermarks)"
+        "the loaded snapshot carried version entries (incl. admission state)"
     );
     assert!(
         counter(&snap, "recovery.wal_replayed_entries") > 0,
@@ -650,22 +665,19 @@ fn node_recovery_resumes_interrupted_bootstrap() {
     eco.connect();
     subscriber.start();
 
-    // The resumed bootstrap is a delta replay: the snapshot-carried
-    // watermark skips the two chunks the first incarnation copied.
+    // The restarted bootstrap copies from the first row, and the
+    // snapshot-carried admission state refuses every row the first
+    // incarnation copied or the live stream applied.
     subscriber
         .bootstrap_from(&publisher)
-        .expect("resumed bootstrap converges");
+        .expect("restarted bootstrap converges");
     let stats = subscriber.bootstrap_stats();
     assert_eq!(stats.completions, 1);
-    assert!(
-        stats.resumes >= 1,
-        "the watermark survived the restart via the snapshot"
-    );
     let total = (SEED_ROWS + LIVE_ROWS) as u64;
     assert!(
         stats.records_copied < total,
-        "delta replay: {} rows re-copied of {total} — a full re-copy means \
-         the watermark was lost",
+        "{} rows re-written of {total} — a full re-write means the \
+         snapshot lost the admission state",
         stats.records_copied
     );
 
@@ -738,7 +750,7 @@ fn latest_snapshot_magic(dir: &std::path::Path) -> [u8; 8] {
 }
 
 /// Unknown snapshot magic is rejected, not trusted: a node whose only
-/// snapshot file carries a retired magic (SYNSNAP3, CRC-valid) must skip
+/// snapshot file carries a retired magic (SYNSNAP4, CRC-valid) must skip
 /// it — counted in `recovery.snapshots_skipped_corrupt`, nothing loaded,
 /// no load error, no panic — and still recover every row: the backlog the
 /// first incarnation left unconsumed comes back through broker WAL
@@ -803,7 +815,7 @@ fn unknown_magic_snapshot_is_skipped_and_node_recovers_by_replay_and_bootstrap()
     subscriber.persist_snapshot().expect("snapshot persists");
     let store = subscriber.snapshot_store().expect("durability plane is on");
     let snap_dir = store.dir().to_path_buf();
-    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP4");
+    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP5");
     // Workers down: these writes stay queued, on the broker WAL only.
     subscriber.stop();
     let queued: Vec<_> = (12..18).map(|i| create(&publisher, "queued", i)).collect();
@@ -818,9 +830,9 @@ fn unknown_magic_snapshot_is_skipped_and_node_recovers_by_replay_and_bootstrap()
         .find(|p| p.extension().is_some_and(|e| e == "snap"))
         .expect("the persisted snapshot file");
     let mut bytes = std::fs::read(&path).expect("read snapshot");
-    bytes[..8].copy_from_slice(b"SYNSNAP3");
+    bytes[..8].copy_from_slice(b"SYNSNAP4");
     std::fs::write(&path, bytes).expect("rewrite magic");
-    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP3");
+    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP4");
 
     // --- Incarnation 2: the foreign file is skipped, recovery goes on. ---
     let (eco, report) = Ecosystem::new_durable(wal_cfg()).expect("durable reopen");
@@ -872,7 +884,7 @@ fn unknown_magic_snapshot_is_skipped_and_node_recovers_by_replay_and_bootstrap()
     // The next persist writes the current format above the foreign file
     // and prunes it.
     subscriber.persist_snapshot().expect("fresh persist");
-    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP4");
+    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP5");
     eco.stop_all();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -8,10 +8,10 @@
 //! *inside* the protocol:
 //!
 //! * an armed chunk-copy fault (the transient-engine class) exhausts the
-//!   retry budget on attempt 1's third chunk, after two chunk watermarks
-//!   committed;
+//!   retry budget on attempt 1's third chunk, after two chunks were
+//!   applied;
 //! * a [`PhaseHook`]-aimed broker restart fires on the fifth `copying`
-//!   entry, i.e. in the middle of the *resumed* copy;
+//!   entry, i.e. in the middle of the *restarted* copy;
 //! * after convergence, a phase-aimed subscriber version-store shard kill
 //!   strikes a later recovery mid-copy (the aftershock), and re-entering
 //!   `bootstrap_from` must revive the store and reconverge.
@@ -24,8 +24,6 @@
 //!
 //! * every failed attempt clears the bootstrap flag and leaves the node
 //!   writable (the stuck-flag regression, under live fire);
-//! * converging attempts resume from the last chunk watermark instead of
-//!   restarting the copy (`resumes` grows with each recovery);
 //! * convergence is exact: row-for-row equality with equal counts — no
 //!   lost records, no double-applied rows, no phantom rows — with zero
 //!   dead-letters and zero broker drops/discards;
@@ -78,7 +76,7 @@ const OPS: u64 = 160;
 /// Rows seeded before the subscriber's queue is even bound: history that
 /// can only arrive through the chunked object copy. Seven and a half
 /// chunks: attempt 1 dies on its third, the phase-aimed restart needs the
-/// resumed copy to reach a second, and the aftershock recovery dies on
+/// restarted copy to reach a second, and the aftershock recovery dies on
 /// its third.
 const SEED_ROWS: usize = 7 * BOOTSTRAP_CHUNK_ROWS + BOOTSTRAP_CHUNK_ROWS / 2;
 
@@ -122,14 +120,14 @@ fn run_live_bootstrap(seed: u64) {
 
     // --- Phase-aimed faults: strike *inside* the protocol. ---
     // Entries are 1-based per phase label; entry 5 lands mid-way through
-    // the *resumed* copy (attempt 1 dies on its third `copying` entry).
+    // the *restarted* copy (attempt 1 dies on its third `copying` entry).
     let mut hook = PhaseHook::new();
     hook.on_entry("copying", 5, FaultKind::BrokerRestart);
     let phase_injector = Injector::new(eco.broker().clone(), "sub")
         .with_store(Side::Subscriber, subscriber.sub_store().clone());
     let bridge = Arc::new(Mutex::new((hook, phase_injector)));
     // Chunk-copy fault for attempt 1: the first time the copier enters its
-    // third chunk (two watermarks already committed), arm exactly one
+    // third chunk (two chunks already applied), arm exactly one
     // retry budget's worth of transient copy failures — the chunk retries,
     // exhausts the budget, and the attempt dies mid-step-2.
     let copy_fault_armed = Arc::new(AtomicBool::new(false));
@@ -148,7 +146,6 @@ fn run_live_bootstrap(seed: u64) {
                 BootstrapPhase::Snapshot => "snapshot",
                 BootstrapPhase::Copying => "copying",
                 BootstrapPhase::Reconciling => "reconciling",
-                BootstrapPhase::Finalizing => "finalizing",
                 BootstrapPhase::Idle | BootstrapPhase::Live => return,
             };
             let (hook, injector) = &mut *bridge.lock().unwrap();
@@ -248,7 +245,7 @@ fn run_live_bootstrap(seed: u64) {
     assert_eq!(failed.completions, 0);
     assert!(
         failed.chunks_copied >= 2,
-        "chunks before the poisoned one committed watermarks"
+        "chunks before the poisoned one were applied"
     );
     assert_eq!(failed.phase, BootstrapPhase::Idle);
     // Writable: local models work as if no bootstrap ever ran.
@@ -257,9 +254,9 @@ fn run_live_bootstrap(seed: u64) {
         .create("Note", vmap! { "body" => "still writable" })
         .unwrap();
 
-    // --- Re-entry under live fire: resume from the watermark. ---
+    // --- Re-entry under live fire: the copy starts again at row one. ---
     // The writer is still publishing and the plan is still firing; the
-    // resumed copy also runs through the phase-aimed broker restart.
+    // restarted copy also runs through the phase-aimed broker restart.
     let mut extra_failures = 0;
     loop {
         match subscriber.bootstrap_from(&publisher) {
@@ -324,10 +321,6 @@ fn run_live_bootstrap(seed: u64) {
     assert!(stats.attempts >= 2);
     assert_eq!(stats.completions, 1);
     assert!(
-        stats.resumes >= 1,
-        "the converging attempt must resume from the chunk watermark"
-    );
-    assert!(
         stats.records_copied as usize + stats.records_reconciled as usize >= SEED_ROWS,
         "the copy must cover every seeded row, applied or reconciled"
     );
@@ -337,19 +330,15 @@ fn run_live_bootstrap(seed: u64) {
     // --- Aftershock: a subscriber store shard dies mid-copy. ---
     // A phase-aimed kill strikes the third chunk of the next recovery; the
     // attempt fails after retrying the dead shard, a re-entry revives the
-    // store, resumes past the aftershock watermark, and reconverges.
+    // store, copies from the first row again, and reconverges.
     let store = subscriber.sub_store();
-    let wm_shard = store.shard_for(DepName::bootstrap_watermark("pub", "Post").identity());
     // Plant the version-store state a live racer leaves behind: the live
     // stream has moved `first_seed` far past anything the copier can pin,
     // so the recovery's re-copy of that row must be discarded as stale
     // (reconciled) instead of regressing the replica. The kill spares the
-    // planted object as it spares the watermark.
+    // planted object.
     let raced = DepName::object("pub", "Post", first_seed).identity();
-    let victim = (1..VERSION_STORE_SHARDS)
-        .map(|step| (wm_shard + step) % VERSION_STORE_SHARDS)
-        .find(|shard| *shard != store.shard_for(raced))
-        .expect("some shard holds neither");
+    let victim = (store.shard_for(raced) + 1) % VERSION_STORE_SHARDS;
     store
         .reserve(raced)
         .commit(&ObjectVersion::Scalar(u64::MAX / 2))
@@ -391,10 +380,6 @@ fn run_live_bootstrap(seed: u64) {
     );
     let final_stats = subscriber.bootstrap_stats();
     assert_eq!(final_stats.completions, 2);
-    assert!(
-        final_stats.resumes >= 2,
-        "the aftershock recovery also resumed from its watermark"
-    );
     assert!(
         final_stats.records_reconciled > pre_reconciled,
         "the raced rows were reconciled, not re-applied"
@@ -830,18 +815,16 @@ fn bootstrap_under_collisions(space: DepSpace, rows: usize) {
     eco.stop_all();
 }
 
-/// At `1 << 8` every counter key carries several objects and some object
-/// shares its key with a bootstrap watermark. Freshness and the resume
-/// watermark are both judged by object identity, so neither bootstrap may
-/// lose a row to a colliding object's version: no copy refused as stale,
-/// no resume watermark lifted past uncopied rows.
+/// At `1 << 8` every counter key carries several objects. Freshness is
+/// judged by object identity, so neither bootstrap may lose a row to a
+/// colliding object's version: no copy refused as stale.
 #[test]
 fn bootstrap_in_a_colliding_space_loses_no_rows() {
     bootstrap_under_collisions(DepSpace::new(1 << 8), COLLIDING_ROWS);
 }
 
-/// The paper's one-entry space is global ordering (§4.2): every counter,
-/// object and watermark shares key 0, and replication plus bootstrap still
+/// The paper's one-entry space is global ordering (§4.2): every counter
+/// and object shares key 0, and replication plus bootstrap still
 /// converge.
 #[test]
 fn one_entry_space_replicates_and_bootstraps() {

@@ -451,15 +451,15 @@ proptest! {
     }
 
     /// Batched FIFO: with no redelivery in play, any interleaving of
-    /// `publish_to_queue` batches and `pop_batch` yields every payload
-    /// exactly once,
-    /// in exact publish order — batching must not reorder a queue.
+    /// runs of unkeyed `publish_routed` calls and `pop_batch` yields every
+    /// payload exactly once, in exact publish order — batched pops must
+    /// not reorder a queue.
     #[test]
     fn publish_batch_pop_batch_preserve_fifo(
         script in prop::collection::vec((0u8..2, 1usize..9), 1..48),
     ) {
         use std::time::Duration;
-        use synapse_repro::broker::{Broker, QueueConfig, SharedStr};
+        use synapse_repro::broker::{Broker, QueueConfig};
 
         let broker = Broker::new();
         broker.declare_queue("q", QueueConfig::default());
@@ -471,10 +471,10 @@ proptest! {
         for (action, n) in &script {
             match action {
                 0 => {
-                    let batch: Vec<(SharedStr, u64, u64)> = (0..*n)
-                        .map(|_| { let p = format!("m{next}"); next += 1; (p.into(), 0, 0) })
-                        .collect();
-                    prop_assert_eq!(broker.publish_to_queue("q", "x", batch), *n);
+                    for _ in 0..*n {
+                        broker.publish_routed("x", format!("m{next}"), 0, 0).unwrap();
+                        next += 1;
+                    }
                 }
                 _ => {
                     for d in consumer.pop_batch(*n, Duration::ZERO) {
@@ -501,8 +501,8 @@ proptest! {
     }
 
     /// The batched ops obey the same at-least-once algebra as the
-    /// single-message ops: across interleavings of `publish_to_queue`
-    /// batches, `pop_batch`, `ack_batch`, nack, and broker restart, an acked
+    /// single-message ops: across interleavings of `publish_routed` runs,
+    /// `pop_batch`, `ack_batch`, nack, and broker restart, an acked
     /// payload never reappears and every unacked payload stays
     /// deliverable.
     #[test]
@@ -511,7 +511,7 @@ proptest! {
     ) {
         use std::collections::{BTreeSet, VecDeque};
         use std::time::Duration;
-        use synapse_repro::broker::{Broker, Delivery, QueueConfig, SharedStr};
+        use synapse_repro::broker::{Broker, Delivery, QueueConfig};
 
         let broker = Broker::new();
         broker.declare_queue("q", QueueConfig::default());
@@ -525,15 +525,12 @@ proptest! {
         for (action, n) in &script {
             match action {
                 0 => {
-                    let batch: Vec<(SharedStr, u64, u64)> = (0..*n)
-                        .map(|_| {
-                            let p = format!("m{next}");
-                            next += 1;
-                            outstanding.insert(p.clone());
-                            (p.into(), 0, 0)
-                        })
-                        .collect();
-                    prop_assert_eq!(broker.publish_to_queue("q", "x", batch), *n);
+                    for _ in 0..*n {
+                        let p = format!("m{next}");
+                        next += 1;
+                        outstanding.insert(p.clone());
+                        broker.publish_routed("x", p, 0, 0).unwrap();
+                    }
                 }
                 1 => {
                     for d in consumer.pop_batch(*n, Duration::ZERO) {
@@ -600,7 +597,7 @@ proptest! {
         }
     }
     /// Partitioned delivery FIFO: with keyed routing, any interleaving of
-    /// keyed `publish_to_queue` batches, targeted `pop_batch_from`, and
+    /// runs of keyed `publish_routed` calls, targeted `pop_batch_from`, and
     /// `steal_batch` (with immediate acks, so no redelivery) yields every
     /// key's payloads in exact publish order — a key lives in one
     /// partition, and pops and steals both take from the front of that
@@ -612,7 +609,7 @@ proptest! {
     ) {
         use std::collections::BTreeMap;
 
-        use synapse_repro::broker::{Broker, Delivery, QueueConfig, SharedStr};
+        use synapse_repro::broker::{Broker, Delivery, QueueConfig};
 
         let broker = Broker::new();
         broker.declare_queue("q", QueueConfig { max_len: None, partitions });
@@ -638,19 +635,15 @@ proptest! {
         for (action, n, sel) in &script {
             match action {
                 0 => {
-                    // Batch of `n` messages over a rotating window of the
+                    // A run of `n` messages over a rotating window of the
                     // five keys; payloads carry (key, per-key sequence).
-                    let batch: Vec<(SharedStr, u64, u64)> = (0..*n)
-                        .map(|i| {
-                            let key = 1 + ((*sel + i) % 5) as u64;
-                            let seq = published.entry(key).or_default();
-                            let payload = format!("k{key}-{seq}");
-                            *seq += 1;
-                            (payload.into(), 0, key)
-                        })
-                        .collect();
-                    let staged = batch.len();
-                    prop_assert_eq!(broker.publish_to_queue("q", "x", batch), staged);
+                    for i in 0..*n {
+                        let key = 1 + ((*sel + i) % 5) as u64;
+                        let seq = published.entry(key).or_default();
+                        let payload = format!("k{key}-{seq}");
+                        *seq += 1;
+                        broker.publish_routed("x", payload, 0, key).unwrap();
+                    }
                 }
                 1 => {
                     for d in consumer.pop_batch_from(*sel % parts, *n) {
@@ -682,7 +675,7 @@ proptest! {
     }
 
     /// At-least-once survives work stealing: across interleavings of keyed
-    /// batch publishes, targeted pops, steals, batch acks, nacks, and
+    /// publish runs, targeted pops, steals, batch acks, nacks, and
     /// broker restarts, an acked payload never reappears and every unacked
     /// payload stays deliverable — stealing relocates a delivery, it never
     /// duplicates or loses one.
@@ -693,7 +686,7 @@ proptest! {
     ) {
         use std::collections::{BTreeSet, VecDeque};
         use std::time::Duration;
-        use synapse_repro::broker::{Broker, Delivery, QueueConfig, SharedStr};
+        use synapse_repro::broker::{Broker, Delivery, QueueConfig};
 
         let broker = Broker::new();
         broker.declare_queue("q", QueueConfig { max_len: None, partitions });
@@ -708,17 +701,13 @@ proptest! {
         for (action, n, sel) in &script {
             match action {
                 0 => {
-                    let batch: Vec<(SharedStr, u64, u64)> = (0..*n)
-                        .map(|_| {
-                            let payload = format!("m{next}");
-                            let key = 1 + next % 7;
-                            next += 1;
-                            outstanding.insert(payload.clone());
-                            (payload.into(), 0, key)
-                        })
-                        .collect();
-                    let staged = batch.len();
-                    prop_assert_eq!(broker.publish_to_queue("q", "x", batch), staged);
+                    for _ in 0..*n {
+                        let payload = format!("m{next}");
+                        let key = 1 + next % 7;
+                        next += 1;
+                        outstanding.insert(payload.clone());
+                        broker.publish_routed("x", payload, 0, key).unwrap();
+                    }
                 }
                 1 => {
                     for d in consumer.pop_batch_from(*sel % parts, *n) {
