@@ -284,10 +284,11 @@ fn build_mailer(eco: &Ecosystem, latency: LatencyModel) -> (Arc<App>, Arc<Mutex<
 }
 
 fn build_analyzer(eco: &Ecosystem, latency: LatencyModel) -> Arc<App> {
-    let node = eco.add_node(
-        SynapseConfig::new("analyzer"),
-        Arc::new(ActiveRecordAdapter::new("mysql", latency)),
-    );
+    let adapter = Arc::new(ActiveRecordAdapter::new("mysql", latency));
+    // `serialize :interests`, as on Spree: the analyzer reads its own
+    // interests back as the array it wrote, and publishes that array.
+    adapter.serialize_field("User", "interests");
+    let node = eco.add_node(SynapseConfig::new("analyzer"), adapter);
     let orm = node.orm();
     orm.define_model(ModelSchema::new("User").field("name").field("interests"))
         .unwrap();

@@ -31,8 +31,8 @@ pub struct Publication {
     pub ephemeral: bool,
     /// `true` when other services may concurrently write this model too
     /// (multi-writer replication): outgoing messages carry version vectors
-    /// and concurrent remote writes are conflict-resolved instead of
-    /// rejected by the §3.1 single-writer ownership rule.
+    /// and concurrent remote writes settle last-writer-wins instead of
+    /// being rejected by the §3.1 single-writer ownership rule.
     pub bidirectional: bool,
 }
 
@@ -98,8 +98,8 @@ pub struct Subscription {
     pub observer: bool,
     /// `true` when this service also *publishes* the same model
     /// (multi-writer replication): the subscription's attributes stay
-    /// locally writable, and concurrent incoming writes go through the
-    /// model's registered conflict resolver instead of blind apply.
+    /// locally writable, and a concurrent incoming write applies only when
+    /// it wins last-writer-wins by version-vector stamp.
     pub bidirectional: bool,
 }
 

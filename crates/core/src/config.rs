@@ -1,10 +1,8 @@
 //! Per-service Synapse configuration.
 
 use crate::deps::DepSpace;
-use crate::resolve::{ConflictCtx, MergeFn, Resolution, ResolverRegistry};
 use crate::semantics::DeliveryMode;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 use synapse_broker::FsyncPolicy;
 
@@ -118,10 +116,6 @@ pub struct SynapseConfig {
     pub telemetry_enabled: bool,
     /// The durability plane (off by default).
     pub durability: DurabilityConfig,
-    /// Per-model conflict resolvers for multi-writer (bidirectional)
-    /// replication; unregistered models resolve last-writer-wins by
-    /// version-vector stamp.
-    pub resolvers: ResolverRegistry,
 }
 
 impl SynapseConfig {
@@ -138,7 +132,6 @@ impl SynapseConfig {
             queue_partitions: 0,
             telemetry_enabled: true,
             durability: DurabilityConfig::default(),
-            resolvers: ResolverRegistry::default(),
         }
     }
 
@@ -216,17 +209,6 @@ impl SynapseConfig {
         self.durability.snapshot_every = messages;
         self
     }
-
-    /// Registers a merge-callback resolver for `model` (multi-writer
-    /// replication only; models without one resolve last-writer-wins).
-    pub fn merge_resolver(
-        mut self,
-        model: impl Into<String>,
-        f: impl Fn(&ConflictCtx<'_>) -> Resolution + Send + Sync + 'static,
-    ) -> Self {
-        self.resolvers.register(model, Arc::new(MergeFn::new(f)));
-        self
-    }
 }
 
 #[cfg(test)]
@@ -254,12 +236,7 @@ mod tests {
     #[test]
     fn resolver_registration_and_writer_id() {
         let c = SynapseConfig::new("crowdtap");
-        assert_eq!(c.resolvers.get("User").name(), "lww", "LWW by default");
         assert_ne!(writer_id(&c.app), writer_id("spree"));
-
-        let c = c.merge_resolver("User", |_| Resolution::KeepLocal);
-        assert_eq!(c.resolvers.get("User").name(), "merge");
-        assert_eq!(c.resolvers.get("Post").name(), "lww");
     }
 
     #[test]

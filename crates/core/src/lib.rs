@@ -52,7 +52,6 @@ mod durability;
 mod message;
 mod node;
 mod publisher;
-mod resolve;
 mod semantics;
 pub mod subscriber;
 pub mod testing;
@@ -70,6 +69,5 @@ pub use durability::{NodeSnapshot, SnapshotStats, SnapshotStore};
 pub use message::{Operation, WriteMessage};
 pub use node::{Ecosystem, NodeStats, SynapseNode};
 pub use publisher::{Publisher, PublisherStats};
-pub use resolve::{ConflictCtx, ConflictResolver, Resolution, ResolverRegistry};
 pub use semantics::DeliveryMode;
 pub use synapse_telemetry::{ControllerStats, ModeSlice, Stage, Telemetry, TelemetrySnapshot};

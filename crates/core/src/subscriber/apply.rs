@@ -1,12 +1,11 @@
-//! Applying one operation: version admission, conflict resolution, and the
-//! upsert through the local ORM.
+//! Applying one operation: version admission, the LWW verdict on a
+//! concurrent mesh write, and the upsert through the local ORM.
 
 use super::path::Kind;
 use super::Subscriber;
 use crate::api::Subscription;
 use crate::deps::{mesh_object, object_identity, writer_id};
 use crate::message::{Operation, WriteMessage};
-use crate::resolve::{ConflictCtx, Resolution};
 use crate::semantics::DeliveryMode;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -14,8 +13,7 @@ use std::sync::Arc;
 use synapse_db::DbError;
 use synapse_model::{Id, Record, Value};
 use synapse_orm::{CallbackPoint, OrmError};
-use synapse_telemetry::mono_nanos;
-use synapse_versionstore::{AdmitRule, ObjectVersion, Verdict, VersionVector};
+use synapse_versionstore::{AdmitRule, ObjectVersion, Verdict};
 
 impl Subscriber {
     /// Applies one operation through the local ORM, unless version
@@ -53,12 +51,9 @@ impl Subscriber {
         // is judged under. A multi-writer write (or copy, which carries the
         // publisher's full vector) is classified by version-vector
         // dominance under the object's writer-independent mesh name, so
-        // every writer's history of the object meets there. In weak mode
-        // this runs at raw apply time; in causal/global mode the dep wait
-        // has already completed, so the local row is causally complete
-        // when the resolver sees the pair. Everything else carries the
-        // scalar of its object dependency, judged under the object's own
-        // name.
+        // every writer's history of the object meets there. Everything
+        // else carries the scalar of its object dependency, judged under
+        // the object's own name.
         let writer = writer_id(&msg.app);
         let mesh = matching
             .iter()
@@ -128,8 +123,14 @@ impl Subscriber {
         };
         match (admission.classify(carried, rule).map_err(dead)?, mesh) {
             (Verdict::Fresh, _) => write()?,
-            (Verdict::Concurrent { lww_wins }, Some((_, vector))) => {
-                self.resolve_conflict(op, &matching, vector, writer, lww_wins)?
+            // A concurrent write settles by the store's LWW verdict alone;
+            // the conflict counts once its apply has landed, so a failed
+            // attempt's redelivery is the same conflict, not a second one.
+            (Verdict::Concurrent { lww_wins }, Some(_)) => {
+                if lww_wins {
+                    write()?;
+                }
+                self.conflicts.detected.bump();
             }
             _ => {
                 discarded.fetch_add(1, Ordering::Relaxed);
@@ -140,97 +141,6 @@ impl Subscriber {
             }
         }
         admission.commit(carried).map_err(dead)
-    }
-
-    /// Resolves one concurrent incoming write (still under the object's
-    /// reservation, so the read-modify-write of a merge cannot interleave
-    /// with another apply of the same object). Each matching subscription
-    /// consults its model's registered resolver; the operation counts as
-    /// applied when any resolution wrote the row, and the conflict counts
-    /// once, when every resolution has landed — a failed attempt's
-    /// redelivery is the same conflict, not a second one.
-    fn resolve_conflict(
-        &self,
-        op: &Operation,
-        matching: &[Arc<Subscription>],
-        vector: &VersionVector,
-        writer: u64,
-        lww_wins: bool,
-    ) -> Result<(), OrmError> {
-        let start = mono_nanos();
-        let mut applied = false;
-        let (mut used_lww, mut used_merge) = (false, false);
-        for sub in matching {
-            let resolver = Arc::clone(self.resolvers.get(&sub.model));
-            // Project the incoming attributes to local names — the map the
-            // apply path would upsert if the incoming side wins.
-            let incoming: BTreeMap<String, Value> = sub
-                .fields
-                .iter()
-                .filter_map(|f| {
-                    op.attributes
-                        .get(f)
-                        .map(|v| (sub.local_field(f).to_owned(), v.clone()))
-                })
-                .collect();
-            let local = self.orm.find(&sub.model, op.id)?;
-            let ctx = ConflictCtx {
-                model: &sub.model,
-                id: op.id,
-                operation: &op.operation,
-                incoming: &incoming,
-                local: local.as_ref().map(|r| &r.attrs),
-                incoming_vector: vector,
-                incoming_writer: writer,
-                lww_wins,
-            };
-            let resolution = resolver.resolve(&ctx);
-            if resolver.name() == "lww" {
-                used_lww = true;
-            } else {
-                used_merge = true;
-            }
-            match resolution {
-                Resolution::KeepLocal => {}
-                Resolution::TakeIncoming => {
-                    self.apply_subscription(sub, op)?;
-                    applied = true;
-                }
-                Resolution::Merge(attrs) => {
-                    self.upsert_resolved(sub, op, attrs)?;
-                    applied = true;
-                }
-            }
-        }
-        self.telemetry
-            .record_resolution(mono_nanos().saturating_sub(start));
-        self.conflicts.detected.bump();
-        if used_lww {
-            self.conflicts.resolved_lww.bump();
-        }
-        if used_merge {
-            self.conflicts.resolved_merge.bump();
-        }
-        if applied {
-            self.counters.ops_applied.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Upserts a resolver's merged attributes as the conflicted row's new
-    /// content (a replicated write: nothing republishes).
-    fn upsert_resolved(
-        &self,
-        sub: &Subscription,
-        op: &Operation,
-        attrs: BTreeMap<String, Value>,
-    ) -> Result<(), OrmError> {
-        if sub.observer {
-            return Ok(());
-        }
-        let existing = self.orm.find(&sub.model, op.id)?;
-        self.upsert(sub, op.id, existing, || attrs.clone())
-            .map(|_| ())
     }
 
     /// Writes the attributes `attrs` builds over the object `existing` is

@@ -59,7 +59,6 @@ use lane::{Held, Lane, HELD_MAX};
 use crate::api::SubscriptionRegistry;
 use crate::config::SynapseConfig;
 use crate::deps::DepSpace;
-use crate::resolve::ResolverRegistry;
 use crate::semantics::DeliveryMode;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -142,10 +141,6 @@ pub struct SubscriberStats {
     /// Concurrent (conflicting) incoming writes detected on bidirectional
     /// models.
     pub conflicts_detected: u64,
-    /// Conflicts resolved by the default last-writer-wins policy.
-    pub conflicts_resolved_lww: u64,
-    /// Conflicts resolved by a registered merge resolver.
-    pub conflicts_resolved_merge: u64,
     /// Incoming writes discarded because the local history dominated them.
     pub conflicts_discarded_dominated: u64,
 }
@@ -187,8 +182,6 @@ struct Counters {
 /// the handles here are the subscriber's lock-free bump path.
 struct ConflictCounters {
     detected: Counter,
-    resolved_lww: Counter,
-    resolved_merge: Counter,
     discarded_dominated: Counter,
 }
 
@@ -197,8 +190,6 @@ impl ConflictCounters {
         let counters = telemetry.counters();
         ConflictCounters {
             detected: counters.counter("conflicts.detected"),
-            resolved_lww: counters.counter("conflicts.resolved_lww"),
-            resolved_merge: counters.counter("conflicts.resolved_merge"),
             discarded_dominated: counters.counter("conflicts.discarded_dominated"),
         }
     }
@@ -256,8 +247,6 @@ pub struct Subscriber {
     counters: Counters,
     /// Conflict counters (handles into the telemetry registry).
     conflicts: ConflictCounters,
-    /// Per-model conflict resolvers for bidirectional subscriptions.
-    resolvers: ResolverRegistry,
     /// Transient-failure attempts per in-flight delivery tag; cleared on
     /// ack or dead-letter. Redeliveries keep their tag, so this survives
     /// nack round-trips.
@@ -295,7 +284,6 @@ impl Subscriber {
             parked_holders: AtomicUsize::new(0),
             counters: Counters::default(),
             conflicts: ConflictCounters::new(&telemetry),
-            resolvers: config.resolvers.clone(),
             attempts: Mutex::new(HashMap::new()),
             telemetry,
         }
@@ -321,8 +309,6 @@ impl Subscriber {
             copies_applied: self.counters.copies_applied.load(Ordering::Relaxed),
             copies_reconciled: self.counters.copies_reconciled.load(Ordering::Relaxed),
             conflicts_detected: self.conflicts.detected.get(),
-            conflicts_resolved_lww: self.conflicts.resolved_lww.get(),
-            conflicts_resolved_merge: self.conflicts.resolved_merge.get(),
             conflicts_discarded_dominated: self.conflicts.discarded_dominated.get(),
         }
     }

@@ -307,9 +307,9 @@ impl ColumnarDb {
         self.faults.clone()
     }
 
-    /// Number of flushes and compactions performed so far (for tests and
-    /// the LSM ablation bench).
-    pub fn lsm_counters(&self) -> (u64, u64) {
+    /// Number of flushes and compactions performed so far.
+    #[cfg(test)]
+    pub(crate) fn lsm_counters(&self) -> (u64, u64) {
         let fams = self.families.lock();
         let mut flushes = 0;
         let mut compactions = 0;

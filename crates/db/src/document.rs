@@ -353,10 +353,4 @@ mod tests {
             Err(DbError::DuplicateKey { .. })
         ));
     }
-
-    #[test]
-    fn transactions_are_unsupported() {
-        let db = db();
-        assert!(matches!(db.begin(), Err(DbError::Unsupported(_))));
-    }
 }

@@ -2,7 +2,6 @@
 
 use crate::error::DbError;
 use crate::query::{Query, QueryResult};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Family of a database engine (Table 1 in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,28 +46,10 @@ pub struct Capabilities {
     /// When `false` (MySQL, Cassandra) the interceptor performs an
     /// additional read query to identify written data.
     pub returning: bool,
-    /// Whether multi-statement ACID transactions (and two-phase commit
-    /// hooks) are available.
-    pub transactions: bool,
     /// Whether atomic logged batches are available (Cassandra).
     pub atomic_batch: bool,
     /// Whether collections are schemaless.
     pub schemaless: bool,
-}
-
-/// Handle to an open transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TxnId(pub u64);
-
-/// Cheap monotonically increasing transaction id allocator shared by the
-/// transactional engines.
-#[derive(Debug, Default)]
-pub(crate) struct TxnIdGen(AtomicU64);
-
-impl TxnIdGen {
-    pub(crate) fn next(&self) -> TxnId {
-        TxnId(self.0.fetch_add(1, Ordering::Relaxed) + 1)
-    }
 }
 
 /// Operation counters exposed by every engine.
@@ -93,35 +74,8 @@ pub trait Engine: Send + Sync {
     /// Static description of what this engine/vendor can do.
     fn capabilities(&self) -> &Capabilities;
 
-    /// Executes a query in auto-commit mode.
+    /// Executes one query, committed when it returns.
     fn execute(&self, q: &Query) -> Result<QueryResult, DbError>;
-
-    /// Opens a transaction. Default: unsupported.
-    fn begin(&self) -> Result<TxnId, DbError> {
-        Err(DbError::Unsupported("transactions"))
-    }
-
-    /// Executes a query inside an open transaction. Default: unsupported.
-    fn execute_in(&self, _txn: TxnId, _q: &Query) -> Result<QueryResult, DbError> {
-        Err(DbError::Unsupported("transactions"))
-    }
-
-    /// Two-phase commit, phase one: make the transaction durable and keep
-    /// its locks; after `prepare` returns, `commit` cannot fail. Default:
-    /// unsupported.
-    fn prepare(&self, _txn: TxnId) -> Result<(), DbError> {
-        Err(DbError::Unsupported("transactions"))
-    }
-
-    /// Two-phase commit, phase two. Default: unsupported.
-    fn commit(&self, _txn: TxnId) -> Result<(), DbError> {
-        Err(DbError::Unsupported("transactions"))
-    }
-
-    /// Aborts a transaction, releasing its locks. Default: unsupported.
-    fn rollback(&self, _txn: TxnId) -> Result<(), DbError> {
-        Err(DbError::Unsupported("transactions"))
-    }
 
     /// Current operation counters.
     fn stats(&self) -> EngineStats;
@@ -130,13 +84,6 @@ pub trait Engine: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn txn_id_generator_is_monotonic() {
-        let g = TxnIdGen::default();
-        assert_eq!(g.next(), TxnId(1));
-        assert_eq!(g.next(), TxnId(2));
-    }
 
     #[test]
     fn engine_kind_names() {

@@ -25,24 +25,6 @@ pub enum DbError {
     SchemaViolation(String),
     /// The engine does not support the requested operation.
     Unsupported(&'static str),
-    /// The referenced transaction does not exist or is finished.
-    NoSuchTxn(u64),
-    /// The transaction is in the wrong state for the requested step.
-    BadTxnState {
-        /// Transaction id.
-        txn: u64,
-        /// Expected state description.
-        expected: &'static str,
-        /// Actual state description.
-        actual: &'static str,
-    },
-    /// A row lock could not be acquired within the deadline.
-    LockTimeout {
-        /// Table name.
-        table: String,
-        /// Stringified key.
-        key: String,
-    },
     /// The engine was killed by failure injection.
     Unavailable,
 }
@@ -57,15 +39,6 @@ impl fmt::Display for DbError {
             }
             DbError::SchemaViolation(m) => write!(f, "schema violation: {m}"),
             DbError::Unsupported(m) => write!(f, "unsupported operation: {m}"),
-            DbError::NoSuchTxn(t) => write!(f, "no such transaction {t}"),
-            DbError::BadTxnState {
-                txn,
-                expected,
-                actual,
-            } => write!(f, "txn {txn} in state {actual}, expected {expected}"),
-            DbError::LockTimeout { table, key } => {
-                write!(f, "lock timeout on {table}[{key}]")
-            }
             DbError::Unavailable => write!(f, "engine unavailable"),
         }
     }

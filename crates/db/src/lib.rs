@@ -7,8 +7,8 @@
 //! different storage layout:
 //!
 //! * [`relational`] — strict-schema tables, B-tree primary/secondary
-//!   indexes, row locks, MVCC-lite transactions with two-phase commit,
-//!   per-vendor `RETURNING *` capability (PostgreSQL/Oracle yes, MySQL no).
+//!   indexes, auto-commit queries, per-vendor `RETURNING *` capability
+//!   (PostgreSQL/Oracle yes, MySQL no).
 //! * [`document`] — schemaless collections of nested documents with array
 //!   attributes (MongoDB/TokuMX/RethinkDB profiles).
 //! * [`columnar`] — an LSM engine: memtable, SSTable flushes, compaction,
@@ -23,7 +23,7 @@
 //! All engines speak one [`query::Query`] AST through the [`engine::Engine`]
 //! trait — the "DB driver" layer at which Synapse's query interceptor sits
 //! (Fig. 6(a)). Per-vendor differences that matter to Synapse (write
-//! read-back vs. `RETURNING`, transactions, batches) are surfaced as
+//! read-back vs. `RETURNING`, batches, schemalessness) are surfaced as
 //! [`engine::Capabilities`].
 
 pub mod columnar;
@@ -40,7 +40,7 @@ pub mod relational;
 pub mod search;
 mod table;
 
-pub use engine::{Capabilities, Engine, EngineKind, EngineStats, TxnId};
+pub use engine::{Capabilities, Engine, EngineKind, EngineStats};
 pub use error::DbError;
 pub use faults::{DbFaultStats, DbFaults};
 pub use latency::LatencyModel;

@@ -2,7 +2,7 @@
 //! one of the five engine families.
 //!
 //! Each profile fixes the capability flags Synapse cares about (`RETURNING`,
-//! transactions, batches, schemalessness) and a latency model calibrated to
+//! batches, schemalessness) and a latency model calibrated to
 //! the saturation throughputs the paper reports (§6.3: PostgreSQL ≈ 12 k
 //! writes/s, Elasticsearch ≈ 20 k writes/s) and to the relative ordering
 //! implied by Fig. 13(b)'s "slowest end" annotations (Elasticsearch slower
@@ -22,32 +22,32 @@ use crate::search::SearchDb;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One vendor: `(vendor, kind, returning, transactions, atomic_batch,
-/// schemaless, read_us, write_us)` — the [`Capabilities`] flags, then the
+/// One vendor: `(vendor, kind, returning, atomic_batch, schemaless,
+/// read_us, write_us)` — the [`Capabilities`] flags, then the
 /// calibrated per-operation latency in microseconds.
-type Profile = (&'static str, EngineKind, bool, bool, bool, bool, u64, u64);
+type Profile = (&'static str, EngineKind, bool, bool, bool, u64, u64);
 
 /// Every vendor, in Table 3 order. `returning` is `false` where the
 /// interceptor must read written rows back (§4.1): MySQL and Cassandra.
 const PROFILES: [Profile; 10] = [
     // 1 / 83 µs ≈ 12 k writes/s, the paper's PostgreSQL saturation.
-    ("postgresql", Relational, true, true, false, false, 30, 83),
-    ("mysql", Relational, false, true, false, false, 25, 70),
-    ("oracle", Relational, true, true, false, false, 30, 75),
+    ("postgresql", Relational, true, false, false, 30, 83),
+    ("mysql", Relational, false, false, false, 25, 70),
+    ("oracle", Relational, true, false, false, 30, 75),
     // Single-document atomicity, written documents echoed back
     // (findAndModify-style).
-    ("mongodb", Document, true, false, false, true, 15, 40),
+    ("mongodb", Document, true, false, true, 15, 40),
     // TokuMX's fractal-tree indexes make it strictly faster on writes
     // than MongoDB — the reason Crowdtap migrated (§6.5).
-    ("tokumx", Document, true, false, false, true, 15, 30),
+    ("tokumx", Document, true, false, true, 15, 30),
     // Write-optimized (Table 1: "write-intensive"), logged atomic batches.
-    ("cassandra", Columnar, false, false, true, true, 20, 25),
+    ("cassandra", Columnar, false, true, true, 20, 25),
     // 1 / 50 µs ≈ 20 k writes/s, the paper's Elasticsearch saturation.
-    ("elasticsearch", Search, true, false, false, true, 40, 50),
-    ("neo4j", Graph, true, false, false, true, 25, 90),
-    ("rethinkdb", Document, true, false, false, true, 20, 55),
+    ("elasticsearch", Search, true, false, true, 40, 50),
+    ("neo4j", Graph, true, false, true, 25, 90),
+    ("rethinkdb", Document, true, false, true, 20, 55),
     // Stores nothing, so it charges nothing.
-    ("ephemeral", Ephemeral, true, false, false, true, 0, 0),
+    ("ephemeral", Ephemeral, true, false, true, 0, 0),
 ];
 
 const fn vendor_names() -> [&'static str; PROFILES.len()] {
@@ -69,7 +69,7 @@ pub const VENDORS: &[&str] = &vendor_names();
 ///
 /// Panics on an unknown vendor name; use [`VENDORS`] to enumerate.
 pub(crate) fn profile(vendor: &str) -> (Capabilities, LatencyModel) {
-    let Some(&(vendor, kind, returning, transactions, atomic_batch, schemaless, read_us, write_us)) =
+    let Some(&(vendor, kind, returning, atomic_batch, schemaless, read_us, write_us)) =
         PROFILES.iter().find(|p| p.0 == vendor)
     else {
         panic!("unknown vendor {vendor}");
@@ -78,7 +78,6 @@ pub(crate) fn profile(vendor: &str) -> (Capabilities, LatencyModel) {
         kind,
         vendor,
         returning,
-        transactions,
         atomic_batch,
         schemaless,
     };
@@ -102,18 +101,18 @@ pub fn calibrated_latency(vendor: &str) -> LatencyModel {
     profile(vendor).1
 }
 
-/// PostgreSQL: relational, `RETURNING *`, transactions.
+/// PostgreSQL: relational, `RETURNING *`.
 pub fn postgresql(latency: LatencyModel) -> RelationalDb {
     RelationalDb::new(profile("postgresql").0, latency)
 }
 
 /// MySQL: relational, **no** `RETURNING *` (the interceptor must read
-/// written rows back, §4.1), transactions.
+/// written rows back, §4.1).
 pub fn mysql(latency: LatencyModel) -> RelationalDb {
     RelationalDb::new(profile("mysql").0, latency)
 }
 
-/// Oracle: relational, `RETURNING *`, transactions.
+/// Oracle: relational, `RETURNING *`.
 pub fn oracle(latency: LatencyModel) -> RelationalDb {
     RelationalDb::new(profile("oracle").0, latency)
 }

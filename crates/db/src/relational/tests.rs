@@ -1,7 +1,6 @@
 use super::*;
 use crate::profiles;
 use crate::query::OrderBy;
-use std::sync::Arc;
 
 fn db() -> RelationalDb {
     profiles::postgresql(LatencyModel::off())
@@ -256,284 +255,6 @@ fn select_order_and_limit() {
         .unwrap();
     let ns: Vec<i64> = rows.iter().map(|(_, r)| r["n"].as_int().unwrap()).collect();
     assert_eq!(ns, vec![30, 20]);
-}
-
-#[test]
-fn txn_isolation_until_commit() {
-    let db = db();
-    db.execute(&Query::CreateTable { table: "t".into() })
-        .unwrap();
-    let txn = db.begin().unwrap();
-    db.execute_in(
-        txn,
-        &Query::Insert {
-            table: "t".into(),
-            id: Id(1),
-            row: row(&[("a", 1.into())]),
-        },
-    )
-    .unwrap();
-    // Not visible outside the transaction yet.
-    let count = db
-        .execute(&Query::Count {
-            table: "t".into(),
-            filter: Filter::All,
-        })
-        .unwrap()
-        .into_count()
-        .unwrap();
-    assert_eq!(count, 0);
-    // Visible inside.
-    let count_in = db
-        .execute_in(
-            txn,
-            &Query::Count {
-                table: "t".into(),
-                filter: Filter::All,
-            },
-        )
-        .unwrap()
-        .into_count()
-        .unwrap();
-    assert_eq!(count_in, 1);
-    db.prepare(txn).unwrap();
-    db.commit(txn).unwrap();
-    let count = db
-        .execute(&Query::Count {
-            table: "t".into(),
-            filter: Filter::All,
-        })
-        .unwrap()
-        .into_count()
-        .unwrap();
-    assert_eq!(count, 1);
-}
-
-#[test]
-fn rollback_discards_staged_writes_and_releases_locks() {
-    let db = db();
-    db.execute(&Query::CreateTable { table: "t".into() })
-        .unwrap();
-    insert(&db, "t", 1, row(&[("a", 1.into())]));
-    let txn = db.begin().unwrap();
-    db.execute_in(
-        txn,
-        &Query::Update {
-            table: "t".into(),
-            filter: Filter::ById(Id(1)),
-            set: row(&[("a", 2.into())]),
-            unset: vec![],
-        },
-    )
-    .unwrap();
-    db.rollback(txn).unwrap();
-    let rows = db
-        .execute(&Query::Select {
-            table: "t".into(),
-            filter: Filter::ById(Id(1)),
-            order: None,
-            limit: None,
-        })
-        .unwrap()
-        .into_rows()
-        .unwrap();
-    assert_eq!(rows[0].1["a"], Value::Int(1));
-    // Lock must be released: an auto-commit write succeeds immediately.
-    db.execute(&Query::Update {
-        table: "t".into(),
-        filter: Filter::ById(Id(1)),
-        set: row(&[("a", 3.into())]),
-        unset: vec![],
-    })
-    .unwrap();
-}
-
-#[test]
-fn prepared_txn_rejects_further_queries() {
-    let db = db();
-    db.execute(&Query::CreateTable { table: "t".into() })
-        .unwrap();
-    let txn = db.begin().unwrap();
-    db.prepare(txn).unwrap();
-    let err = db
-        .execute_in(
-            txn,
-            &Query::Insert {
-                table: "t".into(),
-                id: Id(1),
-                row: Row::new(),
-            },
-        )
-        .unwrap_err();
-    assert!(matches!(err, DbError::BadTxnState { .. }));
-    assert!(db.prepare(txn).is_err(), "double prepare must fail");
-    db.commit(txn).unwrap();
-    assert!(matches!(db.commit(txn), Err(DbError::NoSuchTxn(_))));
-}
-
-#[test]
-fn conflicting_txn_write_times_out() {
-    let mut raw = db();
-    raw.set_lock_timeout(Duration::from_millis(50));
-    let db = Arc::new(raw);
-    db.execute(&Query::CreateTable { table: "t".into() })
-        .unwrap();
-    insert(&db, "t", 1, row(&[("a", 1.into())]));
-    let t1 = db.begin().unwrap();
-    db.execute_in(
-        t1,
-        &Query::Update {
-            table: "t".into(),
-            filter: Filter::ById(Id(1)),
-            set: row(&[("a", 2.into())]),
-            unset: vec![],
-        },
-    )
-    .unwrap();
-    let t2 = db.begin().unwrap();
-    let err = db
-        .execute_in(
-            t2,
-            &Query::Update {
-                table: "t".into(),
-                filter: Filter::ById(Id(1)),
-                set: row(&[("a", 3.into())]),
-                unset: vec![],
-            },
-        )
-        .unwrap_err();
-    assert!(matches!(err, DbError::LockTimeout { .. }));
-}
-
-#[test]
-fn waiting_writer_proceeds_after_commit() {
-    let db = Arc::new(db());
-    db.execute(&Query::CreateTable { table: "t".into() })
-        .unwrap();
-    insert(&db, "t", 1, row(&[("a", 1.into())]));
-    let t1 = db.begin().unwrap();
-    db.execute_in(
-        t1,
-        &Query::Update {
-            table: "t".into(),
-            filter: Filter::ById(Id(1)),
-            set: row(&[("a", 2.into())]),
-            unset: vec![],
-        },
-    )
-    .unwrap();
-    let db2 = db.clone();
-    let h = std::thread::spawn(move || {
-        db2.execute(&Query::Update {
-            table: "t".into(),
-            filter: Filter::ById(Id(1)),
-            set: row(&[("a", 3.into())]),
-            unset: vec![],
-        })
-    });
-    std::thread::sleep(Duration::from_millis(30));
-    db.prepare(t1).unwrap();
-    db.commit(t1).unwrap();
-    h.join().unwrap().unwrap();
-    let rows = db
-        .execute(&Query::Select {
-            table: "t".into(),
-            filter: Filter::ById(Id(1)),
-            order: None,
-            limit: None,
-        })
-        .unwrap()
-        .into_rows()
-        .unwrap();
-    assert_eq!(rows[0].1["a"], Value::Int(3));
-}
-
-/// A lock wait releases the engine mutex, so the row a waiting writer
-/// resolved may be gone when it wakes — in auto-commit and in a
-/// transaction alike.
-#[test]
-fn waiting_writer_survives_committed_delete() {
-    for in_txn in [false, true] {
-        let db = Arc::new(db());
-        db.execute(&Query::CreateTable { table: "t".into() })
-            .unwrap();
-        insert(&db, "t", 1, row(&[("a", 1.into())]));
-        let t1 = db.begin().unwrap();
-        db.execute_in(
-            t1,
-            &Query::Delete {
-                table: "t".into(),
-                filter: Filter::ById(Id(1)),
-            },
-        )
-        .unwrap();
-        let db2 = db.clone();
-        let h = std::thread::spawn(move || {
-            let update = Query::Update {
-                table: "t".into(),
-                filter: Filter::ById(Id(1)),
-                set: row(&[("a", 3.into())]),
-                unset: vec![],
-            };
-            if in_txn {
-                let t2 = db2.begin().unwrap();
-                let res = db2.execute_in(t2, &update);
-                db2.commit(t2).unwrap();
-                res
-            } else {
-                db2.execute(&update)
-            }
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        db.prepare(t1).unwrap();
-        db.commit(t1).unwrap();
-        let res = h.join().unwrap().unwrap();
-        assert_eq!(res.affected_ids(), Vec::<Id>::new(), "in_txn={in_txn}");
-        assert_eq!(db.stats().rows, 0);
-    }
-}
-
-#[test]
-fn waiting_insert_sees_committed_duplicate() {
-    let db = Arc::new(db());
-    db.execute(&Query::CreateTable { table: "t".into() })
-        .unwrap();
-    db.create_index("t", "a");
-    let t1 = db.begin().unwrap();
-    db.execute_in(
-        t1,
-        &Query::Insert {
-            table: "t".into(),
-            id: Id(1),
-            row: row(&[("a", 1.into())]),
-        },
-    )
-    .unwrap();
-    let db2 = db.clone();
-    let h = std::thread::spawn(move || {
-        db2.execute(&Query::Insert {
-            table: "t".into(),
-            id: Id(1),
-            row: row(&[("a", 2.into())]),
-        })
-    });
-    std::thread::sleep(Duration::from_millis(30));
-    db.prepare(t1).unwrap();
-    db.commit(t1).unwrap();
-    let err = h.join().unwrap().unwrap_err();
-    assert!(matches!(err, DbError::DuplicateKey { .. }), "{err:?}");
-    let by_a = |a: i64| {
-        db.execute(&Query::Select {
-            table: "t".into(),
-            filter: Filter::Eq("a".into(), Value::Int(a)),
-            order: None,
-            limit: None,
-        })
-        .unwrap()
-        .affected_ids()
-    };
-    assert_eq!(by_a(1), vec![Id(1)], "the committed row stands, indexed");
-    assert_eq!(by_a(2), Vec::<Id>::new());
 }
 
 #[test]

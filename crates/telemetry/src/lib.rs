@@ -60,11 +60,6 @@ pub struct Telemetry {
     /// in nanoseconds — one recording per restart that had state to
     /// recover, so the histogram doubles as a restart counter.
     recovery: Histogram,
-    /// Durations of conflict resolutions (multi-writer replication), in
-    /// nanoseconds — one recording per concurrent write pair handed to a
-    /// resolver, so the histogram also counts detected conflicts that
-    /// reached resolution.
-    resolution: Histogram,
 }
 
 impl Telemetry {
@@ -79,7 +74,6 @@ impl Telemetry {
             controllers: ControllerStats::new(),
             delivered: Default::default(),
             recovery: Histogram::new(),
-            resolution: Histogram::new(),
         }
     }
 
@@ -112,17 +106,6 @@ impl Telemetry {
     /// Records one crash-recovery pass's duration.
     pub fn record_recovery(&self, nanos: u64) {
         self.recovery.record(nanos);
-    }
-
-    /// The conflict-resolution latency histogram: one recording per
-    /// concurrent write pair handed to a resolver.
-    pub fn resolution_histogram(&self) -> &Histogram {
-        &self.resolution
-    }
-
-    /// Records one conflict resolution's duration.
-    pub fn record_resolution(&self, nanos: u64) {
-        self.resolution.record(nanos);
     }
 
     /// Records one stage duration.
@@ -186,16 +169,6 @@ impl Telemetry {
                 .push(("recovery.duration_total_nanos".into(), recovery.sum));
             snap.counters.sort();
         }
-        let resolution = self.resolution.snapshot();
-        if resolution.count > 0 {
-            snap.counters
-                .push(("conflicts.resolution_p50_nanos".into(), resolution.p50()));
-            snap.counters
-                .push(("conflicts.resolution_p99_nanos".into(), resolution.p99()));
-            snap.counters
-                .push(("conflicts.resolution_total_nanos".into(), resolution.sum));
-            snap.counters.sort();
-        }
         snap
     }
 }
@@ -250,26 +223,6 @@ mod tests {
         assert_eq!(get("recovery.duration_total_nanos"), Some(3_000));
         assert!(get("recovery.duration_p50_nanos").unwrap() >= 1_000);
         assert_eq!(t.recovery_histogram().count(), 2);
-    }
-
-    #[test]
-    fn resolution_histogram_folds_into_counters() {
-        let t = Telemetry::new(true);
-        let clean = t.snapshot();
-        assert!(
-            clean
-                .counters
-                .iter()
-                .all(|(k, _)| !k.starts_with("conflicts.")),
-            "no conflict counters before any resolution"
-        );
-        t.record_resolution(500);
-        t.record_resolution(1_500);
-        let snap = t.snapshot();
-        let get = |k: &str| snap.counters.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
-        assert_eq!(get("conflicts.resolution_total_nanos"), Some(2_000));
-        assert!(get("conflicts.resolution_p99_nanos").unwrap() >= 1_500);
-        assert_eq!(t.resolution_histogram().count(), 2);
     }
 
     #[test]

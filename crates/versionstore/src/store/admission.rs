@@ -57,8 +57,8 @@ pub enum Verdict {
     /// conflict ([`AdmitRule::Live`] and vectors only). `lww_wins` is the
     /// store's default verdict: whether the incoming version's LWW stamp
     /// (history length, then writer id) beats the stamp of the content
-    /// currently stored. The resolver plane may honor it (LWW) or ignore it
-    /// (merge callbacks).
+    /// currently stored. The subscriber applies the write exactly when it
+    /// does; either way the joined version is committed.
     Concurrent {
         /// Whether the incoming version wins last-writer-wins.
         lww_wins: bool,

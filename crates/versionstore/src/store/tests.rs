@@ -55,8 +55,8 @@ fn mesh(vector: VersionVector, writer: u64) -> ObjectVersion {
 
 /// The admission script as the subscriber runs it, with a write that
 /// always lands: reserve, classify, and commit whatever was not
-/// discarded (a concurrent version is committed whichever side the
-/// resolver keeps).
+/// discarded (a concurrent version is committed whichever side LWW
+/// keeps).
 fn admit(store: &VersionStore, object: u64, incoming: &ObjectVersion, rule: AdmitRule) -> Verdict {
     let admission = store.reserve(object);
     let verdict = admission.classify(incoming, rule).unwrap();

@@ -2,18 +2,16 @@
 //! Diaspora + Discourse → semantic analyzer (decorator) → Spree, with a
 //! mailer observing posts — followed by a second act: two regional
 //! Diaspora deployments forming a two-writer mesh over the same User and
-//! Post rows, diverging under a seeded fault schedule and converging
-//! through version-vector conflict resolution (LWW for posts, a custom
-//! merge for user bios).
+//! Post rows, diverging under a seeded fault schedule and converging by
+//! last-writer-wins on version-vector stamps.
 //!
 //! Run with: `cargo run --example social_ecosystem`
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use synapse_repro::apps::social;
 use synapse_repro::core::{
-    DeliveryMode, Ecosystem, Publication, Resolution, Subscription, SynapseConfig, SynapseNode,
+    DeliveryMode, Ecosystem, Publication, Subscription, SynapseConfig, SynapseNode,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::SeededRng;
@@ -128,41 +126,17 @@ fn main() {
 
 /// Act two: `diaspora_us` and `diaspora_eu` both accept writes to the same
 /// User profiles and Posts. A seeded fault schedule partitions the
-/// regions mid-write storm; once healed, every replica pair converges —
-/// Post bodies by last-writer-wins, User bios through a custom merge
-/// resolver that keeps the longer bio.
+/// regions mid-write storm; once healed, every replica pair converges,
+/// each concurrent pair settled by last-writer-wins.
 fn two_writer_mesh() {
     println!("\n-- two-writer mesh: diaspora_us <-> diaspora_eu --");
     let eco = Ecosystem::new();
-    let merge_bios = |config: SynapseConfig| {
-        config.merge_resolver("User", |ctx| {
-            let incoming = ctx
-                .incoming
-                .get("bio")
-                .and_then(|v| v.as_str())
-                .unwrap_or("");
-            let local = ctx
-                .local
-                .and_then(|attrs| attrs.get("bio"))
-                .and_then(|v| v.as_str())
-                .unwrap_or("");
-            // Keep the longer bio (ties to the lexicographic max): a
-            // commutative pick, so both regions settle identically.
-            if (local.len(), local) >= (incoming.len(), incoming) {
-                Resolution::KeepLocal
-            } else {
-                let mut merged = BTreeMap::new();
-                merged.insert("bio".to_owned(), Value::from(incoming));
-                Resolution::Merge(merged)
-            }
-        })
-    };
     let us = eco.add_node(
-        merge_bios(SynapseConfig::new("diaspora_us").mode(DeliveryMode::Weak)),
+        SynapseConfig::new("diaspora_us").mode(DeliveryMode::Weak),
         Arc::new(ActiveRecordAdapter::new("postgresql", LatencyModel::off())),
     );
     let eu = eco.add_node(
-        merge_bios(SynapseConfig::new("diaspora_eu").mode(DeliveryMode::Weak)),
+        SynapseConfig::new("diaspora_eu").mode(DeliveryMode::Weak),
         Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
     );
     for node in [&us, &eu] {
@@ -253,60 +227,47 @@ fn two_writer_mesh() {
         node.publisher().recover();
     }
 
-    // Convergence: identical rows on both sides once the mesh quiesces.
+    // Convergence: both regions hold equal rows for every User and Post
+    // once the journals have drained.
+    let rows = |node: &SynapseNode, model: &str, fields: &[&str]| -> Vec<(Id, Vec<Value>)> {
+        let records = node.orm().all(model).unwrap();
+        records
+            .iter()
+            .map(|r| (r.id, fields.iter().map(|f| r.get(f).clone()).collect()))
+            .collect()
+    };
+    let tables = |node: &SynapseNode| {
+        (
+            rows(node, "User", &["name", "bio"]),
+            rows(node, "Post", &["body"]),
+        )
+    };
     assert!(
         eventually(Duration::from_secs(20), || {
-            let same_post = us
-                .orm()
-                .find("Post", post.id)
-                .unwrap()
-                .map(|r| r.get("body").clone())
-                == eu
-                    .orm()
-                    .find("Post", post.id)
-                    .unwrap()
-                    .map(|r| r.get("body").clone());
-            let same_bio = us
-                .orm()
-                .find("User", carol.id)
-                .unwrap()
-                .map(|r| r.get("bio").clone())
-                == eu
-                    .orm()
-                    .find("User", carol.id)
-                    .unwrap()
-                    .map(|r| r.get("bio").clone());
-            same_post
-                && same_bio
+            tables(&us) == tables(&eu)
                 && us.publisher().journal_len() == 0
                 && eu.publisher().journal_len() == 0
         }),
-        "regions never converged"
+        "regions never converged:\n  us: {:?}\n  eu: {:?}",
+        tables(&us),
+        tables(&eu)
     );
-    let body = us
-        .orm()
-        .find("Post", post.id)
-        .unwrap()
-        .unwrap()
-        .get("body")
-        .clone();
-    let bio = us
-        .orm()
-        .find("User", carol.id)
-        .unwrap()
-        .unwrap()
-        .get("bio")
-        .clone();
-    println!("converged post body (LWW): {body}");
-    println!("converged user bio (merge): {bio}");
+    let (users, posts) = tables(&us);
+    println!(
+        "converged: {} users, {} posts, equal in both regions",
+        users.len(),
+        posts.len()
+    );
+    let body = us.orm().find("Post", post.id).unwrap().unwrap();
+    let bio = us.orm().find("User", carol.id).unwrap().unwrap();
+    println!("converged post body: {}", body.get("body"));
+    println!("converged user bio: {}", bio.get("bio"));
     for node in nodes {
         let stats = node.subscriber_stats();
         println!(
-            "{}: conflicts detected={} lww={} merge={} dominated={}",
+            "{}: conflicts detected={} dominated={}",
             node.app(),
             stats.conflicts_detected,
-            stats.conflicts_resolved_lww,
-            stats.conflicts_resolved_merge,
             stats.conflicts_discarded_dominated,
         );
     }

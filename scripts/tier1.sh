@@ -70,9 +70,13 @@ benchmark/run.sh --smoke --workload stress_weak_durable
 
 # Docs check: every repo path README.md, DESIGN.md or EXPERIMENTS.md
 # names in backticks must exist, so the docs cannot cite a file, script
-# or test that a later PR deleted or never committed; and every
-# backticked `Type::item` (with or without an argument list) must name a
-# fn or field `item`, or a variant or const `Item`, declared under crates/.
+# or test that a later PR deleted or never committed; every backticked
+# `Type::item` (with or without an argument list) must name a fn or field
+# `item`, or a variant or const `Item`, declared under crates/; and every
+# snake_case name with three or more underscores inside backticks (a
+# test, a fn, a metric) must occur as a word in some .rs file under
+# crates/, tests/, examples/, src/ or benchmark/src/, so the docs cannot
+# cite a test that was deleted.
 stale=0
 while IFS=: read -r doc path; do
   [[ -e "$path" ]] && continue
@@ -91,6 +95,13 @@ while IFS=: read -r doc ident; do
   stale=1
 done < <(grep -oHE '`[A-Z][A-Za-z0-9]*::[A-Za-z_][A-Za-z0-9_]*(\([^`]*\))?`' \
   README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sed 's/(.*//' | sort -u)
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+  while read -r name; do
+    grep -rqwF --include='*.rs' "$name" crates tests examples src benchmark/src && continue
+    echo "tier1: $doc names \`$name\`, which no .rs file contains" >&2
+    stale=1
+  done < <(grep -oE '`[^`]*`' "$doc" | grep -oE '\b[a-z][a-z0-9]*(_[a-z0-9]+){3,}\b' | sort -u)
+done
 [[ "$stale" == 0 ]]
 
 echo "tier1: OK"

@@ -209,7 +209,7 @@ fn replicated_row(owner: &SynapseNode, other: &SynapseNode, id: Option<Id>) -> I
 fn local_write_waits_out_an_incoming_apply() {
     let (local_app, peer_app) = ranked("race_l", "race_p");
     let eco = Ecosystem::new();
-    let (local, peer) = mesh(&eco, local_app, peer_app, &["name"], |c| c);
+    let (local, peer) = mesh(&eco, local_app, peer_app, &["name"]);
     let row = replicated_row(&local, &peer, None);
 
     let (classified, written) = (Arc::new(Signal::default()), Arc::new(Signal::default()));
@@ -250,50 +250,40 @@ fn local_write_waits_out_an_incoming_apply() {
     eco.stop_all();
 }
 
-/// A mesh whose reacting node answers the peer's write of a row with an
-/// `AfterUpdate` callback that writes `target(row)` — while the apply
-/// still holds the row's reservation. Requires, within a deadline, both
-/// replicas to show the peer's write and the callback's, and returns the
-/// nodes (reactor first), the row and the target. The peer's writer id is
-/// the greater, so a callback stamp that missed the applied version would
-/// lose LWW at the peer.
+/// A mesh whose reacting node answers the peer's write of a row with a
+/// callback at `point` that writes `target(row)` — while the apply still
+/// holds the row's reservation. Waits, within a deadline, until the
+/// callback's write reached the peer, then for the mesh to go quiet, and
+/// returns the nodes (reactor first), the row and the target. The peer's
+/// writer id is the greater, so a callback stamp that missed the applied
+/// version would lose LWW at the peer.
 fn callback_under_an_apply(
     eco: &Ecosystem,
+    point: CallbackPoint,
     target: impl Fn(Id) -> Id,
 ) -> (Arc<SynapseNode>, Arc<SynapseNode>, Id, Id) {
     let (peer_app, reactor_app) = ranked("reentry_p", "reentry_r");
-    let (reactor, peer) = mesh(eco, reactor_app, peer_app, &["name"], |c| c);
+    let (reactor, peer) = mesh(eco, reactor_app, peer_app, &["name"]);
     let row = replicated_row(&reactor, &peer, None);
     let written = target(row);
     if written != row {
         replicated_row(&reactor, &peer, Some(written));
     }
-    reactor
-        .orm()
-        .on("User", CallbackPoint::AfterUpdate, move |ctx, rec| {
-            if rec.get("name").as_str() == Some("from_peer") {
-                ctx.orm
-                    .update("User", written, vmap! { "name" => "reacted" })?;
-            }
-            Ok(())
-        });
+    reactor.orm().on("User", point, move |ctx, rec| {
+        if rec.get("name").as_str() == Some("from_peer") {
+            ctx.orm
+                .update("User", written, vmap! { "name" => "reacted" })?;
+        }
+        Ok(())
+    });
     peer.orm()
         .update("User", row, vmap! { "name" => "from_peer" })
         .unwrap();
-    let expected = |id: Id| {
-        if id == written {
-            "reacted"
-        } else {
-            "from_peer"
-        }
-    };
     assert!(
-        eventually(Duration::from_secs(10), || [&reactor, &peer].iter().all(
-            |node| [row, written]
-                .iter()
-                .all(|&id| field_of(node, id, "name").as_str() == Some(expected(id)))
-        )),
-        "the callback's write never completed on both replicas"
+        eventually(Duration::from_secs(10), || {
+            field_of(&peer, written, "name").as_str() == Some("reacted")
+        }),
+        "the callback's write never reached the peer"
     );
     quiesce(&reactor, &peer);
     (reactor, peer, row, written)
@@ -306,7 +296,8 @@ fn callback_under_an_apply(
 #[test]
 fn callback_rewriting_the_applied_row_reenters_and_follows_it() {
     let eco = Ecosystem::new();
-    let (reactor, peer, row, _) = callback_under_an_apply(&eco, |row| row);
+    let (reactor, peer, row, _) =
+        callback_under_an_apply(&eco, CallbackPoint::AfterUpdate, |row| row);
     let mesh = mesh_object("User", row).identity();
     let followed = VersionVector::from_components(&[
         (writer_id(reactor.app()), 2),
@@ -320,6 +311,32 @@ fn callback_rewriting_the_applied_row_reenters_and_follows_it() {
     eco.stop_all();
 }
 
+/// The same re-entry from a before-callback: the callback's write commits
+/// and publishes a stamp that dominates the applied version before the
+/// apply's own row write runs. Whatever value each replica keeps, both
+/// must keep the same one under the same vector. They do not: the apply's
+/// row write puts the peer's value back over the callback's on the
+/// reacting node, and nothing republishes it, so the peer keeps the
+/// callback's value under the same vector.
+#[test]
+#[ignore = "open defect: an apply's row write overwrites a before-callback's published write, ROADMAP"]
+fn before_callback_rewriting_the_applied_row_converges() {
+    let eco = Ecosystem::new();
+    let (reactor, peer, row, _) =
+        callback_under_an_apply(&eco, CallbackPoint::BeforeUpdate, |row| row);
+    let mesh = mesh_object("User", row).identity();
+    assert_eq!(
+        field_of(&reactor, row, "name"),
+        field_of(&peer, row, "name"),
+        "replicas diverged"
+    );
+    assert_eq!(
+        reactor.sub_store().latest_vector(mesh).unwrap(),
+        peer.sub_store().latest_vector(mesh).unwrap()
+    );
+    eco.stop_all();
+}
+
 /// Re-entry, another object on the same one of the 256 stripes: the
 /// callback's write enters the stripe its thread holds instead of
 /// deadlocking on it, and both rows converge.
@@ -328,15 +345,17 @@ fn callback_writing_a_row_on_the_applied_stripe_reenters() {
     const STRIPES: u64 = 256;
     let stripe = |id: Id| mesh_object("User", id).identity() % STRIPES;
     let eco = Ecosystem::new();
-    let (reactor, peer, row, neighbour) = callback_under_an_apply(&eco, |row| {
-        (row.0 + 1..)
-            .map(Id)
-            .find(|&id| stripe(id) == stripe(row))
-            .unwrap()
-    });
+    let (reactor, peer, row, neighbour) =
+        callback_under_an_apply(&eco, CallbackPoint::AfterUpdate, |row| {
+            (row.0 + 1..)
+                .map(Id)
+                .find(|&id| stripe(id) == stripe(row))
+                .unwrap()
+        });
     assert_ne!(row, neighbour);
-    for id in [row, neighbour] {
-        assert_eq!(field_of(&reactor, id, "name"), field_of(&peer, id, "name"));
+    for node in [&reactor, &peer] {
+        assert_eq!(field_of(node, row, "name").as_str(), Some("from_peer"));
+        assert_eq!(field_of(node, neighbour, "name").as_str(), Some("reacted"));
     }
     eco.stop_all();
 }

@@ -41,21 +41,19 @@ pub fn mongo_node(eco: &Ecosystem, config: SynapseConfig) -> Arc<SynapseNode> {
 }
 
 /// Builds a started two-writer mesh: both weak-mode nodes publish *and*
-/// subscribe the same `User` fields bidirectionally. `configure` lets a
-/// test register resolvers on each node's config before the node is built.
+/// subscribe the same `User` fields bidirectionally.
 pub fn mesh(
     eco: &Ecosystem,
     app_a: &str,
     app_b: &str,
     fields: &[&str],
-    configure: impl Fn(SynapseConfig) -> SynapseConfig,
 ) -> (Arc<SynapseNode>, Arc<SynapseNode>) {
     let a = eco.add_node(
-        configure(SynapseConfig::new(app_a).mode(DeliveryMode::Weak)),
+        SynapseConfig::new(app_a).mode(DeliveryMode::Weak),
         Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
     );
     let b = eco.add_node(
-        configure(SynapseConfig::new(app_b).mode(DeliveryMode::Weak)),
+        SynapseConfig::new(app_b).mode(DeliveryMode::Weak),
         Arc::new(ActiveRecordAdapter::new("postgresql", LatencyModel::off())),
     );
     for node in [&a, &b] {

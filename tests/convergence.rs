@@ -1,7 +1,7 @@
 //! Multi-writer convergence: two writers of one bidirectional model
 //! diverge under partitions and concurrent writes, then converge to an
-//! identical final state once the mesh heals — under the default
-//! last-writer-wins resolver and under a user merge resolver.
+//! identical final state once the mesh heals, each concurrent pair settled
+//! by last-writer-wins on the version-vector stamp.
 //!
 //! The deterministic tests force the interesting interleavings directly
 //! (publish-failure windows as partitions; hand-built version vectors
@@ -11,15 +11,14 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::{Config, TestRunner};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 use synapse_repro::core::subscriber::ProcessError;
 use synapse_repro::core::testing::emulate_delivery;
 use synapse_repro::core::{
-    mesh_object, writer_id, DeliveryMode, DepName, Ecosystem, Resolution, Subscription,
-    SynapseConfig, SynapseNode, WriteMessage,
+    mesh_object, writer_id, DeliveryMode, DepName, Ecosystem, Subscription, SynapseConfig,
+    SynapseNode, WriteMessage,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::SeededRng;
@@ -36,7 +35,7 @@ use common::{eventually, field_of, mesh, quiesce, vector_msg};
 #[test]
 fn partitioned_writers_converge_under_lww() {
     let eco = Ecosystem::new();
-    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"], |c| c);
+    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"]);
 
     let user = a.orm().create("User", vmap! { "name" => "seed" }).unwrap();
     assert!(eventually(Duration::from_secs(5), || {
@@ -76,86 +75,13 @@ fn partitioned_writers_converge_under_lww() {
             node.app()
         );
     }
-    // Both sides saw the fork and resolved it with the default policy.
+    // Both sides saw the fork.
     for node in [&a, &b] {
         let stats = node.subscriber_stats();
         assert!(stats.conflicts_detected >= 1, "{}", node.app());
-        assert!(stats.conflicts_resolved_lww >= 1, "{}", node.app());
-        assert_eq!(stats.conflicts_resolved_merge, 0, "{}", node.app());
     }
     // The counters fold into the exported telemetry snapshot.
     assert!(a.telemetry_snapshot().counter("conflicts.detected") >= 1);
-    eco.stop_all();
-}
-
-/// The same forced fork under a user merge resolver: each side writes its
-/// own score field, and the registered resolver folds the pair with a
-/// per-field max — a commutative merge, so both replicas converge to the
-/// union of the two writes (which plain LWW would have discarded).
-#[test]
-fn partitioned_writers_merge_with_custom_resolver() {
-    let eco = Ecosystem::new();
-    let fields = &["score_a", "score_b"];
-    let merge = |config: SynapseConfig| {
-        config.merge_resolver("User", |ctx| {
-            let mut merged = BTreeMap::new();
-            for field in ["score_a", "score_b"] {
-                let local = ctx
-                    .local
-                    .and_then(|attrs| attrs.get(field))
-                    .and_then(|v| v.as_int())
-                    .unwrap_or(0);
-                let incoming = ctx
-                    .incoming
-                    .get(field)
-                    .and_then(|v| v.as_int())
-                    .unwrap_or(0);
-                merged.insert(field.to_owned(), Value::from(local.max(incoming)));
-            }
-            Resolution::Merge(merged)
-        })
-    };
-    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", fields, merge);
-
-    let user = a
-        .orm()
-        .create("User", vmap! { "score_a" => 0, "score_b" => 0 })
-        .unwrap();
-    assert!(eventually(Duration::from_secs(5), || {
-        b.orm().find("User", user.id).unwrap().is_some()
-    }));
-
-    a.publisher().inject_publish_failure(true);
-    b.publisher().inject_publish_failure(true);
-    a.orm()
-        .update("User", user.id, vmap! { "score_a" => 7 })
-        .unwrap();
-    b.orm()
-        .update("User", user.id, vmap! { "score_b" => 9 })
-        .unwrap();
-    a.publisher().inject_publish_failure(false);
-    b.publisher().inject_publish_failure(false);
-    a.publisher().recover();
-    b.publisher().recover();
-    quiesce(&a, &b);
-
-    for node in [&a, &b] {
-        assert_eq!(
-            field_of(node, user.id, "score_a").as_int(),
-            Some(7),
-            "{} lost A's write",
-            node.app()
-        );
-        assert_eq!(
-            field_of(node, user.id, "score_b").as_int(),
-            Some(9),
-            "{} lost B's write",
-            node.app()
-        );
-        let stats = node.subscriber_stats();
-        assert!(stats.conflicts_detected >= 1, "{}", node.app());
-        assert!(stats.conflicts_resolved_merge >= 1, "{}", node.app());
-    }
     eco.stop_all();
 }
 
@@ -183,7 +109,7 @@ fn observer_of_two_writers(eco: &Ecosystem) -> Arc<SynapseNode> {
 
 /// Deterministic classification through hand-built vectors: one node
 /// subscribed bidirectionally to two remote writers receives a fresh
-/// write, a concurrent fork (→ resolver, LWW tiebreak by writer id), a
+/// write, a concurrent fork (LWW tiebreak by writer id), a
 /// dominated straggler (→ discarded), and a dominating follow-up.
 #[test]
 fn forced_concurrent_vectors_classify_and_resolve() {
@@ -218,9 +144,7 @@ fn forced_concurrent_vectors_classify_and_resolve() {
         .unwrap();
     let winner = if wb > wa { "from_b" } else { "from_a" };
     assert_eq!(field_of(&node, OBJECT, "name").as_str(), Some(winner));
-    let stats = node.subscriber_stats();
-    assert_eq!(stats.conflicts_detected, 1);
-    assert_eq!(stats.conflicts_resolved_lww, 1);
+    assert_eq!(node.subscriber_stats().conflicts_detected, 1);
 
     // ③ Dominated straggler: {A:1} against the joined {A:1,B:1} history.
     node.subscriber()
@@ -234,7 +158,7 @@ fn forced_concurrent_vectors_classify_and_resolve() {
     assert_eq!(field_of(&node, OBJECT, "name").as_str(), Some(winner));
     assert_eq!(node.subscriber_stats().conflicts_discarded_dominated, 1);
 
-    // ④ Dominating follow-up applies without touching the resolver.
+    // ④ Dominating follow-up applies without counting a conflict.
     node.subscriber()
         .process(&emulate_delivery(&msg(
             "wa",
@@ -287,7 +211,6 @@ fn concurrent_write_survives_transient_apply_failure() {
     assert_eq!(field_of(&node, forked, "name").as_str(), Some("from_b"));
     let stats = node.subscriber_stats();
     assert_eq!(stats.conflicts_detected, 1);
-    assert_eq!(stats.conflicts_resolved_lww, 1);
     assert_eq!(stats.conflicts_discarded_dominated, 0);
     assert_eq!(stats.ops_applied, 3);
 }
@@ -300,7 +223,7 @@ fn concurrent_write_survives_transient_apply_failure() {
 #[test]
 fn dead_sub_store_write_goes_out_unstamped() {
     let eco = Ecosystem::new();
-    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"], |c| c);
+    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"]);
     let user = a.orm().create("User", vmap! { "name" => "seed" }).unwrap();
     assert!(eventually(Duration::from_secs(5), || {
         field_of(&b, user.id, "name").as_str() == Some("seed")
@@ -354,37 +277,11 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Registers the lexicographic-max merge on `User.name` when `use_merge`:
-/// deterministic and commutative, so any resolution order converges —
-/// except across a local write that moves a row down that order, an open
-/// defect that `merge_survives_a_local_write_down_its_order` pins. Every
-/// user here can meet it: `seeded_schedules_converge_under_merge`'s
-/// writers go `w1-9` → `w1-10`, the free-running ones `r0-9` → `r0-10`.
-fn lexicographic_max_if(use_merge: bool, config: SynapseConfig) -> SynapseConfig {
-    if !use_merge {
-        return config;
-    }
-    config.merge_resolver("User", |ctx| {
-        let incoming = ctx.incoming.get("name").and_then(|v| v.as_str());
-        let local = ctx
-            .local
-            .and_then(|attrs| attrs.get("name"))
-            .and_then(|v| v.as_str());
-        match (incoming, local) {
-            (Some(i), Some(l)) if l >= i => Resolution::KeepLocal,
-            (Some(_), _) => Resolution::TakeIncoming,
-            (None, _) => Resolution::KeepLocal,
-        }
-    })
-}
-
 /// Drives one random schedule through a live mesh and asserts both
 /// replicas converge to the identical row once healed and quiescent.
-fn run_schedule(schedule: &[Step], use_merge: bool) {
+fn run_schedule(schedule: &[Step]) {
     let eco = Ecosystem::new();
-    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"], |config| {
-        lexicographic_max_if(use_merge, config)
-    });
+    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"]);
     let nodes = [&a, &b];
 
     let user = a.orm().create("User", vmap! { "name" => "seed" }).unwrap();
@@ -419,84 +316,26 @@ fn run_schedule(schedule: &[Step], use_merge: bool) {
 
     let final_a = field_of(&a, user.id, "name");
     let final_b = field_of(&b, user.id, "name");
-    assert_eq!(
-        final_a, final_b,
-        "replicas diverged after {schedule:?} (merge={use_merge})"
-    );
+    assert_eq!(final_a, final_b, "replicas diverged after {schedule:?}");
     eco.stop_all();
 }
 
-/// Runs `cases` seeded schedules against a full live mesh (each case
-/// spins an ecosystem with worker threads, so the count stays small).
-fn run_seeded_cases(use_merge: bool) {
+/// Random interleaved publish/partition/heal schedules converge to an
+/// identical final state. Each case spins an ecosystem with worker
+/// threads, so the count stays small.
+#[test]
+fn seeded_schedules_converge_under_lww() {
     let mut runner = TestRunner::new(Config {
-        cases: 6,
+        cases: 12,
         ..Config::default()
     });
     let strategy = prop::collection::vec(step_strategy(), 1..14);
     runner
         .run(&strategy, |schedule| {
-            run_schedule(&schedule, use_merge);
+            run_schedule(&schedule);
             Ok(())
         })
         .unwrap_or_else(|e| panic!("{e}"));
-}
-
-/// Random interleaved publish/partition/heal schedules converge to an
-/// identical final state under the default LWW resolver.
-#[test]
-fn seeded_schedules_converge_under_lww() {
-    run_seeded_cases(false);
-}
-
-/// The same schedules converge under a commutative user merge resolver
-/// registered on both writers.
-#[test]
-fn seeded_schedules_converge_under_merge() {
-    run_seeded_cases(true);
-}
-
-/// Pins the open merge-order defect (ROADMAP). Writer 0 writes while
-/// partitioned; writer 1 then writes `w1-9` and, once writer 0 has merged
-/// it in, the smaller `w1-10` over it. Writer 0 keeps `w1-9` against
-/// `w1-10`, whose vector is concurrent with its own; writer 1 merges
-/// writer 0's value into `w1-10`. Each replica ends on a different value
-/// under the same vector.
-#[test]
-#[ignore = "open defect: a local write down a merge's order diverges, ROADMAP"]
-fn merge_survives_a_local_write_down_its_order() {
-    let eco = Ecosystem::new();
-    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"], |config| {
-        lexicographic_max_if(true, config)
-    });
-    let user = a.orm().create("User", vmap! { "name" => "seed" }).unwrap();
-    assert!(eventually(Duration::from_secs(5), || {
-        field_of(&b, user.id, "name").as_str() == Some("seed")
-    }));
-
-    a.publisher().inject_publish_failure(true);
-    let write = |node: &SynapseNode, name: &str| {
-        node.orm()
-            .update("User", user.id, vmap! { "name" => name })
-            .unwrap();
-    };
-    write(&a, "w0-1");
-    write(&b, "w1-9");
-    assert!(eventually(Duration::from_secs(5), || {
-        field_of(&a, user.id, "name").as_str() == Some("w1-9")
-    }));
-    write(&b, "w1-10");
-    a.publisher().inject_publish_failure(false);
-    a.publisher().recover();
-    quiesce(&a, &b);
-
-    assert_eq!(
-        field_of(&a, user.id, "name"),
-        field_of(&b, user.id, "name"),
-        "replicas diverged:{}",
-        divergence_report([&a, &b], &[user.id])
-    );
-    eco.stop_all();
 }
 
 /// What a diverged mesh looks like: each node's counters and, for every
@@ -539,12 +378,10 @@ fn divergence_report(nodes: [&SynapseNode; 2], ids: &[Id]) -> String {
 /// Two writer threads, one per node, update rows drawn from a shared pool
 /// with nothing ordering them; once the mesh is quiescent every row must
 /// be identical on both sides.
-fn free_running_arm(pool: u64, use_merge: bool) {
+fn free_running_arm(pool: u64) {
     const OPS: u64 = 150;
     let eco = Ecosystem::new();
-    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"], |config| {
-        lexicographic_max_if(use_merge, config)
-    });
+    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"]);
 
     // The pool originates on one writer and replicates before the storm,
     // so both sides race over the same logical rows. This is also the
@@ -589,26 +426,15 @@ fn free_running_arm(pool: u64, use_merge: bool) {
     assert_eq!(
         names(&a),
         names(&b),
-        "mesh diverged (pool={pool}, merge={use_merge}):{}",
+        "mesh diverged (pool={pool}):{}",
         divergence_report([&a, &b], &ids)
     );
     eco.stop_all();
 }
 
-/// A hot pool of 4 rows and a cooler one of 64 under LWW.
+/// A hot pool of 4 rows and a cooler one of 64.
 #[test]
 fn free_running_writers_converge() {
-    free_running_arm(4, false);
-    free_running_arm(64, false);
-}
-
-/// The hot pool under the merge resolver. Its writers move rows down the
-/// merge's order (`r1-99` → `r1-147`), so it meets the open merge-order
-/// defect that `merge_survives_a_local_write_down_its_order` pins, a few
-/// debug runs in a thousand on two cores: one replica ends on the earlier,
-/// greater value.
-#[test]
-#[ignore = "open defect: a local write down a merge's order diverges, ROADMAP"]
-fn free_running_writers_converge_under_merge() {
-    free_running_arm(4, true);
+    free_running_arm(4);
+    free_running_arm(64);
 }
