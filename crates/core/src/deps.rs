@@ -36,12 +36,13 @@ use synapse_versionstore::DepKey;
 /// [`DepSpace::key`] reduces it modulo the space cardinality, which yields
 /// byte-for-byte the same keys as hashing at lookup time.
 fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a_on(0xcbf29ce484222325, s)
+}
+
+/// FNV-1a of `s` continued from the hash `h` of the bytes before it.
+fn fnv1a_on(h: u64, s: &str) -> u64 {
+    s.bytes()
+        .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
 }
 
 /// The stable writer id of an application — the version-vector component
@@ -160,6 +161,11 @@ thread_local! {
 /// [`DepName::object`]'s identity, without building the name.
 pub(crate) fn object_identity(app: &str, model: &str, id: Id) -> u64 {
     with_object_name(app, model, id, fnv1a)
+}
+
+/// [`DepName::global`]'s identity, without building the name.
+pub(crate) fn global_identity(app: &str) -> u64 {
+    fnv1a_on(fnv1a(app), "/__global__")
 }
 
 /// Calls `f` with `app/model/id/<id>`, formatted into the thread's scratch
@@ -314,6 +320,21 @@ mod tests {
         for name in ["pub3/user/id/100", "a/__global__", "x", ""] {
             let d = DepName::named(name);
             assert_eq!(space.key(&d), fnv1a(name) % 997);
+        }
+    }
+
+    #[test]
+    fn global_identity_keys_as_the_global_name_does() {
+        for app in ["pub1", "sub", "", "an/app with spaces", "ééé"] {
+            for cardinality in [1, 2, 997, 1 << 20, 1 << 62, u64::MAX] {
+                let space = DepSpace::new(cardinality);
+                assert_eq!(
+                    global_identity(app) % space.cardinality(),
+                    space.key(&DepName::global(app)),
+                    "{app} in {cardinality}"
+                );
+            }
+            assert_eq!(global_identity(app), DepName::global(app).identity());
         }
     }
 

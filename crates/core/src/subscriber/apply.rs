@@ -23,7 +23,7 @@ impl Subscriber {
     pub(super) fn apply_op(
         &self,
         msg: &WriteMessage,
-        op: &Operation,
+        op: &mut Operation,
         kind: Kind,
         mode: DeliveryMode,
     ) -> Result<(), OrmError> {
@@ -99,10 +99,10 @@ impl Subscriber {
                 &self.counters.ops_stale,
             ),
         };
-        let write = || {
-            matching
-                .iter()
-                .try_for_each(|sub| self.apply_subscription(sub, op))?;
+        let mut write = || {
+            for (n, sub) in matching.iter().enumerate() {
+                self.apply_subscription(sub, op, n + 1 == matching.len())?;
+            }
             applied.fetch_add(1, Ordering::Relaxed);
             Ok(())
         };
@@ -143,57 +143,76 @@ impl Subscriber {
         admission.commit(carried).map_err(dead)
     }
 
-    /// Writes the attributes `attrs` builds over the object `existing` is
-    /// the stored image of, or creates it when the read found nothing.
-    /// Create and update share upsert semantics: redeliveries and weak-mode
-    /// reordering make either arrive first.
+    /// Writes `attrs` over the object `existing` is the stored image of, or
+    /// creates it when the read found nothing. Create and update share
+    /// upsert semantics: redeliveries and weak-mode reordering make either
+    /// arrive first.
     fn upsert(
         &self,
         sub: &Subscription,
         id: Id,
         existing: Option<Record>,
-        attrs: impl Fn() -> BTreeMap<String, Value>,
+        attrs: BTreeMap<String, Value>,
     ) -> Result<Record, OrmError> {
         let Some(current) = existing else {
-            return match self.orm.create_with_id(&sub.model, id, Value::Map(attrs())) {
+            return match self.orm.create_with_id(&sub.model, id, Value::Map(attrs)) {
                 // Lost a create/create race between the find and the
-                // insert — a live worker and the bootstrap copier can apply
-                // the same row concurrently. The row exists now, so finish
-                // as the update path would have instead of poisoning the
-                // delivery (or failing the bootstrap attempt), with the
-                // attributes built again: the create consumed them.
+                // insert: two publishers of one local model write under
+                // different object identities, so the reservation does not
+                // serialize them. The row exists now, but the create took
+                // the attributes; fail transiently, and the redelivery
+                // decodes them again and takes the update path.
                 Err(OrmError::Db(DbError::DuplicateKey { .. })) => {
-                    self.orm.update(&sub.model, id, Value::Map(attrs()))
+                    Err(OrmError::Db(DbError::Unavailable))
                 }
                 other => other,
             };
         };
-        self.orm.update_record(current, Value::Map(attrs()))
+        self.orm.update_record(current, Value::Map(attrs))
     }
 
-    fn apply_subscription(&self, sub: &Subscription, op: &Operation) -> Result<(), OrmError> {
-        // Project the incoming attributes to this subscription, splitting
-        // plain fields from virtual-attribute setters.
-        let hooks = self.orm.hooks(&sub.model);
-        let setter = |local: &str| hooks.as_ref().and_then(|h| h.setter(local));
-        let incoming = || {
-            let fields = sub.fields.iter();
-            fields.filter_map(|f| Some((sub.local_field(f), op.attributes.get(f)?)))
-        };
-        let plain = || {
-            let mut plain = BTreeMap::new();
-            for (local, value) in incoming().filter(|(local, _)| setter(local).is_none()) {
-                plain.insert(local.to_owned(), value.clone());
+    fn apply_subscription(
+        &self,
+        sub: &Subscription,
+        op: &mut Operation,
+        last: bool,
+    ) -> Result<(), OrmError> {
+        if !sub.observer && op.operation == "destroy" {
+            if let Some(pre) = self.orm.find(&sub.model, op.id)? {
+                self.orm.destroy_record(pre)?;
             }
-            plain
+            return Ok(());
+        }
+        // Project the incoming attributes to this subscription: the last
+        // subscription takes them, an earlier one copies. Only a renamed
+        // field moves to a new key; a setter's value is split off.
+        let hooks = self.orm.hooks(&sub.model);
+        let mut plain = if last {
+            std::mem::take(&mut op.attributes)
+        } else {
+            op.attributes.clone()
         };
-        let set_after: Vec<_> = incoming()
-            .filter_map(|(local, value)| Some((setter(local)?, value.clone())))
-            .collect();
+        plain.retain(|field, _| sub.fields.contains(field));
+        let (mut set_after, mut renamed) = (Vec::new(), Vec::new());
+        for field in &sub.fields {
+            let local = sub.local_field(field);
+            let setter = hooks.as_ref().and_then(|h| h.setter(local));
+            if setter.is_none() && local == field {
+                continue;
+            }
+            let Some(value) = plain.remove(field) else {
+                continue;
+            };
+            match setter {
+                Some(setter) => set_after.push((setter, value)),
+                None => renamed.push((local.to_owned(), value)),
+            }
+        }
+        plain.extend(renamed);
 
         let mut record = if sub.observer {
             // Observers run callbacks without persisting (§3.1).
-            let mut record = Record::with_attrs(sub.model.clone(), op.id, plain());
+            let mut record = Record::with_attrs(sub.model.clone(), op.id, plain);
             let (before, after) = callback_points(&op.operation);
             self.orm
                 .run_model_callbacks(&sub.model, before, &mut record)?;
@@ -206,12 +225,6 @@ impl Subscriber {
             record
         } else {
             let existing = self.orm.find(&sub.model, op.id)?;
-            if op.operation == "destroy" {
-                if let Some(pre) = existing {
-                    self.orm.destroy_record(pre)?;
-                }
-                return Ok(());
-            }
             self.upsert(sub, op.id, existing, plain)?
         };
         // Setters consume their values once every callback has run, on the

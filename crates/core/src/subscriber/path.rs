@@ -6,7 +6,7 @@ use super::{ProcessError, Subscriber, IDLE_PARK};
 use crate::bootstrap::BOOTSTRAP_EXCHANGE;
 use crate::config::{backoff, RETRY_ATTEMPTS};
 use crate::context;
-use crate::deps::DepName;
+use crate::deps::global_identity;
 use crate::message::WriteMessage;
 use crate::semantics::DeliveryMode;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -179,7 +179,7 @@ impl Subscriber {
             marks.dep_wait_nanos = mono_nanos().saturating_sub(since);
         }
         let apply_start = mono_nanos();
-        self.apply_message(&prepared.msg, kind, prepared.mode)?;
+        self.apply_message(&mut prepared.msg, kind, prepared.mode)?;
         marks.apply_nanos = mono_nanos().saturating_sub(apply_start);
         Ok(Processed::Applied(marks))
     }
@@ -420,7 +420,8 @@ impl Subscriber {
         self.counters.dead_lettered.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Applies a decoded message's operations through the local ORM.
+    /// Applies a decoded message's operations through the local ORM, taking
+    /// them out of the message: their attributes move into the rows.
     ///
     /// Application runs inside its own causal scope (like a background
     /// job, §4.2) so that reads made by decorator callbacks become
@@ -429,14 +430,16 @@ impl Subscriber {
     /// it would panic identically on every redelivery.
     fn apply_message(
         &self,
-        msg: &WriteMessage,
+        msg: &mut WriteMessage,
         kind: Kind,
         mode: DeliveryMode,
     ) -> Result<(), ProcessError> {
+        let mut operations = std::mem::take(&mut msg.operations);
+        let msg = &*msg;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             context::with_scope(|| {
                 context::with_replication_flag(|| {
-                    for op in &msg.operations {
+                    for op in &mut operations {
                         self.apply_op(msg, op, kind, mode)?;
                     }
                     Ok::<(), OrmError>(())
@@ -485,7 +488,7 @@ impl Subscriber {
     fn filtered_wait_set(&self, msg: &WriteMessage, mode: DeliveryMode) -> DepWaitSet {
         let mut deps = msg.dep_list();
         if mode == DeliveryMode::Causal {
-            let global_key = self.dep_space.key(&DepName::global(&msg.app));
+            let global_key = global_identity(&msg.app) % self.dep_space.cardinality();
             deps.retain(|(k, _)| *k != global_key);
         }
         let mut set = DepWaitSet::default();

@@ -6,12 +6,14 @@ use crate::message::{Operation, WriteMessage};
 use crate::node::SynapseNode;
 use crate::testing::emulate_delivery;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use synapse_broker::Broker;
 use synapse_db::LatencyModel;
 use synapse_model::{Id, ModelSchema, Record, Value};
 use synapse_orm::adapters::MongoidAdapter;
+use synapse_orm::CallbackPoint;
 
 #[test]
 fn worker_thread_names_fit_the_kernels_fifteen_bytes() {
@@ -130,6 +132,45 @@ fn a_blocked_delivery_steps_aside_for_the_rest_of_its_batch() {
     assert_eq!(stats.redeliveries, 0);
     assert_eq!(broker.stats().redelivered, 0);
     assert_eq!(stats.dep_timeouts, 0);
+    node.stop();
+}
+
+/// One local model subscribed from two publishers, which `connect()`
+/// accepts: their object identities differ, so the admission reservation
+/// does not serialize their applies, and both can find no row and then
+/// insert it. Here `pub2`'s create of Post 1 lands between `pub`'s find and
+/// its insert. `pub`'s create fails on the duplicate key after its
+/// attributes went to the engine; the failure is transient, and the
+/// redelivery decodes them again and lands them as an update.
+#[test]
+fn a_create_that_loses_the_race_for_its_row_lands_on_redelivery() {
+    let (broker, node) = subscriber(SynapseConfig::new("sub").workers(1));
+    node.subscribe(Subscription::model("Post", "pub2").fields(&["body"]))
+        .unwrap();
+    let mut theirs = post(&node, "create", 1, &[]);
+    theirs.app = "pub2".to_owned();
+    let attrs = &mut theirs.operations[0].attributes;
+    attrs.insert("body".to_owned(), Value::from("pub2's create"));
+    let subscriber = Arc::downgrade(node.subscriber());
+    let raced = AtomicBool::new(false);
+    node.orm()
+        .on("Post", CallbackPoint::BeforeCreate, move |_, _| {
+            if !raced.swap(true, Ordering::SeqCst) {
+                let subscriber = subscriber.upgrade().expect("the node is alive");
+                subscriber.process(&emulate_delivery(&theirs)).unwrap();
+            }
+            Ok(())
+        });
+    enqueue(&broker, 0, &[post(&node, "create", 1, &[(1, 0)])]);
+    node.start();
+    assert!(eventually(Duration::from_secs(5), || {
+        body(&node, 1).as_deref() == Some("create 1")
+    }));
+    assert!(node.subscriber().drain(Duration::from_secs(2)));
+    let stats = node.subscriber_stats();
+    assert_eq!((stats.retries, stats.redeliveries), (1, 1));
+    assert_eq!((stats.dead_lettered, stats.poison_messages), (0, 0));
+    assert_eq!(node.orm().count("Post").unwrap(), 1);
     node.stop();
 }
 

@@ -327,35 +327,30 @@ impl ColumnarDb {
     fn run_locked(
         &self,
         fams: &mut HashMap<String, ColumnFamily>,
-        q: &Query,
+        q: Query,
     ) -> Result<QueryResult, DbError> {
         match q {
             Query::CreateTable { table } => {
-                namespace(fams, table);
+                namespace(fams, &table);
                 Ok(QueryResult::Unit)
             }
             Query::DropTable { table } => {
-                fams.remove(table);
+                fams.remove(&table);
                 Ok(QueryResult::Unit)
             }
             Query::Insert { table, id, row } => {
-                let fam = namespace(fams, table);
-                if fam.is_live(*id) {
+                let fam = namespace(fams, &table);
+                if fam.is_live(id) {
                     return Err(DbError::DuplicateKey {
-                        table: table.clone(),
+                        table,
                         key: id.to_string(),
                     });
                 }
                 let ts = self.tick();
-                fam.write_cells(
-                    *id,
-                    ts,
-                    row.iter()
-                        .map(|(k, v)| (k.clone(), Some(v.clone())))
-                        .chain([(ROW_MARKER.to_owned(), None)]),
-                );
+                let cells = row.into_iter().map(|(k, v)| (k, Some(v)));
+                fam.write_cells(id, ts, cells.chain([(ROW_MARKER.to_owned(), None)]));
                 fam.maybe_flush(self.thresholds);
-                Ok(QueryResult::AffectedIds(vec![*id]))
+                Ok(QueryResult::AffectedIds(vec![id]))
             }
             Query::Update {
                 table,
@@ -363,24 +358,25 @@ impl ColumnarDb {
                 set,
                 unset,
             } => {
-                let fam = namespace(fams, table);
-                let ids = fam.matching_ids(filter);
+                let fam = namespace(fams, &table);
+                let ids = fam.matching_ids(&filter);
                 let ts = self.tick();
-                for id in &ids {
-                    fam.write_cells(
-                        *id,
-                        ts,
-                        set.iter()
-                            .map(|(k, v)| (k.clone(), Some(v.clone())))
-                            .chain(unset.iter().map(|k| (k.clone(), None))),
-                    );
+                let cells = |set: Row, unset: Vec<String>| {
+                    let set = set.into_iter().map(|(k, v)| (k, Some(v)));
+                    set.chain(unset.into_iter().map(|k| (k, None)))
+                };
+                if let Some((last, rest)) = ids.split_last() {
+                    for id in rest {
+                        fam.write_cells(*id, ts, cells(set.clone(), unset.clone()));
+                    }
+                    fam.write_cells(*last, ts, cells(set, unset));
                 }
                 fam.maybe_flush(self.thresholds);
                 Ok(QueryResult::AffectedIds(ids))
             }
             Query::Delete { table, filter } => {
-                let fam = namespace(fams, table);
-                let ids = fam.matching_ids(filter);
+                let fam = namespace(fams, &table);
+                let ids = fam.matching_ids(&filter);
                 let ts = self.tick();
                 for id in &ids {
                     fam.write_cells(*id, ts, [(ROW_TOMBSTONE.to_owned(), None)]);
@@ -394,26 +390,26 @@ impl ColumnarDb {
                 order,
                 limit,
             } => {
-                let Some(fam) = fams.get(table) else {
+                let Some(fam) = fams.get(&table) else {
                     return Ok(QueryResult::Rows(Vec::new()));
                 };
                 // The default and `id` orders are the scan's own, so a limit
                 // stops it; any other field needs every row.
                 let n = limit.unwrap_or(usize::MAX);
-                let rows = match order {
+                let rows = match &order {
                     Some(o) if o.field != "id" => {
-                        let mut rows: Vec<(Id, Row)> = fam.scan(filter, false).collect();
-                        sort_rows(&mut rows, order, *limit);
+                        let mut rows: Vec<(Id, Row)> = fam.scan(&filter, false).collect();
+                        sort_rows(&mut rows, &order, limit);
                         rows
                     }
-                    Some(o) => fam.scan(filter, !o.ascending).take(n).collect(),
-                    None => fam.scan(filter, false).take(n).collect(),
+                    Some(o) => fam.scan(&filter, !o.ascending).take(n).collect(),
+                    None => fam.scan(&filter, false).take(n).collect(),
                 };
                 Ok(QueryResult::Rows(rows))
             }
             Query::Count { table, filter } => Ok(QueryResult::Count(
-                fams.get(table)
-                    .map_or(0, |fam| fam.scan(filter, false).count() as u64),
+                fams.get(&table)
+                    .map_or(0, |fam| fam.scan(&filter, false).count() as u64),
             )),
             Query::Batch(queries) => {
                 // Logged batch: applied atomically under the engine lock;
@@ -445,8 +441,8 @@ impl Engine for ColumnarDb {
         &self.caps
     }
 
-    fn execute(&self, q: &Query) -> Result<QueryResult, DbError> {
-        self.meter.charge(q);
+    fn execute(&self, q: Query) -> Result<QueryResult, DbError> {
+        self.meter.charge(&q);
         if q.is_write() {
             // Stall behind the simulated compaction *before* taking the
             // engine lock, as a real write queues behind compaction I/O,

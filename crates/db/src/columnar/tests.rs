@@ -23,7 +23,7 @@ fn db_with_thresholds(flush_cells: usize, fanin: usize) -> ColumnarDb {
 }
 
 fn insert(db: &ColumnarDb, id: u64, pairs: &[(&str, Value)]) {
-    db.execute(&Query::Insert {
+    db.execute(Query::Insert {
         table: "t".into(),
         id: Id(id),
         row: row(pairs),
@@ -32,7 +32,7 @@ fn insert(db: &ColumnarDb, id: u64, pairs: &[(&str, Value)]) {
 }
 
 fn delete(db: &ColumnarDb, id: u64) {
-    db.execute(&Query::Delete {
+    db.execute(Query::Delete {
         table: "t".into(),
         filter: Filter::ById(Id(id)),
     })
@@ -57,7 +57,7 @@ fn row(pairs: &[(&str, Value)]) -> Row {
 }
 
 fn select_all(db: &ColumnarDb, table: &str) -> Vec<(Id, Row)> {
-    db.execute(&Query::Select {
+    db.execute(Query::Select {
         table: table.into(),
         filter: Filter::All,
         order: None,
@@ -72,7 +72,7 @@ fn select_all(db: &ColumnarDb, table: &str) -> Vec<(Id, Row)> {
 fn writes_report_ids_only_no_returning() {
     let db = db();
     let res = db
-        .execute(&Query::Insert {
+        .execute(Query::Insert {
             table: "t".into(),
             id: Id(1),
             row: row(&[("a", 1.into())]),
@@ -84,13 +84,13 @@ fn writes_report_ids_only_no_returning() {
 #[test]
 fn newest_timestamp_wins_per_cell() {
     let db = db();
-    db.execute(&Query::Insert {
+    db.execute(Query::Insert {
         table: "t".into(),
         id: Id(1),
         row: row(&[("a", 1.into()), ("b", 1.into())]),
     })
     .unwrap();
-    db.execute(&Query::Update {
+    db.execute(Query::Update {
         table: "t".into(),
         filter: Filter::ById(Id(1)),
         set: row(&[("a", 2.into())]),
@@ -105,20 +105,20 @@ fn newest_timestamp_wins_per_cell() {
 #[test]
 fn row_tombstones_hide_older_cells() {
     let db = db();
-    db.execute(&Query::Insert {
+    db.execute(Query::Insert {
         table: "t".into(),
         id: Id(1),
         row: row(&[("a", 1.into())]),
     })
     .unwrap();
-    db.execute(&Query::Delete {
+    db.execute(Query::Delete {
         table: "t".into(),
         filter: Filter::ById(Id(1)),
     })
     .unwrap();
     assert!(select_all(&db, "t").is_empty());
     // Re-insert after deletion resurrects the row with only new cells.
-    db.execute(&Query::Insert {
+    db.execute(Query::Insert {
         table: "t".into(),
         id: Id(1),
         row: row(&[("b", 2.into())]),
@@ -136,7 +136,7 @@ fn flush_and_compaction_preserve_reads() {
     // Enough cells to force several flushes and at least one compaction.
     let n = (MEMTABLE_FLUSH_CELLS * COMPACTION_FANIN + 10) as u64;
     for i in 0..n {
-        db.execute(&Query::Insert {
+        db.execute(Query::Insert {
             table: "t".into(),
             id: Id(i + 1),
             row: row(&[("v", Value::Int(i as i64))]),
@@ -149,7 +149,7 @@ fn flush_and_compaction_preserve_reads() {
     assert_eq!(db.stats().rows, n);
     // Spot-check values across runs.
     let rows = db
-        .execute(&Query::Select {
+        .execute(Query::Select {
             table: "t".into(),
             filter: Filter::ById(Id(1)),
             order: None,
@@ -207,7 +207,7 @@ fn a_compacted_delete_leaves_nothing_for_a_reinsert_to_inherit() {
     assert_eq!(db.stats().rows, 5);
     insert(&db, 7, &[("b", 2.into())]);
     let rows = db
-        .execute(&Query::Select {
+        .execute(Query::Select {
             table: "t".into(),
             filter: Filter::ById(Id(7)),
             order: None,
@@ -239,7 +239,7 @@ fn a_page_in_key_order_builds_its_own_rows_only() {
     let page = |filter: Filter, ascending: bool| {
         ROWS_MERGED.with(|n| n.set(0));
         let rows = db
-            .execute(&Query::Select {
+            .execute(Query::Select {
                 table: "t".into(),
                 filter,
                 order: Some(crate::query::OrderBy {
@@ -331,7 +331,7 @@ proptest! {
         let lsm = db_with_thresholds(6, 3);
         let reference = profiles::mongodb(LatencyModel::off());
         let both = |q: Query| {
-            let (ours, theirs) = (lsm.execute(&q), reference.execute(&q));
+            let (ours, theirs) = (lsm.execute(q.clone()), reference.execute(q.clone()));
             match (&ours, &theirs) {
                 (Ok(ours), Ok(theirs)) if q.is_write() => {
                     assert_eq!(ours.affected_ids(), theirs.affected_ids(), "{q:?}");
@@ -385,7 +385,7 @@ proptest! {
 fn logged_batch_is_atomic_and_returns_per_query_results() {
     let db = db();
     let res = db
-        .execute(&Query::Batch(vec![
+        .execute(Query::Batch(vec![
             Query::Insert {
                 table: "t".into(),
                 id: Id(1),
@@ -406,13 +406,13 @@ fn logged_batch_is_atomic_and_returns_per_query_results() {
 fn batch_rejects_reads_and_nesting() {
     let db = db();
     assert!(db
-        .execute(&Query::Batch(vec![Query::Count {
+        .execute(Query::Batch(vec![Query::Count {
             table: "t".into(),
             filter: Filter::All,
         }]))
         .is_err());
     assert!(db
-        .execute(&Query::Batch(vec![Query::Batch(vec![])]))
+        .execute(Query::Batch(vec![Query::Batch(vec![])]))
         .is_err());
 }
 
@@ -423,7 +423,7 @@ fn compaction_stalls_charge_writes_then_expire() {
         .inject_compaction_stalls(2, std::time::Duration::from_micros(400));
     let start = std::time::Instant::now();
     for i in 0..4u64 {
-        db.execute(&Query::Insert {
+        db.execute(Query::Insert {
             table: "t".into(),
             id: Id(i + 1),
             row: row(&[("v", Value::Int(i as i64))]),
@@ -446,7 +446,7 @@ fn compaction_stall_schedule_is_deterministic() {
             db.faults()
                 .inject_compaction_stalls(3, std::time::Duration::from_micros(50));
             for i in 0..5u64 {
-                db.execute(&Query::Insert {
+                db.execute(Query::Insert {
                     table: "t".into(),
                     id: Id(i + 1),
                     row: row(&[("v", Value::Int(i as i64))]),
@@ -466,14 +466,14 @@ fn compaction_stall_schedule_is_deterministic() {
 #[test]
 fn duplicate_insert_rejected() {
     let db = db();
-    db.execute(&Query::Insert {
+    db.execute(Query::Insert {
         table: "t".into(),
         id: Id(1),
         row: Row::new(),
     })
     .unwrap();
     assert!(matches!(
-        db.execute(&Query::Insert {
+        db.execute(Query::Insert {
             table: "t".into(),
             id: Id(1),
             row: Row::new(),

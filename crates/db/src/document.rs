@@ -48,28 +48,31 @@ impl Engine for DocumentDb {
         &self.caps
     }
 
-    fn execute(&self, q: &Query) -> Result<QueryResult, DbError> {
-        self.meter.charge(q);
+    fn execute(&self, q: Query) -> Result<QueryResult, DbError> {
+        self.meter.charge(&q);
         let mut colls = self.collections.lock();
         match q {
             Query::CreateTable { table } => {
-                namespace(&mut colls, table);
+                namespace(&mut colls, &table);
                 Ok(QueryResult::Unit)
             }
             Query::DropTable { table } => {
-                colls.remove(table);
+                colls.remove(&table);
                 Ok(QueryResult::Unit)
             }
             Query::Insert { table, id, row } => {
                 // Write-concern downgrade: ack the insert without
                 // applying it — with w=0 the reply carries no duplicate
                 // check either, the client just hears "ok".
-                if !self.faults.gate_write_concern() {
+                let echo = if self.faults.gate_write_concern() {
+                    row
+                } else {
                     // Document stores auto-create collections on first write.
-                    let coll = namespace(&mut colls, table);
-                    coll.insert(table, *id, row.clone())?;
-                }
-                Ok(QueryResult::Rows(vec![(*id, row.clone())]))
+                    namespace(&mut colls, &table)
+                        .insert(&table, id, row)?
+                        .clone()
+                };
+                Ok(QueryResult::Rows(vec![(id, echo)]))
             }
             Query::Update {
                 table,
@@ -77,19 +80,19 @@ impl Engine for DocumentDb {
                 set,
                 unset,
             } => {
-                let coll = namespace(&mut colls, table);
+                let coll = namespace(&mut colls, &table);
                 // Write-concern downgrade: echo what the update *would*
                 // have written without persisting any of it.
                 let written = if self.faults.gate_write_concern() {
-                    let would_write = coll.matching(filter).map(|(id, doc)| {
+                    let would_write = coll.matching(&filter).map(|(id, doc)| {
                         let mut image = doc.clone();
-                        apply_changes(&mut image, set, unset);
+                        apply_changes(&mut image, set.clone(), &unset);
                         (id, image)
                     });
                     would_write.collect()
                 } else {
                     let mut written = Vec::new();
-                    coll.update(&coll.ids(filter), set, unset, false, |id, _, new| {
+                    coll.update(&coll.ids(&filter), set, &unset, false, |id, _, new| {
                         written.push((id, new.clone()))
                     });
                     written
@@ -97,8 +100,8 @@ impl Engine for DocumentDb {
                 Ok(QueryResult::Rows(written))
             }
             Query::Delete { table, filter } => {
-                let coll = namespace(&mut colls, table);
-                Ok(QueryResult::Rows(coll.delete(&coll.ids(filter))))
+                let coll = namespace(&mut colls, &table);
+                Ok(QueryResult::Rows(coll.delete(&coll.ids(&filter))))
             }
             // Reading a collection that never existed returns empty, as
             // MongoDB does.
@@ -109,11 +112,11 @@ impl Engine for DocumentDb {
                 limit,
             } => Ok(QueryResult::Rows(
                 colls
-                    .get(table)
-                    .map_or_else(Vec::new, |coll| coll.select(filter, order, *limit)),
+                    .get(&table)
+                    .map_or_else(Vec::new, |coll| coll.select(&filter, &order, limit)),
             )),
             Query::Count { table, filter } => Ok(QueryResult::Count(
-                colls.get(table).map_or(0, |coll| coll.count(filter)),
+                colls.get(&table).map_or(0, |coll| coll.count(&filter)),
             )),
             Query::Batch(_) => Err(DbError::Unsupported("batches on document engine")),
             Query::Search { .. } | Query::Aggregate { .. } => {
@@ -152,7 +155,7 @@ mod tests {
     #[test]
     fn write_concern_downgrade_acks_without_applying() {
         let db = db();
-        db.execute(&Query::Insert {
+        db.execute(Query::Insert {
             table: "u".into(),
             id: Id(1),
             row: doc(&[("a", 1.into())]),
@@ -161,7 +164,7 @@ mod tests {
         db.faults().inject_write_concern_downgrade(2);
         // Downgraded insert: success reply, nothing stored.
         let res = db
-            .execute(&Query::Insert {
+            .execute(Query::Insert {
                 table: "u".into(),
                 id: Id(2),
                 row: doc(&[("a", 2.into())]),
@@ -170,7 +173,7 @@ mod tests {
         assert!(matches!(res, QueryResult::Rows(ref rows) if rows.len() == 1));
         // Downgraded update: echoes the would-be image, persists nothing.
         let res = db
-            .execute(&Query::Update {
+            .execute(Query::Update {
                 table: "u".into(),
                 filter: Filter::ById(Id(1)),
                 set: doc(&[("a", 99.into())]),
@@ -183,7 +186,7 @@ mod tests {
         }
         // The window expired: reads see only the pre-downgrade state.
         let n = db
-            .execute(&Query::Count {
+            .execute(Query::Count {
                 table: "u".into(),
                 filter: Filter::All,
             })
@@ -192,7 +195,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1, "downgraded insert was never applied");
         let rows = db
-            .execute(&Query::Select {
+            .execute(Query::Select {
                 table: "u".into(),
                 filter: Filter::ById(Id(1)),
                 order: None,
@@ -214,14 +217,14 @@ mod tests {
                 let db = db();
                 db.faults().inject_write_concern_downgrade(2);
                 for i in 0..5u64 {
-                    db.execute(&Query::Insert {
+                    db.execute(Query::Insert {
                         table: "u".into(),
                         id: Id(i + 1),
                         row: doc(&[("v", Value::Int(i as i64))]),
                     })
                     .unwrap();
                 }
-                db.execute(&Query::Count {
+                db.execute(Query::Count {
                     table: "u".into(),
                     filter: Filter::All,
                 })
@@ -238,7 +241,7 @@ mod tests {
     fn collections_auto_create_on_insert() {
         let db = db();
         let res = db
-            .execute(&Query::Insert {
+            .execute(Query::Insert {
                 table: "users".into(),
                 id: Id(1),
                 row: doc(&[("name", "alice".into())]),
@@ -250,20 +253,20 @@ mod tests {
     #[test]
     fn schemaless_documents_accept_heterogeneous_shapes() {
         let db = db();
-        db.execute(&Query::Insert {
+        db.execute(Query::Insert {
             table: "u".into(),
             id: Id(1),
             row: doc(&[("interests", varray!["cats", "dogs"])]),
         })
         .unwrap();
-        db.execute(&Query::Insert {
+        db.execute(Query::Insert {
             table: "u".into(),
             id: Id(2),
             row: doc(&[("totally_different", 1.into())]),
         })
         .unwrap();
         let n = db
-            .execute(&Query::Count {
+            .execute(Query::Count {
                 table: "u".into(),
                 filter: Filter::All,
             })
@@ -276,14 +279,14 @@ mod tests {
     #[test]
     fn update_sets_and_unsets_fields() {
         let db = db();
-        db.execute(&Query::Insert {
+        db.execute(Query::Insert {
             table: "u".into(),
             id: Id(1),
             row: doc(&[("a", 1.into()), ("b", 2.into())]),
         })
         .unwrap();
         let res = db
-            .execute(&Query::Update {
+            .execute(Query::Update {
                 table: "u".into(),
                 filter: Filter::ById(Id(1)),
                 set: doc(&[("a", 10.into())]),
@@ -300,7 +303,7 @@ mod tests {
     fn select_on_unknown_collection_is_empty() {
         let db = db();
         let rows = db
-            .execute(&Query::Select {
+            .execute(Query::Select {
                 table: "nope".into(),
                 filter: Filter::All,
                 order: None,
@@ -316,7 +319,7 @@ mod tests {
     fn delete_returns_removed_documents() {
         let db = db();
         for i in 1..=3u64 {
-            db.execute(&Query::Insert {
+            db.execute(Query::Insert {
                 table: "u".into(),
                 id: Id(i),
                 row: doc(&[("g", Value::Int((i % 2) as i64))]),
@@ -324,7 +327,7 @@ mod tests {
             .unwrap();
         }
         let removed = db
-            .execute(&Query::Delete {
+            .execute(Query::Delete {
                 table: "u".into(),
                 filter: Filter::Eq("g".into(), Value::Int(1)),
             })
@@ -338,14 +341,14 @@ mod tests {
     #[test]
     fn duplicate_insert_rejected() {
         let db = db();
-        db.execute(&Query::Insert {
+        db.execute(Query::Insert {
             table: "u".into(),
             id: Id(1),
             row: Row::new(),
         })
         .unwrap();
         assert!(matches!(
-            db.execute(&Query::Insert {
+            db.execute(Query::Insert {
                 table: "u".into(),
                 id: Id(1),
                 row: Row::new(),

@@ -75,7 +75,11 @@ pub trait Engine: Send + Sync {
     fn capabilities(&self) -> &Capabilities;
 
     /// Executes one query, committed when it returns.
-    fn execute(&self, q: &Query) -> Result<QueryResult, DbError>;
+    ///
+    /// The query is the engine's to keep: an `Insert` stores its row and an
+    /// `Update` moves its `set` into the stored row, so the only copy a
+    /// write makes is the `RETURNING *` echo of what it stored.
+    fn execute(&self, q: Query) -> Result<QueryResult, DbError>;
 
     /// Current operation counters.
     fn stats(&self) -> EngineStats;

@@ -41,10 +41,10 @@ impl Engine for EphemeralDb {
         &self.caps
     }
 
-    fn execute(&self, q: &Query) -> Result<QueryResult, DbError> {
-        self.meter.charge(q);
+    fn execute(&self, q: Query) -> Result<QueryResult, DbError> {
+        self.meter.charge(&q);
         match q {
-            Query::Insert { id, row, .. } => Ok(QueryResult::Rows(vec![(*id, row.clone())])),
+            Query::Insert { id, row, .. } => Ok(QueryResult::Rows(vec![(id, row)])),
             // Nothing is stored, so updates/deletes affect nothing and all
             // reads are empty.
             Query::Update { .. } | Query::Delete { .. } => Ok(QueryResult::Rows(Vec::new())),
@@ -72,7 +72,7 @@ mod tests {
         let mut row = Row::new();
         row.insert("event".to_owned(), Value::from("click"));
         let res = db
-            .execute(&Query::Insert {
+            .execute(Query::Insert {
                 table: "events".into(),
                 id: Id(1),
                 row: row.clone(),
@@ -80,7 +80,7 @@ mod tests {
             .unwrap();
         assert_eq!(res, QueryResult::Rows(vec![(Id(1), row)]));
         let rows = db
-            .execute(&Query::Select {
+            .execute(Query::Select {
                 table: "events".into(),
                 filter: Filter::All,
                 order: None,
@@ -98,7 +98,7 @@ mod tests {
     fn repeated_ids_never_conflict() {
         let db = EphemeralDb::new();
         for _ in 0..3 {
-            db.execute(&Query::Insert {
+            db.execute(Query::Insert {
                 table: "events".into(),
                 id: Id(1),
                 row: Row::new(),

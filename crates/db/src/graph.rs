@@ -102,22 +102,22 @@ impl Engine for GraphDb {
         &self.caps
     }
 
-    fn execute(&self, q: &Query) -> Result<QueryResult, DbError> {
-        self.meter.charge(q);
+    fn execute(&self, q: Query) -> Result<QueryResult, DbError> {
+        self.meter.charge(&q);
         let mut store = self.store.lock();
         match q {
             Query::CreateTable { table } => {
-                namespace(&mut store.nodes, table);
+                namespace(&mut store.nodes, &table);
                 Ok(QueryResult::Unit)
             }
             Query::DropTable { table } => {
-                store.nodes.remove(table);
+                store.nodes.remove(&table);
                 Ok(QueryResult::Unit)
             }
             Query::Insert { table, id, row } => {
-                let label = namespace(&mut store.nodes, table);
-                label.insert(table, *id, row.clone())?;
-                Ok(QueryResult::Rows(vec![(*id, row.clone())]))
+                let label = namespace(&mut store.nodes, &table);
+                let stored = label.insert(&table, id, row)?;
+                Ok(QueryResult::Rows(vec![(id, stored.clone())]))
             }
             Query::Update {
                 table,
@@ -125,16 +125,16 @@ impl Engine for GraphDb {
                 set,
                 unset,
             } => {
-                let label = namespace(&mut store.nodes, table);
+                let label = namespace(&mut store.nodes, &table);
                 let mut written = Vec::new();
-                label.update(&label.ids(filter), set, unset, false, |id, _, new| {
+                label.update(&label.ids(&filter), set, &unset, false, |id, _, new| {
                     written.push((id, new.clone()))
                 });
                 Ok(QueryResult::Rows(written))
             }
             Query::Delete { table, filter } => {
-                let label = namespace(&mut store.nodes, table);
-                let removed = label.delete(&label.ids(filter));
+                let label = namespace(&mut store.nodes, &table);
+                let removed = label.delete(&label.ids(&filter));
                 // Deleting a node detaches all its edges (Neo4j's
                 // DETACH DELETE).
                 for (id, _) in &removed {
@@ -158,28 +158,28 @@ impl Engine for GraphDb {
             } => Ok(QueryResult::Rows(
                 store
                     .nodes
-                    .get(table)
-                    .map_or_else(Vec::new, |label| label.select(filter, order, *limit)),
+                    .get(&table)
+                    .map_or_else(Vec::new, |label| label.select(&filter, &order, limit)),
             )),
             Query::Count { table, filter } => Ok(QueryResult::Count(
                 store
                     .nodes
-                    .get(table)
-                    .map_or(0, |label| label.count(filter)),
+                    .get(&table)
+                    .map_or(0, |label| label.count(&filter)),
             )),
             Query::AddEdge { label, from, to } => {
-                let adj = store.edges.entry(label.clone()).or_default();
-                adj.entry(*from).or_default().insert(*to);
-                adj.entry(*to).or_default().insert(*from);
+                let adj = store.edges.entry(label).or_default();
+                adj.entry(from).or_default().insert(to);
+                adj.entry(to).or_default().insert(from);
                 Ok(QueryResult::Unit)
             }
             Query::RemoveEdge { label, from, to } => {
-                if let Some(adj) = store.edges.get_mut(label) {
-                    if let Some(peers) = adj.get_mut(from) {
-                        peers.remove(to);
+                if let Some(adj) = store.edges.get_mut(&label) {
+                    if let Some(peers) = adj.get_mut(&from) {
+                        peers.remove(&to);
                     }
-                    if let Some(peers) = adj.get_mut(to) {
-                        peers.remove(from);
+                    if let Some(peers) = adj.get_mut(&to) {
+                        peers.remove(&from);
                     }
                 }
                 Ok(QueryResult::Unit)
@@ -190,7 +190,7 @@ impl Engine for GraphDb {
                 if self.faults.gate_traversal() {
                     return Err(DbError::Unavailable);
                 }
-                Ok(QueryResult::Ids(store.traverse(label, *from, *depth)))
+                Ok(QueryResult::Ids(store.traverse(&label, from, depth)))
             }
             Query::Batch(_) => Err(DbError::Unsupported("batches on graph engine")),
             Query::Search { .. } | Query::Aggregate { .. } => {
@@ -220,7 +220,7 @@ mod tests {
     fn add_user(db: &GraphDb, id: u64, name: &str) {
         let mut row = Row::new();
         row.insert("name".to_owned(), Value::from(name));
-        db.execute(&Query::Insert {
+        db.execute(Query::Insert {
             table: "User".into(),
             id: Id(id),
             row,
@@ -229,7 +229,7 @@ mod tests {
     }
 
     fn friend(db: &GraphDb, a: u64, b: u64) {
-        db.execute(&Query::AddEdge {
+        db.execute(Query::AddEdge {
             label: "friends".into(),
             from: Id(a),
             to: Id(b),
@@ -239,7 +239,7 @@ mod tests {
 
     fn traverse(db: &GraphDb, from: u64, depth: usize) -> Vec<Id> {
         match db
-            .execute(&Query::Traverse {
+            .execute(Query::Traverse {
                 label: "friends".into(),
                 from: Id(from),
                 depth,
@@ -259,7 +259,7 @@ mod tests {
         friend(&db, 1, 2);
         db.faults().inject_traversal_timeouts(2);
         for _ in 0..2 {
-            let res = db.execute(&Query::Traverse {
+            let res = db.execute(Query::Traverse {
                 label: "friends".into(),
                 from: Id(1),
                 depth: 1,
@@ -285,7 +285,7 @@ mod tests {
                 db.faults().inject_traversal_timeouts(2);
                 (0..4)
                     .map(|_| {
-                        db.execute(&Query::Traverse {
+                        db.execute(Query::Traverse {
                             label: "friends".into(),
                             from: Id(1),
                             depth: 1,
@@ -343,7 +343,7 @@ mod tests {
         add_user(&db, 1, "a");
         add_user(&db, 2, "b");
         friend(&db, 1, 2);
-        db.execute(&Query::RemoveEdge {
+        db.execute(Query::RemoveEdge {
             label: "friends".into(),
             from: Id(2),
             to: Id(1),
@@ -361,7 +361,7 @@ mod tests {
         }
         friend(&db, 1, 2);
         friend(&db, 2, 3);
-        db.execute(&Query::Delete {
+        db.execute(Query::Delete {
             table: "User".into(),
             filter: Filter::ById(Id(2)),
         })
@@ -377,7 +377,7 @@ mod tests {
         let mut set = Row::new();
         set.insert("likes".to_owned(), Value::Int(5));
         let res = db
-            .execute(&Query::Update {
+            .execute(Query::Update {
                 table: "User".into(),
                 filter: Filter::ById(Id(1)),
                 set,
@@ -395,13 +395,13 @@ mod tests {
         add_user(&db, 1, "a");
         add_user(&db, 2, "b");
         friend(&db, 1, 2);
-        db.execute(&Query::AddEdge {
+        db.execute(Query::AddEdge {
             label: "blocked".into(),
             from: Id(1),
             to: Id(2),
         })
         .unwrap();
-        db.execute(&Query::RemoveEdge {
+        db.execute(Query::RemoveEdge {
             label: "blocked".into(),
             from: Id(1),
             to: Id(2),

@@ -50,12 +50,6 @@ impl Table {
         Ok(())
     }
 
-    fn index_insert(&mut self, id: Id, row: &Row) {
-        for (field, index) in &mut self.indexes {
-            post(index, id, row.get(field));
-        }
-    }
-
     fn index_remove(&mut self, id: Id, row: &Row) {
         for (field, index) in &mut self.indexes {
             unpost(index, id, row.get(field));
@@ -202,24 +196,26 @@ impl Engine for RelationalDb {
         &self.caps
     }
 
-    fn execute(&self, q: &Query) -> Result<QueryResult, DbError> {
-        self.meter.charge(q);
+    fn execute(&self, q: Query) -> Result<QueryResult, DbError> {
+        self.meter.charge(&q);
         let mut inner = self.inner.lock();
         match q {
             Query::CreateTable { table } => {
-                inner.tables.entry(table.clone()).or_default();
+                inner.tables.entry(table).or_default();
                 Ok(QueryResult::Unit)
             }
             Query::DropTable { table } => {
-                inner.tables.remove(table);
+                inner.tables.remove(&table);
                 Ok(QueryResult::Unit)
             }
             Query::Insert { table, id, row } => {
-                let t = inner.table_mut(table)?;
-                t.check_row(table, row)?;
-                t.rows.insert(table, *id, row.clone())?;
-                t.index_insert(*id, row);
-                self.returning_or_ids(vec![(*id, self.echo(row))])
+                let t = inner.table_mut(&table)?;
+                t.check_row(&table, &row)?;
+                let stored = t.rows.insert(&table, id, row)?;
+                for (field, index) in &mut t.indexes {
+                    post(index, id, stored.get(field));
+                }
+                self.returning_or_ids(vec![(id, self.echo(stored))])
             }
             Query::Update {
                 table,
@@ -227,12 +223,12 @@ impl Engine for RelationalDb {
                 set,
                 unset,
             } => {
-                let t = inner.table_mut(table)?;
-                t.check_row(table, set)?;
-                let ids: Vec<Id> = t.matching(filter).map(|(id, _)| id).collect();
+                let t = inner.table_mut(&table)?;
+                t.check_row(&table, &set)?;
+                let ids: Vec<Id> = t.matching(&filter).map(|(id, _)| id).collect();
                 let indexed = !t.indexes.is_empty();
                 let mut written = Vec::new();
-                t.rows.update(&ids, set, unset, indexed, |id, old, row| {
+                t.rows.update(&ids, set, &unset, indexed, |id, old, row| {
                     if let Some(old) = old {
                         rekey(&mut t.indexes, id, &old, row);
                     }
@@ -241,8 +237,8 @@ impl Engine for RelationalDb {
                 self.returning_or_ids(written)
             }
             Query::Delete { table, filter } => {
-                let t = inner.table_mut(table)?;
-                let ids: Vec<Id> = t.matching(filter).map(|(id, _)| id).collect();
+                let t = inner.table_mut(&table)?;
+                let ids: Vec<Id> = t.matching(&filter).map(|(id, _)| id).collect();
                 let removed = t.rows.delete(&ids);
                 for (id, row) in &removed {
                     t.index_remove(*id, row);
@@ -255,11 +251,15 @@ impl Engine for RelationalDb {
                 order,
                 limit,
             } => {
-                let t = inner.table(table)?;
-                Ok(QueryResult::Rows(select(t.matching(filter), order, *limit)))
+                let t = inner.table(&table)?;
+                Ok(QueryResult::Rows(select(
+                    t.matching(&filter),
+                    &order,
+                    limit,
+                )))
             }
             Query::Count { table, filter } => {
-                let n = inner.table(table)?.matching(filter).count();
+                let n = inner.table(&table)?.matching(&filter).count();
                 Ok(QueryResult::Count(n as u64))
             }
             Query::Batch(_) => Err(DbError::Unsupported("batches on relational engine")),

@@ -14,7 +14,7 @@ fn row(pairs: &[(&str, Value)]) -> Row {
 }
 
 fn insert(db: &RelationalDb, table: &str, id: u64, r: Row) -> QueryResult {
-    db.execute(&Query::Insert {
+    db.execute(Query::Insert {
         table: table.into(),
         id: Id(id),
         row: r,
@@ -25,13 +25,13 @@ fn insert(db: &RelationalDb, table: &str, id: u64, r: Row) -> QueryResult {
 #[test]
 fn insert_select_roundtrip() {
     let db = db();
-    db.execute(&Query::CreateTable {
+    db.execute(Query::CreateTable {
         table: "users".into(),
     })
     .unwrap();
     insert(&db, "users", 1, row(&[("name", "alice".into())]));
     let rows = db
-        .execute(&Query::Select {
+        .execute(Query::Select {
             table: "users".into(),
             filter: Filter::ById(Id(1)),
             order: None,
@@ -47,13 +47,13 @@ fn insert_select_roundtrip() {
 #[test]
 fn id_after_with_limit_pages_the_table_in_order() {
     let db = db();
-    db.execute(&Query::CreateTable { table: "t".into() })
+    db.execute(Query::CreateTable { table: "t".into() })
         .unwrap();
     for id in 1..=7 {
         insert(&db, "t", id, row(&[("n", (id as i64).into())]));
     }
     let page = |after: u64, limit: usize| -> Vec<Id> {
-        db.execute(&Query::Select {
+        db.execute(Query::Select {
             table: "t".into(),
             filter: Filter::IdAfter(Id(after)),
             order: Some(OrderBy {
@@ -78,7 +78,7 @@ fn id_after_with_limit_pages_the_table_in_order() {
 #[test]
 fn returning_echoes_written_rows_on_postgres() {
     let db = db();
-    db.execute(&Query::CreateTable { table: "t".into() })
+    db.execute(Query::CreateTable { table: "t".into() })
         .unwrap();
     let res = insert(&db, "t", 1, row(&[("a", 1.into())]));
     assert!(matches!(res, QueryResult::Rows(_)));
@@ -87,12 +87,12 @@ fn returning_echoes_written_rows_on_postgres() {
 #[test]
 fn mysql_returns_only_affected_ids() {
     let db = profiles::mysql(LatencyModel::off());
-    db.execute(&Query::CreateTable { table: "t".into() })
+    db.execute(Query::CreateTable { table: "t".into() })
         .unwrap();
     let res = insert(&db, "t", 1, row(&[("a", 1.into())]));
     assert_eq!(res, QueryResult::AffectedIds(vec![Id(1)]));
     let res = db
-        .execute(&Query::Update {
+        .execute(Query::Update {
             table: "t".into(),
             filter: Filter::ById(Id(1)),
             set: row(&[("a", 2.into())]),
@@ -105,11 +105,11 @@ fn mysql_returns_only_affected_ids() {
 #[test]
 fn duplicate_key_rejected() {
     let db = db();
-    db.execute(&Query::CreateTable { table: "t".into() })
+    db.execute(Query::CreateTable { table: "t".into() })
         .unwrap();
     insert(&db, "t", 1, Row::new());
     let err = db
-        .execute(&Query::Insert {
+        .execute(Query::Insert {
             table: "t".into(),
             id: Id(1),
             row: Row::new(),
@@ -122,7 +122,7 @@ fn duplicate_key_rejected() {
 fn missing_table_is_an_error() {
     let db = db();
     let err = db
-        .execute(&Query::Select {
+        .execute(Query::Select {
             table: "ghost".into(),
             filter: Filter::All,
             order: None,
@@ -138,7 +138,7 @@ fn strict_columns_reject_unknown_fields() {
     db.define_columns("users", &["name", "email"]);
     insert(&db, "users", 1, row(&[("name", "a".into())]));
     let err = db
-        .execute(&Query::Insert {
+        .execute(Query::Insert {
             table: "users".into(),
             id: Id(2),
             row: row(&[("interests", "x".into())]),
@@ -150,14 +150,14 @@ fn strict_columns_reject_unknown_fields() {
 #[test]
 fn update_with_filter_changes_all_matches() {
     let db = db();
-    db.execute(&Query::CreateTable { table: "t".into() })
+    db.execute(Query::CreateTable { table: "t".into() })
         .unwrap();
     for i in 1..=3 {
         insert(&db, "t", i, row(&[("group", "a".into())]));
     }
     insert(&db, "t", 4, row(&[("group", "b".into())]));
     let res = db
-        .execute(&Query::Update {
+        .execute(Query::Update {
             table: "t".into(),
             filter: Filter::Eq("group".into(), "a".into()),
             set: row(&[("flag", true.into())]),
@@ -170,18 +170,18 @@ fn update_with_filter_changes_all_matches() {
 #[test]
 fn delete_removes_rows_and_returns_them() {
     let db = db();
-    db.execute(&Query::CreateTable { table: "t".into() })
+    db.execute(Query::CreateTable { table: "t".into() })
         .unwrap();
     insert(&db, "t", 1, row(&[("a", 1.into())]));
     let res = db
-        .execute(&Query::Delete {
+        .execute(Query::Delete {
             table: "t".into(),
             filter: Filter::ById(Id(1)),
         })
         .unwrap();
     assert_eq!(res.affected_ids(), vec![Id(1)]);
     let count = db
-        .execute(&Query::Count {
+        .execute(Query::Count {
             table: "t".into(),
             filter: Filter::All,
         })
@@ -194,14 +194,14 @@ fn delete_removes_rows_and_returns_them() {
 #[test]
 fn secondary_index_serves_eq_filters() {
     let db = db();
-    db.execute(&Query::CreateTable { table: "t".into() })
+    db.execute(Query::CreateTable { table: "t".into() })
         .unwrap();
     for i in 1..=100 {
         insert(&db, "t", i, row(&[("bucket", Value::Int((i % 10) as i64))]));
     }
     db.create_index("t", "bucket");
     let rows = db
-        .execute(&Query::Select {
+        .execute(Query::Select {
             table: "t".into(),
             filter: Filter::Eq("bucket".into(), Value::Int(3)),
             order: None,
@@ -212,7 +212,7 @@ fn secondary_index_serves_eq_filters() {
         .unwrap();
     assert_eq!(rows.len(), 10);
     // Updates must keep the index consistent.
-    db.execute(&Query::Update {
+    db.execute(Query::Update {
         table: "t".into(),
         filter: Filter::ById(Id(3)),
         set: row(&[("bucket", Value::Int(7))]),
@@ -220,7 +220,7 @@ fn secondary_index_serves_eq_filters() {
     })
     .unwrap();
     let rows = db
-        .execute(&Query::Select {
+        .execute(Query::Select {
             table: "t".into(),
             filter: Filter::Eq("bucket".into(), Value::Int(3)),
             order: None,
@@ -235,13 +235,13 @@ fn secondary_index_serves_eq_filters() {
 #[test]
 fn select_order_and_limit() {
     let db = db();
-    db.execute(&Query::CreateTable { table: "t".into() })
+    db.execute(Query::CreateTable { table: "t".into() })
         .unwrap();
     for (i, n) in [(1u64, 30i64), (2, 10), (3, 20)] {
         insert(&db, "t", i, row(&[("n", n.into())]));
     }
     let rows = db
-        .execute(&Query::Select {
+        .execute(Query::Select {
             table: "t".into(),
             filter: Filter::All,
             order: Some(OrderBy {
@@ -260,10 +260,10 @@ fn select_order_and_limit() {
 #[test]
 fn stats_track_rows_and_ops() {
     let db = db();
-    db.execute(&Query::CreateTable { table: "t".into() })
+    db.execute(Query::CreateTable { table: "t".into() })
         .unwrap();
     insert(&db, "t", 1, row(&[("a", 1.into())]));
-    let _ = db.execute(&Query::Select {
+    let _ = db.execute(Query::Select {
         table: "t".into(),
         filter: Filter::All,
         order: None,
@@ -279,12 +279,12 @@ fn stats_track_rows_and_ops() {
 #[test]
 fn filter_matching_on_array_values() {
     let db = db();
-    db.execute(&Query::CreateTable { table: "t".into() })
+    db.execute(Query::CreateTable { table: "t".into() })
         .unwrap();
     let tags = synapse_model::varray!["cats", "dogs"];
     insert(&db, "t", 1, row(&[("tags", tags.clone())]));
     let rows = db
-        .execute(&Query::Select {
+        .execute(Query::Select {
             table: "t".into(),
             filter: Filter::Eq("tags".into(), tags),
             order: None,

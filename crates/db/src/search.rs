@@ -301,10 +301,10 @@ impl Engine for SearchDb {
         &self.caps
     }
 
-    fn execute(&self, q: &Query) -> Result<QueryResult, DbError> {
-        self.meter.charge(q);
+    fn execute(&self, q: Query) -> Result<QueryResult, DbError> {
+        self.meter.charge(&q);
         if matches!(
-            q,
+            &q,
             Query::Select { .. }
                 | Query::Count { .. }
                 | Query::Search { .. }
@@ -312,30 +312,31 @@ impl Engine for SearchDb {
         ) {
             if self.faults.gate_read() {
                 if let Some(snapshot) = self.stale.lock().as_ref() {
-                    return Self::read_query(snapshot, q);
+                    return Self::read_query(snapshot, &q);
                 }
             } else {
                 // Refresh-lag window closed: the engine has "refreshed",
                 // so drop the snapshot and serve the live index.
                 self.stale.lock().take();
             }
-            return Self::read_query(&self.indices.lock(), q);
+            return Self::read_query(&self.indices.lock(), &q);
         }
         let mut indices = self.indices.lock();
         match q {
             Query::CreateTable { table } => {
-                namespace(&mut indices, table);
+                namespace(&mut indices, &table);
                 Ok(QueryResult::Unit)
             }
             Query::DropTable { table } => {
-                indices.remove(table);
+                indices.remove(&table);
                 Ok(QueryResult::Unit)
             }
             Query::Insert { table, id, row } => {
-                let index = namespace(&mut indices, table);
-                index.docs.insert(table, *id, row.clone())?;
-                index.index_doc(*id, row);
-                Ok(QueryResult::Rows(vec![(*id, row.clone())]))
+                let index = namespace(&mut indices, &table);
+                let echo = row.clone();
+                index.docs.insert(&table, id, row)?;
+                index.index_doc(id, &echo);
+                Ok(QueryResult::Rows(vec![(id, echo)]))
             }
             Query::Update {
                 table,
@@ -343,17 +344,17 @@ impl Engine for SearchDb {
                 set,
                 unset,
             } => {
-                let index = namespace(&mut indices, table);
+                let index = namespace(&mut indices, &table);
                 // The documents step aside so the index can be written
                 // while they are read: out of the postings of the old
                 // image, into those of the new.
                 let mut docs = std::mem::take(&mut index.docs);
-                let ids = docs.ids(filter);
+                let ids = docs.ids(&filter);
                 for (id, old) in ids.iter().filter_map(|id| Some((*id, docs.get(*id)?))) {
                     index.unindex_doc(id, old);
                 }
                 let mut written = Vec::new();
-                docs.update(&ids, set, unset, false, |id, _, doc| {
+                docs.update(&ids, set, &unset, false, |id, _, doc| {
                     index.index_doc(id, doc);
                     written.push((id, doc.clone()));
                 });
@@ -361,8 +362,8 @@ impl Engine for SearchDb {
                 Ok(QueryResult::Rows(written))
             }
             Query::Delete { table, filter } => {
-                let index = namespace(&mut indices, table);
-                let removed = index.docs.delete(&index.docs.ids(filter));
+                let index = namespace(&mut indices, &table);
+                let removed = index.docs.delete(&index.docs.ids(&filter));
                 for (id, old) in &removed {
                     index.unindex_doc(*id, old);
                 }
@@ -402,7 +403,7 @@ mod tests {
     fn put(db: &SearchDb, id: u64, field: &str, text: &str) {
         let mut row = Row::new();
         row.insert(field.to_owned(), Value::from(text));
-        db.execute(&Query::Insert {
+        db.execute(Query::Insert {
             table: "posts".into(),
             id: Id(id),
             row,
@@ -412,7 +413,7 @@ mod tests {
 
     fn search(db: &SearchDb, text: &str) -> Vec<Id> {
         match db
-            .execute(&Query::Search {
+            .execute(Query::Search {
                 table: "posts".into(),
                 field: "body".into(),
                 text: text.into(),
@@ -455,7 +456,7 @@ mod tests {
         put(&db, 1, "body", "cats");
         let mut set = Row::new();
         set.insert("body".to_owned(), Value::from("dogs"));
-        db.execute(&Query::Update {
+        db.execute(Query::Update {
             table: "posts".into(),
             filter: Filter::ById(Id(1)),
             set,
@@ -470,7 +471,7 @@ mod tests {
     fn deletes_remove_postings() {
         let db = db();
         put(&db, 1, "body", "cats");
-        db.execute(&Query::Delete {
+        db.execute(Query::Delete {
             table: "posts".into(),
             filter: Filter::ById(Id(1)),
         })
@@ -484,7 +485,7 @@ mod tests {
         let db = db();
         let mut row = Row::new();
         row.insert("body".to_owned(), varray!["cats rule", "dogs drool"]);
-        db.execute(&Query::Insert {
+        db.execute(Query::Insert {
             table: "posts".into(),
             id: Id(1),
             row,
@@ -513,7 +514,7 @@ mod tests {
         ] {
             let mut row = Row::new();
             row.insert("interests".to_owned(), interests);
-            db.execute(&Query::Insert {
+            db.execute(Query::Insert {
                 table: "posts".into(),
                 id: Id(id),
                 row,
@@ -521,7 +522,7 @@ mod tests {
             .unwrap();
         }
         match db
-            .execute(&Query::Aggregate {
+            .execute(Query::Aggregate {
                 table: "posts".into(),
                 field: "interests".into(),
             })
@@ -583,7 +584,7 @@ mod tests {
         db.inject_refresh_lag(1);
         put(&db, 2, "interests", "cats");
         match db
-            .execute(&Query::Count {
+            .execute(Query::Count {
                 table: "posts".into(),
                 filter: Filter::All,
             })
@@ -593,7 +594,7 @@ mod tests {
             other => panic!("unexpected result {other:?}"),
         }
         match db
-            .execute(&Query::Count {
+            .execute(Query::Count {
                 table: "posts".into(),
                 filter: Filter::All,
             })
@@ -605,7 +606,7 @@ mod tests {
     }
 
     fn update(db: &SearchDb, filter: Filter, set: &[(&str, Value)], unset: &[&str]) {
-        db.execute(&Query::Update {
+        db.execute(Query::Update {
             table: "posts".into(),
             filter,
             set: set
@@ -633,7 +634,7 @@ mod tests {
         for field in ["body", "tags"] {
             for text in ["cats", "New York", "the dogs and cats", "7"] {
                 let hits = db
-                    .execute(&Query::Search {
+                    .execute(Query::Search {
                         table: "posts".into(),
                         field: field.into(),
                         text: text.into(),
@@ -654,7 +655,7 @@ mod tests {
         put(&db, 1, "body", "New York");
         let mut row = Row::new();
         row.insert("tags".to_owned(), varray!["Los Angeles", 7, "New York"]);
-        db.execute(&Query::Insert {
+        db.execute(Query::Insert {
             table: "posts".into(),
             id: Id(2),
             row,
@@ -734,7 +735,7 @@ mod tests {
         );
         assert_eq!(index.inverted["name"].len(), 4_999 + 3);
         db.indices.lock().get_mut("posts").unwrap().posting_visits = 0;
-        db.execute(&Query::Delete {
+        db.execute(Query::Delete {
             table: "posts".into(),
             filter: Filter::ById(Id(2_500)),
         })
@@ -823,13 +824,13 @@ mod tests {
                 match step {
                     Step::Insert(id, row) => {
                         // A taken id is refused and must change nothing.
-                        let _ = db.execute(&Query::Insert { table, id: Id(id), row });
+                        let _ = db.execute(Query::Insert { table, id: Id(id), row });
                     }
                     Step::Update(filter, set, unset) => {
-                        db.execute(&Query::Update { table, filter, set, unset }).unwrap();
+                        db.execute(Query::Update { table, filter, set, unset }).unwrap();
                     }
                     Step::Delete(filter) => {
-                        db.execute(&Query::Delete { table, filter }).unwrap();
+                        db.execute(Query::Delete { table, filter }).unwrap();
                     }
                     Step::Analyze(field, analyzer) => db.set_analyzer(&table, field, analyzer),
                 }

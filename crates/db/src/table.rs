@@ -144,33 +144,37 @@ impl RowTable {
         select(self.matching(filter), order, limit)
     }
 
-    /// Stores a new row; a key already present is a duplicate on `table`.
-    pub(crate) fn insert(&mut self, table: &str, id: Id, row: Row) -> Result<(), DbError> {
+    /// Stores a new row and returns it as stored; a key already present is
+    /// a duplicate on `table`.
+    pub(crate) fn insert(&mut self, table: &str, id: Id, row: Row) -> Result<&Row, DbError> {
         match self.rows.entry(id) {
             Entry::Occupied(_) => Err(DbError::DuplicateKey {
                 table: table.to_owned(),
                 key: id.to_string(),
             }),
-            Entry::Vacant(slot) => {
-                slot.insert(row);
-                Ok(())
-            }
+            Entry::Vacant(slot) => Ok(slot.insert(row)),
         }
     }
 
     /// Applies `set`/`unset` to each row of `ids` still present, in order,
     /// handing `each` its id, old image (a copy, when `keep_old`) and new.
+    /// The last id's row takes `set` itself; any before it take a copy.
     pub(crate) fn update(
         &mut self,
         ids: &[Id],
-        set: &Row,
+        mut set: Row,
         unset: &[String],
         keep_old: bool,
         mut each: impl FnMut(Id, Option<Row>, &Row),
     ) {
-        for id in ids {
+        for (n, id) in ids.iter().enumerate() {
             if let Some(row) = self.rows.get_mut(id) {
                 let old = keep_old.then(|| row.clone());
+                let set = if n + 1 == ids.len() {
+                    std::mem::take(&mut set)
+                } else {
+                    set.clone()
+                };
                 apply_changes(row, set, unset);
                 each(*id, old, row);
             }
@@ -197,11 +201,9 @@ pub(crate) fn namespace<'a, T: Default>(
     spaces.get_mut(name).expect("present or just inserted")
 }
 
-/// Applies an update's `set`/`unset` to a row image.
-pub(crate) fn apply_changes(row: &mut Row, set: &Row, unset: &[String]) {
-    for (k, v) in set {
-        row.insert(k.clone(), v.clone());
-    }
+/// Applies an update's `set`/`unset` to a row image, moving `set` into it.
+pub(crate) fn apply_changes(row: &mut Row, set: Row, unset: &[String]) {
+    row.extend(set);
     for k in unset {
         row.remove(k);
     }

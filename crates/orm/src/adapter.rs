@@ -9,10 +9,9 @@
 //! are small, and the reproduction preserves that property.
 
 use crate::error::OrmError;
-use std::collections::BTreeMap;
 use synapse_db::query::OrderBy;
 use synapse_db::{DbError, Engine, Filter, Query, QueryResult, Row};
-use synapse_model::{Id, ModelSchema, Record, Value};
+use synapse_model::{Id, ModelSchema, Record};
 
 /// A vendor adapter. See the module docs.
 pub trait Adapter: Send + Sync {
@@ -34,16 +33,16 @@ pub trait Adapter: Send + Sync {
     /// Creates the model's backing table and any engine-specific schema
     /// artifacts (columns, indexes, analyzers).
     fn define_model(&self, schema: &ModelSchema) -> Result<(), OrmError> {
-        self.engine().execute(&Query::CreateTable {
+        self.engine().execute(Query::CreateTable {
             table: self.table_for(&schema.name),
         })?;
         Ok(())
     }
 
-    /// Translates attribute values into the engine's storable row form.
-    /// Default: verbatim.
-    fn encode_attrs(&self, _schema: &ModelSchema, attrs: &BTreeMap<String, Value>) -> Row {
-        attrs.clone()
+    /// Translates attribute values into the engine's storable row form,
+    /// in place. Default: verbatim.
+    fn encode_attrs(&self, _schema: &ModelSchema, attrs: Row) -> Row {
+        attrs
     }
 
     /// Translates a stored row back into a record. Default: verbatim.
@@ -53,25 +52,21 @@ pub trait Adapter: Send + Sync {
         record
     }
 
-    /// Inserts a record, returning the stored image.
-    fn insert(&self, schema: &ModelSchema, record: &Record) -> Result<Record, OrmError> {
-        let res = self.engine().execute(&Query::Insert {
+    /// Inserts object `id` with attributes `attrs`, which the engine
+    /// keeps, returning the stored image.
+    fn insert(&self, schema: &ModelSchema, id: Id, attrs: Row) -> Result<Record, OrmError> {
+        let res = self.engine().execute(Query::Insert {
             table: self.table_for(&schema.name),
-            id: record.id,
-            row: self.encode_attrs(schema, &record.attrs),
+            id,
+            row: self.encode_attrs(schema, attrs),
         })?;
-        self.written_image(schema, record.id, res)
+        self.written_image(schema, id, res)
     }
 
-    /// Writes `changes` over one object's stored attributes, returning the
+    /// Moves `changes` into one object's stored attributes, returning the
     /// post-image.
-    fn update(
-        &self,
-        schema: &ModelSchema,
-        id: Id,
-        changes: &BTreeMap<String, Value>,
-    ) -> Result<Record, OrmError> {
-        let res = self.engine().execute(&Query::Update {
+    fn update(&self, schema: &ModelSchema, id: Id, changes: Row) -> Result<Record, OrmError> {
+        let res = self.engine().execute(Query::Update {
             table: self.table_for(&schema.name),
             filter: Filter::ById(id),
             set: self.encode_attrs(schema, changes),
@@ -94,7 +89,7 @@ pub trait Adapter: Send + Sync {
     /// query" is issued before the write for deletes, and it is the read
     /// that found `pre`.
     fn delete(&self, schema: &ModelSchema, pre: &Record) -> Result<Record, OrmError> {
-        let res = self.engine().execute(&Query::Delete {
+        let res = self.engine().execute(Query::Delete {
             table: self.table_for(&schema.name),
             filter: Filter::ById(pre.id),
         })?;
@@ -110,7 +105,7 @@ pub trait Adapter: Send + Sync {
 
     /// Fetches one object by primary key.
     fn find(&self, schema: &ModelSchema, id: Id) -> Result<Option<Record>, OrmError> {
-        let res = read_or_empty(self.engine().execute(&Query::Select {
+        let res = read_or_empty(self.engine().execute(Query::Select {
             table: self.table_for(&schema.name),
             filter: Filter::ById(id),
             order: None,
@@ -131,7 +126,7 @@ pub trait Adapter: Send + Sync {
         order: Option<OrderBy>,
         limit: Option<usize>,
     ) -> Result<Vec<Record>, OrmError> {
-        let res = read_or_empty(self.engine().execute(&Query::Select {
+        let res = read_or_empty(self.engine().execute(Query::Select {
             table: self.table_for(&schema.name),
             filter,
             order,
@@ -146,7 +141,7 @@ pub trait Adapter: Send + Sync {
 
     /// Counts objects matching a filter.
     fn count(&self, schema: &ModelSchema, filter: Filter) -> Result<u64, OrmError> {
-        match self.engine().execute(&Query::Count {
+        match self.engine().execute(Query::Count {
             table: self.table_for(&schema.name),
             filter,
         }) {

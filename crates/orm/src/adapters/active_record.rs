@@ -17,7 +17,7 @@
 use crate::adapter::Adapter;
 use crate::error::OrmError;
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use synapse_db::relational::RelationalDb;
 use synapse_db::{profiles, Engine, LatencyModel, Row};
@@ -92,10 +92,9 @@ impl Adapter for ActiveRecordAdapter {
         Ok(())
     }
 
-    fn encode_attrs(&self, schema: &ModelSchema, attrs: &BTreeMap<String, Value>) -> Row {
+    fn encode_attrs(&self, schema: &ModelSchema, mut row: Row) -> Row {
         let serialized = self.serialized.read();
         let serialized = serialized.get(&schema.name);
-        let mut row = attrs.clone();
         for (k, v) in row.iter_mut() {
             // SQL has no array/document columns: a structured value, and
             // every value of a serialized field, is stored as JSON text.

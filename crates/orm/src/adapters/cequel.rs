@@ -31,7 +31,7 @@ impl CequelAdapter {
 
     /// Applies `writes` as one atomic logged batch.
     pub fn batch_write(&self, writes: Vec<Query>) -> Result<(), OrmError> {
-        self.engine.execute(&Query::Batch(writes))?;
+        self.engine.execute(Query::Batch(writes))?;
         Ok(())
     }
 

@@ -32,7 +32,7 @@ impl Neo4jAdapter {
 
     /// Adds an (undirected) edge under `label`.
     pub fn add_edge(&self, label: &str, from: Id, to: Id) -> Result<(), OrmError> {
-        self.engine.execute(&Query::AddEdge {
+        self.engine.execute(Query::AddEdge {
             label: label.to_owned(),
             from,
             to,
@@ -42,7 +42,7 @@ impl Neo4jAdapter {
 
     /// Removes an edge under `label`.
     pub fn remove_edge(&self, label: &str, from: Id, to: Id) -> Result<(), OrmError> {
-        self.engine.execute(&Query::RemoveEdge {
+        self.engine.execute(Query::RemoveEdge {
             label: label.to_owned(),
             from,
             to,
@@ -52,7 +52,7 @@ impl Neo4jAdapter {
 
     /// Breadth-first traversal up to `depth` hops from `from`.
     pub fn traverse(&self, label: &str, from: Id, depth: usize) -> Result<Vec<Id>, OrmError> {
-        match self.engine.execute(&Query::Traverse {
+        match self.engine.execute(Query::Traverse {
             label: label.to_owned(),
             from,
             depth,

@@ -42,7 +42,7 @@ impl StretcherAdapter {
         text: &str,
         limit: usize,
     ) -> Result<Vec<(Id, f64)>, OrmError> {
-        match self.engine.execute(&Query::Search {
+        match self.engine.execute(Query::Search {
             table: self.table_for(model),
             field: field.to_owned(),
             text: text.to_owned(),
@@ -55,7 +55,7 @@ impl StretcherAdapter {
 
     /// Terms aggregation over a stored field: `(value, doc_count)` buckets.
     pub fn aggregate(&self, model: &str, field: &str) -> Result<Vec<(Value, u64)>, OrmError> {
-        match self.engine.execute(&Query::Aggregate {
+        match self.engine.execute(Query::Aggregate {
             table: self.table_for(model),
             field: field.to_owned(),
         })? {

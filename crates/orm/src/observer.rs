@@ -55,13 +55,14 @@ pub struct WriteIntent<'a> {
     pub model: &'a str,
     /// Primary key of the object being written.
     pub id: Id,
-    /// The attributes the caller wrote: a create's whole attribute map, an
-    /// update's changes as asked (moved or not); empty for a destroy.
+    /// The changes the caller asked an update for, moved or not; empty for
+    /// a destroy and for a create, whose attributes the engine takes.
     pub changes: &'a Changes,
 }
 
 /// The thunk that performs the underlying engine write and returns the
-/// written record's post-image (pre-image for deletes).
+/// written record's post-image (pre-image for deletes). It hands the
+/// engine its row, so a second call is an error that writes nothing.
 pub type WriteExec<'a> = dyn FnMut() -> Result<Record, OrmError> + 'a;
 
 /// Interception hooks. Synapse's publisher implements this trait; tests use

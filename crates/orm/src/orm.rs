@@ -3,18 +3,21 @@
 use crate::adapter::Adapter;
 use crate::error::OrmError;
 use crate::hooks::{CallbackPoint, ModelHooks};
-use crate::observer::{QueryObserver, WriteExec, WriteIntent, WriteKind};
+use crate::observer::{QueryObserver, WriteIntent, WriteKind};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use synapse_db::query::OrderBy;
-use synapse_db::{DbFaults, EngineStats, Filter};
+use synapse_db::{DbError, DbFaults, EngineStats, Filter};
 use synapse_model::{AssociationKind, Id, IdGenerator, ModelSchema, Record, SchemaSet, Value};
 
 /// Attribute changes for an update: field name → new value.
 pub type Changes = BTreeMap<String, Value>;
+
+/// A write's second run: its row went to the engine on the first.
+const SPENT: DbError = DbError::Unsupported("a write executes at most once");
 
 /// One service's ORM: schemas, CRUD and associations, one hook table per
 /// model (callbacks, virtual attributes), and the one query interceptor
@@ -161,20 +164,22 @@ impl Orm {
         Arc::clone(&idgens[model])
     }
 
-    /// Runs a write through the interceptor's `around_write`, `exec`
-    /// performing the actual engine write.
+    /// Runs a write through the interceptor's `around_write`, `write`
+    /// performing the actual engine write, at most once.
     fn run_write(
         &self,
         intent: &WriteIntent,
-        exec: &mut WriteExec<'_>,
+        write: impl FnOnce() -> Result<Record, OrmError>,
     ) -> Result<Record, OrmError> {
         // Fault gate first: an injected transient error fails the write
         // before the interceptor runs, so no version bump or publication
         // happens for a write the database refused.
         self.faults.gate_write()?;
         self.writes_intercepted.fetch_add(1, Ordering::Relaxed);
+        let mut write = Some(write);
+        let mut exec = || write.take().ok_or(SPENT)?();
         match self.interceptor.get() {
-            Some(interceptor) => interceptor.around_write(self, intent, exec),
+            Some(interceptor) => interceptor.around_write(self, intent, &mut exec),
             None => exec(),
         }
     }
@@ -218,9 +223,10 @@ impl Orm {
             kind: WriteKind::Create,
             model,
             id,
-            changes: &record.attrs,
+            changes: &Changes::new(),
         };
-        let mut stored = self.run_write(&intent, &mut || self.adapter.insert(&schema, &record))?;
+        let mut stored =
+            self.run_write(&intent, || self.adapter.insert(&schema, id, record.attrs))?;
         self.run_callbacks(hooks.as_deref(), CallbackPoint::AfterCreate, &mut stored)?;
         Ok(stored)
     }
@@ -292,7 +298,8 @@ impl Orm {
             id,
             changes: &changes,
         };
-        let mut stored = self.run_write(&intent, &mut || self.adapter.update(&schema, id, &set))?;
+        let write = || self.adapter.update(&schema, id, set.into_owned());
+        let mut stored = self.run_write(&intent, write)?;
         self.run_callbacks(hooks.as_deref(), CallbackPoint::AfterUpdate, &mut stored)?;
         Ok(stored)
     }
@@ -314,7 +321,7 @@ impl Orm {
             id: pre.id,
             changes: &Changes::new(),
         };
-        let mut removed = self.run_write(&intent, &mut || self.adapter.delete(&schema, &pre))?;
+        let mut removed = self.run_write(&intent, || self.adapter.delete(&schema, &pre))?;
         self.run_callbacks(hooks.as_deref(), CallbackPoint::AfterDestroy, &mut removed)?;
         Ok(removed)
     }
@@ -431,6 +438,7 @@ impl Orm {
 mod tests {
     use super::*;
     use crate::adapters::{ActiveRecordAdapter, MongoidAdapter};
+    use crate::observer::WriteExec;
     use parking_lot::Mutex as PMutex;
     use synapse_db::LatencyModel;
     use synapse_model::{varray, vmap, FieldType};
@@ -511,9 +519,9 @@ mod tests {
 
         fn execute(
             &self,
-            q: &synapse_db::Query,
+            q: synapse_db::Query,
         ) -> Result<synapse_db::QueryResult, synapse_db::DbError> {
-            if let synapse_db::Query::Update { set, .. } = q {
+            if let synapse_db::Query::Update { set, .. } = &q {
                 self.sets.lock().push(set.clone());
             }
             self.inner.execute(q)
@@ -593,6 +601,62 @@ mod tests {
             Value::Map(intents.0.lock().pop().unwrap()),
             vmap! { "c" => 2 }
         );
+    }
+
+    /// Calls `exec` twice and keeps what each write's intent lent and the
+    /// error its second call returned.
+    struct Twice(PMutex<Vec<(WriteKind, Changes, Option<OrmError>)>>);
+
+    impl QueryObserver for Twice {
+        fn around_write(
+            &self,
+            _orm: &Orm,
+            intent: &WriteIntent,
+            exec: &mut WriteExec<'_>,
+        ) -> Result<Record, OrmError> {
+            let first = exec();
+            let second = exec();
+            let seen = (intent.kind, intent.changes.clone(), second.err());
+            self.0.lock().push(seen);
+            first
+        }
+    }
+
+    #[test]
+    fn a_write_executes_at_most_once_and_a_create_lends_no_attributes() {
+        let orm = mongo_orm();
+        let twice = Arc::new(Twice(PMutex::new(Vec::new())));
+        orm.observe(twice.clone());
+        let u = orm.create("User", vmap! { "name" => "a" }).unwrap();
+        orm.update("User", u.id, vmap! { "name" => "b" }).unwrap();
+        assert_eq!(
+            orm.find("User", u.id)
+                .unwrap()
+                .unwrap()
+                .get("name")
+                .as_str(),
+            Some("b")
+        );
+        orm.destroy("User", u.id).unwrap();
+        assert_eq!(orm.count("User").unwrap(), 0, "one insert, then one delete");
+
+        let spent = OrmError::Db(DbError::Unsupported("a write executes at most once"));
+        let seen = std::mem::take(&mut *twice.0.lock());
+        let asked = Changes::from([("name".to_owned(), Value::from("b"))]);
+        let expected = [
+            (WriteKind::Create, Changes::new()),
+            (WriteKind::Update, asked),
+            (WriteKind::Delete, Changes::new()),
+        ];
+        assert_eq!(seen.len(), expected.len());
+        for ((kind, changes, second), (want_kind, want_changes)) in seen.into_iter().zip(expected) {
+            assert_eq!((kind, changes), (want_kind, want_changes));
+            assert_eq!(
+                second.as_ref(),
+                Some(&spent),
+                "{kind:?}: a second call writes nothing"
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 # touches a hot path owes (choosing-metrics §8).
 #
 #   scripts/pairs.sh <parent-rev> [workload…] [--pairs N] [--trace [N]]
+#                    [--json <file>]
 #
 # Unpacks <parent-rev> (`git archive`) and a snapshot of the working tree
 # (its tracked and unignored files, taken at start) under $TMPDIR, and builds
@@ -20,19 +21,32 @@
 # same command: one traced run cannot attribute a gain, since stages a
 # change never touched move between runs too. Nothing is written into the
 # working tree, so it may be edited while this runs.
+# With --json it also writes the comparison to <file>: both revs (the
+# change is the working tree on top of HEAD, marked `+` when it differs
+# from HEAD), the seeds, and per workload and end-to-end metric both
+# medians, both IQRs and the change's wins/ties/losses, plus each traced
+# per-layer metric's medians and IQRs. A PR commits its run as
+# `BENCH_<short parent rev>.json`: the parent is the one rev a change knows
+# before it is committed, and each PR has its own.
 # Exit code: non-zero when a run was incorrect or failed an operation, or
 # when the change's median is worse than the parent's by more than the
 # bound.
 set -euo pipefail
+here="$PWD"
 cd "$(dirname "$0")/.."
 
 pairs=10
 trace=0
+json=""
 workloads=()
 parent_rev=""
 while (($#)); do
   case "$1" in
     --pairs) pairs="$2"; shift ;;
+    --json)
+      json="$2"
+      [[ "$json" == /* ]] || json="$here/$json"
+      shift ;;
     --trace)
       trace=3
       if [[ "${2:-}" =~ ^[0-9]+$ ]]; then trace="$2"; shift; fi ;;
@@ -42,7 +56,7 @@ while (($#)); do
   shift
 done
 if [[ -z "$parent_rev" ]]; then
-  echo "usage: scripts/pairs.sh <parent-rev> [workload…] [--pairs N] [--trace [N]]" >&2
+  echo "usage: scripts/pairs.sh <parent-rev> [workload…] [--pairs N] [--trace [N]] [--json <file>]" >&2
   exit 2
 fi
 if ((${#workloads[@]} == 0)); then
@@ -93,19 +107,28 @@ for workload in "${workloads[@]}"; do
   done
 done
 
-python3 - "$work/runs.tsv" BENCHMARK.json "$work/traced.tsv" <<'PY' || status=1
+parent_short="$(git rev-parse --short "$parent_rev")"
+change_short="$(git rev-parse --short HEAD)"
+[[ -z "$(git status --porcelain)" ]] || change_short+="+"
+python3 - "$work/runs.tsv" BENCHMARK.json "$work/traced.tsv" "$json" \
+  "$parent_short" "$change_short" "$pairs" <<'PY' || status=1
 import json, sys
 from statistics import median, quantiles
 
 runs, manifest = sys.argv[1], json.load(open(sys.argv[2]))
+out = {"parent_rev": sys.argv[5], "change_rev": sys.argv[6], "pairs": int(sys.argv[7]),
+       "seeds": {}, "end_to_end": {}, "per_layer": {}}
 gated = {m["name"]: m for m in manifest["end_to_end"]}
 data, bad = {}, 0
 for line in open(runs):
-    workload, seed, side, out = line.rstrip("\n").split("\t")
+    workload, seed, side, line = line.rstrip("\n").split("\t")
     try:
-        run = json.loads(out)
+        run = json.loads(line)
     except ValueError:
         run = {"correct": False, "failed": None, "metrics": {}}
+    seeds = out["seeds"].setdefault(workload, [])
+    if int(seed) not in seeds:
+        seeds.append(int(seed))
     if not run.get("correct") or run.get("failed") != 0:
         print(f"INCORRECT {workload} seed {seed} {side}: correct={run.get('correct')} failed={run.get('failed')}")
         bad += 1
@@ -144,6 +167,13 @@ for workload, metrics in data.items():
               f" gap {'>' if beyond_iqr else '<='} parent IQR; {'BEYOND' if regressed else 'inside'} the {gated[name]['bound']} bound")
         print(f"    parent runs {' '.join(f'{x:.4g}' for x in parent)}")
         print(f"    change runs {' '.join(f'{x:.4g}' for x in change)}")
+        out["end_to_end"].setdefault(workload, {})[name] = {
+            "unit": gated[name]["unit"], "better": gated[name]["better"],
+            "parent_median": mp, "parent_iqr": [p1, p3],
+            "change_median": mc, "change_iqr": [c1, c3],
+            "wins": wins, "ties": ties, "losses": len(pairs) - wins - ties,
+            "gap_beyond_parent_iqr": beyond_iqr, "beyond_bound": regressed,
+        }
 
 # Traced runs (--trace N): every per-layer metric's median and IQR per
 # side, and the ratio of the medians.
@@ -153,9 +183,9 @@ try:
 except OSError:
     lines = []
 for line in lines:
-    workload, seed, side, out = line.split("\t")
+    workload, seed, side, line = line.split("\t")
     try:
-        run = json.loads(out)
+        run = json.loads(line)
     except ValueError:
         run = {"correct": False, "failed": None, "metrics": {}}
     if not run.get("correct") or run.get("failed") != 0:
@@ -175,12 +205,25 @@ for workload, sides in traced.items():
                 lo, hi = iqr(xs)
                 medians.append(median(xs))
                 cells.append(f"{median(xs):.4g} ({lo:.4g}..{hi:.4g})")
+                traced_metric = out["per_layer"].setdefault(workload, {}).setdefault(name, {})
+                traced_metric[f"{side}_median"] = median(xs)
+                traced_metric[f"{side}_iqr"] = [lo, hi]
             else:
                 medians.append(None)
                 cells.append("-")
         p, c = medians
         ratio = f"{c / p:.3f}" if p and c is not None else "-"
         print(f"  {name:44} {cells[0]:>30} {cells[1]:>30}  x{ratio:<7} [{m['unit']}, {m['better']} is better]")
+def nested(obj, depth, pad=""):
+    # Dicts `depth` levels deep open one key a line; below that, one line.
+    if depth == 0 or not isinstance(obj, dict):
+        return json.dumps(obj, sort_keys=True)
+    items = [f'{pad} {json.dumps(k)}: {nested(v, depth - 1, pad + " ")}' for k, v in sorted(obj.items())]
+    return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+
+if sys.argv[4]:
+    with open(sys.argv[4], "w") as f:
+        f.write(nested(out, 3) + "\n")
 sys.exit(1 if bad or worse else 0)
 PY
 exit "$status"

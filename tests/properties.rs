@@ -260,11 +260,11 @@ proptest! {
         };
         for vendor in ["postgresql", "mysql", "mongodb", "cassandra", "elasticsearch", "neo4j"] {
             let engine = profiles::by_name(vendor, LatencyModel::off());
-            engine.execute(&Query::CreateTable { table: "t".into() }).unwrap();
+            engine.execute(Query::CreateTable { table: "t".into() }).unwrap();
             let table = || "t".to_owned();
             let select = |filter: &Filter, order: Option<OrderBy>, limit: Option<usize>| {
                 let q = Query::Select { table: table(), filter: filter.clone(), order, limit };
-                match engine.execute(&q).unwrap() {
+                match engine.execute(q).unwrap() {
                     QueryResult::Rows(rows) => rows
                         .into_iter()
                         .map(|(id, row)| (id.raw(), row["n"].as_int().unwrap()))
@@ -273,14 +273,14 @@ proptest! {
                 }
             };
             let insert = |id: u64, n: i64| {
-                engine.execute(&Query::Insert { table: table(), id: Id(id), row: row_of(n) }).unwrap()
+                engine.execute(Query::Insert { table: table(), id: Id(id), row: row_of(n) }).unwrap()
             };
             let update = |filter: Filter, n: i64| {
                 let q = Query::Update { table: table(), filter, set: row_of(n), unset: vec![] };
-                engine.execute(&q).unwrap().affected_ids()
+                engine.execute(q).unwrap().affected_ids()
             };
             let delete = |filter: Filter| {
-                engine.execute(&Query::Delete { table: table(), filter }).unwrap().affected_ids()
+                engine.execute(Query::Delete { table: table(), filter }).unwrap().affected_ids()
             };
             // The reference: `Filter::matches` over the model, in key order.
             let expect = |model: &BTreeMap<u64, i64>, filter: &Filter| -> Vec<(u64, i64)> {
@@ -343,7 +343,7 @@ proptest! {
             for filter in &shapes {
                 let rows = expect(&model, filter);
                 prop_assert_eq!(select(filter, None, None), rows.clone(), "vendor {} {:?}", vendor, filter);
-                let count = engine.execute(&Query::Count { table: table(), filter: filter.clone() });
+                let count = engine.execute(Query::Count { table: table(), filter: filter.clone() });
                 prop_assert_eq!(count.unwrap(), QueryResult::Count(rows.len() as u64), "vendor {} {:?}", vendor, filter);
                 let newest: Vec<(u64, i64)> = rows.iter().rev().take(2).copied().collect();
                 prop_assert_eq!(select(filter, by("id", false), Some(2)), newest, "vendor {} {:?}", vendor, filter);
