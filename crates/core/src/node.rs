@@ -7,9 +7,9 @@ use crate::context::{self, TxBuffer};
 use crate::durability::{NodeSnapshot, SnapshotStore};
 use crate::publisher::{Publisher, PublisherStats};
 use crate::semantics::DeliveryMode;
-use crate::subscriber::{Subscriber, SubscriberStats};
+use crate::subscriber::{Subscriber, SubscriberStats, Upstreams};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,7 +31,7 @@ pub struct SynapseNode {
     pub(crate) subscriptions: SubscriptionRegistry,
     pub(crate) publisher: Arc<Publisher>,
     pub(crate) subscriber: Arc<Subscriber>,
-    publisher_modes: Arc<RwLock<HashMap<String, DeliveryMode>>>,
+    upstreams: Upstreams,
     /// The node's telemetry plane: staged latency histograms, counters,
     /// and the structured event ring, shared by publisher and subscriber.
     pub(crate) telemetry: Arc<Telemetry>,
@@ -75,10 +75,9 @@ impl SynapseNode {
         let orm = Arc::new(Orm::new(config.app.clone(), adapter));
         let pub_store = Arc::new(VersionStore::new(VERSION_STORE_SHARDS));
         let sub_store = Arc::new(VersionStore::new(VERSION_STORE_SHARDS));
-        let generations = GenerationStore::new();
         let publications = Arc::new(RwLock::new(BTreeMap::new()));
         let subscriptions = Arc::new(RwLock::new(Vec::new()));
-        let publisher_modes = Arc::new(RwLock::new(HashMap::new()));
+        let upstreams: Upstreams = Arc::default();
         let telemetry = Arc::new(Telemetry::new(config.telemetry_enabled));
 
         // Recover version state *before* any traffic: with the durability
@@ -118,6 +117,17 @@ impl SynapseNode {
             telemetry.record_recovery(mono_nanos().saturating_sub(t0));
             Some(store)
         });
+        // Every start of a durable node bumps the generation in
+        // `<dir>/generation` (§4.4), fsynced before the publisher exists:
+        // what a restore loaded may lag what subscribers saw.
+        let generations = match &config.durability.dir {
+            Some(dir) => GenerationStore::open(dir.join("generation")).unwrap_or_else(|_| {
+                let counters = telemetry.counters();
+                counters.counter("recovery.generation_open_errors").bump();
+                GenerationStore::new()
+            }),
+            None => GenerationStore::new(),
+        };
         if let Some(report) = broker.recovery_report() {
             let counters = telemetry.counters();
             counters
@@ -161,7 +171,7 @@ impl SynapseNode {
             orm.clone(),
             sub_store.clone(),
             subscriptions.clone(),
-            publisher_modes.clone(),
+            upstreams.clone(),
             broker.clone(),
             telemetry.clone(),
         ));
@@ -177,7 +187,7 @@ impl SynapseNode {
             subscriptions,
             publisher,
             subscriber,
-            publisher_modes,
+            upstreams,
             telemetry,
             bootstrap: BootstrapTracker::default(),
             snapshots,
@@ -281,10 +291,10 @@ impl SynapseNode {
         }
         drop(pubs);
         self.broker.bind(&subscription.from, self.app());
-        self.publisher_modes
+        self.upstreams
             .write()
             .entry(subscription.from.clone())
-            .or_insert(DeliveryMode::Causal);
+            .or_insert_with(|| (DeliveryMode::Causal, AtomicU64::new(1)));
         self.subscriptions.write().push(Arc::new(subscription));
         Ok(())
     }
@@ -292,9 +302,11 @@ impl SynapseNode {
     /// Records the delivery mode `pub_app` supports (done automatically by
     /// [`Ecosystem::connect`]).
     pub fn set_publisher_mode(&self, pub_app: &str, mode: DeliveryMode) {
-        self.publisher_modes
+        self.upstreams
             .write()
-            .insert(pub_app.to_owned(), mode);
+            .entry(pub_app.to_owned())
+            .or_insert_with(|| (mode, AtomicU64::new(1)))
+            .0 = mode;
     }
 
     /// All declared publications.
@@ -365,51 +377,29 @@ impl SynapseNode {
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut snap = self.telemetry.snapshot();
         let stats = self.stats();
-        let mut extra: Vec<(String, u64)> = vec![
-            (
-                "publisher.messages_published".into(),
-                stats.publisher.messages_published,
-            ),
-            ("publisher.operations".into(), stats.publisher.operations),
-            (
-                "publisher.publish_retries".into(),
-                stats.publisher.publish_retries,
-            ),
-            (
-                "publisher.publish_failures".into(),
-                stats.publisher.publish_failures,
-            ),
-            ("publisher.journaled".into(), stats.journaled as u64),
-            (
-                "subscriber.messages_processed".into(),
-                stats.subscriber.messages_processed,
-            ),
-            (
-                "subscriber.ops_applied".into(),
-                stats.subscriber.ops_applied,
-            ),
-            ("subscriber.ops_stale".into(), stats.subscriber.ops_stale),
-            (
-                "subscriber.dep_timeouts".into(),
-                stats.subscriber.dep_timeouts,
-            ),
-            ("subscriber.set_aside".into(), stats.subscriber.set_aside),
-            ("subscriber.retries".into(), stats.subscriber.retries),
-            (
-                "subscriber.dead_lettered".into(),
-                stats.subscriber.dead_lettered,
-            ),
-            ("subscriber.steals".into(), stats.subscriber.steals),
-            (
-                "subscriber.messages_stolen".into(),
-                stats.subscriber.messages_stolen,
-            ),
-            (
-                "orm.writes_intercepted".into(),
-                self.orm.writes_intercepted(),
-            ),
-            ("orm.reads_observed".into(), self.orm.reads_observed()),
-        ];
+        let (p, s) = (&stats.publisher, &stats.subscriber);
+        let mut extra: Vec<(String, u64)> = [
+            ("publisher.messages_published", p.messages_published),
+            ("publisher.operations", p.operations),
+            ("publisher.publish_retries", p.publish_retries),
+            ("publisher.publish_failures", p.publish_failures),
+            ("publisher.generation_bumps", p.generation_bumps),
+            ("publisher.journaled", stats.journaled as u64),
+            ("subscriber.messages_processed", s.messages_processed),
+            ("subscriber.ops_applied", s.ops_applied),
+            ("subscriber.ops_stale", s.ops_stale),
+            ("subscriber.dep_timeouts", s.dep_timeouts),
+            ("subscriber.set_aside", s.set_aside),
+            ("subscriber.retries", s.retries),
+            ("subscriber.dead_lettered", s.dead_lettered),
+            ("subscriber.steals", s.steals),
+            ("subscriber.messages_stolen", s.messages_stolen),
+            ("subscriber.generation_advances", s.generation_advances),
+            ("orm.writes_intercepted", self.orm.writes_intercepted()),
+            ("orm.reads_observed", self.orm.reads_observed()),
+        ]
+        .map(|(name, value)| (name.to_owned(), value))
+        .into();
         // Delivery-plane gauges and counters: the queue-depth reads are
         // lock-free (relaxed atomics maintained by the partitions), so this
         // poll never contends with the publish/pop hot path.

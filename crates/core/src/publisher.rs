@@ -212,6 +212,7 @@ impl Publisher {
         subscriptions: SubscriptionRegistry,
         telemetry: Arc<Telemetry>,
     ) -> Self {
+        store.enter_generation(generations.current());
         Publisher {
             app_prefix: format!("{app}/"),
             global_dep: DepName::global(&app),
@@ -598,9 +599,17 @@ impl Publisher {
     }
 
     /// Handles a dead publisher version store: bump the generation in the
-    /// reliable store, revive empty, and continue (§4.4).
+    /// reliable store and revive (§4.4); what the store still holds reads
+    /// as absent from here on.
     fn handle_store_death(&self) {
-        self.generations.increment();
+        if self.generations.increment().is_err() {
+            let errors = self
+                .telemetry
+                .counters()
+                .counter("recovery.generation_write_errors");
+            errors.bump();
+        }
+        self.store.enter_generation(self.generations.current());
         self.store.revive();
         self.generation_bumps.fetch_add(1, Ordering::Relaxed);
     }
@@ -695,8 +704,9 @@ impl QueryObserver for Publisher {
             Some((key, vector))
         });
         if let Err(StoreError::Dead) = self.bump_versions(&mut scratch) {
-            // §4.4: increment the generation and resume with a fresh
-            // store; subscribers flush on seeing the new generation.
+            // §4.4: increment the generation and resume; every key then
+            // restarts at count 0 of the new generation, here and at each
+            // subscriber.
             self.handle_store_death();
             self.bump_versions(&mut scratch)
                 .expect("revived store accepts the bump");

@@ -12,7 +12,6 @@
 use super::{Subscriber, BATCH_MAX};
 use crate::message::WriteMessage;
 use crate::semantics::DeliveryMode;
-use parking_lot::RwLockReadGuard;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use synapse_broker::{Consumer, Delivery};
@@ -38,15 +37,9 @@ pub(super) const HELD_MAX: usize = 2 * BATCH_MAX;
 pub(super) struct Lane<'a> {
     /// The worker's queue handle (`None` under [`Subscriber::process`]).
     pub(super) consumer: Option<&'a Consumer>,
-    /// Staged deliveries and the dependency keys their flush applies.
+    /// Staged deliveries and the `(key, value)`s their flush applies.
     pub(super) tags: Vec<u64>,
-    pub(super) dep_keys: Vec<DepKey>,
-    /// In-flight marker: the generation barrier (and drain) must never
-    /// observe the gap between a message's ORM apply and its deferred
-    /// version-store apply + ack, so the read guard spans processing
-    /// *and* the flush. Held deliveries are outside that gap — nothing of
-    /// them has been applied — so the guard is dropped between runs.
-    pub(super) in_flight: Option<RwLockReadGuard<'a, ()>>,
+    pub(super) deps: Vec<(DepKey, u64)>,
     /// Deliveries set aside, in tag order, and a spare buffer for passes.
     pub(super) held: Vec<Held>,
     spare: Vec<Held>,
@@ -60,7 +53,7 @@ pub(super) struct Held {
     pub(super) prepared: Option<Prepared>,
 }
 
-/// A decoded delivery past its generation gate: what a retry reuses
+/// A decoded delivery with its mode and wait set: what a retry reuses
 /// instead of decoding and preparing again.
 pub(super) struct Prepared {
     pub(super) msg: WriteMessage,
@@ -89,8 +82,7 @@ impl<'a> Lane<'a> {
         Lane {
             consumer,
             tags: Vec::new(),
-            dep_keys: Vec::new(),
-            in_flight: None,
+            deps: Vec::new(),
             held: Vec::new(),
             spare: Vec::new(),
         }
@@ -113,7 +105,7 @@ impl Subscriber {
     /// holds: passes in tag order, each followed by a flush, until a pass
     /// settles nothing; then hands back what exceeds [`HELD_MAX`]. Returns
     /// whether anything settled.
-    pub(super) fn run_lane<'a>(&'a self, lane: &mut Lane<'a>, batch: Vec<Delivery>) -> bool {
+    pub(super) fn run_lane(&self, lane: &mut Lane<'_>, batch: Vec<Delivery>) -> bool {
         let popped_nanos = mono_nanos();
         let merge = !lane.held.is_empty();
         lane.held
@@ -121,7 +113,6 @@ impl Subscriber {
         if merge {
             lane.held.sort_by_key(|h| h.delivery.tag);
         }
-        lane.in_flight = Some(self.gen_barrier.read());
         let mut progressed = false;
         loop {
             let settled = self.pass(lane);
@@ -131,7 +122,6 @@ impl Subscriber {
                 break;
             }
         }
-        lane.in_flight = None;
         let excess = lane.held.len().saturating_sub(HELD_MAX);
         if excess > 0 {
             self.hand_back(lane, excess);
@@ -142,7 +132,7 @@ impl Subscriber {
     /// One pass over the lane's deliveries in tag order; one that cannot
     /// apply yet is kept. Returns whether any delivery settled — applied,
     /// failed, or found void.
-    fn pass<'a>(&'a self, lane: &mut Lane<'a>) -> bool {
+    fn pass(&self, lane: &mut Lane<'_>) -> bool {
         let mut entries = std::mem::replace(&mut lane.held, std::mem::take(&mut lane.spare));
         let mut settled = false;
         for entry in entries.drain(..) {

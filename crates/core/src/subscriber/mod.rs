@@ -19,8 +19,8 @@
 //! waits (causal/global) and the striped freshness check (weak). Per
 //! message, a worker:
 //!
-//! 1. checks the publisher generation, running the global barrier of §4.4
-//!    when it increases (drain in-flight messages, flush the version store);
+//! 1. notes the publisher generation it carries (§4.4); nothing waits on
+//!    it, as every dependency value and version carries its generation;
 //! 2. enforces the *effective* delivery mode — the weaker of the
 //!    publisher's and the subscriber's (§3.2): causal/global apply only
 //!    once every dependency is satisfied in the version store; weak skips
@@ -59,6 +59,7 @@ use lane::{Held, Lane, HELD_MAX};
 use crate::api::SubscriptionRegistry;
 use crate::config::SynapseConfig;
 use crate::deps::DepSpace;
+use crate::message::WriteMessage;
 use crate::semantics::DeliveryMode;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -115,8 +116,9 @@ pub struct SubscriberStats {
     pub set_aside: u64,
     /// Messages that failed to decode or apply (transient or poison).
     pub errors: u64,
-    /// Generation barriers executed.
-    pub generation_flushes: u64,
+    /// Per-app generation advances seen: live messages that carried a
+    /// newer generation of their app than any before them (§4.4).
+    pub generation_advances: u64,
     /// Transient failures that led to a backoff + nack.
     pub retries: u64,
     /// Deliveries popped with the broker's redelivered flag set.
@@ -164,7 +166,7 @@ struct Counters {
     dep_timeouts: AtomicU64,
     set_aside: AtomicU64,
     errors: AtomicU64,
-    generation_flushes: AtomicU64,
+    generation_advances: AtomicU64,
     retries: AtomicU64,
     redeliveries: AtomicU64,
     dead_lettered: AtomicU64,
@@ -231,14 +233,8 @@ pub struct Subscriber {
     subscriber_mode: DeliveryMode,
     dep_wait_timeout: Option<Duration>,
     subscriptions: SubscriptionRegistry,
-    /// Publisher app → the delivery mode that publisher supports.
-    publisher_modes: Arc<RwLock<HashMap<String, DeliveryMode>>>,
+    upstreams: Upstreams,
     broker: Broker,
-    /// Last seen generation per publisher app.
-    generations: Mutex<HashMap<String, u64>>,
-    /// Readers = in-flight messages; the generation barrier takes the
-    /// write side to drain them (§4.4).
-    gen_barrier: RwLock<()>,
     stop: Arc<AtomicBool>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// Workers parked (or about to park) while holding deliveries set
@@ -263,7 +259,7 @@ impl Subscriber {
         orm: Arc<Orm>,
         store: Arc<VersionStore>,
         subscriptions: SubscriptionRegistry,
-        publisher_modes: Arc<RwLock<HashMap<String, DeliveryMode>>>,
+        upstreams: Upstreams,
         broker: Broker,
         telemetry: Arc<Telemetry>,
     ) -> Self {
@@ -275,10 +271,8 @@ impl Subscriber {
             subscriber_mode: config.subscriber_mode,
             dep_wait_timeout: config.dep_wait_timeout,
             subscriptions,
-            publisher_modes,
+            upstreams,
             broker,
-            generations: Mutex::new(HashMap::new()),
-            gen_barrier: RwLock::new(()),
             stop: Arc::new(AtomicBool::new(false)),
             workers: Mutex::new(Vec::new()),
             parked_holders: AtomicUsize::new(0),
@@ -298,7 +292,7 @@ impl Subscriber {
             dep_timeouts: self.counters.dep_timeouts.load(Ordering::Relaxed),
             set_aside: self.counters.set_aside.load(Ordering::Relaxed),
             errors: self.counters.errors.load(Ordering::Relaxed),
-            generation_flushes: self.counters.generation_flushes.load(Ordering::Relaxed),
+            generation_advances: self.counters.generation_advances.load(Ordering::Relaxed),
             retries: self.counters.retries.load(Ordering::Relaxed),
             redeliveries: self.counters.redeliveries.load(Ordering::Relaxed),
             dead_lettered: self.counters.dead_lettered.load(Ordering::Relaxed),
@@ -347,38 +341,15 @@ impl Subscriber {
 
     /// Blocks until the queue is fully settled (a test/ops helper, *not* a
     /// bootstrap phase — the bootstrap copier never stops live delivery):
-    /// no ready backlog, no popped-but-unacked deliveries,
-    /// and no in-flight batch (the write side of the barrier is free only
-    /// when every popped delivery has been flushed). Event-driven: parks
-    /// on the queue's quiescence condvar, which acks and dead-letters
-    /// notify, instead of polling.
+    /// no ready backlog and no popped-but-unacked deliveries. A delivery
+    /// is acked only once its flush has applied it to the version store
+    /// and counted it, so a settled queue has nothing in flight.
+    /// Event-driven: parks on the queue's quiescence condvar, which acks
+    /// and dead-letters notify, instead of polling.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let Some(consumer) = self.broker.consumer(&self.app) else {
-            return false;
-        };
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if !consumer.wait_quiescent(remaining) {
-                return false;
-            }
-            // Quiescent queue + free write barrier = every popped delivery
-            // is flushed. Re-check quiescence under the barrier: a worker
-            // may have popped new work between the wait and the lock.
-            let _barrier = self.gen_barrier.write();
-            if self.queue_quiescent() {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-        }
-    }
-
-    /// No backlog and nothing popped-but-unresolved.
-    fn queue_quiescent(&self) -> bool {
-        self.broker.queue_len(&self.app) == Some(0)
-            && self.broker.queue_unacked_len(&self.app) == Some(0)
+        self.broker
+            .consumer(&self.app)
+            .is_some_and(|consumer| consumer.wait_quiescent(timeout))
     }
 
     /// Acquires the next batch for worker `worker` of `total` without
@@ -500,7 +471,6 @@ impl Subscriber {
     /// drop.
     pub fn process(&self, delivery: &Delivery) -> Result<(), ProcessError> {
         let mut lane = Lane::new(None);
-        lane.in_flight = Some(self.gen_barrier.read());
         self.handle_delivery(Held::popped(delivery.clone(), mono_nanos()), &mut lane)?;
         if self.flush_pending(&mut lane) {
             Ok(())
@@ -511,12 +481,24 @@ impl Subscriber {
 
     /// The effective delivery mode for messages from `pub_app` (§3.2).
     pub fn effective_mode(&self, pub_app: &str) -> DeliveryMode {
-        let publisher = self
-            .publisher_modes
-            .read()
-            .get(pub_app)
-            .copied()
-            .unwrap_or(DeliveryMode::Causal);
+        let upstreams = self.upstreams.read();
+        let publisher = upstreams.get(pub_app).map_or(DeliveryMode::Causal, |u| u.0);
         DeliveryMode::effective(publisher, self.subscriber_mode)
     }
+
+    /// The effective delivery mode of a live message (§3.2), noting a
+    /// generation advance of its app (§4.4).
+    fn live_mode(&self, msg: &WriteMessage) -> DeliveryMode {
+        let newer =
+            |u: &(_, AtomicU64)| u.1.fetch_max(msg.generation, Ordering::Relaxed) < msg.generation;
+        if self.upstreams.read().get(&msg.app).is_some_and(newer) {
+            let advances = &self.counters.generation_advances;
+            advances.fetch_add(1, Ordering::Relaxed);
+        }
+        self.effective_mode(&msg.app)
+    }
 }
+
+/// Upstream app → the mode it publishes in (§3.2) and the newest generation
+/// seen from it (§4.4), for each app the node subscribes to.
+pub(crate) type Upstreams = Arc<RwLock<HashMap<String, (DeliveryMode, AtomicU64)>>>;

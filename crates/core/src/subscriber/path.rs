@@ -1,5 +1,5 @@
-//! The one message path: decode → generation gate → dependency check →
-//! apply → settle on the caller's lane, with one failure exit.
+//! The one message path: decode → dependency check → apply → settle on
+//! the caller's lane, with one failure exit.
 
 use super::lane::{Held, Lane, Prepared};
 use super::{ProcessError, Subscriber, IDLE_PARK};
@@ -66,20 +66,20 @@ struct StageMarks {
 }
 
 impl Subscriber {
-    /// The one message sequence — decode, generation gate, dependency
-    /// check, admission + ORM apply, settle — that every delivery takes,
+    /// The one message sequence — decode, dependency check, admission +
+    /// ORM apply, settle — that every delivery takes,
     /// whatever its [`Kind`] and whoever's [`Lane`] it runs on. Success
     /// stages the delivery on the lane. A failure is returned classified;
     /// on a worker lane it has by then been settled against the queue
     /// ([`Subscriber::fail`]), on a consumer-less lane the caller owns it.
     /// `Ok(Some(_))` hands the delivery back to a worker lane to hold: its
     /// dependencies are not yet satisfied. A held delivery comes back here
-    /// with its first run's work kept — decoded, through its generation
-    /// gate, its wait set prepared and its redelivery counted.
-    pub(super) fn handle_delivery<'a>(
-        &'a self,
+    /// with its first run's work kept — decoded, its mode settled, its
+    /// wait set prepared and its redelivery counted.
+    pub(super) fn handle_delivery(
+        &self,
         mut held: Held,
-        lane: &mut Lane<'a>,
+        lane: &mut Lane<'_>,
     ) -> Result<Option<Held>, ProcessError> {
         let kind = Kind::of(&held.delivery);
         let first = held.prepared.is_none();
@@ -117,7 +117,8 @@ impl Subscriber {
                     // version snapshot already carried their `ops`), so
                     // landing them must not advance the subscriber's
                     // dependency counters.
-                    lane.dep_keys.extend(prepared.msg.dependencies.keys());
+                    lane.deps
+                        .extend(prepared.msg.dependencies.iter().map(|(k, v)| (*k, *v)));
                 }
                 let (mode, handle_nanos) = (prepared.mode, prepared.handle_nanos);
                 self.record_visible(&held.delivery, mode, held.popped_nanos, handle_nanos, marks);
@@ -128,33 +129,22 @@ impl Subscriber {
     }
 
     /// One decoded delivery up to its ORM apply. On its first run it
-    /// passes the generation gate and prepares its wait set; every run
-    /// then checks the wait set and, when it holds, applies.
-    fn process_decoded<'a>(
-        &'a self,
+    /// settles its mode and prepares its wait set; every run then checks
+    /// the wait set and, when it holds, applies.
+    fn process_decoded(
+        &self,
         prepared: &mut Prepared,
         first: bool,
         kind: Kind,
         tag: u64,
-        lane: &mut Lane<'a>,
+        lane: &mut Lane<'_>,
     ) -> Result<Processed, ProcessError> {
         if first {
-            // (A copy carries generation 1 and so never trips the gate.)
-            if self.generation_pending(&prepared.msg) {
-                // The gate write-waits on in-flight readers: land our own
-                // staged work and step outside the barrier before taking
-                // it.
-                self.flush_pending(lane);
-                lane.in_flight = None;
-                let gate = self.generation_gate(&prepared.msg);
-                lane.in_flight = Some(self.gen_barrier.read());
-                gate.map_err(ProcessError::Transient)?;
-            }
             prepared.mode = match kind {
                 // A copy's dependency map holds its admission marker, not
                 // publisher bumps to wait for: it runs as a weak delivery.
                 Kind::Copy => DeliveryMode::Weak,
-                _ => self.effective_mode(&prepared.msg.app),
+                Kind::Live => self.live_mode(&prepared.msg),
             };
             if prepared.mode != DeliveryMode::Weak {
                 prepared.deps = self.filtered_wait_set(&prepared.msg, prepared.mode);
@@ -297,16 +287,19 @@ impl Subscriber {
         if lane.tags.is_empty() {
             return true;
         }
-        let landed = self.store.apply(&lane.dep_keys).is_ok();
+        let landed = self.store.apply(&lane.deps).is_ok();
         if landed {
             self.wake_holders();
         }
         if let Some(consumer) = lane.consumer {
             if landed {
+                // Counted before the ack, so a drained queue's count is
+                // complete; an ack a broker restart voided is taken back.
+                let processed = &self.counters.messages_processed;
+                let staged = lane.tags.len() as u64;
+                processed.fetch_add(staged, Ordering::Relaxed);
                 let acked = consumer.ack_batch(&lane.tags);
-                self.counters
-                    .messages_processed
-                    .fetch_add(acked, Ordering::Relaxed);
+                processed.fetch_sub(staged - acked, Ordering::Relaxed);
                 let mut attempts = self.attempts.lock();
                 for tag in &lane.tags {
                     attempts.remove(tag);
@@ -321,7 +314,7 @@ impl Subscriber {
             }
         }
         lane.tags.clear();
-        lane.dep_keys.clear();
+        lane.deps.clear();
         landed
     }
 
@@ -344,13 +337,13 @@ impl Subscriber {
     /// message with its dependencies released. A lane with no consumer has
     /// no queue to settle against: its error goes back to the caller of
     /// [`Subscriber::process`] untouched — the copier's lane among them.
-    fn fail<'a>(
-        &'a self,
+    fn fail(
+        &self,
         delivery: &Delivery,
         kind: Kind,
         error: ProcessError,
         msg: Option<&WriteMessage>,
-        lane: &mut Lane<'a>,
+        lane: &mut Lane<'_>,
     ) -> ProcessError {
         let Some(consumer) = lane.consumer else {
             return error;
@@ -387,14 +380,11 @@ impl Subscriber {
             return error;
         }
         self.counters.retries.fetch_add(1, Ordering::Relaxed);
-        // Land finished work and release the in-flight marker before
-        // sleeping: a backoff must not hold up a generation barrier or
-        // drain.
+        // Land finished work before sleeping: a backoff must not hold it
+        // unacked.
         self.flush_pending(lane);
-        lane.in_flight = None;
         std::thread::sleep(backoff(attempts));
         consumer.nack(delivery.tag);
-        lane.in_flight = Some(self.gen_barrier.read());
         error
     }
 
@@ -412,7 +402,7 @@ impl Subscriber {
             return;
         }
         if let Some(msg) = msg {
-            if self.store.apply(&msg.dep_keys()).is_ok() {
+            if self.store.apply(&msg.dep_list()).is_ok() {
                 self.wake_holders();
             }
         }
@@ -455,30 +445,6 @@ impl Subscriber {
                 panic_message(panic.as_ref())
             ))),
         }
-    }
-
-    /// Whether `msg` carries a generation newer than the last one seen
-    /// from its app (the caller's check before it steps outside the barrier
-    /// for [`Subscriber::generation_gate`]).
-    fn generation_pending(&self, msg: &WriteMessage) -> bool {
-        let gens = self.generations.lock();
-        msg.generation > gens.get(&msg.app).copied().unwrap_or(1)
-    }
-
-    /// §4.4's generation barrier: when a message carries a newer generation,
-    /// wait for in-flight messages, flush the version store, advance.
-    fn generation_gate(&self, msg: &WriteMessage) -> Result<(), String> {
-        let _drain = self.gen_barrier.write();
-        let mut gens = self.generations.lock();
-        let current = gens.entry(msg.app.clone()).or_insert(1);
-        if msg.generation > *current {
-            *current = msg.generation;
-            self.store.flush().map_err(|e| e.to_string())?;
-            self.counters
-                .generation_flushes
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
     }
 
     /// The message's dependencies, filtered per the effective mode (a

@@ -20,8 +20,9 @@
 //!   replicated, so a counter collision can never decide freshness.
 //!
 //! Killing a shard ([`VersionStore::kill_shard`]) loses that shard's part
-//! of both maps; [`VersionStore::kill`] and [`VersionStore::flush`] lose
-//! both everywhere.
+//! of both maps; [`VersionStore::kill`] loses both everywhere.
+//! Every counter and scalar version carries its generation ([`versioned`]):
+//! one of an older generation reads as absent, so no bump flushes.
 //!
 //! This crate reproduces that stack:
 //!
@@ -52,10 +53,10 @@ mod ring;
 mod store;
 mod vector;
 
-pub use generation::GenerationStore;
+pub use generation::{versioned, GenerationStore};
 pub use ring::HashRing;
 pub use store::{
-    Admission, AdmitRule, BumpScratch, DepKey, DepWaitSet, ObjectVersion, StoreDump, StoreError,
-    StoreTimingSnapshot, Verdict, VersionStore, WaitOutcome,
+    Admission, AdmitRule, AppliedDep, BumpScratch, DepKey, DepWaitSet, ObjectVersion, StoreDump,
+    StoreError, StoreTimingSnapshot, Verdict, VersionStore, WaitOutcome,
 };
 pub use vector::{Dominance, VersionVector};

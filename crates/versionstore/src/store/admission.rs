@@ -70,7 +70,9 @@ pub enum Verdict {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObjectVersion {
     /// A single-writer object: the publisher's `ops` count before the
-    /// write (the value its object dependency carries).
+    /// write (the value its object dependency carries). It is a value of a
+    /// generation ([`crate::versioned`]), so a write of an older generation
+    /// is stale against any version of a newer one.
     Scalar(u64),
     /// A multi-writer object: its per-writer history, and the LWW stamp
     /// `(history length, writer)` of the content the version stands for

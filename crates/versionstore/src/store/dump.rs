@@ -21,7 +21,9 @@ impl VersionStore {
     /// bootstrap (§4.4: "all current publisher versions are sent in
     /// bulk").
     pub fn dump(&self) -> Result<StoreDump, StoreError> {
-        self.check_alive()?;
+        if self.is_dead() {
+            return Err(StoreError::Dead);
+        }
         // Sized from a first pass, so the sections never regrow; entries
         // that land between the two passes only cost a regrowth.
         let mut sizes = [0; 2];
@@ -49,7 +51,9 @@ impl VersionStore {
     /// admission commits them — and wakes waiters on touched shards. Max-merge makes the load idempotent and safe to
     /// combine with live traffic racing in after recovery.
     pub fn load_dump(&self, dump: &StoreDump) -> Result<(), StoreError> {
-        self.check_alive()?;
+        if self.is_dead() {
+            return Err(StoreError::Dead);
+        }
         let routes: Vec<usize> = (dump.counters.iter().map(|c| c.0))
             .chain(dump.objects.iter().map(|o| o.0))
             .map(|key| self.ring.route(key))

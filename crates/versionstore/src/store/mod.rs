@@ -11,6 +11,7 @@ mod tests;
 pub use admission::{Admission, AdmitRule, ObjectVersion, Verdict};
 pub use dump::StoreDump;
 
+use crate::generation::{generation_start, versioned};
 use crate::ring::HashRing;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -23,6 +24,25 @@ use std::time::{Duration, Instant};
 /// stable hash function at the publisher ... all version stores consume
 /// O(1) memory").
 pub type DepKey = u64;
+
+/// A dependency as [`VersionStore::apply`] counts it: a message's `(key,
+/// value)`, in the value's generation, or a bare key, in generation 1.
+pub trait AppliedDep: Copy {
+    /// The key, and a value of the generation to count it in.
+    fn key_value(self) -> (DepKey, u64);
+}
+
+impl AppliedDep for DepKey {
+    fn key_value(self) -> (DepKey, u64) {
+        (self, 0)
+    }
+}
+
+impl AppliedDep for (DepKey, u64) {
+    fn key_value(self) -> (DepKey, u64) {
+        self
+    }
+}
 
 /// Stripes of the per-object admission lock ([`VersionStore::reserve`]).
 const ADMISSION_STRIPES: usize = 256;
@@ -105,6 +125,7 @@ pub struct StoreTimingSnapshot {
 /// referenced it, and `version`, the `ops` value of the last write — the
 /// publisher's version mark, which read dependencies carry. A subscriber
 /// advances `ops` only; its `version` is whatever bootstrap step 1 loaded.
+/// Both are values of a generation ([`crate::versioned`]).
 #[derive(Debug, Default, Clone, Copy)]
 struct Counter {
     ops: u64,
@@ -125,6 +146,12 @@ struct Maps {
 impl Maps {
     fn len(&self) -> usize {
         self.counters.len() + self.objects.len()
+    }
+
+    /// §4.2's `ops(key) >= required`, an older generation's ops as absent.
+    fn reached(&self, key: DepKey, required: u64) -> bool {
+        let ops = self.counters.get(&key).map_or(0, |c| c.ops);
+        ops.max(generation_start(required)) >= required
     }
 }
 
@@ -150,6 +177,11 @@ pub struct VersionStore {
     /// Per-object exclusion for [`VersionStore::reserve`], striped by
     /// object.
     stripes: Vec<admission::Stripe>,
+    /// Where the publisher's generation starts: a bump reads a counter
+    /// below it as absent ([`VersionStore::enter_generation`]).
+    generation: AtomicU64,
+    /// Whether a shard lost its contents within the generation.
+    lost: AtomicBool,
 }
 
 impl VersionStore {
@@ -161,7 +193,17 @@ impl VersionStore {
             ring,
             timing: StoreTiming::default(),
             stripes: (0..ADMISSION_STRIPES).map(|_| Default::default()).collect(),
+            generation: AtomicU64::new(0),
+            lost: AtomicBool::new(false),
         }
+    }
+
+    /// A publisher's store enters its app's `generation` (§4.4): the bump
+    /// script restarts each older counter at count 0 when it touches it.
+    pub fn enter_generation(&self, generation: u64) {
+        self.generation
+            .fetch_max(versioned(generation, 0), Ordering::SeqCst);
+        self.lost.store(false, Ordering::SeqCst);
     }
 
     /// Apply/wait call counts and wall time since construction.
@@ -171,15 +213,6 @@ impl VersionStore {
             apply_nanos: self.timing.apply_nanos.load(Ordering::Relaxed),
             waits: self.timing.waits.load(Ordering::Relaxed),
             wait_nanos: self.timing.wait_nanos.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Whole-store operations fail while *any* shard is dead.
-    fn check_alive(&self) -> Result<(), StoreError> {
-        if self.is_dead() {
-            Err(StoreError::Dead)
-        } else {
-            Ok(())
         }
     }
 
@@ -195,9 +228,10 @@ impl VersionStore {
 
     /// Kills one shard: its contents — counters and objects alike — are
     /// lost and every operation routed to it fails until
-    /// [`VersionStore::revive_shard`]. Out-of-range indexes are ignored.
+    /// [`VersionStore::revive`]. Out-of-range indexes are ignored.
     pub fn kill_shard(&self, index: usize) {
         if let Some(shard) = self.shards.get(index) {
+            self.lost.store(true, Ordering::SeqCst);
             shard.dead.store(true, Ordering::SeqCst);
             *shard.maps.lock() = Maps::default();
             // Wake all waiters so they observe death instead of hanging.
@@ -205,20 +239,13 @@ impl VersionStore {
         }
     }
 
-    /// Revives a killed shard, empty. Out-of-range indexes are ignored.
-    pub fn revive_shard(&self, index: usize) {
-        if let Some(shard) = self.shards.get(index) {
-            shard.dead.store(false, Ordering::SeqCst);
-            shard.changed.notify_all();
-        }
-    }
-
     /// Whether one shard is currently dead.
     pub fn shard_is_dead(&self, index: usize) -> bool {
-        self.shards
-            .get(index)
-            .map(|s| s.dead.load(Ordering::SeqCst))
-            .unwrap_or(false)
+        index < self.shards.len() && self.dead(index)
+    }
+
+    fn dead(&self, index: usize) -> bool {
+        self.shards[index].dead.load(Ordering::SeqCst)
     }
 
     /// Shard index a counter key or object routes to (for
@@ -237,14 +264,15 @@ impl VersionStore {
 
     /// Revives every killed shard, empty.
     pub fn revive(&self) {
-        for index in 0..self.shards.len() {
-            self.revive_shard(index);
+        for shard in &self.shards {
+            shard.dead.store(false, Ordering::SeqCst);
+            shard.changed.notify_all();
         }
     }
 
     /// Returns `true` while any shard is dead. A partially-dead store is
     /// reported dead because the bump protocol cannot guarantee a complete
-    /// dependency picture (§4.2), and recovery (generation bump + flush or
+    /// dependency picture (§4.2), and recovery (a generation bump or a
     /// bootstrap) is whole-store.
     pub fn is_dead(&self) -> bool {
         self.shards.iter().any(|s| s.dead.load(Ordering::SeqCst))
@@ -280,7 +308,9 @@ impl VersionStore {
     /// `ops`; for write dependencies, set `version = ops`. `out` receives
     /// the dependency values to embed in the message — `version` for read
     /// dependencies, `version - 1` for write dependencies — cleared first
-    /// and filled in `deps` order.
+    /// and filled in `deps` order, in the store's generation. Once a shard
+    /// has lost its contents within the generation, revived or not, the
+    /// script fails with [`StoreError::Dead`]: the publisher bumps it.
     ///
     /// `deps` pairs each key with `is_write`. The route table and
     /// touched-shard map live in the caller's `scratch`, so they and `out`
@@ -292,6 +322,9 @@ impl VersionStore {
         out: &mut Vec<(DepKey, u64)>,
     ) -> Result<(), StoreError> {
         out.clear();
+        if self.lost.load(Ordering::SeqCst) {
+            return Err(StoreError::Dead);
+        }
         scratch.routes.clear();
         scratch.touched.clear();
         scratch.touched.resize(self.shards.len(), false);
@@ -299,12 +332,13 @@ impl VersionStore {
         // dead (the same all-or-nothing semantics as `apply`).
         for (key, _) in deps {
             let route = self.ring.route(*key);
-            if self.shards[route].dead.load(Ordering::SeqCst) {
+            if self.dead(route) {
                 return Err(StoreError::Dead);
             }
             scratch.touched[route] = true;
             scratch.routes.push(route);
         }
+        let start = self.generation.load(Ordering::SeqCst);
         // Lock touched shards in index order (cross-shard atomicity without
         // deadlocks). The guard vector itself is per-call — guards borrow
         // `self` — but it is the only allocation left on this path.
@@ -317,6 +351,8 @@ impl VersionStore {
         for ((key, is_write), shard_idx) in deps.iter().zip(&scratch.routes) {
             let guard = guards[*shard_idx].as_mut().expect("routed shard locked");
             let counter = guard.counters.entry(*key).or_default();
+            counter.ops = counter.ops.max(start);
+            counter.version = counter.version.max(start);
             counter.ops += 1;
             let value = if *is_write {
                 counter.version = counter.ops;
@@ -345,7 +381,8 @@ impl VersionStore {
     /// Blocks until every `(key, required)` pair of a prepared set satisfies
     /// `ops(key) >= required`, or the deadline passes (§4.2: the subscriber
     /// "waits until all specified dependencies' versions in its version
-    /// store are greater than or equal to those in the message"). One lock
+    /// store are greater than or equal to those in the message"); a counter
+    /// from an older generation than `required`'s reads as absent. One lock
     /// per touched shard, with all of a shard's keys re-checked under that
     /// single lock after each wakeup.
     pub fn wait_prepared(
@@ -367,38 +404,26 @@ impl VersionStore {
         set: &DepWaitSet,
         deadline: Instant,
     ) -> Result<WaitOutcome, StoreError> {
-        let mut start = 0;
-        while start < set.entries.len() {
-            let shard_idx = set.entries[start].0 as usize;
-            let mut end = start + 1;
-            while end < set.entries.len() && set.entries[end].0 as usize == shard_idx {
-                end += 1;
-            }
-            let shard = &self.shards[shard_idx];
+        for group in set.entries.chunk_by(|a, b| a.0 == b.0) {
+            let shard = &self.shards[group[0].0 as usize];
             let mut maps = shard.maps.lock();
             // `done` only advances: ops counters are monotonic while the
             // shard lock is dropped during a wait.
-            let mut done = start;
+            let mut done = 0;
             loop {
                 if shard.dead.load(Ordering::SeqCst) {
                     return Err(StoreError::Dead);
                 }
-                while done < end {
-                    let (_, key, required) = set.entries[done];
-                    if maps.counters.get(&key).map_or(0, |c| c.ops) >= required {
-                        done += 1;
-                    } else {
-                        break;
-                    }
+                while done < group.len() && maps.reached(group[done].1, group[done].2) {
+                    done += 1;
                 }
-                if done == end {
+                if done == group.len() {
                     break;
                 }
                 if shard.changed.wait_until(&mut maps, deadline).timed_out() {
                     return Ok(WaitOutcome::TimedOut);
                 }
             }
-            start = end;
         }
         Ok(WaitOutcome::Ready)
     }
@@ -408,60 +433,50 @@ impl VersionStore {
     /// when an earlier key is already unsatisfied: liveness is checked up
     /// front, before any counter is read.
     pub fn satisfied_prepared(&self, set: &DepWaitSet) -> Result<bool, StoreError> {
-        let mut previous = usize::MAX;
-        for (shard, _, _) in &set.entries {
-            let shard_idx = *shard as usize;
-            if shard_idx != previous {
-                if self.shards[shard_idx].dead.load(Ordering::SeqCst) {
-                    return Err(StoreError::Dead);
-                }
-                previous = shard_idx;
-            }
+        if set.entries.iter().any(|entry| self.dead(entry.0 as usize)) {
+            return Err(StoreError::Dead);
         }
-        let mut start = 0;
-        while start < set.entries.len() {
-            let shard_idx = set.entries[start].0 as usize;
-            let mut end = start + 1;
-            while end < set.entries.len() && set.entries[end].0 as usize == shard_idx {
-                end += 1;
+        for group in set.entries.chunk_by(|a, b| a.0 == b.0) {
+            let maps = self.shards[group[0].0 as usize].maps.lock();
+            if !group
+                .iter()
+                .all(|(_, key, required)| maps.reached(*key, *required))
+            {
+                return Ok(false);
             }
-            let maps = self.shards[shard_idx].maps.lock();
-            for (_, key, required) in &set.entries[start..end] {
-                if maps.counters.get(key).map_or(0, |c| c.ops) < *required {
-                    return Ok(false);
-                }
-            }
-            start = end;
         }
         Ok(true)
     }
 
     /// The subscriber's post-processing script: increment `ops` for every
-    /// dependency in the message, waking any waiters.
+    /// dependency in the message, waking any waiters. Each counts in its
+    /// generation ([`AppliedDep`]): an older counter restarts at its count
+    /// 0, and a newer one is left alone (a late write counts nothing).
     ///
-    /// Accepts the concatenated key lists of a whole message batch: each
-    /// touched shard is locked once for the entire call, and only the shards
-    /// actually touched are notified — causal waiters parked on unrelated
-    /// shards are not spuriously woken.
-    pub fn apply(&self, keys: &[DepKey]) -> Result<(), StoreError> {
+    /// Accepts the concatenated dependency lists of a whole message batch:
+    /// each touched shard is locked once for the entire call, and only the
+    /// shards actually touched are notified — causal waiters parked on
+    /// unrelated shards are not spuriously woken.
+    pub fn apply<D: AppliedDep>(&self, deps: &[D]) -> Result<(), StoreError> {
         let begun = Instant::now();
-        let routes: Vec<usize> = keys.iter().map(|k| self.ring.route(*k)).collect();
-        // Key-routed: fails only when one of *its* shards is dead.
-        if routes
+        let routes: Vec<usize> = deps
             .iter()
-            .any(|r| self.shards[*r].dead.load(Ordering::SeqCst))
-        {
+            .map(|d| self.ring.route(d.key_value().0))
+            .collect();
+        // Key-routed: fails only when one of *its* shards is dead.
+        if routes.iter().any(|r| self.dead(*r)) {
             return Err(StoreError::Dead);
         }
         let mut guards = self.lock_routed(&routes);
-        for (key, shard_idx) in keys.iter().zip(&routes) {
-            guards[*shard_idx]
-                .as_mut()
-                .expect("routed shard locked")
-                .counters
-                .entry(*key)
-                .or_default()
-                .ops += 1;
+        for (dep, shard_idx) in deps.iter().zip(&routes) {
+            let (key, value) = dep.key_value();
+            let start = generation_start(value);
+            let guard = guards[*shard_idx].as_mut().expect("routed shard locked");
+            let counter = guard.counters.entry(key).or_default();
+            counter.ops = counter.ops.max(start);
+            if generation_start(counter.ops) == start {
+                counter.ops += 1;
+            }
         }
         self.release_notify(guards);
         self.timing.applies.fetch_add(1, Ordering::Relaxed);
@@ -489,18 +504,6 @@ impl VersionStore {
             .get(&key)
             .copied()
             .unwrap_or_default())
-    }
-
-    /// Clears both maps (generation change, §4.4: subscribers "flush
-    /// their version store"): the publisher restarted its counters, so
-    /// every version recorded against the old ones is void.
-    pub fn flush(&self) -> Result<(), StoreError> {
-        self.check_alive()?;
-        for shard in &self.shards {
-            *shard.maps.lock() = Maps::default();
-            shard.changed.notify_all();
-        }
-        Ok(())
     }
 
     /// Number of entries across all shards, counting both maps: counters

@@ -1,4 +1,5 @@
 use super::*;
+use crate::generation::versioned;
 use crate::vector::{Dominance, VersionVector};
 use std::thread;
 
@@ -233,12 +234,20 @@ fn shard_kill_is_partial() {
     assert_eq!(store.ops(key_b).unwrap(), 2);
     // Whole-store operations refuse to run on a partially-dead store.
     assert_eq!(store.dump(), Err(StoreError::Dead));
-    assert_eq!(store.flush(), Err(StoreError::Dead));
 
-    store.revive_shard(shard_a);
+    store.revive();
     assert!(!store.is_dead());
     assert_eq!(store.ops(key_a).unwrap(), 0, "shard contents were lost");
     assert_eq!(store.ops(key_b).unwrap(), 2, "other shard kept its data");
+    // The counts no longer compare within the generation: the bump script
+    // fails, revived or not, until the store enters a new one.
+    let mut out = Vec::new();
+    let script = [(key_b, true)];
+    let mut bump_b = || store.publish_bump_into(&script, &mut BumpScratch::default(), &mut out);
+    assert_eq!(bump_b(), Err(StoreError::Dead));
+    store.enter_generation(2);
+    assert_eq!(bump_b(), Ok(()));
+    assert_eq!(out, vec![(key_b, versioned(2, 0))]);
 }
 
 #[test]
@@ -733,14 +742,51 @@ fn dump_roundtrips_vector_entries() {
     );
 }
 
+/// §4.4 without a flush: a subscriber counts each dependency in its
+/// value's generation. A counter from an older generation reads as absent
+/// (a newer generation's count 0 is satisfied at once, its count 1 waits
+/// for the newer generation's first apply), and a late apply of the older
+/// generation leaves a newer counter alone.
 #[test]
-fn flush_clears_counters() {
+fn an_older_generation_reads_as_absent_and_its_late_applies_are_void() {
     let store = VersionStore::new(2);
-    store.apply(&[1, 2, 3]).unwrap();
-    advance_scalar(&store, 1, 4);
-    assert_eq!(store.len(), 4, "three counters, one object");
-    store.flush().unwrap();
-    assert!(store.is_empty());
+    store.apply(&[1, 1, 1]).unwrap();
+    assert!(satisfied(&store, &[(1, 3)]));
+    let (g2_first, g2_second) = (versioned(2, 0), versioned(2, 1));
+    assert!(
+        satisfied(&store, &[(1, g2_first)]),
+        "count 0 waits on nothing"
+    );
+    assert!(!satisfied(&store, &[(1, g2_second)]));
+    store.apply(&[(1, g2_first)]).unwrap();
+    assert_eq!(store.ops(1).unwrap(), versioned(2, 1), "restarted at zero");
+    assert!(satisfied(&store, &[(1, g2_second)]));
+    store.apply(&[(1, 3u64)]).unwrap();
+    assert_eq!(
+        store.ops(1).unwrap(),
+        versioned(2, 1),
+        "a late apply is void"
+    );
+    assert!(satisfied(&store, &[(1, 3)]), "older waits stay satisfied");
+}
+
+/// The publisher side: once its store enters a generation, every counter
+/// of an older one restarts at count 0 on its next bump — read marks
+/// included — and the others keep counting.
+#[test]
+fn a_publisher_bump_restarts_older_generation_counters_lazily() {
+    let store = VersionStore::new(2);
+    assert_eq!(bump(&store, &[(1, true), (2, false)]), vec![(1, 0), (2, 0)]);
+    assert_eq!(bump(&store, &[(1, true)]), vec![(1, 1)]);
+    store.enter_generation(3);
+    store.enter_generation(2);
+    let g3 = |count| versioned(3, count);
+    assert_eq!(
+        bump(&store, &[(1, true), (2, false)]),
+        vec![(1, g3(0)), (2, g3(0))]
+    );
+    assert_eq!(bump(&store, &[(1, true)]), vec![(1, g3(1))]);
+    assert_eq!(store.latest_version(1).unwrap(), g3(2));
 }
 
 /// A batched apply (concatenated key lists of several messages) must

@@ -36,8 +36,11 @@ cargo test -q
 # The allocation ceilings again, in the profile the benchmark builds.
 cargo test -q --release --test alloc_budget
 
-# Pinned-seed soak: deterministic replay of the fault schedule.
-SYNAPSE_SEED="${SYNAPSE_SEED:-24210775}" cargo test -q --test fault_soak
+# Pinned-seed soak: deterministic replay of the fault schedule, plus the
+# sweep over seeds 1–30 (SYNAPSE_SOAK_SWEEP=0 skips the sweep).
+SYNAPSE_SEED="${SYNAPSE_SEED:-24210775}" \
+  SYNAPSE_SOAK_SWEEP="${SYNAPSE_SOAK_SWEEP:-1}" \
+  cargo test -q --test fault_soak
 
 # Live-bootstrap soak: chunked recovery under the same seed of record
 # (see EXPERIMENTS.md "§4.4 — live-bootstrap soak"), plus the 10-seed

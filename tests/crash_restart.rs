@@ -891,11 +891,10 @@ fn unknown_magic_snapshot_is_skipped_and_node_recovers_by_replay_and_bootstrap()
 
 /// A restarted durable publisher restores its store from a snapshot taken
 /// before its last updates, so a row's counter restarts below the version
-/// its subscriber recorded; and since every node build starts at
-/// generation 1, no generation barrier tells the subscriber so. Its next
-/// update must still replicate, not be judged stale by live admission.
+/// its subscriber recorded. The restart bumps the durable generation, so
+/// its next update carries a version of the new generation, which live
+/// admission takes over any of the older one.
 #[test]
-#[ignore = "§4.4 defect, unfixed: a restarted publisher's next update is discarded as stale (ROADMAP)"]
 fn a_restarted_durable_publisher_s_next_update_is_not_discarded() {
     let root = temp_dir("pub-restart");
     let pub_adapter = Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off()));

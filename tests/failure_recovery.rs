@@ -223,7 +223,7 @@ fn publisher_store_death_bumps_generation_and_subscribers_flush() {
     assert!(eventually(Duration::from_secs(5), || {
         subscriber.orm().find("Post", b.id).unwrap().is_some()
     }));
-    assert!(subscriber.subscriber_stats().generation_flushes >= 1);
+    assert!(subscriber.subscriber_stats().generation_advances >= 1);
     eco.stop_all();
 }
 
