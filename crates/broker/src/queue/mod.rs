@@ -723,7 +723,7 @@ impl Queue {
         // deadlock-free: the commit protocol takes only the WAL's own
         // staging and IO locks, never a partition lock, and the leader
         // finishes every epoch in bounded time — so this thread's epoch
-        // is always drained. Concurrent enqueues blocked on *this*
+        // is always drained. Parallel enqueues blocked on *this*
         // queue's partitions simply wait their turn; enqueues to other
         // queues share the group commit with the checkpoint itself.
         let mut buf = Vec::with_capacity(256);

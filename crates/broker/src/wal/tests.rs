@@ -278,7 +278,7 @@ fn crc32_slicing_matches_bytewise_reference() {
     assert_eq!(crc32(&buf[..1 << 20]), bytewise_crc32(&buf[..1 << 20]));
 }
 
-/// Concurrent appenders through the group-commit protocol: every
+/// Parallel appenders through the group-commit protocol: every
 /// confirmed append replays, in a per-thread-FIFO-consistent order,
 /// and the leader amortizes fsyncs below one-per-append.
 #[test]

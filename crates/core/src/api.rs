@@ -30,9 +30,9 @@ pub struct Publication {
     /// `true` for DB-less published models (§3.1 ephemerals).
     pub ephemeral: bool,
     /// `true` when other services may concurrently write this model too
-    /// (multi-writer replication): outgoing messages carry version vectors
-    /// and concurrent remote writes settle last-writer-wins instead of
-    /// being rejected by the §3.1 single-writer ownership rule.
+    /// (multi-writer replication): outgoing messages carry a last-writer-wins
+    /// stamp per object, and concurrent remote writes settle by it instead
+    /// of being rejected by the §3.1 single-writer ownership rule.
     pub bidirectional: bool,
 }
 
@@ -98,8 +98,8 @@ pub struct Subscription {
     pub observer: bool,
     /// `true` when this service also *publishes* the same model
     /// (multi-writer replication): the subscription's attributes stay
-    /// locally writable, and a concurrent incoming write applies only when
-    /// it wins last-writer-wins by version-vector stamp.
+    /// locally writable, and an incoming write applies only when its
+    /// last-writer-wins stamp is not below the stored one.
     pub bidirectional: bool,
 }
 

@@ -129,7 +129,7 @@ impl SynapseNode {
     /// - Every attempt copies from the first row. Admission refuses each
     ///   row an earlier attempt already copied, so a failed attempt's work
     ///   is re-read but never re-written.
-    /// - Concurrent writes are reconciled by version admission alone
+    /// - Writes racing the copy are reconciled by version admission alone
     ///   ([`synapse_versionstore::AdmitRule::Copy`]): a copy lands only if
     ///   its marker strictly beats the locally committed version —
     ///   destroy tombstones included, so a row deleted mid-chunk cannot be
@@ -282,7 +282,8 @@ impl SynapseNode {
     /// The publisher's side of one chunk: the next [`BOOTSTRAP_CHUNK_ROWS`]
     /// rows of `model` after id `after`, each encoded as a real write
     /// message whose object dependency carries its marker and, for a
-    /// bidirectional model, whose vector rides under the mesh name's key.
+    /// bidirectional model, whose LWW stamp rides under the mesh name's
+    /// key.
     /// `None` when the table is exhausted.
     ///
     /// Each record's ops count is captured *before* the row is re-read for
@@ -315,19 +316,19 @@ impl SynapseNode {
                 .ops(key)
                 .map_err(|_| OrmError::Db(DbError::Unavailable))?;
             let marker = ops.saturating_sub(1);
-            // Bidirectional copies carry the publisher's full version
-            // vector (captured before the re-read, like the marker), read
-            // under the object's writer-independent mesh identity in the
-            // publisher's sub store — where its own stamps and every remote
-            // writer's applied writes fold in.
-            let mut vectors = BTreeMap::new();
+            // Bidirectional copies carry the stamp of the content they copy
+            // (captured before the re-read, like the marker): the winner
+            // the publisher's sub store holds under the object's
+            // writer-independent mesh identity, where its own stamps and
+            // every remote writer's applied writes meet.
+            let mut stamps = BTreeMap::new();
             if publication.bidirectional {
                 let mesh = mesh_object(model, record.id);
-                let vector = self
+                let stamp = self
                     .sub_store
-                    .latest_vector(mesh.identity())
+                    .latest_stamp(mesh.identity())
                     .map_err(|_| OrmError::Db(DbError::Unavailable))?;
-                vectors.insert(space.key(&mesh), vector);
+                stamps.insert(space.key(&mesh), stamp);
             }
             // Re-read the row now that its marker floor is pinned; a row
             // deleted meanwhile is skipped (its destroy message is in the
@@ -349,7 +350,7 @@ impl SynapseNode {
                 1,
                 op,
                 0,
-                &vectors,
+                &stamps,
             );
             copies.push(SharedStr::from(text.as_str()));
         }

@@ -12,7 +12,7 @@ use synapse_orm::adapters::MongoidAdapter;
 /// A chunk's copy messages carry the bytes the marshalled-record path
 /// built: published fields only, a getter's value, explicit nulls, the
 /// type chain, the marker dependency and, for a bidirectional model, the
-/// vector.
+/// LWW stamp.
 #[test]
 fn a_chunk_copy_encodes_like_the_marshalled_record() {
     for bidirectional in [false, true] {
@@ -73,9 +73,9 @@ fn a_chunk_copy_encodes_like_the_marshalled_record() {
                 dependencies: sent.dependencies,
                 published_at: 0,
                 generation: 1,
-                vectors: sent.vectors,
+                stamps: sent.stamps,
             };
-            assert_eq!(oracle.vectors.is_empty(), !bidirectional);
+            assert_eq!(oracle.stamps.is_empty(), !bidirectional);
             assert_eq!(**copy, oracle.encode());
         }
     }

@@ -68,9 +68,9 @@ pub(crate) struct TxBuffer {
     /// from *before* the transaction — its own operations satisfy the
     /// intra-transaction dependencies atomically.
     pub(crate) bumped: std::collections::BTreeMap<DepKey, u64>,
-    /// Version vectors of buffered bidirectional writes, joined per key
+    /// LWW stamps of buffered bidirectional writes, the greatest per key
     /// (multi-writer replication).
-    pub(crate) vectors: std::collections::BTreeMap<DepKey, synapse_versionstore::VersionVector>,
+    pub(crate) stamps: std::collections::BTreeMap<DepKey, synapse_versionstore::Stamp>,
 }
 
 /// Per-scope measurement summary returned by [`with_scope`].

@@ -45,19 +45,19 @@ fn fnv1a_on(h: u64, s: &str) -> u64 {
         .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
 }
 
-/// The stable writer id of an application — the version-vector component
-/// key its writes bump. Derived from the app name with the same FNV-1a
+/// The stable writer id of an application — the tie-breaking half of its
+/// writes' LWW stamps. Derived from the app name with the same FNV-1a
 /// hash as dependency names, so every node computes identical ids without
 /// coordination.
 pub fn writer_id(app: &str) -> u64 {
     fnv1a(app)
 }
 
-/// The writer-independent namespace version vectors of bidirectional
+/// The writer-independent namespace the LWW stamps of bidirectional
 /// (multi-writer) models live under. Ordinary dependency names are
 /// namespaced by the *publishing* app (`app/model/id/N`), which is exactly
 /// right for single-writer replication but would split a multi-writer
-/// object's history across one key per writer — concurrent writes would
+/// object's stamps across one key per writer — concurrent writes would
 /// never meet for comparison. Mesh names (`~mesh/model/id/N`) give every
 /// writer of an object the *same* key; the `~` prefix keeps them out of
 /// any real app's namespace (app names do not start with `~`).

@@ -4,7 +4,7 @@
 //! other half of a node's soft state — its publisher- and subscriber-side
 //! version stores, each a [`StoreDump`] of two sections: dependency
 //! counters and object admission state (freshness marks, destroy
-//! tombstones, conflict-resolution state). A [`NodeSnapshot`] is a full
+//! tombstones, multi-writer LWW stamps). A [`NodeSnapshot`] is a full
 //! dump of both stores plus the broker WAL position at capture time, so
 //! recovery is: load the latest snapshot, then let WAL replay and a
 //! bootstrap close the gap between the snapshot and the crash. The
@@ -27,14 +27,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use synapse_broker::wal::{crc32, put_u32, put_u64, ByteReader};
 use synapse_broker::LogPos;
-use synapse_versionstore::{ObjectVersion, StoreDump, VersionVector};
+use synapse_versionstore::{ObjectVersion, StoreDump};
 
-// SYNSNAP5: each store is two sections — counters `(key, ops, version)`
-// and objects `(identity, tag, version)`. A file with any other magic (an
-// older format included) fails the magic check and recovery falls back to
-// an older snapshot or to full WAL replay + bootstrap, which is always
-// safe.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"SYNSNAP5";
+// SYNSNAP6: each store is two sections — counters `(key, ops, version)`
+// and objects `(identity, tag, version)`, a mesh version being its stamp
+// `(clock, writer)`. A file with any other magic (an older format
+// included) fails the magic check and recovery falls back to an older
+// snapshot or to full WAL replay + bootstrap, which is always safe.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"SYNSNAP6";
 /// The magic and the body CRC that follows it.
 const HEADER_LEN: usize = SNAPSHOT_MAGIC.len() + 4;
 
@@ -74,15 +74,10 @@ fn put_dump(out: &mut Vec<u8>, dump: &StoreDump) {
                 out.push(SCALAR);
                 put_u64(out, *v);
             }
-            ObjectVersion::Mesh { vector, winner } => {
+            ObjectVersion::Mesh((clock, writer)) => {
                 out.push(MESH);
-                put_u64(out, winner.0);
-                put_u64(out, winner.1);
-                put_u32(out, vector.len() as u32);
-                for &(writer, counter) in vector.components() {
-                    put_u64(out, writer);
-                    put_u64(out, counter);
-                }
+                put_u64(out, *clock);
+                put_u64(out, *writer);
             }
         }
     }
@@ -106,15 +101,7 @@ fn take_dump(r: &mut ByteReader<'_>, cap: usize) -> Option<StoreDump> {
         let object = r.take_u64()?;
         let version = match r.take_u8()? {
             SCALAR => ObjectVersion::Scalar(r.take_u64()?),
-            MESH => {
-                let winner = (r.take_u64()?, r.take_u64()?);
-                let mut vector = VersionVector::new();
-                for _ in 0..take_count(r, cap)? {
-                    let (writer, counter) = (r.take_u64()?, r.take_u64()?);
-                    vector.set(writer, counter);
-                }
-                ObjectVersion::Mesh { vector, winner }
-            }
+            MESH => ObjectVersion::Mesh((r.take_u64()?, r.take_u64()?)),
             _ => return None,
         };
         objects.push((object, version));
@@ -362,24 +349,18 @@ mod tests {
                 counters: vec![(1, 9, 0)],
                 objects: vec![
                     (40, ObjectVersion::Scalar(0)),
-                    (
-                        77,
-                        ObjectVersion::Mesh {
-                            vector: VersionVector::from_components(&[(11, 3), (22, 4)]),
-                            winner: (7, 22),
-                        },
-                    ),
+                    (77, ObjectVersion::Mesh((7, 22))),
                 ],
             },
         }
     }
 
-    /// `sample()` under sequence 0, as the `SYNSNAP5` encoder first wrote
+    /// `sample()` under sequence 0, as the `SYNSNAP6` encoder first wrote
     /// it, field by field. A change here changes the bytes on disk, and
     /// that needs a new magic.
     const GOLDEN: &str = concat!(
-        "53594e534e415035", // magic
-        "d563cc13",         // body CRC
+        "53594e534e415036", // magic
+        "a233eda2",         // body CRC
         "0000000000000000", // seq
         "0300000000000000", // wal_pos.segment
         "8f03000000000000", // wal_pos.offset
@@ -397,7 +378,7 @@ mod tests {
         "0100000000000000",
         "0900000000000000",
         "0000000000000000",
-        // objects: 40 scalar 0; 77 mesh, winner (7, 22), {11: 3, 22: 4}
+        // objects: 40 scalar 0; 77 mesh, stamp (7, 22)
         "02000000",
         "2800000000000000",
         "00",
@@ -406,11 +387,6 @@ mod tests {
         "01",
         "0700000000000000",
         "1600000000000000",
-        "02000000",
-        "0b00000000000000",
-        "0300000000000000",
-        "1600000000000000",
-        "0400000000000000",
     );
 
     #[test]
@@ -512,7 +488,10 @@ mod tests {
         let seq = store.persist(&sample()).unwrap();
         assert!(seq < 9);
         let loaded = store.load_latest().unwrap().unwrap();
-        assert_eq!(loaded.seq, seq, "the older SYNSNAP4 file is preferred");
+        assert_eq!(
+            loaded.seq, seq,
+            "the older current-format file is preferred"
+        );
         assert_eq!(store.stats().skipped_corrupt, 2);
         let _ = fs::remove_dir_all(&dir);
     }

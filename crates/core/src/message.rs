@@ -10,7 +10,7 @@
 use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
 use synapse_model::{wire, Id, ModelError, Record, Value};
-use synapse_versionstore::{DepKey, VersionVector};
+use synapse_versionstore::{DepKey, Stamp};
 
 /// One replicated operation within a message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,14 +62,13 @@ pub struct WriteMessage {
     pub published_at: u64,
     /// Publisher generation (§4.4 recovery).
     pub generation: u64,
-    /// Per-object version vectors for written dependencies — only
-    /// populated for bidirectional (multi-writer) models, where the
-    /// scalar dependency value cannot express which foreign writes this
-    /// one causally follows. Empty for single-writer messages, and
-    /// *omitted from the wire* when empty, so single-writer encodings
-    /// stay byte-identical to the scalar era (old payloads in WAL
-    /// segments decode as an empty map).
-    pub vectors: BTreeMap<DepKey, VersionVector>,
+    /// The last-writer-wins [`Stamp`] of each written object, under its
+    /// mesh name's key — only populated for bidirectional (multi-writer)
+    /// models, whose writers' scalar dependency values never meet.
+    /// Empty for single-writer messages, and *omitted from the wire* when
+    /// empty, so single-writer encodings stay byte-identical to the scalar
+    /// era (old payloads in WAL segments decode as an empty map).
+    pub stamps: BTreeMap<DepKey, Stamp>,
 }
 
 impl WriteMessage {
@@ -98,7 +97,7 @@ impl WriteMessage {
                 }
             },
             self.published_at,
-            &self.vectors,
+            &self.stamps,
         );
     }
 
@@ -113,7 +112,7 @@ impl WriteMessage {
     pub fn decode(text: &str) -> Result<WriteMessage, ModelError> {
         let mut r = wire::Reader::new(text);
         let (mut app, mut operations) = (None, None);
-        let (mut dependencies, mut vectors) = (None, None);
+        let (mut dependencies, mut stamps) = (None, None);
         let (mut published_at, mut generation) = (None, None);
         r.object(|r, key| {
             match &*key {
@@ -133,9 +132,7 @@ impl WriteMessage {
                     operations = is_array.then_some(ops);
                 }
                 "dependencies" => dependencies = read_by_key(r, |r| Ok(r.value()?.as_int()))?,
-                "vectors" => {
-                    vectors = read_by_key(r, |r| read_by_key(r, |r| Ok(r.value()?.as_int())))?
-                }
+                "stamps" => stamps = read_by_key(r, read_stamp)?,
                 "published_at" => published_at = r.value()?.as_int(),
                 "generation" => generation = r.value()?.as_int(),
                 _ => drop(r.value()?),
@@ -160,19 +157,12 @@ impl WriteMessage {
             let version = version.ok_or_else(|| malformed("bad dependency version"))?;
             msg.dependencies.insert(key, version as u64);
         }
-        for (k, components) in vectors.unwrap_or_default() {
+        for (k, stamp) in stamps.unwrap_or_default() {
             let key: DepKey = k
                 .parse()
-                .map_err(|_| malformed(&format!("bad vector key {k}")))?;
-            let mut vector = VersionVector::new();
-            for (writer, counter) in components.ok_or_else(|| malformed("bad vector entry"))? {
-                let writer: u64 = writer
-                    .parse()
-                    .map_err(|_| malformed(&format!("bad writer id {writer}")))?;
-                let counter = counter.ok_or_else(|| malformed("bad vector counter"))?;
-                vector.set(writer, counter as u64);
-            }
-            msg.vectors.insert(key, vector);
+                .map_err(|_| malformed(&format!("bad stamp key {k}")))?;
+            let stamp = stamp.ok_or_else(|| malformed("bad stamp"))?;
+            msg.stamps.insert(key, stamp);
         }
         Ok(msg)
     }
@@ -242,6 +232,24 @@ fn read_operation(r: &mut wire::Reader<'_>) -> Result<Result<Operation, ModelErr
     })
 }
 
+/// Reads a stamp, `[clock, writer]`: `None` unless the value is an array
+/// of exactly two integers.
+fn read_stamp(r: &mut wire::Reader<'_>) -> Result<Option<Stamp>, ModelError> {
+    let (mut parts, mut n) = ([None; 2], 0);
+    let is_array = r.array(|r| {
+        let part = r.value()?.as_int();
+        if let Some(slot) = parts.get_mut(n) {
+            *slot = part;
+        }
+        n += 1;
+        Ok(())
+    })?;
+    Ok(match parts {
+        [Some(clock), Some(writer)] if is_array && n == 2 => Some((clock as u64, writer as u64)),
+        _ => None,
+    })
+}
+
 /// Reads an object into its entries by *string* key, as a parsed tree
 /// holds them: the last of a repeated key, in string order — so that
 /// `"07"` and `"7"` stay two entries until the caller parses them, and the
@@ -272,7 +280,7 @@ pub(crate) fn encode_message(
     generation: u64,
     operations: impl FnOnce(&mut String),
     published_at: u64,
-    vectors: &BTreeMap<DepKey, VersionVector>,
+    stamps: &BTreeMap<DepKey, Stamp>,
 ) {
     out.push_str("{\"app\":");
     wire::encode_str(app, out);
@@ -293,13 +301,12 @@ pub(crate) fn encode_message(
     operations(out);
     out.push_str("],\"published_at\":");
     wire::encode_i64(published_at as i64, out);
-    if !vectors.is_empty() {
-        // "vectors" sorts after "published_at", so appending it here
-        // keeps the canonical key order — and omitting it when empty
-        // keeps single-writer messages byte-identical to the scalar
-        // format.
-        out.push_str(",\"vectors\":{");
-        let mut keys: Vec<DepKey> = vectors.keys().copied().collect();
+    if !stamps.is_empty() {
+        // "stamps" sorts after "published_at", so appending it here keeps
+        // the canonical key order — and omitting it when empty keeps
+        // single-writer messages byte-identical to the scalar format.
+        out.push_str(",\"stamps\":{");
+        let mut keys: Vec<DepKey> = stamps.keys().copied().collect();
         keys.sort_unstable_by_key(|key| decimal_order(*key));
         for (i, key) in keys.iter().enumerate() {
             if i > 0 {
@@ -307,19 +314,12 @@ pub(crate) fn encode_message(
             }
             out.push('"');
             wire::encode_u64(*key, out);
-            out.push_str("\":{");
-            let mut writers: Vec<(u64, u64)> = vectors[key].components().to_vec();
-            writers.sort_unstable_by_key(|(writer, _)| decimal_order(*writer));
-            for (j, (writer, counter)) in writers.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                wire::encode_u64(*writer, out);
-                out.push_str("\":");
-                wire::encode_i64(*counter as i64, out);
-            }
-            out.push('}');
+            out.push_str("\":[");
+            let (clock, writer) = stamps[key];
+            wire::encode_i64(clock as i64, out);
+            out.push(',');
+            wire::encode_i64(writer as i64, out);
+            out.push(']');
         }
         out.push('}');
     }
@@ -398,7 +398,7 @@ mod tests {
             dependencies,
             published_at: 1_413_014_340_000_000,
             generation: 1,
-            vectors: BTreeMap::new(),
+            stamps: BTreeMap::new(),
         }
     }
 
@@ -513,26 +513,19 @@ mod tests {
                 dependencies.insert(key, version as u64);
             }
         }
-        let mut vectors = BTreeMap::new();
-        if let Some(vecs) = v.get("vectors").as_map() {
-            for (k, val) in vecs {
+        let mut stamps = BTreeMap::new();
+        if let Some(map) = v.get("stamps").as_map() {
+            for (k, val) in map {
                 let key: DepKey = k
                     .parse()
-                    .map_err(|_| ModelError::Malformed(format!("bad vector key {k}")))?;
-                let comps = val
-                    .as_map()
-                    .ok_or_else(|| ModelError::Malformed("bad vector entry".into()))?;
-                let mut vector = VersionVector::new();
-                for (writer, counter) in comps {
-                    let writer: u64 = writer
-                        .parse()
-                        .map_err(|_| ModelError::Malformed(format!("bad writer id {writer}")))?;
-                    let counter = counter
-                        .as_int()
-                        .ok_or_else(|| ModelError::Malformed("bad vector counter".into()))?;
-                    vector.set(writer, counter as u64);
-                }
-                vectors.insert(key, vector);
+                    .map_err(|_| ModelError::Malformed(format!("bad stamp key {k}")))?;
+                let stamp = match val.as_array() {
+                    Some([clock, writer]) => clock.as_int().zip(writer.as_int()),
+                    _ => None,
+                };
+                let (clock, writer) =
+                    stamp.ok_or_else(|| ModelError::Malformed("bad stamp".into()))?;
+                stamps.insert(key, (clock as u64, writer as u64));
             }
         }
         let published_at = v.get("published_at").as_int().unwrap_or(0) as u64;
@@ -543,12 +536,12 @@ mod tests {
             dependencies,
             published_at,
             generation,
-            vectors,
+            stamps,
         })
     }
 
     /// The historical encoder: build the full `Value` tree (dependency keys
-    /// and vector writers as decimal strings in `BTreeMap<String, _>`s) and
+    /// as decimal strings in `BTreeMap<String, _>`s) and
     /// encode that. The direct writer must reproduce its bytes exactly.
     fn reference_encode(msg: &WriteMessage) -> String {
         let ops: Vec<Value> = msg
@@ -577,14 +570,13 @@ mod tests {
             "published_at" => msg.published_at,
             "generation" => msg.generation,
         };
-        if !msg.vectors.is_empty() {
-            let vectors = msg.vectors.iter().map(|(k, vector)| {
-                let writers = vector.components().iter();
-                let writers = writers.map(|(w, c)| (w.to_string(), Value::from(*c)));
-                (k.to_string(), Value::Map(writers.collect()))
+        if !msg.stamps.is_empty() {
+            let stamps = msg.stamps.iter().map(|(k, &(clock, writer))| {
+                let pair = vec![Value::from(clock), Value::from(writer)];
+                (k.to_string(), Value::Array(pair))
             });
             if let Value::Map(fields) = &mut tree {
-                fields.insert("vectors".to_owned(), Value::Map(vectors.collect()));
+                fields.insert("stamps".to_owned(), Value::Map(stamps.collect()));
             }
         }
         wire::encode(&tree)
@@ -619,7 +611,7 @@ mod tests {
             dependencies: BTreeMap::new(),
             published_at: 0,
             generation: 0,
-            vectors: BTreeMap::new(),
+            stamps: BTreeMap::new(),
         };
         assert_eq!(msg.encode(), reference_encode(&msg));
     }
@@ -631,21 +623,22 @@ mod tests {
         assert_eq!(msg.dep_keys(), vec![77]);
     }
 
-    /// Multi-writer vectors ride an optional trailing field: present only
+    /// Multi-writer stamps ride an optional trailing field: present only
     /// when non-empty, so a single-writer message's bytes are exactly the
     /// scalar-era encoding.
     #[test]
     fn vectors_roundtrip_and_stay_off_single_writer_wire() {
         let plain = fig6b_message();
-        assert!(!plain.encode().contains("vectors"));
+        assert!(!plain.encode().contains("stamps"));
 
         let mut msg = fig6b_message();
-        msg.vectors
-            .insert(77, VersionVector::from_components(&[(9, 2), (10, 5)]));
+        msg.stamps.insert(77, (5, 10));
+        msg.stamps.insert(9, (2, u64::MAX));
         let text = msg.encode();
-        // Writer keys sort lexicographically by decimal, like dep keys.
+        // Keys sort lexicographically by decimal, like dep keys; a writer
+        // id rides as the i64 of its bits.
         assert!(
-            text.contains(r#""vectors":{"77":{"10":5,"9":2}}"#),
+            text.contains(r#""stamps":{"77":[5,10],"9":[2,-1]}"#),
             "unexpected encoding: {text}"
         );
         let decoded = WriteMessage::decode(&text).unwrap();
@@ -694,7 +687,7 @@ mod tests {
             r#"[{"app":"a","operations":[]}]"#.to_owned(),
             r#""app""#.to_owned(),
             whole(r#","dependencies":[1,2]"#),
-            whole(r#","vectors":7"#),
+            whole(r#","stamps":7"#),
             whole(r#","published_at":1.5,"generation":null"#),
             whole(r#","published_at":-1,"generation":-1"#),
             whole(r#","published_at":92233720368547758080"#),
@@ -714,7 +707,7 @@ mod tests {
             one_op(r#"{"id":1,"operation":"create","types":["T"],"attributes":{"a":1,"a":2}}"#),
             one_op(r#"{"id":1,"id":2,"operation":"x","operation":"y","types":[],"types":["T"]}"#),
             one_op(r#"{"id":1,"operation":"create","types":["T"],"more":[{"id":2}]}"#),
-            // Dependency and vector keys are parsed from their *strings*.
+            // Dependency and stamp keys are parsed from their *strings*.
             whole(r#","dependencies":{"7":1,"07":2,"+7":3}"#),
             whole(r#","dependencies":{"07":2,"7":1}"#),
             whole(r#","dependencies":{"0":1,"00":2}"#),
@@ -726,13 +719,18 @@ mod tests {
             whole(r#","dependencies":{"18446744073709551616":1}"#),
             whole(r#","dependencies":{"18446744073709551615":-1}"#),
             whole(r#","dependencies":{"\u0037":1,"7":2}"#),
-            whole(r#","vectors":{"7":{"1":2,"01":3,"+1":4}}"#),
-            whole(r#","vectors":{"7":{"1":2},"07":{"3":4}}"#),
-            whole(r#","vectors":{"7":[1]}"#),
-            whole(r#","vectors":{"7":{"x":1}}"#),
-            whole(r#","vectors":{"7":{"1":null}}"#),
-            whole(r#","vectors":{"x":{}}"#),
-            whole(r#","vectors":{"7":{}},"vectors":{}"#),
+            whole(r#","stamps":{"7":[1,2],"07":[3,4]}"#),
+            whole(r#","stamps":{"7":[1,2],"+7":[3,4]}"#),
+            whole(r#","stamps":{"7":[1]}"#),
+            whole(r#","stamps":{"7":[1,2,3]}"#),
+            whole(r#","stamps":{"7":[]}"#),
+            whole(r#","stamps":{"7":{"1":2}}"#),
+            whole(r#","stamps":{"7":[1,null]}"#),
+            whole(r#","stamps":{"7":[1.5,2]}"#),
+            whole(r#","stamps":{"7":[1,-2]}"#),
+            whole(r#","stamps":{"x":[1,2]}"#),
+            whole(r#","stamps":{"7":[1,2]},"stamps":{}"#),
+            whole(r#","stamps":{},"stamps":{"7":[1]}"#),
             // Malformed JSON past a point that already decided the verdict.
             whole(r#","app":5"#) + "]",
             r#"{"app":"a","operations":[{}],"x":tru}"#.to_owned(),
@@ -804,24 +802,22 @@ mod tests {
                 id: Id(id),
                 attributes,
             });
-        let vector = prop::collection::vec((arb_key(), 1u64..50), 0..3)
-            .prop_map(|components| VersionVector::from_components(&components));
         (
             arb_text(),
             prop::collection::vec(op, 0..4),
             prop::collection::btree_map(arb_key(), arb_key(), 0..4),
             any::<u64>(),
             any::<u64>(),
-            prop::collection::btree_map(arb_key(), vector, 0..3),
+            prop::collection::btree_map(arb_key(), (arb_key(), arb_key()), 0..3),
         )
             .prop_map(
-                |(app, operations, dependencies, published_at, generation, vectors)| WriteMessage {
+                |(app, operations, dependencies, published_at, generation, stamps)| WriteMessage {
                     app,
                     operations,
                     dependencies,
                     published_at,
                     generation,
-                    vectors,
+                    stamps,
                 },
             )
     }
@@ -839,7 +835,7 @@ mod tests {
             "app",
             "operations",
             "dependencies",
-            "vectors",
+            "stamps",
             "generation",
             "published_at",
             "operation",

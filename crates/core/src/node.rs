@@ -241,7 +241,7 @@ impl SynapseNode {
     /// Enforces the decorator rule of §3.1: a service cannot publish
     /// attributes it subscribes to. Bidirectional models are exempt — a
     /// multi-writer mesh publishes and subscribes the *same* attributes by
-    /// design, with concurrent writes handled by conflict resolution.
+    /// design, with concurrent writes settled last-writer-wins.
     /// Its fields are registered in wire order: sorted, each once.
     pub fn publish(&self, mut publication: Publication) -> Result<(), OrmError> {
         let subs = self.subscriptions.read();
@@ -470,7 +470,7 @@ impl SynapseNode {
     /// object admission state kept in the subscriber store — plus the
     /// broker's current WAL position. Returns the assigned sequence, or
     /// `Ok(0)` as a no-op when durability is off (mirroring
-    /// [`Broker::checkpoint`]). Concurrent calls run one at a time, so
+    /// [`Broker::checkpoint`]). Calls that overlap run one at a time, so
     /// the newest snapshot holds the newest capture.
     pub fn persist_snapshot(&self) -> io::Result<u64> {
         let _persisting = self.persist_lock.lock();
@@ -657,7 +657,7 @@ impl Ecosystem {
                                 // Multi-writer mesh consistency: a
                                 // bidirectional subscription only works
                                 // against a publication that stamps its
-                                // writes with version vectors, and vice
+                                // writes with LWW stamps, and vice
                                 // versa — a mismatch silently degrades to
                                 // last-apply-wins on one side.
                                 if sub.bidirectional && !publication.bidirectional {

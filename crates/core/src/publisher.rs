@@ -12,7 +12,7 @@
 //! 2. reserves a bidirectional object, then locks the write dependencies
 //!    (all-or-nothing, so concurrent controllers cannot deadlock);
 //! 3. executes the underlying query and reads back the written object;
-//! 4. commits a bidirectional object's vector stamp, runs the version-store
+//! 4. commits a bidirectional object's LWW stamp, runs the version-store
 //!    bump script and collects the dependency versions for the message;
 //! 5. encodes the operation's published attributes straight from the
 //!    written record into the message text, taking virtual getters from
@@ -46,7 +46,7 @@ use synapse_model::Record;
 use synapse_orm::{Orm, OrmError, QueryObserver, WriteExec, WriteIntent, WriteKind};
 use synapse_telemetry::{mono_nanos, Stage, Telemetry};
 use synapse_versionstore::{
-    BumpScratch, DepKey, GenerationStore, ObjectVersion, StoreError, VersionStore, VersionVector,
+    BumpScratch, DepKey, GenerationStore, ObjectVersion, Stamp, StoreError, VersionStore,
 };
 
 /// All-or-nothing lock manager over effective dependency keys.
@@ -159,7 +159,7 @@ pub struct Publisher {
     app_prefix: String,
     /// The app's global-ordering dependency, built once.
     global_dep: DepName,
-    /// This app's writer id in version vectors (multi-writer replication).
+    /// This app's writer id in LWW stamps (multi-writer replication).
     writer: u64,
     /// Per-node dependency-name interner (see [`DepInterner`]).
     interner: DepInterner,
@@ -167,7 +167,8 @@ pub struct Publisher {
     dep_space: DepSpace,
     store: Arc<VersionStore>,
     /// The subscriber-side version store: it stamps *external* dependencies
-    /// on decorated publications (§4.2) and bidirectional objects' vectors.
+    /// on decorated publications (§4.2) and bidirectional objects' LWW
+    /// stamps.
     sub_store: Arc<VersionStore>,
     broker: Broker,
     generations: GenerationStore,
@@ -318,8 +319,8 @@ impl Publisher {
 
     /// Enforces §3.1 ownership: subscribers cannot create/delete imported
     /// models nor update imported attributes. Bidirectional subscriptions
-    /// opt out — every peer is a writer and concurrent writes are handled
-    /// by the conflict-resolution plane instead of prevented here.
+    /// opt out — every peer is a writer and concurrent writes settle
+    /// last-writer-wins instead of being prevented here.
     fn check_ownership(&self, intent: &WriteIntent) -> Result<(), OrmError> {
         if context::is_replicating() {
             return Ok(());
@@ -442,7 +443,7 @@ impl Publisher {
     }
 
     /// Publishes (or buffers) one operation with its dependency map, route
-    /// key and, for bidirectional models, the object's stamped vector.
+    /// key and, for bidirectional models, the object's LWW stamp.
     /// `encode_op` writes the operation; `began` is the clock read that
     /// starts its encode. Returns the clock read that ends the publish.
     fn emit(
@@ -451,7 +452,7 @@ impl Publisher {
         deps: &mut [(DepKey, u64)],
         bumped: &[DepKey],
         route_key: u64,
-        stamp: Option<(DepKey, VersionVector)>,
+        stamp: Option<(DepKey, Stamp)>,
         began: u64,
     ) -> u64 {
         self.operations.fetch_add(1, Ordering::Relaxed);
@@ -487,10 +488,11 @@ impl Publisher {
                 for k in bumped {
                     *buf.bumped.entry(*k).or_default() += 1;
                 }
-                if let Some((key, vector)) = stamp_slot.take() {
-                    // Two buffered writes of one object join into the later
-                    // vector (set-then-join is the identity on the earlier).
-                    buf.vectors.entry(key).or_default().join(&vector);
+                if let Some((key, stamp)) = stamp_slot.take() {
+                    // Two buffered writes of one object keep the later,
+                    // greater stamp.
+                    let kept = buf.stamps.entry(key).or_insert(stamp);
+                    *kept = (*kept).max(stamp);
                 }
                 true
             }
@@ -506,7 +508,7 @@ impl Publisher {
         }
         // Outside a transaction — or one a getter closed meanwhile, whose
         // operation then goes out alone.
-        let vectors = stamp_slot.into_iter().collect();
+        let stamps = stamp_slot.into_iter().collect();
         let write_op = |out: &mut String| {
             if in_tx {
                 out.push_str(&fragment);
@@ -514,7 +516,7 @@ impl Publisher {
                 encode_op(out);
             }
         };
-        self.publish_message(deps, &vectors, write_op, route_key, began, encoded - began)
+        self.publish_message(deps, &stamps, write_op, route_key, began, encoded - began)
     }
 
     /// Encodes, journals and publishes a message. `began`, the clock read
@@ -525,7 +527,7 @@ impl Publisher {
     fn publish_message(
         &self,
         deps: &mut [(DepKey, u64)],
-        vectors: &BTreeMap<DepKey, VersionVector>,
+        stamps: &BTreeMap<DepKey, Stamp>,
         operations: impl FnOnce(&mut String),
         route_key: u64,
         began: u64,
@@ -544,7 +546,7 @@ impl Publisher {
             generation,
             operations,
             now_micros(),
-            vectors,
+            stamps,
         );
         let payload = SharedStr::from(buf.as_str());
         ENCODE_SCRATCH.set(buf);
@@ -590,7 +592,7 @@ impl Publisher {
         let mut deps: Vec<(DepKey, u64)> = buffer.dependencies.into_iter().collect();
         self.publish_message(
             &mut deps,
-            &buffer.vectors,
+            &buffer.stamps,
             |out| out.push_str(&buffer.operations),
             buffer.route,
             began,
@@ -691,17 +693,14 @@ impl QueryObserver for Publisher {
         };
 
         let executed = mono_nanos();
-        // The stamp: all this node recorded for the object plus one of its
-        // own. A dead sub store sends the write out unstamped.
+        // The stamp: one clock past the latest this node recorded for the
+        // object, under its own writer id. A dead sub store sends the write
+        // out unstamped.
         let stamp = mesh.and_then(|(key, object, admission)| {
-            let mut vector = self.sub_store.latest_vector(object).ok()?;
-            vector.set(self.writer, vector.get(self.writer) + 1);
-            let version = ObjectVersion::Mesh {
-                winner: vector.lww_stamp(self.writer),
-                vector: vector.clone(),
-            };
-            admission.commit(&version).ok()?;
-            Some((key, vector))
+            let (clock, _) = self.sub_store.latest_stamp(object).ok()?;
+            let stamp = (clock + 1, self.writer);
+            admission.commit(&ObjectVersion::Mesh(stamp)).ok()?;
+            Some((key, stamp))
         });
         if let Err(StoreError::Dead) = self.bump_versions(&mut scratch) {
             // §4.4: increment the generation and resume; every key then

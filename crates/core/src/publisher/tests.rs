@@ -59,7 +59,7 @@ fn rig(config: SynapseConfig, schema: ModelSchema, publication: Publication) -> 
 impl Rig {
     /// The next published payload, checked against the message the
     /// marshalled-record path builds for `written` (each operation's kind
-    /// and record): same bytes, with the envelope's dependencies, vectors,
+    /// and record): same bytes, with the envelope's dependencies, stamps,
     /// generation and timestamp taken from the payload itself.
     fn expect(&self, written: &[(&str, Record)]) {
         let payload = self.raw.pop(Duration::from_secs(1)).expect("published");
@@ -76,7 +76,7 @@ impl Rig {
             dependencies: sent.dependencies,
             published_at: sent.published_at,
             generation: sent.generation,
-            vectors: sent.vectors,
+            stamps: sent.stamps,
         };
         assert_eq!(*payload.payload, oracle.encode());
     }

@@ -1,10 +1,10 @@
-//! Applying one operation: version admission, the LWW verdict on a
-//! concurrent mesh write, and the upsert through the local ORM.
+//! Applying one operation: version admission and the upsert through the
+//! local ORM.
 
 use super::path::Kind;
 use super::Subscriber;
 use crate::api::Subscription;
-use crate::deps::{mesh_object, object_identity, writer_id};
+use crate::deps::{mesh_object, object_identity};
 use crate::message::{Operation, WriteMessage};
 use crate::semantics::DeliveryMode;
 use std::collections::BTreeMap;
@@ -49,12 +49,11 @@ impl Subscriber {
         //
         // The version this operation carries and the object identity it
         // is judged under. A multi-writer write (or copy, which carries the
-        // publisher's full vector) is classified by version-vector
-        // dominance under the object's writer-independent mesh name, so
-        // every writer's history of the object meets there. Everything
-        // else carries the scalar of its object dependency, judged under
-        // the object's own name.
-        let writer = writer_id(&msg.app);
+        // stamp of the content it copies) is classified by its LWW stamp
+        // under the object's writer-independent mesh name, so every
+        // writer's stamps of the object meet there. Everything else
+        // carries the scalar of its object dependency, judged under the
+        // object's own name.
         let mesh = matching
             .iter()
             .any(|s| s.bidirectional)
@@ -62,17 +61,11 @@ impl Subscriber {
             .and_then(|name| {
                 Some((
                     name.identity(),
-                    msg.vectors.get(&self.dep_space.key(&name))?,
+                    *msg.stamps.get(&self.dep_space.key(&name))?,
                 ))
             });
         let (object, carried) = match mesh {
-            Some((object, vector)) => (
-                object,
-                Some(ObjectVersion::Mesh {
-                    vector: vector.clone(),
-                    winner: vector.lww_stamp(writer),
-                }),
-            ),
+            Some((object, stamp)) => (object, Some(ObjectVersion::Mesh(stamp))),
             None => {
                 let object = object_identity(&msg.app, op.model(), op.id);
                 let key = object % self.dep_space.cardinality();
@@ -121,22 +114,10 @@ impl Subscriber {
         let Some(carried) = &carried else {
             return write();
         };
-        match (admission.classify(carried, rule).map_err(dead)?, mesh) {
-            (Verdict::Fresh, _) => write()?,
-            // A concurrent write settles by the store's LWW verdict alone;
-            // the conflict counts once its apply has landed, so a failed
-            // attempt's redelivery is the same conflict, not a second one.
-            (Verdict::Concurrent { lww_wins }, Some(_)) => {
-                if lww_wins {
-                    write()?;
-                }
-                self.conflicts.detected.bump();
-            }
-            _ => {
+        match admission.classify(carried, rule).map_err(dead)? {
+            Verdict::Fresh => write()?,
+            Verdict::Stale => {
                 discarded.fetch_add(1, Ordering::Relaxed);
-                if mesh.is_some() && kind == Kind::Live {
-                    self.conflicts.discarded_dominated.bump();
-                }
                 return Ok(());
             }
         }

@@ -69,7 +69,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use synapse_broker::{Broker, Consumer, Delivery};
 use synapse_orm::Orm;
-use synapse_telemetry::{mono_nanos, Counter, Telemetry};
+use synapse_telemetry::{mono_nanos, Telemetry};
 use synapse_versionstore::{StoreError, VersionStore};
 
 /// Why one processing attempt failed — the classification that decides
@@ -106,7 +106,8 @@ pub struct SubscriberStats {
     pub messages_processed: u64,
     /// Operations applied to the local DB.
     pub ops_applied: u64,
-    /// Operations discarded as stale (weak mode).
+    /// Operations discarded as stale: a version below the stored one (weak
+    /// mode, and a multi-writer write whose LWW stamp loses).
     pub ops_stale: u64,
     /// Dependency waits that timed out (processing proceeded anyway).
     pub dep_timeouts: u64,
@@ -140,11 +141,6 @@ pub struct SubscriberStats {
     /// live stream, or an earlier bootstrap attempt that copied the row
     /// before it failed, had already admitted an equal-or-newer version.
     pub copies_reconciled: u64,
-    /// Concurrent (conflicting) incoming writes detected on bidirectional
-    /// models.
-    pub conflicts_detected: u64,
-    /// Incoming writes discarded because the local history dominated them.
-    pub conflicts_discarded_dominated: u64,
 }
 
 /// Max deliveries a worker drains per condvar wakeup. Bounds the latency
@@ -176,25 +172,6 @@ struct Counters {
     messages_stolen: AtomicU64,
     copies_applied: AtomicU64,
     copies_reconciled: AtomicU64,
-}
-
-/// Conflict counters of the multi-writer plane. These live in the node's
-/// telemetry [`CounterRegistry`](synapse_telemetry::CounterRegistry) (so
-/// they fold into `telemetry_snapshot()` like every other named counter);
-/// the handles here are the subscriber's lock-free bump path.
-struct ConflictCounters {
-    detected: Counter,
-    discarded_dominated: Counter,
-}
-
-impl ConflictCounters {
-    fn new(telemetry: &Telemetry) -> Self {
-        let counters = telemetry.counters();
-        ConflictCounters {
-            detected: counters.counter("conflicts.detected"),
-            discarded_dominated: counters.counter("conflicts.discarded_dominated"),
-        }
-    }
 }
 
 /// Parks a worker on its queue until ready work or a wake ends the park —
@@ -241,8 +218,6 @@ pub struct Subscriber {
     /// aside: a flush that advances the store wakes the queue for them.
     parked_holders: AtomicUsize,
     counters: Counters,
-    /// Conflict counters (handles into the telemetry registry).
-    conflicts: ConflictCounters,
     /// Transient-failure attempts per in-flight delivery tag; cleared on
     /// ack or dead-letter. Redeliveries keep their tag, so this survives
     /// nack round-trips.
@@ -277,7 +252,6 @@ impl Subscriber {
             workers: Mutex::new(Vec::new()),
             parked_holders: AtomicUsize::new(0),
             counters: Counters::default(),
-            conflicts: ConflictCounters::new(&telemetry),
             attempts: Mutex::new(HashMap::new()),
             telemetry,
         }
@@ -302,8 +276,6 @@ impl Subscriber {
             messages_stolen: self.counters.messages_stolen.load(Ordering::Relaxed),
             copies_applied: self.counters.copies_applied.load(Ordering::Relaxed),
             copies_reconciled: self.counters.copies_reconciled.load(Ordering::Relaxed),
-            conflicts_detected: self.conflicts.detected.get(),
-            conflicts_discarded_dominated: self.conflicts.discarded_dominated.get(),
         }
     }
 

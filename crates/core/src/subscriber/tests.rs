@@ -81,7 +81,7 @@ fn post(node: &SynapseNode, operation: &str, id: u64, deps: &[(u64, u64)]) -> Wr
         dependencies: deps.iter().map(|&(id, ops)| (key(id), ops)).collect(),
         published_at: 0,
         generation: 1,
-        vectors: BTreeMap::new(),
+        stamps: BTreeMap::new(),
     }
 }
 

@@ -70,7 +70,7 @@ pub fn emulate_message(
         dependencies: BTreeMap::new(),
         published_at: now_micros(),
         generation: 1,
-        vectors: BTreeMap::new(),
+        stamps: BTreeMap::new(),
     }
 }
 

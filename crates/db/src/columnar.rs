@@ -4,11 +4,13 @@
 //! timestamped cells; when the memtable exceeds a threshold it is flushed to
 //! an immutable SSTable run; reads merge the memtable and all runs taking
 //! the newest timestamp per cell; deletes write tombstones; compaction
-//! folds runs together when they accumulate. This gives the engine the two
-//! properties the paper uses Cassandra for: cheap writes (Table 1:
-//! "write-intensive workloads") and *logged batches* — the atomic
-//! multi-write primitive Synapse maps transactions onto for subscribers
-//! (§4.2: "logged batched updates with Cassandra").
+//! folds runs together when they accumulate. This gives the engine the
+//! property the paper uses Cassandra for: cheap writes (Table 1:
+//! "write-intensive workloads"). The paper's subscribers also map a
+//! multi-operation message onto a logged batch (§4.2: "logged batched
+//! updates with Cassandra"); this reproduction applies such a message one
+//! operation at a time on every engine (DESIGN.md *Deviations*), so the
+//! engine has no batch query.
 //!
 //! There is no `RETURNING` support: writes report affected ids only, forcing
 //! Synapse's interceptor down its read-back path, exactly as with the real
@@ -411,21 +413,6 @@ impl ColumnarDb {
                 fams.get(&table)
                     .map_or(0, |fam| fam.scan(&filter, false).count() as u64),
             )),
-            Query::Batch(queries) => {
-                // Logged batch: applied atomically under the engine lock;
-                // nested batches are rejected as in CQL.
-                let mut results = Vec::with_capacity(queries.len());
-                for sub in queries {
-                    if matches!(sub, Query::Batch(_)) {
-                        return Err(DbError::Unsupported("nested batches"));
-                    }
-                    if !sub.is_write() {
-                        return Err(DbError::Unsupported("reads inside a logged batch"));
-                    }
-                    results.push(self.run_locked(fams, sub)?);
-                }
-                Ok(QueryResult::Batch(results))
-            }
             Query::Search { .. } | Query::Aggregate { .. } => {
                 Err(DbError::Unsupported("full-text search on columnar engine"))
             }

@@ -382,41 +382,6 @@ proptest! {
 }
 
 #[test]
-fn logged_batch_is_atomic_and_returns_per_query_results() {
-    let db = db();
-    let res = db
-        .execute(Query::Batch(vec![
-            Query::Insert {
-                table: "t".into(),
-                id: Id(1),
-                row: row(&[("a", 1.into())]),
-            },
-            Query::Insert {
-                table: "t".into(),
-                id: Id(2),
-                row: row(&[("a", 2.into())]),
-            },
-        ]))
-        .unwrap();
-    assert_eq!(res.affected_ids(), vec![Id(1), Id(2)]);
-    assert_eq!(db.stats().rows, 2);
-}
-
-#[test]
-fn batch_rejects_reads_and_nesting() {
-    let db = db();
-    assert!(db
-        .execute(Query::Batch(vec![Query::Count {
-            table: "t".into(),
-            filter: Filter::All,
-        }]))
-        .is_err());
-    assert!(db
-        .execute(Query::Batch(vec![Query::Batch(vec![])]))
-        .is_err());
-}
-
-#[test]
 fn compaction_stalls_charge_writes_then_expire() {
     let db = db();
     db.faults()

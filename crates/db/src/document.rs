@@ -118,7 +118,6 @@ impl Engine for DocumentDb {
             Query::Count { table, filter } => Ok(QueryResult::Count(
                 colls.get(&table).map_or(0, |coll| coll.count(&filter)),
             )),
-            Query::Batch(_) => Err(DbError::Unsupported("batches on document engine")),
             Query::Search { .. } | Query::Aggregate { .. } => {
                 Err(DbError::Unsupported("full-text search on document engine"))
             }

@@ -46,8 +46,6 @@ pub struct Capabilities {
     /// When `false` (MySQL, Cassandra) the interceptor performs an
     /// additional read query to identify written data.
     pub returning: bool,
-    /// Whether atomic logged batches are available (Cassandra).
-    pub atomic_batch: bool,
     /// Whether collections are schemaless.
     pub schemaless: bool,
 }

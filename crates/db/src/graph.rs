@@ -192,7 +192,6 @@ impl Engine for GraphDb {
                 }
                 Ok(QueryResult::Ids(store.traverse(&label, from, depth)))
             }
-            Query::Batch(_) => Err(DbError::Unsupported("batches on graph engine")),
             Query::Search { .. } | Query::Aggregate { .. } => {
                 Err(DbError::Unsupported("full-text search on graph engine"))
             }

@@ -12,7 +12,7 @@
 //! * [`document`] — schemaless collections of nested documents with array
 //!   attributes (MongoDB/TokuMX/RethinkDB profiles).
 //! * [`columnar`] — an LSM engine: memtable, SSTable flushes, compaction,
-//!   cell timestamps, tombstones, logged batches (Cassandra profile).
+//!   cell timestamps, tombstones (Cassandra profile).
 //! * [`search`] — an inverted-index engine with pluggable analyzers and
 //!   tf-idf scoring plus terms aggregations (Elasticsearch profile).
 //! * [`graph`] — labelled property nodes with adjacency lists and
@@ -23,7 +23,7 @@
 //! All engines speak one [`query::Query`] AST through the [`engine::Engine`]
 //! trait — the "DB driver" layer at which Synapse's query interceptor sits
 //! (Fig. 6(a)). Per-vendor differences that matter to Synapse (write
-//! read-back vs. `RETURNING`, batches, schemalessness) are surfaced as
+//! read-back vs. `RETURNING`, schemalessness) are surfaced as
 //! [`engine::Capabilities`].
 
 pub mod columnar;

@@ -2,7 +2,7 @@
 //! one of the five engine families.
 //!
 //! Each profile fixes the capability flags Synapse cares about (`RETURNING`,
-//! batches, schemalessness) and a latency model calibrated to
+//! schemalessness) and a latency model calibrated to
 //! the saturation throughputs the paper reports (§6.3: PostgreSQL ≈ 12 k
 //! writes/s, Elasticsearch ≈ 20 k writes/s) and to the relative ordering
 //! implied by Fig. 13(b)'s "slowest end" annotations (Elasticsearch slower
@@ -22,32 +22,32 @@ use crate::search::SearchDb;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One vendor: `(vendor, kind, returning, atomic_batch, schemaless,
-/// read_us, write_us)` — the [`Capabilities`] flags, then the
+/// One vendor: `(vendor, kind, returning, schemaless, read_us,
+/// write_us)` — the [`Capabilities`] flags, then the
 /// calibrated per-operation latency in microseconds.
-type Profile = (&'static str, EngineKind, bool, bool, bool, u64, u64);
+type Profile = (&'static str, EngineKind, bool, bool, u64, u64);
 
 /// Every vendor, in Table 3 order. `returning` is `false` where the
 /// interceptor must read written rows back (§4.1): MySQL and Cassandra.
 const PROFILES: [Profile; 10] = [
     // 1 / 83 µs ≈ 12 k writes/s, the paper's PostgreSQL saturation.
-    ("postgresql", Relational, true, false, false, 30, 83),
-    ("mysql", Relational, false, false, false, 25, 70),
-    ("oracle", Relational, true, false, false, 30, 75),
+    ("postgresql", Relational, true, false, 30, 83),
+    ("mysql", Relational, false, false, 25, 70),
+    ("oracle", Relational, true, false, 30, 75),
     // Single-document atomicity, written documents echoed back
     // (findAndModify-style).
-    ("mongodb", Document, true, false, true, 15, 40),
+    ("mongodb", Document, true, true, 15, 40),
     // TokuMX's fractal-tree indexes make it strictly faster on writes
     // than MongoDB — the reason Crowdtap migrated (§6.5).
-    ("tokumx", Document, true, false, true, 15, 30),
-    // Write-optimized (Table 1: "write-intensive"), logged atomic batches.
-    ("cassandra", Columnar, false, true, true, 20, 25),
+    ("tokumx", Document, true, true, 15, 30),
+    // Write-optimized (Table 1: "write-intensive").
+    ("cassandra", Columnar, false, true, 20, 25),
     // 1 / 50 µs ≈ 20 k writes/s, the paper's Elasticsearch saturation.
-    ("elasticsearch", Search, true, false, true, 40, 50),
-    ("neo4j", Graph, true, false, true, 25, 90),
-    ("rethinkdb", Document, true, false, true, 20, 55),
+    ("elasticsearch", Search, true, true, 40, 50),
+    ("neo4j", Graph, true, true, 25, 90),
+    ("rethinkdb", Document, true, true, 20, 55),
     // Stores nothing, so it charges nothing.
-    ("ephemeral", Ephemeral, true, false, true, 0, 0),
+    ("ephemeral", Ephemeral, true, true, 0, 0),
 ];
 
 const fn vendor_names() -> [&'static str; PROFILES.len()] {
@@ -69,7 +69,7 @@ pub const VENDORS: &[&str] = &vendor_names();
 ///
 /// Panics on an unknown vendor name; use [`VENDORS`] to enumerate.
 pub(crate) fn profile(vendor: &str) -> (Capabilities, LatencyModel) {
-    let Some(&(vendor, kind, returning, atomic_batch, schemaless, read_us, write_us)) =
+    let Some(&(vendor, kind, returning, schemaless, read_us, write_us)) =
         PROFILES.iter().find(|p| p.0 == vendor)
     else {
         panic!("unknown vendor {vendor}");
@@ -78,7 +78,6 @@ pub(crate) fn profile(vendor: &str) -> (Capabilities, LatencyModel) {
         kind,
         vendor,
         returning,
-        atomic_batch,
         schemaless,
     };
     let latency = if write_us == 0 {
@@ -133,7 +132,7 @@ pub fn rethinkdb(latency: LatencyModel) -> DocumentDb {
     DocumentDb::new(profile("rethinkdb").0, latency)
 }
 
-/// Cassandra: columnar/LSM, **no** `RETURNING`, logged atomic batches.
+/// Cassandra: columnar/LSM, **no** `RETURNING`.
 pub fn cassandra(latency: LatencyModel) -> ColumnarDb {
     ColumnarDb::new(profile("cassandra").0, latency)
 }

@@ -44,18 +44,6 @@ impl Filter {
             Filter::And(fs) => fs.iter().all(|f| f.matches(id, row)),
         }
     }
-
-    /// Returns the single primary key this filter pins down, if any.
-    /// Synapse uses this to decide whether a write query is "well identified"
-    /// (§4.2: non-transactional engines only accept single-object updates).
-    pub fn exact_id(&self) -> Option<Id> {
-        match self {
-            Filter::ById(id) => Some(*id),
-            Filter::IdIn(ids) if ids.len() == 1 => Some(ids[0]),
-            Filter::And(fs) => fs.iter().find_map(Filter::exact_id),
-            _ => None,
-        }
-    }
 }
 
 /// Sort order for `Select`.
@@ -171,8 +159,6 @@ pub enum Query {
         /// Maximum number of hops (≥ 1).
         depth: usize,
     },
-    /// Atomic batch of write queries (columnar logged batches, §4.2).
-    Batch(Vec<Query>),
 }
 
 impl Query {
@@ -214,7 +200,6 @@ impl Query {
                 | Query::Delete { .. }
                 | Query::AddEdge { .. }
                 | Query::RemoveEdge { .. }
-                | Query::Batch(_)
         )
     }
 }
@@ -238,8 +223,6 @@ pub enum QueryResult {
     Buckets(Vec<(Value, u64)>),
     /// Node ids reached by a traversal, in breadth-first order.
     Ids(Vec<Id>),
-    /// Per-query results of a batch.
-    Batch(Vec<QueryResult>),
 }
 
 impl QueryResult {
@@ -256,7 +239,6 @@ impl QueryResult {
         match self {
             QueryResult::Rows(rows) => rows.iter().map(|(id, _)| *id).collect(),
             QueryResult::AffectedIds(ids) => ids.clone(),
-            QueryResult::Batch(results) => results.iter().flat_map(|r| r.affected_ids()).collect(),
             _ => Vec::new(),
         }
     }
@@ -307,7 +289,12 @@ mod tests {
         assert!(!Filter::IdAfter(Id(5)).matches(Id(4), &r));
         assert!(!Filter::IdAfter(Id(5)).matches(Id(5), &r), "strict bound");
         assert!(Filter::IdAfter(Id(5)).matches(Id(6), &r));
-        assert_eq!(Filter::IdAfter(Id(5)).exact_id(), None);
+        let keys = crate::table::Keys::of(&Filter::IdAfter(Id(5)));
+        assert_eq!(
+            keys,
+            crate::table::Keys::After(Id(5)),
+            "a range, no pinned id"
+        );
     }
 
     #[test]
@@ -319,16 +306,6 @@ mod tests {
         ]);
         assert!(f.matches(Id(1), &r));
         assert!(!f.matches(Id(2), &r));
-    }
-
-    #[test]
-    fn exact_id_extraction() {
-        assert_eq!(Filter::ById(Id(3)).exact_id(), Some(Id(3)));
-        assert_eq!(Filter::IdIn(vec![Id(3)]).exact_id(), Some(Id(3)));
-        assert_eq!(Filter::IdIn(vec![Id(3), Id(4)]).exact_id(), None);
-        assert_eq!(Filter::All.exact_id(), None);
-        let f = Filter::And(vec![Filter::Eq("a".into(), 1.into()), Filter::ById(Id(9))]);
-        assert_eq!(f.exact_id(), Some(Id(9)));
     }
 
     #[test]
@@ -355,7 +332,5 @@ mod tests {
         assert_eq!(rows.affected_ids(), vec![Id(1), Id(2)]);
         let ids = QueryResult::AffectedIds(vec![Id(3)]);
         assert_eq!(ids.affected_ids(), vec![Id(3)]);
-        let batch = QueryResult::Batch(vec![rows, ids]);
-        assert_eq!(batch.affected_ids(), vec![Id(1), Id(2), Id(3)]);
     }
 }

@@ -262,7 +262,6 @@ impl Engine for RelationalDb {
                 let n = inner.table(&table)?.matching(&filter).count();
                 Ok(QueryResult::Count(n as u64))
             }
-            Query::Batch(_) => Err(DbError::Unsupported("batches on relational engine")),
             Query::Search { .. } | Query::Aggregate { .. } => Err(DbError::Unsupported(
                 "full-text search on relational engine",
             )),

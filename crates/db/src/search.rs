@@ -375,7 +375,6 @@ impl Engine for SearchDb {
             | Query::Aggregate { .. } => {
                 unreachable!("read queries are dispatched through read_query above")
             }
-            Query::Batch(_) => Err(DbError::Unsupported("batches on search engine")),
             Query::AddEdge { .. } | Query::RemoveEdge { .. } | Query::Traverse { .. } => {
                 Err(DbError::Unsupported("graph queries on search engine"))
             }

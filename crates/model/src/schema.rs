@@ -199,14 +199,6 @@ impl ModelSchema {
         self
     }
 
-    /// The full type chain for marshalling: `[name, ancestors...]`.
-    pub fn type_chain(&self) -> Vec<String> {
-        let mut chain = Vec::with_capacity(1 + self.ancestors.len());
-        chain.push(self.name.clone());
-        chain.extend(self.ancestors.iter().cloned());
-        chain
-    }
-
     /// Validates one attribute assignment against the schema.
     pub fn check_attr(&self, field: &str, value: &Value) -> Result<(), ModelError> {
         match self.fields.get(field) {
@@ -337,12 +329,6 @@ mod tests {
             s.associations.get("post").unwrap().kind,
             AssociationKind::BelongsTo
         );
-    }
-
-    #[test]
-    fn type_chain_includes_ancestors() {
-        let s = ModelSchema::new("AdminUser").inherits(&["User"]);
-        assert_eq!(s.type_chain(), vec!["AdminUser", "User"]);
     }
 
     #[test]

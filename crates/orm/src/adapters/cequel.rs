@@ -5,16 +5,11 @@
 //! * **No `RETURNING`** — the engine reports affected ids only, so every
 //!   write takes the inherited read-back path (§4.1's "additional query"
 //!   protocol; the paper calls it "safe but somewhat more expensive").
-//! * **Logged batches** — [`CequelAdapter::batch_write`] applies several
-//!   writes atomically, which the Synapse subscriber uses to persist
-//!   multi-operation messages with "the highest level of isolation and
-//!   atomicity the underlying DB permits" (§4.2).
 
 use crate::adapter::Adapter;
-use crate::error::OrmError;
 use std::sync::Arc;
 use synapse_db::columnar::ColumnarDb;
-use synapse_db::{profiles, Engine, LatencyModel, Query};
+use synapse_db::{profiles, Engine, LatencyModel};
 
 /// The Cassandra adapter. See the module docs.
 pub struct CequelAdapter {
@@ -27,12 +22,6 @@ impl CequelAdapter {
         CequelAdapter {
             engine: Arc::new(profiles::cassandra(latency)),
         }
-    }
-
-    /// Applies `writes` as one atomic logged batch.
-    pub fn batch_write(&self, writes: Vec<Query>) -> Result<(), OrmError> {
-        self.engine.execute(Query::Batch(writes))?;
-        Ok(())
     }
 
     /// Access to the concrete engine (tests, LSM counters).

@@ -152,25 +152,6 @@ impl ControllerStats {
     pub fn total_calls(&self) -> u64 {
         self.samples.lock().values().map(|v| v.len() as u64).sum()
     }
-
-    /// Mean overhead across every sample of every controller (the "mean=8%
-    /// across all 55 controllers" line of Fig. 12(a)).
-    pub fn overall_overhead(&self) -> f64 {
-        let samples = self.samples.lock();
-        let mut total = 0u128;
-        let mut synapse = 0u128;
-        for v in samples.values() {
-            for s in v {
-                total += s.total.as_nanos();
-                synapse += s.synapse.as_nanos();
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            synapse as f64 / total as f64
-        }
-    }
 }
 
 /// Nearest-rank percentile of a sample stream.
@@ -215,22 +196,5 @@ mod tests {
         assert!((row.mean_deps_per_message - 3.0).abs() < 1e-9);
         assert!(row.overhead > 0.05 && row.overhead < 0.15);
         assert!(stats.row("missing").is_none());
-    }
-
-    #[test]
-    fn overall_overhead_spans_controllers() {
-        let stats = ControllerStats::new();
-        stats.record("a", Duration::from_millis(100), ScopeSample::default());
-        stats.record(
-            "b",
-            Duration::from_millis(100),
-            ScopeSample {
-                synapse_nanos: 20_000_000,
-                messages: 1,
-                deps_published: 1,
-            },
-        );
-        let o = stats.overall_overhead();
-        assert!((o - 0.1).abs() < 0.01, "got {o}");
     }
 }

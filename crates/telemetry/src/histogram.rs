@@ -72,7 +72,7 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Point-in-time copy of the bucket counts. Concurrent recording makes
+    /// Point-in-time copy of the bucket counts. Recording meanwhile makes
     /// the copy *approximately* consistent (counts monotone, never torn per
     /// bucket), which is all a latency summary needs.
     pub fn snapshot(&self) -> HistogramSnapshot {

@@ -16,8 +16,10 @@
 //! * **object admission state**, keyed by the object's *identity*: the
 //!   full 64-bit stable hash of its dependency name, never reduced into the
 //!   space. It holds an [`ObjectVersion`] — a single-writer scalar, or a
-//!   multi-writer vector with its LWW winner — and grows with the objects
-//!   replicated, so a counter collision can never decide freshness.
+//!   multi-writer object's last-writer-wins [`Stamp`] — and grows with the
+//!   objects replicated, so a counter collision can never decide
+//!   freshness. Both kinds follow one rule: a version below the stored one
+//!   is stale.
 //!
 //! Killing a shard ([`VersionStore::kill_shard`]) loses that shard's part
 //! of both maps; [`VersionStore::kill`] loses both everywhere.
@@ -51,12 +53,10 @@
 mod generation;
 mod ring;
 mod store;
-mod vector;
 
 pub use generation::{versioned, GenerationStore};
 pub use ring::HashRing;
 pub use store::{
-    Admission, AdmitRule, AppliedDep, BumpScratch, DepKey, DepWaitSet, ObjectVersion, StoreDump,
-    StoreError, StoreTimingSnapshot, Verdict, VersionStore, WaitOutcome,
+    Admission, AdmitRule, AppliedDep, BumpScratch, DepKey, DepWaitSet, ObjectVersion, Stamp,
+    StoreDump, StoreError, StoreTimingSnapshot, Verdict, VersionStore, WaitOutcome,
 };
-pub use vector::{Dominance, VersionVector};

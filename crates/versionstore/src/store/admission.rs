@@ -2,11 +2,10 @@
 //! that an incoming apply and a multi-writer object's local write both run.
 //! Its rules (DESIGN.md *Admission*): reserve before the publisher's
 //! dependency locks; a thread re-enters a stripe it holds; a re-entrant
-//! stamp of the held object follows the vector the holder classified (for
+//! stamp of the held object follows the stamp the holder classified (for
 //! an after-callback: the row write overwrites a before-callback's value).
 
 use super::{StoreError, VersionStore, ADMISSION_STRIPES};
-use crate::vector::{Dominance, VersionVector};
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,28 +22,34 @@ fn thread_token() -> usize {
 pub(super) struct Stripe {
     lock: Mutex<()>,
     holder: AtomicUsize,
-    classified: Mutex<Option<(u64, VersionVector)>>,
+    classified: Mutex<Option<(u64, Stamp)>>,
 }
+
+/// A multi-writer object's last-writer-wins stamp `(clock, writer)`: a
+/// Lamport clock and the writing application's id, compared as a plain
+/// ordered pair, so a later clock wins and the higher writer id breaks a
+/// tie. A local write stamps one past the highest clock its node has
+/// recorded for the object, so a write that saw another carries a greater
+/// stamp, and two writes never share one.
+pub type Stamp = (u64, u64);
 
 /// Which comparison admits a carried version ([`Admission::classify`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitRule {
-    /// A live write: a version that dominates *or equals* the stored one
+    /// A live write: a version greater than *or equal to* the stored one
     /// applies (an equal version is a redelivery, and applies are
-    /// idempotent upserts), a dominated one is stale, a fork is a conflict.
+    /// idempotent upserts); a lower one is stale.
     Live,
     /// A bootstrap chunk copy: admitted only for an object with no
     /// admission state (marker 0 included — rows created before the copy
-    /// started) or by *strict* dominance. Ties and forks lose to the live
+    /// started) or by a *strictly* greater version. Ties lose to the live
     /// stream, which holds the authoritative payload — a tying copy is the
     /// same publisher operation observed twice, and re-upserting it could
     /// resurrect a row whose destroy the live stream already applied.
     Copy,
 }
 
-/// Verdict of [`Admission::classify`]: how a carried version compares
-/// with the object's stored one, with the store's LWW verdict attached
-/// when the two are concurrent.
+/// Verdict of [`Admission::classify`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// The carried version is admitted under the rule: apply it.
@@ -53,59 +58,32 @@ pub enum Verdict {
     /// (§4.2: "the subscriber also discards any messages with a version
     /// lower than what is stored").
     Stale,
-    /// Neither history contains the other — a genuine multi-writer
-    /// conflict ([`AdmitRule::Live`] and vectors only). `lww_wins` is the
-    /// store's default verdict: whether the incoming version's LWW stamp
-    /// (history length, then writer id) beats the stamp of the content
-    /// currently stored. The subscriber applies the write exactly when it
-    /// does; either way the joined version is committed.
-    Concurrent {
-        /// Whether the incoming version wins last-writer-wins.
-        lww_wins: bool,
-    },
 }
 
-/// One object's version — what a write carries and, joined over every
+/// One object's version — what a write carries and, as the max over every
 /// admitted write, what the store keeps for the object.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObjectVersion {
     /// A single-writer object: the publisher's `ops` count before the
     /// write (the value its object dependency carries). It is a value of a
     /// generation ([`crate::versioned`]), so a write of an older generation
     /// is stale against any version of a newer one.
     Scalar(u64),
-    /// A multi-writer object: its per-writer history, and the LWW stamp
-    /// `(history length, writer)` of the content the version stands for
-    /// ([`VersionVector::lww_stamp`]). Stamps only ever grow along a
-    /// history, so keeping the max is order-independent and two replicas
+    /// A multi-writer object: the [`Stamp`] of the content the version
+    /// stands for. Keeping the max is order-independent, so two replicas
     /// that see the same writes converge on the same winner.
-    Mesh {
-        /// The per-writer history.
-        vector: VersionVector,
-        /// The LWW stamp of the held content.
-        winner: (u64, u64),
-    },
+    Mesh(Stamp),
 }
 
 impl ObjectVersion {
-    /// Folds `other` in — the max of two scalars; the join of two vectors
-    /// and the max of their stamps — so the result dominates-or-equals
-    /// both. A version of the other kind replaces `self`.
-    pub(super) fn merge(&mut self, other: &ObjectVersion) {
+    /// Folds `other` in: the max of two versions of one kind. A version of
+    /// the other kind replaces `self`.
+    pub(super) fn merge(&mut self, other: ObjectVersion) {
         use ObjectVersion::{Mesh, Scalar};
         match (&mut *self, other) {
-            (Scalar(a), Scalar(b)) => *a = (*a).max(*b),
-            (
-                Mesh { vector, winner },
-                Mesh {
-                    vector: v,
-                    winner: w,
-                },
-            ) => {
-                vector.join(v);
-                *winner = (*winner).max(*w);
-            }
-            _ => *self = other.clone(),
+            (Scalar(a), Scalar(b)) => *a = (*a).max(b),
+            (Mesh(a), Mesh(b)) => *a = (*a).max(b),
+            _ => *self = other,
         }
     }
 }
@@ -137,22 +115,22 @@ impl VersionStore {
         }
     }
 
-    /// Reads a multi-writer object's recorded version vector (empty when
-    /// it has none), as the bootstrap copier sends it; on the thread
-    /// holding the object's reservation, joined with what it classified.
-    pub fn latest_vector(&self, object: u64) -> Result<VersionVector, StoreError> {
-        let mut vector = match self.maps_of(object)?.objects.get(&object) {
-            Some(ObjectVersion::Mesh { vector, .. }) => vector.clone(),
-            _ => VersionVector::new(),
+    /// Reads a multi-writer object's recorded stamp (`(0, 0)` when it has
+    /// none), as the bootstrap copier sends it; on the thread holding the
+    /// object's reservation, the max with what it classified.
+    pub fn latest_stamp(&self, object: u64) -> Result<Stamp, StoreError> {
+        let mut stamp = match self.maps_of(object)?.objects.get(&object) {
+            Some(ObjectVersion::Mesh(stamp)) => *stamp,
+            _ => (0, 0),
         };
         let stripe = self.stripe(object);
         if stripe.holder.load(Ordering::Relaxed) == thread_token() {
-            match &*stripe.classified.lock() {
-                Some((held, classified)) if *held == object => vector.join(classified),
+            match *stripe.classified.lock() {
+                Some((held, classified)) if held == object => stamp = stamp.max(classified),
                 _ => {}
             }
         }
-        Ok(vector)
+        Ok(stamp)
     }
 
     fn stripe(&self, object: u64) -> &Stripe {
@@ -170,7 +148,7 @@ pub struct Admission<'a> {
     stripe: &'a Stripe,
     /// The stripe's lock; `None` for a re-entry.
     lock: Option<MutexGuard<'a, ()>>,
-    /// Whether this admission left a vector in the stripe's `classified`.
+    /// Whether this admission left a stamp in the stripe's `classified`.
     classified: Cell<bool>,
 }
 
@@ -185,43 +163,34 @@ impl Admission<'_> {
         rule: AdmitRule,
     ) -> Result<Verdict, StoreError> {
         use ObjectVersion::{Mesh, Scalar};
-        let live = rule == AdmitRule::Live;
-        if let (Mesh { vector, .. }, Some(_)) = (incoming, &self.lock) {
-            *self.stripe.classified.lock() = Some((self.object, vector.clone()));
+        if let (Mesh(stamp), Some(_)) = (*incoming, &self.lock) {
+            *self.stripe.classified.lock() = Some((self.object, stamp));
             self.classified.set(true);
         }
+        let stale = |behind: bool, tied: bool| behind || (tied && rule == AdmitRule::Copy);
         let maps = self.store.maps_of(self.object)?;
-        Ok(match (incoming, maps.objects.get(&self.object)) {
-            (Scalar(a), Some(Scalar(b))) if a < b || (a == b && !live) => Verdict::Stale,
-            (
-                Mesh { vector: a, winner },
-                Some(Mesh {
-                    vector: b,
-                    winner: held,
-                }),
-            ) => match a.compare(b) {
-                Dominance::Dominates => Verdict::Fresh,
-                Dominance::Equal if live => Verdict::Fresh,
-                Dominance::Concurrent if live => Verdict::Concurrent {
-                    lww_wins: winner > held,
-                },
-                _ => Verdict::Stale,
-            },
-            _ => Verdict::Fresh,
+        let refused = match (*incoming, maps.objects.get(&self.object)) {
+            (Scalar(a), Some(&Scalar(b))) => stale(a < b, a == b),
+            (Mesh(a), Some(&Mesh(b))) => stale(a < b, a == b),
+            _ => false,
+        };
+        Ok(if refused {
+            Verdict::Stale
+        } else {
+            Verdict::Fresh
         })
     }
 
     /// Records `incoming` as stored — folded into the object's version, so
-    /// replicas converge on the max-stamp version no matter the delivery
-    /// order — and releases the object. Called once the write, or a
-    /// resolution that keeps the local row, has finished.
+    /// replicas converge on the max version no matter the delivery order —
+    /// and releases the object. Called once the write has finished.
     pub fn commit(self, incoming: &ObjectVersion) -> Result<(), StoreError> {
         self.store
             .maps_of(self.object)?
             .objects
             .entry(self.object)
-            .and_modify(|stored| stored.merge(incoming))
-            .or_insert_with(|| incoming.clone());
+            .and_modify(|stored| stored.merge(*incoming))
+            .or_insert(*incoming);
         Ok(())
     }
 }

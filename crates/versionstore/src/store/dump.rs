@@ -11,7 +11,7 @@ pub struct StoreDump {
     /// `(key, ops, version)` of every dependency counter.
     pub counters: Vec<(DepKey, u64, u64)>,
     /// Every object's admission state, by identity — destroy tombstones
-    /// and conflict-resolution state included.
+    /// and multi-writer stamps included.
     pub objects: Vec<(u64, ObjectVersion)>,
 }
 
@@ -41,7 +41,7 @@ impl VersionStore {
             out.counters
                 .extend(maps.counters.iter().map(|(k, c)| (*k, c.ops, c.version)));
             out.objects
-                .extend(maps.objects.iter().map(|(k, v)| (*k, v.clone())));
+                .extend(maps.objects.iter().map(|(k, v)| (*k, *v)));
         }
         Ok(out)
     }
@@ -82,8 +82,8 @@ impl VersionStore {
             let maps = guards[*shard].as_mut().expect("routed shard locked");
             maps.objects
                 .entry(*object)
-                .and_modify(|stored| stored.merge(version))
-                .or_insert_with(|| version.clone());
+                .and_modify(|stored| stored.merge(*version))
+                .or_insert(*version);
         }
         self.release_notify(guards);
         Ok(())

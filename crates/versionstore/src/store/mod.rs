@@ -8,7 +8,7 @@ mod dump;
 #[cfg(test)]
 mod tests;
 
-pub use admission::{Admission, AdmitRule, ObjectVersion, Verdict};
+pub use admission::{Admission, AdmitRule, ObjectVersion, Stamp, Verdict};
 pub use dump::StoreDump;
 
 use crate::generation::{generation_start, versioned};

@@ -1,6 +1,5 @@
 use super::*;
 use crate::generation::versioned;
-use crate::vector::{Dominance, VersionVector};
 use std::thread;
 
 /// One bump script on fresh scratch buffers, returning the dependency
@@ -46,18 +45,14 @@ fn load_ops(store: &VersionStore, pairs: &[(DepKey, u64)]) {
     store.load_dump(&counters(&pairs)).unwrap();
 }
 
-/// A multi-writer version: `vector`, as written by `writer`.
-fn mesh(vector: VersionVector, writer: u64) -> ObjectVersion {
-    ObjectVersion::Mesh {
-        winner: vector.lww_stamp(writer),
-        vector,
-    }
+/// A multi-writer version: clock `clock`, written by `writer`.
+fn mesh(clock: u64, writer: u64) -> ObjectVersion {
+    ObjectVersion::Mesh((clock, writer))
 }
 
 /// The admission script as the subscriber runs it, with a write that
 /// always lands: reserve, classify, and commit whatever was not
-/// discarded (a concurrent version is committed whichever side LWW
-/// keeps).
+/// discarded.
 fn admit(store: &VersionStore, object: u64, incoming: &ObjectVersion, rule: AdmitRule) -> Verdict {
     let admission = store.reserve(object);
     let verdict = admission.classify(incoming, rule).unwrap();
@@ -67,12 +62,12 @@ fn admit(store: &VersionStore, object: u64, incoming: &ObjectVersion, rule: Admi
     verdict
 }
 
-fn admit_live(store: &VersionStore, object: u64, vector: VersionVector, writer: u64) -> Verdict {
-    admit(store, object, &mesh(vector, writer), AdmitRule::Live)
+fn admit_live(store: &VersionStore, object: u64, clock: u64, writer: u64) -> Verdict {
+    admit(store, object, &mesh(clock, writer), AdmitRule::Live)
 }
 
-fn admit_copy(store: &VersionStore, object: u64, vector: VersionVector, writer: u64) -> bool {
-    admit(store, object, &mesh(vector, writer), AdmitRule::Copy) == Verdict::Fresh
+fn admit_copy(store: &VersionStore, object: u64, clock: u64, writer: u64) -> bool {
+    admit(store, object, &mesh(clock, writer), AdmitRule::Copy) == Verdict::Fresh
 }
 
 /// A single-writer live write: `version >= stored` applies.
@@ -323,7 +318,7 @@ fn abandoned_admission_leaves_the_store_untouched() {
     let store = VersionStore::new(2);
     load_ops(&store, &[(1, 3)]);
     advance_scalar(&store, 2, 4);
-    admit_live(&store, 4, VersionVector::component(11, 1), 11);
+    admit_live(&store, 4, 1, 11);
     let before = store.dump().unwrap();
     for (object, version) in [(1, 0), (2, 5), (3, 7)] {
         for rule in [AdmitRule::Live, AdmitRule::Copy] {
@@ -334,31 +329,29 @@ fn abandoned_admission_leaves_the_store_untouched() {
             assert_eq!(store.dump().unwrap(), before);
         }
     }
-    let fork = mesh(VersionVector::component(22, 1), 22);
+    let fork = mesh(1, 22);
     let admission = store.reserve(4);
     assert_eq!(
         admission.classify(&fork, AdmitRule::Live).unwrap(),
-        Verdict::Concurrent { lww_wins: true }
+        Verdict::Fresh
     );
     drop(admission);
     assert_eq!(store.dump().unwrap(), before);
 }
 
 /// A local write's stamp, as the publisher runs it: reserve the object,
-/// read its latest vector, bump `writer`'s component, commit.
-fn local_stamp(store: &VersionStore, object: u64, writer: u64) -> VersionVector {
+/// read its latest stamp, commit one clock past it under `writer`.
+fn local_stamp(store: &VersionStore, object: u64, writer: u64) -> Stamp {
     let admission = store.reserve(object);
-    let mut vector = store.latest_vector(object).unwrap();
-    vector.set(writer, vector.get(writer) + 1);
-    admission.commit(&mesh(vector.clone(), writer)).unwrap();
-    vector
+    let stamp = (store.latest_stamp(object).unwrap().0 + 1, writer);
+    admission.commit(&ObjectVersion::Mesh(stamp)).unwrap();
+    stamp
 }
 
 /// A stamp under a reservation is one script: four writers stamping one
-/// key while a fifth thread commits foreign components each see their own
-/// component go up by exactly one, and every stamp contains every earlier
-/// one — the returned vectors form a chain, which a read followed by a
-/// separate write-back cannot guarantee.
+/// key while a fifth thread commits foreign stamps never share a clock,
+/// and each writer's own stamps strictly grow — which a read followed by
+/// a separate write-back cannot guarantee.
 #[test]
 fn reserved_stamps_are_atomic_under_concurrent_stamps_and_commits() {
     const STAMPS: u64 = 200;
@@ -370,8 +363,7 @@ fn reserved_stamps_are_atomic_under_concurrent_stamps_and_commits() {
         thread::spawn(move || {
             start.wait();
             for i in 1..=STAMPS {
-                let incoming = mesh(VersionVector::component(99, i), 99);
-                store.reserve(1).commit(&incoming).unwrap();
+                store.reserve(1).commit(&mesh(i, 99)).unwrap();
             }
         })
     };
@@ -381,61 +373,50 @@ fn reserved_stamps_are_atomic_under_concurrent_stamps_and_commits() {
             let (store, start) = (store.clone(), start.clone());
             thread::spawn(move || {
                 start.wait();
-                let stamped: Vec<VersionVector> = (0..STAMPS)
+                let stamped: Vec<Stamp> = (0..STAMPS)
                     .map(|_| local_stamp(&store, 1, writer))
                     .collect();
-                for (i, vector) in stamped.iter().enumerate() {
-                    assert_eq!(vector.get(writer), i as u64 + 1, "previous + 1");
+                for pair in stamped.windows(2) {
+                    assert!(pair[0].0 < pair[1].0, "{pair:?}: a clock went back");
                 }
                 stamped
             })
         })
         .collect();
-    let mut stamped: Vec<VersionVector> = stampers
+    let mut stamped: Vec<Stamp> = stampers
         .into_iter()
         .flat_map(|h| h.join().unwrap())
         .collect();
     foreign.join().unwrap();
-    stamped.sort_by_key(VersionVector::sum);
+    stamped.sort_unstable();
     for pair in stamped.windows(2) {
-        assert_eq!(
-            pair[0].compare(&pair[1]),
-            Dominance::Dominated,
-            "{pair:?}: a stamp missed an earlier one"
-        );
+        assert!(pair[0].0 < pair[1].0, "{pair:?}: two stamps shared a clock");
     }
-    let last = store.latest_vector(1).unwrap();
-    for writer in writers {
-        assert_eq!(last.get(writer), STAMPS);
-    }
-    assert_eq!(last.get(99), STAMPS);
+    let newest = stamped.last().copied().max(Some((STAMPS, 99)));
+    assert_eq!(Some(store.latest_stamp(1).unwrap()), newest);
 }
 
 /// A thread re-enters a stripe it holds instead of deadlocking on it; its
-/// stamp of the reserved object follows the vector the reservation
+/// stamp of the reserved object follows the stamp the reservation
 /// classified, a stamp of another object on the stripe does not, and other
-/// threads neither see that vector nor enter the stripe before the outer
+/// threads neither see that stamp nor enter the stripe before the outer
 /// reservation ends.
 #[test]
 fn a_held_stripe_is_reentered_and_its_classified_vector_followed() {
     let store = Arc::new(VersionStore::new(2));
     let neighbour = 1 + ADMISSION_STRIPES as u64;
-    let incoming = mesh(VersionVector::component(22, 1), 22);
+    let incoming = mesh(5, 22);
     let outer = store.reserve(1);
     assert_eq!(
         outer.classify(&incoming, AdmitRule::Live).unwrap(),
         Verdict::Fresh
     );
     let elsewhere = store.clone();
-    let seen = thread::spawn(move || elsewhere.latest_vector(1).unwrap());
-    assert_eq!(seen.join().unwrap(), VersionVector::new());
+    let seen = thread::spawn(move || elsewhere.latest_stamp(1).unwrap());
+    assert_eq!(seen.join().unwrap(), (0, 0));
 
-    let followed = VersionVector::from_components(&[(11, 1), (22, 1)]);
-    assert_eq!(local_stamp(&store, 1, 11), followed);
-    assert_eq!(
-        local_stamp(&store, neighbour, 11),
-        VersionVector::component(11, 1)
-    );
+    assert_eq!(local_stamp(&store, 1, 11), (6, 11));
+    assert_eq!(local_stamp(&store, neighbour, 11), (1, 11));
 
     let waiter = {
         let store = store.clone();
@@ -448,17 +429,13 @@ fn a_held_stripe_is_reentered_and_its_classified_vector_followed() {
     );
     outer.commit(&incoming).unwrap();
     waiter.join().unwrap();
-    assert_eq!(store.latest_vector(1).unwrap(), followed);
+    assert_eq!(store.latest_stamp(1).unwrap(), (6, 11));
 
     // A reservation dropped uncommitted leaves nothing to follow.
     let dropped = store.reserve(neighbour);
-    let forked = mesh(VersionVector::component(33, 1), 33);
-    dropped.classify(&forked, AdmitRule::Live).unwrap();
+    dropped.classify(&mesh(9, 33), AdmitRule::Live).unwrap();
     drop(dropped);
-    assert_eq!(
-        local_stamp(&store, neighbour, 11),
-        VersionVector::component(11, 2)
-    );
+    assert_eq!(local_stamp(&store, neighbour, 11), (2, 11));
 }
 
 /// The two maps never meet: a counter and an object under one key each
@@ -527,7 +504,7 @@ fn load_dump_is_order_free() {
         bump(&store, &[(key, key % 3 == 0), (key + 1000, true)]);
         advance_scalar(&store, key * 7, key);
         if key % 4 == 0 {
-            admit_live(&store, key * 7 + 1, VersionVector::component(key, 2), key);
+            admit_live(&store, key * 7 + 1, 2, key);
         }
     }
     let mut dump = store.dump().unwrap();
@@ -535,7 +512,7 @@ fn load_dump_is_order_free() {
     dump.objects.push((21, ObjectVersion::Scalar(1)));
     let reversed = StoreDump {
         counters: dump.counters.iter().rev().copied().collect(),
-        objects: dump.objects.iter().rev().cloned().collect(),
+        objects: dump.objects.iter().rev().copied().collect(),
     };
     let mut shuffled = dump.clone();
     let mut seed = 0x2545_F491_4F6C_DD1D;
@@ -637,109 +614,75 @@ fn load_dump_wakes_waiters() {
     assert_eq!(waiter.join().unwrap(), WaitOutcome::Ready);
 }
 
-/// Two writers advancing disjoint components are classified as
-/// concurrent; the join is recorded so a causally-later write from
-/// either side dominates afterwards.
+/// Two writers' stamps are classified as plain ordered pairs: a later
+/// clock wins, the writer id breaks a tie, and anything below the stored
+/// stamp is stale.
 #[test]
 fn live_rule_classifies_concurrent_writers() {
     let store = VersionStore::new(1);
     let (a, b) = (11u64, 22u64);
-    assert_eq!(
-        admit_live(&store, 1, VersionVector::component(a, 1), a),
-        Verdict::Fresh
-    );
-    // Writer B never saw A's write: concurrent. B's stamp (1, 22)
-    // beats A's (1, 11) on the writer tie-break.
-    assert_eq!(
-        admit_live(&store, 1, VersionVector::component(b, 1), b),
-        Verdict::Concurrent { lww_wins: true }
-    );
-    // A write that has seen both components dominates the join.
-    let merged = VersionVector::from_components(&[(a, 2), (b, 1)]);
-    assert_eq!(admit_live(&store, 1, merged, a), Verdict::Fresh);
-    // Anything older than the join is stale.
-    assert_eq!(
-        admit_live(&store, 1, VersionVector::component(a, 1), a),
-        Verdict::Stale
-    );
+    assert_eq!(admit_live(&store, 1, 1, a), Verdict::Fresh);
+    // Writer B never saw A's write: its stamp (1, 22) beats A's (1, 11)
+    // on the writer tie-break.
+    assert_eq!(admit_live(&store, 1, 1, b), Verdict::Fresh);
+    // A write that has seen both carries a later clock.
+    assert_eq!(admit_live(&store, 1, 2, a), Verdict::Fresh);
+    // Anything older than the stored stamp is stale; its redelivery
+    // re-applies.
+    assert_eq!(admit_live(&store, 1, 1, b), Verdict::Stale);
+    assert_eq!(admit_live(&store, 1, 2, a), Verdict::Fresh);
 }
 
 /// The LWW verdict is order-independent: whichever of two concurrent
-/// versions arrives second, the max-stamp version ends up the winner
-/// on every replica.
+/// versions arrives second, the max stamp ends up the winner on every
+/// replica.
 #[test]
 fn lww_verdict_converges_across_delivery_orders() {
     let (a, b) = (11u64, 22u64);
-    let va = VersionVector::component(a, 1);
-    let vb = VersionVector::component(b, 1);
-
     let first = VersionStore::new(1);
-    admit_live(&first, 1, va.clone(), a);
-    let verdict_ab = admit_live(&first, 1, vb.clone(), b);
+    admit_live(&first, 1, 1, a);
+    let verdict_ab = admit_live(&first, 1, 1, b);
 
     let second = VersionStore::new(1);
-    admit_live(&second, 1, vb, b);
-    let verdict_ba = admit_live(&second, 1, va, a);
+    admit_live(&second, 1, 1, b);
+    let verdict_ba = admit_live(&second, 1, 1, a);
 
     // B has the higher writer id, so B's version wins on both sides:
     // delivered second it wins, delivered first it holds.
-    assert_eq!(verdict_ab, Verdict::Concurrent { lww_wins: true });
-    assert_eq!(verdict_ba, Verdict::Concurrent { lww_wins: false });
+    assert_eq!(verdict_ab, Verdict::Fresh);
+    assert_eq!(verdict_ba, Verdict::Stale);
+    assert_eq!(first.dump().unwrap(), second.dump().unwrap());
 }
 
-/// Concurrent copies lose to the live stream: only strict vector
-/// dominance admits a bootstrap row against a versioned key.
+/// Copies lose to the live stream unless strictly newer: only a stamp
+/// above the stored one admits a bootstrap row against a versioned key.
 #[test]
 fn copy_rule_requires_strict_dominance() {
     let store = VersionStore::new(1);
     let (a, b) = (11u64, 22u64);
-    admit_live(&store, 1, VersionVector::component(a, 2), a);
-    assert!(
-        !admit_copy(&store, 1, VersionVector::component(b, 9), b),
-        "concurrent copy loses to live"
-    );
-    assert!(
-        !admit_copy(&store, 1, VersionVector::component(a, 2), a),
-        "tie loses to live"
-    );
-    let newer = VersionVector::from_components(&[(a, 3), (b, 9)]);
-    assert!(
-        admit_copy(&store, 1, newer, a),
-        "strictly dominating copy lands"
-    );
+    admit_live(&store, 1, 2, b);
+    assert!(!admit_copy(&store, 1, 2, a), "older copy loses to live");
+    assert!(!admit_copy(&store, 1, 2, b), "tie loses to live");
+    assert!(admit_copy(&store, 1, 3, a), "strictly newer copy lands");
 }
 
-/// Vector entries round-trip through dump/load: components and the
-/// winner stamp both survive, and the merge keeps the max of each.
+/// Mesh entries round-trip through dump/load with their stamp, and the
+/// merge keeps the max.
 #[test]
 fn dump_roundtrips_vector_entries() {
     let store = VersionStore::new(2);
     let (a, b) = (11u64, 22u64);
-    admit_live(&store, 1, VersionVector::component(a, 1), a);
-    admit_live(&store, 1, VersionVector::component(b, 2), b);
+    admit_live(&store, 1, 2, b);
+    admit_live(&store, 1, 1, a);
     let dump = store.dump().unwrap();
-    let joined = VersionVector::from_components(&[(a, 1), (b, 2)]);
-    assert_eq!(
-        dump.objects,
-        [(
-            1,
-            ObjectVersion::Mesh {
-                vector: joined,
-                winner: (2, b)
-            }
-        )]
-    );
+    assert_eq!(dump.objects, [(1, mesh(2, b))]);
 
     let restored = VersionStore::new(1);
     restored.load_dump(&dump).unwrap();
-    let vec_back = restored.latest_vector(1).unwrap();
-    assert_eq!(vec_back.components(), &[(a, 1), (b, 2)]);
-    // The restored stamp still outranks A's version 1: a redelivery
-    // of the loser stays a loser after recovery.
-    assert_eq!(
-        admit_live(&restored, 1, VersionVector::component(a, 1), a),
-        Verdict::Stale
-    );
+    assert_eq!(restored.latest_stamp(1).unwrap(), (2, b));
+    // The restored stamp still outranks A's: a redelivery of the loser
+    // stays a loser after recovery.
+    assert_eq!(admit_live(&restored, 1, 1, a), Verdict::Stale);
 }
 
 /// §4.4 without a flush: a subscriber counts each dependency in its

@@ -3,7 +3,7 @@
 //! mailer observing posts — followed by a second act: two regional
 //! Diaspora deployments forming a two-writer mesh over the same User and
 //! Post rows, diverging under a seeded fault schedule and converging by
-//! last-writer-wins on version-vector stamps.
+//! last-writer-wins on `(clock, writer)` stamps.
 //!
 //! Run with: `cargo run --example social_ecosystem`
 
@@ -265,10 +265,10 @@ fn two_writer_mesh() {
     for node in nodes {
         let stats = node.subscriber_stats();
         println!(
-            "{}: conflicts detected={} dominated={}",
+            "{}: applied={} stale={}",
             node.app(),
-            stats.conflicts_detected,
-            stats.conflicts_discarded_dominated,
+            stats.ops_applied,
+            stats.ops_stale,
         );
     }
     eco.stop_all();

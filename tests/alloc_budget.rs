@@ -223,7 +223,7 @@ fn subscriber_process() -> [u64; 2] {
             dependencies: [(key, version)].into_iter().collect(),
             published_at: 0,
             generation: 1,
-            vectors: BTreeMap::new(),
+            stamps: BTreeMap::new(),
         })
     };
     let process = sub.subscriber();

@@ -8,14 +8,14 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use synapse_repro::core::{
-    mesh_object, DeliveryMode, Ecosystem, Operation, Publication, Subscription, SynapseConfig,
-    SynapseNode, WriteMessage, RETRY_ATTEMPTS,
+    mesh_object, writer_id, DeliveryMode, Ecosystem, Operation, Publication, Subscription,
+    SynapseConfig, SynapseNode, WriteMessage, RETRY_ATTEMPTS,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::{FaultEvent, FaultKind, Side};
 use synapse_repro::model::{Id, ModelSchema, Record, Value};
 use synapse_repro::orm::adapters::{ActiveRecordAdapter, MongoidAdapter};
-use synapse_repro::versionstore::VersionVector;
+use synapse_repro::versionstore::Stamp;
 
 /// Polls `cond` every 5 ms until it holds or `timeout` passes; returns
 /// whether it held.
@@ -38,6 +38,16 @@ pub fn mongo_node(eco: &Ecosystem, config: SynapseConfig) -> Arc<SynapseNode> {
     );
     node.orm().define_model(ModelSchema::open("Post")).unwrap();
     node
+}
+
+/// Two app names, the first with the greater writer id: at an equal clock
+/// its LWW stamp beats the second's.
+pub fn ranked(x: &'static str, y: &'static str) -> (&'static str, &'static str) {
+    if writer_id(x) > writer_id(y) {
+        (x, y)
+    } else {
+        (y, x)
+    }
 }
 
 /// Builds a started two-writer mesh: both weak-mode nodes publish *and*
@@ -124,15 +134,15 @@ pub fn field_of(node: &SynapseNode, id: Id, field: &str) -> Value {
         .unwrap_or(Value::Null)
 }
 
-/// One write of `User` `id` from `app`, carrying `vector` under the
+/// One write of `User` `id` from `app`, carrying `stamp` under the
 /// object's mesh key and no scalar dependencies.
-pub fn vector_msg(
+pub fn stamp_msg(
     node: &SynapseNode,
     id: Id,
     app: &str,
     operation: &str,
     name: &str,
-    vector: VersionVector,
+    stamp: Stamp,
 ) -> WriteMessage {
     let mesh_key = node.config().dep_space.key(&mesh_object("User", id));
     let mut attrs = BTreeMap::new();
@@ -144,7 +154,7 @@ pub fn vector_msg(
         dependencies: BTreeMap::new(),
         published_at: 0,
         generation: 1,
-        vectors: [(mesh_key, vector)].into_iter().collect(),
+        stamps: [(mesh_key, stamp)].into_iter().collect(),
     }
 }
 

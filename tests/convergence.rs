@@ -1,11 +1,11 @@
 //! Multi-writer convergence: two writers of one bidirectional model
 //! diverge under partitions and concurrent writes, then converge to an
 //! identical final state once the mesh heals, each concurrent pair settled
-//! by last-writer-wins on the version-vector stamp.
+//! by last-writer-wins on its `(clock, writer)` stamp.
 //!
 //! The deterministic tests force the interesting interleavings directly
-//! (publish-failure windows as partitions; hand-built version vectors
-//! through the delivery emulator); the seeded property tests drive random
+//! (publish-failure windows as partitions; hand-built stamps through the
+//! delivery emulator; a bootstrap copy racing a live write); the seeded property tests drive random
 //! interleaved publish/partition/heal schedules through the full stack;
 //! the free-running test lets two writer threads race with no schedule.
 
@@ -17,21 +17,21 @@ use std::time::Duration;
 use synapse_repro::core::subscriber::ProcessError;
 use synapse_repro::core::testing::emulate_delivery;
 use synapse_repro::core::{
-    mesh_object, writer_id, DeliveryMode, DepName, Ecosystem, Subscription, SynapseConfig,
-    SynapseNode, WriteMessage,
+    mesh_object, writer_id, DeliveryMode, DepName, Ecosystem, Publication, Subscription,
+    SynapseConfig, SynapseNode, WriteMessage,
 };
 use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::SeededRng;
 use synapse_repro::model::{vmap, Id, ModelSchema, Value};
 use synapse_repro::orm::adapters::MongoidAdapter;
-use synapse_repro::versionstore::{ObjectVersion, VersionVector};
+use synapse_repro::versionstore::{ObjectVersion, Stamp};
 
 mod common;
-use common::{eventually, field_of, mesh, quiesce, vector_msg};
+use common::{eventually, field_of, mesh, quiesce, ranked, stamp_msg};
 
 /// Partition both writers, apply one concurrent update on each side, heal,
-/// and require convergence to the deterministic LWW winner: the vectors
-/// fork with equal sums, so the higher writer id wins on both nodes.
+/// and require convergence to the deterministic LWW winner: the stamps
+/// fork at an equal clock, so the higher writer id wins on both nodes.
 #[test]
 fn partitioned_writers_converge_under_lww() {
     let eco = Ecosystem::new();
@@ -60,8 +60,8 @@ fn partitioned_writers_converge_under_lww() {
     b.publisher().recover();
     quiesce(&a, &b);
 
-    // Fork stamps: A's update carries {A:2}, B's carries {A:1,B:1} — equal
-    // sums, so the greater writer id wins identically everywhere.
+    // Fork stamps: A's update carries (2, A), B's (2, B) — equal clocks,
+    // so the greater writer id wins identically everywhere.
     let winner = if writer_id("mesh_a") > writer_id("mesh_b") {
         "from_a"
     } else {
@@ -75,13 +75,6 @@ fn partitioned_writers_converge_under_lww() {
             node.app()
         );
     }
-    // Both sides saw the fork.
-    for node in [&a, &b] {
-        let stats = node.subscriber_stats();
-        assert!(stats.conflicts_detected >= 1, "{}", node.app());
-    }
-    // The counters fold into the exported telemetry snapshot.
-    assert!(a.telemetry_snapshot().counter("conflicts.detected") >= 1);
     eco.stop_all();
 }
 
@@ -107,76 +100,58 @@ fn observer_of_two_writers(eco: &Ecosystem) -> Arc<SynapseNode> {
     node
 }
 
-/// Deterministic classification through hand-built vectors: one node
+/// Deterministic classification through hand-built stamps: one node
 /// subscribed bidirectionally to two remote writers receives a fresh
-/// write, a concurrent fork (LWW tiebreak by writer id), a
-/// dominated straggler (→ discarded), and a dominating follow-up.
+/// write, a tying fork (LWW tiebreak by writer id), a stale straggler
+/// (→ discarded), and a newer follow-up.
 #[test]
 fn forced_concurrent_vectors_classify_and_resolve() {
     const OBJECT: Id = Id(11);
     let eco = Ecosystem::new();
     let node = observer_of_two_writers(&eco);
-    let msg = |app: &str, operation: &str, name: &str, vector: VersionVector| {
-        vector_msg(&node, OBJECT, app, operation, name, vector)
+    let deliver = |app: &str, operation: &str, name: &str, stamp: Stamp| {
+        let msg = stamp_msg(&node, OBJECT, app, operation, name, stamp);
+        node.subscriber().process(&emulate_delivery(&msg)).unwrap();
+    };
+    let counts = || {
+        let stats = node.subscriber_stats();
+        (stats.ops_applied, stats.ops_stale)
     };
     let (wa, wb) = (writer_id("wa"), writer_id("wb"));
 
     // ① Fresh create from writer A.
-    node.subscriber()
-        .process(&emulate_delivery(&msg(
-            "wa",
-            "create",
-            "from_a",
-            VersionVector::component(wa, 1),
-        )))
-        .unwrap();
+    deliver("wa", "create", "from_a", (1, wa));
     assert_eq!(field_of(&node, OBJECT, "name").as_str(), Some("from_a"));
+    assert_eq!(counts(), (1, 0));
 
-    // ② Concurrent fork from writer B: equal sums, LWW breaks the tie by
+    // ② A fork from writer B at the same clock: LWW breaks the tie by
     // writer id, identically on every replica.
-    node.subscriber()
-        .process(&emulate_delivery(&msg(
-            "wb",
-            "update",
-            "from_b",
-            VersionVector::component(wb, 1),
-        )))
-        .unwrap();
-    let winner = if wb > wa { "from_b" } else { "from_a" };
+    deliver("wb", "update", "from_b", (1, wb));
+    let (winner, loser) = if wb > wa {
+        ("from_b", ("wa", wa))
+    } else {
+        ("from_a", ("wb", wb))
+    };
     assert_eq!(field_of(&node, OBJECT, "name").as_str(), Some(winner));
-    assert_eq!(node.subscriber_stats().conflicts_detected, 1);
+    assert_eq!(counts(), if wb > wa { (2, 0) } else { (1, 1) });
 
-    // ③ Dominated straggler: {A:1} against the joined {A:1,B:1} history.
-    node.subscriber()
-        .process(&emulate_delivery(&msg(
-            "wa",
-            "update",
-            "stale_a",
-            VersionVector::component(wa, 1),
-        )))
-        .unwrap();
+    // ③ Stale straggler: the tie's loser, redelivered, is below the
+    // stored winner.
+    let before = counts();
+    deliver(loser.0, "update", "stale", (1, loser.1));
     assert_eq!(field_of(&node, OBJECT, "name").as_str(), Some(winner));
-    assert_eq!(node.subscriber_stats().conflicts_discarded_dominated, 1);
+    assert_eq!(counts(), (before.0, before.1 + 1));
 
-    // ④ Dominating follow-up applies without counting a conflict.
-    node.subscriber()
-        .process(&emulate_delivery(&msg(
-            "wa",
-            "update",
-            "settled",
-            VersionVector::from_components(&[(wa, 2), (wb, 1)]),
-        )))
-        .unwrap();
+    // ④ A newer follow-up applies.
+    deliver("wa", "update", "settled", (2, wa));
     assert_eq!(field_of(&node, OBJECT, "name").as_str(), Some("settled"));
-    assert_eq!(node.subscriber_stats().conflicts_detected, 1);
+    assert_eq!(counts(), (before.0 + 1, before.1 + 1));
 }
 
 /// A version counts as stored only once its write has landed: an incoming
 /// write whose ORM write fails transiently leaves the version store
 /// untouched, so its redelivery is judged exactly as the first attempt was
-/// — a fresh create applies, and a concurrent fork that wins LWW still
-/// wins (joined into the stored vector by the failed attempt, it would
-/// come back dominated and be dropped for good, the row keeping the loser).
+/// — a fresh create applies, and a fork that wins LWW still wins.
 #[test]
 fn concurrent_write_survives_transient_apply_failure() {
     let eco = Ecosystem::new();
@@ -192,34 +167,34 @@ fn concurrent_write_survives_transient_apply_failure() {
 
     // Fresh: a single create, failed once, applies on the second attempt.
     let lone = Id(12);
-    let create = VersionVector::component(wa, 1);
-    twice(vector_msg(&node, lone, "wa", "create", "from_a", create));
+    twice(stamp_msg(&node, lone, "wa", "create", "from_a", (1, wa)));
     assert_eq!(field_of(&node, lone, "name").as_str(), Some("from_a"));
     assert_eq!(node.subscriber_stats().ops_applied, 1);
 
-    // Concurrent: {wb:2} forks from the applied {wa:1} and out-stamps it
-    // (history length 2 against 1), whichever writer id is greater.
+    // A fork: B's clock 2 never saw A's clock 1 and out-stamps it,
+    // whichever writer id is greater.
     let forked = Id(11);
-    let create = VersionVector::component(wa, 1);
     node.subscriber()
-        .process(&emulate_delivery(&vector_msg(
-            &node, forked, "wa", "create", "from_a", create,
+        .process(&emulate_delivery(&stamp_msg(
+            &node,
+            forked,
+            "wa",
+            "create",
+            "from_a",
+            (1, wa),
         )))
         .unwrap();
-    let fork = VersionVector::component(wb, 2);
-    twice(vector_msg(&node, forked, "wb", "update", "from_b", fork));
+    twice(stamp_msg(&node, forked, "wb", "update", "from_b", (2, wb)));
     assert_eq!(field_of(&node, forked, "name").as_str(), Some("from_b"));
     let stats = node.subscriber_stats();
-    assert_eq!(stats.conflicts_detected, 1);
-    assert_eq!(stats.conflicts_discarded_dominated, 0);
-    assert_eq!(stats.ops_applied, 3);
+    assert_eq!((stats.ops_applied, stats.ops_stale), (3, 0));
 }
 
 /// A bidirectional local write whose sub-store shard is dead still lands:
-/// the row commits, the message goes out with no `vectors`, and the peer
+/// the row commits, the message goes out with no `stamps`, and the peer
 /// judges it like a single-writer write, by the scalar of its object
 /// dependency under the writer's per-app name (DESIGN.md *Wire
-/// compatibility*) — leaving the object's mesh vector where it was.
+/// compatibility*) — leaving the object's mesh stamp where it was.
 #[test]
 fn dead_sub_store_write_goes_out_unstamped() {
     let eco = Ecosystem::new();
@@ -249,8 +224,147 @@ fn dead_sub_store_write_goes_out_unstamped() {
         "judged by its scalar: {objects:?}"
     );
     assert_eq!(
-        b.sub_store().latest_vector(mesh).unwrap(),
-        VersionVector::component(writer_id("mesh_a"), 1)
+        b.sub_store().latest_stamp(mesh).unwrap(),
+        (1, writer_id("mesh_a"))
+    );
+    eco.stop_all();
+}
+
+/// A weak-mode writer of `User.name` on MongoDB: it publishes the model
+/// bidirectionally and subscribes to it, bidirectionally, from `from`.
+fn mesh_writer(eco: &Ecosystem, app: &str, from: &[&str]) -> Arc<SynapseNode> {
+    let node = eco.add_node(
+        SynapseConfig::new(app).mode(DeliveryMode::Weak),
+        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
+    );
+    node.orm()
+        .define_model(ModelSchema::new("User").field("name"))
+        .unwrap();
+    node.publish(Publication::model("User").field("name").bidirectional())
+        .unwrap();
+    for peer in from {
+        node.subscribe(
+            Subscription::model("User", *peer)
+                .field("name")
+                .bidirectional(),
+        )
+        .unwrap();
+    }
+    node
+}
+
+/// A bootstrap copy carries the stamp of the content it copies. Writers
+/// `wa` and `wb` create one row concurrently and settle it; `wc`, which
+/// hears only `wa`, then updates it. An observer bootstrapped from `wa`
+/// between the two must let `wc`'s later write through, as every writer
+/// does. A copy stamped from everything `wa` had folded in — two writes'
+/// worth of history under `wa`'s id — outranked `wc`'s stamp at the
+/// observer, which kept the copied value for good.
+#[test]
+fn bootstrap_copy_carries_the_copied_content_stamp() {
+    const ROW: Id = Id(42);
+    let (wa, wc) = ranked("stamp_wa", "stamp_wc");
+    let eco = Ecosystem::new();
+    let a = mesh_writer(&eco, wa, &["stamp_wb", wc]);
+    let b = mesh_writer(&eco, "stamp_wb", &[wa, wc]);
+    let c = mesh_writer(&eco, wc, &[wa]);
+    let violations = eco.connect();
+    assert!(violations.is_empty(), "{violations:?}");
+    eco.start_all();
+
+    // Two creates of one row, each unseen by the other writer.
+    for node in [&a, &b] {
+        node.publisher().inject_publish_failure(true);
+        let name = format!("from_{}", node.app());
+        node.orm()
+            .create_with_id("User", ROW, vmap! { "name" => name })
+            .unwrap();
+    }
+    for node in [&a, &b] {
+        node.publisher().inject_publish_failure(false);
+        node.publisher().recover();
+    }
+    let settled = format!("from_{wa}");
+    assert!(
+        eventually(Duration::from_secs(10), || {
+            let held = field_of(&a, ROW, "name");
+            !held.is_null()
+                && held == field_of(&b, ROW, "name")
+                && field_of(&c, ROW, "name").as_str() == Some(settled.as_str())
+        }),
+        "the concurrent creates never settled"
+    );
+
+    let observer = eco.add_node(
+        SynapseConfig::new("stamp_observer").mode(DeliveryMode::Weak),
+        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
+    );
+    observer
+        .orm()
+        .define_model(ModelSchema::new("User").field("name"))
+        .unwrap();
+    for from in [wa, wc] {
+        observer
+            .subscribe(
+                Subscription::model("User", from)
+                    .field("name")
+                    .bidirectional(),
+            )
+            .unwrap();
+    }
+    let violations = eco.connect();
+    assert!(violations.is_empty(), "{violations:?}");
+    observer.start_and_bootstrap_from(&a).unwrap();
+    assert_eq!(field_of(&observer, ROW, "name"), field_of(&a, ROW, "name"));
+
+    c.orm()
+        .update("User", ROW, vmap! { "name" => "from_c" })
+        .unwrap();
+    let nodes = [&a, &b, &c, &observer];
+    let converged = eventually(Duration::from_secs(10), || {
+        nodes
+            .iter()
+            .all(|node| field_of(node, ROW, "name").as_str() == Some("from_c"))
+    });
+    let held: Vec<_> = nodes
+        .iter()
+        .map(|node| (node.app().to_owned(), field_of(node, ROW, "name")))
+        .collect();
+    assert!(converged, "not every replica took wc's write: {held:?}");
+    eco.stop_all();
+}
+
+/// A mesh writer that loses the sub-store shard holding an object's stamp
+/// and gets it back empty restarts the object's clock: its next local
+/// write is stamped clock 1, which it keeps and its peer, holding a later
+/// stamp of the object, discards as stale.
+#[test]
+#[ignore = "open defect: a mesh write after a sub-store shard loss restarts its clock, ROADMAP"]
+fn mesh_write_after_a_sub_store_shard_loss_converges() {
+    let eco = Ecosystem::new();
+    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"]);
+    let user = a.orm().create("User", vmap! { "name" => "seed" }).unwrap();
+    for i in 0..3 {
+        a.orm()
+            .update("User", user.id, vmap! { "name" => format!("a{i}") })
+            .unwrap();
+    }
+    assert!(eventually(Duration::from_secs(5), || {
+        field_of(&b, user.id, "name").as_str() == Some("a2")
+    }));
+
+    let mesh = mesh_object("User", user.id).identity();
+    a.sub_store().kill_shard(a.sub_store().shard_for(mesh));
+    a.sub_store().revive();
+    a.orm()
+        .update("User", user.id, vmap! { "name" => "after_loss" })
+        .unwrap();
+    quiesce(&a, &b);
+    assert_eq!(field_of(&a, user.id, "name").as_str(), Some("after_loss"));
+    assert_eq!(
+        field_of(&a, user.id, "name"),
+        field_of(&b, user.id, "name"),
+        "replicas diverged"
     );
     eco.stop_all();
 }
@@ -339,20 +453,20 @@ fn seeded_schedules_converge_under_lww() {
 }
 
 /// What a diverged mesh looks like: each node's counters and, for every
-/// row the replicas disagree on, each side's `name`, stored version vector
-/// and LWW winner stamp (the state that decides who should have won).
+/// row the replicas disagree on, each side's `name` and stored LWW stamp
+/// (the state that decides who should have won).
 fn divergence_report(nodes: [&SynapseNode; 2], ids: &[Id]) -> String {
     let mut out = String::new();
     for node in nodes {
         let stats = node.subscriber_stats();
         let _ = write!(
             out,
-            "\n  {}: journal={} processed={} applied={} conflicts={}",
+            "\n  {}: journal={} processed={} applied={} stale={}",
             node.app(),
             node.publisher().journal_len(),
             stats.messages_processed,
             stats.ops_applied,
-            stats.conflicts_detected,
+            stats.ops_stale,
         );
     }
     let dumps = nodes.map(|node| node.sub_store().dump().unwrap_or_default());
@@ -365,10 +479,10 @@ fn divergence_report(nodes: [&SynapseNode; 2], ids: &[Id]) -> String {
             let name = field_of(node, id, "name");
             let _ = write!(out, "\n  User {id} @ {}: name={name:?}", node.app());
             match dump.objects.iter().find(|(object, _)| *object == mesh) {
-                Some((_, ObjectVersion::Mesh { vector, winner })) => {
-                    let _ = write!(out, " vector={vector} winner={winner:?}");
+                Some((_, ObjectVersion::Mesh(stamp))) => {
+                    let _ = write!(out, " stamp={stamp:?}");
                 }
-                _ => out.push_str(" (no stored vector)"),
+                _ => out.push_str(" (no stored stamp)"),
             }
         }
     }

@@ -815,7 +815,7 @@ fn unknown_magic_snapshot_is_skipped_and_node_recovers_by_replay_and_bootstrap()
     subscriber.persist_snapshot().expect("snapshot persists");
     let store = subscriber.snapshot_store().expect("durability plane is on");
     let snap_dir = store.dir().to_path_buf();
-    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP5");
+    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP6");
     // Workers down: these writes stay queued, on the broker WAL only.
     subscriber.stop();
     let queued: Vec<_> = (12..18).map(|i| create(&publisher, "queued", i)).collect();
@@ -884,7 +884,7 @@ fn unknown_magic_snapshot_is_skipped_and_node_recovers_by_replay_and_bootstrap()
     // The next persist writes the current format above the foreign file
     // and prunes it.
     subscriber.persist_snapshot().expect("fresh persist");
-    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP5");
+    assert_eq!(latest_snapshot_magic(&snap_dir), *b"SYNSNAP6");
     eco.stop_all();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -421,7 +421,7 @@ fn post_message(node: &SynapseNode, operation: &str, id: Id, version: u64) -> Wr
         dependencies: BTreeMap::from([(key, version)]),
         published_at: 0,
         generation: 1,
-        vectors: BTreeMap::new(),
+        stamps: BTreeMap::new(),
     }
 }
 
@@ -500,7 +500,7 @@ fn live_write_between_copy_attempts_supersedes_the_failed_copy() {
     assert!(subscriber.orm().find("Post", post).unwrap().is_none());
 }
 
-/// Concurrent persists must leave the newest capture as the latest
+/// Overlapping persists must leave the newest capture as the latest
 /// snapshot. Each persisting thread reads a counter that a writer keeps
 /// bumping just before its call; whatever `load_latest` returns after a
 /// round must hold at least the largest of those readings, or a restart

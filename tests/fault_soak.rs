@@ -548,7 +548,7 @@ fn an_older_generation_write_arriving_late_loses_to_a_newer_one() {
             dependencies: BTreeMap::from([(key(id), versioned(generation, count))]),
             published_at: 0,
             generation,
-            vectors: BTreeMap::new(),
+            stamps: BTreeMap::new(),
         }
     };
     for msg in [

@@ -81,7 +81,7 @@ proptest! {
             dependencies: deps,
             published_at: 42,
             generation,
-            vectors: BTreeMap::new(),
+            stamps: BTreeMap::new(),
         };
         let decoded = WriteMessage::decode(&msg.encode()).unwrap();
         prop_assert_eq!(decoded, msg);
@@ -143,7 +143,7 @@ proptest! {
         }
     }
 
-    /// Concurrent publishers mixing reused and fresh scratch buffers never
+    /// Parallel publishers mixing reused and fresh scratch buffers never
     /// lose or duplicate an increment: final `ops` counters equal each key's total occurrence
     /// count, and every call returns values for exactly its keys in order.
     #[test]

@@ -41,7 +41,7 @@ fn object_msg(operation: &str, key: u64, version: u64, name: &str) -> WriteMessa
         dependencies: [(key, version)].into_iter().collect(),
         published_at: 0,
         generation: 1,
-        vectors: BTreeMap::new(),
+        stamps: BTreeMap::new(),
     }
 }
 

@@ -188,7 +188,7 @@ fn process_and_worker_pool_agree_on_every_delivery_kind() {
             dependencies: BTreeMap::from([(key, version)]),
             published_at: 0,
             generation: 1,
-            vectors: BTreeMap::new(),
+            stamps: BTreeMap::new(),
         }
         .encode()
     };
