@@ -214,6 +214,7 @@ impl Publisher {
         telemetry: Arc<Telemetry>,
     ) -> Self {
         store.enter_generation(generations.current());
+        sub_store.enter_generation(generations.current());
         Publisher {
             app_prefix: format!("{app}/"),
             global_dep: DepName::global(&app),
@@ -612,6 +613,7 @@ impl Publisher {
             errors.bump();
         }
         self.store.enter_generation(self.generations.current());
+        self.sub_store.enter_generation(self.generations.current());
         self.store.revive();
         self.generation_bumps.fetch_add(1, Ordering::Relaxed);
     }
@@ -677,7 +679,7 @@ impl QueryObserver for Publisher {
         let mesh = publication.bidirectional.then(|| {
             let name = crate::deps::mesh_object(intent.model, intent.id);
             let admission = self.sub_store.reserve(name.identity());
-            (self.dep_space.key(&name), name.identity(), admission)
+            (self.dep_space.key(&name), admission)
         });
         // The guard borrows the key set out of the scratch.
         let lock_keys = std::mem::take(&mut scratch.lock_keys);
@@ -693,12 +695,10 @@ impl QueryObserver for Publisher {
         };
 
         let executed = mono_nanos();
-        // The stamp: one clock past the latest this node recorded for the
-        // object, under its own writer id. A dead sub store sends the write
-        // out unstamped.
-        let stamp = mesh.and_then(|(key, object, admission)| {
-            let (clock, _) = self.sub_store.latest_stamp(object).ok()?;
-            let stamp = (clock + 1, self.writer);
+        // The stamp: one past the node's clock, under its own writer id. A
+        // dead sub store sends the write out unstamped.
+        let stamp = mesh.and_then(|(key, admission)| {
+            let stamp = self.sub_store.next_stamp(self.writer);
             admission.commit(&ObjectVersion::Mesh(stamp)).ok()?;
             Some((key, stamp))
         });

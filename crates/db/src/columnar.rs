@@ -18,7 +18,6 @@
 
 use crate::engine::{Capabilities, Engine, EngineStats};
 use crate::error::DbError;
-use crate::faults::DbFaults;
 use crate::latency::LatencyModel;
 use crate::query::{Filter, Query, QueryResult, Row};
 use crate::table::{namespace, sort_rows, Keys, OpMeter};
@@ -285,10 +284,6 @@ pub struct ColumnarDb {
     /// `(MEMTABLE_FLUSH_CELLS, COMPACTION_FANIN)` everywhere but in tests
     /// that need an LSM with many runs out of few writes.
     thresholds: (usize, usize),
-    /// Fault panel: compaction stalls queue the write path behind a
-    /// simulated background compaction (the LSM failure class where
-    /// compaction saturates the disk and foreground writes back up).
-    faults: DbFaults,
 }
 
 impl ColumnarDb {
@@ -300,13 +295,7 @@ impl ColumnarDb {
             families: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(1),
             thresholds: (MEMTABLE_FLUSH_CELLS, COMPACTION_FANIN),
-            faults: DbFaults::new(),
         }
-    }
-
-    /// The engine's fault panel (shared state with every clone).
-    pub fn faults(&self) -> DbFaults {
-        self.faults.clone()
     }
 
     /// Number of flushes and compactions performed so far.
@@ -430,12 +419,6 @@ impl Engine for ColumnarDb {
 
     fn execute(&self, q: Query) -> Result<QueryResult, DbError> {
         self.meter.charge(&q);
-        if q.is_write() {
-            // Stall behind the simulated compaction *before* taking the
-            // engine lock, as a real write queues behind compaction I/O,
-            // not behind other clients.
-            self.faults.gate_compaction();
-        }
         let mut fams = self.families.lock();
         self.run_locked(&mut fams, q)
     }

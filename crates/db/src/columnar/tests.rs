@@ -382,53 +382,6 @@ proptest! {
 }
 
 #[test]
-fn compaction_stalls_charge_writes_then_expire() {
-    let db = db();
-    db.faults()
-        .inject_compaction_stalls(2, std::time::Duration::from_micros(400));
-    let start = std::time::Instant::now();
-    for i in 0..4u64 {
-        db.execute(Query::Insert {
-            table: "t".into(),
-            id: Id(i + 1),
-            row: row(&[("v", Value::Int(i as i64))]),
-        })
-        .unwrap();
-    }
-    assert!(start.elapsed() >= std::time::Duration::from_micros(800));
-    assert_eq!(db.faults().stats().compaction_stalls_charged, 2);
-    assert!(!db.faults().is_armed(), "stall window expired");
-    // Reads never stall and all writes landed despite the stalls.
-    assert_eq!(select_all(&db, "t").len(), 4);
-}
-
-#[test]
-fn compaction_stall_schedule_is_deterministic() {
-    // Same write schedule twice: identical charge counts both runs.
-    let observed: Vec<u64> = (0..2)
-        .map(|_| {
-            let db = db();
-            db.faults()
-                .inject_compaction_stalls(3, std::time::Duration::from_micros(50));
-            for i in 0..5u64 {
-                db.execute(Query::Insert {
-                    table: "t".into(),
-                    id: Id(i + 1),
-                    row: row(&[("v", Value::Int(i as i64))]),
-                })
-                .unwrap();
-            }
-            db.faults().stats().compaction_stalls_charged
-        })
-        .collect();
-    assert_eq!(observed[0], observed[1]);
-    assert_eq!(
-        observed[0], 3,
-        "countdown fires exactly, never probabilistically"
-    );
-}
-
-#[test]
 fn duplicate_insert_rejected() {
     let db = db();
     db.execute(Query::Insert {

@@ -8,10 +8,9 @@
 
 use crate::engine::{Capabilities, Engine, EngineStats};
 use crate::error::DbError;
-use crate::faults::DbFaults;
 use crate::latency::LatencyModel;
 use crate::query::{Query, QueryResult};
-use crate::table::{apply_changes, namespace, OpMeter, RowTable};
+use crate::table::{namespace, OpMeter, RowTable};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -20,10 +19,6 @@ pub struct DocumentDb {
     caps: Capabilities,
     meter: OpMeter,
     collections: Mutex<HashMap<String, RowTable>>,
-    /// Fault panel: a write-concern downgrade acks inserts/updates
-    /// without applying them (the MongoDB w=0 fire-and-forget posture,
-    /// where a success reply only means "the server took the message").
-    faults: DbFaults,
 }
 
 impl DocumentDb {
@@ -33,13 +28,7 @@ impl DocumentDb {
             caps,
             meter: OpMeter::new(latency),
             collections: Mutex::new(HashMap::new()),
-            faults: DbFaults::new(),
         }
-    }
-
-    /// The engine's fault panel (shared state with every clone).
-    pub fn faults(&self) -> DbFaults {
-        self.faults.clone()
     }
 }
 
@@ -61,17 +50,10 @@ impl Engine for DocumentDb {
                 Ok(QueryResult::Unit)
             }
             Query::Insert { table, id, row } => {
-                // Write-concern downgrade: ack the insert without
-                // applying it — with w=0 the reply carries no duplicate
-                // check either, the client just hears "ok".
-                let echo = if self.faults.gate_write_concern() {
-                    row
-                } else {
-                    // Document stores auto-create collections on first write.
-                    namespace(&mut colls, &table)
-                        .insert(&table, id, row)?
-                        .clone()
-                };
+                // Document stores auto-create collections on first write.
+                let echo = namespace(&mut colls, &table)
+                    .insert(&table, id, row)?
+                    .clone();
                 Ok(QueryResult::Rows(vec![(id, echo)]))
             }
             Query::Update {
@@ -81,22 +63,10 @@ impl Engine for DocumentDb {
                 unset,
             } => {
                 let coll = namespace(&mut colls, &table);
-                // Write-concern downgrade: echo what the update *would*
-                // have written without persisting any of it.
-                let written = if self.faults.gate_write_concern() {
-                    let would_write = coll.matching(&filter).map(|(id, doc)| {
-                        let mut image = doc.clone();
-                        apply_changes(&mut image, set.clone(), &unset);
-                        (id, image)
-                    });
-                    would_write.collect()
-                } else {
-                    let mut written = Vec::new();
-                    coll.update(&coll.ids(&filter), set, &unset, false, |id, _, new| {
-                        written.push((id, new.clone()))
-                    });
-                    written
-                };
+                let mut written = Vec::new();
+                coll.update(&coll.ids(&filter), set, &unset, false, |id, _, new| {
+                    written.push((id, new.clone()))
+                });
                 Ok(QueryResult::Rows(written))
             }
             Query::Delete { table, filter } => {
@@ -149,91 +119,6 @@ mod tests {
             .iter()
             .map(|(k, v)| ((*k).to_owned(), v.clone()))
             .collect()
-    }
-
-    #[test]
-    fn write_concern_downgrade_acks_without_applying() {
-        let db = db();
-        db.execute(Query::Insert {
-            table: "u".into(),
-            id: Id(1),
-            row: doc(&[("a", 1.into())]),
-        })
-        .unwrap();
-        db.faults().inject_write_concern_downgrade(2);
-        // Downgraded insert: success reply, nothing stored.
-        let res = db
-            .execute(Query::Insert {
-                table: "u".into(),
-                id: Id(2),
-                row: doc(&[("a", 2.into())]),
-            })
-            .unwrap();
-        assert!(matches!(res, QueryResult::Rows(ref rows) if rows.len() == 1));
-        // Downgraded update: echoes the would-be image, persists nothing.
-        let res = db
-            .execute(Query::Update {
-                table: "u".into(),
-                filter: Filter::ById(Id(1)),
-                set: doc(&[("a", 99.into())]),
-                unset: vec![],
-            })
-            .unwrap();
-        match res {
-            QueryResult::Rows(rows) => assert_eq!(rows[0].1["a"], Value::Int(99)),
-            other => panic!("unexpected {other:?}"),
-        }
-        // The window expired: reads see only the pre-downgrade state.
-        let n = db
-            .execute(Query::Count {
-                table: "u".into(),
-                filter: Filter::All,
-            })
-            .unwrap()
-            .into_count()
-            .unwrap();
-        assert_eq!(n, 1, "downgraded insert was never applied");
-        let rows = db
-            .execute(Query::Select {
-                table: "u".into(),
-                filter: Filter::ById(Id(1)),
-                order: None,
-                limit: None,
-            })
-            .unwrap()
-            .into_rows()
-            .unwrap();
-        assert_eq!(rows[0].1["a"], Value::Int(1), "downgraded update was lost");
-        assert_eq!(db.faults().stats().writes_ack_downgraded, 2);
-        assert!(!db.faults().is_armed());
-    }
-
-    #[test]
-    fn write_concern_downgrade_schedule_is_deterministic() {
-        // Same write schedule twice: identical surviving documents.
-        let observed: Vec<u64> = (0..2)
-            .map(|_| {
-                let db = db();
-                db.faults().inject_write_concern_downgrade(2);
-                for i in 0..5u64 {
-                    db.execute(Query::Insert {
-                        table: "u".into(),
-                        id: Id(i + 1),
-                        row: doc(&[("v", Value::Int(i as i64))]),
-                    })
-                    .unwrap();
-                }
-                db.execute(Query::Count {
-                    table: "u".into(),
-                    filter: Filter::All,
-                })
-                .unwrap()
-                .into_count()
-                .unwrap()
-            })
-            .collect();
-        assert_eq!(observed[0], observed[1]);
-        assert_eq!(observed[0], 3, "exactly the first two inserts were dropped");
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! Arming is explicit and countdown-based (the next `n` writes), never
 //! probabilistic, so a fault schedule driven by a seeded plan yields
 //! identical injection counts on every run.
+//!
+//! These two are the only db-level fault classes: they are what a seeded
+//! fault plan schedules and what the ORM's write gate consumes. The
+//! engines themselves hold no fault state, so no read or write of theirs
+//! pays for a gate.
 
 use crate::error::DbError;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,15 +29,6 @@ pub struct DbFaultStats {
     pub write_errors_injected: u64,
     /// Writes delayed by an injected latency spike.
     pub latency_spikes_charged: u64,
-    /// Reads answered from a stale snapshot (refresh lag).
-    pub stale_reads_served: u64,
-    /// Writes stalled behind an injected compaction (columnar engines).
-    pub compaction_stalls_charged: u64,
-    /// Traversals failed with an injected timeout (graph engines).
-    pub traversal_timeouts_injected: u64,
-    /// Writes acked without being applied — the write-concern downgrade
-    /// failure class of document stores (w=0 fire-and-forget).
-    pub writes_ack_downgraded: u64,
 }
 
 #[derive(Default)]
@@ -42,28 +38,8 @@ struct FaultsInner {
     /// Delay the next `n` writes by `spike_micros` each.
     spike_next: AtomicU64,
     spike_micros: AtomicU64,
-    /// Serve the next `n` reads from a stale snapshot (refresh lag): the
-    /// search-engine failure class where documents are written to the
-    /// index but invisible to queries until the next refresh cycle.
-    refresh_lag_next: AtomicU64,
-    /// Stall the next `n` writes behind a simulated compaction, each for
-    /// `compaction_stall_micros` (the columnar-engine failure class where
-    /// a background compaction saturates the disk and foreground writes
-    /// queue behind it).
-    compaction_stall_next: AtomicU64,
-    compaction_stall_micros: AtomicU64,
-    /// Fail the next `n` traversals with a timeout (the graph-engine
-    /// failure class where a deep walk blows its time budget).
-    traversal_fail_next: AtomicU64,
-    /// Downgrade the write concern on the next `n` writes: ack without
-    /// applying (the document-store w=0 failure class).
-    write_concern_next: AtomicU64,
     write_errors_injected: AtomicU64,
     latency_spikes_charged: AtomicU64,
-    stale_reads_served: AtomicU64,
-    compaction_stalls_charged: AtomicU64,
-    traversal_timeouts_injected: AtomicU64,
-    writes_ack_downgraded: AtomicU64,
 }
 
 /// Cloneable handle arming deterministic db-level faults; clones share
@@ -92,66 +68,17 @@ impl DbFaults {
         self.inner.spike_next.fetch_add(ops, Ordering::SeqCst);
     }
 
-    /// Arms refresh lag: the next `reads` read queries are answered from
-    /// whatever stale snapshot the engine captured at arming time (an
-    /// engine that never captured one treats the gate as a no-op). Like
-    /// every other fault here the window is countdown-based — measured in
-    /// reads, not wall time — so seeded runs see identical staleness.
-    pub fn inject_refresh_lag(&self, reads: u64) {
-        self.inner
-            .refresh_lag_next
-            .fetch_add(reads, Ordering::SeqCst);
-    }
-
-    /// Whether the refresh-lag window is still open.
-    pub fn is_refresh_lagging(&self) -> bool {
-        self.inner.refresh_lag_next.load(Ordering::SeqCst) > 0
-    }
-
-    /// Arms compaction stalls: the next `writes` writes each queue behind
-    /// a simulated compaction for `each`. Re-arming replaces the stall
-    /// duration.
-    pub fn inject_compaction_stalls(&self, writes: u64, each: Duration) {
-        self.inner
-            .compaction_stall_micros
-            .store(each.as_micros() as u64, Ordering::SeqCst);
-        self.inner
-            .compaction_stall_next
-            .fetch_add(writes, Ordering::SeqCst);
-    }
-
-    /// Arms traversal timeouts for the next `n` traversals.
-    pub fn inject_traversal_timeouts(&self, n: u64) {
-        self.inner
-            .traversal_fail_next
-            .fetch_add(n, Ordering::SeqCst);
-    }
-
-    /// Arms a write-concern downgrade: the next `n` writes are acked
-    /// without being applied.
-    pub fn inject_write_concern_downgrade(&self, n: u64) {
-        self.inner.write_concern_next.fetch_add(n, Ordering::SeqCst);
-    }
-
     /// Disarms all pending faults (armed-but-unfired countdowns are
     /// cleared; injection counters are kept).
     pub fn disarm(&self) {
         self.inner.write_fail_next.store(0, Ordering::SeqCst);
         self.inner.spike_next.store(0, Ordering::SeqCst);
-        self.inner.refresh_lag_next.store(0, Ordering::SeqCst);
-        self.inner.compaction_stall_next.store(0, Ordering::SeqCst);
-        self.inner.traversal_fail_next.store(0, Ordering::SeqCst);
-        self.inner.write_concern_next.store(0, Ordering::SeqCst);
     }
 
     /// Whether any fault countdown is still armed.
     pub fn is_armed(&self) -> bool {
         self.inner.write_fail_next.load(Ordering::SeqCst) > 0
             || self.inner.spike_next.load(Ordering::SeqCst) > 0
-            || self.inner.refresh_lag_next.load(Ordering::SeqCst) > 0
-            || self.inner.compaction_stall_next.load(Ordering::SeqCst) > 0
-            || self.inner.traversal_fail_next.load(Ordering::SeqCst) > 0
-            || self.inner.write_concern_next.load(Ordering::SeqCst) > 0
     }
 
     /// Consumes one armed fault, if any: returns the transient error or
@@ -174,69 +101,11 @@ impl DbFaults {
         Ok(())
     }
 
-    /// Consumes one armed refresh-lag read, if any: returns whether the
-    /// engine should answer this read from its stale snapshot. Called by
-    /// snapshot-capable engines on their read path.
-    pub fn gate_read(&self) -> bool {
-        if consume_one(&self.inner.refresh_lag_next) {
-            self.inner.stale_reads_served.fetch_add(1, Ordering::SeqCst);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Consumes one armed compaction stall, if any: sleeps for the stall
-    /// duration. Called by columnar engines on their write path.
-    pub fn gate_compaction(&self) {
-        if consume_one(&self.inner.compaction_stall_next) {
-            self.inner
-                .compaction_stalls_charged
-                .fetch_add(1, Ordering::SeqCst);
-            let micros = self.inner.compaction_stall_micros.load(Ordering::SeqCst);
-            std::thread::sleep(Duration::from_micros(micros));
-        }
-    }
-
-    /// Consumes one armed traversal timeout, if any: returns whether the
-    /// traversal should fail. Called by graph engines before walking.
-    pub fn gate_traversal(&self) -> bool {
-        if consume_one(&self.inner.traversal_fail_next) {
-            self.inner
-                .traversal_timeouts_injected
-                .fetch_add(1, Ordering::SeqCst);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Consumes one armed write-concern downgrade, if any: returns whether
-    /// the engine should ack this write without applying it. Called by
-    /// document engines on their write path.
-    pub fn gate_write_concern(&self) -> bool {
-        if consume_one(&self.inner.write_concern_next) {
-            self.inner
-                .writes_ack_downgraded
-                .fetch_add(1, Ordering::SeqCst);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Counters of faults injected so far.
     pub fn stats(&self) -> DbFaultStats {
         DbFaultStats {
             write_errors_injected: self.inner.write_errors_injected.load(Ordering::SeqCst),
             latency_spikes_charged: self.inner.latency_spikes_charged.load(Ordering::SeqCst),
-            stale_reads_served: self.inner.stale_reads_served.load(Ordering::SeqCst),
-            compaction_stalls_charged: self.inner.compaction_stalls_charged.load(Ordering::SeqCst),
-            traversal_timeouts_injected: self
-                .inner
-                .traversal_timeouts_injected
-                .load(Ordering::SeqCst),
-            writes_ack_downgraded: self.inner.writes_ack_downgraded.load(Ordering::SeqCst),
         }
     }
 }
@@ -304,50 +173,9 @@ mod tests {
         let faults = DbFaults::new();
         faults.inject_write_errors(10);
         faults.inject_latency_spikes(10, Duration::from_millis(1));
-        faults.inject_refresh_lag(10);
-        faults.inject_compaction_stalls(10, Duration::from_millis(1));
-        faults.inject_traversal_timeouts(10);
-        faults.inject_write_concern_downgrade(10);
         faults.disarm();
         assert!(!faults.is_armed());
         assert_eq!(faults.gate_write(), Ok(()));
-        assert!(!faults.gate_read());
-        assert!(!faults.gate_traversal());
-        assert!(!faults.gate_write_concern());
-    }
-
-    #[test]
-    fn engine_profile_gates_count_down_exactly() {
-        let faults = DbFaults::new();
-        faults.inject_compaction_stalls(2, Duration::from_micros(300));
-        let start = Instant::now();
-        for _ in 0..4 {
-            faults.gate_compaction();
-        }
-        assert!(start.elapsed() >= Duration::from_micros(600));
-        faults.inject_traversal_timeouts(1);
-        assert!(faults.gate_traversal());
-        assert!(!faults.gate_traversal());
-        faults.inject_write_concern_downgrade(2);
-        assert!(faults.gate_write_concern());
-        assert!(faults.gate_write_concern());
-        assert!(!faults.gate_write_concern());
-        let stats = faults.stats();
-        assert_eq!(stats.compaction_stalls_charged, 2);
-        assert_eq!(stats.traversal_timeouts_injected, 1);
-        assert_eq!(stats.writes_ack_downgraded, 2);
-        assert!(!faults.is_armed());
-    }
-
-    #[test]
-    fn refresh_lag_counts_down_exactly() {
-        let faults = DbFaults::new();
-        faults.inject_refresh_lag(2);
-        assert!(faults.is_refresh_lagging());
-        assert!(faults.gate_read());
-        assert!(faults.gate_read());
-        assert!(!faults.gate_read(), "window is measured in reads");
-        assert!(!faults.is_refresh_lagging());
-        assert_eq!(faults.stats().stale_reads_served, 2);
+        assert_eq!(faults.stats(), DbFaultStats::default());
     }
 }

@@ -9,7 +9,6 @@
 
 use crate::engine::{Capabilities, Engine, EngineStats};
 use crate::error::DbError;
-use crate::faults::DbFaults;
 use crate::latency::LatencyModel;
 use crate::query::{Query, QueryResult};
 use crate::table::{namespace, OpMeter, RowTable};
@@ -62,10 +61,6 @@ pub struct GraphDb {
     caps: Capabilities,
     meter: OpMeter,
     store: Mutex<GraphStore>,
-    /// Fault panel: traversal timeouts fail [`Query::Traverse`] with a
-    /// transient error (the graph failure class where a deep walk blows
-    /// its time budget).
-    faults: DbFaults,
 }
 
 impl GraphDb {
@@ -75,25 +70,7 @@ impl GraphDb {
             caps,
             meter: OpMeter::new(latency),
             store: Mutex::new(GraphStore::default()),
-            faults: DbFaults::new(),
         }
-    }
-
-    /// The engine's fault panel (shared state with every clone).
-    pub fn faults(&self) -> DbFaults {
-        self.faults.clone()
-    }
-
-    /// Total number of (undirected) edges, for tests and stats.
-    pub fn edge_count(&self) -> u64 {
-        let store = self.store.lock();
-        let double: usize = store
-            .edges
-            .values()
-            .flat_map(|adj| adj.values())
-            .map(BTreeSet::len)
-            .sum();
-        (double / 2) as u64
     }
 }
 
@@ -185,11 +162,6 @@ impl Engine for GraphDb {
                 Ok(QueryResult::Unit)
             }
             Query::Traverse { label, from, depth } => {
-                // Timeout fault: the walk blew its budget. Transient —
-                // the engine recovers by itself, so callers retry.
-                if self.faults.gate_traversal() {
-                    return Err(DbError::Unavailable);
-                }
                 Ok(QueryResult::Ids(store.traverse(&label, from, depth)))
             }
             Query::Search { .. } | Query::Aggregate { .. } => {
@@ -236,6 +208,18 @@ mod tests {
         .unwrap();
     }
 
+    /// Total number of (undirected) edges.
+    fn edge_count(db: &GraphDb) -> usize {
+        let store = db.store.lock();
+        let double: usize = store
+            .edges
+            .values()
+            .flat_map(|adj| adj.values())
+            .map(BTreeSet::len)
+            .sum();
+        double / 2
+    }
+
     fn traverse(db: &GraphDb, from: u64, depth: usize) -> Vec<Id> {
         match db
             .execute(Query::Traverse {
@@ -251,54 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn traversal_timeouts_fail_transiently_then_recover() {
-        let db = db();
-        add_user(&db, 1, "a");
-        add_user(&db, 2, "b");
-        friend(&db, 1, 2);
-        db.faults().inject_traversal_timeouts(2);
-        for _ in 0..2 {
-            let res = db.execute(Query::Traverse {
-                label: "friends".into(),
-                from: Id(1),
-                depth: 1,
-            });
-            assert_eq!(res, Err(DbError::Unavailable));
-        }
-        // The countdown expired: the same traversal now succeeds, and
-        // graph state was never touched by the failures.
-        assert_eq!(traverse(&db, 1, 1), vec![Id(2)]);
-        assert_eq!(db.faults().stats().traversal_timeouts_injected, 2);
-        assert!(!db.faults().is_armed());
-    }
-
-    #[test]
-    fn traversal_timeout_schedule_is_deterministic() {
-        // Same traversal schedule twice: identical error patterns.
-        let observed: Vec<Vec<bool>> = (0..2)
-            .map(|_| {
-                let db = db();
-                add_user(&db, 1, "a");
-                add_user(&db, 2, "b");
-                friend(&db, 1, 2);
-                db.faults().inject_traversal_timeouts(2);
-                (0..4)
-                    .map(|_| {
-                        db.execute(Query::Traverse {
-                            label: "friends".into(),
-                            from: Id(1),
-                            depth: 1,
-                        })
-                        .is_err()
-                    })
-                    .collect()
-            })
-            .collect();
-        assert_eq!(observed[0], observed[1]);
-        assert_eq!(observed[0], vec![true, true, false, false]);
-    }
-
-    #[test]
     fn edges_are_undirected() {
         let db = db();
         add_user(&db, 1, "a");
@@ -306,7 +242,7 @@ mod tests {
         friend(&db, 1, 2);
         assert_eq!(traverse(&db, 1, 1), vec![Id(2)]);
         assert_eq!(traverse(&db, 2, 1), vec![Id(1)]);
-        assert_eq!(db.edge_count(), 1);
+        assert_eq!(edge_count(&db), 1);
     }
 
     #[test]
@@ -349,7 +285,7 @@ mod tests {
         })
         .unwrap();
         assert!(traverse(&db, 1, 3).is_empty());
-        assert_eq!(db.edge_count(), 0);
+        assert_eq!(edge_count(&db), 0);
     }
 
     #[test]
@@ -366,7 +302,7 @@ mod tests {
         })
         .unwrap();
         assert!(traverse(&db, 1, 5).is_empty());
-        assert_eq!(db.edge_count(), 0);
+        assert_eq!(edge_count(&db), 0);
     }
 
     #[test]

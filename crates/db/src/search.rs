@@ -9,7 +9,6 @@
 
 use crate::engine::{Capabilities, Engine, EngineStats};
 use crate::error::DbError;
-use crate::faults::DbFaults;
 use crate::latency::LatencyModel;
 use crate::query::{Filter, Query, QueryResult, Row};
 use crate::table::{namespace, OpMeter, RowTable};
@@ -37,7 +36,8 @@ const STOP_WORDS: &[&str] = &[
 
 impl Analyzer {
     /// Tokenizes `text` according to the strategy.
-    pub fn tokenize(self, text: &str) -> Vec<String> {
+    #[cfg(test)]
+    fn tokenize(self, text: &str) -> Vec<String> {
         let mut terms = Vec::new();
         self.each_term(text, |term| terms.push(term.to_owned()));
         terms
@@ -204,13 +204,6 @@ pub struct SearchDb {
     caps: Capabilities,
     meter: OpMeter,
     indices: Mutex<HashMap<String, SearchIndex>>,
-    /// Snapshot captured by [`SearchDb::inject_refresh_lag`]; reads are
-    /// answered from it while the fault panel's refresh-lag window is
-    /// open, modelling the search-engine refresh interval — documents
-    /// land in the live index but stay invisible to queries until the
-    /// next refresh.
-    stale: Mutex<Option<HashMap<String, SearchIndex>>>,
-    faults: DbFaults,
 }
 
 impl SearchDb {
@@ -220,68 +213,6 @@ impl SearchDb {
             caps,
             meter: OpMeter::new(latency),
             indices: Mutex::new(HashMap::new()),
-            stale: Mutex::new(None),
-            faults: DbFaults::new(),
-        }
-    }
-
-    /// The engine's fault panel (shared state with every clone).
-    pub fn faults(&self) -> DbFaults {
-        self.faults.clone()
-    }
-
-    /// Arms refresh lag: captures the current indices as the visible
-    /// snapshot, then answers the next `reads` read queries from it while
-    /// writes keep landing in the live index. When the countdown expires
-    /// the engine "refreshes" — the snapshot is dropped and reads see the
-    /// live index again. Countdown-based like the rest of the fault
-    /// plane, so a seeded schedule yields identical staleness every run.
-    pub fn inject_refresh_lag(&self, reads: u64) {
-        let snapshot = self.indices.lock().clone();
-        *self.stale.lock() = Some(snapshot);
-        self.faults.inject_refresh_lag(reads);
-    }
-
-    /// Answers a read query against `indices` — either the live map or
-    /// the refresh-lag snapshot.
-    fn read_query(
-        indices: &HashMap<String, SearchIndex>,
-        q: &Query,
-    ) -> Result<QueryResult, DbError> {
-        match q {
-            Query::Select {
-                table,
-                filter,
-                order,
-                limit,
-            } => Ok(QueryResult::Rows(
-                indices
-                    .get(table)
-                    .map_or_else(Vec::new, |i| i.docs.select(filter, order, *limit)),
-            )),
-            Query::Count { table, filter } => Ok(QueryResult::Count(
-                indices.get(table).map_or(0, |i| i.docs.count(filter)),
-            )),
-            Query::Search {
-                table,
-                field,
-                text,
-                limit,
-            } => {
-                let hits = indices
-                    .get(table)
-                    .map(|i| i.search(field, text, *limit))
-                    .unwrap_or_default();
-                Ok(QueryResult::SearchHits(hits))
-            }
-            Query::Aggregate { table, field } => {
-                let buckets = indices
-                    .get(table)
-                    .map(|i| i.aggregate(field))
-                    .unwrap_or_default();
-                Ok(QueryResult::Buckets(buckets))
-            }
-            other => unreachable!("read_query only handles reads, got {other:?}"),
         }
     }
 
@@ -303,24 +234,6 @@ impl Engine for SearchDb {
 
     fn execute(&self, q: Query) -> Result<QueryResult, DbError> {
         self.meter.charge(&q);
-        if matches!(
-            &q,
-            Query::Select { .. }
-                | Query::Count { .. }
-                | Query::Search { .. }
-                | Query::Aggregate { .. }
-        ) {
-            if self.faults.gate_read() {
-                if let Some(snapshot) = self.stale.lock().as_ref() {
-                    return Self::read_query(snapshot, &q);
-                }
-            } else {
-                // Refresh-lag window closed: the engine has "refreshed",
-                // so drop the snapshot and serve the live index.
-                self.stale.lock().take();
-            }
-            return Self::read_query(&self.indices.lock(), &q);
-        }
         let mut indices = self.indices.lock();
         match q {
             Query::CreateTable { table } => {
@@ -369,12 +282,36 @@ impl Engine for SearchDb {
                 }
                 Ok(QueryResult::Rows(removed))
             }
-            Query::Select { .. }
-            | Query::Count { .. }
-            | Query::Search { .. }
-            | Query::Aggregate { .. } => {
-                unreachable!("read queries are dispatched through read_query above")
-            }
+            Query::Select {
+                table,
+                filter,
+                order,
+                limit,
+            } => Ok(QueryResult::Rows(
+                indices
+                    .get(&table)
+                    .map_or_else(Vec::new, |i| i.docs.select(&filter, &order, limit)),
+            )),
+            Query::Count { table, filter } => Ok(QueryResult::Count(
+                indices.get(&table).map_or(0, |i| i.docs.count(&filter)),
+            )),
+            Query::Search {
+                table,
+                field,
+                text,
+                limit,
+            } => Ok(QueryResult::SearchHits(
+                indices
+                    .get(&table)
+                    .map(|i| i.search(&field, &text, limit))
+                    .unwrap_or_default(),
+            )),
+            Query::Aggregate { table, field } => Ok(QueryResult::Buckets(
+                indices
+                    .get(&table)
+                    .map(|i| i.aggregate(&field))
+                    .unwrap_or_default(),
+            )),
             Query::AddEdge { .. } | Query::RemoveEdge { .. } | Query::Traverse { .. } => {
                 Err(DbError::Unsupported("graph queries on search engine"))
             }
@@ -539,69 +476,6 @@ mod tests {
     fn search_on_missing_index_is_empty() {
         let db = db();
         assert!(search(&db, "anything").is_empty());
-    }
-
-    #[test]
-    fn refresh_lag_serves_stale_reads_then_refreshes() {
-        let db = db();
-        put(&db, 1, "body", "cats");
-        // Freeze visibility, then keep writing into the live index.
-        db.inject_refresh_lag(3);
-        put(&db, 2, "body", "cats and more cats");
-        // Three reads land inside the lag window: the new document is
-        // already written but invisible, exactly the search-engine
-        // refresh-interval failure mode.
-        for _ in 0..3 {
-            assert_eq!(search(&db, "cats"), vec![Id(1)]);
-        }
-        // The window expired — the engine "refreshed" and both docs show.
-        assert_eq!(search(&db, "cats").len(), 2);
-        assert_eq!(db.faults().stats().stale_reads_served, 3);
-        assert!(!db.faults().is_armed());
-    }
-
-    #[test]
-    fn refresh_lag_schedule_is_deterministic() {
-        // Same write/read schedule twice: identical staleness both runs.
-        let observed: Vec<Vec<usize>> = (0..2)
-            .map(|_| {
-                let db = db();
-                put(&db, 1, "body", "fish");
-                db.inject_refresh_lag(2);
-                put(&db, 2, "body", "fish too");
-                (0..4).map(|_| search(&db, "fish").len()).collect()
-            })
-            .collect();
-        assert_eq!(observed[0], observed[1]);
-        assert_eq!(observed[0], vec![1, 1, 2, 2]);
-    }
-
-    #[test]
-    fn stale_snapshot_serves_counts_and_aggregates_too() {
-        let db = db();
-        put(&db, 1, "interests", "cats");
-        db.inject_refresh_lag(1);
-        put(&db, 2, "interests", "cats");
-        match db
-            .execute(Query::Count {
-                table: "posts".into(),
-                filter: Filter::All,
-            })
-            .unwrap()
-        {
-            QueryResult::Count(n) => assert_eq!(n, 1, "count sees the snapshot"),
-            other => panic!("unexpected result {other:?}"),
-        }
-        match db
-            .execute(Query::Count {
-                table: "posts".into(),
-                filter: Filter::All,
-            })
-            .unwrap()
-        {
-            QueryResult::Count(n) => assert_eq!(n, 2, "window closed after one read"),
-            other => panic!("unexpected result {other:?}"),
-        }
     }
 
     fn update(db: &SearchDb, filter: Filter, set: &[(&str, Value)], unset: &[&str]) {

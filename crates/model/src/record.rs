@@ -82,12 +82,6 @@ impl Record {
         out
     }
 
-    /// Returns `true` if this record's type chain includes `model` —
-    /// i.e. it can be consumed by a subscription for `model`.
-    pub fn is_a(&self, model: &str) -> bool {
-        self.types.iter().any(|t| t == model)
-    }
-
     /// Converts the record's attributes (plus id) into a [`Value::Map`].
     pub fn to_value(&self) -> Value {
         let mut m = self.attrs.clone();
@@ -142,15 +136,6 @@ mod tests {
         let r = Record::new("User", Id(1)).with("name", "alice");
         let p = r.project(&["name", "missing"]);
         assert_eq!(p.attrs.len(), 1);
-    }
-
-    #[test]
-    fn is_a_checks_type_chain() {
-        let mut r = Record::new("AdminUser", Id(1));
-        r.types = vec!["AdminUser".into(), "User".into()];
-        assert!(r.is_a("User"));
-        assert!(r.is_a("AdminUser"));
-        assert!(!r.is_a("Post"));
     }
 
     #[test]

@@ -79,15 +79,6 @@ impl Value {
         }
     }
 
-    /// Returns the float payload; integers are widened.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(x) => Some(*x),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
     /// Returns the string payload, if this is a [`Value::Str`].
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -320,8 +311,6 @@ mod tests {
     fn accessors_return_expected_payloads() {
         assert_eq!(Value::from(true).as_bool(), Some(true));
         assert_eq!(Value::from(42i64).as_int(), Some(42));
-        assert_eq!(Value::from(2.5).as_float(), Some(2.5));
-        assert_eq!(Value::from(7i64).as_float(), Some(7.0));
         assert_eq!(Value::from("hi").as_str(), Some("hi"));
         assert!(Value::Null.as_str().is_none());
     }

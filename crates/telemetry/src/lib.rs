@@ -52,7 +52,6 @@ pub struct Telemetry {
     counters: CounterRegistry,
     pipeline: PipelineTelemetry,
     ring: EventRing,
-    controllers: ControllerStats,
     /// Messages whose end-to-end visibility latency was recorded, per
     /// delivery-mode slice — the "counts match delivered messages" anchor.
     delivered: [AtomicU64; MODES],
@@ -71,7 +70,6 @@ impl Telemetry {
             counters: CounterRegistry::new(),
             pipeline: PipelineTelemetry::new(),
             ring: EventRing::new(ring::DEFAULT_CAPACITY, enabled),
-            controllers: ControllerStats::new(),
             delivered: Default::default(),
             recovery: Histogram::new(),
         }
@@ -90,11 +88,6 @@ impl Telemetry {
     /// The bounded structured event ring.
     pub fn ring(&self) -> &EventRing {
         &self.ring
-    }
-
-    /// The per-controller overhead collector (Fig. 12).
-    pub fn controllers(&self) -> &ControllerStats {
-        &self.controllers
     }
 
     /// The recovery-duration histogram: one recording per restart that

@@ -1,13 +1,15 @@
 //! The per-object admission script — reserve → classify → write → commit —
-//! that an incoming apply and a multi-writer object's local write both run.
-//! Its rules (DESIGN.md *Admission*): reserve before the publisher's
-//! dependency locks; a thread re-enters a stripe it holds; a re-entrant
-//! stamp of the held object follows the stamp the holder classified (for
-//! an after-callback: the row write overwrites a before-callback's value).
+//! that an incoming apply and a multi-writer object's local write both run,
+//! and the node's one Lamport clock that stamps the local writes. Its rules
+//! (DESIGN.md *Admission*): reserve before the publisher's dependency
+//! locks; a thread re-enters a stripe it holds; every mesh stamp the store
+//! classifies or loads raises the clock, and a local write stamps one past
+//! it — so a re-entrant write follows the stamp its holder classified (for
+//! an after-callback: the row write overwrites a before-callback's value),
+//! and a lost shard rewinds no clock.
 
 use super::{StoreError, VersionStore, ADMISSION_STRIPES};
 use parking_lot::{Mutex, MutexGuard};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The calling thread's token: the address of its `THREAD`, never 0.
@@ -16,21 +18,21 @@ fn thread_token() -> usize {
     THREAD.with(|t| t as *const u8 as usize)
 }
 
-/// One stripe: its lock, its holder's thread token (0 while free;
-/// `Relaxed`, as a thread only looks for its own) and what it classified.
+/// One stripe: its lock and its holder's thread token (0 while free;
+/// `Relaxed`, as a thread only looks for its own).
 #[derive(Default)]
 pub(super) struct Stripe {
     lock: Mutex<()>,
     holder: AtomicUsize,
-    classified: Mutex<Option<(u64, Stamp)>>,
 }
 
 /// A multi-writer object's last-writer-wins stamp `(clock, writer)`: a
 /// Lamport clock and the writing application's id, compared as a plain
 /// ordered pair, so a later clock wins and the higher writer id breaks a
-/// tie. A local write stamps one past the highest clock its node has
-/// recorded for the object, so a write that saw another carries a greater
-/// stamp, and two writes never share one.
+/// tie. A local write stamps one past its node's clock
+/// ([`VersionStore::next_stamp`]), which every stamp the node classifies
+/// or loads raises, so a write that saw another carries a greater stamp,
+/// and two writes never share one.
 pub type Stamp = (u64, u64);
 
 /// Which comparison admits a carried version ([`Admission::classify`]).
@@ -111,26 +113,29 @@ impl VersionStore {
             object,
             stripe,
             lock,
-            classified: Cell::new(false),
         }
     }
 
-    /// Reads a multi-writer object's recorded stamp (`(0, 0)` when it has
-    /// none), as the bootstrap copier sends it; on the thread holding the
-    /// object's reservation, the max with what it classified.
+    /// Reads a multi-writer object's stored stamp (`(0, 0)` when it has
+    /// none), as the bootstrap copier sends it.
     pub fn latest_stamp(&self, object: u64) -> Result<Stamp, StoreError> {
-        let mut stamp = match self.maps_of(object)?.objects.get(&object) {
+        Ok(match self.maps_of(object)?.objects.get(&object) {
             Some(ObjectVersion::Mesh(stamp)) => *stamp,
             _ => (0, 0),
-        };
-        let stripe = self.stripe(object);
-        if stripe.holder.load(Ordering::Relaxed) == thread_token() {
-            match *stripe.classified.lock() {
-                Some((held, classified)) if held == object => stamp = stamp.max(classified),
-                _ => {}
-            }
-        }
-        Ok(stamp)
+        })
+    }
+
+    /// Ticks the node's Lamport clock and returns a local write's stamp:
+    /// one past every stamp the store has classified, loaded or handed
+    /// out, under `writer`. The clock lives outside the shards, so killing
+    /// one — or the whole store — leaves it where it was.
+    pub fn next_stamp(&self, writer: u64) -> Stamp {
+        (self.clock.fetch_add(1, Ordering::SeqCst) + 1, writer)
+    }
+
+    /// Raises the clock to `clock` (a stamp's, or a generation's floor).
+    pub(super) fn raise_clock(&self, clock: u64) {
+        self.clock.fetch_max(clock, Ordering::SeqCst);
     }
 
     fn stripe(&self, object: u64) -> &Stripe {
@@ -148,24 +153,22 @@ pub struct Admission<'a> {
     stripe: &'a Stripe,
     /// The stripe's lock; `None` for a re-entry.
     lock: Option<MutexGuard<'a, ()>>,
-    /// Whether this admission left a stamp in the stripe's `classified`.
-    classified: Cell<bool>,
 }
 
 impl Admission<'_> {
     /// Classifies `incoming` against the object's stored version under
-    /// `rule`, changing nothing. An object with no admission state admits
-    /// anything; so does a stored version of the other kind, which only a
-    /// 64-bit collision between a single-writer and a mesh name can leave.
+    /// `rule`, changing nothing but the clock, which a mesh stamp raises.
+    /// An object with no admission state admits anything; so does a stored
+    /// version of the other kind, which only a 64-bit collision between a
+    /// single-writer and a mesh name can leave.
     pub fn classify(
         &self,
         incoming: &ObjectVersion,
         rule: AdmitRule,
     ) -> Result<Verdict, StoreError> {
         use ObjectVersion::{Mesh, Scalar};
-        if let (Mesh(stamp), Some(_)) = (*incoming, &self.lock) {
-            *self.stripe.classified.lock() = Some((self.object, stamp));
-            self.classified.set(true);
+        if let Mesh((clock, _)) = *incoming {
+            self.store.raise_clock(clock);
         }
         let stale = |behind: bool, tied: bool| behind || (tied && rule == AdmitRule::Copy);
         let maps = self.store.maps_of(self.object)?;
@@ -199,9 +202,6 @@ impl Drop for Admission<'_> {
     /// A reservation that locked its stripe clears it before unlocking.
     fn drop(&mut self) {
         if self.lock.is_some() {
-            if self.classified.get() {
-                *self.stripe.classified.lock() = None;
-            }
             self.stripe.holder.store(0, Ordering::Relaxed);
         }
     }

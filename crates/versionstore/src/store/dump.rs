@@ -48,8 +48,9 @@ impl VersionStore {
 
     /// Bulk-loads a [`StoreDump`], keeping the max of everything against
     /// what is already stored — counters field-wise, object versions as
-    /// admission commits them — and wakes waiters on touched shards. Max-merge makes the load idempotent and safe to
-    /// combine with live traffic racing in after recovery.
+    /// admission commits them, each mesh stamp raising the clock — and
+    /// wakes waiters on touched shards. Max-merge makes the load idempotent
+    /// and safe to combine with live traffic racing in after recovery.
     pub fn load_dump(&self, dump: &StoreDump) -> Result<(), StoreError> {
         if self.is_dead() {
             return Err(StoreError::Dead);
@@ -79,6 +80,9 @@ impl VersionStore {
             counter.version = counter.version.max(version);
         }
         for ((object, version), shard) in dump.objects.iter().zip(object_routes) {
+            if let ObjectVersion::Mesh((clock, _)) = version {
+                self.raise_clock(*clock);
+            }
             let maps = guards[*shard].as_mut().expect("routed shard locked");
             maps.objects
                 .entry(*object)

@@ -182,6 +182,8 @@ pub struct VersionStore {
     generation: AtomicU64,
     /// Whether a shard lost its contents within the generation.
     lost: AtomicBool,
+    /// The node's Lamport clock of mesh stamps ([`VersionStore::next_stamp`]).
+    clock: AtomicU64,
 }
 
 impl VersionStore {
@@ -195,14 +197,18 @@ impl VersionStore {
             stripes: (0..ADMISSION_STRIPES).map(|_| Default::default()).collect(),
             generation: AtomicU64::new(0),
             lost: AtomicBool::new(false),
+            clock: AtomicU64::new(0),
         }
     }
 
-    /// A publisher's store enters its app's `generation` (§4.4): the bump
-    /// script restarts each older counter at count 0 when it touches it.
+    /// The store enters its app's `generation` (§4.4): the bump script
+    /// restarts each older counter at count 0 when it touches it, and the
+    /// mesh clock is floored at the generation's start, so a restart from
+    /// a snapshot that lags what peers saw never rewinds it.
     pub fn enter_generation(&self, generation: u64) {
-        self.generation
-            .fetch_max(versioned(generation, 0), Ordering::SeqCst);
+        let start = versioned(generation, 0);
+        self.generation.fetch_max(start, Ordering::SeqCst);
+        self.raise_clock(start);
         self.lost.store(false, Ordering::SeqCst);
     }
 

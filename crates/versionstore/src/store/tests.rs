@@ -340,10 +340,10 @@ fn abandoned_admission_leaves_the_store_untouched() {
 }
 
 /// A local write's stamp, as the publisher runs it: reserve the object,
-/// read its latest stamp, commit one clock past it under `writer`.
+/// tick the clock under `writer`, commit the stamp.
 fn local_stamp(store: &VersionStore, object: u64, writer: u64) -> Stamp {
     let admission = store.reserve(object);
-    let stamp = (store.latest_stamp(object).unwrap().0 + 1, writer);
+    let stamp = store.next_stamp(writer);
     admission.commit(&ObjectVersion::Mesh(stamp)).unwrap();
     stamp
 }
@@ -398,9 +398,10 @@ fn reserved_stamps_are_atomic_under_concurrent_stamps_and_commits() {
 
 /// A thread re-enters a stripe it holds instead of deadlocking on it; its
 /// stamp of the reserved object follows the stamp the reservation
-/// classified, a stamp of another object on the stripe does not, and other
-/// threads neither see that stamp nor enter the stripe before the outer
-/// reservation ends.
+/// classified, because the classify raised the clock every local stamp
+/// ticks — a stamp of another object on the stripe included — and other
+/// threads neither see the classified stamp stored nor enter the stripe
+/// before the outer reservation ends.
 #[test]
 fn a_held_stripe_is_reentered_and_its_classified_vector_followed() {
     let store = Arc::new(VersionStore::new(2));
@@ -416,7 +417,7 @@ fn a_held_stripe_is_reentered_and_its_classified_vector_followed() {
     assert_eq!(seen.join().unwrap(), (0, 0));
 
     assert_eq!(local_stamp(&store, 1, 11), (6, 11));
-    assert_eq!(local_stamp(&store, neighbour, 11), (1, 11));
+    assert_eq!(local_stamp(&store, neighbour, 11), (7, 11));
 
     let waiter = {
         let store = store.clone();
@@ -431,11 +432,41 @@ fn a_held_stripe_is_reentered_and_its_classified_vector_followed() {
     waiter.join().unwrap();
     assert_eq!(store.latest_stamp(1).unwrap(), (6, 11));
 
-    // A reservation dropped uncommitted leaves nothing to follow.
+    // A classify raises the clock even if its reservation is dropped
+    // uncommitted: a Lamport clock only has to stay ahead.
     let dropped = store.reserve(neighbour);
     dropped.classify(&mesh(9, 33), AdmitRule::Live).unwrap();
     drop(dropped);
-    assert_eq!(local_stamp(&store, neighbour, 11), (2, 11));
+    assert_eq!(local_stamp(&store, neighbour, 11), (10, 11));
+}
+
+/// The clock lives outside the shards: losing the shard that holds an
+/// object's stamp, or the whole store, leaves it where it was, so the next
+/// local write still outranks every stamp the node saw. A load raises it
+/// to the loaded stamps, and entering a generation floors it at the
+/// generation's start.
+#[test]
+fn the_clock_outlives_a_lost_store_and_follows_loads_and_generations() {
+    let store = VersionStore::new(4);
+    admit_live(&store, 1, 7, 22);
+    store.kill_shard(store.shard_for(1));
+    store.revive();
+    assert_eq!(store.latest_stamp(1).unwrap(), (0, 0));
+    assert_eq!(local_stamp(&store, 1, 11), (8, 11));
+    store.kill();
+    store.revive();
+    assert_eq!(local_stamp(&store, 1, 11), (9, 11));
+
+    let dump = StoreDump {
+        objects: vec![(2, mesh(20, 22))],
+        ..StoreDump::default()
+    };
+    store.load_dump(&dump).unwrap();
+    assert_eq!(store.next_stamp(11), (21, 11));
+    store.enter_generation(2);
+    assert_eq!(store.next_stamp(11), (versioned(2, 1), 11));
+    store.enter_generation(1);
+    assert_eq!(store.next_stamp(11), (versioned(2, 2), 11));
 }
 
 /// The two maps never meet: a counter and an object under one key each

@@ -24,7 +24,7 @@ use synapse_repro::db::LatencyModel;
 use synapse_repro::faults::SeededRng;
 use synapse_repro::model::{vmap, Id, ModelSchema, Value};
 use synapse_repro::orm::adapters::MongoidAdapter;
-use synapse_repro::versionstore::{ObjectVersion, Stamp};
+use synapse_repro::versionstore::{ObjectVersion, Stamp, VersionStore};
 
 mod common;
 use common::{eventually, field_of, mesh, quiesce, ranked, stamp_msg};
@@ -335,38 +335,48 @@ fn bootstrap_copy_carries_the_copied_content_stamp() {
 }
 
 /// A mesh writer that loses the sub-store shard holding an object's stamp
-/// and gets it back empty restarts the object's clock: its next local
-/// write is stamped clock 1, which it keeps and its peer, holding a later
-/// stamp of the object, discards as stale.
+/// — or the whole sub store — and gets it back empty keeps its clock, which
+/// lives outside the shards: its next local write is stamped past every
+/// stamp it saw, so its peer takes it rather than discarding it as stale.
 #[test]
-#[ignore = "open defect: a mesh write after a sub-store shard loss restarts its clock, ROADMAP"]
 fn mesh_write_after_a_sub_store_shard_loss_converges() {
-    let eco = Ecosystem::new();
-    let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"]);
-    let user = a.orm().create("User", vmap! { "name" => "seed" }).unwrap();
-    for i in 0..3 {
-        a.orm()
-            .update("User", user.id, vmap! { "name" => format!("a{i}") })
-            .unwrap();
-    }
-    assert!(eventually(Duration::from_secs(5), || {
-        field_of(&b, user.id, "name").as_str() == Some("a2")
-    }));
+    let lose_shard = |store: &VersionStore, mesh: u64| store.kill_shard(store.shard_for(mesh));
+    let lose_store = |store: &VersionStore, _: u64| store.kill();
+    for (case, lose) in [
+        ("shard", &lose_shard as &dyn Fn(&VersionStore, u64)),
+        ("store", &lose_store),
+    ] {
+        let eco = Ecosystem::new();
+        let (a, b) = mesh(&eco, "mesh_a", "mesh_b", &["name"]);
+        let user = a.orm().create("User", vmap! { "name" => "seed" }).unwrap();
+        for i in 0..3 {
+            a.orm()
+                .update("User", user.id, vmap! { "name" => format!("a{i}") })
+                .unwrap();
+        }
+        assert!(eventually(Duration::from_secs(5), || {
+            field_of(&b, user.id, "name").as_str() == Some("a2")
+        }));
 
-    let mesh = mesh_object("User", user.id).identity();
-    a.sub_store().kill_shard(a.sub_store().shard_for(mesh));
-    a.sub_store().revive();
-    a.orm()
-        .update("User", user.id, vmap! { "name" => "after_loss" })
-        .unwrap();
-    quiesce(&a, &b);
-    assert_eq!(field_of(&a, user.id, "name").as_str(), Some("after_loss"));
-    assert_eq!(
-        field_of(&a, user.id, "name"),
-        field_of(&b, user.id, "name"),
-        "replicas diverged"
-    );
-    eco.stop_all();
+        let mesh = mesh_object("User", user.id).identity();
+        lose(a.sub_store(), mesh);
+        a.sub_store().revive();
+        a.orm()
+            .update("User", user.id, vmap! { "name" => "after_loss" })
+            .unwrap();
+        quiesce(&a, &b);
+        assert_eq!(
+            field_of(&a, user.id, "name").as_str(),
+            Some("after_loss"),
+            "{case} loss"
+        );
+        assert_eq!(
+            field_of(&a, user.id, "name"),
+            field_of(&b, user.id, "name"),
+            "replicas diverged after a {case} loss"
+        );
+        eco.stop_all();
+    }
 }
 
 /// One step of a seeded schedule.
