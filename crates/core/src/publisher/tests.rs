@@ -235,6 +235,43 @@ fn colliding_dependencies_keep_the_last_bump() {
     assert_eq!(sent.dep_list(), vec![(0, 1)]);
 }
 
+/// An update reads no row first, so a missing row is the engine's empty
+/// result inside `around_write`: the update returns `RecordNotFound`, and
+/// the failed write bumps no version and enqueues nothing.
+#[test]
+fn an_update_of_a_missing_row_bumps_and_publishes_nothing() {
+    let config = SynapseConfig::new("pub").mode(DeliveryMode::Causal);
+    let publication = Publication::model("Post").fields(&["body"]);
+    let rig = rig(config, ModelSchema::open("Post"), publication);
+    let orm = rig.node.orm();
+    let body = |text: &str| Value::Map(BTreeMap::from([("body".to_owned(), Value::from(text))]));
+    orm.create_with_id("Post", Id(1), body("x")).unwrap();
+    rig.raw
+        .pop(Duration::from_secs(1))
+        .expect("the create is published");
+    let key = |id| {
+        let name = DepName::object("pub", "Post", Id(id));
+        rig.node.config().dep_space.key(&name)
+    };
+    let state = || {
+        let store = rig.node.pub_store();
+        (
+            store.latest_version(key(1)).unwrap(),
+            store.latest_version(key(404)).unwrap(),
+            rig.node.publisher_stats().messages_published,
+        )
+    };
+    let before = state();
+    let err = orm.update("Post", Id(404), body("y")).unwrap_err();
+    assert!(
+        matches!(err, synapse_orm::OrmError::RecordNotFound { .. }),
+        "{err:?}"
+    );
+    assert_eq!(state(), before, "no version moved, no message went out");
+    assert!(rig.raw.pop(Duration::from_millis(100)).is_none());
+    assert_eq!(orm.count("Post").unwrap(), 1, "and no row was made");
+}
+
 /// A virtual getter that itself publishes runs inside the outer publish's
 /// encode: both messages arrive whole, the getter's first.
 #[test]

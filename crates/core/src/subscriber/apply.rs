@@ -7,11 +7,10 @@ use crate::api::Subscription;
 use crate::deps::{mesh_object, object_identity};
 use crate::message::{Operation, WriteMessage};
 use crate::semantics::DeliveryMode;
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use synapse_db::DbError;
-use synapse_model::{Id, Record, Value};
+use synapse_model::{Record, Value};
 use synapse_orm::{CallbackPoint, OrmError};
 use synapse_versionstore::{AdmitRule, ObjectVersion, Verdict};
 
@@ -124,34 +123,6 @@ impl Subscriber {
         admission.commit(carried).map_err(dead)
     }
 
-    /// Writes `attrs` over the object `existing` is the stored image of, or
-    /// creates it when the read found nothing. Create and update share
-    /// upsert semantics: redeliveries and weak-mode reordering make either
-    /// arrive first.
-    fn upsert(
-        &self,
-        sub: &Subscription,
-        id: Id,
-        existing: Option<Record>,
-        attrs: BTreeMap<String, Value>,
-    ) -> Result<Record, OrmError> {
-        let Some(current) = existing else {
-            return match self.orm.create_with_id(&sub.model, id, Value::Map(attrs)) {
-                // Lost a create/create race between the find and the
-                // insert: two publishers of one local model write under
-                // different object identities, so the reservation does not
-                // serialize them. The row exists now, but the create took
-                // the attributes; fail transiently, and the redelivery
-                // decodes them again and takes the update path.
-                Err(OrmError::Db(DbError::DuplicateKey { .. })) => {
-                    Err(OrmError::Db(DbError::Unavailable))
-                }
-                other => other,
-            };
-        };
-        self.orm.update_record(current, Value::Map(attrs))
-    }
-
     fn apply_subscription(
         &self,
         sub: &Subscription,
@@ -205,8 +176,26 @@ impl Subscriber {
             }
             record
         } else {
-            let existing = self.orm.find(&sub.model, op.id)?;
-            self.upsert(sub, op.id, existing, plain)?
+            // Create and update share upsert semantics: redeliveries and
+            // weak-mode reordering make either arrive first.
+            let attrs = Value::Map(plain);
+            let written = if self.orm.exists(&sub.model, op.id)? {
+                self.orm.update(&sub.model, op.id, attrs)
+            } else {
+                self.orm.create_with_id(&sub.model, op.id, attrs)
+            };
+            match written {
+                // The row came or went between the check and the write: a
+                // racing destroy, or a create from a second publisher of
+                // this local model, whose object identity differs, so the
+                // reservation does not serialize the two. The write took
+                // the attributes; fail transiently, and the redelivery
+                // decodes them again and takes the other path.
+                Err(
+                    OrmError::Db(DbError::DuplicateKey { .. }) | OrmError::RecordNotFound { .. },
+                ) => Err(OrmError::Db(DbError::Unavailable)),
+                other => other,
+            }?
         };
         // Setters consume their values once every callback has run, on the
         // persisted record or, for an observer, the in-memory one.

@@ -174,6 +174,45 @@ fn a_create_that_loses_the_race_for_its_row_lands_on_redelivery() {
     node.stop();
 }
 
+/// A replicated update asks whether its row exists and then writes it.
+/// Here `pub2`'s destroy of Post 1 takes the row in between: it lands from
+/// a `BeforeUpdate` callback, after the update's read and before its
+/// write. The write finds no row and fails transiently; the redelivery
+/// finds none either and creates the row with the update's attributes.
+#[test]
+fn an_update_that_loses_its_row_to_a_destroy_lands_on_redelivery() {
+    let (broker, node) = subscriber(SynapseConfig::new("sub").workers(1));
+    node.subscribe(Subscription::model("Post", "pub2").fields(&["body"]))
+        .unwrap();
+    let create = post(&node, "create", 1, &[(1, 0)]);
+    node.subscriber()
+        .process(&emulate_delivery(&create))
+        .unwrap();
+    let mut theirs = post(&node, "destroy", 1, &[]);
+    theirs.app = "pub2".to_owned();
+    let subscriber = Arc::downgrade(node.subscriber());
+    let raced = AtomicBool::new(false);
+    node.orm()
+        .on("Post", CallbackPoint::BeforeUpdate, move |_, _| {
+            if !raced.swap(true, Ordering::SeqCst) {
+                let subscriber = subscriber.upgrade().expect("the node is alive");
+                subscriber.process(&emulate_delivery(&theirs)).unwrap();
+            }
+            Ok(())
+        });
+    enqueue(&broker, 0, &[post(&node, "update", 1, &[(1, 1)])]);
+    node.start();
+    assert!(eventually(Duration::from_secs(5), || {
+        body(&node, 1).as_deref() == Some("update 1")
+    }));
+    assert!(node.subscriber().drain(Duration::from_secs(2)));
+    let stats = node.subscriber_stats();
+    assert_eq!((stats.retries, stats.redeliveries), (1, 1));
+    assert_eq!((stats.dead_lettered, stats.poison_messages), (0, 0));
+    assert_eq!(node.orm().count("Post").unwrap(), 1);
+    node.stop();
+}
+
 /// Strict mode (`wait_timeout(None)`): a lost dependency stalls its causal
 /// descendants and nothing else — a later write of an unrelated object,
 /// behind them in the same partition, applies.

@@ -398,10 +398,15 @@ impl ColumnarDb {
                 };
                 Ok(QueryResult::Rows(rows))
             }
-            Query::Count { table, filter } => Ok(QueryResult::Count(
-                fams.get(&table)
-                    .map_or(0, |fam| fam.scan(&filter, false).count() as u64),
-            )),
+            Query::Count { table, filter } => {
+                let n = match (fams.get(&table), &filter) {
+                    (None, _) => 0,
+                    // A by-id count is the row's liveness: no row is built.
+                    (Some(fam), Filter::ById(id)) => u64::from(fam.is_live(*id)),
+                    (Some(fam), _) => fam.scan(&filter, false).count() as u64,
+                };
+                Ok(QueryResult::Count(n))
+            }
             Query::Search { .. } | Query::Aggregate { .. } => {
                 Err(DbError::Unsupported("full-text search on columnar engine"))
             }

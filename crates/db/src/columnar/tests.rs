@@ -381,6 +381,64 @@ proptest! {
     }
 }
 
+/// A by-id count is the row's liveness: it builds no row, and it agrees
+/// with a by-id select through flushes, compactions, row tombstones and
+/// re-inserts.
+#[test]
+fn a_by_id_count_is_the_rows_liveness_and_builds_no_row() {
+    let db = db_with_thresholds(6, 3);
+    let count = |id| {
+        let filter = Filter::ById(Id(id));
+        let q = Query::Count {
+            table: "t".into(),
+            filter,
+        };
+        db.execute(q).unwrap().into_count().unwrap()
+    };
+    let found = |id| {
+        let q = Query::Select {
+            table: "t".into(),
+            filter: Filter::ById(Id(id)),
+            order: None,
+            limit: Some(1),
+        };
+        !db.execute(q).unwrap().into_rows().unwrap().is_empty()
+    };
+    for round in 0..60u64 {
+        let id = round * 5 % 8;
+        match round % 3 {
+            0 => {
+                let _ = db.execute(Query::Insert {
+                    table: "t".into(),
+                    id: Id(id),
+                    row: row(&[("n", Value::Int(round as i64))]),
+                });
+            }
+            1 => {
+                db.execute(Query::Update {
+                    table: "t".into(),
+                    filter: Filter::ById(Id(id)),
+                    set: row(&[("n", Value::Int(round as i64))]),
+                    unset: Vec::new(),
+                })
+                .unwrap();
+            }
+            _ => delete(&db, id),
+        }
+        for id in 0..8 {
+            let merged = ROWS_MERGED.with(|n| n.get());
+            let n = count(id);
+            assert_eq!(ROWS_MERGED.with(|n| n.get()), merged, "round {round}");
+            assert_eq!(n, u64::from(found(id)), "round {round}, id {id}");
+        }
+    }
+    let (flushes, compactions) = db.lsm_counters();
+    assert!(
+        flushes >= 6 && compactions >= 2,
+        "{flushes} flushes, {compactions} compactions"
+    );
+}
+
 #[test]
 fn duplicate_insert_rejected() {
     let db = db();

@@ -241,15 +241,12 @@ impl Orm {
             })
     }
 
-    /// Applies attribute changes to an existing object.
+    /// Applies attribute changes to an existing object. The engine writes
+    /// the caller's changes without reading the row first, and a missing
+    /// row is the write's own `RecordNotFound`. Only a `BeforeUpdate`
+    /// callback needs the row: it gets the stored image merged with the
+    /// changes, and the engine writes what differs from the stored image.
     pub fn update(&self, model: &str, id: Id, changes: Value) -> Result<Record, OrmError> {
-        self.update_record(self.pre_image(model, id)?, changes)
-    }
-
-    /// [`Orm::update`] for a caller that has just read the object:
-    /// `current` is its stored image, so it is not read again.
-    pub fn update_record(&self, current: Record, changes: Value) -> Result<Record, OrmError> {
-        let (model, id) = (current.model.as_str(), current.id);
         let schema = self.shared_schema(model)?;
         let changes = match changes {
             Value::Map(m) => m,
@@ -260,14 +257,11 @@ impl Orm {
             }
         };
         let hooks = self.hooks(model);
-        // The engine is asked to write what differs between the stored
-        // image and the merged, callback-adjusted one — not every attribute
-        // the caller named again. Only a `BeforeUpdate` callback can move
-        // what the caller did not name, so only then is a merge built.
         let set: Cow<'_, Changes> = if hooks
             .as_deref()
             .is_some_and(|h| !h.callbacks[CallbackPoint::BeforeUpdate as usize].is_empty())
         {
+            let current = self.pre_image(model, id)?;
             let mut merged = current.clone();
             for (k, v) in &changes {
                 merged.attrs.insert(k.clone(), v.clone());
@@ -277,16 +271,9 @@ impl Orm {
             let differs = |(k, v): &(String, Value)| current.attrs.get(k) != Some(v);
             Cow::Owned(merged.attrs.into_iter().filter(differs).collect())
         } else {
-            let kept = |(k, _): &(&String, &Value)| !changes.contains_key(*k);
-            schema.check_attrs(current.attrs.iter().filter(kept).chain(&changes))?;
-            let mut set = Cow::Borrowed(&changes);
-            if changes.iter().any(|(k, v)| current.attrs.get(k) == Some(v)) {
-                let moved = changes
-                    .iter()
-                    .filter(|(k, v)| current.attrs.get(*k) != Some(*v));
-                set = Cow::Owned(moved.map(|(k, v)| (k.clone(), v.clone())).collect());
-            }
-            set
+            // Stored attributes were checked when they were written.
+            schema.check_attrs(changes.iter())?;
+            Cow::Borrowed(&changes)
         };
         // The intent carries the *caller's* changes (not the merged image):
         // Synapse's restriction checks need to know which attributes the
@@ -397,6 +384,13 @@ impl Orm {
         self.adapter.count(&schema, Filter::All)
     }
 
+    /// Whether object `id` is stored: one by-id count, which copies no
+    /// row. Like [`Orm::count`], it is no read dependency.
+    pub fn exists(&self, model: &str, id: Id) -> Result<bool, OrmError> {
+        let schema = self.shared_schema(model)?;
+        Ok(self.adapter.count(&schema, Filter::ById(id))? > 0)
+    }
+
     /// Navigates an association declared on the record's model.
     ///
     /// * `belongs_to` returns zero or one record;
@@ -437,7 +431,7 @@ impl Orm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapters::{ActiveRecordAdapter, MongoidAdapter};
+    use crate::adapters::{for_vendor, ActiveRecordAdapter, MongoidAdapter};
     use crate::observer::WriteExec;
     use parking_lot::Mutex as PMutex;
     use synapse_db::LatencyModel;
@@ -571,19 +565,17 @@ mod tests {
         let intents = Arc::new(Intents(PMutex::new(Vec::new())));
         orm.observe(intents.clone());
 
+        // Without a callback nothing is read first: the engine gets what
+        // was asked, moved or not.
         let asked = vmap! { "a" => 1, "b" => 1, "c" => 2, "d" => 1, "e" => 1 };
         let stored = orm.update("User", u.id, asked.clone()).unwrap();
         assert_eq!(stored.get("c").as_int(), Some(2));
         assert_eq!(stored.attrs.len(), 5, "the post-image is the whole row");
-        assert_eq!(
-            spy.sets.lock().pop(),
-            Some(BTreeMap::from([("c".to_owned(), Value::Int(2))])),
-            "one of five attributes moved: one entry reaches the engine"
-        );
+        assert_eq!(spy.sets.lock().pop().map(Value::Map), Some(asked.clone()));
         assert_eq!(
             Value::Map(intents.0.lock().pop().unwrap()),
             asked,
-            "the intent carries the caller's changes, moved or not"
+            "the intent carries the caller's changes"
         );
 
         // A callback's own edits are part of the merged image.
@@ -665,6 +657,48 @@ mod tests {
         let orm = mongo_orm();
         orm.observe(Arc::new(Intents(PMutex::new(Vec::new()))));
         orm.observe(Arc::new(Intents(PMutex::new(Vec::new()))));
+    }
+
+    /// Engine reads per update: §4.1's read-back alone (none where the
+    /// engine returns the row it wrote), plus the pre-image once a
+    /// `BeforeUpdate` callback needs the merged row. A missing row is the
+    /// write's own `RecordNotFound` on every engine.
+    #[test]
+    fn an_update_reads_its_row_only_for_a_before_update_callback() {
+        for vendor in [
+            "postgresql",
+            "mysql",
+            "mongodb",
+            "cassandra",
+            "elasticsearch",
+            "neo4j",
+        ] {
+            let orm = Orm::new("test_app", for_vendor(vendor, LatencyModel::off()));
+            orm.define_model(ModelSchema::new("User").field("name"))
+                .unwrap();
+            let u = orm.create("User", vmap! { "name" => "a" }).unwrap();
+            let reads_of = |changes: Value| {
+                let before = orm.engine_stats().reads;
+                let stored = orm.update("User", u.id, changes).unwrap();
+                assert_eq!(stored.get("name"), &Value::from("b"), "{vendor}");
+                orm.engine_stats().reads - before
+            };
+            let read_back = u64::from(matches!(vendor, "mysql" | "cassandra"));
+            assert_eq!(reads_of(vmap! { "name" => "b" }), read_back, "{vendor}");
+            assert!(
+                matches!(
+                    orm.update("User", Id(404), vmap! { "name" => "b" }),
+                    Err(OrmError::RecordNotFound { .. })
+                ),
+                "{vendor}"
+            );
+            orm.on("User", CallbackPoint::BeforeUpdate, |_, _| Ok(()));
+            assert_eq!(
+                reads_of(vmap! { "name" => "b" }),
+                1 + read_back,
+                "{vendor}: the pre-image"
+            );
+        }
     }
 
     #[test]

@@ -17,15 +17,18 @@
 # makes N (default 3) `--trace 1` runs per side per workload, on N seeds
 # (the first N pairs' seeds), the side that goes first alternating, and
 # prints every per-layer metric's median and IQR per side with the ratio
-# of the medians — which stage a change moved, with its spread, in the
-# same command: one traced run cannot attribute a gain, since stages a
-# change never touched move between runs too. Nothing is written into the
-# working tree, so it may be edited while this runs.
+# of the medians, a time also at reference machine speed (times the
+# reference yardstick over the run's own `process.yardstick_us`) — which
+# stage a change moved, with its spread, in the same command: one traced
+# run cannot attribute a gain, since stages a change never touched move
+# between runs too. Nothing is written into the working tree, so it may be
+# edited while this runs.
 # With --json it also writes the comparison to <file>: both revs (the
 # change is the working tree on top of HEAD, marked `+` when it differs
 # from HEAD), the seeds, and per workload and end-to-end metric both
 # medians, both IQRs and the change's wins/ties/losses, plus each traced
-# per-layer metric's medians and IQRs. A PR commits its run as
+# per-layer metric's medians and IQRs (a time's also at reference speed, as
+# `<side>_median_at_ref` and `<side>_iqr_at_ref`). A PR commits its run as
 # `BENCH_<short parent rev>.json`: the parent is the one rev a change knows
 # before it is committed, and each PR has its own.
 # Exit code: non-zero when a run was incorrect or failed an operation, or
@@ -192,28 +195,47 @@ for line in lines:
         print(f"INCORRECT traced {workload} seed {seed} {side}: correct={run.get('correct')} failed={run.get('failed')}")
         bad += 1
     traced.setdefault(workload, {}).setdefault(side, {})[seed] = run.get("metrics", {})
+# A time is also given at reference machine speed: scaled by the reference
+# yardstick reading (YARDSTICK_REFERENCE_US in benchmark/src/phases.rs, the
+# unit of the gated figures) over the run's own `process.yardstick_us`, so a
+# traced run on a slow stretch of the host does not read as a slow stage.
+YARDSTICK_REFERENCE_US = 16.0
+TIME_UNITS = ("ns", "us", "ms")
 for workload, sides in traced.items():
     seeds = sorted(set().union(*(s.keys() for s in sides.values())))
-    print(f"\n{workload} traced, seeds {' '.join(seeds)}: per-layer median (IQR) per side, ratio = change / parent median")
+    print(f"\n{workload} traced, seeds {' '.join(seeds)}: per-layer median (IQR) per side, ratio = change / parent median;"
+          f" a time's second line is at reference speed")
     for m in manifest["per_layer"]:
         name = m["name"]
-        cells, medians = [], []
-        for side in ("parent", "change"):
-            xs = [v for r in sides.get(side, {}).values()
-                  if (v := r.get(name, {}).get("value")) is not None]
-            if xs:
-                lo, hi = iqr(xs)
-                medians.append(median(xs))
-                cells.append(f"{median(xs):.4g} ({lo:.4g}..{hi:.4g})")
-                traced_metric = out["per_layer"].setdefault(workload, {}).setdefault(name, {})
-                traced_metric[f"{side}_median"] = median(xs)
-                traced_metric[f"{side}_iqr"] = [lo, hi]
-            else:
-                medians.append(None)
-                cells.append("-")
-        p, c = medians
-        ratio = f"{c / p:.3f}" if p and c is not None else "-"
-        print(f"  {name:44} {cells[0]:>30} {cells[1]:>30}  x{ratio:<7} [{m['unit']}, {m['better']} is better]")
+        scaled = m["unit"] in TIME_UNITS and name != "process.yardstick_us"
+        rows = [("", "value")] + [("at ref", "at_ref")] * scaled
+        for label, kind in rows:
+            cells, medians = [], []
+            for side in ("parent", "change"):
+                xs = []
+                for r in sides.get(side, {}).values():
+                    v = r.get(name, {}).get("value")
+                    yardstick = r.get("process.yardstick_us", {}).get("value")
+                    if v is None or (kind == "at_ref" and not yardstick):
+                        continue
+                    xs.append(v * YARDSTICK_REFERENCE_US / yardstick if kind == "at_ref" else v)
+                if xs:
+                    lo, hi = iqr(xs)
+                    medians.append(median(xs))
+                    cells.append(f"{median(xs):.4g} ({lo:.4g}..{hi:.4g})")
+                    suffix = "_at_ref" if kind == "at_ref" else ""
+                    traced_metric = out["per_layer"].setdefault(workload, {}).setdefault(name, {})
+                    traced_metric[f"{side}_median{suffix}"] = median(xs)
+                    traced_metric[f"{side}_iqr{suffix}"] = [lo, hi]
+                else:
+                    medians.append(None)
+                    cells.append("-")
+            p, c = medians
+            if label and p is None and c is None:
+                continue
+            ratio = f"{c / p:.3f}" if p and c is not None else "-"
+            title = f"  {label:>44}" if label else f"  {name:44}"
+            print(f"{title} {cells[0]:>30} {cells[1]:>30}  x{ratio:<7} [{m['unit']}, {m['better']} is better]")
 def nested(obj, depth, pad=""):
     # Dicts `depth` levels deep open one key a line; below that, one line.
     if depth == 0 or not isinstance(obj, dict):
