@@ -1,4 +1,4 @@
-//! The broker facade: exchanges, bindings, consumers, failure injection.
+//! The broker facade: exchanges, bindings, consumers, the queue lifecycle.
 
 use crate::message::{Delivery, SharedStr};
 use crate::queue::{tag_seq, Queue, QueueConfig, QueueState, WalBinding};
@@ -20,6 +20,7 @@ pub struct BrokerStats {
     /// Message copies acked by consumers.
     pub acked: u64,
     /// Message copies dropped by failure injection.
+    #[cfg(any(test, feature = "testing"))]
     pub dropped: u64,
     /// Message copies refused by decommissioned queues.
     pub refused: u64,
@@ -34,6 +35,7 @@ pub struct BrokerStats {
     /// Nacks naming an unknown or already-acked tag.
     pub spurious_nacks: u64,
     /// Publish attempts rejected by injected transient faults.
+    #[cfg(any(test, feature = "testing"))]
     pub publish_faults: u64,
     /// Queues reinstated after a decommission.
     pub reinstated: u64,
@@ -46,11 +48,13 @@ pub struct BrokerStats {
     pub stolen: u64,
 }
 
-/// Transient error returned by [`Broker::publish`] under injected faults.
+/// Transient error returned by [`Broker::publish_routed`] when the message
+/// was not accepted: the durable log is poisoned, or (in a test build) a
+/// publish fault was armed.
 ///
 /// Models the broker connection blips of the paper's §6.5 incident: the
-/// message was *not* accepted and the publisher is expected to retry (its
-/// journal still holds the payload, §4.2).
+/// publisher is expected to retry (its journal still holds the payload,
+/// §4.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishError {
     /// Exchange the publish was addressed to.
@@ -111,7 +115,9 @@ struct BrokerShared {
     published: AtomicU64,
     /// Fault injection: fail the next `n` publish attempts. Consumed with a
     /// CAS loop so concurrent publishers each burn exactly one armed fault.
+    #[cfg(any(test, feature = "testing"))]
     publish_fail_next: AtomicU64,
+    #[cfg(any(test, feature = "testing"))]
     publish_faults: AtomicU64,
     /// The durability plane; `None` for a memory-only broker (the default,
     /// whose hot path pays exactly one `Option` branch for it).
@@ -227,7 +233,7 @@ impl RecoveredQueue {
 /// let broker = Broker::new();
 /// broker.declare_queue("mailer", QueueConfig::default());
 /// broker.bind("main_app", "mailer");
-/// broker.publish("main_app", "{\"op\":\"create\"}").unwrap();
+/// broker.publish_routed("main_app", "{\"op\":\"create\"}", 0, 0).unwrap();
 ///
 /// let consumer = broker.consumer("mailer").unwrap();
 /// let d = consumer.pop(Duration::from_millis(100)).unwrap();
@@ -246,7 +252,9 @@ impl Broker {
             inner: Arc::new(BrokerShared {
                 routes: RwLock::new(Routes::default()),
                 published: AtomicU64::new(0),
+                #[cfg(any(test, feature = "testing"))]
                 publish_fail_next: AtomicU64::new(0),
+                #[cfg(any(test, feature = "testing"))]
                 publish_faults: AtomicU64::new(0),
                 wal: None,
                 recovery: None,
@@ -342,7 +350,9 @@ impl Broker {
             inner: Arc::new(BrokerShared {
                 routes: RwLock::new(routes),
                 published: AtomicU64::new(0),
+                #[cfg(any(test, feature = "testing"))]
                 publish_fail_next: AtomicU64::new(0),
+                #[cfg(any(test, feature = "testing"))]
                 publish_faults: AtomicU64::new(0),
                 wal: Some(wal),
                 recovery: Some(report),
@@ -385,6 +395,7 @@ impl Broker {
 
     /// Consumes one armed publish fault, if any. CAS loop: under concurrent
     /// publishers each armed fault fails exactly one attempt.
+    #[cfg(any(test, feature = "testing"))]
     fn consume_armed_fault(&self) -> bool {
         let armed = &self.inner.publish_fail_next;
         let mut current = armed.load(Ordering::Acquire);
@@ -405,29 +416,20 @@ impl Broker {
         false
     }
 
-    /// Publishes a payload on `exchange`, fanning out to all bound queues.
-    /// Each queue shares the payload allocation.
+    /// Publishes a payload on `exchange`, fanning out to all bound queues;
+    /// each queue shares the payload allocation. The payload carries the
+    /// publisher's monotonic origin stamp (nanoseconds since the process
+    /// telemetry epoch; rides the delivery envelope so subscribers can
+    /// compute end-to-end visibility latency; 0 means unstamped) and a
+    /// partition routing key (typically the written object's dependency
+    /// key). The key's low byte is folded into the delivery tag and picks
+    /// the destination partition in every bound queue, so one object's
+    /// messages stay in one partition in publish order. Key 0 is the
+    /// unkeyed/legacy route (partition 0, strict global FIFO).
     ///
-    /// Fails with a transient [`PublishError`] while injected publish faults
-    /// are armed ([`Broker::inject_publish_failures`]); a failed publish
-    /// enqueues nothing and should be retried by the caller.
-    pub fn publish(
-        &self,
-        exchange: &str,
-        payload: impl Into<SharedStr>,
-    ) -> Result<(), PublishError> {
-        self.publish_routed(exchange, payload, 0, 0)
-    }
-
-    /// [`Broker::publish`] carrying the publisher's monotonic origin stamp
-    /// (nanoseconds since the process telemetry epoch; rides the delivery
-    /// envelope so subscribers can compute end-to-end visibility latency;
-    /// 0 means unstamped) and a partition routing key
-    /// (typically the written object's dependency key). The key's low
-    /// byte is folded into the delivery tag and picks the destination
-    /// partition in every bound queue, so one object's messages stay in
-    /// one partition in publish order. Key 0 is the unkeyed/legacy route
-    /// (partition 0, strict global FIFO).
+    /// Fails with a transient [`PublishError`] when the message was not
+    /// accepted; a failed publish enqueues nothing and should be retried by
+    /// the caller.
     pub fn publish_routed(
         &self,
         exchange: &str,
@@ -435,7 +437,13 @@ impl Broker {
         origin_nanos: u64,
         key: u64,
     ) -> Result<(), PublishError> {
-        if self.consume_armed_fault() || self.wal_is_poisoned() {
+        #[cfg(any(test, feature = "testing"))]
+        if self.consume_armed_fault() {
+            return Err(PublishError {
+                exchange: exchange.to_owned(),
+            });
+        }
+        if self.wal_is_poisoned() {
             return Err(PublishError {
                 exchange: exchange.to_owned(),
             });
@@ -505,6 +513,7 @@ impl Broker {
     }
 
     /// Number of consumers currently parked on a queue's condvar.
+    #[cfg(any(test, feature = "testing"))]
     pub fn queue_sleepers(&self, queue: &str) -> Option<usize> {
         let routes = self.inner.routes.read();
         routes.queues.get(queue).map(|q| q.sleepers())
@@ -539,6 +548,7 @@ impl Broker {
 
     /// Failure injection: silently drop the next `n` messages bound for
     /// `queue` (the §6.5 RabbitMQ-upgrade incident).
+    #[cfg(any(test, feature = "testing"))]
     pub fn inject_drop_next(&self, queue: &str, n: u64) {
         let routes = self.inner.routes.read();
         if let Some(q) = routes.queues.get(queue) {
@@ -548,17 +558,9 @@ impl Broker {
 
     /// Failure injection: fail the next `n` publish attempts (on any
     /// exchange) with a transient [`PublishError`].
+    #[cfg(any(test, feature = "testing"))]
     pub fn inject_publish_failures(&self, n: u64) {
         self.inner.publish_fail_next.fetch_add(n, Ordering::Release);
-    }
-
-    /// Failure injection: force-decommission a queue, discarding its
-    /// backlog, as if it had exceeded its cap.
-    pub fn decommission_queue(&self, queue: &str) {
-        let routes = self.inner.routes.read();
-        if let Some(q) = routes.queues.get(queue) {
-            q.force_decommission();
-        }
     }
 
     /// Snapshot of a queue's dead-letter store.
@@ -664,6 +666,7 @@ impl Broker {
         let routes = self.inner.routes.read();
         let mut stats = BrokerStats {
             published: self.inner.published.load(Ordering::Relaxed),
+            #[cfg(any(test, feature = "testing"))]
             publish_faults: self.inner.publish_faults.load(Ordering::Relaxed),
             ..BrokerStats::default()
         };
@@ -671,7 +674,10 @@ impl Broker {
             let qi = q.counters();
             stats.enqueued += qi.enqueued;
             stats.acked += qi.acked;
-            stats.dropped += qi.dropped;
+            #[cfg(any(test, feature = "testing"))]
+            {
+                stats.dropped += qi.dropped;
+            }
             stats.refused += qi.refused;
             stats.discarded += qi.discarded;
             stats.redelivered += qi.redelivered;

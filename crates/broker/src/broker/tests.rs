@@ -8,6 +8,20 @@ fn broker_with(queue: &str) -> Broker {
     b
 }
 
+/// Kills a default-config `queue` the way its backlog cap does: a cap of
+/// 0 trips on one publish through an exchange bound to it alone (that copy
+/// is refused), then the queue gets its default config back.
+fn cap_kill(b: &Broker, queue: &str) {
+    let killing = QueueConfig {
+        max_len: Some(0),
+        ..QueueConfig::default()
+    };
+    b.declare_queue(queue, killing);
+    b.bind("cap-kill", queue);
+    b.publish_routed("cap-kill", "", 0, 0).unwrap();
+    b.declare_queue(queue, QueueConfig::default());
+}
+
 #[test]
 fn fanout_reaches_all_bound_queues() {
     let b = Broker::new();
@@ -15,7 +29,7 @@ fn fanout_reaches_all_bound_queues() {
     b.declare_queue("q2", QueueConfig::default());
     b.bind("pub", "q1");
     b.bind("pub", "q2");
-    b.publish("pub", "m").unwrap();
+    b.publish_routed("pub", "m", 0, 0).unwrap();
     for q in ["q1", "q2"] {
         let c = b.consumer(q).unwrap();
         assert_eq!(c.pop(Duration::from_millis(50)).unwrap().payload, "m");
@@ -29,7 +43,7 @@ fn fanout_shares_one_payload_allocation() {
     b.declare_queue("q2", QueueConfig::default());
     b.bind("pub", "q1");
     b.bind("pub", "q2");
-    b.publish("pub", "shared-body").unwrap();
+    b.publish_routed("pub", "shared-body", 0, 0).unwrap();
     let d1 = b
         .consumer("q1")
         .unwrap()
@@ -52,7 +66,7 @@ fn bind_before_declare_still_routes() {
     let b = Broker::new();
     b.bind("pub", "q");
     b.declare_queue("q", QueueConfig::default());
-    b.publish("pub", "m").unwrap();
+    b.publish_routed("pub", "m", 0, 0).unwrap();
     let c = b.consumer("q").unwrap();
     assert_eq!(c.pop(Duration::from_millis(50)).unwrap().payload, "m");
 }
@@ -61,7 +75,7 @@ fn bind_before_declare_still_routes() {
 fn unbound_queue_receives_nothing() {
     let b = Broker::new();
     b.declare_queue("q", QueueConfig::default());
-    b.publish("pub", "m").unwrap();
+    b.publish_routed("pub", "m", 0, 0).unwrap();
     assert!(b
         .consumer("q")
         .unwrap()
@@ -73,7 +87,7 @@ fn unbound_queue_receives_nothing() {
 fn fifo_order_is_preserved() {
     let b = broker_with("q");
     for i in 0..10 {
-        b.publish("pub", i.to_string()).unwrap();
+        b.publish_routed("pub", i.to_string(), 0, 0).unwrap();
     }
     let c = b.consumer("q").unwrap();
     for i in 0..10 {
@@ -104,7 +118,7 @@ fn publish_batch_preserves_fifo_and_counts() {
 fn pop_batch_drains_up_to_max_in_order() {
     let b = broker_with("q");
     for payload in ["a", "b", "c", "d", "e"] {
-        b.publish("pub", payload).unwrap();
+        b.publish_routed("pub", payload, 0, 0).unwrap();
     }
     let c = b.consumer("q").unwrap();
     let first = c.pop_batch(3, Duration::from_millis(50));
@@ -129,7 +143,7 @@ fn pop_batch_wakes_on_publish() {
     let c = b.consumer("q").unwrap();
     let h = thread::spawn(move || c.pop_batch(8, Duration::from_secs(5)));
     thread::sleep(Duration::from_millis(30));
-    b.publish("pub", "late").unwrap();
+    b.publish_routed("pub", "late", 0, 0).unwrap();
     let got = h.join().unwrap();
     assert_eq!(got.len(), 1);
     assert_eq!(got[0].payload, "late");
@@ -153,7 +167,7 @@ fn wake_queue_unparks_an_empty_pop_batch() {
 #[test]
 fn ack_batch_counts_spurious_tags() {
     let b = broker_with("q");
-    b.publish("pub", "m").unwrap();
+    b.publish_routed("pub", "m", 0, 0).unwrap();
     let c = b.consumer("q").unwrap();
     let d = c.pop(Duration::from_millis(50)).unwrap();
     assert_eq!(c.ack_batch(&[d.tag, 999]), 1);
@@ -165,8 +179,8 @@ fn ack_batch_counts_spurious_tags() {
 #[test]
 fn nack_requeues_at_front_flagged_redelivered() {
     let b = broker_with("q");
-    b.publish("pub", "a").unwrap();
-    b.publish("pub", "b").unwrap();
+    b.publish_routed("pub", "a", 0, 0).unwrap();
+    b.publish_routed("pub", "b", 0, 0).unwrap();
     let c = b.consumer("q").unwrap();
     let d = c.pop(Duration::from_millis(50)).unwrap();
     assert!(!d.redelivered);
@@ -190,7 +204,7 @@ fn ack_of_unknown_tag_is_rejected_and_counted() {
 #[test]
 fn double_ack_is_spurious() {
     let b = broker_with("q");
-    b.publish("pub", "m").unwrap();
+    b.publish_routed("pub", "m", 0, 0).unwrap();
     let c = b.consumer("q").unwrap();
     let d = c.pop(Duration::from_millis(50)).unwrap();
     assert!(c.ack(d.tag));
@@ -206,9 +220,9 @@ fn double_ack_is_spurious() {
 fn injected_publish_failures_are_transient_and_counted() {
     let b = broker_with("q");
     b.inject_publish_failures(2);
-    assert!(b.publish("pub", "x").is_err());
-    assert!(b.publish("pub", "y").is_err());
-    b.publish("pub", "z").unwrap();
+    assert!(b.publish_routed("pub", "x", 0, 0).is_err());
+    assert!(b.publish_routed("pub", "y", 0, 0).is_err());
+    b.publish_routed("pub", "z", 0, 0).unwrap();
     let s = b.stats();
     assert_eq!(s.publish_faults, 2);
     assert_eq!(s.published, 1, "failed publishes are not accepted");
@@ -220,8 +234,8 @@ fn injected_publish_failures_are_transient_and_counted() {
 #[test]
 fn dead_letter_consumes_without_losing_the_payload() {
     let b = broker_with("q");
-    b.publish("pub", "poison").unwrap();
-    b.publish("pub", "good").unwrap();
+    b.publish_routed("pub", "poison", 0, 0).unwrap();
+    b.publish_routed("pub", "good", 0, 0).unwrap();
     let c = b.consumer("q").unwrap();
     let d = c.pop(Duration::from_millis(50)).unwrap();
     assert!(c.dead_letter(d.tag));
@@ -253,7 +267,7 @@ fn decommission_accounts_for_discarded_backlog() {
     );
     b.bind("pub", "q");
     for i in 0..5 {
-        b.publish("pub", i.to_string()).unwrap();
+        b.publish_routed("pub", i.to_string(), 0, 0).unwrap();
     }
     assert_eq!(b.queue_state("q"), Some(QueueState::Decommissioned));
     let s = b.stats();
@@ -267,13 +281,13 @@ fn decommission_accounts_for_discarded_backlog() {
 #[test]
 fn force_decommission_discards_and_refuses() {
     let b = broker_with("q");
-    b.publish("pub", "a").unwrap();
-    b.decommission_queue("q");
+    b.publish_routed("pub", "a", 0, 0).unwrap();
+    cap_kill(&b, "q");
     assert_eq!(b.queue_state("q"), Some(QueueState::Decommissioned));
-    b.publish("pub", "late").unwrap();
+    b.publish_routed("pub", "late", 0, 0).unwrap();
     let s = b.stats();
     assert_eq!(s.discarded, 1);
-    assert_eq!(s.refused, 1);
+    assert_eq!(s.refused, 2, "the killing copy, then the late one");
     assert!(b
         .consumer("q")
         .unwrap()
@@ -287,7 +301,7 @@ fn blocking_pop_wakes_on_publish() {
     let c = b.consumer("q").unwrap();
     let h = thread::spawn(move || c.pop(Duration::from_secs(5)).unwrap().payload);
     thread::sleep(Duration::from_millis(30));
-    b.publish("pub", "late").unwrap();
+    b.publish_routed("pub", "late", 0, 0).unwrap();
     assert_eq!(h.join().unwrap(), "late");
 }
 
@@ -295,7 +309,7 @@ fn blocking_pop_wakes_on_publish() {
 fn concurrent_workers_partition_the_queue() {
     let b = broker_with("q");
     for i in 0..100 {
-        b.publish("pub", i.to_string()).unwrap();
+        b.publish_routed("pub", i.to_string(), 0, 0).unwrap();
     }
     let mut handles = Vec::new();
     for _ in 0..4 {
@@ -332,7 +346,7 @@ fn queue_cap_triggers_decommission() {
     );
     b.bind("pub", "q");
     for i in 0..10 {
-        b.publish("pub", i.to_string()).unwrap();
+        b.publish_routed("pub", i.to_string(), 0, 0).unwrap();
     }
     assert_eq!(b.queue_state("q"), Some(QueueState::Decommissioned));
     assert_eq!(b.queue_len("q"), Some(0), "backlog was discarded");
@@ -341,7 +355,7 @@ fn queue_cap_triggers_decommission() {
     assert!(c.pop(Duration::from_millis(20)).is_none());
     // Reinstating restores delivery.
     b.reinstate_queue("q");
-    b.publish("pub", "fresh").unwrap();
+    b.publish_routed("pub", "fresh", 0, 0).unwrap();
     assert_eq!(c.pop(Duration::from_millis(50)).unwrap().payload, "fresh");
 }
 
@@ -350,7 +364,7 @@ fn injected_drops_lose_messages_silently() {
     let b = broker_with("q");
     b.inject_drop_next("q", 2);
     for i in 0..4 {
-        b.publish("pub", i.to_string()).unwrap();
+        b.publish_routed("pub", i.to_string(), 0, 0).unwrap();
     }
     let c = b.consumer("q").unwrap();
     assert_eq!(c.pop(Duration::from_millis(50)).unwrap().payload, "2");
@@ -362,7 +376,7 @@ fn injected_drops_lose_messages_silently() {
 fn recover_requeues_unacked_in_order() {
     let b = broker_with("q");
     for p in ["a", "b", "c"] {
-        b.publish("pub", p).unwrap();
+        b.publish_routed("pub", p, 0, 0).unwrap();
     }
     let c = b.consumer("q").unwrap();
     let d1 = c.pop(Duration::from_millis(50)).unwrap();
@@ -408,7 +422,7 @@ fn durable_broker_recovers_unacked_and_skips_acked() {
             }
         } else {
             for i in 0..msgs {
-                b.publish("pub", format!("m{i}")).unwrap();
+                b.publish_routed("pub", format!("m{i}"), 0, 0).unwrap();
             }
         }
         let c = b.consumer("q").unwrap();
@@ -462,7 +476,7 @@ fn durable_broker_recovers_unacked_and_skips_acked() {
         );
         assert_eq!(b2.dead_letters("q").unwrap()[0].payload, dead.payload);
         // Tags keep advancing past the recovered counter.
-        b2.publish("pub", "fresh").unwrap();
+        b2.publish_routed("pub", "fresh", 0, 0).unwrap();
         let d = c2.pop(Duration::from_millis(50)).unwrap();
         assert!(
             d.tag > highest,
@@ -483,7 +497,8 @@ fn checkpoint_gc_preserves_recovery_and_shrinks_log() {
     b.declare_queue("q", QueueConfig::default());
     b.bind("pub", "q");
     for i in 0..80 {
-        b.publish("pub", format!("payload-{i}")).unwrap();
+        b.publish_routed("pub", format!("payload-{i}"), 0, 0)
+            .unwrap();
     }
     let c = b.consumer("q").unwrap();
     for _ in 0..30 {
@@ -523,8 +538,8 @@ fn decommission_and_reinstate_survive_restart() {
     let (b, _) = Broker::open_durable(cfg.clone()).unwrap();
     b.declare_queue("q", QueueConfig::default());
     b.bind("pub", "q");
-    b.publish("pub", "doomed").unwrap();
-    b.decommission_queue("q");
+    b.publish_routed("pub", "doomed", 0, 0).unwrap();
+    cap_kill(&b, "q");
     drop(b);
     let (b2, report) = Broker::open_durable(cfg.clone()).unwrap();
     assert_eq!(b2.queue_state("q"), Some(QueueState::Decommissioned));
@@ -543,11 +558,14 @@ fn poisoned_wal_fails_publishes_transiently() {
     let (b, _) = Broker::open_durable(cfg.clone()).unwrap();
     b.declare_queue("q", QueueConfig::default());
     b.bind("pub", "q");
-    b.publish("pub", "before").unwrap();
+    b.publish_routed("pub", "before", 0, 0).unwrap();
     b.wal().unwrap().inject_partial_append(4);
-    assert!(b.publish("pub", "torn").is_err(), "mid-append kill refuses");
     assert!(
-        b.publish("pub", "after").is_err(),
+        b.publish_routed("pub", "torn", 0, 0).is_err(),
+        "mid-append kill refuses"
+    );
+    assert!(
+        b.publish_routed("pub", "after", 0, 0).is_err(),
         "poisoned log stays down"
     );
     assert_eq!(
@@ -577,7 +595,7 @@ fn redeclare_updates_the_cap_in_place() {
         },
     );
     for i in 0..5 {
-        b.publish("pub", i.to_string()).unwrap();
+        b.publish_routed("pub", i.to_string(), 0, 0).unwrap();
     }
     assert_eq!(b.queue_state("q"), Some(QueueState::Decommissioned));
 }
@@ -601,7 +619,7 @@ fn single_publish_wakes_exactly_one_parked_worker() {
         assert!(std::time::Instant::now() < deadline, "workers never parked");
         thread::sleep(Duration::from_millis(2));
     }
-    b.publish("pub", "solo").unwrap();
+    b.publish_routed("pub", "solo", 0, 0).unwrap();
     let results: Vec<Vec<Delivery>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     let nonempty = results.iter().filter(|r| !r.is_empty()).count();
     assert_eq!(nonempty, 1, "exactly one worker received the message");
@@ -825,7 +843,7 @@ fn wait_ready_unparks_on_publish_and_counts_one_wakeup() {
         assert!(std::time::Instant::now() < deadline, "worker never parked");
         thread::sleep(Duration::from_millis(2));
     }
-    b.publish("pub", "late").unwrap();
+    b.publish_routed("pub", "late", 0, 0).unwrap();
     let (woke, got) = h.join().unwrap();
     assert!(woke, "wait_ready returned before its timeout");
     assert_eq!(got, 1, "the unkeyed publish landed in partition 0");
@@ -837,7 +855,7 @@ fn wait_ready_unparks_on_publish_and_counts_one_wakeup() {
 #[test]
 fn wait_ready_parks_on_a_decommissioned_queue_until_reinstated() {
     let b = broker_with("q");
-    b.decommission_queue("q");
+    cap_kill(&b, "q");
     let c = b.consumer("q").unwrap();
     let seen = c.wake_epoch();
     let h = thread::spawn(move || c.wait_ready(seen, Duration::from_secs(5)));
@@ -859,7 +877,7 @@ fn wait_ready_parks_on_a_decommissioned_queue_until_reinstated() {
 fn wait_wake_ignores_ready_work_but_not_a_wake() {
     let b = broker_with("q");
     let c = b.consumer("q").unwrap();
-    b.publish("pub", "ready").unwrap();
+    b.publish_routed("pub", "ready", 0, 0).unwrap();
     assert!(!c.wait_wake(c.wake_epoch(), Duration::from_millis(30)));
     let seen = c.wake_epoch();
     b.wake_queue("q");
@@ -883,7 +901,7 @@ fn a_publish_wakes_the_consumer_waiting_for_work_not_a_watcher() {
         thread::sleep(Duration::from_millis(2));
     }
     thread::sleep(Duration::from_millis(20));
-    b.publish("pub", "m").unwrap();
+    b.publish_routed("pub", "m", 0, 0).unwrap();
     assert!(working.join().unwrap(), "the publish woke the worker");
     assert_eq!(b.stats().wakeups, 1);
     assert!(
@@ -897,7 +915,7 @@ fn a_publish_wakes_the_consumer_waiting_for_work_not_a_watcher() {
 #[test]
 fn stats_track_lifecycle() {
     let b = broker_with("q");
-    b.publish("pub", "x").unwrap();
+    b.publish_routed("pub", "x", 0, 0).unwrap();
     let c = b.consumer("q").unwrap();
     let d = c.pop(Duration::from_millis(50)).unwrap();
     c.ack(d.tag);

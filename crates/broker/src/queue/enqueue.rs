@@ -16,6 +16,7 @@ thread_local! {
 
 impl Queue {
     /// Consumes one armed silent-drop fault, if any.
+    #[cfg(any(test, feature = "testing"))]
     fn consume_armed_drop(&self) -> bool {
         let armed = &self.drop_next;
         let mut current = armed.load(Ordering::Acquire);
@@ -34,16 +35,17 @@ impl Queue {
     }
 
     /// Admission policy for a copy off the wire, under the held partition
-    /// lock: decommission, armed drop, cap kill. `false` means refused,
-    /// dropped, or cap-killed with nothing of the copy staged. A cap kill
-    /// sets the decommissioned state, stages the kill record, and refuses
-    /// the triggering copy; the caller sweeps the surviving backlog once
-    /// its own lock is released.
+    /// lock: decommission, armed drop (test builds), cap kill. `false`
+    /// means refused, dropped, or cap-killed with nothing of the copy
+    /// staged. A cap kill sets the decommissioned state, stages the kill
+    /// record, and refuses the triggering copy; the caller sweeps the
+    /// surviving backlog once its own lock is released.
     fn admit_live_locked(&self, wal_buf: &mut Vec<u8>, frames: &mut u32) -> bool {
         if self.is_decommissioned() {
             self.counters.refused.fetch_add(1, Ordering::Relaxed);
             return false;
         }
+        #[cfg(any(test, feature = "testing"))]
         if self.consume_armed_drop() {
             // Injected silent drop: the copy vanishes before reaching the
             // log, exactly as a lost network frame would.

@@ -170,6 +170,7 @@ struct Partition {
 struct QueueCounters {
     enqueued: AtomicU64,
     acked: AtomicU64,
+    #[cfg(any(test, feature = "testing"))]
     dropped: AtomicU64,
     refused: AtomicU64,
     discarded: AtomicU64,
@@ -192,6 +193,7 @@ struct QueueCounters {
 pub(crate) struct QueueCountersSnapshot {
     pub(crate) enqueued: u64,
     pub(crate) acked: u64,
+    #[cfg(any(test, feature = "testing"))]
     pub(crate) dropped: u64,
     pub(crate) refused: u64,
     pub(crate) discarded: u64,
@@ -242,6 +244,7 @@ pub(crate) struct Queue {
     /// Fault injection: number of upcoming messages to silently drop.
     /// Consumed with a CAS loop so concurrent publishers burn exactly one
     /// armed drop each.
+    #[cfg(any(test, feature = "testing"))]
     drop_next: AtomicU64,
     /// Ready deliveries across all partitions (the lock-free depth gauge
     /// and the enqueue/park handshake word).
@@ -276,6 +279,7 @@ impl Queue {
             state: AtomicU8::new(STATE_ACTIVE),
             next_seq: AtomicU64::new(1),
             max_len: AtomicUsize::new(config.encoded_max_len()),
+            #[cfg(any(test, feature = "testing"))]
             drop_next: AtomicU64::new(0),
             ready_total: AtomicUsize::new(0),
             unacked_total: AtomicUsize::new(0),
@@ -434,12 +438,14 @@ impl Queue {
             .collect()
     }
 
+    #[cfg(any(test, feature = "testing"))]
     pub(crate) fn inject_drop_next(&self, n: u64) {
         self.drop_next.fetch_add(n, Ordering::Release);
     }
 
     /// Consumers currently parked (or committing to park) on the queue
-    /// condvar. Test/telemetry gauge.
+    /// condvar.
+    #[cfg(any(test, feature = "testing"))]
     pub(crate) fn sleepers(&self) -> usize {
         self.sleepers.load(Ordering::SeqCst)
     }
@@ -449,6 +455,7 @@ impl Queue {
         QueueCountersSnapshot {
             enqueued: c.enqueued.load(Ordering::Relaxed),
             acked: c.acked.load(Ordering::Relaxed),
+            #[cfg(any(test, feature = "testing"))]
             dropped: c.dropped.load(Ordering::Relaxed),
             refused: c.refused.load(Ordering::Relaxed),
             discarded: c.discarded.load(Ordering::Relaxed),
@@ -621,15 +628,16 @@ impl Queue {
     /// rejoining after its §4.4 recovery). The dead-letter store survives:
     /// it is an audit log, not backlog. Idempotent: an already-active queue
     /// is left untouched (its backlog is live traffic, not stale state) and
-    /// `false` is returned. Armed `drop_next` faults belong to the
-    /// decommissioned incarnation and are disarmed, so a reinstated queue
-    /// cannot silently eat its first live messages.
+    /// `false` is returned. Armed `drop_next` faults (test builds) belong
+    /// to the decommissioned incarnation and are disarmed, so a reinstated
+    /// queue cannot silently eat its first live messages.
     pub(crate) fn reinstate(&self) -> bool {
         let parts = self.partitions.read();
         if !self.is_decommissioned() {
             return false;
         }
         self.sweep_discard(&parts);
+        #[cfg(any(test, feature = "testing"))]
         self.drop_next.store(0, Ordering::SeqCst);
         self.counters.reinstated.fetch_add(1, Ordering::Relaxed);
         self.state.store(STATE_ACTIVE, Ordering::SeqCst);
@@ -642,21 +650,6 @@ impl Queue {
         // Consumers parked on the quiet queue go back to work now.
         self.wake_all();
         true
-    }
-
-    /// Force-decommissions the queue, discarding its backlog, as if it had
-    /// exceeded its cap (failure injection / operator action).
-    pub(crate) fn force_decommission(&self) {
-        let parts = self.partitions.read();
-        self.state.store(STATE_DECOMMISSIONED, Ordering::SeqCst);
-        self.sweep_discard(&parts);
-        if let Some(binding) = &self.wal {
-            binding.append_best_effort(&WalRecord::QueueKilled {
-                queue: binding.queue.clone(),
-            });
-        }
-        drop(parts);
-        self.wake_all();
     }
 
     /// Appends this queue's checkpoint record to the WAL. Built *and*

@@ -16,10 +16,13 @@ use synapse_telemetry::mono_nanos;
 /// IO lock so the disk sync pipelines with the next epoch's write (and,
 /// under `Interval`, with the appenders themselves). The dup'd handle
 /// stays valid even if the active segment rolls while the sync runs;
-/// `segment`/`offset` snapshot what the sync certifies durable.
+/// `segment`/`offset` snapshot what the sync certifies durable (kept for
+/// a simulated power failure).
 pub(super) struct PendingSync {
     file: File,
+    #[cfg(any(test, feature = "testing"))]
     segment: u64,
+    #[cfg(any(test, feature = "testing"))]
     offset: u64,
 }
 
@@ -333,16 +336,20 @@ impl Wal {
         if inner.offset >= self.cfg.segment_max_bytes.max(SEGMENT_HEADER_LEN + 1) {
             self.roll_locked(inner)?;
         }
-        let keep = self.partial_append_keep.swap(u64::MAX, Ordering::AcqRel);
-        if keep != u64::MAX {
-            let cut = (keep as usize).min(batch.len().saturating_sub(1));
-            let result = inner
-                .file
-                .write_all(&batch[..cut])
-                .and_then(|_| inner.file.sync_all());
-            self.poisoned.store(true, Ordering::Release);
-            result?;
-            return Err(poisoned_err());
+        // Kill mid-append (test builds): a strict prefix of the batch.
+        #[cfg(any(test, feature = "testing"))]
+        {
+            let keep = self.partial_append_keep.swap(u64::MAX, Ordering::AcqRel);
+            if keep != u64::MAX {
+                let cut = (keep as usize).min(batch.len().saturating_sub(1));
+                let result = inner
+                    .file
+                    .write_all(&batch[..cut])
+                    .and_then(|_| inner.file.sync_all());
+                self.poisoned.store(true, Ordering::Release);
+                result?;
+                return Err(poisoned_err());
+            }
         }
         if let Err(e) = inner.file.write_all(batch) {
             self.poisoned.store(true, Ordering::Release);
@@ -371,7 +378,9 @@ impl Wal {
         match inner.file.try_clone() {
             Ok(file) => Ok(Some(PendingSync {
                 file,
+                #[cfg(any(test, feature = "testing"))]
                 segment: inner.segment,
+                #[cfg(any(test, feature = "testing"))]
                 offset: inner.offset,
             })),
             Err(e) => {
@@ -434,11 +443,11 @@ impl Wal {
 /// The completion half of a pipelined sync — on [`WalShared`] so the
 /// background flusher can run it without a handle to the public [`Wal`].
 impl WalShared {
-    /// Carries out a [`PendingSync`] with no WAL locks held, then folds
-    /// the certified offset back into the durability bookkeeping (unless
-    /// the segment rolled away underneath — roll syncs closing segments
-    /// itself). Subject to the armed dropped-fsync fault, like every
-    /// other sync.
+    /// Carries out a [`PendingSync`] with no WAL locks held. A test build
+    /// then folds the certified offset into the offset a simulated power
+    /// failure keeps (unless the segment rolled away underneath — roll
+    /// syncs closing segments itself), and arms the dropped-fsync fault
+    /// on it like on every other sync.
     pub(super) fn finish_sync(&self, sync: PendingSync) -> io::Result<()> {
         let result = self.finish_sync_inner(sync);
         // Clear the in-flight flag on every path — deferred leaders and
@@ -449,6 +458,7 @@ impl WalShared {
     }
 
     fn finish_sync_inner(&self, sync: PendingSync) -> io::Result<()> {
+        #[cfg(any(test, feature = "testing"))]
         if self.consume_dropped_fsync() {
             return Ok(());
         }
@@ -461,9 +471,12 @@ impl WalShared {
             return Err(e);
         }
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        if inner.segment == sync.segment {
-            inner.synced_offset = inner.synced_offset.max(sync.offset);
+        #[cfg(any(test, feature = "testing"))]
+        {
+            let mut inner = self.inner.lock();
+            if inner.segment == sync.segment {
+                inner.synced_offset = inner.synced_offset.max(sync.offset);
+            }
         }
         Ok(())
     }

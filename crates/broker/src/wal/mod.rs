@@ -32,9 +32,9 @@
 //! [`FsyncPolicy`] controls when appends are flushed to stable storage:
 //! never (`Off`), every `n` committed groups (`Interval`), or before every append
 //! returns (`EveryWrite`). The distinction only matters across a *power
-//! failure*; a mere process crash loses nothing that reached the OS. The
-//! fault plane models power failure with
-//! [`Wal::simulate_power_failure`], which discards everything after the
+//! failure*; a mere process crash loses nothing that reached the OS. A
+//! test build (feature `testing`) models power failure with
+//! `Wal::simulate_power_failure`, which discards everything after the
 //! last synced offset — so a soak running `EveryWrite` asserts zero loss
 //! of confirmed appends, while `Off`/`Interval` runs assert only the
 //! at-least-once envelope (the publisher journal re-covers the lost
@@ -186,6 +186,7 @@ pub struct WalStats {
     /// Torn/corrupt frames dropped (and truncated) at open.
     pub torn_entries_dropped: u64,
     /// Fsyncs swallowed by the armed dropped-fsync fault.
+    #[cfg(any(test, feature = "testing"))]
     pub fsyncs_dropped: u64,
     /// Group commits led (batches written).
     pub group_commits: u64,
@@ -210,7 +211,9 @@ struct WalInner {
     segment: u64,
     /// Write offset in the active segment (header included).
     offset: u64,
-    /// Offset known durable (advanced by fsync; reset on roll).
+    /// Offset known durable (advanced by fsync; reset on roll): what a
+    /// simulated power failure keeps.
+    #[cfg(any(test, feature = "testing"))]
     synced_offset: u64,
     /// Committed groups since the last fsync was *initiated* (for
     /// `FsyncPolicy::Interval`, which counts groups, not frames).
@@ -258,12 +261,15 @@ pub struct WalShared {
     poisoned: AtomicBool,
     /// Fault arming: the next append writes only this many frame bytes,
     /// then poisons (kill mid-append). `u64::MAX` = disarmed.
+    #[cfg(any(test, feature = "testing"))]
     partial_append_keep: AtomicU64,
     /// Fault arming: swallow the next `n` fsyncs (dropped-fsync fault).
+    #[cfg(any(test, feature = "testing"))]
     drop_fsyncs: AtomicU64,
     appends: AtomicU64,
     bytes_appended: AtomicU64,
     fsyncs: AtomicU64,
+    #[cfg(any(test, feature = "testing"))]
     fsyncs_dropped: AtomicU64,
     segments_rolled: AtomicU64,
     segments_removed: AtomicU64,
@@ -284,9 +290,10 @@ impl std::ops::Deref for Wal {
     }
 }
 
-/// Error returned by appends after the log was poisoned by a crash fault.
+/// Error returned by appends after a failed write or sync (or, in a test
+/// build, a crash fault) poisoned the log.
 fn poisoned_err() -> io::Error {
-    io::Error::other("wal poisoned by injected crash fault")
+    io::Error::other("wal poisoned")
 }
 
 fn segment_path(dir: &std::path::Path, index: u64) -> PathBuf {
@@ -432,6 +439,7 @@ impl Wal {
                 segment: active,
                 offset,
                 // Everything read back from disk is treated as durable.
+                #[cfg(any(test, feature = "testing"))]
                 synced_offset: offset,
                 unsynced_groups: 0,
             }),
@@ -441,11 +449,14 @@ impl Wal {
             sync_inflight: AtomicBool::new(false),
             cfg,
             poisoned: AtomicBool::new(false),
+            #[cfg(any(test, feature = "testing"))]
             partial_append_keep: AtomicU64::new(u64::MAX),
+            #[cfg(any(test, feature = "testing"))]
             drop_fsyncs: AtomicU64::new(0),
             appends: AtomicU64::new(0),
             bytes_appended: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
+            #[cfg(any(test, feature = "testing"))]
             fsyncs_dropped: AtomicU64::new(0),
             segments_rolled: AtomicU64::new(0),
             segments_removed: AtomicU64::new(0),
@@ -492,7 +503,7 @@ impl Wal {
     }
 
     /// Flushes any staged-but-unwritten frames, then fsyncs the active
-    /// segment (subject to the armed dropped-fsync fault).
+    /// segment (subject to the armed dropped-fsync fault of test builds).
     pub fn sync(&self) -> io::Result<()> {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(poisoned_err());
@@ -503,6 +514,7 @@ impl Wal {
     }
 
     fn sync_locked(&self, inner: &mut WalInner) -> io::Result<()> {
+        #[cfg(any(test, feature = "testing"))]
         if self.consume_dropped_fsync() {
             inner.unsynced_groups = 0;
             return Ok(());
@@ -510,7 +522,10 @@ impl Wal {
         // Same primitive as the pipelined path: frames + size, via
         // fdatasync.
         inner.file.sync_data()?;
-        inner.synced_offset = inner.offset;
+        #[cfg(any(test, feature = "testing"))]
+        {
+            inner.synced_offset = inner.offset;
+        }
         inner.unsynced_groups = 0;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -531,7 +546,10 @@ impl Wal {
         inner.file = file;
         inner.segment = next;
         inner.offset = SEGMENT_HEADER_LEN;
-        inner.synced_offset = SEGMENT_HEADER_LEN;
+        #[cfg(any(test, feature = "testing"))]
+        {
+            inner.synced_offset = SEGMENT_HEADER_LEN;
+        }
         inner.unsynced_groups = 0;
         self.segments_rolled.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -600,6 +618,7 @@ impl Wal {
             segments_removed: self.segments_removed.load(Ordering::Relaxed),
             replayed_entries: self.replayed_entries.load(Ordering::Relaxed),
             torn_entries_dropped: self.torn_entries_dropped.load(Ordering::Relaxed),
+            #[cfg(any(test, feature = "testing"))]
             fsyncs_dropped: self.fsyncs_dropped.load(Ordering::Relaxed),
             group_commits: self.group_commits.load(Ordering::Relaxed),
         }
@@ -623,6 +642,7 @@ impl Wal {
     /// Crash fault: the next append writes only the first `keep_bytes`
     /// of its frame (clamped to a strict prefix), then fails and poisons
     /// the log — a process killed mid-append.
+    #[cfg(any(test, feature = "testing"))]
     pub fn inject_partial_append(&self, keep_bytes: u64) {
         self.partial_append_keep
             .store(keep_bytes, Ordering::Release);
@@ -630,6 +650,7 @@ impl Wal {
 
     /// Crash fault: the next `n` fsyncs report success without syncing,
     /// so a later power failure loses more than the policy promises.
+    #[cfg(any(test, feature = "testing"))]
     pub fn inject_drop_fsyncs(&self, n: u64) {
         self.drop_fsyncs.fetch_add(n, Ordering::AcqRel);
     }
@@ -638,6 +659,7 @@ impl Wal {
     /// synced* offset of the active segment is discarded (closed segments
     /// are synced on roll and survive whole), and the log is poisoned.
     /// Reopen the directory to recover.
+    #[cfg(any(test, feature = "testing"))]
     pub fn simulate_power_failure(&self) -> io::Result<()> {
         let inner = self.inner.lock();
         self.poisoned.store(true, Ordering::Release);
@@ -656,6 +678,7 @@ impl Wal {
 }
 
 /// On [`WalShared`] so the background flusher reaches it too.
+#[cfg(any(test, feature = "testing"))]
 impl WalShared {
     /// Consumes one armed dropped-fsync fault, if any: the sync "ran"
     /// (interval bookkeeping resets) but nothing became durable — the

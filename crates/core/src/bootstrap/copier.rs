@@ -91,9 +91,8 @@ impl SynapseNode {
 
     /// Arms the copy-failure fault hook: the next `n` chunk copies fail
     /// with a transient error before doing any work, exercising the
-    /// copier's retry path exactly as a flaky engine or store
-    /// would (the chunk-level analogue of
-    /// `Broker::inject_publish_failures`).
+    /// copier's retry path exactly as a flaky engine or store would.
+    #[cfg(any(test, feature = "testing"))]
     pub fn inject_copy_failures(&self, n: u64) {
         self.bootstrap.copy_fail_next.fetch_add(n, Ordering::SeqCst);
     }
@@ -227,8 +226,9 @@ impl SynapseNode {
         after: u64,
         chunk: u64,
     ) -> Result<Option<u64>, OrmError> {
-        // Armed copy-failure hook: fail before any work, as a flaky
-        // engine mid-chunk would.
+        // Armed copy-failure hook (test builds): fail before any work, as
+        // a flaky engine mid-chunk would.
+        #[cfg(any(test, feature = "testing"))]
         if self
             .bootstrap
             .copy_fail_next

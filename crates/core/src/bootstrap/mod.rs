@@ -129,6 +129,7 @@ pub(crate) struct BootstrapTracker {
     records_copied: AtomicU64,
     /// Armed chunk-copy failures (fault hook): the next N `copy_chunk`
     /// invocations fail transiently before doing any work.
+    #[cfg(any(test, feature = "testing"))]
     copy_fail_next: AtomicU64,
 }
 

@@ -20,9 +20,9 @@
 //!   instrumentation).
 
 use crate::deps::DepName;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
-use synapse_versionstore::DepKey;
+use synapse_versionstore::{DepKey, Stamp};
 
 /// Dependency-tracking state of one controller/job execution.
 #[derive(Debug, Default)]
@@ -101,6 +101,62 @@ thread_local! {
 }
 
 pub(crate) use synapse_orm::{is_replicating, with_replication_flag};
+
+/// The multi-writer apply a thread is running: its object, the stamp it
+/// carries, and whether a local write re-entering that object (from one of
+/// the apply's callbacks) has since committed a greater stamp.
+#[derive(Clone, Copy)]
+struct MeshApply {
+    object: u64,
+    stamp: Stamp,
+    superseded: bool,
+}
+
+thread_local! {
+    static MESH_APPLY: Cell<Option<MeshApply>> = const { Cell::new(None) };
+}
+
+/// Restores the enclosing apply (if any) when the inner one ends, also by
+/// unwinding.
+struct MeshApplyGuard(Option<MeshApply>);
+
+impl Drop for MeshApplyGuard {
+    fn drop(&mut self) {
+        MESH_APPLY.set(self.0);
+    }
+}
+
+/// Runs `f`, the writes of an admitted multi-writer apply of `object`
+/// carrying `stamp`.
+pub(crate) fn with_mesh_apply<R>(object: u64, stamp: Stamp, f: impl FnOnce() -> R) -> R {
+    let _restore = MeshApplyGuard(MESH_APPLY.replace(Some(MeshApply {
+        object,
+        stamp,
+        superseded: false,
+    })));
+    f()
+}
+
+/// A local write committed `stamp` on `object`: if this thread is applying
+/// a lower stamp of the same object, that apply has lost under LWW.
+pub(crate) fn mesh_committed(object: u64, stamp: Stamp) {
+    if let Some(apply) = MESH_APPLY.get() {
+        if apply.object == object && stamp > apply.stamp {
+            MESH_APPLY.set(Some(MeshApply {
+                superseded: true,
+                ..apply
+            }));
+        }
+    }
+}
+
+/// Whether the apply this thread runs was superseded on the object
+/// `object` names (computed only when some apply was).
+pub(crate) fn mesh_apply_superseded(object: impl FnOnce() -> u64) -> bool {
+    MESH_APPLY
+        .get()
+        .is_some_and(|apply| apply.superseded && apply.object == object())
+}
 
 /// Runs `f` inside a fresh anonymous scope (a background job).
 pub fn with_scope<R>(f: impl FnOnce() -> R) -> (R, ScopeStats) {

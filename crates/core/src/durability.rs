@@ -24,7 +24,7 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use synapse_broker::wal::{crc32, put_u32, put_u64, ByteReader};
 use synapse_broker::LogPos;
 use synapse_versionstore::{ObjectVersion, StoreDump};
@@ -169,6 +169,7 @@ pub struct SnapshotStats {
     /// Bytes written by those persists, headers included.
     pub bytes_persisted: u64,
     /// Persists aborted by the armed mid-write fault.
+    #[cfg(any(test, feature = "testing"))]
     pub interrupted: u64,
     /// Corrupt or torn snapshot files skipped during load.
     pub skipped_corrupt: u64,
@@ -180,9 +181,11 @@ pub struct SnapshotStore {
     next_seq: AtomicU64,
     /// Crash fault: the next persist writes a partial `.tmp` and errors
     /// before the rename — the snapshot never becomes visible.
-    interrupt_next: AtomicBool,
+    #[cfg(any(test, feature = "testing"))]
+    interrupt_next: std::sync::atomic::AtomicBool,
     persisted: AtomicU64,
     bytes_persisted: AtomicU64,
+    #[cfg(any(test, feature = "testing"))]
     interrupted: AtomicU64,
     skipped_corrupt: AtomicU64,
 }
@@ -216,9 +219,11 @@ impl SnapshotStore {
         Ok(SnapshotStore {
             dir,
             next_seq: AtomicU64::new(max_seq + 1),
-            interrupt_next: AtomicBool::new(false),
+            #[cfg(any(test, feature = "testing"))]
+            interrupt_next: std::sync::atomic::AtomicBool::new(false),
             persisted: AtomicU64::new(0),
             bytes_persisted: AtomicU64::new(0),
+            #[cfg(any(test, feature = "testing"))]
             interrupted: AtomicU64::new(0),
             skipped_corrupt: AtomicU64::new(0),
         })
@@ -245,6 +250,7 @@ impl SnapshotStore {
             .open(&tmp_path)?;
         // Mid-write crash fault: leave a torn `.tmp` behind and fail —
         // the rename never happens, so the older snapshot stays latest.
+        #[cfg(any(test, feature = "testing"))]
         if self.interrupt_next.swap(false, Ordering::AcqRel) {
             let cut = (bytes.len() / 2).max(1);
             file.write_all(&bytes[..cut])?;
@@ -305,6 +311,7 @@ impl SnapshotStore {
     /// writes a partial
     /// temp file and errors before the rename, leaving the previous
     /// snapshot as the latest.
+    #[cfg(any(test, feature = "testing"))]
     pub fn inject_interrupt_next(&self) {
         self.interrupt_next.store(true, Ordering::Release);
     }
@@ -314,6 +321,7 @@ impl SnapshotStore {
         SnapshotStats {
             persisted: self.persisted.load(Ordering::Relaxed),
             bytes_persisted: self.bytes_persisted.load(Ordering::Relaxed),
+            #[cfg(any(test, feature = "testing"))]
             interrupted: self.interrupted.load(Ordering::Relaxed),
             skipped_corrupt: self.skipped_corrupt.load(Ordering::Relaxed),
         }

@@ -453,6 +453,7 @@ impl SynapseNode {
             let s = store.stats();
             extra.push(("durability.snapshots_persisted".into(), s.persisted));
             extra.push(("durability.snapshot_bytes".into(), s.bytes_persisted));
+            #[cfg(any(test, feature = "testing"))]
             extra.push(("durability.snapshots_interrupted".into(), s.interrupted));
         }
         snap.counters.extend(extra);

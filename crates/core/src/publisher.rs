@@ -39,7 +39,7 @@ use parking_lot::{Condvar, Mutex};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use synapse_broker::{Broker, SharedStr};
 use synapse_model::Record;
@@ -186,7 +186,8 @@ pub struct Publisher {
     journal_seq: AtomicU64,
     /// Failure injection: while set, payloads stay journaled instead of
     /// reaching the broker (a crash between DB commit and publication).
-    fail_publish: AtomicBool,
+    #[cfg(any(test, feature = "testing"))]
+    fail_publish: std::sync::atomic::AtomicBool,
     /// The node's telemetry plane; publisher-side stages (intercept, dep
     /// compute, wire encode, broker enqueue) are recorded under this
     /// publisher's delivery-mode slice.
@@ -232,7 +233,8 @@ impl Publisher {
             locks: LockManager::default(),
             journal: Mutex::new(BTreeMap::new()),
             journal_seq: AtomicU64::new(0),
-            fail_publish: AtomicBool::new(false),
+            #[cfg(any(test, feature = "testing"))]
+            fail_publish: std::sync::atomic::AtomicBool::new(false),
             telemetry,
             messages_published: AtomicU64::new(0),
             operations: AtomicU64::new(0),
@@ -256,6 +258,7 @@ impl Publisher {
     /// Failure injection: simulate a crash window where the broker is
     /// unreachable after the local commit. Payloads accumulate in the
     /// journal until [`Publisher::recover`].
+    #[cfg(any(test, feature = "testing"))]
     pub fn inject_publish_failure(&self, on: bool) {
         self.fail_publish.store(on, Ordering::SeqCst);
     }
@@ -346,7 +349,7 @@ impl Publisher {
                 }
                 WriteKind::Update => {
                     let imported = sub.local_fields();
-                    for field in intent.changes.keys() {
+                    for field in intent.changes.borrow().keys() {
                         if imported.contains(&field.as_str()) {
                             return Err(OrmError::Restriction(format!(
                                 "{} cannot update imported attribute {}.{} (owned by {})",
@@ -560,8 +563,11 @@ impl Publisher {
         // broker confirms it. Exhausted retries leave it journaled — the
         // version bump already happened, so dropping the payload here
         // would silently lose the write (§6.5's root failure mode). While
-        // publish failure is injected (a crash window), the journal alone
-        // retains it.
+        // publish failure is injected (a crash window, test builds), the
+        // journal alone retains it.
+        #[cfg(not(any(test, feature = "testing")))]
+        let sent = self.send_with_retry(&payload, began, route_key);
+        #[cfg(any(test, feature = "testing"))]
         let sent = !self.fail_publish.load(Ordering::SeqCst)
             && self.send_with_retry(&payload, began, route_key);
         if sent {
@@ -659,6 +665,19 @@ impl QueryObserver for Publisher {
         if context::is_replicating() {
             // Replicated applications of upstream data are never republished
             // (only a service's own writes of its published attributes are).
+            // A multi-writer apply whose before-callback re-entered and
+            // committed a greater stamp on the object skips its row write:
+            // under LWW that stamp has already won, and its row stays.
+            if context::mesh_apply_superseded(|| {
+                crate::deps::mesh_object(intent.model, intent.id).identity()
+            }) {
+                return orm.find(intent.model, intent.id)?.ok_or_else(|| {
+                    OrmError::RecordNotFound {
+                        model: intent.model.to_owned(),
+                        id: intent.id.to_string(),
+                    }
+                });
+            }
             return exec();
         }
 
@@ -679,7 +698,7 @@ impl QueryObserver for Publisher {
         let mesh = publication.bidirectional.then(|| {
             let name = crate::deps::mesh_object(intent.model, intent.id);
             let admission = self.sub_store.reserve(name.identity());
-            (self.dep_space.key(&name), admission)
+            (self.dep_space.key(&name), name.identity(), admission)
         });
         // The guard borrows the key set out of the scratch.
         let lock_keys = std::mem::take(&mut scratch.lock_keys);
@@ -697,9 +716,10 @@ impl QueryObserver for Publisher {
         let executed = mono_nanos();
         // The stamp: one past the node's clock, under its own writer id. A
         // dead sub store sends the write out unstamped.
-        let stamp = mesh.and_then(|(key, admission)| {
+        let stamp = mesh.and_then(|(key, object, admission)| {
             let stamp = self.sub_store.next_stamp(self.writer);
             admission.commit(&ObjectVersion::Mesh(stamp)).ok()?;
+            context::mesh_committed(object, stamp);
             Some((key, stamp))
         });
         if let Err(StoreError::Dead) = self.bump_versions(&mut scratch) {

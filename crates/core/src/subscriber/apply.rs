@@ -4,6 +4,7 @@
 use super::path::Kind;
 use super::Subscriber;
 use crate::api::Subscription;
+use crate::context;
 use crate::deps::{mesh_object, object_identity};
 use crate::message::{Operation, WriteMessage};
 use crate::semantics::DeliveryMode;
@@ -114,7 +115,13 @@ impl Subscriber {
             return write();
         };
         match admission.classify(carried, rule).map_err(dead)? {
-            Verdict::Fresh => write()?,
+            // A multi-writer apply runs its writes marked, so that a
+            // callback's re-entrant write of the object, committed under a
+            // greater stamp before the row write, supersedes that write.
+            Verdict::Fresh => match *carried {
+                ObjectVersion::Mesh(stamp) => context::with_mesh_apply(object, stamp, write)?,
+                ObjectVersion::Scalar(_) => write()?,
+            },
             Verdict::Stale => {
                 discarded.fetch_add(1, Ordering::Relaxed);
                 return Ok(());

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use synapse_broker::Broker;
+use synapse_broker::{Broker, QueueConfig};
 use synapse_db::LatencyModel;
 use synapse_model::{Id, ModelSchema, Record, Value};
 use synapse_orm::adapters::MongoidAdapter;
@@ -245,7 +245,21 @@ fn a_lost_dependency_stalls_only_its_descendants_in_strict_mode() {
 fn workers_park_on_a_decommissioned_queue_until_it_is_reinstated() {
     let (broker, node) = subscriber(SynapseConfig::new("sub").workers(2));
     node.start();
-    broker.decommission_queue("sub");
+    // The cap kill: a cap of 0 trips on one publish, then the queue gets
+    // the node's own config back.
+    let own = QueueConfig {
+        max_len: node.config().queue_max_len,
+        partitions: node.config().queue_partitions,
+    };
+    let killing = QueueConfig {
+        max_len: Some(0),
+        ..own.clone()
+    };
+    broker.declare_queue("sub", killing);
+    broker.bind("cap-kill", "sub");
+    broker.publish_routed("cap-kill", "", 0, 0).unwrap();
+    broker.declare_queue("sub", own);
+    assert!(node.is_decommissioned());
     assert!(
         eventually(Duration::from_secs(2), || broker.queue_sleepers("sub")
             == Some(2)),

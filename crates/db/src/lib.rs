@@ -25,13 +25,15 @@
 //! (Fig. 6(a)). Per-vendor differences that matter to Synapse (write
 //! read-back vs. `RETURNING`, schemalessness) are surfaced as
 //! [`engine::Capabilities`].
+//!
+//! The engines hold no fault state: a refused or slowed write is injected
+//! by a test around the ORM's adapter (`synapse-faults`), never here.
 
 pub mod columnar;
 pub mod document;
 pub mod engine;
 pub mod ephemeral;
 pub mod error;
-pub mod faults;
 pub mod graph;
 pub mod latency;
 pub mod profiles;
@@ -42,6 +44,5 @@ mod table;
 
 pub use engine::{Capabilities, Engine, EngineKind, EngineStats};
 pub use error::DbError;
-pub use faults::{DbFaultStats, DbFaults};
 pub use latency::LatencyModel;
 pub use query::{Filter, Query, QueryResult, Row};

@@ -1,18 +1,19 @@
 //! Applies fault events to the live system under test.
 //!
 //! The [`Injector`] holds handles to the broker, the per-side version
-//! stores, and the per-side [`DbFaults`] arming panels, and translates
+//! stores, and the per-side [`DbFaults`] arming panels (each gating the
+//! adapter its side's node was built with), and translates
 //! each [`FaultKind`] into the corresponding substrate call. It keeps
 //! deterministic counters of everything it scheduled: because countdown
 //! faults record the *armed* amount (fixed by the plan) rather than an
 //! outcome subject to thread timing, [`InjectorStats`] is identical
 //! across runs of the same plan.
 
+use crate::db::DbFaults;
 use crate::plan::{FaultEvent, FaultKind, FaultPlan, Side};
 use std::sync::Arc;
 use std::time::Duration;
 use synapse_broker::Broker;
-use synapse_db::DbFaults;
 use synapse_versionstore::VersionStore;
 
 /// Deterministic totals of faults scheduled through one injector.
@@ -77,7 +78,8 @@ impl Injector {
         self
     }
 
-    /// Registers the db fault panel for one side.
+    /// Registers the db fault panel for one side: the [`DbFaults`] whose
+    /// [`DbFaults::wrap`] gates that side's adapter.
     pub fn with_db(mut self, side: Side, faults: DbFaults) -> Self {
         self.dbs[side.index()] = Some(faults);
         self
@@ -214,9 +216,9 @@ mod tests {
         assert_eq!(stats.skipped, 0);
 
         // Armed publish failures are visible through broker behaviour.
-        assert!(broker.publish("x", "one").is_err());
-        assert!(broker.publish("x", "two").is_err());
-        assert!(broker.publish("x", "three").is_ok());
+        assert!(broker.publish_routed("x", "one", 0, 0).is_err());
+        assert!(broker.publish_routed("x", "two", 0, 0).is_err());
+        assert!(broker.publish_routed("x", "three", 0, 0).is_ok());
     }
 
     #[test]

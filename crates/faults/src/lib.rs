@@ -1,5 +1,15 @@
 //! Deterministic fault-injection plane for the Synapse reproduction.
 //!
+//! Test infrastructure: tests and examples take this crate as a
+//! dev-dependency, and the production crates never depend on it. Selecting
+//! it turns on the `testing` feature of `synapse-broker`,
+//! `synapse-versionstore` and `synapse-core`, which compiles the crash
+//! points and fault countdowns no public call can reach (a dropped
+//! delivery, a refused publish, a torn WAL append, a dropped fsync, a
+//! power failure, a killed version-store shard, an interrupted snapshot);
+//! a build without it compiles none of them. Database faults need no
+//! feature: [`DbFaults::wrap`] gates the adapter a node is built with.
+//!
 //! The paper's §6.5 postmortem describes a production incident where a
 //! dead dependency wedged the whole replication pipeline. Reproducing
 //! that class of failure — and proving the hardening that prevents it —
@@ -18,7 +28,7 @@
 //!   the system always has a path out of the §6.5 wedge.
 //! * [`Injector`] — dispatches due events onto live broker /
 //!   version-store / db handles and keeps deterministic
-//!   [`InjectorStats`].
+//!   [`InjectorStats`]; its db handles are [`DbFaults`] panels.
 //!
 //! Everything here is countdown-based ("fail the next n writes"), never
 //! probabilistic at the substrate: probability lives only in plan
@@ -26,6 +36,7 @@
 
 pub mod clock;
 pub mod crash;
+pub mod db;
 pub mod hook;
 pub mod injector;
 pub mod plan;
@@ -33,6 +44,7 @@ pub mod rng;
 
 pub use clock::FaultClock;
 pub use crash::{CrashEvent, CrashPlan, CrashPoint};
+pub use db::{DbFaultStats, DbFaults};
 pub use hook::PhaseHook;
 pub use injector::{Injector, InjectorStats};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, FaultSpec, Side};

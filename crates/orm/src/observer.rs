@@ -17,6 +17,7 @@
 
 use crate::error::OrmError;
 use crate::orm::{Changes, Orm};
+use std::cell::RefCell;
 use synapse_model::{Id, Record};
 
 /// Kind of a write operation.
@@ -55,9 +56,11 @@ pub struct WriteIntent<'a> {
     pub model: &'a str,
     /// Primary key of the object being written.
     pub id: Id,
-    /// The changes the caller asked an update for, moved or not; empty for
-    /// a destroy and for a create, whose attributes the engine takes.
-    pub changes: &'a Changes,
+    /// The changes the caller asked an update for; empty for a destroy and
+    /// for a create, whose attributes the engine takes. Read them before
+    /// `exec`: an update without a `BeforeUpdate` callback moves this map
+    /// into the engine, leaving it empty.
+    pub changes: &'a RefCell<Changes>,
 }
 
 /// The thunk that performs the underlying engine write and returns the

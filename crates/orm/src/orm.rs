@@ -5,12 +5,12 @@ use crate::error::OrmError;
 use crate::hooks::{CallbackPoint, ModelHooks};
 use crate::observer::{QueryObserver, WriteIntent, WriteKind};
 use parking_lot::{Mutex, RwLock};
-use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use synapse_db::query::OrderBy;
-use synapse_db::{DbError, DbFaults, EngineStats, Filter};
+use synapse_db::{DbError, EngineStats, Filter};
 use synapse_model::{AssociationKind, Id, IdGenerator, ModelSchema, Record, SchemaSet, Value};
 
 /// Attribute changes for an update: field name → new value.
@@ -49,7 +49,6 @@ pub struct Orm {
     interceptor: OnceLock<Arc<dyn QueryObserver>>,
     idgens: Mutex<HashMap<String, Arc<IdGenerator>>>,
     bootstrap: AtomicBool,
-    faults: DbFaults,
     /// Writes that reached the interception point (the ORM-intercept stage
     /// of the telemetry plane) and records of reads reported to it.
     writes_intercepted: AtomicU64,
@@ -67,7 +66,6 @@ impl Orm {
             interceptor: OnceLock::new(),
             idgens: Mutex::new(HashMap::new()),
             bootstrap: AtomicBool::new(false),
-            faults: DbFaults::new(),
             writes_intercepted: AtomicU64::new(0),
             reads_observed: AtomicU64::new(0),
         }
@@ -81,13 +79,6 @@ impl Orm {
     /// Read records reported to the interception point since construction.
     pub fn reads_observed(&self) -> u64 {
         self.reads_observed.load(Ordering::Relaxed)
-    }
-
-    /// Arming panel for db-level fault injection on this ORM's write path.
-    /// The returned handle shares state with the ORM; see
-    /// [`synapse_db::DbFaults`].
-    pub fn db_faults(&self) -> DbFaults {
-        self.faults.clone()
     }
 
     /// The owning application's name.
@@ -171,10 +162,6 @@ impl Orm {
         intent: &WriteIntent,
         write: impl FnOnce() -> Result<Record, OrmError>,
     ) -> Result<Record, OrmError> {
-        // Fault gate first: an injected transient error fails the write
-        // before the interceptor runs, so no version bump or publication
-        // happens for a write the database refused.
-        self.faults.gate_write()?;
         self.writes_intercepted.fetch_add(1, Ordering::Relaxed);
         let mut write = Some(write);
         let mut exec = || write.take().ok_or(SPENT)?();
@@ -223,7 +210,7 @@ impl Orm {
             kind: WriteKind::Create,
             model,
             id,
-            changes: &Changes::new(),
+            changes: &RefCell::default(),
         };
         let mut stored =
             self.run_write(&intent, || self.adapter.insert(&schema, id, record.attrs))?;
@@ -257,7 +244,8 @@ impl Orm {
             }
         };
         let hooks = self.hooks(model);
-        let set: Cow<'_, Changes> = if hooks
+        // `None`: the engine takes the caller's own map.
+        let merged_set = if hooks
             .as_deref()
             .is_some_and(|h| !h.callbacks[CallbackPoint::BeforeUpdate as usize].is_empty())
         {
@@ -269,23 +257,28 @@ impl Orm {
             self.run_callbacks(hooks.as_deref(), CallbackPoint::BeforeUpdate, &mut merged)?;
             schema.check_attrs(merged.attrs.iter())?;
             let differs = |(k, v): &(String, Value)| current.attrs.get(k) != Some(v);
-            Cow::Owned(merged.attrs.into_iter().filter(differs).collect())
+            Some(merged.attrs.into_iter().filter(differs).collect())
         } else {
             // Stored attributes were checked when they were written.
             schema.check_attrs(changes.iter())?;
-            Cow::Borrowed(&changes)
+            None
         };
         // The intent carries the *caller's* changes (not the merged image):
         // Synapse's restriction checks need to know which attributes the
         // application actually touched (§3.1: subscribers may only update
-        // their own decoration attributes).
+        // their own decoration attributes). Without a merge the write then
+        // moves that same map into the engine.
+        let changes = RefCell::new(changes);
         let intent = WriteIntent {
             kind: WriteKind::Update,
             model,
             id,
             changes: &changes,
         };
-        let write = || self.adapter.update(&schema, id, set.into_owned());
+        let write = || {
+            let set = merged_set.unwrap_or_else(|| changes.take());
+            self.adapter.update(&schema, id, set)
+        };
         let mut stored = self.run_write(&intent, write)?;
         self.run_callbacks(hooks.as_deref(), CallbackPoint::AfterUpdate, &mut stored)?;
         Ok(stored)
@@ -306,7 +299,7 @@ impl Orm {
             kind: WriteKind::Delete,
             model: &pre.model,
             id: pre.id,
-            changes: &Changes::new(),
+            changes: &RefCell::default(),
         };
         let mut removed = self.run_write(&intent, || self.adapter.delete(&schema, &pre))?;
         self.run_callbacks(hooks.as_deref(), CallbackPoint::AfterDestroy, &mut removed)?;
@@ -468,20 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_db_fault_fails_one_write_transiently() {
-        use synapse_db::DbError;
-        let orm = mongo_orm();
-        orm.db_faults().inject_write_errors(1);
-        let err = orm.create("User", vmap! { "name" => "a" }).unwrap_err();
-        assert!(matches!(err, OrmError::Db(DbError::Unavailable)));
-        // The fault is transient: the next write goes through, and reads
-        // were never affected.
-        let u = orm.create("User", vmap! { "name" => "a" }).unwrap();
-        assert!(orm.find("User", u.id).unwrap().is_some());
-        assert_eq!(orm.db_faults().stats().write_errors_injected, 1);
-    }
-
-    #[test]
     fn create_with_id_advances_the_generator() {
         let orm = mongo_orm();
         orm.create_with_id("User", Id(100), vmap! {}).unwrap();
@@ -547,7 +526,7 @@ mod tests {
             intent: &WriteIntent,
             exec: &mut WriteExec<'_>,
         ) -> Result<Record, OrmError> {
-            self.0.lock().push(intent.changes.clone());
+            self.0.lock().push(intent.changes.borrow().clone());
             exec()
         }
     }
@@ -595,9 +574,11 @@ mod tests {
         );
     }
 
-    /// Calls `exec` twice and keeps what each write's intent lent and the
-    /// error its second call returned.
-    struct Twice(PMutex<Vec<(WriteKind, Changes, Option<OrmError>)>>);
+    /// Calls `exec` twice and keeps what each write's intent lent before
+    /// the write, what it still held after, and the error the second call
+    /// returned.
+    type Seen = (WriteKind, Changes, Changes, Option<OrmError>);
+    struct Twice(PMutex<Vec<Seen>>);
 
     impl QueryObserver for Twice {
         fn around_write(
@@ -606,9 +587,11 @@ mod tests {
             intent: &WriteIntent,
             exec: &mut WriteExec<'_>,
         ) -> Result<Record, OrmError> {
+            let lent = intent.changes.borrow().clone();
             let first = exec();
             let second = exec();
-            let seen = (intent.kind, intent.changes.clone(), second.err());
+            let left = intent.changes.borrow().clone();
+            let seen = (intent.kind, lent, left, second.err());
             self.0.lock().push(seen);
             first
         }
@@ -641,8 +624,14 @@ mod tests {
             (WriteKind::Delete, Changes::new()),
         ];
         assert_eq!(seen.len(), expected.len());
-        for ((kind, changes, second), (want_kind, want_changes)) in seen.into_iter().zip(expected) {
-            assert_eq!((kind, changes), (want_kind, want_changes));
+        for ((kind, lent, left, second), (want_kind, want_changes)) in
+            seen.into_iter().zip(expected)
+        {
+            assert_eq!((kind, lent), (want_kind, want_changes));
+            assert!(
+                left.is_empty(),
+                "{kind:?}: the engine took the caller's map"
+            );
             assert_eq!(
                 second.as_ref(),
                 Some(&spent),

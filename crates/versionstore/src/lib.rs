@@ -21,8 +21,9 @@
 //!   freshness. Both kinds follow one rule: a version below the stored one
 //!   is stale.
 //!
-//! Killing a shard ([`VersionStore::kill_shard`]) loses that shard's part
-//! of both maps; [`VersionStore::kill`] loses both everywhere.
+//! Killing a shard (`VersionStore::kill_shard`, in a test build) loses
+//! that shard's part of both maps; `VersionStore::kill` loses both
+//! everywhere.
 //! Every counter and scalar version carries its generation ([`versioned`]):
 //! one of an older generation reads as absent, so no bump flushes.
 //!
@@ -44,9 +45,10 @@
 //! * bulk [`VersionStore::dump`] / [`VersionStore::load_dump`] — a
 //!   [`StoreDump`] with one section per map — for the three-step bootstrap
 //!   (§4.4) and the durability plane's snapshots;
-//! * [`VersionStore::kill`] failure injection — the event that forces a
-//!   generation bump at the publisher or a partial bootstrap at a
-//!   subscriber;
+//! * the dead state and [`VersionStore::revive`] — a lost store is the
+//!   event that forces a generation bump at the publisher or a partial
+//!   bootstrap at a subscriber (a test build, feature `testing`, kills
+//!   shards to drive it);
 //! * [`GenerationStore`] — the reliably-stored generation number (the
 //!   paper's Chubby/ZooKeeper stand-in).
 

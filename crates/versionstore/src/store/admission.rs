@@ -4,9 +4,10 @@
 //! (DESIGN.md *Admission*): reserve before the publisher's dependency
 //! locks; a thread re-enters a stripe it holds; every mesh stamp the store
 //! classifies or loads raises the clock, and a local write stamps one past
-//! it — so a re-entrant write follows the stamp its holder classified (for
-//! an after-callback: the row write overwrites a before-callback's value),
-//! and a lost shard rewinds no clock.
+//! it — so a re-entrant write follows the stamp its holder classified (an
+//! after-callback's write lands over the applied row; once a
+//! before-callback's has committed, the apply skips its own row write,
+//! whose stamp has lost), and a lost shard rewinds no clock.
 
 use super::{StoreError, VersionStore, ADMISSION_STRIPES};
 use parking_lot::{Mutex, MutexGuard};

@@ -159,17 +159,19 @@ impl Maps {
 struct Shard {
     maps: Mutex<Maps>,
     changed: Condvar,
-    /// Per-shard kill switch (fault injection): a dead shard loses its
-    /// contents and fails every operation routed to it.
+    /// Per-shard kill switch: a dead shard has lost its contents and fails
+    /// every operation routed to it until [`VersionStore::revive`]. Only a
+    /// test build (feature `testing`) can kill one.
     dead: AtomicBool,
 }
 
 /// The sharded dependency version store. See the crate docs.
 ///
-/// Failure injection operates at shard granularity: [`VersionStore::kill_shard`]
-/// kills one shard (operations touching other shards keep working), while
-/// [`VersionStore::kill`] / [`VersionStore::revive`] retain the historical
-/// whole-store semantics by fanning out over every shard.
+/// Failure injection (test builds) operates at shard granularity:
+/// `VersionStore::kill_shard` kills one shard (operations touching other
+/// shards keep working), while `VersionStore::kill` and
+/// [`VersionStore::revive`] retain the historical whole-store semantics by
+/// fanning out over every shard.
 pub struct VersionStore {
     shards: Vec<Arc<Shard>>,
     ring: HashRing,
@@ -235,6 +237,7 @@ impl VersionStore {
     /// Kills one shard: its contents — counters and objects alike — are
     /// lost and every operation routed to it fails until
     /// [`VersionStore::revive`]. Out-of-range indexes are ignored.
+    #[cfg(any(test, feature = "testing"))]
     pub fn kill_shard(&self, index: usize) {
         if let Some(shard) = self.shards.get(index) {
             self.lost.store(true, Ordering::SeqCst);
@@ -246,6 +249,7 @@ impl VersionStore {
     }
 
     /// Whether one shard is currently dead.
+    #[cfg(any(test, feature = "testing"))]
     pub fn shard_is_dead(&self, index: usize) -> bool {
         index < self.shards.len() && self.dead(index)
     }
@@ -256,12 +260,14 @@ impl VersionStore {
 
     /// Shard index a counter key or object routes to (for
     /// targeted fault injection).
+    #[cfg(any(test, feature = "testing"))]
     pub fn shard_for(&self, key: u64) -> usize {
         self.ring.route(key)
     }
 
     /// Kills the whole store (every shard): contents are lost and every
     /// operation fails until [`VersionStore::revive`].
+    #[cfg(any(test, feature = "testing"))]
     pub fn kill(&self) {
         for index in 0..self.shards.len() {
             self.kill_shard(index);

@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use synapse_faults::{FaultKind, Injector};
 use synapse_repro::core::{DeliveryMode, Ecosystem, Publication, Subscription, SynapseConfig};
 use synapse_repro::db::LatencyModel;
 use synapse_repro::model::{vmap, ModelSchema};
@@ -74,7 +75,7 @@ fn main() {
 
     // The §6.5 incident: the broker silently loses an update bound for the
     // causal subscriber (the RabbitMQ upgrade failure).
-    eco.broker().inject_drop_next("causal_sub", 1);
+    Injector::new(eco.broker().clone(), "causal_sub").apply(&FaultKind::DropMessages { n: 1 });
     publisher
         .orm()
         .update("Post", post.id, vmap! { "body" => "v2", "version" => 2 })

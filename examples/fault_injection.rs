@@ -8,13 +8,13 @@
 
 use std::sync::Arc;
 use std::time::Duration;
+use synapse_faults::{
+    DbFaults, FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, Side,
+};
 use synapse_repro::core::{
     Ecosystem, Publication, Subscription, SynapseConfig, RETRY_ATTEMPTS, VERSION_STORE_SHARDS,
 };
 use synapse_repro::db::LatencyModel;
-use synapse_repro::faults::{
-    FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, Side,
-};
 use synapse_repro::model::{vmap, ModelSchema};
 use synapse_repro::orm::adapters::MongoidAdapter;
 use synapse_repro::orm::CallbackPoint;
@@ -39,10 +39,16 @@ fn main() {
         }
     }));
 
+    // Each side's adapter sits behind a db fault panel: the seam where
+    // refused and slowed writes are injected.
     let eco = Ecosystem::new();
+    let (pub_db, sub_db) = (DbFaults::new(), DbFaults::new());
     let publisher = eco.add_node(
         SynapseConfig::new("pub"),
-        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
+        pub_db.wrap(Arc::new(MongoidAdapter::new(
+            "mongodb",
+            LatencyModel::off(),
+        ))),
     );
     publisher
         .orm()
@@ -56,7 +62,10 @@ fn main() {
         SynapseConfig::new("sub")
             .wait_timeout(Some(Duration::from_millis(50)))
             .workers(1),
-        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
+        sub_db.wrap(Arc::new(MongoidAdapter::new(
+            "mongodb",
+            LatencyModel::off(),
+        ))),
     );
     subscriber
         .orm()
@@ -138,8 +147,8 @@ fn main() {
     let mut injector = Injector::new(eco.broker().clone(), "sub")
         .with_store(Side::Publisher, publisher.pub_store().clone())
         .with_store(Side::Subscriber, subscriber.sub_store().clone())
-        .with_db(Side::Publisher, publisher.orm().db_faults())
-        .with_db(Side::Subscriber, subscriber.orm().db_faults());
+        .with_db(Side::Publisher, pub_db.clone())
+        .with_db(Side::Subscriber, sub_db.clone());
     let clock = FaultClock::new();
 
     let mut refused = 0u64;
@@ -161,8 +170,8 @@ fn main() {
 
     // Heal and drain.
     injector.apply_due(&mut plan, u64::MAX);
-    publisher.orm().db_faults().disarm();
-    subscriber.orm().db_faults().disarm();
+    pub_db.disarm();
+    sub_db.disarm();
     publisher.pub_store().revive();
     subscriber.sub_store().revive();
     publisher.publisher().recover();

@@ -9,12 +9,12 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use synapse_faults::SeededRng;
 use synapse_repro::apps::social;
 use synapse_repro::core::{
     DeliveryMode, Ecosystem, Publication, Subscription, SynapseConfig, SynapseNode,
 };
 use synapse_repro::db::LatencyModel;
-use synapse_repro::faults::SeededRng;
 use synapse_repro::model::{vmap, Id, ModelSchema, Value};
 use synapse_repro::mvc::Request;
 use synapse_repro::orm::adapters::{ActiveRecordAdapter, MongoidAdapter};

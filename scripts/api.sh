@@ -6,7 +6,10 @@
 # every `pub` field (named or tuple), and each name a `pub use` exports.
 # Non-test code is what `scripts/loc.sh` counts as such: a src file up to
 # its first column-0 `#[cfg(test)]` that opens an inline module, and no
-# `tests.rs` its parent module declares `#[cfg(test)] mod tests;`.
+# `tests.rs` its parent module declares `#[cfg(test)] mod tests;`. An item
+# behind `#[cfg(any(test, feature = "testing"))]` (a fault hook only the
+# fault plane's tests compile) is not counted either, with everything up
+# to its closing brace, so the counts are the production surface.
 #
 # `scripts/api.sh --check [rev]` prints nothing and fails unless the
 # counts equal the committed `scripts/api.txt`: a change that grows (or
@@ -57,6 +60,9 @@ items='
   held { held = 0; if (!/^(pub(\([a-z]+\))? )?mod [a-z_]+;$/) exit }
   /^#\[cfg\(test\)\]/ { held = 1; next }
   /^[ \t]*\/\// { next }
+  depth > 0 { depth += gsub(/\{/, "{") - gsub(/\}/, "}"); next }
+  /^[ \t]*#\[cfg\(any\(test, feature = "testing"\)\)\]/ { gated = 1; next }
+  gated { gated = 0; depth = gsub(/\{/, "{") - gsub(/\}/, "}"); if (depth < 0) depth = 0; next }
   in_use { names($0); if (/;/) in_use = 0; next }
   /^[ \t]*pub use / {
     if (/\{/) { s = $0; sub(/^[^{]*\{/, "", s); names(s); in_use = !/;/ } else item(trim($0))

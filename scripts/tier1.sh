@@ -21,6 +21,18 @@ while read -r manifest; do
 done < <(ls crates/*/Cargo.toml)
 cargo fmt "${FIRST_PARTY[@]}" -- --check
 cargo clippy "${FIRST_PARTY[@]}" --all-targets --quiet -- -D warnings
+# The shipped build carries no fault hook: the production crates, selected
+# without `synapse-faults` (which turns their `testing` feature on), must be
+# warning-free too, so a field, import or helper only a gated hook uses
+# fails as dead code; and the benchmark crate's feature graph must not
+# enable `testing` anywhere.
+cargo clippy --offline -p synapse-db -p synapse-orm -p synapse-broker \
+  -p synapse-versionstore -p synapse-core --quiet -- -D warnings
+bench_features="$(cargo tree --offline --manifest-path benchmark/Cargo.toml -e features)"
+if grep -F 'feature "testing"' <<<"$bench_features"; then
+  echo "tier1: the benchmark build enables a \`testing\` feature" >&2
+  exit 1
+fi
 # Rustdoc gate: a renamed or deleted item cannot leave a dead intra-doc
 # link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${FIRST_PARTY[@]}"

@@ -255,11 +255,11 @@ fn check(rows: &[Row]) {
 fn engine_crud_stays_within_its_allocation_ceilings() {
     // (vendor, [find, create, update, destroy] ceilings)
     let ceilings: [(&str, [u64; 4]); 5] = [
-        ("postgresql", [12, 15, 15, 18]),
-        ("mysql", [12, 17, 17, 25]),
-        ("mongodb", [12, 15, 15, 18]),
-        ("cassandra", [12, 19, 19, 26]),
-        ("elasticsearch", [12, 17, 19, 20]),
+        ("postgresql", [12, 15, 13, 18]),
+        ("mysql", [12, 17, 15, 25]),
+        ("mongodb", [12, 15, 13, 18]),
+        ("cassandra", [12, 19, 17, 26]),
+        ("elasticsearch", [12, 17, 17, 20]),
     ];
     let mut rows = Vec::new();
     for (vendor, ceiling) in ceilings {
@@ -291,6 +291,6 @@ fn replication_stays_within_its_allocation_ceilings() {
             45,
         ),
         ("Subscriber::process create".to_owned(), create, 38),
-        ("Subscriber::process update".to_owned(), update, 43),
+        ("Subscriber::process update".to_owned(), update, 36),
     ]);
 }

@@ -302,13 +302,10 @@ fn callback_rewriting_the_applied_row_reenters_and_follows_it() {
 
 /// The same re-entry from a before-callback: the callback's write commits
 /// and publishes a stamp above the applied one before the apply's own row
-/// write runs. Whatever value each replica keeps, both must keep the same
-/// one under the same stamp. They do not: the apply's row write puts the
-/// peer's value back over the callback's on the reacting node, and
-/// nothing republishes it, so the peer keeps the callback's value under
-/// the same stamp.
+/// write runs. The apply still holds the object's stripe, sees that its
+/// stamp has lost under LWW and skips its row write, so both replicas keep
+/// the callback's value under the callback's stamp.
 #[test]
-#[ignore = "open defect: an apply's row write overwrites a before-callback's published write, ROADMAP"]
 fn before_callback_rewriting_the_applied_row_converges() {
     let eco = Ecosystem::new();
     let (reactor, peer, row, _) =
@@ -319,6 +316,7 @@ fn before_callback_rewriting_the_applied_row_converges() {
         field_of(&peer, row, "name"),
         "replicas diverged"
     );
+    assert_eq!(field_of(&reactor, row, "name").as_str(), Some("reacted"));
     assert_eq!(
         reactor.sub_store().latest_stamp(mesh).unwrap(),
         peer.sub_store().latest_stamp(mesh).unwrap()

@@ -85,7 +85,9 @@ fn concurrent_batched_fanout_loses_nothing() {
             let broker = broker.clone();
             std::thread::spawn(move || {
                 for seq in 0..PER_PUBLISHER {
-                    broker.publish("pub", payload_for(p, seq)).unwrap();
+                    broker
+                        .publish_routed("pub", payload_for(p, seq), 0, 0)
+                        .unwrap();
                 }
             })
         })

@@ -21,7 +21,8 @@ use synapse_repro::orm::adapters::{EphemeralAdapter, MongoidAdapter};
 use synapse_repro::orm::CallbackPoint;
 
 mod common;
-use common::eventually;
+use common::{cap_kill, eventually};
+use synapse_faults::{FaultKind, Injector};
 
 fn publisher_with_users(eco: &Ecosystem, n: usize) -> Arc<SynapseNode> {
     let node = eco.add_node(
@@ -585,7 +586,7 @@ fn reinstate_after_swept_backlog_recopies_and_converges() {
     assert_eq!(subscriber.bootstrap_stats().chunks_copied, 2);
 
     // The decommission sweeps the three queued messages: real loss.
-    eco.broker().decommission_queue("late");
+    cap_kill(eco.broker(), &subscriber);
     subscriber.bootstrap_from(&publisher).unwrap();
     let stats = subscriber.bootstrap_stats();
     assert_eq!(stats.completions, 1);
@@ -660,11 +661,12 @@ fn reinstate_racing_broker_restart_discards_stale_drop_faults() {
     subscriber.start_and_bootstrap_from(&publisher).unwrap();
     assert_eq!(subscriber.orm().count("User").unwrap(), 3);
 
-    // The queue dies with drop faults still armed; the broker restarts
-    // while it is decommissioned.
-    eco.broker().inject_drop_next("late", 5);
-    eco.broker().decommission_queue("late");
-    eco.broker().recover();
+    // The queue dies and drop faults are armed on the dead incarnation;
+    // the broker restarts while it is decommissioned.
+    cap_kill(eco.broker(), &subscriber);
+    let mut injector = Injector::new(eco.broker().clone(), "late");
+    injector.apply(&FaultKind::DropMessages { n: 5 });
+    injector.apply(&FaultKind::BrokerRestart);
 
     // Partial bootstrap reinstates the queue; the armed drops must have
     // died with the old incarnation.

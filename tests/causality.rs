@@ -6,6 +6,7 @@
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
+use synapse_faults::{FaultKind, Injector};
 use synapse_repro::core::{
     with_user_scope, DeliveryMode, DepName, Ecosystem, Publication, Subscription, SynapseConfig,
     SynapseNode,
@@ -207,7 +208,7 @@ fn weak_subscriber_of_causal_publisher_ignores_dependencies() {
         .orm()
         .create("Post", vmap! { "body" => "a" })
         .unwrap();
-    eco.broker().inject_drop_next("sub", 1);
+    Injector::new(eco.broker().clone(), "sub").apply(&FaultKind::DropMessages { n: 1 });
     publisher
         .orm()
         .update("Post", p.id, vmap! { "body" => "b" })

@@ -7,14 +7,16 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use synapse_faults::{DbFaults, FaultEvent, FaultKind, Side};
+use synapse_repro::broker::{Broker, QueueConfig};
 use synapse_repro::core::{
     mesh_object, writer_id, DeliveryMode, Ecosystem, Operation, Publication, Subscription,
     SynapseConfig, SynapseNode, WriteMessage, RETRY_ATTEMPTS,
 };
 use synapse_repro::db::LatencyModel;
-use synapse_repro::faults::{FaultEvent, FaultKind, Side};
 use synapse_repro::model::{Id, ModelSchema, Record, Value};
 use synapse_repro::orm::adapters::{ActiveRecordAdapter, MongoidAdapter};
+use synapse_repro::orm::Adapter;
 use synapse_repro::versionstore::Stamp;
 
 /// Polls `cond` every 5 ms until it holds or `timeout` passes; returns
@@ -32,12 +34,54 @@ pub fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 
 /// A MongoDB-backed node with an open `Post` model.
 pub fn mongo_node(eco: &Ecosystem, config: SynapseConfig) -> Arc<SynapseNode> {
-    let node = eco.add_node(
+    post_node(
+        eco,
         config,
         Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
-    );
+    )
+}
+
+/// [`mongo_node`] with its adapter behind a fresh db fault panel, which is
+/// returned beside it.
+pub fn faulty_mongo_node(eco: &Ecosystem, config: SynapseConfig) -> (Arc<SynapseNode>, DbFaults) {
+    let faults = DbFaults::new();
+    let adapter = faults.wrap(Arc::new(MongoidAdapter::new(
+        "mongodb",
+        LatencyModel::off(),
+    )));
+    (post_node(eco, config, adapter), faults)
+}
+
+fn post_node(
+    eco: &Ecosystem,
+    config: SynapseConfig,
+    adapter: Arc<dyn Adapter>,
+) -> Arc<SynapseNode> {
+    let node = eco.add_node(config, adapter);
     node.orm().define_model(ModelSchema::open("Post")).unwrap();
     node
+}
+
+/// Kills `node`'s queue the way its backlog cap does, the one way a queue
+/// dies: redeclared with a cap of 0, it trips on one publish through an
+/// exchange bound to it alone (that copy is refused), and then gets the
+/// node's own queue config back. Its backlog is discarded and, on a
+/// durable broker, the kill is logged.
+pub fn cap_kill(broker: &Broker, node: &SynapseNode) {
+    let config = node.config();
+    let own = QueueConfig {
+        max_len: config.queue_max_len,
+        partitions: config.queue_partitions,
+    };
+    let killing = QueueConfig {
+        max_len: Some(0),
+        ..own.clone()
+    };
+    broker.declare_queue(&config.app, killing);
+    broker.bind("cap-kill", &config.app);
+    broker.publish_routed("cap-kill", "", 0, 0).unwrap();
+    broker.declare_queue(&config.app, own);
+    assert!(node.is_decommissioned(), "the cap kill decommissions");
 }
 
 /// Two app names, the first with the greater writer id: at an equal clock

@@ -14,6 +14,7 @@ use proptest::test_runner::{Config, TestRunner};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
+use synapse_faults::{DbFaults, SeededRng};
 use synapse_repro::core::subscriber::ProcessError;
 use synapse_repro::core::testing::emulate_delivery;
 use synapse_repro::core::{
@@ -21,7 +22,6 @@ use synapse_repro::core::{
     SynapseConfig, SynapseNode, WriteMessage,
 };
 use synapse_repro::db::LatencyModel;
-use synapse_repro::faults::SeededRng;
 use synapse_repro::model::{vmap, Id, ModelSchema, Value};
 use synapse_repro::orm::adapters::MongoidAdapter;
 use synapse_repro::versionstore::{ObjectVersion, Stamp, VersionStore};
@@ -80,10 +80,14 @@ fn partitioned_writers_converge_under_lww() {
 
 /// A weak-mode node subscribed bidirectionally to two remote writers, `wa`
 /// and `wb`, that exist only as hand-built messages.
-fn observer_of_two_writers(eco: &Ecosystem) -> Arc<SynapseNode> {
+fn observer_of_two_writers(eco: &Ecosystem) -> (Arc<SynapseNode>, DbFaults) {
+    let faults = DbFaults::new();
     let node = eco.add_node(
         SynapseConfig::new("observer").mode(DeliveryMode::Weak),
-        Arc::new(MongoidAdapter::new("mongodb", LatencyModel::off())),
+        faults.wrap(Arc::new(MongoidAdapter::new(
+            "mongodb",
+            LatencyModel::off(),
+        ))),
     );
     node.orm()
         .define_model(ModelSchema::new("User").field("name"))
@@ -97,7 +101,7 @@ fn observer_of_two_writers(eco: &Ecosystem) -> Arc<SynapseNode> {
         .unwrap();
         node.set_publisher_mode(from, DeliveryMode::Weak);
     }
-    node
+    (node, faults)
 }
 
 /// Deterministic classification through hand-built stamps: one node
@@ -108,7 +112,7 @@ fn observer_of_two_writers(eco: &Ecosystem) -> Arc<SynapseNode> {
 fn forced_concurrent_vectors_classify_and_resolve() {
     const OBJECT: Id = Id(11);
     let eco = Ecosystem::new();
-    let node = observer_of_two_writers(&eco);
+    let (node, _) = observer_of_two_writers(&eco);
     let deliver = |app: &str, operation: &str, name: &str, stamp: Stamp| {
         let msg = stamp_msg(&node, OBJECT, app, operation, name, stamp);
         node.subscriber().process(&emulate_delivery(&msg)).unwrap();
@@ -155,11 +159,11 @@ fn forced_concurrent_vectors_classify_and_resolve() {
 #[test]
 fn concurrent_write_survives_transient_apply_failure() {
     let eco = Ecosystem::new();
-    let node = observer_of_two_writers(&eco);
+    let (node, faults) = observer_of_two_writers(&eco);
     let (wa, wb) = (writer_id("wa"), writer_id("wb"));
     let twice = |msg: WriteMessage| {
         let delivery = emulate_delivery(&msg);
-        node.orm().db_faults().inject_write_errors(1);
+        faults.inject_write_errors(1);
         let failed = node.subscriber().process(&delivery).unwrap_err();
         assert!(matches!(failed, ProcessError::Transient(_)), "{failed}");
         node.subscriber().process(&delivery).unwrap();

@@ -34,13 +34,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use synapse_faults::{CrashPlan, CrashPoint, SeededRng};
 use synapse_repro::broker::{Broker, FsyncPolicy, QueueConfig, WalConfig};
 use synapse_repro::core::{
     Ecosystem, Publication, Subscription, SynapseConfig, SynapseNode, BOOTSTRAP_CHUNK_ROWS,
     RETRY_ATTEMPTS,
 };
 use synapse_repro::db::LatencyModel;
-use synapse_repro::faults::{CrashPlan, CrashPoint, SeededRng};
 use synapse_repro::model::{vmap, ModelSchema};
 use synapse_repro::orm::adapters::MongoidAdapter;
 
@@ -180,7 +180,9 @@ fn run_crash_soak(seed: u64) {
         for _ in 0..event.after_ops {
             let p = format!("r{round}-m{seq}");
             seq += 1;
-            broker.publish("x", p.as_str()).expect("healthy publish");
+            broker
+                .publish_routed("x", p.as_str(), 0, 0)
+                .expect("healthy publish");
             confirmed.insert(p);
         }
 
@@ -193,11 +195,11 @@ fn run_crash_soak(seed: u64) {
                 let p = format!("r{round}-torn-{seq}");
                 seq += 1;
                 assert!(
-                    broker.publish("x", p.as_str()).is_err(),
+                    broker.publish_routed("x", p.as_str(), 0, 0).is_err(),
                     "a publish whose append died mid-frame must fail"
                 );
                 assert!(
-                    broker.publish("x", "post-poison").is_err(),
+                    broker.publish_routed("x", "post-poison", 0, 0).is_err(),
                     "a poisoned log must refuse all further publishes"
                 );
             }
@@ -215,13 +217,15 @@ fn run_crash_soak(seed: u64) {
                 for _ in 0..(event.cut_back % 6 + 1) {
                     let p = format!("r{round}-lied-{seq}");
                     seq += 1;
-                    if broker.publish("x", p.as_str()).is_ok() {
+                    if broker.publish_routed("x", p.as_str(), 0, 0).is_ok() {
                         suspect.insert(p);
                     }
                 }
                 wal.simulate_power_failure().expect("power failure");
                 assert!(
-                    broker.publish("x", "post-power-failure").is_err(),
+                    broker
+                        .publish_routed("x", "post-power-failure", 0, 0)
+                        .is_err(),
                     "a power-failed log must refuse further publishes"
                 );
             }
@@ -266,7 +270,7 @@ fn run_crash_soak(seed: u64) {
                 let p = format!("r{round}-gc-{seq}");
                 seq += 1;
                 assert!(
-                    broker.publish("x", p.as_str()).is_err(),
+                    broker.publish_routed("x", p.as_str(), 0, 0).is_err(),
                     "a publish whose group commit died mid-write must fail"
                 );
                 // An ack may or may not have reached the disk, and the
@@ -278,7 +282,9 @@ fn run_crash_soak(seed: u64) {
                 suspect.extend(staged);
                 suspect.insert(p);
                 assert!(
-                    broker.publish("x", "post-batch-poison").is_err(),
+                    broker
+                        .publish_routed("x", "post-batch-poison", 0, 0)
+                        .is_err(),
                     "a poisoned log must refuse all further publishes"
                 );
             }

@@ -7,6 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use synapse_faults::{FaultKind, Injector};
 use synapse_repro::broker::Delivery;
 use synapse_repro::core::subscriber::ProcessError;
 use synapse_repro::core::testing::emulate_delivery;
@@ -17,7 +18,7 @@ use synapse_repro::core::{
 use synapse_repro::model::{vmap, Id, Record, Value};
 
 mod common;
-use common::{eventually, mongo_node};
+use common::{eventually, faulty_mongo_node, mongo_node};
 
 fn publishing_node(eco: &Ecosystem, app: &str) -> Arc<SynapseNode> {
     let node = mongo_node(eco, SynapseConfig::new(app));
@@ -27,7 +28,10 @@ fn publishing_node(eco: &Ecosystem, app: &str) -> Arc<SynapseNode> {
 }
 
 fn subscribing_node(eco: &Ecosystem, config: SynapseConfig, from: &str) -> Arc<SynapseNode> {
-    let node = mongo_node(eco, config);
+    subscribes(mongo_node(eco, config), from)
+}
+
+fn subscribes(node: Arc<SynapseNode>, from: &str) -> Arc<SynapseNode> {
     node.subscribe(Subscription::model("Post", from).fields(&["body", "version"]))
         .unwrap();
     node
@@ -56,7 +60,7 @@ fn lost_message_stalls_strict_causal_until_timeout() {
     }));
 
     // Lose the next update, then publish one more.
-    eco.broker().inject_drop_next("sub", 1);
+    Injector::new(eco.broker().clone(), "sub").apply(&FaultKind::DropMessages { n: 1 });
     publisher
         .orm()
         .update("Post", post.id, vmap! { "version" => 2 })
@@ -99,7 +103,7 @@ fn weak_mode_tolerates_message_loss_without_stalling() {
         .orm()
         .create("Post", vmap! { "body" => "v1", "version" => 1 })
         .unwrap();
-    eco.broker().inject_drop_next("sub", 1);
+    Injector::new(eco.broker().clone(), "sub").apply(&FaultKind::DropMessages { n: 1 });
     publisher
         .orm()
         .update("Post", post.id, vmap! { "version" => 2 })
@@ -433,10 +437,11 @@ fn post_message(node: &SynapseNode, operation: &str, id: Id, version: u64) -> Wr
 fn exhausted_live_message_dead_letters_and_releases_its_dependencies() {
     let eco = Ecosystem::new();
     let publisher = publishing_node(&eco, "pub");
-    let subscriber = subscribing_node(&eco, SynapseConfig::new("sub").wait_timeout(None), "pub");
+    let (subscriber, faults) =
+        faulty_mongo_node(&eco, SynapseConfig::new("sub").wait_timeout(None));
+    let subscriber = subscribes(subscriber, "pub");
     eco.connect();
     eco.start_all();
-    let faults = subscriber.orm().db_faults();
 
     // Live exit: every write fails until disarmed.
     faults.inject_write_errors(u64::MAX / 2);
@@ -478,18 +483,18 @@ fn exhausted_live_message_dead_letters_and_releases_its_dependencies() {
 #[test]
 fn live_write_between_copy_attempts_supersedes_the_failed_copy() {
     let eco = Ecosystem::new();
-    let subscriber = subscribing_node(
+    let (subscriber, faults) = faulty_mongo_node(
         &eco,
         SynapseConfig::new("sub").subscriber_mode(DeliveryMode::Weak),
-        "pub",
     );
+    let subscriber = subscribes(subscriber, "pub");
     let post = Id(5);
     let delivery = |exchange: &str, operation: &str| Delivery {
         exchange: exchange.into(),
         ..emulate_delivery(&post_message(&subscriber, operation, post, 3))
     };
     let sub = subscriber.subscriber();
-    subscriber.orm().db_faults().inject_write_errors(1);
+    faults.inject_write_errors(1);
     let failed = sub.process(&delivery(BOOTSTRAP_EXCHANGE, "create"));
     assert!(matches!(failed, Err(ProcessError::Transient(_))));
     sub.process(&delivery("pub", "destroy")).unwrap();

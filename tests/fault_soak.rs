@@ -29,21 +29,21 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
+use synapse_faults::{
+    FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, InjectorStats, SeededRng,
+    Side,
+};
 use synapse_repro::core::testing::emulate_delivery;
 use synapse_repro::core::{
     DepName, DepSpace, Ecosystem, Operation, Publication, Subscription, SynapseConfig, SynapseNode,
     WriteMessage, RETRY_ATTEMPTS, VERSION_STORE_SHARDS,
-};
-use synapse_repro::faults::{
-    FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, InjectorStats, SeededRng,
-    Side,
 };
 use synapse_repro::model::{vmap, Id, ModelSchema, Record, Value};
 use synapse_repro::orm::CallbackPoint;
 use synapse_repro::versionstore::versioned;
 
 mod common;
-use common::{cap_subscriber_write_errors, eventually, mongo_node};
+use common::{cap_kill, cap_subscriber_write_errors, eventually, faulty_mongo_node, mongo_node};
 
 /// Seed of record: `SYNAPSE_SEED=<n>` reproduces a specific schedule.
 fn seed_of_record() -> u64 {
@@ -54,14 +54,20 @@ fn seed_of_record() -> u64 {
 }
 
 fn publishing_node(eco: &Ecosystem) -> Arc<SynapseNode> {
-    let node = mongo_node(eco, SynapseConfig::new("pub"));
+    publishes(mongo_node(eco, SynapseConfig::new("pub")))
+}
+
+fn subscribing_node(eco: &Ecosystem, config: SynapseConfig) -> Arc<SynapseNode> {
+    subscribes(mongo_node(eco, config))
+}
+
+fn publishes(node: Arc<SynapseNode>) -> Arc<SynapseNode> {
     node.publish(Publication::model("Post").fields(&["body", "version"]))
         .unwrap();
     node
 }
 
-fn subscribing_node(eco: &Ecosystem, config: SynapseConfig) -> Arc<SynapseNode> {
-    let node = mongo_node(eco, config);
+fn subscribes(node: Arc<SynapseNode>) -> Arc<SynapseNode> {
     node.subscribe(Subscription::model("Post", "pub").fields(&["body", "version"]))
         .unwrap();
     node
@@ -136,8 +142,7 @@ fn strict_mode_wedge_recovers_via_decommission_and_partial_bootstrap() {
 
     // §4.4 recovery: decommission the wedged queue, then partial
     // bootstrap from the publisher.
-    eco.broker().decommission_queue("sub");
-    assert!(subscriber.is_decommissioned());
+    cap_kill(eco.broker(), &subscriber);
     subscriber.bootstrap_from(&publisher).unwrap();
     assert_eq!(subscriber.stats().bootstrap.completions, 1);
     assert!(eventually(Duration::from_secs(5), || {
@@ -222,13 +227,15 @@ fn drive_publishes(events: &[FaultEvent], ops: u64) -> Driven {
 fn run_soak(seed: u64) -> SoakOutcome {
     const OPS: u64 = 160;
     let eco = Ecosystem::new();
-    let publisher = publishing_node(&eco);
-    let subscriber = subscribing_node(
+    let (publisher, pub_db) = faulty_mongo_node(&eco, SynapseConfig::new("pub"));
+    let publisher = publishes(publisher);
+    let (subscriber, sub_db) = faulty_mongo_node(
         &eco,
         SynapseConfig::new("sub")
             .wait_timeout(Some(Duration::from_millis(50)))
             .workers(1),
     );
+    let subscriber = subscribes(subscriber);
     // Poison pills: the subscriber's application callback panics on them,
     // every time — the deterministic-failure class that must end in the
     // dead-letter store, not in endless redelivery.
@@ -292,8 +299,8 @@ fn run_soak(seed: u64) -> SoakOutcome {
     let mut injector = Injector::new(eco.broker().clone(), "sub")
         .with_store(Side::Publisher, publisher.pub_store().clone())
         .with_store(Side::Subscriber, subscriber.sub_store().clone())
-        .with_db(Side::Publisher, publisher.orm().db_faults())
-        .with_db(Side::Subscriber, subscriber.orm().db_faults());
+        .with_db(Side::Publisher, pub_db.clone())
+        .with_db(Side::Subscriber, sub_db.clone());
     let clock = FaultClock::new();
     let mut driver = SeededRng::new(seed ^ 0xD41_7E12);
 
@@ -329,8 +336,8 @@ fn run_soak(seed: u64) -> SoakOutcome {
     // Fire schedule remainder (paired revives past the horizon), then
     // heal: disarm residual db faults, revive stores, republish journal.
     injector.apply_due(&mut plan, u64::MAX);
-    publisher.orm().db_faults().disarm();
-    subscriber.orm().db_faults().disarm();
+    pub_db.disarm();
+    sub_db.disarm();
     publisher.pub_store().revive();
     subscriber.sub_store().revive();
     publisher.publisher().recover();
@@ -488,6 +495,7 @@ fn seeded_soak_converges_deterministically_with_zero_silent_loss() {
     eprintln!("fault soak: SYNAPSE_SEED={seed}");
     let first = run_soak(seed);
     let second = run_soak(seed);
+    eprintln!("fault soak: {first:?}");
     assert_eq!(
         first, second,
         "same seed must reproduce identical soak outcomes"
@@ -514,7 +522,8 @@ fn thirty_seed_sweep_holds_the_invariants() {
     quiet_poison_panics();
     for seed in 1..=30 {
         eprintln!("fault soak sweep: SYNAPSE_SEED={seed}");
-        run_soak(seed);
+        let outcome = run_soak(seed);
+        eprintln!("fault soak sweep: {outcome:?}");
     }
 }
 
@@ -594,7 +603,12 @@ fn a_strict_subscriber_survives_a_publisher_shard_kill() {
         orm.update("Post", id, vmap! { "version" => 1 }).unwrap();
     }
     assert!(eventually(Duration::from_secs(5), || lagging(1) == 0));
-    publisher.pub_store().kill_shard(0);
+    Injector::new(eco.broker().clone(), "sub")
+        .with_store(Side::Publisher, publisher.pub_store().clone())
+        .apply(&FaultKind::KillShard {
+            side: Side::Publisher,
+            shard: 0,
+        });
     for &id in &ids {
         orm.update("Post", id, vmap! { "version" => 2 }).unwrap();
     }

@@ -14,17 +14,18 @@
 //! matrix is `tests/support_matrix.rs`.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
+use synapse_faults::SeededRng;
 use synapse_repro::apps::stress::{self, StressConfig, StressPair};
 use synapse_repro::apps::{crowdtap, social};
 use synapse_repro::broker::QueueConfig;
 use synapse_repro::core::{
     add_read_deps, with_user_scope, ControllerStats, DeliveryMode, DepName, Ecosystem, Publication,
-    SynapseConfig, WriteMessage,
+    SynapseConfig, SynapseNode, WriteMessage,
 };
 use synapse_repro::db::{profiles, LatencyModel};
-use synapse_repro::faults::SeededRng;
 use synapse_repro::model::{vmap, Id, ModelSchema};
 use synapse_repro::mvc::Request;
 use synapse_repro::orm::adapters::{self, MongoidAdapter};
@@ -77,24 +78,77 @@ const CALLBACK: Duration = Duration::from_millis(4);
 const BACKLOG_USERS: u64 = 32;
 const BACKLOG_OPS: u64 = 128;
 
-/// Drain rate (msg/s) of one published §6.3 backlog: one row per mode of
-/// [`MODES`], one column per count of [`MODE_WORKERS`]. Measured once per
-/// test binary.
-fn fig13c_delivery_modes() -> &'static [Vec<f64>] {
-    static TABLE: OnceLock<Vec<Vec<f64>>> = OnceLock::new();
+/// Fig. 13(c)'s table: per mode of [`MODES`], per count of
+/// [`MODE_WORKERS`], the drain rate and the most callbacks that ran at
+/// once.
+struct ModeTable {
+    /// Drain rate (msg/s); the global row's cells are medians of
+    /// [`GLOBAL_DRAINS`] drains.
+    rates: Vec<Vec<f64>>,
+    /// Per global cell, (max − min) / median of its drains.
+    global_spread: Vec<f64>,
+    /// Most callbacks in flight at once during the drain(s).
+    in_flight: Vec<Vec<usize>>,
+}
+
+/// Drains timed per cell of the global row, one round over the row each:
+/// one 0.6 s drain moves with host load, the median of three much less.
+const GLOBAL_DRAINS: usize = 3;
+
+/// Measured once per test binary.
+fn fig13c_delivery_modes() -> &'static ModeTable {
+    static TABLE: OnceLock<ModeTable> = OnceLock::new();
     TABLE.get_or_init(|| {
         drain_rate(DeliveryMode::Weak, 16); // warm-up
-        let table: Vec<Vec<f64>> = MODES
+        let mut table = ModeTable {
+            rates: Vec::new(),
+            global_spread: Vec::new(),
+            in_flight: Vec::new(),
+        };
+        for &mode in &MODES {
+            // Rounds visit every worker count in turn, so a drift in the
+            // host's speed lands on the whole row alike.
+            let rounds = if mode == DeliveryMode::Global {
+                GLOBAL_DRAINS
+            } else {
+                1
+            };
+            let mut cells = vec![Vec::new(); MODE_WORKERS.len()];
+            for _ in 0..rounds {
+                for (&workers, cell) in MODE_WORKERS.iter().zip(&mut cells) {
+                    cell.push(drain_rate(mode, workers));
+                }
+            }
+            let (mut rates, mut in_flight) = (Vec::new(), Vec::new());
+            for mut cell in cells {
+                cell.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let median = cell[cell.len() / 2].0;
+                if mode == DeliveryMode::Global {
+                    let spread = (cell[cell.len() - 1].0 - cell[0].0) / median;
+                    table.global_spread.push(spread);
+                }
+                rates.push(median);
+                in_flight.push(cell.iter().map(|c| c.1).max().unwrap_or(0));
+            }
+            table.rates.push(rates);
+            table.in_flight.push(in_flight);
+        }
+        let mut rows: Vec<_> = MODES
             .iter()
-            .map(|&mode| MODE_WORKERS.iter().map(|&w| drain_rate(mode, w)).collect())
-            .collect();
-        let rows: Vec<_> = MODES
-            .iter()
-            .zip(&table)
+            .zip(&table.rates)
             .map(|(mode, rates)| row(mode.name(), rates, |r| format!("{r:.0}")))
             .collect();
+        rows.push(row("global spread", &table.global_spread, |s| {
+            format!("{:.0}%", s * 100.0)
+        }));
+        rows.extend(MODES.iter().zip(&table.in_flight).map(|(mode, counts)| {
+            row(format!("{} in flight", mode.name()), counts, |c| {
+                c.to_string()
+            })
+        }));
         print_table(
-            "Fig. 13(c): drain rate (msg/s) vs. workers, 4 ms callback",
+            "Fig. 13(c): drain rate (msg/s) vs. workers, 4 ms callback \
+             (global: median of 3 drains)",
             &header("mode", &MODE_WORKERS),
             &rows,
         );
@@ -102,9 +156,35 @@ fn fig13c_delivery_modes() -> &'static [Vec<f64>] {
     })
 }
 
+/// Callbacks running now and the most that ever ran at once.
+#[derive(Default)]
+struct InFlight {
+    now: AtomicUsize,
+    max: AtomicUsize,
+}
+
+/// The figure's "heavy processing" callback after each replicated create:
+/// `CALLBACK` of sleep, counted while it runs.
+fn install_counted_callback(node: &SynapseNode) -> Arc<InFlight> {
+    let in_flight = Arc::new(InFlight::default());
+    for model in ["Post", "Comment"] {
+        let counter = in_flight.clone();
+        node.orm()
+            .on(model, CallbackPoint::AfterCreate, move |_, _| {
+                let now = counter.now.fetch_add(1, Ordering::SeqCst) + 1;
+                counter.max.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(CALLBACK);
+                counter.now.fetch_sub(1, Ordering::SeqCst);
+                Ok(())
+            });
+    }
+    in_flight
+}
+
 /// Publishes the whole backlog into a stopped subscriber's queue, then
 /// starts `workers` workers and times the drain, as the figure does.
-fn drain_rate(mode: DeliveryMode, workers: usize) -> f64 {
+/// Returns the drain rate (msg/s) and the most callbacks in flight at once.
+fn drain_rate(mode: DeliveryMode, workers: usize) -> (f64, usize) {
     let eco = Ecosystem::new();
     let pair = stress::build_pair(
         &eco,
@@ -114,7 +194,7 @@ fn drain_rate(mode: DeliveryMode, workers: usize) -> f64 {
         workers,
         LatencyModel::off(),
     );
-    stress::install_callback_delay(&pair.subscriber, CALLBACK);
+    let in_flight = install_counted_callback(&pair.subscriber);
     assert!(eco.connect().is_empty());
     publish_backlog(&pair);
     let started = Instant::now();
@@ -123,7 +203,7 @@ fn drain_rate(mode: DeliveryMode, workers: usize) -> f64 {
     let processed = pair.subscriber.subscriber_stats().messages_processed;
     let rate = processed as f64 / started.elapsed().as_secs_f64();
     eco.stop_all();
-    rate
+    (rate, in_flight.max.load(Ordering::SeqCst))
 }
 
 /// The §6.3 mix from one thread, a fixed count: a quarter of the writes
@@ -154,10 +234,20 @@ fn publish_backlog(pair: &StressPair) {
     }
 }
 
+/// The mechanism, from a count no host load moves: a global subscriber
+/// runs one callback at a time at every worker count. The rate, a median
+/// of three drains per cell, stays within ±15 % of the 1-worker cell.
 #[test]
 fn fig13c_global_is_flat_across_worker_counts() {
     let _guard = exclusive();
-    let global = &fig13c_delivery_modes()[0];
+    let table = fig13c_delivery_modes();
+    for (in_flight, workers) in table.in_flight[0].iter().zip(MODE_WORKERS) {
+        assert_eq!(
+            *in_flight, 1,
+            "global ran {in_flight} callbacks at once with {workers} workers"
+        );
+    }
+    let global = &table.rates[0];
     for (rate, workers) in global.iter().zip(MODE_WORKERS) {
         let flat = rate / global[0];
         assert!(
@@ -172,7 +262,7 @@ fn fig13c_global_is_flat_across_worker_counts() {
             so a backlog this size keeps workers past the 8 partitions idle (ROADMAP)"]
 fn fig13c_weak_is_near_linear_to_16_workers() {
     let _guard = exclusive();
-    let weak = &fig13c_delivery_modes()[2];
+    let weak = &fig13c_delivery_modes().rates[2];
     for (rate, workers) in weak.iter().zip(MODE_WORKERS) {
         let linear = rate / (weak[0] * workers as f64);
         assert!(
@@ -185,7 +275,7 @@ fn fig13c_weak_is_near_linear_to_16_workers() {
 #[test]
 fn fig13c_causal_lies_between_global_and_weak() {
     let _guard = exclusive();
-    let [global, causal, weak] = [0, 1, 2].map(|m| &fig13c_delivery_modes()[m]);
+    let [global, causal, weak] = [0, 1, 2].map(|m| &fig13c_delivery_modes().rates[m]);
     for (i, workers) in MODE_WORKERS.iter().enumerate() {
         // The margin is for one worker, where all three drain one serial
         // chain and meet within ~15 % run to run (EXPERIMENTS.md).
@@ -195,6 +285,20 @@ fn fig13c_causal_lies_between_global_and_weak() {
             causal[i],
             global[i],
             weak[i]
+        );
+    }
+}
+
+/// Weak mode's parallelism, from the same count: from two workers up its
+/// callbacks overlap, where global's never do.
+#[test]
+fn fig13c_weak_overlaps_callbacks_from_two_workers() {
+    let _guard = exclusive();
+    let weak = &fig13c_delivery_modes().in_flight[2];
+    for (in_flight, workers) in weak.iter().zip(MODE_WORKERS).skip(1) {
+        assert!(
+            *in_flight > 1,
+            "weak ran at most one callback at a time with {workers} workers"
         );
     }
 }

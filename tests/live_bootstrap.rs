@@ -48,20 +48,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use synapse_faults::{
+    FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, PhaseHook, SeededRng, Side,
+};
 use synapse_repro::core::{
     BootstrapPhase, BootstrapState, DeliveryMode, DepName, DepSpace, Ecosystem, ModeSlice,
     Publication, Stage, Subscription, SynapseConfig, SynapseNode, BOOTSTRAP_CHUNK_ROWS,
     RETRY_ATTEMPTS, VERSION_STORE_SHARDS,
-};
-use synapse_repro::faults::{
-    FaultClock, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injector, PhaseHook, SeededRng, Side,
 };
 use synapse_repro::model::{vmap, Id, ModelSchema};
 use synapse_repro::orm::CallbackPoint;
 use synapse_repro::versionstore::ObjectVersion;
 
 mod common;
-use common::{cap_subscriber_write_errors, eventually, mongo_node};
+use common::{cap_subscriber_write_errors, eventually, faulty_mongo_node, mongo_node};
 
 /// Seed of record: `SYNAPSE_SEED=<n>` reproduces a specific schedule.
 fn seed_of_record() -> u64 {
@@ -83,11 +83,11 @@ const SEED_ROWS: usize = 7 * BOOTSTRAP_CHUNK_ROWS + BOOTSTRAP_CHUNK_ROWS / 2;
 /// One full soak run. Panics on any violated invariant.
 fn run_live_bootstrap(seed: u64) {
     let eco = Ecosystem::new();
-    let publisher = mongo_node(&eco, SynapseConfig::new("pub"));
+    let (publisher, pub_db) = faulty_mongo_node(&eco, SynapseConfig::new("pub"));
     publisher
         .publish(Publication::model("Post").fields(&["body", "version"]))
         .unwrap();
-    let subscriber = mongo_node(
+    let (subscriber, sub_db) = faulty_mongo_node(
         &eco,
         SynapseConfig::new("sub")
             .wait_timeout(Some(Duration::from_millis(50)))
@@ -185,8 +185,8 @@ fn run_live_bootstrap(seed: u64) {
         .collect();
     let plan = FaultPlan::from_events(cap_subscriber_write_errors(events));
     let plan_injector = Injector::new(eco.broker().clone(), "sub")
-        .with_db(Side::Publisher, publisher.orm().db_faults())
-        .with_db(Side::Subscriber, subscriber.orm().db_faults());
+        .with_db(Side::Publisher, pub_db.clone())
+        .with_db(Side::Subscriber, sub_db.clone());
 
     // Writer thread: creates and full-row updates against the publisher,
     // ticking the plan once per op. Writes refused by an injected
@@ -273,8 +273,8 @@ fn run_live_bootstrap(seed: u64) {
     // --- Writer finishes; heal the pipeline and settle. ---
     let (refused, mut plan, mut injector) = writer.join().unwrap();
     injector.apply_due(&mut plan, u64::MAX);
-    publisher.orm().db_faults().disarm();
-    subscriber.orm().db_faults().disarm();
+    pub_db.disarm();
+    sub_db.disarm();
     // Republishing the journal can itself eat residual armed publish
     // failures; drive it until the journal is empty.
     for _ in 0..5 {

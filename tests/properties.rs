@@ -397,7 +397,7 @@ proptest! {
                 0 => {
                     let payload = format!("m{next}");
                     next += 1;
-                    broker.publish("x", &payload).unwrap();
+                    broker.publish_routed("x", &payload, 0, 0).unwrap();
                     outstanding.insert(payload);
                 }
                 1 => {

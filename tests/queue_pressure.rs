@@ -7,12 +7,12 @@
 //! through one deterministic `FaultPlan`.
 
 use std::time::Duration;
+use synapse_faults::{FaultEvent, FaultKind, FaultPlan, Injector, Side};
 use synapse_repro::core::{Ecosystem, Publication, Subscription, SynapseConfig};
-use synapse_repro::faults::{FaultEvent, FaultKind, FaultPlan, Injector, Side};
 use synapse_repro::model::vmap;
 
 mod common;
-use common::{eventually, mongo_node};
+use common::{eventually, faulty_mongo_node, mongo_node};
 
 #[test]
 fn queue_pressure_decommissions_under_load_and_bootstrap_cycles_converge() {
@@ -23,7 +23,7 @@ fn queue_pressure_decommissions_under_load_and_bootstrap_cycles_converge() {
         .unwrap();
     // Small cap, one worker: the decommission policy has to fire from
     // backlog growth alone while the worker is actively consuming.
-    let subscriber = mongo_node(
+    let (subscriber, sub_db) = faulty_mongo_node(
         &eco,
         SynapseConfig::new("sub")
             .queue_cap(8)
@@ -51,8 +51,8 @@ fn queue_pressure_decommissions_under_load_and_bootstrap_cycles_converge() {
             })
             .collect(),
     );
-    let mut injector = Injector::new(eco.broker().clone(), "sub")
-        .with_db(Side::Subscriber, subscriber.orm().db_faults());
+    let mut injector =
+        Injector::new(eco.broker().clone(), "sub").with_db(Side::Subscriber, sub_db.clone());
 
     let mut published = 0u64;
     for round in 1..=2u64 {
@@ -61,7 +61,7 @@ fn queue_pressure_decommissions_under_load_and_bootstrap_cycles_converge() {
         // Probe: one slowed apply must land before the flood, so the
         // pressure hits a worker that is provably consuming (and charging
         // the spike), not one that never woke up.
-        let charged_before = subscriber.orm().db_faults().stats().latency_spikes_charged;
+        let charged_before = sub_db.stats().latency_spikes_charged;
         let probe = publisher
             .orm()
             .create(
@@ -77,7 +77,7 @@ fn queue_pressure_decommissions_under_load_and_bootstrap_cycles_converge() {
             "round {round}: probe must replicate before the flood"
         );
         assert!(
-            subscriber.orm().db_faults().stats().latency_spikes_charged > charged_before,
+            sub_db.stats().latency_spikes_charged > charged_before,
             "round {round}: the probe apply must be slowed by the armed spike"
         );
 
@@ -100,7 +100,7 @@ fn queue_pressure_decommissions_under_load_and_bootstrap_cycles_converge() {
 
         // Heal the fault, then the §4.4 recovery: partial bootstrap
         // reinstates the queue and copies the publisher's state across.
-        subscriber.orm().db_faults().disarm();
+        sub_db.disarm();
         subscriber.bootstrap_from(&publisher).unwrap();
         assert_eq!(
             subscriber.orm().count("Post").unwrap(),

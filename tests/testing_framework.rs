@@ -220,7 +220,9 @@ fn process_and_worker_pool_agree_on_every_delivery_kind() {
     let broker = eco_pool.broker();
     broker.bind(BOOTSTRAP_EXCHANGE, "sub");
     for (exchange, payload) in &sequence {
-        broker.publish(exchange, payload.as_str()).unwrap();
+        broker
+            .publish_routed(exchange, payload.as_str(), 0, 0)
+            .unwrap();
     }
     let deadline = Instant::now() + Duration::from_secs(10);
     while pool.subscriber_stats().messages_processed < 6 && Instant::now() < deadline {

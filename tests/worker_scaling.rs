@@ -10,12 +10,12 @@
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use synapse_faults::SeededRng;
 use synapse_repro::broker::{FsyncPolicy, WalConfig};
 use synapse_repro::core::{
     DeliveryMode, Ecosystem, Publication, Subscription, SynapseConfig, SynapseNode,
 };
 use synapse_repro::db::LatencyModel;
-use synapse_repro::faults::SeededRng;
 use synapse_repro::model::{vmap, Id, ModelSchema};
 use synapse_repro::orm::adapters::MongoidAdapter;
 
