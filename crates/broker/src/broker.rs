@@ -53,8 +53,8 @@ pub struct BrokerStats {
 /// publish fault was armed.
 ///
 /// Models the broker connection blips of the paper's §6.5 incident: the
-/// publisher is expected to retry (its journal still holds the payload,
-/// §4.2).
+/// publisher is expected to retry, and journals the payload if every
+/// retry fails (§4.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishError {
     /// Exchange the publish was addressed to.
@@ -423,9 +423,8 @@ impl Broker {
     /// compute end-to-end visibility latency; 0 means unstamped) and a
     /// partition routing key (typically the written object's dependency
     /// key). The key's low byte is folded into the delivery tag and picks
-    /// the destination partition in every bound queue, so one object's
-    /// messages stay in one partition in publish order. Key 0 is the
-    /// unkeyed/legacy route (partition 0, strict global FIFO).
+    /// the destination partition in every bound queue, so one key's
+    /// messages stay in one partition in publish order.
     ///
     /// Fails with a transient [`PublishError`] when the message was not
     /// accepted; a failed publish enqueues nothing and should be retried by

@@ -846,7 +846,7 @@ fn wait_ready_unparks_on_publish_and_counts_one_wakeup() {
     b.publish_routed("pub", "late", 0, 0).unwrap();
     let (woke, got) = h.join().unwrap();
     assert!(woke, "wait_ready returned before its timeout");
-    assert_eq!(got, 1, "the unkeyed publish landed in partition 0");
+    assert_eq!(got, 1, "the key-0 publish landed in partition 0");
     assert_eq!(b.stats().wakeups, 1);
 }
 

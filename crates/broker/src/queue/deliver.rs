@@ -33,10 +33,9 @@ impl Queue {
 
     /// Blocking batch pop: parks until at least one delivery is ready,
     /// then drains up to `max` across partitions in index order (each
-    /// partition's run stays FIFO; unkeyed traffic lives wholly in
-    /// partition 0, so its global order is preserved). Returns empty on
-    /// timeout, decommission, or a [`Queue::wake_all`] issued after the
-    /// call began (shutdown).
+    /// partition's run stays FIFO, so one key's order is preserved).
+    /// Returns empty on timeout, decommission, or a [`Queue::wake_all`]
+    /// issued after the call began (shutdown).
     pub(crate) fn pop_batch(&self, max: usize, timeout: Duration) -> Vec<Delivery> {
         if max == 0 {
             return Vec::new();

@@ -155,9 +155,7 @@ impl Queue {
     }
 
     /// Enqueues a payload routed by `key`; enforces the decommission
-    /// policy. The payload is shared, not copied. Key 0 (unkeyed/legacy
-    /// publishes) routes to partition 0, preserving global FIFO order for
-    /// key-less traffic.
+    /// policy. The payload is shared, not copied.
     pub(crate) fn enqueue_routed(
         &self,
         exchange: &SharedStr,

@@ -4,15 +4,13 @@
 //! # The delivery plane
 //!
 //! A queue is split into `partitions` independently-locked sub-queues.
-//! Publishes carry a routing key (the written object's dependency key);
-//! the key's low byte becomes the delivery-tag *hint* and
-//! `hint % partitions` picks the sub-queue, so one object's messages
-//! always land in one partition in publish order, and concurrent
-//! publishers to different partitions never contend. A publish holds its
-//! partition's lock across its WAL commit (`enqueue`; pops, steals and
-//! settles are in `deliver`). Unkeyed (legacy) publishes use
-//! key 0 and therefore all share partition 0, which preserves the strict
-//! global FIFO order the pre-partitioned queue promised.
+//! Publishes carry a routing key (the message's first write dependency
+//! key); the key's low byte becomes the delivery-tag *hint* and
+//! `hint % partitions` picks the sub-queue, so one key's messages always
+//! land in one partition in publish order, and concurrent publishers to
+//! different partitions never contend. A publish holds its partition's
+//! lock across its WAL commit (`enqueue`; pops, steals and settles are in
+//! `deliver`).
 //!
 //! # Tag encoding
 //!

@@ -56,7 +56,7 @@ impl DurabilityConfig {
 
 /// Attempts per unit of work under transient failure, first try
 /// included: a subscriber that exhausts them dead-letters the delivery, a
-/// publisher leaves the payload journaled for
+/// publisher journals the payload for
 /// [`recover`](crate::Publisher::recover), and the bootstrap copier fails
 /// the attempt (the next attempt starts again at the first row). The §6.5
 /// postmortem is the reason attempts are bounded at all: unbounded

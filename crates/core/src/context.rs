@@ -205,7 +205,7 @@ pub(crate) fn scope_mut<R>(f: impl FnOnce(&mut Scope) -> R) -> Option<R> {
 /// Records an object read (deduplicated, order preserved).
 pub(crate) fn record_read(dep: DepName) {
     scope_mut(|s| {
-        if s.read_seen.insert(dep.clone()) {
+        if s.read_seen.insert(dep) {
             s.read_deps.push(dep);
         }
     });
@@ -271,15 +271,15 @@ mod tests {
             record_read(DepName::object("a", "Post", Id(1)));
             let reads = scope_mut(|s| s.read_deps.clone()).unwrap();
             assert_eq!(reads.len(), 2);
-            assert_eq!(reads[0].as_str(), "a/post/id/1");
+            assert_eq!(reads[0], DepName::named("a/post/id/1"));
         });
     }
 
     #[test]
     fn user_scope_carries_the_session_dependency() {
         let user = DepName::object("app", "User", Id(7));
-        with_user_scope(user.clone(), || {
-            assert_eq!(scope_mut(|s| s.user_dep.clone()).unwrap(), Some(user));
+        with_user_scope(user, || {
+            assert_eq!(scope_mut(|s| s.user_dep).unwrap(), Some(user));
         });
     }
 

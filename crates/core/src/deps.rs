@@ -8,49 +8,57 @@
 //! 1-entry dependency hash space is equivalent to using global ordering"
 //! (§4.2), a property the tests pin down.
 //!
-//! Names are interned: a [`DepName`] holds an `Arc<str>` plus its stable
-//! 64-bit FNV-1a pre-hash, computed once at construction. Cloning a name on
-//! the publisher hot path is a pointer bump, equality is a hash compare
-//! (falling back to the strings only on a 64-bit collision), and
-//! [`DepSpace::key`] is a single modulo over the cached pre-hash. One
-//! [`DepInterner`] lives per node so repeated writes to the same objects
-//! reuse the same allocations.
+//! Nothing after that hash reads the path, so a [`DepName`] *is* its hash:
+//! a `Copy` pair of 64-bit FNV-1a values, streamed over the path's bytes
+//! in one pass that neither allocates nor locks. The first is the whole
+//! path's [`DepName::identity`]; the second is the hash of its namespace
+//! (the publishing app, the bytes before the first `/`), which is all the
+//! publisher's external-dependency test compares. Names compare and hash
+//! by identity: two distinct paths that share all 64 bits already share
+//! their key and their admission state, so they are one dependency.
 //!
-//! Only dependency *counters* live in the reduced space. What must never
-//! collide — an object's admission state — is keyed by the name's full
-//! pre-hash, [`DepName::identity`].
+//! Only dependency *counters* live in the reduced space
+//! ([`DepSpace::key`], the identity modulo the space's cardinality). What
+//! must never collide — an object's admission state — is keyed by the
+//! full identity.
 
-use parking_lot::RwLock;
-use std::borrow::Borrow;
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
-use std::fmt;
-use std::fmt::Write as _;
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 use synapse_model::Id;
 use synapse_versionstore::DepKey;
 
-/// Stable FNV-1a over the name bytes — the paper's "stable hash function
-/// at the publisher". The full 64-bit value is cached in the name;
-/// [`DepSpace::key`] reduces it modulo the space cardinality, which yields
-/// byte-for-byte the same keys as hashing at lookup time.
-fn fnv1a(s: &str) -> u64 {
-    fnv1a_on(0xcbf29ce484222325, s)
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// FNV-1a of `bytes` continued from the hash `h` of the bytes before them
+/// — the paper's "stable hash function at the publisher".
+fn fnv1a_on(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
 }
 
-/// FNV-1a of `s` continued from the hash `h` of the bytes before it.
-fn fnv1a_on(h: u64, s: &str) -> u64 {
-    s.bytes()
-        .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
+/// FNV-1a of the decimal digits of `n`, continued from `h`, most
+/// significant digit first. The digits are taken off by constant
+/// divisions into a stack array, as `Display` would write them.
+fn fnv1a_decimal(h: u64, mut n: u64) -> u64 {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return fnv1a_on(h, &digits[start..]);
+        }
+    }
 }
 
 /// The stable writer id of an application — the tie-breaking half of its
-/// writes' LWW stamps. Derived from the app name with the same FNV-1a
-/// hash as dependency names, so every node computes identical ids without
-/// coordination.
+/// writes' LWW stamps, and the namespace hash of its dependency names.
+/// Derived from the app name with the same FNV-1a hash as dependency
+/// names, so every node computes identical ids without coordination.
 pub fn writer_id(app: &str) -> u64 {
-    fnv1a(app)
+    fnv1a_on(FNV_OFFSET, app.as_bytes())
 }
 
 /// The writer-independent namespace the LWW stamps of bidirectional
@@ -70,61 +78,61 @@ pub fn mesh_object(model: &str, id: Id) -> DepName {
     DepName::object(MESH_NAMESPACE, model, id)
 }
 
-/// A human-readable dependency name with its cached stable pre-hash.
-#[derive(Debug, Clone)]
+/// A dependency name, held as the stable hashes of its path. See the
+/// module docs.
+#[derive(Debug, Clone, Copy)]
 pub struct DepName {
-    name: Arc<str>,
-    hash: u64,
+    identity: u64,
+    /// The hash of the path before its first `/` (the app, for an object
+    /// or global name); `None` without one.
+    pub(crate) namespace: Option<u64>,
 }
 
 impl DepName {
-    fn from_str_uncached(name: &str) -> Self {
+    /// The dependency of one object: `app/model/id/<id>`, the model
+    /// lowercased char by char.
+    pub fn object(app: &str, model: &str, id: Id) -> Self {
+        let namespace = writer_id(app);
+        let mut h = fnv1a_on(namespace, b"/");
+        for c in model.chars().flat_map(char::to_lowercase) {
+            h = fnv1a_on(h, c.encode_utf8(&mut [0; 4]).as_bytes());
+        }
+        h = fnv1a_decimal(fnv1a_on(h, b"/id/"), id.raw());
         DepName {
-            hash: fnv1a(name),
-            name: Arc::from(name),
+            identity: h,
+            namespace: Some(namespace),
         }
     }
 
-    /// The dependency of one object: `app/model/id/<id>`.
-    pub fn object(app: &str, model: &str, id: Id) -> Self {
-        with_object_name(app, model, id, DepName::from_str_uncached)
-    }
-
-    /// The single global dependency used to enforce global ordering.
+    /// The single global dependency used to enforce global ordering:
+    /// `app/__global__`.
     pub(crate) fn global(app: &str) -> Self {
-        NAME_SCRATCH.with(|scratch| {
-            let mut buf = scratch.borrow_mut();
-            buf.clear();
-            buf.push_str(app);
-            buf.push_str("/__global__");
-            DepName::from_str_uncached(&buf)
-        })
+        let namespace = writer_id(app);
+        DepName {
+            identity: fnv1a_on(namespace, b"/__global__"),
+            namespace: Some(namespace),
+        }
     }
 
     /// An explicitly named dependency (`add_read_deps`/`add_write_deps`).
     pub fn named(name: &str) -> Self {
-        DepName::from_str_uncached(name)
-    }
-
-    /// The name path, e.g. `pub3/user/id/100`.
-    pub fn as_str(&self) -> &str {
-        &self.name
+        DepName {
+            identity: fnv1a_on(FNV_OFFSET, name.as_bytes()),
+            namespace: name.split_once('/').map(|(app, _)| writer_id(app)),
+        }
     }
 
     /// The name's full stable 64-bit hash, never reduced into a
     /// [`DepSpace`]: the identity an object's admission state is keyed by
     /// in the version store.
     pub fn identity(&self) -> u64 {
-        self.hash
+        self.identity
     }
 }
 
 impl PartialEq for DepName {
     fn eq(&self, other: &Self) -> bool {
-        // Hash inequality decides almost every comparison without touching
-        // the bytes; the string check keeps semantics exact under a 64-bit
-        // collision.
-        self.hash == other.hash && (Arc::ptr_eq(&self.name, &other.name) || self.name == other.name)
+        self.identity == other.identity
     }
 }
 
@@ -132,110 +140,7 @@ impl Eq for DepName {}
 
 impl Hash for DepName {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-impl PartialOrd for DepName {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for DepName {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.name.cmp(&other.name)
-    }
-}
-
-impl fmt::Display for DepName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name)
-    }
-}
-
-thread_local! {
-    static NAME_SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
-}
-
-/// [`DepName::object`]'s identity, without building the name.
-pub(crate) fn object_identity(app: &str, model: &str, id: Id) -> u64 {
-    with_object_name(app, model, id, fnv1a)
-}
-
-/// [`DepName::global`]'s identity, without building the name.
-pub(crate) fn global_identity(app: &str) -> u64 {
-    fnv1a_on(fnv1a(app), "/__global__")
-}
-
-/// Calls `f` with `app/model/id/<id>`, formatted into the thread's scratch
-/// buffer without allocating: the model is lowercased char-by-char instead
-/// of via `str::to_lowercase`.
-fn with_object_name<R>(app: &str, model: &str, id: Id, f: impl FnOnce(&str) -> R) -> R {
-    NAME_SCRATCH.with(|scratch| {
-        let mut buf = scratch.borrow_mut();
-        buf.clear();
-        buf.push_str(app);
-        buf.push('/');
-        for c in model.chars() {
-            for lc in c.to_lowercase() {
-                buf.push(lc);
-            }
-        }
-        buf.push_str("/id/");
-        let _ = write!(buf, "{id}");
-        f(&buf)
-    })
-}
-
-/// Past this many distinct names the interner stops caching and hands out
-/// uncached names — a backstop against unbounded growth when an app uses
-/// high-cardinality explicit dependency names.
-const INTERNER_CAP: usize = 65_536;
-
-/// Interns dependency names so the hot path reuses one `Arc<str>` (and its
-/// pre-hash) per distinct name. One interner lives per node; lookups take a
-/// read lock, first-sightings upgrade to a write lock.
-#[derive(Debug, Default)]
-pub(crate) struct DepInterner {
-    names: RwLock<HashMap<Arc<str>, u64>>,
-}
-
-impl DepInterner {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    fn lookup(&self, name: &str) -> DepName {
-        {
-            let names = self.names.read();
-            if let Some((arc, &hash)) = names.get_key_value(name) {
-                return DepName {
-                    name: Arc::clone(arc),
-                    hash,
-                };
-            }
-            if names.len() >= INTERNER_CAP {
-                return DepName::from_str_uncached(name);
-            }
-        }
-        let dep = DepName::from_str_uncached(name);
-        let mut names = self.names.write();
-        if names.len() < INTERNER_CAP {
-            names.entry(Arc::clone(&dep.name)).or_insert(dep.hash);
-        }
-        dep
-    }
-
-    /// Interned equivalent of [`DepName::object`].
-    pub(crate) fn object(&self, app: &str, model: &str, id: Id) -> DepName {
-        with_object_name(app, model, id, |name| self.lookup(name))
-    }
-}
-
-impl Borrow<str> for DepName {
-    fn borrow(&self) -> &str {
-        &self.name
+        state.write_u64(self.identity);
     }
 }
 
@@ -258,8 +163,8 @@ pub(crate) fn normalize_dep_sets_with(
     read_deps: &mut Vec<DepName>,
 ) {
     seen.clear();
-    write_deps.retain(|d| seen.insert(d.clone()));
-    read_deps.retain(|d| seen.insert(d.clone()));
+    write_deps.retain(|d| seen.insert(*d));
+    read_deps.retain(|d| seen.insert(*d));
 }
 
 /// The effective dependency space: dependency names hash into
@@ -286,9 +191,9 @@ impl DepSpace {
         self.cardinality
     }
 
-    /// Reduces a name's cached stable hash into the space.
+    /// Reduces a name's identity into the space.
     pub fn key(&self, name: &DepName) -> DepKey {
-        name.hash % self.cardinality
+        name.identity % self.cardinality
     }
 }
 
@@ -296,26 +201,85 @@ impl DepSpace {
 mod tests {
     use super::*;
 
+    /// FNV-1a over a formatted path: the oracle the streamed names are
+    /// checked against.
+    fn fnv1a(path: &str) -> u64 {
+        fnv1a_on(FNV_OFFSET, path.as_bytes())
+    }
+
+    /// Identities and keys at the default space are what every node, the
+    /// wire and every snapshot agree on, so these constants, computed by
+    /// hashing each formatted path, must never change.
     #[test]
-    fn object_names_match_fig6b_shape() {
-        let d = DepName::object("pub3", "User", Id(100));
-        assert_eq!(d.as_str(), "pub3/user/id/100");
+    fn golden_identities_and_keys() {
+        let space = DepSpace::new(1 << 20);
+        let golden = [
+            (
+                DepName::object("pub3", "User", Id(100)),
+                "pub3/user/id/100",
+                0x8ebe8f0456842423,
+                271_395,
+            ),
+            (
+                DepName::global("pub1"),
+                "pub1/__global__",
+                0xc748c7fc1823db0f,
+                252_687,
+            ),
+            (
+                mesh_object("Post", Id(7)),
+                "~mesh/post/id/7",
+                0x9762a418949964db,
+                615_643,
+            ),
+            (
+                DepName::named("dep/1"),
+                "dep/1",
+                0x754d3a76003b9e1e,
+                761_374,
+            ),
+            (
+                DepName::object("app", "İdéaΣ", Id(42)),
+                "app/i\u{307}déaσ/id/42",
+                0xf27bee9539eccc87,
+                838_791,
+            ),
+            (
+                DepName::object("app", "User", Id(u64::MAX)),
+                "app/user/id/18446744073709551615",
+                0xab271cb1238e3a42,
+                932_418,
+            ),
+        ];
+        for (name, path, identity, key) in golden {
+            assert_eq!(name.identity(), identity, "{path}");
+            assert_eq!(fnv1a(path), identity, "{path}");
+            assert_eq!(space.key(&name), key, "{path}");
+        }
     }
 
     #[test]
-    fn hashing_is_stable_and_bounded() {
-        let space = DepSpace::new(1000);
-        let d = DepName::object("app", "Post", Id(1));
-        let k1 = space.key(&d);
-        let k2 = space.key(&d);
-        assert_eq!(k1, k2);
-        assert!(k1 < 1000);
+    fn object_names_match_fig6b_shape() {
+        // A name streams the bytes of the path `app/model/id/<id>` with the
+        // model lowercased char by char (`Σ` stays `σ`, and `İ` is two
+        // chars), which the oracle formats.
+        let d = DepName::object("pub3", "User", Id(100));
+        assert_eq!(d.identity(), fnv1a("pub3/user/id/100"));
+        for app in ["pub1", "sub", "", "an app with spaces", "ééé"] {
+            for (model, id) in [("User", 0), ("Post", 9), ("İdéaΣ", 10), ("m", u64::MAX)] {
+                let lower: String = model.chars().flat_map(char::to_lowercase).collect();
+                let path = format!("{app}/{lower}/id/{id}");
+                let name = DepName::object(app, model, Id(id));
+                assert_eq!(name.identity(), fnv1a(&path), "{path}");
+                assert_eq!(name, DepName::named(&path), "{path}");
+                assert_eq!(name.namespace, Some(writer_id(app)), "{path}");
+            }
+        }
     }
 
     #[test]
     fn cached_hash_matches_direct_fnv1a() {
-        // DepSpace::key must equal hashing the bytes at lookup time —
-        // interning must not change any routed key.
+        // DepSpace::key must equal hashing the path's bytes at lookup time.
         let space = DepSpace::new(997);
         for name in ["pub3/user/id/100", "a/__global__", "x", ""] {
             let d = DepName::named(name);
@@ -326,16 +290,34 @@ mod tests {
     #[test]
     fn global_identity_keys_as_the_global_name_does() {
         for app in ["pub1", "sub", "", "an/app with spaces", "ééé"] {
+            let path = format!("{app}/__global__");
+            let global = DepName::global(app);
             for cardinality in [1, 2, 997, 1 << 20, 1 << 62, u64::MAX] {
                 let space = DepSpace::new(cardinality);
-                assert_eq!(
-                    global_identity(app) % space.cardinality(),
-                    space.key(&DepName::global(app)),
-                    "{app} in {cardinality}"
-                );
+                assert_eq!(space.key(&global), fnv1a(&path) % cardinality, "{path}");
             }
-            assert_eq!(global_identity(app), DepName::global(app).identity());
+            assert_eq!(global.identity(), fnv1a(&path));
+            assert_eq!(global.namespace, Some(writer_id(app)));
         }
+    }
+
+    #[test]
+    fn a_named_dependency_is_namespaced_by_its_first_segment() {
+        assert_eq!(DepName::named("app/a/b").namespace, Some(writer_id("app")));
+        assert_eq!(DepName::named("/x").namespace, Some(writer_id("")));
+        assert_eq!(DepName::named("x").namespace, None);
+        assert_eq!(DepName::named("x").identity(), fnv1a("x"));
+        assert_eq!(DepName::named("").identity(), fnv1a(""));
+    }
+
+    #[test]
+    fn hashing_is_stable_and_bounded() {
+        let space = DepSpace::new(1000);
+        let d = DepName::object("app", "Post", Id(1));
+        let k1 = space.key(&d);
+        let k2 = space.key(&d);
+        assert_eq!(k1, k2);
+        assert!(k1 < 1000);
     }
 
     #[test]
@@ -356,28 +338,6 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), 1000);
-    }
-
-    #[test]
-    fn interner_reuses_allocations_and_matches_uninterned_names() {
-        let interner = DepInterner::new();
-        let a = interner.object("app", "User", Id(9));
-        let b = interner.object("app", "User", Id(9));
-        assert!(Arc::ptr_eq(&a.name, &b.name));
-        assert_eq!(a, DepName::object("app", "User", Id(9)));
-        assert_eq!(interner.names.read().len(), 1);
-        interner.object("app", "User", Id(10));
-        assert_eq!(interner.names.read().len(), 2);
-    }
-
-    #[test]
-    fn interner_caps_growth_but_stays_correct() {
-        let interner = DepInterner::new();
-        for i in 0..(INTERNER_CAP as u64 + 10) {
-            let d = interner.object("app", "User", Id(i));
-            assert_eq!(d.as_str(), format!("app/user/id/{i}"));
-        }
-        assert!(interner.names.read().len() <= INTERNER_CAP);
     }
 
     #[test]

@@ -58,7 +58,8 @@ pub struct NodeStats {
     /// Subscriber-side counters (processed, retries, redeliveries,
     /// dead-lettered, poison).
     pub subscriber: SubscriberStats,
-    /// Payloads journaled but not yet confirmed at the broker.
+    /// Payloads the broker refused, journaled awaiting
+    /// [`Publisher::recover`](crate::Publisher::recover).
     pub journaled: usize,
     /// Deliveries in this node's dead-letter store.
     pub dead_lettered: usize,

@@ -21,9 +21,10 @@
 //!    or appends the encoded operation to the open transaction buffer
 //!    ("all writes within a single transaction are combined into a single
 //!    message");
-//! 6. journals the payload before handing it to the broker — the
-//!    2PC-flavoured guarantee that a crash between version bump and
-//!    publication can be recovered by [`Publisher::recover`].
+//! 6. hands the payload to the broker and journals it only if the broker
+//!    refuses it through every retry — the 2PC-flavoured guarantee that a
+//!    publication lost after its version bump can be recovered by
+//!    [`Publisher::recover`].
 //!
 //! It also enforces the ownership rules of §3.1: a service cannot create or
 //! delete instances of models it merely subscribes to, and cannot update
@@ -32,7 +33,7 @@
 use crate::api::{Publication, PublicationRegistry, Subscription, SubscriptionRegistry};
 use crate::config::{backoff, RETRY_ATTEMPTS};
 use crate::context::{self, TxBuffer};
-use crate::deps::{normalize_dep_sets_with, writer_id, DepInterner, DepName, DepSpace};
+use crate::deps::{mesh_object, normalize_dep_sets_with, writer_id, DepName, DepSpace};
 use crate::message::{encode_message, encode_operation, now_micros};
 use crate::semantics::DeliveryMode;
 use parking_lot::{Condvar, Mutex};
@@ -107,7 +108,7 @@ pub struct PublisherStats {
     /// Individual broker publish attempts that failed transiently.
     pub publish_retries: u64,
     /// Publishes abandoned after [`RETRY_ATTEMPTS`] attempts; the payload
-    /// stays journaled for [`Publisher::recover`].
+    /// is journaled for [`Publisher::recover`].
     pub publish_failures: u64,
 }
 
@@ -154,15 +155,11 @@ fn put_scratch(scratch: PublishScratch) {
 /// The publisher runtime for one service. See the module docs.
 pub struct Publisher {
     app: String,
-    /// `"{app}/"` — precomputed so the external-dependency test is a plain
-    /// prefix compare instead of a per-call `format!`.
-    app_prefix: String,
     /// The app's global-ordering dependency, built once.
     global_dep: DepName,
-    /// This app's writer id in LWW stamps (multi-writer replication).
+    /// This app's writer id in LWW stamps (multi-writer replication), and
+    /// the namespace hash of its own dependency names.
     writer: u64,
-    /// Per-node dependency-name interner (see [`DepInterner`]).
-    interner: DepInterner,
     mode: DeliveryMode,
     dep_space: DepSpace,
     store: Arc<VersionStore>,
@@ -175,16 +172,15 @@ pub struct Publisher {
     publications: PublicationRegistry,
     subscriptions: SubscriptionRegistry,
     locks: LockManager,
-    /// Publish journal: payloads not yet confirmed at the broker, each with
-    /// its monotonic origin stamp (so recovery republishes with the
-    /// original publish time) and its partition routing key (so a recovery
-    /// republish lands in the same partition as the original would have,
-    /// keeping per-object partition residency stable across crashes).
-    /// Shared with the broker's queues — journaling is a pointer bump, not
-    /// a copy.
+    /// Publish journal: payloads the broker refused, awaiting
+    /// [`Publisher::recover`] in publish order, each with its monotonic
+    /// origin stamp (so recovery republishes with the original publish
+    /// time) and its partition routing key (so a recovery republish lands
+    /// in the same partition as the original would have, keeping
+    /// per-object partition residency stable across crashes).
     journal: Mutex<BTreeMap<u64, (SharedStr, u64, u64)>>,
     journal_seq: AtomicU64,
-    /// Failure injection: while set, payloads stay journaled instead of
+    /// Failure injection: while set, payloads are journaled instead of
     /// reaching the broker (a crash between DB commit and publication).
     #[cfg(any(test, feature = "testing"))]
     fail_publish: std::sync::atomic::AtomicBool,
@@ -217,10 +213,8 @@ impl Publisher {
         store.enter_generation(generations.current());
         sub_store.enter_generation(generations.current());
         Publisher {
-            app_prefix: format!("{app}/"),
             global_dep: DepName::global(&app),
             writer: writer_id(&app),
-            interner: DepInterner::new(),
             app,
             mode,
             dep_space,
@@ -263,7 +257,8 @@ impl Publisher {
         self.fail_publish.store(on, Ordering::SeqCst);
     }
 
-    /// Number of journaled (journalized but unconfirmed) payloads.
+    /// Number of journaled payloads: refused by the broker, awaiting
+    /// [`Publisher::recover`].
     pub fn journal_len(&self) -> usize {
         self.journal.lock().len()
     }
@@ -318,7 +313,7 @@ impl Publisher {
     }
 
     fn is_external(&self, dep: &DepName) -> bool {
-        !dep.as_str().starts_with(&self.app_prefix)
+        dep.namespace != Some(self.writer)
     }
 
     /// Enforces §3.1 ownership: subscribers cannot create/delete imported
@@ -364,10 +359,10 @@ impl Publisher {
     }
 
     /// Computes `(write_deps, read_deps)` for an operation under the
-    /// publisher's delivery mode (§4.2), into the scratch lists. Scope
-    /// names are already interned, so extending the lists clones pointers;
-    /// normalization is the linear hash-set pass of
-    /// [`crate::normalize_dep_sets`].
+    /// publisher's delivery mode (§4.2), into the scratch lists. The first
+    /// write dependency is the message's route key: the written object,
+    /// or in global mode the app's one global dependency. Normalization is
+    /// the linear hash-set pass of [`crate::normalize_dep_sets`].
     fn compute_deps(&self, intent: &WriteIntent, scratch: &mut PublishScratch) {
         let PublishScratch {
             write_deps,
@@ -377,29 +372,25 @@ impl Publisher {
         } = scratch;
         write_deps.clear();
         read_deps.clear();
-        write_deps.push(self.interner.object(&self.app, intent.model, intent.id));
+        let object = DepName::object(&self.app, intent.model, intent.id);
         match self.mode {
-            DeliveryMode::Weak => {}
-            DeliveryMode::Global => {
-                // One global object serializes all writes.
-                write_deps.push(self.global_dep.clone());
-            }
+            DeliveryMode::Weak => write_deps.push(object),
+            // One global object serializes all writes; heading the list, it
+            // routes them all to one partition in publish order.
+            DeliveryMode::Global => write_deps.extend([self.global_dep, object]),
             DeliveryMode::Causal => {
+                write_deps.push(object);
                 context::scope_mut(|scope| {
                     // (3) user-session serialization: the session's user is
                     // a write dependency of every write.
-                    if let Some(user) = &scope.user_dep {
-                        write_deps.push(user.clone());
-                    }
+                    write_deps.extend(scope.user_dep);
                     // (2) controller serialization: chain on the previous
                     // update's first write dependency.
-                    if let Some(prev) = &scope.last_write_dep {
-                        read_deps.push(prev.clone());
-                    }
+                    read_deps.extend(scope.last_write_dep);
                     // (1-implicit) objects read in this scope.
-                    read_deps.extend(scope.read_deps.iter().cloned());
-                    read_deps.extend(scope.explicit_read.iter().cloned());
-                    write_deps.extend(scope.explicit_write.iter().cloned());
+                    read_deps.extend(&scope.read_deps);
+                    read_deps.extend(&scope.explicit_read);
+                    write_deps.extend(&scope.explicit_write);
                 });
             }
         }
@@ -523,7 +514,8 @@ impl Publisher {
         self.publish_message(deps, &stamps, write_op, route_key, began, encoded - began)
     }
 
-    /// Encodes, journals and publishes a message. `began`, the clock read
+    /// Encodes and publishes a message, journaling it if the broker
+    /// refuses it. `began`, the clock read
     /// that starts its encode, is the monotonic origin stamp that anchors
     /// its visibility latency; it rides the broker envelope and the journal,
     /// never the wire format. `encoded_before` is encode time a
@@ -539,7 +531,7 @@ impl Publisher {
     ) -> u64 {
         // The thread's buffer is taken out rather than borrowed, since
         // `operations` may run a virtual getter that publishes too. One
-        // right-sized Arc allocation is frozen from it for journal + broker.
+        // right-sized Arc allocation is frozen from it for the broker.
         let mut buf = ENCODE_SCRATCH.take();
         buf.clear();
         let (app, generation) = (&self.app, self.generations.current());
@@ -555,16 +547,13 @@ impl Publisher {
         let payload = SharedStr::from(buf.as_str());
         ENCODE_SCRATCH.set(buf);
         let encoded = mono_nanos();
-        let seq = self.journal_seq.fetch_add(1, Ordering::Relaxed);
-        self.journal
-            .lock()
-            .insert(seq, (payload.clone(), began, route_key));
-        // §4.2's 2PC tail: the payload leaves the journal only once the
-        // broker confirms it. Exhausted retries leave it journaled — the
-        // version bump already happened, so dropping the payload here
-        // would silently lose the write (§6.5's root failure mode). While
-        // publish failure is injected (a crash window, test builds), the
-        // journal alone retains it.
+        // §4.2's 2PC tail: a payload the broker refuses through every retry
+        // is journaled — the version bump already happened, so dropping it
+        // here would silently lose the write (§6.5's root failure mode).
+        // While publish failure is injected (a crash window, test builds),
+        // the journal alone receives it. Writes of one object outside a
+        // transaction hold its dependency lock through here, so they
+        // journal in publish order.
         #[cfg(not(any(test, feature = "testing")))]
         let sent = self.send_with_retry(&payload, began, route_key);
         #[cfg(any(test, feature = "testing"))]
@@ -572,7 +561,9 @@ impl Publisher {
             && self.send_with_retry(&payload, began, route_key);
         if sent {
             self.messages_published.fetch_add(1, Ordering::Relaxed);
-            self.journal.lock().remove(&seq);
+        } else {
+            let seq = self.journal_seq.fetch_add(1, Ordering::Relaxed);
+            self.journal.lock().insert(seq, (payload, began, route_key));
         }
         let end = mono_nanos();
         let mode = self.mode.slice();
@@ -640,7 +631,7 @@ impl QueryObserver for Publisher {
                 .find(|s| s.model == r.model)
                 .map(|s| s.from.as_str())
                 .unwrap_or(&self.app);
-            context::record_read(self.interner.object(from, &r.model, r.id));
+            context::record_read(DepName::object(from, &r.model, r.id));
         }
     }
 
@@ -668,9 +659,7 @@ impl QueryObserver for Publisher {
             // A multi-writer apply whose before-callback re-entered and
             // committed a greater stamp on the object skips its row write:
             // under LWW that stamp has already won, and its row stays.
-            if context::mesh_apply_superseded(|| {
-                crate::deps::mesh_object(intent.model, intent.id).identity()
-            }) {
+            if context::mesh_apply_superseded(|| mesh_object(intent.model, intent.id).identity()) {
                 return orm.find(intent.model, intent.id)?.ok_or_else(|| {
                     OrmError::RecordNotFound {
                         model: intent.model.to_owned(),
@@ -696,7 +685,7 @@ impl QueryObserver for Publisher {
         // the mesh name every writer stamps and classifies at, reserving
         // before the dependency locks (DESIGN.md *Admission*).
         let mesh = publication.bidirectional.then(|| {
-            let name = crate::deps::mesh_object(intent.model, intent.id);
+            let name = mesh_object(intent.model, intent.id);
             let admission = self.sub_store.reserve(name.identity());
             (self.dep_space.key(&name), name.identity(), admission)
         });
@@ -730,17 +719,12 @@ impl QueryObserver for Publisher {
             self.bump_versions(&mut scratch)
                 .expect("revived store accepts the bump");
         }
-        // Partition routing key: the object dependency that heads
-        // `write_deps`, so all of one object's messages ride one broker
-        // partition in publish order (a combined transaction message routes
-        // by its first write). Global mode publishes a total order, so
-        // spreading it across partitions would only make subscribers hunt
-        // for the chain head — it routes on the key-0 legacy lane
-        // (partition 0, strict global FIFO) instead.
-        let route_key = match self.mode {
-            DeliveryMode::Global => 0,
-            _ => self.dep_space.key(&scratch.write_deps[0]),
-        };
+        // Partition routing key: the dependency that heads `write_deps`, so
+        // all of one object's messages ride one broker partition in publish
+        // order (a combined transaction message routes by its first
+        // write). In global mode that is the app's global dependency, so
+        // the whole total order rides one partition.
+        let route_key = self.dep_space.key(&scratch.write_deps[0]);
         let bumped = mono_nanos();
         let encode_op = |out: &mut String| {
             encode_published(out, orm, &publication, intent.kind.wire_name(), &record);
@@ -756,11 +740,12 @@ impl QueryObserver for Publisher {
         self.telemetry
             .record_stage(mode, Stage::DepCompute, dep_compute);
 
-        // Maintain the in-controller causal chain.
-        let first_write = scratch.write_deps.first().cloned();
+        // Maintain the in-controller causal chain (read in causal mode
+        // only, where the first write dependency is the written object).
+        let first_write = scratch.write_deps.first().copied();
         put_scratch(scratch);
         context::scope_mut(|scope| {
-            scope.last_write_dep = first_write.clone();
+            scope.last_write_dep = first_write;
             scope.synapse_nanos += (computed - start) + (end - executed);
         });
         Ok(record)

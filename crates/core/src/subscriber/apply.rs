@@ -5,7 +5,7 @@ use super::path::Kind;
 use super::Subscriber;
 use crate::api::Subscription;
 use crate::context;
-use crate::deps::{mesh_object, object_identity};
+use crate::deps::{mesh_object, DepName};
 use crate::message::{Operation, WriteMessage};
 use crate::semantics::DeliveryMode;
 use std::sync::atomic::Ordering;
@@ -67,7 +67,7 @@ impl Subscriber {
         let (object, carried) = match mesh {
             Some((object, stamp)) => (object, Some(ObjectVersion::Mesh(stamp))),
             None => {
-                let object = object_identity(&msg.app, op.model(), op.id);
+                let object = DepName::object(&msg.app, op.model(), op.id).identity();
                 let key = object % self.dep_space.cardinality();
                 let carried = msg.dependencies.get(&key).copied();
                 let version = match mode {

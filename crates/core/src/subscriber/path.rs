@@ -6,7 +6,7 @@ use super::{ProcessError, Subscriber, IDLE_PARK};
 use crate::bootstrap::BOOTSTRAP_EXCHANGE;
 use crate::config::{backoff, RETRY_ATTEMPTS};
 use crate::context;
-use crate::deps::global_identity;
+use crate::deps::DepName;
 use crate::message::WriteMessage;
 use crate::semantics::DeliveryMode;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -454,7 +454,7 @@ impl Subscriber {
     fn filtered_wait_set(&self, msg: &WriteMessage, mode: DeliveryMode) -> DepWaitSet {
         let mut deps = msg.dep_list();
         if mode == DeliveryMode::Causal {
-            let global_key = global_identity(&msg.app) % self.dep_space.cardinality();
+            let global_key = self.dep_space.key(&DepName::global(&msg.app));
             deps.retain(|(k, _)| *k != global_key);
         }
         let mut set = DepWaitSet::default();

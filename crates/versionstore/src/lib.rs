@@ -32,7 +32,10 @@
 //! * [`VersionStore`] — the sharded store; every public operation is atomic
 //!   over all the keys it touches (shard locks are taken in index order so
 //!   cross-shard scripts cannot deadlock, mirroring §4.2's "mechanisms to
-//!   avoid deadlocks on subscribers");
+//!   avoid deadlocks on subscribers"). A key lives in shard
+//!   `mix(key) % shards`, not on a Dynamo-style ring: a node's shard count
+//!   is fixed when its store is built and no shard ever joins or leaves,
+//!   which is the only case where consistent hashing moves fewer keys;
 //! * publisher script [`VersionStore::publish_bump_into`] and subscriber
 //!   scripts [`VersionStore::prepare_wait`] → [`VersionStore::wait_prepared`]
 //!   / [`VersionStore::apply`];
@@ -53,11 +56,9 @@
 //!   paper's Chubby/ZooKeeper stand-in).
 
 mod generation;
-mod ring;
 mod store;
 
 pub use generation::{versioned, GenerationStore};
-pub use ring::HashRing;
 pub use store::{
     Admission, AdmitRule, AppliedDep, BumpScratch, DepKey, DepWaitSet, ObjectVersion, Stamp,
     StoreDump, StoreError, StoreTimingSnapshot, Verdict, VersionStore, WaitOutcome,

@@ -57,7 +57,7 @@ impl VersionStore {
         }
         let routes: Vec<usize> = (dump.counters.iter().map(|c| c.0))
             .chain(dump.objects.iter().map(|o| o.0))
-            .map(|key| self.ring.route(key))
+            .map(|key| self.route(key))
             .collect();
         let (counter_routes, object_routes) = routes.split_at(dump.counters.len());
         // Entries routed to each shard, per section: each map is reserved

@@ -12,7 +12,6 @@ pub use admission::{Admission, AdmitRule, ObjectVersion, Stamp, Verdict};
 pub use dump::StoreDump;
 
 use crate::generation::{generation_start, versioned};
-use crate::ring::HashRing;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -165,6 +164,15 @@ struct Shard {
     dead: AtomicBool,
 }
 
+/// SplitMix64's finalizer: a cheap, well-distributed 64-bit mixer, so
+/// keys that differ only in high bits still spread across shards.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e3779b97f4a7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
+    x ^ (x >> 31)
+}
+
 /// The sharded dependency version store. See the crate docs.
 ///
 /// Failure injection (test builds) operates at shard granularity:
@@ -174,7 +182,6 @@ struct Shard {
 /// fanning out over every shard.
 pub struct VersionStore {
     shards: Vec<Arc<Shard>>,
-    ring: HashRing,
     timing: StoreTiming,
     /// Per-object exclusion for [`VersionStore::reserve`], striped by
     /// object.
@@ -189,12 +196,15 @@ pub struct VersionStore {
 }
 
 impl VersionStore {
-    /// Creates a store with `shards` shards (16 virtual nodes each).
+    /// Creates a store with `shards` shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
     pub fn new(shards: usize) -> Self {
-        let ring = HashRing::new(shards, 16);
+        assert!(shards > 0, "version store needs at least one shard");
         VersionStore {
             shards: (0..shards).map(|_| Arc::new(Shard::default())).collect(),
-            ring,
             timing: StoreTiming::default(),
             stripes: (0..ADMISSION_STRIPES).map(|_| Default::default()).collect(),
             generation: AtomicU64::new(0),
@@ -224,10 +234,18 @@ impl VersionStore {
         }
     }
 
+    /// The shard a counter key or an object identity lives in. The shard
+    /// count never changes, so one mixed modulo routes every key; the
+    /// consistent-hash ring of the paper's Dynamo-style store pays only
+    /// when shards join or leave.
+    fn route(&self, key: u64) -> usize {
+        (mix(key) % self.shards.len() as u64) as usize
+    }
+
     /// Locks the shard `key` routes to, unless it is dead. Counters route
     /// by their hashed key, objects by their identity.
     fn maps_of(&self, key: u64) -> Result<MutexGuard<'_, Maps>, StoreError> {
-        let shard = &self.shards[self.ring.route(key)];
+        let shard = &self.shards[self.route(key)];
         if shard.dead.load(Ordering::SeqCst) {
             return Err(StoreError::Dead);
         }
@@ -262,7 +280,7 @@ impl VersionStore {
     /// targeted fault injection).
     #[cfg(any(test, feature = "testing"))]
     pub fn shard_for(&self, key: u64) -> usize {
-        self.ring.route(key)
+        self.route(key)
     }
 
     /// Kills the whole store (every shard): contents are lost and every
@@ -343,7 +361,7 @@ impl VersionStore {
         // Route each key once, failing before any lock if a routed shard is
         // dead (the same all-or-nothing semantics as `apply`).
         for (key, _) in deps {
-            let route = self.ring.route(*key);
+            let route = self.route(*key);
             if self.dead(route) {
                 return Err(StoreError::Dead);
             }
@@ -385,7 +403,7 @@ impl VersionStore {
         set.entries.clear();
         set.entries.extend(
             deps.iter()
-                .map(|(k, req)| (self.ring.route(*k) as u32, *k, *req)),
+                .map(|(k, req)| (self.route(*k) as u32, *k, *req)),
         );
         set.entries.sort_by_key(|(shard, _, _)| *shard);
     }
@@ -471,10 +489,7 @@ impl VersionStore {
     /// unrelated shards are not spuriously woken.
     pub fn apply<D: AppliedDep>(&self, deps: &[D]) -> Result<(), StoreError> {
         let begun = Instant::now();
-        let routes: Vec<usize> = deps
-            .iter()
-            .map(|d| self.ring.route(d.key_value().0))
-            .collect();
+        let routes: Vec<usize> = deps.iter().map(|d| self.route(d.key_value().0)).collect();
         // Key-routed: fails only when one of *its* shards is dead.
         if routes.iter().any(|r| self.dead(*r)) {
             return Err(StoreError::Dead);

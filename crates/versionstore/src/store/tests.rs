@@ -875,3 +875,29 @@ fn memory_accounting_matches_paper_estimate() {
     bump(&store, &[(7, true), (8, false)]);
     assert_eq!(store.len(), 1000);
 }
+
+/// Routing is a pure function of the key and the shard count, spreads
+/// keys over every shard, and a single shard takes everything.
+#[test]
+fn routing_is_deterministic_and_reaches_every_shard() {
+    let (a, b) = (VersionStore::new(8), VersionStore::new(8));
+    let mut counts = [0usize; 8];
+    for key in 0..80_000u64 {
+        assert_eq!(a.shard_for(key), b.shard_for(key));
+        counts[a.shard_for(key)] += 1;
+    }
+    for (shard, n) in counts.iter().enumerate() {
+        assert!(
+            (5_000..15_000).contains(n),
+            "shard {shard} got {n} of 80k keys"
+        );
+    }
+    let one = VersionStore::new(1);
+    assert!((0..100).all(|key| one.shard_for(key) == 0));
+}
+
+#[test]
+#[should_panic(expected = "at least one shard")]
+fn zero_shards_panics() {
+    let _ = VersionStore::new(0);
+}

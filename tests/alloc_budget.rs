@@ -165,7 +165,7 @@ fn intercepted_publish(mode: DeliveryMode) -> u64 {
     let orm = publisher.orm();
     let user = DepName::object("pub1", "User", Id(1));
     fewest(|i| {
-        let (id, attrs, user) = (Id(1 + i), row(1 + i), user.clone());
+        let (id, attrs) = (Id(1 + i), row(1 + i));
         count(|| with_user_scope(user, || orm.create_with_id("Post", id, attrs).unwrap()))
     })
 }
@@ -178,7 +178,7 @@ fn transaction_publish(mode: DeliveryMode) -> u64 {
     let user = DepName::object("pub1", "User", Id(1));
     fewest(|i| {
         let (first, second) = (1 + 2 * i, 2 + 2 * i);
-        let (a, b, user) = (row(first), row(second), user.clone());
+        let (a, b) = (row(first), row(second));
         count(|| {
             with_user_scope(user, || {
                 publisher.transaction(|| {
@@ -278,17 +278,17 @@ fn replication_stays_within_its_allocation_ceilings() {
         (
             "publish create, weak".to_owned(),
             intercepted_publish(DeliveryMode::Weak),
-            18,
+            17,
         ),
         (
             "publish create, causal".to_owned(),
             intercepted_publish(DeliveryMode::Causal),
-            18,
+            17,
         ),
         (
             "publish 2-create transaction, causal".to_owned(),
             transaction_publish(DeliveryMode::Causal),
-            45,
+            43,
         ),
         ("Subscriber::process create".to_owned(), create, 38),
         ("Subscriber::process update".to_owned(), update, 36),

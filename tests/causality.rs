@@ -121,7 +121,7 @@ fn per_user_session_updates_apply_in_order() {
 
     let user = DepName::object("pub", "User", Id(7));
     for i in 0..20u64 {
-        with_user_scope(user.clone(), || {
+        with_user_scope(user, || {
             publisher
                 .orm()
                 .create("Post", vmap! { "body" => "p", "author_id" => i })

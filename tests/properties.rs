@@ -451,9 +451,9 @@ proptest! {
     }
 
     /// Batched FIFO: with no redelivery in play, any interleaving of
-    /// runs of unkeyed `publish_routed` calls and `pop_batch` yields every
-    /// payload exactly once, in exact publish order — batched pops must
-    /// not reorder a queue.
+    /// runs of `publish_routed` calls on one key and `pop_batch` yields
+    /// every payload exactly once, in exact publish order — batched pops
+    /// must not reorder a queue.
     #[test]
     fn publish_batch_pop_batch_preserve_fifo(
         script in prop::collection::vec((0u8..2, 1usize..9), 1..48),
