@@ -9,7 +9,9 @@
 
 use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
-use synapse_model::{wire, Id, ModelError, Record, Value};
+use std::ops::Range;
+use synapse_model::wire::{self, ReadError, Reader};
+use synapse_model::{Id, ModelError, Record, Value};
 use synapse_versionstore::{DepKey, Stamp};
 
 /// One replicated operation within a message.
@@ -101,70 +103,38 @@ impl WriteMessage {
         );
     }
 
-    /// Decodes from JSON, reading the text straight into the message over
-    /// [`wire::Reader`] — no [`Value`] tree in between; only attribute
-    /// values are built as `Value`s. Every field slot holds what
-    /// `get(key).as_*()` answers on the parsed tree: nothing for a key that
-    /// is missing or of another type, the last occurrence of a repeated
-    /// key. Malformed JSON fails where it is met; a field the message
-    /// cannot do without fails once the whole text has been read, since a
-    /// later repeat of its key may still replace it.
+    /// Decodes from JSON: the message's envelope, as a subscriber reads it
+    /// in place, then each operation's attributes into its map — the one
+    /// read of a message, whose verdict on every text is that of parsing
+    /// it into a [`Value`] tree and reading the fields off with
+    /// `get(key).as_*()`: nothing for a key that is missing or of another
+    /// type, the last occurrence of a repeated key.
     pub fn decode(text: &str) -> Result<WriteMessage, ModelError> {
-        let mut r = wire::Reader::new(text);
-        let (mut app, mut operations) = (None, None);
-        let (mut dependencies, mut stamps) = (None, None);
-        let (mut published_at, mut generation) = (None, None);
-        r.object(|r, key| {
-            match &*key {
-                "app" => app = into_string(r.value()?),
-                "operations" => {
-                    let mut ops = Ok(Vec::new());
-                    let is_array = r.array(|r| {
-                        let op = read_operation(r)?;
-                        if let Ok(list) = &mut ops {
-                            match op {
-                                Ok(op) => list.push(op),
-                                Err(e) => ops = Err(e),
-                            }
-                        }
-                        Ok(())
-                    })?;
-                    operations = is_array.then_some(ops);
-                }
-                "dependencies" => dependencies = read_by_key(r, |r| Ok(r.value()?.as_int()))?,
-                "stamps" => stamps = read_by_key(r, read_stamp)?,
-                "published_at" => published_at = r.value()?.as_int(),
-                "generation" => generation = r.value()?.as_int(),
-                _ => drop(r.value()?),
-            }
-            Ok(())
-        })?;
-        r.finish()?;
-
-        let app = app.ok_or_else(|| malformed("missing app"))?;
-        let operations = operations.ok_or_else(|| malformed("missing operations"))??;
-        let mut msg = WriteMessage {
-            app,
+        let envelope = Envelope::read(text)?;
+        let mut operations = Vec::with_capacity(envelope.ops.len());
+        for op in envelope.ops(text) {
+            let mut attributes = BTreeMap::new();
+            op.attributes(|r, key| {
+                attributes.insert(key.into_owned(), r.value()?);
+                Ok(())
+            })?;
+            let mut types = Vec::new();
+            op.each_type(|t| types.push(t.into_owned()));
+            operations.push(Operation {
+                operation: op.kind().to_owned(),
+                types,
+                id: op.id(),
+                attributes,
+            });
+        }
+        Ok(WriteMessage {
+            app: envelope.app(text).to_owned(),
             operations,
-            published_at: published_at.unwrap_or(0) as u64,
-            generation: generation.unwrap_or(1) as u64,
-            ..WriteMessage::default()
-        };
-        for (k, version) in dependencies.unwrap_or_default() {
-            let key: DepKey = k
-                .parse()
-                .map_err(|_| malformed(&format!("bad dependency key {k}")))?;
-            let version = version.ok_or_else(|| malformed("bad dependency version"))?;
-            msg.dependencies.insert(key, version as u64);
-        }
-        for (k, stamp) in stamps.unwrap_or_default() {
-            let key: DepKey = k
-                .parse()
-                .map_err(|_| malformed(&format!("bad stamp key {k}")))?;
-            let stamp = stamp.ok_or_else(|| malformed("bad stamp"))?;
-            msg.stamps.insert(key, stamp);
-        }
-        Ok(msg)
+            dependencies: envelope.deps.into_iter().collect(),
+            published_at: envelope.published_at,
+            generation: envelope.generation,
+            stamps: envelope.stamps.into_iter().collect(),
+        })
     }
 
     /// Dependency list in `(key, required_version)` form for the version
@@ -183,61 +153,266 @@ fn malformed(what: &str) -> ModelError {
     ModelError::Malformed(what.to_owned())
 }
 
-fn into_string(value: Value) -> Option<String> {
-    match value {
-        Value::Str(s) => Some(s),
-        _ => None,
+/// A message read in place: every field but the operations' attributes,
+/// held as offsets into the text it was read from (which the caller keeps
+/// and hands back to each accessor), and each operation's attributes as
+/// the span of their object, parsed only by whoever uses them. Reading it
+/// checks the whole text, attribute spans included, so a message that
+/// reads is one [`WriteMessage::decode`] accepts.
+pub(crate) struct Envelope {
+    app: Text,
+    pub(crate) generation: u64,
+    pub(crate) published_at: u64,
+    /// The dependency map, by key.
+    pub(crate) deps: Vec<(DepKey, u64)>,
+    /// The stamps, by key.
+    pub(crate) stamps: Vec<(DepKey, Stamp)>,
+    ops: Vec<OpSpan>,
+}
+
+/// One operation of an [`Envelope`].
+struct OpSpan {
+    kind: Text,
+    /// The most-derived type.
+    model: Text,
+    /// Where its `types` array lies.
+    types: Range<usize>,
+    id: Id,
+    /// Where its attributes object lies; `None` when it has none, or one
+    /// that is no object (which reads as empty).
+    attributes: Option<Range<usize>>,
+}
+
+/// A string of a message: where it lies in the text, or, when it holds an
+/// escape, its unescaped copy.
+enum Text {
+    At(Range<usize>),
+    Owned(Box<str>),
+}
+
+impl Text {
+    /// Reads the next value as a string; `None` if it is no string.
+    fn read(r: &mut Reader<'_>) -> Result<Option<Text>, ReadError> {
+        let at = r.offset() + 1;
+        Ok(r.string()?.map(|s| Text::of(at, s)))
+    }
+
+    /// The string `s` read at offset `at` of the text.
+    fn of(at: usize, s: Cow<'_, str>) -> Text {
+        match s {
+            Cow::Borrowed(s) => Text::At(at..at + s.len()),
+            Cow::Owned(s) => Text::Owned(s.into_boxed_str()),
+        }
+    }
+
+    fn get<'t>(&'t self, text: &'t str) -> &'t str {
+        match self {
+            Text::At(at) => &text[at.clone()],
+            Text::Owned(s) => s,
+        }
     }
 }
 
-/// Reads one element of `operations`. The outer error is malformed JSON;
-/// the inner one a well-formed element that is not an operation, which
-/// fails the message only if this `operations` array is the one kept.
-fn read_operation(r: &mut wire::Reader<'_>) -> Result<Result<Operation, ModelError>, ModelError> {
-    let (mut operation, mut types) = (None, None);
-    let (mut id, mut attributes) = (None, None);
+/// One operation of an [`Envelope`], beside the text it was read from.
+#[derive(Clone, Copy)]
+pub(crate) struct OpRef<'t> {
+    text: &'t str,
+    op: &'t OpSpan,
+}
+
+impl<'t> OpRef<'t> {
+    /// `create`, `update` or `destroy`.
+    pub(crate) fn kind(&self) -> &'t str {
+        self.op.kind.get(self.text)
+    }
+
+    /// The most-derived model name.
+    pub(crate) fn model(&self) -> &'t str {
+        self.op.model.get(self.text)
+    }
+
+    /// Calls `each` with every name of the inheritance chain, most-derived
+    /// first, read again from the text.
+    pub(crate) fn each_type(&self, mut each: impl FnMut(Cow<'t, str>)) {
+        let mut r = Reader::new(&self.text[self.op.types.clone()]);
+        // The envelope read checked this array, so the read cannot fail.
+        let _ = r.array(|r| {
+            each_string(r, &mut each)?;
+            Ok(())
+        });
+    }
+
+    /// Whether `model` is in the inheritance chain.
+    pub(crate) fn has_type(&self, model: &str) -> bool {
+        let mut found = self.model() == model;
+        if !found {
+            self.each_type(|t| found |= t == model);
+        }
+        found
+    }
+
+    pub(crate) fn id(&self) -> Id {
+        self.op.id
+    }
+
+    /// Parses the attributes, calling `entry` with each key at its value
+    /// (in text order, repeats included) to consume it.
+    pub(crate) fn attributes(
+        &self,
+        entry: impl FnMut(&mut Reader<'t>, Cow<'t, str>) -> Result<(), ReadError>,
+    ) -> Result<(), ModelError> {
+        let Some(span) = &self.op.attributes else {
+            return Ok(());
+        };
+        let mut r = Reader::new(&self.text[span.clone()]);
+        r.object(entry)?;
+        Ok(r.finish()?)
+    }
+}
+
+impl Envelope {
+    /// Reads `text`'s envelope, checking all of it.
+    pub(crate) fn read(text: &str) -> Result<Envelope, ModelError> {
+        let mut r = Reader::new(text);
+        let (mut app, mut ops) = (None, Vec::new());
+        // `None` until an `operations` array is read; then its verdict.
+        let mut operations: Option<Result<(), &'static str>> = None;
+        let (mut deps, mut stamps) = (Keyed::default(), Keyed::default());
+        let (mut published_at, mut generation) = (None, None);
+        r.object(|r, key| {
+            match &*key {
+                "app" => app = Text::read(r)?,
+                "operations" => {
+                    ops.clear();
+                    let mut verdict = Ok(());
+                    let is_array = r.array(|r| {
+                        match read_operation(r)?.check() {
+                            Ok(op) => ops.push(op),
+                            Err(what) => verdict = verdict.and(Err(what)),
+                        }
+                        Ok(())
+                    })?;
+                    operations = is_array.then_some(verdict);
+                }
+                "dependencies" => deps.read(r, |r| Ok(r.int()?.map(|v| v as u64)))?,
+                "stamps" => stamps.read(r, read_stamp)?,
+                "published_at" => published_at = r.int()?,
+                "generation" => generation = r.int()?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        r.finish()?;
+
+        let app = app.ok_or_else(|| malformed("missing app"))?;
+        operations
+            .unwrap_or(Err("missing operations"))
+            .map_err(malformed)?;
+        Ok(Envelope {
+            app,
+            generation: generation.unwrap_or(1) as u64,
+            published_at: published_at.unwrap_or(0) as u64,
+            deps: deps.finish("bad dependency key", "bad dependency version")?,
+            stamps: stamps.finish("bad stamp key", "bad stamp")?,
+            ops,
+        })
+    }
+
+    pub(crate) fn app<'t>(&'t self, text: &'t str) -> &'t str {
+        self.app.get(text)
+    }
+
+    /// The operations in execution order, each beside `text`.
+    pub(crate) fn ops<'t>(&'t self, text: &'t str) -> impl Iterator<Item = OpRef<'t>> {
+        self.ops.iter().map(move |op| OpRef { text, op })
+    }
+
+    /// The version the dependency map requires of `key`.
+    pub(crate) fn dependency(&self, key: DepKey) -> Option<u64> {
+        let at = self.deps.binary_search_by_key(&key, |(k, _)| *k).ok()?;
+        Some(self.deps[at].1)
+    }
+
+    /// The stamp carried under `key`.
+    pub(crate) fn stamp(&self, key: DepKey) -> Option<Stamp> {
+        let at = self.stamps.binary_search_by_key(&key, |(k, _)| *k).ok()?;
+        Some(self.stamps[at].1)
+    }
+}
+
+/// One element of `operations` as read, each field as `get(key).as_*()`
+/// answers it on a tree.
+#[derive(Default)]
+struct OpFields {
+    kind: Option<Text>,
+    /// The array's span and its first string, if any.
+    types: Option<(Range<usize>, Option<Text>)>,
+    id: Option<i64>,
+    attributes: Option<Range<usize>>,
+}
+
+impl OpFields {
+    fn check(self) -> Result<OpSpan, &'static str> {
+        match (self.kind, self.types, self.id) {
+            (None, ..) => Err("missing operation kind"),
+            (_, None, _) => Err("missing types"),
+            (_, Some((_, None)), _) => Err("empty type chain"),
+            (.., None) => Err("missing id"),
+            (Some(kind), Some((types, Some(model))), Some(id)) => Ok(OpSpan {
+                kind,
+                model,
+                types,
+                id: Id(id as u64),
+                attributes: self.attributes,
+            }),
+        }
+    }
+}
+
+/// Reads one element of `operations`.
+fn read_operation(r: &mut Reader<'_>) -> Result<OpFields, ReadError> {
+    let mut op = OpFields::default();
     r.object(|r, key| {
         match &*key {
-            "operation" => operation = into_string(r.value()?),
+            "operation" => op.kind = Text::read(r)?,
             "types" => {
-                let mut chain = Vec::new();
+                // The chain's strings, the others dropped as a tree's
+                // reader would; only the first is kept.
+                let (start, mut model) = (r.offset(), None);
                 let is_array = r.array(|r| {
-                    chain.extend(into_string(r.value()?));
-                    Ok(())
+                    let at = r.offset() + 1;
+                    each_string(r, |t| {
+                        if model.is_none() {
+                            model = Some(Text::of(at, t));
+                        }
+                    })
                 })?;
-                types = is_array.then_some(chain);
+                op.types = is_array.then(|| (start..r.offset(), model));
             }
-            "id" => id = r.value()?.as_int(),
+            "id" => op.id = r.int()?,
             "attributes" => {
-                attributes = match r.value()? {
-                    Value::Map(map) => Some(map),
-                    _ => None,
-                }
+                let start = r.offset();
+                let is_object = r.object(|r, _| r.skip())?;
+                op.attributes = is_object.then_some(start..r.offset());
             }
-            _ => drop(r.value()?),
+            _ => r.skip()?,
         }
         Ok(())
     })?;
-    Ok(match (operation, types, id) {
-        (None, ..) => Err(malformed("missing operation kind")),
-        (_, None, _) => Err(malformed("missing types")),
-        (_, Some(types), _) if types.is_empty() => Err(malformed("empty type chain")),
-        (.., None) => Err(malformed("missing id")),
-        (Some(operation), Some(types), Some(id)) => Ok(Operation {
-            operation,
-            types,
-            id: Id(id as u64),
-            attributes: attributes.unwrap_or_default(),
-        }),
-    })
+    Ok(op)
+}
+
+/// Reads the next value, handing it to `each` if it is a string.
+fn each_string<'a>(r: &mut Reader<'a>, each: impl FnOnce(Cow<'a, str>)) -> Result<(), ReadError> {
+    r.string().map(|s| s.map(each).unwrap_or_default())
 }
 
 /// Reads a stamp, `[clock, writer]`: `None` unless the value is an array
 /// of exactly two integers.
-fn read_stamp(r: &mut wire::Reader<'_>) -> Result<Option<Stamp>, ModelError> {
+fn read_stamp(r: &mut Reader<'_>) -> Result<Option<Stamp>, ReadError> {
     let (mut parts, mut n) = ([None; 2], 0);
     let is_array = r.array(|r| {
-        let part = r.value()?.as_int();
+        let part = r.int()?;
         if let Some(slot) = parts.get_mut(n) {
             *slot = part;
         }
@@ -250,20 +425,99 @@ fn read_stamp(r: &mut wire::Reader<'_>) -> Result<Option<Stamp>, ModelError> {
     })
 }
 
-/// Reads an object into its entries by *string* key, as a parsed tree
-/// holds them: the last of a repeated key, in string order — so that
-/// `"07"` and `"7"` stay two entries until the caller parses them, and the
-/// later one in this order wins there. `None` if the value is no object.
-fn read_by_key<'a, T>(
-    r: &mut wire::Reader<'a>,
-    mut read: impl FnMut(&mut wire::Reader<'a>) -> Result<T, ModelError>,
-) -> Result<Option<BTreeMap<Cow<'a, str>, T>>, ModelError> {
-    let mut entries = BTreeMap::new();
-    let is_object = r.object(|r, key| {
-        entries.insert(key, read(r)?);
+/// A `dependencies` or `stamps` object as read: its entries in text order,
+/// each key parsed from its string. A tree holds such an object by
+/// *string* key — the last of a repeated key, in string order — so `"07"`
+/// and `"7"` are two entries until their keys are parsed, and then the
+/// later one in string order stands.
+#[derive(Default)]
+struct Keyed<V> {
+    /// Whether the last such field was an object.
+    present: bool,
+    /// Whether one of its keys was no number.
+    bad_key: bool,
+    entries: Vec<KeyEntry<V>>,
+}
+
+struct KeyEntry<V> {
+    key: u64,
+    /// Where its string sorts among the strings of the same number.
+    spelling: (bool, usize),
+    /// Its place in the text.
+    at: usize,
+    value: Option<V>,
+}
+
+impl<V: Copy> Keyed<V> {
+    /// Reads the next value, which replaces what an earlier field of the
+    /// same name read.
+    fn read<'a>(
+        &mut self,
+        r: &mut Reader<'a>,
+        mut value: impl FnMut(&mut Reader<'a>) -> Result<Option<V>, ReadError>,
+    ) -> Result<(), ReadError> {
+        self.entries.clear();
+        self.bad_key = false;
+        let (entries, bad_key) = (&mut self.entries, &mut self.bad_key);
+        self.present = r.object(|r, key| {
+            let value = value(r)?;
+            match key.parse::<u64>() {
+                Ok(k) => entries.push(KeyEntry {
+                    key: k,
+                    spelling: spelling(&key, k),
+                    at: entries.len(),
+                    value,
+                }),
+                Err(_) => *bad_key = true,
+            }
+            Ok(())
+        })?;
         Ok(())
-    })?;
-    Ok(is_object.then_some(entries))
+    }
+
+    /// The map a tree's entries parse into, by key: each string's last
+    /// value must be there, and of the strings of one number the greatest
+    /// stands. Empty when the field is missing or no object.
+    fn finish(self, bad_key: &str, bad_value: &str) -> Result<Vec<(DepKey, V)>, ModelError> {
+        if !self.present {
+            return Ok(Vec::new());
+        }
+        if self.bad_key {
+            return Err(malformed(bad_key));
+        }
+        let mut entries = self.entries;
+        entries.sort_unstable_by_key(|e| (e.key, e.spelling, e.at));
+        // Drop every value but each number's winner, once checked.
+        for i in 0..entries.len() {
+            let next = entries.get(i + 1).map(|n| (n.key, n.spelling));
+            let e = &mut entries[i];
+            if next == Some((e.key, e.spelling)) {
+                e.value = None; // a later occurrence of its string stands
+            } else if e.value.is_none() {
+                return Err(malformed(bad_value));
+            } else if next.is_some_and(|(key, _)| key == e.key) {
+                e.value = None; // a later string of its number stands
+            }
+        }
+        // Collected in place: the map takes over the entries' buffer.
+        Ok(entries
+            .into_iter()
+            .filter_map(|e| Some((e.key, e.value?)))
+            .collect())
+    }
+}
+
+/// Orders the strings that parse to `n` as strings sort: `u64`'s parser
+/// takes an optional `+` and leading zeros, and `'+' < '0'`; more zeros
+/// sort first before a nonzero digit, and later for zero itself (`"0" <
+/// "00"`).
+fn spelling(s: &str, n: u64) -> (bool, usize) {
+    let digits = s.trim_start_matches('+');
+    let zeros = digits.len() - digits.trim_start_matches('0').len();
+    (
+        digits.len() == s.len(),
+        if n == 0 { zeros } else { usize::MAX - zeros },
+    )
 }
 
 /// Writes one message as canonical JSON (Fig. 6(b)) — the one envelope
@@ -645,10 +899,18 @@ mod tests {
         assert_eq!(decoded, msg);
     }
 
-    /// `decode` against the tree decoder it replaced: the same verdict on
-    /// every text and, where that is `Ok`, the same message.
+    /// `decode` — the envelope, then each operation's attributes — against
+    /// the tree decoder it replaced: the same verdict on every text and,
+    /// where that is `Ok`, the same message. The envelope alone already
+    /// gives the verdict: a subscriber applies nothing of a message that
+    /// would fail past it.
     fn assert_decodes_like_reference(text: &str) {
         let (direct, reference) = (WriteMessage::decode(text), reference_decode(text));
+        assert_eq!(
+            Envelope::read(text).is_ok(),
+            direct.is_ok(),
+            "the envelope's verdict on {text}"
+        );
         match (&direct, &reference) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "decoders disagree on the value of {text}"),
             (Err(_), Err(_)) => {}
@@ -759,6 +1021,70 @@ mod tests {
         // read last and its value stands.
         let msg = WriteMessage::decode(&whole(r#","dependencies":{"7":1,"07":2}"#)).unwrap();
         assert_eq!(msg.dep_list(), vec![(7, 1)]);
+    }
+
+    /// Attributes as the tree reads them, whatever their shape.
+    #[test]
+    fn attributes_decode_like_the_reference() {
+        let op = |attributes: &str| {
+            format!(r#"{{"attributes":{attributes},"id":7,"operation":"update","types":["T"]}}"#)
+        };
+        let one = |attributes: &str| format!(r#"{{"app":"a","operations":[{}]}}"#, op(attributes));
+        let two = |first: &str, second: &str| {
+            format!(
+                r#"{{"app":"a","operations":[{},{}]}}"#,
+                op(first),
+                op(second)
+            )
+        };
+        let cases = [
+            // Whitespace inside the object and its values.
+            one(" {\n\t\"a\" : [ 1 ,\r 2 ] , \"b\" : { \"c\" : null } } "),
+            // Escaped keys and values.
+            one(r#"{"k\"eyé":"v\\al\nue","b":"😀"}"#),
+            // A repeated key: the last one stands.
+            one(r#"{"a":1,"b":2,"a":"last"}"#),
+            one(r#"{"a":{"x":1},"a":[2]}"#),
+            // Floats, exponents and integers beyond i64 (read as floats).
+            one(r#"{"f":1.5,"e":-2E-3,"g":1e300,"z":-0.0,"h":92233720368547758080}"#),
+            one(r#"{"min":-9223372036854775808,"max":9223372036854775807}"#),
+            // Nested arrays and maps.
+            one(r#"{"n":[[],[[1],{"m":{"o":[true,false,null]}}],{}]}"#),
+            // Not an object: reads as empty.
+            one("[1,2]"),
+            one(r#""text""#),
+            one("null"),
+            one("{}"),
+            // A repeated `attributes` field: the last one stands, even when
+            // it is no object.
+            r#"{"app":"a","operations":[{"attributes":{"a":1},"id":7,"operation":"update","types":["T"],"attributes":{"b":2}}]}"#.to_owned(),
+            r#"{"app":"a","operations":[{"attributes":{"a":1},"id":7,"operation":"update","types":["T"],"attributes":5}]}"#.to_owned(),
+            // A malformed value deep in the second operation fails the whole
+            // message, the first operation's good attributes included.
+            two(r#"{"a":1}"#, r#"{"b":[1,{"c":[tru]}]}"#),
+            two(r#"{"a":1}"#, r#"{"b":{"c":"\x"}}"#),
+            two(r#"{"a":1}"#, r#"{"b":[1,2}"#),
+            one(r#"{"a":1,}"#),
+            one(r#"{"a" 1}"#),
+        ];
+        for text in &cases {
+            assert_decodes_like_reference(text);
+        }
+        let attributes = |text: &str| {
+            let mut msg = WriteMessage::decode(text).expect("decodes");
+            msg.operations.remove(0).attributes
+        };
+        assert_eq!(attributes(&cases[1])["k\"eyé"], Value::from("v\\al\nue"));
+        assert_eq!(attributes(&cases[2])["a"], Value::from("last"));
+        assert_eq!(
+            attributes(&cases[4])["h"],
+            Value::Float(92233720368547758080.0)
+        );
+        assert!(attributes(&cases[7]).is_empty());
+        assert_eq!(attributes(&cases[11])["b"], Value::Int(2));
+        for bad in &cases[13..] {
+            assert!(WriteMessage::decode(bad).is_err(), "{bad}");
+        }
     }
 
     fn arb_value() -> impl Strategy<Value = Value> {

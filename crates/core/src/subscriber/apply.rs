@@ -1,18 +1,19 @@
-//! Applying one operation: version admission and the upsert through the
-//! local ORM.
+//! Applying one operation: version admission, then the attributes parsed
+//! into each subscription's row and the upsert through the local ORM.
 
 use super::path::Kind;
 use super::Subscriber;
 use crate::api::Subscription;
 use crate::context;
 use crate::deps::{mesh_object, DepName};
-use crate::message::{Operation, WriteMessage};
+use crate::message::{Envelope, OpRef};
 use crate::semantics::DeliveryMode;
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use synapse_db::DbError;
 use synapse_model::{Record, Value};
-use synapse_orm::{CallbackPoint, OrmError};
+use synapse_orm::{CallbackPoint, ModelHooks, Orm, OrmError};
 use synapse_versionstore::{AdmitRule, ObjectVersion, Verdict};
 
 impl Subscriber {
@@ -20,17 +21,19 @@ impl Subscriber {
     /// admission discards it: a live write that is stale (counted in
     /// `ops_stale`), or a chunk copy that the live stream or an earlier
     /// bootstrap attempt already matched or beat (`copies_reconciled`).
+    /// Nothing of its attributes is parsed before it is known to apply.
     pub(super) fn apply_op(
         &self,
-        msg: &WriteMessage,
-        op: &mut Operation,
+        env: &Envelope,
+        app: &str,
+        op: OpRef<'_>,
         kind: Kind,
         mode: DeliveryMode,
     ) -> Result<(), OrmError> {
         let matching: Vec<Arc<Subscription>> = {
             let subs = self.subscriptions.read();
             subs.iter()
-                .filter(|s| s.from == msg.app && op.types.iter().any(|t| t == &s.model))
+                .filter(|s| s.from == app && op.has_type(&s.model))
                 .cloned()
                 .collect()
         };
@@ -57,19 +60,14 @@ impl Subscriber {
         let mesh = matching
             .iter()
             .any(|s| s.bidirectional)
-            .then(|| mesh_object(op.model(), op.id))
-            .and_then(|name| {
-                Some((
-                    name.identity(),
-                    *msg.stamps.get(&self.dep_space.key(&name))?,
-                ))
-            });
+            .then(|| mesh_object(op.model(), op.id()))
+            .and_then(|name| Some((name.identity(), env.stamp(self.dep_space.key(&name))?)));
         let (object, carried) = match mesh {
             Some((object, stamp)) => (object, Some(ObjectVersion::Mesh(stamp))),
             None => {
-                let object = DepName::object(&msg.app, op.model(), op.id).identity();
+                let object = DepName::object(app, op.model(), op.id()).identity();
                 let key = object % self.dep_space.cardinality();
-                let carried = msg.dependencies.get(&key).copied();
+                let carried = env.dependency(key);
                 let version = match mode {
                     DeliveryMode::Weak => Some(carried.unwrap_or(0)),
                     // Ordered modes only check when the message actually
@@ -92,9 +90,9 @@ impl Subscriber {
                 &self.counters.ops_stale,
             ),
         };
-        let mut write = || {
-            for (n, sub) in matching.iter().enumerate() {
-                self.apply_subscription(sub, op, n + 1 == matching.len())?;
+        let write = || {
+            for sub in &matching {
+                self.apply_subscription(sub, op)?;
             }
             applied.fetch_add(1, Ordering::Relaxed);
             Ok(())
@@ -130,54 +128,26 @@ impl Subscriber {
         admission.commit(carried).map_err(dead)
     }
 
-    fn apply_subscription(
-        &self,
-        sub: &Subscription,
-        op: &mut Operation,
-        last: bool,
-    ) -> Result<(), OrmError> {
-        if !sub.observer && op.operation == "destroy" {
-            if let Some(pre) = self.orm.find(&sub.model, op.id)? {
+    fn apply_subscription(&self, sub: &Subscription, op: OpRef<'_>) -> Result<(), OrmError> {
+        let (operation, id) = (op.kind(), op.id());
+        if !sub.observer && operation == "destroy" {
+            if let Some(pre) = self.orm.find(&sub.model, id)? {
                 self.orm.destroy_record(pre)?;
             }
             return Ok(());
         }
-        // Project the incoming attributes to this subscription: the last
-        // subscription takes them, an earlier one copies. Only a renamed
-        // field moves to a new key; a setter's value is split off.
         let hooks = self.orm.hooks(&sub.model);
-        let mut plain = if last {
-            std::mem::take(&mut op.attributes)
-        } else {
-            op.attributes.clone()
-        };
-        plain.retain(|field, _| sub.fields.contains(field));
-        let (mut set_after, mut renamed) = (Vec::new(), Vec::new());
-        for field in &sub.fields {
-            let local = sub.local_field(field);
-            let setter = hooks.as_ref().and_then(|h| h.setter(local));
-            if setter.is_none() && local == field {
-                continue;
-            }
-            let Some(value) = plain.remove(field) else {
-                continue;
-            };
-            match setter {
-                Some(setter) => set_after.push((setter, value)),
-                None => renamed.push((local.to_owned(), value)),
-            }
-        }
-        plain.extend(renamed);
+        let (plain, set_after) = project(sub, hooks.as_deref(), op)?;
 
         let mut record = if sub.observer {
             // Observers run callbacks without persisting (§3.1).
-            let mut record = Record::with_attrs(sub.model.clone(), op.id, plain);
-            let (before, after) = callback_points(&op.operation);
+            let mut record = Record::with_attrs(sub.model.clone(), id, plain);
+            let (before, after) = callback_points(operation);
             self.orm
                 .run_model_callbacks(&sub.model, before, &mut record)?;
             self.orm
                 .run_model_callbacks(&sub.model, after, &mut record)?;
-            if op.operation == "destroy" {
+            if operation == "destroy" {
                 // As on the persisted path, a destroy feeds no setter.
                 return Ok(());
             }
@@ -186,10 +156,10 @@ impl Subscriber {
             // Create and update share upsert semantics: redeliveries and
             // weak-mode reordering make either arrive first.
             let attrs = Value::Map(plain);
-            let written = if self.orm.exists(&sub.model, op.id)? {
-                self.orm.update(&sub.model, op.id, attrs)
+            let written = if self.orm.exists(&sub.model, id)? {
+                self.orm.update(&sub.model, id, attrs)
             } else {
-                self.orm.create_with_id(&sub.model, op.id, attrs)
+                self.orm.create_with_id(&sub.model, id, attrs)
             };
             match written {
                 // The row came or went between the check and the write: a
@@ -197,7 +167,7 @@ impl Subscriber {
                 // this local model, whose object identity differs, so the
                 // reservation does not serialize the two. The write took
                 // the attributes; fail transiently, and the redelivery
-                // decodes them again and takes the other path.
+                // parses them again and takes the other path.
                 Err(
                     OrmError::Db(DbError::DuplicateKey { .. }) | OrmError::RecordNotFound { .. },
                 ) => Err(OrmError::Db(DbError::Unavailable)),
@@ -211,6 +181,56 @@ impl Subscriber {
         }
         Ok(())
     }
+}
+
+/// A virtual setter, as [`ModelHooks::setter`] hands it out.
+type Setter = Arc<dyn Fn(&Orm, &mut Record, Value) -> Result<(), OrmError> + Send + Sync>;
+
+/// Setters and the values they are handed once the row is written.
+type SetAfter<'h> = Vec<(&'h Setter, Value)>;
+
+/// Parses an operation's attributes into `sub`'s projection of them: the
+/// row, whose subscribed fields keep their key or take their local name,
+/// and the values that go to a virtual setter instead, in the
+/// subscription's field order. Every other attribute is checked and
+/// skipped, building nothing. Of a repeated key the last value stands.
+fn project<'h>(
+    sub: &Subscription,
+    hooks: Option<&'h ModelHooks>,
+    op: OpRef<'_>,
+) -> Result<(BTreeMap<String, Value>, SetAfter<'h>), OrmError> {
+    let mut row = BTreeMap::new();
+    // Renamed and setter fields, by their place in `sub.fields`; they
+    // land after the parse, a renamed one over a plain field of its name.
+    let mut moved: Vec<(usize, Option<&'h Setter>, Value)> = Vec::new();
+    op.attributes(|r, key| {
+        let Some(n) = sub.fields.iter().position(|f| *f == key) else {
+            return r.skip();
+        };
+        let local = sub.local_field(&sub.fields[n]);
+        let setter = hooks.and_then(|h| h.setter(local));
+        if setter.is_none() && local == key {
+            row.insert(key.into_owned(), r.value()?);
+            return Ok(());
+        }
+        let value = r.value()?;
+        match moved.iter_mut().find(|(m, ..)| *m == n) {
+            Some(slot) => slot.2 = value,
+            None => moved.push((n, setter, value)),
+        }
+        Ok(())
+    })?;
+    moved.sort_unstable_by_key(|(n, ..)| *n);
+    let mut set_after = Vec::new();
+    for (n, setter, value) in moved {
+        match setter {
+            Some(setter) => set_after.push((setter, value)),
+            None => {
+                row.insert(sub.local_field(&sub.fields[n]).to_owned(), value);
+            }
+        }
+    }
+    Ok((row, set_after))
 }
 
 fn callback_points(operation: &str) -> (CallbackPoint, CallbackPoint) {

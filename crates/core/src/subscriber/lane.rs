@@ -2,15 +2,15 @@
 //! set aside, and the passes that retry the held deliveries.
 //!
 //! A live causal or global delivery whose wait set is not yet satisfied
-//! does not block its worker. The lane *holds* it — decoded, its wait set
-//! prepared, its redelivery counted once — and the worker runs the rest of
-//! its batch, flushes, and retries what it holds, pass after pass while a
-//! pass settles anything. Passes run in tag order, which is enqueue order:
+//! does not block its worker. The lane *holds* it — its envelope read, its
+//! wait set prepared, its redelivery counted once — and the worker runs the
+//! rest of its batch, flushes, and retries what it holds, pass after pass
+//! while a pass settles anything. Passes run in tag order, which is enqueue order:
 //! a dependency was enqueued before its dependent, so a pass meets the
 //! dependencies it holds before what waits on them.
 
 use super::{Subscriber, BATCH_MAX};
-use crate::message::WriteMessage;
+use crate::message::Envelope;
 use crate::semantics::DeliveryMode;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -49,14 +49,15 @@ pub(super) struct Lane<'a> {
 pub(super) struct Held {
     pub(super) delivery: Delivery,
     pub(super) popped_nanos: u64,
-    /// The decoded message, once the delivery has run.
+    /// The read envelope, once the delivery has run.
     pub(super) prepared: Option<Prepared>,
 }
 
-/// A decoded delivery with its mode and wait set: what a retry reuses
-/// instead of decoding and preparing again.
+/// A read delivery with its mode and wait set: what a retry reuses
+/// instead of reading and preparing again.
 pub(super) struct Prepared {
-    pub(super) msg: WriteMessage,
+    /// The message's envelope, in place in the delivery's payload.
+    pub(super) env: Envelope,
     pub(super) mode: DeliveryMode,
     /// The routed wait set (empty unless the mode is causal or global).
     pub(super) deps: DepWaitSet,

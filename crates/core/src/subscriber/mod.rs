@@ -25,9 +25,10 @@
 //!    publisher's and the subscriber's (§3.2): causal/global apply only
 //!    once every dependency is satisfied in the version store; weak skips
 //!    the check and instead discards stale per-object versions;
-//! 3. unmarshals each operation and persists it through the local ORM
-//!    (running active-model callbacks), honouring renames, virtual-attribute
-//!    setters, and observer (non-persisted) models;
+//! 3. persists each operation that version admission lets through the
+//!    local ORM (running active-model callbacks), parsing its attributes
+//!    only then, straight into each subscription's row, honouring renames,
+//!    virtual-attribute setters, and observer (non-persisted) models;
 //! 4. increments the version store for every dependency in the message and
 //!    acks.
 //!
@@ -59,7 +60,6 @@ use lane::{Held, Lane, HELD_MAX};
 use crate::api::SubscriptionRegistry;
 use crate::config::SynapseConfig;
 use crate::deps::DepSpace;
-use crate::message::WriteMessage;
 use crate::semantics::DeliveryMode;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -458,16 +458,15 @@ impl Subscriber {
         DeliveryMode::effective(publisher, self.subscriber_mode)
     }
 
-    /// The effective delivery mode of a live message (§3.2), noting a
-    /// generation advance of its app (§4.4).
-    fn live_mode(&self, msg: &WriteMessage) -> DeliveryMode {
-        let newer =
-            |u: &(_, AtomicU64)| u.1.fetch_max(msg.generation, Ordering::Relaxed) < msg.generation;
-        if self.upstreams.read().get(&msg.app).is_some_and(newer) {
+    /// The effective delivery mode of a live message from `app` (§3.2),
+    /// noting a generation advance of its app (§4.4).
+    fn live_mode(&self, app: &str, generation: u64) -> DeliveryMode {
+        let newer = |u: &(_, AtomicU64)| u.1.fetch_max(generation, Ordering::Relaxed) < generation;
+        if self.upstreams.read().get(app).is_some_and(newer) {
             let advances = &self.counters.generation_advances;
             advances.fetch_add(1, Ordering::Relaxed);
         }
-        self.effective_mode(&msg.app)
+        self.effective_mode(app)
     }
 }
 

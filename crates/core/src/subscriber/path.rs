@@ -1,4 +1,4 @@
-//! The one message path: decode → dependency check → apply → settle on
+//! The one message path: envelope → dependency check → apply → settle on
 //! the caller's lane, with one failure exit.
 
 use super::lane::{Held, Lane, Prepared};
@@ -7,7 +7,7 @@ use crate::bootstrap::BOOTSTRAP_EXCHANGE;
 use crate::config::{backoff, RETRY_ATTEMPTS};
 use crate::context;
 use crate::deps::DepName;
-use crate::message::WriteMessage;
+use crate::message::Envelope;
 use crate::semantics::DeliveryMode;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, Ordering};
@@ -16,7 +16,7 @@ use synapse_broker::{Consumer, Delivery};
 use synapse_db::DbError;
 use synapse_orm::OrmError;
 use synapse_telemetry::mono_nanos;
-use synapse_versionstore::{DepWaitSet, StoreError, WaitOutcome};
+use synapse_versionstore::{DepKey, DepWaitSet, StoreError, WaitOutcome};
 
 /// The transient failure a dead subscriber version store causes.
 const STORE_DIED: &str = "subscriber version store died";
@@ -44,7 +44,7 @@ impl Kind {
     }
 }
 
-/// Outcome of running one decoded delivery up to its ORM apply.
+/// Outcome of running one read delivery up to its ORM apply.
 enum Processed {
     /// Applied; stage marks ready for the telemetry commit.
     Applied(StageMarks),
@@ -66,7 +66,7 @@ struct StageMarks {
 }
 
 impl Subscriber {
-    /// The one message sequence — decode, dependency check, admission +
+    /// The one message sequence — envelope, dependency check, admission +
     /// ORM apply, settle — that every delivery takes,
     /// whatever its [`Kind`] and whoever's [`Lane`] it runs on. Success
     /// stages the delivery on the lane. A failure is returned classified;
@@ -74,8 +74,8 @@ impl Subscriber {
     /// ([`Subscriber::fail`]), on a consumer-less lane the caller owns it.
     /// `Ok(Some(_))` hands the delivery back to a worker lane to hold: its
     /// dependencies are not yet satisfied. A held delivery comes back here
-    /// with its first run's work kept — decoded, its mode settled, its
-    /// wait set prepared and its redelivery counted.
+    /// with its first run's work kept — its envelope read, its mode
+    /// settled, its wait set prepared and its redelivery counted.
     pub(super) fn handle_delivery(
         &self,
         mut held: Held,
@@ -88,10 +88,10 @@ impl Subscriber {
                 self.counters.redeliveries.fetch_add(1, Ordering::Relaxed);
             }
             let handle_nanos = mono_nanos();
-            match WriteMessage::decode(&held.delivery.payload) {
-                Ok(msg) => {
+            match Envelope::read(&held.delivery.payload) {
+                Ok(env) => {
                     held.prepared = Some(Prepared {
-                        msg,
+                        env,
                         mode: DeliveryMode::Weak,
                         deps: DepWaitSet::default(),
                         handle_nanos,
@@ -104,9 +104,9 @@ impl Subscriber {
                 }
             }
         }
-        let tag = held.delivery.tag;
-        let prepared = held.prepared.as_mut().expect("decoded on the first run");
-        match self.process_decoded(prepared, first, kind, tag, lane) {
+        let (tag, text) = (held.delivery.tag, &*held.delivery.payload);
+        let prepared = held.prepared.as_mut().expect("read on the first run");
+        match self.process_read(prepared, text, first, kind, tag, lane) {
             Ok(Processed::Aside) => Ok(Some(held)),
             Ok(Processed::Void) => Ok(None),
             Ok(Processed::Applied(marks)) => {
@@ -117,37 +117,38 @@ impl Subscriber {
                     // version snapshot already carried their `ops`), so
                     // landing them must not advance the subscriber's
                     // dependency counters.
-                    lane.deps
-                        .extend(prepared.msg.dependencies.iter().map(|(k, v)| (*k, *v)));
+                    lane.deps.extend_from_slice(&prepared.env.deps);
                 }
                 let (mode, handle_nanos) = (prepared.mode, prepared.handle_nanos);
                 self.record_visible(&held.delivery, mode, held.popped_nanos, handle_nanos, marks);
                 Ok(None)
             }
-            Err(e) => Err(self.fail(&held.delivery, kind, e, Some(&prepared.msg), lane)),
+            Err(e) => Err(self.fail(&held.delivery, kind, e, Some(&prepared.env), lane)),
         }
     }
 
-    /// One decoded delivery up to its ORM apply. On its first run it
-    /// settles its mode and prepares its wait set; every run then checks
-    /// the wait set and, when it holds, applies.
-    fn process_decoded(
+    /// One read delivery, its payload `text`, up to its ORM apply. On its
+    /// first run it settles its mode and prepares its wait set; every run
+    /// then checks the wait set and, when it holds, applies.
+    fn process_read(
         &self,
         prepared: &mut Prepared,
+        text: &str,
         first: bool,
         kind: Kind,
         tag: u64,
         lane: &mut Lane<'_>,
     ) -> Result<Processed, ProcessError> {
         if first {
+            let app = prepared.env.app(text);
             prepared.mode = match kind {
                 // A copy's dependency map holds its admission marker, not
                 // publisher bumps to wait for: it runs as a weak delivery.
                 Kind::Copy => DeliveryMode::Weak,
-                Kind::Live => self.live_mode(&prepared.msg),
+                Kind::Live => self.live_mode(app, prepared.env.generation),
             };
             if prepared.mode != DeliveryMode::Weak {
-                prepared.deps = self.filtered_wait_set(&prepared.msg, prepared.mode);
+                prepared.deps = self.filtered_wait_set(&prepared.env.deps, app, prepared.mode);
             }
         }
         let mut marks = StageMarks::default();
@@ -169,7 +170,7 @@ impl Subscriber {
             marks.dep_wait_nanos = mono_nanos().saturating_sub(since);
         }
         let apply_start = mono_nanos();
-        self.apply_message(&mut prepared.msg, kind, prepared.mode)?;
+        self.apply_message(&prepared.env, text, kind, prepared.mode)?;
         marks.apply_nanos = mono_nanos().saturating_sub(apply_start);
         Ok(Processed::Applied(marks))
     }
@@ -342,7 +343,7 @@ impl Subscriber {
         delivery: &Delivery,
         kind: Kind,
         error: ProcessError,
-        msg: Option<&WriteMessage>,
+        env: Option<&Envelope>,
         lane: &mut Lane<'_>,
     ) -> ProcessError {
         let Some(consumer) = lane.consumer else {
@@ -351,7 +352,7 @@ impl Subscriber {
         self.counters.errors.fetch_add(1, Ordering::Relaxed);
         // Only a live message's dependency keys are publisher bumps to
         // release; a copy's hold its admission marker.
-        let release = msg.filter(|_| kind == Kind::Live);
+        let release = env.filter(|_| kind == Kind::Live);
         if matches!(error, ProcessError::Poison(_)) {
             self.counters
                 .poison_messages
@@ -394,15 +395,15 @@ impl Subscriber {
     /// payloads cannot release anything — under strict causal mode that
     /// residue is exactly the paper's §6.5 wedge, and the way out remains
     /// decommission + partial bootstrap.
-    fn dead_letter(&self, consumer: &Consumer, tag: u64, msg: Option<&WriteMessage>) {
+    fn dead_letter(&self, consumer: &Consumer, tag: u64, env: Option<&Envelope>) {
         // A broker restart between pop and this call requeues the tag; the
         // dead-letter is then void and the redelivery takes the full path
         // again, so only a live dead-letter releases deps and counts.
         if !consumer.dead_letter(tag) {
             return;
         }
-        if let Some(msg) = msg {
-            if self.store.apply(&msg.dep_list()).is_ok() {
+        if let Some(env) = env {
+            if self.store.apply(&env.deps).is_ok() {
                 self.wake_holders();
             }
         }
@@ -410,8 +411,8 @@ impl Subscriber {
         self.counters.dead_lettered.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Applies a decoded message's operations through the local ORM, taking
-    /// them out of the message: their attributes move into the rows.
+    /// Applies a read message's operations through the local ORM; each
+    /// parses its attributes only if it applies (see `apply_op`).
     ///
     /// Application runs inside its own causal scope (like a background
     /// job, §4.2) so that reads made by decorator callbacks become
@@ -420,17 +421,17 @@ impl Subscriber {
     /// it would panic identically on every redelivery.
     fn apply_message(
         &self,
-        msg: &mut WriteMessage,
+        env: &Envelope,
+        text: &str,
         kind: Kind,
         mode: DeliveryMode,
     ) -> Result<(), ProcessError> {
-        let mut operations = std::mem::take(&mut msg.operations);
-        let msg = &*msg;
+        let app = env.app(text);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             context::with_scope(|| {
                 context::with_replication_flag(|| {
-                    for op in &mut operations {
-                        self.apply_op(msg, op, kind, mode)?;
+                    for op in env.ops(text) {
+                        self.apply_op(env, app, op, kind, mode)?;
                     }
                     Ok::<(), OrmError>(())
                 })
@@ -447,18 +448,30 @@ impl Subscriber {
         }
     }
 
-    /// The message's dependencies, filtered per the effective mode (a
-    /// causal subscriber of a global publisher ignores the global
+    /// A message's dependencies from `app`, filtered per the effective
+    /// mode (a causal subscriber of a global publisher ignores the global
     /// dependency, §4.2) and routed once into a shard-grouped wait set —
     /// every re-check during the wait loop reuses the routing.
-    fn filtered_wait_set(&self, msg: &WriteMessage, mode: DeliveryMode) -> DepWaitSet {
-        let mut deps = msg.dep_list();
-        if mode == DeliveryMode::Causal {
-            let global_key = self.dep_space.key(&DepName::global(&msg.app));
-            deps.retain(|(k, _)| *k != global_key);
-        }
+    fn filtered_wait_set(
+        &self,
+        deps: &[(DepKey, u64)],
+        app: &str,
+        mode: DeliveryMode,
+    ) -> DepWaitSet {
         let mut set = DepWaitSet::default();
-        self.store.prepare_wait(&deps, &mut set);
+        if mode == DeliveryMode::Causal {
+            let global_key = self.dep_space.key(&DepName::global(app));
+            if deps.iter().any(|(k, _)| *k == global_key) {
+                let kept: Vec<(DepKey, u64)> = deps
+                    .iter()
+                    .copied()
+                    .filter(|(k, _)| *k != global_key)
+                    .collect();
+                self.store.prepare_wait(&kept, &mut set);
+                return set;
+            }
+        }
+        self.store.prepare_wait(deps, &mut set);
         set
     }
 }

@@ -306,3 +306,29 @@ fn a_full_lane_hands_back_its_newest_and_parks_instead_of_spinning() {
     node.stop();
     assert_eq!(broker.queue_len("sub"), Some(100));
 }
+
+/// A message whose second operation's attributes are malformed deep down
+/// applies nothing, its well-formed first operation included: reading the
+/// envelope checks every attribute span before any operation applies, so
+/// the delivery is dead-lettered as poison.
+#[test]
+fn a_malformed_second_operation_poisons_the_whole_message() {
+    let (broker, node) = subscriber(SynapseConfig::new("sub").workers(1));
+    let op = |id: u64, attributes: &str| {
+        format!(r#"{{"attributes":{attributes},"id":{id},"operation":"create","types":["Post"]}}"#)
+    };
+    let text = format!(
+        r#"{{"app":"pub","dependencies":{{}},"generation":1,"operations":[{},{}],"published_at":0}}"#,
+        op(1, r#"{"body":"fine"}"#),
+        op(2, r#"{"body":"x","tags":[1,{"deep":[tru]}]}"#)
+    );
+    broker.publish_routed("pub", text, 0, 0).unwrap();
+    node.start();
+    assert!(eventually(Duration::from_secs(2), || {
+        node.subscriber_stats().dead_lettered == 1
+    }));
+    let stats = node.subscriber_stats();
+    assert_eq!((stats.poison_messages, stats.ops_applied), (1, 0));
+    assert_eq!((body(&node, 1), body(&node, 2)), (None, None));
+    node.stop();
+}

@@ -88,7 +88,9 @@ pub fn encode_u64(u: u64, out: &mut String) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&buf[pos..]).expect("ascii digits"));
+    // ASCII digits are one-byte characters: pushed as such, they need no
+    // UTF-8 check.
+    out.extend(buf[pos..].iter().map(|&d| char::from(d)));
 }
 
 fn encode_float(x: f64, out: &mut String) {
@@ -207,39 +209,97 @@ pub fn decode(text: &str) -> Result<Value, ModelError> {
     Ok(v)
 }
 
-/// A pull reader over one JSON text: the parser behind [`decode`], open to
-/// a caller that knows its message's shape and wants the fields in its own
-/// types instead of a [`Value`] tree (`WriteMessage::decode`, once per
-/// delivery). [`Reader::array`] and [`Reader::object`] walk a container
-/// and hand each element's position to the caller, who consumes exactly
-/// one value there with any of the three reads. A container read that
-/// finds some other type parses it as [`Reader::value`] would, drops it
-/// and returns `false` — what `Value::as_array`/`as_map` answer on a
-/// parsed tree, so the grammar accepted is [`decode`]'s, byte for byte.
+/// Where a [`Reader`] stopped and why: an offset and a static message, so
+/// every read's `Result` stays small and nothing is allocated until the
+/// error leaves the caller's read as a [`ModelError::Parse`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadError {
+    offset: usize,
+    what: &'static str,
+}
+
+impl From<ReadError> for ModelError {
+    fn from(e: ReadError) -> Self {
+        ModelError::Parse {
+            offset: e.offset,
+            message: e.what.to_owned(),
+        }
+    }
+}
+
+/// The one JSON reader: a pull reader over one text, behind [`decode`]
+/// and open to a caller that knows its message's shape and wants the
+/// fields in its own types instead of a [`Value`] tree (a write message,
+/// read once per delivery). [`Reader::array`] and [`Reader::object`] walk
+/// a container and hand each element's position to the caller, who
+/// consumes exactly one value there with any of the reads: a string comes
+/// borrowed from the text unless it holds an escape, an integer as an
+/// `i64`, a tree only when asked for, and [`Reader::skip`] checks a value
+/// without building anything. A typed read that finds some other type
+/// checks it as [`Reader::skip`] would and answers `None` (a container
+/// read, `false`) — what `Value::as_str`/`as_int`/`as_array`/`as_map`
+/// answer on a parsed tree, so the grammar accepted is [`decode`]'s, byte
+/// for byte.
 ///
 /// # Examples
 ///
 /// ```
 /// use synapse_model::wire::Reader;
 ///
-/// let mut r = Reader::new(r#"{"id":7,"tags":["a","b"]}"#);
-/// let (mut id, mut tags) = (None, 0);
+/// let mut r = Reader::new(r#"{"id":7,"name":"x","tags":["a","b"],"n":1.5}"#);
+/// let (mut id, mut name, mut tags) = (None, None, 0);
 /// r.object(|r, key| {
 ///     match &*key {
-///         "id" => id = r.value()?.as_int(),
-///         _ => {
-///             r.array(|r| r.value().map(|_| tags += 1))?;
+///         "id" => id = r.int()?,
+///         "name" => name = r.string()?,
+///         "tags" => {
+///             r.array(|r| r.skip().map(|_| tags += 1))?;
 ///         }
+///         _ => r.skip()?,
 ///     }
 ///     Ok(())
 /// })
 /// .unwrap();
 /// r.finish().unwrap();
-/// assert_eq!((id, tags), (Some(7), 2));
+/// assert_eq!((id, name.as_deref(), tags), (Some(7), Some("x"), 2));
 /// ```
 pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
+}
+
+/// A literal or a number, as read: nothing of either lives on the heap.
+#[derive(Clone, Copy)]
+enum Scalar {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+}
+
+/// Where the run of string bytes from `at` that need no look ends: at the
+/// first `"`, `\` or control byte, or the end of `bytes`. Eight bytes are
+/// looked at a time, as one word: `hits` marks a byte's high bit where it
+/// is one of the three. A subtraction's borrow can also mark bytes after
+/// the first hit, never before it, so the lowest mark is the first hit.
+fn plain_run(bytes: &[u8], mut at: usize) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let below = |w: u64, n: u64| w.wrapping_sub(ONES * n) & !w & HIGH;
+    while let Some(chunk) = bytes.get(at..at + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let hits = below(w ^ (ONES * u64::from(b'"')), 1)
+            | below(w ^ (ONES * u64::from(b'\\')), 1)
+            | below(w, 0x20);
+        if hits != 0 {
+            return at + hits.trailing_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    at + bytes[at..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(bytes.len() - at)
 }
 
 impl<'a> Reader<'a> {
@@ -250,8 +310,15 @@ impl<'a> Reader<'a> {
         r
     }
 
+    /// The byte offset the reader stands at: where the value handed to a
+    /// container walk's caller starts, and just past a value once read.
+    #[inline]
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
     /// Closes the text: only whitespace may follow the value read.
-    pub fn finish(mut self) -> Result<(), ModelError> {
+    pub fn finish(mut self) -> Result<(), ReadError> {
         self.skip_ws();
         if self.pos != self.text.len() {
             return Err(self.err("trailing characters after value"));
@@ -259,12 +326,9 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    /// Reads the next value, whatever it is.
-    pub fn value(&mut self) -> Result<Value, ModelError> {
+    /// Reads the next value, whatever it is, into a tree.
+    pub fn value(&mut self) -> Result<Value, ReadError> {
         match self.peek() {
-            Some(b'n') => self.parse_literal("null", Value::Null),
-            Some(b't') => self.parse_literal("true", Value::Bool(true)),
-            Some(b'f') => self.parse_literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?.into_owned())),
             Some(b'[') => {
                 let mut items = Vec::new();
@@ -280,25 +344,97 @@ impl<'a> Reader<'a> {
                 })?;
                 Ok(Value::Map(map))
             }
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
+            _ => Ok(match self.scalar()? {
+                Scalar::Null => Value::Null,
+                Scalar::Bool(b) => Value::Bool(b),
+                Scalar::Int(i) => Value::Int(i),
+                Scalar::Float(x) => Value::Float(x),
+            }),
         }
     }
 
-    /// Reads the next value as an array, calling `item` at each element.
+    /// Checks the next value, whatever it is, and builds nothing of it.
+    pub fn skip(&mut self) -> Result<(), ReadError> {
+        match self.peek() {
+            Some(b'"') => self.scan_string().map(drop),
+            Some(b'[') => self.walk(b']', "expected ',' or ']' in array", Self::skip),
+            Some(b'{') => self.walk(b'}', "expected ',' or '}' in object", |r| {
+                r.scan_string()?;
+                r.colon()?;
+                r.skip()
+            }),
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// Reads the next value as a string: borrowed from the text unless it
+    /// holds an escape; `None` (the value checked) if it is no string.
+    #[inline]
+    pub fn string(&mut self) -> Result<Option<Cow<'a, str>>, ReadError> {
+        if self.peek() == Some(b'"') {
+            self.parse_string().map(Some)
+        } else {
+            self.skip().map(|_| None)
+        }
+    }
+
+    /// Reads the next value as an integer; `None` (the value checked) if
+    /// it is no integer that fits `i64`.
+    #[inline]
+    pub fn int(&mut self) -> Result<Option<i64>, ReadError> {
+        match self.peek() {
+            Some(b'-' | b'0'..=b'9') => match self.number()? {
+                Scalar::Int(i) => Ok(Some(i)),
+                _ => Ok(None),
+            },
+            _ => self.skip().map(|_| None),
+        }
+    }
+
+    /// Reads the next value as an array, calling `item` at each element;
+    /// `false` (the value checked) if it is no array.
     pub fn array(
         &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<(), ModelError>,
-    ) -> Result<bool, ModelError> {
+        item: impl FnMut(&mut Self) -> Result<(), ReadError>,
+    ) -> Result<bool, ReadError> {
         if self.peek() != Some(b'[') {
-            return self.value().map(|_| false);
+            return self.skip().map(|_| false);
         }
+        self.walk(b']', "expected ',' or ']' in array", item)?;
+        Ok(true)
+    }
+
+    /// Reads the next value as an object, calling `entry` with each key at
+    /// that key's value; `false` (the value checked) if it is no object.
+    /// Keys come in text order, repeats included — a tree keeps the last.
+    pub fn object(
+        &mut self,
+        mut entry: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ReadError>,
+    ) -> Result<bool, ReadError> {
+        if self.peek() != Some(b'{') {
+            return self.skip().map(|_| false);
+        }
+        self.walk(b'}', "expected ',' or '}' in object", |r| {
+            let key = r.parse_string()?;
+            r.colon()?;
+            entry(r, key)
+        })?;
+        Ok(true)
+    }
+
+    /// Walks the container whose opening byte the reader stands at,
+    /// calling `item` at each element until `close`.
+    fn walk(
+        &mut self,
+        close: u8,
+        expected: &'static str,
+        mut item: impl FnMut(&mut Self) -> Result<(), ReadError>,
+    ) -> Result<(), ReadError> {
         self.pos += 1;
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(true);
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -306,122 +442,121 @@ impl<'a> Reader<'a> {
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b']') => return Ok(true),
-                _ => return Err(self.err("expected ',' or ']' in array")),
+                Some(b) if b == close => return Ok(()),
+                _ => return Err(self.err(expected)),
             }
         }
     }
 
-    /// Reads the next value as an object, calling `entry` with each key at
-    /// that key's value. Keys come in text order, repeats included — a
-    /// tree keeps the last.
-    pub fn object(
-        &mut self,
-        mut entry: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ModelError>,
-    ) -> Result<bool, ModelError> {
-        if self.peek() != Some(b'{') {
-            return self.value().map(|_| false);
-        }
-        self.pos += 1;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(true);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            entry(self, key)?;
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(true),
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
+    /// A literal or a number.
+    fn scalar(&mut self) -> Result<Scalar, ReadError> {
+        match self.peek() {
+            Some(b'n') => self.literal("null", Scalar::Null),
+            Some(b't') => self.literal("true", Scalar::Bool(true)),
+            Some(b'f') => self.literal("false", Scalar::Bool(false)),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(_) => Err(self.err("unexpected character")),
+            None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn err(&self, message: &str) -> ModelError {
-        ModelError::Parse {
+    fn err(&self, what: &'static str) -> ReadError {
+        ReadError {
             offset: self.pos,
-            message: message.to_owned(),
+            what,
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn bump(&mut self) -> Option<u8> {
         let b = self.peek()?;
         self.pos += 1;
         Some(b)
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), ModelError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+    /// The `:` after an object key, with the whitespace around it.
+    #[inline]
+    fn colon(&mut self) -> Result<(), ReadError> {
+        self.skip_ws();
+        if self.bump() != Some(b':') {
+            return Err(self.err("expected ':'"));
         }
+        self.skip_ws();
+        Ok(())
     }
 
-    fn parse_literal(&mut self, lit: &str, value: Value) -> Result<Value, ModelError> {
+    fn literal(&mut self, lit: &'static str, value: Scalar) -> Result<Scalar, ReadError> {
         if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
-            Err(self.err(&format!("invalid literal, expected {lit}")))
+            Err(self.err("invalid literal"))
+        }
+    }
+
+    /// Checks a string literal and steps past it; whether it holds an
+    /// escape.
+    #[inline]
+    fn scan_string(&mut self) -> Result<bool, ReadError> {
+        if self.bump() != Some(b'"') {
+            return Err(self.err("expected a string"));
+        }
+        let mut escaped = false;
+        loop {
+            self.pos = plain_run(self.text.as_bytes(), self.pos);
+            match self.bump() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => return Ok(escaped),
+                Some(b'\\') => {
+                    self.parse_escape()?;
+                    escaped = true;
+                }
+                Some(_) => return Err(self.err("raw control character in string")),
+            }
         }
     }
 
     /// Reads a string literal: borrowed from the text when it holds no
     /// escape (every key and most values), built only past the first one.
-    fn parse_string(&mut self) -> Result<Cow<'a, str>, ModelError> {
-        self.expect(b'"')?;
-        let text = self.text;
-        let mut run = self.pos;
-        let mut owned: Option<String> = None;
-        loop {
-            // `"`, `\` and control bytes are ASCII, so a run of anything
-            // else always ends on a character boundary.
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    let tail = &text[run..self.pos - 1];
-                    return Ok(match owned {
-                        None => Cow::Borrowed(tail),
-                        Some(mut s) => {
-                            s.push_str(tail);
-                            Cow::Owned(s)
-                        }
-                    });
-                }
-                Some(b'\\') => {
-                    let s = owned.get_or_insert_with(String::new);
-                    s.push_str(&text[run..self.pos - 1]);
-                    s.push(self.parse_escape()?);
-                    run = self.pos;
-                }
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {}
+    #[inline]
+    fn parse_string(&mut self) -> Result<Cow<'a, str>, ReadError> {
+        let start = self.pos + 1;
+        let escaped = self.scan_string()?;
+        let (text, end) = (self.text, self.pos - 1);
+        if !escaped {
+            return Ok(Cow::Borrowed(&text[start..end]));
+        }
+        // The literal checked out: unescape it. `\` is ASCII, so each run
+        // between escapes ends on a character boundary.
+        let mut out = String::with_capacity(end - start);
+        let mut inner = Reader { text, pos: start };
+        let mut run = start;
+        while inner.pos < end {
+            if inner.bump() == Some(b'\\') {
+                out.push_str(&text[run..inner.pos - 1]);
+                out.push(inner.parse_escape()?);
+                run = inner.pos;
             }
         }
+        out.push_str(&text[run..end]);
+        Ok(Cow::Owned(out))
     }
 
     /// The character a backslash escape stands for (the backslash is
     /// already consumed).
-    fn parse_escape(&mut self) -> Result<char, ModelError> {
+    fn parse_escape(&mut self) -> Result<char, ReadError> {
         Ok(match self.bump() {
             Some(b'"') => '"',
             Some(b'\\') => '\\',
@@ -452,7 +587,7 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, ModelError> {
+    fn parse_hex4(&mut self) -> Result<u32, ReadError> {
         let mut v = 0u32;
         for _ in 0..4 {
             let b = self
@@ -466,21 +601,24 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
 
-    fn parse_number(&mut self) -> Result<Value, ModelError> {
+    /// An integer that fits `i64` reads as an `Int`, any other number as
+    /// a `Float`. An integer's digits are added up as they are passed.
+    fn number(&mut self) -> Result<Scalar, ReadError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let negative = self.peek() == Some(b'-');
+        self.pos += usize::from(negative);
+        let first_digit = self.pos;
+        // Minus the magnitude: `i64::MIN` has no positive twin.
+        let mut sum = Some(0i64);
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            sum = sum.and_then(|s| s.checked_mul(10)?.checked_sub(i64::from(d - b'0')));
             self.pos += 1;
         }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -488,22 +626,31 @@ impl<'a> Reader<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = &self.text[start..self.pos];
-        if text.is_empty() || text == "-" {
-            return Err(self.err("invalid number"));
+            self.digits();
         }
         if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
+            if self.pos == first_digit {
+                return Err(self.err("invalid number"));
+            }
+            let int = if negative {
+                sum
+            } else {
+                sum.and_then(i64::checked_neg)
+            };
+            if let Some(i) = int {
+                return Ok(Scalar::Int(i));
             }
         }
-        text.parse::<f64>()
-            .map(Value::Float)
+        self.text[start..self.pos]
+            .parse::<f64>()
+            .map(Scalar::Float)
             .map_err(|_| self.err("invalid number"))
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
     }
 }
 
@@ -696,6 +843,126 @@ mod tests {
     fn huge_integers_fall_back_to_float() {
         let v = decode("92233720368547758080").unwrap();
         assert!(matches!(v, Value::Float(_)));
+    }
+
+    /// The word-at-a-time scan stops where a byte-at-a-time one does, for a
+    /// stop byte at every place of a word and past its end, among bytes on
+    /// either side of each stop value (multi-byte UTF-8 included).
+    #[test]
+    fn plain_run_stops_where_a_bytewise_scan_does() {
+        let bytewise = |bytes: &[u8], at: usize| {
+            (at..bytes.len())
+                .find(|&i| matches!(bytes[i], b'"' | b'\\' | 0..=0x1f))
+                .unwrap_or(bytes.len())
+        };
+        let fillers = [b'a', b' ', b'!', b'#', b'[', b']', 0x7f, 0x80, 0xc3, 0xff];
+        let stops = [b'"', b'\\', 0x00, 0x01, 0x1f];
+        for len in 0..20 {
+            for &fill in &fillers {
+                let plain = vec![fill; len];
+                for at in 0..=len {
+                    assert_eq!(plain_run(&plain, at), bytewise(&plain, at));
+                }
+                for place in 0..len {
+                    for &stop in &stops {
+                        let mut bytes = plain.clone();
+                        bytes[place] = stop;
+                        for at in 0..=len {
+                            assert_eq!(
+                                plain_run(&bytes, at),
+                                bytewise(&bytes, at),
+                                "{bytes:?} from {at}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `skip`, `string` and `int` give `decode`'s verdict on every text,
+    /// and the typed reads answer what `as_str`/`as_int` answer on the
+    /// parsed value — a string borrowed unless it holds an escape.
+    #[test]
+    fn typed_reads_and_skip_agree_with_the_tree() {
+        let texts = [
+            "null",
+            "true",
+            " false ",
+            "0",
+            "-7",
+            "007",
+            "1.5",
+            "-2e3",
+            "1E+2",
+            "1.",
+            "-0",
+            "-.5",
+            "0.0e0",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "99999999999999999999999",
+            r#""plain""#,
+            r#""esc\"aped\u00e9""#,
+            r#""😀""#,
+            "[]",
+            "[1,[2,[3,{}]],\"x\"]",
+            r#"{"a":{"b":[null,{"c":"d"}]},"a":1}"#,
+            " { \"k\" : [ 1 , 2 ] } ",
+            // Malformed, each somewhere else.
+            "",
+            "nul",
+            "-",
+            "-.",
+            "1e",
+            "1e+",
+            "--1",
+            "-x",
+            "[1,",
+            "[1 2]",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "{1:2}",
+            "\"\\q\"",
+            "\"\\ud800\"",
+            "\"a\u{1}b\"",
+            "[{\"a\":[1,{\"b\":tru}]}]",
+            "1 2",
+        ];
+        for text in texts {
+            let tree = decode(text);
+            let mut r = Reader::new(text);
+            let skipped = r.skip().and_then(|()| r.finish());
+            assert_eq!(skipped.is_ok(), tree.is_ok(), "skip of {text:?}");
+
+            let mut r = Reader::new(text);
+            let string = r.string();
+            let string = string.and_then(|s| r.finish().map(|()| s));
+            match (&tree, string) {
+                (Ok(v), Ok(s)) => {
+                    assert_eq!(s.as_deref(), v.as_str(), "string of {text:?}");
+                    let escaped = text.contains('\\');
+                    assert_eq!(matches!(s, Some(Cow::Borrowed(_))), !escaped && s.is_some());
+                }
+                (Err(_), Err(_)) => {}
+                (tree, s) => panic!("string of {text:?}: {s:?} against {tree:?}"),
+            }
+
+            let mut r = Reader::new(text);
+            let int = r.int().and_then(|i| r.finish().map(|()| i));
+            match (&tree, int) {
+                (Ok(v), Ok(i)) => assert_eq!(i, v.as_int(), "int of {text:?}"),
+                (Err(_), Err(_)) => {}
+                (tree, i) => panic!("int of {text:?}: {i:?} against {tree:?}"),
+            }
+        }
+        // A read error becomes a parse error where it leaves the reader.
+        assert!(matches!(
+            decode("[1,"),
+            Err(ModelError::Parse { offset: 3, .. })
+        ));
     }
 
     /// The reader's container walks see what `decode` sees: every key in

@@ -13,7 +13,11 @@
 # per pair, the same seed on both sides, the side that goes first
 # alternating. Prints, per end-to-end metric, both medians and inter-quartile
 # ranges, wins/ties/losses of the change, and whether the gap is wider than
-# the parent's own IQR and than the metric's bound. With --trace it then
+# the parent's own IQR and than the metric's bound; beside `setup_s` and
+# `recovery_s`, whose figures are scaled to reference machine speed, also
+# each side's median wall time (a run's wall figure is the median of its
+# windows as the clock measured them, from the report's `# set-ups, s:` and
+# `# recoveries, s:` lines). With --trace it then
 # makes N (default 3) `--trace 1` runs per side per workload, on N seeds
 # (the first N pairs' seeds), the side that goes first alternating, and
 # prints every per-layer metric's median and IQR per side with the ratio
@@ -26,7 +30,8 @@
 # With --json it also writes the comparison to <file>: both revs (the
 # change is the working tree on top of HEAD, marked `+` when it differs
 # from HEAD), the seeds, and per workload and end-to-end metric both
-# medians, both IQRs and the change's wins/ties/losses, plus each traced
+# medians, both IQRs and the change's wins/ties/losses (`setup_s` and
+# `recovery_s` also `<side>_wall_median`), plus each traced
 # per-layer metric's medians and IQRs (a time's also at reference speed, as
 # `<side>_median_at_ref` and `<side>_iqr_at_ref`). A PR commits its run as
 # `BENCH_<short parent rev>.json`: the parent is the one rev a change knows
@@ -71,6 +76,8 @@ fi
 work="$(mktemp -d "${TMPDIR:-/tmp}/synapse-pairs.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/parent" "$work/change"
+# Present even with `--pairs 0`, which makes traced runs alone.
+: >"$work/runs.tsv"
 git archive "$parent_rev" | tar -x -C "$work/parent"
 git ls-files -co --exclude-standard -z |
   while IFS= read -r -d '' f; do [[ -e "$f" ]] && printf '%s\0' "$f"; done |
@@ -92,9 +99,13 @@ for workload in "${workloads[@]}"; do
     ((i % 2)) && order=(change parent)
     for side in "${order[@]}"; do
       echo "pairs: $workload pair $((i + 1))/$pairs seed $seed $side" >&2
-      line="$(CARGO_TARGET_DIR="$work/target-$side" bash "${root[$side]}/benchmark/run.sh" \
-        --workload "$workload" --seed "$seed" 2>/dev/null | tail -n 1)" || status=1
-      printf '%s\t%s\t%s\t%s\n' "$workload" "$seed" "$side" "$line" >>"$work/runs.tsv"
+      out="$(CARGO_TARGET_DIR="$work/target-$side" bash "${root[$side]}/benchmark/run.sh" \
+        --workload "$workload" --seed "$seed" 2>/dev/null)" || status=1
+      # The JSON tail, then the report's per-window set-up and recovery
+      # lists, which hold each window's wall time as the clock measured it.
+      line="$(tail -n 1 <<<"$out")"
+      walls="$(grep -E '^# (set-ups|recoveries), s:' <<<"$out" | tr '\n' '\t' || true)"
+      printf '%s\t%s\t%s\t%s\t%s\n' "$workload" "$seed" "$side" "$line" "$walls" >>"$work/runs.tsv"
     done
   done
   for ((i = 0; i < trace; i++)); do
@@ -122,9 +133,19 @@ runs, manifest = sys.argv[1], json.load(open(sys.argv[2]))
 out = {"parent_rev": sys.argv[5], "change_rev": sys.argv[6], "pairs": int(sys.argv[7]),
        "seeds": {}, "end_to_end": {}, "per_layer": {}}
 gated = {m["name"]: m for m in manifest["end_to_end"]}
-data, bad = {}, 0
+# The report line that lists each gated time's windows as the clock measured
+# them, `figure@speed` or a bare figure.
+WALL_LINES = {"setup_s": "# set-ups, s: [", "recovery_s": "# recoveries, s: ["}
+data, walls, bad = {}, {}, 0
 for line in open(runs):
-    workload, seed, side, line = line.rstrip("\n").split("\t")
+    workload, seed, side, line, *reports = line.rstrip("\n").split("\t")
+    for name, head in WALL_LINES.items():
+        for report in reports:
+            if report.startswith(head):
+                cells = report[len(head):].split("]")[0].split()
+                secs = [float(c.split("@")[0]) for c in cells]
+                if secs:
+                    walls.setdefault(workload, {}).setdefault(name, {}).setdefault(side, []).append(median(secs))
     try:
         run = json.loads(line)
     except ValueError:
@@ -170,13 +191,21 @@ for workload, metrics in data.items():
               f" gap {'>' if beyond_iqr else '<='} parent IQR; {'BEYOND' if regressed else 'inside'} the {gated[name]['bound']} bound")
         print(f"    parent runs {' '.join(f'{x:.4g}' for x in parent)}")
         print(f"    change runs {' '.join(f'{x:.4g}' for x in change)}")
-        out["end_to_end"].setdefault(workload, {})[name] = {
+        out["end_to_end"].setdefault(workload, {})[name] = entry = {
             "unit": gated[name]["unit"], "better": gated[name]["better"],
             "parent_median": mp, "parent_iqr": [p1, p3],
             "change_median": mc, "change_iqr": [c1, c3],
             "wins": wins, "ties": ties, "losses": len(pairs) - wins - ties,
             "gap_beyond_parent_iqr": beyond_iqr, "beyond_bound": regressed,
         }
+        wall = walls.get(workload, {}).get(name, {})
+        if wall:
+            cells = []
+            for side in ("parent", "change"):
+                if wall.get(side):
+                    entry[f"{side}_wall_median"] = median(wall[side])
+                    cells.append(f"{side} {median(wall[side]):.4g}")
+            print(f"    wall medians, as the clock measured them: {'  '.join(cells)}")
 
 # Traced runs (--trace N): every per-layer metric's median and IQR per
 # side, and the ratio of the medians.

@@ -190,9 +190,12 @@ fn transaction_publish(mode: DeliveryMode) -> u64 {
     })
 }
 
-/// `(create, update)` allocations of `Subscriber::process` on a
-/// PostgreSQL subscriber in causal mode.
-fn subscriber_process() -> [u64; 2] {
+/// `(create, update, stale update, unsubscribed create)` allocations of
+/// `Subscriber::process` on a PostgreSQL subscriber in causal mode. The
+/// stale update replays an admitted version below the stored one; the
+/// unsubscribed create is of a model the node does not subscribe to.
+/// Neither parses an attribute.
+fn subscriber_process() -> [u64; 4] {
     let eco = Ecosystem::new();
     eco.add_node(
         SynapseConfig::new("pub1"),
@@ -207,24 +210,27 @@ fn subscriber_process() -> [u64; 2] {
         .unwrap();
     sub.set_publisher_mode("pub1", DeliveryMode::Causal);
     let space = sub.config().dep_space;
-    let delivery = |operation: &str, n: u64, stamp: u64, version: u64| {
+    let delivery_of = |model: &str, operation: &str, n: u64, stamp: u64, version: u64| {
         let mut attrs = match row(n) {
             Value::Map(m) => m,
             _ => unreachable!(),
         };
         attrs.insert("stamp".to_owned(), Value::Int(stamp as i64));
-        let key = space.key(&DepName::object("pub1", "Post", Id(n)));
+        let key = space.key(&DepName::object("pub1", model, Id(n)));
         emulate_delivery(&WriteMessage {
             app: "pub1".to_owned(),
             operations: vec![Operation::from_record(
                 operation,
-                Record::with_attrs("Post", Id(n), attrs),
+                Record::with_attrs(model, Id(n), attrs),
             )],
             dependencies: [(key, version)].into_iter().collect(),
             published_at: 0,
             generation: 1,
             stamps: BTreeMap::new(),
         })
+    };
+    let delivery = |operation: &str, n: u64, stamp: u64, version: u64| {
+        delivery_of("Post", operation, n, stamp, version)
     };
     let process = sub.subscriber();
     let create = fewest(|i| {
@@ -235,7 +241,25 @@ fn subscriber_process() -> [u64; 2] {
         let d = delivery("update", 1 + i, 1, 1);
         count(|| process.process(&d).unwrap())
     });
-    [create, update]
+    let stats = || sub.subscriber_stats();
+    let stale_before = stats().ops_stale;
+    let stale = fewest(|i| {
+        let d = delivery("update", 1 + i, 1, 1);
+        process.process(&delivery("update", 1 + i, 2, 2)).unwrap();
+        count(|| process.process(&d).unwrap())
+    });
+    assert_eq!(
+        stats().ops_stale - stale_before,
+        WARMUP + REPS,
+        "every replay is stale"
+    );
+    let applied_before = stats().ops_applied;
+    let unsubscribed = fewest(|i| {
+        let d = delivery_of("Comment", "create", 1 + i, 0, 0);
+        count(|| process.process(&d).unwrap())
+    });
+    assert_eq!(stats().ops_applied, applied_before, "nothing applies");
+    [create, update, stale, unsubscribed]
 }
 
 /// `(row, allocations, ceiling)`.
@@ -273,7 +297,7 @@ fn engine_crud_stays_within_its_allocation_ceilings() {
 
 #[test]
 fn replication_stays_within_its_allocation_ceilings() {
-    let [create, update] = subscriber_process();
+    let [create, update, stale, unsubscribed] = subscriber_process();
     check(&[
         (
             "publish create, weak".to_owned(),
@@ -290,7 +314,16 @@ fn replication_stays_within_its_allocation_ceilings() {
             transaction_publish(DeliveryMode::Causal),
             43,
         ),
-        ("Subscriber::process create".to_owned(), create, 38),
-        ("Subscriber::process update".to_owned(), update, 36),
+        ("Subscriber::process create".to_owned(), create, 32),
+        ("Subscriber::process update".to_owned(), update, 30),
+        ("Subscriber::process stale update".to_owned(), stale, 9),
+        (
+            "Subscriber::process unsubscribed".to_owned(),
+            unsubscribed,
+            8,
+        ),
     ]);
+    // A stale update builds nothing of its row: not the four-key,
+    // two-string attribute map, nor the write.
+    assert!(stale + 7 <= update, "stale {stale} against update {update}");
 }
